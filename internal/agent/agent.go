@@ -12,6 +12,7 @@ package agent
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -173,6 +174,11 @@ type Agent struct {
 	totalOutDeg map[graph.VertexID]uint64
 	// registered tracks split vertices this agent announced to masters.
 	registered map[graph.VertexID]bool
+	// masters is the number of locally present vertices this agent is the
+	// master of under view epoch mastersEpoch, kept current from the
+	// store's flip log by the batch-open round (walkFlips).
+	masters      uint64
+	mastersEpoch uint64
 
 	skDelta  *sketch.Sketch
 	buffered []wire.EdgeChange
@@ -656,7 +662,7 @@ func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) {
 }
 
 // sendGated is sendGatedFrame for callers holding an opaque payload slice
-// (raw forwards, sketch bytes); the payload is copied into a pooled frame.
+// (raw forwards); the payload is copied into a pooled frame.
 func (a *Agent) sendGated(addr string, typ wire.Type, payload []byte, groups ...*ackGroup) {
 	a.sendGatedFrame(addr, append(a.node.NewFrameHint(typ, len(payload)), payload...), groups...)
 }
@@ -686,19 +692,55 @@ func (a *Agent) valueOf(v graph.VertexID) algorithm.Word {
 	return w
 }
 
-// countMasters counts locally held vertices whose master replica is this
-// agent — each graph vertex is mastered exactly once cluster-wide, so the
-// directory's sum is the global vertex count.
-func (a *Agent) countMasters() uint64 {
-	var n uint64
-	self := consistent.AgentID(a.id)
-	a.store.Vertices(func(v graph.VertexID) bool {
-		if m, ok := a.router.Master(v); ok && m == self {
+// isMaster reports whether this agent is v's master replica. Each graph
+// vertex is mastered exactly once cluster-wide, so the directory's sum of
+// the agents' master counts is the global vertex count.
+func (a *Agent) isMaster(v graph.VertexID) bool {
+	m, ok := a.router.Master(v)
+	return ok && m == consistent.AgentID(a.id)
+}
+
+// walkFlips is the batch-open round's pass over the local vertex set: it
+// announces newly held split vertices to their masters and returns the
+// exact count of vertices mastered here. Both depend only on which
+// vertices are present and on the view, so under an unchanged view the
+// pass replays the store's flip log — the vertices that appeared or
+// vanished since the last round — and walks every vertex only after a
+// view change (or when the log was abandoned as longer than the walk).
+func (a *Agent) walkFlips(gate *ackGroup) uint64 {
+	flips, ok := a.store.TakeFlips()
+	if epoch := a.router.Epoch(); !ok || epoch != a.mastersEpoch {
+		a.masters, a.mastersEpoch = 0, epoch
+		a.store.Vertices(func(v graph.VertexID) bool {
+			a.registerSplit(v, gate)
+			if a.isMaster(v) {
+				a.masters++
+			}
+			return true
+		})
+		return a.masters
+	}
+	// A vertex logged an odd number of times changed presence; one logged
+	// an even number of times is back where the last round left it.
+	slices.Sort(flips)
+	for i := 0; i < len(flips); {
+		v, n := flips[i], 0
+		for ; i < len(flips) && flips[i] == v; i++ {
 			n++
 		}
-		return true
-	})
-	return n
+		present := a.store.HasVertex(v)
+		if present {
+			a.registerSplit(v, gate)
+		}
+		if n%2 == 1 && a.isMaster(v) {
+			if present {
+				a.masters++
+			} else {
+				a.masters--
+			}
+		}
+	}
+	return a.masters
 }
 
 func (a *Agent) sendReady(step uint32, phase uint8, masters uint64) {

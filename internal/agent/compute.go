@@ -110,9 +110,10 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	a.barrierSpan = trace.ActiveSpan{}
 	a.run = nil
 	a.pendingAdv = nil
-	// Free per-run message state.
-	a.mailbox = make(map[uint32]map[graph.VertexID]*mailEntry)
-	a.partials = make(map[uint32]map[graph.VertexID]*partialEntry)
+	// Drop per-run message state; the two step-indexed maps themselves are
+	// kept.
+	clear(a.mailbox)
+	clear(a.partials)
 	a.flushBuffered()
 }
 

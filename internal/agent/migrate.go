@@ -14,8 +14,10 @@ import (
 )
 
 // handleView installs a directory view and, if the epoch advanced, runs
-// the migration round of §3.4.3: re-evaluate the destination of every
-// held edge copy, forward misplaced ones, and vote the round complete.
+// the migration round of §3.4.3: re-evaluate the destination of held edge
+// copies, forward misplaced ones, and vote the round complete. A view that
+// changed only the sketch re-evaluates just the vertices the router
+// rerouted; a membership or override change re-evaluates every copy.
 func (a *Agent) handleView(v *wire.View) {
 	// Snapshot the outgoing membership before the router re-indexes, so
 	// in-flight sends stranded toward evicted peers can be reclaimed.
@@ -35,6 +37,18 @@ func (a *Agent) handleView(v *wire.View) {
 	}
 	a.migratedEpoch = epoch
 	a.trace("view epoch=%d members=%v", epoch, v.Agents)
+	// The router only knows vertices it was asked about since its last
+	// wholesale install. Every such install is followed by the full round
+	// below, which looks up each held copy's vertex, and copies arriving
+	// later are looked up before they are stored — so a sketch-only list
+	// covers everything this agent holds.
+	if rerouted, sketchOnly := a.router.Rerouted(); sketchOnly {
+		for _, u := range rerouted {
+			delete(a.registered, u)
+		}
+		a.migrate(uint32(epoch), rerouted, true)
+		return
+	}
 	if !a.router.IsMember(consistent.AgentID(a.id)) {
 		// We are being removed: everything must leave (§3.4.3, "it
 		// evaluates its edges normally and determines they all need to
@@ -67,7 +81,7 @@ func (a *Agent) handleView(v *wire.View) {
 			a.rerouteFailed(f)
 		}
 	}
-	a.migrate(uint32(epoch))
+	a.migrate(uint32(epoch), nil, false)
 }
 
 // rerouteFailed re-dispatches one reclaimed in-flight send under the
@@ -139,11 +153,13 @@ type migrationShipment struct {
 	states  map[graph.VertexID]wire.VertexState
 }
 
-// migrate re-evaluates every held copy under the current view, ships the
+// migrate re-evaluates held copies under the current view, ships the
 // misplaced ones (with vertex state and pending mailbox contributions),
 // refreshes replica registrations, and votes Ready(PhaseMigrate) once all
-// shipments are acknowledged.
-func (a *Agent) migrate(epochLow uint32) {
+// shipments are acknowledged. With sketchOnly set, only the rerouted
+// vertices can have moved, so only their copies, mail and registrations
+// are looked at; otherwise everything held is.
+func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly bool) {
 	var sp trace.Span
 	if trace.Enabled() {
 		sp = trace.StartSpan(fmt.Sprintf("a%d migrate epoch=%d", a.id, epochLow))
@@ -152,7 +168,7 @@ func (a *Agent) migrate(epochLow uint32) {
 	self := consistent.AgentID(a.id)
 	shipments := make(map[consistent.AgentID]*migrationShipment)
 	var drop []graph.EdgeCopy
-	a.store.Copies(func(c graph.EdgeCopy) bool {
+	consider := func(c graph.EdgeCopy) bool {
 		owner, ok := a.router.CopyOwner(wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
 		if !ok || owner == self {
 			return true
@@ -181,7 +197,14 @@ func (a *Agent) migrate(epochLow uint32) {
 		a.trace("migrate-ship copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, owner)
 		drop = append(drop, c)
 		return true
-	})
+	}
+	if sketchOnly {
+		for _, v := range rerouted {
+			a.store.CopiesOf(v, consider)
+		}
+	} else {
+		a.store.Copies(consider)
+	}
 
 	// Remove moved copies; the receiver owns them once the send is
 	// acknowledged, and the ack gate holds our vote until then.
@@ -232,25 +255,16 @@ func (a *Agent) migrate(epochLow uint32) {
 	// so entries without a program fold resend their raw values.
 	for step, m := range a.mailbox {
 		b := a.getBatcher(step)
-		for v, e := range m {
-			if a.isReplicaOf(v) {
-				continue
-			}
-			dst, ok := a.router.AnyReplica(v, a.id)
-			if !ok || dst == self {
-				a.trace("migrate-reroute-kept v=%d step=%d", v, step)
-				continue
-			}
-			a.trace("migrate-reroute v=%d step=%d to=%d", v, step, dst)
-			if e.eager && a.run != nil {
-				// fold covers the raw tail too; one message suffices.
-				b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(e.fold(a.run.prog))})
-			} else {
-				for _, rawVal := range e.raw {
-					b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+		if sketchOnly {
+			for _, v := range rerouted {
+				if e := m[v]; e != nil {
+					a.rerouteMail(b, m, v, e)
 				}
 			}
-			delete(m, v)
+		} else {
+			for v, e := range m {
+				a.rerouteMail(b, m, v, e)
+			}
 		}
 		b.flush(gate)
 		a.putBatcher(b)
@@ -272,12 +286,43 @@ func (a *Agent) migrate(epochLow uint32) {
 		}
 	}
 
-	a.refreshRegistrations(gate)
+	if sketchOnly {
+		for _, v := range rerouted {
+			if a.store.HasVertex(v) {
+				a.registerSplit(v, gate)
+			}
+		}
+	} else {
+		a.refreshRegistrations(gate)
+	}
 
 	// Vote once all shipments are acknowledged.
 	a.voteWhenDrained(gate, func() {
 		a.sendReady(epochLow, wire.PhaseMigrate, 0)
 	})
+}
+
+// rerouteMail forwards one pending mailbox entry to a replica of its
+// vertex when this agent no longer is one, removing it from m.
+func (a *Agent) rerouteMail(b *msgBatcher, m map[graph.VertexID]*mailEntry, v graph.VertexID, e *mailEntry) {
+	if a.isReplicaOf(v) {
+		return
+	}
+	dst, ok := a.router.AnyReplica(v, a.id)
+	if !ok || dst == consistent.AgentID(a.id) {
+		a.trace("migrate-reroute-kept v=%d step=%d", v, b.step)
+		return
+	}
+	a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
+	if e.eager && a.run != nil {
+		// fold covers the raw tail too; one message suffices.
+		b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(e.fold(a.run.prog))})
+	} else {
+		for _, rawVal := range e.raw {
+			b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+		}
+	}
+	delete(m, v)
 }
 
 // voteWhenDrained invokes vote once the gate is empty. For non-empty
@@ -295,27 +340,32 @@ type pendingVote struct {
 	fire func()
 }
 
-// refreshRegistrations announces this agent to the masters of split
+// refreshRegistrations announces this agent to the masters of the split
 // vertices it holds, so masters pin them for counting and value updates.
 func (a *Agent) refreshRegistrations(gate *ackGroup) {
-	self := consistent.AgentID(a.id)
 	a.store.Vertices(func(v graph.VertexID) bool {
-		if !a.router.Split(v) || a.registered[v] {
-			return true
-		}
-		master, ok := a.router.Master(v)
-		if !ok || master == self {
-			return true
-		}
-		if addr, ok2 := a.router.AddrOf(master); ok2 {
-			a.registered[v] = true
-			a.sendGatedFrame(addr, wire.AppendReplicaRegister(
-				a.node.NewFrame(wire.TReplicaRegister), &wire.ReplicaRegister{
-					Vertex: v, AgentID: a.id,
-				}), gate)
-		}
+		a.registerSplit(v, gate)
 		return true
 	})
+}
+
+// registerSplit announces this agent to v's master if v is split, not
+// mastered here, and not announced yet.
+func (a *Agent) registerSplit(v graph.VertexID, gate *ackGroup) {
+	if !a.router.Split(v) || a.registered[v] {
+		return
+	}
+	master, ok := a.router.Master(v)
+	if !ok || master == consistent.AgentID(a.id) {
+		return
+	}
+	if addr, ok := a.router.AddrOf(master); ok {
+		a.registered[v] = true
+		a.sendGatedFrame(addr, wire.AppendReplicaRegister(
+			a.node.NewFrame(wire.TReplicaRegister), &wire.ReplicaRegister{
+				Vertex: v, AgentID: a.id,
+			}), gate)
+	}
 }
 
 // handleEdges processes an edge batch: migrations apply immediately;
@@ -453,8 +503,8 @@ func (a *Agent) flushBuffered() {
 }
 
 // handleBatchOpen is the batch-boundary round (PhaseBatch): apply
-// buffered changes, flush the sketch delta to the coordinator, refresh
-// replica registrations, and report the local master count.
+// buffered changes, flush the sketch delta to the coordinator, register
+// newly held split vertices, and report the local master count.
 func (a *Agent) handleBatchOpen() {
 	a.flushBuffered()
 	// Metric collection (§3.4.3): graph change and client query volumes
@@ -472,14 +522,11 @@ func (a *Agent) handleBatchOpen() {
 	a.sendMetric(autoscale.MetricBytesPerEdge, a.store.BytesPerEdge())
 	gate := &ackGroup{}
 	if a.skDelta.Count() > 0 {
-		data, err := a.skDelta.MarshalBinary()
-		if err == nil {
-			a.sendGated(a.coordAddr, wire.TSketchDelta, data, gate)
-		}
+		a.sendGatedFrame(a.coordAddr, a.skDelta.AppendBinary(
+			a.node.NewFrameHint(wire.TSketchDelta, a.skDelta.SizeBytes())), gate)
 		a.skDelta.Reset()
 	}
-	a.refreshRegistrations(gate)
-	masters := a.countMasters()
+	masters := a.walkFlips(gate)
 	batchID := uint32(a.router.BatchID())
 	a.voteWhenDrained(gate, func() {
 		a.sendReady(batchID, wire.PhaseBatch, masters)

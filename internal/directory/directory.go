@@ -100,9 +100,15 @@ type Directory struct {
 	agents      map[uint64]string
 	// leases maps each agent to its last heartbeat (or join) time; an
 	// agent silent past Config.LeaseExpiry is evicted.
-	leases  map[uint64]time.Time
+	leases map[uint64]time.Time
+	// sk is the exact merge of every sketch delta received. skDirty
+	// records that a merge since the last broadcast moved some cell across
+	// a replica bucket — the only sketch change that can alter a route, so
+	// the only one a seal must publish (DESIGN.md, "What opens an epoch").
+	// skBytes caches sk's encoding between merges (empty = stale).
 	sk      *sketch.Sketch
 	skDirty bool
+	skBytes []byte
 	n       uint64
 	// lastView is an owned buffer (never aliases a pooled frame): the
 	// coordinator re-encodes into it, relays copy into it.
@@ -427,8 +433,10 @@ func (d *Directory) view() *wire.View {
 	for _, id := range ids {
 		infos = append(infos, wire.AgentInfo{ID: id, Addr: d.agents[id]})
 	}
-	skBytes, _ := d.sk.MarshalBinary()
-	v := &wire.View{Epoch: d.epoch, BatchID: d.batchID, N: d.n, Agents: infos, Sketch: skBytes}
+	if len(d.skBytes) == 0 {
+		d.skBytes = d.sk.AppendBinary(d.skBytes)
+	}
+	v := &wire.View{Epoch: d.epoch, BatchID: d.batchID, N: d.n, Agents: infos, Sketch: d.skBytes}
 	if len(d.overrides) > 0 {
 		v.Overrides = make([]wire.VertexOverride, 0, len(d.overrides))
 		for vid, aid := range d.overrides {
@@ -679,11 +687,10 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 	case wire.THeartbeat:
 		d.handleHeartbeat(pkt)
 	case wire.TSketchDelta:
-		var delta sketch.Sketch
-		if err := delta.UnmarshalBinary(pkt.Payload); err == nil {
-			if err := d.sk.Merge(&delta); err == nil && delta.Count() > 0 {
-				d.skDirty = true
-			}
+		// A malformed delta merges nothing; ack it to stop retransmission.
+		if crossed, err := d.sk.MergeEncoded(pkt.Payload, d.opts.Config.Replicas); err == nil {
+			d.skBytes = d.skBytes[:0]
+			d.skDirty = d.skDirty || crossed
 		}
 		d.node.Ack(pkt)
 	case wire.TReady:
@@ -947,8 +954,9 @@ func (d *Directory) maybeFinishSeal() {
 		d.n = s.masters
 	}
 	if d.skDirty {
-		// The merged sketch may change replica counts; rebroadcast and
-		// run a migration round before starting work (§3.4.3).
+		// A merged delta moved a cell across a replica bucket, so some
+		// vertex's replica count may have changed: rebroadcast and run a
+		// migration round before starting work (§3.4.3).
 		d.skDirty = false
 		d.epoch++
 		d.broadcastView()
@@ -974,8 +982,9 @@ func (d *Directory) maybeFinishSeal() {
 		wire.ReleasePacket(pkt)
 	}
 	d.pendingSeals = nil
-	// The sketch-clean seal path bumps batchID without a view broadcast;
-	// persist the new batch watermark here.
+	// No replica bucket crossed: every router still computes the routes
+	// the exact merge would, so there is no broadcast. Persist the merged
+	// sketch and the new batch watermark here instead.
 	d.checkpointCoord()
 	d.maybeStartRun()
 }

@@ -1,10 +1,15 @@
 package directory
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"elga/internal/config"
+	"elga/internal/graph"
+	"elga/internal/route"
 	"elga/internal/sketch"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -94,6 +99,8 @@ func TestMasterPing(t *testing.T) {
 type fakeAgent struct {
 	node *transport.Node
 	id   uint64
+	// view is the view the join reply carried.
+	view *wire.View
 }
 
 func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
@@ -115,7 +122,7 @@ func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeAgent{node: node, id: jr.AgentID}
+	f := &fakeAgent{node: node, id: jr.AgentID, view: jr.View}
 	// Answer migration rounds and batch rounds forever.
 	go func() {
 		for pkt := range node.Inbox() {
@@ -168,41 +175,25 @@ func TestSealAggregatesMasters(t *testing.T) {
 	}
 }
 
-func TestSketchDeltaMergesIntoView(t *testing.T) {
-	nw := transport.NewInproc()
-	m := startMaster(t, nw)
-	d := startDir(t, nw, m.Addr())
-	joinFake(t, nw, d.Addr())
-
-	// Push a delta, then seal; the next view broadcast must carry the
-	// merged sketch (skDirty triggers a rebroadcast during seal).
-	sender, err := transport.NewNode(nw, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	cfgv := testCfg()
-	delta := cfgv.NewSketch()
-	delta.AddN(42, 99)
-	data, _ := delta.MarshalBinary()
-	if err := sender.SendAcked(d.Addr(), wire.TSketchDelta, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Subscribe a watcher and seal.
+// watchViews subscribes a bare node to dirAddr's view broadcasts. The
+// first view it is sent is the subscription's copy of the current one;
+// every later one is a broadcast.
+func watchViews(t *testing.T, nw transport.Network, dirAddr string) *transport.Node {
+	t.Helper()
 	watcher, err := transport.NewNode(nw, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer watcher.Close()
-	if err := watcher.Send(d.Addr(), wire.TSubscribe, wire.SubscribeTypes(wire.TDirUpdate)); err != nil {
+	t.Cleanup(watcher.Close)
+	if err := watcher.Send(dirAddr, wire.TSubscribe, wire.SubscribeTypes(wire.TDirUpdate)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.Request(d.Addr(), wire.TIngest, nil, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	return watcher
+}
+
+// nextView returns the next view delivered to watcher.
+func nextView(t *testing.T, watcher *transport.Node) *wire.View {
+	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -210,20 +201,97 @@ func TestSketchDeltaMergesIntoView(t *testing.T) {
 			if pkt.Type != wire.TDirUpdate {
 				continue
 			}
+			watcher.Ack(pkt)
 			v, err := wire.DecodeView(pkt.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sk sketch.Sketch
-			if err := sk.UnmarshalBinary(v.Sketch); err != nil {
-				t.Fatal(err)
-			}
-			if sk.Estimate(42) >= 99 {
-				return // merged sketch observed
-			}
+			return v
 		case <-deadline:
-			t.Fatal("merged sketch never broadcast")
+			t.Fatal("no view arrived")
 		}
+	}
+}
+
+// pushDeltaAndSeal delivers one sketch delta to the directory, the way an
+// agent's batch-open round does, and then seals.
+func pushDeltaAndSeal(t *testing.T, sender *transport.Node, dirAddr string, delta *sketch.Sketch) {
+	t.Helper()
+	data, _ := delta.MarshalBinary()
+	if err := sender.SendAcked(dirAddr, wire.TSketchDelta, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sender.Request(dirAddr, wire.TIngest, nil, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSketchDeltaMergesIntoView pins what a merged sketch delta does to
+// the published view. A delta that moves no cell across a replica bucket
+// is merged at the directory — the next join reply carries it — but the
+// seal that collected it publishes nothing and leaves the epoch alone. A
+// delta that does cross is broadcast, under a new epoch, by the next seal.
+func TestSketchDeltaMergesIntoView(t *testing.T) {
+	nw := transport.NewInproc()
+	m := startMaster(t, nw)
+	d := startDir(t, nw, m.Addr())
+	first := joinFake(t, nw, d.Addr())
+	epoch := first.view.Epoch
+
+	sender, err := transport.NewNode(nw, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	cfgv := testCfg()
+	pushAndSeal := func(n uint32) {
+		t.Helper()
+		delta := cfgv.NewSketch()
+		delta.AddN(42, n)
+		pushDeltaAndSeal(t, sender, d.Addr(), delta)
+	}
+	estimate := func(v *wire.View) uint64 {
+		t.Helper()
+		var sk sketch.Sketch
+		if err := sk.UnmarshalBinary(v.Sketch); err != nil {
+			t.Fatal(err)
+		}
+		return sk.Estimate(42)
+	}
+
+	watcher := watchViews(t, nw, d.Addr())
+	if v := nextView(t, watcher); v.Epoch != epoch {
+		t.Fatalf("catch-up view has epoch %d, want %d", v.Epoch, epoch)
+	}
+
+	// Below the replication threshold (256): merged, not published. The
+	// join that follows is the very next epoch and the very next view the
+	// watcher sees, and its reply already holds the merged count.
+	pushAndSeal(99)
+	second := joinFake(t, nw, d.Addr())
+	if second.view.Epoch != epoch+1 {
+		t.Fatalf("join after a non-crossing seal got epoch %d, want %d: the seal opened an epoch",
+			second.view.Epoch, epoch+1)
+	}
+	if got := estimate(second.view); got != 99 {
+		t.Fatalf("join reply estimates %d for the key, want the merged 99", got)
+	}
+	if v := nextView(t, watcher); v.Epoch != epoch+1 || len(v.Agents) != 2 {
+		t.Fatalf("first broadcast after the non-crossing seal: epoch %d, %d agents; want the join (epoch %d)",
+			v.Epoch, len(v.Agents), epoch+1)
+	}
+
+	// Across the threshold: the seal itself publishes the merged sketch.
+	pushAndSeal(200)
+	v := nextView(t, watcher)
+	if v.Epoch != epoch+2 || len(v.Agents) != 2 {
+		t.Fatalf("broadcast after the crossing seal: epoch %d, %d agents; want epoch %d", v.Epoch, len(v.Agents), epoch+2)
+	}
+	if got := estimate(v); got != 299 {
+		t.Fatalf("crossing broadcast estimates %d for the key, want 299", got)
 	}
 }
 
@@ -356,5 +424,120 @@ func TestRelayForwardsSubscriptionsAndViews(t *testing.T) {
 		case <-deadline:
 			t.Fatal("relay never delivered the view")
 		}
+	}
+}
+
+// TestLateJoinerRoutesLikeIncumbents is the invariant a quiet seal rests
+// on. Between broadcasts the directory's sketch runs ahead of the one the
+// routers hold, but never by a replica bucket, so the two must route every
+// vertex identically. After one crossing seal and several that cross
+// nothing, an agent joins: a router fed the sketch incumbents last saw and
+// a router fed the exact merge in the join reply agree on every vertex's
+// replica set and on the owner of its edges.
+func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
+	nw := transport.NewInproc()
+	m := startMaster(t, nw)
+	d := startDir(t, nw, m.Addr())
+	for i := 0; i < 3; i++ {
+		joinFake(t, nw, d.Addr())
+	}
+	sender, err := transport.NewNode(nw, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	watcher := watchViews(t, nw, d.Addr())
+	cfgv := testCfg()
+	const keys = 400
+	model := cfgv.NewSketch() // what the directory holds
+	pushAndSeal := func(delta *sketch.Sketch) (crossed bool) {
+		t.Helper()
+		data, _ := delta.MarshalBinary()
+		crossed, err := model.MergeEncoded(data, cfgv.Replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushDeltaAndSeal(t, sender, d.Addr(), delta)
+		return crossed
+	}
+
+	// A skewed start: a few keys far over the threshold, the rest far under.
+	rng := rand.New(rand.NewSource(3))
+	delta := cfgv.NewSketch()
+	for k := uint64(0); k < keys; k++ {
+		delta.AddN(k, uint32(1+rng.Intn(20)))
+	}
+	for k := uint64(0); k < 8; k++ {
+		delta.AddN(k*37, uint32(300+rng.Intn(900)))
+	}
+	if !pushAndSeal(delta) {
+		t.Fatal("test input: the skewed delta crossed nothing")
+	}
+	// The crossing seal published the merge: wait for that view.
+	want, _ := model.MarshalBinary()
+	published := nextView(t, watcher)
+	for !bytes.Equal(published.Sketch, want) {
+		published = nextView(t, watcher)
+	}
+
+	// Quiet seals: single increments, skipping any that would cross.
+	quiet := 0
+	for quiet < 5 {
+		delta := cfgv.NewSketch()
+		for i := 0; i < 40; i++ {
+			delta.Add(uint64(rng.Intn(keys)))
+		}
+		trial := model.Clone()
+		data, _ := delta.MarshalBinary()
+		if crossed, _ := trial.MergeEncoded(data, cfgv.Replicas); crossed {
+			continue
+		}
+		if pushAndSeal(delta) {
+			t.Fatal("model and trial disagree about a crossing")
+		}
+		quiet++
+	}
+
+	joiner := joinFake(t, nw, d.Addr())
+	if joiner.view.Epoch != published.Epoch+1 {
+		t.Fatalf("join got epoch %d, want %d: a quiet seal opened an epoch", joiner.view.Epoch, published.Epoch+1)
+	}
+	if want, _ = model.MarshalBinary(); !bytes.Equal(joiner.view.Sketch, want) {
+		t.Fatal("the join reply does not carry the exact merge of every delta")
+	}
+	if bytes.Equal(joiner.view.Sketch, published.Sketch) {
+		t.Fatal("test input: the quiet seals changed no cell")
+	}
+
+	// An incumbent that had only learned the new membership would still
+	// hold the published sketch.
+	stale := *joiner.view
+	stale.Sketch = published.Sketch
+	incumbent, late := route.New(cfgv), route.New(cfgv)
+	if _, err := incumbent.Update(&stale); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.Update(joiner.view); err != nil {
+		t.Fatal(err)
+	}
+	split := 0
+	for v := graph.VertexID(0); v < keys; v++ {
+		a, b := incumbent.ReplicaSet(v), late.ReplicaSet(v)
+		if !slices.Equal(a, b) {
+			t.Fatalf("vertex %d: replicas %v under the published sketch, %v under the exact one", v, a, b)
+		}
+		if len(a) > 1 {
+			split++
+		}
+		for _, other := range []graph.VertexID{v + 1, v * 31, 99999} {
+			oa, _ := incumbent.EdgeOwner(v, other)
+			ob, _ := late.EdgeOwner(v, other)
+			if oa != ob {
+				t.Fatalf("edge (%d,%d): owner %d under the published sketch, %d under the exact one", v, other, oa, ob)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("test input: no vertex is split, so the sketch decides nothing")
 	}
 }

@@ -180,6 +180,89 @@ func TestCopiesEnumeratesEverything(t *testing.T) {
 	}
 }
 
+func TestCopiesOfOneVertex(t *testing.T) {
+	s := NewStore()
+	s.AddEdge(2, 4, Out)
+	s.AddEdge(2, 5, Out)
+	s.AddEdge(3, 2, In)
+	s.AddEdge(7, 8, Out)
+	var got []EdgeCopy
+	if !s.CopiesOf(2, func(c EdgeCopy) bool { got = append(got, c); return true }) {
+		t.Fatal("full walk reported an early stop")
+	}
+	want := []EdgeCopy{{2, 4, Out}, {2, 5, Out}, {3, 2, In}}
+	if len(got) != len(want) {
+		t.Fatalf("CopiesOf(2) = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("CopiesOf(2) = %v, want %v", got, want)
+		}
+	}
+	if s.CopiesOf(2, func(EdgeCopy) bool { return false }) {
+		t.Error("stopped walk reported completion")
+	}
+	if !s.CopiesOf(99, func(EdgeCopy) bool { t.Error("copy under an absent vertex"); return true }) {
+		t.Error("walk of an absent vertex reported an early stop")
+	}
+}
+
+// TestTakeFlipsLogsPresenceChanges: every gain or loss of local presence
+// is logged once, in-place edits of a present vertex are not, and replaying
+// the log by parity reproduces the vertex set.
+func TestTakeFlipsLogsPresenceChanges(t *testing.T) {
+	s := NewStore()
+	present := map[VertexID]bool{}
+	replay := func() {
+		t.Helper()
+		flips, ok := s.TakeFlips()
+		if !ok {
+			t.Fatal("log abandoned on a small store")
+		}
+		for _, v := range flips {
+			present[v] = !present[v]
+		}
+		for v, in := range present {
+			if in != s.HasVertex(v) {
+				t.Fatalf("after replay vertex %d present=%v, store says %v", v, in, s.HasVertex(v))
+			}
+		}
+	}
+	s.AddEdge(1, 2, Out)
+	s.AddEdge(1, 3, Out) // vertex 1 already present: no flip
+	s.AddEdge(1, 2, In)
+	s.Pin(9)
+	replay()
+	if n := len(present); n != 3 {
+		t.Fatalf("%d vertices logged, want 3 (1, 2, 9)", n)
+	}
+	s.RemoveEdge(1, 2, In) // vertex 2 vanishes
+	s.AddEdge(5, 2, In)    // and comes back: two entries, net nothing
+	s.Unpin(9)
+	s.Compact()
+	replay()
+	if flips, ok := s.TakeFlips(); !ok || len(flips) != 0 {
+		t.Fatalf("idle store logged %v (ok=%v)", flips, ok)
+	}
+}
+
+// TestTakeFlipsGivesUpPastAWalk: a log that outgrows the vertex set is
+// abandoned and says so, and the next log starts clean.
+func TestTakeFlipsGivesUpPastAWalk(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < flipSlack+8; i++ {
+		s.AddEdge(1, 2, Out)
+		s.RemoveEdge(1, 2, Out)
+	}
+	if flips, ok := s.TakeFlips(); ok || len(flips) != 0 {
+		t.Fatalf("churn on an empty store: ok=%v with %d entries", ok, len(flips))
+	}
+	s.AddEdge(1, 2, Out)
+	if flips, ok := s.TakeFlips(); !ok || len(flips) != 1 || flips[0] != 1 {
+		t.Fatalf("log after giving up: %v ok=%v", flips, ok)
+	}
+}
+
 func TestVertexListSorted(t *testing.T) {
 	s := NewStore()
 	for _, v := range []VertexID{9, 2, 5} {

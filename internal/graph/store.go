@@ -41,6 +41,13 @@ type Store struct {
 
 	active   map[VertexID]struct{}
 	pinEmpty map[VertexID]struct{} // vertices kept alive despite zero local edges
+
+	// flips logs every vertex that gained or lost local presence since the
+	// last TakeFlips, once per change, so a caller that derives something
+	// from the vertex set can bring it up to date without walking the set.
+	// flipsLost marks a log abandoned because it outgrew that walk.
+	flips     []VertexID
+	flipsLost bool
 }
 
 // slotRec locates one vertex's sealed runs. The tail pointer is nil for
@@ -96,6 +103,37 @@ func (s *Store) SetCompactMin(n int) {
 // NumVertices returns the count of vertices with at least one local edge
 // copy (or a pin).
 func (s *Store) NumVertices() int { return len(s.slots) }
+
+// flipped records that v just gained or lost local presence.
+func (s *Store) flipped(v VertexID) {
+	if s.flipsLost {
+		return
+	}
+	if len(s.flips) > len(s.slots)+flipSlack {
+		s.flips, s.flipsLost = nil, true
+		return
+	}
+	s.flips = append(s.flips, v)
+}
+
+// flipSlack is how far the flip log may outgrow the vertex count before it
+// is abandoned; it keeps a small store from giving up after a few changes.
+const flipSlack = 1024
+
+// TakeFlips returns the vertices whose local presence changed since the
+// previous call — one entry per change, so a vertex that came and went
+// appears twice — and starts a new log. ok is false when the log was
+// abandoned because replaying it would cost more than walking Vertices;
+// the caller should do that instead. The slice is only valid until the
+// next mutation of the store.
+func (s *Store) TakeFlips() (flips []VertexID, ok bool) {
+	flips, ok = s.flips, !s.flipsLost
+	s.flips, s.flipsLost = s.flips[:0], false
+	if cap(s.flips) > 4*flipSlack {
+		s.flips = nil // a bulk load's log is not worth keeping allocated
+	}
+	return flips, ok
+}
 
 // NumOutEdges returns the number of locally stored out-copies.
 func (s *Store) NumOutEdges() int { return s.numOut }
@@ -163,6 +201,7 @@ func (s *Store) tailOf(rec *slotRec) *tailRec {
 func (s *Store) Pin(v VertexID) {
 	if _, ok := s.slots[v]; !ok {
 		s.slots[v] = slotRec{}
+		s.flipped(v)
 	}
 	s.pinEmpty[v] = struct{}{}
 }
@@ -205,6 +244,7 @@ func (s *Store) maybeDrop(v VertexID, rec slotRec) {
 	}
 	delete(s.slots, v)
 	delete(s.active, v)
+	s.flipped(v)
 }
 
 // AddEdge stores a copy of edge (u,v) in direction dir. For dir==Out the
@@ -216,7 +256,7 @@ func (s *Store) AddEdge(u, v VertexID, dir Dir) bool {
 	if dir == In {
 		key, nbr = v, u
 	}
-	rec := s.slots[key]
+	rec, present := s.slots[key]
 	var sealed []VertexID
 	if dir == Out {
 		sealed = s.sealedOutRun(rec)
@@ -260,6 +300,9 @@ func (s *Store) AddEdge(u, v VertexID, dir Dir) bool {
 		s.numIn++
 	}
 	s.slots[key] = rec
+	if !present {
+		s.flipped(key)
+	}
 	s.maybeCompact()
 	return true
 }
@@ -641,29 +684,35 @@ func (s *Store) ActivateAll() {
 }
 
 // Copies calls fn for every stored edge copy until fn returns false.
-// Agents use it to re-evaluate ownership after a directory change.
+// Agents use it to re-evaluate ownership after a membership change.
 func (s *Store) Copies(fn func(EdgeCopy) bool) {
 	for v := range s.slots {
-		stop := false
-		s.ForEachOut(v, func(w VertexID) bool {
-			if !fn(EdgeCopy{Src: v, Dst: w, Dir: Out}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if !s.CopiesOf(v, fn) {
 			return
 		}
-		s.ForEachIn(v, func(u VertexID) bool {
-			if !fn(EdgeCopy{Src: u, Dst: v, Dir: In}) {
-				stop = true
-				return false
-			}
+	}
+}
+
+// CopiesOf calls fn for every edge copy stored under vertex v (its out
+// copies, then its in copies) until fn returns false, and reports whether
+// the walk ran to the end.
+func (s *Store) CopiesOf(v VertexID, fn func(EdgeCopy) bool) bool {
+	for it := s.OutCursor(v); ; {
+		w, ok := it.Next()
+		if !ok {
+			break
+		}
+		if !fn(EdgeCopy{Src: v, Dst: w, Dir: Out}) {
+			return false
+		}
+	}
+	for it := s.InCursor(v); ; {
+		u, ok := it.Next()
+		if !ok {
 			return true
-		})
-		if stop {
-			return
+		}
+		if !fn(EdgeCopy{Src: u, Dst: v, Dir: In}) {
+			return false
 		}
 	}
 }

@@ -154,6 +154,87 @@ func TestRouteCacheMatchesUncachedAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestSketchOnlyUpdateKeepsUnchangedRoutes: a view that differs from the
+// installed one only in its sketch keeps every cached entry whose replica
+// count is unchanged (the very same object), drops and reports exactly the
+// rest, and afterwards answers like a router that installed the view cold.
+func TestSketchOnlyUpdateKeepsUnchangedRoutes(t *testing.T) {
+	c := cfg()
+	ids := []uint64{1, 2, 3, 4}
+	vertices := make([]graph.VertexID, 0, 64)
+	for v := graph.VertexID(0); v < 64; v++ {
+		vertices = append(vertices, v)
+	}
+	r := New(c)
+	if _, err := r.Update(view(t, 1, ids, degSketch(c.NewSketch(), 64, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, sketchOnly := r.Rerouted(); sketchOnly {
+		t.Fatal("a membership install reported itself sketch-only")
+	}
+	entries := make(map[graph.VertexID]*vertexRoute)
+	for _, v := range vertices {
+		entries[v] = r.routeOf(v)
+	}
+
+	// Same members, one more increment for every vertex: only the vertices
+	// sitting on a multiple of the threshold gain a replica.
+	grown := degSketch(c.NewSketch(), 64, 1)
+	for _, v := range vertices {
+		grown.Add(uint64(v))
+	}
+	if changed, err := r.Update(view(t, 2, ids, grown)); err != nil || !changed {
+		t.Fatalf("update: %v %v", changed, err)
+	}
+	rerouted, sketchOnly := r.Rerouted()
+	if !sketchOnly {
+		t.Fatal("a view with the installed membership was not treated as sketch-only")
+	}
+	fresh := New(c)
+	if _, err := fresh.Update(view(t, 2, ids, grown)); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(map[graph.VertexID]bool)
+	for _, v := range rerouted {
+		moved[v] = true
+	}
+	for _, v := range vertices {
+		if want := fresh.Replicas(v) != entries[v].k; moved[v] != want {
+			t.Errorf("vertex %d: rerouted=%v, replica count changed=%v", v, moved[v], want)
+		}
+		if !moved[v] && r.routeOf(v) != entries[v] {
+			t.Errorf("vertex %d: unchanged route was evicted from the cache", v)
+		}
+	}
+	if len(rerouted) == 0 || len(rerouted) == len(vertices) {
+		t.Fatalf("%d of %d vertices rerouted; the test needs some of each", len(rerouted), len(vertices))
+	}
+	assertCachedMatchesUncached(t, r, vertices, "sketch-only")
+	for _, v := range vertices {
+		a, _ := r.EdgeOwner(v, v+1)
+		b, _ := fresh.EdgeOwner(v, v+1)
+		if a != b {
+			t.Errorf("EdgeOwner(%d) = %d after the sketch-only update, %d on a cold router", v, a, b)
+		}
+	}
+
+	// An identical view under a higher epoch moves nothing at all.
+	if _, err := r.Update(view(t, 3, ids, grown)); err != nil {
+		t.Fatal(err)
+	}
+	if rerouted, sketchOnly := r.Rerouted(); !sketchOnly || len(rerouted) != 0 {
+		t.Fatalf("identical view: rerouted=%v sketchOnly=%v", rerouted, sketchOnly)
+	}
+	// A membership change goes back to the wholesale path.
+	if _, err := r.Update(view(t, 4, []uint64{1, 2, 3}, grown)); err != nil {
+		t.Fatal(err)
+	}
+	if _, sketchOnly := r.Rerouted(); sketchOnly {
+		t.Fatal("a membership change was treated as sketch-only")
+	}
+	assertCachedMatchesUncached(t, r, vertices, "after-leave")
+}
+
 func TestRouteCacheConcurrentLookups(t *testing.T) {
 	// The compute-phase worker pool issues lookups concurrently; under
 	// -race this exercises the cache's shard locking.

@@ -155,3 +155,40 @@ func TestOverrideStaleViewIgnored(t *testing.T) {
 		t.Fatalf("stale view rolled back the override table: master=%d", m)
 	}
 }
+
+// TestOverrideChangeIsNotSketchOnly: the keep-the-cache path is only for
+// views whose override table is the installed one; a retargeted, added or
+// dropped override must take the wholesale path and take effect.
+func TestOverrideChangeIsNotSketchOnly(t *testing.T) {
+	ids := []uint64{1, 2, 3, 4}
+	r := New(cfg())
+	if _, err := r.Update(viewWithOverrides(t, 1, ids, map[graph.VertexID]uint64{3: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := r.Master(3); m != 2 {
+		t.Fatalf("override not installed: master=%d", m)
+	}
+	if _, err := r.Update(viewWithOverrides(t, 2, ids, map[graph.VertexID]uint64{3: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if _, sketchOnly := r.Rerouted(); !sketchOnly {
+		t.Fatal("the same override table was not treated as sketch-only")
+	}
+	for epoch, ovs := range []map[graph.VertexID]uint64{{3: 4}, {3: 4, 5: 1}, nil} {
+		if _, err := r.Update(viewWithOverrides(t, uint64(3+epoch), ids, ovs)); err != nil {
+			t.Fatal(err)
+		}
+		if _, sketchOnly := r.Rerouted(); sketchOnly {
+			t.Fatalf("override table %v was treated as sketch-only", ovs)
+		}
+	}
+	fresh := New(cfg())
+	if _, err := fresh.Update(viewWithOverrides(t, 9, ids, nil)); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := r.Master(3)
+	want, _ := fresh.Master(3)
+	if got != want {
+		t.Fatalf("dropped override still routes: master=%d, ring says %d", got, want)
+	}
+}

@@ -35,18 +35,18 @@ type routeShard struct {
 	m  map[graph.VertexID]*vertexRoute
 }
 
-// lookupCache memoizes vertexRoute entries for the installed view epoch.
-// Update swaps every shard map wholesale, so a stale entry can never
-// survive an epoch bump. Shards bound lock contention when an agent's
-// compute-phase worker pool resolves ownership concurrently; all other
-// Router users are single-threaded and only pay an uncontended lock.
+// lookupCache memoizes vertexRoute entries for the installed view. Update
+// either swaps every shard map wholesale (membership or overrides changed)
+// or drops exactly the entries whose replica count moved (only the sketch
+// changed), so a stale entry can never survive a view install. Shards
+// bound lock contention when an agent's compute-phase worker pool resolves
+// ownership concurrently; all other Router users are single-threaded and
+// only pay an uncontended lock.
 type lookupCache struct {
-	epoch  uint64
 	shards [routeShards]routeShard
 }
 
-func (c *lookupCache) invalidate(epoch uint64) {
-	c.epoch = epoch
+func (c *lookupCache) invalidate() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -82,6 +82,9 @@ type Router struct {
 	// when their target agent dies.
 	overrides map[graph.VertexID]consistent.AgentID
 	cache     lookupCache
+	// rerouted and sketchOnly describe the last Update (see Rerouted).
+	rerouted   []graph.VertexID
+	sketchOnly bool
 }
 
 // New creates a Router with an empty view.
@@ -92,18 +95,40 @@ func New(cfg config.Config) *Router {
 		sk:    cfg.NewSketch(),
 		addrs: map[uint64]string{},
 	}
-	r.cache.invalidate(0)
+	r.cache.invalidate()
 	return r
+}
+
+// replicas is v's replica count under the installed sketch and ring.
+func (r *Router) replicas(v graph.VertexID) int {
+	k := r.cfg.Replicas(r.sk.Estimate(uint64(v)))
+	if n := r.ring.Size(); k > n && n > 0 {
+		k = n
+	}
+	return k
+}
+
+// dropRerouted removes every cache entry whose replica count no longer
+// matches the installed sketch and records its vertex in r.rerouted.
+func (r *Router) dropRerouted() {
+	for i := range r.cache.shards {
+		sh := &r.cache.shards[i]
+		sh.mu.Lock()
+		for v, rt := range sh.m {
+			if r.replicas(v) != rt.k {
+				delete(sh.m, v)
+				r.rerouted = append(r.rerouted, v)
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // computeRoute resolves v's routing entry directly from the sketch and
 // ring, bypassing the cache. It is the cache-fill path and the reference
 // the cache is tested against.
 func (r *Router) computeRoute(v graph.VertexID) *vertexRoute {
-	k := r.cfg.Replicas(r.sk.Estimate(uint64(v)))
-	if n := r.ring.Size(); k > n && n > 0 {
-		k = n
-	}
+	k := r.replicas(v)
 	if k <= 1 {
 		if ov, ok := r.overrides[v]; ok && r.ring.Contains(ov) {
 			return &vertexRoute{k: k, set: []consistent.AgentID{ov}}
@@ -132,23 +157,43 @@ func (r *Router) routeOf(v graph.VertexID) *vertexRoute {
 	return rt
 }
 
-// Update installs a directory view, rebuilding the ring and sketch.
-// Stale views (epoch older than current) are ignored and reported false.
+// Update installs a directory view. Stale views (epoch older than current)
+// are ignored and reported false. A view with the installed membership and
+// overrides can differ only in its sketch, which feeds nothing but replica
+// counts: the ring stays, and the cache keeps every entry whose count is
+// unchanged (Rerouted lists the rest). Anything else rebuilds the ring and
+// drops the whole cache.
 func (r *Router) Update(v *wire.View) (bool, error) {
 	if v.Epoch < r.epoch {
 		return false, nil
+	}
+	// The sketch loads in place, first: malformed bytes error out before
+	// anything is touched. An absent sketch is an empty one.
+	crossed := true
+	if len(v.Sketch) > 0 {
+		var err error
+		if crossed, err = r.sk.LoadEncoded(v.Sketch, r.cfg.Replicas); err != nil {
+			return false, fmt.Errorf("route: view sketch: %w", err)
+		}
+	} else {
+		r.sk.Reset()
+	}
+	r.epoch = v.Epoch
+	r.batch = v.BatchID
+	r.n = v.N
+	r.rerouted = r.rerouted[:0]
+	if r.sketchOnly = r.sameTable(v); r.sketchOnly {
+		// No cell changed replica bucket means no vertex changed count.
+		if crossed {
+			r.dropRerouted()
+		}
+		return true, nil
 	}
 	members := make([]consistent.AgentID, 0, len(v.Agents))
 	addrs := make(map[uint64]string, len(v.Agents))
 	for _, a := range v.Agents {
 		members = append(members, consistent.AgentID(a.ID))
 		addrs[a.ID] = a.Addr
-	}
-	sk := r.cfg.NewSketch()
-	if len(v.Sketch) > 0 {
-		if err := sk.UnmarshalBinary(v.Sketch); err != nil {
-			return false, fmt.Errorf("route: view sketch: %w", err)
-		}
 	}
 	var overrides map[graph.VertexID]consistent.AgentID
 	if len(v.Overrides) > 0 {
@@ -157,17 +202,42 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 			overrides[o.Vertex] = consistent.AgentID(o.AgentID)
 		}
 	}
-	r.epoch = v.Epoch
-	r.batch = v.BatchID
-	r.n = v.N
 	r.ring = consistent.New(members, consistent.Options{Virtual: r.cfg.Virtual, Hash: r.cfg.Hash})
-	r.sk = sk
 	r.addrs = addrs
 	r.overrides = overrides
 	// Wholesale invalidation: every cached answer was a function of the
-	// previous (ring, sketch) pair and none may survive the epoch bump.
-	r.cache.invalidate(v.Epoch)
+	// previous ring and override table.
+	r.cache.invalidate()
 	return true, nil
+}
+
+// sameTable reports whether v carries exactly the installed membership
+// (IDs and addresses) and placement overrides.
+func (r *Router) sameTable(v *wire.View) bool {
+	if len(v.Agents) != len(r.addrs) || len(v.Overrides) != len(r.overrides) {
+		return false
+	}
+	for _, a := range v.Agents {
+		if addr, ok := r.addrs[a.ID]; !ok || addr != a.Addr {
+			return false
+		}
+	}
+	for _, o := range v.Overrides {
+		if ov, ok := r.overrides[o.Vertex]; !ok || ov != consistent.AgentID(o.AgentID) {
+			return false
+		}
+	}
+	return true
+}
+
+// Rerouted describes what the last Update did to routes. sketchOnly true
+// means it changed nothing but the sketch, and vs lists every vertex whose
+// route it dropped because its replica count changed — among vertices
+// looked up since the last wholesale install, the only ones the cache
+// knows. sketchOnly false means membership or overrides changed and any
+// route may have moved. vs is reused by the next Update.
+func (r *Router) Rerouted() (vs []graph.VertexID, sketchOnly bool) {
+	return r.rerouted, r.sketchOnly
 }
 
 // Epoch returns the installed view's epoch.
@@ -197,7 +267,9 @@ func (r *Router) Replicas(v graph.VertexID) int {
 	return r.routeOf(v).k
 }
 
-// DegreeEstimate exposes the sketch estimate (Fig. 7 instrumentation).
+// DegreeEstimate exposes the sketch estimate (Fig. 7 instrumentation). It
+// reads the sketch of the last view installed; the directory's own merge
+// may have moved on, by less than a replica bucket per cell.
 func (r *Router) DegreeEstimate(v graph.VertexID) uint64 {
 	return r.sk.Estimate(uint64(v))
 }

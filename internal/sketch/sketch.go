@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"elga/internal/hashing"
 )
@@ -119,28 +120,6 @@ func (s *Sketch) Estimate(key uint64) uint64 {
 	return uint64(min)
 }
 
-// Merge adds other into s cell-wise. Both sketches must have identical
-// dimensions (and therefore identical row seeds). Directories use Merge to
-// aggregate per-agent sketch deltas before rebroadcasting.
-func (s *Sketch) Merge(other *Sketch) error {
-	if other.width != s.width || other.depth != s.depth {
-		return fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
-			s.width, s.depth, other.width, other.depth)
-	}
-	for r := range s.rows {
-		row, orow := s.rows[r], other.rows[r]
-		for i := range row {
-			v := uint64(row[i]) + uint64(orow[i])
-			if v > math.MaxUint32 {
-				v = math.MaxUint32
-			}
-			row[i] = uint32(v)
-		}
-	}
-	s.count += other.count
-	return nil
-}
-
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
 	c := New(int(s.width), int(s.depth))
@@ -172,50 +151,118 @@ func (s *Sketch) SizeBytes() int {
 // in row-major order, all little-endian. Row seeds are derived from the
 // row index so they are not transmitted.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, s.SizeBytes())
-	binary.LittleEndian.PutUint32(buf[0:], s.width)
-	binary.LittleEndian.PutUint32(buf[4:], s.depth)
-	binary.LittleEndian.PutUint64(buf[8:], s.count)
-	off := 16
+	return s.AppendBinary(make([]byte, 0, s.SizeBytes())), nil
+}
+
+// AppendBinary appends the MarshalBinary encoding to dst, so a caller that
+// re-encodes the same sketch repeatedly can reuse one buffer.
+func (s *Sketch) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, s.SizeBytes())
+	dst = binary.LittleEndian.AppendUint32(dst, s.width)
+	dst = binary.LittleEndian.AppendUint32(dst, s.depth)
+	dst = binary.LittleEndian.AppendUint64(dst, s.count)
 	for _, row := range s.rows {
 		for _, c := range row {
-			binary.LittleEndian.PutUint32(buf[off:], c)
-			off += 4
+			dst = binary.LittleEndian.AppendUint32(dst, c)
 		}
 	}
-	return buf, nil
+	return dst
 }
 
 // ErrCorrupt reports a malformed serialized sketch.
 var ErrCorrupt = errors.New("sketch: corrupt encoding")
 
+// decodeHeader validates a MarshalBinary encoding and returns its
+// dimensions and total count; the cells follow at offset 16.
+func decodeHeader(data []byte) (w, d uint32, count uint64, err error) {
+	if len(data) < 16 {
+		return 0, 0, 0, ErrCorrupt
+	}
+	w = binary.LittleEndian.Uint32(data[0:])
+	d = binary.LittleEndian.Uint32(data[4:])
+	if w == 0 || d == 0 || w > 1<<28 || d > 1024 || len(data) != 16+4*int(w)*int(d) {
+		return 0, 0, 0, ErrCorrupt
+	}
+	return w, d, binary.LittleEndian.Uint64(data[8:]), nil
+}
+
 // UnmarshalBinary decodes a sketch produced by MarshalBinary, replacing
 // the receiver's contents.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return ErrCorrupt
+	_, err := s.LoadEncoded(data, nil)
+	return err
+}
+
+// LoadEncoded is UnmarshalBinary that reuses the receiver's storage when
+// the dimensions match and reports whether any cell landed in a different
+// bucket than the value it replaced. bucket must be monotone; nil skips the
+// comparison. A dimension change always counts as a crossing. Malformed
+// data errors before the receiver is touched.
+func (s *Sketch) LoadEncoded(data []byte, bucket func(uint64) int) (crossed bool, err error) {
+	w, d, cnt, err := decodeHeader(data)
+	if err != nil {
+		return false, err
 	}
-	w := binary.LittleEndian.Uint32(data[0:])
-	d := binary.LittleEndian.Uint32(data[4:])
-	cnt := binary.LittleEndian.Uint64(data[8:])
-	if w == 0 || d == 0 || w > 1<<28 || d > 1024 {
-		return ErrCorrupt
+	if w != s.width || d != s.depth {
+		*s = *New(int(w), int(d))
+		crossed = true
 	}
-	need := 16 + 4*int(w)*int(d)
-	if len(data) != need {
-		return ErrCorrupt
-	}
-	n := New(int(w), int(d))
-	n.count = cnt
 	off := 16
-	for _, row := range n.rows {
-		for i := range row {
-			row[i] = binary.LittleEndian.Uint32(data[off:])
+	for _, row := range s.rows {
+		for i, old := range row {
+			v := binary.LittleEndian.Uint32(data[off:])
 			off += 4
+			if v == old {
+				continue
+			}
+			row[i] = v
+			if !crossed && bucket != nil && bucket(uint64(old)) != bucket(uint64(v)) {
+				crossed = true
+			}
 		}
 	}
-	*s = *n
-	return nil
+	s.count = cnt
+	return crossed, nil
+}
+
+// MergeEncoded adds another sketch into s cell-wise, saturating, straight
+// from its MarshalBinary bytes: directories aggregate per-agent sketch
+// deltas with it without materializing them. Both sketches must have
+// identical dimensions (and therefore identical row seeds). It reports
+// whether the merge moved any cell into a different bucket. An estimate is
+// the minimum over a key's cells, so for a monotone bucket function
+// bucket(Estimate(key)) is the minimum of its cells' buckets: when no cell
+// crossed, no key's bucket changed. Malformed or mismatched data errors
+// before the receiver is touched.
+func (s *Sketch) MergeEncoded(data []byte, bucket func(uint64) int) (crossed bool, err error) {
+	w, d, cnt, err := decodeHeader(data)
+	if err != nil {
+		return false, err
+	}
+	if w != s.width || d != s.depth {
+		return false, fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
+			s.width, s.depth, w, d)
+	}
+	off := 16
+	for _, row := range s.rows {
+		for i, old := range row {
+			add := binary.LittleEndian.Uint32(data[off:])
+			off += 4
+			if add == 0 {
+				continue
+			}
+			v := uint64(old) + uint64(add)
+			if v > math.MaxUint32 {
+				v = math.MaxUint32
+			}
+			row[i] = uint32(v)
+			if !crossed && bucket(uint64(old)) != bucket(v) {
+				crossed = true
+			}
+		}
+	}
+	s.count += cnt
+	return crossed, nil
 }
 
 // Replicas converts a degree estimate into a replica count given the

@@ -92,13 +92,25 @@ func TestAddNSaturates(t *testing.T) {
 	}
 }
 
+// oneBucket is a bucket function under which nothing ever crosses.
+func oneBucket(uint64) int { return 0 }
+
+// mergeInto merges b into a through b's encoding, the only merge there is.
+func mergeInto(a, b *Sketch, bucket func(uint64) int) (bool, error) {
+	data, err := b.MarshalBinary()
+	if err != nil {
+		return false, err
+	}
+	return a.MergeEncoded(data, bucket)
+}
+
 func TestMerge(t *testing.T) {
 	a, b := New(256, 4), New(256, 4)
 	for i := uint64(0); i < 100; i++ {
 		a.Add(i)
 		b.AddN(i, 2)
 	}
-	if err := a.Merge(b); err != nil {
+	if _, err := mergeInto(a, b, oneBucket); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 100; i++ {
@@ -112,11 +124,77 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeDimensionMismatch(t *testing.T) {
-	if err := New(8, 2).Merge(New(16, 2)); err == nil {
+	if _, err := mergeInto(New(8, 2), New(16, 2), oneBucket); err == nil {
 		t.Error("expected error for width mismatch")
 	}
-	if err := New(8, 2).Merge(New(8, 3)); err == nil {
+	if _, err := mergeInto(New(8, 2), New(8, 3), oneBucket); err == nil {
 		t.Error("expected error for depth mismatch")
+	}
+}
+
+// TestMergeEncodedMalformed: a corrupt payload errors, never panics, and
+// leaves the receiver as it was.
+func TestMergeEncodedMalformed(t *testing.T) {
+	s := New(8, 2)
+	s.AddN(3, 7)
+	good, _ := s.MarshalBinary()
+	for _, data := range [][]byte{
+		nil, good[:15], good[:len(good)-1], append(append([]byte(nil), good...), 0),
+		{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := s.MergeEncoded(data, oneBucket); err == nil {
+			t.Errorf("MergeEncoded(%d bytes) accepted malformed data", len(data))
+		}
+		if _, err := s.LoadEncoded(data, oneBucket); err == nil {
+			t.Errorf("LoadEncoded(%d bytes) accepted malformed data", len(data))
+		}
+		if s.Estimate(3) != 7 || s.Count() != 7 {
+			t.Fatalf("malformed data changed the receiver: estimate %d count %d", s.Estimate(3), s.Count())
+		}
+	}
+}
+
+// TestMergeEncodedSaturates: cells clamp at MaxUint32 like AddN.
+func TestMergeEncodedSaturates(t *testing.T) {
+	a, b := New(4, 1), New(4, 1)
+	a.AddN(1, math.MaxUint32-1)
+	b.AddN(1, 5)
+	if _, err := mergeInto(a, b, oneBucket); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Estimate(1); got != math.MaxUint32 {
+		t.Errorf("merged estimate %d, want saturation at MaxUint32", got)
+	}
+}
+
+// TestLoadEncodedReusesStorage: a same-shape load replaces contents in
+// place and reports crossings against what it replaced; a different shape
+// reallocates and always counts as a crossing.
+func TestLoadEncodedReusesStorage(t *testing.T) {
+	bucket := func(e uint64) int { return Replicas(e, 10, 8) }
+	src := New(16, 2)
+	src.AddN(5, 9)
+	data, _ := src.MarshalBinary()
+	dst := New(16, 2)
+	row := &dst.rows[0][0]
+	if crossed, err := dst.LoadEncoded(data, bucket); err != nil || crossed {
+		t.Fatalf("sub-threshold load: crossed=%v err=%v", crossed, err)
+	}
+	if &dst.rows[0][0] != row || dst.Estimate(5) != 9 || dst.Count() != 9 {
+		t.Fatalf("load did not reuse storage or lost contents: estimate %d", dst.Estimate(5))
+	}
+	src.AddN(5, 2) // 11: one past the threshold, so two replicas
+	data, _ = src.MarshalBinary()
+	if crossed, _ := dst.LoadEncoded(data, bucket); !crossed {
+		t.Fatal("load across the threshold reported no crossing")
+	}
+	if crossed, _ := dst.LoadEncoded(data, bucket); crossed {
+		t.Fatal("reloading identical contents reported a crossing")
+	}
+	wide := New(32, 2)
+	data, _ = wide.MarshalBinary()
+	if crossed, err := dst.LoadEncoded(data, bucket); err != nil || !crossed || dst.Width() != 32 {
+		t.Fatalf("reshape: crossed=%v err=%v width=%d", crossed, err, dst.Width())
 	}
 }
 
@@ -257,7 +335,7 @@ func TestMergeGEQComponentsProperty(t *testing.T) {
 			b.Add(uint64(k))
 		}
 		ac, bc := a.Clone(), b.Clone()
-		if err := a.Merge(b); err != nil {
+		if _, err := mergeInto(a, b, oneBucket); err != nil {
 			return false
 		}
 		for k := uint64(0); k < 256; k++ {
@@ -269,6 +347,52 @@ func TestMergeGEQComponentsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMergeCrossingProperty is the contract the directory's clean seal
+// rests on. For random base sketches and deltas under a replication
+// policy: a merge that reports no crossing leaves Replicas(Estimate(key))
+// unchanged for every key, and a merge that changes it for some key always
+// reports a crossing.
+func TestMergeCrossingProperty(t *testing.T) {
+	const threshold, maxReplicas, keys = 6, 4, 64
+	bucket := func(e uint64) int { return Replicas(e, threshold, maxReplicas) }
+	var crossings, clean int
+	f := func(base, delta []uint8) bool {
+		a, d := New(16, 3), New(16, 3)
+		for _, k := range base {
+			a.Add(uint64(k % keys))
+		}
+		for _, k := range delta {
+			d.Add(uint64(k % keys))
+		}
+		var before [keys]int
+		for k := range before {
+			before[k] = bucket(a.Estimate(uint64(k)))
+		}
+		crossed, err := mergeInto(a, d, bucket)
+		if err != nil {
+			return false
+		}
+		changed := false
+		for k := range before {
+			if bucket(a.Estimate(uint64(k))) != before[k] {
+				changed = true
+			}
+		}
+		if crossed {
+			crossings++
+		} else {
+			clean++
+		}
+		return !changed || crossed
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if crossings == 0 || clean == 0 {
+		t.Fatalf("property saw %d crossing and %d clean merges; it needs both", crossings, clean)
 	}
 }
 
@@ -293,3 +417,29 @@ func BenchmarkEstimate(b *testing.B) {
 }
 
 var benchSink uint64
+
+// FuzzMergeEncoded feeds the two wire-facing decoders arbitrary bytes:
+// they must error or succeed, never panic, and an error must leave the
+// receiver untouched.
+func FuzzMergeEncoded(f *testing.F) {
+	src := New(8, 2)
+	src.AddN(3, 7)
+	good, _ := src.MarshalBinary()
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add([]byte{8, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+	bucket := func(e uint64) int { return Replicas(e, 4, 8) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New(8, 2)
+		s.AddN(5, 2)
+		if _, err := s.MergeEncoded(data, bucket); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
+			t.Fatal("a rejected merge changed the receiver")
+		}
+		s = New(8, 2)
+		s.AddN(5, 2)
+		if _, err := s.LoadEncoded(data, bucket); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
+			t.Fatal("a rejected load changed the receiver")
+		}
+	})
+}

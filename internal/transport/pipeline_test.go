@@ -100,8 +100,19 @@ func TestStatsCountEnqueueStalls(t *testing.T) {
 		}
 		sent <- nil
 	}()
-	got := 0
+	// Nothing is received until the sender has hit a full queue: a receiver
+	// draining from the start can keep up, and then nothing ever saturates.
 	deadline := time.After(30 * time.Second)
+	for a.Stats().EnqueueStalls == 0 {
+		select {
+		case err := <-sent:
+			t.Fatalf("sender finished %d frames into an undrained pipeline without stalling (err=%v)", total, err)
+		case <-deadline:
+			t.Fatal("sender never stalled on the undrained pipeline")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	got := 0
 	for got < total {
 		select {
 		case pkt := <-b.Inbox():
