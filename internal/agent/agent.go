@@ -234,6 +234,10 @@ type Agent struct {
 	vertexCount   atomic.Int64
 	storeBytes    atomic.Uint64 // O(1) store footprint estimate, scraped off-thread
 
+	// statUnroutable counts messages dropped because their destination had
+	// no address in the installed view (addrFor); a correct run leaves it 0.
+	statUnroutable uint64
+
 	// m holds optional instrumentation handles (nil without a registry);
 	// tickCount and lastRetransmits pace the periodic load-metric report
 	// riding every fourth heartbeat tick.
@@ -900,6 +904,7 @@ func (a *Agent) StatsMap() stats.Counters {
 	ts := a.node.Stats()
 	return stats.Counters{
 		"forwarded":    atomic.LoadUint64(&a.statForwarded),
+		"unroutable":   atomic.LoadUint64(&a.statUnroutable),
 		"applied":      atomic.LoadUint64(&a.statApplied),
 		"queries":      atomic.LoadUint64(&a.statQueries),
 		"edge_copies":  uint64(a.copyCount.Load()),

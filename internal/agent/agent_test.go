@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elga/internal/algorithm"
+	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
 )
@@ -93,5 +94,55 @@ func TestVoteWhenDrainedImmediate(t *testing.T) {
 	a.voteWhenDrained(&ackGroup{}, func() { fired = true })
 	if !fired {
 		t.Error("empty gate should fire immediately")
+	}
+}
+
+// TestUnroutableMessagesAreCounted: a batcher flushed toward an agent the
+// installed view has no address for drops that destination's messages —
+// there is nowhere to send them — and must say so: the counter rises by
+// exactly the number dropped, while messages for self still land.
+func TestUnroutableMessagesAreCounted(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, algorithm.PageRank{}, 64)
+	withPeer := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
+		{ID: a.id, Addr: a.node.Addr()}, {ID: 2, Addr: "peer-2"},
+	}}
+	if _, err := a.router.Update(withPeer); err != nil {
+		t.Fatal(err)
+	}
+	self, _ := a.router.MemberIndex(consistent.AgentID(a.id))
+	peer, ok := a.router.MemberIndex(2)
+	if !ok {
+		t.Fatal("agent 2 is not a member")
+	}
+	b := a.getBatcher(4)
+	msg := wire.VertexMsg{Target: 7, Via: 8, Value: wire.Word(algorithm.FromF64(0.5))}
+	for i := 0; i < 5; i++ {
+		b.add(peer, msg)
+	}
+	b.add(self, msg)
+	// Agent 2 leaves the view between the scatter and the flush.
+	alone := &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: withPeer.Agents[:1]}
+	if _, err := a.router.Update(alone); err != nil {
+		t.Fatal(err)
+	}
+	b.flush(a.phaseGate)
+	a.putBatcher(b)
+	if got := a.StatsMap()["unroutable"]; got != 5 {
+		t.Fatalf("unroutable = %d after dropping 5 messages", got)
+	}
+	if a.phaseGate.pending != 0 {
+		t.Fatalf("%d sends pending toward an agent with no address", a.phaseGate.pending)
+	}
+	if e := a.mailbox[4][7]; e == nil || e.n != 1 {
+		t.Fatalf("self-addressed message not delivered: %+v", e)
+	}
+	// The next hand-out binds to the shrunken view and drops nothing.
+	b = a.getBatcher(5)
+	b.add(0, msg)
+	b.flush(a.phaseGate)
+	a.putBatcher(b)
+	if got := a.StatsMap()["unroutable"]; got != 5 {
+		t.Fatalf("unroutable = %d after a routable flush, want 5", got)
 	}
 }

@@ -21,7 +21,7 @@ func allocTestConfig() config.Config {
 // TestHandleVertexMsgsAcceptPathAllocs is the ceiling for the hot accept
 // path: once the scratch decode buffer and mailbox entries are warm,
 // accepting a batch this agent is a replica for must not allocate — the
-// replica check resolves from the router's epoch cache, no ack group is
+// replica check resolves from the router's route table, no ack group is
 // created when nothing forwards, and messages aggregate in place.
 func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	a := newLoopbackAgent(t, allocTestConfig(), 64)
@@ -59,7 +59,7 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 }
 
 // TestSuperstepScatterPathAllocs bounds steady-state compute-phase
-// allocations: with the route cache, pooled batchers, and reusable phase
+// allocations: with the route table, pooled batchers, and reusable phase
 // shards warm, a whole superstep over 256 vertices should stay within a
 // small constant of allocations (map growth internals), not O(vertices)
 // or O(edges).

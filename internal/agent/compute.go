@@ -439,23 +439,32 @@ func (a *Agent) sealGroup(g *ackGroup) {
 
 // msgBatcher accumulates scattered messages per destination agent and
 // flushes them as batched TVertexMsgs sends. Batchers live on the
-// agent's free list: maps and per-destination slices are reset in place
+// agent's free list: the per-destination slices are reset in place
 // across flushes instead of reallocated (the frame-pool discipline).
 type msgBatcher struct {
 	agent *Agent
 	step  uint32
-	byDst map[string][]wire.VertexMsg
+	self  int // this agent's member index; -1 when the view lacks it
+	dstBufs
 }
 
-// getBatcher pops a reusable batcher off the free list.
+// getBatcher pops a reusable batcher off the free list and binds it to the
+// installed view.
 func (a *Agent) getBatcher(step uint32) *msgBatcher {
+	var b *msgBatcher
 	if n := len(a.batcherFree); n > 0 {
-		b := a.batcherFree[n-1]
+		b = a.batcherFree[n-1]
 		a.batcherFree = a.batcherFree[:n-1]
-		b.step = step
-		return b
+	} else {
+		b = &msgBatcher{agent: a}
 	}
-	return &msgBatcher{agent: a, step: step, byDst: make(map[string][]wire.VertexMsg)}
+	b.step = step
+	b.bind(a.router.Agents())
+	var ok bool
+	if b.self, ok = a.router.MemberIndex(consistent.AgentID(a.id)); !ok {
+		b.self = -1
+	}
+	return b
 }
 
 // putBatcher returns a flushed batcher to the free list. The batcher
@@ -464,9 +473,9 @@ func (a *Agent) putBatcher(b *msgBatcher) {
 	a.batcherFree = append(a.batcherFree, b)
 }
 
-func (b *msgBatcher) add(dst consistent.AgentID, m wire.VertexMsg) {
+func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 	a := b.agent
-	if dst == consistent.AgentID(a.id) {
+	if dst == b.self {
 		if a.comm.enabled {
 			a.accountLocal(m.Via, 1)
 		}
@@ -474,30 +483,28 @@ func (b *msgBatcher) add(dst consistent.AgentID, m wire.VertexMsg) {
 		a.deliverLocal(b.step, graph.VertexID(m.Target), algorithm.Word(m.Value))
 		return
 	}
-	addr, ok := a.router.AddrOf(dst)
-	if !ok {
-		return
-	}
 	if a.comm.enabled {
-		a.accountRemote(m.Via, dst, 1)
+		a.accountRemote(m.Via, b.members[dst], 1)
 	}
-	b.byDst[addr] = append(b.byDst[addr], m)
+	b.dstBufs.add(dst, m)
 }
 
-// addMany appends a remote-bound message run, resolving the destination
-// address once (the shard-merge fast path).
-func (b *msgBatcher) addMany(dst consistent.AgentID, msgs []wire.VertexMsg) {
-	addr, ok := b.agent.router.AddrOf(dst)
-	if !ok {
-		return
-	}
-	b.byDst[addr] = append(b.byDst[addr], msgs...)
+// addMany appends a remote-bound message run (the shard-merge fast path).
+func (b *msgBatcher) addMany(dst int, msgs []wire.VertexMsg) {
+	b.bufs[dst] = append(b.bufs[dst], msgs...)
 }
 
+// flush sends every non-empty buffer as one batch, resolving each
+// destination's address here, once, rather than per message.
 func (b *msgBatcher) flush(groups ...*ackGroup) {
 	a := b.agent
-	for addr, msgs := range b.byDst {
+	for i, msgs := range b.bufs {
 		if len(msgs) == 0 {
+			continue
+		}
+		b.bufs[i] = msgs[:0]
+		addr, ok := a.addrFor(b.members[i], len(msgs))
+		if !ok {
 			continue
 		}
 		// Single-copy send: the batch is appended straight into a pooled
@@ -507,8 +514,20 @@ func (b *msgBatcher) flush(groups ...*ackGroup) {
 			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
 		a.sendGatedFrame(addr, frame, groups...)
-		b.byDst[addr] = msgs[:0]
 	}
+}
+
+// addrFor resolves dst's listen address for a send carrying n messages. It
+// is the one place a message is dropped for want of a route, so the drop
+// is counted and traced: a run that loses messages converges to a wrong
+// answer nothing else would flag.
+func (a *Agent) addrFor(dst consistent.AgentID, n int) (string, bool) {
+	addr, ok := a.router.AddrOf(dst)
+	if !ok {
+		atomic.AddUint64(&a.statUnroutable, uint64(n))
+		a.trace("unroutable dst=%d msgs=%d epoch=%d", dst, n, a.router.Epoch())
+	}
+	return addr, ok
 }
 
 // scatter sends v's message value along its locally stored edges, in the
@@ -528,7 +547,7 @@ func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 			if r.adjust != nil {
 				val = r.adjust.AdjustPerEdge(v, w, val)
 			}
-			if dst, ok := a.router.EdgeOwner(w, v); ok {
+			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
 				b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
 			}
 		}
@@ -544,7 +563,7 @@ func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 				// The traversed edge is (u, v); keep its orientation.
 				val = r.adjust.AdjustPerEdge(u, v, val)
 			}
-			if dst, ok := a.router.EdgeOwner(u, v); ok {
+			if dst, ok := a.router.EdgeOwnerIndex(u, v); ok {
 				b.add(dst, wire.VertexMsg{Target: u, Via: v, Value: wire.Word(val)})
 			}
 		}
@@ -673,7 +692,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	}
 	g := &ackGroup{origin: pkt}
 	for dst, msgs := range forwards {
-		if addr, ok := a.router.AddrOf(dst); ok {
+		if addr, ok := a.addrFor(dst, len(msgs)); ok {
 			atomic.AddUint64(&a.statForwarded, uint64(len(msgs)))
 			a.sendGatedFrame(addr, wire.AppendVertexMsgBatch(
 				a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
@@ -685,7 +704,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 }
 
 // isReplicaOf reports whether this agent is in the target's replica set,
-// resolved from the router's epoch cache without materializing the set.
+// resolved from the router's route table without materializing the set.
 func (a *Agent) isReplicaOf(v graph.VertexID) bool {
 	return a.router.IsReplica(v, consistent.AgentID(a.id))
 }

@@ -53,6 +53,8 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 	lbl := metrics.Labels{"addr": a.node.Addr()}
 	reg.CounterFunc("elga_agent_forwarded_total", "Packets forwarded to their correct owner.", lbl,
 		func() uint64 { return atomic.LoadUint64(&a.statForwarded) })
+	reg.CounterFunc("elga_agent_unroutable_total", "Messages dropped because their destination had no address in the installed view.", lbl,
+		func() uint64 { return atomic.LoadUint64(&a.statUnroutable) })
 	reg.CounterFunc("elga_agent_applied_total", "Edge changes applied to the local store.", lbl,
 		func() uint64 { return atomic.LoadUint64(&a.statApplied) })
 	reg.CounterFunc("elga_agent_queries_total", "Vertex queries answered.", lbl,

@@ -112,7 +112,7 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 					a.deliverLocal(batch.Step, v, algorithm.Word(m.Value))
 					continue
 				}
-				if dst, ok := a.router.EdgeOwner(v, graph.VertexID(m.Via)); ok {
+				if dst, ok := a.router.EdgeOwnerIndex(v, graph.VertexID(m.Via)); ok {
 					b.add(dst, m)
 				} else {
 					// No owner known; accept locally to avoid loss.
@@ -137,7 +137,7 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 				if master == self {
 					a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.MsgCount, p.HaveMsgs, p.LocalOutDeg)
 					a.store.Pin(p.Vertex)
-				} else if addr, ok2 := a.router.AddrOf(master); ok2 {
+				} else if addr, ok2 := a.addrFor(master, 1); ok2 {
 					a.sendGated(addr, wire.TReplicaPartial, pkt.Payload, g)
 				}
 			}
@@ -314,12 +314,13 @@ func (a *Agent) rerouteMail(b *msgBatcher, m map[graph.VertexID]*mailEntry, v gr
 		return
 	}
 	a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
+	at, _ := a.router.MemberIndex(dst) // a replica is always a member
 	if e.eager && a.run != nil {
 		// fold covers the raw tail too; one message suffices.
-		b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(e.fold(a.run.prog))})
+		b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(e.fold(a.run.prog))})
 	} else {
 		for _, rawVal := range e.raw {
-			b.add(dst, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+			b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
 		}
 	}
 	delete(m, v)

@@ -15,12 +15,13 @@ import (
 // single-threaded agent loop, documented in DESIGN.md): the compute and
 // combine phases shard their work set across a bounded worker pool while
 // the event loop is blocked inside the phase handler. Workers only READ
-// shared agent state (store, values, mailbox, router — the router's
-// lookup cache is internally locked) and WRITE into private computeShard
-// accumulators; the event loop merges the shards after the pool joins,
-// so every value install, mailbox delivery, network send, and gate
-// transition still happens single-threaded. Externally the agent remains
-// a shared-nothing message-passing entity (§3.1).
+// shared agent state (store, values, mailbox, router — a route-table hit
+// takes no lock, a miss fills the table under the router's own mutex) and
+// WRITE into private computeShard accumulators; the event loop merges the
+// shards after the pool joins, so every value install, mailbox delivery,
+// network send, gate transition and view install (router.Update, which
+// needs no lookup in flight) still happens single-threaded. Externally the
+// agent remains a shared-nothing message-passing entity (§3.1).
 
 // defaultParallelThreshold is the work-set size below which the phase
 // runs on the event-loop goroutine alone; pool fan-out overhead
@@ -69,10 +70,37 @@ func workerCount(n int) int {
 	return w
 }
 
-// msgSink receives scattered messages addressed to agents; the batcher
+// msgSink receives scattered messages, each addressed by its destination's
+// position in the router's member list (route.EdgeOwnerIndex); the batcher
 // implements it for the sequential paths, computeShard for workers.
 type msgSink interface {
-	add(dst consistent.AgentID, m wire.VertexMsg)
+	add(dst int, m wire.VertexMsg)
+}
+
+// dstBufs buffers messages per destination agent in a slice indexed like
+// the router's member list, so buffering one message is an append and no
+// map operation. The buffers are emptied in place and keep their capacity
+// across phases (the frame-pool discipline of the transport layer, applied
+// to phase state); members names the agent behind each index for whoever
+// drains them.
+type dstBufs struct {
+	members []consistent.AgentID
+	bufs    [][]wire.VertexMsg
+}
+
+// bind points the (empty) buffers at the installed view's member list. Its
+// holder calls it on every hand-out, which is what re-sizes the buffers
+// after a membership change: views install between handlers, never while
+// a sink is in use.
+func (d *dstBufs) bind(members []consistent.AgentID) {
+	d.members = members
+	for len(d.bufs) < len(members) {
+		d.bufs = append(d.bufs, nil)
+	}
+}
+
+func (d *dstBufs) add(dst int, m wire.VertexMsg) {
+	d.bufs[dst] = append(d.bufs[dst], m)
 }
 
 // valueWrite is a buffered store into a.values or a.totalOutDeg.
@@ -95,9 +123,8 @@ type valueUpdateSend struct {
 }
 
 // computeShard is one worker's private accumulator for a parallel phase.
-// All slices and map entries are truncated in place after the merge, so a
-// shard's capacity is reused across phases (the frame-pool discipline of
-// the transport layer, applied to phase state).
+// All slices are truncated in place after the merge, so a shard's capacity
+// is reused across phases.
 type computeShard struct {
 	values     []valueWrite
 	outDegs    []valueWrite
@@ -110,13 +137,10 @@ type computeShard struct {
 	partialsRemote []partialSend
 	updates        []valueUpdateSend
 
-	msgs map[consistent.AgentID][]wire.VertexMsg
-}
-
-// add implements msgSink: scattered messages buffer per destination agent
-// (including self) and are delivered or batched at merge time.
-func (s *computeShard) add(dst consistent.AgentID, m wire.VertexMsg) {
-	s.msgs[dst] = append(s.msgs[dst], m)
+	// dstBufs implements msgSink: scattered messages buffer per
+	// destination agent (including self) and are delivered or batched at
+	// merge time.
+	dstBufs
 }
 
 func (s *computeShard) reset() {
@@ -129,17 +153,18 @@ func (s *computeShard) reset() {
 	s.partialsLocal = s.partialsLocal[:0]
 	s.partialsRemote = s.partialsRemote[:0]
 	s.updates = s.updates[:0]
-	for dst, m := range s.msgs {
-		s.msgs[dst] = m[:0]
+	for i := range s.bufs {
+		s.bufs[i] = s.bufs[i][:0]
 	}
 }
 
 // getShards returns w reusable shards, growing the pool on demand.
 func (a *Agent) getShards(w int) []*computeShard {
 	for len(a.shards) < w {
-		a.shards = append(a.shards, &computeShard{
-			msgs: make(map[consistent.AgentID][]wire.VertexMsg),
-		})
+		a.shards = append(a.shards, &computeShard{})
+	}
+	for _, s := range a.shards[:w] {
+		s.bind(a.router.Agents())
 	}
 	return a.shards[:w]
 }
@@ -323,7 +348,7 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 		}
 		for i := range s.partialsRemote {
 			ps := &s.partialsRemote[i]
-			if addr, ok := a.router.AddrOf(ps.master); ok {
+			if addr, ok := a.addrFor(ps.master, 1); ok {
 				a.sendGatedFrame(addr,
 					wire.AppendReplicaPartial(a.node.NewFrame(wire.TReplicaPartial), &ps.p),
 					a.phaseGate)
@@ -331,17 +356,17 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 		}
 		for i := range s.updates {
 			u := &s.updates[i]
-			if addr, ok := a.router.AddrOf(u.rep); ok {
+			if addr, ok := a.addrFor(u.rep, 1); ok {
 				a.sendGatedFrame(addr,
 					wire.AppendValueUpdate(a.node.NewFrame(wire.TValueUpdate), &u.vu),
 					a.phaseGate)
 			}
 		}
-		for dst, msgs := range s.msgs {
+		for i, msgs := range s.bufs {
 			if len(msgs) == 0 {
 				continue
 			}
-			if dst == self {
+			if dst := s.members[i]; dst == self {
 				if a.comm.enabled {
 					for _, m := range msgs {
 						a.accountLocal(m.Via, 1)
@@ -356,7 +381,7 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 						a.accountRemote(m.Via, dst, 1)
 					}
 				}
-				batches.addMany(dst, msgs)
+				batches.addMany(i, msgs)
 			}
 		}
 		s.reset()

@@ -65,6 +65,7 @@ func chaosCheck(t *testing.T, c *Cluster, prog algorithm.Program, el graph.EdgeL
 			t.Fatalf("vertex %d: got %d, want %d", v, got, want)
 		}
 	}
+	assertNothingUnroutable(t, c)
 }
 
 // newChaosCluster boots a cluster over a seeded FaultNetwork wrapping the

@@ -65,6 +65,18 @@ func newCluster(t *testing.T, agents int, cfg config.Config) *Cluster {
 	return c
 }
 
+// assertNothingUnroutable fails if any live agent dropped a message for
+// want of a route: an answer that matches the reference must not have been
+// reached past lost messages.
+func assertNothingUnroutable(t *testing.T, c *Cluster) {
+	t.Helper()
+	for _, a := range c.Agents() {
+		if n := a.StatsMap()["unroutable"]; n != 0 {
+			t.Fatalf("agent %d dropped %d unroutable messages", a.ID(), n)
+		}
+	}
+}
+
 func checkAgainstReference(t *testing.T, c *Cluster, prog algorithm.Program, el graph.EdgeList, opts algorithm.RunOptions, tol float64) {
 	t.Helper()
 	ref := algorithm.Run(prog, el, opts)
@@ -85,6 +97,7 @@ func checkAgainstReference(t *testing.T, c *Cluster, prog algorithm.Program, el 
 			t.Fatalf("vertex %d: got %d, want %d", v, got, want)
 		}
 	}
+	assertNothingUnroutable(t, c)
 }
 
 func TestClusterBootAndShutdown(t *testing.T) {

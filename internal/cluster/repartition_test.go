@@ -152,6 +152,7 @@ func checkAgainstReferenceEventually(t *testing.T, c *Cluster, prog algorithm.Pr
 			t.Fatalf("vertex %d: got %d, want %d", v, got, want)
 		}
 	}
+	assertNothingUnroutable(t, c)
 }
 
 // TestChaosRepartitionKillAgent kills an agent while its vertices are

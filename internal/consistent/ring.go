@@ -101,8 +101,15 @@ func (r *Ring) Virtual() int { return r.virtual }
 
 // Contains reports whether the agent is a ring member.
 func (r *Ring) Contains(a AgentID) bool {
+	_, ok := r.Index(a)
+	return ok
+}
+
+// Index returns a's position in Members(), the dense index a Participant
+// can address per-agent buffers by while this ring is installed.
+func (r *Ring) Index(a AgentID) (int, bool) {
 	i := sort.Search(len(r.members), func(i int) bool { return r.members[i] >= a })
-	return i < len(r.members) && r.members[i] == a
+	return i, i < len(r.members) && r.members[i] == a
 }
 
 // successor returns the index of the first point with hash >= h, wrapping.
@@ -194,8 +201,13 @@ func (r *Ring) PickReplica(set []AgentID, v uint64) (AgentID, bool) {
 	if len(set) == 0 {
 		return 0, false
 	}
-	idx := hashing.Combine(r.hash.Hash(v), uint64(len(set))) % uint64(len(set))
-	return set[idx], true
+	return set[r.PickIndex(len(set), v)], true
+}
+
+// PickIndex is PickReplica's choice as a position in a replica set of n > 0
+// agents, for callers that hold the set in another form.
+func (r *Ring) PickIndex(n int, v uint64) int {
+	return int(hashing.Combine(r.hash.Hash(v), uint64(n)) % uint64(n))
 }
 
 // EdgeOwner resolves the owner of edge (u,v) given u's replica count k:

@@ -16,7 +16,7 @@ import (
 // full idle), the coordinator turns the plan into placement overrides,
 // bumps the epoch, and runs an ordinary migration round so agents re-own
 // copies under the new placement. Overrides ride every view broadcast, so
-// the epoch-scoped route caches invalidate exactly like any other view
+// the routers' route tables restart exactly like on any other view
 // change.
 
 // maybeRepartition plans and executes one repartition round. It must only

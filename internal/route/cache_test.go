@@ -7,10 +7,11 @@ import (
 	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/sketch"
+	"elga/internal/wire"
 )
 
 // refEdgeOwner resolves edge ownership straight from the sketch and ring,
-// bypassing the lookup cache — the uncached Figure 3 semantics the cache
+// bypassing the route table — the uncached Figure 3 semantics the table
 // must reproduce bit-identically.
 func refEdgeOwner(r *Router, u, other graph.VertexID) (consistent.AgentID, bool) {
 	rt := r.computeRoute(u)
@@ -78,6 +79,9 @@ func assertCachedMatchesUncached(t *testing.T, r *Router, vertices []graph.Verte
 			got, gotOK := r.EdgeOwner(v, other)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("%s: EdgeOwner(%d,%d) = %d,%v, want %d,%v", tag, v, other, got, gotOK, want, wantOK)
+			}
+			if i, ok := r.EdgeOwnerIndex(v, other); ok != wantOK || (ok && r.Agents()[i] != want) {
+				t.Fatalf("%s: EdgeOwnerIndex(%d,%d) = %d,%v, want the index of %d,%v", tag, v, other, i, ok, want, wantOK)
 			}
 		}
 		for salt := uint64(0); salt < 5; salt++ {
@@ -236,52 +240,87 @@ func TestSketchOnlyUpdateKeepsUnchangedRoutes(t *testing.T) {
 }
 
 func TestRouteCacheConcurrentLookups(t *testing.T) {
-	// The compute-phase worker pool issues lookups concurrently; under
-	// -race this exercises the cache's shard locking.
+	// The compute-phase worker pool issues lookups concurrently: hits read
+	// the table without a lock while misses fill and grow it. Overlapping
+	// key ranges make several workers miss on the same vertex, and enough
+	// keys force the table through several growths mid-flight; every
+	// answer, whichever table it was read from, must equal the reference.
+	const keys = 8 * minSlots
 	c := cfg()
 	r := New(c)
 	if _, err := r.Update(view(t, 1, []uint64{1, 2, 3, 4}, degSketch(c.NewSketch(), 256, 1))); err != nil {
 		t.Fatal(err)
+	}
+	if got := len(r.tab.Load().slots); got != minSlots {
+		t.Fatalf("fresh table has %d slots, want %d", got, minSlots)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed graph.VertexID) {
 			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				for v := graph.VertexID(0); v < 256; v++ {
-					u := (v + seed) % 256
-					r.Replicas(u)
-					r.EdgeOwner(u, v)
-					r.IsReplica(u, 1)
-					if _, ok := r.Master(u); !ok {
-						panic("Master lost the ring")
+			for i := 0; i < 3; i++ {
+				for v := graph.VertexID(0); v < keys; v++ {
+					u := (v + seed) % keys
+					ref := r.computeRoute(u)
+					if got := r.Replicas(u); got != ref.k {
+						t.Errorf("Replicas(%d) = %d, want %d", u, got, ref.k)
+					}
+					want, _ := refEdgeOwner(r, u, v)
+					if got, ok := r.EdgeOwner(u, v); !ok || got != want {
+						t.Errorf("EdgeOwner(%d,%d) = %d,%v, want %d", u, v, got, ok, want)
+					}
+					if got, ok := r.Master(u); !ok || got != ref.set[0] {
+						t.Errorf("Master(%d) = %d,%v, want %d", u, got, ok, ref.set[0])
+					}
+					if !r.IsReplica(u, ref.set[len(ref.set)-1]) {
+						t.Errorf("IsReplica(%d, %d) = false", u, ref.set[len(ref.set)-1])
 					}
 				}
 			}
 		}(graph.VertexID(w * 31))
 	}
 	wg.Wait()
-	assertCachedMatchesUncached(t, r, []graph.VertexID{0, 17, 99, 200}, "concurrent")
+	if got := len(r.tab.Load().slots); got < minSlots<<3 {
+		t.Fatalf("table ended at %d slots: fewer than three growths from %d", got, minSlots)
+	}
+	if r.count != keys {
+		t.Fatalf("table holds %d vertices after looking up %d", r.count, keys)
+	}
+	assertCachedMatchesUncached(t, r, []graph.VertexID{0, 17, 99, 200, keys - 1}, "concurrent")
 }
 
+// TestRouteLookupsDoNotAllocateWarm: every hit-path method answers a
+// vertex the table holds — unsplit (inline owner) or split (side entry) —
+// without allocating.
 func TestRouteLookupsDoNotAllocateWarm(t *testing.T) {
 	c := cfg()
 	r := New(c)
 	if _, err := r.Update(view(t, 1, []uint64{1, 2, 3, 4}, degSketch(c.NewSketch(), 64, 1))); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the cache.
+	// Fill the table.
+	split := 0
 	for v := graph.VertexID(0); v < 64; v++ {
-		r.EdgeOwner(v, v+1)
+		if r.Split(v) {
+			split++
+		}
+	}
+	if split == 0 || split == 64 {
+		t.Fatalf("%d of 64 vertices split; the test needs both kinds", split)
 	}
 	buf := make([]consistent.AgentID, 0, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		for v := graph.VertexID(0); v < 64; v++ {
 			r.Replicas(v)
+			r.Split(v)
 			r.EdgeOwner(v, v+1)
+			r.EdgeOwnerIndex(v, v+1)
+			r.CopyOwner(wire.EdgeChange{Src: v, Dst: v + 1, Dir: graph.In})
 			r.Master(v)
+			r.AnyReplica(v, uint64(v))
 			r.IsReplica(v, 2)
+			r.ReplicaSet(v)
 			buf = r.ReplicaSetInto(v, buf)
 		}
 	})

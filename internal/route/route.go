@@ -1,12 +1,15 @@
 // Package route implements the Participant-side lookup of Figure 3: every
 // Participant combines the latest directory view (membership + sketch)
 // with the cluster configuration to resolve which agent owns any edge or
-// vertex, in O(log P) per lookup with O(P + d·w) state.
+// vertex. The first lookup of a vertex under a view costs O(log P) against
+// O(P + d·w) state; every later one is a probe of the route table.
 package route
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"elga/internal/config"
 	"elga/internal/consistent"
@@ -15,65 +18,84 @@ import (
 	"elga/internal/wire"
 )
 
-// routeShards is the lookup-cache shard count; a power of two so the
-// shard index is a shift of a mixed vertex ID.
-const routeShards = 64
+const (
+	// fib is the 64-bit Fibonacci multiplier: the top bits of v*fib spread
+	// consecutive vertex IDs evenly over a power-of-two table.
+	fib      = 0x9e3779b97f4a7c15
+	minSlots = 64 // table size before anything is looked up
+	// A slot value is index<<2 | valSide? | valSet; zero is an empty slot.
+	valSet  = 1
+	valSide = 2 // index is into the side slice, not the member list
+)
 
-// vertexRoute is the memoized outcome of the two-level lookup of Figure 3
-// for one vertex under one view epoch: its replica count k (sketch
-// estimate pushed through the replication policy, capped by the ring
-// size) and its replica set (index 0 is the master). Both are pure
-// functions of (epoch, vertex), so an entry is immutable once published
-// and stays valid until the next view installs.
+// vertexRoute is the outcome of the two-level lookup of Figure 3 for one
+// vertex under one view: its replica count k (sketch estimate pushed
+// through the replication policy, capped by the ring size), its replica
+// set (index 0 is the master) and each replica's index into the ring's
+// member list. Immutable once published. Only a vertex that is split, or
+// looked up on an empty ring, owns one; see Router.unsplit for the rest.
 type vertexRoute struct {
 	k   int
 	set []consistent.AgentID
+	at  []int32
 }
 
-type routeShard struct {
-	mu sync.RWMutex
-	m  map[graph.VertexID]*vertexRoute
+// slot is one 16-byte route-table entry. For an unsplit vertex val carries
+// the owner's member index inline; otherwise it indexes the side slice. A
+// fill writes key and then stores val, so a reader whose atomic load of
+// val is non-zero also sees the key; no published slot is rewritten while
+// a reader may run.
+type slot struct {
+	key uint64
+	val atomic.Uint64
 }
 
-// lookupCache memoizes vertexRoute entries for the installed view. Update
-// either swaps every shard map wholesale (membership or overrides changed)
-// or drops exactly the entries whose replica count moved (only the sketch
-// changed), so a stale entry can never survive a view install. Shards
-// bound lock contention when an agent's compute-phase worker pool resolves
-// ownership concurrently; all other Router users are single-threaded and
-// only pay an uncontended lock.
-type lookupCache struct {
-	shards [routeShards]routeShard
+// table is a power-of-two array of slots probed linearly from a
+// multiply-shift of the vertex ID. It is never more than half full (≤ 64
+// bytes a vertex), so probe runs are short and end, at the vertex or at
+// an empty slot.
+type table struct {
+	slots []slot
+	shift uint // 64 - log2(len(slots))
 }
 
-func (c *lookupCache) invalidate() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[graph.VertexID]*vertexRoute)
-		sh.mu.Unlock()
+// newTable returns an empty table with room for n vertices.
+func newTable(n int) *table {
+	s := minSlots
+	for n > s/2 {
+		s *= 2
+	}
+	return &table{slots: make([]slot, s), shift: uint(64 - bits.Len(uint(s-1)))}
+}
+
+// probe returns v's slot — the one holding it, or the empty one where it
+// belongs — and that slot's value (zero if empty).
+func (t *table) probe(v graph.VertexID) (*slot, uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for i := (uint64(v) * fib) >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		val := s.val.Load()
+		if val == 0 || s.key == uint64(v) {
+			return s, val
+		}
 	}
 }
 
-func shardOf(v graph.VertexID) uint64 {
-	// Fibonacci multiply-shift so consecutive vertex IDs spread across
-	// shards; the top bits select one of the 64 shards.
-	return (uint64(v) * 0x9e3779b97f4a7c15) >> 58
-}
-
 // Router resolves edge and vertex ownership under one directory view. A
-// Router is mutated only by its owning entity's event loop (Update);
-// lookups are safe to issue concurrently from that entity's intra-phase
-// worker pool, because the ring, sketch, and address table are immutable
-// between Updates and the lookup cache is internally locked.
+// Router is mutated only by its owning entity's event loop (Update), never
+// while a lookup is in flight. Lookups are safe to issue concurrently from
+// that entity's intra-phase worker pool: the ring, sketch, overrides and
+// addresses are immutable between Updates, a hit reads the route table
+// without a lock, and a miss fills it under mu.
 type Router struct {
-	cfg   config.Config
-	epoch uint64
-	batch uint64
-	n     uint64
-	ring  *consistent.Ring
-	sk    *sketch.Sketch
-	addrs map[uint64]string
+	cfg     config.Config
+	epoch   uint64
+	batch   uint64
+	n       uint64
+	ring    *consistent.Ring
+	members []consistent.AgentID // ring.Members()
+	sk      *sketch.Sketch
+	addrs   map[uint64]string
 	// overrides is the repartitioner's placement table layered over the
 	// ring, swapped wholesale on every view Update (epoch-versioned like
 	// the ring and sketch). An override wins only for unsplit vertices
@@ -81,7 +103,17 @@ type Router struct {
 	// consistent hashing, which is what rebases overrides onto survivors
 	// when their target agent dies.
 	overrides map[graph.VertexID]consistent.AgentID
-	cache     lookupCache
+
+	// tab holds every vertex looked up since the last wholesale install;
+	// nothing is ever evicted, which is what makes Rerouted complete. side
+	// holds the routes that slots refer to by index. mu serialises fills
+	// and growth; count (filled slots) belongs to whoever holds it.
+	mu      sync.Mutex
+	tab     atomic.Pointer[table]
+	side    atomic.Pointer[[]*vertexRoute]
+	count   int
+	unsplit []vertexRoute // per member: the route of a vertex it alone owns
+
 	// rerouted and sketchOnly describe the last Update (see Rerouted).
 	rerouted   []graph.VertexID
 	sketchOnly bool
@@ -95,8 +127,16 @@ func New(cfg config.Config) *Router {
 		sk:    cfg.NewSketch(),
 		addrs: map[uint64]string{},
 	}
-	r.cache.invalidate()
+	r.resetTable()
 	return r
+}
+
+// resetTable installs an empty table, sized for as many vertices as the
+// one it replaces held: the same vertices are about to be looked up again.
+func (r *Router) resetTable() {
+	r.tab.Store(newTable(r.count))
+	r.side.Store(new([]*vertexRoute))
+	r.count = 0
 }
 
 // replicas is v's replica count under the installed sketch and ring.
@@ -108,61 +148,156 @@ func (r *Router) replicas(v graph.VertexID) int {
 	return k
 }
 
-// dropRerouted removes every cache entry whose replica count no longer
-// matches the installed sketch and records its vertex in r.rerouted.
-func (r *Router) dropRerouted() {
-	for i := range r.cache.shards {
-		sh := &r.cache.shards[i]
-		sh.mu.Lock()
-		for v, rt := range sh.m {
-			if r.replicas(v) != rt.k {
-				delete(sh.m, v)
-				r.rerouted = append(r.rerouted, v)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // computeRoute resolves v's routing entry directly from the sketch and
-// ring, bypassing the cache. It is the cache-fill path and the reference
-// the cache is tested against.
+// ring, bypassing the table. It is the fill path and the reference the
+// table is tested against.
 func (r *Router) computeRoute(v graph.VertexID) *vertexRoute {
 	k := r.replicas(v)
 	if k <= 1 {
-		if ov, ok := r.overrides[v]; ok && r.ring.Contains(ov) {
-			return &vertexRoute{k: k, set: []consistent.AgentID{ov}}
+		owner, ok := r.overrides[v]
+		if !ok || !r.ring.Contains(owner) {
+			owner, ok = r.ring.OwnerOfVertex(uint64(v))
+		}
+		if ok {
+			i, _ := r.ring.Index(owner)
+			return &r.unsplit[i]
 		}
 	}
-	return &vertexRoute{k: k, set: r.ring.ReplicaSet(uint64(v), k)}
-}
-
-// routeOf returns v's memoized routing entry, filling the cache on miss.
-func (r *Router) routeOf(v graph.VertexID) *vertexRoute {
-	sh := &r.cache.shards[shardOf(v)]
-	sh.mu.RLock()
-	rt := sh.m[v]
-	sh.mu.RUnlock()
-	if rt != nil {
-		return rt
+	rt := &vertexRoute{k: k, set: r.ring.ReplicaSet(uint64(v), k)}
+	rt.at = make([]int32, len(rt.set))
+	for i, a := range rt.set {
+		j, _ := r.ring.Index(a)
+		rt.at[i] = int32(j)
 	}
-	rt = r.computeRoute(v)
-	sh.mu.Lock()
-	if prev, ok := sh.m[v]; ok {
-		rt = prev // another worker published first; keep its entry
-	} else {
-		sh.m[v] = rt
-	}
-	sh.mu.Unlock()
 	return rt
 }
 
-// Update installs a directory view. Stale views (epoch older than current)
+// lookup returns v's route from the table, filling it on a miss: the
+// owner's member index when v is unsplit (rt is nil), else v's side entry.
+func (r *Router) lookup(v graph.VertexID) (owner int, rt *vertexRoute) {
+	_, val := r.tab.Load().probe(v)
+	if val == 0 {
+		val = r.fill(v)
+	}
+	if val&valSide != 0 {
+		return 0, (*r.side.Load())[val>>2]
+	}
+	return int(val >> 2), nil
+}
+
+// routeOf is lookup with an unsplit vertex's route materialized.
+func (r *Router) routeOf(v graph.VertexID) *vertexRoute {
+	i, rt := r.lookup(v)
+	if rt == nil {
+		rt = &r.unsplit[i]
+	}
+	return rt
+}
+
+// fill resolves v and publishes it, re-probing the current table under mu:
+// another phase worker may have published v, or grown the table, since the
+// caller's lock-free miss.
+func (r *Router) fill(v graph.VertexID) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := r.tab.Load()
+	s, val := t.probe(v)
+	if val != 0 {
+		return val
+	}
+	if r.count >= len(t.slots)/2 {
+		s, _ = r.rebuild(t, false).probe(v)
+	}
+	if rt := r.computeRoute(v); rt.k <= 1 && len(rt.at) == 1 {
+		val = uint64(rt.at[0])<<2 | valSet
+	} else {
+		val = r.addSide(rt)
+	}
+	s.key = uint64(v)
+	s.val.Store(val)
+	r.count++
+	return val
+}
+
+// addSide appends rt to the side slice and returns the slot value that
+// refers to it. The longer slice header is stored before any slot value
+// indexing its new element, so a reader that sees the slot loads a side
+// slice long enough; elements already published never move or change.
+func (r *Router) addSide(rt *vertexRoute) uint64 {
+	side := append(*r.side.Load(), rt)
+	r.side.Store(&side)
+	return uint64(len(side)-1)<<2 | valSide | valSet
+}
+
+// rebuild reinserts old's live entries into a fresh table with room for one
+// more and installs it; a reader still probing old sees only published
+// entries and falls into fill on a miss. With compact set (dropRerouted's
+// call, no reader running) it also rebuilds the side slice without the
+// routes no slot refers to any more.
+func (r *Router) rebuild(old *table, compact bool) *table {
+	t := newTable(r.count + 1)
+	oldSide := *r.side.Load()
+	var side []*vertexRoute
+	r.count = 0
+	for i := range old.slots {
+		s := &old.slots[i]
+		val := s.val.Load()
+		if val&valSet == 0 {
+			continue // empty, or dropped
+		}
+		if compact && val&valSide != 0 {
+			side = append(side, oldSide[val>>2])
+			val = uint64(len(side)-1)<<2 | valSide | valSet
+		}
+		ns, _ := t.probe(graph.VertexID(s.key))
+		ns.key = s.key
+		ns.val.Store(val)
+		r.count++
+	}
+	if compact {
+		r.side.Store(&side)
+	}
+	r.tab.Store(t)
+	return t
+}
+
+// dropRerouted removes every vertex whose replica count no longer matches
+// the installed sketch and records it in r.rerouted. It runs inside a
+// sketch-only Update, so no reader is probing: a dropped slot is marked in
+// place and, linear probing having no cheap delete, the table is rebuilt
+// without the marked slots — if there are any; few crossing deltas move a
+// vertex this router has looked up.
+func (r *Router) dropRerouted() {
+	t, side := r.tab.Load(), *r.side.Load()
+	for i := range t.slots {
+		s := &t.slots[i]
+		val := s.val.Load()
+		if val == 0 {
+			continue
+		}
+		k := 1
+		if val&valSide != 0 {
+			k = side[val>>2].k
+		}
+		if v := graph.VertexID(s.key); r.replicas(v) != k {
+			r.rerouted = append(r.rerouted, v)
+			s.val.Store(valSide)
+		}
+	}
+	if len(r.rerouted) > 0 {
+		r.rebuild(t, true)
+	}
+}
+
+// Update installs a directory view. It must run on the owning entity's
+// event loop with no lookup in flight (phase workers are joined before the
+// loop reads its next packet): that is what lets it replace the table
+// without coordinating with readers. Stale views (epoch older than current)
 // are ignored and reported false. A view with the installed membership and
 // overrides can differ only in its sketch, which feeds nothing but replica
-// counts: the ring stays, and the cache keeps every entry whose count is
+// counts: the ring stays and the table keeps every vertex whose count is
 // unchanged (Rerouted lists the rest). Anything else rebuilds the ring and
-// drops the whole cache.
+// starts an empty table.
 func (r *Router) Update(v *wire.View) (bool, error) {
 	if v.Epoch < r.epoch {
 		return false, nil
@@ -203,11 +338,15 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 		}
 	}
 	r.ring = consistent.New(members, consistent.Options{Virtual: r.cfg.Virtual, Hash: r.cfg.Hash})
+	r.members = r.ring.Members()
 	r.addrs = addrs
 	r.overrides = overrides
-	// Wholesale invalidation: every cached answer was a function of the
-	// previous ring and override table.
-	r.cache.invalidate()
+	r.unsplit = make([]vertexRoute, len(r.members))
+	for i := range r.unsplit {
+		r.unsplit[i] = vertexRoute{k: 1, set: r.members[i : i+1 : i+1], at: []int32{int32(i)}}
+	}
+	// Every route was a function of the previous ring and override table.
+	r.resetTable()
 	return true, nil
 }
 
@@ -233,9 +372,9 @@ func (r *Router) sameTable(v *wire.View) bool {
 // Rerouted describes what the last Update did to routes. sketchOnly true
 // means it changed nothing but the sketch, and vs lists every vertex whose
 // route it dropped because its replica count changed — among vertices
-// looked up since the last wholesale install, the only ones the cache
-// knows. sketchOnly false means membership or overrides changed and any
-// route may have moved. vs is reused by the next Update.
+// looked up since the last wholesale install, all of which the table
+// still holds. sketchOnly false means membership or overrides changed and
+// any route may have moved. vs is reused by the next Update.
 func (r *Router) Rerouted() (vs []graph.VertexID, sketchOnly bool) {
 	return r.rerouted, r.sketchOnly
 }
@@ -250,10 +389,14 @@ func (r *Router) BatchID() uint64 { return r.batch }
 func (r *Router) N() uint64 { return r.n }
 
 // NumAgents returns the member count.
-func (r *Router) NumAgents() int { return r.ring.Size() }
+func (r *Router) NumAgents() int { return len(r.members) }
 
-// Agents returns the member IDs.
-func (r *Router) Agents() []consistent.AgentID { return r.ring.Members() }
+// Agents returns the member IDs, sorted; MemberIndex and EdgeOwnerIndex
+// answer with positions in this list.
+func (r *Router) Agents() []consistent.AgentID { return r.members }
+
+// MemberIndex returns id's position in Agents().
+func (r *Router) MemberIndex(id consistent.AgentID) (int, bool) { return r.ring.Index(id) }
 
 // AddrOf maps an agent ID to its listen address.
 func (r *Router) AddrOf(id consistent.AgentID) (string, bool) {
@@ -276,17 +419,26 @@ func (r *Router) DegreeEstimate(v graph.VertexID) uint64 {
 
 // EdgeOwner resolves the agent owning vertex u's copy of edge (u,other):
 // the two-level lookup of Figure 3. The first level (u's replica window)
-// comes from the cache; only the cheap second hash over the destination
-// runs per edge.
+// comes from the route table; only the cheap second hash over the
+// destination runs per edge, and only for a split u.
 func (r *Router) EdgeOwner(u, other graph.VertexID) (consistent.AgentID, bool) {
-	rt := r.routeOf(u)
-	if len(rt.set) == 0 {
+	if i, ok := r.EdgeOwnerIndex(u, other); ok {
+		return r.members[i], true
+	}
+	return 0, false
+}
+
+// EdgeOwnerIndex is EdgeOwner answering with the owner's position in
+// Agents(), for callers that keep per-agent state in a slice.
+func (r *Router) EdgeOwnerIndex(u, other graph.VertexID) (int, bool) {
+	i, rt := r.lookup(u)
+	if rt == nil {
+		return i, true
+	}
+	if len(rt.at) == 0 {
 		return 0, false
 	}
-	if rt.k <= 1 {
-		return rt.set[0], true
-	}
-	return r.ring.PickReplica(rt.set, uint64(other))
+	return int(rt.at[r.ring.PickIndex(len(rt.at), uint64(other))]), true
 }
 
 // CopyOwner resolves the owner of one routed edge-change copy: Out copies
@@ -299,8 +451,9 @@ func (r *Router) CopyOwner(c wire.EdgeChange) (consistent.AgentID, bool) {
 }
 
 // ReplicaSet returns vertex v's replica agents; index 0 is the master.
-// The returned slice is shared with the cache: callers must not mutate or
-// retain it across a view Update (use ReplicaSetInto for an owned copy).
+// The returned slice is shared with the route table: callers must not
+// mutate or retain it across a view Update (use ReplicaSetInto for an
+// owned copy).
 func (r *Router) ReplicaSet(v graph.VertexID) []consistent.AgentID {
 	return r.routeOf(v).set
 }
@@ -314,7 +467,11 @@ func (r *Router) ReplicaSetInto(v graph.VertexID, out []consistent.AgentID) []co
 // IsReplica reports whether id is one of v's replicas, without
 // materializing the set.
 func (r *Router) IsReplica(v graph.VertexID, id consistent.AgentID) bool {
-	for _, a := range r.routeOf(v).set {
+	i, rt := r.lookup(v)
+	if rt == nil {
+		return r.members[i] == id
+	}
+	for _, a := range rt.set {
 		if a == id {
 			return true
 		}
@@ -324,28 +481,27 @@ func (r *Router) IsReplica(v graph.VertexID, id consistent.AgentID) bool {
 
 // Master returns v's master replica without allocating.
 func (r *Router) Master(v graph.VertexID) (consistent.AgentID, bool) {
-	set := r.routeOf(v).set
-	if len(set) == 0 {
-		return 0, false
-	}
-	return set[0], true
+	return r.AnyReplica(v, 0)
 }
 
 // AnyReplica returns one of v's replicas, chosen by salt — the random-
 // replica query fast path of §3.4.1.
 func (r *Router) AnyReplica(v graph.VertexID, salt uint64) (consistent.AgentID, bool) {
-	rt := r.routeOf(v)
+	i, rt := r.lookup(v)
+	if rt == nil {
+		return r.members[i], true
+	}
 	if len(rt.set) == 0 {
 		return 0, false
-	}
-	if rt.k <= 1 {
-		return rt.set[0], true
 	}
 	return rt.set[salt%uint64(len(rt.set))], true
 }
 
 // Split reports whether v is split across multiple agents.
-func (r *Router) Split(v graph.VertexID) bool { return r.routeOf(v).k > 1 }
+func (r *Router) Split(v graph.VertexID) bool {
+	_, rt := r.lookup(v)
+	return rt != nil && rt.k > 1
+}
 
 // IsMember reports ring membership.
 func (r *Router) IsMember(id consistent.AgentID) bool { return r.ring.Contains(id) }
