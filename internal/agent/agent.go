@@ -95,34 +95,9 @@ type ackGroup struct {
 	origin  *wire.Packet
 }
 
-// mailEntry is a mailbox cell for one (step, vertex). While a run is
-// installed, messages aggregate eagerly through the program's Gather;
-// messages arriving before the run context exists (broadcast/push races,
-// mid-migration re-routes) buffer raw and fold at consumption.
-type mailEntry struct {
-	agg   algorithm.Word
-	eager bool
-	raw   []algorithm.Word
-	n     uint64
-	have  bool
-}
-
-// fold produces the entry's aggregate under prog.
-func (e *mailEntry) fold(prog algorithm.Program) algorithm.Word {
-	agg := prog.ZeroAgg()
-	if e.eager {
-		agg = e.agg
-	}
-	for _, r := range e.raw {
-		agg = prog.Gather(agg, r)
-	}
-	return agg
-}
-
 // partialEntry accumulates replica partials at a master.
 type partialEntry struct {
 	agg    algorithm.Word
-	n      uint64
 	have   bool
 	outDeg uint64
 }
@@ -183,8 +158,13 @@ type Agent struct {
 	skDelta  *sketch.Sketch
 	buffered []wire.EdgeChange
 
-	mailbox  map[uint32]map[graph.VertexID]*mailEntry
-	partials map[uint32]map[graph.VertexID]*partialEntry
+	// mailbox holds one aggregate table per pending step (the one being
+	// computed and the one being scattered into); consumed tables wait in
+	// tableFree. foldTab is flush's fold-by-target scratch.
+	mailbox   map[uint32]*aggTable
+	tableFree []*aggTable
+	foldTab   aggTable
+	partials  map[uint32]map[graph.VertexID]*partialEntry
 
 	run *runCtx
 	// pendingAdv parks an Advance whose TAlgoStart is still in flight
@@ -215,8 +195,6 @@ type Agent struct {
 	combineVals []*partialEntry
 	batcherFree []*msgBatcher
 	asyncFree   []*asyncBatcher
-	mailFree    []*mailEntry
-	mailMapFree []map[graph.VertexID]*mailEntry
 
 	migratedEpoch uint64 // last epoch whose migration round we voted in
 	leaving       bool
@@ -234,8 +212,9 @@ type Agent struct {
 	vertexCount   atomic.Int64
 	storeBytes    atomic.Uint64 // O(1) store footprint estimate, scraped off-thread
 
-	// statUnroutable counts messages dropped because their destination had
-	// no address in the installed view (addrFor); a correct run leaves it 0.
+	// statUnroutable counts message entries (aggregates, after folding)
+	// dropped because their destination had no address in the installed
+	// view (addrFor); a correct run leaves it 0.
 	statUnroutable uint64
 
 	// m holds optional instrumentation handles (nil without a registry);
@@ -298,7 +277,7 @@ func Start(opts Options) (*Agent, error) {
 		totalOutDeg: make(map[graph.VertexID]uint64),
 		registered:  make(map[graph.VertexID]bool),
 		skDelta:     opts.Config.NewSketch(),
-		mailbox:     make(map[uint32]map[graph.VertexID]*mailEntry),
+		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]*partialEntry),
 		workSet:     make(map[graph.VertexID]struct{}),
 		phaseGate:   &ackGroup{},
@@ -570,7 +549,7 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 		a.shipSpans()
 		a.shipEvents()
 		a.sendDigest()
-		a.checkpointNow()
+		a.checkpointNow(true)
 	case wire.TBatchOpen:
 		a.journal.Emit(events.Info, events.KindBatch, trace.SpanContext{},
 			events.U("agent", a.id), events.U("batch", a.router.BatchID()+1))

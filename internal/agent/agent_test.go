@@ -9,42 +9,67 @@ import (
 	"elga/internal/wire"
 )
 
-func TestMailEntryFoldRawOnly(t *testing.T) {
-	e := &mailEntry{raw: []algorithm.Word{5, 3, 9}, n: 3, have: true}
-	if got := e.fold(algorithm.WCC{}); got != 3 {
+// foldOf is the aggregate v's entry yields at consumption.
+func foldOf(t *aggTable, prog algorithm.Program, v graph.VertexID) algorithm.Word {
+	return t.fold(prog, t.get(v))
+}
+
+func TestMailFoldRawOnly(t *testing.T) {
+	// Aggregates delivered before any run exists buffer raw and fold once a
+	// program is there to merge them.
+	var tab aggTable
+	for _, w := range []algorithm.Word{5, 3, 9} {
+		tab.merge(nil, 1, w)
+	}
+	if got := foldOf(&tab, algorithm.WCC{}, 1); got != 3 {
 		t.Errorf("fold = %d, want min 3", got)
 	}
-}
-
-func TestMailEntryFoldEagerOnly(t *testing.T) {
-	e := &mailEntry{agg: 2, eager: true, n: 1, have: true}
-	if got := e.fold(algorithm.WCC{}); got != 2 {
-		t.Errorf("fold = %d", got)
+	if tab.live != 1 {
+		t.Errorf("live = %d, want 1", tab.live)
 	}
 }
 
-func TestMailEntryFoldMixedEras(t *testing.T) {
+func TestMailFoldEagerOnly(t *testing.T) {
+	var tab aggTable
+	wcc := algorithm.WCC{}
+	tab.merge(wcc, 1, 2)
+	tab.gather(wcc, 1, 6)
+	if got := foldOf(&tab, wcc, 1); got != 2 {
+		t.Errorf("fold = %d", got)
+	}
+	if tab.raw != nil {
+		t.Error("raw buffer exists with nothing raw delivered")
+	}
+}
+
+func TestMailFoldMixedEras(t *testing.T) {
 	// Raw values buffered pre-run plus an eager aggregate after the run
 	// installed must combine.
-	e := &mailEntry{agg: 7, eager: true, raw: []algorithm.Word{4, 9}, n: 3, have: true}
-	if got := e.fold(algorithm.WCC{}); got != 4 {
+	var tab aggTable
+	wcc := algorithm.WCC{}
+	tab.merge(nil, 1, 4)
+	tab.merge(nil, 1, 9)
+	tab.merge(wcc, 1, 7)
+	if got := foldOf(&tab, wcc, 1); got != 4 {
 		t.Errorf("fold = %d, want 4", got)
 	}
 	pr := algorithm.PageRank{}
-	e2 := &mailEntry{
-		agg: algorithm.FromF64(0.5), eager: true,
-		raw: []algorithm.Word{algorithm.FromF64(0.25)},
-	}
-	if got := e2.fold(pr).F64(); got != 0.75 {
+	tab.reset()
+	tab.merge(nil, 2, algorithm.FromF64(0.25))
+	tab.gather(pr, 2, algorithm.FromF64(0.5))
+	if got := foldOf(&tab, pr, 2).F64(); got != 0.75 {
 		t.Errorf("pagerank fold = %v, want 0.75", got)
 	}
 }
 
-func TestMailEntryFoldEmpty(t *testing.T) {
-	e := &mailEntry{}
-	wcc := algorithm.WCC{}
-	if got := e.fold(wcc); got != wcc.ZeroAgg() {
-		t.Errorf("empty fold = %d, want identity", got)
+func TestMailGetMissing(t *testing.T) {
+	var tab aggTable
+	if tab.get(1) != nil || (*aggTable)(nil).get(1) != nil {
+		t.Error("empty and nil tables must hold nothing")
+	}
+	tab.merge(algorithm.WCC{}, 1, 3)
+	if tab.get(2) != nil {
+		t.Error("absent key found")
 	}
 }
 
@@ -118,7 +143,9 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	b := a.getBatcher(4)
 	msg := wire.VertexMsg{Target: 7, Via: 8, Value: wire.Word(algorithm.FromF64(0.5))}
 	for i := 0; i < 5; i++ {
-		b.add(peer, msg)
+		// Distinct targets: the flush folds by target, and what is dropped
+		// and counted is what would have been sent.
+		b.add(peer, wire.VertexMsg{Target: graph.VertexID(100 + i), Via: 8, Value: msg.Value})
 	}
 	b.add(self, msg)
 	// Agent 2 leaves the view between the scatter and the flush.
@@ -134,7 +161,7 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	if a.phaseGate.pending != 0 {
 		t.Fatalf("%d sends pending toward an agent with no address", a.phaseGate.pending)
 	}
-	if e := a.mailbox[4][7]; e == nil || e.n != 1 {
+	if e := a.mailbox[4].get(7); e == nil || e.agg != algorithm.FromF64(0.5) {
 		t.Fatalf("self-addressed message not delivered: %+v", e)
 	}
 	// The next hand-out binds to the shrunken view and drops nothing.

@@ -1,0 +1,355 @@
+package agent
+
+import (
+	"math/rand"
+	"testing"
+
+	"elga/internal/algorithm"
+	"elga/internal/checkpoint"
+	"elga/internal/consistent"
+	"elga/internal/graph"
+	"elga/internal/wire"
+)
+
+// TestAggTableMatchesMapModel drives random put/get/kill/reset against a Go
+// map and an insertion-order list, through several growths per round: get
+// agrees with the map on every key ever used, live is exact, each walks the
+// surviving keys in insertion order (a key killed and put again keeps its
+// first position), and reset leaves every slot empty.
+func TestAggTableMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var tab aggTable
+	for round := 0; round < 6; round++ {
+		model := make(map[graph.VertexID]algorithm.Word)
+		var order []graph.VertexID // first insertion of every key this round
+		seen := make(map[graph.VertexID]bool)
+		// Sparse and clustered keys; enough of them for >= 3 doublings of a
+		// fresh table (64 → 512 slots and beyond).
+		keys := 300 + rng.Intn(900)
+		keyOf := func() graph.VertexID {
+			k := graph.VertexID(rng.Intn(keys))
+			if k%3 == 0 {
+				k = k << 40
+			}
+			return k
+		}
+		slots0 := len(tab.slots)
+		for op := 0; op < 8*keys; op++ {
+			k := keyOf()
+			switch r := rng.Intn(10); {
+			case r < 6:
+				s, fresh := tab.put(k)
+				_, had := model[k]
+				if fresh == had {
+					t.Fatalf("round %d: put(%d) fresh=%v but model had=%v", round, k, fresh, had)
+				}
+				if fresh {
+					s.agg = 0
+				}
+				s.agg += algorithm.Word(op)
+				model[k] += algorithm.Word(op)
+				if !seen[k] {
+					seen[k] = true
+					order = append(order, k)
+				}
+			case r < 8:
+				s := tab.get(k)
+				w, had := model[k]
+				if (s != nil) != had || (had && s.agg != w) {
+					t.Fatalf("round %d: get(%d) = %+v, model %d/%v", round, k, s, w, had)
+				}
+			default:
+				if s := tab.get(k); s != nil {
+					tab.kill(s)
+					delete(model, k)
+				}
+			}
+			if tab.live != len(model) {
+				t.Fatalf("round %d op %d: live = %d, model holds %d", round, op, tab.live, len(model))
+			}
+		}
+		if round == 0 && len(tab.slots) < 8*64 {
+			t.Fatalf("table grew from %d to only %d slots; the test wants >= 3 growths", slots0, len(tab.slots))
+		}
+		if 2*len(tab.order) > len(tab.slots) {
+			t.Fatalf("load above 1/2: %d entries in %d slots", len(tab.order), len(tab.slots))
+		}
+		var want []graph.VertexID
+		for _, k := range order {
+			if _, ok := model[k]; ok {
+				want = append(want, k)
+			}
+		}
+		var got []graph.VertexID
+		tab.each(func(s *aggSlot) {
+			if s.agg != model[s.key] {
+				t.Fatalf("round %d: each sees %d = %d, model %d", round, s.key, s.agg, model[s.key])
+			}
+			got = append(got, s.key)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("round %d: each visited %d entries, want %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: entry %d is %d, insertion order says %d", round, i, got[i], want[i])
+			}
+		}
+		tab.reset()
+		if tab.live != 0 || len(tab.order) != 0 || tab.raw != nil {
+			t.Fatalf("round %d: reset left live=%d order=%d raw=%v", round, tab.live, len(tab.order), tab.raw)
+		}
+		for i := range tab.slots {
+			if tab.slots[i].gen == tab.gen {
+				t.Fatalf("round %d: slot %d still occupied after reset", round, i)
+			}
+		}
+		for k := range model {
+			if tab.get(k) != nil {
+				t.Fatalf("round %d: %d survived reset", round, k)
+			}
+		}
+	}
+}
+
+// TestAggTableGenerationWrap: the 2^32nd reset must not resurrect slots
+// stamped with the generation the counter wraps onto.
+func TestAggTableGenerationWrap(t *testing.T) {
+	var tab aggTable
+	tab.put(7)
+	tab.reset()
+	tab.put(7) // stamped with generation 2
+	tab.gen = ^uint32(0)
+	tab.put(9)
+	tab.reset() // wraps
+	if tab.gen == 0 || tab.get(7) != nil || tab.get(9) != nil {
+		t.Fatalf("after wrap: gen=%d get(7)=%v get(9)=%v", tab.gen, tab.get(7), tab.get(9))
+	}
+	tab.reset() // generation 2 again
+	if tab.get(7) != nil {
+		t.Fatal("entry from a previous generation 2 is visible again")
+	}
+}
+
+// TestKilledRawEntryIsGone: killing an entry drops its raw buffer with it,
+// so a later delivery for the same vertex starts from nothing.
+func TestKilledRawEntryIsGone(t *testing.T) {
+	var tab aggTable
+	wcc := algorithm.WCC{}
+	tab.merge(nil, 5, 2)
+	tab.kill(tab.get(5))
+	if tab.get(5) != nil || tab.live != 0 {
+		t.Fatalf("killed entry still live (live=%d)", tab.live)
+	}
+	tab.merge(wcc, 5, 8)
+	if got := foldOf(&tab, wcc, 5); got != 8 {
+		t.Fatalf("fold after kill+merge = %d, want 8 (the killed raw 2 must not return)", got)
+	}
+}
+
+// foldCase is one flush-combine scenario: msgs scattered toward one peer.
+type foldCase struct {
+	name string
+	prog algorithm.Program
+	msgs []wire.VertexMsg
+}
+
+// TestFlushFoldsByTarget: a flush of N messages onto T distinct targets
+// encodes exactly T entries, in first-seen order, each carrying the
+// per-target Gather fold and the first source as Via.
+func TestFlushFoldsByTarget(t *testing.T) {
+	f := func(x float64) wire.Word { return wire.Word(algorithm.FromF64(x)) }
+	cases := []foldCase{
+		{"pagerank-sum", algorithm.PageRank{}, []wire.VertexMsg{
+			{Target: 9, Via: 1, Value: f(0.25)}, {Target: 4, Via: 1, Value: f(0.5)},
+			{Target: 9, Via: 2, Value: f(0.125)}, {Target: 9, Via: 3, Value: f(1)},
+			{Target: 4, Via: 3, Value: f(2)}, {Target: 1 << 40, Via: 3, Value: f(3)},
+		}},
+		{"wcc-min", algorithm.WCC{}, []wire.VertexMsg{
+			{Target: 9, Via: 5, Value: 5}, {Target: 9, Via: 3, Value: 3},
+			{Target: 4, Via: 8, Value: 8}, {Target: 9, Via: 7, Value: 7},
+		}},
+		{"single", algorithm.WCC{}, []wire.VertexMsg{{Target: 2, Via: 6, Value: 6}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newLoopbackAgent(t, allocTestConfig(), 64)
+			installRun(a, tc.prog, 64)
+			peer := newPeerSink(t, a.opts.Network)
+			view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
+				{ID: a.id, Addr: a.node.Addr()}, {ID: 2, Addr: peer.node.Addr()},
+			}}
+			if _, err := a.router.Update(view); err != nil {
+				t.Fatal(err)
+			}
+			at, _ := a.router.MemberIndex(2)
+			// The model: per target, Gather folded from ZeroAgg in order.
+			var targets []graph.VertexID
+			want := make(map[graph.VertexID]wire.VertexMsg)
+			for _, m := range tc.msgs {
+				w, ok := want[m.Target]
+				if !ok {
+					targets = append(targets, m.Target)
+					w = wire.VertexMsg{Target: m.Target, Via: m.Via, Value: wire.Word(tc.prog.ZeroAgg())}
+				}
+				w.Value = wire.Word(tc.prog.Gather(algorithm.Word(w.Value), algorithm.Word(m.Value)))
+				want[m.Target] = w
+			}
+			b := a.getBatcher(3)
+			for _, m := range tc.msgs {
+				b.add(at, m)
+			}
+			b.flush(a.phaseGate)
+			a.putBatcher(b)
+			got := peer.waitMsgs(t, len(targets))
+			if len(got) != len(targets) {
+				t.Fatalf("%d messages onto %d targets encoded %d entries", len(tc.msgs), len(targets), len(got))
+			}
+			for i, v := range targets {
+				if got[i] != want[v] {
+					t.Errorf("entry %d = %+v, want %+v", i, got[i], want[v])
+				}
+			}
+		})
+	}
+}
+
+// TestAccountRunsEqualsPerMessage: accounting a buffer by runs of equal Via
+// leaves the ledger exactly as one update per message would — including
+// when a source's messages are not contiguous.
+func TestAccountRunsEqualsPerMessage(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var msgs []wire.VertexMsg
+	for len(msgs) < 2000 {
+		via := graph.VertexID(rng.Intn(40))
+		for n := 1 + rng.Intn(9); n > 0; n-- {
+			msgs = append(msgs, wire.VertexMsg{Target: graph.VertexID(rng.Intn(500)), Via: via})
+		}
+	}
+	byRun := newLoopbackAgent(t, allocTestConfig(), 64)
+	perMsg := newLoopbackAgent(t, allocTestConfig(), 64)
+	for _, a := range []*Agent{byRun, perMsg} {
+		a.opts.Repartition = true
+		a.initComm()
+	}
+	for _, peer := range []uint64{1, 2} { // self, then a remote peer
+		byRun.accountRuns(msgs, consistent.AgentID(peer))
+		for _, m := range msgs {
+			perMsg.account(m.Via, consistent.AgentID(peer), 1)
+		}
+	}
+	if len(byRun.comm.window) != len(perMsg.comm.window) {
+		t.Fatalf("ledger has %d keys by run, %d per message", len(byRun.comm.window), len(perMsg.comm.window))
+	}
+	for k, n := range perMsg.comm.window {
+		if byRun.comm.window[k] != n {
+			t.Fatalf("window[%+v] = %d by run, %d per message", k, byRun.comm.window[k], n)
+		}
+	}
+	l1, r1, _ := byRun.CommStats()
+	l2, r2, _ := perMsg.CommStats()
+	if l1 != l2 || r1 != r2 || l1 != uint64(len(msgs)) || r1 != uint64(len(msgs)) {
+		t.Fatalf("counters by run (%d local, %d remote) vs per message (%d, %d), %d messages each way",
+			l1, r1, l2, r2, len(msgs))
+	}
+}
+
+// TestMailboxWatermarkCountsLiveEntries: a checkpoint's mailbox watermark
+// reports the entries still pending, not the ones re-routed away.
+func TestMailboxWatermarkCountsLiveEntries(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, algorithm.WCC{}, 64)
+	sink, err := checkpoint.NewDirSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ckpt.cfg = checkpoint.Config{Enabled: true, Key: "wm", EverySteps: 1 << 30}
+	a.ckpt.writer = checkpoint.NewWriter(sink, "wm")
+	mail := a.mailFor(6)
+	for v := graph.VertexID(1); v <= 3; v++ {
+		mail.merge(a.run.prog, v, algorithm.Word(v))
+	}
+	mail.kill(mail.get(2))
+	a.checkpointNow(true)
+	a.closeCheckpoint()
+	st, err := checkpoint.Load(sink, "wm")
+	if err != nil || st == nil {
+		t.Fatalf("load: %v %v", st, err)
+	}
+	if len(st.Watermarks) != 1 || st.Watermarks[0].Step != 6 || st.Watermarks[0].Count != 2 {
+		t.Fatalf("watermarks = %+v, want one for step 6 counting 2 live entries", st.Watermarks)
+	}
+}
+
+// TestMailboxDeliverRecycleDoesNotAllocate: once a step's table has grown
+// to its working size, a deliver-everything-then-recycle cycle — what every
+// superstep does to its mailbox — touches the heap not at all.
+func TestMailboxDeliverRecycleDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, algorithm.PageRank{}, 64)
+	cycle := func(step uint32) {
+		mail, prog := a.mailFor(step), a.run.prog
+		for i := 0; i < 4096; i++ {
+			mail.gather(prog, graph.VertexID(i%1024), algorithm.FromF64(0.5))
+		}
+		delete(a.mailbox, step)
+		a.recycleMail(mail)
+	}
+	cycle(1)
+	step := uint32(2)
+	if allocs := testing.AllocsPerRun(50, func() { cycle(step); step++ }); allocs > 0 {
+		t.Fatalf("steady-state deliver+recycle cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// BenchmarkMailboxDeliver is one superstep's mailbox traffic on
+// pagerank-static's scale: 120k deliveries onto 16k keys, then recycle.
+func BenchmarkMailboxDeliver(b *testing.B) {
+	a := newLoopbackAgent(b, allocTestConfig(), 64)
+	installRun(a, algorithm.PageRank{}, 64)
+	rng := rand.New(rand.NewSource(1))
+	targets := make([]graph.VertexID, 120_000)
+	for i := range targets {
+		targets[i] = graph.VertexID(rng.Intn(16_384))
+	}
+	val := algorithm.FromF64(0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step := uint32(i)
+		mail, prog := a.mailFor(step), a.run.prog
+		for _, v := range targets {
+			mail.gather(prog, v, val)
+		}
+		delete(a.mailbox, step)
+		a.recycleMail(mail)
+	}
+}
+
+// BenchmarkFlushCombine folds one destination's share of a pagerank-static
+// step (30k messages onto ~6k targets, hubs repeated) the way flush does.
+func BenchmarkFlushCombine(b *testing.B) {
+	a := newLoopbackAgent(b, allocTestConfig(), 64)
+	installRun(a, algorithm.PageRank{}, 64)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 8, 1<<14)
+	src := make([]wire.VertexMsg, 30_000)
+	for i := range src {
+		src[i] = wire.VertexMsg{
+			Target: graph.VertexID(zipf.Uint64()), Via: graph.VertexID(i / 8),
+			Value: wire.Word(algorithm.FromF64(0.5)),
+		}
+	}
+	buf := make([]wire.VertexMsg, len(src))
+	folded := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		folded = len(a.foldByTarget(buf))
+	}
+	b.ReportMetric(float64(len(src))/float64(folded), "msgs/entry")
+}

@@ -19,10 +19,10 @@ func allocTestConfig() config.Config {
 }
 
 // TestHandleVertexMsgsAcceptPathAllocs is the ceiling for the hot accept
-// path: once the scratch decode buffer and mailbox entries are warm,
+// path: once the scratch decode buffer and the step's mailbox table are warm,
 // accepting a batch this agent is a replica for must not allocate — the
 // replica check resolves from the router's route table, no ack group is
-// created when nothing forwards, and messages aggregate in place.
+// created when nothing forwards, and aggregates merge in place.
 func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	a := newLoopbackAgent(t, allocTestConfig(), 64)
 	installRun(a, algorithm.PageRank{}, 64)
@@ -39,7 +39,7 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	payload := wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: 3, Msgs: msgs})
 	pkt := &wire.Packet{Type: wire.TVertexMsgs, Payload: payload}
 
-	// Warm: first delivery creates the step-3 mailbox and its entries.
+	// Warm: first delivery creates the step-3 table and its entries.
 	if retained := a.handleVertexMsgs(pkt); retained {
 		t.Fatal("accept path should not retain the packet")
 	}
@@ -52,8 +52,8 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	}
 
 	// The messages must actually have landed.
-	e := a.mailbox[3][graph.VertexID(5)]
-	if e == nil || !e.have || e.n < 100 {
+	e := a.mailbox[3].get(5)
+	if e == nil || e.agg.F64() < 100*0.25 {
 		t.Fatalf("mailbox entry missing or short: %+v", e)
 	}
 }

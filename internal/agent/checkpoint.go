@@ -94,7 +94,7 @@ func (a *Agent) maybeCheckpointStep() {
 	}
 	a.ckpt.stepsSince++
 	if a.ckpt.stepsSince >= a.ckpt.cfg.EverySteps {
-		a.checkpointNow()
+		a.checkpointNow(false)
 	}
 }
 
@@ -105,16 +105,17 @@ func (a *Agent) maybeCheckpointTimed() {
 		return
 	}
 	if time.Since(a.ckpt.lastTimed) >= a.ckpt.cfg.Interval {
-		a.checkpointNow()
+		a.checkpointNow(false)
 	}
 }
 
 // checkpointNow builds a snapshot of the agent's durable state and hands
 // it to the background writer. Building runs on the event loop (the only
 // safe reader of store/values); hashing, CRC, and file I/O happen on the
-// writer goroutine. A busy writer drops the snapshot — the next cadence
-// captures strictly newer state.
-func (a *Agent) checkpointNow() {
+// writer goroutine. A busy writer drops a cadence snapshot — the next
+// cadence captures strictly newer state — but never a forced one (run end,
+// batch boundary), which no later cadence would make up for.
+func (a *Agent) checkpointNow(forced bool) {
 	w := a.ckpt.writer
 	if w == nil || a.leaving {
 		return
@@ -152,8 +153,8 @@ func (a *Agent) checkpointNow() {
 	var marks []wire.MailboxWatermark
 	if len(a.mailbox) > 0 {
 		marks = make([]wire.MailboxWatermark, 0, len(a.mailbox))
-		for step, m := range a.mailbox {
-			marks = append(marks, wire.MailboxWatermark{RunID: runID, Step: step, Count: uint32(len(m))})
+		for step, t := range a.mailbox {
+			marks = append(marks, wire.MailboxWatermark{RunID: runID, Step: step, Count: uint32(t.live)})
 		}
 	}
 	prevSealed, prevGen := w.LastSealedRef()
@@ -161,7 +162,13 @@ func (a *Agent) checkpointNow() {
 		Meta:     meta,
 		Segments: checkpoint.BuildSegments(a.store, states, marks, prevSealed, prevGen),
 	}
-	if w.TrySubmit(snap) {
+	accepted := forced
+	if forced {
+		w.Submit(snap)
+	} else {
+		accepted = w.TrySubmit(snap)
+	}
+	if accepted {
 		a.ckpt.seq = meta.Seq
 		a.journal.Emit(events.Info, events.KindCheckpoint, span.Context(),
 			events.U("agent", a.id), events.U("seq", meta.Seq), events.U("epoch", meta.ViewEpoch))

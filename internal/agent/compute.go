@@ -111,7 +111,10 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	a.run = nil
 	a.pendingAdv = nil
 	// Drop per-run message state; the two step-indexed maps themselves are
-	// kept.
+	// kept, and the mailbox tables go back to the free list.
+	for _, t := range a.mailbox {
+		a.recycleMail(t)
+	}
 	clear(a.mailbox)
 	clear(a.partials)
 	a.flushBuffered()
@@ -242,9 +245,7 @@ func (a *Agent) processCompute() {
 	for v := range r.active {
 		work[v] = struct{}{}
 	}
-	for v := range mail {
-		work[v] = struct{}{}
-	}
+	mail.each(func(s *aggSlot) { work[s.key] = struct{}{} })
 	for _, v := range a.store.TakeActive() {
 		work[v] = struct{}{}
 	}
@@ -304,18 +305,15 @@ func (a *Agent) processCombine() {
 	a.maybeReady()
 }
 
-func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, n uint64, have bool, outDeg uint64) {
+func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, have bool, outDeg uint64) {
 	m := a.partials[step]
 	if m == nil {
 		m = make(map[graph.VertexID]*partialEntry)
 		a.partials[step] = m
 	}
+	prog := a.prog()
 	p := m[v]
 	if p == nil {
-		var prog algorithm.Program
-		if a.run != nil {
-			prog = a.run.prog
-		}
 		zero := algorithm.Word(0)
 		if prog != nil {
 			zero = prog.ZeroAgg()
@@ -323,10 +321,9 @@ func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, 
 		p = &partialEntry{agg: zero}
 		m[v] = p
 	}
-	if a.run != nil {
-		p.agg = a.run.prog.MergeAgg(p.agg, agg)
+	if prog != nil {
+		p.agg = prog.MergeAgg(p.agg, agg)
 	}
-	p.n += n
 	p.have = p.have || have
 	p.outDeg += outDeg
 }
@@ -381,7 +378,7 @@ func (a *Agent) handlePartial(pkt *wire.Packet) bool {
 			return true
 		}
 	}
-	a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.MsgCount, p.HaveMsgs, p.LocalOutDeg)
+	a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
 	// Pin the vertex: a master may hold no copies of a split vertex yet
 	// still owns its combination duties.
 	a.store.Pin(p.Vertex)
@@ -475,16 +472,14 @@ func (a *Agent) putBatcher(b *msgBatcher) {
 
 func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 	a := b.agent
-	if dst == b.self {
-		if a.comm.enabled {
-			a.accountLocal(m.Via, 1)
-		}
-		// Local delivery: aggregate straight into the mailbox.
-		a.deliverLocal(b.step, graph.VertexID(m.Target), algorithm.Word(m.Value))
-		return
-	}
 	if a.comm.enabled {
-		a.accountRemote(m.Via, b.members[dst], 1)
+		a.account(m.Via, b.members[dst], 1)
+	}
+	if dst == b.self {
+		// Local delivery: this agent is the message's source, so it gathers
+		// straight into the mailbox.
+		a.mailFor(b.step).gather(a.run.prog, m.Target, algorithm.Word(m.Value))
+		return
 	}
 	b.dstBufs.add(dst, m)
 }
@@ -494,9 +489,19 @@ func (b *msgBatcher) addMany(dst int, msgs []wire.VertexMsg) {
 	b.bufs[dst] = append(b.bufs[dst], msgs...)
 }
 
-// flush sends every non-empty buffer as one batch, resolving each
-// destination's address here, once, rather than per message.
+// flush combines, then sends: each destination's buffered messages are
+// gathered by target, so what leaves is one aggregate per (destination,
+// target) however many edges produced it.
 func (b *msgBatcher) flush(groups ...*ackGroup) {
+	for i, msgs := range b.bufs {
+		b.bufs[i] = b.agent.foldByTarget(msgs)
+	}
+	b.send(groups...)
+}
+
+// send ships every non-empty buffer as one batch of aggregates, resolving
+// each destination's address here, once, rather than per entry.
+func (b *msgBatcher) send(groups ...*ackGroup) {
 	a := b.agent
 	for i, msgs := range b.bufs {
 		if len(msgs) == 0 {
@@ -513,8 +518,41 @@ func (b *msgBatcher) flush(groups ...*ackGroup) {
 		frame := wire.AppendVertexMsgBatch(
 			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
+		if a.comm.enabled {
+			a.comm.remoteBytes.Add(uint64(len(frame)))
+		}
 		a.sendGatedFrame(addr, frame, groups...)
 	}
+}
+
+// foldByTarget gathers a buffer of scattered messages by Target, in place:
+// the result holds one entry per distinct target, in first-seen order, whose
+// Value is the run's Gather over that target's messages and whose Via is the
+// first of their sources. This is the one place a remote-bound message is
+// gathered; every later hop merges.
+func (a *Agent) foldByTarget(msgs []wire.VertexMsg) []wire.VertexMsg {
+	if len(msgs) == 0 {
+		return msgs
+	}
+	prog := a.run.prog
+	zero := prog.ZeroAgg()
+	t := &a.foldTab
+	t.reset()
+	out := 0
+	for _, m := range msgs {
+		// The scratch slot's word is the target's position in the output.
+		s, fresh := t.put(m.Target)
+		if fresh {
+			s.agg = algorithm.Word(out)
+			m.Value = wire.Word(prog.Gather(zero, algorithm.Word(m.Value)))
+			msgs[out] = m
+			out++
+			continue
+		}
+		d := &msgs[s.agg]
+		d.Value = wire.Word(prog.Gather(algorithm.Word(d.Value), algorithm.Word(m.Value)))
+	}
+	return msgs[:out]
 }
 
 // addrFor resolves dst's listen address for a send carrying n messages. It
@@ -536,9 +574,10 @@ func (a *Agent) addrFor(dst consistent.AgentID, n int) (string, bool) {
 func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 	r := a.run
 	if r.prog.SendsOut() {
-		// Value-type cursor: iteration over sealed run + delta tail with
-		// no per-vertex allocation.
-		for it := a.store.OutCursor(v); ; {
+		// Value-type cursor, built in place: iteration over sealed run +
+		// delta tail with no per-vertex allocation or copy.
+		var it graph.Cursor
+		for a.store.OutCursorInto(&it, v); ; {
 			w, ok := it.Next()
 			if !ok {
 				break
@@ -553,7 +592,8 @@ func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 		}
 	}
 	if r.prog.SendsIn() {
-		for it := a.store.InCursor(v); ; {
+		var it graph.Cursor
+		for a.store.InCursorInto(&it, v); ; {
 			u, ok := it.Next()
 			if !ok {
 				break
@@ -570,86 +610,49 @@ func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 	}
 }
 
-// deliverLocal aggregates one message into the mailbox for (step, v).
-// Works with or without an installed run: without one, values buffer raw
-// and fold at consumption, so delivery never blocks on run installation
-// (which would deadlock mid-run migrations).
-func (a *Agent) deliverLocal(step uint32, v graph.VertexID, val algorithm.Word) {
-	m := a.mailbox[step]
-	if m == nil {
-		m = a.getMailMap()
-		a.mailbox[step] = m
+// prog returns the installed run's program, nil between runs.
+func (a *Agent) prog() algorithm.Program {
+	if a.run == nil {
+		return nil
 	}
-	e := m[v]
-	if e == nil {
-		e = a.getMailEntry()
-		m[v] = e
-	}
-	if a.run != nil {
-		if !e.eager {
-			e.eager = true
-			e.agg = a.run.prog.ZeroAgg()
+	return a.run.prog
+}
+
+// mailFor returns the step's mailbox table, taking one off the free list
+// if the step has none yet. Callers resolve it once per batch and then
+// gather (messages produced here) or merge (aggregates received) into it.
+func (a *Agent) mailFor(step uint32) *aggTable {
+	t := a.mailbox[step]
+	if t == nil {
+		if n := len(a.tableFree); n > 0 {
+			t = a.tableFree[n-1]
+			a.tableFree = a.tableFree[:n-1]
+		} else {
+			t = &aggTable{}
 		}
-		e.agg = a.run.prog.Gather(e.agg, val)
-	} else {
-		e.raw = append(e.raw, val)
+		a.mailbox[step] = t
 	}
-	e.n++
-	e.have = true
-	if trace.Enabled() {
-		a.trace("mail-store v=%d step=%d run=%v", v, step, a.run != nil)
-	}
-}
-
-// getMailEntry pops a zeroed mail entry off the free list. Entries recycle
-// through recycleMail once a compute phase has consumed their step, so
-// steady-state supersteps re-aggregate into the same handful of objects
-// instead of allocating one entry per (step, vertex).
-func (a *Agent) getMailEntry() *mailEntry {
-	if n := len(a.mailFree); n > 0 {
-		e := a.mailFree[n-1]
-		a.mailFree = a.mailFree[:n-1]
-		return e
-	}
-	return &mailEntry{}
-}
-
-// getMailMap pops a cleared per-step mailbox map off the free list.
-func (a *Agent) getMailMap() map[graph.VertexID]*mailEntry {
-	if n := len(a.mailMapFree); n > 0 {
-		m := a.mailMapFree[n-1]
-		a.mailMapFree = a.mailMapFree[:n-1]
-		return m
-	}
-	return make(map[graph.VertexID]*mailEntry)
+	return t
 }
 
 // recycleMail returns a consumed step mailbox — already detached from
-// a.mailbox and fully folded — to the free lists. Entries are reset in
-// place; raw buffers keep their capacity.
-func (a *Agent) recycleMail(m map[graph.VertexID]*mailEntry) {
-	if m == nil {
+// a.mailbox and fully folded — to the free list, emptied with its capacity
+// kept, so steady-state supersteps aggregate into the same few tables.
+func (a *Agent) recycleMail(t *aggTable) {
+	if t == nil {
 		return
 	}
-	for v, e := range m {
-		e.agg = 0
-		e.eager = false
-		e.raw = e.raw[:0]
-		e.n = 0
-		e.have = false
-		a.mailFree = append(a.mailFree, e)
-		delete(m, v)
-	}
-	a.mailMapFree = append(a.mailMapFree, m)
+	t.reset()
+	a.tableFree = append(a.tableFree, t)
 }
 
-// handleVertexMsgs accepts a message batch: messages this agent can serve
-// (it is a replica of the target) are aggregated; the rest are forwarded
-// with deferred acknowledgement.
+// handleVertexMsgs accepts a batch of per-target aggregates: those this
+// agent can serve (it is a replica of the target) are merged; the rest are
+// forwarded with deferred acknowledgement.
 func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	// Decode into the agent's scratch batch: slice capacity is reused
-	// across packets, and nothing below retains batch.Msgs (messages are
-	// copied into mailboxes, forwards, or frames before returning).
+	// across packets, and nothing below retains batch.Msgs (entries are
+	// merged into the mailbox or copied into frames before returning).
 	batch := &a.scratchVMB
 	if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err != nil {
 		a.node.Ack(pkt)
@@ -666,41 +669,43 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 		a.handleAsyncMsgs(batch)
 		return false
 	}
-	var forwards map[consistent.AgentID][]wire.VertexMsg
-	self := consistent.AgentID(a.id)
-	for _, m := range batch.Msgs {
-		if a.router.IsReplica(graph.VertexID(m.Target), self) {
-			a.deliverLocal(batch.Step, graph.VertexID(m.Target), algorithm.Word(m.Value))
-			continue
-		}
-		dst, ok := a.router.EdgeOwner(graph.VertexID(m.Target), graph.VertexID(m.Via))
-		if !ok || dst == self {
-			// No better owner known; accept to avoid loss.
-			a.deliverLocal(batch.Step, graph.VertexID(m.Target), algorithm.Word(m.Value))
-			continue
-		}
-		if forwards == nil {
-			forwards = make(map[consistent.AgentID][]wire.VertexMsg)
-		}
-		forwards[dst] = append(forwards[dst], m)
-	}
-	if forwards == nil {
-		// Pure-accept path: everything landed in local mailboxes, so the
+	b := a.getBatcher(batch.Step)
+	forwarded := a.acceptAggs(b, batch.Msgs)
+	if forwarded == 0 {
+		// Pure-accept path: everything landed in the local mailbox, so the
 		// ack fires immediately and no group is allocated.
+		a.putBatcher(b)
 		a.node.Ack(pkt)
 		return false
 	}
+	atomic.AddUint64(&a.statForwarded, uint64(forwarded))
 	g := &ackGroup{origin: pkt}
-	for dst, msgs := range forwards {
-		if addr, ok := a.addrFor(dst, len(msgs)); ok {
-			atomic.AddUint64(&a.statForwarded, uint64(len(msgs)))
-			a.sendGatedFrame(addr, wire.AppendVertexMsgBatch(
-				a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
-				&wire.VertexMsgBatch{Step: batch.Step, Msgs: msgs}), g)
-		}
-	}
+	b.send(g)
+	a.putBatcher(b)
 	a.sealGroup(g)
 	return true
+}
+
+// acceptAggs takes in a batch of aggregates for b's step. Those this agent
+// can serve (it is a replica of the target, or knows no better owner) merge
+// into the step's mailbox table, resolved once for the batch; the rest are
+// buffered in b, unchanged, for a replica of their target — the sender's
+// view was stale, any replica will do, and Via (one of the folded sources)
+// picks one. It returns how many it buffered; the caller sends them.
+func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
+	self := consistent.AgentID(a.id)
+	mail, prog := a.mailFor(b.step), a.prog()
+	for _, m := range msgs {
+		if !a.router.IsReplica(m.Target, self) {
+			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != b.self {
+				b.dstBufs.add(dst, m)
+				forwarded++
+				continue
+			}
+		}
+		mail.merge(prog, m.Target, algorithm.Word(m.Value))
+	}
+	return forwarded
 }
 
 // isReplicaOf reports whether this agent is in the target's replica set,

@@ -1,0 +1,143 @@
+package agent
+
+import (
+	"testing"
+
+	"elga/internal/algorithm"
+	"elga/internal/consistent"
+	"elga/internal/graph"
+	"elga/internal/wire"
+)
+
+// inDegreeProg counts messages instead of combining their values: Gather
+// adds one per message whatever it carries, MergeAgg adds two counts. Every
+// vertex scatters at step 0, takes the count it gathers at step 1 as its
+// state (activating once more, so split vertices' replicas are sent it),
+// and keeps it: the state is the vertex's in-degree — provided each logical
+// message was gathered exactly once.
+// A hop that gathers an aggregate counts it as one message; a hop that
+// merges a raw message adds its value (7) instead of one. It is the one
+// program here whose Gather is not its MergeAgg, which is what makes the
+// Gather-once invariant testable.
+type inDegreeProg struct{}
+
+const inDegreeName = "test-indegree"
+
+func init() { algorithm.Register(inDegreeName, func() algorithm.Program { return inDegreeProg{} }) }
+
+func (inDegreeProg) Name() string                                           { return inDegreeName }
+func (inDegreeProg) Init(graph.VertexID, *algorithm.Context) algorithm.Word { return 0 }
+func (inDegreeProg) InitActive(graph.VertexID, *algorithm.Context) bool     { return true }
+func (inDegreeProg) ZeroAgg() algorithm.Word                                { return 0 }
+func (inDegreeProg) Gather(agg, _ algorithm.Word) algorithm.Word            { return agg + 1 }
+func (inDegreeProg) MergeAgg(a, b algorithm.Word) algorithm.Word            { return a + b }
+func (inDegreeProg) Update(_ graph.VertexID, old, agg algorithm.Word, _ bool, ctx *algorithm.Context) (algorithm.Word, bool) {
+	switch ctx.Step {
+	case 0:
+		return 0, true
+	case 1:
+		return agg, true
+	}
+	return old, false
+}
+func (inDegreeProg) Residual(_, _ algorithm.Word) float64 { return 0 }
+func (inDegreeProg) MessageValue(graph.VertexID, algorithm.Word, uint64, *algorithm.Context) algorithm.Word {
+	return 7
+}
+func (inDegreeProg) SendsOut() bool         { return true }
+func (inDegreeProg) SendsIn() bool          { return false }
+func (inDegreeProg) HaltOnQuiescence() bool { return true }
+
+// vertexMsgPacket frames a synchronous batch the way a peer's send would
+// arrive at handleVertexMsgs.
+func vertexMsgPacket(step uint32, msgs ...wire.VertexMsg) *wire.Packet {
+	return &wire.Packet{Type: wire.TVertexMsgs,
+		Payload: wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: step, Msgs: msgs})}
+}
+
+// TestGatherOnceOnReceivePaths walks one vertex's mail through every hop
+// that is not the source: aggregates that arrive before the run exists (raw
+// buffer), aggregates that arrive after, and the agent's own scatter. The
+// counts must add up to the logical message count.
+func TestGatherOnceOnReceivePaths(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	// Before TAlgoStart: two senders' aggregates for vertex 5 (3 and 2
+	// messages), one for vertex 6.
+	a.handleVertexMsgs(vertexMsgPacket(1,
+		wire.VertexMsg{Target: 5, Via: 1, Value: 3},
+		wire.VertexMsg{Target: 5, Via: 2, Value: 2},
+		wire.VertexMsg{Target: 6, Via: 2, Value: 1}))
+	if a.mailbox[1].raw == nil {
+		t.Fatal("aggregates delivered without a run did not buffer raw")
+	}
+	installRun(a, inDegreeProg{}, 64)
+	a.run.started = true
+	// After it: a third sender's aggregate of 4 messages.
+	a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: 5, Via: 3, Value: 4}))
+	// And two messages this agent scatters itself, which it gathers.
+	self, _ := a.router.MemberIndex(consistent.AgentID(a.id))
+	b := a.getBatcher(1)
+	b.add(self, wire.VertexMsg{Target: 5, Via: 8, Value: 7})
+	b.add(self, wire.VertexMsg{Target: 5, Via: 9, Value: 7})
+	b.flush(a.phaseGate)
+	a.putBatcher(b)
+	advanceCompute(a, 1)
+	if got := a.values[5]; got != 3+2+4+2 {
+		t.Errorf("vertex 5 counted %d messages, want 11", got)
+	}
+	if got := a.values[6]; got != 1 {
+		t.Errorf("vertex 6 counted %d messages, want 1", got)
+	}
+}
+
+// TestGatherOnceOnForwardAndReroute: an aggregate this agent cannot serve —
+// a stale-view batch to forward, a mailbox entry to re-route after a view
+// change — travels on with its value untouched.
+func TestGatherOnceOnForwardAndReroute(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, inDegreeProg{}, 64)
+	peer := newPeerSink(t, a.opts.Network)
+	// With the peer in the view, find a vertex each of the two serves.
+	mine, theirs := graph.VertexID(0), graph.VertexID(0)
+	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
+		{ID: a.id, Addr: a.node.Addr()}, {ID: 2, Addr: peer.node.Addr()},
+	}}
+	if _, err := a.router.Update(view); err != nil {
+		t.Fatal(err)
+	}
+	for v := graph.VertexID(1); mine == 0 || theirs == 0; v++ {
+		if a.isReplicaOf(v) {
+			mine = v
+		} else {
+			theirs = v
+		}
+	}
+	// Forward: an aggregate of 9 messages for the peer's vertex, next to
+	// one this agent keeps.
+	if retained := a.handleVertexMsgs(vertexMsgPacket(2,
+		wire.VertexMsg{Target: theirs, Via: 1, Value: 9},
+		wire.VertexMsg{Target: mine, Via: 1, Value: 5})); !retained {
+		t.Fatal("a forwarding batch must keep its packet until the forward is acked")
+	}
+	if e := a.mailbox[2].get(mine); e == nil || e.agg != 5 {
+		t.Fatalf("kept aggregate = %+v, want 5", e)
+	}
+	if a.mailbox[2].get(theirs) != nil {
+		t.Fatal("forwarded aggregate also landed in the local mailbox")
+	}
+	// Re-route: mail for the peer's vertex that was accepted earlier (4
+	// messages, then 2 more) leaves as one aggregate of 6.
+	mail := a.mailFor(3)
+	mail.merge(a.run.prog, theirs, 4)
+	mail.merge(a.run.prog, theirs, 2)
+	mail.merge(a.run.prog, mine, 1)
+	a.migrate(2, nil, false)
+	if mail.get(theirs) != nil || mail.live != 1 {
+		t.Fatalf("re-routed entry still live (live=%d)", mail.live)
+	}
+	got := peer.waitMsgs(t, 2)
+	want := []wire.VertexMsg{{Target: theirs, Via: 1, Value: 9}, {Target: theirs, Via: theirs, Value: 6}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("peer received %+v, want %+v", got, want)
+	}
+}

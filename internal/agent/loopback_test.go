@@ -19,13 +19,14 @@ import (
 // wire traffic.
 func newLoopbackAgent(tb testing.TB, cfg config.Config, n uint64) *Agent {
 	tb.Helper()
-	node, err := transport.NewNode(transport.NewInproc(), "", 0)
+	nw := transport.NewInproc()
+	node, err := transport.NewNode(nw, "", 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(node.Close)
 	a := &Agent{
-		opts:        Options{Config: cfg},
+		opts:        Options{Config: cfg, Network: nw},
 		node:        node,
 		router:      route.New(cfg),
 		id:          1,
@@ -34,7 +35,7 @@ func newLoopbackAgent(tb testing.TB, cfg config.Config, n uint64) *Agent {
 		totalOutDeg: make(map[graph.VertexID]uint64),
 		registered:  make(map[graph.VertexID]bool),
 		skDelta:     cfg.NewSketch(),
-		mailbox:     make(map[uint32]map[graph.VertexID]*mailEntry),
+		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]*partialEntry),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),

@@ -106,20 +106,8 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 		batch := &a.scratchVMB
 		if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err == nil && !batch.Async {
 			b := a.getBatcher(batch.Step)
-			for _, m := range batch.Msgs {
-				v := graph.VertexID(m.Target)
-				if a.router.IsReplica(v, self) {
-					a.deliverLocal(batch.Step, v, algorithm.Word(m.Value))
-					continue
-				}
-				if dst, ok := a.router.EdgeOwnerIndex(v, graph.VertexID(m.Via)); ok {
-					b.add(dst, m)
-				} else {
-					// No owner known; accept locally to avoid loss.
-					a.deliverLocal(batch.Step, v, algorithm.Word(m.Value))
-				}
-			}
-			b.flush(g)
+			a.acceptAggs(b, batch.Msgs)
+			b.send(g)
 			a.putBatcher(b)
 		}
 	case wire.TEdges:
@@ -135,7 +123,7 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 		if p, err := wire.DecodeReplicaPartial(pkt.Payload); err == nil {
 			if master, ok := a.router.Master(p.Vertex); ok {
 				if master == self {
-					a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.MsgCount, p.HaveMsgs, p.LocalOutDeg)
+					a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
 					a.store.Pin(p.Vertex)
 				} else if addr, ok2 := a.addrFor(master, 1); ok2 {
 					a.sendGated(addr, wire.TReplicaPartial, pkt.Payload, g)
@@ -252,21 +240,20 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// is no longer a replica of (mid-run elasticity: messages follow the
 	// copies). This must work even before the agent has a run context —
 	// a mid-run joiner only learns the run at resume, after migrations —
-	// so entries without a program fold resend their raw values.
-	for step, m := range a.mailbox {
+	// so without a program to fold them the raw aggregates are resent as
+	// they came.
+	for step, t := range a.mailbox {
 		b := a.getBatcher(step)
 		if sketchOnly {
 			for _, v := range rerouted {
-				if e := m[v]; e != nil {
-					a.rerouteMail(b, m, v, e)
+				if s := t.get(v); s != nil {
+					a.rerouteMail(b, t, s)
 				}
 			}
 		} else {
-			for v, e := range m {
-				a.rerouteMail(b, m, v, e)
-			}
+			t.each(func(s *aggSlot) { a.rerouteMail(b, t, s) })
 		}
-		b.flush(gate)
+		b.send(gate)
 		a.putBatcher(b)
 	}
 	// Pending partials whose mastership moved are re-shipped during
@@ -303,8 +290,11 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 }
 
 // rerouteMail forwards one pending mailbox entry to a replica of its
-// vertex when this agent no longer is one, removing it from m.
-func (a *Agent) rerouteMail(b *msgBatcher, m map[graph.VertexID]*mailEntry, v graph.VertexID, e *mailEntry) {
+// vertex when this agent no longer is one, and kills it in t. The entry is
+// already an aggregate, so it travels as one (b.send, not flush) and the
+// receiver merges it.
+func (a *Agent) rerouteMail(b *msgBatcher, t *aggTable, s *aggSlot) {
+	v := s.key
 	if a.isReplicaOf(v) {
 		return
 	}
@@ -315,15 +305,15 @@ func (a *Agent) rerouteMail(b *msgBatcher, m map[graph.VertexID]*mailEntry, v gr
 	}
 	a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
 	at, _ := a.router.MemberIndex(dst) // a replica is always a member
-	if e.eager && a.run != nil {
-		// fold covers the raw tail too; one message suffices.
-		b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(e.fold(a.run.prog))})
+	if prog := a.prog(); prog != nil {
+		// fold covers the raw buffer too; one entry suffices.
+		b.dstBufs.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(t.fold(prog, s))})
 	} else {
-		for _, rawVal := range e.raw {
-			b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+		for _, rawVal := range t.raw[v] {
+			b.dstBufs.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
 		}
 	}
-	delete(m, v)
+	t.kill(s)
 }
 
 // voteWhenDrained invokes vote once the gate is empty. For non-empty
@@ -535,5 +525,5 @@ func (a *Agent) handleBatchOpen() {
 	// Batch boundaries always checkpoint: the flush above folded the
 	// buffered mutations in, so this is the freshest consistent topology
 	// a restart could want.
-	a.checkpointNow()
+	a.checkpointNow(true)
 }

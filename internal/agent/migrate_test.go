@@ -14,12 +14,31 @@ import (
 )
 
 // peerSink is a stand-in for a peer agent: it acknowledges whatever it is
-// sent and keeps the migration shipments and replica registrations.
+// sent and keeps the migration shipments, replica registrations and
+// synchronous vertex-message entries.
 type peerSink struct {
 	node *transport.Node
 	mu   sync.Mutex
 	got  []wire.EdgeChange
 	regs []graph.VertexID
+	msgs []wire.VertexMsg
+}
+
+// waitMsgs returns the vertex-message entries received once there are at
+// least n of them (and whatever arrived with them).
+func (p *peerSink) waitMsgs(t *testing.T, n int) []wire.VertexMsg {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		msgs := append([]wire.VertexMsg(nil), p.msgs...)
+		p.mu.Unlock()
+		if len(msgs) >= n {
+			return msgs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("peer received %d vertex-message entries, want %d", len(msgs), n)
+		}
+	}
 }
 
 func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
@@ -39,6 +58,11 @@ func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 				var b wire.EdgeBatch
 				if wire.DecodeEdgeBatchInto(&b, pkt.Payload) == nil {
 					p.got = append(p.got, b.Changes...)
+				}
+			case wire.TVertexMsgs:
+				var b wire.VertexMsgBatch
+				if wire.DecodeVertexMsgBatchInto(&b, pkt.Payload) == nil && !b.Async {
+					p.msgs = append(p.msgs, b.Msgs...)
 				}
 			case wire.TReplicaRegister:
 				if rr, err := wire.DecodeReplicaRegister(pkt.Payload); err == nil {

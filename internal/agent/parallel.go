@@ -15,8 +15,9 @@ import (
 // single-threaded agent loop, documented in DESIGN.md): the compute and
 // combine phases shard their work set across a bounded worker pool while
 // the event loop is blocked inside the phase handler. Workers only READ
-// shared agent state (store, values, mailbox, router — a route-table hit
-// takes no lock, a miss fills the table under the router's own mutex) and
+// shared agent state (store, values, the step's mailbox table through its
+// read-only get/fold, router — a route-table hit takes no lock, a miss
+// fills the table under the router's own mutex) and
 // WRITE into private computeShard accumulators; the event loop merges the
 // shards after the pool joins, so every value install, mailbox delivery,
 // network send, gate transition and view install (router.Update, which
@@ -230,9 +231,9 @@ func (a *Agent) peekValue(v graph.VertexID) algorithm.Word {
 // computeVertex runs the compute-phase duty for one work vertex into s:
 // replica-partial forwarding for split vertices, or the full gather →
 // update → scatter cycle for locally owned ones.
-func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail map[graph.VertexID]*mailEntry, self consistent.AgentID) {
+func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail *aggTable, self consistent.AgentID) {
 	r := a.run
-	entry := mail[v]
+	entry := mail.get(v)
 	if a.router.Split(v) {
 		s.splitWork = true
 		// Replica duty: forward the local partial to the master.
@@ -243,9 +244,8 @@ func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail map[graph.
 			LocalOutDeg: uint64(a.store.OutDegree(v)),
 		}
 		if entry != nil {
-			p.Agg = wire.Word(entry.fold(r.prog))
-			p.HaveMsgs = entry.have
-			p.MsgCount = entry.n
+			p.Agg = wire.Word(mail.fold(r.prog, entry))
+			p.HaveMsgs = true
 		}
 		master, ok := a.router.Master(v)
 		if !ok {
@@ -262,7 +262,7 @@ func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail map[graph.
 	agg := r.prog.ZeroAgg()
 	have := false
 	if entry != nil {
-		agg, have = entry.fold(r.prog), entry.have
+		agg, have = mail.fold(r.prog, entry), true
 	}
 	old := a.peekValue(v)
 	nw, act := r.prog.Update(v, old, agg, have, &r.ctx)
@@ -290,7 +290,7 @@ func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry
 		// fresh partial to the new master.
 		s.partialsRemote = append(s.partialsRemote, partialSend{master: m, p: wire.ReplicaPartial{
 			Step: r.step, Vertex: v, Agg: wire.Word(p.agg),
-			HaveMsgs: p.have, MsgCount: p.n, LocalOutDeg: p.outDeg,
+			HaveMsgs: p.have, LocalOutDeg: p.outDeg,
 		}})
 		return
 	}
@@ -344,7 +344,7 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 		}
 		for i := range s.partialsLocal {
 			p := &s.partialsLocal[i]
-			a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.MsgCount, p.HaveMsgs, p.LocalOutDeg)
+			a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
 		}
 		for i := range s.partialsRemote {
 			ps := &s.partialsRemote[i]
@@ -366,21 +366,18 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 			if len(msgs) == 0 {
 				continue
 			}
-			if dst := s.members[i]; dst == self {
-				if a.comm.enabled {
-					for _, m := range msgs {
-						a.accountLocal(m.Via, 1)
-					}
-				}
+			dst := s.members[i]
+			if a.comm.enabled {
+				a.accountRuns(msgs, dst)
+			}
+			if dst == self {
+				// This agent is the messages' source: gather, into the
+				// step's table resolved once for the buffer.
+				mail, prog := a.mailFor(batches.step), r.prog
 				for _, m := range msgs {
-					a.deliverLocal(batches.step, graph.VertexID(m.Target), algorithm.Word(m.Value))
+					mail.gather(prog, m.Target, algorithm.Word(m.Value))
 				}
 			} else {
-				if a.comm.enabled {
-					for _, m := range msgs {
-						a.accountRemote(m.Via, dst, 1)
-					}
-				}
 				batches.addMany(i, msgs)
 			}
 		}

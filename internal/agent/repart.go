@@ -24,11 +24,6 @@ import (
 // round can make visible progress on a community-structured graph.
 const digestTopK = 256
 
-// vertexMsgWireBytes is the encoded size of one wire.VertexMsg (three
-// little-endian u64s), used to derive cross-agent byte volume from
-// message counts without touching the flush path.
-const vertexMsgWireBytes = 24
-
 // vertexPeerKey attributes one window counter: messages vertex v
 // scattered to agent peer (peer == self records local delivery).
 type vertexPeerKey struct {
@@ -54,17 +49,31 @@ type commAccounting struct {
 	remoteBytes atomic.Uint64
 }
 
-// accountLocal records n messages vertex v delivered to its own agent.
-func (a *Agent) accountLocal(v graph.VertexID, n uint64) {
-	a.comm.window[vertexPeerKey{v: v, peer: consistent.AgentID(a.id)}] += n
-	a.comm.localMsgs.Add(n)
+// account records n messages vertex v scattered to agent peer (itself for
+// local delivery). It counts logical messages — one per traversed edge, as
+// the planner's cut model wants — whatever the combiner later folds them
+// into; remote bytes are counted where frames are encoded (msgBatcher.send).
+func (a *Agent) account(v graph.VertexID, peer consistent.AgentID, n uint64) {
+	a.comm.window[vertexPeerKey{v: v, peer: peer}] += n
+	if peer == consistent.AgentID(a.id) {
+		a.comm.localMsgs.Add(n)
+	} else {
+		a.comm.remoteMsgs.Add(n)
+	}
 }
 
-// accountRemote records n messages vertex v scattered to agent dst.
-func (a *Agent) accountRemote(v graph.VertexID, dst consistent.AgentID, n uint64) {
-	a.comm.window[vertexPeerKey{v: v, peer: dst}] += n
-	a.comm.remoteMsgs.Add(n)
-	a.comm.remoteBytes.Add(n * vertexMsgWireBytes)
+// accountRuns records a shard's buffer for one destination. A scatter call
+// appends its messages contiguously, all with the scattering vertex as Via,
+// so one ledger update covers each run of equal Via.
+func (a *Agent) accountRuns(msgs []wire.VertexMsg, peer consistent.AgentID) {
+	for i := 0; i < len(msgs); {
+		j := i + 1
+		for j < len(msgs) && msgs[j].Via == msgs[i].Via {
+			j++
+		}
+		a.account(msgs[i].Via, peer, uint64(j-i))
+		i = j
+	}
 }
 
 // initComm arms the accounting maps when repartitioning is enabled.
@@ -134,8 +143,10 @@ func (a *Agent) sendDigest() {
 		a.node.NewFrameHint(wire.TVertexDigest, 32+32*len(ents)), &d))
 }
 
-// CommStats returns the cumulative scatter-traffic split (local vs
-// remote messages, remote wire bytes); race-safe for tests and metrics.
+// CommStats returns the cumulative scatter-traffic split: logical messages
+// delivered locally and sent to peers, and the bytes of the TVertexMsgs
+// frames actually encoded for peers (after combining). Race-safe for tests
+// and metrics.
 func (a *Agent) CommStats() (local, remote, remoteBytes uint64) {
 	return a.comm.localMsgs.Load(), a.comm.remoteMsgs.Load(), a.comm.remoteBytes.Load()
 }

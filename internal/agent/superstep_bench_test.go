@@ -54,7 +54,7 @@ func benchmarkSuperstepComm(b *testing.B, workers int, repart bool) {
 	defer SetComputeParallelism(0, 0)
 
 	// Warm: init pass plus two steady steps so every pool (batchers,
-	// shards, mail maps and entries) reaches steady state.
+	// shards, mailbox tables) reaches steady state.
 	advanceCompute(a, 0)
 	advanceCompute(a, 1)
 	advanceCompute(a, 2)

@@ -70,19 +70,23 @@ func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.Mail
 	return segs
 }
 
-// Writer makes snapshots durable off the event loop: triggers enqueue an
+// Writer makes snapshots durable off the event loop: triggers hand over an
 // encoded snapshot (cheap, single-threaded) and a background goroutine
-// does the hashing, CRC, file I/O, and manifest commit. The queue holds
-// one snapshot; a trigger that finds the writer busy is dropped and
-// counted — the next cadence tick will capture strictly newer state, so
-// dropping never loses more than one cadence of progress.
+// does the hashing, CRC, file I/O, and manifest commit. One snapshot can
+// wait while another is being written. A cadence trigger (TrySubmit) that
+// finds the waiting slot taken is dropped and counted — the next cadence
+// tick captures strictly newer state, so dropping never loses more than
+// one cadence of progress. A forced trigger (Submit) has no next tick to
+// rely on, so it is never lost: it replaces whatever is waiting.
 type Writer struct {
 	sink Sink
 	key  string
 
-	ch     chan *Snapshot
-	done   chan struct{}
-	closed sync.Once
+	mu      sync.Mutex
+	pending *Snapshot     // the waiting snapshot; the writer takes it next
+	closing bool          // Close was called; exit once pending is written
+	wake    chan struct{} // cap 1: pending or closing changed
+	done    chan struct{}
 
 	count  atomic.Uint64 // snapshots committed
 	drops  atomic.Uint64 // snapshots dropped on a busy writer
@@ -102,19 +106,38 @@ type sealedRef struct {
 
 // NewWriter starts the background writer for one participant key.
 func NewWriter(sink Sink, key string) *Writer {
-	w := &Writer{sink: sink, key: key, ch: make(chan *Snapshot, 1), done: make(chan struct{})}
+	w := &Writer{sink: sink, key: key, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	go w.loop()
 	return w
 }
 
 func (w *Writer) loop() {
 	defer close(w.done)
-	for snap := range w.ch {
-		if err := w.commit(snap); err != nil {
-			w.errs.Add(1)
-			fmt.Fprintf(os.Stderr, "elga checkpoint: %s: %v\n", w.key, err)
-			continue
+	for range w.wake {
+		for {
+			w.mu.Lock()
+			snap, closing := w.pending, w.closing
+			w.pending = nil
+			w.mu.Unlock()
+			if snap == nil {
+				if closing {
+					return
+				}
+				break
+			}
+			if err := w.commit(snap); err != nil {
+				w.errs.Add(1)
+				fmt.Fprintf(os.Stderr, "elga checkpoint: %s: %v\n", w.key, err)
+			}
 		}
+	}
+}
+
+// signal wakes the writer; a wake-up already queued covers this change too.
+func (w *Writer) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -173,17 +196,29 @@ func (w *Writer) LastSealedRef() (*wire.SegmentRef, uint64) {
 	return &s.ref, s.gen
 }
 
-// TrySubmit hands a snapshot to the background writer, reporting false
-// (and counting a drop) when the writer is still busy with the previous
-// one.
-func (w *Writer) TrySubmit(snap *Snapshot) bool {
-	select {
-	case w.ch <- snap:
-		return true
-	default:
+// TrySubmit hands a cadence snapshot to the background writer, reporting
+// false (and counting a drop) when one is already waiting behind the
+// snapshot being written.
+func (w *Writer) TrySubmit(snap *Snapshot) bool { return w.submit(snap, false) }
+
+// Submit hands over a snapshot that must become durable even if the writer
+// is busy — the state at the end of a run or of a batch, which no later
+// cadence tick would capture. It never blocks: the snapshot takes the
+// waiting slot, replacing an older one there (snapshots are submitted in
+// state order, so the newest supersedes).
+func (w *Writer) Submit(snap *Snapshot) { w.submit(snap, true) }
+
+func (w *Writer) submit(snap *Snapshot, forced bool) bool {
+	w.mu.Lock()
+	if w.pending != nil && !forced {
+		w.mu.Unlock()
 		w.drops.Add(1)
 		return false
 	}
+	w.pending = snap
+	w.mu.Unlock()
+	w.signal()
+	return true
 }
 
 // LastMark returns the cut stamp of the most recent durable snapshot, or
@@ -206,10 +241,13 @@ func (w *Writer) Stats() (count, drops, errs, bytes uint64) {
 	return w.count.Load(), w.drops.Load(), w.errs.Load(), w.bytes.Load()
 }
 
-// Close drains the queue and stops the writer; the last submitted
-// snapshot is committed before Close returns.
+// Close stops the writer once the waiting snapshot, if any, is committed;
+// the last submitted snapshot is durable before Close returns.
 func (w *Writer) Close() {
-	w.closed.Do(func() { close(w.ch) })
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	w.signal()
 	<-w.done
 }
 

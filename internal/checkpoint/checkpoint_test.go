@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"elga/internal/graph"
@@ -368,5 +369,72 @@ func TestWriterDropsWhenBusy(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("nothing committed")
+	}
+}
+
+// gatedSink holds every manifest write until its gate opens, and says when
+// the first one has started — a writer that is busy for as long as the test
+// needs it to be.
+type gatedSink struct {
+	Sink
+	started chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedSink) WriteManifest(key string, data []byte) error {
+	g.once.Do(func() { close(g.started) })
+	<-g.gate
+	return g.Sink.WriteManifest(key, data)
+}
+
+// TestWriterNeverLosesForcedSnapshot: a forced snapshot (the state at the
+// end of a run) submitted while the writer is busy and another snapshot is
+// already waiting must still become the durable one. TrySubmit in that
+// position drops and counts; Submit takes the waiting slot and counts
+// nothing.
+func TestWriterNeverLosesForcedSnapshot(t *testing.T) {
+	dir, err := NewDirSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &gatedSink{Sink: dir, started: make(chan struct{}), gate: make(chan struct{})}
+	w := NewWriter(sink, "forced")
+	st := graph.NewStore()
+	st.AddEdge(1, 2, graph.Out)
+	snap := func(seq uint64) *Snapshot {
+		return &Snapshot{
+			Meta:     wire.CheckpointMeta{Key: "forced", Seq: seq},
+			Segments: BuildSegments(st, nil, nil, nil, 0),
+		}
+	}
+	if !w.TrySubmit(snap(1)) {
+		t.Fatal("idle writer refused a cadence snapshot")
+	}
+	<-sink.started // seq 1 is being written, and will be until the gate opens
+	if !w.TrySubmit(snap(2)) {
+		t.Fatal("cadence snapshot refused with the waiting slot free")
+	}
+	if w.TrySubmit(snap(3)) {
+		t.Fatal("cadence snapshot accepted with the waiting slot taken")
+	}
+	if _, drops, _, _ := w.Stats(); drops != 1 {
+		t.Fatalf("drops = %d after one refused cadence snapshot", drops)
+	}
+	w.Submit(snap(4))
+	if _, drops, _, _ := w.Stats(); drops != 1 {
+		t.Fatalf("drops = %d after a forced submit, want 1 still", drops)
+	}
+	close(sink.gate)
+	w.Close()
+	got, err := Load(dir, "forced")
+	if err != nil || got == nil {
+		t.Fatalf("load: %v %v", got, err)
+	}
+	if got.Meta.Seq != 4 {
+		t.Fatalf("durable seq = %d, want the forced snapshot's 4", got.Meta.Seq)
+	}
+	if count, _, errs, _ := w.Stats(); count != 2 || errs != 0 {
+		t.Fatalf("committed %d (errs %d), want 2: the one in flight and the forced one", count, errs)
 	}
 }

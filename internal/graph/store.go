@@ -536,34 +536,51 @@ func (c *Cursor) Next() (VertexID, bool) {
 
 // OutCursor returns a cursor over v's locally stored out-neighbours.
 func (s *Store) OutCursor(v VertexID) Cursor {
-	rec, ok := s.slots[v]
-	if !ok {
-		return Cursor{}
-	}
-	c := Cursor{sealed: s.sealedOutRun(rec)}
-	if t := rec.tail; t != nil {
-		c.del, c.add = t.outDel, t.outAdd
-	}
+	var c Cursor
+	s.OutCursorInto(&c, v)
 	return c
 }
 
 // InCursor returns a cursor over v's locally stored in-neighbours.
 func (s *Store) InCursor(v VertexID) Cursor {
+	var c Cursor
+	s.InCursorInto(&c, v)
+	return c
+}
+
+// OutCursorInto points c at v's locally stored out-neighbours. Building the
+// cursor where it will be used spares hot loops the copy of the 96-byte
+// value that OutCursor returns.
+func (s *Store) OutCursorInto(c *Cursor, v VertexID) {
+	*c = Cursor{}
 	rec, ok := s.slots[v]
 	if !ok {
-		return Cursor{}
+		return
 	}
-	c := Cursor{sealed: s.sealedInRun(rec)}
+	c.sealed = s.sealedOutRun(rec)
+	if t := rec.tail; t != nil {
+		c.del, c.add = t.outDel, t.outAdd
+	}
+}
+
+// InCursorInto is OutCursorInto for v's in-neighbours.
+func (s *Store) InCursorInto(c *Cursor, v VertexID) {
+	*c = Cursor{}
+	rec, ok := s.slots[v]
+	if !ok {
+		return
+	}
+	c.sealed = s.sealedInRun(rec)
 	if t := rec.tail; t != nil {
 		c.del, c.add = t.inDel, t.inAdd
 	}
-	return c
 }
 
 // ForEachOut calls fn for every locally stored out-neighbour of v in
 // ascending ID order until fn returns false.
 func (s *Store) ForEachOut(v VertexID, fn func(VertexID) bool) {
-	for it := s.OutCursor(v); ; {
+	var it Cursor
+	for s.OutCursorInto(&it, v); ; {
 		w, ok := it.Next()
 		if !ok || !fn(w) {
 			return
@@ -574,7 +591,8 @@ func (s *Store) ForEachOut(v VertexID, fn func(VertexID) bool) {
 // ForEachIn calls fn for every locally stored in-neighbour of v in
 // ascending ID order until fn returns false.
 func (s *Store) ForEachIn(v VertexID, fn func(VertexID) bool) {
-	for it := s.InCursor(v); ; {
+	var it Cursor
+	for s.InCursorInto(&it, v); ; {
 		u, ok := it.Next()
 		if !ok || !fn(u) {
 			return

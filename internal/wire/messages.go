@@ -239,6 +239,9 @@ func DecodeEdgeBatch(data []byte) (*EdgeBatch, error) {
 
 // VertexMsg is one algorithm message: deliver Value to Target's copy of
 // the edge shared with Via. The receiving agent is EdgeOwner(Target, Via).
+// In a synchronous batch an entry is the sender's aggregate for Target —
+// its messages already gathered, Via the first of their sources — which
+// receivers merge (MergeAgg), never gather again.
 type VertexMsg struct {
 	Target graph.VertexID
 	Via    graph.VertexID
@@ -313,7 +316,7 @@ type ReplicaPartial struct {
 	Vertex      graph.VertexID
 	Agg         Word
 	HaveMsgs    bool
-	MsgCount    uint64
+	MsgCount    uint64 // never read; senders leave it 0, the layout keeps it
 	LocalOutDeg uint64
 }
 
