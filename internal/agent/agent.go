@@ -133,6 +133,32 @@ type runCtx struct {
 	votedAt time.Time
 }
 
+// agentStats is what other goroutines read of an agent: the stats API and
+// the closures registered on the shared metric registry. It is allocated
+// apart from the Agent and the closures capture nothing else, so a registry
+// that outlives the agent keeps these few words, not its store, router and
+// node. Counters keep their last value; the loop zeroes the gauges on exit.
+type agentStats struct {
+	statForwarded uint64
+	statApplied   uint64
+	statQueries   uint64
+	// statUnroutable counts message entries (aggregates, after folding)
+	// dropped because their destination had no address in the installed
+	// view (addrFor); a correct run leaves it 0.
+	statUnroutable uint64
+
+	// Published by the event loop after every packet.
+	copyCount   atomic.Int64
+	vertexCount atomic.Int64
+	storeBytes  atomic.Uint64 // O(1) store footprint estimate
+	compactions atomic.Uint64
+
+	// Cumulative scatter totals of the repartition ledger (repart.go).
+	localMsgs   atomic.Uint64
+	remoteMsgs  atomic.Uint64
+	remoteBytes atomic.Uint64
+}
+
 // Agent is one ElGA agent.
 type Agent struct {
 	opts      Options
@@ -178,6 +204,10 @@ type Agent struct {
 	// context they belong to (broadcasts and peer pushes are not
 	// ordered relative to each other); they replay at TAlgoStart.
 	deferred []*wire.Packet
+	// early holds what beat a view here: migration batches sent under a
+	// newer one than is installed, and the vertex messages that came in
+	// behind them. handleView replays them once it has caught up.
+	early []*wire.Packet
 
 	// Scratch decode targets for the data-plane batch types: handlers
 	// decode into these, reusing slice capacity across packets. Safe
@@ -196,32 +226,24 @@ type Agent struct {
 	batcherFree []*msgBatcher
 	asyncFree   []*asyncBatcher
 
-	migratedEpoch uint64 // last epoch whose migration round we voted in
+	migratedEpoch uint64     // last epoch whose migration round we voted in
+	mig           migScratch // the migration round's reusable buffers
 	leaving       bool
 	readyToExit   bool
 	stopped       atomic.Bool
 	done          chan struct{}
 
-	// stats counters exposed for metrics and tests
-	statForwarded uint64
-	statApplied   uint64
-	statQueries   uint64
-	lastApplied   uint64
-	lastQueries   uint64
-	copyCount     atomic.Int64
-	vertexCount   atomic.Int64
-	storeBytes    atomic.Uint64 // O(1) store footprint estimate, scraped off-thread
-
-	// statUnroutable counts message entries (aggregates, after folding)
-	// dropped because their destination had no address in the installed
-	// view (addrFor); a correct run leaves it 0.
-	statUnroutable uint64
+	// Counters exposed for metrics and tests (see agentStats).
+	*agentStats
+	lastApplied uint64
+	lastQueries uint64
 
 	// m holds optional instrumentation handles (nil without a registry);
 	// tickCount and lastRetransmits pace the periodic load-metric report
 	// riding every fourth heartbeat tick.
 	m               agentMetrics
 	tickCount       uint64
+	heartbeat       atomic.Pointer[time.Timer] // the pending lease-renewal tick
 	lastRetransmits uint64
 
 	// comm is the repartition scatter-traffic ledger (repart.go); its
@@ -272,6 +294,7 @@ func Start(opts Options) (*Agent, error) {
 		opts:        opts,
 		node:        node,
 		router:      route.New(opts.Config),
+		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
 		values:      make(map[graph.VertexID]algorithm.Word),
 		totalOutDeg: make(map[graph.VertexID]uint64),
@@ -473,6 +496,20 @@ func (a *Agent) Close() error {
 
 func (a *Agent) runLoop(initial *wire.View) {
 	defer close(a.done)
+	defer func() {
+		// A departed agent holds nothing, and no pending timer holds it.
+		a.copyCount.Store(0)
+		a.vertexCount.Store(0)
+		a.storeBytes.Store(0)
+		if t := a.heartbeat.Swap(nil); t != nil {
+			t.Stop()
+		}
+		// The timer, the free lists and parked votes point back at the
+		// agent. Without them it is part of no cycle, so a finalizer — how
+		// the tests watch for whatever still holds a departed agent — can
+		// see it die.
+		a.batcherFree, a.asyncFree, a.pendingVotes = nil, nil, nil
+	}()
 	if initial != nil {
 		a.handleView(initial)
 	}
@@ -483,6 +520,7 @@ func (a *Agent) runLoop(initial *wire.View) {
 		a.copyCount.Store(int64(a.store.NumEdgeCopies()))
 		a.vertexCount.Store(int64(a.store.NumVertices()))
 		a.storeBytes.Store(a.store.MemoryBytes())
+		a.compactions.Store(a.store.Compactions())
 		if !retained {
 			wire.ReleasePacket(pkt)
 		}
@@ -523,6 +561,12 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 	case wire.TEdges:
 		return a.handleEdges(pkt)
 	case wire.TVertexMsgs:
+		if len(a.early) > 0 {
+			// This agent's view is known to be stale (see handleEdges): mail
+			// rerouted after the copies it follows would be bounced too.
+			a.early = append(a.early, pkt)
+			return true
+		}
 		return a.handleVertexMsgs(pkt)
 	case wire.TReplicaPartial:
 		return a.handlePartial(pkt)
@@ -810,10 +854,10 @@ func (a *Agent) scheduleHeartbeat() {
 	if a.stopped.Load() {
 		return
 	}
-	time.AfterFunc(a.opts.Config.HeartbeatEvery(), func() {
+	a.heartbeat.Store(time.AfterFunc(a.opts.Config.HeartbeatEvery(), func() {
 		_ = a.node.Inject(wire.TTick, nil)
 		a.scheduleHeartbeat()
-	})
+	}))
 }
 
 // sendLoadMetrics reports queue depths and the retransmission delta to

@@ -330,12 +330,13 @@ func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, 
 
 // replayDeferred re-processes data-plane packets that arrived before the
 // run context existed.
-func (a *Agent) replayDeferred() {
-	if len(a.deferred) == 0 {
-		return
-	}
-	pkts := a.deferred
-	a.deferred = nil
+func (a *Agent) replayDeferred() { a.replay(&a.deferred) }
+
+// replay re-processes the packets parked in list, now that what they were
+// waiting for is here; a handler may park one again.
+func (a *Agent) replay(list *[]*wire.Packet) {
+	pkts := *list
+	*list = nil
 	for _, pkt := range pkts {
 		if !a.handlePacket(pkt) {
 			wire.ReleasePacket(pkt)
@@ -457,10 +458,7 @@ func (a *Agent) getBatcher(step uint32) *msgBatcher {
 	}
 	b.step = step
 	b.bind(a.router.Agents())
-	var ok bool
-	if b.self, ok = a.router.MemberIndex(consistent.AgentID(a.id)); !ok {
-		b.self = -1
-	}
+	b.self = a.selfIndex()
 	return b
 }
 
@@ -519,7 +517,7 @@ func (b *msgBatcher) send(groups ...*ackGroup) {
 			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
 		if a.comm.enabled {
-			a.comm.remoteBytes.Add(uint64(len(frame)))
+			a.remoteBytes.Add(uint64(len(frame)))
 		}
 		a.sendGatedFrame(addr, frame, groups...)
 	}

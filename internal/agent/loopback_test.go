@@ -30,6 +30,7 @@ func newLoopbackAgent(tb testing.TB, cfg config.Config, n uint64) *Agent {
 		node:        node,
 		router:      route.New(cfg),
 		id:          1,
+		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
 		values:      make(map[graph.VertexID]algorithm.Word),
 		totalOutDeg: make(map[graph.VertexID]uint64),

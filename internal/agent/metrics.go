@@ -50,53 +50,56 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 		nil, metrics.DurationBuckets)
 
 	a.node.RegisterMetrics(reg, "agent")
+	// The registry outlives the agent: everything below captures the stats
+	// block (or another small, self-contained object), never a.
+	st := a.agentStats
 	lbl := metrics.Labels{"addr": a.node.Addr()}
 	reg.CounterFunc("elga_agent_forwarded_total", "Packets forwarded to their correct owner.", lbl,
-		func() uint64 { return atomic.LoadUint64(&a.statForwarded) })
+		func() uint64 { return atomic.LoadUint64(&st.statForwarded) })
 	reg.CounterFunc("elga_agent_unroutable_total", "Messages dropped because their destination had no address in the installed view.", lbl,
-		func() uint64 { return atomic.LoadUint64(&a.statUnroutable) })
+		func() uint64 { return atomic.LoadUint64(&st.statUnroutable) })
 	reg.CounterFunc("elga_agent_applied_total", "Edge changes applied to the local store.", lbl,
-		func() uint64 { return atomic.LoadUint64(&a.statApplied) })
+		func() uint64 { return atomic.LoadUint64(&st.statApplied) })
 	reg.CounterFunc("elga_agent_queries_total", "Vertex queries answered.", lbl,
-		func() uint64 { return atomic.LoadUint64(&a.statQueries) })
+		func() uint64 { return atomic.LoadUint64(&st.statQueries) })
 	reg.GaugeFunc("elga_agent_vertices", "Locally present vertices.", lbl,
-		func() float64 { return float64(a.vertexCount.Load()) })
+		func() float64 { return float64(st.vertexCount.Load()) })
 	reg.GaugeFunc("elga_agent_edge_copies", "Locally stored edge copies.", lbl,
-		func() float64 { return float64(a.copyCount.Load()) })
-	// Storage health: footprint per copy and compaction churn. The bytes
-	// estimate and copy count are runLoop-published atomics; Compactions is
-	// itself atomic, so scrapes never touch single-threaded store state.
+		func() float64 { return float64(st.copyCount.Load()) })
+	// Storage health: footprint per copy and compaction churn, from the
+	// figures the event loop publishes, so scrapes never touch
+	// single-threaded store state.
 	reg.GaugeFunc("elga_graph_bytes_per_edge", "Estimated store bytes per locally stored edge copy.", lbl,
 		func() float64 {
-			copies := a.copyCount.Load()
+			copies := st.copyCount.Load()
 			if copies == 0 {
 				return 0
 			}
-			return float64(a.storeBytes.Load()) / float64(copies)
+			return float64(st.storeBytes.Load()) / float64(copies)
 		})
 	reg.CounterFunc("elga_graph_compactions_total", "Delta-log tail compactions folded into sealed CSR runs.", lbl,
-		func() uint64 { return a.store.Compactions() })
+		st.compactions.Load)
 	// Backpressure counter for span shipping: sampled spans discarded
 	// because the tracer's pending batch was full. Nil-tracer safe.
 	reg.CounterFunc("elga_trace_dropped_spans_total",
 		"Sampled trace spans dropped before shipping (backpressure).", lbl,
-		func() uint64 { return a.tracer.Dropped() })
+		a.tracer.Dropped)
 	// Repartition cut instrumentation (repart.go): local vs cross-agent
 	// scatter volume and the derived cut ratio. Zero while accounting is
 	// disabled.
 	reg.CounterFunc("elga_scatter_local_msgs_total",
 		"Scattered algorithm messages delivered to the sending agent.", lbl,
-		func() uint64 { return a.comm.localMsgs.Load() })
+		st.localMsgs.Load)
 	reg.CounterFunc("elga_scatter_remote_msgs_total",
 		"Scattered algorithm messages sent to other agents.", lbl,
-		func() uint64 { return a.comm.remoteMsgs.Load() })
+		st.remoteMsgs.Load)
 	reg.CounterFunc("elga_scatter_remote_bytes_total",
 		"Wire bytes of cross-agent scattered messages.", lbl,
-		func() uint64 { return a.comm.remoteBytes.Load() })
+		st.remoteBytes.Load)
 	reg.GaugeFunc("elga_scatter_cut_ratio",
 		"Fraction of scattered messages crossing agents (cumulative).", lbl,
 		func() float64 {
-			l, r := a.comm.localMsgs.Load(), a.comm.remoteMsgs.Load()
+			l, r := st.localMsgs.Load(), st.remoteMsgs.Load()
 			if l+r == 0 {
 				return 0
 			}
@@ -116,10 +119,12 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 			func() uint64 { _, _, _, b := w.Stats(); return b })
 		reg.GaugeFunc("elga_ckpt_age_seconds", "Seconds since the last durable checkpoint.", lbl,
 			func() float64 { return w.AgeSeconds() })
+		// The restore, if any, happened before registration.
+		restores, restoreSeconds := a.ckpt.restoreCount, a.ckpt.restoreSeconds
 		reg.CounterFunc("elga_ckpt_restores_total", "Snapshot restores performed at startup.", lbl,
-			func() uint64 { return a.ckpt.restoreCount })
+			func() uint64 { return restores })
 		reg.GaugeFunc("elga_ckpt_restore_seconds", "Duration of the startup restore (0 = cold start).", lbl,
-			func() float64 { return a.ckpt.restoreSeconds })
+			func() float64 { return restoreSeconds })
 	}
 	metrics.RegisterRuntime(reg)
 }

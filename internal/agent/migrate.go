@@ -14,10 +14,10 @@ import (
 )
 
 // handleView installs a directory view and, if the epoch advanced, runs
-// the migration round of §3.4.3: re-evaluate the destination of held edge
-// copies, forward misplaced ones, and vote the round complete. A view that
+// the migration round of §3.4.3: re-evaluate where held vertices' copies
+// belong, ship the misplaced ones, and vote the round complete. A view that
 // changed only the sketch re-evaluates just the vertices the router
-// rerouted; a membership or override change re-evaluates every copy.
+// rerouted; a membership or override change re-evaluates every vertex.
 func (a *Agent) handleView(v *wire.View) {
 	// Snapshot the outgoing membership before the router re-indexes, so
 	// in-flight sends stranded toward evicted peers can be reclaimed.
@@ -31,6 +31,7 @@ func (a *Agent) handleView(v *wire.View) {
 	if err != nil || !changed {
 		return
 	}
+	defer a.replay(&a.early) // what beat this view here
 	epoch := a.router.Epoch()
 	if epoch <= a.migratedEpoch {
 		return
@@ -39,8 +40,8 @@ func (a *Agent) handleView(v *wire.View) {
 	a.trace("view epoch=%d members=%v", epoch, v.Agents)
 	// The router only knows vertices it was asked about since its last
 	// wholesale install. Every such install is followed by the full round
-	// below, which looks up each held copy's vertex, and copies arriving
-	// later are looked up before they are stored — so a sketch-only list
+	// below, which looks up each held vertex, and copies arriving later have
+	// their vertex looked up before they are stored — so a sketch-only list
 	// covers everything this agent holds.
 	if rerouted, sketchOnly := a.router.Rerouted(); sketchOnly {
 		for _, u := range rerouted {
@@ -138,11 +139,27 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 // migrationShipment accumulates copies and state headed to one agent.
 type migrationShipment struct {
 	changes []wire.EdgeChange
-	states  map[graph.VertexID]wire.VertexState
+	states  []wire.VertexState
 }
 
-// migrate re-evaluates held copies under the current view, ships the
-// misplaced ones (with vertex state and pending mailbox contributions),
+// migScratch is the migration round's reusable memory: one shipment per
+// member (indexed like router.Agents()), the neighbour run being handed to
+// or taken from the store and, while a round walks, the gate its shipments
+// hold open and their wire bytes.
+type migScratch struct {
+	ships []migrationShipment
+	nbrs  []graph.VertexID
+	gate  *ackGroup
+	bytes uint64
+}
+
+// shipChunk is the size, in changes, at which a shipment is sent and its
+// buffer reused: about one 32 KiB frame. It bounds a round's scratch however
+// much moves, and lets the receiver store while the sender still walks.
+const shipChunk = 1024
+
+// migrate re-evaluates held vertices under the current view, ships the
+// misplaced copies (with vertex state and pending mailbox contributions),
 // refreshes replica registrations, and votes Ready(PhaseMigrate) once all
 // shipments are acknowledged. With sketchOnly set, only the rerouted
 // vertices can have moved, so only their copies, mail and registrations
@@ -153,81 +170,38 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		sp = trace.StartSpan(fmt.Sprintf("a%d migrate epoch=%d", a.id, epochLow))
 	}
 	defer sp.End()
-	self := consistent.AgentID(a.id)
-	shipments := make(map[consistent.AgentID]*migrationShipment)
-	var drop []graph.EdgeCopy
-	consider := func(c graph.EdgeCopy) bool {
-		owner, ok := a.router.CopyOwner(wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
-		if !ok || owner == self {
-			return true
-		}
-		s := shipments[owner]
-		if s == nil {
-			s = &migrationShipment{states: make(map[graph.VertexID]wire.VertexState)}
-			shipments[owner] = s
-		}
-		s.changes = append(s.changes, wire.EdgeChange{
-			Action: graph.Insert, Src: c.Src, Dst: c.Dst, Dir: c.Dir,
-		})
-		keyed := c.Src
-		if c.Dir == graph.In {
-			keyed = c.Dst
-		}
-		if w, ok := a.values[keyed]; ok {
-			active := a.store.IsActive(keyed)
-			if a.run != nil {
-				if _, on := a.run.active[keyed]; on {
-					active = true
-				}
-			}
-			s.states[keyed] = wire.VertexState{Vertex: keyed, State: wire.Word(w), Active: active}
-		}
-		a.trace("migrate-ship copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, owner)
-		drop = append(drop, c)
-		return true
+	members := a.router.Agents()
+	for len(a.mig.ships) < len(members) {
+		a.mig.ships = append(a.mig.ships, migrationShipment{})
 	}
-	if sketchOnly {
-		for _, v := range rerouted {
-			a.store.CopiesOf(v, consider)
-		}
-	} else {
-		a.store.Copies(consider)
-	}
-
-	// Remove moved copies; the receiver owns them once the send is
-	// acknowledged, and the ack gate holds our vote until then.
-	moved := make(map[graph.VertexID]bool)
-	for _, c := range drop {
-		a.store.RemoveEdge(c.Src, c.Dst, c.Dir)
-		if c.Dir == graph.In {
-			moved[c.Dst] = true
-		} else {
-			moved[c.Src] = true
-		}
-	}
-
 	// Migration runs its own gate; the run's phase gate (owned by
 	// handleAdvance) stays untouched so a mid-phase view change cannot
-	// clobber in-progress barrier accounting.
+	// clobber in-progress barrier accounting. A shipped copy has left the
+	// store; the receiver owns it once the send is acknowledged, and the
+	// gate holds our vote until then.
 	gate := &ackGroup{}
-	var shippedBytes uint64
-	for owner, s := range shipments {
-		addr, ok := a.router.AddrOf(owner)
-		if !ok {
-			continue
+	a.mig.gate, a.mig.bytes = gate, 0
+	selfAt := a.selfIndex()
+	if sketchOnly {
+		for _, v := range rerouted {
+			a.migrateVertex(v, selfAt)
 		}
-		states := make([]wire.VertexState, 0, len(s.states))
-		for _, st := range s.states {
-			states = append(states, st)
-		}
-		frame := wire.AppendEdgeBatch(
-			a.node.NewFrameHint(wire.TEdges, 32+32*len(s.changes)+24*len(states)),
-			&wire.EdgeBatch{
-				Epoch: a.router.Epoch(), Migration: true, Changes: s.changes, States: states,
-			})
-		a.m.migBatch.Observe(float64(len(s.changes)))
-		shippedBytes += uint64(len(frame))
-		a.sendGatedFrame(addr, frame, gate)
+	} else {
+		// The walk may drop the vertex it is visiting and nothing else; the
+		// bulk edits never compact, which would rebuild the set under it.
+		a.store.Vertices(func(v graph.VertexID) bool {
+			a.migrateVertex(v, selfAt)
+			return true
+		})
+	}
+	a.store.MaybeCompact()
+	for at := range members {
+		a.sendShipment(at)
+	}
+	shippedBytes := a.mig.bytes
+	a.mig.gate = nil
+	if cap(a.mig.nbrs) > shipChunk {
+		a.mig.nbrs = nil // a hub's worth; the next vertex needs far less
 	}
 	if shippedBytes > 0 {
 		a.m.migBytes.Add(shippedBytes)
@@ -259,20 +233,6 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// Pending partials whose mastership moved are re-shipped during
 	// the combine phase (processCombine handles stale masters).
 
-	// Drop cached state and activity for vertices with no remaining
-	// local presence; the new owner received both.
-	for v := range moved {
-		if !a.store.HasVertex(v) {
-			delete(a.values, v)
-			delete(a.totalOutDeg, v)
-			delete(a.registered, v)
-			a.store.ClearActive(v)
-			if a.run != nil {
-				delete(a.run.active, v)
-			}
-		}
-	}
-
 	if sketchOnly {
 		for _, v := range rerouted {
 			if a.store.HasVertex(v) {
@@ -283,10 +243,130 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		a.refreshRegistrations(gate)
 	}
 
-	// Vote once all shipments are acknowledged.
+	// Vote once all shipments are acknowledged. Connections are FIFO, so
+	// whatever the agents shipped to had for this one is stored by then: the
+	// round is over here, and what it left in the tail is folded before the
+	// vote lets it close.
 	a.voteWhenDrained(gate, func() {
+		a.store.Settle()
 		a.sendReady(epochLow, wire.PhaseMigrate, 0)
 	})
+}
+
+// selfIndex is this agent's position in router.Agents(), or -1 once the
+// view no longer lists it.
+func (a *Agent) selfIndex() int {
+	if at, ok := a.router.MemberIndex(consistent.AgentID(a.id)); ok {
+		return at
+	}
+	return -1
+}
+
+// shipCopy appends one copy to the shipment of the member at position at,
+// and its vertex's state (if any) ahead of the first copy that goes there,
+// so every frame carries the state of every vertex it carries copies of.
+func (a *Agent) shipCopy(at int, c wire.EdgeChange, st *wire.VertexState) {
+	s := &a.mig.ships[at]
+	if len(s.changes) >= shipChunk {
+		a.sendShipment(at)
+	}
+	if st != nil && (len(s.states) == 0 || s.states[len(s.states)-1].Vertex != st.Vertex) {
+		s.states = append(s.states, *st)
+	}
+	s.changes = append(s.changes, c)
+	if trace.Enabled() {
+		a.trace("migrate-ship copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, a.router.Agents()[at])
+	}
+}
+
+// sendShipment sends what has accumulated for the member at position at
+// under the round's gate and empties the buffer for reuse.
+func (a *Agent) sendShipment(at int) {
+	s := &a.mig.ships[at]
+	if len(s.changes) == 0 {
+		return
+	}
+	if addr, ok := a.router.AddrOf(a.router.Agents()[at]); ok {
+		// 17 bytes a change, 17 a state, as many again for the rest.
+		frame := wire.AppendEdgeBatch(
+			a.node.NewFrameHint(wire.TEdges, 17*(len(s.changes)+len(s.states)+1)),
+			&wire.EdgeBatch{
+				Epoch: a.router.Epoch(), Migration: true, Changes: s.changes, States: s.states,
+			})
+		a.m.migBatch.Observe(float64(len(s.changes)))
+		a.mig.bytes += uint64(len(frame))
+		a.sendGatedFrame(addr, frame, a.mig.gate)
+	}
+	s.changes, s.states = s.changes[:0], s.states[:0]
+}
+
+// migrateVertex resolves v's route once and moves the copies that belong
+// elsewhere into their owners' shipments. All copies of an unsplit vertex
+// share its owner (Figure 3's second-level hash only exists for k > 1), so
+// it leaves whole: out run, in run, one state, one DropVertex. A split
+// vertex is walked once per direction, each neighbour placed on the resolved
+// replica set. Either way a destination sees a vertex's neighbours in
+// cursor order: every shipped run is ascending, for storeRun to take whole.
+func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
+	if out, in := a.store.Degree(v); out+in == 0 {
+		return
+	}
+	owner, replicas, ok := a.router.RouteIndex(v)
+	if !ok || (replicas == nil && owner == selfAt) {
+		return
+	}
+	var st *wire.VertexState
+	if w, ok := a.values[v]; ok {
+		active := a.store.IsActive(v)
+		if a.run != nil && !active {
+			_, active = a.run.active[v]
+		}
+		st = &wire.VertexState{Vertex: v, State: wire.Word(w), Active: active}
+	}
+	var it graph.Cursor
+	for _, dir := range [...]graph.Dir{graph.Out, graph.In} {
+		c := wire.EdgeChange{Action: graph.Insert, Src: v, Dst: v, Dir: dir}
+		nbr := &c.Dst
+		if dir == graph.Out {
+			a.store.OutCursorInto(&it, v)
+		} else {
+			a.store.InCursorInto(&it, v)
+			nbr = &c.Src
+		}
+		left := a.mig.nbrs[:0]
+		for {
+			u, more := it.Next()
+			if !more {
+				break
+			}
+			at := owner
+			if replicas != nil {
+				if at = a.router.ReplicaFor(replicas, u); at == selfAt {
+					continue
+				}
+				left = append(left, u)
+			}
+			*nbr = u
+			a.shipCopy(at, c, st)
+		}
+		a.mig.nbrs = left
+		if replicas != nil {
+			a.store.RemoveRun(v, dir, left)
+		}
+	}
+	if replicas == nil {
+		a.store.DropVertex(v)
+	}
+	if !a.store.HasVertex(v) {
+		// Gone from here; state and activity went with the copies.
+		delete(a.values, v)
+		delete(a.totalOutDeg, v)
+		delete(a.registered, v)
+		a.store.ClearActive(v)
+		if a.run != nil {
+			delete(a.run.active, v)
+		}
+	}
 }
 
 // rerouteMail forwards one pending mailbox entry to a replica of its
@@ -300,10 +380,14 @@ func (a *Agent) rerouteMail(b *msgBatcher, t *aggTable, s *aggSlot) {
 	}
 	dst, ok := a.router.AnyReplica(v, a.id)
 	if !ok || dst == consistent.AgentID(a.id) {
-		a.trace("migrate-reroute-kept v=%d step=%d", v, b.step)
+		if trace.Enabled() {
+			a.trace("migrate-reroute-kept v=%d step=%d", v, b.step)
+		}
 		return
 	}
-	a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
+	if trace.Enabled() {
+		a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
+	}
 	at, _ := a.router.MemberIndex(dst) // a replica is always a member
 	if prog := a.prog(); prog != nil {
 		// fold covers the raw buffer too; one entry suffices.
@@ -371,6 +455,14 @@ func (a *Agent) handleEdges(pkt *wire.Packet) bool {
 		return false
 	}
 	if batch.Migration {
+		if batch.Epoch > a.router.Epoch() {
+			// Sent under a view this agent has yet to install: judged under
+			// the older one the copies would bounce back. They wait for it
+			// (handleView replays them), the ack withheld so the sender's
+			// round stays open.
+			a.early = append(a.early, pkt)
+			return true
+		}
 		states := make(map[graph.VertexID]wire.VertexState, len(batch.States))
 		for _, st := range batch.States {
 			states[st.Vertex] = st
@@ -407,6 +499,12 @@ func keyedVertex(c wire.EdgeChange) graph.VertexID {
 // local sketch delta: the Out-copy owner counts the source endpoint, the
 // In-copy owner the destination, so each endpoint of each inserted edge is
 // counted exactly once cluster-wide.
+//
+// A migration batch is read as the sorted neighbour runs migrateVertex
+// ships, each stored whole if owned here (storeRun). Anything else — a copy
+// owned elsewhere under this agent's view, a delete, unsorted input, every
+// stream batch — takes the per-change path, so the outcome never depends on
+// the sender's order.
 func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGroup, states map[graph.VertexID]wire.VertexState) {
 	self := consistent.AgentID(a.id)
 	type shipment struct {
@@ -414,56 +512,68 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 		states  map[graph.VertexID]wire.VertexState
 	}
 	var forwards map[consistent.AgentID]*shipment
-	for _, c := range changes {
-		owner, ok := a.router.CopyOwner(c)
-		if ok && owner != self {
-			if forwards == nil {
-				forwards = make(map[consistent.AgentID]*shipment)
-			}
-			s := forwards[owner]
-			if s == nil {
-				s = &shipment{states: make(map[graph.VertexID]wire.VertexState)}
-				forwards[owner] = s
-			}
-			s.changes = append(s.changes, c)
-			a.trace("edges-forward copy=(%d,%d,%d) to=%d mig=%v", c.Src, c.Dst, c.Dir, owner, migration)
-			if st, okSt := states[keyedVertex(c)]; okSt {
-				s.states[st.Vertex] = st
-			}
-			continue
-		}
-		var applied bool
+	selfAt := a.selfIndex()
+	for len(changes) > 0 {
+		n := 1
 		if migration {
-			// Moves are topology-neutral: do not mark vertices active,
-			// but install the accompanying state and preserved
-			// activation for copies kept here.
-			if c.Action == graph.Insert {
-				applied = a.store.AddEdge(c.Src, c.Dst, c.Dir)
-			} else {
-				applied = a.store.RemoveEdge(c.Src, c.Dst, c.Dir)
+			n = runLen(changes)
+			if a.storeRun(changes[:n], selfAt, states) {
+				changes = changes[n:]
+				continue
 			}
-			if st, okSt := states[keyedVertex(c)]; okSt {
-				if _, exists := a.values[st.Vertex]; !exists {
-					a.values[st.Vertex] = algorithm.Word(st.State)
+		}
+		for _, c := range changes[:n] {
+			owner, ok := a.router.CopyOwner(c)
+			if ok && owner != self {
+				if forwards == nil {
+					forwards = make(map[consistent.AgentID]*shipment)
 				}
-				if st.Active {
-					a.store.MarkActive(st.Vertex)
+				s := forwards[owner]
+				if s == nil {
+					s = &shipment{states: make(map[graph.VertexID]wire.VertexState)}
+					forwards[owner] = s
 				}
+				s.changes = append(s.changes, c)
+				if trace.Enabled() {
+					a.trace("edges-forward copy=(%d,%d,%d) to=%d mig=%v", c.Src, c.Dst, c.Dir, owner, migration)
+				}
+				if st, okSt := states[keyedVertex(c)]; okSt {
+					s.states[st.Vertex] = st
+				}
+				continue
 			}
-		} else {
-			applied = a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
-			if applied && c.Action == graph.Insert {
-				if c.Dir == graph.Out {
-					a.skDelta.Add(uint64(c.Src))
+			var applied bool
+			if migration {
+				// Moves are topology-neutral: do not mark vertices active,
+				// but install the accompanying state and preserved
+				// activation for copies kept here.
+				if c.Action == graph.Insert {
+					applied = a.store.AddEdge(c.Src, c.Dst, c.Dir)
 				} else {
-					a.skDelta.Add(uint64(c.Dst))
+					applied = a.store.RemoveEdge(c.Src, c.Dst, c.Dir)
+				}
+				a.installState(keyedVertex(c), states)
+			} else {
+				applied = a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
+				if applied && c.Action == graph.Insert {
+					if c.Dir == graph.Out {
+						a.skDelta.Add(uint64(c.Src))
+					} else {
+						a.skDelta.Add(uint64(c.Dst))
+					}
 				}
 			}
+			if applied {
+				atomic.AddUint64(&a.statApplied, 1)
+			}
+			if trace.Enabled() {
+				a.trace("edges-apply copy=(%d,%d,%d) mig=%v applied=%v", c.Src, c.Dst, c.Dir, migration, applied)
+			}
 		}
-		if applied {
-			atomic.AddUint64(&a.statApplied, 1)
-		}
-		a.trace("edges-apply copy=(%d,%d,%d) mig=%v applied=%v", c.Src, c.Dst, c.Dir, migration, applied)
+		changes = changes[n:]
+	}
+	if migration {
+		a.store.MaybeCompact() // the runs went in without compacting
 	}
 	for owner, s := range forwards {
 		if addr, ok := a.router.AddrOf(owner); ok {
@@ -479,6 +589,79 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 					Changes: s.changes, States: stList,
 				}), g)
 		}
+	}
+}
+
+// runLen is the length of the run changes starts with: inserts of copies
+// stored under one vertex in one direction, neighbours strictly ascending.
+// (What follows a delete is cut the same way; storeRun declines it.)
+func runLen(changes []wire.EdgeChange) int {
+	first := changes[0]
+	key, prev := keyedVertex(first), neighbour(first)
+	n := 1
+	for ; n < len(changes); n++ {
+		c := changes[n]
+		if c.Action != graph.Insert || c.Dir != first.Dir || keyedVertex(c) != key || neighbour(c) <= prev {
+			break
+		}
+		prev = neighbour(c)
+	}
+	return n
+}
+
+// neighbour returns the endpoint of a copy that is not its keyed vertex.
+func neighbour(c wire.EdgeChange) graph.VertexID {
+	if c.Dir == graph.In {
+		return c.Src
+	}
+	return c.Dst
+}
+
+// storeRun stores one migrated run (see runLen) with one AddRun and one
+// state install, provided every copy in it is owned here: one route lookup
+// settles that for an unsplit vertex, a split one is checked per copy on the
+// resolved replica set. Otherwise it stores nothing and reports false. The
+// applied counter still counts copies: those the store did not already hold.
+func (a *Agent) storeRun(run []wire.EdgeChange, selfAt int, states map[graph.VertexID]wire.VertexState) bool {
+	first := run[0]
+	if first.Action != graph.Insert {
+		return false
+	}
+	key := keyedVertex(first)
+	owner, replicas, ok := a.router.RouteIndex(key)
+	if ok && replicas == nil && owner != selfAt {
+		return false
+	}
+	nbrs := a.mig.nbrs[:0]
+	for _, c := range run {
+		w := neighbour(c)
+		if len(replicas) > 0 && a.router.ReplicaFor(replicas, w) != selfAt {
+			return false
+		}
+		nbrs = append(nbrs, w)
+	}
+	a.mig.nbrs = nbrs
+	applied := a.store.AddRun(key, first.Dir, nbrs)
+	a.installState(key, states)
+	atomic.AddUint64(&a.statApplied, uint64(applied))
+	if trace.Enabled() {
+		a.trace("edges-apply run=(%d,%d) copies=%d applied=%d", key, first.Dir, len(run), applied)
+	}
+	return true
+}
+
+// installState installs the state and preserved activation that travelled
+// with v's migrated copies, unless v already has a value here.
+func (a *Agent) installState(v graph.VertexID, states map[graph.VertexID]wire.VertexState) {
+	st, ok := states[v]
+	if !ok {
+		return
+	}
+	if _, exists := a.values[v]; !exists {
+		a.values[v] = algorithm.Word(st.State)
+	}
+	if st.Active {
+		a.store.MarkActive(v)
 	}
 }
 

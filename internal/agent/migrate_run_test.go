@@ -1,0 +1,492 @@
+package agent
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"elga/internal/algorithm"
+	"elga/internal/config"
+	"elga/internal/consistent"
+	"elga/internal/graph"
+	"elga/internal/transport"
+	"elga/internal/wire"
+)
+
+// migrationRig is a loopback agent (ID 1) on a network it shares with two
+// peer sinks (IDs 2 and 3), under a config that splits a vertex the sketch
+// counts 10 or more times.
+type migrationRig struct {
+	a     *Agent
+	node  *transport.Node
+	peers map[uint64]*peerSink
+	cfg   config.Config
+}
+
+func newMigrationRig(t *testing.T) *migrationRig {
+	t.Helper()
+	cfg := config.Default()
+	cfg.SketchWidth, cfg.SketchDepth, cfg.Virtual = 1024, 4, 16
+	cfg.ReplicationThreshold, cfg.MaxReplicas = 10, 4
+	a := newLoopbackAgent(t, cfg, 0)
+	nw := transport.NewInproc()
+	node, err := transport.NewNode(nw, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	node.SetAckNotify(true)
+	a.node = node
+	return &migrationRig{a: a, node: node, cfg: cfg,
+		peers: map[uint64]*peerSink{2: newPeerSink(t, nw), 3: newPeerSink(t, nw)}}
+}
+
+// view builds a view of the given members (of 1, 2, 3) whose sketch counts
+// hub 35 times: three replicas' worth.
+func (r *migrationRig) view(t *testing.T, epoch uint64, hub graph.VertexID, ids ...uint64) *wire.View {
+	t.Helper()
+	sk := r.cfg.NewSketch()
+	sk.AddN(uint64(hub), 35)
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &wire.View{Epoch: epoch, BatchID: epoch, Sketch: data}
+	for _, id := range ids {
+		addr := r.node.Addr()
+		if id != 1 {
+			addr = r.peers[id].node.Addr()
+		}
+		v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: addr})
+	}
+	return v
+}
+
+// drain feeds the agent its acknowledgements until no send is outstanding.
+func (r *migrationRig) drain(t *testing.T) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for len(r.a.reqToGroups) > 0 {
+		select {
+		case pkt := <-r.node.Inbox():
+			if pkt.Type == wire.TAck {
+				r.a.onAck(pkt.Req)
+			}
+			wire.ReleasePacket(pkt)
+		case <-deadline:
+			t.Fatal("shipments never acknowledged")
+		}
+	}
+}
+
+// received returns the frames peer id was shipped so far.
+func (r *migrationRig) received(id uint64) []wire.EdgeBatch {
+	p := r.peers[id]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.batches)
+}
+
+func heldCopies(s *graph.Store) map[graph.EdgeCopy]bool {
+	held := map[graph.EdgeCopy]bool{}
+	s.Copies(func(c graph.EdgeCopy) bool { held[c] = true; return true })
+	return held
+}
+
+func keyOf(c graph.EdgeCopy) graph.VertexID {
+	if c.Dir == graph.In {
+		return c.Dst
+	}
+	return c.Src
+}
+
+// TestWholesaleRoundShipsByVertex fills a one-agent store with unsplit
+// vertices, a hub and two pinned vertices, then installs a three-member
+// view that also splits the hub. The per-vertex round must do what judging
+// every copy on its own would: ship exactly the copies whose owner is
+// another agent, each once and to that agent, with the vertex's state once
+// per destination; keep the rest; forget the values of vertices that left
+// entirely and keep the pinned ones present. A second view without this
+// agent then makes everything leave.
+func TestWholesaleRoundShipsByVertex(t *testing.T) {
+	r := newMigrationRig(t)
+	a := r.a
+	const hub, pinnedHeld, pinnedEmpty = graph.VertexID(5000), graph.VertexID(6000), graph.VertexID(6001)
+	for u := graph.VertexID(300); u < 600; u++ {
+		a.store.AddEdge(u, u+1, graph.Out)
+		a.store.AddEdge(u+7, u, graph.In)
+		if u%3 == 0 {
+			a.store.AddEdge(u, u+2, graph.Out)
+		}
+	}
+	for w := graph.VertexID(10000); w < 14000; w++ { // thousands: its share spans frames
+		a.store.AddEdge(hub, w, graph.Out)
+		if w%2 == 0 {
+			a.store.AddEdge(w, hub, graph.In)
+		}
+	}
+	a.store.AddEdge(pinnedHeld, 1, graph.Out)
+	a.store.AddEdge(2, pinnedHeld, graph.In)
+	a.store.Pin(pinnedHeld)
+	a.store.Pin(pinnedEmpty)
+	a.store.Compact() // half the hub sealed, half of it in the tail
+	for w := graph.VertexID(14000); w < 14500; w++ {
+		a.store.AddEdge(hub, w, graph.Out)
+	}
+	a.store.Vertices(func(v graph.VertexID) bool {
+		a.values[v] = algorithm.Word(v + 7)
+		return true
+	})
+	a.store.TakeActive()
+	a.store.MarkActive(hub)
+	a.store.MarkActive(301)
+	before := heldCopies(a.store)
+
+	a.handleView(r.view(t, 2, hub, 1, 2, 3))
+	if _, sketchOnly := a.router.Rerouted(); sketchOnly {
+		t.Fatal("the membership changed, yet the router reports a sketch-only view")
+	}
+	if k := a.router.Replicas(hub); k != 3 {
+		t.Fatalf("hub has %d replicas, want 3", k)
+	}
+	r.drain(t)
+
+	self := consistent.AgentID(a.id)
+	ownerOf := func(c graph.EdgeCopy) consistent.AgentID {
+		o, _ := a.router.CopyOwner(wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
+		return o
+	}
+	shipped := map[graph.EdgeCopy]bool{}
+	for id := range r.peers {
+		frames := r.received(id)
+		if len(frames) < 2 {
+			t.Fatalf("agent %d got its share of the hub in %d frame(s); the test wants a chunk boundary inside it", id, len(frames))
+		}
+		for _, f := range frames {
+			// Every frame stands alone: the state of each vertex it carries
+			// copies of, once.
+			keyed := map[graph.VertexID]bool{}
+			for _, ch := range f.Changes {
+				c := graph.EdgeCopy{Src: ch.Src, Dst: ch.Dst, Dir: ch.Dir}
+				if ch.Action != graph.Insert || !before[c] {
+					t.Fatalf("agent %d was shipped %+v, which was never held", id, ch)
+				}
+				if shipped[c] {
+					t.Fatalf("copy %+v shipped twice", c)
+				}
+				shipped[c] = true
+				if o := ownerOf(c); o != consistent.AgentID(id) {
+					t.Fatalf("copy %+v shipped to agent %d, its owner is %d", c, id, o)
+				}
+				keyed[keyOf(c)] = true
+			}
+			seen := map[graph.VertexID]bool{}
+			for _, st := range f.States {
+				if seen[st.Vertex] || !keyed[st.Vertex] || st.State != wire.Word(st.Vertex+7) {
+					t.Fatalf("agent %d got state %+v twice in a frame, without a copy of that vertex, or with the wrong value", id, st)
+				}
+				seen[st.Vertex] = true
+				if want := st.Vertex == hub || st.Vertex == 301; st.Active != want {
+					t.Fatalf("vertex %d shipped with active=%v, want %v", st.Vertex, st.Active, want)
+				}
+			}
+			if len(seen) != len(keyed) {
+				t.Fatalf("a frame to agent %d has copies of %d vertices and the states of %d", id, len(keyed), len(seen))
+			}
+			if len(f.Changes) > shipChunk {
+				t.Fatalf("a frame of %d changes; the chunk is %d", len(f.Changes), shipChunk)
+			}
+		}
+	}
+	after := heldCopies(a.store)
+	for c := range before {
+		if mine := ownerOf(c) == self; mine == shipped[c] || mine != after[c] {
+			t.Fatalf("copy %+v: owned here=%v shipped=%v still held=%v", c, mine, shipped[c], after[c])
+		}
+	}
+	if len(after) != len(before)-len(shipped) || len(shipped) == 0 {
+		t.Fatalf("held %d, shipped %d, now hold %d", len(before), len(shipped), len(after))
+	}
+	hubKept, hubLeft := 0, 0
+	for c := range before {
+		if keyOf(c) == hub {
+			if shipped[c] {
+				hubLeft++
+			} else {
+				hubKept++
+			}
+		}
+	}
+	if a.router.IsReplica(hub, self) && (hubKept == 0 || hubLeft == 0) {
+		t.Fatalf("a three-way split kept %d and shipped %d of the hub's copies", hubKept, hubLeft)
+	}
+	for v := range a.values {
+		if !a.store.HasVertex(v) {
+			t.Fatalf("vertex %d left entirely, its value stayed", v)
+		}
+	}
+	a.store.Vertices(func(v graph.VertexID) bool {
+		if _, ok := a.values[v]; !ok && v != pinnedEmpty {
+			t.Fatalf("vertex %d is still present, its value is gone", v)
+		}
+		return true
+	})
+	if !a.store.HasVertex(pinnedHeld) || !a.store.HasVertex(pinnedEmpty) {
+		t.Fatal("a pinned vertex was dropped by the round")
+	}
+	if m, _ := a.router.Master(hub); m != self && a.store.HasVertex(hub) {
+		p := r.peers[uint64(m)]
+		p.mu.Lock()
+		regs := slices.Clone(p.regs)
+		p.mu.Unlock()
+		if !slices.Contains(regs, hub) || !a.registered[hub] {
+			t.Fatalf("the hub's master %d saw registrations %v", m, regs)
+		}
+	}
+
+	// Evicted: every copy belongs to somebody else, pins or no pins.
+	a.handleView(r.view(t, 3, hub, 2, 3))
+	r.drain(t)
+	if n := a.store.NumEdgeCopies(); n != 0 || !a.leaving {
+		t.Fatalf("an evicted agent still holds %d copies (leaving=%v)", n, a.leaving)
+	}
+	total := 0
+	for id := range r.peers {
+		for _, f := range r.received(id) {
+			total += len(f.Changes)
+		}
+	}
+	if total != len(before) {
+		t.Fatalf("peers were shipped %d copies in all, the agent had held %d", total, len(before))
+	}
+}
+
+// TestMigrationBatchMixedInput applies one migration batch holding every
+// shape the receiver must cope with — a sorted run, an unsorted one, a run
+// of a split hub with one copy owned elsewhere, a delete in the middle, a
+// vertex owned elsewhere outright — and requires the store, the installed
+// state, the applied count and the forwards to be what judging each change
+// on its own gives.
+func TestMigrationBatchMixedInput(t *testing.T) {
+	r := newMigrationRig(t)
+	a := r.a
+	const hub = graph.VertexID(5000)
+	a.handleView(r.view(t, 2, hub, 1, 2, 3))
+	self := consistent.AgentID(a.id)
+	pick := func(from graph.VertexID, mine bool) graph.VertexID {
+		for v := from; ; v++ {
+			if o, _ := a.router.Master(v); (o == self) == mine && v != hub {
+				return v
+			}
+		}
+	}
+	v1, v2, away := pick(100, true), pick(200, true), pick(300, false)
+	a.store.AddEdge(v1, 50, graph.Out) // already held: applies as a no-op
+	a.store.AddEdge(v2, 77, graph.In)  // what the delete removes
+
+	ins := func(key, nbr graph.VertexID, dir graph.Dir) wire.EdgeChange {
+		if dir == graph.In {
+			return wire.EdgeChange{Action: graph.Insert, Src: nbr, Dst: key, Dir: dir}
+		}
+		return wire.EdgeChange{Action: graph.Insert, Src: key, Dst: nbr, Dir: dir}
+	}
+	var batch []wire.EdgeChange
+	for _, w := range []graph.VertexID{10, 20, 50, 90} {
+		batch = append(batch, ins(v1, w, graph.Out))
+	}
+	for _, w := range []graph.VertexID{5, 3, 9, 9} { // unsorted, and a duplicate
+		batch = append(batch, ins(v2, w, graph.In))
+	}
+	batch = append(batch, wire.EdgeChange{Action: graph.Delete, Src: 77, Dst: v2, Dir: graph.In})
+	hubMine, hubAway := 0, 0
+	for w := graph.VertexID(1000); w < 1040; w++ {
+		c := ins(hub, w, graph.Out)
+		if o, _ := a.router.CopyOwner(c); o == self {
+			hubMine++
+		} else {
+			hubAway++
+		}
+		batch = append(batch, c)
+	}
+	if hubMine == 0 || hubAway == 0 {
+		t.Fatalf("the hub's run has %d copies owned here and %d elsewhere; the test needs both", hubMine, hubAway)
+	}
+	for _, w := range []graph.VertexID{1, 2, 3} {
+		batch = append(batch, ins(away, w, graph.Out))
+	}
+	states := map[graph.VertexID]wire.VertexState{}
+	for _, v := range []graph.VertexID{v1, v2, hub, away} {
+		states[v] = wire.VertexState{Vertex: v, State: wire.Word(v + 1), Active: v == v2}
+	}
+
+	// The reference: one change at a time, straight on a store.
+	want := graph.NewStore()
+	want.AddEdge(v1, 50, graph.Out)
+	want.AddEdge(v2, 77, graph.In)
+	wantApplied, wantForwarded := uint64(0), map[consistent.AgentID][]wire.EdgeChange{}
+	for _, c := range batch {
+		if o, _ := a.router.CopyOwner(c); o != self {
+			wantForwarded[o] = append(wantForwarded[o], c)
+			continue
+		}
+		changed := false
+		if c.Action == graph.Insert {
+			changed = want.AddEdge(c.Src, c.Dst, c.Dir)
+		} else {
+			changed = want.RemoveEdge(c.Src, c.Dst, c.Dir)
+		}
+		if changed {
+			wantApplied++
+		}
+	}
+
+	a.store.TakeActive()
+	_, appliedBefore, _ := a.Stats()
+	g := &ackGroup{}
+	a.applyChanges(batch, true, g, states)
+	r.drain(t)
+
+	got, ref := heldCopies(a.store), heldCopies(want)
+	if len(got) != len(ref) {
+		t.Fatalf("store holds %d copies, per-change application gives %d", len(got), len(ref))
+	}
+	for c := range ref {
+		if !got[c] {
+			t.Fatalf("copy %+v missing from the store", c)
+		}
+	}
+	if _, applied, _ := a.Stats(); applied-appliedBefore != wantApplied {
+		t.Fatalf("applied counter advanced by %d, want %d", applied-appliedBefore, wantApplied)
+	}
+	for _, v := range []graph.VertexID{v1, v2, hub} {
+		if a.values[v] != algorithm.Word(v+1) {
+			t.Fatalf("state of vertex %d not installed: %v", v, a.values[v])
+		}
+	}
+	if _, ok := a.values[away]; ok {
+		t.Fatal("state installed for a vertex whose copies were all forwarded")
+	}
+	if active := a.store.TakeActive(); !slices.Equal(active, []graph.VertexID{v2}) {
+		t.Fatalf("active after the batch: %v, want just %d", active, v2)
+	}
+	for id := range r.peers {
+		var changes []wire.EdgeChange
+		var sts []wire.VertexState
+		for _, f := range r.received(id) {
+			changes, sts = append(changes, f.Changes...), append(sts, f.States...)
+		}
+		if !slices.Equal(changes, wantForwarded[consistent.AgentID(id)]) {
+			t.Fatalf("agent %d was forwarded %v, want %v", id, changes, wantForwarded[consistent.AgentID(id)])
+		}
+		keyed := map[graph.VertexID]bool{}
+		for _, c := range changes {
+			keyed[keyedVertex(c)] = true
+		}
+		if len(sts) != len(keyed) {
+			t.Fatalf("agent %d was forwarded copies of %d vertices with %d states", id, len(keyed), len(sts))
+		}
+	}
+	if fwd, _, _ := a.Stats(); fwd != uint64(hubAway+3) {
+		t.Fatalf("forwarded counter %d, want %d", fwd, hubAway+3)
+	}
+}
+
+// TestEarlyMigrationBatchWaitsForItsView: a migration batch sent under a
+// view this agent has not installed yet is neither stored nor bounced; it
+// is held, unacknowledged, and applied once the view arrives, and so is the
+// mail that came in behind it.
+func TestEarlyMigrationBatchWaitsForItsView(t *testing.T) {
+	r := newMigrationRig(t)
+	a := r.a
+	const hub = graph.VertexID(5000)
+	next := r.view(t, 2, hub, 1, 2, 3)
+	// A vertex this agent owns under the coming view.
+	probe := newMigrationRig(t)
+	probe.a.handleView(probe.view(t, 2, hub, 1, 2, 3))
+	var v graph.VertexID
+	for v = 100; ; v++ {
+		if m, _ := probe.a.router.Master(v); m == consistent.AgentID(a.id) {
+			break
+		}
+	}
+	payload := wire.AppendEdgeBatch(nil, &wire.EdgeBatch{
+		Epoch: 2, Migration: true,
+		Changes: []wire.EdgeChange{{Action: graph.Insert, Src: v, Dst: 1, Dir: graph.Out}, {Action: graph.Insert, Src: v, Dst: 2, Dir: graph.Out}},
+		States:  []wire.VertexState{{Vertex: v, State: 42}},
+	})
+	pkt := wire.GetPacket()
+	pkt.Type, pkt.Payload = wire.TEdges, payload
+	if !a.handleEdges(pkt) {
+		t.Fatal("an early migration batch was not retained")
+	}
+	if a.store.NumEdgeCopies() != 0 || len(a.early) != 1 {
+		t.Fatalf("early batch: %d copies stored, %d batches parked", a.store.NumEdgeCopies(), len(a.early))
+	}
+	// Mail for the vertex, rerouted behind its copies: under the old view it
+	// would be bounced as well, so it waits with them.
+	installRun(a, algorithm.PageRank{}, 64)
+	mail := wire.GetPacket()
+	mail.Type = wire.TVertexMsgs
+	mail.Payload = wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: 3,
+		Msgs: []wire.VertexMsg{{Target: v, Via: v, Value: wire.Word(algorithm.FromF64(0.5))}}})
+	if !a.handlePacket(mail) || len(a.early) != 2 || a.mailbox[3] != nil {
+		t.Fatalf("mail behind an early batch: %d packets parked, mailbox %v", len(a.early), a.mailbox[3])
+	}
+	a.handleView(next)
+	r.drain(t)
+	if a.store.OutDegree(v) != 2 || a.values[v] != 42 || len(a.early) != 0 {
+		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", a.store.OutDegree(v), a.values[v], len(a.early))
+	}
+	if e := a.mailbox[3].get(v); e == nil || e.agg.F64() != 0.5 {
+		t.Fatalf("the parked mail did not reach the mailbox: %+v", e)
+	}
+	if fwd, applied, _ := a.Stats(); fwd != 0 || applied != 2 {
+		t.Fatalf("forwarded=%d applied=%d, want 0 and 2", fwd, applied)
+	}
+}
+
+// TestApplyChangesQuietPathAllocs: with tracing off, storing a batch costs
+// allocations per vertex touched, not per copy — the per-copy trace lines
+// used to box their arguments whether or not anyone was listening. Vertex
+// IDs sit above 255, below which the runtime boxes integers for free.
+func TestApplyChangesQuietPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are meaningless under the race detector")
+	}
+	const vertices, perVertex = 64, 64
+	a := newLoopbackAgent(t, allocTestConfig(), 0)
+	var batch []wire.EdgeChange
+	states := map[graph.VertexID]wire.VertexState{}
+	for v := graph.VertexID(1000); v < 1000+vertices; v++ {
+		for w := graph.VertexID(2000); w < 2000+perVertex; w++ {
+			batch = append(batch, wire.EdgeChange{Action: graph.Insert, Src: v, Dst: w, Dir: graph.Out})
+		}
+		states[v] = wire.VertexState{Vertex: v, State: wire.Word(v)}
+	}
+	for _, tc := range []struct {
+		name      string
+		migration bool
+		ceiling   float64
+	}{
+		// Per vertex: a tail record and the doublings of its add log.
+		{"stream batch", false, 12 * vertices},
+		// Per vertex: a tail record, the run's copy, a value.
+		{"migration batch", true, 4 * vertices},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			a.store = graph.NewStore()
+			clear(a.values)
+			st := states
+			if !tc.migration {
+				st = nil
+			}
+			a.applyChanges(batch, tc.migration, &ackGroup{}, st)
+		})
+		if a.store.NumOutEdges() != len(batch) {
+			t.Fatalf("%s: %d of %d copies stored", tc.name, a.store.NumOutEdges(), len(batch))
+		}
+		if allocs > tc.ceiling {
+			t.Fatalf("%s of %d copies over %d vertices: %v allocations, want at most %v", tc.name, len(batch), vertices, allocs, tc.ceiling)
+		}
+	}
+}

@@ -14,14 +14,16 @@ import (
 )
 
 // peerSink is a stand-in for a peer agent: it acknowledges whatever it is
-// sent and keeps the migration shipments, replica registrations and
-// synchronous vertex-message entries.
+// sent and keeps the migration shipments (all copies in got, and frame by
+// frame in batches), replica registrations and synchronous vertex-message
+// entries.
 type peerSink struct {
-	node *transport.Node
-	mu   sync.Mutex
-	got  []wire.EdgeChange
-	regs []graph.VertexID
-	msgs []wire.VertexMsg
+	node    *transport.Node
+	mu      sync.Mutex
+	got     []wire.EdgeChange
+	batches []wire.EdgeBatch
+	regs    []graph.VertexID
+	msgs    []wire.VertexMsg
 }
 
 // waitMsgs returns the vertex-message entries received once there are at
@@ -58,6 +60,7 @@ func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 				var b wire.EdgeBatch
 				if wire.DecodeEdgeBatchInto(&b, pkt.Payload) == nil {
 					p.got = append(p.got, b.Changes...)
+					p.batches = append(p.batches, b)
 				}
 			case wire.TVertexMsgs:
 				var b wire.VertexMsgBatch

@@ -2,7 +2,6 @@ package agent
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"elga/internal/consistent"
 	"elga/internal/graph"
@@ -41,12 +40,6 @@ type commAccounting struct {
 	best map[graph.VertexID]wire.DigestEntry
 	// entries is digest-build scratch for the sorted candidate list.
 	entries []wire.DigestEntry
-
-	// Cumulative totals, atomics because the metrics registry scrapes
-	// them off-thread. Written only by the event loop.
-	localMsgs   atomic.Uint64
-	remoteMsgs  atomic.Uint64
-	remoteBytes atomic.Uint64
 }
 
 // account records n messages vertex v scattered to agent peer (itself for
@@ -56,9 +49,9 @@ type commAccounting struct {
 func (a *Agent) account(v graph.VertexID, peer consistent.AgentID, n uint64) {
 	a.comm.window[vertexPeerKey{v: v, peer: peer}] += n
 	if peer == consistent.AgentID(a.id) {
-		a.comm.localMsgs.Add(n)
+		a.localMsgs.Add(n)
 	} else {
-		a.comm.remoteMsgs.Add(n)
+		a.remoteMsgs.Add(n)
 	}
 }
 
@@ -148,5 +141,5 @@ func (a *Agent) sendDigest() {
 // frames actually encoded for peers (after combining). Race-safe for tests
 // and metrics.
 func (a *Agent) CommStats() (local, remote, remoteBytes uint64) {
-	return a.comm.localMsgs.Load(), a.comm.remoteMsgs.Load(), a.comm.remoteBytes.Load()
+	return a.localMsgs.Load(), a.remoteMsgs.Load(), a.remoteBytes.Load()
 }

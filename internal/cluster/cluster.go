@@ -295,9 +295,11 @@ func (c *Cluster) startAgent(slot int) (*agent.Agent, error) {
 	})
 }
 
-// AddAgent elastically adds one agent, returning it once joined. The
-// join, view broadcast, and migration round complete before any queued
-// computation resumes.
+// AddAgent elastically adds one agent, returning it once joined: at the
+// join reply, with the migration round the join starts still under way.
+// That round closes before any queued computation resumes, and the next
+// Seal waits for it; until then a query may miss a vertex whose copies are
+// in flight.
 func (c *Cluster) AddAgent() (*agent.Agent, error) {
 	slot := c.nextSlot
 	a, err := c.startAgent(slot)

@@ -495,6 +495,12 @@ func TestMidRunScaleUpMatchesReference(t *testing.T) {
 	if c.NumAgents() != 4 {
 		t.Fatalf("agents = %d after mid-run join", c.NumAgents())
 	}
+	// AddAgent returns at the join reply; the run can end before the second
+	// joiner's migration round closes. The seal waits for it, so no query
+	// below meets a vertex whose copies are in flight.
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	checkAgainstReference(t, c, algorithm.PageRank{}, el,
 		algorithm.RunOptions{MaxSteps: 12}, 1e-8)
 }
@@ -514,6 +520,9 @@ func TestMidRunScaleUpWCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seal(); err != nil { // closes the joiner's migration round
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, c, algorithm.WCC{}, el, algorithm.RunOptions{}, 0)

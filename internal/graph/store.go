@@ -234,17 +234,27 @@ func (s *Store) maybeDrop(v VertexID, rec slotRec) {
 	if _, pinned := s.pinEmpty[v]; pinned {
 		return
 	}
-	if t := rec.tail; t != nil {
-		s.tailOps -= t.size()
-		s.tailRecs--
-		// Sealed entries not already delete-logged join the dead count.
-		s.deadSealed += int(rec.outLen) - len(t.outDel) + int(rec.inLen) - len(t.inDel)
-	} else {
-		s.deadSealed += int(rec.outLen) + int(rec.inLen)
-	}
+	s.drop(v, rec)
+}
+
+// drop removes v's slot, whatever it holds.
+func (s *Store) drop(v VertexID, rec slotRec) {
+	s.retire(rec)
 	delete(s.slots, v)
 	delete(s.active, v)
 	s.flipped(v)
+}
+
+// retire takes rec's tail and sealed runs out of the store-wide accounting:
+// the tail is forgotten and every sealed entry it had not already
+// delete-logged joins the dead count.
+func (s *Store) retire(rec slotRec) {
+	s.deadSealed += int(rec.outLen) + int(rec.inLen)
+	if t := rec.tail; t != nil {
+		s.tailOps -= t.size()
+		s.tailRecs--
+		s.deadSealed -= len(t.outDel) + len(t.inDel)
+	}
 }
 
 // AddEdge stores a copy of edge (u,v) in direction dir. For dir==Out the
@@ -303,7 +313,7 @@ func (s *Store) AddEdge(u, v VertexID, dir Dir) bool {
 	if !present {
 		s.flipped(key)
 	}
-	s.maybeCompact()
+	s.MaybeCompact()
 	return true
 }
 
@@ -366,16 +376,163 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 	}
 	s.slots[key] = rec
 	s.maybeDrop(key, rec)
-	s.maybeCompact()
+	s.MaybeCompact()
 	return true
 }
 
-// maybeCompact folds the tail into a fresh sealed generation once the
+// Bulk edits. Migration moves a vertex's copies as sorted neighbour runs,
+// so the three edits below touch a vertex once, in time linear in its
+// lists, where AddEdge/RemoveEdge search and shift per copy. None of them
+// compacts: that makes them safe inside a Vertices walk, on the vertex
+// being visited, and leaves one MaybeCompact to the caller. None may be
+// applied to a vertex while a Cursor over it is live.
+
+// AddRun is AddEdge over a run: nbrs, ascending and distinct, become copies
+// under key in direction dir. A delete-logged sealed entry is revived, the
+// rest join the add log; a vertex with nothing stored in that direction
+// takes the run as its add log in one copy. It returns how many copies the
+// store did not already hold.
+func (s *Store) AddRun(key VertexID, dir Dir, nbrs []VertexID) int {
+	return s.editRun(key, dir, nbrs, false)
+}
+
+// RemoveRun is RemoveEdge over a run: a tail-added entry is erased, a sealed
+// one delete-logged, and a vertex left with no copies (and no pin) dropped.
+// It returns how many of the copies existed.
+func (s *Store) RemoveRun(key VertexID, dir Dir, nbrs []VertexID) int {
+	return s.editRun(key, dir, nbrs, true)
+}
+
+func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int {
+	rec, present := s.slots[key]
+	t := rec.tail
+	if t == nil {
+		t = &tailRec{} // attached below if the edit leaves anything in it
+	}
+	sealed, add, del, count := s.sealedOutRun(rec), &t.outAdd, &t.outDel, &s.numOut
+	if dir == In {
+		sealed, add, del, count = s.sealedInRun(rec), &t.inAdd, &t.inDel, &s.numIn
+	}
+	// An add grows the add log and shrinks the delete log; a remove, the
+	// reverse.
+	grow, shrink := add, del
+	if remove {
+		grow, shrink = del, add
+	}
+	var grown, shrunk int
+	if !remove && len(sealed) == 0 && len(*add) == 0 {
+		*add, grown = append([]VertexID(nil), nbrs...), len(nbrs)
+	} else {
+		*grow, *shrink, grown, shrunk = mergeEdit(sealed, nbrs, *grow, *shrink, remove)
+	}
+	n := grown + shrunk
+	if n == 0 {
+		return 0
+	}
+	if rec.tail == nil {
+		rec.tail = t
+		s.tailRecs++
+	}
+	s.tailOps += grown - shrunk
+	if remove {
+		s.deadSealed += grown // newly delete-logged
+		*count -= n
+	} else {
+		s.deadSealed -= shrunk // revived
+		*count += n
+	}
+	s.slots[key] = rec
+	if !present {
+		s.flipped(key)
+	}
+	if remove {
+		s.maybeDrop(key, rec)
+	}
+	return n
+}
+
+// mergeEdit merges the ascending, distinct run against one direction of a
+// vertex in a single pass. Each neighbour found in the sealed run (when
+// growOnSealed) or missing from it (otherwise) is inserted into grow unless
+// already there; every other one is erased from shrink if there. The grown
+// list is a new slice when anything was inserted; shrink is compacted in
+// place.
+func mergeEdit(sealed, run, grow, shrink []VertexID, growOnSealed bool) (g, sh []VertexID, grown, shrunk int) {
+	var merged []VertexID
+	si, gi, gm, ri, rw := 0, 0, 0, 0, 0 // gm: how much of grow is in merged
+	for _, w := range run {
+		for si < len(sealed) && sealed[si] < w {
+			si++
+		}
+		if (si < len(sealed) && sealed[si] == w) == growOnSealed {
+			for gi < len(grow) && grow[gi] < w {
+				gi++
+			}
+			if gi == len(grow) || grow[gi] != w {
+				if merged == nil {
+					merged = make([]VertexID, 0, len(grow)+len(run))
+				}
+				merged = append(append(merged, grow[gm:gi]...), w)
+				gm = gi
+				grown++
+			}
+			continue
+		}
+		for ri < len(shrink) && shrink[ri] < w {
+			shrink[rw] = shrink[ri]
+			rw++
+			ri++
+		}
+		if ri < len(shrink) && shrink[ri] == w {
+			ri++
+			shrunk++
+		}
+	}
+	if grown > 0 {
+		grow = append(merged, grow[gm:]...)
+	}
+	rw += copy(shrink[rw:], shrink[ri:])
+	return grow, shrink[:rw], grown, shrunk
+}
+
+// DropVertex forgets every copy stored under v, in O(1) plus its tail, and
+// returns how many out and in copies that was. A pinned vertex stays, as an
+// empty slot.
+func (s *Store) DropVertex(v VertexID) (out, in int) {
+	rec, ok := s.slots[v]
+	if !ok {
+		return 0, 0
+	}
+	out, in = liveDegrees(rec)
+	s.numOut -= out
+	s.numIn -= in
+	if _, pinned := s.pinEmpty[v]; pinned {
+		s.retire(rec)
+		s.slots[v] = slotRec{}
+	} else {
+		s.drop(v, rec)
+	}
+	return out, in
+}
+
+// MaybeCompact folds the tail into a fresh sealed generation once the
 // delta log (plus dead sealed entries) outgrows max(compactMin,
 // sealed/4) — geometric growth keeps amortized insert cost O(1) while
-// bounding tail scans and dead space to a constant fraction.
-func (s *Store) maybeCompact() {
-	threshold := (len(s.sealedOut) + len(s.sealedIn)) / 4
+// bounding tail scans and dead space to a constant fraction. AddEdge and
+// RemoveEdge apply the rule themselves; a caller of the bulk edits
+// (AddRun, RemoveRun, DropVertex) applies it once it is done with them.
+func (s *Store) MaybeCompact() { s.compactOver(4) }
+
+// Settle is MaybeCompact for a caller done with bulk edits for a while —
+// its migration round is over: it folds a delta log a quarter the size
+// MaybeCompact lets stand, so a round does not leave up to a fifth of the
+// store in the bulkier tail.
+func (s *Store) Settle() { s.compactOver(16) }
+
+// compactOver compacts once the delta log plus the dead sealed entries
+// reach max(compactMin, sealed/fraction).
+func (s *Store) compactOver(fraction int) {
+	threshold := (len(s.sealedOut) + len(s.sealedIn)) / fraction
 	if threshold < s.compactMin {
 		threshold = s.compactMin
 	}
@@ -414,6 +571,12 @@ func mergeRun(dst, sealed []VertexID, t *tailRec, in bool) []VertexID {
 		} else {
 			add, del = t.outAdd, t.outDel
 		}
+	}
+	if len(add) == 0 && len(del) == 0 {
+		return append(dst, sealed...) // untouched since the last generation
+	}
+	if len(sealed) == 0 {
+		return append(dst, add...) // arrived since the last generation
 	}
 	si, ai, di := 0, 0, 0
 	for si < len(sealed) || ai < len(add) {
@@ -701,8 +864,10 @@ func (s *Store) ActivateAll() {
 	}
 }
 
-// Copies calls fn for every stored edge copy until fn returns false.
-// Agents use it to re-evaluate ownership after a membership change.
+// Copies calls fn for every stored edge copy until fn returns false. It is
+// the enumeration tests and tools check a store by; migration does not
+// visit copies, it walks Vertices and moves their runs (AddRun, RemoveRun,
+// DropVertex).
 func (s *Store) Copies(fn func(EdgeCopy) bool) {
 	for v := range s.slots {
 		if !s.CopiesOf(v, fn) {

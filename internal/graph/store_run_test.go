@@ -1,0 +1,292 @@
+package graph
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// randomRun returns up to max distinct neighbours from the universe,
+// ascending — the shape AddRun and RemoveRun require.
+func randomRun(rng *rand.Rand, universe, max int) []VertexID {
+	var run []VertexID
+	for w := 0; w < universe; w++ {
+		if len(run) < max && rng.Intn(universe) < max {
+			run = append(run, VertexID(w))
+		}
+	}
+	return run
+}
+
+// runAsEdge names the copy of neighbour w stored under key in direction dir.
+func runAsEdge(key, w VertexID, dir Dir) (u, v VertexID) {
+	if dir == In {
+		return w, key
+	}
+	return key, w
+}
+
+// flipParity reduces a flip log to the vertices logged an odd number of
+// times: the ones whose presence differs from when the log was started.
+func flipParity(t *testing.T, s *Store) map[VertexID]bool {
+	t.Helper()
+	flips, ok := s.TakeFlips()
+	if !ok {
+		t.Fatal("flip log abandoned; the script takes it too rarely")
+	}
+	odd := map[VertexID]bool{}
+	for _, v := range flips {
+		if odd[v] = !odd[v]; !odd[v] {
+			delete(odd, v)
+		}
+	}
+	return odd
+}
+
+// compareRunStores asserts the store edited by runs, the store edited one
+// copy at a time and the map reference agree on everything observable.
+func compareRunStores(t *testing.T, bulk, edge *Store, ms *MapStore) {
+	t.Helper()
+	fullCompare(t, bulk, ms)
+	fullCompare(t, edge, ms)
+	bf, ef := flipParity(t, bulk), flipParity(t, edge)
+	if len(bf) != len(ef) {
+		t.Fatalf("flip parity: bulk %v, per-edge %v", bf, ef)
+	}
+	for v := range bf {
+		if !ef[v] {
+			t.Fatalf("flip parity: bulk %v, per-edge %v", bf, ef)
+		}
+	}
+	if ba, ea := bulk.ActiveList(), edge.ActiveList(); !slices.Equal(ba, ea) {
+		t.Fatalf("active sets: bulk %v, per-edge %v", ba, ea)
+	}
+	for v := range bulk.pinEmpty {
+		if !bulk.HasVertex(v) {
+			t.Fatalf("pinned vertex %d missing from the bulk store", v)
+		}
+	}
+}
+
+// TestRunEditsMatchPerEdgeModel drives AddRun, RemoveRun and DropVertex on
+// one Store against per-copy AddEdge/RemoveEdge on a second Store and on
+// the MapStore reference, through random scripts that mix in stream edits,
+// pins, random compaction thresholds and forced compactions. Return counts,
+// edge and vertex counts, neighbour order, flip parity, the active set and
+// pins must agree throughout, and the footprint once both are compacted.
+func TestRunEditsMatchPerEdgeModel(t *testing.T) {
+	const (
+		scripts  = 320
+		opsPer   = 160
+		universe = 20
+	)
+	for seed := int64(0); seed < scripts; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bulk, edge, ms := NewStore(), NewStore(), NewMapStore()
+		bulk.SetCompactMin(1 + rng.Intn(24))
+		edge.SetCompactMin(1 + rng.Intn(24))
+		for op := 0; op < opsPer; op++ {
+			key := VertexID(rng.Intn(universe))
+			dir := Dir(rng.Intn(2))
+			switch rng.Intn(12) {
+			case 0, 1, 2: // a run arrives
+				run := randomRun(rng, universe, 1+rng.Intn(universe))
+				if rng.Intn(8) == 0 {
+					run = nil
+				}
+				want := 0
+				for _, w := range run {
+					u, v := runAsEdge(key, w, dir)
+					added := edge.AddEdge(u, v, dir)
+					if ms.AddEdge(u, v, dir) != added {
+						t.Fatalf("seed %d op %d: reference stores disagree on AddEdge", seed, op)
+					}
+					if added {
+						want++
+					}
+				}
+				if got := bulk.AddRun(key, dir, run); got != want {
+					t.Fatalf("seed %d op %d: AddRun(%d,%d,%v) = %d, per-edge %d", seed, op, key, dir, run, got, want)
+				}
+			case 3, 4: // a run leaves
+				run := randomRun(rng, universe, 1+rng.Intn(universe))
+				want := 0
+				for _, w := range run {
+					u, v := runAsEdge(key, w, dir)
+					removed := edge.RemoveEdge(u, v, dir)
+					if ms.RemoveEdge(u, v, dir) != removed {
+						t.Fatalf("seed %d op %d: reference stores disagree on RemoveEdge", seed, op)
+					}
+					if removed {
+						want++
+					}
+				}
+				if got := bulk.RemoveRun(key, dir, run); got != want {
+					t.Fatalf("seed %d op %d: RemoveRun(%d,%d,%v) = %d, per-edge %d", seed, op, key, dir, run, got, want)
+				}
+			case 5: // a whole vertex leaves
+				outs, ins := edge.AppendOut(key, nil), edge.AppendIn(key, nil)
+				for _, w := range outs {
+					edge.RemoveEdge(key, w, Out)
+					ms.RemoveEdge(key, w, Out)
+				}
+				for _, u := range ins {
+					edge.RemoveEdge(u, key, In)
+					ms.RemoveEdge(u, key, In)
+				}
+				if out, in := bulk.DropVertex(key); out != len(outs) || in != len(ins) {
+					t.Fatalf("seed %d op %d: DropVertex(%d) = (%d,%d), vertex held (%d,%d)", seed, op, key, out, in, len(outs), len(ins))
+				}
+			case 6, 7, 8: // stream edits, which mark the endpoint active
+				c := Change{Action: Action(rng.Intn(2)), Src: key, Dst: VertexID(rng.Intn(universe))}
+				b, e, m := bulk.Apply(c, dir), edge.Apply(c, dir), ms.Apply(c, dir)
+				if b != e || e != m {
+					t.Fatalf("seed %d op %d: Apply(%+v,%d) bulk=%v edge=%v map=%v", seed, op, c, dir, b, e, m)
+				}
+			case 9:
+				bulk.Pin(key)
+				edge.Pin(key)
+				ms.Pin(key)
+			case 10:
+				bulk.Unpin(key)
+				edge.Unpin(key)
+				ms.Unpin(key)
+			case 11: // generation turnover, independently on either side
+				if rng.Intn(2) == 0 {
+					bulk.Compact()
+				} else {
+					edge.Compact()
+				}
+				bulk.MaybeCompact()
+			}
+			if op%16 == 15 {
+				compareRunStores(t, bulk, edge, ms)
+			}
+		}
+		compareRunStores(t, bulk, edge, ms)
+		ms.TakeActive()
+		if b, e := bulk.TakeActive(), edge.TakeActive(); !slices.Equal(b, e) {
+			t.Fatalf("seed %d: TakeActive bulk %v, per-edge %v", seed, b, e)
+		}
+		bulk.Compact()
+		edge.Compact()
+		if b, e := bulk.MemoryBytes(), edge.MemoryBytes(); b != e {
+			t.Fatalf("seed %d: compacted footprint bulk %d B, per-edge %d B", seed, b, e)
+		}
+		fullCompare(t, bulk, ms)
+	}
+}
+
+// TestRunEditCases pins the corners of the run contract one at a time.
+func TestRunEditCases(t *testing.T) {
+	sealed := func() *Store {
+		s := NewStore()
+		s.SetCompactMin(1 << 30)
+		for _, w := range []VertexID{10, 20, 30, 40} {
+			s.AddEdge(1, w, Out)
+		}
+		s.Compact()
+		return s
+	}
+	out := func(s *Store) []VertexID { return s.AppendOut(1, nil) }
+
+	t.Run("empty run", func(t *testing.T) {
+		s := sealed()
+		if n := s.AddRun(1, Out, nil); n != 0 {
+			t.Fatalf("AddRun of nothing stored %d copies", n)
+		}
+		if n := s.AddRun(7, In, nil); n != 0 || s.HasVertex(7) {
+			t.Fatalf("AddRun of nothing created vertex 7 (n=%d)", n)
+		}
+		if n := s.RemoveRun(1, Out, nil); n != 0 || s.NumOutEdges() != 4 {
+			t.Fatalf("RemoveRun of nothing removed %d copies", n)
+		}
+	})
+	t.Run("fresh vertex takes the run whole", func(t *testing.T) {
+		s := sealed()
+		run := []VertexID{3, 5, 8}
+		if n := s.AddRun(2, In, run); n != 3 || s.NumInEdges() != 3 {
+			t.Fatalf("AddRun stored %d copies, store counts %d", n, s.NumInEdges())
+		}
+		run[0] = 99 // the store must own its copy of the run
+		if got := s.AppendIn(2, nil); !slices.Equal(got, []VertexID{3, 5, 8}) {
+			t.Fatalf("in-neighbours %v", got)
+		}
+	})
+	t.Run("revive of a delete-logged entry", func(t *testing.T) {
+		s := sealed()
+		s.RemoveEdge(1, 20, Out)
+		s.RemoveEdge(1, 40, Out)
+		if n := s.AddRun(1, Out, []VertexID{10, 20, 25}); n != 2 {
+			t.Fatalf("AddRun = %d, want 2 (one revived, one new, one already held)", n)
+		}
+		if got := out(s); !slices.Equal(got, []VertexID{10, 20, 25, 30}) {
+			t.Fatalf("out-neighbours %v", got)
+		}
+		if s.tailOps != 2 || s.deadSealed != 1 {
+			t.Fatalf("tailOps=%d deadSealed=%d, want the add of 25 and the delete of 40", s.tailOps, s.deadSealed)
+		}
+	})
+	t.Run("remove of a tail-added entry", func(t *testing.T) {
+		s := sealed()
+		s.AddEdge(1, 15, Out)
+		s.AddEdge(1, 35, Out)
+		if n := s.RemoveRun(1, Out, []VertexID{15, 30, 33}); n != 2 {
+			t.Fatalf("RemoveRun = %d, want 2 (one erased, one delete-logged, one never held)", n)
+		}
+		if got := out(s); !slices.Equal(got, []VertexID{10, 20, 35, 40}) {
+			t.Fatalf("out-neighbours %v", got)
+		}
+		if s.tailOps != 2 || s.deadSealed != 1 {
+			t.Fatalf("tailOps=%d deadSealed=%d, want the add of 35 and the delete of 30", s.tailOps, s.deadSealed)
+		}
+	})
+	t.Run("pinned empty vertex", func(t *testing.T) {
+		s := sealed()
+		s.Pin(9)
+		s.TakeFlips()
+		if n := s.AddRun(9, Out, []VertexID{1, 2}); n != 2 {
+			t.Fatalf("AddRun on a pinned empty vertex = %d", n)
+		}
+		if flips, _ := s.TakeFlips(); len(flips) != 0 {
+			t.Fatalf("a pinned vertex was already present, yet flipped: %v", flips)
+		}
+		if n := s.RemoveRun(9, Out, []VertexID{1, 2}); n != 2 || !s.HasVertex(9) {
+			t.Fatalf("RemoveRun = %d, pinned vertex present = %v", n, s.HasVertex(9))
+		}
+		s.Pin(1)
+		if o, i := s.DropVertex(1); o != 4 || i != 0 || !s.HasVertex(1) || s.NumOutEdges() != 0 {
+			t.Fatalf("DropVertex of a pinned vertex = (%d,%d), present=%v, %d out copies left", o, i, s.HasVertex(1), s.NumOutEdges())
+		}
+		s.Compact()
+		if !s.HasVertex(1) || s.OutDegree(1) != 0 {
+			t.Fatal("pinned vertex lost across compaction after DropVertex")
+		}
+	})
+	t.Run("drop inside a walk", func(t *testing.T) {
+		s := NewStore()
+		s.SetCompactMin(4)
+		for v := VertexID(0); v < 64; v++ {
+			s.AddRun(v, Out, []VertexID{v + 1, v + 2})
+		}
+		compactions := s.Compactions()
+		s.Vertices(func(v VertexID) bool {
+			if v%2 == 0 {
+				s.DropVertex(v)
+			} else {
+				s.RemoveRun(v, Out, []VertexID{v + 1})
+			}
+			return true
+		})
+		if s.Compactions() != compactions {
+			t.Fatal("a bulk edit compacted during the walk")
+		}
+		if s.NumVertices() != 32 || s.NumOutEdges() != 32 {
+			t.Fatalf("%d vertices, %d out copies after the walk, want 32 and 32", s.NumVertices(), s.NumOutEdges())
+		}
+		s.MaybeCompact()
+		if s.Compactions() == compactions {
+			t.Fatal("MaybeCompact ignored a tail far over the threshold")
+		}
+	})
+}

@@ -83,6 +83,17 @@ func assertCachedMatchesUncached(t *testing.T, r *Router, vertices []graph.Verte
 			if i, ok := r.EdgeOwnerIndex(v, other); ok != wantOK || (ok && r.Agents()[i] != want) {
 				t.Fatalf("%s: EdgeOwnerIndex(%d,%d) = %d,%v, want the index of %d,%v", tag, v, other, i, ok, want, wantOK)
 			}
+			// The two-step handle resolves v once and places each neighbour.
+			i, replicas, ok := r.RouteIndex(v)
+			if (replicas != nil) != (ref.k > 1 || len(ref.set) == 0) {
+				t.Fatalf("%s: RouteIndex(%d) replicas = %v for k = %d", tag, v, replicas, ref.k)
+			}
+			if ok && replicas != nil {
+				i = r.ReplicaFor(replicas, other)
+			}
+			if ok != wantOK || (ok && r.Agents()[i] != want) {
+				t.Fatalf("%s: RouteIndex+ReplicaFor(%d,%d) = %d,%v, want the index of %d,%v", tag, v, other, i, ok, want, wantOK)
+			}
 		}
 		for salt := uint64(0); salt < 5; salt++ {
 			var want consistent.AgentID

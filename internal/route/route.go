@@ -441,6 +441,26 @@ func (r *Router) EdgeOwnerIndex(u, other graph.VertexID) (int, bool) {
 	return int(rt.at[r.ring.PickIndex(len(rt.at), uint64(other))]), true
 }
 
+// RouteIndex resolves the first level of Figure 3 once, for a caller about
+// to place many of v's copies. An unsplit v answers with the position in
+// Agents() of the one agent that owns every copy, and nil replicas; a split
+// v with its replicas' positions, among which ReplicaFor picks per
+// neighbour. ok is false on an empty ring. replicas is shared with the
+// route table: read-only, and dead after the next Update.
+func (r *Router) RouteIndex(v graph.VertexID) (owner int, replicas []int32, ok bool) {
+	i, rt := r.lookup(v)
+	if rt == nil {
+		return i, nil, true
+	}
+	return 0, rt.at, len(rt.at) > 0
+}
+
+// ReplicaFor is the second level: which of a split vertex's replicas (from
+// RouteIndex) owns its copy of the edge to or from other.
+func (r *Router) ReplicaFor(replicas []int32, other graph.VertexID) int {
+	return int(replicas[r.ring.PickIndex(len(replicas), uint64(other))])
+}
+
 // CopyOwner resolves the owner of one routed edge-change copy: Out copies
 // key on Src, In copies key on Dst.
 func (r *Router) CopyOwner(c wire.EdgeChange) (consistent.AgentID, bool) {

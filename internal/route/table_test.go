@@ -98,8 +98,13 @@ func TestRouteTableDifferentialViewSequence(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				overrides[graph.VertexID(rng.Intn(population))] = uint64(1 + rng.Intn(int(nextID)))
 			}
-		case 3: // override prune
+		case 3: // override prune, in key order: map order would reseed the rest
+			keys := make([]graph.VertexID, 0, len(overrides))
 			for v := range overrides {
+				keys = append(keys, v)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			for _, v := range keys {
 				if rng.Intn(2) == 0 {
 					delete(overrides, v)
 				}

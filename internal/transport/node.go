@@ -92,7 +92,10 @@ type Node struct {
 	// explicitly before closing the inbox channel.
 	injectMu sync.RWMutex
 
-	stats nodeStats
+	// stats is allocated apart from the node and is all a metric registry's
+	// closures capture: a registry that outlives the node keeps its final
+	// counters, not its inbox, queues and connections.
+	stats *nodeStats
 
 	// Optional histograms installed by RegisterMetrics. atomic.Pointer so
 	// the read/write goroutines observe without a lock and uninstrumented
@@ -121,9 +124,10 @@ type pendingAck struct {
 }
 
 // dedupWindow remembers the last dedupWindowSize acked-push request IDs
-// from one sender in a ring, evicting the oldest as new ones arrive.
+// from one sender in a ring, evicting the oldest as new ones arrive, and
+// for each whether this node has acknowledged it yet.
 type dedupWindow struct {
-	seen map[uint32]struct{}
+	seen map[uint32]bool // request ID -> acknowledged
 	ring []uint32
 	pos  int
 }
@@ -141,6 +145,8 @@ type nodeStats struct {
 	dupsDropped atomic.Uint64
 	ackGiveUps  atomic.Uint64
 	reqRetries  atomic.Uint64
+	// live is the node while it is open and has registered gauges.
+	live atomic.Pointer[Node]
 }
 
 // Stats is a point-in-time snapshot of a node's transport counters.
@@ -231,8 +237,19 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, role string) {
 	reg.CounterFunc("elga_transport_dups_dropped_total", "Duplicate acked pushes dropped after re-acking.", lbl, n.stats.dupsDropped.Load)
 	reg.CounterFunc("elga_transport_ack_give_ups_total", "Acked sends abandoned after the retransmission budget.", lbl, n.stats.ackGiveUps.Load)
 	reg.CounterFunc("elga_transport_request_retries_total", "REQ/REP attempts beyond the first.", lbl, n.stats.reqRetries.Load)
-	reg.GaugeFunc("elga_inbox_depth", "Inbound packet queue occupancy.", lbl, func() float64 { return float64(n.InboxDepth()) })
-	reg.GaugeFunc("elga_send_queue_depth", "Frames queued behind per-peer writers.", lbl, func() float64 { return float64(n.QueueDepth()) })
+	// The gauges reach the node through the stats block, until Close.
+	st := n.stats
+	st.live.Store(n)
+	depth := func(of func(*Node) int) func() float64 {
+		return func() float64 {
+			if n := st.live.Load(); n != nil {
+				return float64(of(n))
+			}
+			return 0
+		}
+	}
+	reg.GaugeFunc("elga_inbox_depth", "Inbound packet queue occupancy.", lbl, depth((*Node).InboxDepth))
+	reg.GaugeFunc("elga_send_queue_depth", "Frames queued behind per-peer writers.", lbl, depth((*Node).QueueDepth))
 	// Shared per role: registry dedup returns one handle to every node of
 	// the role, aggregating their observations (cardinality stays low).
 	n.rttHist.Store(reg.Histogram("elga_reqrep_roundtrip_seconds",
@@ -262,6 +279,7 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 		accepted:    make(map[Conn]struct{}),
 		outstanding: make(map[uint32]*pendingAck),
 		dedup:       make(map[string]*dedupWindow),
+		stats:       &nodeStats{},
 	}
 	n.ackCond = sync.NewCond(&n.ackMu)
 	n.wg.Add(2)
@@ -352,12 +370,17 @@ func (n *Node) dispatch(pkt *wire.Packet) {
 	}
 	// Acked pushes never correlate to a pending request (their Req lives
 	// in the *sender's* ID namespace); they are deduplicated instead, so a
-	// retransmitted duplicate is re-acked and dropped rather than applied
-	// twice.
+	// retransmitted duplicate is dropped rather than applied twice. It is
+	// re-acked only if the original was: an entity may hold a packet
+	// unacknowledged (a forward chain, a batch waiting for its view) for
+	// longer than the sender's RTO, and an ack for the duplicate would tell
+	// the sender it had been processed.
 	if pkt.Req != 0 && pkt.From != "" && wire.AckedPush(pkt.Type) {
-		if n.seenOrRecord(pkt.From, pkt.Req) {
+		if seen, acked := n.seenOrRecord(pkt.From, pkt.Req); seen {
 			n.stats.dupsDropped.Add(1)
-			n.Ack(pkt)
+			if acked {
+				n.Ack(pkt)
+			}
 			wire.ReleasePacket(pkt)
 			return
 		}
@@ -400,27 +423,28 @@ func (n *Node) getPeer(addr string) (*peer, error) {
 	return p, nil
 }
 
-// seenOrRecord reports whether req was already delivered by from,
-// recording it otherwise. The per-sender window is bounded: the oldest
-// remembered ID is forgotten once dedupWindowSize newer ones arrive.
-func (n *Node) seenOrRecord(from string, req uint32) bool {
+// seenOrRecord reports whether req was already delivered by from (seen)
+// and, if so, whether it has been acknowledged; a new req is recorded. The
+// per-sender window is bounded: the oldest remembered ID is forgotten once
+// dedupWindowSize newer ones arrive.
+func (n *Node) seenOrRecord(from string, req uint32) (seen, acked bool) {
 	n.dedupMu.Lock()
 	defer n.dedupMu.Unlock()
 	w := n.dedup[from]
 	if w == nil {
-		w = &dedupWindow{seen: make(map[uint32]struct{}), ring: make([]uint32, dedupWindowSize)}
+		w = &dedupWindow{seen: make(map[uint32]bool), ring: make([]uint32, dedupWindowSize)}
 		n.dedup[from] = w
 	}
-	if _, dup := w.seen[req]; dup {
-		return true
+	if acked, seen = w.seen[req]; seen {
+		return true, acked
 	}
 	if old := w.ring[w.pos]; old != 0 {
 		delete(w.seen, old)
 	}
 	w.ring[w.pos] = req
 	w.pos = (w.pos + 1) % dedupWindowSize
-	w.seen[req] = struct{}{}
-	return false
+	w.seen[req] = false
+	return false, false
 }
 
 // rexmitLoop periodically resends unacknowledged acked sends whose RTO
@@ -862,6 +886,13 @@ func (n *Node) Ack(pkt *wire.Packet) {
 	if pkt.Req == 0 || pkt.From == "" {
 		return
 	}
+	n.dedupMu.Lock()
+	if w := n.dedup[pkt.From]; w != nil {
+		if _, seen := w.seen[pkt.Req]; seen {
+			w.seen[pkt.Req] = true // duplicates from now on are re-acked
+		}
+	}
+	n.dedupMu.Unlock()
 	frame := n.NewFrame(wire.TAck)
 	wire.PatchFrameReq(frame, pkt.Req)
 	_ = n.SendFrame(pkt.From, frame)
@@ -1002,6 +1033,7 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
+	n.stats.live.Store(nil)
 	peers := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
