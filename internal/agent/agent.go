@@ -95,7 +95,8 @@ type ackGroup struct {
 	origin  *wire.Packet
 }
 
-// partialEntry accumulates replica partials at a master.
+// partialEntry accumulates replica partials at a master. A step's entries
+// live by value in one map, recycled through partialFree like the mailboxes.
 type partialEntry struct {
 	agg    algorithm.Word
 	have   bool
@@ -190,7 +191,15 @@ type Agent struct {
 	mailbox   map[uint32]*aggTable
 	tableFree []*aggTable
 	foldTab   aggTable
-	partials  map[uint32]map[graph.VertexID]*partialEntry
+	partials  map[uint32]map[graph.VertexID]partialEntry
+	// partialFree holds consumed per-step partial maps, emptied.
+	partialFree []map[graph.VertexID]partialEntry
+	// plan is the routed adjacency scatter walks instead of probing the
+	// route table per edge; hubPartials and hubUpdates are the one frame per
+	// peer that split-vertex records are batched into (compute.go).
+	plan        routePlan
+	hubPartials []hubFrame
+	hubUpdates  []hubFrame
 
 	run *runCtx
 	// pendingAdv parks an Advance whose TAlgoStart is still in flight
@@ -222,7 +231,7 @@ type Agent struct {
 	workSet     map[graph.VertexID]struct{}
 	workList    []graph.VertexID
 	combineKeys []graph.VertexID
-	combineVals []*partialEntry
+	combineVals []partialEntry
 	batcherFree []*msgBatcher
 	asyncFree   []*asyncBatcher
 
@@ -301,7 +310,7 @@ func Start(opts Options) (*Agent, error) {
 		registered:  make(map[graph.VertexID]bool),
 		skDelta:     opts.Config.NewSketch(),
 		mailbox:     make(map[uint32]*aggTable),
-		partials:    make(map[uint32]map[graph.VertexID]*partialEntry),
+		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
 		workSet:     make(map[graph.VertexID]struct{}),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
@@ -686,12 +695,6 @@ func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) {
 		g.pending++
 	}
 	a.reqToGroups[req] = groups
-}
-
-// sendGated is sendGatedFrame for callers holding an opaque payload slice
-// (raw forwards); the payload is copied into a pooled frame.
-func (a *Agent) sendGated(addr string, typ wire.Type, payload []byte, groups ...*ackGroup) {
-	a.sendGatedFrame(addr, append(a.node.NewFrameHint(typ, len(payload)), payload...), groups...)
 }
 
 // initValue computes v's initial algorithm state without installing it —

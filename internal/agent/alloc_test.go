@@ -90,3 +90,110 @@ func TestSuperstepScatterPathAllocs(t *testing.T) {
 		t.Fatalf("steady-state superstep allocates %v allocs, want <= 16", allocs)
 	}
 }
+
+// newHubAgent returns a loopback agent (ID 1) under a view of three members
+// whose sketch splits n vertices three ways, all mastered at agent 1 and
+// each holding four out-copies here. Agents 2 and 3 live at addresses
+// nobody listens on: a send to them fails at the dial, so what the tests
+// below count is the agent's own work per frame, not a peer's.
+func newHubAgent(t *testing.T, n int) (*Agent, []graph.VertexID) {
+	t.Helper()
+	cfg := allocTestConfig()
+	cfg.SketchWidth = 4096
+	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
+	a := newLoopbackAgent(t, cfg, 1<<16)
+	view := &wire.View{Epoch: 2, BatchID: 2, N: 1 << 16, Agents: []wire.AgentInfo{
+		{ID: 1, Addr: a.node.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
+	}}
+	if _, err := a.router.Update(view); err != nil {
+		t.Fatal(err)
+	}
+	var hubs []graph.VertexID
+	sk := cfg.NewSketch()
+	for v := graph.VertexID(1000); len(hubs) < n; v++ {
+		if m, _ := a.router.Master(v); m == 1 {
+			hubs = append(hubs, v)
+			sk.AddN(uint64(v), 48)
+		}
+	}
+	view.Epoch, view.Sketch = 3, sk.AppendBinary(nil)
+	if _, err := a.router.Update(view); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hubs {
+		if m, _ := a.router.Master(h); m != 1 || a.router.Replicas(h) != 3 {
+			t.Fatalf("hub %d: master %d, %d replicas", h, m, a.router.Replicas(h))
+		}
+		for j := 0; j < 4; j++ {
+			a.store.AddEdge(h, graph.VertexID(100000+8*i+j), graph.Out)
+		}
+	}
+	a.store.Compact()
+	return a, hubs
+}
+
+// TestCombineHubsAllocs is the combine phase's ceiling: the master of 64
+// split vertices folds their partials, scatters, and ships 128 value updates
+// in one frame per peer, so the phase allocates per peer — the send
+// bookkeeping of a handful of frames — not per hub: the step's partial map
+// is recycled, its entries live in it by value, and no hub owns a frame.
+func TestCombineHubsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	a, hubs := newHubAgent(t, 64)
+	installRun(a, algorithm.PageRank{}, 1<<16)
+	a.run.started = true
+	step := uint32(1)
+	combine := func() {
+		for _, h := range hubs {
+			a.stashPartial(step, h, algorithm.FromF64(0.01), true, 4)
+			a.stashPartial(step, h, algorithm.FromF64(0.02), true, 7)
+		}
+		advanceCombine(a, step)
+		step++
+	}
+	combine() // warms the shards, the batcher, the partial map and the frame hints
+	combine()
+	if allocs := testing.AllocsPerRun(20, combine); allocs > 32 {
+		t.Fatalf("a combine phase over 64 hubs allocates %v times, want <= 32", allocs)
+	}
+	if got := a.totalOutDeg[hubs[0]]; got != 11 {
+		t.Fatalf("hub %d combined out-degree %d, want 11", hubs[0], got)
+	}
+}
+
+// TestValueUpdateFrameAllocs is the replica side's ceiling: one frame of 64
+// scatter-bearing value updates installs 64 states and scatters 256 edges
+// through one batcher, one flush and one ack group.
+func TestValueUpdateFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is unreliable under -race")
+	}
+	a, hubs := newHubAgent(t, 64)
+	installRun(a, algorithm.PageRank{}, 1<<16)
+	a.run.started = true
+	var payload []byte
+	for _, h := range hubs {
+		payload = wire.AppendValueUpdate(payload, &wire.ValueUpdate{
+			Step: 5, Vertex: h, State: wire.Word(algorithm.FromF64(0.5)), TotalOutDeg: 12, Scatter: true,
+		})
+	}
+	handle := func() {
+		// The handler parks the packet as its group's origin and releases it
+		// to the pool when the group drains, so each call needs its own.
+		pkt := wire.GetPacket()
+		pkt.Type, pkt.Payload = wire.TValueUpdate, payload
+		if !a.handleValueUpdate(pkt) {
+			t.Fatal("a scattering frame must be retained as its group's origin")
+		}
+	}
+	handle()
+	handle()
+	if allocs := testing.AllocsPerRun(20, handle); allocs > 12 {
+		t.Fatalf("a 64-record value-update frame allocates %v times, want <= 12", allocs)
+	}
+	if got := a.values[hubs[63]]; got != algorithm.FromF64(0.5) {
+		t.Fatalf("hub %d state not installed: %v", hubs[63], got)
+	}
+}

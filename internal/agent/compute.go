@@ -221,6 +221,7 @@ func (a *Agent) processCompute() {
 	if d := a.stepDelay.Load(); d != 0 {
 		a.holdVote(time.Duration(d))
 	}
+	a.syncPlan()
 	r := a.run
 	if r.step == 0 && r.spec.FromScratch && !r.started {
 		a.store.Vertices(func(v graph.VertexID) bool {
@@ -284,6 +285,7 @@ func (a *Agent) processCompute() {
 // updates. The per-vertex work (combineVertex) shards across the same
 // worker pool as the compute phase; all sends happen at merge.
 func (a *Agent) processCombine() {
+	a.syncPlan()
 	r := a.run
 	parts := a.partials[r.step]
 	delete(a.partials, r.step)
@@ -294,9 +296,13 @@ func (a *Agent) processCombine() {
 		a.combineKeys = append(a.combineKeys, v)
 		a.combineVals = append(a.combineVals, p)
 	}
+	if parts != nil {
+		clear(parts)
+		a.partialFree = append(a.partialFree, parts)
+	}
 	batches := a.getBatcher(r.step + 1)
 	shards := a.runSharded(len(a.combineKeys), func(s *computeShard, i int) {
-		a.combineVertex(s, a.combineKeys[i], a.combineVals[i], self)
+		a.combineVertex(s, a.combineKeys[i], &a.combineVals[i], self)
 	})
 	a.mergeShards(shards, batches, self)
 	batches.flush(a.phaseGate)
@@ -305,27 +311,29 @@ func (a *Agent) processCombine() {
 	a.maybeReady()
 }
 
+// stashPartial folds one replica partial into its step's entry for v, taking
+// the step's map off the free list if this is its first.
 func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, have bool, outDeg uint64) {
 	m := a.partials[step]
 	if m == nil {
-		m = make(map[graph.VertexID]*partialEntry)
+		if n := len(a.partialFree); n > 0 {
+			m = a.partialFree[n-1]
+			a.partialFree = a.partialFree[:n-1]
+		} else {
+			m = make(map[graph.VertexID]partialEntry)
+		}
 		a.partials[step] = m
 	}
-	prog := a.prog()
-	p := m[v]
-	if p == nil {
-		zero := algorithm.Word(0)
-		if prog != nil {
-			zero = prog.ZeroAgg()
+	p, seen := m[v]
+	if prog := a.prog(); prog != nil {
+		if !seen {
+			p.agg = prog.ZeroAgg()
 		}
-		p = &partialEntry{agg: zero}
-		m[v] = p
-	}
-	if prog != nil {
 		p.agg = prog.MergeAgg(p.agg, agg)
 	}
 	p.have = p.have || have
 	p.outDeg += outDeg
+	m[v] = p
 }
 
 // replayDeferred re-processes data-plane packets that arrived before the
@@ -355,63 +363,139 @@ func (a *Agent) deferUntilRun(pkt *wire.Packet) bool {
 	return true
 }
 
-// handlePartial stores (or forwards) a replica partial. It reports whether
+// hubFrame is the one frame of split-vertex records (replica partials, or
+// value updates) being built for one peer: begun at its first record, sent
+// once. The agent holds a slice of them per record type, indexed like
+// router.Agents(); every handler that buffers into one sends it before it
+// returns, so no frame outlives the view it was addressed under.
+type hubFrame struct {
+	buf  []byte
+	recs int
+	last int // length of the last frame sent this peer, the next one's size hint
+}
+
+// hubFrameFor returns the frame for the member at position at, beginning it
+// if this is its first record.
+func (a *Agent) hubFrameFor(frames *[]hubFrame, typ wire.Type, at int) *hubFrame {
+	for len(*frames) <= at {
+		*frames = append(*frames, hubFrame{})
+	}
+	f := &(*frames)[at]
+	if f.buf == nil {
+		f.buf = a.node.NewFrameHint(typ, f.last)
+	}
+	f.recs++
+	return f
+}
+
+func (a *Agent) bufferPartial(at int, p *wire.ReplicaPartial) {
+	f := a.hubFrameFor(&a.hubPartials, wire.TReplicaPartial, at)
+	f.buf = wire.AppendReplicaPartial(f.buf, p)
+}
+
+func (a *Agent) bufferUpdate(at int, u *wire.ValueUpdate) {
+	f := a.hubFrameFor(&a.hubUpdates, wire.TValueUpdate, at)
+	f.buf = wire.AppendValueUpdate(f.buf, u)
+}
+
+// sendHubFrames sends each peer's buffered frame, one acked send a peer
+// however many records it carries, and leaves every slot empty.
+func (a *Agent) sendHubFrames(frames []hubFrame, g *ackGroup) {
+	members := a.router.Agents()
+	for at := range frames {
+		f := frames[at]
+		if f.buf == nil {
+			continue
+		}
+		frames[at] = hubFrame{last: len(f.buf)}
+		if addr, ok := a.addrFor(members[at], f.recs); ok {
+			a.sendGatedFrame(addr, f.buf, g)
+		} else {
+			wire.ReleaseFrame(f.buf)
+		}
+	}
+}
+
+// takePartials walks the records of a TReplicaPartial payload. One whose
+// vertex this agent masters (or knows no better master for) is stashed and
+// the vertex pinned: a master may hold no copies of a split vertex yet still
+// owns its combination duties. The others — the sender's view was stale — are
+// buffered for their masters under this agent's view; it returns how many,
+// and the caller sends them (sendHubFrames over hubPartials).
+func (a *Agent) takePartials(payload []byte) (forwarded int) {
+	self := consistent.AgentID(a.id)
+	n, _ := wire.ReplicaPartialCount(payload) // malformed: no records
+	for i := 0; i < n; i++ {
+		p := wire.ReplicaPartialAt(payload, i)
+		if master, ok := a.router.Master(p.Vertex); ok && master != self {
+			if at, ok := a.router.MemberIndex(master); ok {
+				a.bufferPartial(at, &p)
+				forwarded++
+				continue
+			}
+		}
+		a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
+		a.store.Pin(p.Vertex)
+	}
+	return forwarded
+}
+
+// handlePartial stores a frame of replica partials, re-bucketing by current
+// master those mastered elsewhere; the ack of a frame that forwarded any is
+// deferred so the sender's barrier covers the extra hop. It reports whether
 // it retained ownership of pkt (deferred, or parked as an ack origin).
 func (a *Agent) handlePartial(pkt *wire.Packet) bool {
 	if a.deferUntilRun(pkt) {
 		return true
 	}
-	p, err := wire.DecodeReplicaPartial(pkt.Payload)
-	if err != nil {
+	forwarded := a.takePartials(pkt.Payload)
+	if forwarded == 0 {
 		a.node.Ack(pkt)
 		return false
 	}
-	self := consistent.AgentID(a.id)
-	master, ok := a.router.Master(p.Vertex)
-	if ok && master != self {
-		// Stale sender view: forward to the true master and defer the
-		// ack so the sender's barrier covers the extra hop.
-		if addr, ok2 := a.router.AddrOf(master); ok2 {
-			atomic.AddUint64(&a.statForwarded, 1)
-			g := &ackGroup{origin: pkt}
-			a.sendGated(addr, wire.TReplicaPartial, pkt.Payload, g)
-			a.sealGroup(g)
-			return true
-		}
-	}
-	a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
-	// Pin the vertex: a master may hold no copies of a split vertex yet
-	// still owns its combination duties.
-	a.store.Pin(p.Vertex)
-	a.node.Ack(pkt)
-	return false
+	atomic.AddUint64(&a.statForwarded, uint64(forwarded))
+	g := &ackGroup{origin: pkt}
+	a.sendHubFrames(a.hubPartials, g)
+	a.sealGroup(g)
+	return true
 }
 
-// handleValueUpdate installs a master's combined state and scatters the
-// local out-copies; the ack is deferred until those scatters are acked so
-// the master's phase gate transitively covers them.
+// handleValueUpdate installs a frame of masters' combined states and
+// scatters the local out-copies of those that ask for it, all into one
+// batcher flushed once. The frame's ack is deferred until those scatters are
+// acked, so the master's phase gate transitively covers every scatter its
+// frame caused; a frame that scattered nothing is acked at once.
 func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 	if a.deferUntilRun(pkt) {
 		return true
 	}
-	vu, err := wire.DecodeValueUpdate(pkt.Payload)
-	if err != nil {
-		a.node.Ack(pkt)
-		return false
-	}
-	a.values[vu.Vertex] = algorithm.Word(vu.State)
-	a.totalOutDeg[vu.Vertex] = vu.TotalOutDeg
-	if !vu.Scatter || a.run == nil {
-		a.node.Ack(pkt)
-		return false
-	}
+	a.syncPlan()
 	r := a.run
-	g := &ackGroup{origin: pkt}
-	batches := a.getBatcher(vu.Step + 1)
-	mv := r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx)
-	a.scatter(batches, vu.Vertex, mv)
-	batches.flush(g)
-	a.putBatcher(batches)
+	var b *msgBatcher
+	var g *ackGroup
+	n, _ := wire.ValueUpdateCount(pkt.Payload) // malformed: no records
+	for i := 0; i < n; i++ {
+		vu := wire.ValueUpdateAt(pkt.Payload, i)
+		a.values[vu.Vertex] = algorithm.Word(vu.State)
+		a.totalOutDeg[vu.Vertex] = vu.TotalOutDeg
+		if !vu.Scatter {
+			continue
+		}
+		// One frame's records share a step as sent; nothing here relies on it.
+		if b == nil {
+			b, g = a.getBatcher(vu.Step+1), &ackGroup{origin: pkt}
+		} else if b.step != vu.Step+1 {
+			b.flush(g)
+			b.rebind(vu.Step + 1)
+		}
+		a.scatter(b, vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
+	}
+	if b == nil {
+		a.node.Ack(pkt)
+		return false
+	}
+	b.flush(g)
+	a.putBatcher(b)
 	a.sealGroup(g)
 	return true
 }
@@ -442,8 +526,21 @@ func (a *Agent) sealGroup(g *ackGroup) {
 type msgBatcher struct {
 	agent *Agent
 	step  uint32
-	self  int // this agent's member index; -1 when the view lacks it
+	mail  *aggTable // the step's mailbox table, resolved at the first local delivery
+	self  int       // this agent's member index; -1 when the view lacks it
 	dstBufs
+}
+
+// rebind points the (flushed) batcher at another step.
+func (b *msgBatcher) rebind(step uint32) { b.step, b.mail = step, nil }
+
+// local returns the mailbox table messages for this agent are delivered
+// into, resolved once per hand-out rather than per message.
+func (b *msgBatcher) local() *aggTable {
+	if b.mail == nil {
+		b.mail = b.agent.mailFor(b.step)
+	}
+	return b.mail
 }
 
 // getBatcher pops a reusable batcher off the free list and binds it to the
@@ -456,7 +553,7 @@ func (a *Agent) getBatcher(step uint32) *msgBatcher {
 	} else {
 		b = &msgBatcher{agent: a}
 	}
-	b.step = step
+	b.rebind(step)
 	b.bind(a.router.Agents())
 	b.self = a.selfIndex()
 	return b
@@ -476,7 +573,7 @@ func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 	if dst == b.self {
 		// Local delivery: this agent is the message's source, so it gathers
 		// straight into the mailbox.
-		a.mailFor(b.step).gather(a.run.prog, m.Target, algorithm.Word(m.Value))
+		b.local().gather(a.run.prog, m.Target, algorithm.Word(m.Value))
 		return
 	}
 	b.dstBufs.add(dst, m)
@@ -566,46 +663,137 @@ func (a *Agent) addrFor(dst consistent.AgentID, n int) (string, bool) {
 	return addr, ok
 }
 
+// routePlan is the routed adjacency: per direction a running program
+// scatters along, one byte per entry of the store's sealed array, holding the
+// position in router.Agents() of the agent that receives the message sent
+// along that sealed edge — EdgeOwnerIndex(neighbour, v), resolved once and
+// then read. It is agent epoch state, not store state: valid for one view
+// epoch and one sealed generation, and cleared wholesale when either moves
+// (syncPlan). A direction's plan is nil while no running program scatters
+// that way, on an empty ring, and when the view has more members than a byte
+// can name; scatter then resolves every edge through the route table.
+type routePlan struct {
+	epoch, gen uint64
+	dir        [2][]uint8 // indexed by graph.Dir
+}
+
+const (
+	planUnset   = 0xFF // not resolved under this view yet
+	planNoOwner = 0xFE // resolved: the edge has no owner, nothing is sent
+	planMembers = 0xFE // the most members a plan byte can name
+)
+
+// syncPlan brings the plan in line with the installed view and the store's
+// sealed generation. It runs on the event loop ahead of anything that
+// scatters, never inside a worker: workers only fill bytes in.
+func (a *Agent) syncPlan() {
+	p := &a.plan
+	epoch, gen := a.router.Epoch(), a.store.Compactions()
+	stale := epoch != p.epoch || gen != p.gen
+	p.epoch, p.gen = epoch, gen
+	n, prog := a.router.NumAgents(), a.run.prog
+	usable := n > 0 && n <= planMembers
+	for dir, sends := range [2]bool{graph.Out: prog.SendsOut(), graph.In: prog.SendsIn()} {
+		want := 0
+		if usable && sends {
+			want = a.store.SealedLen(graph.Dir(dir))
+		}
+		plan := p.dir[dir]
+		if len(plan) == want && !stale {
+			continue
+		}
+		if want == 0 {
+			plan = nil
+		} else if cap(plan) < want {
+			plan = make([]uint8, want)
+		}
+		plan = plan[:want]
+		for i := range plan {
+			plan[i] = planUnset
+		}
+		p.dir[dir] = plan
+	}
+}
+
 // scatter sends v's message value along its locally stored edges, in the
 // directions the program uses. The sink is the event-loop batcher on
 // sequential paths and a worker-private shard during parallel phases.
 func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
-	r := a.run
-	if r.prog.SendsOut() {
-		// Value-type cursor, built in place: iteration over sealed run +
-		// delta tail with no per-vertex allocation or copy.
-		var it graph.Cursor
-		for a.store.OutCursorInto(&it, v); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
+	if a.run.prog.SendsOut() {
+		a.scatterDir(b, v, mv, graph.Out)
+	}
+	if a.run.prog.SendsIn() {
+		a.scatterDir(b, v, mv, graph.In)
+	}
+}
+
+// scatterDir sends mv to v's neighbours in one direction. A vertex whose
+// sealed run is its whole neighbourhood walks run and plan side by side,
+// resolving the run through the route table the first time its leading byte
+// reads unset; afterwards an edge costs no lookup. Callers process a vertex
+// on one goroutine at a time and runs do not overlap, so workers fill
+// disjoint byte ranges and the fill needs no lock. A vertex with tail edits
+// in this direction — or any vertex while the plan is nil — iterates the
+// store's cursor and resolves each edge as it goes.
+func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir graph.Dir) {
+	adjust := a.run.adjust
+	if plan := a.plan.dir[dir]; plan != nil {
+		if run, off, whole := a.store.SealedRun(v, dir); whole {
+			if len(run) == 0 {
+				return
 			}
-			val := mv
-			if r.adjust != nil {
-				val = r.adjust.AdjustPerEdge(v, w, val)
+			plan = plan[off : off+len(run)]
+			if plan[0] == planUnset {
+				for i, w := range run {
+					plan[i] = planNoOwner
+					if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
+						plan[i] = uint8(dst)
+					}
+				}
 			}
-			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
-				b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
+			for i, w := range run {
+				if dst := plan[i]; dst != planNoOwner {
+					val := mv
+					if adjust != nil {
+						val = adjustEdge(adjust, v, w, mv, dir)
+					}
+					b.add(int(dst), wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
+				}
 			}
+			return
 		}
 	}
-	if r.prog.SendsIn() {
-		var it graph.Cursor
-		for a.store.InCursorInto(&it, v); ; {
-			u, ok := it.Next()
-			if !ok {
-				break
-			}
+	// Value-type cursor, built in place: iteration over sealed run + delta
+	// tail with no per-vertex allocation or copy.
+	var it graph.Cursor
+	if dir == graph.Out {
+		a.store.OutCursorInto(&it, v)
+	} else {
+		a.store.InCursorInto(&it, v)
+	}
+	for {
+		w, ok := it.Next()
+		if !ok {
+			return
+		}
+		if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
 			val := mv
-			if r.adjust != nil {
-				// The traversed edge is (u, v); keep its orientation.
-				val = r.adjust.AdjustPerEdge(u, v, val)
+			if adjust != nil {
+				val = adjustEdge(adjust, v, w, mv, dir)
 			}
-			if dst, ok := a.router.EdgeOwnerIndex(u, v); ok {
-				b.add(dst, wire.VertexMsg{Target: u, Via: v, Value: wire.Word(val)})
-			}
+			b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
 		}
 	}
+}
+
+// adjustEdge is mv as a per-edge-adjusting program sends it along the edge
+// between v and its dir-neighbour w, the edge keeping its orientation: (v, w)
+// outwards, (w, v) inwards.
+func adjustEdge(adj algorithm.PerEdgeAdjuster, v, w graph.VertexID, mv algorithm.Word, dir graph.Dir) algorithm.Word {
+	if dir == graph.Out {
+		return adj.AdjustPerEdge(v, w, mv)
+	}
+	return adj.AdjustPerEdge(w, v, mv)
 }
 
 // prog returns the installed run's program, nil between runs.
@@ -692,7 +880,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 // picks one. It returns how many it buffered; the caller sends them.
 func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
 	self := consistent.AgentID(a.id)
-	mail, prog := a.mailFor(b.step), a.prog()
+	mail, prog := b.local(), a.prog()
 	for _, m := range msgs {
 		if !a.router.IsReplica(m.Target, self) {
 			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != b.self {

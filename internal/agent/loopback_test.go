@@ -37,7 +37,7 @@ func newLoopbackAgent(tb testing.TB, cfg config.Config, n uint64) *Agent {
 		registered:  make(map[graph.VertexID]bool),
 		skDelta:     cfg.NewSketch(),
 		mailbox:     make(map[uint32]*aggTable),
-		partials:    make(map[uint32]map[graph.VertexID]*partialEntry),
+		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
 		workSet:     make(map[graph.VertexID]struct{}),
@@ -77,4 +77,17 @@ func advanceCompute(a *Agent, step uint32) {
 	r.splitWork = false
 	a.phaseGate = &ackGroup{}
 	a.processCompute()
+}
+
+// advanceCombine drives one combine phase the way handleAdvance would, with
+// the coordinator vote suppressed.
+func advanceCombine(a *Agent, step uint32) {
+	r := a.run
+	r.step = step
+	r.ctx.Step = step
+	r.phase = wire.PhaseCombine
+	r.doneLocal = false
+	r.readySent = true
+	a.phaseGate = &ackGroup{}
+	a.processCombine()
 }

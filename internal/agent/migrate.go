@@ -87,11 +87,11 @@ func (a *Agent) handleView(v *wire.View) {
 
 // rerouteFailed re-dispatches one reclaimed in-flight send under the
 // current view. Vertex messages re-resolve their owner, edge shipments
-// re-apply (forwarding misplaced copies), and replica partials chase the
-// vertex's new master. Everything re-sent funnels through a fresh gate
-// whose drain releases the original request, keeping the phase gates the
-// failed send fed correctly held in the meantime. Types with no
-// surviving destination — value updates to the dead replica,
+// re-apply (forwarding misplaced copies), and replica partials chase their
+// vertices' new masters, record by record. Everything re-sent funnels
+// through a fresh gate whose drain releases the original request, keeping
+// the phase gates the failed send fed correctly held in the meantime. Types
+// with no surviving destination — value updates to the dead replica,
 // registrations (re-announced after the registered reset) — are dropped.
 func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	pkt := wire.GetPacket()
@@ -101,7 +101,6 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 		return
 	}
 	g := &ackGroup{}
-	self := consistent.AgentID(a.id)
 	switch pkt.Type {
 	case wire.TVertexMsgs:
 		batch := &a.scratchVMB
@@ -121,16 +120,8 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 			a.applyChanges(batch.Changes, batch.Migration, g, states)
 		}
 	case wire.TReplicaPartial:
-		if p, err := wire.DecodeReplicaPartial(pkt.Payload); err == nil {
-			if master, ok := a.router.Master(p.Vertex); ok {
-				if master == self {
-					a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
-					a.store.Pin(p.Vertex)
-				} else if addr, ok2 := a.addrFor(master, 1); ok2 {
-					a.sendGated(addr, wire.TReplicaPartial, pkt.Payload, g)
-				}
-			}
-		}
+		a.takePartials(pkt.Payload)
+		a.sendHubFrames(a.hubPartials, g)
 	}
 	wire.ReleasePacket(pkt)
 	a.voteWhenDrained(g, func() { a.onAck(f.Req) })

@@ -24,6 +24,8 @@ type peerSink struct {
 	batches []wire.EdgeBatch
 	regs    []graph.VertexID
 	msgs    []wire.VertexMsg
+	// partials holds the records of each TReplicaPartial frame received.
+	partials [][]wire.ReplicaPartial
 }
 
 // waitMsgs returns the vertex-message entries received once there are at
@@ -71,6 +73,13 @@ func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 				if rr, err := wire.DecodeReplicaRegister(pkt.Payload); err == nil {
 					p.regs = append(p.regs, rr.Vertex)
 				}
+			case wire.TReplicaPartial:
+				n, _ := wire.ReplicaPartialCount(pkt.Payload)
+				frame := make([]wire.ReplicaPartial, n)
+				for i := range frame {
+					frame[i] = wire.ReplicaPartialAt(pkt.Payload, i)
+				}
+				p.partials = append(p.partials, frame)
 			}
 			p.mu.Unlock()
 			node.Ack(pkt)

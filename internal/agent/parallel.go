@@ -18,11 +18,15 @@ import (
 // shared agent state (store, values, the step's mailbox table through its
 // read-only get/fold, router — a route-table hit takes no lock, a miss
 // fills the table under the router's own mutex) and
-// WRITE into private computeShard accumulators; the event loop merges the
-// shards after the pool joins, so every value install, mailbox delivery,
-// network send, gate transition and view install (router.Update, which
-// needs no lookup in flight) still happens single-threaded. Externally the
-// agent remains a shared-nothing message-passing entity (§3.1).
+// WRITE into private computeShard accumulators — and into the routed
+// adjacency (routePlan), where a worker fills in the bytes of the sealed runs
+// of the vertices it scatters: one vertex is one worker's per phase and runs
+// do not overlap, so no two workers touch the same byte. The event loop
+// merges the shards after the pool joins, so every value install, mailbox
+// delivery, network send, gate transition, plan reset and view install
+// (router.Update, which needs no lookup in flight) still happens
+// single-threaded. Externally the agent remains a shared-nothing
+// message-passing entity (§3.1).
 
 // defaultParallelThreshold is the work-set size below which the phase
 // runs on the event-loop goroutine alone; pool fan-out overhead
@@ -111,16 +115,16 @@ type valueWrite struct {
 }
 
 // partialSend is a buffered split-vertex partial headed to a remote
-// master.
+// master, named by its position in router.Agents().
 type partialSend struct {
-	master consistent.AgentID
-	p      wire.ReplicaPartial
+	at int
+	p  wire.ReplicaPartial
 }
 
 // valueUpdateSend is a buffered master→replica authoritative state push.
 type valueUpdateSend struct {
-	rep consistent.AgentID
-	vu  wire.ValueUpdate
+	at int
+	vu wire.ValueUpdate
 }
 
 // computeShard is one worker's private accumulator for a parallel phase.
@@ -253,8 +257,8 @@ func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail *aggTable,
 		}
 		if master == self {
 			s.partialsLocal = append(s.partialsLocal, p)
-		} else {
-			s.partialsRemote = append(s.partialsRemote, partialSend{master: master, p: p})
+		} else if at, ok := a.router.MemberIndex(master); ok {
+			s.partialsRemote = append(s.partialsRemote, partialSend{at: at, p: p})
 		}
 		return
 	}
@@ -288,10 +292,12 @@ func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry
 	if m != self {
 		// A view change moved mastership; the partial is re-sent as a
 		// fresh partial to the new master.
-		s.partialsRemote = append(s.partialsRemote, partialSend{master: m, p: wire.ReplicaPartial{
-			Step: r.step, Vertex: v, Agg: wire.Word(p.agg),
-			HaveMsgs: p.have, LocalOutDeg: p.outDeg,
-		}})
+		if at, ok := a.router.MemberIndex(m); ok {
+			s.partialsRemote = append(s.partialsRemote, partialSend{at: at, p: wire.ReplicaPartial{
+				Step: r.step, Vertex: v, Agg: wire.Word(p.agg),
+				HaveMsgs: p.have, LocalOutDeg: p.outDeg,
+			}})
+		}
 		return
 	}
 	old := a.peekValue(v)
@@ -314,9 +320,10 @@ func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry
 		Step: r.step, Vertex: v, State: wire.Word(nw),
 		TotalOutDeg: p.outDeg, Scatter: true,
 	}
-	for _, rep := range a.router.ReplicaSet(v) {
-		if rep != self {
-			s.updates = append(s.updates, valueUpdateSend{rep: rep, vu: vu})
+	_, replicas, _ := a.router.RouteIndex(v)
+	for _, at := range replicas {
+		if s.members[at] != self {
+			s.updates = append(s.updates, valueUpdateSend{at: int(at), vu: vu})
 		}
 	}
 }
@@ -347,20 +354,10 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 			a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
 		}
 		for i := range s.partialsRemote {
-			ps := &s.partialsRemote[i]
-			if addr, ok := a.addrFor(ps.master, 1); ok {
-				a.sendGatedFrame(addr,
-					wire.AppendReplicaPartial(a.node.NewFrame(wire.TReplicaPartial), &ps.p),
-					a.phaseGate)
-			}
+			a.bufferPartial(s.partialsRemote[i].at, &s.partialsRemote[i].p)
 		}
 		for i := range s.updates {
-			u := &s.updates[i]
-			if addr, ok := a.addrFor(u.rep, 1); ok {
-				a.sendGatedFrame(addr,
-					wire.AppendValueUpdate(a.node.NewFrame(wire.TValueUpdate), &u.vu),
-					a.phaseGate)
-			}
+			a.bufferUpdate(s.updates[i].at, &s.updates[i].vu)
 		}
 		for i, msgs := range s.bufs {
 			if len(msgs) == 0 {
@@ -383,4 +380,7 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 		}
 		s.reset()
 	}
+	// The phase's hub records leave in one frame per peer and record type.
+	a.sendHubFrames(a.hubPartials, a.phaseGate)
+	a.sendHubFrames(a.hubUpdates, a.phaseGate)
 }

@@ -1,0 +1,293 @@
+package agent
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"elga/internal/algorithm"
+	"elga/internal/config"
+	"elga/internal/graph"
+	"elga/internal/wire"
+)
+
+// orientedWCC scatters both ways and adjusts per edge with a value that
+// names the edge's endpoints in order, so a loop that walks the right
+// neighbours but turns an edge around is caught too.
+type orientedWCC struct{ algorithm.WCC }
+
+func (orientedWCC) AdjustPerEdge(u, v graph.VertexID, w algorithm.Word) algorithm.Word {
+	return w + algorithm.Word(u)*1000003 + algorithm.Word(v)
+}
+
+// emitted is one scattered message as a sink sees it.
+type emitted struct {
+	dst int
+	m   wire.VertexMsg
+}
+
+func sortEmitted(es []emitted) {
+	slices.SortFunc(es, func(x, y emitted) int {
+		if x.dst != y.dst {
+			return x.dst - y.dst
+		}
+		if x.m.Via != y.m.Via {
+			return int(int64(x.m.Via) - int64(y.m.Via))
+		}
+		if x.m.Target != y.m.Target {
+			return int(int64(x.m.Target) - int64(y.m.Target))
+		}
+		return int(int64(x.m.Value) - int64(y.m.Value))
+	})
+}
+
+// messageFor is an arbitrary per-vertex message value.
+func messageFor(v graph.VertexID) algorithm.Word { return algorithm.Word(v*31 + 5) }
+
+// referenceScatter is the loop the plan replaces: every stored neighbour of
+// every vertex through the store's cursor, every edge resolved through the
+// route table.
+func referenceScatter(a *Agent, verts []graph.VertexID) []emitted {
+	var out []emitted
+	adj := a.run.adjust
+	for _, v := range verts {
+		mv := messageFor(v)
+		for it := a.store.OutCursor(v); ; {
+			w, ok := it.Next()
+			if !ok {
+				break
+			}
+			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
+				out = append(out, emitted{dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(adj.AdjustPerEdge(v, w, mv))}})
+			}
+		}
+		for it := a.store.InCursor(v); ; {
+			u, ok := it.Next()
+			if !ok {
+				break
+			}
+			if dst, ok := a.router.EdgeOwnerIndex(u, v); ok {
+				out = append(out, emitted{dst, wire.VertexMsg{Target: u, Via: v, Value: wire.Word(adj.AdjustPerEdge(u, v, mv))}})
+			}
+		}
+	}
+	sortEmitted(out)
+	return out
+}
+
+// pooledScatter runs scatter over verts on the phase worker pool, as a
+// compute phase does, and returns what the shards collected.
+func pooledScatter(a *Agent, verts []graph.VertexID) []emitted {
+	var out []emitted
+	for _, s := range a.runSharded(len(verts), func(s *computeShard, i int) {
+		a.scatter(s, verts[i], messageFor(verts[i]))
+	}) {
+		for dst, msgs := range s.bufs {
+			for _, m := range msgs {
+				out = append(out, emitted{dst, m})
+			}
+		}
+		s.reset()
+	}
+	sortEmitted(out)
+	return out
+}
+
+// planRig drives one agent's store and router through a random script.
+type planRig struct {
+	t     *testing.T
+	a     *Agent
+	cfg   config.Config
+	rng   *rand.Rand
+	epoch uint64
+	ids   []uint64 // installed membership
+	hot   map[graph.VertexID]uint32
+	// planned counts vertex-directions checked while a plan covered them.
+	planned int
+}
+
+const planVertices = 120
+
+func (r *planRig) vertex() graph.VertexID {
+	if r.rng.Intn(3) == 0 {
+		return graph.VertexID(r.rng.Intn(4)) // a few vertices take most edges
+	}
+	return graph.VertexID(r.rng.Intn(planVertices))
+}
+
+// install publishes a view of r.ids whose sketch counts r.hot.
+func (r *planRig) install() {
+	r.epoch++
+	sk := r.cfg.NewSketch()
+	for v, n := range r.hot {
+		sk.AddN(uint64(v), n)
+	}
+	data, err := sk.MarshalBinary()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	v := &wire.View{Epoch: r.epoch, BatchID: r.epoch, Sketch: data}
+	for _, id := range r.ids {
+		v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: fmt.Sprintf("peer-%d", id)})
+	}
+	if _, err := r.a.router.Update(v); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+func (r *planRig) step() string {
+	s := r.a.store
+	switch op := r.rng.Intn(8); op {
+	case 0: // bulk load
+		for i := 0; i < 200; i++ {
+			u, v := r.vertex(), r.vertex()
+			s.AddEdge(u, v, graph.Out)
+			s.AddEdge(u, v, graph.In)
+		}
+		return "load"
+	case 1:
+		s.Compact()
+		return "compact"
+	case 2: // tail inserts and deletes on a few vertices
+		for i := 0; i < 12; i++ {
+			u, v := r.vertex(), r.vertex()
+			dir := graph.Dir(r.rng.Intn(2))
+			if r.rng.Intn(2) == 0 {
+				s.AddEdge(u, v, dir)
+			} else {
+				s.RemoveEdge(u, v, dir)
+			}
+		}
+		return "tail"
+	case 3: // sketch-only view: a vertex crosses a replica bucket
+		v := r.vertex()
+		r.hot[v] = uint32(r.rng.Intn(5)) * uint32(r.cfg.ReplicationThreshold)
+		r.install()
+		if _, sketchOnly := r.a.router.Rerouted(); !sketchOnly {
+			r.t.Fatal("a sketch change installed as a membership change")
+		}
+		return "sketch"
+	case 4: // membership view
+		n := 1 + r.rng.Intn(7)
+		if r.rng.Intn(6) == 0 {
+			n = 300 // more members than a plan byte can name
+		}
+		r.ids = r.ids[:0]
+		for id := uint64(1); len(r.ids) < n; id++ {
+			if n == 300 || r.rng.Intn(2) == 0 {
+				r.ids = append(r.ids, id)
+			}
+		}
+		r.install()
+		return fmt.Sprintf("members=%d", n)
+	case 5:
+		s.DropVertex(r.vertex())
+		return "drop"
+	case 6: // a migrated run arrives
+		nbrs := make([]graph.VertexID, 0, 8)
+		for i := 0; i < 8; i++ {
+			nbrs = append(nbrs, r.vertex())
+		}
+		slices.Sort(nbrs)
+		s.AddRun(r.vertex(), graph.Dir(r.rng.Intn(2)), slices.Compact(nbrs))
+		return "addrun"
+	default:
+		s.MaybeCompact()
+		return "maybe-compact"
+	}
+}
+
+// check asserts that scatter emits what the reference loop emits, twice:
+// the first pass fills whatever the last step cleared, the second only reads.
+func (r *planRig) check(script int, trail []string) {
+	a := r.a
+	a.syncPlan()
+	if members := a.router.NumAgents(); members > planMembers || members == 0 {
+		if a.plan.dir[graph.Out] != nil || a.plan.dir[graph.In] != nil {
+			r.t.Fatalf("script %d %v: a plan exists under %d members", script, trail, members)
+		}
+	} else {
+		for _, dir := range []graph.Dir{graph.Out, graph.In} {
+			if len(a.plan.dir[dir]) != a.store.SealedLen(dir) {
+				r.t.Fatalf("script %d %v: plan covers %d of %d sealed entries",
+					script, trail, len(a.plan.dir[dir]), a.store.SealedLen(dir))
+			}
+		}
+	}
+	verts := a.store.VertexList()
+	want := referenceScatter(a, verts)
+	for pass := 0; pass < 2; pass++ {
+		if got := pooledScatter(a, verts); !slices.Equal(got, want) {
+			r.t.Fatalf("script %d %v pass %d: scatter emitted %d messages, the table loop %d",
+				script, trail, pass, len(got), len(want))
+		}
+	}
+	for _, v := range verts {
+		for _, dir := range []graph.Dir{graph.Out, graph.In} {
+			if run, _, whole := a.store.SealedRun(v, dir); whole && len(run) > 0 && a.plan.dir[dir] != nil {
+				r.planned++
+			}
+		}
+	}
+}
+
+// TestPlanScatterEqualsTableScatter: through random scripts of everything
+// that can move the store's sealed layout or the view — bulk load, compaction,
+// tail edits, a sketch-only view that crosses a bucket, a membership view
+// (some too large for a plan), dropped vertices and arriving runs — the
+// plan-driven scatter emits exactly the (destination, target, via, value)
+// multiset of the cursor + EdgeOwnerIndex loop, in both directions, with the
+// worker pool filling the plan concurrently.
+func TestPlanScatterEqualsTableScatter(t *testing.T) {
+	SetComputeParallelism(4, 1)
+	defer SetComputeParallelism(0, 0)
+	cfg := allocTestConfig()
+	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 4
+	planned := 0
+	for script := 0; script < 320; script++ {
+		a := newLoopbackAgent(t, cfg, planVertices)
+		prog := orientedWCC{}
+		installRun(a, prog, planVertices)
+		a.run.adjust = prog
+		a.store.SetCompactMin(64 + script%200)
+		r := &planRig{t: t, a: a, cfg: cfg, rng: rand.New(rand.NewSource(int64(script))),
+			epoch: 1, ids: []uint64{1, 2, 3, 4}, hot: map[graph.VertexID]uint32{}}
+		r.install()
+		var trail []string
+		for i := 0; i < 10; i++ {
+			trail = append(trail, r.step())
+			r.check(script, trail)
+		}
+		planned += r.planned
+	}
+	if planned == 0 {
+		t.Fatal("no script ever scattered through a plan")
+	}
+}
+
+// TestPlanNoOwnerByteSendsNothing: an edge whose plan byte says it has no
+// owner is skipped, as the table loop skips an edge EdgeOwnerIndex cannot
+// place.
+func TestPlanNoOwnerByteSendsNothing(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 8)
+	installRun(a, algorithm.PageRank{}, 8)
+	for w := graph.VertexID(1); w <= 5; w++ {
+		a.store.AddEdge(0, w, graph.Out)
+	}
+	a.store.AddEdge(7, 0, graph.Out)
+	a.store.Compact()
+	a.syncPlan()
+	verts := []graph.VertexID{0, 7}
+	if got := pooledScatter(a, verts); len(got) != 6 {
+		t.Fatalf("%d messages scattered, want 6", len(got))
+	}
+	run, off, _ := a.store.SealedRun(0, graph.Out)
+	for i := range run {
+		a.plan.dir[graph.Out][off+i] = planNoOwner
+	}
+	got := pooledScatter(a, verts)
+	if len(got) != 1 || got[0].m.Via != 7 {
+		t.Fatalf("after marking vertex 0's edges ownerless: %+v", got)
+	}
+}

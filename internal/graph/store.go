@@ -739,6 +739,30 @@ func (s *Store) InCursorInto(c *Cursor, v VertexID) {
 	}
 }
 
+// SealedRun returns v's sealed run in direction dir, the run's offset in the
+// store-wide sealed array of that direction, and whether the run is all of
+// v's neighbours there — no tail adds or deletes, the steady-state majority.
+// A caller may keep data parallel to the sealed array, indexed from off, for
+// as long as Compactions and SealedLen stay what they were; the run itself
+// follows the Cursor lifetime rule.
+func (s *Store) SealedRun(v VertexID, dir Dir) (run []VertexID, off int, whole bool) {
+	rec := s.slots[v]
+	t := rec.tail
+	if dir == Out {
+		return s.sealedOutRun(rec), int(rec.outStart), t == nil || len(t.outAdd)+len(t.outDel) == 0
+	}
+	return s.sealedInRun(rec), int(rec.inStart), t == nil || len(t.inAdd)+len(t.inDel) == 0
+}
+
+// SealedLen returns the length of the store-wide sealed array of direction
+// dir, dead entries included.
+func (s *Store) SealedLen(dir Dir) int {
+	if dir == Out {
+		return len(s.sealedOut)
+	}
+	return len(s.sealedIn)
+}
+
 // ForEachOut calls fn for every locally stored out-neighbour of v in
 // ascending ID order until fn returns false.
 func (s *Store) ForEachOut(v VertexID, fn func(VertexID) bool) {

@@ -33,7 +33,10 @@ const (
 // through the replication policy, capped by the ring size), its replica
 // set (index 0 is the master) and each replica's index into the ring's
 // member list. Immutable once published. Only a vertex that is split, or
-// looked up on an empty ring, owns one; see Router.unsplit for the rest.
+// looked up on an empty ring, owns one; see Router.unsplit for the rest. An
+// agent's scatter does not come here per message: it keeps EdgeOwnerIndex's
+// answer per sealed edge for as long as the view stands (agent.routePlan),
+// so the hop through the side slice is paid once per edge per epoch.
 type vertexRoute struct {
 	k   int
 	set []consistent.AgentID

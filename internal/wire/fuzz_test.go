@@ -60,6 +60,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		Data: []byte{0x1f, 0x8b, 0x08, 0x00},
 	})))
 	f.Add(seedFrame(TMetric, AppendMetric(nil, &Metric{AgentID: 3, Name: "step_time", Value: 0.25})))
+	// The hub record lists: one record (the single-record payload) and three.
+	p0, u0 := testPartial(0), testUpdate(0)
+	f.Add(seedFrame(TReplicaPartial, EncodeReplicaPartial(&p0)))
+	f.Add(seedFrame(TValueUpdate, EncodeValueUpdate(&u0)))
+	var pb, ub []byte
+	for i := 0; i < 3; i++ {
+		p, u := testPartial(i), testUpdate(i)
+		pb, ub = AppendReplicaPartial(pb, &p), AppendValueUpdate(ub, &u)
+	}
+	f.Add(seedFrame(TReplicaPartial, pb))
+	f.Add(seedFrame(TValueUpdate, ub))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -92,6 +103,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeMetric(payload)
 		case TDirUpdate:
 			_, _ = DecodeView(payload)
+		case TReplicaPartial:
+			// A record list is all of the payload or none of it.
+			seen := 0
+			err := walkReplicaPartials(payload, func(ReplicaPartial) { seen++ })
+			if (err == nil) != (seen > 0) || seen*replicaPartialSize != len(payload) && err == nil {
+				t.Fatalf("%d bytes: %d partials walked, err %v", len(payload), seen, err)
+			}
+		case TValueUpdate:
+			seen := 0
+			err := walkValueUpdates(payload, func(ValueUpdate) { seen++ })
+			if (err == nil) != (seen > 0) || seen*valueUpdateSize != len(payload) && err == nil {
+				t.Fatalf("%d bytes: %d updates walked, err %v", len(payload), seen, err)
+			}
 		default:
 			// Unmapped selector bytes still exercise the broadest parsers.
 			_, _, _ = DecodeEventBatch(payload)

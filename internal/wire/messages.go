@@ -320,7 +320,28 @@ type ReplicaPartial struct {
 	LocalOutDeg uint64
 }
 
-// AppendReplicaPartial appends a replica partial payload to dst.
+// A TReplicaPartial or TValueUpdate payload is one or more fixed-size
+// records back to back: a sender appends every record it has for a peer into
+// one frame (AppendReplicaPartial / AppendValueUpdate, once per record) and
+// the receiver walks them (XCount, then XAt). The payload carries no count —
+// its length is the count — so a frame of one record is the single-record
+// payload these types always had.
+const (
+	replicaPartialSize = 4 + 8 + 8 + 1 + 8 + 8
+	valueUpdateSize    = 4 + 8 + 8 + 8 + 1
+)
+
+// recordCount is how many size-byte records data holds; an empty payload, or
+// one that ends inside a record, is malformed.
+func recordCount(data []byte, size int, what string) (int, error) {
+	if len(data) == 0 || len(data)%size != 0 {
+		return 0, fmt.Errorf("decode %s: %w: %d bytes is not a whole number of %d-byte records",
+			what, ErrShort, len(data), size)
+	}
+	return len(data) / size, nil
+}
+
+// AppendReplicaPartial appends one replica partial record to dst.
 func AppendReplicaPartial(dst []byte, p *ReplicaPartial) []byte {
 	w := Writer{buf: dst}
 	w.U32(p.Step)
@@ -335,21 +356,20 @@ func AppendReplicaPartial(dst []byte, p *ReplicaPartial) []byte {
 // EncodeReplicaPartial serializes a replica partial.
 func EncodeReplicaPartial(p *ReplicaPartial) []byte { return AppendReplicaPartial(nil, p) }
 
-// DecodeReplicaPartial parses a replica partial.
-func DecodeReplicaPartial(data []byte) (*ReplicaPartial, error) {
-	r := NewReader(data)
-	p := &ReplicaPartial{
-		Step:     r.U32(),
-		Vertex:   graph.VertexID(r.U64()),
-		Agg:      Word(r.U64()),
-		HaveMsgs: r.Bool(),
+// ReplicaPartialCount returns the number of records in a TReplicaPartial
+// payload.
+func ReplicaPartialCount(data []byte) (int, error) {
+	return recordCount(data, replicaPartialSize, "replica partial")
+}
+
+// ReplicaPartialAt returns record i of a payload ReplicaPartialCount
+// accepted.
+func ReplicaPartialAt(data []byte, i int) ReplicaPartial {
+	r := Reader{buf: data[i*replicaPartialSize:][:replicaPartialSize]}
+	return ReplicaPartial{
+		Step: r.U32(), Vertex: graph.VertexID(r.U64()), Agg: Word(r.U64()),
+		HaveMsgs: r.Bool(), MsgCount: r.U64(), LocalOutDeg: r.U64(),
 	}
-	p.MsgCount = r.U64()
-	p.LocalOutDeg = r.U64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode replica partial: %w", err)
-	}
-	return p, nil
 }
 
 // ValueUpdate carries a split vertex's combined authoritative state from
@@ -363,7 +383,7 @@ type ValueUpdate struct {
 	Scatter bool
 }
 
-// AppendValueUpdate appends a value update payload to dst.
+// AppendValueUpdate appends one value update record to dst.
 func AppendValueUpdate(dst []byte, u *ValueUpdate) []byte {
 	w := Writer{buf: dst}
 	w.U32(u.Step)
@@ -377,20 +397,18 @@ func AppendValueUpdate(dst []byte, u *ValueUpdate) []byte {
 // EncodeValueUpdate serializes a value update.
 func EncodeValueUpdate(u *ValueUpdate) []byte { return AppendValueUpdate(nil, u) }
 
-// DecodeValueUpdate parses a value update.
-func DecodeValueUpdate(data []byte) (*ValueUpdate, error) {
-	r := NewReader(data)
-	u := &ValueUpdate{
-		Step:   r.U32(),
-		Vertex: graph.VertexID(r.U64()),
-		State:  Word(r.U64()),
+// ValueUpdateCount returns the number of records in a TValueUpdate payload.
+func ValueUpdateCount(data []byte) (int, error) {
+	return recordCount(data, valueUpdateSize, "value update")
+}
+
+// ValueUpdateAt returns record i of a payload ValueUpdateCount accepted.
+func ValueUpdateAt(data []byte, i int) ValueUpdate {
+	r := Reader{buf: data[i*valueUpdateSize:][:valueUpdateSize]}
+	return ValueUpdate{
+		Step: r.U32(), Vertex: graph.VertexID(r.U64()), State: Word(r.U64()),
+		TotalOutDeg: r.U64(), Scatter: r.Bool(),
 	}
-	u.TotalOutDeg = r.U64()
-	u.Scatter = r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode value update: %w", err)
-	}
-	return u, nil
 }
 
 // ReplicaRegister tells a master that the sending agent holds copies of a

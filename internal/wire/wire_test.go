@@ -179,28 +179,6 @@ func TestVertexMsgBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplicaPartialRoundTrip(t *testing.T) {
-	p := &ReplicaPartial{Step: 2, Vertex: 11, Agg: 22, HaveMsgs: true, MsgCount: 5, LocalOutDeg: 9}
-	got, err := DecodeReplicaPartial(EncodeReplicaPartial(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *p {
-		t.Fatalf("%+v != %+v", got, p)
-	}
-}
-
-func TestValueUpdateRoundTrip(t *testing.T) {
-	u := &ValueUpdate{Step: 1, Vertex: 2, State: 3, TotalOutDeg: 4, Scatter: true}
-	got, err := DecodeValueUpdate(EncodeValueUpdate(u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *u {
-		t.Fatalf("%+v", got)
-	}
-}
-
 func TestReplicaRegisterRoundTrip(t *testing.T) {
 	rr := &ReplicaRegister{Vertex: 77, AgentID: 5}
 	got, err := DecodeReplicaRegister(EncodeReplicaRegister(rr))
@@ -366,8 +344,8 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		func(b []byte) error { _, err := DecodeView(b); return err },
 		func(b []byte) error { _, err := DecodeEdgeBatch(b); return err },
 		func(b []byte) error { _, err := DecodeVertexMsgBatch(b); return err },
-		func(b []byte) error { _, err := DecodeReplicaPartial(b); return err },
-		func(b []byte) error { _, err := DecodeValueUpdate(b); return err },
+		func(b []byte) error { return walkReplicaPartials(b, func(ReplicaPartial) {}) },
+		func(b []byte) error { return walkValueUpdates(b, func(ValueUpdate) {}) },
 		func(b []byte) error { _, err := DecodeReplicaRegister(b); return err },
 		func(b []byte) error { _, err := DecodeReady(b); return err },
 		func(b []byte) error { _, err := DecodeAdvance(b); return err },
