@@ -114,7 +114,6 @@ type runCtx struct {
 	phase   uint8
 	started bool // saw Advance(step 0) or joined mid-run
 
-	active     map[graph.VertexID]struct{} // process next compute phase
 	residual   float64
 	activeNext uint64
 	splitWork  bool
@@ -169,13 +168,19 @@ type Agent struct {
 	coordAddr string
 	dirAddr   string
 
-	store  *graph.Store
-	values map[graph.VertexID]algorithm.Word
-	// totalOutDeg caches authoritative out-degrees of split vertices
-	// (from ValueUpdates) for replica-side scatters.
-	totalOutDeg map[graph.VertexID]uint64
-	// registered tracks split vertices this agent announced to masters.
-	registered map[graph.VertexID]bool
+	store *graph.Store
+	// verts holds the per-vertex state of the superstep path: algorithm
+	// value, the run's active set, the phase's work list and whether a split
+	// vertex was announced to its master (vtable.go).
+	verts vertexTable
+	// splits lists the locally present split vertices, which always-active
+	// programs feed every step (localSplits).
+	splits struct {
+		list  []graph.VertexID
+		run   uint32
+		epoch uint64
+		n     int
+	}
 	// masters is the number of locally present vertices this agent is the
 	// master of under view epoch mastersEpoch, kept current from the
 	// store's flip log by the batch-open round (walkFlips).
@@ -228,19 +233,20 @@ type Agent struct {
 	// capacity persists across phases so steady-state supersteps stop
 	// allocating on the scatter path.
 	shards      []*computeShard
-	workSet     map[graph.VertexID]struct{}
-	workList    []graph.VertexID
-	combineKeys []graph.VertexID
-	combineVals []partialEntry
+	combineKeys []graph.VertexID // the combine phase's vertices, sorted,
+	combineVals []partialEntry   // and their partials, parallel to its work list
 	batcherFree []*msgBatcher
 	asyncFree   []*asyncBatcher
 
-	migratedEpoch uint64     // last epoch whose migration round we voted in
-	mig           migScratch // the migration round's reusable buffers
-	leaving       bool
-	readyToExit   bool
-	stopped       atomic.Bool
-	done          chan struct{}
+	migratedEpoch uint64 // last epoch whose migration round we voted in
+	// peers holds the addresses of the last membership handleView installed:
+	// those the next one drops are where sends can be stranded.
+	peers       map[string]bool
+	mig         migScratch // the migration round's reusable buffers
+	leaving     bool
+	readyToExit bool
+	stopped     atomic.Bool
+	done        chan struct{}
 
 	// Counters exposed for metrics and tests (see agentStats).
 	*agentStats
@@ -305,13 +311,9 @@ func Start(opts Options) (*Agent, error) {
 		router:      route.New(opts.Config),
 		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
-		values:      make(map[graph.VertexID]algorithm.Word),
-		totalOutDeg: make(map[graph.VertexID]uint64),
-		registered:  make(map[graph.VertexID]bool),
 		skDelta:     opts.Config.NewSketch(),
 		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
-		workSet:     make(map[graph.VertexID]struct{}),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
 		done:        make(chan struct{}),
@@ -698,8 +700,8 @@ func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) {
 }
 
 // initValue computes v's initial algorithm state without installing it —
-// shared by valueOf (which installs) and peekValue (which must not touch
-// shared maps from phase workers).
+// shared by valueOf (which installs) and peekValue (which must not write
+// the vertex table from phase workers).
 func (a *Agent) initValue(v graph.VertexID) algorithm.Word {
 	if a.run == nil {
 		return 0
@@ -714,11 +716,9 @@ func (a *Agent) initValue(v graph.VertexID) algorithm.Word {
 // valueOf returns v's algorithm state, lazily initializing through the
 // running program.
 func (a *Agent) valueOf(v graph.VertexID) algorithm.Word {
-	if w, ok := a.values[v]; ok {
-		return w
-	}
-	w := a.initValue(v)
-	a.values[v] = w
+	i := a.verts.at(v)
+	w := a.peekValue(i)
+	a.verts.setAt(i, w)
 	return w
 }
 

@@ -19,7 +19,7 @@ func TestMailFoldRawOnly(t *testing.T) {
 	// program is there to merge them.
 	var tab aggTable
 	for _, w := range []algorithm.Word{5, 3, 9} {
-		tab.merge(nil, 1, w)
+		tab.mergeKey(nil, 1, w)
 	}
 	if got := foldOf(&tab, algorithm.WCC{}, 1); got != 3 {
 		t.Errorf("fold = %d, want min 3", got)
@@ -32,7 +32,7 @@ func TestMailFoldRawOnly(t *testing.T) {
 func TestMailFoldEagerOnly(t *testing.T) {
 	var tab aggTable
 	wcc := algorithm.WCC{}
-	tab.merge(wcc, 1, 2)
+	tab.mergeKey(wcc, 1, 2)
 	tab.gather(wcc, 1, 6)
 	if got := foldOf(&tab, wcc, 1); got != 2 {
 		t.Errorf("fold = %d", got)
@@ -47,15 +47,15 @@ func TestMailFoldMixedEras(t *testing.T) {
 	// installed must combine.
 	var tab aggTable
 	wcc := algorithm.WCC{}
-	tab.merge(nil, 1, 4)
-	tab.merge(nil, 1, 9)
-	tab.merge(wcc, 1, 7)
+	tab.mergeKey(nil, 1, 4)
+	tab.mergeKey(nil, 1, 9)
+	tab.mergeKey(wcc, 1, 7)
 	if got := foldOf(&tab, wcc, 1); got != 4 {
 		t.Errorf("fold = %d, want 4", got)
 	}
 	pr := algorithm.PageRank{}
 	tab.reset()
-	tab.merge(nil, 2, algorithm.FromF64(0.25))
+	tab.mergeKey(nil, 2, algorithm.FromF64(0.25))
 	tab.gather(pr, 2, algorithm.FromF64(0.5))
 	if got := foldOf(&tab, pr, 2).F64(); got != 0.75 {
 		t.Errorf("pagerank fold = %v, want 0.75", got)
@@ -67,7 +67,7 @@ func TestMailGetMissing(t *testing.T) {
 	if tab.get(1) != nil || (*aggTable)(nil).get(1) != nil {
 		t.Error("empty and nil tables must hold nothing")
 	}
-	tab.merge(algorithm.WCC{}, 1, 3)
+	tab.mergeKey(algorithm.WCC{}, 1, 3)
 	if tab.get(2) != nil {
 		t.Error("absent key found")
 	}

@@ -164,16 +164,16 @@ func (t *aggTable) gather(prog algorithm.Program, v graph.VertexID, msg algorith
 	s.agg = prog.Gather(s.agg, msg)
 }
 
-// merge combines an aggregate some sender already gathered into v's. With
-// no program (no run installed yet) the aggregate waits in the raw buffer.
-func (t *aggTable) merge(prog algorithm.Program, v graph.VertexID, agg algorithm.Word) {
-	s, _ := t.put(v)
+// merge combines an aggregate some sender already gathered into the entry
+// put returned. With no program (no run installed yet) the aggregate waits in
+// the raw buffer.
+func (t *aggTable) merge(prog algorithm.Program, s *aggSlot, agg algorithm.Word) {
 	switch {
 	case prog == nil:
 		if t.raw == nil {
 			t.raw = make(map[graph.VertexID][]algorithm.Word)
 		}
-		t.raw[v] = append(t.raw[v], agg)
+		t.raw[s.key] = append(t.raw[s.key], agg)
 	case s.flags&slotEager == 0:
 		s.flags |= slotEager
 		s.agg = agg

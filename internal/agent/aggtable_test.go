@@ -11,6 +11,12 @@ import (
 	"elga/internal/wire"
 )
 
+// mergeKey merges an aggregate into v's entry, adding one if v has none.
+func (t *aggTable) mergeKey(prog algorithm.Program, v graph.VertexID, agg algorithm.Word) {
+	s, _ := t.put(v)
+	t.merge(prog, s, agg)
+}
+
 // TestAggTableMatchesMapModel drives random put/get/kill/reset against a Go
 // map and an insertion-order list, through several growths per round: get
 // agrees with the map on every key ever used, live is exact, each walks the
@@ -136,12 +142,12 @@ func TestAggTableGenerationWrap(t *testing.T) {
 func TestKilledRawEntryIsGone(t *testing.T) {
 	var tab aggTable
 	wcc := algorithm.WCC{}
-	tab.merge(nil, 5, 2)
+	tab.mergeKey(nil, 5, 2)
 	tab.kill(tab.get(5))
 	if tab.get(5) != nil || tab.live != 0 {
 		t.Fatalf("killed entry still live (live=%d)", tab.live)
 	}
-	tab.merge(wcc, 5, 8)
+	tab.mergeKey(wcc, 5, 8)
 	if got := foldOf(&tab, wcc, 5); got != 8 {
 		t.Fatalf("fold after kill+merge = %d, want 8 (the killed raw 2 must not return)", got)
 	}
@@ -267,7 +273,7 @@ func TestMailboxWatermarkCountsLiveEntries(t *testing.T) {
 	a.ckpt.writer = checkpoint.NewWriter(sink, "wm")
 	mail := a.mailFor(6)
 	for v := graph.VertexID(1); v <= 3; v++ {
-		mail.merge(a.run.prog, v, algorithm.Word(v))
+		mail.mergeKey(a.run.prog, v, algorithm.Word(v))
 	}
 	mail.kill(mail.get(2))
 	a.checkpointNow(true)

@@ -158,8 +158,10 @@ func TestCombineHubsAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, combine); allocs > 32 {
 		t.Fatalf("a combine phase over 64 hubs allocates %v times, want <= 32", allocs)
 	}
-	if got := a.totalOutDeg[hubs[0]]; got != 11 {
-		t.Fatalf("hub %d combined out-degree %d, want 11", hubs[0], got)
+	prog := a.run.prog
+	agg := prog.MergeAgg(prog.MergeAgg(prog.ZeroAgg(), algorithm.FromF64(0.01)), algorithm.FromF64(0.02))
+	if want, _ := prog.Update(hubs[0], 0, agg, true, &a.run.ctx); stateOf(a, hubs[0]) != want {
+		t.Fatalf("hub %d combined state %v, want %v", hubs[0], stateOf(a, hubs[0]), want)
 	}
 }
 
@@ -193,7 +195,7 @@ func TestValueUpdateFrameAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, handle); allocs > 12 {
 		t.Fatalf("a 64-record value-update frame allocates %v times, want <= 12", allocs)
 	}
-	if got := a.values[hubs[63]]; got != algorithm.FromF64(0.5) {
+	if got := stateOf(a, hubs[63]); got != algorithm.FromF64(0.5) {
 		t.Fatalf("hub %d state not installed: %v", hubs[63], got)
 	}
 }

@@ -32,21 +32,16 @@ func (a *Agent) startAsync() {
 	// received message (which would re-scatter forever). Seeds announce
 	// their values explicitly below instead.
 	r.ctx.Step = 1
-	seeds := make([]graph.VertexID, 0)
 	if r.spec.FromScratch {
-		a.store.Vertices(func(v graph.VertexID) bool {
-			a.values[v] = r.prog.Init(v, &r.ctx)
-			if r.prog.InitActive(v, &r.ctx) {
-				seeds = append(seeds, v)
-			}
-			return true
-		})
-	} else {
-		for v := range r.active {
-			seeds = append(seeds, v)
-		}
-		r.active = make(map[graph.VertexID]struct{})
+		a.initStates()
 	}
+	// The seeds are copied out: processing one may move the table's records.
+	t := &a.verts
+	seeds := make([]graph.VertexID, 0, len(t.list[setActive]))
+	for _, i := range t.list[setActive] {
+		seeds = append(seeds, t.slots[i].key)
+	}
+	t.begin(setActive)
 	b := a.getAsyncBatcher()
 	for _, v := range seeds {
 		// Seed scatter: announce the current value along all edges.
@@ -86,7 +81,7 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 		if nw == old && !act {
 			continue
 		}
-		a.values[v] = nw
+		a.verts.set(v, nw)
 		if act {
 			mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
 			a.asyncScatter(b, v, mv, false)
@@ -134,7 +129,7 @@ func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Wor
 	// re-delivering the improved value as an ordinary message.
 	if a.router.Split(v) {
 		self := consistent.AgentID(a.id)
-		state := a.values[v]
+		state, _ := a.verts.get(v)
 		for _, rep := range a.router.ReplicaSet(v) {
 			if rep == self {
 				continue
@@ -198,7 +193,7 @@ func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
 	if nw == old && !act {
 		return
 	}
-	a.values[v] = nw
+	a.verts.set(v, nw)
 	if act {
 		b := a.getAsyncBatcher()
 		mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)

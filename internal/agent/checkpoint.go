@@ -61,7 +61,7 @@ func (a *Agent) initCheckpoint() error {
 	if st != nil {
 		st.ApplyToStore(a.store)
 		for _, vs := range st.States {
-			a.values[vs.Vertex] = algorithm.Word(vs.State)
+			a.verts.set(vs.Vertex, algorithm.Word(vs.State))
 			if vs.Active {
 				a.store.MarkActive(vs.Vertex)
 			}
@@ -142,14 +142,14 @@ func (a *Agent) checkpointNow(forced bool) {
 		meta.RunID = r.id
 		meta.Step = r.step
 	}
-	states := make([]wire.VertexState, 0, len(a.values))
-	for v, val := range a.values {
+	states := make([]wire.VertexState, 0, a.verts.used)
+	a.verts.each(func(v graph.VertexID, val algorithm.Word) {
 		states = append(states, wire.VertexState{
 			Vertex: v,
 			State:  wire.Word(val),
-			Active: a.isActiveForCkpt(v),
+			Active: a.isActive(v),
 		})
-	}
+	})
 	var marks []wire.MailboxWatermark
 	if len(a.mailbox) > 0 {
 		marks = make([]wire.MailboxWatermark, 0, len(a.mailbox))
@@ -182,18 +182,15 @@ func (a *Agent) checkpointNow(forced bool) {
 	span.End()
 }
 
-// isActiveForCkpt preserves activation the way migration shipments do:
-// a vertex is active if the store marks it or the installed run holds it
-// in the next compute frontier.
-func (a *Agent) isActiveForCkpt(v graph.VertexID) bool {
+// isActive is the activation a checkpoint and a migration shipment preserve:
+// a vertex is active if the store marks it or the installed run holds it in
+// the next compute frontier.
+func (a *Agent) isActive(v graph.VertexID) bool {
 	if a.store.IsActive(v) {
 		return true
 	}
-	if a.run != nil {
-		_, ok := a.run.active[v]
-		return ok
-	}
-	return false
+	i := a.verts.find(v)
+	return a.run != nil && i >= 0 && a.verts.in(setActive, uint32(i))
 }
 
 // maybeSendCheckpointMark reports a newly durable snapshot to the

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -27,47 +28,38 @@ func (a *Agent) handleAlgoStart(pkt *wire.Packet) {
 	if err != nil {
 		return
 	}
+	r := &runCtx{
+		id: spec.RunID, spec: spec, prog: prog,
+		ctx: algorithm.Context{Source: spec.Source},
+	}
+	if adj, ok := prog.(algorithm.PerEdgeAdjuster); ok {
+		r.adjust = adj
+	}
 	if spec.Resume {
 		// A re-broadcast for an agent that joined mid-run: adopt the
 		// run without disturbing migrated state or activity.
 		if a.run == nil {
-			r := &runCtx{
-				id: spec.RunID, spec: spec, prog: prog,
-				ctx:     algorithm.Context{Source: spec.Source},
-				active:  make(map[graph.VertexID]struct{}),
-				started: true,
-			}
-			if adj, ok := prog.(algorithm.PerEdgeAdjuster); ok {
-				r.adjust = adj
-			}
+			r.started = true
+			a.verts.begin(setActive)
 			a.run = r
 			a.replayDeferred()
 			a.replayParkedAdvance()
 		}
 		return
 	}
-	r := &runCtx{
-		id:     spec.RunID,
-		spec:   spec,
-		prog:   prog,
-		ctx:    algorithm.Context{Source: spec.Source},
-		active: make(map[graph.VertexID]struct{}),
-	}
-	if adj, ok := prog.(algorithm.PerEdgeAdjuster); ok {
-		r.adjust = adj
-	}
 	defer a.replayDeferred()
+	// The active set is the run's: the one before left nothing in it.
+	a.verts.begin(setActive)
 	if spec.FromScratch {
 		// Discard any stale activity marks; initialization happens at
 		// Advance(step 0) when the global vertex count is known.
 		a.store.TakeActive()
-		a.values = make(map[graph.VertexID]algorithm.Word)
-		a.totalOutDeg = make(map[graph.VertexID]uint64)
+		a.verts.drop(recValue)
 	} else {
 		// Incremental run (§4.3): state persists; vertices touched by
 		// buffered batches seed the active set.
 		for _, v := range a.store.TakeActive() {
-			r.active[v] = struct{}{}
+			a.verts.mark(setActive, a.verts.at(v))
 		}
 	}
 	a.run = r
@@ -224,53 +216,41 @@ func (a *Agent) processCompute() {
 	a.syncPlan()
 	r := a.run
 	if r.step == 0 && r.spec.FromScratch && !r.started {
-		a.store.Vertices(func(v graph.VertexID) bool {
-			a.values[v] = r.prog.Init(v, &r.ctx)
-			if r.prog.InitActive(v, &r.ctx) {
-				r.active[v] = struct{}{}
-			}
-			return true
-		})
+		a.initStates()
 	}
 	r.started = true
 
 	mail := a.mailbox[r.step]
 	delete(a.mailbox, r.step)
 
-	// Work set: active vertices plus everything with mail, plus any
-	// activity that arrived through migration (st.Active marks). The
-	// dedup map and the indexable list are scratch state reused across
-	// phases.
-	clear(a.workSet)
-	work := a.workSet
-	for v := range r.active {
-		work[v] = struct{}{}
+	// Work list: active vertices plus everything with mail, plus any
+	// activity that arrived through migration (st.Active marks), each probed
+	// once; workers get the slots. Always-active programs (PageRank) must
+	// also feed split-vertex partials every step so masters can rebuild total
+	// out-degrees.
+	t := &a.verts
+	t.begin(setWork)
+	for _, i := range t.list[setActive] {
+		if t.in(setActive, i) {
+			t.mark(setWork, i)
+		}
 	}
-	mail.each(func(s *aggSlot) { work[s.key] = struct{}{} })
+	mail.each(func(s *aggSlot) { t.mark(setWork, t.at(s.key)) })
 	for _, v := range a.store.TakeActive() {
-		work[v] = struct{}{}
+		t.mark(setWork, t.at(v))
 	}
-	// Always-active programs (PageRank) must feed split-vertex partials
-	// every step so masters can rebuild total out-degrees.
-	alwaysSplit := !r.prog.HaltOnQuiescence()
-	if alwaysSplit {
-		a.store.Vertices(func(v graph.VertexID) bool {
-			if a.router.Split(v) {
-				work[v] = struct{}{}
-			}
-			return true
-		})
+	if !r.prog.HaltOnQuiescence() {
+		for _, v := range a.localSplits() {
+			t.mark(setWork, t.at(v))
+		}
 	}
-	a.workList = a.workList[:0]
-	for v := range work {
-		a.workList = append(a.workList, v)
-	}
-	clear(r.active)
+	t.begin(setActive)
+	work := t.list[setWork]
 
 	batches := a.getBatcher(r.step + 1)
 	self := consistent.AgentID(a.id)
-	shards := a.runSharded(len(a.workList), func(s *computeShard, i int) {
-		a.computeVertex(s, a.workList[i], mail, self)
+	shards := a.runSharded(len(work), func(s *computeShard, i int) {
+		a.computeVertex(s, work[i], mail, self)
 	})
 	a.mergeShards(shards, batches, self)
 	batches.flush(a.phaseGate)
@@ -278,6 +258,48 @@ func (a *Agent) processCompute() {
 	a.recycleMail(mail)
 	r.doneLocal = true
 	a.maybeReady()
+}
+
+// initStates starts a from-scratch run: every present vertex gets its initial
+// state and the initially active ones make up the active set — in vertex
+// order, not the store's map order, so that the work lists that follow are a
+// function of the run's input.
+func (a *Agent) initStates() {
+	r, t := a.run, &a.verts
+	vs := make([]graph.VertexID, 0, a.store.NumVertices())
+	a.store.Vertices(func(v graph.VertexID) bool {
+		vs = append(vs, v)
+		return true
+	})
+	slices.Sort(vs)
+	for _, v := range vs {
+		i := t.at(v)
+		t.setAt(i, r.prog.Init(v, &r.ctx))
+		if r.prog.InitActive(v, &r.ctx) {
+			t.mark(setActive, i)
+		}
+	}
+}
+
+// localSplits returns the locally present split vertices, in vertex order,
+// without walking the store every superstep: the list stands while the run,
+// the view epoch and the store's vertex count do. Stream batches wait for
+// the run to end and a migration round opens an epoch; what arrives inside
+// one (a round's late copies, a pin) adds to the count.
+func (a *Agent) localSplits() []graph.VertexID {
+	s := &a.splits
+	if run, epoch, n := a.run.id, a.router.Epoch(), a.store.NumVertices(); s.run != run || s.epoch != epoch || s.n != n {
+		s.run, s.epoch, s.n = run, epoch, n
+		s.list = s.list[:0]
+		a.store.Vertices(func(v graph.VertexID) bool {
+			if a.router.Split(v) {
+				s.list = append(s.list, v)
+			}
+			return true
+		})
+		slices.Sort(s.list)
+	}
+	return s.list
 }
 
 // processCombine is superstep phase 2: masters fold replica partials,
@@ -290,19 +312,27 @@ func (a *Agent) processCombine() {
 	parts := a.partials[r.step]
 	delete(a.partials, r.step)
 	self := consistent.AgentID(a.id)
+	// The work list, in vertex order rather than the partial map's.
 	a.combineKeys = a.combineKeys[:0]
-	a.combineVals = a.combineVals[:0]
-	for v, p := range parts {
+	for v := range parts {
 		a.combineKeys = append(a.combineKeys, v)
-		a.combineVals = append(a.combineVals, p)
 	}
+	slices.Sort(a.combineKeys)
+	t := &a.verts
+	t.begin(setWork)
+	a.combineVals = a.combineVals[:0]
+	for _, v := range a.combineKeys {
+		t.mark(setWork, t.at(v))
+		a.combineVals = append(a.combineVals, parts[v])
+	}
+	work := t.list[setWork]
 	if parts != nil {
 		clear(parts)
 		a.partialFree = append(a.partialFree, parts)
 	}
 	batches := a.getBatcher(r.step + 1)
-	shards := a.runSharded(len(a.combineKeys), func(s *computeShard, i int) {
-		a.combineVertex(s, a.combineKeys[i], &a.combineVals[i], self)
+	shards := a.runSharded(len(work), func(s *computeShard, i int) {
+		a.combineVertex(s, work[i], &a.combineVals[i], self)
 	})
 	a.mergeShards(shards, batches, self)
 	batches.flush(a.phaseGate)
@@ -476,8 +506,7 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 	n, _ := wire.ValueUpdateCount(pkt.Payload) // malformed: no records
 	for i := 0; i < n; i++ {
 		vu := wire.ValueUpdateAt(pkt.Payload, i)
-		a.values[vu.Vertex] = algorithm.Word(vu.State)
-		a.totalOutDeg[vu.Vertex] = vu.TotalOutDeg
+		a.verts.set(vu.Vertex, algorithm.Word(vu.State))
 		if !vu.Scatter {
 			continue
 		}
@@ -877,19 +906,24 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 // into the step's mailbox table, resolved once for the batch; the rest are
 // buffered in b, unchanged, for a replica of their target — the sender's
 // view was stale, any replica will do, and Via (one of the folded sources)
-// picks one. It returns how many it buffered; the caller sends them.
+// picks one. Only a target's first aggregate is looked up: a live entry is
+// one this agent serves under the installed view, every view change having
+// re-routed the others away (rerouteMail). It returns how many it buffered;
+// the caller sends them.
 func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
 	self := consistent.AgentID(a.id)
 	mail, prog := b.local(), a.prog()
 	for _, m := range msgs {
-		if !a.router.IsReplica(m.Target, self) {
+		s, fresh := mail.put(m.Target)
+		if fresh && !a.router.IsReplica(m.Target, self) {
 			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != b.self {
+				mail.kill(s)
 				b.dstBufs.add(dst, m)
 				forwarded++
 				continue
 			}
 		}
-		mail.merge(prog, m.Target, algorithm.Word(m.Value))
+		mail.merge(prog, s, algorithm.Word(m.Value))
 	}
 	return forwarded
 }
@@ -909,7 +943,7 @@ func (a *Agent) handleQuery(pkt *wire.Packet) {
 	}
 	atomic.AddUint64(&a.statQueries, 1)
 	rep := &wire.QueryReply{}
-	if w, ok := a.values[q.Vertex]; ok {
+	if w, ok := a.verts.get(q.Vertex); ok {
 		rep.Found = true
 		rep.State = wire.Word(w)
 	} else if a.store.HasVertex(q.Vertex) {

@@ -82,10 +82,10 @@ func TestGatherOnceOnReceivePaths(t *testing.T) {
 	b.flush(a.phaseGate)
 	a.putBatcher(b)
 	advanceCompute(a, 1)
-	if got := a.values[5]; got != 3+2+4+2 {
+	if got := stateOf(a, 5); got != 3+2+4+2 {
 		t.Errorf("vertex 5 counted %d messages, want 11", got)
 	}
-	if got := a.values[6]; got != 1 {
+	if got := stateOf(a, 6); got != 1 {
 		t.Errorf("vertex 6 counted %d messages, want 1", got)
 	}
 }
@@ -128,9 +128,9 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	// Re-route: mail for the peer's vertex that was accepted earlier (4
 	// messages, then 2 more) leaves as one aggregate of 6.
 	mail := a.mailFor(3)
-	mail.merge(a.run.prog, theirs, 4)
-	mail.merge(a.run.prog, theirs, 2)
-	mail.merge(a.run.prog, mine, 1)
+	mail.mergeKey(a.run.prog, theirs, 4)
+	mail.mergeKey(a.run.prog, theirs, 2)
+	mail.mergeKey(a.run.prog, mine, 1)
 	a.migrate(2, nil, false)
 	if mail.get(theirs) != nil || mail.live != 1 {
 		t.Fatalf("re-routed entry still live (live=%d)", mail.live)
@@ -139,5 +139,56 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	want := []wire.VertexMsg{{Target: theirs, Via: 1, Value: 9}, {Target: theirs, Via: theirs, Value: 6}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("peer received %+v, want %+v", got, want)
+	}
+}
+
+// TestAcceptAggsLooksATargetUpOnce: only the first aggregate a step's
+// mailbox sees for a target is checked against the route table. The router
+// is moved to a view that lists the peer alone behind the mailbox's back —
+// handleView would have re-routed the entries — so a lookup would send
+// everything away: the target with a live entry still merges, a target
+// without one is still forwarded, and neither is gathered again.
+func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, inDegreeProg{}, 64)
+	a.run.started = true
+	peer := newPeerSink(t, a.opts.Network)
+	const held, stranger = graph.VertexID(5), graph.VertexID(6)
+	if a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: held, Via: 1, Value: 3})) {
+		t.Fatal("an accepted batch must not be retained")
+	}
+	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{{ID: 2, Addr: peer.node.Addr()}}}
+	if _, err := a.router.Update(view); err != nil {
+		t.Fatal(err)
+	}
+	if a.isReplicaOf(held) {
+		t.Fatal("the test wants a view under which the held target is another agent's")
+	}
+	if retained := a.handleVertexMsgs(vertexMsgPacket(1,
+		wire.VertexMsg{Target: held, Via: 2, Value: 4},
+		wire.VertexMsg{Target: stranger, Via: 2, Value: 9})); !retained {
+		t.Fatal("the stranger's aggregate must be forwarded, its packet kept until that is acked")
+	}
+	if got := peer.waitMsgs(t, 1); len(got) != 1 || got[0] != (wire.VertexMsg{Target: stranger, Via: 2, Value: 9}) {
+		t.Fatalf("peer received %+v, want the stranger's aggregate untouched", got)
+	}
+	mail := a.mailbox[1]
+	if e := mail.get(held); e == nil || mail.fold(a.run.prog, e) != 3+4 {
+		t.Fatalf("held target's entry = %+v, want the two aggregates merged", e)
+	}
+	if mail.get(stranger) != nil || mail.live != 1 {
+		t.Fatalf("the forwarded target left a live entry (live=%d)", mail.live)
+	}
+	// The killed slot starts over: under a view that serves it here, the
+	// stranger's next aggregate is looked up again and accepted.
+	view = &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: []wire.AgentInfo{{ID: a.id, Addr: a.node.Addr()}}}
+	if _, err := a.router.Update(view); err != nil {
+		t.Fatal(err)
+	}
+	if a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: stranger, Via: 2, Value: 2})) {
+		t.Fatal("an accepted batch must not be retained")
+	}
+	if e := mail.get(stranger); e == nil || mail.fold(a.run.prog, e) != 2 {
+		t.Fatalf("stranger's entry = %+v, want the one aggregate accepted after the kill", e)
 	}
 }

@@ -110,7 +110,7 @@ func TestValueUpdateFrameRebindsOnStepChange(t *testing.T) {
 		t.Fatal("a scattering frame is retained as its group's origin (and released when it drains)")
 	}
 	for v, want := range map[graph.VertexID]float64{1: 0.5, 2: 0.3, 3: 0.1} {
-		if got := a.values[v].F64(); got != want {
+		if got := stateOf(a, v).F64(); got != want {
 			t.Fatalf("vertex %d state %v, want %v", v, got, want)
 		}
 	}

@@ -32,15 +32,11 @@ func newLoopbackAgent(tb testing.TB, cfg config.Config, n uint64) *Agent {
 		id:          1,
 		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
-		values:      make(map[graph.VertexID]algorithm.Word),
-		totalOutDeg: make(map[graph.VertexID]uint64),
-		registered:  make(map[graph.VertexID]bool),
 		skDelta:     cfg.NewSketch(),
 		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
-		workSet:     make(map[graph.VertexID]struct{}),
 		done:        make(chan struct{}),
 	}
 	v := &wire.View{
@@ -60,9 +56,14 @@ func installRun(a *Agent, prog algorithm.Program, n uint64) {
 		spec:    &wire.AlgoStart{RunID: 1, Algo: prog.Name(), FromScratch: true},
 		prog:    prog,
 		ctx:     algorithm.Context{N: n},
-		active:  make(map[graph.VertexID]struct{}),
 		started: false,
 	}
+}
+
+// stateOf is v's algorithm state at a, the zero Word if it has none.
+func stateOf(a *Agent, v graph.VertexID) algorithm.Word {
+	w, _ := a.verts.get(v)
+	return w
 }
 
 // advanceCompute drives one compute phase the way handleAdvance would,

@@ -19,14 +19,6 @@ import (
 // changed only the sketch re-evaluates just the vertices the router
 // rerouted; a membership or override change re-evaluates every vertex.
 func (a *Agent) handleView(v *wire.View) {
-	// Snapshot the outgoing membership before the router re-indexes, so
-	// in-flight sends stranded toward evicted peers can be reclaimed.
-	prevAddrs := make(map[string]bool)
-	for _, id := range a.router.Agents() {
-		if addr, ok := a.router.AddrOf(id); ok {
-			prevAddrs[addr] = true
-		}
-	}
 	changed, err := a.router.Update(v)
 	if err != nil || !changed {
 		return
@@ -45,7 +37,9 @@ func (a *Agent) handleView(v *wire.View) {
 	// covers everything this agent holds.
 	if rerouted, sketchOnly := a.router.Rerouted(); sketchOnly {
 		for _, u := range rerouted {
-			delete(a.registered, u)
+			if i := a.verts.find(u); i >= 0 {
+				a.verts.slots[i].flags &^= recRegistered
+			}
 		}
 		a.migrate(uint32(epoch), rerouted, true)
 		return
@@ -66,22 +60,23 @@ func (a *Agent) handleView(v *wire.View) {
 	// Mastership moves with the membership: forget which masters were
 	// told about our split vertices so refreshRegistrations re-announces
 	// them under the new view.
-	clear(a.registered)
+	a.verts.drop(recRegistered)
 	// Reclaim unacknowledged sends toward peers that left the view and
 	// re-route their contents under the new epoch. The gates those sends
 	// fed stay held until the replacements complete, so barrier
 	// accounting survives peer death without losing data.
-	for _, id := range a.router.Agents() {
-		if addr, ok := a.router.AddrOf(id); ok {
-			delete(prevAddrs, addr)
+	peers := make(map[string]bool, len(v.Agents))
+	for _, m := range v.Agents {
+		peers[m.Addr] = true
+	}
+	for addr := range a.peers {
+		if !peers[addr] && addr != a.node.Addr() {
+			for _, f := range a.node.CancelPeer(addr) {
+				a.rerouteFailed(f)
+			}
 		}
 	}
-	delete(prevAddrs, a.node.Addr())
-	for addr := range prevAddrs {
-		for _, f := range a.node.CancelPeer(addr) {
-			a.rerouteFailed(f)
-		}
-	}
+	a.peers = peers
 	a.migrate(uint32(epoch), nil, false)
 }
 
@@ -307,12 +302,8 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
 		return
 	}
 	var st *wire.VertexState
-	if w, ok := a.values[v]; ok {
-		active := a.store.IsActive(v)
-		if a.run != nil && !active {
-			_, active = a.run.active[v]
-		}
-		st = &wire.VertexState{Vertex: v, State: wire.Word(w), Active: active}
+	if w, ok := a.verts.get(v); ok {
+		st = &wire.VertexState{Vertex: v, State: wire.Word(w), Active: a.isActive(v)}
 	}
 	var it graph.Cursor
 	for _, dir := range [...]graph.Dir{graph.Out, graph.In} {
@@ -350,13 +341,8 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
 	}
 	if !a.store.HasVertex(v) {
 		// Gone from here; state and activity went with the copies.
-		delete(a.values, v)
-		delete(a.totalOutDeg, v)
-		delete(a.registered, v)
+		a.verts.del(v)
 		a.store.ClearActive(v)
-		if a.run != nil {
-			delete(a.run.active, v)
-		}
 	}
 }
 
@@ -418,7 +404,7 @@ func (a *Agent) refreshRegistrations(gate *ackGroup) {
 // registerSplit announces this agent to v's master if v is split, not
 // mastered here, and not announced yet.
 func (a *Agent) registerSplit(v graph.VertexID, gate *ackGroup) {
-	if !a.router.Split(v) || a.registered[v] {
+	if !a.router.Split(v) || a.verts.flag(v, recRegistered) {
 		return
 	}
 	master, ok := a.router.Master(v)
@@ -426,7 +412,8 @@ func (a *Agent) registerSplit(v graph.VertexID, gate *ackGroup) {
 		return
 	}
 	if addr, ok := a.router.AddrOf(master); ok {
-		a.registered[v] = true
+		i := a.verts.at(v)
+		a.verts.slots[i].flags |= recRegistered
 		a.sendGatedFrame(addr, wire.AppendReplicaRegister(
 			a.node.NewFrame(wire.TReplicaRegister), &wire.ReplicaRegister{
 				Vertex: v, AgentID: a.id,
@@ -454,12 +441,8 @@ func (a *Agent) handleEdges(pkt *wire.Packet) bool {
 			a.early = append(a.early, pkt)
 			return true
 		}
-		states := make(map[graph.VertexID]wire.VertexState, len(batch.States))
-		for _, st := range batch.States {
-			states[st.Vertex] = st
-		}
 		g := &ackGroup{origin: pkt}
-		a.applyChanges(batch.Changes, true, g, states)
+		a.applyChanges(batch.Changes, true, g, stateIndex(batch.States))
 		a.sealGroup(g)
 		return true
 	}
@@ -473,6 +456,19 @@ func (a *Agent) handleEdges(pkt *wire.Packet) bool {
 	a.applyChanges(batch.Changes, false, g, nil)
 	a.sealGroup(g)
 	return true
+}
+
+// stateIndex keys the states a migration batch carries by vertex; a batch
+// that carries none gets the nil map, which reads the same.
+func stateIndex(states []wire.VertexState) map[graph.VertexID]wire.VertexState {
+	if len(states) == 0 {
+		return nil
+	}
+	m := make(map[graph.VertexID]wire.VertexState, len(states))
+	for _, st := range states {
+		m[st.Vertex] = st
+	}
+	return m
 }
 
 // keyedVertex returns the vertex a copy is stored under.
@@ -648,8 +644,8 @@ func (a *Agent) installState(v graph.VertexID, states map[graph.VertexID]wire.Ve
 	if !ok {
 		return
 	}
-	if _, exists := a.values[v]; !exists {
-		a.values[v] = algorithm.Word(st.State)
+	if _, exists := a.verts.get(v); !exists {
+		a.verts.set(v, algorithm.Word(st.State))
 	}
 	if st.Active {
 		a.store.MarkActive(v)

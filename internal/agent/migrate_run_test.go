@@ -18,6 +18,7 @@ import (
 // counts 10 or more times.
 type migrationRig struct {
 	a     *Agent
+	nw    transport.Network
 	node  *transport.Node
 	peers map[uint64]*peerSink
 	cfg   config.Config
@@ -37,7 +38,7 @@ func newMigrationRig(t *testing.T) *migrationRig {
 	t.Cleanup(node.Close)
 	node.SetAckNotify(true)
 	a.node = node
-	return &migrationRig{a: a, node: node, cfg: cfg,
+	return &migrationRig{a: a, nw: nw, node: node, cfg: cfg,
 		peers: map[uint64]*peerSink{2: newPeerSink(t, nw), 3: newPeerSink(t, nw)}}
 }
 
@@ -134,7 +135,7 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 		a.store.AddEdge(hub, w, graph.Out)
 	}
 	a.store.Vertices(func(v graph.VertexID) bool {
-		a.values[v] = algorithm.Word(v + 7)
+		a.verts.set(v, algorithm.Word(v+7))
 		return true
 	})
 	a.store.TakeActive()
@@ -220,13 +221,13 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 	if a.router.IsReplica(hub, self) && (hubKept == 0 || hubLeft == 0) {
 		t.Fatalf("a three-way split kept %d and shipped %d of the hub's copies", hubKept, hubLeft)
 	}
-	for v := range a.values {
+	a.verts.each(func(v graph.VertexID, _ algorithm.Word) {
 		if !a.store.HasVertex(v) {
 			t.Fatalf("vertex %d left entirely, its value stayed", v)
 		}
-	}
+	})
 	a.store.Vertices(func(v graph.VertexID) bool {
-		if _, ok := a.values[v]; !ok && v != pinnedEmpty {
+		if _, ok := a.verts.get(v); !ok && v != pinnedEmpty {
 			t.Fatalf("vertex %d is still present, its value is gone", v)
 		}
 		return true
@@ -239,7 +240,7 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 		p.mu.Lock()
 		regs := slices.Clone(p.regs)
 		p.mu.Unlock()
-		if !slices.Contains(regs, hub) || !a.registered[hub] {
+		if !slices.Contains(regs, hub) || !a.verts.flag(hub, recRegistered) {
 			t.Fatalf("the hub's master %d saw registrations %v", m, regs)
 		}
 	}
@@ -359,11 +360,11 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 		t.Fatalf("applied counter advanced by %d, want %d", applied-appliedBefore, wantApplied)
 	}
 	for _, v := range []graph.VertexID{v1, v2, hub} {
-		if a.values[v] != algorithm.Word(v+1) {
-			t.Fatalf("state of vertex %d not installed: %v", v, a.values[v])
+		if stateOf(a, v) != algorithm.Word(v+1) {
+			t.Fatalf("state of vertex %d not installed: %v", v, stateOf(a, v))
 		}
 	}
-	if _, ok := a.values[away]; ok {
+	if _, ok := a.verts.get(away); ok {
 		t.Fatal("state installed for a vertex whose copies were all forwarded")
 	}
 	if active := a.store.TakeActive(); !slices.Equal(active, []graph.VertexID{v2}) {
@@ -434,8 +435,8 @@ func TestEarlyMigrationBatchWaitsForItsView(t *testing.T) {
 	}
 	a.handleView(next)
 	r.drain(t)
-	if a.store.OutDegree(v) != 2 || a.values[v] != 42 || len(a.early) != 0 {
-		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", a.store.OutDegree(v), a.values[v], len(a.early))
+	if a.store.OutDegree(v) != 2 || stateOf(a, v) != 42 || len(a.early) != 0 {
+		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", a.store.OutDegree(v), stateOf(a, v), len(a.early))
 	}
 	if e := a.mailbox[3].get(v); e == nil || e.agg.F64() != 0.5 {
 		t.Fatalf("the parked mail did not reach the mailbox: %+v", e)
@@ -475,7 +476,7 @@ func TestApplyChangesQuietPathAllocs(t *testing.T) {
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
 			a.store = graph.NewStore()
-			clear(a.values)
+			a.verts.drop(recValue)
 			st := states
 			if !tc.migration {
 				st = nil

@@ -7,7 +7,6 @@ import (
 
 	"elga/internal/algorithm"
 	"elga/internal/consistent"
-	"elga/internal/graph"
 	"elga/internal/wire"
 )
 
@@ -15,13 +14,16 @@ import (
 // single-threaded agent loop, documented in DESIGN.md): the compute and
 // combine phases shard their work set across a bounded worker pool while
 // the event loop is blocked inside the phase handler. Workers only READ
-// shared agent state (store, values, the step's mailbox table through its
-// read-only get/fold, router — a route-table hit takes no lock, a miss
-// fills the table under the router's own mutex) and
-// WRITE into private computeShard accumulators — and into the routed
-// adjacency (routePlan), where a worker fills in the bytes of the sealed runs
-// of the vertices it scatters: one vertex is one worker's per phase and runs
-// do not overlap, so no two workers touch the same byte. The event loop
+// shared agent state (store; the vertex table, by index: the event loop probed
+// each work vertex once when it built the list and hands out slots, a worker
+// reads its vertex's record in place, and nothing inserts while workers run,
+// so no record moves; the step's mailbox table through its read-only
+// get/fold; router — a route-table hit takes no lock, a miss fills the table
+// under the router's own mutex) and WRITE into private computeShard
+// accumulators — and into the routed adjacency (routePlan), where a worker
+// fills in the bytes of the sealed runs of the vertices it scatters: one
+// vertex is one worker's per phase and runs do not overlap, so no two
+// workers touch the same byte. The event loop
 // merges the shards after the pool joins, so every value install, mailbox
 // delivery, network send, gate transition, plan reset and view install
 // (router.Update, which needs no lookup in flight) still happens
@@ -108,10 +110,12 @@ func (d *dstBufs) add(dst int, m wire.VertexMsg) {
 	d.bufs[dst] = append(d.bufs[dst], m)
 }
 
-// valueWrite is a buffered store into a.values or a.totalOutDeg.
+// valueWrite is a buffered store of a state, and whether the vertex stays
+// active, for the vertex whose record is at slot i of the vertex table.
 type valueWrite struct {
-	v graph.VertexID
-	w algorithm.Word
+	i      uint32
+	active bool
+	w      algorithm.Word
 }
 
 // partialSend is a buffered split-vertex partial headed to a remote
@@ -132,8 +136,6 @@ type valueUpdateSend struct {
 // is reused across phases.
 type computeShard struct {
 	values     []valueWrite
-	outDegs    []valueWrite
-	active     []graph.VertexID
 	residual   float64
 	activeNext uint64
 	splitWork  bool
@@ -150,8 +152,6 @@ type computeShard struct {
 
 func (s *computeShard) reset() {
 	s.values = s.values[:0]
-	s.outDegs = s.outDegs[:0]
-	s.active = s.active[:0]
 	s.residual = 0
 	s.activeNext = 0
 	s.splitWork = false
@@ -222,21 +222,23 @@ func (a *Agent) runSharded(n int, fn func(s *computeShard, i int)) []*computeSha
 	return shards
 }
 
-// peekValue returns v's algorithm state without mutating shared maps —
-// the worker-safe read of valueOf (workers buffer their writes and the
-// merge installs them).
-func (a *Agent) peekValue(v graph.VertexID) algorithm.Word {
-	if w, ok := a.values[v]; ok {
-		return w
+// peekValue returns the algorithm state of the vertex whose record is at
+// slot i without writing the table — the worker-safe read of valueOf
+// (workers buffer their writes and the merge installs them).
+func (a *Agent) peekValue(i uint32) algorithm.Word {
+	rec := &a.verts.slots[i]
+	if rec.flags&recValue != 0 {
+		return rec.value
 	}
-	return a.initValue(v)
+	return a.initValue(rec.key)
 }
 
-// computeVertex runs the compute-phase duty for one work vertex into s:
-// replica-partial forwarding for split vertices, or the full gather →
-// update → scatter cycle for locally owned ones.
-func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail *aggTable, self consistent.AgentID) {
+// computeVertex runs the compute-phase duty for the work vertex at slot i
+// into s: replica-partial forwarding for split vertices, or the full gather
+// → update → scatter cycle for locally owned ones.
+func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self consistent.AgentID) {
 	r := a.run
+	v := a.verts.slots[i].key
 	entry := mail.get(v)
 	if a.router.Split(v) {
 		s.splitWork = true
@@ -268,23 +270,23 @@ func (a *Agent) computeVertex(s *computeShard, v graph.VertexID, mail *aggTable,
 	if entry != nil {
 		agg, have = mail.fold(r.prog, entry), true
 	}
-	old := a.peekValue(v)
+	old := a.peekValue(i)
 	nw, act := r.prog.Update(v, old, agg, have, &r.ctx)
-	s.values = append(s.values, valueWrite{v: v, w: nw})
+	s.values = append(s.values, valueWrite{i: i, active: act, w: nw})
 	s.residual += r.prog.Residual(old, nw)
 	if act {
 		s.activeNext++
-		s.active = append(s.active, v)
 		mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
 		a.scatter(s, v, mv)
 	}
 }
 
-// combineVertex runs the combine-phase master duty for one split vertex
-// into s: fold replica partials, update state, scatter the local
+// combineVertex runs the combine-phase master duty for the split vertex at
+// slot i into s: fold replica partials, update state, scatter the local
 // out-copies, and queue the authoritative value for the other replicas.
-func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry, self consistent.AgentID) {
+func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self consistent.AgentID) {
 	r := a.run
+	v := a.verts.slots[i].key
 	m, ok := a.router.Master(v)
 	if !ok {
 		return
@@ -300,16 +302,14 @@ func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry
 		}
 		return
 	}
-	old := a.peekValue(v)
+	old := a.peekValue(i)
 	nw, act := r.prog.Update(v, old, p.agg, p.have, &r.ctx)
-	s.values = append(s.values, valueWrite{v: v, w: nw})
-	s.outDegs = append(s.outDegs, valueWrite{v: v, w: algorithm.Word(p.outDeg)})
+	s.values = append(s.values, valueWrite{i: i, active: act, w: nw})
 	s.residual += r.prog.Residual(old, nw)
 	if !act {
 		return
 	}
 	s.activeNext++
-	s.active = append(s.active, v)
 	// Master scatters its own out-copies...
 	mv := r.prog.MessageValue(v, nw, p.outDeg, &r.ctx)
 	a.scatter(s, v, mv)
@@ -333,16 +333,13 @@ func (a *Agent) combineVertex(s *computeShard, v graph.VertexID, p *partialEntry
 // sends, and scattered-message delivery all happen here, under the same
 // phase gate the sequential path uses.
 func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self consistent.AgentID) {
-	r := a.run
+	r, t := a.run, &a.verts
 	for _, s := range shards {
 		for _, vw := range s.values {
-			a.values[vw.v] = vw.w
-		}
-		for _, vw := range s.outDegs {
-			a.totalOutDeg[vw.v] = uint64(vw.w)
-		}
-		for _, v := range s.active {
-			r.active[v] = struct{}{}
+			t.setAt(vw.i, vw.w)
+			if vw.active {
+				t.mark(setActive, vw.i)
+			}
 		}
 		r.residual += s.residual
 		r.activeNext += s.activeNext

@@ -1,0 +1,198 @@
+package agent
+
+import (
+	"math/bits"
+
+	"elga/internal/algorithm"
+	"elga/internal/graph"
+)
+
+const (
+	recUsed       uint8 = 1 << iota // the slot holds a key, and does until a rebuild
+	recValue                        // value is the vertex's algorithm state
+	recRegistered                   // announced to the vertex's master as held here (registerSplit)
+)
+
+// The sets a record can be in.
+const (
+	setActive = iota // what the next compute phase processes
+	setWork          // the work list of the phase being run
+)
+
+// vertexRec is one inline table cell (24 B, no pointers): what the agent
+// knows about one vertex beyond its edges. It is in set k while its gen[k]
+// is the table's.
+type vertexRec struct {
+	key   graph.VertexID
+	value algorithm.Word
+	gen   [2]uint16
+	flags uint8
+}
+
+// vertexTable maps vertices to their records — the same table as the route
+// table and aggTable: power-of-two slots probed linearly from a multiply-shift
+// of the key, never more than half full. A set is a generation plus the list
+// of member slots in the order they joined, so emptying one is O(1), walking
+// one costs its size, and that order is a function of the calls made, not of
+// a map seed. Indices stay good until the next insertion.
+//
+// Everything belongs to the event loop except find and reads of slots[i]:
+// phase workers are handed slot indices and only read.
+type vertexTable struct {
+	slots []vertexRec
+	shift uint8
+	used  int // slots holding a key, records that hold nothing included
+	gen   [2]uint16
+	list  [2][]uint32
+}
+
+// probe returns the slot holding v, or the empty one that ends its probe run.
+func (t *vertexTable) probe(v graph.VertexID) (i uint64, found bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i = (uint64(v) * fib) >> t.shift; ; i = (i + 1) & mask {
+		if r := &t.slots[i]; r.flags == 0 || r.key == v {
+			return i, r.flags != 0
+		}
+	}
+}
+
+// find returns the index of v's record, or -1.
+func (t *vertexTable) find(v graph.VertexID) int {
+	if len(t.slots) > 0 {
+		if i, ok := t.probe(v); ok {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// at returns the index of v's record, adding one that holds nothing if v has
+// none; adding may rebuild the table, which moves every record.
+func (t *vertexTable) at(v graph.VertexID) uint32 {
+	if i := t.find(v); i >= 0 {
+		return uint32(i)
+	}
+	if 2*(t.used+1) > len(t.slots) {
+		t.rebuild()
+	}
+	i, _ := t.probe(v)
+	t.slots[i] = vertexRec{key: v, flags: recUsed}
+	t.used++
+	return uint32(i)
+}
+
+// holds reports whether r carries anything a rebuild must keep.
+func (t *vertexTable) holds(r *vertexRec) bool {
+	return r.flags&^recUsed != 0 || r.gen[setActive] == t.gen[setActive] || r.gen[setWork] == t.gen[setWork]
+}
+
+// rebuild moves the records that hold something into fresh slots at most 3/8
+// full and repoints the set lists at them. Records that hold nothing — what
+// del leaves of a departed vertex, work vertices that never got a state — are
+// dropped, so the table is sized by what is live, whatever passed through it.
+func (t *vertexTable) rebuild() {
+	for k, g := range t.gen {
+		if g == 0 {
+			t.gen[k] = 1 // the first build: a zero stamp is in no set
+		}
+	}
+	old, live := t.slots, 0
+	for i := range old {
+		if t.holds(&old[i]) {
+			live++
+		}
+	}
+	n := 64
+	for 8*(live+1) > 3*n {
+		n *= 2
+	}
+	t.slots, t.used = make([]vertexRec, n), live
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if r := &old[i]; t.holds(r) {
+			j, _ := t.probe(r.key)
+			t.slots[j] = *r
+		}
+	}
+	for k := range t.list {
+		kept := t.list[k][:0]
+		for _, oi := range t.list[k] {
+			if r := &old[oi]; r.gen[k] == t.gen[k] { // still a member
+				kept = append(kept, uint32(t.find(r.key)))
+			}
+		}
+		t.list[k] = kept
+	}
+}
+
+// get returns v's state, if it has one.
+func (t *vertexTable) get(v graph.VertexID) (algorithm.Word, bool) {
+	if i := t.find(v); i >= 0 && t.slots[i].flags&recValue != 0 {
+		return t.slots[i].value, true
+	}
+	return 0, false
+}
+
+// set installs v's state.
+func (t *vertexTable) set(v graph.VertexID, w algorithm.Word) { t.setAt(t.at(v), w) }
+
+func (t *vertexTable) setAt(i uint32, w algorithm.Word) {
+	r := &t.slots[i]
+	r.value, r.flags = w, r.flags|recValue
+}
+
+// del forgets everything about v. Its record stays in place, holding nothing,
+// until the next rebuild.
+func (t *vertexTable) del(v graph.VertexID) {
+	if i := t.find(v); i >= 0 {
+		t.slots[i] = vertexRec{key: v, flags: recUsed}
+	}
+}
+
+// each calls fn for every vertex that has a state.
+func (t *vertexTable) each(fn func(v graph.VertexID, w algorithm.Word)) {
+	for i := range t.slots {
+		if r := &t.slots[i]; r.flags&recValue != 0 {
+			fn(r.key, r.value)
+		}
+	}
+}
+
+// flag reports whether v's record carries f.
+func (t *vertexTable) flag(v graph.VertexID, f uint8) bool {
+	i := t.find(v)
+	return i >= 0 && t.slots[i].flags&f != 0
+}
+
+// drop takes f off every record: recValue when a from-scratch run discards
+// all state, recRegistered when mastership moved with the membership.
+func (t *vertexTable) drop(f uint8) {
+	for i := range t.slots {
+		t.slots[i].flags &^= f
+	}
+}
+
+// begin empties set k.
+func (t *vertexTable) begin(k int) {
+	t.list[k] = t.list[k][:0]
+	if t.gen[k]++; t.gen[k] == 0 {
+		// Wrapped: records stamped 2^16 begins ago would be members again.
+		for i := range t.slots {
+			t.slots[i].gen[k] = 0
+		}
+		t.gen[k] = 1
+	}
+}
+
+// mark puts the record at i in set k, once.
+func (t *vertexTable) mark(k int, i uint32) {
+	if r := &t.slots[i]; r.gen[k] != t.gen[k] {
+		r.gen[k] = t.gen[k]
+		t.list[k] = append(t.list[k], i)
+	}
+}
+
+// in reports whether the record at i is in set k. A list may still name a
+// record that left its set (del), twice if it joined again; walkers check,
+// and mark as they go where a repeat would matter.
+func (t *vertexTable) in(k int, i uint32) bool { return t.slots[i].gen[k] == t.gen[k] }

@@ -142,6 +142,44 @@ func compareStores(t *testing.T, seed int64, a, b *graph.Store) {
 // randomized insert/delete/compact sequences, snapshots it, restores into
 // a fresh store, and asserts observational equivalence — across sealed
 // generations, delete-logged sealed entries, and tail-only topology.
+// TestDirSinkConcurrentWritersOfOneSegment: participants sharing a sink write
+// the same content-addressed segment at the same moment (every agent's empty
+// states segment, at every batch boundary). Each write must succeed and the
+// segment must read back whole at any point: with one temporary name shared
+// between them the loser's rename failed, and its snapshot was dropped.
+func TestDirSinkConcurrentWritersOfOneSegment(t *testing.T) {
+	payload := make([]byte, 1<<16)
+	for round := 0; round < 50; round++ {
+		sink, err := NewDirSink(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[0] = byte(round)
+		name := SegmentName(wire.SegStates, payload)
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for w := range errs {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = sink.WriteSegment(name, wire.SegStates, payload)
+				if errs[w] == nil {
+					_, _, errs[w] = sink.ReadSegment(name)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d writer %d: %v", round, w, err)
+			}
+		}
+		if left, _ := filepath.Glob(filepath.Join(sink.Dir(), "segments", "*.tmp")); len(left) != 0 {
+			t.Fatalf("round %d: temporary files left behind: %v", round, left)
+		}
+	}
+}
+
 func TestCheckpointRestoreEquivalenceProperty(t *testing.T) {
 	const (
 		seeds    = 15

@@ -115,19 +115,35 @@ func (s *DirSink) HasSegment(name string) bool {
 	return err == nil
 }
 
-// WriteSegment makes one framed segment durable (temp + rename so a
-// concurrent reader never sees a partial segment).
+// WriteSegment makes one framed segment durable.
 func (s *DirSink) WriteSegment(name string, kind uint8, payload []byte) error {
 	path := s.segPath(name)
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, FrameSegment(kind, payload), 0o644); err != nil {
+	return writeAtomic(path, FrameSegment(kind, payload))
+}
+
+// writeAtomic makes data durable at path through a temporary file of its own
+// and a rename, so a reader never sees a partial file — and neither does a
+// second writer of the same path: participants sharing a sink write the same
+// content-addressed segment concurrently, and with one shared temporary name
+// the loser's rename failed (its snapshot with it) or moved a file the other
+// had just truncated.
+func writeAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
@@ -149,16 +165,7 @@ func (s *DirSink) manifestPath(key string) string {
 // WriteManifest atomically replaces key's manifest root. The manifest
 // rides the same framing as segments (kind 0) so truncation is detected.
 func (s *DirSink) WriteManifest(key string, data []byte) error {
-	path := s.manifestPath(key)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, FrameSegment(0, data), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	return writeAtomic(s.manifestPath(key), FrameSegment(0, data))
 }
 
 // ReadManifest returns key's manifest payload, or os.ErrNotExist when
