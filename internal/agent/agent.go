@@ -784,6 +784,11 @@ func (a *Agent) sendReady(step uint32, phase uint8, masters uint64) {
 		r.ActiveNext = a.run.activeNext
 		r.Residual = a.run.residual
 		r.SplitWork = a.run.splitWork
+		// Metric collection API (§3.4.3): the phase time rides the vote to
+		// the directory's autoscaler sink.
+		if !a.run.phaseStart.IsZero() {
+			r.PhaseSeconds = a.run.votedAt.Sub(a.run.phaseStart).Seconds()
+		}
 	}
 	// Barrier votes are acked: a dropped Ready would wedge the whole
 	// cluster at the barrier, so the transport retransmits it.
@@ -813,8 +818,8 @@ func (a *Agent) maybeReady() {
 	// report only combine-phase contributions.
 	r.activeNext = 0
 	r.residual = 0
-	// Metric collection API (§3.4.3): superstep phase times flow to the
-	// directory's autoscaler sink and the local phase histograms.
+	// The vote carried the phase time; the local phase histograms get it
+	// here.
 	if r.phaseStart.IsZero() {
 		return
 	}
@@ -822,7 +827,6 @@ func (a *Agent) maybeReady() {
 	switch r.phase {
 	case wire.PhaseCompute:
 		a.m.phaseCompute.Observe(dur)
-		a.sendMetric(autoscale.MetricStepTime, dur)
 		// Durability cadence rides the post-vote safe point: the barrier
 		// vote is already out, so snapshot encoding overlaps the barrier
 		// wait instead of stretching the superstep. Superstep-scoped
@@ -832,7 +836,6 @@ func (a *Agent) maybeReady() {
 		a.maybeProfileStep()
 	case wire.PhaseCombine:
 		a.m.phaseCombine.Observe(dur)
-		a.sendMetric(autoscale.MetricCombineTime, dur)
 	}
 }
 

@@ -145,6 +145,12 @@ func TestParallelMidRunJoinMatchesReference(t *testing.T) {
 	if c.NumAgents() != 4 {
 		t.Fatalf("agents = %d after mid-run join", c.NumAgents())
 	}
+	// AddAgent returns at the join reply and the run can end before the
+	// second joiner's migration round closes; the seal waits for it, so no
+	// query below meets a vertex whose copies are in flight.
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	checkReference(t, c, algorithm.PageRank{}, el,
 		algorithm.RunOptions{MaxSteps: 12}, 1e-8)
 }

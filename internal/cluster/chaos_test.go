@@ -83,6 +83,24 @@ func newChaosCluster(t *testing.T, agents int, cfg config.Config, fc transport.F
 	return c, fn
 }
 
+// waitStreamerView blocks until the cluster's streamer routes by a view of
+// at least the given epoch. A test that saw a membership change through
+// another participant calls it before Load: the streamer applies views only
+// when it next sends, and one it has not received yet would send copies to
+// an agent that is gone.
+func waitStreamerView(t *testing.T, c *Cluster, epoch uint64) {
+	t.Helper()
+	s, err := c.streamer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(15 * time.Second); s.Epoch() < epoch; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("streamer still at view epoch %d, want %d", s.Epoch(), epoch)
+		}
+	}
+}
+
 // TestChaosDropOnly checks that PageRank and WCC converge to the
 // single-machine reference while every link drops 5% of its frames (and
 // occasionally duplicates one): the acked-send retransmission and
@@ -191,6 +209,7 @@ func TestChaosKillAgent(t *testing.T) {
 	// The dead agent's edges are lost (fail-stop, no replication).
 	// Re-stream the full edge list — inserts are idempotent, so only the
 	// lost copies land — and verify every copy is re-owned by survivors.
+	waitStreamerView(t, c, observer.Epoch())
 	if err := c.Load(el); err != nil {
 		t.Fatal(err)
 	}

@@ -631,6 +631,7 @@ func (c *Cluster) TransportStats() transport.Stats {
 		t.MalformedFrames += s.MalformedFrames
 		t.EnqueueStalls += s.EnqueueStalls
 		t.ConnWrites += s.ConnWrites
+		t.ConnReads += s.ConnReads
 		t.CoalescedFrames += s.CoalescedFrames
 		t.Retransmits += s.Retransmits
 		t.DuplicatesDropped += s.DuplicatesDropped

@@ -239,6 +239,7 @@ func TestChaosRepartitionKillAgent(t *testing.T) {
 	}
 
 	// Re-stream the lost edges and verify ownership excludes the corpse.
+	waitStreamerView(t, c, observer.Epoch())
 	if err := c.Load(el); err != nil {
 		t.Fatal(err)
 	}

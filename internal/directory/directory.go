@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"elga/internal/algorithm"
+	"elga/internal/autoscale"
 	"elga/internal/checkpoint"
 	"elga/internal/config"
 	"elga/internal/events"
@@ -701,6 +702,14 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		}
 		d.handleReady(m)
 		d.node.Ack(pkt)
+		// The phase time rides the vote: the sample a TMetric carried.
+		if m.PhaseSeconds > 0 && (m.Phase == wire.PhaseCompute || m.Phase == wire.PhaseCombine) {
+			name := autoscale.MetricStepTime
+			if m.Phase == wire.PhaseCombine {
+				name = autoscale.MetricCombineTime
+			}
+			d.observeMetric(&wire.Metric{AgentID: m.AgentID, Name: name, Value: m.PhaseSeconds})
+		}
 	case wire.TRunAlgo:
 		d.pendingRuns = append(d.pendingRuns, pkt)
 		d.advanceWork()
@@ -710,16 +719,8 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.advanceWork()
 		return true
 	case wire.TMetric:
-		if d.opts.MetricHandler != nil || d.health != nil {
-			if m, err := wire.DecodeMetric(pkt.Payload); err == nil {
-				d.statMetricSamples.Add(1)
-				if d.health != nil {
-					d.health.observeMetric(time.Now(), m)
-				}
-				if d.opts.MetricHandler != nil {
-					d.opts.MetricHandler(m)
-				}
-			}
+		if m, err := wire.DecodeMetric(pkt.Payload); err == nil {
+			d.observeMetric(m)
 		}
 	case wire.TSpanBatch:
 		if d.opts.SpanSink != nil || d.health != nil {
@@ -1218,7 +1219,7 @@ func (d *Directory) sendAsyncProbe() {
 	}
 	r.probeSeq++
 	r.probePending = true
-	r.votes = make(map[uint64]bool)
+	clear(r.votes)
 	r.probeSent, r.probeRecv = 0, 0
 	d.publishAdvance(&wire.Advance{
 		Step: r.probeSeq, Phase: wire.PhaseAsyncProbe, N: d.n, RunID: r.spec.RunID,
@@ -1254,6 +1255,21 @@ func (d *Directory) handleAsyncProbeVote(m *wire.Ready) {
 		return
 	}
 	d.scheduleAsyncProbe()
+}
+
+// observeMetric folds one autoscaler sample into the health model and the
+// metric handler.
+func (d *Directory) observeMetric(m *wire.Metric) {
+	if d.opts.MetricHandler == nil && d.health == nil {
+		return
+	}
+	d.statMetricSamples.Add(1)
+	if d.health != nil {
+		d.health.observeMetric(time.Now(), m)
+	}
+	if d.opts.MetricHandler != nil {
+		d.opts.MetricHandler(m)
+	}
 }
 
 func (d *Directory) handleReady(m *wire.Ready) {
@@ -1301,7 +1317,7 @@ func (d *Directory) finishPhase() {
 		// Split vertices exist: run the combine phase before closing
 		// the superstep.
 		r.phase = wire.PhaseCombine
-		r.votes = make(map[uint64]bool)
+		clear(r.votes)
 		r.splitAny = false
 		r.mastersSum = 0 // recounted next compute phase
 		d.publishAdvanceCtx(&wire.Advance{
@@ -1335,7 +1351,7 @@ func (d *Directory) finishPhase() {
 		return
 	}
 	r.step++
-	r.votes = make(map[uint64]bool)
+	clear(r.votes)
 	r.activeSum, r.residual, r.splitAny, r.mastersSum = 0, 0, false, 0
 	r.phase = wire.PhaseCompute
 	if d.migration != nil {

@@ -75,6 +75,25 @@ func Uniform(n, m int, seed int64) graph.EdgeList {
 	return el.Dedupe()
 }
 
+// Grid generates a side×side 4-neighbour grid with both edge directions,
+// cell (r, c) being vertex r*side+c: diameter 2·(side−1) and degree ≤ 4, so
+// a traversal from a corner is many supersteps of next to no compute.
+func Grid(side int) graph.EdgeList {
+	el := make(graph.EdgeList, 0, 4*side*(side-1))
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v, right, below := graph.VertexID(r*side+c), graph.VertexID(r*side+c+1), graph.VertexID((r+1)*side+c)
+			if c+1 < side {
+				el = append(el, graph.Edge{Src: v, Dst: right}, graph.Edge{Src: right, Dst: v})
+			}
+			if r+1 < side {
+				el = append(el, graph.Edge{Src: v, Dst: below}, graph.Edge{Src: below, Dst: v})
+			}
+		}
+	}
+	return el
+}
+
 // PreferentialAttachment generates a Barabási–Albert-style graph: each new
 // vertex attaches k edges to endpoints sampled proportionally to degree.
 // Social-network stand-in with a heavy-tailed degree distribution.

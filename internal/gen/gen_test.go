@@ -59,6 +59,26 @@ func TestRMATSkewed(t *testing.T) {
 	}
 }
 
+func TestGrid(t *testing.T) {
+	el := Grid(5)
+	if len(el) != 4*5*4 || el.NumVertices() != 25 || len(el.Dedupe()) != len(el) {
+		t.Fatalf("5x5 grid: %d edges over %d vertices", len(el), el.NumVertices())
+	}
+	for v, d := range el.Degrees() {
+		r, c := int(v)/5, int(v)%5
+		want := 4
+		if r == 0 || r == 4 {
+			want--
+		}
+		if c == 0 || c == 4 {
+			want--
+		}
+		if d != want {
+			t.Errorf("cell (%d,%d) has out-degree %d, want %d", r, c, d, want)
+		}
+	}
+}
+
 func TestUniform(t *testing.T) {
 	el := Uniform(100, 2000, 1)
 	if len(el) == 0 {

@@ -235,6 +235,13 @@ func (s *Streamer) Flush() error {
 	return s.node.Flush(s.opts.Config.RequestTimeout)
 }
 
+// Epoch applies any queued views and returns the epoch of the one the
+// streamer now routes by. Like Send, not for use concurrently with ingest.
+func (s *Streamer) Epoch() uint64 {
+	_ = s.drainViews(false)
+	return s.router.Epoch()
+}
+
 // Sent returns the number of edge-change copies flushed so far.
 func (s *Streamer) Sent() uint64 { return s.sent.Load() }
 

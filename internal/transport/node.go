@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +42,10 @@ const (
 	ackRTO       = 200 * time.Millisecond
 	ackRTOMax    = 2 * time.Second
 	ackMaxResend = 6
-	rexmitTick   = 50 * time.Millisecond
+	// rexmitTick is also the longest a lazy ack (wire.LazyAck) stays parked
+	// for want of a frame to ride: a quarter of ackRTO, so holding an ack
+	// never causes a retransmission.
+	rexmitTick = 50 * time.Millisecond
 )
 
 // dedupWindowSize bounds per-sender duplicate detection: the request IDs
@@ -56,7 +61,9 @@ const dedupWindowSize = 8192
 //
 // A Node is shared-nothing friendly: exactly one goroutine (the entity's
 // event loop) is expected to consume Inbox and issue sends, while the
-// node's internal goroutines only move bytes.
+// node's internal goroutines only move bytes. A send to an idle peer is
+// written by the sender itself when the conn can take it without waiting
+// (see peer); every other frame crosses the peer's queue.
 //
 // The send path is single-copy and pooled: NewFrame returns a pooled
 // buffer pre-filled with the frame header, callers append the payload in
@@ -106,10 +113,27 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
+// peer is one destination: a queue and the writer goroutine that drains it
+// onto a conn it dials on first use. mu orders the senders and the writer:
+// while nothing is pending the writer is idle and a sender holding mu may
+// write to the conn itself, so per-peer order is the order of the sends.
 type peer struct {
 	addr  string
 	queue chan []byte
 	done  chan struct{}
+
+	mu sync.Mutex
+	// direct is the writer's conn while it is dialled, healthy and able to
+	// send without waiting (TryConn); nil otherwise.
+	direct TryConn
+	// pending counts frames a sender is about to queue, queued, or in the
+	// writer's hands. At zero the queue is empty and stays empty while mu
+	// is held, because every queue send follows its own increment.
+	pending int
+	// acks are request IDs whose acknowledgement waits for the next write
+	// to this peer (wire.LazyAck); batch is the direct write's scratch.
+	acks  []uint32
+	batch [][]byte
 }
 
 // pendingAck tracks one unacknowledged acked-PUSH. The frame copy is
@@ -140,6 +164,7 @@ type nodeStats struct {
 	malformed   atomic.Uint64
 	stalls      atomic.Uint64
 	writes      atomic.Uint64
+	reads       atomic.Uint64
 	coalesced   atomic.Uint64
 	retransmits atomic.Uint64
 	dupsDropped atomic.Uint64
@@ -165,6 +190,9 @@ type Stats struct {
 	EnqueueStalls uint64
 	// ConnWrites counts conn write calls; a coalesced batch counts once.
 	ConnWrites uint64
+	// ConnReads counts conn reads; over TCP a burst of frames that one
+	// socket read returned counts once, in-proc every frame is a read.
+	ConnReads uint64
 	// CoalescedFrames counts frames that shared a conn write with at
 	// least one other frame.
 	CoalescedFrames uint64
@@ -190,6 +218,7 @@ func (n *Node) Stats() Stats {
 		MalformedFrames:   n.stats.malformed.Load(),
 		EnqueueStalls:     n.stats.stalls.Load(),
 		ConnWrites:        n.stats.writes.Load(),
+		ConnReads:         n.stats.reads.Load(),
 		CoalescedFrames:   n.stats.coalesced.Load(),
 		Retransmits:       n.stats.retransmits.Load(),
 		DuplicatesDropped: n.stats.dupsDropped.Load(),
@@ -232,6 +261,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, role string) {
 	reg.CounterFunc("elga_transport_malformed_total", "Inbound frames dropped as malformed.", lbl, n.stats.malformed.Load)
 	reg.CounterFunc("elga_transport_enqueue_stalls_total", "Sends that blocked on a saturated peer queue.", lbl, n.stats.stalls.Load)
 	reg.CounterFunc("elga_transport_conn_writes_total", "Conn write calls (a coalesced batch counts once).", lbl, n.stats.writes.Load)
+	reg.CounterFunc("elga_transport_conn_reads_total", "Conn reads (a burst of frames in one socket read counts once).", lbl, n.stats.reads.Load)
 	reg.CounterFunc("elga_transport_coalesced_frames_total", "Frames that shared a conn write with another frame.", lbl, n.stats.coalesced.Load)
 	reg.CounterFunc("elga_transport_retransmits_total", "Acked sends resent after an RTO expiry.", lbl, n.stats.retransmits.Load)
 	reg.CounterFunc("elga_transport_dups_dropped_total", "Duplicate acked pushes dropped after re-acking.", lbl, n.stats.dupsDropped.Load)
@@ -327,10 +357,19 @@ func (n *Node) readLoop(c Conn) {
 	// One conn carries one peer's traffic, so the sender address repeats
 	// on every frame; interning makes steady-state decode allocation-free.
 	var intern wire.FromInterner
+	// A conn that buffers its reads counts them itself; elsewhere a frame
+	// is a read.
+	counts, buffered := c.(interface{ countReads(*atomic.Uint64) })
+	if buffered {
+		counts.countReads(&n.stats.reads)
+	}
 	for {
 		frame, err := c.Recv()
 		if err != nil {
 			return
+		}
+		if !buffered {
+			n.stats.reads.Add(1)
 		}
 		pkt := wire.GetPacket()
 		if err := wire.UnmarshalPacketInto(pkt, frame, &intern); err != nil {
@@ -379,7 +418,8 @@ func (n *Node) dispatch(pkt *wire.Packet) {
 		if seen, acked := n.seenOrRecord(pkt.From, pkt.Req); seen {
 			n.stats.dupsDropped.Add(1)
 			if acked {
-				n.Ack(pkt)
+				// At once, whatever the type: the sender's RTO has run out.
+				_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req))
 			}
 			wire.ReleasePacket(pkt)
 			return
@@ -450,11 +490,12 @@ func (n *Node) seenOrRecord(from string, req uint32) (seen, acked bool) {
 // rexmitLoop periodically resends unacknowledged acked sends whose RTO
 // expired — the loss-recovery half of the acked-PUSH pattern. Receivers
 // deduplicate, so a spurious retransmission (slow ack, not a lost frame)
-// is harmless.
+// is harmless. The same tick sends the acks that found no frame to ride.
 func (n *Node) rexmitLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(rexmitTick)
 	defer t.Stop()
+	var peers []*peer
 	for {
 		select {
 		case <-n.done:
@@ -462,6 +503,20 @@ func (n *Node) rexmitLoop() {
 		case <-t.C:
 		}
 		n.retransmitDue(time.Now())
+		n.mu.Lock()
+		peers = peers[:0]
+		for _, p := range n.peers {
+			peers = append(peers, p)
+		}
+		n.mu.Unlock()
+		for _, p := range peers {
+			p.mu.Lock()
+			// A busy writer takes the parked acks along by itself.
+			if p.pending == 0 && len(p.acks) > 0 {
+				n.writeIdle(p, n.appendAcks(p, p.batch[:0]))
+			}
+			p.mu.Unlock()
+		}
 	}
 }
 
@@ -553,6 +608,9 @@ func (n *Node) CancelPeer(addr string) []FailedSend {
 	}
 	n.mu.Unlock()
 	if ok {
+		p.mu.Lock()
+		p.acks = nil // the peer is presumed dead: nothing is owed to it
+		p.mu.Unlock()
 		close(p.done)
 	}
 	var failed []FailedSend
@@ -579,13 +637,17 @@ func (n *Node) writeLoop(p *peer) {
 			c.Close()
 		}
 	}()
-	frames := make([][]byte, 0, maxCoalesce)
+	// Room for a full gather and the acks that ride it.
+	frames := make([][]byte, 0, 2*maxCoalesce)
 	for {
 		select {
 		case f := <-p.queue:
 			frames = gatherFrames(p, frames[:0], f)
 			c = n.writeFrames(c, p, frames, false)
 		case <-p.done:
+			p.mu.Lock()
+			p.direct = nil // from here on every write is this goroutine's
+			p.mu.Unlock()
 			// Drain remaining frames before exiting so graceful leave
 			// messages are not lost.
 			for {
@@ -594,6 +656,9 @@ func (n *Node) writeLoop(p *peer) {
 					frames = gatherFrames(p, frames[:0], f)
 					c = n.writeFrames(c, p, frames, true)
 				default:
+					// Acks still parked leave too: their sender would
+					// retransmit to a node that has gone.
+					c = n.writeFrames(c, p, frames[:0], true)
 					return
 				}
 			}
@@ -635,41 +700,65 @@ func (n *Node) dialPeer(p *peer) Conn {
 	}
 }
 
-// writeFrames sends a coalesced batch on c (dialing first if needed),
-// recycles every frame to the pool, and returns the conn — nil after a
-// failure so the next batch redials.
+// writeFrames sends a coalesced batch taken from p's queue on c (dialing
+// first if needed) together with the acks parked on p, recycles every frame
+// to the pool, and returns the conn — nil after a failure so the next batch
+// redials. Until it returns the batch is pending, so no sender writes to c.
 func (n *Node) writeFrames(c Conn, p *peer, frames [][]byte, closing bool) Conn {
+	queued := len(frames)
 	if c == nil && !closing {
 		c = n.dialPeer(p)
 	}
 	if c == nil {
 		releaseFrames(frames) // drop; acked sends will surface the loss
+	} else {
+		p.mu.Lock()
+		// Behind the queued frames: the first of those may finish a write
+		// a sender began (TryConn).
+		frames = n.appendAcks(p, frames)
+		p.mu.Unlock()
+		if err := n.writeBatch(c, frames); err != nil {
+			c.Close()
+			c = nil
+		}
+	}
+	p.mu.Lock()
+	p.pending -= queued
+	p.direct = nil
+	if !closing {
+		p.direct, _ = c.(TryConn)
+	}
+	p.mu.Unlock()
+	return c
+}
+
+// writeBatch is one conn write of frames, counted, and their release.
+func (n *Node) writeBatch(c Conn, frames [][]byte) (err error) {
+	if len(frames) == 0 {
 		return nil
 	}
-	var err error
-	if len(frames) > 1 {
-		if bc, ok := c.(BatchConn); ok {
-			err = bc.SendBatch(frames)
-		} else {
-			for _, f := range frames {
-				if err = c.Send(f); err != nil {
-					break
-				}
+	if bc, ok := c.(BatchConn); ok && len(frames) > 1 {
+		err = bc.SendBatch(frames)
+	} else {
+		for _, f := range frames {
+			if err = c.Send(f); err != nil {
+				break
 			}
 		}
-		n.stats.coalesced.Add(uint64(len(frames)))
-	} else {
-		err = c.Send(frames[0])
+	}
+	n.countWrite(len(frames))
+	releaseFrames(frames)
+	return err
+}
+
+// countWrite accounts one conn write that carried the given frames.
+func (n *Node) countWrite(frames int) {
+	if frames > 1 {
+		n.stats.coalesced.Add(uint64(frames))
 	}
 	n.stats.writes.Add(1)
-	n.stats.framesOut.Add(uint64(len(frames)))
-	n.coalesceHist.Load().Observe(float64(len(frames)))
-	releaseFrames(frames)
-	if err != nil {
-		c.Close()
-		return nil
-	}
-	return c
+	n.stats.framesOut.Add(uint64(frames))
+	n.coalesceHist.Load().Observe(float64(frames))
 }
 
 func releaseFrames(frames [][]byte) {
@@ -677,6 +766,57 @@ func releaseFrames(frames [][]byte) {
 		wire.ReleaseFrame(f)
 		frames[i] = nil
 	}
+}
+
+// sendNow sends frame to p from the caller's goroutine if p is idle, and
+// reports whether it did. On false the frame, already counted as pending,
+// is the caller's to queue.
+func (n *Node) sendNow(p *peer, frame []byte) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pending > 0 {
+		p.pending++
+		return false
+	}
+	n.writeIdle(p, append(n.appendAcks(p, p.batch[:0]), frame))
+	return true
+}
+
+// writeIdle sends frames to a peer with nothing pending, p.mu held: written
+// here if the conn can take them without waiting; handed to the writer if
+// it is not dialled yet, may wait, or could not take them whole.
+func (n *Node) writeIdle(p *peer, frames [][]byte) {
+	if p.direct != nil && p.direct.TrySend(frames) {
+		n.countWrite(len(frames))
+		releaseFrames(frames)
+	} else {
+		for i, f := range frames {
+			p.queue <- f // empty while p.mu is held (see peer.pending): does not wait
+			frames[i] = nil
+		}
+		p.pending += len(frames)
+	}
+	p.batch = frames[:0]
+}
+
+// appendAcks appends the acks parked on p to frames, as TAck frames, at
+// most maxCoalesce-1 at a time so that they and the frame they ride are one
+// gather of the writer's. p.mu held.
+func (n *Node) appendAcks(p *peer, frames [][]byte) [][]byte {
+	k := min(len(p.acks), maxCoalesce-1)
+	for _, req := range p.acks[:k] {
+		frames = append(frames, n.ackFrame(req))
+	}
+	p.acks = p.acks[:copy(p.acks, p.acks[k:])]
+	return frames
+}
+
+// ackFrame is a finished TAck for req.
+func (n *Node) ackFrame(req uint32) []byte {
+	frame := n.NewFrame(wire.TAck)
+	wire.PatchFrameReq(frame, req)
+	_ = wire.FinishFrame(frame) // a header alone is within every limit
+	return frame
 }
 
 // NewFrame returns a pooled buffer holding a frame header for typ from
@@ -710,14 +850,18 @@ func (n *Node) NewFrameHintCtx(typ wire.Type, payloadHint int, ctx trace.SpanCon
 // frameHeaderBytes mirrors wire's fixed header size for hint math.
 const frameHeaderBytes = 11
 
-// enqueueFrame hands frame to addr's writer goroutine, counting a stall
-// when the peer queue is saturated. Ownership of frame transfers on
-// success; on failure it is recycled here.
+// enqueueFrame sends frame to addr: itself if the peer is idle, else
+// through the peer's queue and writer goroutine, counting a stall when the
+// queue is saturated. Ownership of frame transfers on success; on failure
+// it is recycled here.
 func (n *Node) enqueueFrame(addr string, frame []byte) error {
 	p, err := n.getPeer(addr)
 	if err != nil {
 		wire.ReleaseFrame(frame)
 		return err
+	}
+	if n.sendNow(p, frame) {
+		return nil
 	}
 	select {
 	case p.queue <- frame:
@@ -743,10 +887,16 @@ func (n *Node) tryEnqueueFrame(addr string, frame []byte) error {
 		wire.ReleaseFrame(frame)
 		return err
 	}
+	if n.sendNow(p, frame) {
+		return nil
+	}
 	select {
 	case p.queue <- frame:
 		return nil
 	default:
+		p.mu.Lock()
+		p.pending-- // never queued
+		p.mu.Unlock()
 		wire.ReleaseFrame(frame)
 		return ErrUnavailable
 	}
@@ -881,7 +1031,10 @@ func (n *Node) SendAcked(addr string, typ wire.Type, payload []byte) error {
 	return err
 }
 
-// Ack acknowledges a processed packet back to its sender.
+// Ack acknowledges a processed packet back to its sender. An ack the
+// sender does not wait on (wire.LazyAck) is parked on the peer instead: the
+// next write to it carries the ack in the same conn write, and the
+// retransmission tick sends whatever found no frame to ride.
 func (n *Node) Ack(pkt *wire.Packet) {
 	if pkt.Req == 0 || pkt.From == "" {
 		return
@@ -893,9 +1046,13 @@ func (n *Node) Ack(pkt *wire.Packet) {
 		}
 	}
 	n.dedupMu.Unlock()
-	frame := n.NewFrame(wire.TAck)
-	wire.PatchFrameReq(frame, pkt.Req)
-	_ = n.SendFrame(pkt.From, frame)
+	if !wire.LazyAck(pkt.Type) {
+		_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req))
+	} else if p, err := n.getPeer(pkt.From); err == nil {
+		p.mu.Lock()
+		p.acks = append(p.acks, pkt.Req)
+		p.mu.Unlock()
+	}
 }
 
 // OutstandingAcks returns the number of acked sends not yet confirmed.
@@ -1077,46 +1234,72 @@ func (n *Node) Close() {
 type Publisher struct {
 	node *Node
 	mu   sync.Mutex
-	subs map[string]map[wire.Type]bool // addr -> subscribed types (nil = all)
+	// subs is sorted by address and never edited in place: Subscribe and
+	// Unsubscribe install a new list, so a publish walks the one it read
+	// without the lock, allocates nothing and fans out in the same order
+	// every time.
+	subs []subscriber
+}
+
+// subscriber is one address and its filter; nil types means all.
+type subscriber struct {
+	addr  string
+	types map[wire.Type]bool
 }
 
 // NewPublisher creates a publisher sending through node.
 func NewPublisher(node *Node) *Publisher {
-	return &Publisher{node: node, subs: make(map[string]map[wire.Type]bool)}
+	return &Publisher{node: node}
 }
 
 // Subscribe registers addr for the given types; empty types means all.
 func (p *Publisher) Subscribe(addr string, types ...wire.Type) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(types) == 0 {
-		p.subs[addr] = nil
-		return
+	i, found := p.find(addr)
+	sub := subscriber{addr: addr}
+	if len(types) > 0 {
+		sub.types = make(map[wire.Type]bool)
+		if found {
+			for t := range p.subs[i].types {
+				sub.types[t] = true
+			}
+		}
+		for _, t := range types {
+			sub.types[t] = true
+		}
 	}
-	set := p.subs[addr]
-	if set == nil {
-		set = make(map[wire.Type]bool)
-		p.subs[addr] = set
+	if subs := slices.Clone(p.subs); found {
+		subs[i] = sub
+		p.subs = subs
+	} else {
+		p.subs = slices.Insert(subs, i, sub)
 	}
-	for _, t := range types {
-		set[t] = true
-	}
+}
+
+// find returns addr's place in the sorted list and whether it is there.
+func (p *Publisher) find(addr string) (int, bool) {
+	return slices.BinarySearchFunc(p.subs, addr, func(s subscriber, addr string) int {
+		return strings.Compare(s.addr, addr)
+	})
 }
 
 // Unsubscribe removes addr entirely.
 func (p *Publisher) Unsubscribe(addr string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.subs, addr)
+	if i, found := p.find(addr); found {
+		p.subs = slices.Delete(slices.Clone(p.subs), i, i+1)
+	}
 }
 
-// Subscribers returns the current subscriber addresses.
+// Subscribers returns the current subscriber addresses, sorted.
 func (p *Publisher) Subscribers() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.subs))
-	for a := range p.subs {
-		out = append(out, a)
+	out := make([]string, len(p.subs))
+	for i, sub := range p.subs {
+		out[i] = sub.addr
 	}
 	return out
 }
@@ -1140,19 +1323,17 @@ func (p *Publisher) Publish(typ wire.Type, payload []byte) {
 // spans under the publisher's span. The zero ctx publishes plain frames.
 func (p *Publisher) PublishCtx(typ wire.Type, payload []byte, ctx trace.SpanContext) {
 	p.mu.Lock()
-	targets := make([]string, 0, len(p.subs))
-	for addr, set := range p.subs {
-		if set == nil || set[typ] {
-			targets = append(targets, addr)
-		}
-	}
+	subs := p.subs
 	p.mu.Unlock()
-	for _, addr := range targets {
+	for _, sub := range subs {
+		if sub.types != nil && !sub.types[typ] {
+			continue
+		}
 		frame := append(p.node.NewFrameHintCtx(typ, len(payload), ctx), payload...)
 		if wire.AckedPush(typ) {
-			_ = p.node.SendFrameAcked(addr, frame)
+			_ = p.node.SendFrameAcked(sub.addr, frame)
 		} else {
-			_ = p.node.SendFrame(addr, frame)
+			_ = p.node.SendFrame(sub.addr, frame)
 		}
 	}
 }

@@ -231,31 +231,37 @@ func TestFlushTimesOutWithoutAcks(t *testing.T) {
 // TestHeldPacketIsNotAckedByItsRetransmission: an entity may hold an acked
 // push unacknowledged for longer than the sender's RTO. The retransmitted
 // duplicate must be dropped without an ack — only the entity's own Ack
-// tells the sender the packet was processed — and re-acked once it was.
+// tells the sender the packet was processed — and re-acked once it was,
+// whether that ack leaves at once (TEdges) or waits for a frame to ride
+// (TAdvance).
 func TestHeldPacketIsNotAckedByItsRetransmission(t *testing.T) {
-	a, b := newPair(t, NewInproc())
-	if err := a.SendAcked(b.Addr(), wire.TEdges, nil); err != nil {
-		t.Fatal(err)
-	}
-	pkt := <-b.Inbox() // held: no Ack yet
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().DuplicatesDropped == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the unacknowledged send was never retransmitted")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := a.OutstandingAcks(); n != 1 {
-		t.Fatalf("a duplicate of a held packet was acknowledged: %d sends outstanding, want 1", n)
-	}
-	select {
-	case dup := <-b.Inbox():
-		t.Fatalf("the duplicate was delivered a second time: %+v", dup)
-	default:
-	}
-	b.Ack(pkt)
-	if err := a.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
+	for _, typ := range []wire.Type{wire.TEdges, wire.TAdvance} {
+		t.Run(typ.String(), func(t *testing.T) {
+			a, b := newPair(t, NewInproc())
+			if err := a.SendAcked(b.Addr(), typ, nil); err != nil {
+				t.Fatal(err)
+			}
+			pkt := <-b.Inbox() // held: no Ack yet
+			deadline := time.Now().Add(5 * time.Second)
+			for b.Stats().DuplicatesDropped == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the unacknowledged send was never retransmitted")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := a.OutstandingAcks(); n != 1 {
+				t.Fatalf("a duplicate of a held packet was acknowledged: %d sends outstanding, want 1", n)
+			}
+			select {
+			case dup := <-b.Inbox():
+				t.Fatalf("the duplicate was delivered a second time: %+v", dup)
+			default:
+			}
+			b.Ack(pkt)
+			if err := a.Flush(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -60,6 +60,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		Data: []byte{0x1f, 0x8b, 0x08, 0x00},
 	})))
 	f.Add(seedFrame(TMetric, AppendMetric(nil, &Metric{AgentID: 3, Name: "step_time", Value: 0.25})))
+	f.Add(seedFrame(TReady, AppendReady(nil, &Ready{AgentID: 3, Step: 7, Masters: 9, PhaseSeconds: 0.25})))
 	// The hub record lists: one record (the single-record payload) and three.
 	p0, u0 := testPartial(0), testUpdate(0)
 	f.Add(seedFrame(TReplicaPartial, EncodeReplicaPartial(&p0)))
@@ -101,6 +102,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeProfileArtifacts(payload)
 		case TMetric:
 			_, _ = DecodeMetric(payload)
+		case TReady:
+			_, _ = DecodeReady(payload)
 		case TDirUpdate:
 			_, _ = DecodeView(payload)
 		case TReplicaPartial:

@@ -453,6 +453,10 @@ type Ready struct {
 	Sent       uint64 // async: cumulative messages sent
 	Received   uint64 // async: cumulative messages received
 	Idle       bool   // async: no local work outstanding
+	// PhaseSeconds is how long the phase ran on this agent, Advance to
+	// vote: the step_time / combine_time sample, riding the vote. It
+	// trails the payload, so a vote without it decodes with 0.
+	PhaseSeconds float64
 }
 
 // AppendReady appends a barrier vote payload to dst.
@@ -468,6 +472,7 @@ func AppendReady(dst []byte, m *Ready) []byte {
 	w.U64(m.Sent)
 	w.U64(m.Received)
 	w.Bool(m.Idle)
+	w.F64(m.PhaseSeconds)
 	return w.buf
 }
 
@@ -481,6 +486,9 @@ func DecodeReady(data []byte) (*Ready, error) {
 		AgentID: r.U64(), Step: r.U32(), Phase: r.U8(),
 		ActiveNext: r.U64(), Residual: r.F64(), SplitWork: r.Bool(),
 		Masters: r.U64(), Sent: r.U64(), Received: r.U64(), Idle: r.Bool(),
+	}
+	if r.Remaining() > 0 {
+		m.PhaseSeconds = r.F64()
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode ready: %w", err)

@@ -176,6 +176,20 @@ func AckedPush(t Type) bool {
 	return false
 }
 
+// LazyAck reports whether t is an acked push whose sender never waits on
+// the ack: the barrier's own frames and the publisher's broadcasts, whose
+// acks only stop retransmission. The transport may hold such an ack until
+// the next frame to that sender carries it. The acks of every other acked
+// type drain something — an agent's ack group, a streamer's Flush — and
+// leave at once.
+func LazyAck(t Type) bool {
+	switch t {
+	case TAdvance, TReady, TAlgoStart, TAlgoDone, TBatchOpen, TDirUpdate:
+		return true
+	}
+	return false
+}
+
 var typeNames = [...]string{
 	TInvalid: "invalid", TRegisterDirectory: "register-directory",
 	TGetDirectory: "get-directory", TDirectoryList: "directory-list",

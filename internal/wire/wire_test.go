@@ -192,13 +192,24 @@ func TestReplicaRegisterRoundTrip(t *testing.T) {
 
 func TestReadyRoundTrip(t *testing.T) {
 	m := &Ready{AgentID: 1, Step: 2, Phase: 1, ActiveNext: 3, Residual: 0.5,
-		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true}
-	got, err := DecodeReady(EncodeReady(m))
+		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true, PhaseSeconds: 0.25}
+	full := EncodeReady(m)
+	got, err := DecodeReady(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *m {
 		t.Fatalf("%+v", got)
+	}
+	// A vote from before the phase time rode it is 8 bytes shorter and
+	// still decodes, with no sample.
+	old, err := DecodeReady(full[:len(full)-8])
+	if err != nil {
+		t.Fatalf("old-length ready: %v", err)
+	}
+	m.PhaseSeconds = 0
+	if *old != *m {
+		t.Fatalf("old-length ready decoded as %+v", old)
 	}
 }
 
@@ -275,6 +286,9 @@ func TestJoinLeaveRoundTrips(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := EncodeReady(&Ready{AgentID: 1})
 	for n := 0; n < len(full); n++ {
+		if n == len(full)-8 {
+			continue // a whole vote without the trailing PhaseSeconds
+		}
 		if _, err := DecodeReady(full[:n]); err == nil {
 			t.Fatalf("truncated ready at %d accepted", n)
 		}
@@ -385,6 +399,22 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 					_ = dec(buf)
 				}()
 			}
+		}
+	}
+}
+
+// A lazy ack is an ack: every type whose ack may wait is an acked push, and
+// none of the types whose acks drain an ack group or a Flush is among them.
+func TestLazyAckTypes(t *testing.T) {
+	for typ := Type(0); typ < typeCount; typ++ {
+		if LazyAck(typ) && !AckedPush(typ) {
+			t.Errorf("%s: lazily acked but not an acked push", typ)
+		}
+	}
+	for _, typ := range []Type{TVertexMsgs, TReplicaPartial, TValueUpdate, TEdges,
+		TReplicaRegister, TSketchDelta, TSubscribe, TLeave, TMembershipForward, TProfileReq} {
+		if LazyAck(typ) {
+			t.Errorf("%s: its sender waits on the ack, it must not be held", typ)
 		}
 	}
 }
