@@ -186,6 +186,11 @@ type Agent struct {
 	// store's flip log by the batch-open round (walkFlips).
 	masters      uint64
 	mastersEpoch uint64
+	// pins maps each split vertex this agent pins as its master to the
+	// replicas registered as holding copies of it (handleRegister). The pin
+	// goes when the last of them deregisters, or when a view leaves the
+	// vertex unsplit or mastered elsewhere (releasePins).
+	pins map[graph.VertexID][]uint64
 
 	skDelta  *sketch.Sketch
 	buffered []wire.EdgeChange
@@ -730,19 +735,19 @@ func (a *Agent) isMaster(v graph.VertexID) bool {
 	return ok && m == consistent.AgentID(a.id)
 }
 
-// walkFlips is the batch-open round's pass over the local vertex set: it
-// announces newly held split vertices to their masters and returns the
-// exact count of vertices mastered here. Both depend only on which
-// vertices are present and on the view, so under an unchanged view the
-// pass replays the store's flip log — the vertices that appeared or
-// vanished since the last round — and walks every vertex only after a
-// view change (or when the log was abandoned as longer than the walk).
-func (a *Agent) walkFlips(gate *ackGroup) uint64 {
+// walkFlips is the batch-open round's count of the vertices mastered here.
+// It depends only on which vertices are present and on the view, so under
+// an unchanged view it replays the store's flip log — the vertices that
+// appeared or vanished since the last round — and walks every vertex only
+// after a view change (or when the log was abandoned as longer than the
+// walk). Registrations are not its business: an edit that changes a split
+// vertex's presence (applyChanges) or a migration round settles those
+// before the round that counts.
+func (a *Agent) walkFlips() uint64 {
 	flips, ok := a.store.TakeFlips()
 	if epoch := a.router.Epoch(); !ok || epoch != a.mastersEpoch {
 		a.masters, a.mastersEpoch = 0, epoch
 		a.store.Vertices(func(v graph.VertexID) bool {
-			a.registerSplit(v, gate)
 			if a.isMaster(v) {
 				a.masters++
 			}
@@ -758,12 +763,8 @@ func (a *Agent) walkFlips(gate *ackGroup) uint64 {
 		for ; i < len(flips) && flips[i] == v; i++ {
 			n++
 		}
-		present := a.store.HasVertex(v)
-		if present {
-			a.registerSplit(v, gate)
-		}
 		if n%2 == 1 && a.isMaster(v) {
-			if present {
+			if a.store.HasVertex(v) {
 				a.masters++
 			} else {
 				a.masters--

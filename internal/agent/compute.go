@@ -109,7 +109,7 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	}
 	clear(a.mailbox)
 	clear(a.partials)
-	a.flushBuffered()
+	a.flushBuffered(&ackGroup{})
 }
 
 // handleAdvance drives a phase transition. tctx is the distributed trace
@@ -465,7 +465,7 @@ func (a *Agent) takePartials(payload []byte) (forwarded int) {
 			}
 		}
 		a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
-		a.store.Pin(p.Vertex)
+		a.pinSplit(p.Vertex, 0)
 	}
 	return forwarded
 }
@@ -529,13 +529,49 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 	return true
 }
 
-// handleRegister pins a split vertex at its master.
+// handleRegister records at a split vertex's master that a replica holds
+// copies of it, or that it holds none any more.
 func (a *Agent) handleRegister(pkt *wire.Packet) {
 	rr, err := wire.DecodeReplicaRegister(pkt.Payload)
 	if err == nil {
-		a.store.Pin(rr.Vertex)
+		if rr.Deregister {
+			a.unpinSplit(rr.Vertex, rr.AgentID)
+		} else {
+			a.pinSplit(rr.Vertex, rr.AgentID)
+		}
 	}
 	a.node.Ack(pkt)
+}
+
+// pinSplit keeps split vertex v present here, its master, for counting and
+// combining even when none of its copies is, and records replica (0 = none
+// named) as holding some.
+func (a *Agent) pinSplit(v graph.VertexID, replica uint64) {
+	if a.pins == nil {
+		a.pins = make(map[graph.VertexID][]uint64)
+	}
+	regs := a.pins[v]
+	if replica != 0 && !slices.Contains(regs, replica) {
+		regs = append(regs, replica)
+	}
+	a.pins[v] = regs
+	a.store.Pin(v)
+}
+
+// unpinSplit forgets that replica holds copies of v and drops v's pin once
+// no registered replica remains: then the vertex stays here only if a copy
+// does.
+func (a *Agent) unpinSplit(v graph.VertexID, replica uint64) {
+	regs, ok := a.pins[v]
+	if !ok {
+		return
+	}
+	if regs = slices.DeleteFunc(regs, func(id uint64) bool { return id == replica }); len(regs) > 0 {
+		a.pins[v] = regs
+		return
+	}
+	delete(a.pins, v)
+	a.store.Unpin(v)
 }
 
 // sealGroup fires a deferred-ack group that ended up with no members,

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"elga/internal/algorithm"
@@ -36,11 +37,6 @@ func (a *Agent) handleView(v *wire.View) {
 	// their vertex looked up before they are stored — so a sketch-only list
 	// covers everything this agent holds.
 	if rerouted, sketchOnly := a.router.Rerouted(); sketchOnly {
-		for _, u := range rerouted {
-			if i := a.verts.find(u); i >= 0 {
-				a.verts.slots[i].flags &^= recRegistered
-			}
-		}
 		a.migrate(uint32(epoch), rerouted, true)
 		return
 	}
@@ -57,10 +53,6 @@ func (a *Agent) handleView(v *wire.View) {
 		}
 		a.leaving = true
 	}
-	// Mastership moves with the membership: forget which masters were
-	// told about our split vertices so refreshRegistrations re-announces
-	// them under the new view.
-	a.verts.drop(recRegistered)
 	// Reclaim unacknowledged sends toward peers that left the view and
 	// re-route their contents under the new epoch. The gates those sends
 	// fed stay held until the replacements complete, so barrier
@@ -219,13 +211,21 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// Pending partials whose mastership moved are re-shipped during
 	// the combine phase (processCombine handles stale masters).
 
+	// Mastership moves with the membership, and with a vertex's replica
+	// count: drop the pins owed to neither, and announce what is held here
+	// afresh (the walk above already withdrew what left).
+	a.releasePins()
 	if sketchOnly {
 		for _, v := range rerouted {
+			if i := a.verts.find(v); i >= 0 {
+				a.verts.slots[i].flags &^= recRegistered
+			}
 			if a.store.HasVertex(v) {
 				a.registerSplit(v, gate)
 			}
 		}
 	} else {
+		a.verts.drop(recRegistered)
 		a.refreshRegistrations(gate)
 	}
 
@@ -341,6 +341,7 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
 	}
 	if !a.store.HasVertex(v) {
 		// Gone from here; state and activity went with the copies.
+		a.deregisterSplit(v, a.mig.gate)
 		a.verts.del(v)
 		a.store.ClearActive(v)
 	}
@@ -407,17 +408,57 @@ func (a *Agent) registerSplit(v graph.VertexID, gate *ackGroup) {
 	if !a.router.Split(v) || a.verts.flag(v, recRegistered) {
 		return
 	}
-	master, ok := a.router.Master(v)
-	if !ok || master == consistent.AgentID(a.id) {
+	if a.sendRegister(v, false, gate) {
+		a.verts.slots[a.verts.at(v)].flags |= recRegistered
+	}
+}
+
+// deregisterSplit withdraws registerSplit's announcement once v has left
+// this agent's store, so its master stops pinning it for a copy that is
+// gone (handleRegister).
+func (a *Agent) deregisterSplit(v graph.VertexID, gate *ackGroup) {
+	i := a.verts.find(v)
+	if i < 0 || a.verts.slots[i].flags&recRegistered == 0 {
 		return
 	}
-	if addr, ok := a.router.AddrOf(master); ok {
-		i := a.verts.at(v)
-		a.verts.slots[i].flags |= recRegistered
+	a.verts.slots[i].flags &^= recRegistered
+	a.sendRegister(v, true, gate)
+}
+
+// sendRegister sends v's master a (de)registration of this agent, unless
+// this agent is the master; it reports whether it sent one.
+func (a *Agent) sendRegister(v graph.VertexID, deregister bool, gate *ackGroup) bool {
+	master, ok := a.router.Master(v)
+	if !ok || master == consistent.AgentID(a.id) {
+		return false
+	}
+	addr, ok := a.router.AddrOf(master)
+	if ok {
 		a.sendGatedFrame(addr, wire.AppendReplicaRegister(
 			a.node.NewFrame(wire.TReplicaRegister), &wire.ReplicaRegister{
-				Vertex: v, AgentID: a.id,
+				Vertex: v, AgentID: a.id, Deregister: deregister,
 			}), gate)
+	}
+	return ok
+}
+
+// releasePins drops, once a view is installed, the pins this agent no
+// longer owes as a master: every pin of a vertex it does not master as a
+// split vertex any more, and the registrations of agents that are no longer
+// among a vertex's replicas.
+func (a *Agent) releasePins() {
+	for v, regs := range a.pins {
+		if a.router.Split(v) && a.isMaster(v) {
+			regs = slices.DeleteFunc(regs, func(id uint64) bool {
+				return !a.router.IsReplica(v, consistent.AgentID(id))
+			})
+			if len(regs) > 0 {
+				a.pins[v] = regs
+				continue
+			}
+		}
+		delete(a.pins, v)
+		a.store.Unpin(v)
 	}
 }
 
@@ -485,7 +526,10 @@ func keyedVertex(c wire.EdgeChange) graph.VertexID {
 // travels with the copies it belongs to. Applied stream inserts feed the
 // local sketch delta: the Out-copy owner counts the source endpoint, the
 // In-copy owner the destination, so each endpoint of each inserted edge is
-// counted exactly once cluster-wide.
+// counted exactly once cluster-wide. A copy that makes a split vertex
+// appear here, or the last one to leave, (de)registers this agent with the
+// vertex's master under g, so the master's pin is settled before whatever
+// waits on g — the sender's round, the streamer's flush — is over.
 //
 // A migration batch is read as the sorted neighbour runs migrateVertex
 // ships, each stored whole if owned here (storeRun). Anything else — a copy
@@ -505,6 +549,7 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 		if migration {
 			n = runLen(changes)
 			if a.storeRun(changes[:n], selfAt, states) {
+				a.registerSplit(keyedVertex(changes[0]), g)
 				changes = changes[n:]
 				continue
 			}
@@ -530,6 +575,7 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 				continue
 			}
 			var applied bool
+			key := keyedVertex(c)
 			if migration {
 				// Moves are topology-neutral: do not mark vertices active,
 				// but install the accompanying state and preserved
@@ -539,7 +585,7 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 				} else {
 					applied = a.store.RemoveEdge(c.Src, c.Dst, c.Dir)
 				}
-				a.installState(keyedVertex(c), states)
+				a.installState(key, states)
 			} else {
 				applied = a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
 				if applied && c.Action == graph.Insert {
@@ -552,6 +598,13 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGr
 			}
 			if applied {
 				atomic.AddUint64(&a.statApplied, 1)
+				if c.Action == graph.Insert {
+					if out, in := a.store.Degree(key); out+in == 1 { // the first copy here
+						a.registerSplit(key, g)
+					}
+				} else if !a.store.HasVertex(key) { // the last one
+					a.deregisterSplit(key, g)
+				}
 			}
 			if trace.Enabled() {
 				a.trace("edges-apply copy=(%d,%d,%d) mig=%v applied=%v", c.Src, c.Dst, c.Dir, migration, applied)
@@ -652,22 +705,23 @@ func (a *Agent) installState(v graph.VertexID, states map[graph.VertexID]wire.Ve
 	}
 }
 
-// flushBuffered applies changes buffered during a run.
-func (a *Agent) flushBuffered() {
+// flushBuffered applies changes buffered during a run, what they send
+// feeding gate.
+func (a *Agent) flushBuffered(gate *ackGroup) {
 	if len(a.buffered) == 0 {
 		return
 	}
 	changes := a.buffered
 	a.buffered = nil
-	g := &ackGroup{}
-	a.applyChanges(changes, false, g, nil)
+	a.applyChanges(changes, false, gate, nil)
 }
 
 // handleBatchOpen is the batch-boundary round (PhaseBatch): apply
-// buffered changes, flush the sketch delta to the coordinator, register
-// newly held split vertices, and report the local master count.
+// buffered changes, flush the sketch delta to the coordinator, and report
+// the local master count.
 func (a *Agent) handleBatchOpen() {
-	a.flushBuffered()
+	gate := &ackGroup{}
+	a.flushBuffered(gate)
 	// Metric collection (§3.4.3): graph change and client query volumes
 	// since the previous batch boundary.
 	_, applied, queries := a.Stats()
@@ -681,15 +735,21 @@ func (a *Agent) handleBatchOpen() {
 	a.m.frontierSize.Observe(float64(frontier))
 	a.sendMetric(autoscale.MetricFrontierSize, float64(frontier))
 	a.sendMetric(autoscale.MetricBytesPerEdge, a.store.BytesPerEdge())
-	gate := &ackGroup{}
+	// A batch that inserted a sixteenth of what the store holds (the
+	// fraction Settle uses) leaves a tail worth folding before the reads
+	// that follow; a small one leaves it to the store's own rule.
+	bulk := 16*a.skDelta.Count() >= uint64(a.store.NumEdgeCopies())
 	if a.skDelta.Count() > 0 {
 		a.sendGatedFrame(a.coordAddr, a.skDelta.AppendBinary(
 			a.node.NewFrameHint(wire.TSketchDelta, a.skDelta.SizeBytes())), gate)
 		a.skDelta.Reset()
 	}
-	masters := a.walkFlips(gate)
+	masters := a.walkFlips()
 	batchID := uint32(a.router.BatchID())
 	a.voteWhenDrained(gate, func() {
+		if bulk {
+			a.store.Fold()
+		}
 		a.sendReady(batchID, wire.PhaseBatch, masters)
 	})
 	// Batch boundaries always checkpoint: the flush above folded the

@@ -8,6 +8,7 @@ import (
 	"elga/internal/algorithm"
 	"elga/internal/config"
 	"elga/internal/consistent"
+	"elga/internal/gen"
 	"elga/internal/graph"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -489,5 +490,54 @@ func TestApplyChangesQuietPathAllocs(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Fatalf("%s of %d copies over %d vertices: %v allocations, want at most %v", tc.name, len(batch), vertices, allocs, tc.ceiling)
 		}
+	}
+}
+
+// TestBulkBatchFoldsTheTail: a stream batch that inserts a sixteenth or
+// more of what the store holds — a bulk load — leaves the store in its
+// sealed runs once the batch round votes, where AddEdge's own rule leaves
+// up to a quarter of it in the bulkier tail; a small batch after it is left
+// to that rule, and no compaction runs for it.
+func TestBulkBatchFoldsTheTail(t *testing.T) {
+	r := newMigrationRig(t) // one member: every copy stays here
+	a := r.a
+	a.coordAddr = r.peers[2].node.Addr() // acknowledges the delta and the vote
+	batchRound := func() {
+		a.handleBatchOpen()
+		r.drain(t)
+	}
+	tail := func() (n int) {
+		a.store.TailCopies(func(graph.EdgeCopy, bool) bool { n++; return true })
+		return n
+	}
+	apply := func(el graph.EdgeList) {
+		changes := make([]wire.EdgeChange, 0, 2*len(el))
+		for _, e := range el {
+			for _, dir := range []graph.Dir{graph.Out, graph.In} {
+				changes = append(changes, wire.EdgeChange{Action: graph.Insert, Src: e.Src, Dst: e.Dst, Dir: dir})
+			}
+		}
+		a.applyChanges(changes, false, &ackGroup{}, nil)
+	}
+
+	apply(gen.RMAT(11, 16384, gen.Graph500Params(), 3).Dedupe())
+	if tail() == 0 {
+		t.Fatal("test input: the load left no tail to fold")
+	}
+	batchRound()
+	if n := tail(); n != 0 {
+		t.Fatalf("after the load's batch round the store keeps %d tail copies", n)
+	}
+
+	compactions := a.store.Compactions()
+	var small graph.EdgeList
+	for i := graph.VertexID(0); i < 64; i++ {
+		small = append(small, graph.Edge{Src: 100000 + i, Dst: i})
+	}
+	apply(small)
+	batchRound()
+	if tail() != 2*len(small) || a.store.Compactions() != compactions {
+		t.Fatalf("a 64-edge batch: %d tail copies, %d compactions; want its %d copies left in the tail and none",
+			tail(), a.store.Compactions()-compactions, 2*len(small))
 	}
 }

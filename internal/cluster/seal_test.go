@@ -9,6 +9,7 @@ import (
 	"elga/internal/algorithm"
 	"elga/internal/client"
 	"elga/internal/config"
+	"elga/internal/gen"
 	"elga/internal/graph"
 	"elga/internal/sketch"
 	"elga/internal/transport"
@@ -31,7 +32,8 @@ func sketchOf(cfg config.Config, el graph.EdgeList) *sketch.Sketch {
 }
 
 // mergeCrosses merges el's increments into a copy of sk and reports the
-// result and whether any cell changed replica bucket on the way.
+// result and whether any cell changed replica bucket on the way, at four
+// members.
 func mergeCrosses(t *testing.T, cfg config.Config, sk *sketch.Sketch, el graph.EdgeList) (*sketch.Sketch, bool) {
 	t.Helper()
 	data, err := sketchOf(cfg, el).MarshalBinary()
@@ -39,7 +41,7 @@ func mergeCrosses(t *testing.T, cfg config.Config, sk *sketch.Sketch, el graph.E
 		t.Fatal(err)
 	}
 	merged := sk.Clone()
-	crossed, err := merged.MergeEncoded(data, cfg.Replicas)
+	crossed, err := merged.MergeEncoded(data, func(total uint64) uint64 { return cfg.Threshold(total, 4) }, cfg.MaxReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestCrossingSealMovesOnlyReroutedVertex(t *testing.T) {
 	// and of whatever else shares all of its cells (normally nothing).
 	agents := 4
 	replicas := func(sk *sketch.Sketch, v graph.VertexID) int {
-		return min(cfg.Replicas(sk.Estimate(uint64(v))), agents)
+		return min(cfg.Replicas(sk.Estimate(uint64(v)), sk.Count(), agents), agents)
 	}
 	skBase := sketchOf(cfg, base)
 	skFinal, crossed := mergeCrosses(t, cfg, skBase, grow)
@@ -325,4 +327,31 @@ func TestCrossingSealMovesOnlyReroutedVertex(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, c, algorithm.WCC{}, final, algorithm.RunOptions{}, 0)
+}
+
+// TestLoadOpensNoEpoch: under the default, load-derived threshold neither
+// bulk load of the benchmark opens a view epoch at four agents — the
+// R-MAT-14 graph, whose largest hub (3 008 edges) stays under the final
+// threshold of 4 096, and the 128×128 grid, where nothing nears it. The
+// R-MAT deltas do move cells past the thresholds in force part way through
+// the merge (after one agent's delta the total is a quarter of the final
+// one); the seal judges the merged sketch against what the routers hold and
+// finds every bucket where it was.
+func TestLoadOpensNoEpoch(t *testing.T) {
+	for name, el := range map[string]graph.EdgeList{
+		"rmat14": gen.RMAT(14, 131072, gen.Graph500Params(), 1),
+		"grid":   gen.Grid(128),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newCluster(t, 4, config.Default())
+			epoch := coordEpoch(c)
+			if err := c.Load(el); err != nil {
+				t.Fatal(err)
+			}
+			if got := coordEpoch(c); got != epoch {
+				t.Fatalf("the load moved the epoch %d -> %d", epoch, got)
+			}
+			assertVertexCount(t, c, el, "after the load")
+		})
+	}
 }

@@ -82,7 +82,9 @@ func (c *Common) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Cluster.SketchWidth, "sketch-width", c.Cluster.SketchWidth, "count-min sketch width")
 	fs.IntVar(&c.Cluster.SketchDepth, "sketch-depth", c.Cluster.SketchDepth, "count-min sketch depth")
 	fs.Uint64Var(&c.Cluster.ReplicationThreshold, "split-threshold", c.Cluster.ReplicationThreshold,
-		"degree estimate above which a vertex splits (0 disables)")
+		fmt.Sprintf("degree estimate above which a vertex splits (0 disables; %d, the default, derives it "+
+			"from the sketch: an eighth of a mean agent's edge copies, rounded down to a power of two, at least 256)",
+			uint64(SplitByLoad)))
 	fs.IntVar(&c.Cluster.MaxReplicas, "max-replicas", c.Cluster.MaxReplicas, "replica cap per split vertex")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr,
 		"serve /metrics and /debug/pprof on this address (empty = disabled; also ELGA_METRICS_ADDR)")

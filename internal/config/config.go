@@ -8,6 +8,8 @@ package config
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"elga/internal/hashing"
@@ -26,7 +28,9 @@ type Config struct {
 	SketchWidth int
 	SketchDepth int
 	// ReplicationThreshold is the estimated degree above which a
-	// vertex's edges split across agents. Zero disables splitting.
+	// vertex's edges split across agents. Zero disables splitting;
+	// SplitByLoad (the default) derives it from the sketch total and the
+	// member count (Threshold); any other value is an absolute threshold.
 	ReplicationThreshold uint64
 	// MaxReplicas caps the split factor.
 	MaxReplicas int
@@ -67,15 +71,20 @@ func (c *Config) LeaseExpiry() time.Duration {
 	return c.LeaseTimeout
 }
 
+// SplitByLoad is the ReplicationThreshold that splits a vertex by its share
+// of a mean agent's load rather than at a fixed degree (Threshold).
+const SplitByLoad = math.MaxUint64
+
 // Default returns the laptop-scale default configuration: Wang hash, 100
-// virtual agents, a 4096x4 sketch, and a replication threshold of 256.
+// virtual agents, a 4096x4 sketch, and a replication threshold derived from
+// the per-agent load.
 func Default() Config {
 	return Config{
 		Hash:                 hashing.Wang64,
 		Virtual:              100,
 		SketchWidth:          4096,
 		SketchDepth:          4,
-		ReplicationThreshold: 256,
+		ReplicationThreshold: SplitByLoad,
 		MaxReplicas:          8,
 		RequestTimeout:       30 * time.Second,
 	}
@@ -109,8 +118,22 @@ func (c *Config) NewSketch() *sketch.Sketch {
 	return sketch.New(c.SketchWidth, c.SketchDepth)
 }
 
+// Threshold returns the replication threshold in force when the sketch
+// holds total increments (edge copies) spread over members agents. An
+// explicit ReplicationThreshold is returned as it is; SplitByLoad yields
+// max(256, 2^⌊log2(total / members / 8)⌋): a vertex splits once its
+// estimate outgrows an eighth of a mean agent's copies, and the threshold
+// moves only when the total doubles.
+func (c *Config) Threshold(total uint64, members int) uint64 {
+	if c.ReplicationThreshold != SplitByLoad {
+		return c.ReplicationThreshold
+	}
+	share := max(256, total/uint64(max(members, 1))/8)
+	return 1 << (bits.Len64(share) - 1)
+}
+
 // Replicas returns the replica count for a degree estimate under this
-// configuration.
-func (c *Config) Replicas(estimate uint64) int {
-	return sketch.Replicas(estimate, c.ReplicationThreshold, c.MaxReplicas)
+// configuration, given the sketch total and the member count.
+func (c *Config) Replicas(estimate, total uint64, members int) int {
+	return sketch.Replicas(estimate, c.Threshold(total, members), c.MaxReplicas)
 }

@@ -90,6 +90,7 @@ func (d *Directory) restoreCoordState(st *checkpoint.State) error {
 		if err := d.sk.UnmarshalBinary(v.Sketch); err != nil {
 			return err
 		}
+		_ = d.routed.UnmarshalBinary(v.Sketch) // what sk just accepted
 	}
 	if len(v.Overrides) > 0 && d.overrides == nil {
 		// Overrides survive a restart even when the planner is off for

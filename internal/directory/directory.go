@@ -102,12 +102,18 @@ type Directory struct {
 	// leases maps each agent to its last heartbeat (or join) time; an
 	// agent silent past Config.LeaseExpiry is evicted.
 	leases map[uint64]time.Time
-	// sk is the exact merge of every sketch delta received. skDirty
-	// records that a merge since the last broadcast moved some cell across
-	// a replica bucket — the only sketch change that can alter a route, so
-	// the only one a seal must publish (DESIGN.md, "What opens an epoch").
-	// skBytes caches sk's encoding between merges (empty = stale).
+	// sk is the exact merge of every sketch delta received; routed routes
+	// every vertex as the routers' sketch does: it is the sketch last
+	// broadcast, or a later sk that moved no replica bucket against it.
+	// skDirty records that a merge since routed was taken moved some cell
+	// across a bucket. It is a filter: a later merge can move the cell back
+	// (the threshold grows with the total), so a seal that finds it set
+	// judges sk against routed and publishes only if a bucket really moved
+	// — the only sketch change that can alter a route (DESIGN.md, "What
+	// opens an epoch"). skBytes caches sk's encoding between merges (empty
+	// = stale).
 	sk      *sketch.Sketch
+	routed  *sketch.Sketch
 	skDirty bool
 	skBytes []byte
 	n       uint64
@@ -255,6 +261,7 @@ func Start(opts Options) (*Directory, error) {
 		agents: make(map[uint64]string),
 		leases: make(map[uint64]time.Time),
 		sk:     opts.Config.NewSketch(),
+		routed: opts.Config.NewSketch(),
 	}
 	tcfg := trace.Resolve(opts.Trace)
 	tcfg.Apply()
@@ -457,6 +464,8 @@ func (d *Directory) broadcastView() {
 	d.statEpoch.Store(d.epoch)
 	d.lastView = wire.AppendView(d.lastView[:0], d.view())
 	d.pub.Publish(wire.TDirUpdate, d.lastView)
+	_, _ = d.routed.LoadEncoded(d.skBytes, nil, 0) // view() encoded sk
+	d.skDirty = false
 	// Every epoch bump is a coordinator-state change at a coherent
 	// moment; snapshot it (no-op while durability is off).
 	d.checkpointCoord()
@@ -689,7 +698,7 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.handleHeartbeat(pkt)
 	case wire.TSketchDelta:
 		// A malformed delta merges nothing; ack it to stop retransmission.
-		if crossed, err := d.sk.MergeEncoded(pkt.Payload, d.opts.Config.Replicas); err == nil {
+		if crossed, err := d.sk.MergeEncoded(pkt.Payload, d.threshold, d.opts.Config.MaxReplicas); err == nil {
 			d.skBytes = d.skBytes[:0]
 			d.skDirty = d.skDirty || crossed
 		}
@@ -954,11 +963,10 @@ func (d *Directory) maybeFinishSeal() {
 	if len(d.agents) > 0 {
 		d.n = s.masters
 	}
-	if d.skDirty {
-		// A merged delta moved a cell across a replica bucket, so some
+	if d.skDirty && d.bucketsMoved() {
+		// The merged deltas moved a cell across a replica bucket, so some
 		// vertex's replica count may have changed: rebroadcast and run a
 		// migration round before starting work (§3.4.3).
-		d.skDirty = false
 		d.epoch++
 		d.broadcastView()
 		expected := make(map[uint64]bool, len(d.agents))
@@ -988,6 +996,25 @@ func (d *Directory) maybeFinishSeal() {
 	// sketch and the new batch watermark here instead.
 	d.checkpointCoord()
 	d.maybeStartRun()
+}
+
+// bucketsMoved judges sk against routed cell by cell, each under the
+// threshold at its own total, and clears skDirty. When no bucket moved, sk
+// becomes routed: it routes every vertex as the routers' sketch does, so
+// the next seal may be judged against it instead.
+func (d *Directory) bucketsMoved() bool {
+	d.skDirty = false
+	if len(d.skBytes) == 0 {
+		d.skBytes = d.sk.AppendBinary(d.skBytes)
+	}
+	moved, _ := d.routed.LoadEncoded(d.skBytes, d.threshold, d.opts.Config.MaxReplicas)
+	return moved
+}
+
+// threshold is the replication threshold at a sketch total under the
+// current membership, the one the next view carries.
+func (d *Directory) threshold(total uint64) uint64 {
+	return d.opts.Config.Threshold(total, len(d.agents))
 }
 
 // replyRunStats answers a TRunAlgo request and releases it. A valid ctx

@@ -448,12 +448,14 @@ func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
 	defer sender.Close()
 	watcher := watchViews(t, nw, d.Addr())
 	cfgv := testCfg()
+	// The default threshold follows the sketch total over the three members.
+	threshold := func(total uint64) uint64 { return cfgv.Threshold(total, 3) }
 	const keys = 400
 	model := cfgv.NewSketch() // what the directory holds
 	pushAndSeal := func(delta *sketch.Sketch) (crossed bool) {
 		t.Helper()
 		data, _ := delta.MarshalBinary()
-		crossed, err := model.MergeEncoded(data, cfgv.Replicas)
+		crossed, err := model.MergeEncoded(data, threshold, cfgv.MaxReplicas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,13 +491,22 @@ func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
 		}
 		trial := model.Clone()
 		data, _ := delta.MarshalBinary()
-		if crossed, _ := trial.MergeEncoded(data, cfgv.Replicas); crossed {
+		if crossed, _ := trial.MergeEncoded(data, threshold, cfgv.MaxReplicas); crossed {
 			continue
 		}
 		if pushAndSeal(delta) {
 			t.Fatal("model and trial disagree about a crossing")
 		}
 		quiet++
+	}
+	// A quiet seal that moves the threshold: a delta equal to the whole
+	// merge doubles every cell, the total and the threshold with it, so no
+	// cell changes bucket although every one changed.
+	if tBefore := threshold(model.Count()); threshold(2*model.Count()) != 2*tBefore {
+		t.Fatalf("test input: doubling the total %d does not double the threshold %d", model.Count(), tBefore)
+	}
+	if pushAndSeal(model.Clone()) {
+		t.Fatal("the doubling delta crossed a bucket")
 	}
 
 	joiner := joinFake(t, nw, d.Addr())

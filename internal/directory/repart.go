@@ -98,7 +98,7 @@ func (d *Directory) maybeRepartitionIdle() {
 // honors overrides for unsplit vertices, so planning a move for one would
 // burn a slot on a no-op.
 func (d *Directory) splitVertex(v graph.VertexID) bool {
-	return d.opts.Config.Replicas(d.sk.Estimate(uint64(v))) > 1
+	return d.opts.Config.Replicas(d.sk.Estimate(uint64(v)), d.sk.Count(), len(d.agents)) > 1
 }
 
 // pruneOverrides drops overrides whose target is no longer a member and

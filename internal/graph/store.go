@@ -529,6 +529,15 @@ func (s *Store) MaybeCompact() { s.compactOver(4) }
 // store in the bulkier tail.
 func (s *Store) Settle() { s.compactOver(16) }
 
+// Fold compacts whatever tail or dead space there is, for a caller that has
+// just applied a batch large against the store: the sealed runs it leaves
+// are what every later read walks.
+func (s *Store) Fold() {
+	if s.tailRecs+s.deadSealed > 0 {
+		s.Compact()
+	}
+}
+
 // compactOver compacts once the delta log plus the dead sealed entries
 // reach max(compactMin, sealed/fraction).
 func (s *Store) compactOver(fraction int) {

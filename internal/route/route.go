@@ -144,12 +144,17 @@ func (r *Router) resetTable() {
 
 // replicas is v's replica count under the installed sketch and ring.
 func (r *Router) replicas(v graph.VertexID) int {
-	k := r.cfg.Replicas(r.sk.Estimate(uint64(v)))
-	if n := r.ring.Size(); k > n && n > 0 {
+	n := r.ring.Size()
+	k := r.cfg.Replicas(r.sk.Estimate(uint64(v)), r.sk.Count(), n)
+	if k > n && n > 0 {
 		k = n
 	}
 	return k
 }
+
+// threshold is the replication threshold at a sketch total under the
+// installed membership.
+func (r *Router) threshold(total uint64) uint64 { return r.cfg.Threshold(total, r.ring.Size()) }
 
 // computeRoute resolves v's routing entry directly from the sketch and
 // ring, bypassing the table. It is the fill path and the reference the
@@ -306,11 +311,13 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 		return false, nil
 	}
 	// The sketch loads in place, first: malformed bytes error out before
-	// anything is touched. An absent sketch is an empty one.
+	// anything is touched. An absent sketch is an empty one. The crossing
+	// is judged under the installed membership, which is all that matters:
+	// it is only read when the view keeps that membership.
 	crossed := true
 	if len(v.Sketch) > 0 {
 		var err error
-		if crossed, err = r.sk.LoadEncoded(v.Sketch, r.cfg.Replicas); err != nil {
+		if crossed, err = r.sk.LoadEncoded(v.Sketch, r.threshold, r.cfg.MaxReplicas); err != nil {
 			return false, fmt.Errorf("route: view sketch: %w", err)
 		}
 	} else {

@@ -5,6 +5,7 @@ import (
 
 	"elga/internal/config"
 	"elga/internal/consistent"
+	"elga/internal/gen"
 	"elga/internal/graph"
 	"elga/internal/sketch"
 	"elga/internal/wire"
@@ -176,5 +177,127 @@ func TestConfigAccessor(t *testing.T) {
 	r := New(c)
 	if r.Config().Virtual != c.Virtual {
 		t.Error("Config accessor wrong")
+	}
+}
+
+// rmat14Sketch is the sketch the directory holds once the R-MAT scale-14
+// graph of the benchmark (131 072 edges, seed 1) is loaded under the
+// default configuration, and the graph's vertices.
+func rmat14Sketch(t *testing.T, c config.Config) (*sketch.Sketch, []graph.VertexID) {
+	t.Helper()
+	el := gen.RMAT(14, 131072, gen.Graph500Params(), 1).Dedupe()
+	sk := c.NewSketch()
+	seen := make(map[graph.VertexID]bool)
+	var vs []graph.VertexID
+	for _, e := range el {
+		sk.Add(uint64(e.Src))
+		sk.Add(uint64(e.Dst))
+		for _, v := range []graph.VertexID{e.Src, e.Dst} {
+			if !seen[v] {
+				seen[v] = true
+				vs = append(vs, v)
+			}
+		}
+	}
+	return sk, vs
+}
+
+// TestSplitCountFollowsMembership: under the default, load-derived
+// threshold a vertex splits once it outgrows an eighth of a mean agent's
+// load. On the benchmark's R-MAT-14 graph no hub does at four agents; at
+// sixteen the fifteen top hubs do (degrees 1 248 to 3 008, the next is 519);
+// and at sixty-four, where the threshold reaches its floor of 256, the 106
+// hubs split that the old fixed threshold split.
+func TestSplitCountFollowsMembership(t *testing.T) {
+	c := config.Default()
+	sk, vs := rmat14Sketch(t, c)
+	for _, tc := range []struct {
+		members  uint64
+		min, max int
+	}{{4, 0, 0}, {16, 10, 16}, {64, 80, len(vs)}} {
+		ids := make([]uint64, tc.members)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		r := New(c)
+		if _, err := r.Update(view(t, 1, ids, sk)); err != nil {
+			t.Fatal(err)
+		}
+		split := 0
+		for _, v := range vs {
+			if r.Split(v) {
+				split++
+			}
+		}
+		t.Logf("P = %d: threshold %d, %d split vertices", tc.members, c.Threshold(sk.Count(), int(tc.members)), split)
+		if split < tc.min || split > tc.max {
+			t.Errorf("P = %d: %d split vertices, want %d..%d", tc.members, split, tc.min, tc.max)
+		}
+	}
+}
+
+// TestThresholdMoveReroutesExactly: a sketch-only view whose total doubles
+// moves the load-derived threshold. Every vertex whose replica count that
+// changes — hubs that un-split or lose replicas — is rerouted, no other is,
+// and the router then answers like one that installed the view cold.
+func TestThresholdMoveReroutesExactly(t *testing.T) {
+	c := config.Default()
+	c.SketchWidth, c.SketchDepth, c.Virtual = 1024, 4, 8
+	ids := []uint64{1, 2, 3, 4}
+	hubs := map[graph.VertexID]uint32{1: 300, 2: 600, 3: 1000, 4: 2000}
+	build := func(background uint32) *sketch.Sketch {
+		sk := c.NewSketch()
+		for v, d := range hubs {
+			sk.AddN(uint64(v), d)
+		}
+		for v := uint64(100); v < 300; v++ {
+			sk.AddN(v, background)
+		}
+		return sk
+	}
+	small, large := build(40), build(80) // totals ~12 k and ~20 k
+	if c.Threshold(small.Count(), 4) != 256 || c.Threshold(large.Count(), 4) != 512 {
+		t.Fatalf("test input: thresholds %d and %d, want 256 and 512",
+			c.Threshold(small.Count(), 4), c.Threshold(large.Count(), 4))
+	}
+	vertices := make([]graph.VertexID, 0, 300)
+	for v := graph.VertexID(0); v < 300; v++ {
+		vertices = append(vertices, v)
+	}
+	r := New(c)
+	if _, err := r.Update(view(t, 1, ids, small)); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[graph.VertexID]int, len(vertices))
+	for _, v := range vertices {
+		before[v] = r.Replicas(v)
+	}
+	if _, err := r.Update(view(t, 2, ids, large)); err != nil {
+		t.Fatal(err)
+	}
+	rerouted, sketchOnly := r.Rerouted()
+	if !sketchOnly {
+		t.Fatal("a view with the installed membership was not treated as sketch-only")
+	}
+	moved := make(map[graph.VertexID]bool)
+	for _, v := range rerouted {
+		moved[v] = true
+	}
+	fresh := New(c)
+	if _, err := fresh.Update(view(t, 2, ids, large)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vertices {
+		if want := fresh.Replicas(v) != before[v]; moved[v] != want {
+			t.Errorf("vertex %d: rerouted=%v, replica count %d -> %d", v, moved[v], before[v], fresh.Replicas(v))
+		}
+		a, _ := r.EdgeOwner(v, v+1)
+		b, _ := fresh.EdgeOwner(v, v+1)
+		if a != b {
+			t.Errorf("EdgeOwner(%d) = %d after the update, %d on a cold router", v, a, b)
+		}
+	}
+	if !moved[1] || moved[4] {
+		t.Fatalf("rerouted %v: want the 300-degree hub (un-split) and not the capped 2000-degree one", rerouted)
 	}
 }

@@ -189,16 +189,36 @@ func decodeHeader(data []byte) (w, d uint32, count uint64, err error) {
 // UnmarshalBinary decodes a sketch produced by MarshalBinary, replacing
 // the receiver's contents.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	_, err := s.LoadEncoded(data, nil)
+	_, err := s.LoadEncoded(data, nil, 0)
 	return err
+}
+
+// crossing judges the cells of a load or merge that takes the total from
+// before to after, under a replica policy whose threshold may follow the
+// total (nil judges nothing). moved reports whether a cell that went from a
+// to b changed bucket, each value judged under the threshold at its own
+// total; every, whether cells left alone need judging too — the threshold
+// moved. A key's count, Replicas of the minimum over its cells, is the
+// minimum of its cells' buckets for a fixed threshold, so when no cell
+// moved no key did, whatever the two thresholds.
+func crossing(threshold func(total uint64) uint64, maxReplicas int, before, after uint64) (moved func(a, b uint64) bool, every bool) {
+	if threshold == nil {
+		return func(uint64, uint64) bool { return false }, false
+	}
+	tb, ta := threshold(before), threshold(after)
+	return func(a, b uint64) bool {
+		return Replicas(a, tb, maxReplicas) != Replicas(b, ta, maxReplicas)
+	}, tb != ta
 }
 
 // LoadEncoded is UnmarshalBinary that reuses the receiver's storage when
 // the dimensions match and reports whether any cell landed in a different
-// bucket than the value it replaced. bucket must be monotone; nil skips the
+// replica bucket than the value it replaced: the old value judged under
+// threshold(old total), the new one under threshold(new total), each
+// through Replicas(·, ·, maxReplicas). A nil threshold skips the
 // comparison. A dimension change always counts as a crossing. Malformed
 // data errors before the receiver is touched.
-func (s *Sketch) LoadEncoded(data []byte, bucket func(uint64) int) (crossed bool, err error) {
+func (s *Sketch) LoadEncoded(data []byte, threshold func(total uint64) uint64, maxReplicas int) (crossed bool, err error) {
 	w, d, cnt, err := decodeHeader(data)
 	if err != nil {
 		return false, err
@@ -207,16 +227,17 @@ func (s *Sketch) LoadEncoded(data []byte, bucket func(uint64) int) (crossed bool
 		*s = *New(int(w), int(d))
 		crossed = true
 	}
+	moved, every := crossing(threshold, maxReplicas, s.count, cnt)
 	off := 16
 	for _, row := range s.rows {
 		for i, old := range row {
 			v := binary.LittleEndian.Uint32(data[off:])
 			off += 4
-			if v == old {
+			if v == old && !every {
 				continue
 			}
 			row[i] = v
-			if !crossed && bucket != nil && bucket(uint64(old)) != bucket(uint64(v)) {
+			if !crossed && moved(uint64(old), uint64(v)) {
 				crossed = true
 			}
 		}
@@ -229,12 +250,11 @@ func (s *Sketch) LoadEncoded(data []byte, bucket func(uint64) int) (crossed bool
 // from its MarshalBinary bytes: directories aggregate per-agent sketch
 // deltas with it without materializing them. Both sketches must have
 // identical dimensions (and therefore identical row seeds). It reports
-// whether the merge moved any cell into a different bucket. An estimate is
-// the minimum over a key's cells, so for a monotone bucket function
-// bucket(Estimate(key)) is the minimum of its cells' buckets: when no cell
-// crossed, no key's bucket changed. Malformed or mismatched data errors
-// before the receiver is touched.
-func (s *Sketch) MergeEncoded(data []byte, bucket func(uint64) int) (crossed bool, err error) {
+// whether the merge moved any cell into a different replica bucket, judged
+// as LoadEncoded judges a load; the new total is the sum of the two
+// headers'. Malformed or mismatched data errors before the receiver is
+// touched.
+func (s *Sketch) MergeEncoded(data []byte, threshold func(total uint64) uint64, maxReplicas int) (crossed bool, err error) {
 	w, d, cnt, err := decodeHeader(data)
 	if err != nil {
 		return false, err
@@ -243,12 +263,13 @@ func (s *Sketch) MergeEncoded(data []byte, bucket func(uint64) int) (crossed boo
 		return false, fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
 			s.width, s.depth, w, d)
 	}
+	moved, every := crossing(threshold, maxReplicas, s.count, s.count+cnt)
 	off := 16
 	for _, row := range s.rows {
 		for i, old := range row {
 			add := binary.LittleEndian.Uint32(data[off:])
 			off += 4
-			if add == 0 {
+			if add == 0 && !every {
 				continue
 			}
 			v := uint64(old) + uint64(add)
@@ -256,7 +277,7 @@ func (s *Sketch) MergeEncoded(data []byte, bucket func(uint64) int) (crossed boo
 				v = math.MaxUint32
 			}
 			row[i] = uint32(v)
-			if !crossed && bucket(uint64(old)) != bucket(v) {
+			if !crossed && moved(uint64(old), v) {
 				crossed = true
 			}
 		}

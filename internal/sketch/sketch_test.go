@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,16 +93,19 @@ func TestAddNSaturates(t *testing.T) {
 	}
 }
 
-// oneBucket is a bucket function under which nothing ever crosses.
-func oneBucket(uint64) int { return 0 }
+// never is a threshold under which nothing splits, so nothing ever crosses.
+func never(uint64) uint64 { return 0 }
+
+// fixed is a threshold that does not depend on the sketch total.
+func fixed(t uint64) func(uint64) uint64 { return func(uint64) uint64 { return t } }
 
 // mergeInto merges b into a through b's encoding, the only merge there is.
-func mergeInto(a, b *Sketch, bucket func(uint64) int) (bool, error) {
+func mergeInto(a, b *Sketch, threshold func(uint64) uint64, maxReplicas int) (bool, error) {
 	data, err := b.MarshalBinary()
 	if err != nil {
 		return false, err
 	}
-	return a.MergeEncoded(data, bucket)
+	return a.MergeEncoded(data, threshold, maxReplicas)
 }
 
 func TestMerge(t *testing.T) {
@@ -110,7 +114,7 @@ func TestMerge(t *testing.T) {
 		a.Add(i)
 		b.AddN(i, 2)
 	}
-	if _, err := mergeInto(a, b, oneBucket); err != nil {
+	if _, err := mergeInto(a, b, never, 8); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 100; i++ {
@@ -124,10 +128,10 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeDimensionMismatch(t *testing.T) {
-	if _, err := mergeInto(New(8, 2), New(16, 2), oneBucket); err == nil {
+	if _, err := mergeInto(New(8, 2), New(16, 2), never, 8); err == nil {
 		t.Error("expected error for width mismatch")
 	}
-	if _, err := mergeInto(New(8, 2), New(8, 3), oneBucket); err == nil {
+	if _, err := mergeInto(New(8, 2), New(8, 3), never, 8); err == nil {
 		t.Error("expected error for depth mismatch")
 	}
 }
@@ -142,10 +146,10 @@ func TestMergeEncodedMalformed(t *testing.T) {
 		nil, good[:15], good[:len(good)-1], append(append([]byte(nil), good...), 0),
 		{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
-		if _, err := s.MergeEncoded(data, oneBucket); err == nil {
+		if _, err := s.MergeEncoded(data, never, 8); err == nil {
 			t.Errorf("MergeEncoded(%d bytes) accepted malformed data", len(data))
 		}
-		if _, err := s.LoadEncoded(data, oneBucket); err == nil {
+		if _, err := s.LoadEncoded(data, never, 8); err == nil {
 			t.Errorf("LoadEncoded(%d bytes) accepted malformed data", len(data))
 		}
 		if s.Estimate(3) != 7 || s.Count() != 7 {
@@ -159,7 +163,7 @@ func TestMergeEncodedSaturates(t *testing.T) {
 	a, b := New(4, 1), New(4, 1)
 	a.AddN(1, math.MaxUint32-1)
 	b.AddN(1, 5)
-	if _, err := mergeInto(a, b, oneBucket); err != nil {
+	if _, err := mergeInto(a, b, never, 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Estimate(1); got != math.MaxUint32 {
@@ -171,13 +175,12 @@ func TestMergeEncodedSaturates(t *testing.T) {
 // place and reports crossings against what it replaced; a different shape
 // reallocates and always counts as a crossing.
 func TestLoadEncodedReusesStorage(t *testing.T) {
-	bucket := func(e uint64) int { return Replicas(e, 10, 8) }
 	src := New(16, 2)
 	src.AddN(5, 9)
 	data, _ := src.MarshalBinary()
 	dst := New(16, 2)
 	row := &dst.rows[0][0]
-	if crossed, err := dst.LoadEncoded(data, bucket); err != nil || crossed {
+	if crossed, err := dst.LoadEncoded(data, fixed(10), 8); err != nil || crossed {
 		t.Fatalf("sub-threshold load: crossed=%v err=%v", crossed, err)
 	}
 	if &dst.rows[0][0] != row || dst.Estimate(5) != 9 || dst.Count() != 9 {
@@ -185,15 +188,15 @@ func TestLoadEncodedReusesStorage(t *testing.T) {
 	}
 	src.AddN(5, 2) // 11: one past the threshold, so two replicas
 	data, _ = src.MarshalBinary()
-	if crossed, _ := dst.LoadEncoded(data, bucket); !crossed {
+	if crossed, _ := dst.LoadEncoded(data, fixed(10), 8); !crossed {
 		t.Fatal("load across the threshold reported no crossing")
 	}
-	if crossed, _ := dst.LoadEncoded(data, bucket); crossed {
+	if crossed, _ := dst.LoadEncoded(data, fixed(10), 8); crossed {
 		t.Fatal("reloading identical contents reported a crossing")
 	}
 	wide := New(32, 2)
 	data, _ = wide.MarshalBinary()
-	if crossed, err := dst.LoadEncoded(data, bucket); err != nil || !crossed || dst.Width() != 32 {
+	if crossed, err := dst.LoadEncoded(data, fixed(10), 8); err != nil || !crossed || dst.Width() != 32 {
 		t.Fatalf("reshape: crossed=%v err=%v width=%d", crossed, err, dst.Width())
 	}
 }
@@ -335,7 +338,7 @@ func TestMergeGEQComponentsProperty(t *testing.T) {
 			b.Add(uint64(k))
 		}
 		ac, bc := a.Clone(), b.Clone()
-		if _, err := mergeInto(a, b, oneBucket); err != nil {
+		if _, err := mergeInto(a, b, never, 8); err != nil {
 			return false
 		}
 		for k := uint64(0); k < 256; k++ {
@@ -350,16 +353,43 @@ func TestMergeGEQComponentsProperty(t *testing.T) {
 	}
 }
 
-// TestMergeCrossingProperty is the contract the directory's clean seal
-// rests on. For random base sketches and deltas under a replication
-// policy: a merge that reports no crossing leaves Replicas(Estimate(key))
-// unchanged for every key, and a merge that changes it for some key always
-// reports a crossing.
+// byLoad is a threshold shaped like the configuration's load-derived one,
+// scaled down: max(2, 2^⌊log2(total / members / 2)⌋).
+func byLoad(members uint64) func(uint64) uint64 {
+	return func(total uint64) uint64 {
+		t := uint64(2)
+		for 2*t <= total/members/2 {
+			t *= 2
+		}
+		return t
+	}
+}
+
+// replicaCounts is every key's replica count under s and a threshold at
+// s's total, by brute force.
+func replicaCounts(s *Sketch, keys int, threshold func(uint64) uint64, maxReplicas int) []int {
+	out := make([]int, keys)
+	for k := range out {
+		out[k] = Replicas(s.Estimate(uint64(k)), threshold(s.Count()), maxReplicas)
+	}
+	return out
+}
+
+// TestMergeCrossingProperty is the contract the directory's clean seal and
+// a router's kept route table rest on. For random base sketches, deltas and
+// member counts, under a fixed threshold and under one that moves with the
+// total: a merge — or a load of the merged bytes over the base — that
+// reports no crossing leaves every key's replica count unchanged, checked
+// key by key, and one that changes some key's count always reports a
+// crossing.
 func TestMergeCrossingProperty(t *testing.T) {
-	const threshold, maxReplicas, keys = 6, 4, 64
-	bucket := func(e uint64) int { return Replicas(e, threshold, maxReplicas) }
-	var crossings, clean int
-	f := func(base, delta []uint8) bool {
+	const maxReplicas, keys = 4, 64
+	var crossings, clean, cleanMoved int
+	f := func(base, delta []uint8, members uint8, moving bool) bool {
+		threshold := fixed(6)
+		if moving {
+			threshold = byLoad(1 + uint64(members%4))
+		}
 		a, d := New(16, 3), New(16, 3)
 		for _, k := range base {
 			a.Add(uint64(k % keys))
@@ -367,32 +397,81 @@ func TestMergeCrossingProperty(t *testing.T) {
 		for _, k := range delta {
 			d.Add(uint64(k % keys))
 		}
-		var before [keys]int
-		for k := range before {
-			before[k] = bucket(a.Estimate(uint64(k)))
-		}
-		crossed, err := mergeInto(a, d, bucket)
+		loaded := a.Clone()
+		before := replicaCounts(a, keys, threshold, maxReplicas)
+		tBefore := threshold(a.Count())
+		crossed, err := mergeInto(a, d, threshold, maxReplicas)
 		if err != nil {
 			return false
 		}
-		changed := false
-		for k := range before {
-			if bucket(a.Estimate(uint64(k))) != before[k] {
-				changed = true
-			}
+		data, _ := a.MarshalBinary()
+		crossedLoad, err := loaded.LoadEncoded(data, threshold, maxReplicas)
+		if err != nil || crossedLoad != crossed {
+			return false // the same cells, judged the same way
 		}
-		if crossed {
+		changed := !slices.Equal(before, replicaCounts(a, keys, threshold, maxReplicas))
+		switch {
+		case crossed:
 			crossings++
-		} else {
+		case threshold(a.Count()) != tBefore:
+			cleanMoved++
+			fallthrough
+		default:
 			clean++
 		}
 		return !changed || crossed
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
 		t.Error(err)
 	}
-	if crossings == 0 || clean == 0 {
-		t.Fatalf("property saw %d crossing and %d clean merges; it needs both", crossings, clean)
+	if crossings == 0 || clean == 0 || cleanMoved == 0 {
+		t.Fatalf("property saw %d crossing merges, %d clean ones, %d of them moving the threshold; it needs all three",
+			crossings, clean, cleanMoved)
+	}
+}
+
+// TestDoublingDeltaCrossesNothing: a delta that doubles every cell doubles
+// the total and, with it, a load-derived threshold; every cell keeps its
+// bucket, so neither a merge nor a load may report a crossing, although
+// every cell changed and the threshold moved.
+func TestDoublingDeltaCrossesNothing(t *testing.T) {
+	const maxReplicas, keys = 8, 32
+	threshold := byLoad(1)
+	s := New(64, 4)
+	for k := uint64(0); k < keys; k++ {
+		s.AddN(k, uint32(1+k))
+	}
+	s.AddN(7, 700) // a few keys several thresholds up
+	s.AddN(9, 1500)
+	before := replicaCounts(s, keys, threshold, maxReplicas)
+	if slices.Max(before) < 2 {
+		t.Fatal("test input: nothing is split")
+	}
+	routed := s.Clone()
+	tBefore := threshold(s.Count())
+	crossed, err := mergeInto(s, s.Clone(), threshold, maxReplicas)
+	if err != nil || crossed {
+		t.Fatalf("doubling merge: crossed=%v err=%v", crossed, err)
+	}
+	if tAfter := threshold(s.Count()); tAfter != 2*tBefore {
+		t.Fatalf("test input: threshold %d -> %d, want it doubled", tBefore, tAfter)
+	}
+	if after := replicaCounts(s, keys, threshold, maxReplicas); !slices.Equal(before, after) {
+		t.Fatalf("replica counts moved: %v -> %v", before, after)
+	}
+	data, _ := s.MarshalBinary()
+	if crossed, err := routed.LoadEncoded(data, threshold, maxReplicas); err != nil || crossed {
+		t.Fatalf("doubling load: crossed=%v err=%v", crossed, err)
+	}
+	// Pushing one key just past the doubled threshold, without moving it
+	// again, is a crossing.
+	tNow, hub := threshold(s.Count()), New(64, 4)
+	hub.AddN(7, uint32(tNow-s.Estimate(7)+1))
+	if s.Estimate(7) >= tNow || threshold(s.Count()+hub.Count()) != tNow {
+		t.Fatal("test input: the push moves the threshold or starts above it")
+	}
+	if crossed, _ := mergeInto(s, hub, threshold, maxReplicas); !crossed {
+		t.Fatal("a delta that split a key further reported no crossing")
 	}
 }
 
@@ -429,16 +508,15 @@ func FuzzMergeEncoded(f *testing.F) {
 	f.Add(good[:len(good)-3])
 	f.Add([]byte{8, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
-	bucket := func(e uint64) int { return Replicas(e, 4, 8) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(8, 2)
 		s.AddN(5, 2)
-		if _, err := s.MergeEncoded(data, bucket); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
+		if _, err := s.MergeEncoded(data, fixed(4), 8); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
 			t.Fatal("a rejected merge changed the receiver")
 		}
 		s = New(8, 2)
 		s.AddN(5, 2)
-		if _, err := s.LoadEncoded(data, bucket); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
+		if _, err := s.LoadEncoded(data, fixed(4), 8); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
 			t.Fatal("a rejected load changed the receiver")
 		}
 	})

@@ -412,10 +412,12 @@ func ValueUpdateAt(data []byte, i int) ValueUpdate {
 }
 
 // ReplicaRegister tells a master that the sending agent holds copies of a
-// split vertex and must receive its ValueUpdates.
+// split vertex and must receive its ValueUpdates — or, with Deregister, that
+// it holds none any more.
 type ReplicaRegister struct {
-	Vertex  graph.VertexID
-	AgentID uint64
+	Vertex     graph.VertexID
+	AgentID    uint64
+	Deregister bool
 }
 
 // AppendReplicaRegister appends a replica registration payload to dst.
@@ -423,16 +425,21 @@ func AppendReplicaRegister(dst []byte, rr *ReplicaRegister) []byte {
 	w := Writer{buf: dst}
 	w.U64(uint64(rr.Vertex))
 	w.U64(rr.AgentID)
+	w.Bool(rr.Deregister)
 	return w.buf
 }
 
 // EncodeReplicaRegister serializes a replica registration.
 func EncodeReplicaRegister(rr *ReplicaRegister) []byte { return AppendReplicaRegister(nil, rr) }
 
-// DecodeReplicaRegister parses a replica registration.
+// DecodeReplicaRegister parses a replica registration. The Deregister flag
+// trails the payload, so one from before it existed decodes as a register.
 func DecodeReplicaRegister(data []byte) (*ReplicaRegister, error) {
 	r := NewReader(data)
 	rr := &ReplicaRegister{Vertex: graph.VertexID(r.U64()), AgentID: r.U64()}
+	if r.Remaining() > 0 {
+		rr.Deregister = r.Bool()
+	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode replica register: %w", err)
 	}

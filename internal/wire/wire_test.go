@@ -180,13 +180,20 @@ func TestVertexMsgBatchRoundTrip(t *testing.T) {
 }
 
 func TestReplicaRegisterRoundTrip(t *testing.T) {
-	rr := &ReplicaRegister{Vertex: 77, AgentID: 5}
-	got, err := DecodeReplicaRegister(EncodeReplicaRegister(rr))
-	if err != nil {
-		t.Fatal(err)
+	for _, rr := range []*ReplicaRegister{{Vertex: 77, AgentID: 5}, {Vertex: 77, AgentID: 5, Deregister: true}} {
+		got, err := DecodeReplicaRegister(EncodeReplicaRegister(rr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *rr {
+			t.Fatalf("%+v", got)
+		}
 	}
-	if *got != *rr {
-		t.Fatalf("%+v", got)
+	// A registration from before the flag existed is one byte shorter.
+	full := EncodeReplicaRegister(&ReplicaRegister{Vertex: 77, AgentID: 5, Deregister: true})
+	got, err := DecodeReplicaRegister(full[:len(full)-1])
+	if err != nil || *got != (ReplicaRegister{Vertex: 77, AgentID: 5}) {
+		t.Fatalf("old-length payload: %+v, %v", got, err)
 	}
 }
 
