@@ -1,19 +1,15 @@
 // Command elga-bench regenerates the paper's evaluation: one sub-command
 // per table/figure of §4 plus the §3.5 latency table, printing the rows
-// the paper plots. `elga-bench all` runs everything in paper order;
-// `-md` emits Markdown suitable for EXPERIMENTS.md; `-json FILE` writes a
-// machine-readable record (per-experiment tables plus a metered superstep
-// performance block: ns/op, allocs/op, phase breakdown) for regression
-// tracking across PRs.
+// the paper plots. `elga-bench all` runs everything in paper order; `-md`
+// emits Markdown suitable for EXPERIMENTS.md. Regression tracking across
+// changes is benchmark/'s job (BENCHMARK.json), not this command's.
 //
 //	elga-bench fig11                      # PageRank vs baselines
 //	elga-bench -quick all                 # smoke-scale pass over every experiment
 //	elga-bench -md all > out.md
-//	elga-bench -quick -json BENCH_4.json perf
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,105 +18,31 @@ import (
 	"elga/internal/experiments"
 )
 
-// jsonExperiment is one experiment's table in the -json record.
-type jsonExperiment struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Header  []string   `json:"header"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-	Seconds float64    `json:"seconds"`
-}
-
-// jsonOutput is the whole -json record. Superstep is the regression-
-// tracked metered run (tracing off); SuperstepTraced repeats it with
-// distributed tracing at 100% sampling so the record captures the
-// instrumentation's overhead alongside the baseline.
-type jsonOutput struct {
-	Scale           string                     `json:"scale"`
-	Experiments     []jsonExperiment           `json:"experiments,omitempty"`
-	Superstep       *experiments.SuperstepPerf `json:"superstep,omitempty"`
-	SuperstepTraced *experiments.SuperstepPerf `json:"superstep_traced,omitempty"`
-	// SuperstepEvents repeats the metered run with the structured event
-	// journal armed — events never fire on the superstep hot path, so
-	// this column tracks that the health plane stays off it.
-	SuperstepEvents *experiments.SuperstepPerf `json:"superstep_events,omitempty"`
-	// SuperstepProfiled repeats the metered run with the cluster profiling
-	// plane enabled but no capture in flight — an idle plane costs the
-	// superstep one predicted branch, and this column tracks that.
-	SuperstepProfiled *experiments.SuperstepPerf `json:"superstep_profiled,omitempty"`
-	// Storage and Delta are the CSR+delta-log regression trackers: store
-	// bytes/edge vs the map reference, and full- vs frontier-seeded
-	// delta-recompute ns/batch per algorithm and batch size.
-	Storage *experiments.StoragePerf `json:"storage,omitempty"`
-	Delta   []experiments.DeltaPerf  `json:"delta,omitempty"`
-	// Repartition compares hash-only placement against the adaptive
-	// planner on a community-structured workload: cut ratio and
-	// cross-agent bytes are the regression-tracked numbers.
-	Repartition *experiments.RepartitionPerf `json:"repartition,omitempty"`
-	// Recovery tracks the durability subsystem: warm checkpoint-restore
-	// recovery vs cold re-stream rebuild after an agent kill, plus the
-	// checkpoint-on superstep overhead against the durability-off baseline.
-	Recovery *experiments.RecoveryPerf `json:"recovery,omitempty"`
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "reduced trials and inputs")
 	md := flag.Bool("md", false, "emit Markdown tables")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	compare := flag.Bool("compare", false, "compare two -json records: elga-bench -compare old.json new.json")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: elga-bench [-quick] [-md] [-json FILE] {all|perf")
+		fmt.Fprintf(os.Stderr, "usage: elga-bench [-quick] [-md] {all")
 		for _, id := range experiments.Order {
 			fmt.Fprintf(os.Stderr, "|%s", id)
 		}
 		fmt.Fprintln(os.Stderr, "}")
-		fmt.Fprintln(os.Stderr, "       elga-bench -compare old.json new.json")
 	}
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1)); err != nil {
-			fmt.Fprintln(os.Stderr, "elga-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if flag.NArg() < 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
 	scale := experiments.Full
-	scaleName := "full"
 	if *quick {
 		scale = experiments.Quick
-		scaleName = "quick"
 	}
 	ids := flag.Args()
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.Order
 	}
-	out := jsonOutput{Scale: scaleName}
 	failed := 0
 	for _, id := range ids {
-		if id == "perf" {
-			// The metered superstep run only goes to the JSON record (and a
-			// one-line stderr summary); it has no paper table to print.
-			start := time.Now()
-			perf, err := experiments.MeasureSuperstepPerf(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "elga-bench: perf failed: %v\n", err)
-				failed++
-				continue
-			}
-			out.Superstep = perf
-			fmt.Fprintf(os.Stderr, "[perf: %.0f ns/step, %.0f allocs/step over %d steps, in %s]\n\n",
-				perf.NsPerStep, perf.AllocsPerStep, perf.Steps, time.Since(start).Round(time.Millisecond))
-			continue
-		}
 		fn, ok := experiments.Registry[id]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "elga-bench: unknown experiment %q\n", id)
@@ -139,270 +61,9 @@ func main() {
 		} else {
 			fmt.Print(rep.String())
 		}
-		elapsed := time.Since(start)
-		out.Experiments = append(out.Experiments, jsonExperiment{
-			ID: rep.ID, Title: rep.Title, Header: rep.Header, Rows: rep.Rows,
-			Notes: rep.Notes, Seconds: elapsed.Seconds(),
-		})
-		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n\n", id, elapsed.Round(time.Millisecond))
-	}
-	if *jsonPath != "" {
-		// A -json run without an explicit perf sub-command still meters the
-		// superstep: the JSON record's point is regression tracking.
-		if out.Superstep == nil && failed == 0 {
-			perf, err := experiments.MeasureSuperstepPerf(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "elga-bench: perf failed: %v\n", err)
-				failed++
-			} else {
-				out.Superstep = perf
-			}
-		}
-		// Storage regression trackers ride every JSON record, like perf.
-		if sp, err := experiments.MeasureStorage(scale); err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: storage failed: %v\n", err)
-			failed++
-		} else {
-			out.Storage = sp
-			fmt.Fprintf(os.Stderr, "[storage: %.1f bytes/edge csr vs %.1f map (%.2fx) on %s]\n\n",
-				sp.CSRBytesPerEdge, sp.MapBytesPerEdge, sp.Reduction, sp.Graph)
-		}
-		if rows, err := experiments.MeasureDeltaRecompute(scale); err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: delta recompute failed: %v\n", err)
-			failed++
-		} else {
-			out.Delta = rows
-			for _, row := range rows {
-				fmt.Fprintf(os.Stderr, "[delta %s batch=%d: full %.0f ns/batch vs delta %.0f ns/batch (%.1fx), frontier %.1f]\n",
-					row.Algo, row.BatchSize, row.FullNsPerBatch, row.DeltaNsPerBatch, row.Speedup, row.AvgFrontier)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-		// The repartition comparison rides every JSON record too: cut ratio
-		// and cross-agent bytes under hash-only vs adaptive placement.
-		if rp, err := experiments.MeasureRepartition(scale); err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: repartition failed: %v\n", err)
-			failed++
-		} else {
-			out.Repartition = rp
-			fmt.Fprintf(os.Stderr, "[repart: cut %.3f -> %.3f, remote %.2f -> %.2f MiB, %d moves on %s]\n\n",
-				rp.Baseline.CutRatio, rp.Repart.CutRatio,
-				float64(rp.Baseline.RemoteBytes)/(1<<20), float64(rp.Repart.RemoteBytes)/(1<<20),
-				rp.Moves, rp.Graph)
-		}
-		// The recovery comparison rides every JSON record: warm restore vs
-		// cold re-stream after an identical kill, plus checkpoint overhead.
-		if rc, err := experiments.MeasureRecovery(scale); err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: recovery failed: %v\n", err)
-			failed++
-		} else {
-			out.Recovery = rc
-			fmt.Fprintf(os.Stderr, "[recovery: warm %.2fs vs cold %.2fs (%.1fx), ckpt overhead %+.1f%%, %d snapshots %.2f MiB on %s]\n\n",
-				rc.WarmRestoreSeconds, rc.ColdRebuildSeconds, rc.Speedup,
-				rc.OverheadPct, rc.Snapshots, float64(rc.SnapshotBytes)/(1<<20), rc.Graph)
-		}
-		// The tracing-on repeat quantifies the tracing subsystem's overhead
-		// against the baseline directly in the same record.
-		if out.Superstep != nil {
-			traced, err := experiments.MeasureSuperstepPerfTraced(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "elga-bench: traced perf failed: %v\n", err)
-				failed++
-			} else {
-				out.SuperstepTraced = traced
-				fmt.Fprintf(os.Stderr, "[perf traced: %.0f ns/step, %.0f allocs/step over %d steps]\n\n",
-					traced.NsPerStep, traced.AllocsPerStep, traced.Steps)
-			}
-		}
-		if out.Superstep != nil {
-			evented, err := experiments.MeasureSuperstepPerfEvents(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "elga-bench: events perf failed: %v\n", err)
-				failed++
-			} else {
-				out.SuperstepEvents = evented
-				fmt.Fprintf(os.Stderr, "[perf events: %.0f ns/step, %.0f allocs/step over %d steps]\n\n",
-					evented.NsPerStep, evented.AllocsPerStep, evented.Steps)
-			}
-		}
-		if out.Superstep != nil {
-			profiled, err := experiments.MeasureSuperstepPerfProfiled(scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "elga-bench: profiled perf failed: %v\n", err)
-				failed++
-			} else {
-				out.SuperstepProfiled = profiled
-				fmt.Fprintf(os.Stderr, "[perf profiled: %.0f ns/step, %.0f allocs/step over %d steps]\n\n",
-					profiled.NsPerStep, profiled.AllocsPerStep, profiled.Steps)
-			}
-		}
-		buf, err := json.MarshalIndent(&out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: writing %s: %v\n", *jsonPath, err)
-			failed++
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
+		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// runCompare loads two -json records and prints per-metric deltas: the
-// superstep blocks metric by metric, then per-experiment wall time.
-func runCompare(oldPath, newPath string) error {
-	load := func(path string) (*jsonOutput, error) {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var out jsonOutput
-		if err := json.Unmarshal(buf, &out); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &out, nil
-	}
-	o, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	n, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("comparing %s (%s) -> %s (%s)\n", oldPath, o.Scale, newPath, n.Scale)
-	comparePerf("superstep", o.Superstep, n.Superstep)
-	comparePerf("superstep_traced", o.SuperstepTraced, n.SuperstepTraced)
-	comparePerf("superstep_events", o.SuperstepEvents, n.SuperstepEvents)
-	comparePerf("superstep_profiled", o.SuperstepProfiled, n.SuperstepProfiled)
-	compareStorage(o.Storage, n.Storage)
-	compareDelta(o.Delta, n.Delta)
-	compareRepartition(o.Repartition, n.Repartition)
-	compareRecovery(o.Recovery, n.Recovery)
-	oldSecs := make(map[string]float64, len(o.Experiments))
-	for _, e := range o.Experiments {
-		oldSecs[e.ID] = e.Seconds
-	}
-	for _, e := range n.Experiments {
-		if ov, ok := oldSecs[e.ID]; ok {
-			deltaLine(e.ID+" seconds", ov, e.Seconds)
-		}
-	}
-	return nil
-}
-
-// comparePerf prints the deltas between two superstep blocks; a side
-// missing from either record is reported, not skipped silently.
-func comparePerf(name string, o, n *experiments.SuperstepPerf) {
-	switch {
-	case o == nil && n == nil:
-		return
-	case o == nil || n == nil:
-		fmt.Printf("\n%s: present only in %s record\n", name, map[bool]string{o != nil: "old", n != nil: "new"}[true])
-		return
-	}
-	fmt.Printf("\n%s (%s, %d agents):\n", name, n.Graph, n.Agents)
-	deltaLine("ns_per_step", o.NsPerStep, n.NsPerStep)
-	deltaLine("allocs_per_step", o.AllocsPerStep, n.AllocsPerStep)
-	for _, phase := range []string{"compute", "combine", "barrier"} {
-		op, ook := o.Phases[phase]
-		np, nok := n.Phases[phase]
-		if ook && nok {
-			deltaLine(phase+"_mean_seconds", op.MeanSeconds, np.MeanSeconds)
-			deltaLine(phase+"_p99_seconds", op.P99Seconds, np.P99Seconds)
-		}
-	}
-}
-
-// compareStorage prints bytes/edge deltas between two storage blocks.
-func compareStorage(o, n *experiments.StoragePerf) {
-	switch {
-	case o == nil && n == nil:
-		return
-	case o == nil || n == nil:
-		fmt.Printf("\nstorage: present only in %s record\n", map[bool]string{o != nil: "old", n != nil: "new"}[true])
-		return
-	}
-	fmt.Printf("\nstorage (%s, %d copies):\n", n.Graph, n.EdgeCopies)
-	deltaLine("csr_bytes_per_edge", o.CSRBytesPerEdge, n.CSRBytesPerEdge)
-	deltaLine("map_bytes_per_edge", o.MapBytesPerEdge, n.MapBytesPerEdge)
-	deltaLine("reduction", o.Reduction, n.Reduction)
-}
-
-// compareRepartition prints cut-ratio and cross-agent traffic deltas for
-// both placement variants between two records.
-func compareRepartition(o, n *experiments.RepartitionPerf) {
-	switch {
-	case o == nil && n == nil:
-		return
-	case o == nil || n == nil:
-		fmt.Printf("\nrepartition: present only in %s record\n", map[bool]string{o != nil: "old", n != nil: "new"}[true])
-		return
-	}
-	fmt.Printf("\nrepartition (%s, %d agents):\n", n.Graph, n.Agents)
-	deltaLine("baseline_cut_ratio", o.Baseline.CutRatio, n.Baseline.CutRatio)
-	deltaLine("repart_cut_ratio", o.Repart.CutRatio, n.Repart.CutRatio)
-	deltaLine("baseline_remote_bytes", float64(o.Baseline.RemoteBytes), float64(n.Baseline.RemoteBytes))
-	deltaLine("repart_remote_bytes", float64(o.Repart.RemoteBytes), float64(n.Repart.RemoteBytes))
-	deltaLine("repart_ns_per_step", o.Repart.NsPerStep, n.Repart.NsPerStep)
-	deltaLine("moves", float64(o.Moves), float64(n.Moves))
-}
-
-// compareRecovery prints recovery-time and checkpoint-overhead deltas
-// between two records.
-func compareRecovery(o, n *experiments.RecoveryPerf) {
-	switch {
-	case o == nil && n == nil:
-		return
-	case o == nil || n == nil:
-		fmt.Printf("\nrecovery: present only in %s record\n", map[bool]string{o != nil: "old", n != nil: "new"}[true])
-		return
-	}
-	fmt.Printf("\nrecovery (%s, %d agents):\n", n.Graph, n.Agents)
-	deltaLine("warm_restore_seconds", o.WarmRestoreSeconds, n.WarmRestoreSeconds)
-	deltaLine("cold_rebuild_seconds", o.ColdRebuildSeconds, n.ColdRebuildSeconds)
-	deltaLine("speedup", o.Speedup, n.Speedup)
-	deltaLine("ckpt_overhead_pct", o.OverheadPct, n.OverheadPct)
-	deltaLine("snapshots", float64(o.Snapshots), float64(n.Snapshots))
-	deltaLine("snapshot_bytes", float64(o.SnapshotBytes), float64(n.SnapshotBytes))
-}
-
-// compareDelta matches full-vs-delta rows by (algo, batch size) and
-// prints the ns/batch movement for each side of the comparison.
-func compareDelta(o, n []experiments.DeltaPerf) {
-	if len(o) == 0 && len(n) == 0 {
-		return
-	}
-	old := make(map[string]experiments.DeltaPerf, len(o))
-	key := func(d experiments.DeltaPerf) string { return fmt.Sprintf("%s/batch=%d", d.Algo, d.BatchSize) }
-	for _, d := range o {
-		old[key(d)] = d
-	}
-	fmt.Printf("\ndelta recompute:\n")
-	for _, d := range n {
-		ov, ok := old[key(d)]
-		if !ok {
-			fmt.Printf("  %-24s only in new record\n", key(d))
-			continue
-		}
-		deltaLine(key(d)+" full_ns", ov.FullNsPerBatch, d.FullNsPerBatch)
-		deltaLine(key(d)+" delta_ns", ov.DeltaNsPerBatch, d.DeltaNsPerBatch)
-		deltaLine(key(d)+" speedup", ov.Speedup, d.Speedup)
-	}
-}
-
-// deltaLine prints one metric's old value, new value, and relative change.
-func deltaLine(name string, oldV, newV float64) {
-	if oldV == 0 && newV == 0 {
-		return
-	}
-	pct := "n/a"
-	if oldV != 0 {
-		pct = fmt.Sprintf("%+.1f%%", (newV-oldV)/oldV*100)
-	}
-	fmt.Printf("  %-24s %14.4g -> %14.4g  (%s)\n", name, oldV, newV, pct)
 }

@@ -12,4 +12,5 @@
 //
 // The benchmarks in bench_test.go exercise the core operation behind each
 // paper figure; `go run ./cmd/elga-bench all` reproduces the full tables.
+// Regression tracking is the nested benchmark/ module (BENCHMARK.json).
 package elga

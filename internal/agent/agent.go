@@ -265,6 +265,7 @@ type Agent struct {
 	tickCount       uint64
 	heartbeat       atomic.Pointer[time.Timer] // the pending lease-renewal tick
 	lastRetransmits uint64
+	samples         []wire.Metric // staged for the next report
 
 	// comm is the repartition scatter-traffic ledger (repart.go); its
 	// enabled flag gates every accounting touch point.
@@ -544,13 +545,10 @@ func (a *Agent) runLoop(initial *wire.View) {
 			break
 		}
 	}
-	// Ship whatever sampled spans are still pending while the node may
-	// still deliver them. The flight recorder is NOT dumped here: a
-	// graceful exit is not a post-mortem, and routine dumps would spam
-	// stderr on every traced shutdown. Fault paths (eviction, kill)
-	// dump explicitly before this point.
-	a.shipSpans()
-	a.shipEvents()
+	// Ship what is pending while the node may still deliver it. No flight
+	// dump: a graceful exit is not a post-mortem (fault paths, eviction and
+	// kill, dump explicitly before this point).
+	a.shipReport(false)
 	// Drain the checkpoint writer so the last submitted snapshot is
 	// durable before the process goes away, and release any live CPU
 	// profiling window so the process-wide slot is not leaked.
@@ -601,14 +599,11 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 	case wire.TAlgoDone:
 		a.handleAlgoDone(pkt)
 		a.node.Ack(pkt)
-		// Flush completed spans and the scatter digest promptly at run
-		// end rather than waiting out the tick cadence — the collector
-		// wants the final steps, the planner wants fresh evidence. Run
-		// completion is also a forced checkpoint: final vertex values are
-		// exactly what a restarted agent must not lose.
-		a.shipSpans()
-		a.shipEvents()
-		a.sendDigest()
+		// Report spans and the scatter digest now, not at the next tick:
+		// the collector wants the final steps, the planner fresh evidence.
+		// Run completion is also a forced checkpoint: final vertex values
+		// are exactly what a restarted agent must not lose.
+		a.shipReport(true)
 		a.checkpointNow(true)
 	case wire.TBatchOpen:
 		a.journal.Emit(events.Info, events.KindBatch, trace.SpanContext{},
@@ -628,20 +623,16 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 			return false
 		}
 		// Self-addressed heartbeat tick: renew the lease from the event
-		// loop, where id/epoch/leaving are safe to read. Every fourth
-		// tick piggybacks a load report so the directory's autoscaler
-		// sees queue pressure and fault signals between supersteps;
-		// completed trace spans ship on the same cadence.
+		// loop, where id/epoch/leaving are safe to read. Every fourth tick
+		// reports the load metrics, so the autoscaler sees queue pressure
+		// and fault signals between supersteps, with all else pending.
 		a.sendHeartbeat()
 		a.tickCount++
 		if a.tickCount%4 == 0 {
-			a.sendLoadMetrics()
-			a.shipSpans()
-			a.shipEvents()
-			a.sendDigest()
+			a.stageLoadMetrics()
 			a.maybeCheckpointTimed()
-			a.maybeSendCheckpointMark()
-			a.profileTick()
+			a.closeOrphanedProfiles()
+			a.shipReport(true)
 		}
 	case wire.TProfileReq:
 		a.handleProfileReq(pkt)
@@ -867,55 +858,56 @@ func (a *Agent) scheduleHeartbeat() {
 	}))
 }
 
-// sendLoadMetrics reports queue depths and the retransmission delta to
-// the coordinator — the backpressure/fault half of the metric API, sent
-// on a heartbeat-derived cadence so it flows even between runs.
-func (a *Agent) sendLoadMetrics() {
+// stageLoadMetrics stages the backpressure/fault half of the metric API —
+// queue depths, the goroutine count (a pile-up of stuck sends or leaked
+// workers is not queue depth) and the retransmission delta.
+func (a *Agent) stageLoadMetrics() {
 	if a.leaving {
 		return
 	}
-	a.sendMetric(autoscale.MetricInboxDepth, float64(a.node.InboxDepth()))
-	a.sendMetric(autoscale.MetricQueueDepth, float64(a.node.QueueDepth()))
-	// Goroutine count rides the same report so the health attributor can
-	// tell a goroutine pile-up (stuck sends, leaked workers) from plain
-	// queue depth.
-	a.sendMetric(autoscale.MetricGoroutines, float64(runtime.NumGoroutine()))
 	rexmits := a.node.Stats().Retransmits
-	a.sendMetric(autoscale.MetricRetransmits, float64(rexmits-a.lastRetransmits))
+	a.samples = append(a.samples,
+		wire.Metric{Name: autoscale.MetricInboxDepth, Value: float64(a.node.InboxDepth())},
+		wire.Metric{Name: autoscale.MetricQueueDepth, Value: float64(a.node.QueueDepth())},
+		wire.Metric{Name: autoscale.MetricGoroutines, Value: float64(runtime.NumGoroutine())},
+		wire.Metric{Name: autoscale.MetricRetransmits, Value: float64(rexmits - a.lastRetransmits)})
 	a.lastRetransmits = rexmits
 }
 
-// shipSpans drains the tracer's sampled-span backlog to the coordinator
-// as one lossy TSpanBatch — same delivery class as TMetric: a lost batch
-// costs visibility, never correctness, and the tracer's bounded pending
-// queue plus drop counter absorb any backpressure.
-func (a *Agent) shipSpans() {
-	batch := a.tracer.TakeBatch()
-	if batch == nil {
+// shipReport sends the coordinator one lossy TReport holding what each
+// plane has pending — staged samples, spans, events, the digest if asked
+// for, a new checkpoint mark, profile chunks — or nothing if nothing is.
+// A chunk that would push the frame past profChunkSize starts a new one.
+func (a *Agent) shipReport(digest bool) {
+	f := wire.AppendReportHeader(a.node.NewFrame(wire.TReport), a.id)
+	empty := len(f)
+	if len(a.samples) > 0 {
+		f = wire.AppendSection(f, wire.SecMetrics, func(b []byte) []byte { return wire.AppendMetrics(b, a.samples) })
+		a.samples = a.samples[:0]
+	}
+	if spans := a.tracer.TakeBatch(); spans != nil {
+		sb := wire.SpanBatch{Proc: a.tracer.Proc(), Spans: spans}
+		f = wire.AppendSection(f, wire.SecSpans, func(b []byte) []byte { return wire.AppendSpanBatch(b, &sb) })
+	}
+	if evs := a.journal.TakeBatch(); evs != nil {
+		f = wire.AppendSection(f, wire.SecEvents, func(b []byte) []byte { return wire.AppendEventBatch(b, evs, a.journal.Dropped()) })
+	}
+	if digest {
+		f = a.appendDigest(f)
+	}
+	f = a.appendMark(f)
+	for _, ck := range a.profileChunks() {
+		if len(f) > empty && len(f)+len(ck.Data) > profChunkSize {
+			_ = a.node.SendFrame(a.coordAddr, f)
+			f = wire.AppendReportHeader(a.node.NewFrameHint(wire.TReport, 96+len(ck.Data)), a.id)
+		}
+		f = wire.AppendSection(f, wire.SecProfileChunk, func(b []byte) []byte { return wire.AppendProfileChunk(b, &ck) })
+	}
+	if len(f) == empty {
+		wire.ReleaseFrame(f)
 		return
 	}
-	sb := wire.SpanBatch{Proc: a.tracer.Proc(), Spans: batch}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendSpanBatch(
-		a.node.NewFrameHint(wire.TSpanBatch, 16+64*len(batch)), &sb))
-}
-
-// shipEvents drains the journal's pending events to the coordinator as
-// one lossy TEventBatch, carrying the cumulative drop counter so the
-// timeline can account what never arrived.
-func (a *Agent) shipEvents() {
-	batch := a.journal.TakeBatch()
-	if batch == nil {
-		return
-	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendEventBatch(
-		a.node.NewFrameHint(wire.TEventBatch, 16+64*len(batch)), batch, a.journal.Dropped()))
-}
-
-// sendMetric pushes one autoscaler sample to the coordinator.
-func (a *Agent) sendMetric(name string, value float64) {
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendMetric(a.node.NewFrame(wire.TMetric), &wire.Metric{
-		AgentID: a.id, Name: name, Value: value,
-	}))
+	_ = a.node.SendFrame(a.coordAddr, f)
 }
 
 // Stats returns internal counters (forwarded packets, applied changes,

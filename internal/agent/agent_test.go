@@ -1,11 +1,15 @@
 package agent
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
+	"time"
 
 	"elga/internal/algorithm"
 	"elga/internal/consistent"
 	"elga/internal/graph"
+	"elga/internal/transport"
 	"elga/internal/wire"
 )
 
@@ -171,5 +175,56 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	a.putBatcher(b)
 	if got := a.StatsMap()["unroutable"]; got != 5 {
 		t.Fatalf("unroutable = %d after a routable flush, want 5", got)
+	}
+}
+
+// TestReportGivesAFullProfileChunkAFrameOfItsOwn: a report holds what is
+// pending, but a 256 KiB profile chunk never shares a frame — a 600 KiB
+// capture behind a staged sample ships as the sample's report and then one
+// report per chunk, whose bytes reassemble to the capture.
+func TestReportGivesAFullProfileChunkAFrameOfItsOwn(t *testing.T) {
+	a := newLoopbackAgent(t, allocTestConfig(), 1)
+	coord, err := transport.NewNode(a.opts.Network, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	a.coordAddr = coord.Addr()
+	capture := make([]byte, 600<<10)
+	for i := range capture {
+		capture[i] = byte(i)
+	}
+	a.samples = append(a.samples, wire.Metric{Name: "inbox_depth", Value: 2})
+	a.pushProfResult(profResult{id: 7, kind: 1, data: capture})
+	a.shipReport(false)
+	var got [][]uint8
+	var data []byte
+	for len(got) < 4 {
+		select {
+		case pkt := <-coord.Inbox():
+			var kinds []uint8
+			err := wire.WalkReport(pkt.Payload, func(agentID uint64, kind uint8, body []byte) {
+				kinds = append(kinds, kind)
+				if kind == wire.SecProfileChunk {
+					ck, err := wire.DecodeProfileChunk(body)
+					if err != nil || ck.Total != 3 || int(ck.Seq) != len(got)-1 {
+						t.Errorf("frame %d: chunk %+v, err %v", len(got), ck, err)
+						return
+					}
+					data = append(data, ck.Data...)
+				}
+			})
+			if pkt.Type != wire.TReport || err != nil {
+				t.Fatalf("frame %d: %s, err %v", len(got), pkt.Type, err)
+			}
+			got = append(got, kinds)
+			wire.ReleasePacket(pkt)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d report frames arrived, want 4: %v", len(got), got)
+		}
+	}
+	want := [][]uint8{{wire.SecMetrics}, {wire.SecProfileChunk}, {wire.SecProfileChunk}, {wire.SecProfileChunk}}
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(data, capture) {
+		t.Fatalf("frames hold sections %v (want %v), %d of %d capture bytes back", got, want, len(data), len(capture))
 	}
 }

@@ -24,7 +24,7 @@ type agentCkpt struct {
 	stepsSince int    // compute phases since the last snapshot
 	lastTimed  time.Time
 	// lastMarkSeq is the last snapshot sequence reported to the
-	// coordinator; marks ride the lossy metric cadence.
+	// coordinator; marks ride the lossy report.
 	lastMarkSeq uint64
 	// restored is the cut stamp of the manifest this process restored
 	// from, attached to the join so the coordinator's cut table covers
@@ -193,22 +193,20 @@ func (a *Agent) isActive(v graph.VertexID) bool {
 	return a.run != nil && i >= 0 && a.verts.in(setActive, uint32(i))
 }
 
-// maybeSendCheckpointMark reports a newly durable snapshot to the
-// coordinator's cut table. Lossy, riding the metric cadence: the
-// snapshot is already safe on disk, the mark only freshens the
-// coordinator's view of it.
-func (a *Agent) maybeSendCheckpointMark() {
+// appendMark appends a newly durable snapshot's mark, for the
+// coordinator's cut table, to the report f. Lossy: the snapshot is already
+// safe on disk, the mark only freshens the coordinator's view of it.
+func (a *Agent) appendMark(f []byte) []byte {
 	w := a.ckpt.writer
 	if w == nil || a.leaving {
-		return
+		return f
 	}
 	mark := w.LastMark()
 	if mark == nil || mark.Meta.Seq == a.ckpt.lastMarkSeq {
-		return
+		return f
 	}
 	a.ckpt.lastMarkSeq = mark.Meta.Seq
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendCheckpointMark(
-		a.node.NewFrameHint(wire.TCheckpointMark, 96), mark))
+	return wire.AppendSection(f, wire.SecMark, func(b []byte) []byte { return wire.AppendCheckpointMark(b, mark) })
 }
 
 // CheckpointStats returns the durable-writer counters (snapshots made

@@ -185,7 +185,8 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		a.m.migBytes.Add(shippedBytes)
 		// The directory sees migration cost too: heavy shipments are the
 		// scale-decision backpressure §3.4.3 warns about.
-		a.sendMetric(autoscale.MetricMigrationBytes, float64(shippedBytes))
+		a.samples = append(a.samples, wire.Metric{Name: autoscale.MetricMigrationBytes, Value: float64(shippedBytes)})
+		a.shipReport(false)
 	}
 
 	// Re-route pending mailbox contributions for every vertex this agent
@@ -723,18 +724,20 @@ func (a *Agent) handleBatchOpen() {
 	gate := &ackGroup{}
 	a.flushBuffered(gate)
 	// Metric collection (§3.4.3): graph change and client query volumes
-	// since the previous batch boundary.
+	// since the previous batch boundary, and the frontier — the active set
+	// right after the flush IS the affected-vertex frontier of this batch:
+	// exactly the locally stored endpoints whose topology changed, which
+	// an incremental run (FromScratch=false) seeds from.
 	_, applied, queries := a.Stats()
-	a.sendMetric(autoscale.MetricChangeRate, float64(applied-a.lastApplied))
-	a.sendMetric(autoscale.MetricQueryRate, float64(queries-a.lastQueries))
-	a.lastApplied, a.lastQueries = applied, queries
-	// The active set right after the flush IS the affected-vertex frontier
-	// of this batch: exactly the locally stored endpoints whose topology
-	// changed, which an incremental run (FromScratch=false) seeds from.
 	frontier := a.store.ActiveCount()
 	a.m.frontierSize.Observe(float64(frontier))
-	a.sendMetric(autoscale.MetricFrontierSize, float64(frontier))
-	a.sendMetric(autoscale.MetricBytesPerEdge, a.store.BytesPerEdge())
+	a.samples = append(a.samples,
+		wire.Metric{Name: autoscale.MetricChangeRate, Value: float64(applied - a.lastApplied)},
+		wire.Metric{Name: autoscale.MetricQueryRate, Value: float64(queries - a.lastQueries)},
+		wire.Metric{Name: autoscale.MetricFrontierSize, Value: float64(frontier)},
+		wire.Metric{Name: autoscale.MetricBytesPerEdge, Value: a.store.BytesPerEdge()})
+	a.lastApplied, a.lastQueries = applied, queries
+	a.shipReport(false)
 	// A batch that inserted a sixteenth of what the store holds (the
 	// fraction Settle uses) leaves a tail worth folding before the reads
 	// that follow; a small one leaves it to the store's own rule.

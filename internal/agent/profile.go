@@ -13,14 +13,13 @@ import (
 // close the window); the actual profile serialization — CPU stop-and-
 // flush, snapshot collection — runs on a detached goroutine so capture
 // never blocks the loop. Finished captures land in a mutex-guarded done
-// list that the lossy tick cadence drains into bounded TProfileChunk
-// frames, the same delivery class as TMetric.
+// list that the next report drains into bounded chunks.
 //
 // Disarmed, the whole plane costs the superstep exactly one predicted
 // branch (the armed flag in maybeProfileStep) and zero allocations.
 
-// profChunkSize bounds one TProfileChunk payload; it matches a pooled
-// frame class so chunk frames recycle instead of allocating.
+// profChunkSize bounds one profile chunk, and so the report frame that
+// carries it.
 const profChunkSize = 256 << 10
 
 // profWindowGrace closes dangling superstep windows when the run ends
@@ -209,10 +208,9 @@ func (a *Agent) closeProfileWindow(c *profCapture, stepEnd uint32) {
 	}()
 }
 
-// profileTick rides the lossy metric cadence: ship finished captures as
-// bounded chunks, and close superstep windows orphaned by a run that
-// ended before the window did.
-func (a *Agent) profileTick() {
+// closeOrphanedProfiles rides the report cadence: it closes superstep
+// windows orphaned by a run that ended before the window did.
+func (a *Agent) closeOrphanedProfiles() {
 	if a.prof.armed && a.run == nil {
 		// The run ended under an open window: close everything at its
 		// last observed span rather than waiting for steps that will
@@ -236,50 +234,32 @@ func (a *Agent) profileTick() {
 		}
 		a.prof.armed = len(a.prof.pending) > 0 || len(a.prof.active) > 0
 	}
-	a.shipProfileChunks()
 }
 
-// shipProfileChunks drains finished captures into TProfileChunk frames.
-// Lossy like TMetric: a dropped chunk costs the capture (reassembly
-// times out at the coordinator), never correctness.
-func (a *Agent) shipProfileChunks() {
+// profileChunks drains finished captures into bounded chunks for the next
+// report. A dropped chunk costs the capture (reassembly times out at the
+// coordinator), never correctness.
+func (a *Agent) profileChunks() []wire.ProfileChunk {
 	a.prof.mu.Lock()
 	done := a.prof.done
 	a.prof.done = nil
 	a.prof.mu.Unlock()
+	var chunks []wire.ProfileChunk
 	for i := range done {
 		res := &done[i]
-		if res.err != "" {
-			ck := wire.ProfileChunk{
-				CaptureID: res.id, AgentID: a.id, Kind: res.kind,
-				Seq: 0, Total: 1,
-				RunID: res.runID, StepStart: res.stepStart, StepEnd: res.stepEnd,
-				Err: res.err,
-			}
-			_ = a.node.SendFrame(a.coordAddr, wire.AppendProfileChunk(
-				a.node.NewFrameHint(wire.TProfileChunk, 96+len(res.err)), &ck))
-			continue
-		}
-		total := uint32((len(res.data) + profChunkSize - 1) / profChunkSize)
-		if total == 0 {
-			total = 1
-		}
+		total := max(1, uint32((len(res.data)+profChunkSize-1)/profChunkSize))
 		for seq := uint32(0); seq < total; seq++ {
 			lo := int(seq) * profChunkSize
-			hi := lo + profChunkSize
-			if hi > len(res.data) {
-				hi = len(res.data)
-			}
-			ck := wire.ProfileChunk{
+			hi := min(lo+profChunkSize, len(res.data))
+			chunks = append(chunks, wire.ProfileChunk{
 				CaptureID: res.id, AgentID: a.id, Kind: res.kind,
 				Seq: seq, Total: total,
 				RunID: res.runID, StepStart: res.stepStart, StepEnd: res.stepEnd,
-				Data: res.data[lo:hi],
-			}
-			_ = a.node.SendFrame(a.coordAddr, wire.AppendProfileChunk(
-				a.node.NewFrameHint(wire.TProfileChunk, 96+(hi-lo)), &ck))
+				Err: res.err, Data: res.data[lo:hi],
+			})
 		}
 	}
+	return chunks
 }
 
 // closeProfile releases any live CPU window on exit so the process-wide

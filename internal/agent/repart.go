@@ -11,7 +11,7 @@ import (
 // Repartition accounting: when enabled, the agent attributes every
 // scattered message to the vertex that sent it and the agent that
 // received it, and periodically reports its top-K "chatty vertices" to
-// the coordinator's planner as a lossy TVertexDigest. The window map is
+// the coordinator's planner as a lossy report section. The window map is
 // cleared in place after each digest (clear keeps the buckets), so
 // steady-state accounting performs only map updates on warm keys — the
 // superstep's 3 allocs/op ceiling holds with repartitioning on, and with
@@ -79,16 +79,15 @@ func (a *Agent) initComm() {
 	a.comm.best = make(map[graph.VertexID]wire.DigestEntry)
 }
 
-// sendDigest ships the window's top-K chatty vertices to the coordinator
-// and resets the window. Runs on the load-metric cadence (every fourth
-// heartbeat tick), well off the superstep hot path; lossy by design — a
+// appendDigest appends the window's top-K chatty vertices to the report f
+// and resets the window, every fourth heartbeat tick and at run end. A
 // dropped digest delays a planning round, nothing else. A digest with no
 // entries is still sent: the header carries the agent's vertex load and
 // marks it as a reporter, which the planner requires from every live
 // agent before it will plan a round.
-func (a *Agent) sendDigest() {
+func (a *Agent) appendDigest(f []byte) []byte {
 	if !a.comm.enabled || a.leaving {
-		return
+		return f
 	}
 	self := consistent.AgentID(a.id)
 	// Pass 1: per vertex, find the busiest remote destination.
@@ -132,8 +131,7 @@ func (a *Agent) sendDigest() {
 		Vertices: uint64(a.store.NumVertices()),
 		Entries:  ents,
 	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendVertexDigest(
-		a.node.NewFrameHint(wire.TVertexDigest, 32+32*len(ents)), &d))
+	return wire.AppendSection(f, wire.SecDigest, func(b []byte) []byte { return wire.AppendVertexDigest(b, &d) })
 }
 
 // CommStats returns the cumulative scatter-traffic split: logical messages

@@ -186,7 +186,7 @@ func (a *Autoscaler) History() []Decision {
 }
 
 // SignalSet smooths every metric name the agents report, not just the
-// one the scaling policy keys on. The directory feeds it from TMetric
+// one the scaling policy keys on. The directory feeds it from reported
 // samples; operators and the harness read per-signal EMAs to see load,
 // backpressure, and fault pressure side by side. Samples are folded
 // twice: into a cluster-wide EMA per name and into a per-agent EMA, so

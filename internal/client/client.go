@@ -147,22 +147,30 @@ func Start(opts Options) (*Client, error) {
 
 // Close unsubscribes from directory broadcasts and releases the client.
 func (c *Client) Close() error {
-	c.shipEvents()
+	c.shipReport()
 	_ = c.node.SendFrame(c.dirAddr, c.node.NewFrame(wire.TUnsubscribe))
 	c.node.Close()
 	return nil
 }
 
-// shipEvents drains journalled events to the coordinator as one lossy
-// TEventBatch (the client has no tick loop, so batches flush at op
-// boundaries and Close).
-func (c *Client) shipEvents() {
-	batch := c.journal.TakeBatch()
-	if batch == nil {
+// shipReport sends the coordinator the client's pending spans and
+// journalled events as one lossy TReport (the client has no tick loop, so
+// it reports at op boundaries and Close).
+func (c *Client) shipReport() {
+	f := wire.AppendReportHeader(c.node.NewFrame(wire.TReport), 0)
+	empty := len(f)
+	if spans := c.tracer.TakeBatch(); spans != nil {
+		sb := wire.SpanBatch{Proc: c.tracer.Proc(), Spans: spans}
+		f = wire.AppendSection(f, wire.SecSpans, func(b []byte) []byte { return wire.AppendSpanBatch(b, &sb) })
+	}
+	if evs := c.journal.TakeBatch(); evs != nil {
+		f = wire.AppendSection(f, wire.SecEvents, func(b []byte) []byte { return wire.AppendEventBatch(b, evs, c.journal.Dropped()) })
+	}
+	if len(f) == empty {
+		wire.ReleaseFrame(f)
 		return
 	}
-	_ = c.node.SendFrame(c.coordAddr, wire.AppendEventBatch(
-		c.node.NewFrameHint(wire.TEventBatch, 16+64*len(batch)), batch, c.journal.Dropped()))
+	_ = c.node.SendFrame(c.coordAddr, f)
 }
 
 // StatsMap implements stats.Provider; safe concurrently with calls.
@@ -339,7 +347,7 @@ func (c *Client) do(o op, co CallOpts) error {
 		c.journal.Emit(events.Error, events.KindOpError, c.lastRunCtx,
 			events.S("op", o.name), events.S("err", err.Error()))
 	}
-	c.shipEvents()
+	c.shipReport()
 	return opError(o.name, err)
 }
 
@@ -354,20 +362,12 @@ func (c *Client) Run(spec RunSpec) (*wire.RunStats, error) {
 
 // linkRunSpan records the client's side of a run retroactively: the run's
 // trace context arrives only on the TRunReply frame, so the span is
-// started at the remembered request time and closed now, then shipped to
-// the coordinator so the collector sees client→directory→agent under one
-// trace ID.
+// started at the remembered request time and closed now; the op's report
+// ships it to the coordinator so the collector sees client→directory→agent
+// under one trace ID.
 func (c *Client) linkRunSpan(ctx trace.SpanContext, start time.Time) {
 	c.lastRunCtx = ctx
-	if c.tracer == nil {
-		return
-	}
 	c.tracer.StartRemoteAt("client-run", ctx, start).End()
-	if batch := c.tracer.TakeBatch(); len(batch) > 0 {
-		sb := wire.SpanBatch{Proc: c.tracer.Proc(), Spans: batch}
-		_ = c.node.SendFrame(c.coordAddr, wire.AppendSpanBatch(
-			c.node.NewFrameHint(wire.TSpanBatch, 16+64*len(batch)), &sb))
-	}
 }
 
 // RunWith is Run under an explicit retry policy. A retried submission

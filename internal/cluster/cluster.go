@@ -156,7 +156,7 @@ func New(opts Options) (*Cluster, error) {
 	if c.reg == nil {
 		c.reg = metrics.NewRegistry()
 	}
-	// Every TMetric sample feeds the cluster's signal EMAs before any
+	// Every reported metric sample feeds the cluster's signal EMAs before any
 	// caller-supplied handler sees it, so harnesses get smoothed load,
 	// backpressure, and fault signals without wiring anything. 30s is the
 	// paper's §4.9 averaging window.
@@ -482,7 +482,7 @@ func (c *Cluster) MetricsAddr() string {
 	return c.srv.Addr()
 }
 
-// Signals returns the smoothed TMetric signal set (step times, change
+// Signals returns the smoothed metric signal set (step times, change
 // and query rates, queue depths, migration bytes, retransmits).
 func (c *Cluster) Signals() *autoscale.SignalSet { return c.signals }
 

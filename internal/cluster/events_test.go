@@ -76,7 +76,7 @@ func TestStatusHealthAndTimeline(t *testing.T) {
 		t.Fatalf("timeline records %d coordinator joins, want 3", joins)
 	}
 	// Agent-side history: each agent ships its own join event (proc
-	// "agent-<id>") through TEventBatch. Shipping rides the lossy metric
+	// "agent-<id>") in a report. Reports are lossy and ride the tick
 	// cadence, so poll until the batch lands.
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -1,19 +1,26 @@
 package cluster
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"elga/internal/algorithm"
+	"elga/internal/autoscale"
 	"elga/internal/client"
+	"elga/internal/events"
 	"elga/internal/gen"
+	"elga/internal/profile"
+	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
 
 // typeCounts is a Network that counts, by type, every frame a dialled conn
-// sends. It passes the conn's optional interfaces through, so a cluster
-// over it writes exactly as it does over the network it wraps.
+// sends. It passes the conn's optional interfaces through (a conn without
+// SendBatch gets its frames one Send at a time, as the node would send
+// them), so a cluster over it writes as it does over the network it wraps.
 type typeCounts struct {
 	transport.Network
 	sent [256]atomic.Uint64
@@ -44,14 +51,23 @@ func (c *countedConn) Send(frame []byte) error {
 }
 
 func (c *countedConn) SendBatch(frames [][]byte) error {
+	bc, ok := c.Conn.(transport.BatchConn)
+	if !ok {
+		for _, f := range frames {
+			if err := c.Send(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	c.count(frames...)
-	return c.Conn.(transport.BatchConn).SendBatch(frames)
+	return bc.SendBatch(frames)
 }
 
 // TrySend counts only what went out whole: a batch it declines comes back
 // through Send or SendBatch.
 func (c *countedConn) TrySend(frames [][]byte) bool {
-	if !c.Conn.(transport.TryConn).TrySend(frames) {
+	if tc, ok := c.Conn.(transport.TryConn); !ok || !tc.TrySend(frames) {
 		return false
 	}
 	c.count(frames...)
@@ -85,16 +101,16 @@ func TestBarrierFrameBudgetOverTCP(t *testing.T) {
 	}
 	run() // dials every conn
 	sent := func(typ wire.Type) uint64 { return nw.sent[typ].Load() }
-	before, data, metrics := c.TransportStats(), sent(wire.TVertexMsgs), sent(wire.TMetric)
+	before, data, reports := c.TransportStats(), sent(wire.TVertexMsgs), sent(wire.TReport)
 	const runs = 5
 	var steps uint64
 	for i := 0; i < runs; i++ {
 		steps += run()
 	}
 	after := c.TransportStats()
-	data, metrics = sent(wire.TVertexMsgs)-data, sent(wire.TMetric)-metrics
+	data, reports = sent(wire.TVertexMsgs)-data, sent(wire.TReport)-reports
 	frames, writes := after.FramesOut-before.FramesOut, after.ConnWrites-before.ConnWrites
-	t.Logf("%d steps: %d frames, %d writes, %d data frames, %d metric frames", steps, frames, writes, data, metrics)
+	t.Logf("%d steps: %d frames, %d writes, %d data frames, %d reports", steps, frames, writes, data, reports)
 	// What a run costs outside its supersteps (start, halt, done, the
 	// reports shipped at its end, heartbeats) is a constant per agent.
 	const perRun = 16 * agents
@@ -106,11 +122,67 @@ func TestBarrierFrameBudgetOverTCP(t *testing.T) {
 		t.Errorf("%d steps, %d data frames: agents made %d conn writes, budget %d: barrier acks travel alone",
 			steps, data, writes, budget)
 	}
-	if metrics > runs*perRun {
-		t.Errorf("%d metric frames in %d steps: the phase time is a frame of its own again", metrics, steps)
+	if reports > runs*perRun {
+		t.Errorf("%d reports in %d steps: the phase time is a frame of its own again", reports, steps)
 	}
 	if after.Retransmits != 0 || after.EnqueueStalls != 0 {
 		t.Errorf("retransmits %d, stalls %d", after.Retransmits, after.EnqueueStalls)
 	}
 	checkAgainstReference(t, c, algorithm.BFS{}, el, algorithm.RunOptions{Source: 0}, 0)
+}
+
+// TestBatchRoundShipsOneReport: a seal's batch round costs each agent one
+// report frame, whose metric section carries the round's four samples,
+// and nothing on the wire is a frame type this build does not define.
+func TestBatchRoundShipsOneReport(t *testing.T) {
+	const agents, seals = 4, 5
+	cfg := testConfig()
+	// No heartbeat tick lands inside the test: the seals' reports are the
+	// only reports.
+	cfg.HeartbeatInterval, cfg.LeaseTimeout = time.Hour, 2*time.Hour
+	nw := &typeCounts{Network: transport.NewInproc()}
+	var mu sync.Mutex
+	changeRates := map[uint64]int{}
+	c, err := New(Options{
+		Config: cfg, Network: nw, Agents: agents,
+		Trace: &trace.Config{}, Events: &events.Config{}, Profile: &profile.Config{},
+		MetricHandler: func(m *wire.Metric) {
+			if m.Name == autoscale.MetricChangeRate {
+				mu.Lock()
+				changeRates[m.AgentID]++
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	el := randomGraph(200, 1200, 5)
+	if err := c.Load(el[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	before := nw.sent[wire.TReport].Load()
+	for i := 0; i < seals; i++ {
+		if err := c.ApplyBatch(el[1000+40*i : 1040+40*i].Changes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := nw.sent[wire.TReport].Load() - before; got != seals*agents {
+		t.Errorf("%d seals at %d agents sent %d reports, want %d", seals, agents, got, seals*agents)
+	}
+	for typ := range nw.sent {
+		if n := nw.sent[typ].Load(); n > 0 && !wire.Type(typ).Valid() {
+			t.Errorf("%d frames of undefined type %d", n, typ)
+		}
+	}
+	// Each report is ordered before its sender's vote, so every sample is
+	// in by the time the seals return: the load's and one per seal.
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range c.Agents() {
+		if got := changeRates[a.ID()]; got != seals+1 {
+			t.Errorf("agent %d: %d change-rate samples, want %d", a.ID(), got, seals+1)
+		}
+	}
 }

@@ -159,7 +159,7 @@ func TestMetricsSmokeScrape(t *testing.T) {
 		}
 	}
 
-	// The TMetric pipeline feeds the coordinator's signal set; samples are
+	// The report pipeline feeds the coordinator's signal set; samples are
 	// fire-and-forget, so poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

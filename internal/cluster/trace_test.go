@@ -21,7 +21,7 @@ import (
 // with barrier-wait time attributed per agent per superstep.
 //
 // The heal before the verification run is deliberate: span batches ride
-// lossy frames (same delivery class as TMetric), so a batch dropped by
+// lossy report frames, so a batch dropped by
 // the fault injector is legitimately lost — asserting span presence
 // while drops are active would test the dice, not the tracer.
 func TestChaosTraceExport(t *testing.T) {

@@ -20,7 +20,7 @@ type dirCkpt struct {
 	writer *checkpoint.Writer
 	seq    uint64
 	// marks is the consistent-cut table: the latest durable snapshot
-	// each participant key reported (via TCheckpointMark or a
+	// each participant key reported (via a report's mark section or a
 	// restore-carrying join). It rides the coordinator's own snapshot so
 	// a restarted directory knows what its agents can recover to.
 	marks map[string]wire.CheckpointMark

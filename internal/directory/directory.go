@@ -142,7 +142,7 @@ type Directory struct {
 	// Atomic mirrors of event-loop state, read by StatsMap and metric
 	// scrapes off the event loop: statEvictions counts failure-detector
 	// evictions, statAgents/statEpoch follow the published view, and
-	// statMetricSamples counts TMetric packets folded into the handler.
+	// statMetricSamples counts metric samples folded into the handler.
 	statEvictions     atomic.Uint64
 	statAgents        atomic.Int64
 	statEpoch         atomic.Uint64
@@ -150,7 +150,7 @@ type Directory struct {
 	// stepHist is the optional cluster-level superstep duration histogram
 	// (nil without a registry).
 	stepHist *metrics.Histogram
-	// statSpanBatches counts TSpanBatch packets folded into the span sink.
+	// statSpanBatches counts span batches folded into the span sink.
 	statSpanBatches atomic.Uint64
 	// Repartition instrumentation: executed moves, completed plan rounds,
 	// live override count, and plan latency.
@@ -172,7 +172,7 @@ type Directory struct {
 	timeline  *events.Timeline
 	health    *healthModel
 	evDropped map[string]uint64
-	// statEventBatches counts TEventBatch packets merged into the
+	// statEventBatches counts event batches merged into the
 	// timeline; statHealthEvals counts health evaluations; healthCounts
 	// mirrors the latest per-status agent tally for metric gauges.
 	statEventBatches atomic.Uint64
@@ -339,13 +339,13 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 	lbl := metrics.Labels{"addr": d.node.Addr()}
 	reg.CounterFunc("elga_dir_evictions_total", "Agents evicted by the failure detector.", lbl,
 		d.statEvictions.Load)
-	reg.CounterFunc("elga_dir_metric_samples_total", "TMetric samples folded into the metric handler.", lbl,
+	reg.CounterFunc("elga_dir_metric_samples_total", "Metric samples folded into the metric handler.", lbl,
 		d.statMetricSamples.Load)
 	reg.GaugeFunc("elga_dir_agents", "Agents in the published view.", lbl,
 		func() float64 { return float64(d.statAgents.Load()) })
 	reg.GaugeFunc("elga_dir_epoch", "Current view epoch.", lbl,
 		func() float64 { return float64(d.statEpoch.Load()) })
-	reg.CounterFunc("elga_dir_span_batches_total", "TSpanBatch packets folded into the span sink.", lbl,
+	reg.CounterFunc("elga_dir_span_batches_total", "Span batches folded into the span sink.", lbl,
 		d.statSpanBatches.Load)
 	reg.CounterFunc("elga_trace_dropped_spans_total", "Sampled trace spans dropped before shipping (backpressure).", lbl,
 		func() uint64 { return d.tracer.Dropped() })
@@ -375,7 +375,7 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 		}
 		reg.CounterFunc("elga_health_evaluations_total", "Health-model evaluation passes.", lbl,
 			d.statHealthEvals.Load)
-		reg.CounterFunc("elga_health_event_batches_total", "TEventBatch packets merged into the timeline.", lbl,
+		reg.CounterFunc("elga_health_event_batches_total", "Event batches merged into the timeline.", lbl,
 			d.statEventBatches.Load)
 		reg.CounterFunc("elga_health_events_total", "Events ever merged into the cluster timeline.", lbl,
 			func() uint64 { return d.timeline.Seq() })
@@ -711,7 +711,7 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		}
 		d.handleReady(m)
 		d.node.Ack(pkt)
-		// The phase time rides the vote: the sample a TMetric carried.
+		// The phase time rides the vote, not a report.
 		if m.PhaseSeconds > 0 && (m.Phase == wire.PhaseCompute || m.Phase == wire.PhaseCombine) {
 			name := autoscale.MetricStepTime
 			if m.Phase == wire.PhaseCombine {
@@ -727,49 +727,12 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.pendingSeals = append(d.pendingSeals, pkt)
 		d.advanceWork()
 		return true
-	case wire.TMetric:
-		if m, err := wire.DecodeMetric(pkt.Payload); err == nil {
-			d.observeMetric(m)
-		}
-	case wire.TSpanBatch:
-		if d.opts.SpanSink != nil || d.health != nil {
-			if sb, err := wire.DecodeSpanBatch(pkt.Payload); err == nil {
-				d.statSpanBatches.Add(1)
-				if d.health != nil {
-					d.health.observeSpans(time.Now(), sb.Proc, sb.Spans)
-				}
-				if d.opts.SpanSink != nil {
-					d.opts.SpanSink(sb.Proc, sb.Spans)
-				}
-			}
-		}
-	case wire.TEventBatch:
-		if d.timeline != nil {
-			if evs, dropped, err := wire.DecodeEventBatch(pkt.Payload); err == nil {
-				d.statEventBatches.Add(1)
-				if len(evs) > 0 {
-					d.evDropped[evs[0].Proc] = dropped
-				}
-				d.mergeEvents(evs)
-			}
-		}
+	case wire.TReport:
+		d.handleReport(pkt)
 	case wire.TStatus:
 		d.replyStatus(pkt)
 	case wire.TProfile:
 		d.handleProfileRequest(pkt)
-	case wire.TProfileChunk:
-		d.handleProfileChunk(pkt)
-	case wire.TCheckpointMark:
-		if m, err := wire.DecodeCheckpointMark(pkt.Payload); err == nil {
-			d.recordMark(m)
-		}
-	case wire.TVertexDigest:
-		if d.planner != nil {
-			if dg, err := wire.DecodeVertexDigest(pkt.Payload); err == nil {
-				d.planner.Observe(dg)
-				d.maybeRepartitionIdle()
-			}
-		}
 	case wire.TDirectoryList:
 		// Peer directories fan out on their own; nothing to track here.
 	case wire.TTick:
@@ -1284,19 +1247,55 @@ func (d *Directory) handleAsyncProbeVote(m *wire.Ready) {
 	d.scheduleAsyncProbe()
 }
 
-// observeMetric folds one autoscaler sample into the health model and the
-// metric handler.
+// observeMetric folds one autoscaler sample into the coordinator's health
+// model (which always runs) and the metric handler.
 func (d *Directory) observeMetric(m *wire.Metric) {
-	if d.opts.MetricHandler == nil && d.health == nil {
-		return
-	}
 	d.statMetricSamples.Add(1)
-	if d.health != nil {
-		d.health.observeMetric(time.Now(), m)
-	}
+	d.health.observeMetric(time.Now(), m)
 	if d.opts.MetricHandler != nil {
 		d.opts.MetricHandler(m)
 	}
+}
+
+// handleReport walks a report into the planes its sections feed; a section
+// that does not decode is dropped like a lost report.
+func (d *Directory) handleReport(pkt *wire.Packet) {
+	_ = wire.WalkReport(pkt.Payload, func(agentID uint64, kind uint8, body []byte) {
+		switch kind {
+		case wire.SecMetrics:
+			ms, _ := wire.DecodeMetrics(agentID, body)
+			for i := range ms {
+				d.observeMetric(&ms[i])
+			}
+		case wire.SecSpans:
+			if sb, err := wire.DecodeSpanBatch(body); err == nil {
+				d.statSpanBatches.Add(1)
+				d.health.observeSpans(time.Now(), sb.Proc, sb.Spans)
+				if d.opts.SpanSink != nil {
+					d.opts.SpanSink(sb.Proc, sb.Spans)
+				}
+			}
+		case wire.SecEvents:
+			if evs, dropped, err := wire.DecodeEventBatch(body); err == nil && d.timeline != nil {
+				d.statEventBatches.Add(1)
+				if len(evs) > 0 {
+					d.evDropped[evs[0].Proc] = dropped
+				}
+				d.mergeEvents(evs)
+			}
+		case wire.SecDigest:
+			if dg, err := wire.DecodeVertexDigest(body); err == nil && d.planner != nil {
+				d.planner.Observe(dg)
+				d.maybeRepartitionIdle()
+			}
+		case wire.SecMark:
+			if m, err := wire.DecodeCheckpointMark(body); err == nil {
+				d.recordMark(m)
+			}
+		case wire.SecProfileChunk:
+			d.handleProfileChunk(body)
+		}
+	})
 }
 
 func (d *Directory) handleReady(m *wire.Ready) {

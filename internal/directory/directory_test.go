@@ -295,6 +295,13 @@ func TestSketchDeltaMergesIntoView(t *testing.T) {
 	}
 }
 
+// metricReport is a TReport payload carrying one metric sample.
+func metricReport(agentID uint64, name string, v float64) []byte {
+	return wire.AppendSection(wire.AppendReportHeader(nil, agentID), wire.SecMetrics, func(b []byte) []byte {
+		return wire.AppendMetrics(b, []wire.Metric{{Name: name, Value: v}})
+	})
+}
+
 func TestMetricHandlerInvoked(t *testing.T) {
 	nw := transport.NewInproc()
 	m := startMaster(t, nw)
@@ -314,7 +321,7 @@ func TestMetricHandlerInvoked(t *testing.T) {
 	defer d.Close()
 	node, _ := transport.NewNode(nw, "", 0)
 	defer node.Close()
-	_ = node.Send(d.Addr(), wire.TMetric, wire.EncodeMetric(&wire.Metric{AgentID: 1, Name: "qps", Value: 7}))
+	_ = node.Send(d.Addr(), wire.TReport, metricReport(1, "qps", 7))
 	select {
 	case mt := <-got:
 		if mt.Name != "qps" || mt.Value != 7 {
@@ -325,8 +332,8 @@ func TestMetricHandlerInvoked(t *testing.T) {
 	}
 }
 
-// TestMetricHandlerConcurrentBursts hammers the coordinator with TMetric
-// frames from many concurrent senders. The handler runs on the directory
+// TestMetricHandlerConcurrentBursts hammers the coordinator with metric
+// reports from many concurrent senders. The handler runs on the directory
 // event loop, so it may use unsynchronized state (the plain map below);
 // under -race this test proves the serialization, and the final tally
 // proves no sample was dropped on the way in.
@@ -366,9 +373,7 @@ func TestMetricHandlerConcurrentBursts(t *testing.T) {
 		defer node.Close()
 		go func(id uint64) {
 			for i := 0; i < perSender; i++ {
-				_ = node.Send(d.Addr(), wire.TMetric, wire.EncodeMetric(&wire.Metric{
-					AgentID: id, Name: "qps", Value: 1,
-				}))
+				_ = node.Send(d.Addr(), wire.TReport, metricReport(id, "qps", 1))
 			}
 		}(uint64(s + 1))
 	}

@@ -101,7 +101,7 @@ func (h *healthModel) vitals(id uint64) *agentVitals {
 	return v
 }
 
-// observeMetric folds one TMetric sample into the reporting agent's
+// observeMetric folds one metric sample into the reporting agent's
 // vitals. Samples without agent attribution are ignored here (the
 // cluster-wide SignalSet still sees them).
 func (h *healthModel) observeMetric(now time.Time, m *wire.Metric) {

@@ -12,8 +12,8 @@ import (
 
 // Coordinator half of the cluster profiling plane. The coordinator mints
 // capture IDs, fans TProfileReq out to agents (acked — a lost request
-// would wedge the one-in-flight accounting), reassembles the lossy
-// TProfileChunk stream, and commits finished artifacts to the
+// would wedge the one-in-flight accounting), reassembles the chunks lossy
+// reports carry back, and commits finished artifacts to the
 // content-addressed store with a manifest entry naming the run span and
 // the health verdict that triggered the capture. The auto-capture policy
 // rides evaluateHealth: a first straggler/suspect verdict requests a
@@ -175,8 +175,8 @@ func (d *Directory) maybeAutoProfile(now time.Time, a *wire.AgentHealth) {
 // handleProfileChunk folds one chunk into its capture's reassembly and
 // commits the artifact when the last chunk lands. Chunks for expired or
 // unknown captures are dropped silently (lossy plane).
-func (d *Directory) handleProfileChunk(pkt *wire.Packet) {
-	ck, err := wire.DecodeProfileChunk(pkt.Payload)
+func (d *Directory) handleProfileChunk(body []byte) {
+	ck, err := wire.DecodeProfileChunk(body)
 	if err != nil {
 		return
 	}

@@ -11,13 +11,13 @@ import (
 )
 
 // Coordinator side of adaptive repartitioning (see internal/repartition):
-// agent TVertexDigest reports feed the planner; when every live agent has
-// reported and the cluster sits at a safe point (a superstep boundary or
-// full idle), the coordinator turns the plan into placement overrides,
-// bumps the epoch, and runs an ordinary migration round so agents re-own
-// copies under the new placement. Overrides ride every view broadcast, so
-// the routers' route tables restart exactly like on any other view
-// change.
+// the digest sections of agent reports feed the planner; when every live
+// agent has reported and the cluster sits at a safe point (a superstep
+// boundary or full idle), the coordinator turns the plan into placement
+// overrides, bumps the epoch, and runs an ordinary migration round so
+// agents re-own copies under the new placement. Overrides ride every view
+// broadcast, so the routers' route tables restart exactly like on any
+// other view change.
 
 // maybeRepartition plans and executes one repartition round. It must only
 // be called at a safe point: no migration or seal in flight, and any run

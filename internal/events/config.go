@@ -10,7 +10,7 @@ import (
 // means FromEnv) and honours the same fields.
 //
 //	Enabled  master switch for event journalling (per-participant rings,
-//	         TEventBatch shipping, the coordinator timeline).
+//	         shipping in reports, the coordinator timeline).
 //	Ring     capacity of each participant's bounded journal ring.
 //	Timeline capacity of the coordinator's merged cluster timeline (the
 //	         durable view that rides the coordinator checkpoint).

@@ -3,7 +3,7 @@
 // makes — joins, leaves, lease evictions, migration rounds, repartition
 // plans, checkpoint commits and busy-drops, retries. Each participant
 // keeps a bounded ring journal and ships pending records lossily to the
-// coordinator (TEventBatch, on the TMetric cadence), which merges them
+// coordinator (a report section, on the report cadence), which merges them
 // into one durable timeline that rides the coordinator checkpoint.
 //
 // Like trace.Tracer, a nil *Journal is the zero-cost off switch: every
@@ -127,7 +127,7 @@ func (r *Record) Field(key string) (Field, bool) {
 }
 
 // maxPending bounds the event backlog a Journal holds between shipping
-// opportunities (the lossy TMetric tick). When a participant outruns the
+// opportunities (the lossy report tick). When a participant outruns the
 // cadence — or the coordinator is unreachable — new events are dropped
 // and counted rather than growing the heap. Control-plane events are
 // rare, so in practice this only trips under injected faults.

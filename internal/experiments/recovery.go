@@ -14,34 +14,34 @@ import (
 	"elga/internal/transport"
 )
 
-// RecoveryPerf is the machine-readable durability record embedded in
-// BENCH_<n>.json: the same kill-one-agent fault recovered two ways —
-// warm restore from the slot's checkpoint versus a cold full re-stream —
-// plus the checkpoint-on superstep overhead against the durability-off
-// baseline. WarmRestoreSeconds < ColdRebuildSeconds is the experiment's
-// point; OverheadPct staying small is its cost side.
+// RecoveryPerf is the durability experiment's record: the same
+// kill-one-agent fault recovered two ways — warm restore from the slot's
+// checkpoint versus a cold full re-stream — plus the checkpoint-on
+// superstep overhead against the durability-off baseline.
+// WarmRestoreSeconds < ColdRebuildSeconds is the experiment's point;
+// OverheadPct staying small is its cost side.
 type RecoveryPerf struct {
-	Graph      string `json:"graph"`
-	Agents     int    `json:"agents"`
-	EdgeCopies int    `json:"edge_copies"`
+	Graph      string
+	Agents     int
+	EdgeCopies int
 	// WarmRestoreSeconds is RestartAgent-to-reconciled: the restarted
 	// slot restores its snapshot, rejoins, and the migration round
 	// settles every copy back in place. No client involvement.
-	WarmRestoreSeconds float64 `json:"warm_restore_seconds"`
+	WarmRestoreSeconds float64
 	// ColdRebuildSeconds is the durability-off alternative: boot a fresh
 	// agent and re-stream the full edge list through a streamer.
-	ColdRebuildSeconds float64 `json:"cold_rebuild_seconds"`
+	ColdRebuildSeconds float64
 	// Speedup is cold/warm.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// BaselineNsPerStep/CkptNsPerStep compare a measured PageRank pass
 	// without durability against one checkpointing every superstep.
-	BaselineNsPerStep float64 `json:"baseline_ns_per_step"`
-	CkptNsPerStep     float64 `json:"ckpt_ns_per_step"`
-	OverheadPct       float64 `json:"overhead_pct"`
+	BaselineNsPerStep float64
+	CkptNsPerStep     float64
+	OverheadPct       float64
 	// Snapshots/SnapshotBytes are the durable cluster's writer totals at
 	// the end of the experiment (post-dedup bytes).
-	Snapshots     uint64 `json:"snapshots"`
-	SnapshotBytes uint64 `json:"snapshot_bytes"`
+	Snapshots     uint64
+	SnapshotBytes uint64
 }
 
 // recoveryConfig tightens the failure detector below the defaults so the

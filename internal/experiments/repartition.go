@@ -15,28 +15,27 @@ import (
 // PageRank run: how much scatter volume stayed on-agent versus crossing
 // the network, and the per-step wall time it cost.
 type CutStats struct {
-	LocalMsgs   uint64  `json:"local_msgs"`
-	RemoteMsgs  uint64  `json:"remote_msgs"`
-	RemoteBytes uint64  `json:"remote_bytes"`
-	CutRatio    float64 `json:"cut_ratio"`
-	NsPerStep   float64 `json:"ns_per_step"`
+	LocalMsgs   uint64
+	RemoteMsgs  uint64
+	RemoteBytes uint64
+	CutRatio    float64
+	NsPerStep   float64
 }
 
-// RepartitionPerf is the machine-readable repartitioning record embedded
-// in BENCH_<n>.json: the same community-structured workload measured under
-// hash-only placement and under the adaptive planner, plus the planner's
-// own activity counters. CutRatio and RemoteBytes falling from Baseline to
+// RepartitionPerf is the repartitioning experiment's record: the same
+// community-structured workload measured under hash-only placement and
+// under the adaptive planner, plus the planner's own activity counters. CutRatio and RemoteBytes falling from Baseline to
 // Repart is the experiment's point.
 type RepartitionPerf struct {
-	Graph       string   `json:"graph"`
-	Agents      int      `json:"agents"`
-	Communities int      `json:"communities"`
-	Steps       uint64   `json:"steps"`
-	Baseline    CutStats `json:"baseline"`
-	Repart      CutStats `json:"repart"`
-	Moves       uint64   `json:"moves"`
-	PlanRounds  uint64   `json:"plan_rounds"`
-	Overrides   int64    `json:"overrides"`
+	Graph       string
+	Agents      int
+	Communities int
+	Steps       uint64
+	Baseline    CutStats
+	Repart      CutStats
+	Moves       uint64
+	PlanRounds  uint64
+	Overrides   int64
 }
 
 // cutStats runs one measured PageRank pass on c and returns the traffic

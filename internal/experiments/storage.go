@@ -11,31 +11,30 @@ import (
 	"elga/internal/stats"
 )
 
-// StoragePerf is the machine-readable storage record elga-bench -json
-// embeds in BENCH_<n>.json: the CSR+delta store's bytes/edge against the
-// map-of-slices reference on the same R-MAT graph, plus the compaction
-// count the build incurred. Reduction > 1 means the CSR store is smaller.
+// StoragePerf is the storage experiment's record: the CSR+delta store's
+// bytes/edge against the map-of-slices reference on the same R-MAT graph,
+// plus the compaction count the build incurred. Reduction > 1 means the CSR store is smaller.
 type StoragePerf struct {
-	Graph           string  `json:"graph"`
-	EdgeCopies      int     `json:"edge_copies"`
-	CSRBytesPerEdge float64 `json:"csr_bytes_per_edge"`
-	MapBytesPerEdge float64 `json:"map_bytes_per_edge"`
-	Reduction       float64 `json:"reduction"`
-	Compactions     uint64  `json:"compactions"`
+	Graph           string
+	EdgeCopies      int
+	CSRBytesPerEdge float64
+	MapBytesPerEdge float64
+	Reduction       float64
+	Compactions     uint64
 }
 
 // DeltaPerf is one full-vs-delta recompute comparison row: the same
 // batches applied to two engines over the same graph, one re-running from
 // scratch, one seeding from the Store.ApplyBatch frontier.
 type DeltaPerf struct {
-	Algo            string  `json:"algo"`
-	BatchSize       int     `json:"batch_size"`
-	Batches         int     `json:"batches"`
-	FullNsPerBatch  float64 `json:"full_ns_per_batch"`
-	DeltaNsPerBatch float64 `json:"delta_ns_per_batch"`
-	Speedup         float64 `json:"speedup"`
-	AvgFrontier     float64 `json:"avg_frontier"`
-	AvgSteps        float64 `json:"avg_steps"`
+	Algo            string
+	BatchSize       int
+	Batches         int
+	FullNsPerBatch  float64
+	DeltaNsPerBatch float64
+	Speedup         float64
+	AvgFrontier     float64
+	AvgSteps        float64
 }
 
 // MeasureStorage builds the R-MAT workload into both store

@@ -48,7 +48,7 @@ type adjacency struct {
 // O(deg) swap-remove delete. It was the production store through PR 5 and
 // is retained as the reference implementation the CSR+delta Store is
 // property-tested against, and as the memory baseline for the bytes/edge
-// comparison in elga-bench.
+// comparison of `elga-bench storage`.
 type MapStore struct {
 	adj      map[VertexID]*adjacency
 	numOut   int

@@ -6,7 +6,7 @@
 // one predictable branch per observation point. Registered metrics export
 // three ways: the Prometheus text endpoint (http.go), the extended
 // stats.Provider snapshots each participant keeps serving, and the
-// periodic TMetric samples the directory's autoscaler consumes.
+// periodic report samples the directory's autoscaler consumes.
 package metrics
 
 import (

@@ -1,7 +1,7 @@
 // Package profile implements the cluster profiling plane: coordinator-
 // triggered runtime profile capture (CPU, heap, goroutine, mutex, block,
-// allocs) fanned out to any subset of agents over TProfileReq/
-// TProfileChunk, with captures optionally scoped to superstep windows —
+// allocs) fanned out to any subset of agents over TProfileReq, chunks
+// back in reports, with captures optionally scoped to superstep windows —
 // armed at the post-vote safe point, stopped N supersteps later — so
 // samples align with compute/combine phases instead of smearing across
 // barrier waits. Captured artifacts stream back as bounded chunks into a
@@ -12,7 +12,7 @@
 // The plane follows the repo's off-switch discipline: disabled, every
 // hot-path touch point costs one predicted branch and zero allocations
 // (the superstep alloc ceiling depends on it), and capture work runs off
-// the event loop — chunks ride the lossy metric cadence.
+// the event loop — chunks ride the lossy report.
 package profile
 
 import (

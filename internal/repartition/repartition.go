@@ -1,7 +1,7 @@
 // Package repartition implements the coordinator-side planner for
 // adaptive locality-aware vertex placement. Agents observe their own
-// scatter traffic and report top-K "chatty vertex" digests (wire
-// TVertexDigest) on the metric cadence; the planner accumulates them and,
+// scatter traffic and report top-K "chatty vertex" digests (a wire
+// report section) on the report cadence; the planner accumulates them and,
 // once per round, emits a bounded list of placement moves scored with an
 // xDGP-style gain function: moving vertex v from its owner A to remote
 // agent B gains (messages v sent to B) − (messages v sent to A). Moves

@@ -32,7 +32,7 @@ func (r SpanRecord) Context() SpanContext {
 }
 
 // maxPending bounds the sampled-span backlog a Tracer holds between
-// shipping opportunities. The shipping cadence is the lossy TMetric tick;
+// shipping opportunities. The shipping cadence is the lossy report tick;
 // when a participant outruns it (or the coordinator is unreachable) new
 // spans are dropped and counted rather than growing the heap.
 const maxPending = 4096

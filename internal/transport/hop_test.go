@@ -421,7 +421,7 @@ func TestDirectWriteNeverWaitsOnADeafPeer(t *testing.T) {
 	// Fill the rest of the queue: the send after the last free slot stalls.
 	go func() {
 		for {
-			if err := a.SendFrame(addr, a.NewFrame(wire.TMetric)); err != nil {
+			if err := a.SendFrame(addr, a.NewFrame(wire.TReport)); err != nil {
 				sent <- err
 				return
 			}
@@ -518,7 +518,7 @@ func TestPublisherFansOutInAddressOrder(t *testing.T) {
 		}
 		defer n.Close()
 		subs[name] = n
-		pub.Subscribe(name, wire.TMetric)
+		pub.Subscribe(name, wire.TReport)
 	}
 	pub.Subscribe("inproc://e", wire.TDirUpdate) // filtered out below
 	pub.Unsubscribe("inproc://e")
@@ -527,12 +527,12 @@ func TestPublisherFansOutInAddressOrder(t *testing.T) {
 		t.Fatalf("subscribers %v, want %v", got, want)
 	}
 	// The order of the sends is the order in which the peers are created.
-	pub.Publish(wire.TMetric, []byte("x"))
+	pub.Publish(wire.TReport, []byte("x"))
 	for _, name := range want {
-		wire.ReleasePacket(recvType(t, subs[name], wire.TMetric))
+		wire.ReleasePacket(recvType(t, subs[name], wire.TReport))
 	}
 	publish := func() {
-		pub.Publish(wire.TMetric, []byte("x"))
+		pub.Publish(wire.TReport, []byte("x"))
 		for _, name := range want {
 			wire.ReleasePacket(<-subs[name].Inbox())
 		}

@@ -25,7 +25,7 @@ func TestCloseWithFullInboxDoesNotWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := a.SendFrame(b.Addr(), a.NewFrame(wire.TMetric)); err != nil {
+		if err := a.SendFrame(b.Addr(), a.NewFrame(wire.TReport)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestStatsCountEnqueueStalls(t *testing.T) {
 	sent := make(chan error, 1)
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := a.SendFrame(b.Addr(), a.NewFrame(wire.TMetric)); err != nil {
+			if err := a.SendFrame(b.Addr(), a.NewFrame(wire.TReport)); err != nil {
 				sent <- err
 				return
 			}

@@ -291,7 +291,7 @@ func TestConcurrentSenders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := a.Send(b.Addr(), wire.TMetric, nil); err != nil {
+				if err := a.Send(b.Addr(), wire.TReport, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -556,7 +556,7 @@ func TestManyNodesAllToAll(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if err := from.Send(nodes[j].Addr(), wire.TMetric, []byte{byte(i)}); err != nil {
+			if err := from.Send(nodes[j].Addr(), wire.TReport, []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -174,7 +174,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// CheckpointMark is the payload of TCheckpointMark.
+// CheckpointMark is the SecMark report section.
 type CheckpointMark struct {
 	Meta CheckpointMeta
 	// Bytes is the total payload bytes the snapshot wrote (deduplicated

@@ -6,11 +6,9 @@ import (
 	"elga/internal/events"
 )
 
-// Event and status frames. TEventBatch ships a participant's journalled
-// control-plane events to the coordinator with the same lossy discipline
-// (and the same ctxFlag-compatible framing) as TSpanBatch. TStatus /
-// TStatusReply are the client-boundary introspection op: the per-agent
-// health rollup plus the recent slice of the merged cluster timeline.
+// Event and status frames: the event batch a report carries (SecEvents),
+// and TStatus / TStatusReply, the client-boundary introspection op — the
+// per-agent health rollup plus the recent slice of the merged timeline.
 
 func appendEventRecord(w *Writer, e *events.Record) {
 	w.U64(e.Seq)
@@ -66,7 +64,7 @@ func readEventRecord(r *Reader) events.Record {
 	return e
 }
 
-// AppendEventBatch appends a TEventBatch payload to dst. Each record
+// AppendEventBatch appends an event batch to dst. Each record
 // already carries its participant name (stamped by the journal), so the
 // coordinator can merge batches from every process into one timeline.
 // dropped is the sender's cumulative journal drop counter, letting the
@@ -81,12 +79,12 @@ func AppendEventBatch(dst []byte, evs []events.Record, dropped uint64) []byte {
 	return w.buf
 }
 
-// EncodeEventBatch serializes a TEventBatch payload.
+// EncodeEventBatch serializes an event batch.
 func EncodeEventBatch(evs []events.Record, dropped uint64) []byte {
 	return AppendEventBatch(nil, evs, dropped)
 }
 
-// DecodeEventBatch parses a TEventBatch payload. Records are
+// DecodeEventBatch parses an event batch. Records are
 // materialized copies; they outlive the frame.
 func DecodeEventBatch(data []byte) (evs []events.Record, dropped uint64, err error) {
 	r := NewReader(data)

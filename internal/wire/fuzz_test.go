@@ -21,7 +21,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	rec.Fields[0] = events.U("agent", 3)
 	rec.Fields[1] = events.S("cause", "compute-skew")
-	f.Add(seedFrame(TEventBatch, AppendEventBatch(nil, []events.Record{rec}, 5)))
+	f.Add(seedReport(SecEvents, AppendEventBatch(nil, []events.Record{rec}, 5)))
 	f.Add(seedFrame(TStatusReply, AppendStatusReply(nil, &StatusReply{
 		Epoch: 3, BatchID: 2, Vertices: 100, Running: true, RunID: 1, Step: 6,
 		Agents: []AgentHealth{{
@@ -30,7 +30,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 		Timeline: []events.Record{rec},
 	})))
-	f.Add(seedFrame(TCheckpointMark, AppendManifest(nil, &Manifest{
+	f.Add(seedReport(SecMark, AppendManifest(nil, &Manifest{
 		Meta: CheckpointMeta{Key: "agent-0", AgentID: 1, Seq: 3, ViewEpoch: 2, RunID: 1, Step: 4},
 		Segments: []SegmentRef{
 			{Kind: 1, Name: "01-abc", Length: 64, CRC: 0xdeadbeef},
@@ -40,11 +40,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seedFrame(TProfileReq, AppendProfileReq(nil, &ProfileReq{
 		CaptureID: 12, Kind: 1, Steps: 4, Seconds: 1.5, TraceHi: 8, TraceLo: 9,
 	})))
-	f.Add(seedFrame(TProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
+	f.Add(seedReport(SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
 		CaptureID: 12, AgentID: 3, Kind: 2, Seq: 1, Total: 3,
 		RunID: 1, StepStart: 5, StepEnd: 8, Data: []byte("pprofpayload"),
 	})))
-	f.Add(seedFrame(TProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
+	f.Add(seedReport(SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
 		CaptureID: 13, AgentID: 3, Kind: 1, Seq: 0, Total: 1, Err: "cpu profiler busy",
 	})))
 	f.Add(seedFrame(TProfile, AppendProfileRequest(nil, &ProfileRequest{
@@ -59,7 +59,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}},
 		Data: []byte{0x1f, 0x8b, 0x08, 0x00},
 	})))
-	f.Add(seedFrame(TMetric, AppendMetric(nil, &Metric{AgentID: 3, Name: "step_time", Value: 0.25})))
+	f.Add(seedReport(SecMetrics, AppendMetrics(nil, []Metric{{Name: "step_time", Value: 0.25}})))
 	f.Add(seedFrame(TReady, AppendReady(nil, &Ready{AgentID: 3, Step: 7, Masters: 9, PhaseSeconds: 0.25})))
 	// The hub record lists: one record (the single-record payload) and three.
 	p0, u0 := testPartial(0), testUpdate(0)
@@ -72,6 +72,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(seedFrame(TReplicaPartial, pb))
 	f.Add(seedFrame(TValueUpdate, ub))
+	// A report of every section kind, one with a kind this build does not
+	// know between two it does, and one whose last section overruns it.
+	full := testReport()
+	f.Add(seedFrame(TReport, full))
+	unknown := AppendSection(AppendReportHeader(nil, 3), SecMetrics, func(b []byte) []byte { return AppendMetrics(b, nil) })
+	unknown = AppendSection(unknown, 0x7f, func(b []byte) []byte { return append(b, "later"...) })
+	f.Add(seedFrame(TReport, AppendSection(unknown, SecMark, func(b []byte) []byte { return b })))
+	f.Add(seedFrame(TReport, full[:len(full)-1]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -81,27 +89,41 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Each decoder must return (result, error) without panicking on
 		// arbitrary bytes. Results are discarded — only survival matters.
 		switch typ {
-		case TEventBatch:
-			_, _, _ = DecodeEventBatch(payload)
 		case TStatusReply:
 			_, _ = DecodeStatusReply(payload)
 		case TStatus:
 			_, _ = DecodeStatusReq(payload)
-		case TCheckpointMark:
-			_, _ = DecodeManifest(payload)
-			_, _ = DecodeCheckpointMark(payload)
-			_, _ = DecodeCoordState(payload)
 		case TProfileReq:
 			_, _ = DecodeProfileReq(payload)
-		case TProfileChunk:
-			_, _ = DecodeProfileChunk(payload)
 		case TProfile:
 			_, _ = DecodeProfileRequest(payload)
 		case TProfileReply:
 			_, _ = DecodeProfileReply(payload)
 			_, _ = DecodeProfileArtifacts(payload)
-		case TMetric:
-			_, _ = DecodeMetric(payload)
+		case TReport:
+			err := WalkReport(payload, func(agentID uint64, kind uint8, body []byte) {
+				switch kind {
+				case SecMetrics:
+					_, _ = DecodeMetrics(agentID, body)
+				case SecSpans:
+					_, _ = DecodeSpanBatch(body)
+				case SecEvents:
+					_, _, _ = DecodeEventBatch(body)
+				case SecDigest:
+					_, _ = DecodeVertexDigest(body)
+				case SecMark:
+					_, _ = DecodeManifest(body)
+					_, _ = DecodeCheckpointMark(body)
+					_, _ = DecodeCoordState(body)
+				case SecProfileChunk:
+					_, _ = DecodeProfileChunk(body)
+				default:
+					t.Fatalf("walked a section of unknown kind %d", kind)
+				}
+			})
+			if err == nil && len(payload) < 8 {
+				t.Fatalf("%d-byte report walked without error", len(payload))
+			}
 		case TReady:
 			_, _ = DecodeReady(payload)
 		case TDirUpdate:
@@ -131,4 +153,11 @@ func FuzzDecodeFrame(f *testing.F) {
 // seedFrame prefixes a payload with its selector byte.
 func seedFrame(typ Type, payload []byte) []byte {
 	return append([]byte{byte(typ)}, payload...)
+}
+
+// seedReport is a TReport seed from agent 3 holding one section.
+func seedReport(kind uint8, body []byte) []byte {
+	return seedFrame(TReport, AppendSection(AppendReportHeader(nil, 3), kind, func(b []byte) []byte {
+		return append(b, body...)
+	}))
 }

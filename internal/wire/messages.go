@@ -670,35 +670,6 @@ func DecodeQueryReply(data []byte) (*QueryReply, error) {
 	return q, nil
 }
 
-// Metric is one autoscaler metric sample (§3.4.3).
-type Metric struct {
-	AgentID uint64
-	Name    string
-	Value   float64
-}
-
-// AppendMetric appends a metric sample payload to dst.
-func AppendMetric(dst []byte, m *Metric) []byte {
-	w := Writer{buf: dst}
-	w.U64(m.AgentID)
-	w.Str(m.Name)
-	w.F64(m.Value)
-	return w.buf
-}
-
-// EncodeMetric serializes a metric sample.
-func EncodeMetric(m *Metric) []byte { return AppendMetric(nil, m) }
-
-// DecodeMetric parses a metric sample.
-func DecodeMetric(data []byte) (*Metric, error) {
-	r := NewReader(data)
-	m := &Metric{AgentID: r.U64(), Name: r.Str(), Value: r.F64()}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode metric: %w", err)
-	}
-	return m, nil
-}
-
 // DigestEntry is one chatty vertex in a communication digest: how many
 // scatter messages it sent to vertices on its own agent (Local) versus to
 // its busiest remote peer agent (Peer, PeerMsgs) in the reporting window.
@@ -710,9 +681,9 @@ type DigestEntry struct {
 	PeerMsgs uint64
 }
 
-// VertexDigest is the payload of TVertexDigest: an agent's top-K chatty
+// VertexDigest is the SecDigest report section: an agent's top-K chatty
 // vertices by remote scatter traffic, plus its local vertex count so the
-// planner can capacity-balance moves. Sent on the TMetric cadence; lossy.
+// planner can capacity-balance moves.
 type VertexDigest struct {
 	AgentID  uint64
 	Epoch    uint64

@@ -10,8 +10,8 @@ import "fmt"
 //     at the agent's next post-vote safe point and stops Steps supersteps
 //     later, so samples align with compute/combine phases instead of
 //     smearing across barrier waits.
-//   - ProfileChunk (TProfileChunk, lossy) streams the captured bytes back
-//     in bounded chunks on the metric cadence; the final reassembly is
+//   - ProfileChunk (the SecProfileChunk report section, lossy) streams the
+//     captured bytes back in bounded chunks; the final reassembly is
 //     committed into the coordinator's content-addressed profile store.
 //   - ProfileRequest/ProfileReply (TProfile/TProfileReply, REQ/REP) is
 //     the client boundary: trigger captures, list stored artifacts, or
@@ -76,7 +76,7 @@ func DecodeProfileReq(data []byte) (*ProfileReq, error) {
 	return p, nil
 }
 
-// ProfileChunk is the payload of TProfileChunk: one bounded piece of a
+// ProfileChunk is the SecProfileChunk report section: one bounded piece of a
 // captured profile. Err (with Seq 0, Total 1, empty Data) reports a
 // capture that failed at the agent.
 type ProfileChunk struct {
@@ -95,7 +95,7 @@ type ProfileChunk struct {
 	Data      []byte
 }
 
-// AppendProfileChunk appends a TProfileChunk payload to dst.
+// AppendProfileChunk appends a profile chunk to dst.
 func AppendProfileChunk(dst []byte, c *ProfileChunk) []byte {
 	w := Writer{buf: dst}
 	w.U64(c.CaptureID)
@@ -111,7 +111,7 @@ func AppendProfileChunk(dst []byte, c *ProfileChunk) []byte {
 	return w.buf
 }
 
-// DecodeProfileChunk parses a TProfileChunk payload. Data aliases the
+// DecodeProfileChunk parses a profile chunk. Data aliases the
 // frame; callers that retain it past the packet's release must copy.
 func DecodeProfileChunk(data []byte) (*ProfileChunk, error) {
 	r := NewReader(data)

@@ -119,7 +119,7 @@ func TestDecodeProfileTruncated(t *testing.T) {
 }
 
 func TestProfileFrameTypesNamed(t *testing.T) {
-	for _, typ := range []Type{TProfileReq, TProfileChunk, TProfile, TProfileReply} {
+	for _, typ := range []Type{TProfileReq, TReport, TProfile, TProfileReply} {
 		if !typ.Valid() {
 			t.Fatalf("type %d is not valid", typ)
 		}
@@ -130,7 +130,7 @@ func TestProfileFrameTypesNamed(t *testing.T) {
 	if !AckedPush(TProfileReq) {
 		t.Fatal("TProfileReq must be acked: a dropped request wedges the capture accounting")
 	}
-	if AckedPush(TProfileChunk) {
-		t.Fatal("TProfileChunk must stay lossy like TMetric")
+	if AckedPush(TReport) {
+		t.Fatal("TReport, which carries the profile chunks, must stay lossy")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"elga/internal/trace"
 )
 
-// SpanBatch is the payload of TSpanBatch: a participant's completed,
+// SpanBatch is the SecSpans report section: a participant's completed,
 // sampled spans on their way to the coordinator's collector. Proc names
 // the participant the spans belong to ("agent-3", "dir-0", "client") so
 // the timeline can lane them per process.

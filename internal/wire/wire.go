@@ -89,8 +89,9 @@ const (
 
 	// TReady is an agent's barrier vote for a superstep phase.
 	TReady
-	// TMetric reports an autoscaler metric sample.
-	TMetric
+	// TReport carries a participant's lossy planes to the coordinator, a
+	// section each (report.go); a lost one costs visibility, never state.
+	TReport
 	// TSketchDelta carries an agent's local sketch delta to its Directory.
 	TSketchDelta
 
@@ -116,26 +117,6 @@ const (
 	// THeartbeat is an agent's periodic lease renewal to its coordinator;
 	// a lease left unrenewed past the timeout evicts the agent.
 	THeartbeat
-	// TSpanBatch carries completed trace spans to the coordinator's
-	// collector. Lossy like TMetric: dropped batches cost visibility,
-	// never correctness, so they ride outside the acked discipline.
-	TSpanBatch
-	// TVertexDigest carries an agent's top-K "chatty vertex" communication
-	// digest to the coordinator's repartition planner. Lossy like TMetric:
-	// a dropped digest only delays a planning round, so it rides outside
-	// the acked discipline.
-	TVertexDigest
-	// TCheckpointMark reports an agent's latest durable checkpoint to the
-	// coordinator, which records it in the consistent-cut table. Lossy
-	// like TMetric: a dropped mark only ages the recorded cut — the
-	// checkpoint itself is already on disk — so it rides outside the
-	// acked discipline.
-	TCheckpointMark
-	// TEventBatch carries a participant's journalled control-plane events
-	// to the coordinator's cluster timeline. Lossy like TMetric: a dropped
-	// batch costs audit visibility, never correctness, so it rides outside
-	// the acked discipline.
-	TEventBatch
 	// TStatus asks the coordinator for the cluster health rollup and the
 	// recent event timeline (client boundary, REQ/REP).
 	TStatus
@@ -146,11 +127,6 @@ const (
 	// window. Acked: a silently dropped request would wedge the
 	// coordinator's one-in-flight-per-agent accounting.
 	TProfileReq
-	// TProfileChunk streams one bounded chunk of a captured profile back
-	// to the coordinator. Lossy like TMetric: a dropped chunk costs one
-	// capture (the reassembly times out), never correctness, so it rides
-	// outside the acked discipline.
-	TProfileChunk
 	// TProfile is the client-boundary profiling request (REQ/REP):
 	// trigger a capture, list stored artifacts, or fetch one.
 	TProfile
@@ -164,7 +140,7 @@ const (
 // the receiver acknowledges after processing, the sender retransmits on
 // loss, and the transport deduplicates redelivery. This is exactly the set
 // of types whose loss would wedge a barrier or whose double-processing
-// would corrupt state. Lossy traffic (metrics, heartbeats) and REQ/REP
+// would corrupt state. Lossy traffic (reports, heartbeats) and REQ/REP
 // types stay out: requests recover via Retry at the call site.
 func AckedPush(t Type) bool {
 	switch t {
@@ -200,14 +176,11 @@ var typeNames = [...]string{
 	TAlgoDone: "algo-done", TBatchOpen: "batch-open", TEdges: "edges",
 	TVertexMsgs: "vertex-msgs", TReplicaPartial: "replica-partial",
 	TValueUpdate: "value-update", TReplicaRegister: "replica-register",
-	TAck: "ack", TReady: "ready", TMetric: "metric",
+	TAck: "ack", TReady: "ready", TReport: "report",
 	TSketchDelta: "sketch-delta", TQuery: "query", TQueryReply: "query-reply",
 	TRunAlgo: "run-algo", TRunReply: "run-reply", TIngest: "ingest",
 	TPing: "ping", TPong: "pong", TTick: "tick", THeartbeat: "heartbeat",
-	TSpanBatch: "span-batch", TVertexDigest: "vertex-digest",
-	TCheckpointMark: "checkpoint-mark", TEventBatch: "event-batch",
-	TStatus: "status", TStatusReply: "status-reply",
-	TProfileReq: "profile-req", TProfileChunk: "profile-chunk",
+	TStatus: "status", TStatusReply: "status-reply", TProfileReq: "profile-req",
 	TProfile: "profile", TProfileReply: "profile-reply",
 }
 

@@ -266,9 +266,9 @@ func TestQueryRoundTrips(t *testing.T) {
 }
 
 func TestMetricRoundTrip(t *testing.T) {
-	m, err := DecodeMetric(EncodeMetric(&Metric{AgentID: 1, Name: "qps", Value: 2.5}))
-	if err != nil || m.Name != "qps" || m.Value != 2.5 {
-		t.Fatalf("%v %+v", err, m)
+	ms, err := DecodeMetrics(1, AppendMetrics(nil, []Metric{{Name: "qps", Value: 2.5}}))
+	if err != nil || len(ms) != 1 || ms[0] != (Metric{AgentID: 1, Name: "qps", Value: 2.5}) {
+		t.Fatalf("%v %+v", err, ms)
 	}
 }
 
@@ -374,7 +374,8 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		func(b []byte) error { _, err := DecodeAlgoDone(b); return err },
 		func(b []byte) error { _, err := DecodeQuery(b); return err },
 		func(b []byte) error { _, err := DecodeQueryReply(b); return err },
-		func(b []byte) error { _, err := DecodeMetric(b); return err },
+		func(b []byte) error { _, err := DecodeMetrics(1, b); return err },
+		func(b []byte) error { return WalkReport(b, func(uint64, uint8, []byte) {}) },
 		func(b []byte) error { _, err := DecodeJoin(b); return err },
 		func(b []byte) error { _, err := DecodeJoinReply(b); return err },
 		func(b []byte) error { _, err := DecodeLeave(b); return err },
