@@ -246,7 +246,12 @@ type Agent struct {
 	migratedEpoch uint64 // last epoch whose migration round we voted in
 	// peers holds the addresses of the last membership handleView installed:
 	// those the next one drops are where sends can be stranded.
-	peers       map[string]bool
+	peers map[string]bool
+	// departed are the addresses the membership changes since the last
+	// round closed dropped. A graceful leaver's migration batches arrive
+	// after the view that drops it, and acking them makes a new peer; the
+	// round's halting Advance, which follows every such ack, retires it.
+	departed    []string
 	mig         migScratch // the migration round's reusable buffers
 	leaving     bool
 	readyToExit bool
@@ -940,6 +945,7 @@ func (a *Agent) StatsMap() stats.Counters {
 		"stalls":       ts.EnqueueStalls,
 		"writes":       ts.ConnWrites,
 		"coalesced":    ts.CoalescedFrames,
+		"peers":        ts.Peers,
 	}
 }
 

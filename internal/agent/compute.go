@@ -125,6 +125,14 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 			(a.store.NumEdgeCopies() == 0 || a.router.NumAgents() == 0) {
 			a.readyToExit = true
 		}
+		if adv.Halt {
+			for _, addr := range a.departed {
+				if !a.peers[addr] { // not back under a new identity
+					a.retirePeer(addr)
+				}
+			}
+			a.departed = a.departed[:0]
+		}
 		return
 	}
 	r := a.run

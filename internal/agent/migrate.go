@@ -63,13 +63,20 @@ func (a *Agent) handleView(v *wire.View) {
 	}
 	for addr := range a.peers {
 		if !peers[addr] && addr != a.node.Addr() {
-			for _, f := range a.node.CancelPeer(addr) {
-				a.rerouteFailed(f)
-			}
+			a.retirePeer(addr)
+			a.departed = append(a.departed, addr)
 		}
 	}
 	a.peers = peers
 	a.migrate(uint32(epoch), nil, false)
+}
+
+// retirePeer retires the node's peer for addr, re-routing every
+// unacknowledged send to it under the current view.
+func (a *Agent) retirePeer(addr string) {
+	for _, f := range a.node.CancelPeer(addr) {
+		a.rerouteFailed(f)
+	}
 }
 
 // rerouteFailed re-dispatches one reclaimed in-flight send under the

@@ -83,6 +83,7 @@ type Client struct {
 	opts      Options
 	node      *transport.Node
 	router    *route.Router
+	feed      *route.Feed
 	coordAddr string
 	dirAddr   string
 	salt      uint64
@@ -106,6 +107,7 @@ func Start(opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{opts: opts, node: node, router: route.New(opts.Config)}
+	c.feed = route.NewFeed(node, c.router, nil)
 	tcfg := trace.Resolve(opts.Trace)
 	tcfg.Apply()
 	c.tracer = trace.NewTracer("client", tcfg)
@@ -181,58 +183,41 @@ func (c *Client) StatsMap() stats.Counters {
 		"retries":    c.retried.Load(),
 		"frames_in":  ts.FramesIn,
 		"frames_out": ts.FramesOut,
+		"peers":      ts.Peers,
 	}
 }
 
-// Epoch returns the view epoch the client last installed.
-func (c *Client) Epoch() uint64 { return c.router.Epoch() }
+// Epoch returns the epoch of the newest view the client has received.
+func (c *Client) Epoch() uint64 {
+	_ = c.feed.Install(0)
+	return c.router.Epoch()
+}
 
-// NumAgents returns the agent count of the installed view.
-func (c *Client) NumAgents() int { return c.router.NumAgents() }
+// NumAgents returns the agent count of the newest view the client has
+// received.
+func (c *Client) NumAgents() int {
+	_ = c.feed.Install(0)
+	return c.router.NumAgents()
+}
 
 // Overrides returns a copy of the placement override table carried by the
-// client's installed view (empty unless adaptive repartitioning is on).
+// newest view the client has received (empty unless adaptive
+// repartitioning is on).
 func (c *Client) Overrides() map[graph.VertexID]consistent.AgentID {
+	_ = c.feed.Install(0)
 	return c.router.Overrides()
-}
-
-func (c *Client) drainViews(block bool) error {
-	deadline := time.Now().Add(c.opts.Config.RequestTimeout)
-	for {
-		select {
-		case pkt, ok := <-c.node.Inbox():
-			if !ok {
-				return transport.ErrNodeClosed
-			}
-			if pkt.Type == wire.TDirUpdate {
-				if v, err := wire.DecodeView(pkt.Payload); err == nil {
-					_, _ = c.router.Update(v)
-				}
-				c.node.Ack(pkt)
-				block = false
-			}
-			wire.ReleasePacket(pkt)
-		default:
-			if !block {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return opError("wait-view", transport.ErrTimeout)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 }
 
 // WaitReady blocks until at least one agent is visible.
 func (c *Client) WaitReady() error {
 	deadline := time.Now().Add(c.opts.Config.RequestTimeout)
 	for c.router.NumAgents() == 0 {
-		if time.Now().After(deadline) {
+		wait := time.Until(deadline)
+		if wait <= 0 {
 			return opError("wait-ready", fmt.Errorf("%w (%w)", ErrNoAgents, transport.ErrTimeout))
 		}
-		if err := c.drainViews(true); err != nil {
-			return err
+		if err := c.feed.Install(wait); err != nil {
+			return opError("wait-ready", err)
 		}
 	}
 	return nil
@@ -453,7 +438,7 @@ func (c *Client) QueryWith(v graph.VertexID, co CallOpts) (algorithm.Word, bool,
 	err := c.do(op{
 		name: fmt.Sprintf("query %d", v),
 		addr: func() (string, error) {
-			if err := c.drainViews(false); err != nil {
+			if err := c.feed.Install(0); err != nil {
 				return "", err
 			}
 			c.salt++

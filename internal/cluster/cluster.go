@@ -36,6 +36,7 @@ var (
 	_ stats.Provider = (*directory.Directory)(nil)
 	_ stats.Provider = (*client.Client)(nil)
 	_ stats.Provider = (*streamer.Streamer)(nil)
+	_ stats.Provider = (*directory.Master)(nil)
 )
 
 // Options configures a cluster.

@@ -197,6 +197,9 @@ type migrationState struct {
 	epochLow uint32
 	expected map[uint64]bool
 	votes    map[uint64]bool
+	// leavers are the addresses of the agents leaving gracefully in this
+	// round: their peers retire once it closes and they may exit.
+	leavers []string
 }
 
 type sealState struct {
@@ -428,6 +431,8 @@ func (d *Directory) StatsMap() stats.Counters {
 		"retransmits":      ts.Retransmits,
 		"dups_dropped":     ts.DuplicatesDropped,
 		"ack_give_ups":     ts.AckGiveUps,
+		"peers":            ts.Peers,
+		"acks_outstanding": uint64(d.node.OutstandingAcks()),
 	}
 }
 
@@ -638,7 +643,7 @@ func (d *Directory) handleRelay(pkt *wire.Packet) {
 		}
 		d.node.Ack(pkt)
 	case wire.TUnsubscribe:
-		d.pub.Unsubscribe(pkt.From)
+		d.retirePeer(pkt.From)
 	case wire.TDirUpdate:
 		// Copy into the owned buffer so the pooled packet can be
 		// released while lastView survives for late subscribers.
@@ -681,7 +686,13 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		}
 		d.node.Ack(pkt)
 	case wire.TUnsubscribe:
-		d.pub.Unsubscribe(pkt.From)
+		// A departing participant; a member agent still gets its peer for
+		// the barrier until it leaves or is evicted.
+		if !d.isMember(pkt.From) {
+			d.retirePeer(pkt.From)
+		} else {
+			d.pub.Unsubscribe(pkt.From)
+		}
 	case wire.TJoin:
 		d.pendingJoins = append(d.pendingJoins, pkt)
 		d.advanceWork()
@@ -837,10 +848,12 @@ func (d *Directory) applyMembership() {
 			wire.ReleasePacket(p)
 		}(pkt, id)
 	}
+	var leaverAddrs []string
 	for _, pkt := range d.pendingLeaves {
 		l, err := wire.DecodeLeave(pkt.Payload)
 		if err == nil {
-			if _, ok := d.agents[l.AgentID]; ok {
+			if addr, ok := d.agents[l.AgentID]; ok {
+				leaverAddrs = append(leaverAddrs, addr)
 				delete(d.agents, l.AgentID)
 				delete(d.leases, l.AgentID)
 				leavers[l.AgentID] = true
@@ -876,6 +889,7 @@ func (d *Directory) applyMembership() {
 		epochLow: uint32(d.epoch),
 		expected: expected,
 		votes:    make(map[uint64]bool),
+		leavers:  leaverAddrs,
 	}
 	trace.Printf("dir migration-start epoch=%d expected=%v", d.epoch, expected)
 	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
@@ -897,6 +911,13 @@ func (d *Directory) maybeFinishMigration() {
 	d.publishAdvance(&wire.Advance{
 		Step: m.epochLow, Phase: wire.PhaseMigrate, Halt: true, N: d.n,
 	})
+	// The Advance is the last frame a leaver waits for; it carries the ack
+	// of the leaver's vote, and the peer's writer still sends it.
+	for _, addr := range m.leavers {
+		if !d.isMember(addr) { // not back under a new identity
+			d.retirePeer(addr)
+		}
+	}
 	for _, pkt := range d.sealDone {
 		_ = d.node.ReplyFrame(pkt, d.node.NewFrame(wire.TPong))
 		wire.ReleasePacket(pkt)
@@ -1128,12 +1149,7 @@ func (d *Directory) evictAgents(dead []uint64) {
 		addr := d.agents[id]
 		delete(d.agents, id)
 		delete(d.leases, id)
-		d.pub.Unsubscribe(addr)
-		// Reclaim the directory's own in-flight acked broadcasts to the
-		// corpse so its writer and retransmission state die with it.
-		for _, f := range d.node.CancelPeer(addr) {
-			wire.ReleaseFrame(f.Frame)
-		}
+		d.retirePeer(addr)
 		d.statEvictions.Add(1)
 		d.event(events.Warn, events.KindEvict, trace.SpanContext{},
 			events.U("agent", id), events.S("addr", addr))
@@ -1151,11 +1167,17 @@ func (d *Directory) evictAgents(dead []uint64) {
 		expected[id] = true
 	}
 	// Supersede any in-flight migration: survivors re-migrate under the
-	// new epoch and re-vote; only live agents are expected.
+	// new epoch and re-vote; only live agents are expected. Its leavers
+	// still retire when this round closes.
+	var leavers []string
+	if d.migration != nil {
+		leavers = d.migration.leavers
+	}
 	d.migration = &migrationState{
 		epochLow: uint32(d.epoch),
 		expected: expected,
 		votes:    make(map[uint64]bool),
+		leavers:  leavers,
 	}
 	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
 		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
@@ -1184,6 +1206,26 @@ func (d *Directory) evictAgents(dead []uint64) {
 	d.maybeFinishMigration()
 	d.maybeFinishSeal()
 	d.maybeFinishRunBarrier()
+}
+
+// retirePeer stops publishing to addr and retires the node's peer for it,
+// reclaiming the directory's own in-flight acked broadcasts so its writer
+// and retransmission state go with it.
+func (d *Directory) retirePeer(addr string) {
+	d.pub.Unsubscribe(addr)
+	for _, f := range d.node.CancelPeer(addr) {
+		wire.ReleaseFrame(f.Frame)
+	}
+}
+
+// isMember reports whether addr is a member agent's address.
+func (d *Directory) isMember(addr string) bool {
+	for _, a := range d.agents {
+		if a == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // maybeFinishRunBarrier re-checks a synchronous phase barrier after the

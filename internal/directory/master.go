@@ -12,6 +12,9 @@
 package directory
 
 import (
+	"slices"
+
+	"elga/internal/stats"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -37,6 +40,11 @@ func StartMaster(network transport.Network, addr string) (*Master, error) {
 
 // Addr returns the master's dialable address.
 func (m *Master) Addr() string { return m.node.Addr() }
+
+// StatsMap implements stats.Provider: the peers the master's node keeps.
+func (m *Master) StatsMap() stats.Counters {
+	return stats.Counters{"peers": m.node.Stats().Peers}
+}
 
 // Close shuts the master down.
 func (m *Master) Close() {
@@ -77,6 +85,11 @@ func (m *Master) run() {
 		case wire.TGetDirectory:
 			_ = m.node.ReplyFrame(pkt, wire.AppendStringList(
 				m.node.NewFrame(wire.TDirectoryList), dirs))
+			// A bootstrap requester asks once: its peer retires as soon as
+			// the reply is written. Registered directories keep theirs.
+			if !slices.Contains(dirs, pkt.From) {
+				m.node.CancelPeer(pkt.From)
+			}
 		case wire.TPing:
 			_ = m.node.ReplyFrame(pkt, m.node.NewFrame(wire.TPong))
 		default:

@@ -7,6 +7,7 @@
 package streamer
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -60,6 +61,7 @@ type Streamer struct {
 	opts    Options
 	node    *transport.Node
 	router  *route.Router
+	feed    *route.Feed
 	dirAddr string
 	pending map[consistent.AgentID][]wire.EdgeChange
 	count   int
@@ -86,6 +88,7 @@ func Start(opts Options) (*Streamer, error) {
 		router:  route.New(opts.Config),
 		pending: make(map[consistent.AgentID][]wire.EdgeChange),
 	}
+	s.feed = route.NewFeed(node, s.router, s.reroute)
 	if opts.Metrics != nil {
 		node.RegisterMetrics(opts.Metrics, "streamer")
 		opts.Metrics.CounterFunc("elga_streamer_sent_total", "Edge-change copies flushed to agents.",
@@ -115,56 +118,16 @@ func Start(opts Options) (*Streamer, error) {
 	return s, nil
 }
 
-// drainViews applies any queued directory updates. Called opportunistically
-// before routing; the streamer has no event loop of its own.
-func (s *Streamer) drainViews(block bool) error {
-	for {
-		select {
-		case pkt, ok := <-s.node.Inbox():
-			if !ok {
-				return transport.ErrNodeClosed
-			}
-			s.applyView(pkt)
-			block = false
-		default:
-			if !block {
-				return nil
-			}
-			select {
-			case pkt, ok := <-s.node.Inbox():
-				if !ok {
-					return transport.ErrNodeClosed
-				}
-				s.applyView(pkt)
-				block = false
-			case <-time.After(s.opts.Config.RequestTimeout):
-				return fmt.Errorf("streamer: waiting for a directory view: %w", transport.ErrTimeout)
-			}
-		}
-	}
-}
-
-// applyView installs a broadcast view and acknowledges it, so the
-// directory stops retransmitting.
-func (s *Streamer) applyView(pkt *wire.Packet) {
-	if pkt.Type == wire.TDirUpdate {
-		if v, err := wire.DecodeView(pkt.Payload); err == nil {
-			_, _ = s.router.Update(v)
-		}
-		s.node.Ack(pkt)
-	}
-	wire.ReleasePacket(pkt)
-}
-
 // WaitReady blocks until the streamer has a view with at least one agent.
 func (s *Streamer) WaitReady() error {
 	deadline := time.Now().Add(s.opts.Config.RequestTimeout)
 	for s.router.NumAgents() == 0 {
-		if time.Now().After(deadline) {
+		wait := time.Until(deadline)
+		if wait <= 0 {
 			return fmt.Errorf("streamer: no agents joined before timeout")
 		}
-		if err := s.drainViews(true); err != nil {
-			return err
+		if err := s.feed.Install(wait); err != nil {
+			return fmt.Errorf("streamer: waiting for a directory view: %w", err)
 		}
 	}
 	return nil
@@ -173,7 +136,7 @@ func (s *Streamer) WaitReady() error {
 // Send routes one change: the out-copy to EdgeOwner(src, dst) and the
 // in-copy to EdgeOwner(dst, src).
 func (s *Streamer) Send(c graph.Change) error {
-	if err := s.drainViews(false); err != nil {
+	if err := s.feed.Install(0); err != nil {
 		return err
 	}
 	outOwner, ok1 := s.router.EdgeOwner(c.Src, c.Dst)
@@ -225,20 +188,59 @@ func (s *Streamer) flushPending() error {
 	return nil
 }
 
+// flushPoll is how often a Flush still waiting for acks installs the
+// newest view, so that batches sent to an agent it dropped are re-routed
+// instead of waiting out the retransmission budget.
+const flushPoll = 50 * time.Millisecond
+
 // Flush pushes all buffered changes and blocks until every send is
 // acknowledged — i.e. every change is held (applied or buffered) by the
 // owning agent.
 func (s *Streamer) Flush() error {
-	if err := s.flushPending(); err != nil {
-		return err
+	deadline := time.Now().Add(s.opts.Config.RequestTimeout)
+	for {
+		if err := s.flushPending(); err != nil {
+			return err
+		}
+		wait := min(flushPoll, time.Until(deadline))
+		if wait <= 0 {
+			return fmt.Errorf("streamer: flush: %w", transport.ErrFlushTimeout)
+		}
+		if err := s.node.Flush(wait); !errors.Is(err, transport.ErrFlushTimeout) {
+			return err
+		}
+		if err := s.feed.Install(0); err != nil {
+			return err
+		}
 	}
-	return s.node.Flush(s.opts.Config.RequestTimeout)
+}
+
+// reroute takes over a batch sent to an agent the newest view dropped
+// before it acknowledged the batch: its changes are routed again under that
+// view and go out with the next flush. Inserts and deletes are idempotent,
+// so a batch the agent did apply before leaving costs nothing twice.
+func (s *Streamer) reroute(f transport.FailedSend) {
+	var pkt wire.Packet
+	var b wire.EdgeBatch
+	if wire.UnmarshalPacketInto(&pkt, f.Frame, nil) == nil && pkt.Type == wire.TEdges &&
+		wire.DecodeEdgeBatchInto(&b, pkt.Payload) == nil {
+		for _, c := range b.Changes {
+			u, other := c.Src, c.Dst
+			if c.Dir == graph.In {
+				u, other = c.Dst, c.Src
+			}
+			if owner, ok := s.router.EdgeOwner(u, other); ok {
+				s.enqueue(owner, c)
+			}
+		}
+	}
+	wire.ReleaseFrame(f.Frame)
 }
 
 // Epoch applies any queued views and returns the epoch of the one the
 // streamer now routes by. Like Send, not for use concurrently with ingest.
 func (s *Streamer) Epoch() uint64 {
-	_ = s.drainViews(false)
+	_ = s.feed.Install(0)
 	return s.router.Epoch()
 }
 
@@ -253,6 +255,7 @@ func (s *Streamer) StatsMap() stats.Counters {
 		"frames_in":   ts.FramesIn,
 		"frames_out":  ts.FramesOut,
 		"retransmits": ts.Retransmits,
+		"peers":       ts.Peers,
 	}
 }
 

@@ -7,8 +7,8 @@
 // packet type. This package reimplements those patterns over an abstract
 // frame transport with two implementations:
 //
-//   - inproc: channel-based, the stand-in for ZeroMQ's inproc:// used when
-//     many Participants share one OS process;
+//   - inproc: a pair of in-memory pipes, the stand-in for ZeroMQ's
+//     inproc:// used when many Participants share one OS process;
 //   - tcp: length-framed packets over real sockets.
 //
 // Like ZeroMQ, reads, dials and every write that could wait happen on
@@ -17,6 +17,12 @@
 // dialled and has nothing queued or in flight is written by the sender
 // itself, without waiting (TryConn) — a barrier hop is then one write and
 // one wake-up, the receiver's.
+//
+// A cluster holds a conn per ordered pair of participants, so what an idle
+// one costs matters. Every queue here — a peer's, each direction of an
+// in-proc conn — is, like ZeroMQ's high-water mark, a limit and not an
+// allocation: it holds storage for its backlog only and lets it go once the
+// backlog drains. CancelPeer retires a peer whose participant has gone.
 package transport
 
 import (
@@ -92,9 +98,15 @@ var ErrClosed = errors.New("transport: closed")
 // ---------------------------------------------------------------------------
 // inproc
 
-// inprocFrameBuffer is the per-direction frame queue depth. It plays the
-// role of ZeroMQ's high-water mark: senders block when a receiver lags.
+// inprocFrameBuffer bounds the frames one direction of an in-proc conn holds
+// — queued, or taken by the receiver and not yet returned. It plays the role
+// of ZeroMQ's high-water mark, a limit and not an allocation: senders block
+// when a receiver lags, and an idle conn holds no slots.
 const inprocFrameBuffer = 4096
+
+// pipeKeep is the largest backlog array a pipe keeps for reuse once it has
+// drained; a burst's larger array goes back to the garbage collector.
+const pipeKeep = 64
 
 // Inproc is an in-process Network. Each Inproc instance is an isolated
 // namespace: addresses registered on one instance are invisible to others,
@@ -137,11 +149,10 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no inproc listener at %q", addr)
 	}
-	a2b := make(chan []byte, inprocFrameBuffer)
-	b2a := make(chan []byte, inprocFrameBuffer)
 	// Both ends share the close signal, matching TCP semantics where
 	// closing either side unblocks the peer's blocked Recv.
 	closed := make(chan struct{})
+	a2b, b2a := newPipe(closed), newPipe(closed)
 	var once sync.Once
 	dialSide := &inprocConn{send: a2b, recv: b2a, closed: closed, once: &once}
 	acceptSide := &inprocConn{send: b2a, recv: a2b, closed: closed, once: &once}
@@ -183,58 +194,133 @@ func (l *inprocListener) Close() error {
 }
 
 type inprocConn struct {
-	send   chan []byte
-	recv   chan []byte
+	send   *pipe
+	recv   *pipe
 	closed chan struct{}
 	once   *sync.Once
 }
 
-func (c *inprocConn) Send(frame []byte) error {
-	// Copy: the caller recycles its buffer after Send, and channel
-	// handoff would otherwise alias it across goroutines. The dup comes
-	// from the frame pool and is released by the receiving node.
-	dup := append(wire.GetFrame(len(frame)), frame...)
+// pipe is one direction of an in-proc conn: a backlog under a mutex, holding
+// storage only while it holds frames, and two one-token channels — ready
+// wakes a receiver that found the backlog empty, room a sender that found the
+// pipe full. It has one sender at a time and one receiver.
+type pipe struct {
+	mu     sync.Mutex
+	frames [][]byte // queued, oldest first
+	out    int      // frames the receiver took at its last swap
+	ready  chan struct{}
+	room   chan struct{}
+	closed <-chan struct{}
+
+	// The receiver's own: the backlog it took at its last swap and how many
+	// of those frames it has returned.
+	taken [][]byte
+	next  int
+}
+
+func newPipe(closed <-chan struct{}) *pipe {
+	return &pipe{ready: make(chan struct{}, 1), room: make(chan struct{}, 1), closed: closed}
+}
+
+// signal leaves a token on ch unless one waits there already. A token is a
+// hint: whoever takes it re-checks the state it guards under that state's
+// lock.
+func signal(ch chan struct{}) {
 	select {
-	case c.send <- dup:
-		return nil
-	case <-c.closed:
-		wire.ReleaseFrame(dup)
-		return ErrClosed
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
-// TrySend implements TryConn. Only this side sends on c.send, so the room
-// seen here can only grow: the batch goes out whole or not at all.
-func (c *inprocConn) TrySend(frames [][]byte) bool {
-	if cap(c.send)-len(c.send) < len(frames) {
+// put queues a copy of each frame if all of them fit under the limit, and
+// reports whether they did. Copies, because the caller recycles its buffers
+// after a send; they come from the frame pool and the receiving node releases
+// them.
+func (p *pipe) put(frames ...[]byte) bool {
+	p.mu.Lock()
+	if len(p.frames)+p.out+len(frames) > inprocFrameBuffer {
+		p.mu.Unlock()
 		return false
 	}
+	wake := len(p.frames) == 0
+	for _, f := range frames {
+		p.frames = append(p.frames, append(wire.GetFrame(len(f)), f...))
+	}
+	p.mu.Unlock()
+	if wake {
+		signal(p.ready)
+	}
+	return true
+}
+
+// get returns the next frame: from the backlog taken at the last swap while
+// it lasts, then by swapping out the whole backlog, waiting for one if there
+// is none. Frames queued before a close are returned before ErrClosed.
+func (p *pipe) get() ([]byte, error) {
+	for {
+		if p.next < len(p.taken) {
+			f := p.taken[p.next]
+			p.taken[p.next] = nil
+			p.next++
+			return f, nil
+		}
+		keep := p.taken[:0]
+		if cap(keep) > pipeKeep {
+			keep = nil
+		}
+		p.mu.Lock()
+		wasFull := len(p.frames)+p.out >= inprocFrameBuffer
+		p.taken, p.frames = p.frames, keep
+		p.out, p.next = len(p.taken), 0
+		p.mu.Unlock()
+		if wasFull {
+			signal(p.room)
+		}
+		if len(p.taken) > 0 {
+			continue
+		}
+		select {
+		case <-p.ready:
+		case <-p.closed:
+			p.mu.Lock()
+			queued := len(p.frames)
+			p.mu.Unlock()
+			if queued == 0 {
+				return nil, ErrClosed
+			}
+		}
+	}
+}
+
+func (c *inprocConn) Send(frame []byte) error {
+	for {
+		select {
+		case <-c.closed:
+			return ErrClosed
+		default:
+		}
+		if c.send.put(frame) {
+			return nil
+		}
+		select {
+		case <-c.send.room:
+		case <-c.closed:
+			return ErrClosed
+		}
+	}
+}
+
+// TrySend implements TryConn: the batch goes out whole or not at all.
+func (c *inprocConn) TrySend(frames [][]byte) bool {
 	select {
 	case <-c.closed:
 		return false
 	default:
 	}
-	for _, f := range frames {
-		c.send <- append(wire.GetFrame(len(f)), f...)
-	}
-	return true
+	return c.send.put(frames...)
 }
 
-func (c *inprocConn) Recv() ([]byte, error) {
-	select {
-	case f := <-c.recv:
-		return f, nil
-	case <-c.closed:
-		// Drain anything already queued before reporting closure so a
-		// graceful close does not drop delivered frames.
-		select {
-		case f := <-c.recv:
-			return f, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
+func (c *inprocConn) Recv() ([]byte, error) { return c.recv.get() }
 
 func (c *inprocConn) Close() error {
 	c.once.Do(func() { close(c.closed) })

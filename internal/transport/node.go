@@ -17,15 +17,18 @@ import (
 // DefaultRequestTimeout bounds blocking REQ/REP calls.
 const DefaultRequestTimeout = 30 * time.Second
 
-// peerQueueDepth is each outbound peer queue's capacity — the PUSH
-// pattern's buffer that lets entities "continue executing while the
-// transport finishes sending" (§3.5).
+// peerQueueDepth bounds the frames one peer holds — queued or in its
+// writer's hands. It is the PUSH pattern's buffer that lets entities
+// "continue executing while the transport finishes sending" (§3.5), and like
+// ZeroMQ's high-water mark a limit, not an allocation: a peer holds storage
+// only for its backlog.
 const peerQueueDepth = 8192
 
-// maxCoalesce bounds how many queued frames one conn write may carry.
-// The writer drains up to this many pending frames per wakeup and hands
-// them to the conn as one vectored write, so a scatter burst costs one
-// syscall instead of one per frame.
+// maxCoalesce bounds how many queued frames one conn write may carry. The
+// writer takes the whole queue per wakeup and hands it to the conn this many
+// frames per vectored write, so a scatter burst costs a syscall per
+// maxCoalesce frames instead of one per frame. It is also the largest queue
+// array a peer keeps for reuse once the queue has drained.
 const maxCoalesce = 64
 
 // frameSizeHint pre-sizes frames created without an explicit payload
@@ -118,22 +121,40 @@ type Node struct {
 // while nothing is pending the writer is idle and a sender holding mu may
 // write to the conn itself, so per-peer order is the order of the sends.
 type peer struct {
-	addr  string
-	queue chan []byte
-	done  chan struct{}
+	addr string
+	// wake holds a token once the writer has something to do it may not
+	// have seen: frames queued, or the peer cancelled.
+	wake chan struct{}
 
 	mu sync.Mutex
+	// room wakes senders waiting for pending to drop below peerQueueDepth,
+	// or for the peer to be cancelled.
+	room sync.Cond
+	// queue is what the writer has yet to take, oldest first. The writer
+	// takes it whole, so it holds storage only for a backlog.
+	queue [][]byte
+	// pending counts frames queued or in the writer's hands: the bound a
+	// stall is judged against. At zero the queue is empty and the writer
+	// idle.
+	pending int
+	// cancelled is set by CancelPeer and Close: no frame is queued after
+	// it, and the writer exits once it has written what was.
+	cancelled bool
 	// direct is the writer's conn while it is dialled, healthy and able to
 	// send without waiting (TryConn); nil otherwise.
 	direct TryConn
-	// pending counts frames a sender is about to queue, queued, or in the
-	// writer's hands. At zero the queue is empty and stays empty while mu
-	// is held, because every queue send follows its own increment.
-	pending int
 	// acks are request IDs whose acknowledgement waits for the next write
 	// to this peer (wire.LazyAck); batch is the direct write's scratch.
 	acks  []uint32
 	batch [][]byte
+}
+
+// cancel marks p cancelled and wakes its writer and every sender waiting
+// for room. p.mu held.
+func (p *peer) cancel() {
+	p.cancelled = true
+	p.room.Broadcast()
+	signal(p.wake)
 }
 
 // pendingAck tracks one unacknowledged acked-PUSH. The frame copy is
@@ -149,7 +170,8 @@ type pendingAck struct {
 
 // dedupWindow remembers the last dedupWindowSize acked-push request IDs
 // from one sender in a ring, evicting the oldest as new ones arrive, and
-// for each whether this node has acknowledged it yet.
+// for each whether this node has acknowledged it yet. The ring grows to
+// dedupWindowSize as IDs arrive rather than being allocated whole.
 type dedupWindow struct {
 	seen map[uint32]bool // request ID -> acknowledged
 	ring []uint32
@@ -184,9 +206,9 @@ type Stats struct {
 	// MalformedFrames counts inbound frames the unmarshaller rejected
 	// and dropped.
 	MalformedFrames uint64
-	// EnqueueStalls counts sends that found the peer queue saturated and
-	// had to block — backpressure from a peer draining slower than the
-	// entity produces.
+	// EnqueueStalls counts sends that found peerQueueDepth frames queued
+	// or in the writer's hands and had to block — backpressure from a peer
+	// draining slower than the entity produces.
 	EnqueueStalls uint64
 	// ConnWrites counts conn write calls; a coalesced batch counts once.
 	ConnWrites uint64
@@ -208,11 +230,18 @@ type Stats struct {
 	// RequestRetry — requests that failed at least once before succeeding
 	// or giving up.
 	RequestRetries uint64
+	// Peers is a gauge, not a counter: the destinations the node keeps a
+	// queue, a writer and a conn for. CancelPeer and Close retire them.
+	Peers uint64
 }
 
 // Stats returns a snapshot of the node's transport counters.
 func (n *Node) Stats() Stats {
+	n.mu.Lock()
+	peers := len(n.peers)
+	n.mu.Unlock()
 	return Stats{
+		Peers:             uint64(peers),
 		FramesIn:          n.stats.framesIn.Load(),
 		FramesOut:         n.stats.framesOut.Load(),
 		MalformedFrames:   n.stats.malformed.Load(),
@@ -233,14 +262,17 @@ func (n *Node) InboxDepth() int { return len(n.inbox) }
 // InboxCap returns the inbound queue capacity.
 func (n *Node) InboxCap() int { return cap(n.inbox) }
 
-// QueueDepth sums the frames queued behind every per-peer writer — the
-// send-side backpressure the autoscaler wants to see.
+// QueueDepth sums the frames queued or in the writer's hands over every
+// peer — the send-side backpressure the autoscaler wants to see, counted as
+// the bound a stall is judged against.
 func (n *Node) QueueDepth() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	depth := 0
 	for _, p := range n.peers {
-		depth += len(p.queue)
+		p.mu.Lock()
+		depth += p.pending
+		p.mu.Unlock()
 	}
 	return depth
 }
@@ -279,7 +311,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, role string) {
 		}
 	}
 	reg.GaugeFunc("elga_inbox_depth", "Inbound packet queue occupancy.", lbl, depth((*Node).InboxDepth))
-	reg.GaugeFunc("elga_send_queue_depth", "Frames queued behind per-peer writers.", lbl, depth((*Node).QueueDepth))
+	reg.GaugeFunc("elga_send_queue_depth", "Frames queued or being written by per-peer writers.", lbl, depth((*Node).QueueDepth))
 	// Shared per role: registry dedup returns one handle to every node of
 	// the role, aggregating their observations (cardinality stays low).
 	n.rttHist.Store(reg.Histogram("elga_reqrep_roundtrip_seconds",
@@ -395,7 +427,7 @@ func (n *Node) dispatch(pkt *wire.Packet) {
 		notify := n.ackNotify
 		n.ackMu.Unlock()
 		if known {
-			wire.ReleaseFrame(pa.frame)
+			releaseFrame(pa.frame)
 		}
 		// Duplicate acks (a retransmitted send acked twice) stop here so
 		// per-send bookkeeping upstream sees each completion once.
@@ -419,7 +451,7 @@ func (n *Node) dispatch(pkt *wire.Packet) {
 			n.stats.dupsDropped.Add(1)
 			if acked {
 				// At once, whatever the type: the sender's RTO has run out.
-				_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req))
+				_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req), true)
 			}
 			wire.ReleasePacket(pkt)
 			return
@@ -456,7 +488,8 @@ func (n *Node) getPeer(addr string) (*peer, error) {
 	if p, ok := n.peers[addr]; ok {
 		return p, nil
 	}
-	p := &peer{addr: addr, queue: make(chan []byte, peerQueueDepth), done: make(chan struct{})}
+	p := &peer{addr: addr, wake: make(chan struct{}, 1)}
+	p.room.L = &p.mu
 	n.peers[addr] = p
 	n.wg.Add(1)
 	go n.writeLoop(p)
@@ -472,17 +505,19 @@ func (n *Node) seenOrRecord(from string, req uint32) (seen, acked bool) {
 	defer n.dedupMu.Unlock()
 	w := n.dedup[from]
 	if w == nil {
-		w = &dedupWindow{seen: make(map[uint32]bool), ring: make([]uint32, dedupWindowSize)}
+		w = &dedupWindow{seen: make(map[uint32]bool)}
 		n.dedup[from] = w
 	}
 	if acked, seen = w.seen[req]; seen {
 		return true, acked
 	}
-	if old := w.ring[w.pos]; old != 0 {
-		delete(w.seen, old)
+	if len(w.ring) < dedupWindowSize {
+		w.ring = append(w.ring, req)
+	} else {
+		delete(w.seen, w.ring[w.pos])
+		w.ring[w.pos] = req
+		w.pos = (w.pos + 1) % dedupWindowSize
 	}
-	w.ring[w.pos] = req
-	w.pos = (w.pos + 1) % dedupWindowSize
 	w.seen[req] = false
 	return false, false
 }
@@ -512,7 +547,7 @@ func (n *Node) rexmitLoop() {
 		for _, p := range peers {
 			p.mu.Lock()
 			// A busy writer takes the parked acks along by itself.
-			if p.pending == 0 && len(p.acks) > 0 {
+			if p.pending == 0 && len(p.acks) > 0 && !p.cancelled {
 				n.writeIdle(p, n.appendAcks(p, p.batch[:0]))
 			}
 			p.mu.Unlock()
@@ -559,11 +594,11 @@ func (n *Node) retransmitDue(now time.Time) {
 		n.stats.retransmits.Add(1)
 		// Best-effort: a saturated queue drops this copy; the entry's RTO
 		// already advanced, so the next tick tries again.
-		_ = n.tryEnqueueFrame(r.addr, r.frame)
+		_ = n.enqueueFrame(r.addr, r.frame, false)
 	}
 	for _, g := range giveups {
 		n.stats.ackGiveUps.Add(1)
-		wire.ReleaseFrame(g.frame)
+		releaseFrame(g.frame)
 		if notify {
 			// Synthesize a local TAck so the owner's barrier gates drain
 			// instead of wedging on a peer that will never answer.
@@ -595,11 +630,14 @@ type FailedSend struct {
 	Frame []byte
 }
 
-// CancelPeer tears down addr's writer and reclaims every unacknowledged
-// acked send destined for it. Entities call it when a membership view
-// declares a peer dead: the returned frames carry the in-flight data so
-// the caller can re-route it under the new view instead of losing it.
-// Acks arriving later from the (presumed-dead) peer are ignored.
+// CancelPeer retires addr's queue, writer and conn and reclaims every
+// unacknowledged acked send destined for it. Entities call it when a
+// membership view declares a peer dead or gone: the returned frames carry
+// the in-flight data so the caller can re-route it under the new view
+// instead of losing it. What was queued before the call is still written,
+// dialling once if the writer has no conn yet, so a reply sent just before
+// is not lost. Acks arriving later from the peer are ignored; a later send
+// to addr starts a new peer.
 func (n *Node) CancelPeer(addr string) []FailedSend {
 	n.mu.Lock()
 	p, ok := n.peers[addr]
@@ -609,9 +647,9 @@ func (n *Node) CancelPeer(addr string) []FailedSend {
 	n.mu.Unlock()
 	if ok {
 		p.mu.Lock()
-		p.acks = nil // the peer is presumed dead: nothing is owed to it
+		p.acks = nil // the peer is presumed gone: nothing is owed to it
+		p.cancel()
 		p.mu.Unlock()
-		close(p.done)
 	}
 	var failed []FailedSend
 	n.ackMu.Lock()
@@ -637,98 +675,109 @@ func (n *Node) writeLoop(p *peer) {
 			c.Close()
 		}
 	}()
-	// Room for a full gather and the acks that ride it.
-	frames := make([][]byte, 0, 2*maxCoalesce)
+	// out is one conn write: up to maxCoalesce queued frames and the acks
+	// that ride them. spare is the queue array taken last time, handed back
+	// to the senders unless a burst grew it.
+	out := make([][]byte, 0, 2*maxCoalesce)
+	var spare [][]byte
 	for {
-		select {
-		case f := <-p.queue:
-			frames = gatherFrames(p, frames[:0], f)
-			c = n.writeFrames(c, p, frames, false)
-		case <-p.done:
-			p.mu.Lock()
-			p.direct = nil // from here on every write is this goroutine's
+		p.mu.Lock()
+		for len(p.queue) == 0 && !p.cancelled {
 			p.mu.Unlock()
-			// Drain remaining frames before exiting so graceful leave
-			// messages are not lost.
-			for {
-				select {
-				case f := <-p.queue:
-					frames = gatherFrames(p, frames[:0], f)
-					c = n.writeFrames(c, p, frames, true)
-				default:
-					// Acks still parked leave too: their sender would
-					// retransmit to a node that has gone.
-					c = n.writeFrames(c, p, frames[:0], true)
-					return
-				}
+			<-p.wake
+			p.mu.Lock()
+		}
+		taken := p.queue
+		p.queue = spare
+		last := p.cancelled
+		if last {
+			p.direct = nil // from here on every write is this goroutine's
+		}
+		p.mu.Unlock()
+		c = n.writeQueued(c, p, taken, out, last)
+		spare = nil
+		if cap(taken) <= maxCoalesce {
+			spare = taken[:0]
+		}
+		if last {
+			// Acks still parked leave too: their sender would retransmit to
+			// a node that has gone.
+			if c != nil {
+				p.mu.Lock()
+				acks := n.appendAcks(p, out[:0])
+				p.mu.Unlock()
+				_ = n.writeBatch(c, acks)
 			}
+			return
 		}
 	}
 }
 
-// gatherFrames coalesces up to maxCoalesce already-queued frames behind
-// the one just received, without blocking.
-func gatherFrames(p *peer, frames [][]byte, first []byte) [][]byte {
-	frames = append(frames, first)
-	for len(frames) < maxCoalesce {
-		select {
-		case f := <-p.queue:
-			frames = append(frames, f)
-		default:
-			return frames
-		}
-	}
-	return frames
-}
-
-// dialPeer connects to p with a brief redial loop: elastic churn means a
-// peer may be observed before its listener is up.
-func (n *Node) dialPeer(p *peer) Conn {
+// dialPeer connects to p. A live peer is redialled for a while — elastic
+// churn means a peer may be observed before its listener is up; a cancelled
+// one gets one attempt, for what was queued before the cancel; a closing
+// node dials nothing.
+func (n *Node) dialPeer(p *peer, once bool) Conn {
 	for attempt := 0; ; attempt++ {
+		select {
+		case <-n.done:
+			return nil
+		default:
+		}
 		c, err := n.net.Dial(p.addr)
 		if err == nil {
 			return c
 		}
-		if attempt >= 50 {
+		if once || attempt >= 50 {
 			return nil
 		}
 		select {
-		case <-p.done:
+		case <-n.done:
 			return nil
 		case <-time.After(time.Duration(attempt+1) * time.Millisecond):
 		}
+		p.mu.Lock()
+		once = p.cancelled
+		p.mu.Unlock()
 	}
 }
 
-// writeFrames sends a coalesced batch taken from p's queue on c (dialing
-// first if needed) together with the acks parked on p, recycles every frame
-// to the pool, and returns the conn — nil after a failure so the next batch
-// redials. Until it returns the batch is pending, so no sender writes to c.
-func (n *Node) writeFrames(c Conn, p *peer, frames [][]byte, closing bool) Conn {
-	queued := len(frames)
-	if c == nil && !closing {
-		c = n.dialPeer(p)
+// writeQueued writes frames taken from p's queue on c, dialling first if
+// there is no conn, maxCoalesce frames a conn write with the acks parked on
+// p riding each, and returns the conn — nil after a failure, so the next
+// batch redials. A frame that cannot be written is dropped; acked sends
+// surface the loss. Each write's frames stop being pending once it returns,
+// which wakes senders waiting for room; until then no sender writes to c.
+func (n *Node) writeQueued(c Conn, p *peer, taken, out [][]byte, last bool) Conn {
+	if c == nil && len(taken) > 0 {
+		c = n.dialPeer(p, last)
 	}
-	if c == nil {
-		releaseFrames(frames) // drop; acked sends will surface the loss
-	} else {
-		p.mu.Lock()
-		// Behind the queued frames: the first of those may finish a write
-		// a sender began (TryConn).
-		frames = n.appendAcks(p, frames)
-		p.mu.Unlock()
-		if err := n.writeBatch(c, frames); err != nil {
-			c.Close()
-			c = nil
+	for len(taken) > 0 {
+		k := min(len(taken), maxCoalesce)
+		if c == nil {
+			releaseFrames(taken[:k])
+		} else {
+			p.mu.Lock()
+			// Behind the queued frames: the first of those may finish a
+			// write a sender began (TryConn).
+			w := n.appendAcks(p, append(out[:0], taken[:k]...))
+			p.mu.Unlock()
+			clear(taken[:k])
+			if err := n.writeBatch(c, w); err != nil {
+				c.Close()
+				c = nil
+			}
 		}
+		taken = taken[k:]
+		p.mu.Lock()
+		p.pending -= k
+		p.direct = nil
+		if !last {
+			p.direct, _ = c.(TryConn)
+		}
+		p.room.Broadcast()
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	p.pending -= queued
-	p.direct = nil
-	if !closing {
-		p.direct, _ = c.(TryConn)
-	}
-	p.mu.Unlock()
 	return c
 }
 
@@ -761,25 +810,49 @@ func (n *Node) countWrite(frames int) {
 	n.coalesceHist.Load().Observe(float64(frames))
 }
 
+// releaseFrame recycles a frame the node is done with: every frame handed to
+// the node to send, and every copy it makes, ends here exactly once.
+var releaseFrame = wire.ReleaseFrame
+
 func releaseFrames(frames [][]byte) {
 	for i, f := range frames {
-		wire.ReleaseFrame(f)
+		releaseFrame(f)
 		frames[i] = nil
 	}
 }
 
-// sendNow sends frame to p from the caller's goroutine if p is idle, and
-// reports whether it did. On false the frame, already counted as pending,
-// is the caller's to queue.
-func (n *Node) sendNow(p *peer, frame []byte) bool {
+// push sends frame to p: from the caller's goroutine if p is idle and its
+// conn can take the frame without waiting, else through p's queue. With
+// peerQueueDepth frames pending it waits for room if wait is set, counting a
+// stall, and otherwise drops the frame. Ownership of frame transfers; on
+// failure it is recycled here.
+func (n *Node) push(p *peer, frame []byte, wait bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pending > 0 {
-		p.pending++
-		return false
+	if p.pending >= peerQueueDepth && !p.cancelled {
+		if !wait {
+			releaseFrame(frame)
+			return ErrUnavailable
+		}
+		n.stats.stalls.Add(1)
+		for p.pending >= peerQueueDepth && !p.cancelled {
+			p.room.Wait()
+		}
 	}
-	n.writeIdle(p, append(n.appendAcks(p, p.batch[:0]), frame))
-	return true
+	if p.cancelled {
+		releaseFrame(frame)
+		return ErrPeerClosed
+	}
+	if p.pending == 0 {
+		n.writeIdle(p, append(n.appendAcks(p, p.batch[:0]), frame))
+		return nil
+	}
+	p.queue = append(p.queue, frame)
+	p.pending++
+	if len(p.queue) == 1 {
+		signal(p.wake)
+	}
+	return nil
 }
 
 // writeIdle sends frames to a peer with nothing pending, p.mu held: written
@@ -790,11 +863,10 @@ func (n *Node) writeIdle(p *peer, frames [][]byte) {
 		n.countWrite(len(frames))
 		releaseFrames(frames)
 	} else {
-		for i, f := range frames {
-			p.queue <- f // empty while p.mu is held (see peer.pending): does not wait
-			frames[i] = nil
-		}
+		p.queue = append(p.queue, frames...)
 		p.pending += len(frames)
+		clear(frames)
+		signal(p.wake)
 	}
 	p.batch = frames[:0]
 }
@@ -850,56 +922,15 @@ func (n *Node) NewFrameHintCtx(typ wire.Type, payloadHint int, ctx trace.SpanCon
 // frameHeaderBytes mirrors wire's fixed header size for hint math.
 const frameHeaderBytes = 11
 
-// enqueueFrame sends frame to addr: itself if the peer is idle, else
-// through the peer's queue and writer goroutine, counting a stall when the
-// queue is saturated. Ownership of frame transfers on success; on failure
-// it is recycled here.
-func (n *Node) enqueueFrame(addr string, frame []byte) error {
+// enqueueFrame pushes frame to addr's peer, creating the peer on first use.
+// Ownership of frame transfers; on failure it is recycled here.
+func (n *Node) enqueueFrame(addr string, frame []byte, wait bool) error {
 	p, err := n.getPeer(addr)
 	if err != nil {
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		return err
 	}
-	if n.sendNow(p, frame) {
-		return nil
-	}
-	select {
-	case p.queue <- frame:
-		return nil
-	default:
-		n.stats.stalls.Add(1)
-	}
-	select {
-	case p.queue <- frame:
-		return nil
-	case <-p.done:
-		wire.ReleaseFrame(frame)
-		return ErrPeerClosed
-	}
-}
-
-// tryEnqueueFrame is enqueueFrame without the blocking fallback: a
-// saturated or closed peer queue drops the frame immediately. Used by the
-// retransmission loop, which must never block on one slow peer.
-func (n *Node) tryEnqueueFrame(addr string, frame []byte) error {
-	p, err := n.getPeer(addr)
-	if err != nil {
-		wire.ReleaseFrame(frame)
-		return err
-	}
-	if n.sendNow(p, frame) {
-		return nil
-	}
-	select {
-	case p.queue <- frame:
-		return nil
-	default:
-		p.mu.Lock()
-		p.pending-- // never queued
-		p.mu.Unlock()
-		wire.ReleaseFrame(frame)
-		return ErrUnavailable
-	}
+	return n.push(p, frame, wait)
 }
 
 // SendFrame is the PUSH pattern over the single-copy path: frame must
@@ -909,10 +940,10 @@ func (n *Node) tryEnqueueFrame(addr string, frame []byte) error {
 // must not reference frame after the call.
 func (n *Node) SendFrame(addr string, frame []byte) error {
 	if err := wire.FinishFrame(frame); err != nil {
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		return err
 	}
-	return n.enqueueFrame(addr, frame)
+	return n.enqueueFrame(addr, frame, true)
 }
 
 // Send is the PUSH pattern: a non-blocking (buffered) one-way packet.
@@ -931,7 +962,7 @@ func (n *Node) Send(addr string, typ wire.Type, payload []byte) error {
 func (n *Node) Inject(typ wire.Type, payload []byte) error {
 	frame := append(n.NewFrameHint(typ, len(payload)), payload...)
 	if err := wire.FinishFrame(frame); err != nil {
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		return err
 	}
 	pkt := wire.GetPacket()
@@ -987,7 +1018,7 @@ func (n *Node) SendFrameAckedReq(addr string, frame []byte) (uint32, error) {
 	req := n.allocReq()
 	wire.PatchFrameReq(frame, req)
 	if err := wire.FinishFrame(frame); err != nil {
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		return 0, err
 	}
 	// Retain a copy for loss recovery: the writer consumes frame, the
@@ -996,11 +1027,11 @@ func (n *Node) SendFrameAckedReq(addr string, frame []byte) (uint32, error) {
 	n.ackMu.Lock()
 	n.outstanding[req] = &pendingAck{addr: addr, frame: retained, nextAt: time.Now().Add(ackRTO)}
 	n.ackMu.Unlock()
-	if err := n.enqueueFrame(addr, frame); err != nil {
+	if err := n.enqueueFrame(addr, frame, true); err != nil {
 		n.ackMu.Lock()
 		if pa, ok := n.outstanding[req]; ok {
 			delete(n.outstanding, req)
-			wire.ReleaseFrame(pa.frame)
+			releaseFrame(pa.frame)
 		}
 		n.ackCond.Broadcast()
 		n.ackMu.Unlock()
@@ -1047,7 +1078,7 @@ func (n *Node) Ack(pkt *wire.Packet) {
 	}
 	n.dedupMu.Unlock()
 	if !wire.LazyAck(pkt.Type) {
-		_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req))
+		_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req), true)
 	} else if p, err := n.getPeer(pkt.From); err == nil {
 		p.mu.Lock()
 		p.acks = append(p.acks, pkt.Req)
@@ -1123,7 +1154,7 @@ func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		return nil, ErrNodeClosed
 	}
 	n.nextReq++
@@ -1137,13 +1168,13 @@ func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*
 
 	wire.PatchFrameReq(frame, req)
 	if err := wire.FinishFrame(frame); err != nil {
-		wire.ReleaseFrame(frame)
+		releaseFrame(frame)
 		n.mu.Lock()
 		delete(n.pending, req)
 		n.mu.Unlock()
 		return nil, err
 	}
-	if err := n.enqueueFrame(addr, frame); err != nil {
+	if err := n.enqueueFrame(addr, frame, true); err != nil {
 		n.mu.Lock()
 		delete(n.pending, req)
 		n.mu.Unlock()
@@ -1205,7 +1236,9 @@ func (n *Node) Close() {
 	close(n.done)
 	n.listener.Close()
 	for _, p := range peers {
-		close(p.done)
+		p.mu.Lock()
+		p.cancel()
+		p.mu.Unlock()
 	}
 	for _, c := range conns {
 		c.Close()
@@ -1218,7 +1251,7 @@ func (n *Node) Close() {
 	n.ackMu.Lock()
 	for req, pa := range n.outstanding {
 		delete(n.outstanding, req)
-		wire.ReleaseFrame(pa.frame)
+		releaseFrame(pa.frame)
 	}
 	n.ackCond.Broadcast()
 	n.ackMu.Unlock()
