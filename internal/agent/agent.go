@@ -253,6 +253,7 @@ type Agent struct {
 	// round's halting Advance, which follows every such ack, retires it.
 	departed    []string
 	mig         migScratch // the migration round's reusable buffers
+	fwd         migScratch // forwarding misplaced runs' reusable buffers
 	leaving     bool
 	readyToExit bool
 	stopped     atomic.Bool
@@ -687,17 +688,18 @@ func (a *Agent) onAck(req uint32) {
 // sendGatedFrame performs an acked frame send whose completion feeds the
 // groups. The frame must come from node.NewFrame with the payload
 // appended in place (wire.AppendX); ownership transfers to the transport.
-func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) {
+// A send that fails locally feeds no group, so gates cannot wedge on it; the
+// error says so to a caller for which the loss matters.
+func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) error {
 	req, err := a.node.SendFrameAckedReq(addr, frame)
 	if err != nil {
-		// The send failed locally; treat as immediately acknowledged so
-		// gates cannot wedge (the transport already reported the loss).
-		return
+		return err
 	}
 	for _, g := range groups {
 		g.pending++
 	}
 	a.reqToGroups[req] = groups
+	return nil
 }
 
 // initValue computes v's initial algorithm state without installing it —

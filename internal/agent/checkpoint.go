@@ -135,7 +135,7 @@ func (a *Agent) checkpointNow(forced bool) {
 		// Overrides version with the view: a table change always ships
 		// inside a new epoch's view broadcast.
 		OverrideVer: a.router.Epoch(),
-		SealedGen:   a.store.Compactions(),
+		SealedGen:   a.store.SealedVersion(),
 		WallNanos:   uint64(time.Now().UnixNano()),
 	}
 	if r := a.run; r != nil {

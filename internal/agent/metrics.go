@@ -38,7 +38,7 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 		"Wait between an agent's barrier vote and the next Advance.",
 		nil, metrics.DurationBuckets)
 	a.m.migBatch = reg.Histogram("elga_migration_batch_edges",
-		"Edge changes per migration shipment.",
+		"Edge copies per migration shipment.",
 		nil, metrics.SizeBuckets)
 	a.m.migBytes = reg.Counter("elga_migration_bytes_total",
 		"Wire bytes of migration shipments sent.", nil)

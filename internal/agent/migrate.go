@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -81,12 +82,13 @@ func (a *Agent) retirePeer(addr string) {
 
 // rerouteFailed re-dispatches one reclaimed in-flight send under the
 // current view. Vertex messages re-resolve their owner, edge shipments
-// re-apply (forwarding misplaced copies), and replica partials chase their
-// vertices' new masters, record by record. Everything re-sent funnels
-// through a fresh gate whose drain releases the original request, keeping
-// the phase gates the failed send fed correctly held in the meantime. Types
-// with no surviving destination — value updates to the dead replica,
-// registrations (re-announced after the registered reset) — are dropped.
+// re-apply (forwarding misplaced copies and runs), and replica partials
+// chase their vertices' new masters, record by record. Everything re-sent
+// funnels through a fresh gate whose drain releases the original request,
+// keeping the phase gates the failed send fed correctly held in the
+// meantime. Types with no surviving destination — value updates to the dead
+// replica, registrations (re-announced after the registered reset) — are
+// dropped.
 func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	pkt := wire.GetPacket()
 	if err := wire.UnmarshalPacketInto(pkt, f.Frame, nil); err != nil {
@@ -107,11 +109,11 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	case wire.TEdges:
 		batch := &a.scratchEB
 		if err := wire.DecodeEdgeBatchInto(batch, pkt.Payload); err == nil {
-			states := make(map[graph.VertexID]wire.VertexState, len(batch.States))
-			for _, st := range batch.States {
-				states[st.Vertex] = st
+			if batch.Migration {
+				a.applyRuns(batch.Runs, g, stateIndex(batch.States))
+			} else {
+				a.applyChanges(batch.Changes, g)
 			}
-			a.applyChanges(batch.Changes, batch.Migration, g, states)
 		}
 	case wire.TReplicaPartial:
 		a.takePartials(pkt.Payload)
@@ -121,27 +123,58 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	a.voteWhenDrained(g, func() { a.onAck(f.Req) })
 }
 
-// migrationShipment accumulates copies and state headed to one agent.
+// migrationShipment accumulates the runs and states headed to one agent.
+// nbrs backs the runs' neighbour lists: it is made shipChunk long and the
+// shipment is sent before a run would overflow it, so appending never moves
+// it from under the runs.
 type migrationShipment struct {
-	changes []wire.EdgeChange
-	states  []wire.VertexState
+	runs   []wire.EdgeRun
+	nbrs   []graph.VertexID
+	states []wire.VertexState
 }
 
-// migScratch is the migration round's reusable memory: one shipment per
-// member (indexed like router.Agents()), the neighbour run being handed to
-// or taken from the store and, while a round walks, the gate its shipments
-// hold open and their wire bytes.
+// migScratch is the reusable memory of one shipper of runs — the migration
+// round has one, forwarding misplaced runs another, so neither can flush the
+// other's half-filled shipments: one shipment and one sub-run per member
+// (indexed like router.Agents()), a vertex's neighbours as its cursor yields
+// them, the neighbours a split vertex ships, and the wire bytes shipped.
 type migScratch struct {
 	ships []migrationShipment
+	sub   [][]graph.VertexID
 	nbrs  []graph.VertexID
-	gate  *ackGroup
+	left  []graph.VertexID
 	bytes uint64
 }
 
-// shipChunk is the size, in changes, at which a shipment is sent and its
-// buffer reused: about one 32 KiB frame. It bounds a round's scratch however
-// much moves, and lets the receiver store while the sender still walks.
+// fit gives the scratch a shipment and a sub-run for each of n members.
+func (m *migScratch) fit(n int) {
+	for len(m.ships) < n {
+		m.ships = append(m.ships, migrationShipment{})
+	}
+	for len(m.sub) < n {
+		m.sub = append(m.sub, nil)
+	}
+}
+
+// trim lets go of buffers a hub grew; the next vertex needs far less.
+func (m *migScratch) trim() {
+	if cap(m.nbrs) > shipChunk || cap(m.left) > shipChunk {
+		m.nbrs, m.left, m.sub = nil, nil, nil
+	}
+}
+
+// shipChunk is the size, in copies, at which a shipment is sent and its
+// buffer reused: about one 8 KiB frame. It bounds a round's scratch however
+// much moves, and lets the receiver store while the sender still walks. A
+// longer run travels alone, whole up to maxShipRun.
 const shipChunk = 1024
+
+// maxShipRun caps the copies one frame carries of one run: a longer run
+// travels as consecutive ascending pieces this long, each in a frame of its
+// own. It holds a frame, and the copy the transport keeps until it is
+// acknowledged, to about 512 KiB whatever the hub, far under the wire's frame
+// limit. The receiver seals the first piece and merges the rest.
+const maxShipRun = 64 * shipChunk
 
 // migrate re-evaluates held vertices under the current view, ships the
 // misplaced copies (with vertex state and pending mailbox contributions),
@@ -156,38 +189,33 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	}
 	defer sp.End()
 	members := a.router.Agents()
-	for len(a.mig.ships) < len(members) {
-		a.mig.ships = append(a.mig.ships, migrationShipment{})
-	}
+	a.mig.fit(len(members))
 	// Migration runs its own gate; the run's phase gate (owned by
 	// handleAdvance) stays untouched so a mid-phase view change cannot
 	// clobber in-progress barrier accounting. A shipped copy has left the
 	// store; the receiver owns it once the send is acknowledged, and the
 	// gate holds our vote until then.
 	gate := &ackGroup{}
-	a.mig.gate, a.mig.bytes = gate, 0
+	a.mig.bytes = 0
 	selfAt := a.selfIndex()
 	if sketchOnly {
 		for _, v := range rerouted {
-			a.migrateVertex(v, selfAt)
+			a.migrateVertex(v, selfAt, gate)
 		}
 	} else {
 		// The walk may drop the vertex it is visiting and nothing else; the
 		// bulk edits never compact, which would rebuild the set under it.
 		a.store.Vertices(func(v graph.VertexID) bool {
-			a.migrateVertex(v, selfAt)
+			a.migrateVertex(v, selfAt, gate)
 			return true
 		})
 	}
 	a.store.MaybeCompact()
 	for at := range members {
-		a.sendShipment(at)
+		a.sendShipment(&a.mig, gate, at)
 	}
 	shippedBytes := a.mig.bytes
-	a.mig.gate = nil
-	if cap(a.mig.nbrs) > shipChunk {
-		a.mig.nbrs = nil // a hub's worth; the next vertex needs far less
-	}
+	a.mig.trim()
 	if shippedBytes > 0 {
 		a.m.migBytes.Add(shippedBytes)
 		// The directory sees migration cost too: heavy shipments are the
@@ -256,52 +284,127 @@ func (a *Agent) selfIndex() int {
 	return -1
 }
 
-// shipCopy appends one copy to the shipment of the member at position at,
-// and its vertex's state (if any) ahead of the first copy that goes there,
-// so every frame carries the state of every vertex it carries copies of.
-func (a *Agent) shipCopy(at int, c wire.EdgeChange, st *wire.VertexState) {
-	s := &a.mig.ships[at]
-	if len(s.changes) >= shipChunk {
-		a.sendShipment(at)
+// shipRun adds run r to m's shipment for the member at position at, sent
+// under g, with the state of r's key (if any) ahead of its first run there,
+// so every frame carries the state of every vertex it carries copies of. A
+// run that would overflow the shipment goes in the next; one longer than
+// shipChunk goes alone, straight from r.Nbrs, and one longer than maxShipRun
+// as pieces that long.
+func (a *Agent) shipRun(m *migScratch, g *ackGroup, at int, r wire.EdgeRun, st *wire.VertexState) {
+	for len(r.Nbrs) > maxShipRun {
+		a.shipRun(m, g, at, wire.EdgeRun{Key: r.Key, Dir: r.Dir, Nbrs: r.Nbrs[:maxShipRun]}, st)
+		r.Nbrs = r.Nbrs[maxShipRun:]
+	}
+	s := &m.ships[at]
+	if len(s.nbrs)+len(r.Nbrs) > shipChunk {
+		a.sendShipment(m, g, at)
 	}
 	if st != nil && (len(s.states) == 0 || s.states[len(s.states)-1].Vertex != st.Vertex) {
 		s.states = append(s.states, *st)
 	}
-	s.changes = append(s.changes, c)
 	if trace.Enabled() {
-		a.trace("migrate-ship copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, a.router.Agents()[at])
+		a.trace("migrate-ship run=(%d,%d) copies=%d to=%d", r.Key, r.Dir, len(r.Nbrs), a.router.Agents()[at])
 	}
+	if len(r.Nbrs) > shipChunk {
+		s.runs = append(s.runs, r)
+		a.sendShipment(m, g, at)
+		return
+	}
+	if s.nbrs == nil {
+		s.nbrs = make([]graph.VertexID, 0, shipChunk)
+	}
+	from := len(s.nbrs)
+	s.nbrs = append(s.nbrs, r.Nbrs...)
+	s.runs = append(s.runs, wire.EdgeRun{Key: r.Key, Dir: r.Dir, Nbrs: s.nbrs[from:]})
 }
 
-// sendShipment sends what has accumulated for the member at position at
-// under the round's gate and empties the buffer for reuse.
-func (a *Agent) sendShipment(at int) {
-	s := &a.mig.ships[at]
-	if len(s.changes) == 0 {
+// sendShipment sends what m has accumulated for the member at position at
+// under g and empties the buffer for reuse. The runs in it have left the
+// store, or are about to, so a frame the node refuses would lose them: that
+// fails the agent, unless the node is closing anyway.
+func (a *Agent) sendShipment(m *migScratch, g *ackGroup, at int) {
+	s := &m.ships[at]
+	if len(s.runs) == 0 {
 		return
 	}
 	if addr, ok := a.router.AddrOf(a.router.Agents()[at]); ok {
-		// 17 bytes a change, 17 a state, as many again for the rest.
+		copies := 0
+		for _, r := range s.runs {
+			copies += len(r.Nbrs)
+		}
+		// 8 bytes a copy, 13 a run, 17 a state, and the batch's own.
 		frame := wire.AppendEdgeBatch(
-			a.node.NewFrameHint(wire.TEdges, 17*(len(s.changes)+len(s.states)+1)),
+			a.node.NewFrameHint(wire.TEdges, 8*copies+13*len(s.runs)+17*len(s.states)+32),
 			&wire.EdgeBatch{
-				Epoch: a.router.Epoch(), Migration: true, Changes: s.changes, States: s.states,
+				Epoch: a.router.Epoch(), Migration: true, Runs: s.runs, States: s.states,
 			})
-		a.m.migBatch.Observe(float64(len(s.changes)))
-		a.mig.bytes += uint64(len(frame))
-		a.sendGatedFrame(addr, frame, a.mig.gate)
+		a.m.migBatch.Observe(float64(copies))
+		m.bytes += uint64(len(frame))
+		if err := a.sendGatedFrame(addr, frame, g); err != nil && !errors.Is(err, transport.ErrNodeClosed) {
+			panic(fmt.Sprintf("agent %d: migration frame of %d copies to %s refused: %v", a.id, copies, addr, err))
+		}
 	}
-	s.changes, s.states = s.changes[:0], s.states[:0]
+	clear(s.runs) // a lone run may point into the store
+	s.runs, s.nbrs, s.states = s.runs[:0], s.nbrs[:0], s.states[:0]
 }
 
-// migrateVertex resolves v's route once and moves the copies that belong
+// heldRun returns v's neighbours in direction dir: its sealed run when no
+// tail edit touches it, else what a cursor yields, in a.mig.nbrs.
+func (a *Agent) heldRun(v graph.VertexID, dir graph.Dir) []graph.VertexID {
+	if run, _, whole := a.store.SealedRun(v, dir); whole {
+		return run
+	}
+	var it graph.Cursor
+	if dir == graph.Out {
+		a.store.OutCursorInto(&it, v)
+	} else {
+		a.store.InCursorInto(&it, v)
+	}
+	nbrs := a.mig.nbrs[:0]
+	for u, more := it.Next(); more; u, more = it.Next() {
+		nbrs = append(nbrs, u)
+	}
+	a.mig.nbrs = nbrs
+	return nbrs
+}
+
+// splitRun groups the ascending neighbours of run r, whose key is split, by
+// the replica that owns each copy, ships every group but this agent's
+// through m under g as one ascending sub-run, and returns this agent's group
+// and the neighbours shipped, both ascending.
+func (a *Agent) splitRun(m *migScratch, g *ackGroup, replicas []int32, selfAt int, r wire.EdgeRun, st *wire.VertexState) (kept, shipped []graph.VertexID) {
+	sub := m.sub
+	for at := range sub {
+		sub[at] = sub[at][:0]
+	}
+	shipped = m.left[:0]
+	for _, w := range r.Nbrs {
+		at := a.router.ReplicaFor(replicas, w)
+		sub[at] = append(sub[at], w)
+		if at != selfAt {
+			shipped = append(shipped, w)
+		}
+	}
+	m.left = shipped
+	for at, nbrs := range sub {
+		if at != selfAt && len(nbrs) > 0 {
+			a.shipRun(m, g, at, wire.EdgeRun{Key: r.Key, Dir: r.Dir, Nbrs: nbrs}, st)
+		}
+	}
+	if selfAt >= 0 {
+		kept = sub[selfAt]
+	}
+	return kept, shipped
+}
+
+// migrateVertex resolves v's route once and moves the runs that belong
 // elsewhere into their owners' shipments. All copies of an unsplit vertex
 // share its owner (Figure 3's second-level hash only exists for k > 1), so
 // it leaves whole: out run, in run, one state, one DropVertex. A split
-// vertex is walked once per direction, each neighbour placed on the resolved
-// replica set. Either way a destination sees a vertex's neighbours in
-// cursor order: every shipped run is ascending, for storeRun to take whole.
-func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
+// vertex's runs are grouped by replica, one sub-run per destination, and
+// what left is removed with one RemoveRun per direction. The shipments are
+// sent under gate.
+func (a *Agent) migrateVertex(v graph.VertexID, selfAt int, gate *ackGroup) {
 	if out, in := a.store.Degree(v); out+in == 0 {
 		return
 	}
@@ -313,35 +416,16 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
 	if w, ok := a.verts.get(v); ok {
 		st = &wire.VertexState{Vertex: v, State: wire.Word(w), Active: a.isActive(v)}
 	}
-	var it graph.Cursor
 	for _, dir := range [...]graph.Dir{graph.Out, graph.In} {
-		c := wire.EdgeChange{Action: graph.Insert, Src: v, Dst: v, Dir: dir}
-		nbr := &c.Dst
-		if dir == graph.Out {
-			a.store.OutCursorInto(&it, v)
-		} else {
-			a.store.InCursorInto(&it, v)
-			nbr = &c.Src
-		}
-		left := a.mig.nbrs[:0]
-		for {
-			u, more := it.Next()
-			if !more {
-				break
+		run := wire.EdgeRun{Key: v, Dir: dir, Nbrs: a.heldRun(v, dir)}
+		switch {
+		case len(run.Nbrs) == 0:
+		case replicas == nil:
+			a.shipRun(&a.mig, gate, owner, run, st)
+		default:
+			if _, shipped := a.splitRun(&a.mig, gate, replicas, selfAt, run, st); len(shipped) > 0 {
+				a.store.RemoveRun(v, dir, shipped)
 			}
-			at := owner
-			if replicas != nil {
-				if at = a.router.ReplicaFor(replicas, u); at == selfAt {
-					continue
-				}
-				left = append(left, u)
-			}
-			*nbr = u
-			a.shipCopy(at, c, st)
-		}
-		a.mig.nbrs = left
-		if replicas != nil {
-			a.store.RemoveRun(v, dir, left)
 		}
 	}
 	if replicas == nil {
@@ -349,7 +433,7 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int) {
 	}
 	if !a.store.HasVertex(v) {
 		// Gone from here; state and activity went with the copies.
-		a.deregisterSplit(v, a.mig.gate)
+		a.deregisterSplit(v, gate)
 		a.verts.del(v)
 		a.store.ClearActive(v)
 	}
@@ -474,8 +558,8 @@ func (a *Agent) releasePins() {
 // stream changes apply when idle and buffer during a run. It reports
 // whether pkt was retained (as a deferred-ack origin).
 func (a *Agent) handleEdges(pkt *wire.Packet) bool {
-	// Scratch decode: applyChanges and the buffer path copy every change
-	// out before the next packet reuses the batch.
+	// Scratch decode: applyRuns, applyChanges and the buffer path copy
+	// every run and change out before the next packet reuses the batch.
 	batch := &a.scratchEB
 	if err := wire.DecodeEdgeBatchInto(batch, pkt.Payload); err != nil {
 		a.node.Ack(pkt)
@@ -491,7 +575,7 @@ func (a *Agent) handleEdges(pkt *wire.Packet) bool {
 			return true
 		}
 		g := &ackGroup{origin: pkt}
-		a.applyChanges(batch.Changes, true, g, stateIndex(batch.States))
+		a.applyRuns(batch.Runs, g, stateIndex(batch.States))
 		a.sealGroup(g)
 		return true
 	}
@@ -502,7 +586,7 @@ func (a *Agent) handleEdges(pkt *wire.Packet) bool {
 		return false
 	}
 	g := &ackGroup{origin: pkt}
-	a.applyChanges(batch.Changes, false, g, nil)
+	a.applyChanges(batch.Changes, g)
 	a.sealGroup(g)
 	return true
 }
@@ -528,188 +612,116 @@ func keyedVertex(c wire.EdgeChange) graph.VertexID {
 	return c.Src
 }
 
-// applyChanges validates and applies routed edge-change copies. Misplaced
-// copies are forwarded with deferred acknowledgement — including, for
-// migrations, the vertex state of the forwarded copies, so state always
-// travels with the copies it belongs to. Applied stream inserts feed the
-// local sketch delta: the Out-copy owner counts the source endpoint, the
-// In-copy owner the destination, so each endpoint of each inserted edge is
-// counted exactly once cluster-wide. A copy that makes a split vertex
-// appear here, or the last one to leave, (de)registers this agent with the
-// vertex's master under g, so the master's pin is settled before whatever
-// waits on g — the sender's round, the streamer's flush — is over.
-//
-// A migration batch is read as the sorted neighbour runs migrateVertex
-// ships, each stored whole if owned here (storeRun). Anything else — a copy
-// owned elsewhere under this agent's view, a delete, unsorted input, every
-// stream batch — takes the per-change path, so the outcome never depends on
-// the sender's order.
-func (a *Agent) applyChanges(changes []wire.EdgeChange, migration bool, g *ackGroup, states map[graph.VertexID]wire.VertexState) {
+// applyChanges validates and applies routed stream-change copies one at a
+// time, forwarding misplaced ones with deferred acknowledgement. Applied
+// inserts feed the local sketch delta: the Out-copy owner counts the source
+// endpoint, the In-copy owner the destination, so each endpoint of each
+// inserted edge is counted exactly once cluster-wide. A copy that makes a
+// split vertex appear here, or the last one to leave, (de)registers this
+// agent with the vertex's master under g, so the master's pin is settled
+// before whatever waits on g — the sender's round, the streamer's flush — is
+// over.
+func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
 	self := consistent.AgentID(a.id)
-	type shipment struct {
-		changes []wire.EdgeChange
-		states  map[graph.VertexID]wire.VertexState
-	}
-	var forwards map[consistent.AgentID]*shipment
-	selfAt := a.selfIndex()
-	for len(changes) > 0 {
-		n := 1
-		if migration {
-			n = runLen(changes)
-			if a.storeRun(changes[:n], selfAt, states) {
-				a.registerSplit(keyedVertex(changes[0]), g)
-				changes = changes[n:]
-				continue
+	var forwards map[consistent.AgentID][]wire.EdgeChange
+	for _, c := range changes {
+		owner, ok := a.router.CopyOwner(c)
+		if ok && owner != self {
+			if forwards == nil {
+				forwards = make(map[consistent.AgentID][]wire.EdgeChange)
 			}
-		}
-		for _, c := range changes[:n] {
-			owner, ok := a.router.CopyOwner(c)
-			if ok && owner != self {
-				if forwards == nil {
-					forwards = make(map[consistent.AgentID]*shipment)
-				}
-				s := forwards[owner]
-				if s == nil {
-					s = &shipment{states: make(map[graph.VertexID]wire.VertexState)}
-					forwards[owner] = s
-				}
-				s.changes = append(s.changes, c)
-				if trace.Enabled() {
-					a.trace("edges-forward copy=(%d,%d,%d) to=%d mig=%v", c.Src, c.Dst, c.Dir, owner, migration)
-				}
-				if st, okSt := states[keyedVertex(c)]; okSt {
-					s.states[st.Vertex] = st
-				}
-				continue
-			}
-			var applied bool
-			key := keyedVertex(c)
-			if migration {
-				// Moves are topology-neutral: do not mark vertices active,
-				// but install the accompanying state and preserved
-				// activation for copies kept here.
-				if c.Action == graph.Insert {
-					applied = a.store.AddEdge(c.Src, c.Dst, c.Dir)
-				} else {
-					applied = a.store.RemoveEdge(c.Src, c.Dst, c.Dir)
-				}
-				a.installState(key, states)
-			} else {
-				applied = a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
-				if applied && c.Action == graph.Insert {
-					if c.Dir == graph.Out {
-						a.skDelta.Add(uint64(c.Src))
-					} else {
-						a.skDelta.Add(uint64(c.Dst))
-					}
-				}
-			}
-			if applied {
-				atomic.AddUint64(&a.statApplied, 1)
-				if c.Action == graph.Insert {
-					if out, in := a.store.Degree(key); out+in == 1 { // the first copy here
-						a.registerSplit(key, g)
-					}
-				} else if !a.store.HasVertex(key) { // the last one
-					a.deregisterSplit(key, g)
-				}
-			}
+			forwards[owner] = append(forwards[owner], c)
 			if trace.Enabled() {
-				a.trace("edges-apply copy=(%d,%d,%d) mig=%v applied=%v", c.Src, c.Dst, c.Dir, migration, applied)
+				a.trace("edges-forward copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, owner)
+			}
+			continue
+		}
+		key := keyedVertex(c)
+		applied := a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
+		if applied {
+			atomic.AddUint64(&a.statApplied, 1)
+			if c.Action == graph.Insert {
+				a.skDelta.Add(uint64(key))
+				if out, in := a.store.Degree(key); out+in == 1 { // the first copy here
+					a.registerSplit(key, g)
+				}
+			} else if !a.store.HasVertex(key) { // the last one
+				a.deregisterSplit(key, g)
 			}
 		}
-		changes = changes[n:]
+		if trace.Enabled() {
+			a.trace("edges-apply copy=(%d,%d,%d) applied=%v", c.Src, c.Dst, c.Dir, applied)
+		}
 	}
-	if migration {
-		a.store.MaybeCompact() // the runs went in without compacting
-	}
-	for owner, s := range forwards {
+	for owner, fw := range forwards {
 		if addr, ok := a.router.AddrOf(owner); ok {
-			atomic.AddUint64(&a.statForwarded, uint64(len(s.changes)))
-			stList := make([]wire.VertexState, 0, len(s.states))
-			for _, st := range s.states {
-				stList = append(stList, st)
-			}
+			atomic.AddUint64(&a.statForwarded, uint64(len(fw)))
 			a.sendGatedFrame(addr, wire.AppendEdgeBatch(
-				a.node.NewFrameHint(wire.TEdges, 32+32*len(s.changes)+24*len(stList)),
-				&wire.EdgeBatch{
-					Epoch: a.router.Epoch(), Migration: migration,
-					Changes: s.changes, States: stList,
-				}), g)
+				a.node.NewFrameHint(wire.TEdges, 32+17*len(fw)),
+				&wire.EdgeBatch{Epoch: a.router.Epoch(), Changes: fw}), g)
 		}
 	}
 }
 
-// runLen is the length of the run changes starts with: inserts of copies
-// stored under one vertex in one direction, neighbours strictly ascending.
-// (What follows a delete is cut the same way; storeRun declines it.)
-func runLen(changes []wire.EdgeChange) int {
-	first := changes[0]
-	key, prev := keyedVertex(first), neighbour(first)
-	n := 1
-	for ; n < len(changes); n++ {
-		c := changes[n]
-		if c.Action != graph.Insert || c.Dir != first.Dir || keyedVertex(c) != key || neighbour(c) <= prev {
-			break
+// applyRuns stores the runs of a migration batch that belong here and
+// forwards the rest, as runs, under g. One route lookup settles a run: an
+// unsplit key's run is stored or forwarded whole, a split key's is grouped by
+// replica (splitRun) and this agent's group stored. A stored run goes in
+// with one AddRun, which seals it as it is when its direction was empty, and
+// installs the state that came with it; a forwarded one takes that state
+// along. Moves are topology-neutral: nothing is marked active but what the
+// state says. The applied counter counts the copies the store did not
+// already hold, the forwarded counter the copies sent on. Forwards go
+// through their own scratch, a.fwd, not the migration round's.
+func (a *Agent) applyRuns(runs []wire.EdgeRun, g *ackGroup, states map[graph.VertexID]wire.VertexState) {
+	m := &a.fwd
+	m.fit(a.router.NumAgents())
+	selfAt := a.selfIndex()
+	for _, r := range runs {
+		var st *wire.VertexState
+		if s, ok := states[r.Key]; ok {
+			st = &s
 		}
-		prev = neighbour(c)
-	}
-	return n
-}
-
-// neighbour returns the endpoint of a copy that is not its keyed vertex.
-func neighbour(c wire.EdgeChange) graph.VertexID {
-	if c.Dir == graph.In {
-		return c.Src
-	}
-	return c.Dst
-}
-
-// storeRun stores one migrated run (see runLen) with one AddRun and one
-// state install, provided every copy in it is owned here: one route lookup
-// settles that for an unsplit vertex, a split one is checked per copy on the
-// resolved replica set. Otherwise it stores nothing and reports false. The
-// applied counter still counts copies: those the store did not already hold.
-func (a *Agent) storeRun(run []wire.EdgeChange, selfAt int, states map[graph.VertexID]wire.VertexState) bool {
-	first := run[0]
-	if first.Action != graph.Insert {
-		return false
-	}
-	key := keyedVertex(first)
-	owner, replicas, ok := a.router.RouteIndex(key)
-	if ok && replicas == nil && owner != selfAt {
-		return false
-	}
-	nbrs := a.mig.nbrs[:0]
-	for _, c := range run {
-		w := neighbour(c)
-		if len(replicas) > 0 && a.router.ReplicaFor(replicas, w) != selfAt {
-			return false
+		kept := r.Nbrs
+		switch owner, replicas, ok := a.router.RouteIndex(r.Key); {
+		case !ok || (replicas == nil && owner == selfAt):
+		case replicas == nil:
+			a.shipRun(m, g, owner, r, st)
+			kept = nil
+		default:
+			kept, _ = a.splitRun(m, g, replicas, selfAt, r, st)
 		}
-		nbrs = append(nbrs, w)
+		atomic.AddUint64(&a.statForwarded, uint64(len(r.Nbrs)-len(kept)))
+		if len(kept) == 0 {
+			continue
+		}
+		applied := a.store.AddRun(r.Key, r.Dir, kept)
+		atomic.AddUint64(&a.statApplied, uint64(applied))
+		a.installState(st)
+		a.registerSplit(r.Key, g)
+		if trace.Enabled() {
+			a.trace("edges-apply run=(%d,%d) copies=%d applied=%d", r.Key, r.Dir, len(kept), applied)
+		}
 	}
-	a.mig.nbrs = nbrs
-	applied := a.store.AddRun(key, first.Dir, nbrs)
-	a.installState(key, states)
-	atomic.AddUint64(&a.statApplied, uint64(applied))
-	if trace.Enabled() {
-		a.trace("edges-apply run=(%d,%d) copies=%d applied=%d", key, first.Dir, len(run), applied)
+	for at := range a.router.Agents() {
+		a.sendShipment(m, g, at)
 	}
-	return true
+	m.trim()
+	a.store.MaybeCompact() // the runs went in without compacting
 }
 
 // installState installs the state and preserved activation that travelled
-// with v's migrated copies, unless v already has a value here.
-func (a *Agent) installState(v graph.VertexID, states map[graph.VertexID]wire.VertexState) {
-	st, ok := states[v]
-	if !ok {
+// with a vertex's migrated copies, if any, unless it already has a value
+// here.
+func (a *Agent) installState(st *wire.VertexState) {
+	if st == nil {
 		return
 	}
-	if _, exists := a.verts.get(v); !exists {
-		a.verts.set(v, algorithm.Word(st.State))
+	if _, exists := a.verts.get(st.Vertex); !exists {
+		a.verts.set(st.Vertex, algorithm.Word(st.State))
 	}
 	if st.Active {
-		a.store.MarkActive(v)
+		a.store.MarkActive(st.Vertex)
 	}
 }
 
@@ -721,7 +733,7 @@ func (a *Agent) flushBuffered(gate *ackGroup) {
 	}
 	changes := a.buffered
 	a.buffered = nil
-	a.applyChanges(changes, false, gate, nil)
+	a.applyChanges(changes, gate)
 }
 
 // handleBatchOpen is the batch-boundary round (PhaseBatch): apply

@@ -106,10 +106,12 @@ func keyOf(c graph.EdgeCopy) graph.VertexID {
 // vertices, a hub and two pinned vertices, then installs a three-member
 // view that also splits the hub. The per-vertex round must do what judging
 // every copy on its own would: ship exactly the copies whose owner is
-// another agent, each once and to that agent, with the vertex's state once
-// per destination; keep the rest; forget the values of vertices that left
-// entirely and keep the pinned ones present. A second view without this
-// agent then makes everything leave.
+// another agent, each once and to that agent, as one ascending run per
+// vertex, direction and destination — a share of the hub longer than
+// shipChunk whole, in a frame of its own — with the vertex's state once per
+// frame; keep the rest; forget the values of vertices that left entirely and
+// keep the pinned ones present. A second view without this agent then makes
+// everything leave.
 func TestWholesaleRoundShipsByVertex(t *testing.T) {
 	r := newMigrationRig(t)
 	a := r.a
@@ -159,18 +161,38 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 		return o
 	}
 	shipped := map[graph.EdgeCopy]bool{}
+	hubWhole := false
 	for id := range r.peers {
-		frames := r.received(id)
-		if len(frames) < 2 {
-			t.Fatalf("agent %d got its share of the hub in %d frame(s); the test wants a chunk boundary inside it", id, len(frames))
-		}
-		for _, f := range frames {
+		// One run per vertex and direction reaches each destination.
+		runs := map[graph.EdgeCopy]bool{}
+		for _, f := range r.received(id) {
+			if len(f.Changes) != 0 {
+				t.Fatalf("agent %d was shipped %d copies one by one", id, len(f.Changes))
+			}
+			copies := 0
+			for _, run := range f.Runs {
+				k := graph.EdgeCopy{Src: run.Key, Dir: run.Dir}
+				if runs[k] || len(run.Nbrs) == 0 {
+					t.Fatalf("agent %d was shipped vertex %d's %d-direction copies in a second or empty run", id, run.Key, run.Dir)
+				}
+				runs[k] = true
+				copies += len(run.Nbrs)
+				if run.Key == hub && len(run.Nbrs) > shipChunk {
+					if len(f.Runs) != 1 {
+						t.Fatalf("the hub's %d-copy run to agent %d shares its frame with %d others", len(run.Nbrs), id, len(f.Runs)-1)
+					}
+					hubWhole = true
+				}
+			}
+			if copies > shipChunk && len(f.Runs) > 1 {
+				t.Fatalf("a frame of %d copies in %d runs; the chunk is %d", copies, len(f.Runs), shipChunk)
+			}
 			// Every frame stands alone: the state of each vertex it carries
 			// copies of, once.
 			keyed := map[graph.VertexID]bool{}
-			for _, ch := range f.Changes {
+			for _, ch := range runCopies(f.Runs) {
 				c := graph.EdgeCopy{Src: ch.Src, Dst: ch.Dst, Dir: ch.Dir}
-				if ch.Action != graph.Insert || !before[c] {
+				if !before[c] {
 					t.Fatalf("agent %d was shipped %+v, which was never held", id, ch)
 				}
 				if shipped[c] {
@@ -195,10 +217,10 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 			if len(seen) != len(keyed) {
 				t.Fatalf("a frame to agent %d has copies of %d vertices and the states of %d", id, len(keyed), len(seen))
 			}
-			if len(f.Changes) > shipChunk {
-				t.Fatalf("a frame of %d changes; the chunk is %d", len(f.Changes), shipChunk)
-			}
 		}
+	}
+	if !hubWhole {
+		t.Fatal("no share of the hub outgrew shipChunk; the test wants one that travels whole")
 	}
 	after := heldCopies(a.store)
 	for c := range before {
@@ -255,7 +277,7 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 	total := 0
 	for id := range r.peers {
 		for _, f := range r.received(id) {
-			total += len(f.Changes)
+			total += len(runCopies(f.Runs))
 		}
 	}
 	if total != len(before) {
@@ -263,12 +285,71 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 	}
 }
 
+// TestHubOverTheRunCapShipsInPieces: an evicted agent holding a vertex with
+// more out-copies than one frame may carry of a run — partly sealed, partly in
+// the tail — ships them as consecutive ascending pieces of at most
+// maxShipRun, each with the vertex's state and alone in its frame when it is
+// longer than shipChunk, and a store
+// that adds the pieces in the order they came holds every copy.
+func TestHubOverTheRunCapShipsInPieces(t *testing.T) {
+	r := newMigrationRig(t)
+	a := r.a
+	const big, unrelated = graph.VertexID(7000), graph.VertexID(1 << 30)
+	var want []graph.VertexID
+	for w := graph.VertexID(10000); len(want) < 2*maxShipRun+300; w += 3 {
+		want = append(want, w)
+	}
+	a.store.AddRun(big, graph.Out, want[:len(want)-50])
+	for _, w := range want[len(want)-50:] {
+		a.store.AddEdge(big, w, graph.Out)
+	}
+	a.store.AddEdge(3, big, graph.In)
+	a.verts.set(big, 42)
+
+	a.handleView(r.view(t, 2, unrelated, 2, 3)) // without this agent: all of it leaves
+	r.drain(t)
+	if n := a.store.NumEdgeCopies(); n != 0 {
+		t.Fatalf("the evicted agent still holds %d copies", n)
+	}
+	var pieces [][]graph.VertexID
+	got := graph.NewStore()
+	for id := range r.peers {
+		for _, f := range r.received(id) {
+			for _, run := range f.Runs {
+				got.AddRun(run.Key, run.Dir, run.Nbrs)
+				if run.Key != big || run.Dir != graph.Out {
+					continue
+				}
+				pieces = append(pieces, run.Nbrs)
+				if len(run.Nbrs) > maxShipRun || len(run.Nbrs) > shipChunk && len(f.Runs) != 1 {
+					t.Fatalf("a piece of %d copies in a frame of %d runs; the cap is %d", len(run.Nbrs), len(f.Runs), maxShipRun)
+				}
+				if len(f.States) != 1 || f.States[0].Vertex != big || f.States[0].State != 42 {
+					t.Fatalf("a piece travelled with states %+v", f.States)
+				}
+			}
+		}
+	}
+	if len(pieces) != 3 {
+		t.Fatalf("%d copies went as %d pieces, want 3", len(want), len(pieces))
+	}
+	if joined := slices.Concat(pieces...); !slices.Equal(joined, want) {
+		t.Fatalf("the pieces hold %d copies, not the %d ascending ones held", len(joined), len(want))
+	}
+	var stored []graph.VertexID
+	got.ForEachOut(big, func(w graph.VertexID) bool { stored = append(stored, w); return true })
+	if !slices.Equal(stored, want) || got.InDegree(big) != 1 {
+		t.Fatalf("the receiving store holds %d out-copies and %d in-copies of the hub, want %d and 1", len(stored), got.InDegree(big), len(want))
+	}
+}
+
 // TestMigrationBatchMixedInput applies one migration batch holding every
-// shape the receiver must cope with — a sorted run, an unsorted one, a run
-// of a split hub with one copy owned elsewhere, a delete in the middle, a
-// vertex owned elsewhere outright — and requires the store, the installed
-// state, the applied count and the forwards to be what judging each change
-// on its own gives.
+// shape of run the receiver must cope with — one merged into a direction
+// that already holds a copy of it, one merged next to other copies, one into
+// an empty direction, a split hub's with copies owned elsewhere, a vertex's
+// owned elsewhere outright — and requires the store, the installed state,
+// the applied count and the forwards to be what judging each copy on its own
+// gives.
 func TestMigrationBatchMixedInput(t *testing.T) {
 	r := newMigrationRig(t)
 	a := r.a
@@ -284,38 +365,29 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	}
 	v1, v2, away := pick(100, true), pick(200, true), pick(300, false)
 	a.store.AddEdge(v1, 50, graph.Out) // already held: applies as a no-op
-	a.store.AddEdge(v2, 77, graph.In)  // what the delete removes
+	a.store.AddEdge(v2, 77, graph.In)
 
-	ins := func(key, nbr graph.VertexID, dir graph.Dir) wire.EdgeChange {
-		if dir == graph.In {
-			return wire.EdgeChange{Action: graph.Insert, Src: nbr, Dst: key, Dir: dir}
-		}
-		return wire.EdgeChange{Action: graph.Insert, Src: key, Dst: nbr, Dir: dir}
-	}
-	var batch []wire.EdgeChange
-	for _, w := range []graph.VertexID{10, 20, 50, 90} {
-		batch = append(batch, ins(v1, w, graph.Out))
-	}
-	for _, w := range []graph.VertexID{5, 3, 9, 9} { // unsorted, and a duplicate
-		batch = append(batch, ins(v2, w, graph.In))
-	}
-	batch = append(batch, wire.EdgeChange{Action: graph.Delete, Src: 77, Dst: v2, Dir: graph.In})
+	hubRun := wire.EdgeRun{Key: hub, Dir: graph.Out}
 	hubMine, hubAway := 0, 0
 	for w := graph.VertexID(1000); w < 1040; w++ {
-		c := ins(hub, w, graph.Out)
-		if o, _ := a.router.CopyOwner(c); o == self {
+		if o, _ := a.router.EdgeOwner(hub, w); o == self {
 			hubMine++
 		} else {
 			hubAway++
 		}
-		batch = append(batch, c)
+		hubRun.Nbrs = append(hubRun.Nbrs, w)
 	}
 	if hubMine == 0 || hubAway == 0 {
 		t.Fatalf("the hub's run has %d copies owned here and %d elsewhere; the test needs both", hubMine, hubAway)
 	}
-	for _, w := range []graph.VertexID{1, 2, 3} {
-		batch = append(batch, ins(away, w, graph.Out))
+	runs := []wire.EdgeRun{
+		{Key: v1, Dir: graph.Out, Nbrs: []graph.VertexID{10, 20, 50, 90}},
+		{Key: v2, Dir: graph.In, Nbrs: []graph.VertexID{3, 5, 9}},
+		{Key: v2, Dir: graph.Out, Nbrs: []graph.VertexID{4, 8}},
+		hubRun,
+		{Key: away, Dir: graph.Out, Nbrs: []graph.VertexID{1, 2, 3}},
 	}
+	batch := runCopies(runs)
 	states := map[graph.VertexID]wire.VertexState{}
 	for _, v := range []graph.VertexID{v1, v2, hub, away} {
 		states[v] = wire.VertexState{Vertex: v, State: wire.Word(v + 1), Active: v == v2}
@@ -329,15 +401,7 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	for _, c := range batch {
 		if o, _ := a.router.CopyOwner(c); o != self {
 			wantForwarded[o] = append(wantForwarded[o], c)
-			continue
-		}
-		changed := false
-		if c.Action == graph.Insert {
-			changed = want.AddEdge(c.Src, c.Dst, c.Dir)
-		} else {
-			changed = want.RemoveEdge(c.Src, c.Dst, c.Dir)
-		}
-		if changed {
+		} else if want.AddEdge(c.Src, c.Dst, c.Dir) {
 			wantApplied++
 		}
 	}
@@ -345,7 +409,7 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	a.store.TakeActive()
 	_, appliedBefore, _ := a.Stats()
 	g := &ackGroup{}
-	a.applyChanges(batch, true, g, states)
+	a.applyRuns(runs, g, states)
 	r.drain(t)
 
 	got, ref := heldCopies(a.store), heldCopies(want)
@@ -371,11 +435,14 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	if active := a.store.TakeActive(); !slices.Equal(active, []graph.VertexID{v2}) {
 		t.Fatalf("active after the batch: %v, want just %d", active, v2)
 	}
+	if run, _, whole := a.store.SealedRun(v2, graph.Out); !whole || !slices.Equal(run, []graph.VertexID{4, 8}) {
+		t.Fatalf("the run into an empty direction was not sealed as it came: sealed %v, whole %v", run, whole)
+	}
 	for id := range r.peers {
 		var changes []wire.EdgeChange
 		var sts []wire.VertexState
 		for _, f := range r.received(id) {
-			changes, sts = append(changes, f.Changes...), append(sts, f.States...)
+			changes, sts = append(changes, runCopies(f.Runs)...), append(sts, f.States...)
 		}
 		if !slices.Equal(changes, wantForwarded[consistent.AgentID(id)]) {
 			t.Fatalf("agent %d was forwarded %v, want %v", id, changes, wantForwarded[consistent.AgentID(id)])
@@ -413,8 +480,8 @@ func TestEarlyMigrationBatchWaitsForItsView(t *testing.T) {
 	}
 	payload := wire.AppendEdgeBatch(nil, &wire.EdgeBatch{
 		Epoch: 2, Migration: true,
-		Changes: []wire.EdgeChange{{Action: graph.Insert, Src: v, Dst: 1, Dir: graph.Out}, {Action: graph.Insert, Src: v, Dst: 2, Dir: graph.Out}},
-		States:  []wire.VertexState{{Vertex: v, State: 42}},
+		Runs:   []wire.EdgeRun{{Key: v, Dir: graph.Out, Nbrs: []graph.VertexID{1, 2}}},
+		States: []wire.VertexState{{Vertex: v, State: 42}},
 	})
 	pkt := wire.GetPacket()
 	pkt.Type, pkt.Payload = wire.TEdges, payload
@@ -458,31 +525,31 @@ func TestApplyChangesQuietPathAllocs(t *testing.T) {
 	const vertices, perVertex = 64, 64
 	a := newLoopbackAgent(t, allocTestConfig(), 0)
 	var batch []wire.EdgeChange
+	var runs []wire.EdgeRun
 	states := map[graph.VertexID]wire.VertexState{}
 	for v := graph.VertexID(1000); v < 1000+vertices; v++ {
+		run := wire.EdgeRun{Key: v, Dir: graph.Out}
 		for w := graph.VertexID(2000); w < 2000+perVertex; w++ {
 			batch = append(batch, wire.EdgeChange{Action: graph.Insert, Src: v, Dst: w, Dir: graph.Out})
+			run.Nbrs = append(run.Nbrs, w)
 		}
+		runs = append(runs, run)
 		states[v] = wire.VertexState{Vertex: v, State: wire.Word(v)}
 	}
 	for _, tc := range []struct {
-		name      string
-		migration bool
-		ceiling   float64
+		name    string
+		apply   func()
+		ceiling float64
 	}{
 		// Per vertex: a tail record and the doublings of its add log.
-		{"stream batch", false, 12 * vertices},
-		// Per vertex: a tail record, the run's copy, a value.
-		{"migration batch", true, 4 * vertices},
+		{"stream batch", func() { a.applyChanges(batch, &ackGroup{}) }, 12 * vertices},
+		// Per vertex: a value; the sealed array grows by doubling.
+		{"migration batch", func() { a.applyRuns(runs, &ackGroup{}, states) }, 2 * vertices},
 	} {
 		allocs := testing.AllocsPerRun(10, func() {
 			a.store = graph.NewStore()
 			a.verts.drop(recValue)
-			st := states
-			if !tc.migration {
-				st = nil
-			}
-			a.applyChanges(batch, tc.migration, &ackGroup{}, st)
+			tc.apply()
 		})
 		if a.store.NumOutEdges() != len(batch) {
 			t.Fatalf("%s: %d of %d copies stored", tc.name, a.store.NumOutEdges(), len(batch))
@@ -517,7 +584,7 @@ func TestBulkBatchFoldsTheTail(t *testing.T) {
 				changes = append(changes, wire.EdgeChange{Action: graph.Insert, Src: e.Src, Dst: e.Dst, Dir: dir})
 			}
 		}
-		a.applyChanges(changes, false, &ackGroup{}, nil)
+		a.applyChanges(changes, &ackGroup{})
 	}
 
 	apply(gen.RMAT(11, 16384, gen.Graph500Params(), 3).Dedupe())

@@ -14,9 +14,9 @@ import (
 )
 
 // peerSink is a stand-in for a peer agent: it acknowledges whatever it is
-// sent and keeps the migration shipments (all copies in got, and frame by
-// frame in batches), replica registrations and synchronous vertex-message
-// entries.
+// sent and keeps the edge shipments (all copies in got, runs listed copy by
+// copy, and frame by frame in batches), replica registrations and
+// synchronous vertex-message entries.
 type peerSink struct {
 	node    *transport.Node
 	mu      sync.Mutex
@@ -45,6 +45,21 @@ func (p *peerSink) waitMsgs(t *testing.T, n int) []wire.VertexMsg {
 	}
 }
 
+// runCopies lists the copies of runs one by one, as inserts.
+func runCopies(runs []wire.EdgeRun) []wire.EdgeChange {
+	var out []wire.EdgeChange
+	for _, r := range runs {
+		for _, w := range r.Nbrs {
+			c := wire.EdgeChange{Action: graph.Insert, Src: r.Key, Dst: w, Dir: r.Dir}
+			if r.Dir == graph.In {
+				c.Src, c.Dst = w, r.Key
+			}
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 	t.Helper()
 	node, err := transport.NewNode(nw, "", 0)
@@ -61,7 +76,7 @@ func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 			case wire.TEdges:
 				var b wire.EdgeBatch
 				if wire.DecodeEdgeBatchInto(&b, pkt.Payload) == nil {
-					p.got = append(p.got, b.Changes...)
+					p.got = append(append(p.got, b.Changes...), runCopies(b.Runs)...)
 					p.batches = append(p.batches, b)
 				}
 			case wire.TVertexMsgs:

@@ -269,19 +269,15 @@ func TestVertexTableReclaimsUnderChurn(t *testing.T) {
 		}
 		shipped := 0
 		for _, b := range r.received(joiner) {
-			for i := range b.Changes {
-				if c := &b.Changes[i]; c.Dir == graph.Out {
-					c.Src = rename(c.Src)
-				} else {
-					c.Dst = rename(c.Dst)
-				}
+			for i := range b.Runs {
+				b.Runs[i].Key = rename(b.Runs[i].Key)
+				shipped += len(b.Runs[i].Nbrs)
 			}
 			for i := range b.States {
 				b.States[i].Vertex = rename(b.States[i].Vertex)
 			}
-			shipped += len(b.Changes)
 			retired += len(b.States)
-			a.applyChanges(b.Changes, true, &ackGroup{}, stateIndex(b.States))
+			a.applyRuns(b.Runs, &ackGroup{}, stateIndex(b.States))
 		}
 		if shipped == 0 {
 			t.Fatalf("cycle %d: the joiner was shipped nothing", cycle)
@@ -377,14 +373,13 @@ func TestLocalSplitsFollowsViewAndStore(t *testing.T) {
 	installRun(a, algorithm.PageRank{}, 1<<16)
 	check("first use", 8)
 
-	var c wire.EdgeChange
-	for w := graph.VertexID(200000); ; w++ {
-		c = wire.EdgeChange{Action: graph.Insert, Src: arriving, Dst: w, Dir: graph.Out}
-		if owner, _ := a.router.CopyOwner(c); uint64(owner) == a.id {
+	w := graph.VertexID(200000)
+	for ; ; w++ {
+		if owner, _ := a.router.EdgeOwner(arriving, w); uint64(owner) == a.id {
 			break
 		}
 	}
-	a.applyChanges([]wire.EdgeChange{c}, true, &ackGroup{}, nil)
+	a.applyRuns([]wire.EdgeRun{{Key: arriving, Dir: graph.Out, Nbrs: []graph.VertexID{w}}}, &ackGroup{}, nil)
 	check("a split vertex migrated in", 9)
 	a.store.Pin(pinned)
 	check("a split vertex was pinned", 10)

@@ -15,7 +15,7 @@ import (
 // Segment is one snapshot part before it is made durable: either a fresh
 // payload to hash and write, or a reference carried forward from the
 // previous manifest (the sealed-CSR fast path when the store's sealed
-// generation is unchanged).
+// version is unchanged).
 type Segment struct {
 	Kind    uint8
 	Payload []byte
@@ -30,27 +30,27 @@ type Snapshot struct {
 
 // BuildSegments serializes a store plus the owner's vertex states into
 // snapshot segments. Edge topology rides the migration shipment encoding
-// (wire.EdgeBatch): the sealed-CSR runs as one insert-only batch whose
-// Epoch field carries the sealed generation, and the delta tail as a
-// second batch of inserts and deletes. prevSealed, when its generation
-// matches, skips re-encoding the sealed segment entirely and carries the
-// previous content address forward — the incremental fast path.
+// (wire.EdgeBatch): the sealed-CSR runs as the run section of one batch, in
+// sorted vertex order and with nothing else in it, so its bytes are a
+// function of the store's content alone; the delta tail as a second batch of
+// inserts and deletes whose Epoch field carries the sealed version.
+// prevSealed, when prevSealedGen is the store's SealedVersion, skips
+// re-encoding the sealed segment entirely and carries the previous content
+// address forward — the incremental fast path.
 func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.MailboxWatermark, prevSealed *wire.SegmentRef, prevSealedGen uint64) []Segment {
-	gen := st.Compactions()
+	ver := st.SealedVersion()
 	segs := make([]Segment, 0, 4)
-	if prevSealed != nil && prevSealedGen == gen {
+	if prevSealed != nil && prevSealedGen == ver {
 		segs = append(segs, Segment{Kind: wire.SegSealed, Reuse: prevSealed})
 	} else {
-		sealed := wire.EdgeBatch{Epoch: gen, Migration: true}
-		st.SealedCopies(func(c graph.EdgeCopy) bool {
-			sealed.Changes = append(sealed.Changes, wire.EdgeChange{
-				Action: graph.Insert, Src: c.Src, Dst: c.Dst, Dir: c.Dir,
-			})
+		sealed := wire.EdgeBatch{Migration: true}
+		st.SealedRuns(func(v graph.VertexID, dir graph.Dir, run []graph.VertexID) bool {
+			sealed.Runs = append(sealed.Runs, wire.EdgeRun{Key: v, Dir: dir, Nbrs: run})
 			return true
 		})
 		segs = append(segs, Segment{Kind: wire.SegSealed, Payload: wire.EncodeEdgeBatch(&sealed)})
 	}
-	tail := wire.EdgeBatch{Epoch: gen, Migration: true}
+	tail := wire.EdgeBatch{Epoch: ver, Migration: true}
 	st.TailCopies(func(c graph.EdgeCopy, deleted bool) bool {
 		act := graph.Insert
 		if deleted {
@@ -182,9 +182,9 @@ func (w *Writer) commit(snap *Snapshot) error {
 	return nil
 }
 
-// LastSealedRef returns the sealed-segment reference and generation of
+// LastSealedRef returns the sealed-segment reference and sealed version of
 // the last committed snapshot (nil before the first). A builder whose
-// store is still on that generation reuses the reference instead of
+// store is still at that version reuses the reference instead of
 // re-encoding the sealed CSR — the incremental fast path. A stale read
 // (the writer mid-commit) only costs a redundant encode; content
 // addressing dedups the write.
@@ -255,7 +255,10 @@ func (w *Writer) Close() {
 // contents. Mailbox watermarks are informational — restores drop them
 // (see DESIGN.md "Durability" for why replay would double-deliver).
 type State struct {
-	Meta       wire.CheckpointMeta
+	Meta wire.CheckpointMeta
+	// SealedRuns is the sealed segment; Sealed holds it instead when it was
+	// written as a list of copies, as it was before runs.
+	SealedRuns []wire.EdgeRun
 	Sealed     []wire.EdgeChange
 	Tail       []wire.EdgeChange
 	States     []wire.VertexState
@@ -296,7 +299,7 @@ func Load(sink Sink, key string) (*State, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.Sealed = b.Changes
+			st.SealedRuns, st.Sealed = b.Runs, b.Changes
 		case wire.SegTail:
 			b, err := wire.DecodeEdgeBatch(payload)
 			if err != nil {
@@ -326,13 +329,16 @@ func Load(sink Sink, key string) (*State, error) {
 	return st, nil
 }
 
-// ApplyToStore rebuilds edge topology into st: sealed inserts first (raw
-// sealed runs include delete-logged entries), then the tail replay whose
-// deletes cancel them, then one compaction so the restored store starts
-// from a folded sealed generation. Equivalence with the original is
-// observational (same vertices, neighbors, degrees), not byte-layout
-// identity.
+// ApplyToStore rebuilds edge topology into st: the sealed runs first (raw
+// sealed runs include delete-logged entries; into an empty store AddRun
+// seals each as it is), then the tail replay whose deletes cancel them,
+// then one compaction so the restored store starts from a folded sealed
+// generation. Equivalence with the original is observational (same
+// vertices, neighbors, degrees), not byte-layout identity.
 func (s *State) ApplyToStore(st *graph.Store) {
+	for _, r := range s.SealedRuns {
+		st.AddRun(r.Key, r.Dir, r.Nbrs)
+	}
 	for _, c := range s.Sealed {
 		st.AddEdge(c.Src, c.Dst, c.Dir)
 	}

@@ -96,7 +96,7 @@ func snapshotWith(t *testing.T, w *Writer, st *graph.Store, states []wire.Vertex
 	t.Helper()
 	prev, prevGen := w.LastSealedRef()
 	snap := &Snapshot{
-		Meta:     wire.CheckpointMeta{Key: w.key, Seq: seq, SealedGen: st.Compactions()},
+		Meta:     wire.CheckpointMeta{Key: w.key, Seq: seq, SealedGen: st.SealedVersion()},
 		Segments: BuildSegments(st, states, nil, prev, prevGen),
 	}
 	if !w.TrySubmit(snap) {
@@ -327,7 +327,7 @@ func TestSealedSegmentDedup(t *testing.T) {
 		t.Fatal("first snapshot wrote nothing")
 	}
 	ref, gen := w.LastSealedRef()
-	if ref == nil || gen != st.Compactions() {
+	if ref == nil || gen != st.SealedVersion() {
 		t.Fatalf("sealed ref not published: %v gen=%d", ref, gen)
 	}
 
@@ -358,7 +358,7 @@ func TestSealedSegmentDedup(t *testing.T) {
 		t.Fatal("stale sealed ref reused across a compaction")
 	}
 	w3 := NewWriter(sink, "dedup")
-	if !w3.TrySubmit(&Snapshot{Meta: wire.CheckpointMeta{Key: "dedup", Seq: 3, SealedGen: st.Compactions()}, Segments: segs}) {
+	if !w3.TrySubmit(&Snapshot{Meta: wire.CheckpointMeta{Key: "dedup", Seq: 3, SealedGen: st.SealedVersion()}, Segments: segs}) {
 		t.Fatal("third submit refused")
 	}
 	w3.Close()
@@ -371,6 +371,109 @@ func TestSealedSegmentDedup(t *testing.T) {
 	restored := graph.NewStore()
 	state.ApplyToStore(restored)
 	compareStores(t, -1, st, restored)
+}
+
+// TestSealedSegmentFollowsTheSealedRuns: a migration round changes the
+// sealed runs without compacting — it drops a vertex shipped away, and it
+// seals a run that arrives for an empty direction where it is. The snapshot
+// after each must not reuse the sealed segment of the one before, or
+// restoring it brings the dropped vertex back, or loses the sealed run.
+func TestSealedSegmentFollowsTheSealedRuns(t *testing.T) {
+	sink, err := NewDirSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := graph.NewStore()
+	for v := graph.VertexID(0); v < 200; v++ {
+		for w := graph.VertexID(1000); w < 1010; w++ {
+			st.AddEdge(v, w, graph.Out)
+		}
+	}
+	st.Compact()
+	compactions := st.Compactions()
+	var ref *wire.SegmentRef
+	var ver uint64
+	for seq, edit := range []func(){
+		func() {},
+		func() { st.DropVertex(7) },
+		func() { st.AddRun(500, graph.In, []graph.VertexID{1, 2, 3}) },
+	} {
+		edit()
+		w := NewWriter(sink, "moved")
+		if !w.TrySubmit(&Snapshot{
+			Meta:     wire.CheckpointMeta{Key: "moved", Seq: uint64(seq + 1), SealedGen: st.SealedVersion()},
+			Segments: BuildSegments(st, nil, nil, ref, ver),
+		}) {
+			t.Fatal("submit refused")
+		}
+		w.Close()
+		ref, ver = w.LastSealedRef()
+		state, err := Load(sink, "moved")
+		if err != nil || state == nil {
+			t.Fatalf("load: %v %v", state, err)
+		}
+		restored := graph.NewStore()
+		state.ApplyToStore(restored)
+		compareStores(t, int64(seq), st, restored)
+	}
+	if st.Compactions() != compactions {
+		t.Fatal("test input: the edits compacted")
+	}
+}
+
+// TestSealedSegmentIsRuns: the sealed segment holds the sealed runs as an
+// edge batch's run section, in vertex order and nothing else, so equal
+// content encodes to equal bytes; a segment that lists the sealed copies one
+// by one, as written before runs, still restores.
+func TestSealedSegmentIsRuns(t *testing.T) {
+	build := func(order []graph.VertexID) *graph.Store {
+		st := graph.NewStore()
+		for _, v := range order {
+			st.AddRun(v, graph.Out, []graph.VertexID{v + 1, v + 2})
+			st.AddRun(v, graph.In, []graph.VertexID{v + 3})
+		}
+		return st
+	}
+	a, b := build([]graph.VertexID{1, 5, 9}), build([]graph.VertexID{9, 1, 5})
+	segA, segB := BuildSegments(a, nil, nil, nil, 0)[0], BuildSegments(b, nil, nil, nil, 0)[0]
+	if string(segA.Payload) != string(segB.Payload) {
+		t.Fatal("the same sealed runs, sealed in another order, encode differently")
+	}
+	got, err := wire.DecodeEdgeBatch(segA.Payload)
+	if err != nil || len(got.Changes) != 0 || len(got.Runs) != 6 || got.Runs[0].Key != 1 || got.Runs[1].Dir != graph.In {
+		t.Fatalf("sealed segment decodes to %+v, %v", got, err)
+	}
+
+	a.RemoveEdge(5, 6, graph.Out) // a tail delete of a sealed entry
+	sink, err := NewDirSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := wire.EdgeBatch{Migration: true}
+	a.SealedRuns(func(v graph.VertexID, dir graph.Dir, run []graph.VertexID) bool {
+		for _, u := range run {
+			c := wire.EdgeChange{Action: graph.Insert, Src: v, Dst: u, Dir: dir}
+			if dir == graph.In {
+				c.Src, c.Dst = u, v
+			}
+			old.Changes = append(old.Changes, c)
+		}
+		return true
+	})
+	segs := BuildSegments(a, nil, nil, nil, 0)
+	segs[0].Payload = wire.EncodeEdgeBatch(&old)
+	w := NewWriter(sink, "old")
+	if !w.TrySubmit(&Snapshot{Meta: wire.CheckpointMeta{Key: "old", Seq: 1}, Segments: segs}) {
+		t.Fatal("submit refused")
+	}
+	w.Close()
+	state, err := Load(sink, "old")
+	if err != nil || state == nil || len(state.Sealed) != 9 || len(state.SealedRuns) != 0 {
+		t.Fatalf("load of a copy-list sealed segment: %+v %v", state, err)
+	}
+	restored := graph.NewStore()
+	state.ApplyToStore(restored)
+	compareStores(t, -1, a, restored)
 }
 
 // TestWriterDropsWhenBusy checks the backpressure contract: a snapshot

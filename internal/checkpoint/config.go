@@ -3,9 +3,10 @@
 // content-addressed segments written to a pluggable Sink; segment
 // payloads ride the same wire encoding as migration shipments, so disk
 // and network never disagree about the format. The sealed-CSR segment is
-// stable between store compactions and dedups by content address, which
-// is what makes the checkpoints incremental: a cadence tick between
-// compactions rewrites only the delta tail and the vertex states.
+// stable while the store's sealed runs are (between compactions and
+// migration rounds) and dedups by content address, which is what makes the
+// checkpoints incremental: a cadence tick in between rewrites only the
+// delta tail and the vertex states.
 //
 // Durability enters the system through one surface: checkpoint.Config,
 // threaded as cluster.Options.Durability / agent.Options.Checkpoint /

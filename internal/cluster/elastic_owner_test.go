@@ -7,6 +7,8 @@ import (
 	"elga/internal/client"
 	"elga/internal/config"
 	"elga/internal/gen"
+	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/route"
 )
 
@@ -37,12 +39,27 @@ func TestJoinLeaveJoinLeavesEveryCopyWithItsOwner(t *testing.T) {
 		}
 	}
 
+	if checkCopiesWithOwners(t, c, cfg, el) == 0 {
+		t.Fatal("no vertex is split; the test proves nothing about per-neighbour placement")
+	}
+	if _, err := c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 10, FromScratch: true}); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, c, algorithm.PageRank{}, el, algorithm.RunOptions{MaxSteps: 10}, 1e-8)
+}
+
+// checkCopiesWithOwners judges every copy of every edge of el on its own
+// under the cluster's current view: each agent must hold exactly as many
+// copies as it owns, and the total must be two per edge. It returns how many
+// edges have a split source.
+func checkCopiesWithOwners(t *testing.T, c *Cluster, cfg config.Config, el graph.EdgeList) (split int) {
+	t.Helper()
 	view := watchViews(t, c).next()
 	r := route.New(cfg)
 	if _, err := r.Update(view); err != nil {
 		t.Fatal(err)
 	}
-	want, split := map[uint64]int{}, 0
+	want := map[uint64]int{}
 	for _, a := range c.Agents() {
 		want[a.ID()] = 0
 	}
@@ -58,9 +75,6 @@ func TestJoinLeaveJoinLeavesEveryCopyWithItsOwner(t *testing.T) {
 			split++
 		}
 	}
-	if split == 0 {
-		t.Fatal("no vertex is split; the test proves nothing about per-neighbour placement")
-	}
 	got := settledCounts(t, c, 2*len(el))
 	if len(got) != len(want) {
 		t.Fatalf("agents %v hold copies, the view's members are %v", got, want)
@@ -70,8 +84,42 @@ func TestJoinLeaveJoinLeavesEveryCopyWithItsOwner(t *testing.T) {
 			t.Fatalf("agent %d holds %d copies, owns %d (all: held %v, owned %v)", id, got[id], n, got, want)
 		}
 	}
-	if _, err := c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 10, FromScratch: true}); err != nil {
+	return split
+}
+
+// TestJoinLandsRunsWithoutCompacting: a joiner is shipped its share of the
+// graph as runs, each for a direction it holds nothing in, so it seals every
+// one where it lands — its store does not compact during its join round —
+// the round's TEdges frames cost at most 10 bytes a moved copy, and every
+// copy ends with its owner.
+func TestJoinLandsRunsWithoutCompacting(t *testing.T) {
+	cfg := config.Default()
+	c := newCluster(t, 4, cfg)
+	el := gen.RMAT(12, 65536, gen.Graph500Params(), 5).Dedupe()
+	if err := c.Load(el); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, c, algorithm.PageRank{}, el, algorithm.RunOptions{MaxSteps: 10}, 1e-8)
+	reg := c.Registry()
+	applied := appliedTotal(c)
+	shipped := reg.Sum("elga_migration_bytes_total", nil)
+	joiner, err := c.AddAgent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	checkCopiesWithOwners(t, c, cfg, el)
+	moved := appliedTotal(c) - applied
+	if moved < uint64(len(el))/4 {
+		t.Fatalf("the join moved %d of %d copies", moved, 2*len(el))
+	}
+	if n := reg.Sum("elga_graph_compactions_total", metrics.Labels{"addr": joiner.Addr()}); n != 0 {
+		t.Fatalf("the joiner compacted %v times landing %d copies", n, moved)
+	}
+	perCopy := (reg.Sum("elga_migration_bytes_total", nil) - shipped) / float64(moved)
+	if perCopy > 10 {
+		t.Fatalf("the join shipped %.2f bytes a moved copy, want at most 10", perCopy)
+	}
+	t.Logf("moved %d copies at %.2f bytes each", moved, perCopy)
 }

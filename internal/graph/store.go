@@ -13,15 +13,20 @@ import (
 //
 // Layout: every locally present vertex has a slot recording its sealed
 // neighbour runs — contiguous, sorted spans of the store-wide sealedOut /
-// sealedIn arrays written by the last compaction — plus an optional tail
-// of edges inserted or deleted since. Iteration merges the sealed run
-// (minus the tail's delete log) with the tail's sorted inserts, so
-// neighbours always come back in ascending ID order no matter how the
-// edges are split between generations.
+// sealedIn arrays — plus an optional tail of edges inserted or deleted
+// since. The last compaction wrote the arrays, in no particular vertex
+// order; between compactions AddRun appends the run of a vertex that held
+// nothing in that direction to their end. A span, once written, never
+// changes. Iteration merges the sealed run (minus the tail's delete log)
+// with the tail's sorted inserts, so neighbours always come back in
+// ascending ID order no matter how the edges are split between
+// generations.
 type Store struct {
 	slots     map[VertexID]slotRec
 	sealedOut []VertexID
 	sealedIn  []VertexID
+	// sealedVer moves whenever what SealedRuns enumerates may have changed.
+	sealedVer uint64
 
 	numOut int
 	numIn  int
@@ -148,6 +153,11 @@ func (s *Store) NumEdgeCopies() int { return s.numOut + s.numIn }
 // is safe to call from any goroutine (metric scrapes).
 func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 
+// SealedVersion names what SealedRuns enumerates: a compaction, a run sealed
+// by AddRun and a vertex retired with a sealed run each move it, so two equal
+// readings bracket the same enumeration.
+func (s *Store) SealedVersion() uint64 { return s.sealedVer }
+
 // sealedOutRun returns the (possibly partially deleted) sealed out run.
 func (s *Store) sealedOutRun(rec slotRec) []VertexID {
 	return s.sealedOut[rec.outStart : rec.outStart+rec.outLen]
@@ -249,6 +259,9 @@ func (s *Store) drop(v VertexID, rec slotRec) {
 // the tail is forgotten and every sealed entry it had not already
 // delete-logged joins the dead count.
 func (s *Store) retire(rec slotRec) {
+	if rec.outLen+rec.inLen > 0 {
+		s.sealedVer++
+	}
 	s.deadSealed += int(rec.outLen) + int(rec.inLen)
 	if t := rec.tail; t != nil {
 		s.tailOps -= t.size()
@@ -390,8 +403,9 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 // AddRun is AddEdge over a run: nbrs, ascending and distinct, become copies
 // under key in direction dir. A delete-logged sealed entry is revived, the
 // rest join the add log; a vertex with nothing stored in that direction
-// takes the run as its add log in one copy. It returns how many copies the
-// store did not already hold.
+// takes the run as its sealed run, appended to the store-wide array, so it
+// leaves nothing to compact. It returns how many copies the store did not
+// already hold.
 func (s *Store) AddRun(key VertexID, dir Dir, nbrs []VertexID) int {
 	return s.editRun(key, dir, nbrs, false)
 }
@@ -404,7 +418,23 @@ func (s *Store) RemoveRun(key VertexID, dir Dir, nbrs []VertexID) int {
 }
 
 func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int {
+	if len(nbrs) == 0 {
+		return 0
+	}
 	rec, present := s.slots[key]
+	out, in := liveDegrees(rec)
+	empty := rec.outLen == 0 && out == 0 // no sealed run, no tail adds
+	if dir == In {
+		empty = rec.inLen == 0 && in == 0
+	}
+	if !remove && empty {
+		s.sealRun(&rec, dir, nbrs)
+		s.slots[key] = rec
+		if !present {
+			s.flipped(key)
+		}
+		return len(nbrs)
+	}
 	t := rec.tail
 	if t == nil {
 		t = &tailRec{} // attached below if the edit leaves anything in it
@@ -420,11 +450,7 @@ func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int
 		grow, shrink = del, add
 	}
 	var grown, shrunk int
-	if !remove && len(sealed) == 0 && len(*add) == 0 {
-		*add, grown = append([]VertexID(nil), nbrs...), len(nbrs)
-	} else {
-		*grow, *shrink, grown, shrunk = mergeEdit(sealed, nbrs, *grow, *shrink, remove)
-	}
+	*grow, *shrink, grown, shrunk = mergeEdit(sealed, nbrs, *grow, *shrink, remove)
 	n := grown + shrunk
 	if n == 0 {
 		return 0
@@ -449,6 +475,22 @@ func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int
 		s.maybeDrop(key, rec)
 	}
 	return n
+}
+
+// sealRun appends nbrs to the end of the sealed array of direction dir,
+// points rec's span there and counts the copies; rec must hold nothing in
+// that direction.
+func (s *Store) sealRun(rec *slotRec, dir Dir, nbrs []VertexID) {
+	if dir == Out {
+		rec.outStart, rec.outLen = uint32(len(s.sealedOut)), uint32(len(nbrs))
+		s.sealedOut = append(s.sealedOut, nbrs...)
+		s.numOut += len(nbrs)
+	} else {
+		rec.inStart, rec.inLen = uint32(len(s.sealedIn)), uint32(len(nbrs))
+		s.sealedIn = append(s.sealedIn, nbrs...)
+		s.numIn += len(nbrs)
+	}
+	s.sealedVer++
 }
 
 // mergeEdit merges the ascending, distinct run against one direction of a
@@ -567,6 +609,7 @@ func (s *Store) Compact() {
 	}
 	s.sealedOut, s.sealedIn = newOut, newIn
 	s.tailOps, s.tailRecs, s.deadSealed = 0, 0, 0
+	s.sealedVer++
 	s.compactions.Add(1)
 }
 
@@ -973,26 +1016,23 @@ func (s *Store) String() string {
 
 // Checkpoint export hooks. A durable snapshot serializes the store as two
 // independently content-addressed streams: the raw sealed runs (stable
-// between compactions, so the segment dedups across checkpoints) and the
+// while SealedVersion is, so the segment dedups across checkpoints) and the
 // delta-log tail. Both iterate in sorted vertex order so identical store
 // content always produces identical bytes.
 
-// SealedCopies calls fn for every entry of the raw sealed CSR runs —
-// including entries the tail's delete log has cancelled — until fn
-// returns false. Replaying TailCopies on top of a store rebuilt from
-// SealedCopies reproduces the live edge set exactly.
-func (s *Store) SealedCopies(fn func(EdgeCopy) bool) {
+// SealedRuns calls fn for every non-empty raw sealed run — including entries
+// the tail's delete log has cancelled — in ascending vertex order, a vertex's
+// out run before its in run, until fn returns false. The run follows the
+// Cursor lifetime rule. Replaying TailCopies on top of a store rebuilt from
+// SealedRuns reproduces the live edge set exactly.
+func (s *Store) SealedRuns(fn func(v VertexID, dir Dir, run []VertexID) bool) {
 	for _, v := range s.VertexList() {
 		rec := s.slots[v]
-		for _, w := range s.sealedOutRun(rec) {
-			if !fn(EdgeCopy{Src: v, Dst: w, Dir: Out}) {
-				return
-			}
+		if run := s.sealedOutRun(rec); len(run) > 0 && !fn(v, Out, run) {
+			return
 		}
-		for _, u := range s.sealedInRun(rec) {
-			if !fn(EdgeCopy{Src: u, Dst: v, Dir: In}) {
-				return
-			}
+		if run := s.sealedInRun(rec); len(run) > 0 && !fn(v, In, run) {
+			return
 		}
 	}
 }

@@ -43,12 +43,38 @@ func flipParity(t *testing.T, s *Store) map[VertexID]bool {
 	return odd
 }
 
+// emptyDirection picks, from a random start, a key in the universe that
+// holds nothing in direction dir.
+func emptyDirection(s *Store, rng *rand.Rand, universe int, dir Dir) (VertexID, bool) {
+	for i, start := 0, rng.Intn(universe); i < universe; i++ {
+		key := VertexID((start + i) % universe)
+		if out, in := s.Degree(key); dir == Out && out == 0 || dir == In && in == 0 {
+			return key, true
+		}
+	}
+	return 0, false
+}
+
 // compareRunStores asserts the store edited by runs, the store edited one
-// copy at a time and the map reference agree on everything observable.
+// copy at a time and the map reference agree on everything observable, and
+// that a sealed run reported whole is all of its vertex's neighbours there.
 func compareRunStores(t *testing.T, bulk, edge *Store, ms *MapStore) {
 	t.Helper()
 	fullCompare(t, bulk, ms)
 	fullCompare(t, edge, ms)
+	for _, s := range []*Store{bulk, edge} {
+		for _, v := range s.VertexList() {
+			for _, dir := range []Dir{Out, In} {
+				nbrs := s.AppendOut(v, nil)
+				if dir == In {
+					nbrs = s.AppendIn(v, nil)
+				}
+				if run, _, whole := s.SealedRun(v, dir); whole && !slices.Equal(run, nbrs) {
+					t.Fatalf("vertex %d dir %d: sealed run %v reported whole, neighbours %v", v, dir, run, nbrs)
+				}
+			}
+		}
+	}
 	bf, ef := flipParity(t, bulk), flipParity(t, edge)
 	if len(bf) != len(ef) {
 		t.Fatalf("flip parity: bulk %v, per-edge %v", bf, ef)
@@ -71,15 +97,18 @@ func compareRunStores(t *testing.T, bulk, edge *Store, ms *MapStore) {
 // TestRunEditsMatchPerEdgeModel drives AddRun, RemoveRun and DropVertex on
 // one Store against per-copy AddEdge/RemoveEdge on a second Store and on
 // the MapStore reference, through random scripts that mix in stream edits,
-// pins, random compaction thresholds and forced compactions. Return counts,
-// edge and vertex counts, neighbour order, flip parity, the active set and
-// pins must agree throughout, and the footprint once both are compacted.
+// pins, random compaction thresholds and forced compactions. Half the runs
+// that arrive target a direction holding nothing, which AddRun seals as it
+// is. Return counts, edge and vertex counts, neighbour order, flip parity,
+// the active set, pins and what SealedRun calls whole must agree throughout,
+// and the footprint once both are compacted.
 func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 	const (
 		scripts  = 320
 		opsPer   = 160
 		universe = 20
 	)
+	sealings := 0
 	for seed := int64(0); seed < scripts; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		bulk, edge, ms := NewStore(), NewStore(), NewMapStore()
@@ -89,11 +118,20 @@ func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 			key := VertexID(rng.Intn(universe))
 			dir := Dir(rng.Intn(2))
 			switch rng.Intn(12) {
-			case 0, 1, 2: // a run arrives
+			case 0, 1, 2: // a run arrives, half the time where nothing is held
+				if rng.Intn(2) == 0 {
+					if k, ok := emptyDirection(bulk, rng, universe, dir); ok {
+						key = k
+					}
+				}
 				run := randomRun(rng, universe, 1+rng.Intn(universe))
 				if rng.Intn(8) == 0 {
 					run = nil
 				}
+				out, in := bulk.Degree(key)
+				held, _, _ := bulk.SealedRun(key, dir) // perhaps all delete-logged
+				sealing := len(run) > 0 && len(held) == 0 && (dir == Out && out == 0 || dir == In && in == 0)
+				compactions, sealedLen := bulk.Compactions(), bulk.SealedLen(dir)
 				want := 0
 				for _, w := range run {
 					u, v := runAsEdge(key, w, dir)
@@ -107,6 +145,16 @@ func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 				}
 				if got := bulk.AddRun(key, dir, run); got != want {
 					t.Fatalf("seed %d op %d: AddRun(%d,%d,%v) = %d, per-edge %d", seed, op, key, dir, run, got, want)
+				}
+				if sealing {
+					sealings++
+					// An empty direction takes the run as its sealed run, at
+					// the end of the array, compacting nothing.
+					sealed, off, whole := bulk.SealedRun(key, dir)
+					if !whole || !slices.Equal(sealed, run) || off != sealedLen || bulk.Compactions() != compactions {
+						t.Fatalf("seed %d op %d: AddRun(%d,%d,%v) into an empty direction left sealed %v at %d (whole %v, array was %d), %d compactions",
+							seed, op, key, dir, run, sealed, off, whole, sealedLen, bulk.Compactions()-compactions)
+					}
 				}
 			case 3, 4: // a run leaves
 				run := randomRun(rng, universe, 1+rng.Intn(universe))
@@ -174,6 +222,9 @@ func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 			t.Fatalf("seed %d: compacted footprint bulk %d B, per-edge %d B", seed, b, e)
 		}
 		fullCompare(t, bulk, ms)
+	}
+	if sealings < scripts {
+		t.Fatalf("%d runs sealed into empty directions over %d scripts: the append path is barely exercised", sealings, scripts)
 	}
 }
 

@@ -204,6 +204,41 @@ func TestRegistryDedupAndLookup(t *testing.T) {
 	reg.Gauge("elga_test_total", "help", Labels{"role": "agent", "addr": "x"})
 }
 
+// TestRegistrySum reads one family's counters and gauges, all or those
+// whose labels match, and nothing of another family or of a histogram.
+func TestRegistrySum(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("elga_test_total", "", Labels{"role": "agent", "addr": "x"}).Add(3)
+	reg.Counter("elga_test_total", "", Labels{"role": "agent", "addr": "y"}).Add(4)
+	reg.CounterFunc("elga_test_total", "", Labels{"role": "client", "addr": "x"}, func() uint64 { return 5 })
+	reg.Counter("elga_other_total", "", Labels{"addr": "x"}).Add(100)
+	reg.GaugeFunc("elga_test_depth", "", nil, func() float64 { return 1.5 })
+	reg.Gauge("elga_test_depth", "", Labels{"addr": "x"}).Set(2)
+	reg.Histogram("elga_test_seconds", "", nil, DurationBuckets).Observe(1)
+	for _, tc := range []struct {
+		family string
+		match  Labels
+		want   float64
+	}{
+		{"elga_test_total", nil, 12},
+		{"elga_test_total", Labels{"addr": "x"}, 8},
+		{"elga_test_total", Labels{"addr": "x", "role": "agent"}, 3},
+		{"elga_test_total", Labels{"addr": "z"}, 0},
+		{"elga_test_depth", nil, 3.5},
+		{"elga_test_depth", Labels{"addr": "x"}, 2},
+		{"elga_test_seconds", nil, 0},
+		{"elga_missing_total", nil, 0},
+	} {
+		if got := reg.Sum(tc.family, tc.match); got != tc.want {
+			t.Errorf("Sum(%s, %v) = %v, want %v", tc.family, tc.match, got, tc.want)
+		}
+	}
+	var nilReg *Registry
+	if got := nilReg.Sum("elga_test_total", nil); got != 0 {
+		t.Fatalf("nil registry sum = %v", got)
+	}
+}
+
 func TestNilRegistrySafe(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x", "", nil).Inc()

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -42,6 +43,7 @@ type entry struct {
 	help   string
 	kind   metricKind
 	labels string // canonical encoded label pairs, "" when unlabeled
+	lbl    Labels // the pairs themselves, for Sum's matching
 
 	counter     *Counter
 	gauge       *Gauge
@@ -130,7 +132,7 @@ func (r *Registry) register(name, help string, labels Labels, kind metricKind, m
 		}
 		return e
 	}
-	e := &entry{name: name, help: help, kind: kind, labels: encodeLabels(labels)}
+	e := &entry{name: name, help: help, kind: kind, labels: encodeLabels(labels), lbl: maps.Clone(labels)}
 	make(e)
 	r.entries[key] = e
 	if _, seen := r.byFam[name]; !seen {
@@ -204,6 +206,38 @@ func (r *Registry) Families() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.order...)
+}
+
+// Sum adds up the current values of the counters and gauges of one family
+// whose labels include every pair in match (all of them when match is
+// empty); histograms add nothing. It reads the handles, not the exposition
+// text, so a test or benchmark can read a family without a scrape.
+func (r *Registry) Sum(family string, match Labels) (sum float64) {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	ents := append([]*entry(nil), r.byFam[family]...)
+	r.mu.Unlock()
+next:
+	for _, e := range ents {
+		for k, v := range match {
+			if e.lbl[k] != v {
+				continue next
+			}
+		}
+		switch e.kind {
+		case kindCounter:
+			sum += float64(e.counter.Value())
+		case kindCounterFunc:
+			sum += float64(e.counterFunc())
+		case kindGauge:
+			sum += float64(e.gauge.Value())
+		case kindGaugeFunc:
+			sum += e.gaugeFunc()
+		}
+	}
+	return sum
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition

@@ -13,8 +13,8 @@ import (
 //   - CheckpointMeta stamps a snapshot with the coordinates needed for a
 //     globally coherent restore: the view epoch and batch the agent had
 //     applied, the run/superstep barrier watermark, the override-table
-//     version, and the store's sealed generation (so a sink can dedup the
-//     sealed-CSR segment by content between compactions).
+//     version, and the store's sealed version (so a sink can dedup the
+//     sealed-CSR segment by content while the sealed runs stay put).
 //   - Manifest lists the content-addressed segments of one snapshot with
 //     their per-segment CRCs; it is the durable root object.
 //   - CheckpointMark is the lossy agent→coordinator report of the latest
@@ -25,8 +25,9 @@ import (
 
 // Segment kinds within a checkpoint manifest.
 const (
-	// SegSealed holds the raw sealed-CSR edge copies (stable between
-	// compactions, so its content address rarely changes).
+	// SegSealed holds the raw sealed-CSR runs as an EdgeBatch run section
+	// (stable while the store's sealed version is, so its content address
+	// rarely changes); one written before runs holds them as changes.
 	SegSealed uint8 = 1
 	// SegTail holds the delta-log tail: adds and deletes since the
 	// sealed generation was folded.
@@ -80,8 +81,8 @@ type CheckpointMeta struct {
 	// idle).
 	RunID uint32
 	Step  uint32
-	// SealedGen is the store's compaction counter, identifying which
-	// sealed generation the SegSealed segment serializes.
+	// SealedGen is the store's sealed version (graph.Store.SealedVersion),
+	// identifying which sealed runs the SegSealed segment serializes.
 	SealedGen uint64
 	// WallNanos is the snapshot wall-clock time (unix nanos), for
 	// checkpoint-age metrics and stale-manifest diagnostics.

@@ -80,6 +80,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	unknown = AppendSection(unknown, 0x7f, func(b []byte) []byte { return append(b, "later"...) })
 	f.Add(seedFrame(TReport, AppendSection(unknown, SecMark, func(b []byte) []byte { return b })))
 	f.Add(seedFrame(TReport, full[:len(full)-1]))
+	// Edge batches: changes, states and runs; and one whose run overruns it.
+	edges := EncodeEdgeBatch(testRunBatch())
+	f.Add(seedFrame(TEdges, edges))
+	f.Add(seedFrame(TEdges, edges[:len(edges)-5]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -123,6 +127,17 @@ func FuzzDecodeFrame(f *testing.F) {
 			})
 			if err == nil && len(payload) < 8 {
 				t.Fatalf("%d-byte report walked without error", len(payload))
+			}
+		case TEdges:
+			// What a run decodes to is what AddRun requires.
+			if b, err := DecodeEdgeBatch(payload); err == nil {
+				for _, r := range b.Runs {
+					for i := 1; i < len(r.Nbrs); i++ {
+						if r.Nbrs[i] <= r.Nbrs[i-1] {
+							t.Fatalf("run of %d decoded out of order: %v", r.Key, r.Nbrs)
+						}
+					}
+				}
 			}
 		case TReady:
 			_, _ = DecodeReady(payload)

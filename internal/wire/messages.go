@@ -149,6 +149,16 @@ type VertexState struct {
 	Active bool
 }
 
+// EdgeRun is the copies one key vertex holds in one direction, given as its
+// neighbours, strictly ascending: an Out run's copies are (Key, w), an In
+// run's (w, Key). It is the unit migration moves and a checkpoint's sealed
+// segment stores.
+type EdgeRun struct {
+	Key  graph.VertexID
+	Dir  graph.Dir
+	Nbrs []graph.VertexID
+}
+
 // EdgeBatch is the payload of TEdges.
 type EdgeBatch struct {
 	// Epoch is the sender's view epoch, used by the receiver to detect
@@ -157,11 +167,24 @@ type EdgeBatch struct {
 	// Migration marks copies handed over during rebalancing rather than
 	// fresh stream changes (they bypass the "buffer during batch" rule).
 	Migration bool
-	Changes   []EdgeChange
+	// Changes are copies one at a time: what stream batches carry, since
+	// deletes and unsorted input need it.
+	Changes []EdgeChange
 	// States accompanies migrations: algorithm state of the vertices
 	// whose copies are moving.
 	States []VertexState
+	// Runs are copies a run at a time: what migrations carry. The section
+	// trails the payload and is written only when there are runs, so a
+	// batch without it decodes with none.
+	Runs []EdgeRun
+
+	// nbrs backs the decoded runs' neighbour lists, reused across decodes.
+	nbrs []graph.VertexID
 }
+
+// A run is encoded as its key (8 bytes), a change's action|dir tag (1; runs
+// are inserts), its length (4) and its neighbours (8 each).
+const runHeaderSize = 8 + 1 + 4
 
 // AppendEdgeBatch appends an edge batch payload to dst.
 func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
@@ -180,6 +203,24 @@ func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
 		w.U64(uint64(s.State))
 		w.Bool(s.Active)
 	}
+	if len(b.Runs) > 0 {
+		return appendRuns(w.buf, b.Runs)
+	}
+	return w.buf
+}
+
+// appendRuns appends the run section of an edge batch to dst.
+func appendRuns(dst []byte, runs []EdgeRun) []byte {
+	w := Writer{buf: dst}
+	w.U32(uint32(len(runs)))
+	for _, r := range runs {
+		w.U64(uint64(r.Key))
+		w.U8(uint8(graph.Insert)<<1 | uint8(r.Dir))
+		w.U32(uint32(len(r.Nbrs)))
+		for _, v := range r.Nbrs {
+			w.U64(uint64(v))
+		}
+	}
 	return w.buf
 }
 
@@ -187,7 +228,8 @@ func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
 func EncodeEdgeBatch(b *EdgeBatch) []byte { return AppendEdgeBatch(nil, b) }
 
 // DecodeEdgeBatchInto parses an edge batch into b, reusing the capacity of
-// b.Changes and b.States. Nothing in b aliases data afterwards.
+// b.Changes, b.States and the runs' neighbour lists. Nothing in b aliases
+// data afterwards.
 func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
 	r := Reader{buf: data}
 	b.Epoch = r.U64()
@@ -222,8 +264,54 @@ func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
 			})
 		}
 	}
-	if err := r.Err(); err != nil {
+	b.Runs, b.nbrs = b.Runs[:0], b.nbrs[:0]
+	err := r.Err()
+	if err == nil && r.Remaining() > 0 {
+		err = b.decodeRuns(data[r.off:])
+	}
+	if err != nil {
 		return fmt.Errorf("decode edge batch: %w", err)
+	}
+	return nil
+}
+
+// decodeRuns reads the run section, data, into b.Runs, their neighbour lists
+// carved from b.nbrs. A count or a length the payload cannot hold is
+// ErrShort; a run that is not inserts or not strictly ascending is
+// ErrBadPacket.
+func (b *EdgeBatch) decodeRuns(data []byte) error {
+	r := Reader{buf: data}
+	n := int(r.U32())
+	if r.Err() != nil || n > r.Remaining()/runHeaderSize {
+		return ErrShort
+	}
+	if cap(b.Runs) < n {
+		b.Runs = make([]EdgeRun, 0, n)
+	}
+	// Every neighbour takes 8 payload bytes, so this bounds them all and
+	// the appends below never move the runs' lists.
+	if most := r.Remaining() / 8; cap(b.nbrs) < most {
+		b.nbrs = make([]graph.VertexID, 0, most)
+	}
+	for i := 0; i < n; i++ {
+		key := graph.VertexID(r.U64())
+		tag := r.U8()
+		m := int(r.U32())
+		if r.Err() != nil || m > r.Remaining()/8 {
+			return ErrShort
+		}
+		if graph.Action(tag>>1) != graph.Insert {
+			return fmt.Errorf("%w: run of action %d", ErrBadPacket, tag>>1)
+		}
+		raw, start := r.take(8*m), len(b.nbrs)
+		for j := 0; j < m; j++ {
+			v := graph.VertexID(binary.LittleEndian.Uint64(raw[8*j:]))
+			if j > 0 && v <= b.nbrs[len(b.nbrs)-1] {
+				return fmt.Errorf("%w: run of %d not strictly ascending", ErrBadPacket, key)
+			}
+			b.nbrs = append(b.nbrs, v)
+		}
+		b.Runs = append(b.Runs, EdgeRun{Key: key, Dir: graph.Dir(tag & 1), Nbrs: b.nbrs[start:len(b.nbrs):len(b.nbrs)]})
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,6 +168,109 @@ func TestEdgeBatchRoundTrip(t *testing.T) {
 	}
 	if len(got.States) != 1 || got.States[0] != b.States[0] {
 		t.Fatalf("states mismatch: %+v", got.States)
+	}
+}
+
+// testRunBatch is an edge batch with changes, states and runs, a hub-sized
+// one among them.
+func testRunBatch() *EdgeBatch {
+	hub := EdgeRun{Key: 1 << 40, Dir: graph.Out}
+	for w := graph.VertexID(3); w < 3000; w += 3 {
+		hub.Nbrs = append(hub.Nbrs, w)
+	}
+	return &EdgeBatch{
+		Epoch: 9, Migration: true,
+		Changes: []EdgeChange{{Action: graph.Delete, Src: 3, Dst: 4, Dir: graph.In}},
+		States:  []VertexState{{Vertex: 7, State: 70, Active: true}, {Vertex: 1 << 40, State: 1}},
+		Runs: []EdgeRun{
+			{Key: 7, Dir: graph.In, Nbrs: []graph.VertexID{1, 2, 1 << 50}},
+			hub,
+			{Key: 8, Dir: graph.Out, Nbrs: []graph.VertexID{0}},
+		},
+	}
+}
+
+func TestEdgeBatchRunsRoundTrip(t *testing.T) {
+	b := testRunBatch()
+	data := EncodeEdgeBatch(b)
+	runBytes, copies := 0, 0
+	for _, r := range b.Runs {
+		runBytes += runHeaderSize + 8*len(r.Nbrs)
+		copies += len(r.Nbrs)
+	}
+	if withoutRuns := len(EncodeEdgeBatch(&EdgeBatch{Epoch: 9, Changes: b.Changes, States: b.States})); len(data) != withoutRuns+4+runBytes {
+		t.Fatalf("%d bytes; the run section of %d runs, %d copies should add %d", len(data), len(b.Runs), copies, 4+runBytes)
+	}
+	// Decode twice into one batch: the second reuses what the first grew.
+	var got EdgeBatch
+	for i := 0; i < 2; i++ {
+		if err := DecodeEdgeBatchInto(&got, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.Epoch != 9 || !got.Migration || !slices.Equal(got.Changes, b.Changes) || !slices.Equal(got.States, b.States) || len(got.Runs) != len(b.Runs) {
+		t.Fatalf("decoded %+v", got)
+	}
+	for i, r := range got.Runs {
+		if r.Key != b.Runs[i].Key || r.Dir != b.Runs[i].Dir || !slices.Equal(r.Nbrs, b.Runs[i].Nbrs) {
+			t.Fatalf("run %d: %+v, want %+v", i, r, b.Runs[i])
+		}
+	}
+	// The runs' lists do not overlap: growing one leaves the next alone.
+	got.Runs[0].Nbrs = append(got.Runs[0].Nbrs, 99)
+	if got.Runs[1].Nbrs[0] != 3 {
+		t.Fatal("a decoded run's list runs into the next one's")
+	}
+}
+
+// A payload without the run section — every stream batch, and every batch
+// written before runs — decodes with none, also into a batch that had some.
+func TestEdgeBatchWithoutRunsDecodesNone(t *testing.T) {
+	var got EdgeBatch
+	if err := DecodeEdgeBatchInto(&got, EncodeEdgeBatch(testRunBatch())); err != nil || len(got.Runs) == 0 {
+		t.Fatalf("runs %d, %v", len(got.Runs), err)
+	}
+	b := &EdgeBatch{Epoch: 2, Changes: []EdgeChange{{Action: graph.Insert, Src: 1, Dst: 2}}}
+	if err := DecodeEdgeBatchInto(&got, EncodeEdgeBatch(b)); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Runs) != 0 || len(got.Changes) != 1 || len(got.States) != 0 {
+		t.Fatalf("a runless batch decoded with %d runs, %d changes, %d states", len(got.Runs), len(got.Changes), len(got.States))
+	}
+}
+
+// A run count or length the payload cannot hold, a run that is not inserts
+// and one that is not strictly ascending are errors, never a panic or an
+// allocation the payload does not pay for. So is every cut inside the run
+// section; a cut right before it is a batch without runs.
+func TestEdgeBatchRejectsBadRuns(t *testing.T) {
+	full := EncodeEdgeBatch(testRunBatch())
+	b := testRunBatch()
+	b.Runs = nil
+	section := len(EncodeEdgeBatch(b))
+	for n := section + 1; n < len(full); n++ {
+		if _, err := DecodeEdgeBatch(full[:n]); !errors.Is(err, ErrShort) {
+			t.Fatalf("cut at %d of %d: %v, want ErrShort", n, len(full), err)
+		}
+	}
+	if got, err := DecodeEdgeBatch(full[:section]); err != nil || len(got.Runs) != 0 {
+		t.Fatalf("cut before the run section: %d runs, %v", len(got.Runs), err)
+	}
+	patch := func(off int, v uint32) []byte {
+		data := slices.Clone(full)
+		binary.LittleEndian.PutUint32(data[off:], v)
+		return data
+	}
+	first := section + 4 // the first run: key, tag, length, neighbours
+	for name, data := range map[string][]byte{
+		"run count":  patch(section, 1<<31),
+		"run length": patch(first+9, 1<<30),
+		"a delete":   append(append(slices.Clone(full[:first+8]), uint8(graph.Delete)<<1|1), full[first+9:]...),
+		"descending": patch(first+13, 5), // 5, 2, ...
+	} {
+		if _, err := DecodeEdgeBatch(data); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
 	}
 }
 
