@@ -1,75 +1,22 @@
 package elga
 
-// One benchmark per table/figure of the paper's evaluation (§4). Each
-// exercises the *core measured operation* of its figure as a testing.B
-// benchmark; the full multi-series tables are regenerated by
-// `go run ./cmd/elga-bench <fig>` (internal/experiments).
+// Three profiling entry points, each one operation of a workload of the repo
+// benchmark (benchmark/) as a testing.B loop, so `-cpuprofile` answers where
+// that operation's time goes. The paper's tables and figures are regenerated
+// by `go run ./cmd/elga-bench <fig>` (internal/experiments).
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"elga/internal/algorithm"
-	"elga/internal/autoscale"
-	"elga/internal/baseline/bsp"
-	"elga/internal/baseline/snapshot"
-	"elga/internal/baseline/stinger"
 	"elga/internal/client"
 	"elga/internal/cluster"
 	"elga/internal/config"
-	"elga/internal/consistent"
-	"elga/internal/datasets"
 	"elga/internal/gen"
 	"elga/internal/graph"
-	"elga/internal/hashing"
 	"elga/internal/route"
-	"elga/internal/sketch"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
-
-func benchConfig() config.Config {
-	cfg := config.Default()
-	cfg.SketchWidth = 4096
-	cfg.SketchDepth = 4
-	cfg.Virtual = 32
-	cfg.ReplicationThreshold = 4096
-	return cfg
-}
-
-func benchCluster(b *testing.B, agents int, el graph.EdgeList) *cluster.Cluster {
-	b.Helper()
-	c, err := cluster.New(cluster.Options{Config: benchConfig(), Agents: agents})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Shutdown)
-	if el != nil {
-		if err := c.Load(el); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return c
-}
-
-func mustLoad(b *testing.B, name string) graph.EdgeList {
-	b.Helper()
-	el, err := datasets.Load(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return el
-}
-
-func prIteration(b *testing.B, c *cluster.Cluster) {
-	b.Helper()
-	st, err := c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 2, FromScratch: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = st
-}
 
 // BenchmarkClusterPageRankRMAT14 is one operation of the repo benchmark's
 // pagerank-static workload (benchmark/workloads.go) as a testing.B loop, so
@@ -258,378 +205,4 @@ func benchChurnCycle(b *testing.B, cfg config.Config) {
 	b.ReportMetric(compactions/float64(b.N), "compactions/join")
 	b.ReportMetric(shipped/float64(moved), "migration-bytes/copy")
 	b.ReportMetric(float64(split), "split-vertices")
-}
-
-// BenchmarkTable2Datasets measures stand-in dataset generation.
-func BenchmarkTable2Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := datasets.Summarize("twitter"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig04ABTERFidelity measures BTER profile scaling, the
-// generator step behind Figure 4.
-func BenchmarkFig04ABTERFidelity(b *testing.B) {
-	base := gen.PreferentialAttachment(3000, 6, 41)
-	profile := gen.MeasureProfile(base)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		el := gen.BTER(profile, 2, int64(i))
-		if len(el) == 0 {
-			b.Fatal("empty BTER output")
-		}
-	}
-}
-
-// BenchmarkFig05Hashes measures the two-level edge lookup per hash
-// function — the per-edge-access cost Figure 5 traces back to the hash.
-func BenchmarkFig05Hashes(b *testing.B) {
-	members := make([]consistent.AgentID, 256)
-	for i := range members {
-		members[i] = consistent.AgentID(i + 1)
-	}
-	for _, h := range hashing.All() {
-		b.Run(h.String(), func(b *testing.B) {
-			ring := consistent.New(members, consistent.Options{Virtual: 32, Hash: h})
-			var sink consistent.AgentID
-			for i := 0; i < b.N; i++ {
-				a, _ := ring.EdgeOwner(uint64(i%100000), uint64(i), 1)
-				sink = a
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkFig06VirtualAgents measures lookup cost as virtual agents vary
-// (the cost side of the Figure 6 trade-off).
-func BenchmarkFig06VirtualAgents(b *testing.B) {
-	members := make([]consistent.AgentID, 256)
-	for i := range members {
-		members[i] = consistent.AgentID(i + 1)
-	}
-	for _, v := range []int{1, 10, 100, 1000} {
-		b.Run(fmt.Sprintf("virtual=%d", v), func(b *testing.B) {
-			ring := consistent.New(members, consistent.Options{Virtual: v})
-			var sink consistent.AgentID
-			for i := 0; i < b.N; i++ {
-				a, _ := ring.OwnerOfVertex(uint64(i))
-				sink = a
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkFig07SketchWidth measures degree-estimate queries per width,
-// the per-edge-access overhead of Figure 7a.
-func BenchmarkFig07SketchWidth(b *testing.B) {
-	for _, w := range []int{1 << 8, 1 << 12, 1 << 16} {
-		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
-			sk := sketch.New(w, 4)
-			for i := 0; i < 1<<15; i++ {
-				sk.Add(uint64(i % 4096))
-			}
-			b.ResetTimer()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				sink += sk.Estimate(uint64(i % 8192))
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkFig08StrongScaling measures PR iterations as agents vary.
-func BenchmarkFig08StrongScaling(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			c := benchCluster(b, n, el)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prIteration(b, c)
-			}
-		})
-	}
-}
-
-// BenchmarkFig09AgentsPerNode continues the agent sweep at higher counts.
-func BenchmarkFig09AgentsPerNode(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	for _, n := range []int{4, 8} {
-		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			c := benchCluster(b, n, el)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prIteration(b, c)
-			}
-		})
-	}
-}
-
-// BenchmarkFig10WeakScaling measures PR iterations with edges scaled
-// proportionally to agents.
-func BenchmarkFig10WeakScaling(b *testing.B) {
-	base := gen.PreferentialAttachment(3000, 6, 71)
-	profile := gen.MeasureProfile(base)
-	for _, step := range []struct {
-		scale  float64
-		agents int
-	}{{1, 1}, {2, 2}, {4, 4}} {
-		b.Run(fmt.Sprintf("x%g", step.scale), func(b *testing.B) {
-			el := gen.BTER(profile, step.scale, 72)
-			c := benchCluster(b, step.agents, el)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prIteration(b, c)
-			}
-		})
-	}
-}
-
-// BenchmarkFig11PageRank compares a PR iteration across the three
-// systems of Figure 11.
-func BenchmarkFig11PageRank(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	b.Run("elga", func(b *testing.B) {
-		c := benchCluster(b, 4, el)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prIteration(b, c)
-		}
-	})
-	b.Run("blogel-role", func(b *testing.B) {
-		e := bsp.New(el, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Run(algorithm.PageRank{}, bsp.Options{Workers: 8, MaxSteps: 2})
-		}
-	})
-	b.Run("graphx-role", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			snap := snapshot.New(el, 8)
-			snap.RunFromScratch(algorithm.PageRank{}, bsp.Options{Workers: 8, MaxSteps: 2})
-		}
-	})
-}
-
-// BenchmarkFig12WCC compares full WCC runs (symmetrized input).
-func BenchmarkFig12WCC(b *testing.B) {
-	el := mustLoad(b, "twitter").Symmetrized()
-	b.Run("elga", func(b *testing.B) {
-		c := benchCluster(b, 4, el)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Run(client.RunSpec{Algo: "wcc", FromScratch: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("blogel-role", func(b *testing.B) {
-		e := bsp.New(el, 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Run(algorithm.WCC{}, bsp.Options{Workers: 8})
-		}
-	})
-	b.Run("graphx-role", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			snap := snapshot.New(el, 8)
-			snap.RunFromScratch(algorithm.WCC{}, bsp.Options{Workers: 8})
-		}
-	})
-}
-
-// BenchmarkFig13SingleNode measures single-edge component maintenance:
-// ElGA's distributed incremental WCC vs the STINGER-role structure.
-func BenchmarkFig13SingleNode(b *testing.B) {
-	el := mustLoad(b, "livejournal")
-	b.Run("elga", func(b *testing.B) {
-		c := benchCluster(b, 4, el)
-		if _, err := c.Run(client.RunSpec{Algo: "wcc", FromScratch: true}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v := graph.VertexID(1_000_000 + i)
-			batch := graph.Batch{{Action: graph.Insert, Src: v, Dst: graph.VertexID(i % 1000)}}
-			if err := c.ApplyBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Run(client.RunSpec{Algo: "wcc"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("stinger-role", func(b *testing.B) {
-		g := stinger.New()
-		for _, e := range el {
-			g.InsertEdge(e.Src, e.Dst)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.InsertEdge(graph.VertexID(1_000_000+i), graph.VertexID(i%1000))
-		}
-	})
-}
-
-// BenchmarkFig14IngestRate measures streamed edge insertion throughput.
-func BenchmarkFig14IngestRate(b *testing.B) {
-	for _, agents := range []int{1, 4} {
-		b.Run(fmt.Sprintf("agents=%d", agents), func(b *testing.B) {
-			c := benchCluster(b, agents, nil)
-			s, err := c.NewStreamer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ch := graph.Change{Action: graph.Insert,
-					Src: graph.VertexID(i % 65536), Dst: graph.VertexID((i * 31) % 65536)}
-				if err := s.Send(ch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-		})
-	}
-}
-
-// BenchmarkFig15DynamicWCC measures one insert-batch maintenance round:
-// ElGA incremental vs snapshot recompute.
-func BenchmarkFig15DynamicWCC(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	_, insertions, remaining := gen.SampleBatch(el, 4096, 15)
-	b.Run("elga-incremental", func(b *testing.B) {
-		c := benchCluster(b, 4, remaining)
-		if _, err := c.Run(client.RunSpec{Algo: "wcc", FromScratch: true}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch := graph.Batch{insertions[i%len(insertions)]}
-			if err := c.ApplyBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Run(client.RunSpec{Algo: "wcc"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("snapshot-recompute", func(b *testing.B) {
-		snap := snapshot.New(remaining, 8)
-		snap.RunFromScratch(algorithm.WCC{}, bsp.Options{Workers: 8})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch := graph.Batch{insertions[i%len(insertions)]}
-			snap.ApplyBatch(algorithm.WCC{}, batch, bsp.Options{Workers: 8})
-		}
-	})
-}
-
-// BenchmarkFig16ElasticCost measures one add-then-remove agent cycle
-// including migration.
-func BenchmarkFig16ElasticCost(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	c := benchCluster(b, 4, el)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.AddAgent(); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Seal(); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.RemoveAgent(c.NumAgents() - 1); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Seal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig17ManualScale measures a PR run with a mid-run scale-up.
-func BenchmarkFig17ManualScale(b *testing.B) {
-	el := mustLoad(b, "twitter")
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := cluster.New(cluster.Options{Config: benchConfig(), Agents: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Load(el); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		done := make(chan error, 1)
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			_, err := c.AddAgent()
-			done <- err
-		}()
-		if _, err := c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 6, FromScratch: true}); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		c.Shutdown()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkFig18Autoscale measures the autoscaler's observe+decide loop.
-func BenchmarkFig18Autoscale(b *testing.B) {
-	as := autoscale.New(30*time.Second, autoscale.Policy{
-		PerAgentCapacity: 100, Min: 1, Max: 64, Cooldown: time.Minute,
-	}, 4)
-	now := time.Unix(0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(time.Second)
-		as.Observe(now, float64(i%1000))
-		as.Decide(now)
-	}
-}
-
-// BenchmarkNetLatency measures message round trips per transport layer,
-// the §3.5 table.
-func BenchmarkNetLatency(b *testing.B) {
-	for name, nw := range map[string]transport.Network{
-		"inproc": transport.NewInproc(), "tcp": transport.NewTCP(),
-	} {
-		b.Run("node-"+name, func(b *testing.B) {
-			a, err := transport.NewNode(nw, "", 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer a.Close()
-			peer, err := transport.NewNode(nw, "", 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer peer.Close()
-			go func() {
-				for pkt := range peer.Inbox() {
-					_ = peer.Reply(pkt, wire.TPong, nil)
-				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Request(peer.Addr(), wire.TPing, nil, 10*time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -11,6 +11,7 @@ package agent
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -333,9 +334,7 @@ func Start(opts Options) (*Agent, error) {
 	// The tracer exists before metrics registration (its drop counter is
 	// scraped through a closure) and before any packet flows; its proc
 	// name is finalized once the join allocates the agent ID.
-	tcfg := trace.Resolve(opts.Trace)
-	tcfg.Apply()
-	a.tracer = trace.NewTracer("agent", tcfg)
+	a.tracer = trace.NewTracer("agent", trace.Resolve(opts.Trace))
 	// The journal's proc name is provisional until the join assigns an ID;
 	// like the tracer, a disabled config yields the nil off switch.
 	a.journal = events.NewJournal("agent", events.Resolve(opts.Events))
@@ -625,7 +624,7 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 				a.releaseVoteHold()
 				return false
 			}
-			a.tracer.DumpFlight(string(pkt.Payload))
+			a.tracer.DumpFlight(os.Stderr, string(pkt.Payload))
 			return false
 		}
 		// Self-addressed heartbeat tick: renew the lease from the event
@@ -791,7 +790,6 @@ func (a *Agent) sendReady(step uint32, phase uint8, masters uint64) {
 	}
 	// Barrier votes are acked: a dropped Ready would wedge the whole
 	// cluster at the barrier, so the transport retransmits it.
-	a.trace("send-ready step=%d phase=%d masters=%d", step, phase, masters)
 	_ = a.node.SendFrameAcked(a.coordAddr, wire.AppendReady(a.node.NewFrame(wire.TReady), r))
 }
 

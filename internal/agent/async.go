@@ -2,7 +2,6 @@ package agent
 
 import (
 	"elga/internal/algorithm"
-	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
 )
@@ -46,7 +45,7 @@ func (a *Agent) startAsync() {
 	for _, v := range seeds {
 		// Seed scatter: announce the current value along all edges.
 		mv := r.prog.MessageValue(v, a.valueOf(v), uint64(a.store.OutDegree(v)), &r.ctx)
-		a.asyncScatter(b, v, mv, true)
+		a.asyncScatter(b, v, mv)
 	}
 	b.flush()
 	a.putAsyncBatcher(b)
@@ -64,14 +63,14 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 		return
 	}
 	b := a.getAsyncBatcher()
-	self := consistent.AgentID(a.id)
 	for _, m := range batch.Msgs {
 		v := graph.VertexID(m.Target)
 		r.asyncReceived++
 		if !a.isReplicaOf(v) {
-			// Stale routing: forward to the best-known destination.
-			if dst, ok := a.router.EdgeOwner(v, graph.VertexID(m.Via)); ok && dst != self {
-				b.addRaw(dst, m)
+			// Stale routing: forward, unprocessed, to the best-known
+			// destination.
+			if dst, ok := a.router.EdgeOwnerIndex(v, graph.VertexID(m.Via)); ok && dst != b.self {
+				b.dstBufs.add(dst, m)
 				continue
 			}
 		}
@@ -84,7 +83,7 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 		a.verts.set(v, nw)
 		if act {
 			mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
-			a.asyncScatter(b, v, mv, false)
+			a.asyncScatter(b, v, mv)
 		}
 	}
 	b.flush()
@@ -93,7 +92,7 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 
 // asyncScatter sends v's message value along its local edges and, for
 // split vertices, gossips the new state to the other replicas.
-func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Word, seeding bool) {
+func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Word) {
 	r := a.run
 	if r.prog.SendsOut() {
 		for it := a.store.OutCursor(v); ; {
@@ -105,7 +104,7 @@ func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Wor
 			if r.adjust != nil {
 				val = r.adjust.AdjustPerEdge(v, w, val)
 			}
-			if dst, ok := a.router.EdgeOwner(w, v); ok {
+			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
 				b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
 			}
 		}
@@ -120,7 +119,7 @@ func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Wor
 			if r.adjust != nil {
 				val = r.adjust.AdjustPerEdge(u, v, val)
 			}
-			if dst, ok := a.router.EdgeOwner(u, v); ok {
+			if dst, ok := a.router.EdgeOwnerIndex(u, v); ok {
 				b.add(dst, wire.VertexMsg{Target: u, Via: v, Value: wire.Word(val)})
 			}
 		}
@@ -128,57 +127,55 @@ func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Wor
 	// Replica gossip: monotone programs converge replica state by
 	// re-delivering the improved value as an ordinary message.
 	if a.router.Split(v) {
-		self := consistent.AgentID(a.id)
 		state, _ := a.verts.get(v)
 		for _, rep := range a.router.ReplicaSet(v) {
-			if rep == self {
-				continue
+			if at, ok := a.router.MemberIndex(rep); ok && at != b.self {
+				b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(state)})
 			}
-			b.add(rep, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(state)})
 		}
 	}
-	_ = seeding
 }
 
-// asyncBatcher groups outgoing async messages per destination. Unlike the
-// synchronous batcher, sends are unacknowledged: the sent/received
-// counters provide the termination guarantee instead.
+// asyncBatcher groups outgoing async messages per destination in the
+// buffers the synchronous sinks use, indexed by member position. Unlike the
+// synchronous batcher, sends are unacknowledged: the sent/received counters
+// provide the termination guarantee instead.
 type asyncBatcher struct {
 	agent *Agent
-	byDst map[consistent.AgentID][]wire.VertexMsg
+	self  int // this agent's member index; -1 when the view lacks it
+	dstBufs
 }
 
-// getAsyncBatcher pops a batcher off the agent's free list. A free list
-// (rather than one scratch instance) is required because processAsyncLocal
-// nests batchers: a local delivery mid-flush opens a fresh one.
+// getAsyncBatcher pops a batcher off the agent's free list and binds it to
+// the installed view. A free list (rather than one scratch instance) is
+// required because processAsyncLocal nests batchers: a local delivery
+// mid-flush opens a fresh one.
 func (a *Agent) getAsyncBatcher() *asyncBatcher {
+	var b *asyncBatcher
 	if n := len(a.asyncFree); n > 0 {
-		b := a.asyncFree[n-1]
+		b = a.asyncFree[n-1]
 		a.asyncFree = a.asyncFree[:n-1]
-		return b
+	} else {
+		b = &asyncBatcher{agent: a}
 	}
-	return &asyncBatcher{agent: a, byDst: make(map[consistent.AgentID][]wire.VertexMsg)}
+	b.bind(a.router.Agents())
+	b.self = a.selfIndex()
+	return b
 }
 
 func (a *Agent) putAsyncBatcher(b *asyncBatcher) {
 	a.asyncFree = append(a.asyncFree, b)
 }
 
-func (b *asyncBatcher) add(dst consistent.AgentID, m wire.VertexMsg) {
-	a := b.agent
-	if dst == consistent.AgentID(a.id) {
+func (b *asyncBatcher) add(dst int, m wire.VertexMsg) {
+	if dst == b.self {
 		// Local delivery is processed inline; it still counts as one
 		// sent and one received message so the global sums balance.
-		a.run.asyncSent++
-		a.processAsyncLocal(m)
+		b.agent.run.asyncSent++
+		b.agent.processAsyncLocal(m)
 		return
 	}
-	b.byDst[dst] = append(b.byDst[dst], m)
-}
-
-// addRaw forwards a message without reprocessing (stale-routing path).
-func (b *asyncBatcher) addRaw(dst consistent.AgentID, m wire.VertexMsg) {
-	b.byDst[dst] = append(b.byDst[dst], m)
+	b.dstBufs.add(dst, m)
 }
 
 // processAsyncLocal handles one self-addressed message inline, which may
@@ -197,7 +194,7 @@ func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
 	if act {
 		b := a.getAsyncBatcher()
 		mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
-		a.asyncScatter(b, v, mv, false)
+		a.asyncScatter(b, v, mv)
 		b.flush()
 		a.putAsyncBatcher(b)
 	}
@@ -205,14 +202,14 @@ func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
 
 func (b *asyncBatcher) flush() {
 	a := b.agent
-	for dst, msgs := range b.byDst {
+	for i, msgs := range b.bufs {
 		if len(msgs) == 0 {
 			continue
 		}
 		// Entries reset in place: the encoder copied msgs into the frame,
 		// so the backing array is immediately reusable.
-		b.byDst[dst] = msgs[:0]
-		addr, ok := a.router.AddrOf(dst)
+		b.bufs[i] = msgs[:0]
+		addr, ok := a.router.AddrOf(b.members[i])
 		if !ok {
 			continue
 		}

@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -78,7 +77,6 @@ func (a *Agent) replayParkedAdvance() {
 	a.pendingAdv = nil
 	tctx := a.pendingAdvCtx
 	a.pendingAdvCtx = trace.SpanContext{}
-	a.trace("replay-advance run=%d step=%d phase=%d", adv.RunID, adv.Step, adv.Phase)
 	a.handleAdvance(adv, tctx)
 }
 
@@ -93,7 +91,6 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	if err != nil || a.run == nil || done.RunID != a.run.id {
 		return
 	}
-	a.trace("algo-done run=%d", done.RunID)
 	// Retransmission can reorder TAlgoDone ahead of the halting Advance;
 	// close any phase/barrier span still open so neither outlives the run.
 	a.phaseSpan.End()
@@ -144,7 +141,6 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 		// it for handleAlgoStart to replay. Halting Advances of finished
 		// runs need no replay.
 		if !adv.Halt && adv.RunID != 0 && (r == nil || adv.RunID > r.id) {
-			a.trace("park-advance run=%d step=%d phase=%d", adv.RunID, adv.Step, adv.Phase)
 			a.pendingAdv = adv
 			a.pendingAdvCtx = tctx
 		}
@@ -185,13 +181,9 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 	// Fresh gate per phase; prior gates are drained (votes fire only
 	// when empty) so nothing is lost.
 	a.phaseGate = &ackGroup{}
-	var sp trace.Span
 	phaseName := "compute"
 	if adv.Phase == wire.PhaseCombine {
 		phaseName = "combine"
-	}
-	if trace.Enabled() {
-		sp = trace.StartSpan(fmt.Sprintf("a%d %s step=%d", a.id, phaseName, adv.Step))
 	}
 	// The distributed phase span links under the coordinator's step span
 	// (tctx rode the Advance frame) and runs until the barrier vote in
@@ -204,7 +196,6 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 	case wire.PhaseCombine:
 		a.processCombine()
 	}
-	sp.End()
 }
 
 // processCompute is superstep phase 1: gather mailboxes, update and
@@ -725,13 +716,12 @@ func (a *Agent) foldByTarget(msgs []wire.VertexMsg) []wire.VertexMsg {
 
 // addrFor resolves dst's listen address for a send carrying n messages. It
 // is the one place a message is dropped for want of a route, so the drop
-// is counted and traced: a run that loses messages converges to a wrong
-// answer nothing else would flag.
+// is counted: a run that loses messages converges to a wrong answer nothing
+// else would flag.
 func (a *Agent) addrFor(dst consistent.AgentID, n int) (string, bool) {
 	addr, ok := a.router.AddrOf(dst)
 	if !ok {
 		atomic.AddUint64(&a.statUnroutable, uint64(n))
-		a.trace("unroutable dst=%d msgs=%d epoch=%d", dst, n, a.router.Epoch())
 	}
 	return addr, ok
 }

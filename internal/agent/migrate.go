@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sync/atomic"
 
@@ -10,7 +11,6 @@ import (
 	"elga/internal/autoscale"
 	"elga/internal/consistent"
 	"elga/internal/graph"
-	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -31,7 +31,6 @@ func (a *Agent) handleView(v *wire.View) {
 		return
 	}
 	a.migratedEpoch = epoch
-	a.trace("view epoch=%d members=%v", epoch, v.Agents)
 	// The router only knows vertices it was asked about since its last
 	// wholesale install. Every such install is followed by the full round
 	// below, which looks up each held vertex, and copies arriving later have
@@ -50,7 +49,7 @@ func (a *Agent) handleView(v *wire.View) {
 			// removal): dump the flight recorder while the recent spans
 			// still tell the story. We are already on the event loop, so
 			// the dump cannot race Close.
-			a.tracer.DumpFlight("evicted")
+			a.tracer.DumpFlight(os.Stderr, "evicted")
 		}
 		a.leaving = true
 	}
@@ -183,11 +182,7 @@ const maxShipRun = 64 * shipChunk
 // vertices can have moved, so only their copies, mail and registrations
 // are looked at; otherwise everything held is.
 func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly bool) {
-	var sp trace.Span
-	if trace.Enabled() {
-		sp = trace.StartSpan(fmt.Sprintf("a%d migrate epoch=%d", a.id, epochLow))
-	}
-	defer sp.End()
+	defer a.tracer.StartRoot("migrate", 0).End()
 	members := a.router.Agents()
 	a.mig.fit(len(members))
 	// Migration runs its own gate; the run's phase gate (owned by
@@ -301,9 +296,6 @@ func (a *Agent) shipRun(m *migScratch, g *ackGroup, at int, r wire.EdgeRun, st *
 	}
 	if st != nil && (len(s.states) == 0 || s.states[len(s.states)-1].Vertex != st.Vertex) {
 		s.states = append(s.states, *st)
-	}
-	if trace.Enabled() {
-		a.trace("migrate-ship run=(%d,%d) copies=%d to=%d", r.Key, r.Dir, len(r.Nbrs), a.router.Agents()[at])
 	}
 	if len(r.Nbrs) > shipChunk {
 		s.runs = append(s.runs, r)
@@ -450,13 +442,7 @@ func (a *Agent) rerouteMail(b *msgBatcher, t *aggTable, s *aggSlot) {
 	}
 	dst, ok := a.router.AnyReplica(v, a.id)
 	if !ok || dst == consistent.AgentID(a.id) {
-		if trace.Enabled() {
-			a.trace("migrate-reroute-kept v=%d step=%d", v, b.step)
-		}
 		return
-	}
-	if trace.Enabled() {
-		a.trace("migrate-reroute v=%d step=%d to=%d", v, b.step, dst)
 	}
 	at, _ := a.router.MemberIndex(dst) // a replica is always a member
 	if prog := a.prog(); prog != nil {
@@ -631,14 +617,10 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
 				forwards = make(map[consistent.AgentID][]wire.EdgeChange)
 			}
 			forwards[owner] = append(forwards[owner], c)
-			if trace.Enabled() {
-				a.trace("edges-forward copy=(%d,%d,%d) to=%d", c.Src, c.Dst, c.Dir, owner)
-			}
 			continue
 		}
 		key := keyedVertex(c)
-		applied := a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir)
-		if applied {
+		if a.store.Apply(graph.Change{Action: c.Action, Src: c.Src, Dst: c.Dst}, c.Dir) {
 			atomic.AddUint64(&a.statApplied, 1)
 			if c.Action == graph.Insert {
 				a.skDelta.Add(uint64(key))
@@ -648,9 +630,6 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
 			} else if !a.store.HasVertex(key) { // the last one
 				a.deregisterSplit(key, g)
 			}
-		}
-		if trace.Enabled() {
-			a.trace("edges-apply copy=(%d,%d,%d) applied=%v", c.Src, c.Dst, c.Dir, applied)
 		}
 	}
 	for owner, fw := range forwards {
@@ -695,13 +674,9 @@ func (a *Agent) applyRuns(runs []wire.EdgeRun, g *ackGroup, states map[graph.Ver
 		if len(kept) == 0 {
 			continue
 		}
-		applied := a.store.AddRun(r.Key, r.Dir, kept)
-		atomic.AddUint64(&a.statApplied, uint64(applied))
+		atomic.AddUint64(&a.statApplied, uint64(a.store.AddRun(r.Key, r.Dir, kept)))
 		a.installState(st)
 		a.registerSplit(r.Key, g)
-		if trace.Enabled() {
-			a.trace("edges-apply run=(%d,%d) copies=%d applied=%d", r.Key, r.Dir, len(kept), applied)
-		}
 	}
 	for at := range a.router.Agents() {
 		a.sendShipment(m, g, at)

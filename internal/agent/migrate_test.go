@@ -16,7 +16,7 @@ import (
 // peerSink is a stand-in for a peer agent: it acknowledges whatever it is
 // sent and keeps the edge shipments (all copies in got, runs listed copy by
 // copy, and frame by frame in batches), replica registrations and
-// synchronous vertex-message entries.
+// vertex-message entries, synchronous and asynchronous apart.
 type peerSink struct {
 	node    *transport.Node
 	mu      sync.Mutex
@@ -24,6 +24,7 @@ type peerSink struct {
 	batches []wire.EdgeBatch
 	regs    []graph.VertexID
 	msgs    []wire.VertexMsg
+	async   []wire.VertexMsg
 	// partials holds the records of each TReplicaPartial frame received.
 	partials [][]wire.ReplicaPartial
 }
@@ -81,8 +82,12 @@ func newPeerSink(t *testing.T, nw transport.Network) *peerSink {
 				}
 			case wire.TVertexMsgs:
 				var b wire.VertexMsgBatch
-				if wire.DecodeVertexMsgBatchInto(&b, pkt.Payload) == nil && !b.Async {
-					p.msgs = append(p.msgs, b.Msgs...)
+				if wire.DecodeVertexMsgBatchInto(&b, pkt.Payload) == nil {
+					if b.Async {
+						p.async = append(p.async, b.Msgs...)
+					} else {
+						p.msgs = append(p.msgs, b.Msgs...)
+					}
 				}
 			case wire.TReplicaRegister:
 				if rr, err := wire.DecodeReplicaRegister(pkt.Payload); err == nil {

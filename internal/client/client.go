@@ -108,9 +108,7 @@ func Start(opts Options) (*Client, error) {
 	}
 	c := &Client{opts: opts, node: node, router: route.New(opts.Config)}
 	c.feed = route.NewFeed(node, c.router, nil)
-	tcfg := trace.Resolve(opts.Trace)
-	tcfg.Apply()
-	c.tracer = trace.NewTracer("client", tcfg)
+	c.tracer = trace.NewTracer("client", trace.Resolve(opts.Trace))
 	c.journal = events.NewJournal("client", events.Resolve(opts.Events))
 	if opts.Metrics != nil {
 		node.RegisterMetrics(opts.Metrics, "client")

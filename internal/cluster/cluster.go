@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"elga/internal/agent"
@@ -391,7 +392,7 @@ func (c *Cluster) KillAgent(i int) error {
 	// the injected request lost the race with the node closing, this
 	// direct call dumps now (the once-guard de-dups the common case
 	// where the loop already served it).
-	a.Tracer().DumpFlight("kill")
+	a.Tracer().DumpFlight(os.Stderr, "kill")
 	return err
 }
 

@@ -183,6 +183,46 @@ func TestChaosTraceExport(t *testing.T) {
 	}
 }
 
+// TestJoinRecordsMigrateSpan: an agent's migration round is a span of its
+// own, so after one join round on a traced cluster the joiner's flight ring
+// holds a root "migrate" span, as do the incumbents that shipped it copies.
+func TestJoinRecordsMigrateSpan(t *testing.T) {
+	c, err := New(Options{
+		Config: testConfig(), Agents: 2,
+		Trace: &trace.Config{Enabled: true, Sample: 1, FlightRecorder: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Shutdown)
+	if err := c.Load(randomGraph(100, 400, 7)); err != nil {
+		t.Fatal(err)
+	}
+	joiner, err := c.AddAgent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seal waits for the join's migration round to close, and every
+	// agent's vote in it follows the end of its migrate span.
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range c.Agents() {
+		found := false
+		for _, s := range a.Tracer().FlightSnapshot() {
+			if s.Name == "migrate" {
+				found = true
+				if s.Parent != 0 || s.Dur <= 0 {
+					t.Errorf("agent %d: migrate span %+v is not a finished root", a.ID(), s)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("agent %d (joiner %v): no migrate span in the flight ring", a.ID(), a == joiner)
+		}
+	}
+}
+
 // findRunTimeline picks the timeline for a run ID (zero value if absent).
 func findRunTimeline(tls []collect.Timeline, runID uint32) collect.Timeline {
 	for _, tl := range tls {

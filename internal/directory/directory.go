@@ -266,9 +266,7 @@ func Start(opts Options) (*Directory, error) {
 		sk:     opts.Config.NewSketch(),
 		routed: opts.Config.NewSketch(),
 	}
-	tcfg := trace.Resolve(opts.Trace)
-	tcfg.Apply()
-	d.tracer = trace.NewTracer("dir", tcfg)
+	d.tracer = trace.NewTracer("dir", trace.Resolve(opts.Trace))
 	// Registration is idempotent (the master dedups by address), so it is
 	// safe to retry through transient faults.
 	reply, err := node.RequestRetry(opts.MasterAddr, transport.Retry{Attempts: 5},
@@ -750,9 +748,7 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		// Self-ticks multiplex two timers, distinguished by a 1-byte tag:
 		// empty = async quiescence probe, 1 = lease sweep.
 		if len(pkt.Payload) > 0 && pkt.Payload[0] == leaseTick {
-			sp := trace.StartSpan("dir lease-sweep")
 			d.sweepLeases(time.Now())
-			sp.End()
 			d.shipSpans() // periodic flush of the coordinator's own spans
 			if d.health != nil {
 				d.evaluateHealth(time.Now())
@@ -891,7 +887,6 @@ func (d *Directory) applyMembership() {
 		votes:    make(map[uint64]bool),
 		leavers:  leaverAddrs,
 	}
-	trace.Printf("dir migration-start epoch=%d expected=%v", d.epoch, expected)
 	d.event(events.Info, events.KindMigrationStart, trace.SpanContext{},
 		events.U("epoch", d.epoch), events.U("expected", uint64(len(expected))))
 	d.maybeFinishMigration()
@@ -902,7 +897,6 @@ func (d *Directory) maybeFinishMigration() {
 	if m == nil || len(m.votes) < len(m.expected) {
 		return
 	}
-	trace.Printf("dir migration-done epoch=%d", m.epochLow)
 	d.event(events.Info, events.KindMigrationDone, trace.SpanContext{},
 		events.U("epoch", uint64(m.epochLow)))
 	d.migration = nil
@@ -928,7 +922,6 @@ func (d *Directory) maybeFinishMigration() {
 
 func (d *Directory) startSeal() {
 	d.batchID++
-	trace.Printf("dir seal-start batch=%d agents=%d", d.batchID, len(d.agents))
 	d.event(events.Info, events.KindSeal, trace.SpanContext{},
 		events.U("batch", d.batchID), events.U("agents", uint64(len(d.agents))))
 	d.seal = &sealState{votes: make(map[uint64]bool)}
@@ -942,7 +935,6 @@ func (d *Directory) maybeFinishSeal() {
 	if s == nil || len(s.votes) < len(d.agents) {
 		return
 	}
-	trace.Printf("dir seal-done batch=%d skDirty=%v", d.batchID, d.skDirty)
 	d.seal = nil
 	if len(d.agents) > 0 {
 		d.n = s.masters
@@ -1131,7 +1123,6 @@ func (d *Directory) sweepLeases(now time.Time) {
 		}
 	}
 	if len(dead) > 0 {
-		trace.Printf("dir evict %v", dead)
 		d.evictAgents(dead)
 	}
 }
@@ -1341,7 +1332,6 @@ func (d *Directory) handleReport(pkt *wire.Packet) {
 }
 
 func (d *Directory) handleReady(m *wire.Ready) {
-	trace.Printf("dir ready from=a%d step=%d phase=%d masters=%d", m.AgentID, m.Step, m.Phase, m.Masters)
 	switch m.Phase {
 	case wire.PhaseMigrate:
 		if mg := d.migration; mg != nil && m.Step == mg.epochLow && mg.expected[m.AgentID] {
@@ -1394,7 +1384,6 @@ func (d *Directory) finishPhase() {
 		return
 	}
 	// Superstep complete.
-	trace.Printf("dir step-done run=%d step=%d active=%d residual=%g", r.spec.RunID, r.step, r.activeSum, r.residual)
 	r.stepSpan.End()
 	r.stepSpan = trace.ActiveSpan{}
 	stepDur := time.Since(r.stepStart)

@@ -53,7 +53,6 @@ func (d *Directory) maybeRepartition() bool {
 	}
 	d.statMoves.Add(uint64(len(moves)))
 	d.statOverrides.Store(int64(len(d.overrides)))
-	trace.Printf("dir repart round=%d moves=%d overrides=%d", p.Round(), len(moves), len(d.overrides))
 	d.event(events.Info, events.KindRepartitionPlan, trace.SpanContext{},
 		events.U("round", uint64(p.Round())), events.U("moves", uint64(len(moves))),
 		events.U("overrides", uint64(len(d.overrides))))

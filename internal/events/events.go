@@ -66,7 +66,6 @@ const (
 	KindRetry           = "retry"            // client op attempt retried
 	KindOpError         = "op-error"         // client op failed after retries
 	KindHealth          = "health"           // health model changed an agent's status
-	KindFault           = "fault"            // injected fault observed (flight dump, kill)
 	KindProfile         = "profile-captured" // profile artifact committed to the store
 )
 

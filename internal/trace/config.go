@@ -5,24 +5,18 @@ import (
 	"strconv"
 )
 
-// Config is the single switchboard for tracing. Before it existed the
-// subsystem was configured three different ways — the ELGA_TRACE env var,
-// ad-hoc cmd/elga behaviour, and nothing at all in cluster.Options — so
-// every layer now takes a *Config (nil means FromEnv) and honours the
-// same fields:
+// Config is the single switchboard for tracing. Every layer takes a
+// *Config (nil means FromEnv) and honours the same fields:
 //
 //	Enabled        master switch for distributed tracing (Tracer spans,
 //	               wire context propagation, span shipping).
 //	Sample         fraction of runs whose spans are exported to the
 //	               collector; the flight recorder records regardless.
 //	FlightRecorder capacity of the per-participant flight ring.
-//	Verbose        additionally mirror the legacy per-process event
-//	               stream (Printf/StartSpan) to the installed Sink.
 type Config struct {
 	Enabled        bool
 	Sample         float64
 	FlightRecorder int
-	Verbose        bool
 }
 
 // DefaultFlightRecorder is the flight-ring capacity when Config leaves
@@ -32,18 +26,11 @@ const DefaultFlightRecorder = 256
 
 // FromEnv builds a Config from the environment:
 //
-//	ELGA_TRACE=1         enable tracing (and the legacy verbose stream)
+//	ELGA_TRACE=1         enable tracing
 //	ELGA_TRACE_SAMPLE=f  sample fraction in [0,1] (default 1)
 //	ELGA_TRACE_FLIGHT=n  flight-recorder capacity (default 256)
-//
-// ELGA_TRACE keeps its historical meaning — set it and every process
-// traces verbosely — while the finer knobs default sensibly.
 func FromEnv() Config {
-	c := Config{Sample: 1, FlightRecorder: DefaultFlightRecorder}
-	if os.Getenv("ELGA_TRACE") != "" {
-		c.Enabled = true
-		c.Verbose = true
-	}
+	c := Config{Enabled: os.Getenv("ELGA_TRACE") != "", Sample: 1, FlightRecorder: DefaultFlightRecorder}
 	if v := os.Getenv("ELGA_TRACE_SAMPLE"); v != "" {
 		if f, err := strconv.ParseFloat(v, 64); err == nil {
 			c.Sample = f
@@ -58,7 +45,7 @@ func FromEnv() Config {
 }
 
 // withDefaults fills zero fields so a literal Config{Enabled: true}
-// behaves like FromEnv with ELGA_TRACE set (minus verbosity).
+// behaves like FromEnv with ELGA_TRACE set.
 func (c Config) withDefaults() Config {
 	if c.FlightRecorder <= 0 {
 		c.FlightRecorder = DefaultFlightRecorder
@@ -79,13 +66,4 @@ func Resolve(c *Config) Config {
 		return FromEnv()
 	}
 	return *c
-}
-
-// Apply installs the legacy process-wide verbose flag from c. Callers
-// constructing participants do this once so the old Printf/StartSpan
-// call sites keep honouring the unified Config.
-func (c Config) Apply() {
-	if c.Verbose {
-		SetEnabled(true)
-	}
 }

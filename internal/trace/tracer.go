@@ -1,7 +1,17 @@
+// Package trace is the distributed tracer. View epochs, barrier votes, seal
+// rounds, and migrations wedge in ways a goroutine dump cannot explain — the
+// interesting state is which vote never arrived, not where anyone is blocked
+// — so each participant records its runs, supersteps, phases and migration
+// rounds as spans. A span's context rides the control-plane frames, so one
+// run is one trace across processes; sampled spans ship to the coordinator's
+// collector, and every span lands in the participant's always-on flight ring.
+//
+// A nil Tracer is the off switch: every method on it costs one branch.
 package trace
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,23 +253,18 @@ func (t *Tracer) FlightSnapshot() []SpanRecord {
 	return out
 }
 
-// DumpFlight writes the flight ring to the process trace sink as instant
-// events, once per Tracer lifetime (eviction, Kill, and shutdown paths
-// may all fire; only the first dump emits). It returns the snapshot so
-// callers can also ship it.
-func (t *Tracer) DumpFlight(reason string) []SpanRecord {
-	if t == nil {
-		return nil
+// DumpFlight writes the flight ring to w, a header line and then one line
+// per span, once per Tracer lifetime: eviction, Kill, and shutdown paths
+// may all fire, and only the first dump writes.
+func (t *Tracer) DumpFlight(w io.Writer, reason string) {
+	if t == nil || !t.dumped.CompareAndSwap(false, true) {
+		return
 	}
 	snap := t.FlightSnapshot()
-	if !t.dumped.CompareAndSwap(false, true) {
-		return snap
-	}
 	proc := t.Proc()
-	emit(Event{Kind: Instant, Name: fmt.Sprintf("%s flight-dump (%s): %d spans", proc, reason, len(snap))})
+	fmt.Fprintf(w, "%s flight-dump (%s): %d spans\n", proc, reason, len(snap))
 	for _, r := range snap {
-		emit(Event{Kind: Instant, Name: fmt.Sprintf("  %s run=%d step=%d %s dur=%s trace=%016x%016x span=%x parent=%x",
-			proc, r.RunID, r.Step, r.Name, r.Dur, r.TraceHi, r.TraceLo, r.SpanID, r.Parent)})
+		fmt.Fprintf(w, "  %s run=%d step=%d %s dur=%s trace=%016x%016x span=%x parent=%x\n",
+			proc, r.RunID, r.Step, r.Name, r.Dur, r.TraceHi, r.TraceLo, r.SpanID, r.Parent)
 	}
-	return snap
 }

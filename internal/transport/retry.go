@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"elga/internal/trace"
 	"elga/internal/wire"
 )
 
@@ -65,7 +64,6 @@ func (r Retry) Do(deadline time.Time, op func() error) error {
 		if err = op(); err == nil {
 			return nil
 		}
-		trace.Printf("retry attempt=%d/%d err=%v", i+1, attempts, err)
 		if !Retryable(err) || i == attempts-1 {
 			return err
 		}

@@ -404,7 +404,6 @@ type ReplicaPartial struct {
 	Vertex      graph.VertexID
 	Agg         Word
 	HaveMsgs    bool
-	MsgCount    uint64 // never read; senders leave it 0, the layout keeps it
 	LocalOutDeg uint64
 }
 
@@ -412,10 +411,10 @@ type ReplicaPartial struct {
 // records back to back: a sender appends every record it has for a peer into
 // one frame (AppendReplicaPartial / AppendValueUpdate, once per record) and
 // the receiver walks them (XCount, then XAt). The payload carries no count —
-// its length is the count — so a frame of one record is the single-record
-// payload these types always had.
+// its length is the count — so a frame of one record is that record's
+// encoding, and a payload that is not a whole number of records is refused.
 const (
-	replicaPartialSize = 4 + 8 + 8 + 1 + 8 + 8
+	replicaPartialSize = 4 + 8 + 8 + 1 + 8
 	valueUpdateSize    = 4 + 8 + 8 + 8 + 1
 )
 
@@ -436,7 +435,6 @@ func AppendReplicaPartial(dst []byte, p *ReplicaPartial) []byte {
 	w.U64(uint64(p.Vertex))
 	w.U64(uint64(p.Agg))
 	w.Bool(p.HaveMsgs)
-	w.U64(p.MsgCount)
 	w.U64(p.LocalOutDeg)
 	return w.buf
 }
@@ -456,7 +454,7 @@ func ReplicaPartialAt(data []byte, i int) ReplicaPartial {
 	r := Reader{buf: data[i*replicaPartialSize:][:replicaPartialSize]}
 	return ReplicaPartial{
 		Step: r.U32(), Vertex: graph.VertexID(r.U64()), Agg: Word(r.U64()),
-		HaveMsgs: r.Bool(), MsgCount: r.U64(), LocalOutDeg: r.U64(),
+		HaveMsgs: r.Bool(), LocalOutDeg: r.U64(),
 	}
 }
 

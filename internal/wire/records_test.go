@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"elga/internal/graph"
@@ -30,7 +31,7 @@ func walkValueUpdates(data []byte, fn func(ValueUpdate)) error {
 func testPartial(i int) ReplicaPartial {
 	return ReplicaPartial{
 		Step: uint32(2 + i/100), Vertex: graph.VertexID(11 * (i + 1)), Agg: Word(22 + i),
-		HaveMsgs: i%2 == 0, MsgCount: uint64(5 * i), LocalOutDeg: uint64(9 + i),
+		HaveMsgs: i%2 == 0, LocalOutDeg: uint64(9 + i),
 	}
 }
 
@@ -98,23 +99,26 @@ func TestRecordListRejectsPartialRecord(t *testing.T) {
 	}
 }
 
-// The single-record payloads every earlier build put on the wire (and that
-// deferred packets, raw forwards and retransmission copies may still hold),
-// byte for byte.
+// One record of each type, byte for byte: step, vertex, aggregate or state,
+// then the flag and out-degree fields in their pinned order.
 const (
-	legacyPartialHex = "02000000" + "0b00000000000000" + "1600000000000000" + "01" +
-		"0500000000000000" + "0900000000000000"
-	legacyUpdateHex = "01000000" + "0200000000000000" + "0300000000000000" +
+	partialHex = "02000000" + "0b00000000000000" + "1600000000000000" + "01" +
+		"0900000000000000"
+	updateHex = "01000000" + "0200000000000000" + "0300000000000000" +
 		"0400000000000000" + "01"
+	// The 37-byte partial of the layout that still carried an unread
+	// message count between HaveMsgs and LocalOutDeg.
+	countedPartialHex = "02000000" + "0b00000000000000" + "1600000000000000" + "01" +
+		"0500000000000000" + "0900000000000000"
 )
 
 // TestSingleRecordPayloadUnchanged: a one-record payload is byte-identical
 // to the single-record encoding, in both directions.
 func TestSingleRecordPayloadUnchanged(t *testing.T) {
-	p := ReplicaPartial{Step: 2, Vertex: 11, Agg: 22, HaveMsgs: true, MsgCount: 5, LocalOutDeg: 9}
+	p := ReplicaPartial{Step: 2, Vertex: 11, Agg: 22, HaveMsgs: true, LocalOutDeg: 9}
 	u := ValueUpdate{Step: 1, Vertex: 2, State: 3, TotalOutDeg: 4, Scatter: true}
-	pb, _ := hex.DecodeString(legacyPartialHex)
-	ub, _ := hex.DecodeString(legacyUpdateHex)
+	pb, _ := hex.DecodeString(partialHex)
+	ub, _ := hex.DecodeString(updateHex)
 	if got := EncodeReplicaPartial(&p); !bytes.Equal(got, pb) {
 		t.Fatalf("partial encodes to %x, was %x", got, pb)
 	}
@@ -122,9 +126,20 @@ func TestSingleRecordPayloadUnchanged(t *testing.T) {
 		t.Fatalf("update encodes to %x, was %x", got, ub)
 	}
 	if n, err := ReplicaPartialCount(pb); err != nil || n != 1 || ReplicaPartialAt(pb, 0) != p {
-		t.Fatalf("legacy partial decodes to %d records, err %v, %+v", n, err, ReplicaPartialAt(pb, 0))
+		t.Fatalf("partial decodes to %d records, err %v, %+v", n, err, ReplicaPartialAt(pb, 0))
 	}
 	if n, err := ValueUpdateCount(ub); err != nil || n != 1 || ValueUpdateAt(ub, 0) != u {
-		t.Fatalf("legacy update decodes to %d records, err %v, %+v", n, err, ValueUpdateAt(ub, 0))
+		t.Fatalf("update decodes to %d records, err %v, %+v", n, err, ValueUpdateAt(ub, 0))
+	}
+}
+
+// TestCountedPartialRefused: a record of the 37-byte layout is not a whole
+// number of 29-byte records, so the walk refuses it instead of misreading it.
+func TestCountedPartialRefused(t *testing.T) {
+	pb, _ := hex.DecodeString(countedPartialHex)
+	seen := 0
+	err := walkReplicaPartials(pb, func(ReplicaPartial) { seen++ })
+	if !errors.Is(err, ErrShort) || seen != 0 || !strings.Contains(err.Error(), "37 bytes is not a whole number of 29-byte records") {
+		t.Fatalf("37-byte partial: err %v, %d records walked", err, seen)
 	}
 }
