@@ -160,7 +160,7 @@ func runDirectory(args []string) error {
 	}
 	d, err := directory.Start(directory.Options{
 		Config: dcfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, Addr: *addr,
-		Metrics: reg, Trace: dcfg.TraceConfig(), SpanSink: sink, Repartition: dcfg.PlanConfig(),
+		Metrics: reg, Trace: dcfg.TraceConfig(), SpanSink: sink,
 		Checkpoint: dcfg.CheckpointConfig(), Events: dcfg.EventsConfig(),
 		Profile: dcfg.ProfileConfig(),
 	})
@@ -216,7 +216,7 @@ func agentCheckpointKeys(cfg checkpoint.Config, n int) []*checkpoint.Config {
 
 func runAgent(args []string) error {
 	fs := flag.NewFlagSet("agent", flag.ExitOnError)
-	acfg := config.AgentFromEnv()
+	acfg := config.CommonFromEnv()
 	master := fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
 	acfg.RegisterFlags(fs)
 	n := fs.Int("n", 1, "number of agents to run in this process")
@@ -238,7 +238,7 @@ func runAgent(args []string) error {
 	for i := 0; i < *n; i++ {
 		a, err := agent.Start(agent.Options{
 			Config: acfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, DirIndex: i,
-			Metrics: reg, Trace: acfg.TraceConfig(), Repartition: acfg.Repartition,
+			Metrics: reg, Trace: acfg.TraceConfig(),
 			Checkpoint: ckptKeys[i], Events: acfg.EventsConfig(),
 			Profile: acfg.ProfileConfig(),
 		})

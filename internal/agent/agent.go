@@ -51,10 +51,10 @@ type Options struct {
 	// phase histograms for the /metrics endpoint. Nil leaves every handle
 	// nil (observation points become single branches).
 	Metrics *metrics.Registry
-	// Repartition enables scatter-traffic accounting and the periodic
-	// top-K chatty-vertex digest feeding the coordinator's repartition
-	// planner. Off, the scatter path pays a single branch.
-	Repartition bool
+	// CommAccounting counts scattered messages as local or remote, and the
+	// bytes of the frames that carry the remote ones (CommStats and the
+	// elga_scatter_* metrics). Off, the scatter path pays a single branch.
+	CommAccounting bool
 	// Trace configures distributed tracing; nil resolves from the
 	// environment (trace.FromEnv), so every layer honours one Config.
 	Trace *trace.Config
@@ -154,7 +154,7 @@ type agentStats struct {
 	storeBytes  atomic.Uint64 // O(1) store footprint estimate
 	compactions atomic.Uint64
 
-	// Cumulative scatter totals of the repartition ledger (repart.go).
+	// Cumulative scatter totals, counted under Options.CommAccounting.
 	localMsgs   atomic.Uint64
 	remoteMsgs  atomic.Uint64
 	remoteBytes atomic.Uint64
@@ -274,10 +274,6 @@ type Agent struct {
 	lastRetransmits uint64
 	samples         []wire.Metric // staged for the next report
 
-	// comm is the repartition scatter-traffic ledger (repart.go); its
-	// enabled flag gates every accounting touch point.
-	comm commAccounting
-
 	// ckpt is the durability state (checkpoint.go); a nil writer means
 	// off, one branch per trigger site.
 	ckpt agentCkpt
@@ -347,7 +343,6 @@ func Start(opts Options) (*Agent, error) {
 		node.Close()
 		return nil, err
 	}
-	a.initComm()
 	a.initProfile()
 	a.initMetrics(opts.Metrics)
 	// Directories register with the master concurrently with agent
@@ -553,7 +548,7 @@ func (a *Agent) runLoop(initial *wire.View) {
 	// Ship what is pending while the node may still deliver it. No flight
 	// dump: a graceful exit is not a post-mortem (fault paths, eviction and
 	// kill, dump explicitly before this point).
-	a.shipReport(false)
+	a.shipReport()
 	// Drain the checkpoint writer so the last submitted snapshot is
 	// durable before the process goes away, and release any live CPU
 	// profiling window so the process-wide slot is not leaked.
@@ -604,11 +599,10 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 	case wire.TAlgoDone:
 		a.handleAlgoDone(pkt)
 		a.node.Ack(pkt)
-		// Report spans and the scatter digest now, not at the next tick:
-		// the collector wants the final steps, the planner fresh evidence.
-		// Run completion is also a forced checkpoint: final vertex values
-		// are exactly what a restarted agent must not lose.
-		a.shipReport(true)
+		// Report spans now, not at the next tick: the collector wants the
+		// final steps. Run completion is also a forced checkpoint: final
+		// vertex values are exactly what a restarted agent must not lose.
+		a.shipReport()
 		a.checkpointNow(true)
 	case wire.TBatchOpen:
 		a.journal.Emit(events.Info, events.KindBatch, trace.SpanContext{},
@@ -637,7 +631,7 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 			a.stageLoadMetrics()
 			a.maybeCheckpointTimed()
 			a.closeOrphanedProfiles()
-			a.shipReport(true)
+			a.shipReport()
 		}
 	case wire.TProfileReq:
 		a.handleProfileReq(pkt)
@@ -880,10 +874,10 @@ func (a *Agent) stageLoadMetrics() {
 }
 
 // shipReport sends the coordinator one lossy TReport holding what each
-// plane has pending — staged samples, spans, events, the digest if asked
-// for, a new checkpoint mark, profile chunks — or nothing if nothing is.
-// A chunk that would push the frame past profChunkSize starts a new one.
-func (a *Agent) shipReport(digest bool) {
+// plane has pending — staged samples, spans, events, a new checkpoint mark,
+// profile chunks — or nothing if nothing is. A chunk that would push the
+// frame past profChunkSize starts a new one.
+func (a *Agent) shipReport() {
 	f := wire.AppendReportHeader(a.node.NewFrame(wire.TReport), a.id)
 	empty := len(f)
 	if len(a.samples) > 0 {
@@ -896,9 +890,6 @@ func (a *Agent) shipReport(digest bool) {
 	}
 	if evs := a.journal.TakeBatch(); evs != nil {
 		f = wire.AppendSection(f, wire.SecEvents, func(b []byte) []byte { return wire.AppendEventBatch(b, evs, a.journal.Dropped()) })
-	}
-	if digest {
-		f = a.appendDigest(f)
 	}
 	f = a.appendMark(f)
 	for _, ck := range a.profileChunks() {
@@ -919,6 +910,14 @@ func (a *Agent) shipReport(digest bool) {
 // answered queries) for tests and metrics.
 func (a *Agent) Stats() (forwarded, applied, queries uint64) {
 	return atomic.LoadUint64(&a.statForwarded), atomic.LoadUint64(&a.statApplied), atomic.LoadUint64(&a.statQueries)
+}
+
+// CommStats returns the cumulative scatter-traffic split: logical messages
+// delivered locally and sent to peers, and the bytes of the TVertexMsgs
+// frames actually encoded for peers (after combining). All zero without
+// Options.CommAccounting. Race-safe for tests and metrics.
+func (a *Agent) CommStats() (local, remote, remoteBytes uint64) {
+	return a.localMsgs.Load(), a.remoteMsgs.Load(), a.remoteBytes.Load()
 }
 
 // TransportStats returns the agent node's transport counters (frame

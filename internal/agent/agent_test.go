@@ -196,7 +196,7 @@ func TestReportGivesAFullProfileChunkAFrameOfItsOwn(t *testing.T) {
 	}
 	a.samples = append(a.samples, wire.Metric{Name: "inbox_depth", Value: 2})
 	a.pushProfResult(profResult{id: 7, kind: 1, data: capture})
-	a.shipReport(false)
+	a.shipReport()
 	var got [][]uint8
 	var data []byte
 	for len(got) < 4 {

@@ -6,7 +6,6 @@ import (
 
 	"elga/internal/algorithm"
 	"elga/internal/checkpoint"
-	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
 )
@@ -217,46 +216,6 @@ func TestFlushFoldsByTarget(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAccountRunsEqualsPerMessage: accounting a buffer by runs of equal Via
-// leaves the ledger exactly as one update per message would — including
-// when a source's messages are not contiguous.
-func TestAccountRunsEqualsPerMessage(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var msgs []wire.VertexMsg
-	for len(msgs) < 2000 {
-		via := graph.VertexID(rng.Intn(40))
-		for n := 1 + rng.Intn(9); n > 0; n-- {
-			msgs = append(msgs, wire.VertexMsg{Target: graph.VertexID(rng.Intn(500)), Via: via})
-		}
-	}
-	byRun := newLoopbackAgent(t, allocTestConfig(), 64)
-	perMsg := newLoopbackAgent(t, allocTestConfig(), 64)
-	for _, a := range []*Agent{byRun, perMsg} {
-		a.opts.Repartition = true
-		a.initComm()
-	}
-	for _, peer := range []uint64{1, 2} { // self, then a remote peer
-		byRun.accountRuns(msgs, consistent.AgentID(peer))
-		for _, m := range msgs {
-			perMsg.account(m.Via, consistent.AgentID(peer), 1)
-		}
-	}
-	if len(byRun.comm.window) != len(perMsg.comm.window) {
-		t.Fatalf("ledger has %d keys by run, %d per message", len(byRun.comm.window), len(perMsg.comm.window))
-	}
-	for k, n := range perMsg.comm.window {
-		if byRun.comm.window[k] != n {
-			t.Fatalf("window[%+v] = %d by run, %d per message", k, byRun.comm.window[k], n)
-		}
-	}
-	l1, r1, _ := byRun.CommStats()
-	l2, r2, _ := perMsg.CommStats()
-	if l1 != l2 || r1 != r2 || l1 != uint64(len(msgs)) || r1 != uint64(len(msgs)) {
-		t.Fatalf("counters by run (%d local, %d remote) vs per message (%d, %d), %d messages each way",
-			l1, r1, l2, r2, len(msgs))
 	}
 }
 

@@ -132,11 +132,8 @@ func (a *Agent) checkpointNow(forced bool) {
 		Seq:       a.ckpt.seq + 1,
 		ViewEpoch: a.router.Epoch(),
 		BatchID:   a.router.BatchID(),
-		// Overrides version with the view: a table change always ships
-		// inside a new epoch's view broadcast.
-		OverrideVer: a.router.Epoch(),
-		SealedGen:   a.store.SealedVersion(),
-		WallNanos:   uint64(time.Now().UnixNano()),
+		SealedGen: a.store.SealedVersion(),
+		WallNanos: uint64(time.Now().UnixNano()),
 	}
 	if r := a.run; r != nil {
 		meta.RunID = r.id

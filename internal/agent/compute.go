@@ -631,8 +631,8 @@ func (a *Agent) putBatcher(b *msgBatcher) {
 
 func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 	a := b.agent
-	if a.comm.enabled {
-		a.account(m.Via, b.members[dst], 1)
+	if a.opts.CommAccounting {
+		a.account(dst == b.self, 1)
 	}
 	if dst == b.self {
 		// Local delivery: this agent is the message's source, so it gathers
@@ -641,6 +641,18 @@ func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 		return
 	}
 	b.dstBufs.add(dst, m)
+}
+
+// account adds n scattered messages to the local or the remote total. It
+// counts logical messages, one per traversed edge, whatever the combiner
+// later folds them into; remote bytes are counted where frames are encoded
+// (send).
+func (a *Agent) account(local bool, n uint64) {
+	if local {
+		a.localMsgs.Add(n)
+	} else {
+		a.remoteMsgs.Add(n)
+	}
 }
 
 // addMany appends a remote-bound message run (the shard-merge fast path).
@@ -677,7 +689,7 @@ func (b *msgBatcher) send(groups ...*ackGroup) {
 		frame := wire.AppendVertexMsgBatch(
 			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
-		if a.comm.enabled {
+		if a.opts.CommAccounting {
 			a.remoteBytes.Add(uint64(len(frame)))
 		}
 		a.sendGatedFrame(addr, frame, groups...)

@@ -84,9 +84,8 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("elga_trace_dropped_spans_total",
 		"Sampled trace spans dropped before shipping (backpressure).", lbl,
 		a.tracer.Dropped)
-	// Repartition cut instrumentation (repart.go): local vs cross-agent
-	// scatter volume and the derived cut ratio. Zero while accounting is
-	// disabled.
+	// Cut instrumentation: local vs cross-agent scatter volume and the
+	// derived cut ratio. Zero without Options.CommAccounting.
 	reg.CounterFunc("elga_scatter_local_msgs_total",
 		"Scattered algorithm messages delivered to the sending agent.", lbl,
 		st.localMsgs.Load)

@@ -19,7 +19,7 @@ import (
 // the migration round of §3.4.3: re-evaluate where held vertices' copies
 // belong, ship the misplaced ones, and vote the round complete. A view that
 // changed only the sketch re-evaluates just the vertices the router
-// rerouted; a membership or override change re-evaluates every vertex.
+// rerouted; a membership change re-evaluates every vertex.
 func (a *Agent) handleView(v *wire.View) {
 	changed, err := a.router.Update(v)
 	if err != nil || !changed {
@@ -216,7 +216,7 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		// The directory sees migration cost too: heavy shipments are the
 		// scale-decision backpressure §3.4.3 warns about.
 		a.samples = append(a.samples, wire.Metric{Name: autoscale.MetricMigrationBytes, Value: float64(shippedBytes)})
-		a.shipReport(false)
+		a.shipReport()
 	}
 
 	// Re-route pending mailbox contributions for every vertex this agent
@@ -731,7 +731,7 @@ func (a *Agent) handleBatchOpen() {
 		wire.Metric{Name: autoscale.MetricFrontierSize, Value: float64(frontier)},
 		wire.Metric{Name: autoscale.MetricBytesPerEdge, Value: a.store.BytesPerEdge()})
 	a.lastApplied, a.lastQueries = applied, queries
-	a.shipReport(false)
+	a.shipReport()
 	// A batch that inserted a sixteenth of what the store holds (the
 	// fraction Settle uses) leaves a tail worth folding before the reads
 	// that follow; a small one leaves it to the store's own rule.

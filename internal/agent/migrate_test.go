@@ -174,7 +174,7 @@ func TestSketchOnlyViewMovesOnlyReroutedCopies(t *testing.T) {
 	a.store.AddEdge(stray, 1, graph.Out)
 	before := a.store.NumEdgeCopies()
 
-	// Same members, same overrides; the hub's count goes to 35 — four
+	// Same members; the hub's count goes to 35 — four
 	// replicas' worth, capped at the three members.
 	sk.AddN(uint64(hub), 35)
 	a.handleView(viewWith(3, sk))

@@ -361,8 +361,8 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 				continue
 			}
 			dst := s.members[i]
-			if a.comm.enabled {
-				a.accountRuns(msgs, dst)
+			if a.opts.CommAccounting {
+				a.account(dst == self, uint64(len(msgs)))
 			}
 			if dst == self {
 				// This agent is the messages' source: gather, into the

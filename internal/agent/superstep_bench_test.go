@@ -46,17 +46,7 @@ func superstepAgent(tb testing.TB) *Agent {
 // the speedup; on a single-core host they measure pool overhead instead —
 // record numbers honestly either way.
 func benchmarkSuperstep(b *testing.B, workers int) {
-	benchmarkSuperstepComm(b, workers, false)
-}
-
-// benchmarkSuperstepComm is benchmarkSuperstep with the repartitioner's
-// scatter-traffic ledger optionally armed.
-func benchmarkSuperstepComm(b *testing.B, workers int, repart bool) {
 	a := superstepAgent(b)
-	if repart {
-		a.opts.Repartition = true
-		a.initComm()
-	}
 	SetComputeParallelism(workers, 1)
 	defer SetComputeParallelism(0, 0)
 
@@ -80,13 +70,13 @@ func BenchmarkSuperstepPageRankPar4(b *testing.B) { benchmarkSuperstep(b, 4) }
 // TestSuperstepAllocCeiling pins the steady-state sequential superstep at
 // 3 allocs (the ack group, its completion closure, and mailbox map slack)
 // under every combination of the planes that touch it: live metric
-// handles, a checkpoint cadence that never fires, the repartition ledger,
-// the event journal and an idle profiling plane. Each step is the compute
+// handles, a checkpoint cadence that never fires, the scatter counters
+// (comm accounting), the event journal and an idle profiling plane. Each step is the compute
 // phase plus what maybeReady's post-vote tail runs: the phase histogram
 // observation and the checkpoint and profile triggers. Neighbour iteration
 // must contribute zero — the store's value-type cursors live on the stack
-// — and an armed plane must cost a branch or a warm map update, nothing on
-// the heap. Skipped under -race, whose instrumentation allocates on its
+// — and an armed plane must cost a branch or a counter add, nothing on the
+// heap. Skipped under -race, whose instrumentation allocates on its
 // own.
 func TestSuperstepAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -121,8 +111,7 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 				t.Cleanup(a.closeCheckpoint)
 			}
 			if set&4 != 0 {
-				a.opts.Repartition = true
-				a.initComm()
+				a.opts.CommAccounting = true
 			}
 			if set&8 != 0 {
 				a.journal = events.NewJournal("agent-bench", events.Config{Enabled: true})

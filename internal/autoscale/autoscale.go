@@ -191,9 +191,8 @@ func (a *Autoscaler) History() []Decision {
 // backpressure, and fault pressure side by side. Samples are folded
 // twice: into a cluster-wide EMA per name and into a per-agent EMA, so
 // health scoring can compare one agent against the fleet. Forget prunes
-// an agent's entries when it leaves or is evicted (mirroring
-// repartition.Planner.Forget) so nothing ever reads a corpse's stale
-// EMAs.
+// an agent's entries when it leaves or is evicted so nothing ever reads a
+// corpse's stale EMAs.
 type SignalSet struct {
 	mu       sync.Mutex
 	halfLife time.Duration

@@ -11,7 +11,6 @@ import (
 
 	"elga/internal/algorithm"
 	"elga/internal/config"
-	"elga/internal/consistent"
 	"elga/internal/events"
 	"elga/internal/graph"
 	"elga/internal/metrics"
@@ -196,14 +195,6 @@ func (c *Client) Epoch() uint64 {
 func (c *Client) NumAgents() int {
 	_ = c.feed.Install(0)
 	return c.router.NumAgents()
-}
-
-// Overrides returns a copy of the placement override table carried by the
-// newest view the client has received (empty unless adaptive
-// repartitioning is on).
-func (c *Client) Overrides() map[graph.VertexID]consistent.AgentID {
-	_ = c.feed.Install(0)
-	return c.router.Overrides()
 }
 
 // WaitReady blocks until at least one agent is visible.

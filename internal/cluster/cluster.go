@@ -22,7 +22,6 @@ import (
 	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/profile"
-	"elga/internal/repartition"
 	"elga/internal/stats"
 	"elga/internal/streamer"
 	"elga/internal/trace"
@@ -66,13 +65,8 @@ type Options struct {
 	// cluster hosts a span collector — read it back with Collector(),
 	// WriteTrace, or TraceSummary.
 	Trace *trace.Config
-	// Repartition, when non-nil, enables adaptive locality-aware
-	// repartitioning: agents account their scatter traffic and the
-	// coordinator migrates chatty vertices between supersteps.
-	Repartition *repartition.Config
-	// CommAccounting arms the agents' scatter-traffic ledgers without a
-	// planner — the hash-only baseline of the repartition experiment
-	// (implied by Repartition).
+	// CommAccounting arms every agent's scatter counters (CommStats, the
+	// elga_scatter_* metrics).
 	CommAccounting bool
 	// Durability, when non-nil and Enabled, turns on durable incremental
 	// checkpointing for every participant: the harness derives a stable
@@ -211,8 +205,7 @@ func New(opts Options) (*Cluster, error) {
 		if i == 0 {
 			dirMH = mh
 			dirSS = spanSink
-			// Evictions and leaves prune the per-agent signal EMAs, the
-			// same hygiene the planner applies via Forget.
+			// Evictions and leaves prune the per-agent signal EMAs.
 			dirGone = c.signals.Forget
 		}
 		d, err := directory.Start(directory.Options{
@@ -223,7 +216,6 @@ func New(opts Options) (*Cluster, error) {
 			SpanSink:      dirSS,
 			AgentGone:     dirGone,
 			Metrics:       c.reg,
-			Repartition:   opts.Repartition,
 			Trace:         &c.tcfg,
 			Checkpoint:    c.durabilityFor("coordinator"),
 			Events:        &c.ecfg,
@@ -284,16 +276,16 @@ func (c *Cluster) durabilityFor(key string) *checkpoint.Config {
 // startAgent boots one agent under a durable slot key.
 func (c *Cluster) startAgent(slot int) (*agent.Agent, error) {
 	return agent.Start(agent.Options{
-		Config:      c.opts.Config,
-		Network:     c.net,
-		MasterAddr:  c.master.Addr(),
-		DirIndex:    slot,
-		Metrics:     c.reg,
-		Repartition: c.opts.Repartition != nil || c.opts.CommAccounting,
-		Trace:       &c.tcfg,
-		Checkpoint:  c.durabilityFor(fmt.Sprintf("agent-%d", slot)),
-		Events:      &c.ecfg,
-		Profile:     &c.pcfg,
+		Config:         c.opts.Config,
+		Network:        c.net,
+		MasterAddr:     c.master.Addr(),
+		DirIndex:       slot,
+		Metrics:        c.reg,
+		CommAccounting: c.opts.CommAccounting,
+		Trace:          &c.tcfg,
+		Checkpoint:     c.durabilityFor(fmt.Sprintf("agent-%d", slot)),
+		Events:         &c.ecfg,
+		Profile:        &c.pcfg,
 	})
 }
 
@@ -402,7 +394,7 @@ func (c *Cluster) Epoch() uint64 {
 }
 
 // Coordinator returns the coordinator directory, or nil before boot
-// completes. Tests and experiments use it to read planner state.
+// completes. Tests and experiments use it to read coordinator state.
 func (c *Cluster) Coordinator() *directory.Directory {
 	for _, d := range c.dirs {
 		if d.IsCoordinator() {
@@ -414,7 +406,7 @@ func (c *Cluster) Coordinator() *directory.Directory {
 
 // CommStats sums every live agent's scatter-traffic ledger: local and
 // cross-agent message counts plus cross-agent wire bytes. Zero unless the
-// cluster was booted with Options.Repartition.
+// cluster was booted with Options.CommAccounting.
 func (c *Cluster) CommStats() (local, remote, remoteBytes uint64) {
 	for _, a := range c.agents {
 		l, r, b := a.CommStats()

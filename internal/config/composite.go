@@ -8,7 +8,6 @@ import (
 	"elga/internal/checkpoint"
 	"elga/internal/events"
 	"elga/internal/profile"
-	"elga/internal/repartition"
 	"elga/internal/trace"
 )
 
@@ -98,34 +97,10 @@ func (c *Common) RegisterFlags(fs *flag.FlagSet) {
 	c.Profile.RegisterFlags(fs)
 }
 
-// Agent is the composite an agent process consumes.
-type Agent struct {
-	Common
-	// Repartition arms the scatter-traffic ledger and chatty-vertex
-	// digests (pair with the coordinator's -repartition).
-	Repartition bool
-}
-
-// AgentFromEnv builds an agent composite from the environment.
-func AgentFromEnv() Agent {
-	return Agent{Common: CommonFromEnv()}
-}
-
-// RegisterFlags registers the shared flags plus the agent-only ones.
-func (a *Agent) RegisterFlags(fs *flag.FlagSet) {
-	a.Common.RegisterFlags(fs)
-	fs.BoolVar(&a.Repartition, "repartition", a.Repartition,
-		"account scatter traffic and report chatty-vertex digests (pair with the coordinator's -repartition)")
-}
-
-// Directory is the composite a directory process consumes.
+// Directory is the composite a directory process consumes; an agent
+// process consumes Common alone.
 type Directory struct {
 	Common
-	// Repartition enables the adaptive locality planner (coordinator
-	// only; agents must run with -repartition too).
-	Repartition bool
-	// Plan tunes the planner when Repartition is set.
-	Plan repartition.Config
 	// TraceOut, when non-empty, writes collected spans as Chrome
 	// trace-event JSON on shutdown (implies tracing; coordinator only).
 	TraceOut string
@@ -133,40 +108,14 @@ type Directory struct {
 
 // DirectoryFromEnv builds a directory composite from the environment.
 func DirectoryFromEnv() Directory {
-	return Directory{Common: CommonFromEnv(), Plan: repartition.DefaultConfig()}
+	return Directory{Common: CommonFromEnv()}
 }
 
 // RegisterFlags registers the shared flags plus the directory-only ones.
 func (d *Directory) RegisterFlags(fs *flag.FlagSet) {
 	d.Common.RegisterFlags(fs)
-	fs.BoolVar(&d.Repartition, "repartition", d.Repartition,
-		"enable adaptive locality-aware repartitioning (coordinator only; agents need -repartition too)")
-	fs.IntVar(&d.Plan.MaxMoves, "repartition-max-moves", d.Plan.MaxMoves, "vertex moves per planning round")
-	fs.Uint64Var(&d.Plan.MinGain, "repartition-min-gain", d.Plan.MinGain, "minimum remote-minus-local message advantage per move")
-	fs.IntVar(&d.Plan.Cooldown, "repartition-cooldown", d.Plan.Cooldown, "rounds a moved vertex is frozen against re-moving")
-	fs.Float64Var(&d.Plan.Slack, "repartition-slack", d.Plan.Slack, "allowed per-agent vertex-count overshoot vs the mean")
 	fs.StringVar(&d.TraceOut, "trace-out", d.TraceOut,
 		"write collected spans as Chrome trace-event JSON here on shutdown (implies -trace; coordinator only)")
-}
-
-// PlanConfig returns the planner configuration, or nil when the planner
-// is disabled — the shape directory.Options.Repartition takes.
-func (d *Directory) PlanConfig() *repartition.Config {
-	if !d.Repartition {
-		return nil
-	}
-	return &d.Plan
-}
-
-// Validate extends Common validation with directory-only checks.
-func (d *Directory) Validate() error {
-	if err := d.Common.Validate(); err != nil {
-		return err
-	}
-	if d.Repartition && d.Plan.Slack < 0 {
-		return fmt.Errorf("config: repartition slack must be non-negative, got %g", d.Plan.Slack)
-	}
-	return nil
 }
 
 // CheckpointConfig returns the durability configuration in the pointer

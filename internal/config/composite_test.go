@@ -78,18 +78,14 @@ func TestDirectoryComposite(t *testing.T) {
 	d := DirectoryFromEnv()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	d.RegisterFlags(fs)
-	if err := fs.Parse([]string{"-repartition", "-repartition-max-moves", "9"}); err != nil {
+	if err := fs.Parse([]string{"-trace-out", "t.json", "-virtual", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	if p := d.PlanConfig(); p == nil || p.MaxMoves != 9 {
-		t.Fatalf("plan config: %+v", p)
+	if d.TraceOut != "t.json" || d.Cluster.Virtual != 7 {
+		t.Fatalf("directory flags not parsed: trace-out %q, virtual %d", d.TraceOut, d.Cluster.Virtual)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	d2 := DirectoryFromEnv()
-	if d2.PlanConfig() != nil {
-		t.Error("planner enabled without -repartition")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"elga/internal/checkpoint"
 	"elga/internal/events"
-	"elga/internal/graph"
 	"elga/internal/trace"
 	"elga/internal/wire"
 )
@@ -67,7 +66,7 @@ func (d *Directory) initCheckpoint() error {
 }
 
 // restoreCoordState installs a recovered coordinator snapshot: the view
-// codec round-trips membership, sketch, and placement overrides exactly
+// codec round-trips membership and sketch exactly
 // as subscribers last saw them, and the identity counters resume past
 // every ID ever issued. Restored leases start fresh — a recovered agent
 // that is truly gone is evicted by the ordinary failure detector after
@@ -91,15 +90,6 @@ func (d *Directory) restoreCoordState(st *checkpoint.State) error {
 			return err
 		}
 		_ = d.routed.UnmarshalBinary(v.Sketch) // what sk just accepted
-	}
-	if len(v.Overrides) > 0 && d.overrides == nil {
-		// Overrides survive a restart even when the planner is off for
-		// the new process: placement the cluster converged to is state,
-		// not policy.
-		d.overrides = make(map[graph.VertexID]uint64)
-	}
-	for _, o := range v.Overrides {
-		d.overrides[o.Vertex] = o.AgentID
 	}
 	d.nextAgentID = cs.NextAgentID
 	d.nextRunID = cs.NextRunID
@@ -144,12 +134,11 @@ func (d *Directory) checkpointCoord() {
 		EventSeq: d.timeline.Seq(),
 	}
 	meta := wire.CheckpointMeta{
-		Key:         d.ckpt.cfg.Key,
-		Seq:         d.ckpt.seq + 1,
-		ViewEpoch:   d.epoch,
-		BatchID:     d.batchID,
-		OverrideVer: d.epoch,
-		WallNanos:   uint64(time.Now().UnixNano()),
+		Key:       d.ckpt.cfg.Key,
+		Seq:       d.ckpt.seq + 1,
+		ViewEpoch: d.epoch,
+		BatchID:   d.batchID,
+		WallNanos: uint64(time.Now().UnixNano()),
 	}
 	if r := d.run; r != nil {
 		meta.RunID = r.spec.RunID

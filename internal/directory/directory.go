@@ -12,10 +12,8 @@ import (
 	"elga/internal/checkpoint"
 	"elga/internal/config"
 	"elga/internal/events"
-	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/profile"
-	"elga/internal/repartition"
 	"elga/internal/sketch"
 	"elga/internal/stats"
 	"elga/internal/trace"
@@ -42,10 +40,6 @@ type Options struct {
 	// Metrics, when non-nil, registers this directory's counters, view
 	// gauges, and superstep histogram for the /metrics endpoint.
 	Metrics *metrics.Registry
-	// Repartition, when non-nil, enables the adaptive repartition planner
-	// at the coordinator: agent digests accumulate and bounded move plans
-	// execute as placement overrides between supersteps.
-	Repartition *repartition.Config
 	// Trace configures distributed tracing; nil resolves from the
 	// environment (trace.FromEnv).
 	Trace *trace.Config
@@ -134,11 +128,6 @@ type Directory struct {
 	seal      *sealState
 	run       *runState
 
-	// Repartitioning (repart.go): planner accumulates agent digests; the
-	// coordinator's canonical override table rides every view broadcast.
-	planner   *repartition.Planner
-	overrides map[graph.VertexID]uint64
-
 	// Atomic mirrors of event-loop state, read by StatsMap and metric
 	// scrapes off the event loop: statEvictions counts failure-detector
 	// evictions, statAgents/statEpoch follow the published view, and
@@ -152,12 +141,6 @@ type Directory struct {
 	stepHist *metrics.Histogram
 	// statSpanBatches counts span batches folded into the span sink.
 	statSpanBatches atomic.Uint64
-	// Repartition instrumentation: executed moves, completed plan rounds,
-	// live override count, and plan latency.
-	statMoves      atomic.Uint64
-	statPlanRounds atomic.Uint64
-	statOverrides  atomic.Int64
-	planHist       *metrics.Histogram
 	// tracer mints the coordinator's run and step spans — the roots every
 	// agent span links under. Nil when tracing is off.
 	tracer *trace.Tracer
@@ -287,10 +270,6 @@ func Start(opts Options) (*Directory, error) {
 	d.coordinator = d.coordAddr == node.Addr()
 	if d.coordinator {
 		d.tracer.SetProc("coordinator")
-		if opts.Repartition != nil {
-			d.planner = repartition.New(*opts.Repartition)
-			d.overrides = make(map[graph.VertexID]uint64)
-		}
 		// The health model always runs at the coordinator (it only costs
 		// a few EMAs per agent); the journal and timeline arm with the
 		// events config. The half-life matches the harness SignalSet.
@@ -306,7 +285,7 @@ func Start(opts Options) (*Directory, error) {
 			return nil, err
 		}
 		// Restore before the first view encode: a recovered coordinator
-		// publishes the membership and overrides it last sequenced, so
+		// publishes the membership it last sequenced, so
 		// restarting agents rejoin under their old identities.
 		if err := d.initCheckpoint(); err != nil {
 			node.Close()
@@ -322,8 +301,8 @@ func Start(opts Options) (*Directory, error) {
 			return nil, err
 		}
 	}
-	// After the coordinator branch: the repartition metric families are
-	// gated on the planner existing, which is only decided above.
+	// After the coordinator branch: the health and profile metric families
+	// are gated on state only the coordinator arms above.
 	d.initMetrics(opts.Metrics)
 	go d.runLoop()
 	return d, nil
@@ -353,17 +332,6 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 	d.stepHist = reg.Histogram("elga_dir_superstep_seconds",
 		"Whole-superstep wall time observed at the coordinator barrier.",
 		nil, metrics.DurationBuckets)
-	if d.planner != nil {
-		reg.CounterFunc("elga_repart_moves_total", "Vertex placement moves executed by the repartition planner.", lbl,
-			d.statMoves.Load)
-		reg.CounterFunc("elga_repart_plan_rounds_total", "Completed repartition planning rounds.", lbl,
-			d.statPlanRounds.Load)
-		reg.GaugeFunc("elga_repart_overrides", "Live placement-override entries in the view.", lbl,
-			func() float64 { return float64(d.statOverrides.Load()) })
-		d.planHist = reg.Histogram("elga_repart_plan_seconds",
-			"Wall time of one repartition planning round.",
-			nil, metrics.DurationBuckets)
-	}
 	if d.health != nil {
 		// Health gauges read the atomic mirrors evaluateHealth refreshes on
 		// the lease-sweep cadence; the event counters are live.
@@ -421,9 +389,6 @@ func (d *Directory) StatsMap() stats.Counters {
 		"metric_samples":   d.statMetricSamples.Load(),
 		"events":           d.timeline.Seq(),
 		"event_batches":    d.statEventBatches.Load(),
-		"repart_moves":     d.statMoves.Load(),
-		"repart_rounds":    d.statPlanRounds.Load(),
-		"repart_overrides": uint64(d.statOverrides.Load()),
 		"frames_in":        ts.FramesIn,
 		"frames_out":       ts.FramesOut,
 		"retransmits":      ts.Retransmits,
@@ -447,17 +412,7 @@ func (d *Directory) view() *wire.View {
 	if len(d.skBytes) == 0 {
 		d.skBytes = d.sk.AppendBinary(d.skBytes)
 	}
-	v := &wire.View{Epoch: d.epoch, BatchID: d.batchID, N: d.n, Agents: infos, Sketch: d.skBytes}
-	if len(d.overrides) > 0 {
-		v.Overrides = make([]wire.VertexOverride, 0, len(d.overrides))
-		for vid, aid := range d.overrides {
-			v.Overrides = append(v.Overrides, wire.VertexOverride{Vertex: vid, AgentID: aid})
-		}
-		// Deterministic encoding keeps broadcast bytes stable across
-		// identical states (and test output reproducible).
-		sort.Slice(v.Overrides, func(i, j int) bool { return v.Overrides[i].Vertex < v.Overrides[j].Vertex })
-	}
-	return v
+	return &wire.View{Epoch: d.epoch, BatchID: d.batchID, N: d.n, Agents: infos, Sketch: d.skBytes}
 }
 
 func (d *Directory) broadcastView() {
@@ -862,15 +817,6 @@ func (d *Directory) applyMembership() {
 	}
 	d.pendingJoins = nil
 	d.pendingLeaves = nil
-	if len(leavers) > 0 {
-		gone := make([]uint64, 0, len(leavers))
-		for id := range leavers {
-			gone = append(gone, id)
-		}
-		pruned := d.pruneOverrides(gone)
-		d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
-			events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
-	}
 	d.epoch++
 	d.broadcastView()
 
@@ -1146,11 +1092,6 @@ func (d *Directory) evictAgents(dead []uint64) {
 			events.U("agent", id), events.S("addr", addr))
 		d.agentGone(id)
 	}
-	// Rebase placement overrides onto the survivors before the view goes
-	// out: overrides that named a corpse revert to ring placement.
-	pruned := d.pruneOverrides(dead)
-	d.event(events.Info, events.KindOverrideRebase, trace.SpanContext{},
-		events.U("pruned", uint64(pruned)), events.U("overrides", uint64(len(d.overrides))))
 	d.epoch++
 	d.broadcastView()
 	expected := make(map[uint64]bool, len(d.agents))
@@ -1316,11 +1257,6 @@ func (d *Directory) handleReport(pkt *wire.Packet) {
 				}
 				d.mergeEvents(evs)
 			}
-		case wire.SecDigest:
-			if dg, err := wire.DecodeVertexDigest(body); err == nil && d.planner != nil {
-				d.planner.Observe(dg)
-				d.maybeRepartitionIdle()
-			}
 		case wire.SecMark:
 			if m, err := wire.DecodeCheckpointMark(body); err == nil {
 				d.recordMark(m)
@@ -1423,12 +1359,6 @@ func (d *Directory) finishPhase() {
 		// membership + migration, then resume (Fig. 17).
 		r.paused = true
 		d.advanceWork()
-		return
-	}
-	if d.maybeRepartition() {
-		// A repartition plan bumped the view between supersteps: hold the
-		// run while the override migration round completes, then resume.
-		r.paused = true
 		return
 	}
 	r.stepStart = time.Now()

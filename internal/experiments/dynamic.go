@@ -366,7 +366,6 @@ var Registry = map[string]func(Scale) (*Report, error){
 	"fig18":     Fig18,
 	"net":       Net,
 	"abl-split": AblSplit,
-	"repart":    Repartition,
 	"recovery":  Recovery,
 }
 
@@ -374,5 +373,5 @@ var Registry = map[string]func(Scale) (*Report, error){
 var Order = []string{
 	"table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 	"fig11", "fig12", "fig13", "fig14", "fig15", "storage", "fig16", "fig17",
-	"fig18", "net", "abl-split", "repart", "recovery",
+	"fig18", "net", "abl-split", "recovery",
 }

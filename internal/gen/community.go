@@ -30,10 +30,9 @@ func DefaultCommunityParams() CommunityParams {
 
 // Community generates a planted-partition (stochastic block model) graph:
 // most edges fall inside a vertex's block, a controlled fraction crosses
-// blocks. It is the natural adversary-turned-friend for locality-aware
-// repartitioning — hash placement scatters each block across all agents,
-// so almost every edge starts out cross-agent, while an ideal placement
-// makes PIntra of them local. Deterministic in seed.
+// blocks. It is the adversary of hash placement, which scatters each block
+// across all agents, so almost every edge is cross-agent, while an ideal
+// placement would make PIntra of them local. Deterministic in seed.
 func Community(p CommunityParams, seed int64) graph.EdgeList {
 	if p.N <= 0 || p.Communities <= 0 || p.Edges <= 0 {
 		return nil

@@ -87,8 +87,7 @@ func (t *table) probe(v graph.VertexID) (*slot, uint64) {
 // Router resolves edge and vertex ownership under one directory view. A
 // Router is mutated only by its owning entity's event loop (Update), never
 // while a lookup is in flight. Lookups are safe to issue concurrently from
-// that entity's intra-phase worker pool: the ring, sketch, overrides and
-// addresses are immutable between Updates, a hit reads the route table
+// that entity's intra-phase worker pool: the ring, sketch and addresses are immutable between Updates, a hit reads the route table
 // without a lock, and a miss fills it under mu.
 type Router struct {
 	cfg     config.Config
@@ -99,13 +98,6 @@ type Router struct {
 	members []consistent.AgentID // ring.Members()
 	sk      *sketch.Sketch
 	addrs   map[uint64]string
-	// overrides is the repartitioner's placement table layered over the
-	// ring, swapped wholesale on every view Update (epoch-versioned like
-	// the ring and sketch). An override wins only for unsplit vertices
-	// whose target is a ring member; anything else falls back to pure
-	// consistent hashing, which is what rebases overrides onto survivors
-	// when their target agent dies.
-	overrides map[graph.VertexID]consistent.AgentID
 
 	// tab holds every vertex looked up since the last wholesale install;
 	// nothing is ever evicted, which is what makes Rerouted complete. side
@@ -162,11 +154,7 @@ func (r *Router) threshold(total uint64) uint64 { return r.cfg.Threshold(total, 
 func (r *Router) computeRoute(v graph.VertexID) *vertexRoute {
 	k := r.replicas(v)
 	if k <= 1 {
-		owner, ok := r.overrides[v]
-		if !ok || !r.ring.Contains(owner) {
-			owner, ok = r.ring.OwnerOfVertex(uint64(v))
-		}
-		if ok {
+		if owner, ok := r.ring.OwnerOfVertex(uint64(v)); ok {
 			i, _ := r.ring.Index(owner)
 			return &r.unsplit[i]
 		}
@@ -301,8 +289,8 @@ func (r *Router) dropRerouted() {
 // event loop with no lookup in flight (phase workers are joined before the
 // loop reads its next packet): that is what lets it replace the table
 // without coordinating with readers. Stale views (epoch older than current)
-// are ignored and reported false. A view with the installed membership and
-// overrides can differ only in its sketch, which feeds nothing but replica
+// are ignored and reported false. A view with the installed membership can
+// differ only in its sketch, which feeds nothing but replica
 // counts: the ring stays and the table keeps every vertex whose count is
 // unchanged (Rerouted lists the rest). Anything else rebuilds the ring and
 // starts an empty table.
@@ -327,7 +315,7 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 	r.batch = v.BatchID
 	r.n = v.N
 	r.rerouted = r.rerouted[:0]
-	if r.sketchOnly = r.sameTable(v); r.sketchOnly {
+	if r.sketchOnly = r.sameMembers(v); r.sketchOnly {
 		// No cell changed replica bucket means no vertex changed count.
 		if crossed {
 			r.dropRerouted()
@@ -340,39 +328,26 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 		members = append(members, consistent.AgentID(a.ID))
 		addrs[a.ID] = a.Addr
 	}
-	var overrides map[graph.VertexID]consistent.AgentID
-	if len(v.Overrides) > 0 {
-		overrides = make(map[graph.VertexID]consistent.AgentID, len(v.Overrides))
-		for _, o := range v.Overrides {
-			overrides[o.Vertex] = consistent.AgentID(o.AgentID)
-		}
-	}
 	r.ring = consistent.New(members, consistent.Options{Virtual: r.cfg.Virtual, Hash: r.cfg.Hash})
 	r.members = r.ring.Members()
 	r.addrs = addrs
-	r.overrides = overrides
 	r.unsplit = make([]vertexRoute, len(r.members))
 	for i := range r.unsplit {
 		r.unsplit[i] = vertexRoute{k: 1, set: r.members[i : i+1 : i+1], at: []int32{int32(i)}}
 	}
-	// Every route was a function of the previous ring and override table.
+	// Every route was a function of the previous ring.
 	r.resetTable()
 	return true, nil
 }
 
-// sameTable reports whether v carries exactly the installed membership
-// (IDs and addresses) and placement overrides.
-func (r *Router) sameTable(v *wire.View) bool {
-	if len(v.Agents) != len(r.addrs) || len(v.Overrides) != len(r.overrides) {
+// sameMembers reports whether v carries exactly the installed membership
+// (IDs and addresses).
+func (r *Router) sameMembers(v *wire.View) bool {
+	if len(v.Agents) != len(r.addrs) {
 		return false
 	}
 	for _, a := range v.Agents {
 		if addr, ok := r.addrs[a.ID]; !ok || addr != a.Addr {
-			return false
-		}
-	}
-	for _, o := range v.Overrides {
-		if ov, ok := r.overrides[o.Vertex]; !ok || ov != consistent.AgentID(o.AgentID) {
 			return false
 		}
 	}
@@ -383,8 +358,8 @@ func (r *Router) sameTable(v *wire.View) bool {
 // means it changed nothing but the sketch, and vs lists every vertex whose
 // route it dropped because its replica count changed — among vertices
 // looked up since the last wholesale install, all of which the table
-// still holds. sketchOnly false means membership or overrides changed and
-// any route may have moved. vs is reused by the next Update.
+// still holds. sketchOnly false means membership changed and any route may
+// have moved. vs is reused by the next Update.
 func (r *Router) Rerouted() (vs []graph.VertexID, sketchOnly bool) {
 	return r.rerouted, r.sketchOnly
 }
@@ -535,26 +510,6 @@ func (r *Router) Split(v graph.VertexID) bool {
 
 // IsMember reports ring membership.
 func (r *Router) IsMember(id consistent.AgentID) bool { return r.ring.Contains(id) }
-
-// NumOverrides returns the size of the installed placement override table.
-func (r *Router) NumOverrides() int { return len(r.overrides) }
-
-// Override returns the placement override for v, if one is installed.
-// Whether it actually governs routing also depends on the vertex being
-// unsplit and the target being a live member (see computeRoute).
-func (r *Router) Override(v graph.VertexID) (consistent.AgentID, bool) {
-	ov, ok := r.overrides[v]
-	return ov, ok
-}
-
-// Overrides returns a copy of the installed placement override table.
-func (r *Router) Overrides() map[graph.VertexID]consistent.AgentID {
-	out := make(map[graph.VertexID]consistent.AgentID, len(r.overrides))
-	for v, a := range r.overrides {
-		out[v] = a
-	}
-	return out
-}
 
 // Config returns the shared cluster configuration.
 func (r *Router) Config() config.Config { return r.cfg }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRouteTableDifferentialViewSequence drives one router through a
-// random sequence of views — join, leave, override install and prune,
+// random sequence of views — join, leave, a member replaced in one view,
 // sketch-only updates that do and do not move a replica count, an
 // unchanged view, a stale epoch — with lookups in between. After every
 // view each lookup method must answer like the uncached reference, and
@@ -32,15 +32,8 @@ func TestRouteTableDifferentialViewSequence(t *testing.T) {
 	}
 	ids := []uint64{1, 2, 3, 4}
 	nextID := uint64(5)
-	overrides := map[graph.VertexID]uint64{}
 	epoch := uint64(0)
-	build := func() *wire.View {
-		v := view(t, epoch, ids, sk)
-		for vid, aid := range overrides {
-			v.Overrides = append(v.Overrides, wire.VertexOverride{Vertex: vid, AgentID: aid})
-		}
-		return v
-	}
+	build := func() *wire.View { return view(t, epoch, ids, sk) }
 
 	r := New(c)
 	// seen is every vertex looked up since the last wholesale install.
@@ -94,20 +87,13 @@ func TestRouteTableDifferentialViewSequence(t *testing.T) {
 				i := rng.Intn(len(ids))
 				ids = append(ids[:i:i], ids[i+1:]...)
 			}
-		case 2: // override install, one target possibly not a member
-			for i := 0; i < 16; i++ {
-				overrides[graph.VertexID(rng.Intn(population))] = uint64(1 + rng.Intn(int(nextID)))
-			}
-		case 3: // override prune, in key order: map order would reseed the rest
-			keys := make([]graph.VertexID, 0, len(overrides))
-			for v := range overrides {
-				keys = append(keys, v)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, v := range keys {
-				if rng.Intn(2) == 0 {
-					delete(overrides, v)
-				}
+		case 2: // one member leaves and another joins: same size, new membership
+			ids = append(ids[1:len(ids):len(ids)], nextID)
+			nextID++
+		case 3: // sketch-only: one vertex's degree jumps past the next threshold
+			v := uint64(rng.Intn(population))
+			for i := 0; i < 12; i++ {
+				sk.Add(v)
 			}
 		case 4: // sketch grows under the installed membership
 			for i := 0; i < 1+rng.Intn(12); i++ {

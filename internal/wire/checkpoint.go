@@ -38,8 +38,8 @@ const (
 	// restore: pending mail was re-routed to survivors at eviction, so
 	// replaying it would double-deliver (see DESIGN.md "Durability").
 	SegMailbox uint8 = 4
-	// SegCoord holds the coordinator's own state: view, overrides,
-	// ID counters, and the per-agent cut table.
+	// SegCoord holds the coordinator's own state: view, ID counters,
+	// and the per-agent cut table.
 	SegCoord uint8 = 5
 )
 
@@ -74,8 +74,6 @@ type CheckpointMeta struct {
 	// the snapshot reflects.
 	ViewEpoch uint64
 	BatchID   uint64
-	// OverrideVer is the repartition override-table version applied.
-	OverrideVer uint64
 	// RunID / Step are the barrier watermark: the last superstep whose
 	// compute phase this agent completed before snapshotting (0/0 when
 	// idle).
@@ -95,7 +93,6 @@ func appendCheckpointMeta(w *Writer, m *CheckpointMeta) {
 	w.U64(m.Seq)
 	w.U64(m.ViewEpoch)
 	w.U64(m.BatchID)
-	w.U64(m.OverrideVer)
 	w.U32(m.RunID)
 	w.U32(m.Step)
 	w.U64(m.SealedGen)
@@ -104,16 +101,15 @@ func appendCheckpointMeta(w *Writer, m *CheckpointMeta) {
 
 func readCheckpointMeta(r *Reader) CheckpointMeta {
 	return CheckpointMeta{
-		Key:         r.Str(),
-		AgentID:     r.U64(),
-		Seq:         r.U64(),
-		ViewEpoch:   r.U64(),
-		BatchID:     r.U64(),
-		OverrideVer: r.U64(),
-		RunID:       r.U32(),
-		Step:        r.U32(),
-		SealedGen:   r.U64(),
-		WallNanos:   r.U64(),
+		Key:       r.Str(),
+		AgentID:   r.U64(),
+		Seq:       r.U64(),
+		ViewEpoch: r.U64(),
+		BatchID:   r.U64(),
+		RunID:     r.U32(),
+		Step:      r.U32(),
+		SealedGen: r.U64(),
+		WallNanos: r.U64(),
 	}
 }
 
@@ -207,7 +203,7 @@ func DecodeCheckpointMark(data []byte) (*CheckpointMark, error) {
 
 // CoordState is the SegCoord payload: everything the coordinator must
 // recover to resume sequencing a cluster — the last published view
-// (membership, sketch, overrides all ride inside it), the identity
+// (membership and sketch ride inside it), the identity
 // counters that must never re-issue, and the per-participant cut table
 // built from checkpoint marks and restore-carrying joins.
 type CoordState struct {

@@ -9,16 +9,15 @@ import (
 
 func testMeta() CheckpointMeta {
 	return CheckpointMeta{
-		Key:         "agent-3",
-		AgentID:     7,
-		Seq:         12,
-		ViewEpoch:   42,
-		BatchID:     5,
-		OverrideVer: 42,
-		RunID:       9,
-		Step:        31,
-		SealedGen:   4,
-		WallNanos:   1_700_000_000_000_000_000,
+		Key:       "agent-3",
+		AgentID:   7,
+		Seq:       12,
+		ViewEpoch: 42,
+		BatchID:   5,
+		RunID:     9,
+		Step:      31,
+		SealedGen: 4,
+		WallNanos: 1_700_000_000_000_000_000,
 	}
 }
 

@@ -113,8 +113,6 @@ func FuzzDecodeFrame(f *testing.F) {
 					_, _ = DecodeSpanBatch(body)
 				case SecEvents:
 					_, _, _ = DecodeEventBatch(body)
-				case SecDigest:
-					_, _ = DecodeVertexDigest(body)
 				case SecMark:
 					_, _ = DecodeManifest(body)
 					_, _ = DecodeCheckpointMark(body)

@@ -44,29 +44,16 @@ type AgentInfo struct {
 	Addr string
 }
 
-// VertexOverride pins one vertex's placement to a specific agent,
-// layered over the consistent-hash ring by the repartitioner. Overrides
-// apply only to unsplit vertices (sketch-derived k ≤ 1); split vertices
-// keep their ring-derived replica window.
-type VertexOverride struct {
-	Vertex  graph.VertexID
-	AgentID uint64
-}
-
 // View is the directory state every Participant tracks: the membership
 // epoch, the agent list, the serialized degree sketch, the batch clock and
 // the estimated global vertex count. Its broadcast size is O(P + d·w) as
-// the paper notes (§3.3). Overrides is the repartitioner's placement
-// override table, versioned with the epoch like everything else in the
-// view; it is appended after the sketch so pre-override decoders (which
-// never look past the sketch) remain wire-compatible.
+// the paper notes (§3.3).
 type View struct {
-	Epoch     uint64
-	BatchID   uint64
-	N         uint64 // global vertex count estimate (for PageRank's 1/n term)
-	Agents    []AgentInfo
-	Sketch    []byte
-	Overrides []VertexOverride
+	Epoch   uint64
+	BatchID uint64
+	N       uint64 // global vertex count estimate (for PageRank's 1/n term)
+	Agents  []AgentInfo
+	Sketch  []byte
 }
 
 // AppendView appends a view payload to dst.
@@ -81,17 +68,6 @@ func AppendView(dst []byte, v *View) []byte {
 		w.Str(a.Addr)
 	}
 	w.Blob(v.Sketch)
-	// The override section is appended only when populated: an empty table
-	// encodes exactly like a pre-override view, so off-mode wire bytes are
-	// byte-identical to older versions and truncation of the base layout
-	// stays detectable.
-	if len(v.Overrides) > 0 {
-		w.U32(uint32(len(v.Overrides)))
-		for _, o := range v.Overrides {
-			w.U64(uint64(o.Vertex))
-			w.U64(o.AgentID)
-		}
-	}
 	return w.buf
 }
 
@@ -110,20 +86,6 @@ func DecodeView(data []byte) (*View, error) {
 		}
 	}
 	v.Sketch = append([]byte(nil), r.Blob()...)
-	// The override table is a wire extension: views encoded before it
-	// simply end at the sketch, so only parse when bytes remain.
-	if r.Err() == nil && r.Remaining() > 0 {
-		no := int(r.U32())
-		if r.Err() == nil && no >= 0 && no < 1<<24 {
-			v.Overrides = make([]VertexOverride, 0, capHint(no))
-			for i := 0; i < no && r.Err() == nil; i++ {
-				v.Overrides = append(v.Overrides, VertexOverride{
-					Vertex:  graph.VertexID(r.U64()),
-					AgentID: r.U64(),
-				})
-			}
-		}
-	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode view: %w", err)
 	}
@@ -518,14 +480,10 @@ func AppendReplicaRegister(dst []byte, rr *ReplicaRegister) []byte {
 // EncodeReplicaRegister serializes a replica registration.
 func EncodeReplicaRegister(rr *ReplicaRegister) []byte { return AppendReplicaRegister(nil, rr) }
 
-// DecodeReplicaRegister parses a replica registration. The Deregister flag
-// trails the payload, so one from before it existed decodes as a register.
+// DecodeReplicaRegister parses a replica registration.
 func DecodeReplicaRegister(data []byte) (*ReplicaRegister, error) {
 	r := NewReader(data)
-	rr := &ReplicaRegister{Vertex: graph.VertexID(r.U64()), AgentID: r.U64()}
-	if r.Remaining() > 0 {
-		rr.Deregister = r.Bool()
-	}
+	rr := &ReplicaRegister{Vertex: graph.VertexID(r.U64()), AgentID: r.U64(), Deregister: r.Bool()}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode replica register: %w", err)
 	}
@@ -547,8 +505,7 @@ type Ready struct {
 	Received   uint64 // async: cumulative messages received
 	Idle       bool   // async: no local work outstanding
 	// PhaseSeconds is how long the phase ran on this agent, Advance to
-	// vote: the step_time / combine_time sample, riding the vote. It
-	// trails the payload, so a vote without it decodes with 0.
+	// vote: the step_time / combine_time sample, riding the vote.
 	PhaseSeconds float64
 }
 
@@ -579,9 +536,7 @@ func DecodeReady(data []byte) (*Ready, error) {
 		AgentID: r.U64(), Step: r.U32(), Phase: r.U8(),
 		ActiveNext: r.U64(), Residual: r.F64(), SplitWork: r.Bool(),
 		Masters: r.U64(), Sent: r.U64(), Received: r.U64(), Idle: r.Bool(),
-	}
-	if r.Remaining() > 0 {
-		m.PhaseSeconds = r.F64()
+		PhaseSeconds: r.F64(),
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode ready: %w", err)
@@ -754,68 +709,6 @@ func DecodeQueryReply(data []byte) (*QueryReply, error) {
 		return nil, fmt.Errorf("decode query reply: %w", err)
 	}
 	return q, nil
-}
-
-// DigestEntry is one chatty vertex in a communication digest: how many
-// scatter messages it sent to vertices on its own agent (Local) versus to
-// its busiest remote peer agent (Peer, PeerMsgs) in the reporting window.
-// The xDGP-style move gain for relocating it to Peer is PeerMsgs − Local.
-type DigestEntry struct {
-	Vertex   graph.VertexID
-	Local    uint64
-	Peer     uint64 // agent ID of the busiest remote destination
-	PeerMsgs uint64
-}
-
-// VertexDigest is the SecDigest report section: an agent's top-K chatty
-// vertices by remote scatter traffic, plus its local vertex count so the
-// planner can capacity-balance moves.
-type VertexDigest struct {
-	AgentID  uint64
-	Epoch    uint64
-	Vertices uint64 // vertices with at least one local copy (load signal)
-	Entries  []DigestEntry
-}
-
-// AppendVertexDigest appends a digest payload to dst.
-func AppendVertexDigest(dst []byte, d *VertexDigest) []byte {
-	w := Writer{buf: dst}
-	w.U64(d.AgentID)
-	w.U64(d.Epoch)
-	w.U64(d.Vertices)
-	w.U32(uint32(len(d.Entries)))
-	for _, e := range d.Entries {
-		w.U64(uint64(e.Vertex))
-		w.U64(e.Local)
-		w.U64(e.Peer)
-		w.U64(e.PeerMsgs)
-	}
-	return w.buf
-}
-
-// EncodeVertexDigest serializes a digest.
-func EncodeVertexDigest(d *VertexDigest) []byte { return AppendVertexDigest(nil, d) }
-
-// DecodeVertexDigest parses a digest.
-func DecodeVertexDigest(data []byte) (*VertexDigest, error) {
-	r := NewReader(data)
-	d := &VertexDigest{AgentID: r.U64(), Epoch: r.U64(), Vertices: r.U64()}
-	n := int(r.U32())
-	if r.Err() == nil && n >= 0 && n < 1<<22 {
-		d.Entries = make([]DigestEntry, 0, capHint(n))
-		for i := 0; i < n && r.Err() == nil; i++ {
-			d.Entries = append(d.Entries, DigestEntry{
-				Vertex:   graph.VertexID(r.U64()),
-				Local:    r.U64(),
-				Peer:     r.U64(),
-				PeerMsgs: r.U64(),
-			})
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode vertex digest: %w", err)
-	}
-	return d, nil
 }
 
 // Join is an agent's registration request. Restore, when present, is the

@@ -15,7 +15,6 @@ const (
 	SecMetrics      uint8 = iota + 1 // AppendMetrics
 	SecSpans                         // AppendSpanBatch
 	SecEvents                        // AppendEventBatch
-	SecDigest                        // AppendVertexDigest
 	SecMark                          // AppendCheckpointMark
 	SecProfileChunk                  // AppendProfileChunk
 	secKinds

@@ -21,8 +21,6 @@ func testSections() []testSection {
 			{TraceHi: 1, TraceLo: 2, SpanID: 3, RunID: 4, Step: 5, Name: "compute", Start: 6, Dur: 7},
 		}})},
 		{SecEvents, EncodeEventBatch(testEventRecords(), 5)},
-		{SecDigest, EncodeVertexDigest(&VertexDigest{AgentID: 3, Epoch: 2, Vertices: 9,
-			Entries: []DigestEntry{{Vertex: 4, Local: 1, Peer: 2, PeerMsgs: 8}}})},
 		{SecMark, EncodeCheckpointMark(&CheckpointMark{
 			Meta: CheckpointMeta{Key: "agent-0", AgentID: 3, Seq: 2, ViewEpoch: 4}, Bytes: 64})},
 		{SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{

@@ -137,6 +137,25 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewEncodesFixedLayout pins the view's byte layout: header, agents,
+// sketch, and nothing after the sketch.
+func TestViewEncodesFixedLayout(t *testing.T) {
+	v := &View{Epoch: 3, BatchID: 1, N: 50, Agents: []AgentInfo{{1, "a"}}, Sketch: []byte{1, 2, 3}}
+	var w Writer
+	w.U64(v.Epoch)
+	w.U64(v.BatchID)
+	w.U64(v.N)
+	w.U32(uint32(len(v.Agents)))
+	for _, a := range v.Agents {
+		w.U64(a.ID)
+		w.Str(a.Addr)
+	}
+	w.Blob(v.Sketch)
+	if enc := EncodeView(v); !bytes.Equal(enc, w.buf) {
+		t.Fatalf("view encoding diverged from its layout:\n got %x\nwant %x", enc, w.buf)
+	}
+}
+
 func TestViewEmptyAgents(t *testing.T) {
 	got, err := DecodeView(EncodeView(&View{Epoch: 1}))
 	if err != nil {
@@ -295,34 +314,17 @@ func TestReplicaRegisterRoundTrip(t *testing.T) {
 			t.Fatalf("%+v", got)
 		}
 	}
-	// A registration from before the flag existed is one byte shorter.
-	full := EncodeReplicaRegister(&ReplicaRegister{Vertex: 77, AgentID: 5, Deregister: true})
-	got, err := DecodeReplicaRegister(full[:len(full)-1])
-	if err != nil || *got != (ReplicaRegister{Vertex: 77, AgentID: 5}) {
-		t.Fatalf("old-length payload: %+v, %v", got, err)
-	}
 }
 
 func TestReadyRoundTrip(t *testing.T) {
 	m := &Ready{AgentID: 1, Step: 2, Phase: 1, ActiveNext: 3, Residual: 0.5,
 		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true, PhaseSeconds: 0.25}
-	full := EncodeReady(m)
-	got, err := DecodeReady(full)
+	got, err := DecodeReady(EncodeReady(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *got != *m {
 		t.Fatalf("%+v", got)
-	}
-	// A vote from before the phase time rode it is 8 bytes shorter and
-	// still decodes, with no sample.
-	old, err := DecodeReady(full[:len(full)-8])
-	if err != nil {
-		t.Fatalf("old-length ready: %v", err)
-	}
-	m.PhaseSeconds = 0
-	if *old != *m {
-		t.Fatalf("old-length ready decoded as %+v", old)
 	}
 }
 
@@ -399,11 +401,14 @@ func TestJoinLeaveRoundTrips(t *testing.T) {
 func TestDecodersRejectTruncation(t *testing.T) {
 	full := EncodeReady(&Ready{AgentID: 1})
 	for n := 0; n < len(full); n++ {
-		if n == len(full)-8 {
-			continue // a whole vote without the trailing PhaseSeconds
-		}
 		if _, err := DecodeReady(full[:n]); err == nil {
 			t.Fatalf("truncated ready at %d accepted", n)
+		}
+	}
+	fullR := EncodeReplicaRegister(&ReplicaRegister{Vertex: 77, AgentID: 5})
+	for n := 0; n < len(fullR); n++ {
+		if _, err := DecodeReplicaRegister(fullR[:n]); !errors.Is(err, ErrShort) {
+			t.Fatalf("truncated replica register at %d: %v", n, err)
 		}
 	}
 	fullV := EncodeView(&View{Agents: []AgentInfo{{1, "a"}}})
