@@ -338,7 +338,7 @@ func runAlgo(args []string) error {
 	async := fs.Bool("async", false, "asynchronous execution (wcc/bfs/sssp only)")
 	steps := fs.Uint("steps", 0, "max supersteps (0 = program default)")
 	eps := fs.Float64("epsilon", 0, "residual halt threshold (pagerank)")
-	scratch := fs.Bool("scratch", false, "run from scratch instead of incrementally")
+	scratch := fs.Bool("scratch", false, "run from scratch instead of incrementally (required for pagerank and ppr)")
 	source := fs.Uint64("source", 0, "traversal source vertex")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -21,7 +21,8 @@ import (
 // run is complete.
 
 // startAsync seeds an asynchronous run: initialize (or adopt) state and
-// process the initially active vertices.
+// announce the seeds (announceSeeds, shared with a synchronous incremental
+// run's step 0).
 func (a *Agent) startAsync() {
 	r := a.run
 	r.started = true
@@ -34,19 +35,8 @@ func (a *Agent) startAsync() {
 	if r.spec.FromScratch {
 		a.initStates()
 	}
-	// The seeds are copied out: processing one may move the table's records.
-	t := &a.verts
-	seeds := make([]graph.VertexID, 0, len(t.list[setActive]))
-	for _, i := range t.list[setActive] {
-		seeds = append(seeds, t.slots[i].key)
-	}
-	t.begin(setActive)
 	b := a.getAsyncBatcher()
-	for _, v := range seeds {
-		// Seed scatter: announce the current value along all edges.
-		mv := r.prog.MessageValue(v, a.valueOf(v), uint64(a.store.OutDegree(v)), &r.ctx)
-		a.asyncScatter(b, v, mv)
-	}
+	a.announceSeeds(b, func(v graph.VertexID, mv algorithm.Word) { a.asyncScatter(b, v, mv) })
 	b.flush()
 	a.putAsyncBatcher(b)
 }

@@ -54,13 +54,9 @@ func (a *Agent) handleAlgoStart(pkt *wire.Packet) {
 		// Advance(step 0) when the global vertex count is known.
 		a.store.TakeActive()
 		a.verts.drop(recValue)
-	} else {
-		// Incremental run (§4.3): state persists; vertices touched by
-		// buffered batches seed the active set.
-		for _, v := range a.store.TakeActive() {
-			a.verts.mark(setActive, a.verts.at(v))
-		}
 	}
+	// An incremental run (§4.3) keeps its state; the store's active set and
+	// fresh log seed its first step (announceSeeds).
 	a.run = r
 	if spec.Async {
 		a.startAsync()
@@ -214,7 +210,12 @@ func (a *Agent) processCompute() {
 	}
 	a.syncPlan()
 	r := a.run
-	if r.step == 0 && r.spec.FromScratch && !r.started {
+	if r.step == 0 && !r.started {
+		r.started = true
+		if !r.spec.FromScratch {
+			a.seedStep()
+			return
+		}
 		a.initStates()
 	}
 	r.started = true
@@ -257,6 +258,71 @@ func (a *Agent) processCompute() {
 	a.recycleMail(mail)
 	r.doneLocal = true
 	a.maybeReady()
+}
+
+// seedStep is step 0 of an incremental run: the seeds announce and nothing
+// else runs, no vertex having mail yet. What they send counts as activity,
+// so the directory does not halt the run before step 1 reads it.
+func (a *Agent) seedStep() {
+	r := a.run
+	b := a.getBatcher(1)
+	r.activeNext += a.announceSeeds(b, func(v graph.VertexID, mv algorithm.Word) { a.scatter(b, v, mv) })
+	b.flush(a.phaseGate)
+	a.putBatcher(b)
+	r.doneLocal = true
+	a.maybeReady()
+}
+
+// announceSeeds opens an incremental run, in either engine, and every
+// asynchronous one: each seed sends its current value to its neighbours
+// without waiting for an improvement. While the store's fresh log is
+// intact, a seed announces only along the copies inserted since the
+// previous run that the store still holds, so a vertex touched only by
+// deletes sends nothing: a converged run of a quiescence-halting
+// min-program has already sent every unchanged value along every old edge,
+// and only a new copy carries news. A split vertex announces from each
+// replica holding such a copy, with that replica's state. Once the log is
+// lost — and on a from-scratch run, whose seeds are the initially active
+// vertices — every seed announces along all its edges through scatterAll,
+// the engine's own scatter. It returns how many announcements it made: a
+// copy each on the logged path, a vertex each otherwise.
+func (a *Agent) announceSeeds(b msgSink, scatterAll func(v graph.VertexID, mv algorithm.Word)) (announced uint64) {
+	r, t := a.run, &a.verts
+	fresh, logged := a.store.TakeFresh()
+	if logged && !r.spec.FromScratch {
+		a.store.TakeActive() // the log names every seed
+		for _, c := range fresh {
+			if !a.store.HasCopy(c) {
+				continue
+			}
+			// Every seed holding a fresh copy gets a value, sending or not.
+			v, w := c.Key(), c.Nbr()
+			val := a.valueOf(v)
+			if c.Dir == graph.Out && !r.prog.SendsOut() || c.Dir == graph.In && !r.prog.SendsIn() {
+				continue
+			}
+			mv := r.prog.MessageValue(v, val, uint64(a.store.OutDegree(v)), &r.ctx)
+			if r.adjust != nil {
+				mv = adjustEdge(r.adjust, v, w, mv, c.Dir)
+			}
+			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
+				b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(mv)})
+				announced++
+			}
+		}
+		return announced
+	}
+	// The seeds are copied out: announcing one may move the table's records.
+	seeds := make([]graph.VertexID, 0, len(t.list[setActive]))
+	for _, i := range t.list[setActive] {
+		seeds = append(seeds, t.slots[i].key)
+	}
+	t.begin(setActive)
+	seeds = append(seeds, a.store.TakeActive()...)
+	for _, v := range seeds {
+		scatterAll(v, r.prog.MessageValue(v, a.valueOf(v), uint64(a.store.OutDegree(v)), &r.ctx))
+	}
+	return uint64(len(seeds))
 }
 
 // initStates starts a from-scratch run: every present vertex gets its initial

@@ -153,8 +153,9 @@ func (PageRank) HaltOnQuiescence() bool { return false }
 
 // WCC computes weakly connected components by min-label propagation over
 // both edge directions (§4.3): a vertex keeps the minimum label seen and
-// only scatters improvements. In the incremental case, labels persist and
-// only batch-touched vertices start active.
+// only scatters improvements. In the incremental case labels persist, and
+// the engine opens the run by announcing the batch-touched vertices' labels
+// along the inserted copies (see Update).
 type WCC struct{}
 
 // Name implements Program.
@@ -181,14 +182,16 @@ func (WCC) Gather(agg, msg Word) Word {
 func (w WCC) MergeAgg(a, b Word) Word { return w.Gather(a, b) }
 
 // Update adopts a smaller label and activates only on improvement; on
-// superstep 0 every vertex scatters its initial label.
+// superstep 0 of a from-scratch run every vertex scatters its initial
+// label. An incremental run never calls it at step 0: the engine's seed
+// announce sends the touched vertices' labels along the inserted copies
+// instead, and from step 1 on only improvements travel.
 func (WCC) Update(_ graph.VertexID, old, agg Word, haveMsgs bool, ctx *Context) (Word, bool) {
 	if haveMsgs && agg < old {
 		return agg, true
 	}
-	// First step of a run: active vertices announce their label even
-	// without improvement (seeds propagation from batch-touched vertices
-	// in the incremental case).
+	// First step of a from-scratch run: every vertex announces its label
+	// even without improvement.
 	return old, ctx.Step == 0
 }
 
@@ -246,7 +249,9 @@ func (BFS) Gather(agg, msg Word) Word {
 // MergeAgg keeps the minimum distance.
 func (b BFS) MergeAgg(x, y Word) Word { return b.Gather(x, y) }
 
-// Update adopts shorter distances; the source scatters at step 0.
+// Update adopts shorter distances; the source scatters at step 0 of a
+// from-scratch run. An incremental run opens with the engine's seed
+// announce along the inserted copies instead.
 func (BFS) Update(v graph.VertexID, old, agg Word, haveMsgs bool, ctx *Context) (Word, bool) {
 	if haveMsgs && agg < old {
 		return agg, true
@@ -318,7 +323,9 @@ func (SSSP) Gather(agg, msg Word) Word {
 // MergeAgg keeps the minimum tentative distance.
 func (s SSSP) MergeAgg(x, y Word) Word { return s.Gather(x, y) }
 
-// Update relaxes the distance.
+// Update relaxes the distance; the source scatters at step 0 of a
+// from-scratch run. An incremental run opens with the engine's seed
+// announce along the inserted copies instead.
 func (SSSP) Update(v graph.VertexID, old, agg Word, haveMsgs bool, ctx *Context) (Word, bool) {
 	if haveMsgs && agg < old {
 		return agg, true

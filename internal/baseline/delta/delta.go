@@ -1,10 +1,11 @@
 // Package delta is the frontier-seeded incremental recompute engine: the
 // single-machine reference for ElGA's dynamic execution mode. It keeps
 // the graph in the same CSR+delta-log store the agents use, applies each
-// change batch through Store.ApplyBatch — which returns the
-// affected-vertex frontier — and seeds the first superstep from that
-// frontier instead of activating all vertices (§4.3: "only vertices
-// directly modified in the batch are activated"). Where the snapshot
+// change batch through Store.ApplyBatch, and opens the recompute with the
+// agents' seed announce instead of activating all vertices (§4.3: "only
+// vertices directly modified in the batch are activated"): the changed
+// endpoints send their values along the copies the batch inserted, read
+// from the store's fresh log (Store.TakeFresh). Where the snapshot
 // baseline pays a full CSR rebuild plus a restart over every vertex, this
 // engine pays only the batch application plus work proportional to how
 // far the change actually propagates, which is the crossover
@@ -87,14 +88,18 @@ func (e *Engine) RunFull(p algorithm.Program, opts Options) *Result {
 		}
 		return true
 	})
-	res := e.run(p, opts, seeds)
+	res := e.run(p, opts, 0, nil, seeds)
 	res.Elapsed = time.Since(start)
 	return res
 }
 
 // ApplyBatch applies the change batch through the store and converges the
-// program seeded from the returned affected-vertex frontier. Vertices
-// first seen in this batch are initialized; all prior state persists.
+// program from what it changed. Step 0 announces the seeds' values the way
+// the agents do: while the store's fresh log is intact, along only the
+// copies the batch inserted; once it is lost, every changed endpoint
+// along all its edges. Vertices first seen in this batch are initialized;
+// all prior state persists. Like the cluster, this is exact only for
+// quiescence-halting min-programs over insert batches (WCC, BFS, SSSP).
 func (e *Engine) ApplyBatch(p algorithm.Program, b graph.Batch, opts Options) *Result {
 	start := time.Now()
 	// Both directions are stored, so the union of the two frontiers is
@@ -102,6 +107,7 @@ func (e *Engine) ApplyBatch(p algorithm.Program, b graph.Batch, opts Options) *R
 	// TakeActive returns the union sorted and deduplicated.
 	e.st.ApplyBatch(b, graph.Out)
 	e.st.ApplyBatch(b, graph.In)
+	fresh, logged := e.st.TakeFresh()
 	seeds := e.st.TakeActive()
 	ctx := &algorithm.Context{N: uint64(e.st.NumVertices()), Source: opts.Source}
 	for _, v := range seeds {
@@ -109,7 +115,22 @@ func (e *Engine) ApplyBatch(p algorithm.Program, b graph.Batch, opts Options) *R
 			e.state[v] = p.Init(v, ctx)
 		}
 	}
-	res := e.run(p, opts, seeds)
+	s := e.newStep(p, ctx)
+	if logged {
+		for _, c := range fresh {
+			sends := c.Dir == graph.Out && p.SendsOut() || c.Dir == graph.In && p.SendsIn()
+			if sends && e.st.HasCopy(c) {
+				v := c.Key()
+				s.send(v, c.Nbr(), c.Dir, s.messageValue(v, e.state[v]))
+			}
+		}
+	} else {
+		for _, v := range seeds {
+			s.scatter(v, s.messageValue(v, e.state[v]))
+		}
+	}
+	res := e.run(p, opts, 1, s.next, nil)
+	res.Frontier = len(seeds)
 	res.Elapsed = time.Since(start)
 	return res
 }
@@ -119,7 +140,70 @@ type mailbox struct {
 	have bool
 }
 
-func (e *Engine) run(p algorithm.Program, opts Options, seeds []graph.VertexID) *Result {
+// step is one superstep's outbox: the mailboxes of the next.
+type step struct {
+	e      *Engine
+	p      algorithm.Program
+	ctx    *algorithm.Context
+	adjust algorithm.PerEdgeAdjuster // nil unless the program adjusts per edge
+	next   map[graph.VertexID]mailbox
+}
+
+func (e *Engine) newStep(p algorithm.Program, ctx *algorithm.Context) *step {
+	adjust, _ := p.(algorithm.PerEdgeAdjuster)
+	return &step{e: e, p: p, ctx: ctx, adjust: adjust, next: make(map[graph.VertexID]mailbox)}
+}
+
+// messageValue is v's message value for state w.
+func (s *step) messageValue(v graph.VertexID, w algorithm.Word) algorithm.Word {
+	return s.p.MessageValue(v, w, uint64(s.e.st.OutDegree(v)), s.ctx)
+}
+
+// send delivers mv along the edge between v and its dir-neighbour w.
+func (s *step) send(v, w graph.VertexID, dir graph.Dir, mv algorithm.Word) {
+	if s.adjust != nil {
+		if dir == graph.Out {
+			mv = s.adjust.AdjustPerEdge(v, w, mv)
+		} else {
+			mv = s.adjust.AdjustPerEdge(w, v, mv)
+		}
+	}
+	mb, ok := s.next[w]
+	if !ok {
+		mb.agg = s.p.ZeroAgg()
+	}
+	mb.agg = s.p.Gather(mb.agg, mv)
+	mb.have = true
+	s.next[w] = mb
+}
+
+// scatter sends mv along all of v's edges in the directions the program
+// uses.
+func (s *step) scatter(v graph.VertexID, mv algorithm.Word) {
+	if s.p.SendsOut() {
+		for it := s.e.st.OutCursor(v); ; {
+			w, ok := it.Next()
+			if !ok {
+				break
+			}
+			s.send(v, w, graph.Out, mv)
+		}
+	}
+	if s.p.SendsIn() {
+		for it := s.e.st.InCursor(v); ; {
+			u, ok := it.Next()
+			if !ok {
+				break
+			}
+			s.send(v, u, graph.In, mv)
+		}
+	}
+}
+
+// run executes supersteps from first on, mail and active being what that
+// step starts with. A run that opens on an announce (ApplyBatch) counts it
+// as step 0.
+func (e *Engine) run(p algorithm.Program, opts Options, first uint32, mail map[graph.VertexID]mailbox, seeds []graph.VertexID) *Result {
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
 		if p.HaltOnQuiescence() {
@@ -129,29 +213,21 @@ func (e *Engine) run(p algorithm.Program, opts Options, seeds []graph.VertexID) 
 		}
 	}
 	ctx := &algorithm.Context{N: uint64(e.st.NumVertices()), Source: opts.Source}
-	adjust, hasAdjust := p.(algorithm.PerEdgeAdjuster)
 
-	res := &Result{Frontier: len(seeds)}
+	res := &Result{Frontier: len(seeds), Steps: first}
 	active := make(map[graph.VertexID]struct{}, len(seeds))
 	for _, v := range seeds {
 		active[v] = struct{}{}
 	}
-	mail := make(map[graph.VertexID]mailbox)
-	for step := uint32(0); step < maxSteps; step++ {
+	if first > 0 && len(mail) == 0 && p.HaltOnQuiescence() {
+		res.Converged = true // the announce sent nothing
+	}
+	for step := first; step < maxSteps && !res.Converged; step++ {
 		ctx.Step = step
-		next := make(map[graph.VertexID]mailbox)
+		s := e.newStep(p, ctx)
 		nextActive := make(map[graph.VertexID]struct{})
 		residual := 0.0
 
-		deliver := func(to graph.VertexID, val algorithm.Word) {
-			mb, ok := next[to]
-			if !ok {
-				mb.agg = p.ZeroAgg()
-			}
-			mb.agg = p.Gather(mb.agg, val)
-			mb.have = true
-			next[to] = mb
-		}
 		process := func(v graph.VertexID) {
 			mb, haveMsgs := mail[v]
 			agg := p.ZeroAgg()
@@ -171,36 +247,10 @@ func (e *Engine) run(p algorithm.Program, opts Options, seeds []graph.VertexID) 
 				return
 			}
 			nextActive[v] = struct{}{}
-			mv := p.MessageValue(v, nw, uint64(e.st.OutDegree(v)), ctx)
-			if p.SendsOut() {
-				for it := e.st.OutCursor(v); ; {
-					w, ok := it.Next()
-					if !ok {
-						break
-					}
-					val := mv
-					if hasAdjust {
-						val = adjust.AdjustPerEdge(v, w, val)
-					}
-					deliver(w, val)
-				}
-			}
-			if p.SendsIn() {
-				for it := e.st.InCursor(v); ; {
-					u, ok := it.Next()
-					if !ok {
-						break
-					}
-					val := mv
-					if hasAdjust {
-						val = adjust.AdjustPerEdge(u, v, val)
-					}
-					deliver(u, val)
-				}
-			}
+			s.scatter(v, s.messageValue(v, nw))
 		}
 		// Work set: vertices with pending mail, plus active holdovers
-		// (first step: the frontier seeds).
+		// (first step of a full run: the initially active vertices).
 		for v := range mail {
 			process(v)
 		}
@@ -210,16 +260,14 @@ func (e *Engine) run(p algorithm.Program, opts Options, seeds []graph.VertexID) 
 			}
 		}
 		res.Steps = step + 1
-		mail = next
+		mail = s.next
 		active = nextActive
 		if p.HaltOnQuiescence() {
 			if len(active) == 0 && len(mail) == 0 {
 				res.Converged = true
-				break
 			}
 		} else if opts.Epsilon > 0 && step > 0 && residual < opts.Epsilon {
 			res.Converged = true
-			break
 		}
 	}
 	res.State = e.state

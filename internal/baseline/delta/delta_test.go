@@ -90,3 +90,28 @@ func TestNoopBatchIsFree(t *testing.T) {
 		t.Fatalf("no-op batch ran %d steps", res.Steps)
 	}
 }
+
+// TestIncrementalTraversalSeesInsertedEdges extends the path 1→2→3 (and the
+// unreached 10→11) by 3→4 and 3→10: the batch's inserted copies must carry
+// the source's distances on to 4, 10 and 11, for BFS and for SSSP.
+func TestIncrementalTraversalSeesInsertedEdges(t *testing.T) {
+	base := graph.EdgeList{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 10, Dst: 11}}
+	batch := graph.EdgeList{{Src: 3, Dst: 4}, {Src: 3, Dst: 10}}
+	for _, prog := range []algorithm.Program{algorithm.BFS{}, algorithm.SSSP{}} {
+		t.Run(prog.Name(), func(t *testing.T) {
+			eng := New(base)
+			opts := Options{Source: 1}
+			eng.RunFull(prog, opts)
+			res := eng.ApplyBatch(prog, batch.Changes(), opts)
+			if !res.Converged {
+				t.Fatal("incremental run did not converge")
+			}
+			want := algorithm.Run(prog, append(append(graph.EdgeList{}, base...), batch...), algorithm.RunOptions{Source: 1})
+			for _, v := range []graph.VertexID{4, 10, 11} {
+				if got := res.State[v]; got != want.State[v] || got == algorithm.Unreached {
+					t.Fatalf("vertex %d: incremental %d, reference %d", v, got, want.State[v])
+				}
+			}
+		})
+	}
+}

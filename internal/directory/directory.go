@@ -972,9 +972,11 @@ func (d *Directory) maybeStartRun() {
 			spec.MaxSteps = 20
 		}
 	}
-	if spec.Async && !prog.HaltOnQuiescence() {
-		// Asynchronous execution requires a monotone quiescence-halting
-		// program (WCC/BFS/SSSP); reject others.
+	if (spec.Async || !spec.FromScratch) && !prog.HaltOnQuiescence() {
+		// Asynchronous and incremental execution both require a monotone
+		// quiescence-halting program (WCC/BFS/SSSP): only for those does
+		// announcing the changed edges reach the from-scratch answer.
+		// Reject others (PageRank, PPR).
 		d.replyRunStats(pkt, &wire.RunStats{}, trace.SpanContext{})
 		return
 	}

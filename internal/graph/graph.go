@@ -65,3 +65,20 @@ type EdgeCopy struct {
 	Dst VertexID
 	Dir Dir
 }
+
+// Key returns the vertex the copy is stored under: Src for an Out copy,
+// Dst for an In copy.
+func (c EdgeCopy) Key() VertexID {
+	if c.Dir == In {
+		return c.Dst
+	}
+	return c.Src
+}
+
+// Nbr returns the copy's other endpoint, the neighbour of Key.
+func (c EdgeCopy) Nbr() VertexID {
+	if c.Dir == In {
+		return c.Src
+	}
+	return c.Dst
+}

@@ -53,6 +53,14 @@ type Store struct {
 	// flipsLost marks a log abandoned because it outgrew that walk.
 	flips     []VertexID
 	flipsLost bool
+
+	// fresh logs every copy Apply inserted since the last TakeFresh or
+	// TakeActive, so an incremental run can announce along the new edges
+	// alone. freshLost marks a log abandoned: it outgrew the vertex count,
+	// like the flip log, or activity arrived that it does not describe
+	// (MarkActive, ActivateAll, AddRun).
+	fresh     []EdgeCopy
+	freshLost bool
 }
 
 // slotRec locates one vertex's sealed runs. The tail pointer is nil for
@@ -138,6 +146,43 @@ func (s *Store) TakeFlips() (flips []VertexID, ok bool) {
 		s.flips = nil // a bulk load's log is not worth keeping allocated
 	}
 	return flips, ok
+}
+
+// logFresh records that Apply inserted copy c.
+func (s *Store) logFresh(c EdgeCopy) {
+	if s.freshLost {
+		return
+	}
+	if len(s.fresh) > len(s.slots)+flipSlack {
+		s.loseFresh()
+		return
+	}
+	s.fresh = append(s.fresh, c)
+}
+
+// loseFresh abandons the fresh log and releases its storage.
+func (s *Store) loseFresh() { s.fresh, s.freshLost = nil, true }
+
+// restartFresh starts an empty, intact fresh log.
+func (s *Store) restartFresh() {
+	s.fresh, s.freshLost = s.fresh[:0], false
+	if cap(s.fresh) > 4*flipSlack {
+		s.fresh = nil // a bulk batch's log is not worth keeping allocated
+	}
+}
+
+// TakeFresh returns the edge copies Apply inserted since the previous
+// TakeFresh or TakeActive — one entry per insert that changed the store, so
+// a copy deleted and inserted again appears twice and a copy deleted since
+// is still listed — and starts a new log. ok is false when the log was
+// abandoned: it outgrew the vertex count, or MarkActive, ActivateAll or
+// AddRun brought activity it cannot describe; the caller should then treat
+// every active vertex's every edge as new. The slice is only valid until
+// the next mutation of the store.
+func (s *Store) TakeFresh() (copies []EdgeCopy, ok bool) {
+	copies, ok = s.fresh, !s.freshLost
+	s.restartFresh()
+	return copies, ok
 }
 
 // NumOutEdges returns the number of locally stored out-copies.
@@ -407,6 +452,9 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 // leaves nothing to compact. It returns how many copies the store did not
 // already hold.
 func (s *Store) AddRun(key VertexID, dir Dir, nbrs []VertexID) int {
+	if len(nbrs) > 0 {
+		s.loseFresh() // a moved or restored run is not a fresh insert
+	}
 	return s.editRun(key, dir, nbrs, false)
 }
 
@@ -657,30 +705,28 @@ func mergeRun(dst, sealed []VertexID, t *tailRec, in bool) []VertexID {
 }
 
 // Apply applies one change in direction dir, marking the locally stored
-// endpoint active if the topology changed.
+// endpoint active if the topology changed and logging an inserted copy in
+// the fresh log (TakeFresh).
 func (s *Store) Apply(c Change, dir Dir) bool {
-	var changed bool
+	cp := EdgeCopy{Src: c.Src, Dst: c.Dst, Dir: dir}
 	if c.Action == Insert {
-		changed = s.AddEdge(c.Src, c.Dst, dir)
-	} else {
-		changed = s.RemoveEdge(c.Src, c.Dst, dir)
-	}
-	if changed {
-		if dir == Out {
-			s.MarkActive(c.Src)
-		} else {
-			s.MarkActive(c.Dst)
+		if !s.AddEdge(c.Src, c.Dst, dir) {
+			return false
 		}
+		s.logFresh(cp)
+	} else if !s.RemoveEdge(c.Src, c.Dst, dir) {
+		return false
 	}
-	return changed
+	s.active[cp.Key()] = struct{}{}
+	return true
 }
 
 // ApplyBatch applies a change batch in direction dir and returns the
 // affected-vertex frontier: the sorted set of locally stored endpoints
-// whose topology actually changed. The frontier seeds the first superstep
-// of a delta-driven recompute (§4.3: "only vertices directly modified in
-// the batch are activated"); the same vertices are also marked active, so
-// agent-side incremental runs keep working through TakeActive.
+// whose topology actually changed (§4.3: "only vertices directly modified
+// in the batch are activated"). Like Apply, it marks them active and logs
+// the inserted copies; incremental runs seed from those (TakeFresh,
+// TakeActive).
 func (s *Store) ApplyBatch(b Batch, dir Dir) []VertexID {
 	if len(b) == 0 {
 		return nil
@@ -704,6 +750,30 @@ func (s *Store) ApplyBatch(b Batch, dir Dir) []VertexID {
 	}
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 	return frontier
+}
+
+// HasCopy reports whether the store holds copy c.
+func (s *Store) HasCopy(c EdgeCopy) bool {
+	key, nbr := c.Key(), c.Nbr()
+	rec, ok := s.slots[key]
+	if !ok {
+		return false
+	}
+	sealed, t := s.sealedOutRun(rec), rec.tail
+	var add, del []VertexID
+	if t != nil {
+		add, del = t.outAdd, t.outDel
+	}
+	if c.Dir == In {
+		sealed = s.sealedInRun(rec)
+		if t != nil {
+			add, del = t.inAdd, t.inDel
+		}
+	}
+	if sortedContains(sealed, nbr) {
+		return !sortedContains(del, nbr)
+	}
+	return sortedContains(add, nbr)
 }
 
 // HasVertex reports whether v has any local presence.
@@ -901,8 +971,12 @@ func (s *Store) VertexList() []VertexID {
 	return out
 }
 
-// MarkActive adds v to the active set consumed by the next superstep.
-func (s *Store) MarkActive(v VertexID) { s.active[v] = struct{}{} }
+// MarkActive adds v to the active set consumed by the next superstep. The
+// fresh log does not say why v is active, so it is abandoned.
+func (s *Store) MarkActive(v VertexID) {
+	s.active[v] = struct{}{}
+	s.loseFresh()
+}
 
 // IsActive reports whether v is in the active set.
 func (s *Store) IsActive(v VertexID) bool {
@@ -917,10 +991,13 @@ func (s *Store) ClearActive(v VertexID) { delete(s.active, v) }
 // and run start this is the frontier the next delta recompute seeds from.
 func (s *Store) ActiveCount() int { return len(s.active) }
 
-// TakeActive returns the current active set sorted and resets it. Dynamic
-// algorithms seed each batch's first superstep from this set (§4.3: "only
-// vertices directly modified in the batch are activated").
+// TakeActive returns the current active set sorted and resets it, and with
+// it the fresh log. Incremental runs seed their first superstep from this
+// set (§4.3: "only vertices directly modified in the batch are
+// activated"): while the fresh log taken just before it is intact, its
+// copies are the only edges those vertices announce along.
 func (s *Store) TakeActive() []VertexID {
+	s.restartFresh()
 	if len(s.active) == 0 {
 		return nil
 	}
@@ -933,8 +1010,10 @@ func (s *Store) TakeActive() []VertexID {
 	return out
 }
 
-// ActivateAll marks every local vertex active (static from-scratch runs).
+// ActivateAll marks every local vertex active (static from-scratch runs),
+// abandoning the fresh log.
 func (s *Store) ActivateAll() {
+	s.loseFresh()
 	for v := range s.slots {
 		s.active[v] = struct{}{}
 	}
