@@ -257,7 +257,6 @@ type Agent struct {
 	fwd         migScratch // forwarding misplaced runs' reusable buffers
 	leaving     bool
 	readyToExit bool
-	stopped     atomic.Bool
 	done        chan struct{}
 
 	// Counters exposed for metrics and tests (see agentStats).
@@ -270,7 +269,6 @@ type Agent struct {
 	// riding every fourth heartbeat tick.
 	m               agentMetrics
 	tickCount       uint64
-	heartbeat       atomic.Pointer[time.Timer] // the pending lease-renewal tick
 	lastRetransmits uint64
 	samples         []wire.Metric // staged for the next report
 
@@ -451,9 +449,7 @@ func (a *Agent) holdVote(d time.Duration) {
 	}
 	a.phaseGate.pending++
 	a.delayHold = a.phaseGate
-	time.AfterFunc(d, func() {
-		_ = a.node.Inject(wire.TTick, []byte(delayRelease))
-	})
+	a.node.After(d, []byte(delayRelease))
 }
 
 // releaseVoteHold drains the held gate exactly as an ack would.
@@ -504,9 +500,7 @@ func (a *Agent) Leave() error {
 // Close terminates the agent immediately (non-graceful). The directory
 // notices the silence through the lease timeout and evicts the agent.
 func (a *Agent) Close() error {
-	if a.stopped.CompareAndSwap(false, true) {
-		a.node.Close()
-	}
+	a.node.Close()
 	<-a.done
 	return nil
 }
@@ -518,20 +512,15 @@ func (a *Agent) runLoop(initial *wire.View) {
 		a.copyCount.Store(0)
 		a.vertexCount.Store(0)
 		a.storeBytes.Store(0)
-		if t := a.heartbeat.Swap(nil); t != nil {
-			t.Stop()
-		}
-		// The timer, the free lists and parked votes point back at the
-		// agent. Without them it is part of no cycle, so a finalizer — how
-		// the tests watch for whatever still holds a departed agent — can
-		// see it die.
+		// The free lists and parked votes point back at the agent. Without
+		// them it is part of no cycle, so a finalizer — how the tests watch
+		// for whatever still holds a departed agent — can see it die.
 		a.batcherFree, a.asyncFree, a.pendingVotes = nil, nil, nil
 	}()
 	if initial != nil {
 		a.handleView(initial)
 	}
-	a.sendHeartbeat()
-	a.scheduleHeartbeat()
+	a.heartbeat()
 	for pkt := range a.node.Inbox() {
 		retained := a.handlePacket(pkt)
 		a.copyCount.Store(int64(a.store.NumEdgeCopies()))
@@ -555,9 +544,7 @@ func (a *Agent) runLoop(initial *wire.View) {
 	a.closeCheckpoint()
 	a.closeProfile()
 	_ = a.node.SendFrame(a.dirAddr, a.node.NewFrame(wire.TUnsubscribe))
-	if a.stopped.CompareAndSwap(false, true) {
-		a.node.Close()
-	}
+	a.node.Close()
 }
 
 // handlePacket processes one inbound packet. It reports whether ownership
@@ -625,7 +612,7 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 		// loop, where id/epoch/leaving are safe to read. Every fourth tick
 		// reports the load metrics, so the autoscaler sees queue pressure
 		// and fault signals between supersteps, with all else pending.
-		a.sendHeartbeat()
+		a.heartbeat()
 		a.tickCount++
 		if a.tickCount%4 == 0 {
 			a.stageLoadMetrics()
@@ -830,31 +817,18 @@ func (a *Agent) maybeReady() {
 	}
 }
 
-// sendHeartbeat renews this agent's lease at the coordinator. Heartbeats
-// are deliberately lossy (unacked): the lease timeout absorbs several
-// consecutive losses, and a false eviction is recoverable — the
-// coordinator pushes the latest view back to any zombie it hears from.
-func (a *Agent) sendHeartbeat() {
+// heartbeat renews this agent's lease at the coordinator and arms the next
+// heartbeat tick. Heartbeats are deliberately lossy (unacked): the lease
+// timeout absorbs several consecutive losses, and a false eviction is
+// recoverable — the coordinator pushes the latest view back to any zombie
+// it hears from.
+func (a *Agent) heartbeat() {
+	a.node.After(a.opts.Config.HeartbeatEvery(), nil)
 	if a.leaving {
 		return
 	}
 	_ = a.node.SendFrame(a.coordAddr, wire.AppendHeartbeat(
 		a.node.NewFrame(wire.THeartbeat), &wire.Heartbeat{AgentID: a.id, Epoch: a.router.Epoch()}))
-}
-
-// scheduleHeartbeat runs the lease-renewal clock. The timer re-arms
-// itself directly (so a lost tick cannot kill the chain) and injects a
-// TTick, moving the actual send onto the event loop; the injection
-// bypasses the transport so only the heartbeat itself rides the lossy
-// network.
-func (a *Agent) scheduleHeartbeat() {
-	if a.stopped.Load() {
-		return
-	}
-	a.heartbeat.Store(time.AfterFunc(a.opts.Config.HeartbeatEvery(), func() {
-		_ = a.node.Inject(wire.TTick, nil)
-		a.scheduleHeartbeat()
-	}))
 }
 
 // stageLoadMetrics stages the backpressure/fault half of the metric API —

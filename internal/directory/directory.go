@@ -292,7 +292,7 @@ func Start(opts Options) (*Directory, error) {
 			return nil, err
 		}
 		d.lastView = wire.EncodeView(d.view())
-		d.scheduleLeaseSweep()
+		d.node.After(d.opts.Config.LeaseExpiry()/4, leaseTickPayload)
 	} else {
 		// Relays subscribe to every coordinator broadcast and fan it
 		// out to their own subscribers.
@@ -700,8 +700,8 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 	case wire.TDirectoryList:
 		// Peer directories fan out on their own; nothing to track here.
 	case wire.TTick:
-		// Self-ticks multiplex two timers, distinguished by a 1-byte tag:
-		// empty = async quiescence probe, 1 = lease sweep.
+		// Self-ticks (Node.After) multiplex two timers, distinguished by a
+		// 1-byte tag: empty = async quiescence probe, 1 = lease sweep.
 		if len(pkt.Payload) > 0 && pkt.Payload[0] == leaseTick {
 			d.sweepLeases(time.Now())
 			d.shipSpans() // periodic flush of the coordinator's own spans
@@ -709,7 +709,7 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 				d.evaluateHealth(time.Now())
 			}
 			d.sweepProfiles(time.Now())
-			d.scheduleLeaseSweep()
+			d.node.After(d.opts.Config.LeaseExpiry()/4, leaseTickPayload)
 		} else {
 			d.sendAsyncProbe()
 		}
@@ -995,7 +995,7 @@ func (d *Directory) maybeStartRun() {
 	if spec.Async {
 		// No superstep driving: agents compute as messages arrive; the
 		// coordinator probes for quiescence until the counters settle.
-		d.scheduleAsyncProbe()
+		d.node.After(asyncProbeInterval, nil)
 		if len(d.agents) == 0 {
 			d.finishRun(true)
 		}
@@ -1011,30 +1011,10 @@ func (d *Directory) maybeStartRun() {
 	}
 }
 
-// scheduleAsyncProbe arms the self-tick that triggers the next probe.
-// The tick is injected, not sent: a probe tick lost to transport faults
-// would end quiescence detection for good.
-func (d *Directory) scheduleAsyncProbe() {
-	time.AfterFunc(asyncProbeInterval, func() {
-		_ = d.node.Inject(wire.TTick, nil)
-	})
-}
-
 // leaseTick tags a TTick self-send as a lease sweep (vs. async probe).
 const leaseTick = 1
 
 var leaseTickPayload = []byte{leaseTick}
-
-// scheduleLeaseSweep arms the failure detector's next pass. The tick is
-// injected (never subject to transport faults — a dropped tick would
-// kill the detector chain permanently); the chain re-arms from the event
-// loop after every sweep and dies naturally with the node: an inject
-// into a closed node fails and the handler never runs.
-func (d *Directory) scheduleLeaseSweep() {
-	time.AfterFunc(d.opts.Config.LeaseExpiry()/4, func() {
-		_ = d.node.Inject(wire.TTick, leaseTickPayload)
-	})
-}
 
 // handleHeartbeat renews the sender's lease. A heartbeat from an unknown
 // agent means the sender was already evicted but is still alive (a false
@@ -1131,7 +1111,7 @@ func (d *Directory) evictAgents(dead []uint64) {
 			// history.
 			r.probePending = false
 			r.prevValid = false
-			d.scheduleAsyncProbe()
+			d.node.After(asyncProbeInterval, nil)
 		}
 	}
 	if len(d.agents) == 0 && d.run != nil {
@@ -1220,7 +1200,7 @@ func (d *Directory) handleAsyncProbeVote(m *wire.Ready) {
 		d.finishRun(true)
 		return
 	}
-	d.scheduleAsyncProbe()
+	d.node.After(asyncProbeInterval, nil)
 }
 
 // observeMetric folds one autoscaler sample into the coordinator's health

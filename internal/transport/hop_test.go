@@ -270,25 +270,25 @@ func TestCancelPeerDropsParkedAcks(t *testing.T) {
 	if parked := parkedAcks(b, a.Addr()); parked != 1 {
 		t.Fatalf("%d acks parked, want 1", parked)
 	}
-	old, _ := b.getPeer(a.Addr())
 	b.CancelPeer(a.Addr())
-	old.mu.Lock()
-	left := len(old.acks)
-	old.mu.Unlock()
+	left := parkedAcks(b, a.Addr())
 	if left != 0 || parkedAcks(b, a.Addr()) != 0 {
 		t.Errorf("CancelPeer left %d acks parked for a peer presumed dead", left)
 	}
 }
 
-// parkedAcks is how many acks wait on n's peer addr for a frame to ride.
+// parkedAcks is how many acks wait in n's protocol for a frame to addr to
+// ride.
 func parkedAcks(n *Node, addr string) int {
-	p, err := n.getPeer(addr)
-	if err != nil {
-		return 0
+	n.protoMu.Lock()
+	defer n.protoMu.Unlock()
+	parked := 0
+	for _, a := range n.proto.parked {
+		if a.addr == addr {
+			parked++
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.acks)
+	return parked
 }
 
 // numbered is a test frame payload: sender, sequence number, and a body

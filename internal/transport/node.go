@@ -35,32 +35,14 @@ const maxCoalesce = 64
 // hint; control frames fit the smallest pool class.
 const frameSizeHint = 256
 
-// Acked-send retransmission parameters: an unacknowledged acked-PUSH is
-// retransmitted after ackRTO, doubling per attempt up to ackRTOMax, at
-// most ackMaxResend times before the node gives up and (under
-// SetAckNotify) synthesizes a local TAck so barrier gates still drain.
-// Give-up is a last resort — a dead peer is normally reclaimed earlier by
-// CancelPeer when the membership view evicts it.
-const (
-	ackRTO       = 200 * time.Millisecond
-	ackRTOMax    = 2 * time.Second
-	ackMaxResend = 6
-	// rexmitTick is also the longest a lazy ack (wire.LazyAck) stays parked
-	// for want of a frame to ride: a quarter of ackRTO, so holding an ack
-	// never causes a retransmission.
-	rexmitTick = 50 * time.Millisecond
-)
-
-// dedupWindowSize bounds per-sender duplicate detection: the request IDs
-// of the last dedupWindowSize acked pushes from one sender are remembered,
-// so a retransmitted duplicate arriving within that window is dropped and
-// re-acked instead of being processed twice. The window comfortably covers
-// the retransmission horizon (ackRTOMax × ackMaxResend).
-const dedupWindowSize = 8192
+// rexmitTick paces the protocol clock (proto.tick), so a lazy ack waits at
+// most this long for a frame to ride: a quarter of ackRTO, never a resend.
+const rexmitTick = 50 * time.Millisecond
 
 // Node is one Participant's communication endpoint: a listen address, an
 // inbox of inbound packets, per-peer outbound queues with dedicated writer
-// goroutines, request/reply correlation, and acknowledgement tracking.
+// goroutines and request/reply correlation — the I/O shell around proto,
+// which makes the acknowledgement protocol's decisions.
 //
 // A Node is shared-nothing friendly: exactly one goroutine (the entity's
 // event loop) is expected to consume Inbox and issue sends, while the
@@ -86,16 +68,14 @@ type Node struct {
 	peers    map[string]*peer
 	pending  map[uint32]chan *wire.Packet
 	accepted map[Conn]struct{}
-	nextReq  uint32
 	closed   bool
 
-	ackMu       sync.Mutex
-	ackCond     *sync.Cond
-	outstanding map[uint32]*pendingAck
-	ackNotify   bool
-
-	dedupMu sync.Mutex
-	dedup   map[string]*dedupWindow
+	// protoMu guards proto and is never held across anything else: it is
+	// the innermost lock. acked wakes Flush when the last outstanding send
+	// completes (proto.drained).
+	protoMu sync.Mutex
+	acked   sync.Cond
+	proto   proto
 
 	// injectMu fences Inject against the inbox close: Inject runs from
 	// timer goroutines the wg doesn't track, so Close must exclude it
@@ -143,9 +123,7 @@ type peer struct {
 	// direct is the writer's conn while it is dialled, healthy and able to
 	// send without waiting (TryConn); nil otherwise.
 	direct TryConn
-	// acks are request IDs whose acknowledgement waits for the next write
-	// to this peer (wire.LazyAck); batch is the direct write's scratch.
-	acks  []uint32
+	// batch is the direct write's scratch.
 	batch [][]byte
 }
 
@@ -155,27 +133,6 @@ func (p *peer) cancel() {
 	p.cancelled = true
 	p.room.Broadcast()
 	signal(p.wake)
-}
-
-// pendingAck tracks one unacknowledged acked-PUSH. The frame copy is
-// retained so the retransmission loop can resend it verbatim; it is
-// released when the ack arrives, the send is cancelled, or the node gives
-// up.
-type pendingAck struct {
-	addr     string
-	frame    []byte
-	attempts int
-	nextAt   time.Time
-}
-
-// dedupWindow remembers the last dedupWindowSize acked-push request IDs
-// from one sender in a ring, evicting the oldest as new ones arrive, and
-// for each whether this node has acknowledged it yet. The ring grows to
-// dedupWindowSize as IDs arrive rather than being allocated whole.
-type dedupWindow struct {
-	seen map[uint32]bool // request ID -> acknowledged
-	ring []uint32
-	pos  int
 }
 
 // nodeStats holds the node's transport counters, updated lock-free from
@@ -259,9 +216,6 @@ func (n *Node) Stats() Stats {
 // InboxDepth returns the current inbound queue occupancy.
 func (n *Node) InboxDepth() int { return len(n.inbox) }
 
-// InboxCap returns the inbound queue capacity.
-func (n *Node) InboxCap() int { return cap(n.inbox) }
-
 // QueueDepth sums the frames queued or in the writer's hands over every
 // peer — the send-side backpressure the autoscaler wants to see, counted as
 // the bound a stall is judged against.
@@ -331,22 +285,21 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		net:         network,
-		listener:    l,
-		addr:        l.Addr(),
-		inbox:       make(chan *wire.Packet, inboxDepth),
-		done:        make(chan struct{}),
-		peers:       make(map[string]*peer),
-		pending:     make(map[uint32]chan *wire.Packet),
-		accepted:    make(map[Conn]struct{}),
-		outstanding: make(map[uint32]*pendingAck),
-		dedup:       make(map[string]*dedupWindow),
-		stats:       &nodeStats{},
+		net:      network,
+		listener: l,
+		addr:     l.Addr(),
+		inbox:    make(chan *wire.Packet, inboxDepth),
+		done:     make(chan struct{}),
+		peers:    make(map[string]*peer),
+		pending:  make(map[uint32]chan *wire.Packet),
+		accepted: make(map[Conn]struct{}),
+		stats:    &nodeStats{},
 	}
-	n.ackCond = sync.NewCond(&n.ackMu)
+	n.proto = newProto(n.addr, n.stats)
+	n.acked.L = &n.protoMu
 	n.wg.Add(2)
 	go n.acceptLoop()
-	go n.rexmitLoop()
+	go n.clock()
 	return n, nil
 }
 
@@ -416,66 +369,38 @@ func (n *Node) readLoop(c Conn) {
 }
 
 func (n *Node) dispatch(pkt *wire.Packet) {
-	switch pkt.Type {
-	case wire.TAck:
-		n.ackMu.Lock()
-		pa, known := n.outstanding[pkt.Req]
-		if known {
-			delete(n.outstanding, pkt.Req)
-			n.ackCond.Broadcast()
-		}
-		notify := n.ackNotify
-		n.ackMu.Unlock()
-		if known {
-			releaseFrame(pa.frame)
-		}
-		// Duplicate acks (a retransmitted send acked twice) stop here so
-		// per-send bookkeeping upstream sees each completion once.
-		if !notify || !known {
-			wire.ReleasePacket(pkt)
-			return
-		}
-		// Fall through: ack-notified entities also receive the TAck in
-		// their inbox for per-send bookkeeping.
-	default:
+	n.protoMu.Lock()
+	v, reack := n.proto.frameIn(pkt)
+	n.unlockProto()
+	if reack != nil {
+		_ = n.push(pkt.From, true, reack)
 	}
-	// Acked pushes never correlate to a pending request (their Req lives
-	// in the *sender's* ID namespace); they are deduplicated instead, so a
-	// retransmitted duplicate is dropped rather than applied twice. It is
-	// re-acked only if the original was: an entity may hold a packet
-	// unacknowledged (a forward chain, a batch waiting for its view) for
-	// longer than the sender's RTO, and an ack for the duplicate would tell
-	// the sender it had been processed.
-	if pkt.Req != 0 && pkt.From != "" && wire.AckedPush(pkt.Type) {
-		if seen, acked := n.seenOrRecord(pkt.From, pkt.Req); seen {
-			n.stats.dupsDropped.Add(1)
-			if acked {
-				// At once, whatever the type: the sender's RTO has run out.
-				_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req), true)
-			}
-			wire.ReleasePacket(pkt)
-			return
-		}
-	} else if pkt.Req != 0 {
-		// Reply correlation: a packet carrying a pending request ID
-		// resolves that request instead of entering the inbox.
+	switch v {
+	case inDrop:
+		wire.ReleasePacket(pkt)
+		return
+	case inReply:
 		n.mu.Lock()
 		ch, ok := n.pending[pkt.Req]
-		if ok {
-			delete(n.pending, pkt.Req)
-		}
+		delete(n.pending, pkt.Req)
 		n.mu.Unlock()
 		if ok {
 			ch <- pkt
 			return
 		}
 	}
-	// Selecting on done keeps a full inbox from wedging this readLoop at
-	// shutdown: Close always unblocks it.
+	n.deliver(pkt)
+}
+
+// deliver puts pkt in the inbox, or releases it and reports false once the
+// node closes, so a full inbox wedges no reader, clock or Inject at Close.
+func (n *Node) deliver(pkt *wire.Packet) bool {
 	select {
 	case n.inbox <- pkt:
+		return true
 	case <-n.done:
 		wire.ReleasePacket(pkt)
+		return false
 	}
 }
 
@@ -496,128 +421,36 @@ func (n *Node) getPeer(addr string) (*peer, error) {
 	return p, nil
 }
 
-// seenOrRecord reports whether req was already delivered by from (seen)
-// and, if so, whether it has been acknowledged; a new req is recorded. The
-// per-sender window is bounded: the oldest remembered ID is forgotten once
-// dedupWindowSize newer ones arrive.
-func (n *Node) seenOrRecord(from string, req uint32) (seen, acked bool) {
-	n.dedupMu.Lock()
-	defer n.dedupMu.Unlock()
-	w := n.dedup[from]
-	if w == nil {
-		w = &dedupWindow{seen: make(map[uint32]bool)}
-		n.dedup[from] = w
-	}
-	if acked, seen = w.seen[req]; seen {
-		return true, acked
-	}
-	if len(w.ring) < dedupWindowSize {
-		w.ring = append(w.ring, req)
-	} else {
-		delete(w.seen, w.ring[w.pos])
-		w.ring[w.pos] = req
-		w.pos = (w.pos + 1) % dedupWindowSize
-	}
-	w.seen[req] = false
-	return false, false
-}
-
-// rexmitLoop periodically resends unacknowledged acked sends whose RTO
-// expired — the loss-recovery half of the acked-PUSH pattern. Receivers
-// deduplicate, so a spurious retransmission (slow ack, not a lost frame)
-// is harmless. The same tick sends the acks that found no frame to ride.
-func (n *Node) rexmitLoop() {
+// clock drives the protocol's time: every rexmitTick it ticks proto and
+// carries out what the tick decided — resends and parked acks written
+// without waiting for room, TAcks for sends given up delivered.
+func (n *Node) clock() {
 	defer n.wg.Done()
 	t := time.NewTicker(rexmitTick)
 	defer t.Stop()
-	var peers []*peer
+	var out tickOut
+	var group [][]byte
 	for {
 		select {
 		case <-n.done:
 			return
 		case <-t.C:
 		}
-		n.retransmitDue(time.Now())
-		n.mu.Lock()
-		peers = peers[:0]
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
-		n.mu.Unlock()
-		for _, p := range peers {
-			p.mu.Lock()
-			// A busy writer takes the parked acks along by itself.
-			if p.pending == 0 && len(p.acks) > 0 && !p.cancelled {
-				n.writeIdle(p, n.appendAcks(p, p.batch[:0]))
+		n.protoMu.Lock()
+		n.proto.tick(time.Now(), &out)
+		n.unlockProto()
+		// One push per address; a full queue drops it, and the RTO brings
+		// its sends back.
+		for i, w := range out.writes {
+			group = append(group, w.frame)
+			if i+1 == len(out.writes) || out.writes[i+1].addr != w.addr {
+				_ = n.push(w.addr, false, group...)
+				group = group[:0]
 			}
-			p.mu.Unlock()
 		}
-	}
-}
-
-func (n *Node) retransmitDue(now time.Time) {
-	type resend struct {
-		addr  string
-		frame []byte
-	}
-	type giveup struct {
-		req   uint32
-		addr  string
-		frame []byte
-	}
-	var resends []resend
-	var giveups []giveup
-	n.ackMu.Lock()
-	for req, pa := range n.outstanding {
-		if pa.nextAt.After(now) {
-			continue
+		for _, pkt := range out.deliver {
+			n.deliver(pkt)
 		}
-		if pa.attempts >= ackMaxResend {
-			delete(n.outstanding, req)
-			giveups = append(giveups, giveup{req: req, addr: pa.addr, frame: pa.frame})
-			continue
-		}
-		pa.attempts++
-		rto := ackRTO << uint(pa.attempts)
-		if rto > ackRTOMax {
-			rto = ackRTOMax
-		}
-		pa.nextAt = now.Add(rto)
-		resends = append(resends, resend{pa.addr, append(wire.GetFrame(len(pa.frame)), pa.frame...)})
-	}
-	if len(giveups) > 0 {
-		n.ackCond.Broadcast()
-	}
-	notify := n.ackNotify
-	n.ackMu.Unlock()
-	for _, r := range resends {
-		n.stats.retransmits.Add(1)
-		// Best-effort: a saturated queue drops this copy; the entry's RTO
-		// already advanced, so the next tick tries again.
-		_ = n.enqueueFrame(r.addr, r.frame, false)
-	}
-	for _, g := range giveups {
-		n.stats.ackGiveUps.Add(1)
-		releaseFrame(g.frame)
-		if notify {
-			// Synthesize a local TAck so the owner's barrier gates drain
-			// instead of wedging on a peer that will never answer.
-			n.syntheticAck(g.req, g.addr)
-		}
-	}
-}
-
-// syntheticAck injects a locally-fabricated TAck for req into the inbox,
-// standing in for a peer that will never acknowledge.
-func (n *Node) syntheticAck(req uint32, from string) {
-	pkt := wire.GetPacket()
-	pkt.Type = wire.TAck
-	pkt.Req = req
-	pkt.From = from
-	select {
-	case n.inbox <- pkt:
-	case <-n.done:
-		wire.ReleasePacket(pkt)
 	}
 }
 
@@ -641,29 +474,16 @@ type FailedSend struct {
 func (n *Node) CancelPeer(addr string) []FailedSend {
 	n.mu.Lock()
 	p, ok := n.peers[addr]
-	if ok {
-		delete(n.peers, addr)
-	}
+	delete(n.peers, addr)
 	n.mu.Unlock()
 	if ok {
 		p.mu.Lock()
-		p.acks = nil // the peer is presumed gone: nothing is owed to it
 		p.cancel()
 		p.mu.Unlock()
 	}
-	var failed []FailedSend
-	n.ackMu.Lock()
-	for req, pa := range n.outstanding {
-		if pa.addr != addr {
-			continue
-		}
-		delete(n.outstanding, req)
-		failed = append(failed, FailedSend{Req: req, Frame: pa.frame})
-	}
-	if len(failed) > 0 {
-		n.ackCond.Broadcast()
-	}
-	n.ackMu.Unlock()
+	n.protoMu.Lock()
+	failed := n.proto.cancel(addr)
+	n.unlockProto()
 	return failed
 }
 
@@ -703,10 +523,7 @@ func (n *Node) writeLoop(p *peer) {
 			// Acks still parked leave too: their sender would retransmit to
 			// a node that has gone.
 			if c != nil {
-				p.mu.Lock()
-				acks := n.appendAcks(p, out[:0])
-				p.mu.Unlock()
-				_ = n.writeBatch(c, acks)
+				_ = n.writeBatch(c, n.appendAcks(p.addr, out[:0]))
 			}
 			return
 		}
@@ -757,11 +574,9 @@ func (n *Node) writeQueued(c Conn, p *peer, taken, out [][]byte, last bool) Conn
 		if c == nil {
 			releaseFrames(taken[:k])
 		} else {
-			p.mu.Lock()
 			// Behind the queued frames: the first of those may finish a
 			// write a sender began (TryConn).
-			w := n.appendAcks(p, append(out[:0], taken[:k]...))
-			p.mu.Unlock()
+			w := n.appendAcks(p.addr, append(out[:0], taken[:k]...))
 			clear(taken[:k])
 			if err := n.writeBatch(c, w); err != nil {
 				c.Close()
@@ -821,17 +636,22 @@ func releaseFrames(frames [][]byte) {
 	}
 }
 
-// push sends frame to p: from the caller's goroutine if p is idle and its
-// conn can take the frame without waiting, else through p's queue. With
-// peerQueueDepth frames pending it waits for room if wait is set, counting a
-// stall, and otherwise drops the frame. Ownership of frame transfers; on
-// failure it is recycled here.
-func (n *Node) push(p *peer, frame []byte, wait bool) error {
+// push sends frames in order to addr's peer, made on first use: from the
+// caller's goroutine if it is idle and its conn can take them without
+// waiting, else through its queue. With peerQueueDepth frames pending it
+// waits for room if wait is set, counting a stall, and otherwise drops the
+// frames. Ownership of the frames transfers; on failure they are recycled.
+func (n *Node) push(addr string, wait bool, frames ...[]byte) error {
+	p, err := n.getPeer(addr)
+	if err != nil {
+		releaseFrames(frames)
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pending >= peerQueueDepth && !p.cancelled {
 		if !wait {
-			releaseFrame(frame)
+			releaseFrames(frames)
 			return ErrUnavailable
 		}
 		n.stats.stalls.Add(1)
@@ -840,16 +660,16 @@ func (n *Node) push(p *peer, frame []byte, wait bool) error {
 		}
 	}
 	if p.cancelled {
-		releaseFrame(frame)
+		releaseFrames(frames)
 		return ErrPeerClosed
 	}
 	if p.pending == 0 {
-		n.writeIdle(p, append(n.appendAcks(p, p.batch[:0]), frame))
+		n.writeIdle(p, append(n.appendAcks(p.addr, p.batch[:0]), frames...))
 		return nil
 	}
-	p.queue = append(p.queue, frame)
-	p.pending++
-	if len(p.queue) == 1 {
+	p.queue = append(p.queue, frames...)
+	p.pending += len(frames)
+	if len(p.queue) == len(frames) {
 		signal(p.wake)
 	}
 	return nil
@@ -871,24 +691,22 @@ func (n *Node) writeIdle(p *peer, frames [][]byte) {
 	p.batch = frames[:0]
 }
 
-// appendAcks appends the acks parked on p to frames, as TAck frames, at
-// most maxCoalesce-1 at a time so that they and the frame they ride are one
-// gather of the writer's. p.mu held.
-func (n *Node) appendAcks(p *peer, frames [][]byte) [][]byte {
-	k := min(len(p.acks), maxCoalesce-1)
-	for _, req := range p.acks[:k] {
-		frames = append(frames, n.ackFrame(req))
+// unlockProto releases protoMu after an input, first waking Flush if the
+// input completed the last outstanding send.
+func (n *Node) unlockProto() {
+	if n.proto.drained {
+		n.proto.drained = false
+		n.acked.Broadcast()
 	}
-	p.acks = p.acks[:copy(p.acks, p.acks[k:])]
-	return frames
+	n.protoMu.Unlock()
 }
 
-// ackFrame is a finished TAck for req.
-func (n *Node) ackFrame(req uint32) []byte {
-	frame := n.NewFrame(wire.TAck)
-	wire.PatchFrameReq(frame, req)
-	_ = wire.FinishFrame(frame) // a header alone is within every limit
-	return frame
+// appendAcks appends the acks parked for addr to frames (proto.takeAcks).
+func (n *Node) appendAcks(addr string, frames [][]byte) [][]byte {
+	n.protoMu.Lock()
+	frames = n.proto.takeAcks(addr, frames)
+	n.protoMu.Unlock()
+	return frames
 }
 
 // NewFrame returns a pooled buffer holding a frame header for typ from
@@ -922,17 +740,6 @@ func (n *Node) NewFrameHintCtx(typ wire.Type, payloadHint int, ctx trace.SpanCon
 // frameHeaderBytes mirrors wire's fixed header size for hint math.
 const frameHeaderBytes = 11
 
-// enqueueFrame pushes frame to addr's peer, creating the peer on first use.
-// Ownership of frame transfers; on failure it is recycled here.
-func (n *Node) enqueueFrame(addr string, frame []byte, wait bool) error {
-	p, err := n.getPeer(addr)
-	if err != nil {
-		releaseFrame(frame)
-		return err
-	}
-	return n.push(p, frame, wait)
-}
-
 // SendFrame is the PUSH pattern over the single-copy path: frame must
 // have been started with NewFrame and had its payload appended in place.
 // SendFrame patches the payload length and hands the buffer to the
@@ -943,7 +750,7 @@ func (n *Node) SendFrame(addr string, frame []byte) error {
 		releaseFrame(frame)
 		return err
 	}
-	return n.enqueueFrame(addr, frame, true)
+	return n.push(addr, true, frame)
 }
 
 // Send is the PUSH pattern: a non-blocking (buffered) one-way packet.
@@ -980,13 +787,19 @@ func (n *Node) Inject(typ wire.Type, payload []byte) error {
 		return ErrNodeClosed
 	default:
 	}
-	select {
-	case n.inbox <- pkt:
-		return nil
-	case <-n.done:
-		wire.ReleasePacket(pkt)
+	if !n.deliver(pkt) {
 		return ErrNodeClosed
 	}
+	return nil
+}
+
+// After injects a TTick carrying tag once d has passed: the one timer an
+// entity's event loop arms. Injected, never sent, a tick is subject to no
+// transport fault (a dropped one would end its chain for good); a chain
+// re-arms from the loop that handles each tick and dies with the node, as
+// an inject into a closed node fails.
+func (n *Node) After(d time.Duration, tag []byte) {
+	time.AfterFunc(d, func() { _ = n.Inject(wire.TTick, tag) })
 }
 
 // SetAckNotify controls whether TAck packets are delivered to the inbox
@@ -994,20 +807,9 @@ func (n *Node) Inject(typ wire.Type, payload []byte) error {
 // per-send completion — agents with barrier gates — enable it so every
 // ack flows through their single event loop.
 func (n *Node) SetAckNotify(on bool) {
-	n.ackMu.Lock()
-	n.ackNotify = on
-	n.ackMu.Unlock()
-}
-
-func (n *Node) allocReq() uint32 {
-	n.mu.Lock()
-	n.nextReq++
-	if n.nextReq == 0 {
-		n.nextReq = 1
-	}
-	req := n.nextReq
-	n.mu.Unlock()
-	return req
+	n.protoMu.Lock()
+	n.proto.notify = on
+	n.protoMu.Unlock()
 }
 
 // SendFrameAckedReq sends frame as an acked PUSH, returning the request
@@ -1015,26 +817,17 @@ func (n *Node) allocReq() uint32 {
 // SetAckNotify) to this send. The request ID is patched into the frame
 // after the payload was appended — it sits at a fixed header offset.
 func (n *Node) SendFrameAckedReq(addr string, frame []byte) (uint32, error) {
-	req := n.allocReq()
-	wire.PatchFrameReq(frame, req)
-	if err := wire.FinishFrame(frame); err != nil {
-		releaseFrame(frame)
+	now := time.Now()
+	n.protoMu.Lock()
+	req, err := n.proto.send(addr, frame, now)
+	n.protoMu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	// Retain a copy for loss recovery: the writer consumes frame, the
-	// retransmission loop resends the copy until the ack arrives.
-	retained := append(wire.GetFrame(len(frame)), frame...)
-	n.ackMu.Lock()
-	n.outstanding[req] = &pendingAck{addr: addr, frame: retained, nextAt: time.Now().Add(ackRTO)}
-	n.ackMu.Unlock()
-	if err := n.enqueueFrame(addr, frame, true); err != nil {
-		n.ackMu.Lock()
-		if pa, ok := n.outstanding[req]; ok {
-			delete(n.outstanding, req)
-			releaseFrame(pa.frame)
-		}
-		n.ackCond.Broadcast()
-		n.ackMu.Unlock()
+	if err := n.push(addr, true, frame); err != nil {
+		n.protoMu.Lock()
+		n.proto.complete(req) // unless CancelPeer took it first
+		n.unlockProto()
 		return 0, err
 	}
 	return req, nil
@@ -1049,48 +842,30 @@ func (n *Node) SendFrameAcked(addr string, frame []byte) error {
 	return err
 }
 
-// SendAckedReq is SendAcked returning the request ID so callers can
-// correlate the eventual TAck (visible with SetAckNotify) to this send.
-func (n *Node) SendAckedReq(addr string, typ wire.Type, payload []byte) (uint32, error) {
-	return n.SendFrameAckedReq(addr, append(n.NewFrameHint(typ, len(payload)), payload...))
-}
-
 // SendAcked is the acked-PUSH pattern with a copied payload; prefer
 // NewFrame + SendFrameAcked on hot paths.
 func (n *Node) SendAcked(addr string, typ wire.Type, payload []byte) error {
-	_, err := n.SendAckedReq(addr, typ, payload)
+	_, err := n.SendFrameAckedReq(addr, append(n.NewFrameHint(typ, len(payload)), payload...))
 	return err
 }
 
-// Ack acknowledges a processed packet back to its sender. An ack the
-// sender does not wait on (wire.LazyAck) is parked on the peer instead: the
-// next write to it carries the ack in the same conn write, and the
-// retransmission tick sends whatever found no frame to ride.
+// Ack acknowledges a processed packet back to its sender: at once, or if the
+// sender does not wait on it (wire.LazyAck) in the next write to the sender
+// or with the clock's next tick, whichever comes first.
 func (n *Node) Ack(pkt *wire.Packet) {
-	if pkt.Req == 0 || pkt.From == "" {
-		return
-	}
-	n.dedupMu.Lock()
-	if w := n.dedup[pkt.From]; w != nil {
-		if _, seen := w.seen[pkt.Req]; seen {
-			w.seen[pkt.Req] = true // duplicates from now on are re-acked
-		}
-	}
-	n.dedupMu.Unlock()
-	if !wire.LazyAck(pkt.Type) {
-		_ = n.enqueueFrame(pkt.From, n.ackFrame(pkt.Req), true)
-	} else if p, err := n.getPeer(pkt.From); err == nil {
-		p.mu.Lock()
-		p.acks = append(p.acks, pkt.Req)
-		p.mu.Unlock()
+	n.protoMu.Lock()
+	frame := n.proto.ack(pkt)
+	n.protoMu.Unlock()
+	if frame != nil {
+		_ = n.push(pkt.From, true, frame)
 	}
 }
 
 // OutstandingAcks returns the number of acked sends not yet confirmed.
 func (n *Node) OutstandingAcks() int {
-	n.ackMu.Lock()
-	defer n.ackMu.Unlock()
-	return len(n.outstanding)
+	n.protoMu.Lock()
+	defer n.protoMu.Unlock()
+	return len(n.proto.outstanding)
 }
 
 // ErrFlushTimeout reports that acks did not arrive in time.
@@ -1104,18 +879,18 @@ func (n *Node) Flush(timeout time.Duration) error {
 	}
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
-		n.ackMu.Lock()
-		n.ackCond.Broadcast()
-		n.ackMu.Unlock()
+		n.protoMu.Lock()
+		n.acked.Broadcast()
+		n.protoMu.Unlock()
 	})
 	defer timer.Stop()
-	n.ackMu.Lock()
-	defer n.ackMu.Unlock()
-	for len(n.outstanding) > 0 {
+	n.protoMu.Lock()
+	defer n.protoMu.Unlock()
+	for len(n.proto.outstanding) > 0 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w (%d pending)", ErrFlushTimeout, len(n.outstanding))
+			return fmt.Errorf("%w (%d pending)", ErrFlushTimeout, len(n.proto.outstanding))
 		}
-		n.ackCond.Wait()
+		n.acked.Wait()
 	}
 	return nil
 }
@@ -1151,48 +926,36 @@ func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*
 		timeout = DefaultRequestTimeout
 	}
 	typ := wire.FrameType(frame)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		releaseFrame(frame)
-		return nil, ErrNodeClosed
-	}
-	n.nextReq++
-	if n.nextReq == 0 {
-		n.nextReq = 1
-	}
-	req := n.nextReq
-	ch := make(chan *wire.Packet, 1)
-	n.pending[req] = ch
-	n.mu.Unlock()
-
+	n.protoMu.Lock()
+	req := n.proto.newReq()
+	n.protoMu.Unlock()
 	wire.PatchFrameReq(frame, req)
 	if err := wire.FinishFrame(frame); err != nil {
 		releaseFrame(frame)
-		n.mu.Lock()
-		delete(n.pending, req)
-		n.mu.Unlock()
 		return nil, err
 	}
-	if err := n.enqueueFrame(addr, frame, true); err != nil {
-		n.mu.Lock()
-		delete(n.pending, req)
-		n.mu.Unlock()
-		return nil, err
+	ch := make(chan *wire.Packet, 1)
+	n.mu.Lock()
+	n.pending[req] = ch
+	n.mu.Unlock()
+	// A closed node fails the enqueue (ErrNodeClosed).
+	err := n.push(addr, true, frame)
+	if err == nil {
+		start := time.Now()
+		t := getTimer(timeout)
+		defer putTimer(t)
+		select {
+		case reply := <-ch:
+			n.rttHist.Load().Observe(time.Since(start).Seconds())
+			return reply, nil
+		case <-t.C:
+			err = fmt.Errorf("transport: request %s to %s: %w", typ, addr, ErrTimeout)
+		}
 	}
-	start := time.Now()
-	t := getTimer(timeout)
-	defer putTimer(t)
-	select {
-	case reply := <-ch:
-		n.rttHist.Load().Observe(time.Since(start).Seconds())
-		return reply, nil
-	case <-t.C:
-		n.mu.Lock()
-		delete(n.pending, req)
-		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: request %s to %s: %w", typ, addr, ErrTimeout)
-	}
+	n.mu.Lock()
+	delete(n.pending, req)
+	n.mu.Unlock()
+	return nil, err
 }
 
 // Request is the REQ/REP pattern: send and block for the correlated reply.
@@ -1243,18 +1006,10 @@ func (n *Node) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	n.ackMu.Lock()
-	n.ackCond.Broadcast()
-	n.ackMu.Unlock()
-
 	n.wg.Wait()
-	n.ackMu.Lock()
-	for req, pa := range n.outstanding {
-		delete(n.outstanding, req)
-		releaseFrame(pa.frame)
-	}
-	n.ackCond.Broadcast()
-	n.ackMu.Unlock()
+	n.protoMu.Lock()
+	n.proto.close()
+	n.unlockProto()
 	n.injectMu.Lock()
 	close(n.inbox)
 	n.injectMu.Unlock()
