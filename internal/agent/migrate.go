@@ -257,7 +257,9 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		}
 	} else {
 		a.verts.drop(recRegistered)
-		a.refreshRegistrations(gate)
+		if a.router.CanSplit() { // else no vertex is split: nothing to announce
+			a.refreshRegistrations(gate)
+		}
 	}
 
 	// Vote once all shipments are acknowledged. Connections are FIFO, so

@@ -3,15 +3,19 @@
 //
 // Every Participant (agent, streamer, client proxy) holds a copy of the
 // ring built from the directory's agent list. An agent contributes V
-// virtual points (default 100, paper §3.4.2); lookups binary-search the
-// sorted point vector, so each hop is O(log(P·V)). When an agent joins or
-// leaves only the keys adjacent to its points move — the property that
-// makes elastic scaling cheap (paper §2.3, Fig. 16).
+// virtual points (default 100, paper §3.4.2). A bucket index over the top
+// bits of the hash lands a lookup within about one point of its successor,
+// so each hop is O(1) expected rather than a binary search over the P·V
+// points. When an agent joins or leaves only the keys adjacent to its
+// points move — the property that makes elastic scaling cheap (paper §2.3,
+// Fig. 16).
 package consistent
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"elga/internal/hashing"
 )
@@ -25,9 +29,11 @@ type AgentID uint64
 // cost grows without meaningful balance improvement.
 const DefaultVirtual = 100
 
+// point is one virtual agent: a position on the ring and its agent's
+// position in the member list.
 type point struct {
-	hash  uint64
-	agent AgentID
+	hash uint64
+	at   uint32
 }
 
 // Ring is an immutable consistent-hash ring. Build a new Ring whenever the
@@ -39,6 +45,13 @@ type Ring struct {
 	members []AgentID // sorted, deduplicated
 	virtual int
 	hash    hashing.Func
+
+	// The bucket index: bucket b holds the position of the first point whose
+	// hash is at or after b<<shift, len(points) when none is. There are about
+	// two buckets a point (4 KiB for 5 agents at 100 points each), so a
+	// lookup scans about one point past its bucket's first.
+	shift uint
+	index []uint32
 }
 
 // Options configures ring construction.
@@ -56,38 +69,52 @@ func New(members []AgentID, opts Options) *Ring {
 	if v <= 0 {
 		v = DefaultVirtual
 	}
-	uniq := make([]AgentID, 0, len(members))
-	seen := make(map[AgentID]struct{}, len(members))
-	for _, m := range members {
-		if _, dup := seen[m]; dup {
-			continue
-		}
-		seen[m] = struct{}{}
-		uniq = append(uniq, m)
-	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	uniq := slices.Clone(members)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	r := &Ring{
 		points:  make([]point, 0, len(uniq)*v),
 		members: uniq,
 		virtual: v,
 		hash:    opts.Hash,
 	}
-	for _, m := range uniq {
+	for at, m := range uniq {
 		base := r.hash.Hash(uint64(m))
 		for i := 0; i < v; i++ {
 			// Derive each virtual point from the agent ID and the
 			// replica index; Combine re-mixes so points scatter.
 			h := hashing.Combine(base, uint64(i)+1)
-			r.points = append(r.points, point{hash: h, agent: m})
+			r.points = append(r.points, point{hash: h, at: uint32(at)})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	// Members are sorted, so ties on a hash break by agent ID.
+	slices.SortFunc(r.points, func(a, b point) int {
+		if a.hash != b.hash {
+			return cmp.Compare(a.hash, b.hash)
 		}
-		return r.points[i].agent < r.points[j].agent
+		return cmp.Compare(a.at, b.at)
 	})
+	r.buildIndex()
 	return r
+}
+
+// buildIndex sizes the bucket index at the power of two at or above twice
+// the point count and fills it in one sweep of the sorted points.
+func (r *Ring) buildIndex() {
+	n := len(r.points)
+	if n == 0 {
+		return
+	}
+	logBuckets := bits.Len(uint(2*n - 1))
+	r.shift = uint(64 - logBuckets)
+	r.index = make([]uint32, 1<<logBuckets)
+	j := 0
+	for b := range r.index {
+		for j < n && r.points[j].hash>>r.shift < uint64(b) {
+			j++
+		}
+		r.index[b] = uint32(j)
+	}
 }
 
 // Members returns the sorted member list. Callers must not mutate it.
@@ -108,13 +135,17 @@ func (r *Ring) Contains(a AgentID) bool {
 // Index returns a's position in Members(), the dense index a Participant
 // can address per-agent buffers by while this ring is installed.
 func (r *Ring) Index(a AgentID) (int, bool) {
-	i := sort.Search(len(r.members), func(i int) bool { return r.members[i] >= a })
-	return i, i < len(r.members) && r.members[i] == a
+	return slices.BinarySearch(r.members, a)
 }
 
-// successor returns the index of the first point with hash >= h, wrapping.
+// successor returns the index of the first point with hash >= h, wrapping:
+// the first point of h's bucket, and forward from there. The ring must not
+// be empty.
 func (r *Ring) successor(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := int(r.index[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		return 0
 	}
@@ -124,10 +155,24 @@ func (r *Ring) successor(h uint64) int {
 // Owner returns the agent owning hash position h (the next point at or
 // after h on the ring). ok is false for an empty ring.
 func (r *Ring) Owner(h uint64) (AgentID, bool) {
+	if i, ok := r.ownerIndex(h); ok {
+		return r.members[i], true
+	}
+	return 0, false
+}
+
+// ownerIndex is Owner answering with the owner's position in Members().
+func (r *Ring) ownerIndex(h uint64) (int, bool) {
 	if len(r.points) == 0 {
 		return 0, false
 	}
-	return r.points[r.successor(h)].agent, true
+	return int(r.points[r.successor(h)].at), true
+}
+
+// OwnerIndexOfVertex is OwnerOfVertex answering with the owner's position
+// in Members().
+func (r *Ring) OwnerIndexOfVertex(v uint64) (int, bool) {
+	return r.ownerIndex(r.hash.Hash(v))
 }
 
 // OwnerOfVertex returns the primary owner for vertex v: the successor of
@@ -165,16 +210,25 @@ func (r *Ring) SuccessorsInto(h uint64, k int, out []AgentID) []AgentID {
 	}
 	start := r.successor(h)
 	for i := 0; i < len(r.points) && len(out) < k; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		dup := false
-		for _, a := range out {
-			if a == p.agent {
-				dup = true
-				break
-			}
+		if a := r.members[r.points[(start+i)%len(r.points)].at]; !slices.Contains(out, a) {
+			out = append(out, a)
 		}
-		if !dup {
-			out = append(out, p.agent)
+	}
+	return out
+}
+
+// ReplicaIndexesInto is ReplicaSetInto answering with the replicas'
+// positions in Members(), allocating nothing when out has capacity k.
+func (r *Ring) ReplicaIndexesInto(v uint64, k int, out []int32) []int32 {
+	out = out[:0]
+	if len(r.points) == 0 || k <= 0 {
+		return out
+	}
+	k = min(k, len(r.members))
+	start := r.successor(r.hash.Hash(v))
+	for i := 0; i < len(r.points) && len(out) < k; i++ {
+		if at := int32(r.points[(start+i)%len(r.points)].at); !slices.Contains(out, at) {
+			out = append(out, at)
 		}
 	}
 	return out

@@ -1,7 +1,8 @@
 // Package route implements the Participant-side lookup of Figure 3: every
 // Participant combines the latest directory view (membership + sketch)
 // with the cluster configuration to resolve which agent owns any edge or
-// vertex. The first lookup of a vertex under a view costs O(log P) against
+// vertex. The first lookup of a vertex under a view costs O(1) expected — a
+// ring bucket, and the sketch only when some vertex can split — against
 // O(P + d·w) state; every later one is a probe of the route table.
 package route
 
@@ -98,6 +99,11 @@ type Router struct {
 	members []consistent.AgentID // ring.Members()
 	sk      *sketch.Sketch
 	addrs   map[uint64]string
+	// limit is the replication threshold in force under the installed
+	// sketch and ring; canSplit is false when no vertex can reach it (the
+	// sketch's bound is under it), so every vertex has one replica.
+	limit    uint64
+	canSplit bool
 
 	// tab holds every vertex looked up since the last wholesale install;
 	// nothing is ever evicted, which is what makes Rerouted complete. side
@@ -134,15 +140,30 @@ func (r *Router) resetTable() {
 	r.count = 0
 }
 
-// replicas is v's replica count under the installed sketch and ring.
+// replicas is v's replica count under the installed sketch and ring. While
+// nothing can split it is 1 without a sketch read: every estimate is at most
+// the sketch's bound, under the threshold, where Replicas answers 1.
 func (r *Router) replicas(v graph.VertexID) int {
+	if !r.canSplit {
+		return 1
+	}
 	n := r.ring.Size()
-	k := r.cfg.Replicas(r.sk.Estimate(uint64(v)), r.sk.Count(), n)
+	k := sketch.Replicas(r.sk.Estimate(uint64(v)), r.limit, r.cfg.MaxReplicas)
 	if k > n && n > 0 {
 		k = n
 	}
 	return k
 }
+
+// settle derives limit and canSplit from the installed sketch and ring.
+func (r *Router) settle() {
+	r.limit = r.threshold(r.sk.Count())
+	r.canSplit = r.limit > 0 && r.cfg.MaxReplicas > 1 && r.sk.Bound() >= r.limit
+}
+
+// CanSplit reports whether any vertex may be split under the installed
+// view. False means every vertex has exactly one replica.
+func (r *Router) CanSplit() bool { return r.canSplit }
 
 // threshold is the replication threshold at a sketch total under the
 // installed membership.
@@ -154,16 +175,14 @@ func (r *Router) threshold(total uint64) uint64 { return r.cfg.Threshold(total, 
 func (r *Router) computeRoute(v graph.VertexID) *vertexRoute {
 	k := r.replicas(v)
 	if k <= 1 {
-		if owner, ok := r.ring.OwnerOfVertex(uint64(v)); ok {
-			i, _ := r.ring.Index(owner)
+		if i, ok := r.ring.OwnerIndexOfVertex(uint64(v)); ok {
 			return &r.unsplit[i]
 		}
 	}
-	rt := &vertexRoute{k: k, set: r.ring.ReplicaSet(uint64(v), k)}
-	rt.at = make([]int32, len(rt.set))
-	for i, a := range rt.set {
-		j, _ := r.ring.Index(a)
-		rt.at[i] = int32(j)
+	rt := &vertexRoute{k: k, at: r.ring.ReplicaIndexesInto(uint64(v), k, make([]int32, 0, min(k, len(r.members))))}
+	rt.set = make([]consistent.AgentID, len(rt.at))
+	for i, j := range rt.at {
+		rt.set[i] = r.members[j]
 	}
 	return rt
 }
@@ -316,6 +335,7 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 	r.n = v.N
 	r.rerouted = r.rerouted[:0]
 	if r.sketchOnly = r.sameMembers(v); r.sketchOnly {
+		r.settle()
 		// No cell changed replica bucket means no vertex changed count.
 		if crossed {
 			r.dropRerouted()
@@ -335,6 +355,7 @@ func (r *Router) Update(v *wire.View) (bool, error) {
 	for i := range r.unsplit {
 		r.unsplit[i] = vertexRoute{k: 1, set: r.members[i : i+1 : i+1], at: []int32{int32(i)}}
 	}
+	r.settle()
 	// Every route was a function of the previous ring.
 	r.resetTable()
 	return true, nil

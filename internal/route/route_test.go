@@ -301,3 +301,57 @@ func TestThresholdMoveReroutesExactly(t *testing.T) {
 		t.Fatalf("rerouted %v: want the 300-degree hub (un-split) and not the capped 2000-degree one", rerouted)
 	}
 }
+
+// TestReplicasBoundIsExact: the router answers one replica without reading
+// the sketch while the sketch's bound is under the threshold in force, and
+// otherwise reads it; either way every vertex of the R-MAT-14 graph gets
+// exactly sketch.Replicas of its estimate, capped by the ring size. Fixed
+// thresholds sit just under, at and just over the bound, just under the
+// largest estimate (which collisions keep under the bound: only the top hub
+// splits) and at 0 (never split); the load-derived one at 4, 16 and 64
+// members splits none, some and many hubs.
+func TestReplicasBoundIsExact(t *testing.T) {
+	base := config.Default()
+	sk, vs := rmat14Sketch(t, base)
+	bound, top := sk.Bound(), uint64(0)
+	for _, v := range vs {
+		top = max(top, sk.Estimate(uint64(v)))
+	}
+	for _, tc := range []struct {
+		threshold uint64
+		members   int
+	}{
+		{bound - 1, 4}, {bound, 4}, {bound + 1, 4}, {top - 1, 4}, {0, 4},
+		{config.SplitByLoad, 4}, {config.SplitByLoad, 16}, {config.SplitByLoad, 64},
+	} {
+		c := base
+		c.ReplicationThreshold = tc.threshold
+		ids := make([]uint64, tc.members)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		r := New(c)
+		if _, err := r.Update(view(t, 1, ids, sk)); err != nil {
+			t.Fatal(err)
+		}
+		limit := c.Threshold(sk.Count(), tc.members)
+		if want := limit > 0 && bound >= limit; r.CanSplit() != want {
+			t.Fatalf("threshold %d, P = %d: CanSplit = %v with bound %d", limit, tc.members, r.CanSplit(), bound)
+		}
+		split := 0
+		for _, v := range vs {
+			want := min(sketch.Replicas(sk.Estimate(uint64(v)), limit, c.MaxReplicas), tc.members)
+			if got := r.Replicas(v); got != want {
+				t.Fatalf("threshold %d, P = %d: Replicas(%d) = %d, want %d (estimate %d)",
+					limit, tc.members, v, got, want, sk.Estimate(uint64(v)))
+			}
+			if want > 1 {
+				split++
+			}
+		}
+		if split > 0 && !r.CanSplit() {
+			t.Fatalf("threshold %d, P = %d: %d vertices split but CanSplit is false", limit, tc.members, split)
+		}
+		t.Logf("threshold %d, P = %d: bound %d, %d split", limit, tc.members, bound, split)
+	}
+}

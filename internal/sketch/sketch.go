@@ -39,6 +39,9 @@ type Sketch struct {
 	seeds []uint64 // one per row
 	rows  [][]uint32
 	count uint64 // total increments applied (m in the error bound)
+	// bound is the largest cell of row 0. Every Estimate is a minimum
+	// over rows, row 0 included, so none exceeds it.
+	bound uint32
 }
 
 // New creates a sketch with the given width and depth. Width and depth
@@ -83,6 +86,11 @@ func (s *Sketch) Depth() int { return int(s.depth) }
 // Count returns the total number of increments applied (m in ε·m).
 func (s *Sketch) Count() uint64 { return s.count }
 
+// Bound returns an upper bound on every Estimate: the largest cell of row
+// 0. A replica policy can answer "one replica" for every key at once while
+// the bound is under its threshold.
+func (s *Sketch) Bound() uint64 { return uint64(s.bound) }
+
 func (s *Sketch) cell(row int, key uint64) *uint32 {
 	h := hashing.Combine(s.seeds[row], key)
 	return &s.rows[row][uint32(h)%s.width]
@@ -103,6 +111,9 @@ func (s *Sketch) AddN(key uint64, n uint32) {
 			*c = math.MaxUint32
 		} else {
 			*c += n
+		}
+		if row == 0 {
+			s.bound = max(s.bound, *c)
 		}
 	}
 	s.count += uint64(n)
@@ -127,6 +138,7 @@ func (s *Sketch) Clone() *Sketch {
 		copy(c.rows[r], s.rows[r])
 	}
 	c.count = s.count
+	c.bound = s.bound
 	return c
 }
 
@@ -139,6 +151,7 @@ func (s *Sketch) Reset() {
 		}
 	}
 	s.count = 0
+	s.bound = 0
 }
 
 // SizeBytes returns the serialized size, the quantity the paper's §3.3.1
@@ -242,7 +255,9 @@ func (s *Sketch) LoadEncoded(data []byte, threshold func(total uint64) uint64, m
 			}
 		}
 	}
-	s.count = cnt
+	// A load may lower cells, so the bound is taken afresh: one pass over
+	// row 0 measured cheaper than a max folded into the walk above.
+	s.count, s.bound = cnt, slices.Max(s.rows[0])
 	return crossed, nil
 }
 
@@ -265,7 +280,7 @@ func (s *Sketch) MergeEncoded(data []byte, threshold func(total uint64) uint64, 
 	}
 	moved, every := crossing(threshold, maxReplicas, s.count, s.count+cnt)
 	off := 16
-	for _, row := range s.rows {
+	for r, row := range s.rows {
 		for i, old := range row {
 			add := binary.LittleEndian.Uint32(data[off:])
 			off += 4
@@ -277,6 +292,9 @@ func (s *Sketch) MergeEncoded(data []byte, threshold func(total uint64) uint64, 
 				v = math.MaxUint32
 			}
 			row[i] = uint32(v)
+			if r == 0 { // cells only grow here: the changed ones raise the bound
+				s.bound = max(s.bound, uint32(v))
+			}
 			if !crossed && moved(uint64(old), v) {
 				crossed = true
 			}

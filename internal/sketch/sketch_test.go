@@ -521,3 +521,54 @@ func FuzzMergeEncoded(f *testing.F) {
 		}
 	})
 }
+
+// TestBoundTracksRowZero: through random adds, loads of smaller and larger
+// sketches, merges, clones and resets, Bound is exactly the largest cell of
+// row 0, and so at least every key's Estimate.
+func TestBoundTracksRowZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	check := func(s *Sketch, step string) {
+		t.Helper()
+		if want := uint64(slices.Max(s.rows[0])); s.Bound() != want {
+			t.Fatalf("%s: Bound = %d, largest row-0 cell %d", step, s.Bound(), want)
+		}
+		for key := uint64(0); key < 64; key++ {
+			if e := s.Estimate(key); e > s.Bound() {
+				t.Fatalf("%s: Estimate(%d) = %d over Bound %d", step, key, e, s.Bound())
+			}
+		}
+	}
+	fill := func(s *Sketch, n int) *Sketch {
+		for i := 0; i < n; i++ {
+			s.AddN(rng.Uint64()%64, uint32(rng.Intn(50)))
+		}
+		return s
+	}
+	s := New(32, 3)
+	check(s, "new")
+	for round := 0; round < 50; round++ {
+		fill(s, 20)
+		check(s, "add")
+		small, _ := fill(New(32, 3), 5).MarshalBinary()
+		if _, err := s.LoadEncoded(small, fixed(100), 8); err != nil {
+			t.Fatal(err)
+		}
+		check(s, "load of a smaller sketch")
+		big, _ := fill(New(32, 3), 200).MarshalBinary()
+		if _, err := s.MergeEncoded(big, fixed(100), 8); err != nil {
+			t.Fatal(err)
+		}
+		check(s, "merge")
+		check(s.Clone(), "clone")
+		reshaped, _ := fill(New(16, 2), 10).MarshalBinary()
+		c := s.Clone()
+		if err := c.UnmarshalBinary(reshaped); err != nil {
+			t.Fatal(err)
+		}
+		check(c, "load of another shape")
+		if round%10 == 9 {
+			s.Reset()
+			check(s, "reset")
+		}
+	}
+}

@@ -3,7 +3,9 @@
 // turnstile stream to the two agents owning its copies (the out-copy under
 // the source, the in-copy under the destination), batching per
 // destination and using acknowledged pushes so a Flush guarantees every
-// change is durably held by an agent.
+// change is durably held by an agent. A chunk of buffered copies is routed
+// under one view: the streamer installs a newer one only when it has
+// nothing buffered.
 package streamer
 
 import (
@@ -13,7 +15,6 @@ import (
 	"time"
 
 	"elga/internal/config"
-	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/route"
@@ -63,7 +64,10 @@ type Streamer struct {
 	router  *route.Router
 	feed    *route.Feed
 	dirAddr string
-	pending map[consistent.AgentID][]wire.EdgeChange
+	// pending buckets buffered copies by their owner's position in the
+	// router's Agents(); count is how many there are. Positions belong to
+	// the installed view, so a view is installed only when count is 0.
+	pending [][]wire.EdgeChange
 	count   int
 	// sent is atomic so metric scrapes can read it mid-ingest.
 	sent atomic.Uint64
@@ -83,10 +87,9 @@ func Start(opts Options) (*Streamer, error) {
 		return nil, err
 	}
 	s := &Streamer{
-		opts:    opts,
-		node:    node,
-		router:  route.New(opts.Config),
-		pending: make(map[consistent.AgentID][]wire.EdgeChange),
+		opts:   opts,
+		node:   node,
+		router: route.New(opts.Config),
 	}
 	s.feed = route.NewFeed(node, s.router, s.reroute)
 	if opts.Metrics != nil {
@@ -134,13 +137,14 @@ func (s *Streamer) WaitReady() error {
 }
 
 // Send routes one change: the out-copy to EdgeOwner(src, dst) and the
-// in-copy to EdgeOwner(dst, src).
+// in-copy to EdgeOwner(dst, src). The first Send of a chunk installs the
+// newest view.
 func (s *Streamer) Send(c graph.Change) error {
-	if err := s.feed.Install(0); err != nil {
+	if err := s.install(); err != nil {
 		return err
 	}
-	outOwner, ok1 := s.router.EdgeOwner(c.Src, c.Dst)
-	inOwner, ok2 := s.router.EdgeOwner(c.Dst, c.Src)
+	outOwner, ok1 := s.router.EdgeOwnerIndex(c.Src, c.Dst)
+	inOwner, ok2 := s.router.EdgeOwnerIndex(c.Dst, c.Src)
 	if !ok1 || !ok2 {
 		return fmt.Errorf("streamer: no agents available")
 	}
@@ -162,29 +166,46 @@ func (s *Streamer) SendBatch(b graph.Batch) error {
 	return nil
 }
 
-func (s *Streamer) enqueue(owner consistent.AgentID, c wire.EdgeChange) {
+// install installs the newest view unless copies are buffered: their
+// buckets are positions under the installed one.
+func (s *Streamer) install() error {
+	if s.count > 0 {
+		return nil
+	}
+	return s.feed.Install(0)
+}
+
+// enqueue buffers c for the member at position owner in Agents().
+func (s *Streamer) enqueue(owner int, c wire.EdgeChange) {
+	for len(s.pending) <= owner {
+		s.pending = append(s.pending, nil)
+	}
 	s.pending[owner] = append(s.pending[owner], c)
 	s.count++
 }
 
+// flushPending sends each bucket to its member, keeping the buckets' memory
+// for the next chunk.
 func (s *Streamer) flushPending() error {
-	for owner, changes := range s.pending {
-		addr, ok := s.router.AddrOf(owner)
-		if !ok {
+	members := s.router.Agents()
+	for at, changes := range s.pending {
+		if len(changes) == 0 {
 			continue
 		}
-		// Single-copy: encode straight into a pooled frame the per-peer
-		// writer recycles after the wire write.
-		frame := wire.AppendEdgeBatch(
-			s.node.NewFrameHint(wire.TEdges, 32+32*len(changes)),
-			&wire.EdgeBatch{Epoch: s.router.Epoch(), Changes: changes})
-		if err := s.node.SendFrameAcked(addr, frame); err != nil {
-			return err
+		if addr, ok := s.router.AddrOf(members[at]); ok {
+			// Single-copy: encode straight into a pooled frame the per-peer
+			// writer recycles after the wire write.
+			frame := wire.AppendEdgeBatch(
+				s.node.NewFrameHint(wire.TEdges, 32+32*len(changes)),
+				&wire.EdgeBatch{Epoch: s.router.Epoch(), Changes: changes})
+			if err := s.node.SendFrameAcked(addr, frame); err != nil {
+				return err
+			}
+			s.sent.Add(uint64(len(changes)))
 		}
-		s.sent.Add(uint64(len(changes)))
+		s.pending[at] = changes[:0]
+		s.count -= len(changes)
 	}
-	s.pending = make(map[consistent.AgentID][]wire.EdgeChange)
-	s.count = 0
 	return nil
 }
 
@@ -195,7 +216,8 @@ const flushPoll = 50 * time.Millisecond
 
 // Flush pushes all buffered changes and blocks until every send is
 // acknowledged — i.e. every change is held (applied or buffered) by the
-// owning agent.
+// owning agent. It then lets go of the buckets, so a bulk load leaves
+// nothing behind.
 func (s *Streamer) Flush() error {
 	deadline := time.Now().Add(s.opts.Config.RequestTimeout)
 	for {
@@ -206,10 +228,14 @@ func (s *Streamer) Flush() error {
 		if wait <= 0 {
 			return fmt.Errorf("streamer: flush: %w", transport.ErrFlushTimeout)
 		}
-		if err := s.node.Flush(wait); !errors.Is(err, transport.ErrFlushTimeout) {
+		err := s.node.Flush(wait)
+		if !errors.Is(err, transport.ErrFlushTimeout) {
+			if err == nil {
+				s.pending = nil
+			}
 			return err
 		}
-		if err := s.feed.Install(0); err != nil {
+		if err := s.install(); err != nil {
 			return err
 		}
 	}
@@ -229,7 +255,7 @@ func (s *Streamer) reroute(f transport.FailedSend) {
 			if c.Dir == graph.In {
 				u, other = c.Dst, c.Src
 			}
-			if owner, ok := s.router.EdgeOwner(u, other); ok {
+			if owner, ok := s.router.EdgeOwnerIndex(u, other); ok {
 				s.enqueue(owner, c)
 			}
 		}
@@ -237,10 +263,11 @@ func (s *Streamer) reroute(f transport.FailedSend) {
 	wire.ReleaseFrame(f.Frame)
 }
 
-// Epoch applies any queued views and returns the epoch of the one the
-// streamer now routes by. Like Send, not for use concurrently with ingest.
+// Epoch applies any queued views, unless changes are buffered, and returns
+// the epoch of the one the streamer now routes by. Like Send, not for use
+// concurrently with ingest.
 func (s *Streamer) Epoch() uint64 {
-	_ = s.feed.Install(0)
+	_ = s.install()
 	return s.router.Epoch()
 }
 

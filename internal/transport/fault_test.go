@@ -181,3 +181,34 @@ func TestAckedExactlyOnceUnderDrops(t *testing.T) {
 		t.Errorf("%d sends gave up; the test's tally is unsound", as.AckGiveUps)
 	}
 }
+
+// TestRetryDoFirstTryAllocatesNothing: a Do whose first attempt succeeds
+// seeds no jitter source, so it allocates nothing.
+func TestRetryDoFirstTryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	op := func() error { return nil }
+	for _, r := range []Retry{{}, {Seed: 1}} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = r.Do(time.Time{}, op) }); allocs != 0 {
+			t.Fatalf("Retry%+v.Do succeeding at once: %v allocs, want 0", r, allocs)
+		}
+	}
+}
+
+// TestRetryJitterScheduleIsSeeded: a Seed fixes the jittered delays, and
+// they are the ones a seeded Retry has always slept (default base, cap and
+// jitter).
+func TestRetryJitterScheduleIsSeeded(t *testing.T) {
+	for seed, want := range map[int64][]time.Duration{
+		1:  {10418641, 23524072, 42632960, 78006854, 155176800, 343913353, 413127404, 431303851},
+		42: {9492114, 16528004, 41665501, 70682199, 130804382, 305048743, 562575427, 476889170},
+	} {
+		b := Retry{Seed: seed}.backoff()
+		for i, w := range want {
+			if d := b.next(); d != w {
+				t.Fatalf("seed %d: delay %d = %v, want %v", seed, i, d, w)
+			}
+		}
+	}
+}

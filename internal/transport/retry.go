@@ -40,25 +40,8 @@ func (r Retry) attempts() int {
 // would cross deadline, or the error is terminal (ErrNodeClosed). A zero
 // deadline disables the deadline check. The last error is returned.
 func (r Retry) Do(deadline time.Time, op func() error) error {
-	base := r.BaseDelay
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	maxDelay := r.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 500 * time.Millisecond
-	}
-	jitter := r.Jitter
-	if jitter <= 0 {
-		jitter = 0.2
-	}
-	seed := r.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	rng := rand.New(rand.NewSource(seed))
+	b := r.backoff()
 	attempts := r.attempts()
-	delay := base
 	var err error
 	for i := 0; i < attempts; i++ {
 		if err = op(); err == nil {
@@ -67,17 +50,51 @@ func (r Retry) Do(deadline time.Time, op func() error) error {
 		if !Retryable(err) || i == attempts-1 {
 			return err
 		}
-		d := delay + time.Duration((rng.Float64()*2-1)*jitter*float64(delay))
+		d := b.next()
 		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
 			return err
 		}
 		time.Sleep(d)
-		delay *= 2
-		if delay > maxDelay {
-			delay = maxDelay
-		}
 	}
 	return err
+}
+
+// backoff is the delay sequence of one Do: the base delay doubling up to the
+// cap, each jittered.
+type backoff struct {
+	delay, max time.Duration
+	jitter     float64
+	seed       int64
+	rng        *rand.Rand // seeded at the first delay: most calls need none
+}
+
+// backoff applies r's defaults.
+func (r Retry) backoff() backoff {
+	b := backoff{delay: r.BaseDelay, max: r.MaxDelay, jitter: r.Jitter, seed: r.Seed}
+	if b.delay <= 0 {
+		b.delay = 10 * time.Millisecond
+	}
+	if b.max <= 0 {
+		b.max = 500 * time.Millisecond
+	}
+	if b.jitter <= 0 {
+		b.jitter = 0.2
+	}
+	return b
+}
+
+// next returns the delay before the next attempt.
+func (b *backoff) next() time.Duration {
+	if b.rng == nil {
+		seed := b.seed
+		if seed == 0 {
+			seed = time.Now().UnixNano()
+		}
+		b.rng = rand.New(rand.NewSource(seed))
+	}
+	d := b.delay + time.Duration((b.rng.Float64()*2-1)*b.jitter*float64(b.delay))
+	b.delay = min(2*b.delay, b.max)
+	return d
 }
 
 // RequestRetry is RequestFrame under a Retry policy. overall is the total
