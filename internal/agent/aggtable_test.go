@@ -178,11 +178,10 @@ func TestFlushFoldsByTarget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := newLoopbackAgent(t, allocTestConfig(), 64)
+			a, rec := newRecordedAgent(t, allocTestConfig(), 64)
 			installRun(a, tc.prog, 64)
-			peer := newPeerSink(t, a.opts.Network)
 			view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
-				{ID: a.id, Addr: a.node.Addr()}, {ID: 2, Addr: peer.node.Addr()},
+				{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 			}}
 			if _, err := a.router.Update(view); err != nil {
 				t.Fatal(err)
@@ -206,7 +205,7 @@ func TestFlushFoldsByTarget(t *testing.T) {
 			}
 			b.flush(a.phaseGate)
 			a.putBatcher(b)
-			got := peer.waitMsgs(t, len(targets))
+			got := rec.log("peer-2").msgs
 			if len(got) != len(targets) {
 				t.Fatalf("%d messages onto %d targets encoded %d entries", len(tc.msgs), len(targets), len(got))
 			}

@@ -103,7 +103,7 @@ func newHubAgent(t *testing.T, n int) (*Agent, []graph.VertexID) {
 	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
 	a := newLoopbackAgent(t, cfg, 1<<16)
 	view := &wire.View{Epoch: 2, BatchID: 2, N: 1 << 16, Agents: []wire.AgentInfo{
-		{ID: 1, Addr: a.node.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
+		{ID: 1, Addr: a.ep.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
 	}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)

@@ -204,8 +204,8 @@ func (b *asyncBatcher) flush() {
 			continue
 		}
 		a.run.asyncSent += uint64(len(msgs))
-		_ = a.node.SendFrame(addr, wire.AppendVertexMsgBatch(
-			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
+		_ = a.ep.SendFrame(addr, wire.AppendVertexMsgBatch(
+			a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Async: true, Msgs: msgs}))
 	}
 }
@@ -218,7 +218,7 @@ func (a *Agent) handleAsyncProbe(adv *wire.Advance) {
 	if r == nil || !r.spec.Async || adv.RunID != r.id {
 		return
 	}
-	_ = a.node.SendFrame(a.coordAddr, wire.AppendReady(a.node.NewFrame(wire.TReady), &wire.Ready{
+	_ = a.ep.SendFrame(a.coordAddr, wire.AppendReady(a.ep.NewFrame(wire.TReady), &wire.Ready{
 		AgentID:  a.id,
 		Step:     adv.Step,
 		Phase:    wire.PhaseAsyncProbe,

@@ -3,13 +3,11 @@ package agent
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"elga/internal/algorithm"
 	"elga/internal/config"
 	"elga/internal/consistent"
 	"elga/internal/graph"
-	"elga/internal/transport"
 	"elga/internal/wire"
 )
 
@@ -20,17 +18,9 @@ import (
 // count as received, the forwards also as sent, so the quiescence sums
 // balance.
 func TestAsyncStaleMessagesForwardUnprocessed(t *testing.T) {
-	a := newLoopbackAgent(t, config.Default(), 0)
-	nw := transport.NewInproc()
-	peer := newPeerSink(t, nw)
-	node, err := transport.NewNode(nw, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	a.node = node
+	a, rec := newRecordedAgent(t, config.Default(), 0)
 	view := &wire.View{Epoch: 2, BatchID: 2, Agents: []wire.AgentInfo{
-		{ID: a.id, Addr: node.Addr()}, {ID: 2, Addr: peer.node.Addr()},
+		{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 	}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)
@@ -52,16 +42,7 @@ func TestAsyncStaleMessagesForwardUnprocessed(t *testing.T) {
 		wire.VertexMsg{Target: own, Via: own, Value: 0})}
 	a.handleAsyncMsgs(batch)
 
-	var got []wire.VertexMsg
-	for deadline := time.Now().Add(5 * time.Second); len(got) < len(stale); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("peer received %d of %d forwards", len(got), len(stale))
-		}
-		peer.mu.Lock()
-		got = append(got[:0], peer.async...)
-		peer.mu.Unlock()
-	}
-	if !slices.Equal(got, stale) {
+	if got := rec.log("peer-2").async; !slices.Equal(got, stale) {
 		t.Fatalf("peer received %+v, want the stale %+v unchanged", got, stale)
 	}
 	for _, m := range stale {

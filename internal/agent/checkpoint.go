@@ -53,34 +53,31 @@ func (a *Agent) initCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	start := a.ep.Now()
 	st, err := checkpoint.Load(sink, cfg.Key)
 	if err != nil {
 		return fmt.Errorf("agent: restore %q: %w", cfg.Key, err)
 	}
 	if st != nil {
 		st.ApplyToStore(a.store)
-		for _, vs := range st.States {
-			a.verts.set(vs.Vertex, algorithm.Word(vs.State))
-			if vs.Active {
-				a.store.MarkActive(vs.Vertex)
-			}
+		for i := range st.States {
+			a.installState(&st.States[i])
 		}
 		meta := st.Meta
 		a.ckpt.restored = &meta
 		a.ckpt.seq = meta.Seq
 		a.ckpt.restoreCount = 1
-		a.ckpt.restoreSeconds = time.Since(start).Seconds()
+		a.ckpt.restoreSeconds = a.ep.Now().Sub(start).Seconds()
 		fmt.Fprintf(os.Stderr, "elga agent: restored %q seq=%d (%d copies, %d states) in %s\n",
 			cfg.Key, meta.Seq, a.store.NumEdgeCopies(), len(st.States),
-			time.Since(start).Round(time.Millisecond))
+			a.ep.Now().Sub(start).Round(time.Millisecond))
 		a.journal.Emit(events.Info, events.KindRestore, trace.SpanContext{},
 			events.U("seq", meta.Seq), events.U("states", uint64(len(st.States))))
 	}
 	a.ckpt.cfg = cfg
 	a.ckpt.sink = sink
 	a.ckpt.writer = checkpoint.NewWriter(sink, cfg.Key)
-	a.ckpt.lastTimed = time.Now()
+	a.ckpt.lastTimed = a.ep.Now()
 	return nil
 }
 
@@ -104,7 +101,7 @@ func (a *Agent) maybeCheckpointTimed() {
 	if a.ckpt.writer == nil || a.ckpt.cfg.Interval <= 0 {
 		return
 	}
-	if time.Since(a.ckpt.lastTimed) >= a.ckpt.cfg.Interval {
+	if a.ep.Now().Sub(a.ckpt.lastTimed) >= a.ckpt.cfg.Interval {
 		a.checkpointNow(false)
 	}
 }
@@ -120,7 +117,7 @@ func (a *Agent) checkpointNow(forced bool) {
 	if w == nil || a.leaving {
 		return
 	}
-	start := time.Now()
+	start := a.ep.Now()
 	runID := uint32(0)
 	if a.run != nil {
 		runID = a.run.id
@@ -133,20 +130,22 @@ func (a *Agent) checkpointNow(forced bool) {
 		ViewEpoch: a.router.Epoch(),
 		BatchID:   a.router.BatchID(),
 		SealedGen: a.store.SealedVersion(),
-		WallNanos: uint64(time.Now().UnixNano()),
+		WallNanos: uint64(a.ep.Now().UnixNano()),
 	}
 	if r := a.run; r != nil {
 		meta.RunID = r.id
 		meta.Step = r.step
 	}
 	states := make([]wire.VertexState, 0, a.verts.used)
-	a.verts.each(func(v graph.VertexID, val algorithm.Word) {
-		states = append(states, wire.VertexState{
-			Vertex: v,
-			State:  wire.Word(val),
-			Active: a.isActive(v),
-		})
+	a.verts.each(func(v graph.VertexID, _ algorithm.Word) {
+		st, _ := a.vertexState(v)
+		states = append(states, st)
 	})
+	for _, v := range a.store.ActiveList() {
+		if st, _ := a.vertexState(v); st.NoValue {
+			states = append(states, st)
+		}
+	}
 	var marks []wire.MailboxWatermark
 	if len(a.mailbox) > 0 {
 		marks = make([]wire.MailboxWatermark, 0, len(a.mailbox))
@@ -174,8 +173,8 @@ func (a *Agent) checkpointNow(forced bool) {
 			events.U("agent", a.id), events.U("seq", meta.Seq))
 	}
 	a.ckpt.stepsSince = 0
-	a.ckpt.lastTimed = time.Now()
-	a.m.ckptBuild.Observe(time.Since(start).Seconds())
+	a.ckpt.lastTimed = a.ep.Now()
+	a.m.ckptBuild.Observe(a.ep.Now().Sub(start).Seconds())
 	span.End()
 }
 

@@ -161,7 +161,7 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 	r.phase = adv.Phase
 	r.doneLocal = false
 	r.readySent = false
-	r.phaseStart = time.Now()
+	r.phaseStart = a.ep.Now()
 	// The gap between our vote and this Advance is barrier idle time —
 	// the straggler signal the phase histograms can't show. The
 	// barrier-wait span opened at the vote closes on the same boundary.
@@ -477,7 +477,7 @@ func (a *Agent) hubFrameFor(frames *[]hubFrame, typ wire.Type, at int) *hubFrame
 	}
 	f := &(*frames)[at]
 	if f.buf == nil {
-		f.buf = a.node.NewFrameHint(typ, f.last)
+		f.buf = a.ep.NewFrameHint(typ, f.last)
 	}
 	f.recs++
 	return f
@@ -545,7 +545,7 @@ func (a *Agent) handlePartial(pkt *wire.Packet) bool {
 	}
 	forwarded := a.takePartials(pkt.Payload)
 	if forwarded == 0 {
-		a.node.Ack(pkt)
+		a.ep.Ack(pkt)
 		return false
 	}
 	atomic.AddUint64(&a.statForwarded, uint64(forwarded))
@@ -585,7 +585,7 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 		a.scatter(b, vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
 	}
 	if b == nil {
-		a.node.Ack(pkt)
+		a.ep.Ack(pkt)
 		return false
 	}
 	b.flush(g)
@@ -605,7 +605,7 @@ func (a *Agent) handleRegister(pkt *wire.Packet) {
 			a.pinSplit(rr.Vertex, rr.AgentID)
 		}
 	}
-	a.node.Ack(pkt)
+	a.ep.Ack(pkt)
 }
 
 // pinSplit keeps split vertex v present here, its master, for counting and
@@ -643,7 +643,7 @@ func (a *Agent) unpinSplit(v graph.VertexID, replica uint64) {
 // releasing the origin packet it owned.
 func (a *Agent) sealGroup(g *ackGroup) {
 	if g.pending == 0 && g.origin != nil {
-		a.node.Ack(g.origin)
+		a.ep.Ack(g.origin)
 		wire.ReleasePacket(g.origin)
 		g.origin = nil
 	}
@@ -753,7 +753,7 @@ func (b *msgBatcher) send(groups ...*ackGroup) {
 		// frame that the transport recycles after the wire write, so the
 		// source slice is immediately reusable.
 		frame := wire.AppendVertexMsgBatch(
-			a.node.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
+			a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
 		if a.opts.CommAccounting {
 			a.remoteBytes.Add(uint64(len(frame)))
@@ -982,7 +982,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	// merged into the mailbox or copied into frames before returning).
 	batch := &a.scratchVMB
 	if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err != nil {
-		a.node.Ack(pkt)
+		a.ep.Ack(pkt)
 		return false
 	}
 	if batch.Async {
@@ -1002,7 +1002,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 		// Pure-accept path: everything landed in the local mailbox, so the
 		// ack fires immediately and no group is allocated.
 		a.putBatcher(b)
-		a.node.Ack(pkt)
+		a.ep.Ack(pkt)
 		return false
 	}
 	atomic.AddUint64(&a.statForwarded, uint64(forwarded))
@@ -1064,5 +1064,5 @@ func (a *Agent) handleQuery(pkt *wire.Packet) {
 	if a.run != nil {
 		rep.Step = a.run.step
 	}
-	_ = a.node.ReplyFrame(pkt, wire.AppendQueryReply(a.node.NewFrame(wire.TQueryReply), rep))
+	_ = a.ep.ReplyFrame(pkt, wire.AppendQueryReply(a.ep.NewFrame(wire.TQueryReply), rep))
 }

@@ -94,13 +94,12 @@ func TestGatherOnceOnReceivePaths(t *testing.T) {
 // a stale-view batch to forward, a mailbox entry to re-route after a view
 // change — travels on with its value untouched.
 func TestGatherOnceOnForwardAndReroute(t *testing.T) {
-	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
 	installRun(a, inDegreeProg{}, 64)
-	peer := newPeerSink(t, a.opts.Network)
 	// With the peer in the view, find a vertex each of the two serves.
 	mine, theirs := graph.VertexID(0), graph.VertexID(0)
 	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
-		{ID: a.id, Addr: a.node.Addr()}, {ID: 2, Addr: peer.node.Addr()},
+		{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 	}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	if mail.get(theirs) != nil || mail.live != 1 {
 		t.Fatalf("re-routed entry still live (live=%d)", mail.live)
 	}
-	got := peer.waitMsgs(t, 2)
+	got := rec.log("peer-2").msgs
 	want := []wire.VertexMsg{{Target: theirs, Via: 1, Value: 9}, {Target: theirs, Via: theirs, Value: 6}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("peer received %+v, want %+v", got, want)
@@ -149,15 +148,14 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 // everything away: the target with a live entry still merges, a target
 // without one is still forwarded, and neither is gathered again.
 func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
-	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
 	installRun(a, inDegreeProg{}, 64)
 	a.run.started = true
-	peer := newPeerSink(t, a.opts.Network)
 	const held, stranger = graph.VertexID(5), graph.VertexID(6)
 	if a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: held, Via: 1, Value: 3})) {
 		t.Fatal("an accepted batch must not be retained")
 	}
-	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{{ID: 2, Addr: peer.node.Addr()}}}
+	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{{ID: 2, Addr: "peer-2"}}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 		wire.VertexMsg{Target: stranger, Via: 2, Value: 9})); !retained {
 		t.Fatal("the stranger's aggregate must be forwarded, its packet kept until that is acked")
 	}
-	if got := peer.waitMsgs(t, 1); len(got) != 1 || got[0] != (wire.VertexMsg{Target: stranger, Via: 2, Value: 9}) {
+	if got := rec.log("peer-2").msgs; len(got) != 1 || got[0] != (wire.VertexMsg{Target: stranger, Via: 2, Value: 9}) {
 		t.Fatalf("peer received %+v, want the stranger's aggregate untouched", got)
 	}
 	mail := a.mailbox[1]
@@ -181,7 +179,7 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	}
 	// The killed slot starts over: under a view that serves it here, the
 	// stranger's next aggregate is looked up again and accepted.
-	view = &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: []wire.AgentInfo{{ID: a.id, Addr: a.node.Addr()}}}
+	view = &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: []wire.AgentInfo{{ID: a.id, Addr: a.ep.Addr()}}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)
 	}

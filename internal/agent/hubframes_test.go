@@ -54,10 +54,7 @@ func TestPartialFrameRebucketsByCurrentMaster(t *testing.T) {
 	}
 	r.drain(t)
 	for id := uint64(2); id <= 3; id++ {
-		p := r.peers[id]
-		p.mu.Lock()
-		frames := p.partials
-		p.mu.Unlock()
+		frames := r.rec.log(r.peers[id]).partials
 		if len(frames) != 1 || len(frames[0]) != 6 {
 			t.Fatalf("agent %d received %d frames %v, want one of 6 records", id, len(frames), frames)
 		}

@@ -49,11 +49,10 @@ func (a *Agent) initMetrics(reg *metrics.Registry) {
 		"Event-loop time to build one checkpoint snapshot (encode only; I/O is off-loop).",
 		nil, metrics.DurationBuckets)
 
-	a.node.RegisterMetrics(reg, "agent")
 	// The registry outlives the agent: everything below captures the stats
 	// block (or another small, self-contained object), never a.
 	st := a.agentStats
-	lbl := metrics.Labels{"addr": a.node.Addr()}
+	lbl := metrics.Labels{"addr": a.ep.Addr()}
 	reg.CounterFunc("elga_agent_forwarded_total", "Packets forwarded to their correct owner.", lbl,
 		func() uint64 { return atomic.LoadUint64(&st.statForwarded) })
 	reg.CounterFunc("elga_agent_unroutable_total", "Messages dropped because their destination had no address in the installed view.", lbl,

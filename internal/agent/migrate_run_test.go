@@ -3,25 +3,22 @@ package agent
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"elga/internal/algorithm"
 	"elga/internal/config"
 	"elga/internal/consistent"
 	"elga/internal/gen"
 	"elga/internal/graph"
-	"elga/internal/transport"
 	"elga/internal/wire"
 )
 
-// migrationRig is a loopback agent (ID 1) on a network it shares with two
-// peer sinks (IDs 2 and 3), under a config that splits a vertex the sketch
-// counts 10 or more times.
+// migrationRig is a recorded agent (ID 1) whose peers (IDs 2 and 3, at
+// peers' addresses) are logs in its recorder, under a config that splits a
+// vertex the sketch counts 10 or more times.
 type migrationRig struct {
 	a     *Agent
-	nw    transport.Network
-	node  *transport.Node
-	peers map[uint64]*peerSink
+	rec   *recorder
+	peers map[uint64]string
 	cfg   config.Config
 }
 
@@ -30,21 +27,12 @@ func newMigrationRig(t *testing.T) *migrationRig {
 	cfg := config.Default()
 	cfg.SketchWidth, cfg.SketchDepth, cfg.Virtual = 1024, 4, 16
 	cfg.ReplicationThreshold, cfg.MaxReplicas = 10, 4
-	a := newLoopbackAgent(t, cfg, 0)
-	nw := transport.NewInproc()
-	node, err := transport.NewNode(nw, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-	node.SetAckNotify(true)
-	a.node = node
-	return &migrationRig{a: a, nw: nw, node: node, cfg: cfg,
-		peers: map[uint64]*peerSink{2: newPeerSink(t, nw), 3: newPeerSink(t, nw)}}
+	a, rec := newRecordedAgent(t, cfg, 0)
+	return &migrationRig{a: a, rec: rec, cfg: cfg, peers: map[uint64]string{2: "peer-2", 3: "peer-3"}}
 }
 
-// view builds a view of the given members (of 1, 2, 3) whose sketch counts
-// hub 35 times: three replicas' worth.
+// view builds a view of the given members (of 1 and the peers) whose sketch
+// counts hub 35 times: three replicas' worth.
 func (r *migrationRig) view(t *testing.T, epoch uint64, hub graph.VertexID, ids ...uint64) *wire.View {
 	t.Helper()
 	sk := r.cfg.NewSketch()
@@ -55,9 +43,9 @@ func (r *migrationRig) view(t *testing.T, epoch uint64, hub graph.VertexID, ids 
 	}
 	v := &wire.View{Epoch: epoch, BatchID: epoch, Sketch: data}
 	for _, id := range ids {
-		addr := r.node.Addr()
+		addr := r.a.ep.Addr()
 		if id != 1 {
-			addr = r.peers[id].node.Addr()
+			addr = r.peers[id]
 		}
 		v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: addr})
 	}
@@ -67,26 +55,15 @@ func (r *migrationRig) view(t *testing.T, epoch uint64, hub graph.VertexID, ids 
 // drain feeds the agent its acknowledgements until no send is outstanding.
 func (r *migrationRig) drain(t *testing.T) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for len(r.a.reqToGroups) > 0 {
-		select {
-		case pkt := <-r.node.Inbox():
-			if pkt.Type == wire.TAck {
-				r.a.onAck(pkt.Req)
-			}
-			wire.ReleasePacket(pkt)
-		case <-deadline:
-			t.Fatal("shipments never acknowledged")
-		}
+	r.rec.ackAll(r.a)
+	if n := len(r.a.reqToGroups); n > 0 {
+		t.Fatalf("%d shipments never acknowledged", n)
 	}
 }
 
 // received returns the frames peer id was shipped so far.
 func (r *migrationRig) received(id uint64) []wire.EdgeBatch {
-	p := r.peers[id]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return slices.Clone(p.batches)
+	return r.rec.log(r.peers[id]).batches
 }
 
 func heldCopies(s *graph.Store) map[graph.EdgeCopy]bool {
@@ -259,10 +236,7 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 		t.Fatal("a pinned vertex was dropped by the round")
 	}
 	if m, _ := a.router.Master(hub); m != self && a.store.HasVertex(hub) {
-		p := r.peers[uint64(m)]
-		p.mu.Lock()
-		regs := slices.Clone(p.regs)
-		p.mu.Unlock()
+		regs := r.rec.log(r.peers[uint64(m)]).regs
 		if !slices.Contains(regs, hub) || !a.verts.flag(hub, recRegistered) {
 			t.Fatalf("the hub's master %d saw registrations %v", m, regs)
 		}
@@ -568,7 +542,7 @@ func TestApplyChangesQuietPathAllocs(t *testing.T) {
 func TestBulkBatchFoldsTheTail(t *testing.T) {
 	r := newMigrationRig(t) // one member: every copy stays here
 	a := r.a
-	a.coordAddr = r.peers[2].node.Addr() // acknowledges the delta and the vote
+	a.coordAddr = r.peers[2] // acknowledges the delta and the vote
 	batchRound := func() {
 		a.handleBatchOpen()
 		r.drain(t)

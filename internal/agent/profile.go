@@ -89,7 +89,7 @@ func (a *Agent) pushProfResult(res profResult) {
 // off-loop immediately.
 func (a *Agent) handleProfileReq(pkt *wire.Packet) {
 	req, err := wire.DecodeProfileReq(pkt.Payload)
-	a.node.Ack(pkt)
+	a.ep.Ack(pkt)
 	if err != nil {
 		return
 	}
@@ -158,7 +158,7 @@ func (a *Agent) profileStep() {
 			// start at the next superstep.
 			c.stepStart = r.step + 1
 			c.stepsLeft = int(c.steps)
-			c.armedAt = time.Now()
+			c.armedAt = a.ep.Now()
 			if c.kind == profile.KindCPU {
 				cpu, err := profile.StartCPU()
 				if err != nil {
@@ -215,7 +215,7 @@ func (a *Agent) closeOrphanedProfiles() {
 		// The run ended under an open window: close everything at its
 		// last observed span rather than waiting for steps that will
 		// never come.
-		now := time.Now()
+		now := a.ep.Now()
 		kept := a.prof.active[:0]
 		for _, c := range a.prof.active {
 			if now.Sub(c.armedAt) < profWindowGrace {

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -257,7 +258,7 @@ func TestVertexTableReclaimsUnderChurn(t *testing.T) {
 	retired := 0
 	for cycle := 1; cycle <= 40; cycle++ {
 		joiner := uint64(cycle + 1) // a new place on the ring every cycle
-		r.peers[joiner] = newPeerSink(t, r.nw)
+		r.peers[joiner] = fmt.Sprintf("peer-%d", joiner)
 		epoch++
 		a.handleView(r.view(t, epoch, noHub, 1, joiner))
 		r.drain(t)
@@ -392,7 +393,7 @@ func TestLocalSplitsFollowsViewAndStore(t *testing.T) {
 		sk.AddN(uint64(h), 48)
 	}
 	view := &wire.View{Epoch: 4, BatchID: 4, N: 1 << 16, Sketch: sk.AppendBinary(nil), Agents: []wire.AgentInfo{
-		{ID: 1, Addr: a.node.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
+		{ID: 1, Addr: a.ep.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
 	}}
 	if _, err := a.router.Update(view); err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ func Start(opts Options) (*Client, error) {
 	c.dirAddr = dirs[len(dirs)-1]
 	// The subscription is acked: losing it would freeze this client's
 	// view of the membership forever.
-	if err := node.SendFrameAcked(c.dirAddr, wire.AppendSubscribeTypes(
+	if _, err := node.SendFrameAcked(c.dirAddr, wire.AppendSubscribeTypes(
 		node.NewFrame(wire.TSubscribe), wire.TDirUpdate)); err != nil {
 		node.Close()
 		return nil, err

@@ -3,7 +3,6 @@ package directory
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"elga/internal/checkpoint"
 	"elga/internal/events"
@@ -80,7 +79,7 @@ func (d *Directory) restoreCoordState(st *checkpoint.State) error {
 	d.epoch = v.Epoch
 	d.batchID = v.BatchID
 	d.n = v.N
-	now := time.Now()
+	now := d.ep.Now()
 	for _, info := range v.Agents {
 		d.agents[info.ID] = info.Addr
 		d.leases[info.ID] = now
@@ -138,7 +137,7 @@ func (d *Directory) checkpointCoord() {
 		Seq:       d.ckpt.seq + 1,
 		ViewEpoch: d.epoch,
 		BatchID:   d.batchID,
-		WallNanos: uint64(time.Now().UnixNano()),
+		WallNanos: uint64(d.ep.Now().UnixNano()),
 	}
 	if r := d.run; r != nil {
 		meta.RunID = r.spec.RunID

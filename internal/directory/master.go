@@ -23,8 +23,12 @@ import (
 // component to find a Directory (paper §3.3). It keeps the directory list
 // and pushes it to every registered Directory on change.
 type Master struct {
-	node *transport.Node
+	ep   transport.Endpoint
 	done chan struct{}
+	dirs []string
+	// waiting holds the TGetDirectory requests that arrived before any
+	// directory registered; the first registration answers them.
+	waiting []*wire.Packet
 }
 
 // StartMaster launches a DirectoryMaster listening on addr ("" for auto).
@@ -33,68 +37,81 @@ func StartMaster(network transport.Network, addr string) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Master{node: node, done: make(chan struct{})}
-	go m.run()
+	m := &Master{ep: node, done: make(chan struct{})}
+	go func() {
+		defer close(m.done)
+		for pkt := range node.Inbox() {
+			if !m.handle(pkt) {
+				wire.ReleasePacket(pkt)
+			}
+		}
+	}()
 	return m, nil
 }
 
 // Addr returns the master's dialable address.
-func (m *Master) Addr() string { return m.node.Addr() }
+func (m *Master) Addr() string { return m.ep.Addr() }
 
 // StatsMap implements stats.Provider: the peers the master's node keeps.
 func (m *Master) StatsMap() stats.Counters {
-	return stats.Counters{"peers": m.node.Stats().Peers}
+	return stats.Counters{"peers": m.ep.Stats().Peers}
 }
 
 // Close shuts the master down.
 func (m *Master) Close() {
-	m.node.Close()
+	m.ep.Close()
 	<-m.done
 }
 
-func (m *Master) run() {
-	defer close(m.done)
-	var dirs []string
-	for pkt := range m.node.Inbox() {
-		switch pkt.Type {
-		case wire.TRegisterDirectory:
-			j, err := wire.DecodeJoin(pkt.Payload)
-			if err != nil {
-				break
-			}
-			known := false
-			for _, d := range dirs {
-				if d == j.Addr {
-					known = true
-					break
-				}
-			}
-			if !known {
-				dirs = append(dirs, j.Addr)
-			}
-			_ = m.node.ReplyFrame(pkt, wire.AppendStringList(
-				m.node.NewFrame(wire.TDirectoryList), dirs))
-			// Push the updated list to every directory so peers learn
-			// about each other.
-			for _, d := range dirs {
-				if d != j.Addr {
-					_ = m.node.SendFrame(d, wire.AppendStringList(
-						m.node.NewFrame(wire.TDirectoryList), dirs))
-				}
-			}
-		case wire.TGetDirectory:
-			_ = m.node.ReplyFrame(pkt, wire.AppendStringList(
-				m.node.NewFrame(wire.TDirectoryList), dirs))
-			// A bootstrap requester asks once: its peer retires as soon as
-			// the reply is written. Registered directories keep theirs.
-			if !slices.Contains(dirs, pkt.From) {
-				m.node.CancelPeer(pkt.From)
-			}
-		case wire.TPing:
-			_ = m.node.ReplyFrame(pkt, m.node.NewFrame(wire.TPong))
-		default:
-			// The master is bootstrap-only; everything else is noise.
+// handle processes one packet, reporting whether it kept it (a directory
+// request parked until a directory registers).
+func (m *Master) handle(pkt *wire.Packet) (retained bool) {
+	switch pkt.Type {
+	case wire.TRegisterDirectory:
+		j, err := wire.DecodeJoin(pkt.Payload)
+		if err != nil {
+			break
 		}
-		wire.ReleasePacket(pkt)
+		if !slices.Contains(m.dirs, j.Addr) {
+			m.dirs = append(m.dirs, j.Addr)
+		}
+		m.replyDirs(pkt)
+		// Push the updated list to every directory so peers learn
+		// about each other.
+		for _, d := range m.dirs {
+			if d != j.Addr {
+				_ = m.ep.SendFrame(d, wire.AppendStringList(m.ep.NewFrame(wire.TDirectoryList), m.dirs))
+			}
+		}
+		for _, w := range m.waiting {
+			m.answer(w)
+			wire.ReleasePacket(w)
+		}
+		m.waiting = nil
+	case wire.TGetDirectory:
+		if len(m.dirs) == 0 {
+			m.waiting = append(m.waiting, pkt)
+			return true
+		}
+		m.answer(pkt)
+	case wire.TPing:
+		_ = m.ep.ReplyFrame(pkt, m.ep.NewFrame(wire.TPong))
+	default:
+		// The master is bootstrap-only; everything else is noise.
+	}
+	return false
+}
+
+// replyDirs answers pkt with the directory list.
+func (m *Master) replyDirs(pkt *wire.Packet) {
+	_ = m.ep.ReplyFrame(pkt, wire.AppendStringList(m.ep.NewFrame(wire.TDirectoryList), m.dirs))
+}
+
+// answer replies to a bootstrap requester. It asks once: its peer retires
+// as soon as the reply is written. Registered directories keep theirs.
+func (m *Master) answer(pkt *wire.Packet) {
+	m.replyDirs(pkt)
+	if !slices.Contains(m.dirs, pkt.From) {
+		m.ep.CancelPeer(pkt.From)
 	}
 }

@@ -105,15 +105,15 @@ func (d *Directory) startCapture(agentID uint64, kinds []uint8, steps uint32, se
 			Steps: steps, Seconds: seconds,
 			TraceHi: ctx.TraceHi, TraceLo: ctx.TraceLo,
 		}
-		if err := d.node.SendAcked(addr, wire.TProfileReq,
-			wire.AppendProfileReq(nil, &req)); err != nil {
+		if _, err := d.ep.SendFrameAcked(addr,
+			wire.AppendProfileReq(d.ep.NewFrame(wire.TProfileReq), &req)); err != nil {
 			continue
 		}
 		d.prof.inflight[capID] = &profCapState{
 			agentID: agentID, kind: kind, auto: auto,
 			verdict: verdict, cause: cause,
 			traceHi: ctx.TraceHi, traceLo: ctx.TraceLo,
-			started: time.Now(),
+			started: d.ep.Now(),
 		}
 		if auto {
 			d.profAgentVitals(agentID).autoInflight++
@@ -221,7 +221,7 @@ func (d *Directory) handleProfileChunk(body []byte) {
 		RunID: ck.RunID, StepStart: ck.StepStart, StepEnd: ck.StepEnd,
 		TraceHi: c.traceHi, TraceLo: c.traceLo,
 		Verdict: c.verdict, Cause: c.cause,
-		WallNanos: uint64(time.Now().UnixNano()),
+		WallNanos: uint64(d.ep.Now().UnixNano()),
 	}
 	art, err = d.prof.store.Add(art, data)
 	if err != nil {
@@ -301,8 +301,8 @@ func (d *Directory) handleProfileRequest(pkt *wire.Packet) {
 		rep.Err = fmt.Sprintf("unknown profile op %d", req.Op)
 	}
 	hint := 64 + 128*len(rep.Artifacts) + 8*len(rep.Captures) + len(rep.Data)
-	_ = d.node.ReplyFrame(pkt, wire.AppendProfileReply(
-		d.node.NewFrameHint(wire.TProfileReply, hint), rep))
+	_ = d.ep.ReplyFrame(pkt, wire.AppendProfileReply(
+		d.ep.NewFrameHint(wire.TProfileReply, hint), rep))
 }
 
 // replyProfileCapture fans an operator capture request out to its target

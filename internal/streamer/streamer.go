@@ -113,7 +113,7 @@ func Start(opts Options) (*Streamer, error) {
 	s.dirAddr = dirs[0]
 	// Acked subscription: a streamer that silently misses views would
 	// route every future change against a stale membership.
-	if err := node.SendFrameAcked(s.dirAddr, wire.AppendSubscribeTypes(
+	if _, err := node.SendFrameAcked(s.dirAddr, wire.AppendSubscribeTypes(
 		node.NewFrame(wire.TSubscribe), wire.TDirUpdate)); err != nil {
 		node.Close()
 		return nil, err
@@ -198,7 +198,7 @@ func (s *Streamer) flushPending() error {
 			frame := wire.AppendEdgeBatch(
 				s.node.NewFrameHint(wire.TEdges, 32+32*len(changes)),
 				&wire.EdgeBatch{Epoch: s.router.Epoch(), Changes: changes})
-			if err := s.node.SendFrameAcked(addr, frame); err != nil {
+			if _, err := s.node.SendFrameAcked(addr, frame); err != nil {
 				return err
 			}
 			s.sent.Add(uint64(len(changes)))

@@ -422,7 +422,7 @@ func TestDirectWriteNeverWaitsOnADeafPeer(t *testing.T) {
 		t.Fatal("sends to a peer that never reads blocked the caller")
 	}
 	if s := a.Stats(); s.EnqueueStalls != 0 {
-		t.Fatalf("%d stalls with %d of %d frames queued or being written", s.EnqueueStalls, a.QueueDepth(), peerQueueDepth)
+		t.Fatalf("%d stalls with %d of %d frames queued or being written", s.EnqueueStalls, a.Stats().QueueDepth, peerQueueDepth)
 	}
 	// Fill the rest of the queue: the send that finds peerQueueDepth frames
 	// queued or in the writer's hands stalls.
@@ -440,13 +440,13 @@ func TestDirectWriteNeverWaitsOnADeafPeer(t *testing.T) {
 		case err := <-sent:
 			t.Fatalf("sender stopped before the queue filled: %v", err)
 		case <-deadline:
-			t.Fatalf("no stall with %d frames queued", a.QueueDepth())
+			t.Fatalf("no stall with %d frames queued", a.Stats().QueueDepth)
 		case <-time.After(time.Millisecond):
 		}
 	}
 	// QueueDepth counts the writer's frames too: the one write blocked on
 	// the deaf socket and the rest of the queue it took.
-	if depth := a.QueueDepth(); depth != peerQueueDepth {
+	if depth := a.Stats().QueueDepth; depth != peerQueueDepth {
 		t.Errorf("stalled with %d frames queued or being written, want the limit, %d", depth, peerQueueDepth)
 	}
 	(<-accepted).Close()

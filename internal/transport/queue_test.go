@@ -277,7 +277,7 @@ func TestIdlePeerHoldsNoQueueSlots(t *testing.T) {
 			wire.ReleasePacket(recvType(t, b, wire.TPing))
 		}
 	}
-	if depth := a.QueueDepth(); depth != 0 {
+	if depth := a.Stats().QueueDepth; depth != 0 {
 		t.Fatalf("%d frames still pending", depth)
 	}
 	after := heapLive()

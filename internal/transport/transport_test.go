@@ -210,8 +210,8 @@ func TestSendAckedAndFlush(t *testing.T) {
 			if err := a.Flush(5 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if a.OutstandingAcks() != 0 {
-				t.Errorf("outstanding = %d", a.OutstandingAcks())
+			if a.Stats().OutstandingAcks != 0 {
+				t.Errorf("outstanding = %d", a.Stats().OutstandingAcks)
 			}
 		})
 	}
@@ -249,7 +249,7 @@ func TestHeldPacketIsNotAckedByItsRetransmission(t *testing.T) {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			if n := a.OutstandingAcks(); n != 1 {
+			if n := a.Stats().OutstandingAcks; n != 1 {
 				t.Fatalf("a duplicate of a held packet was acknowledged: %d sends outstanding, want 1", n)
 			}
 			select {

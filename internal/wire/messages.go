@@ -104,12 +104,23 @@ type EdgeChange struct {
 // VertexState carries one vertex's algorithm state during migration so a
 // new owner resumes exactly where the old owner stopped. Active preserves
 // the vertex's activation (it must be processed next superstep even
-// without mail — e.g. every PageRank vertex).
+// without mail — e.g. every PageRank vertex). NoValue marks a vertex no run
+// has reached yet — one a batch inserted — whose State means nothing: it
+// travels for its activation alone. Both ride one flags byte (bit 0 active,
+// bit 1 no value), so a record is 17 bytes and one written before NoValue
+// existed decodes as it did.
 type VertexState struct {
-	Vertex graph.VertexID
-	State  Word
-	Active bool
+	Vertex  graph.VertexID
+	State   Word
+	Active  bool
+	NoValue bool
 }
+
+// Vertex-state flag bits.
+const (
+	stateActive  = 1 << 0
+	stateNoValue = 1 << 1
+)
 
 // EdgeRun is the copies one key vertex holds in one direction, given as its
 // neighbours, strictly ascending: an Out run's copies are (Key, w), an In
@@ -163,7 +174,14 @@ func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
 	for _, s := range b.States {
 		w.U64(uint64(s.Vertex))
 		w.U64(uint64(s.State))
-		w.Bool(s.Active)
+		var flags uint8
+		if s.Active {
+			flags |= stateActive
+		}
+		if s.NoValue {
+			flags |= stateNoValue
+		}
+		w.U8(flags)
 	}
 	if len(b.Runs) > 0 {
 		return appendRuns(w.buf, b.Runs)
@@ -219,10 +237,9 @@ func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
 			b.States = make([]VertexState, 0, capHint(ns))
 		}
 		for i := 0; i < ns && r.Err() == nil; i++ {
+			v, w, flags := graph.VertexID(r.U64()), Word(r.U64()), r.U8()
 			b.States = append(b.States, VertexState{
-				Vertex: graph.VertexID(r.U64()),
-				State:  Word(r.U64()),
-				Active: r.Bool(),
+				Vertex: v, State: w, Active: flags&stateActive != 0, NoValue: flags&stateNoValue != 0,
 			})
 		}
 	}
