@@ -256,10 +256,8 @@ func (w *Writer) Close() {
 // (see DESIGN.md "Durability" for why replay would double-deliver).
 type State struct {
 	Meta wire.CheckpointMeta
-	// SealedRuns is the sealed segment; Sealed holds it instead when it was
-	// written as a list of copies, as it was before runs.
+	// SealedRuns is the sealed segment.
 	SealedRuns []wire.EdgeRun
-	Sealed     []wire.EdgeChange
 	Tail       []wire.EdgeChange
 	States     []wire.VertexState
 	Watermarks []wire.MailboxWatermark
@@ -299,7 +297,7 @@ func Load(sink Sink, key string) (*State, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.SealedRuns, st.Sealed = b.Runs, b.Changes
+			st.SealedRuns = b.Runs
 		case wire.SegTail:
 			b, err := wire.DecodeEdgeBatch(payload)
 			if err != nil {
@@ -338,9 +336,6 @@ func Load(sink Sink, key string) (*State, error) {
 func (s *State) ApplyToStore(st *graph.Store) {
 	for _, r := range s.SealedRuns {
 		st.AddRun(r.Key, r.Dir, r.Nbrs)
-	}
-	for _, c := range s.Sealed {
-		st.AddEdge(c.Src, c.Dst, c.Dir)
 	}
 	for _, c := range s.Tail {
 		if c.Action == graph.Delete {

@@ -423,8 +423,7 @@ func TestSealedSegmentFollowsTheSealedRuns(t *testing.T) {
 
 // TestSealedSegmentIsRuns: the sealed segment holds the sealed runs as an
 // edge batch's run section, in vertex order and nothing else, so equal
-// content encodes to equal bytes; a segment that lists the sealed copies one
-// by one, as written before runs, still restores.
+// content encodes to equal bytes.
 func TestSealedSegmentIsRuns(t *testing.T) {
 	build := func(order []graph.VertexID) *graph.Store {
 		st := graph.NewStore()
@@ -443,37 +442,6 @@ func TestSealedSegmentIsRuns(t *testing.T) {
 	if err != nil || len(got.Changes) != 0 || len(got.Runs) != 6 || got.Runs[0].Key != 1 || got.Runs[1].Dir != graph.In {
 		t.Fatalf("sealed segment decodes to %+v, %v", got, err)
 	}
-
-	a.RemoveEdge(5, 6, graph.Out) // a tail delete of a sealed entry
-	sink, err := NewDirSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := wire.EdgeBatch{Migration: true}
-	a.SealedRuns(func(v graph.VertexID, dir graph.Dir, run []graph.VertexID) bool {
-		for _, u := range run {
-			c := wire.EdgeChange{Action: graph.Insert, Src: v, Dst: u, Dir: dir}
-			if dir == graph.In {
-				c.Src, c.Dst = u, v
-			}
-			old.Changes = append(old.Changes, c)
-		}
-		return true
-	})
-	segs := BuildSegments(a, nil, nil, nil, 0)
-	segs[0].Payload = wire.EncodeEdgeBatch(&old)
-	w := NewWriter(sink, "old")
-	if !w.TrySubmit(&Snapshot{Meta: wire.CheckpointMeta{Key: "old", Seq: 1}, Segments: segs}) {
-		t.Fatal("submit refused")
-	}
-	w.Close()
-	state, err := Load(sink, "old")
-	if err != nil || state == nil || len(state.Sealed) != 9 || len(state.SealedRuns) != 0 {
-		t.Fatalf("load of a copy-list sealed segment: %+v %v", state, err)
-	}
-	restored := graph.NewStore()
-	state.ApplyToStore(restored)
-	compareStores(t, -1, a, restored)
 }
 
 // TestWriterDropsWhenBusy checks the backpressure contract: a snapshot

@@ -264,16 +264,13 @@ func DecodeCoordState(data []byte) (*CoordState, error) {
 			c.Marks = append(c.Marks, m)
 		}
 	}
-	// Timeline rides after the cut table; snapshots written before the
-	// event journal existed simply end here.
-	if r.Err() == nil && r.Remaining() > 0 {
-		c.EventSeq = r.U64()
-		ne := int(r.U32())
-		if r.Err() == nil && ne >= 0 {
-			c.Events = make([]events.Record, 0, capHint(ne))
-			for i := 0; i < ne && r.Err() == nil; i++ {
-				c.Events = append(c.Events, readEventRecord(r))
-			}
+	// The timeline rides after the cut table.
+	c.EventSeq = r.U64()
+	ne := int(r.U32())
+	if r.Err() == nil {
+		c.Events = make([]events.Record, 0, capHint(ne))
+		for i := 0; i < ne && r.Err() == nil; i++ {
+			c.Events = append(c.Events, readEventRecord(r))
 		}
 	}
 	if err := r.Err(); err != nil {

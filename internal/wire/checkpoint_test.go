@@ -131,44 +131,12 @@ func TestCoordStateRoundTrip(t *testing.T) {
 	if err != nil || v.Epoch != 8 || len(v.Agents) != 2 {
 		t.Fatalf("embedded view mangled: %+v err=%v", v, err)
 	}
-	// Truncation is rejected everywhere except the one boundary that IS a
-	// complete pre-events encoding (see TestCoordStateBackCompat).
+	// Every truncation is rejected: a snapshot ends after its timeline.
 	full := EncodeCoordState(cs)
-	legacy := len(EncodeCoordState(&CoordState{
-		View: cs.View, NextAgentID: cs.NextAgentID, NextRunID: cs.NextRunID, Marks: cs.Marks,
-	})) - 12 // minus the empty EventSeq (u64) + count (u32) tail
 	for n := 0; n < len(full); n++ {
-		if n == legacy {
-			continue
-		}
 		if _, err := DecodeCoordState(full[:n]); err == nil {
 			t.Fatalf("truncated coord state at %d accepted", n)
 		}
-	}
-}
-
-// TestCoordStateBackCompat feeds the decoder a snapshot written before
-// the event timeline existed (the encoding simply ended after the cut
-// table). It must parse with a zero timeline, not error — durable
-// coordinator state from older deployments stays restorable.
-func TestCoordStateBackCompat(t *testing.T) {
-	cs := &CoordState{
-		View:        EncodeView(&View{Epoch: 3, N: 60, Agents: []AgentInfo{{1, "a"}}}),
-		NextAgentID: 9,
-		NextRunID:   2,
-		Marks:       []CheckpointMark{{Meta: testMeta(), Bytes: 7}},
-	}
-	full := EncodeCoordState(cs)
-	legacy := full[:len(full)-12] // strip the empty timeline tail: pre-events layout
-	got, err := DecodeCoordState(legacy)
-	if err != nil {
-		t.Fatalf("pre-events snapshot rejected: %v", err)
-	}
-	if got.NextAgentID != 9 || got.NextRunID != 2 || len(got.Marks) != 1 {
-		t.Fatalf("legacy fields mangled: %+v", got)
-	}
-	if got.EventSeq != 0 || got.Events != nil {
-		t.Fatalf("legacy snapshot grew a timeline: seq=%d events=%+v", got.EventSeq, got.Events)
 	}
 }
 
