@@ -79,7 +79,8 @@ func TestIncrementalRejectsPageRank(t *testing.T) {
 // agent joins and one leaves between batches, so the agents whose stores
 // took migrated runs lose their fresh logs and announce every active
 // vertex along all its edges. It runs with no split vertices and with a
-// replication threshold low enough to split the hubs.
+// replication threshold low enough to split the hubs; and, under
+// "moved-join", with the membership changing between a batch and its run.
 func TestIncrementalMatchesScratchProperty(t *testing.T) {
 	const batches, batchSize = 20, 24
 	el := gen.RMAT(9, 2048, gen.Graph500Params(), 5).Dedupe()
@@ -104,67 +105,84 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 		stream = append(stream, b)
 	}
 	source := base[0].Src
-	for _, tc := range []struct {
-		name      string
-		threshold uint64
-	}{{"unsplit", 0}, {"split-hubs", 32}} {
-		for _, algo := range []string{"wcc", "bfs", "sssp"} {
-			t.Run(tc.name+"/"+algo, func(t *testing.T) {
-				cfg := testConfig()
-				cfg.ReplicationThreshold = tc.threshold
-				cfg.MaxReplicas = 4
-				c := newCluster(t, 4, cfg)
-				if err := c.Load(base); err != nil {
-					t.Fatal(err)
-				}
-				if tc.threshold > 0 {
-					// A split vertex is present on each of its replicas.
-					present, distinct := 0, 0
-					for _, a := range c.Agents() {
-						present += a.VertexCount()
-					}
-					for _, d := range base.Degrees() {
-						if d > 0 {
-							distinct++
-						}
-					}
-					if present <= distinct {
-						t.Fatalf("no vertex split: %d present over %d vertices", present, distinct)
-					}
-				}
-				prog, _ := algorithm.New(algo)
-				opts := algorithm.RunOptions{Source: source}
-				if _, err := c.Run(client.RunSpec{Algo: algo, Source: source, FromScratch: true}); err != nil {
-					t.Fatal(err)
-				}
-				held := append(graph.EdgeList{}, base...)
-				for i, b := range stream {
-					switch i {
-					case batches / 3:
-						if _, err := c.AddAgent(); err != nil {
-							t.Fatal(err)
-						}
-					case 2 * batches / 3:
-						if err := c.RemoveAgent(0); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := c.ApplyBatch(b); err != nil {
+	// The membership changes before a batch is applied or, under
+	// "moved-join", between the batch and its run: then vertices the batch
+	// inserted move before any run reaches them, with nothing but their
+	// activation to carry.
+	for _, sched := range []struct {
+		prefix       string
+		afterApplied bool
+	}{{"", false}, {"moved-join/", true}} {
+		for _, tc := range []struct {
+			name      string
+			threshold uint64
+		}{{"unsplit", 0}, {"split-hubs", 32}} {
+			for _, algo := range []string{"wcc", "bfs", "sssp"} {
+				t.Run(sched.prefix+tc.name+"/"+algo, func(t *testing.T) {
+					cfg := testConfig()
+					cfg.ReplicationThreshold = tc.threshold
+					cfg.MaxReplicas = 4
+					c := newCluster(t, 4, cfg)
+					if err := c.Load(base); err != nil {
 						t.Fatal(err)
 					}
-					for _, ch := range b {
-						held = append(held, graph.Edge{Src: ch.Src, Dst: ch.Dst})
+					if tc.threshold > 0 {
+						// A split vertex is present on each of its replicas.
+						present, distinct := 0, 0
+						for _, a := range c.Agents() {
+							present += a.VertexCount()
+						}
+						for _, d := range base.Degrees() {
+							if d > 0 {
+								distinct++
+							}
+						}
+						if present <= distinct {
+							t.Fatalf("no vertex split: %d present over %d vertices", present, distinct)
+						}
 					}
-					stats, err := c.Run(client.RunSpec{Algo: algo, Source: source, Async: i%2 == 1})
-					if err != nil {
+					prog, _ := algorithm.New(algo)
+					opts := algorithm.RunOptions{Source: source}
+					if _, err := c.Run(client.RunSpec{Algo: algo, Source: source, FromScratch: true}); err != nil {
 						t.Fatal(err)
 					}
-					if !stats.Converged {
-						t.Fatalf("batch %d: incremental %s did not converge", i, algo)
+					held := append(graph.EdgeList{}, base...)
+					changeMembers := func(i int) {
+						switch i {
+						case batches / 3:
+							if _, err := c.AddAgent(); err != nil {
+								t.Fatal(err)
+							}
+						case 2 * batches / 3:
+							if err := c.RemoveAgent(0); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-					checkAgainstReference(t, c, prog, held.Dedupe(), opts, 0)
-				}
-			})
+					for i, b := range stream {
+						if !sched.afterApplied {
+							changeMembers(i)
+						}
+						if err := c.ApplyBatch(b); err != nil {
+							t.Fatal(err)
+						}
+						if sched.afterApplied {
+							changeMembers(i)
+						}
+						for _, ch := range b {
+							held = append(held, graph.Edge{Src: ch.Src, Dst: ch.Dst})
+						}
+						stats, err := c.Run(client.RunSpec{Algo: algo, Source: source, Async: i%2 == 1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !stats.Converged {
+							t.Fatalf("batch %d: incremental %s did not converge", i, algo)
+						}
+						checkAgainstReference(t, c, prog, held.Dedupe(), opts, 0)
+					}
+				})
+			}
 		}
 	}
 }
