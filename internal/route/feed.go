@@ -24,6 +24,9 @@ type Feed struct {
 	// Install looked.
 	arrived chan struct{}
 	done    chan struct{} // closed when the node's inbox has closed
+	// idle takes a token from the goroutine only while it holds no packet:
+	// one it took off the inbox is kept before Install drains the rest.
+	idle chan struct{}
 
 	// mu serializes the two readers of the inbox, the goroutine and
 	// Install, which drains it too: a view that reached the inbox before
@@ -37,13 +40,21 @@ type Feed struct {
 // dropped. reclaim, if not nil, takes over the sends a retired peer left
 // unacknowledged; otherwise they are released.
 func NewFeed(node *transport.Node, router *Router, reclaim func(transport.FailedSend)) *Feed {
-	f := &Feed{node: node, router: router, reclaim: reclaim, arrived: make(chan struct{}, 1), done: make(chan struct{})}
+	f := &Feed{node: node, router: router, reclaim: reclaim, arrived: make(chan struct{}, 1),
+		done: make(chan struct{}), idle: make(chan struct{})}
 	go func() {
 		defer close(f.done)
-		for pkt := range node.Inbox() {
-			f.mu.Lock()
-			f.take(pkt)
-			f.mu.Unlock()
+		for {
+			select {
+			case pkt, ok := <-node.Inbox():
+				if !ok {
+					return
+				}
+				f.mu.Lock()
+				f.take(pkt)
+				f.mu.Unlock()
+			case f.idle <- struct{}{}:
+			}
 		}
 	}()
 	return f
@@ -72,9 +83,14 @@ func older(v *wire.View, epoch, batch uint64) bool {
 	return v.Epoch < epoch || v.Epoch == epoch && v.BatchID < batch
 }
 
-// next drains the inbox and hands over the newest kept view, if any.
-// closed reports that the node has closed.
+// next waits until the goroutine holds no packet, drains the inbox and
+// hands over the newest kept view, if any. closed reports that the node has
+// closed.
 func (f *Feed) next() (v *wire.View, closed bool) {
+	select {
+	case <-f.idle:
+	case <-f.done:
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for drained := false; !drained; {
