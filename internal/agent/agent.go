@@ -193,7 +193,7 @@ type Agent struct {
 	// vertex unsplit or mastered elsewhere (releasePins).
 	pins map[graph.VertexID][]uint64
 
-	skDelta  *sketch.Sketch
+	skDelta  *sketch.Delta
 	buffered []wire.EdgeChange
 
 	// mailbox holds one aggregate table per pending step (the one being
@@ -395,7 +395,7 @@ func newAgent(opts Options, ep transport.Endpoint) *Agent {
 		router:      route.New(opts.Config),
 		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
-		skDelta:     opts.Config.NewSketch(),
+		skDelta:     sketch.NewDelta(opts.Config.SketchWidth, opts.Config.SketchDepth),
 		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
 		phaseGate:   &ackGroup{},

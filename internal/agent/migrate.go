@@ -191,6 +191,10 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// store; the receiver owns it once the send is acknowledged, and the
 	// gate holds our vote until then.
 	gate := &ackGroup{}
+	if a.leaving {
+		// The increments of a batch not yet sealed would leave with us.
+		a.sendSketchDelta(gate)
+	}
 	a.mig.bytes = 0
 	selfAt := a.selfIndex()
 	if sketchOnly {
@@ -723,6 +727,17 @@ func (a *Agent) flushBuffered(gate *ackGroup) {
 	a.applyChanges(changes, gate)
 }
 
+// sendSketchDelta sends the coordinator the sketch increments applied since
+// the last send, if any, under gate.
+func (a *Agent) sendSketchDelta(gate *ackGroup) {
+	if a.skDelta.Count() == 0 {
+		return
+	}
+	a.sendGatedFrame(a.coordAddr, a.skDelta.AppendBinary(
+		a.ep.NewFrameHint(wire.TSketchDelta, a.skDelta.SizeBytes())), gate)
+	a.skDelta.Reset()
+}
+
 // handleBatchOpen is the batch-boundary round (PhaseBatch): apply
 // buffered changes, flush the sketch delta to the coordinator, and report
 // the local master count.
@@ -748,11 +763,7 @@ func (a *Agent) handleBatchOpen() {
 	// fraction Settle uses) leaves a tail worth folding before the reads
 	// that follow; a small one leaves it to the store's own rule.
 	bulk := 16*a.skDelta.Count() >= uint64(a.store.NumEdgeCopies())
-	if a.skDelta.Count() > 0 {
-		a.sendGatedFrame(a.coordAddr, a.skDelta.AppendBinary(
-			a.ep.NewFrameHint(wire.TSketchDelta, a.skDelta.SizeBytes())), gate)
-		a.skDelta.Reset()
-	}
+	a.sendSketchDelta(gate)
 	masters := a.walkFlips()
 	batchID := uint32(a.router.BatchID())
 	a.voteWhenDrained(gate, func() {

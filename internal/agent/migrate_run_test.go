@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -580,5 +581,67 @@ func TestBulkBatchFoldsTheTail(t *testing.T) {
 	if tail() != 2*len(small) || a.store.Compactions() != compactions {
 		t.Fatalf("a 64-edge batch: %d tail copies, %d compactions; want its %d copies left in the tail and none",
 			tail(), a.store.Compactions()-compactions, 2*len(small))
+	}
+}
+
+// TestBatchDeltaCostsTouchedCells: the sketch delta a 64-insert batch round
+// sends the coordinator, at the default 4096×4 sketch, is the header, the
+// bitmap and one value per cell the batch touched — not the whole sketch —
+// and merging it gives exactly the sketch of the batch's endpoints. The
+// delta is empty afterwards: a round with no inserts sends none.
+func TestBatchDeltaCostsTouchedCells(t *testing.T) {
+	cfg := config.Default()
+	a, rec := newRecordedAgent(t, cfg, 0) // one member: every copy stays here
+	a.coordAddr = "coord"
+	model := cfg.NewSketch()
+	var changes []wire.EdgeChange
+	for i := graph.VertexID(0); i < 64; i++ {
+		src, dst := 1000+i, 5000+7*i
+		for _, dir := range []graph.Dir{graph.Out, graph.In} {
+			changes = append(changes, wire.EdgeChange{Action: graph.Insert, Src: src, Dst: dst, Dir: dir})
+		}
+		model.Add(uint64(src))
+		model.Add(uint64(dst))
+	}
+	a.applyChanges(changes, &ackGroup{})
+
+	deltas := func() (payloads [][]byte) {
+		a.handleBatchOpen()
+		rec.ackAll(a)
+		for _, p := range rec.log(a.coordAddr).pkts {
+			if p.Type == wire.TSketchDelta {
+				payloads = append(payloads, p.Payload)
+			}
+		}
+		rec.to = map[string]*peerLog{}
+		return payloads
+	}
+	sent := deltas()
+	if len(sent) != 1 {
+		t.Fatalf("the batch round sent %d sketch deltas, want 1", len(sent))
+	}
+	dense, _ := model.MarshalBinary()
+	touched := 0
+	for off := 16; off < len(dense); off += 4 {
+		if binary.LittleEndian.Uint32(dense[off:]) != 0 {
+			touched++
+		}
+	}
+	words := (cfg.SketchWidth*cfg.SketchDepth + 63) / 64
+	limit := 16 + 8*words + 4*touched
+	t.Logf("64 inserts touch %d cells: the delta is %d bytes (limit %d, the dense sketch %d)",
+		touched, len(sent[0]), limit, len(dense))
+	if len(sent[0]) > limit {
+		t.Fatalf("the delta is %d bytes, over the %d of a header, a bitmap and %d touched cells", len(sent[0]), limit, touched)
+	}
+	merged := cfg.NewSketch()
+	if _, err := merged.MergeDelta(sent[0], nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := merged.MarshalBinary(); !slices.Equal(got, dense) {
+		t.Fatal("the merged delta is not the sketch of the batch's endpoints")
+	}
+	if again := deltas(); len(again) != 0 {
+		t.Fatalf("a round with no inserts sent %d sketch deltas", len(again))
 	}
 }

@@ -356,6 +356,11 @@ func (c *Client) RunWith(spec RunSpec, co CallOpts) (*wire.RunStats, error) {
 
 // run is the shared Run/RunWith body over the do core.
 func (c *Client) run(spec RunSpec, co CallOpts, single bool) (*wire.RunStats, error) {
+	if _, ok := algorithm.Lookup(spec.Algo); !ok {
+		// The coordinator answers a program it does not know with empty
+		// statistics, which would pass for a run that did nothing.
+		return nil, opError("run "+spec.Algo, fmt.Errorf("%w %q", ErrUnknownProgram, spec.Algo))
+	}
 	timeout := spec.Timeout
 	if timeout <= 0 && single {
 		// A run outlives ordinary request budgets; without an explicit

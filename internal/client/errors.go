@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 
 	"elga/internal/transport"
@@ -27,11 +28,14 @@ var (
 	// ErrNoAgents means the installed view has no agent able to serve
 	// the call yet.
 	ErrNoAgents = fmt.Errorf("no agents: %w", transport.ErrUnavailable)
+	// ErrUnknownProgram means a run named no registered vertex program;
+	// it is refused before anything is sent.
+	ErrUnknownProgram = errors.New("unknown program")
 )
 
 // OpError is the uniform error every client operation returns: the
-// operation label plus the underlying cause, which always unwraps to a
-// transport or wire sentinel.
+// operation label plus the underlying cause, which unwraps to a transport
+// or wire sentinel or to one of the sentinels above.
 type OpError struct {
 	// Op names the failing operation ("bootstrap", "seal", "run wcc",
 	// "query 42", ...).

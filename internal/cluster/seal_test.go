@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"maps"
 	"math/rand"
 	"testing"
@@ -36,12 +37,13 @@ func sketchOf(cfg config.Config, el graph.EdgeList) *sketch.Sketch {
 // members.
 func mergeCrosses(t *testing.T, cfg config.Config, sk *sketch.Sketch, el graph.EdgeList) (*sketch.Sketch, bool) {
 	t.Helper()
-	data, err := sketchOf(cfg, el).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	delta := sketch.NewDelta(cfg.SketchWidth, cfg.SketchDepth)
+	for _, e := range el {
+		delta.Add(uint64(e.Src))
+		delta.Add(uint64(e.Dst))
 	}
 	merged := sk.Clone()
-	crossed, err := merged.MergeEncoded(data, func(total uint64) uint64 { return cfg.Threshold(total, 4) }, cfg.MaxReplicas)
+	crossed, err := merged.MergeDelta(delta.AppendBinary(nil), func(total uint64) uint64 { return cfg.Threshold(total, 4) }, cfg.MaxReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,5 +355,59 @@ func TestLoadOpensNoEpoch(t *testing.T) {
 			}
 			assertVertexCount(t, c, el, "after the load")
 		})
+	}
+}
+
+// TestLeaverShipsItsUnsealedDelta: an agent that leaves gracefully between
+// applying a batch and the seal takes none of the batch's sketch increments
+// with it. The view the next join broadcasts carries exactly the sketch of
+// every edge inserted, as if nobody had left.
+func TestLeaverShipsItsUnsealedDelta(t *testing.T) {
+	cfg := testConfig()
+	c := newCluster(t, 4, cfg)
+	el := randomGraph(300, 2000, 3)
+	if err := c.Load(el); err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[graph.Edge]bool, len(el))
+	for _, e := range el {
+		have[e] = true
+	}
+	all := append(graph.EdgeList(nil), el...)
+	var batch graph.Batch
+	rng := rand.New(rand.NewSource(17))
+	for len(batch) < 400 {
+		e := graph.Edge{Src: graph.VertexID(rng.Intn(300)), Dst: graph.VertexID(rng.Intn(300))}
+		if e.Src == e.Dst || have[e] {
+			continue
+		}
+		have[e] = true
+		all = append(all, e)
+		batch = append(batch, graph.Change{Action: graph.Insert, Src: e.Src, Dst: e.Dst})
+	}
+	stream(t, c, batch)
+	if err := c.RemoveAgent(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+
+	w := watchViews(t, c)
+	w.next() // the catch-up copy
+	if _, err := c.AddAgent(); err != nil {
+		t.Fatal(err)
+	}
+	v := w.next()
+	if len(v.Agents) != 4 {
+		t.Fatalf("first broadcast after the join lists %d agents, want 4", len(v.Agents))
+	}
+	want := sketchOf(cfg, all)
+	var got sketch.Sketch
+	if err := got.UnmarshalBinary(v.Sketch); err != nil {
+		t.Fatal(err)
+	}
+	if wantBytes, _ := want.MarshalBinary(); !bytes.Equal(v.Sketch, wantBytes) {
+		t.Fatalf("the join's view carries a sketch of total %d, the edges inserted make %d", got.Count(), want.Count())
 	}
 }

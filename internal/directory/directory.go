@@ -676,7 +676,7 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.handleHeartbeat(pkt)
 	case wire.TSketchDelta:
 		// A malformed delta merges nothing; ack it to stop retransmission.
-		if crossed, err := d.sk.MergeEncoded(pkt.Payload, d.threshold, d.opts.Config.MaxReplicas); err == nil {
+		if crossed, err := d.sk.MergeDelta(pkt.Payload, d.threshold, d.opts.Config.MaxReplicas); err == nil {
 			d.skBytes = d.skBytes[:0]
 			d.skDirty = d.skDirty || crossed
 		}

@@ -215,10 +215,9 @@ func nextView(t *testing.T, watcher *transport.Node) *wire.View {
 
 // pushDeltaAndSeal delivers one sketch delta to the directory, the way an
 // agent's batch-open round does, and then seals.
-func pushDeltaAndSeal(t *testing.T, sender *transport.Node, dirAddr string, delta *sketch.Sketch) {
+func pushDeltaAndSeal(t *testing.T, sender *transport.Node, dirAddr string, delta *sketch.Delta) {
 	t.Helper()
-	data, _ := delta.MarshalBinary()
-	if err := sender.SendAcked(dirAddr, wire.TSketchDelta, data); err != nil {
+	if err := sender.SendAcked(dirAddr, wire.TSketchDelta, delta.AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.Flush(5 * time.Second); err != nil {
@@ -249,7 +248,7 @@ func TestSketchDeltaMergesIntoView(t *testing.T) {
 	cfgv := testCfg()
 	pushAndSeal := func(n uint32) {
 		t.Helper()
-		delta := cfgv.NewSketch()
+		delta := sketch.NewDelta(cfgv.SketchWidth, cfgv.SketchDepth)
 		delta.AddN(42, n)
 		pushDeltaAndSeal(t, sender, d.Addr(), delta)
 	}
@@ -457,27 +456,42 @@ func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
 	threshold := func(total uint64) uint64 { return cfgv.Threshold(total, 3) }
 	const keys = 400
 	model := cfgv.NewSketch() // what the directory holds
-	pushAndSeal := func(delta *sketch.Sketch) (crossed bool) {
+	// A delta is built from the increments the test feeds it; all is every
+	// pushed delta's, so one equal to the whole merge can be built too.
+	type add struct {
+		key uint64
+		n   uint32
+	}
+	var all []add
+	deltaOf := func(adds []add) *sketch.Delta {
+		delta := sketch.NewDelta(cfgv.SketchWidth, cfgv.SketchDepth)
+		for _, a := range adds {
+			delta.AddN(a.key, a.n)
+		}
+		return delta
+	}
+	pushAndSeal := func(adds []add) (crossed bool) {
 		t.Helper()
-		data, _ := delta.MarshalBinary()
-		crossed, err := model.MergeEncoded(data, threshold, cfgv.MaxReplicas)
+		delta := deltaOf(adds)
+		crossed, err := model.MergeDelta(delta.AppendBinary(nil), threshold, cfgv.MaxReplicas)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pushDeltaAndSeal(t, sender, d.Addr(), delta)
+		all = append(all, adds...)
 		return crossed
 	}
 
 	// A skewed start: a few keys far over the threshold, the rest far under.
 	rng := rand.New(rand.NewSource(3))
-	delta := cfgv.NewSketch()
+	var skewed []add
 	for k := uint64(0); k < keys; k++ {
-		delta.AddN(k, uint32(1+rng.Intn(20)))
+		skewed = append(skewed, add{k, uint32(1 + rng.Intn(20))})
 	}
 	for k := uint64(0); k < 8; k++ {
-		delta.AddN(k*37, uint32(300+rng.Intn(900)))
+		skewed = append(skewed, add{k * 37, uint32(300 + rng.Intn(900))})
 	}
-	if !pushAndSeal(delta) {
+	if !pushAndSeal(skewed) {
 		t.Fatal("test input: the skewed delta crossed nothing")
 	}
 	// The crossing seal published the merge: wait for that view.
@@ -490,16 +504,15 @@ func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
 	// Quiet seals: single increments, skipping any that would cross.
 	quiet := 0
 	for quiet < 5 {
-		delta := cfgv.NewSketch()
+		var adds []add
 		for i := 0; i < 40; i++ {
-			delta.Add(uint64(rng.Intn(keys)))
+			adds = append(adds, add{uint64(rng.Intn(keys)), 1})
 		}
 		trial := model.Clone()
-		data, _ := delta.MarshalBinary()
-		if crossed, _ := trial.MergeEncoded(data, threshold, cfgv.MaxReplicas); crossed {
+		if crossed, _ := trial.MergeDelta(deltaOf(adds).AppendBinary(nil), threshold, cfgv.MaxReplicas); crossed {
 			continue
 		}
-		if pushAndSeal(delta) {
+		if pushAndSeal(adds) {
 			t.Fatal("model and trial disagree about a crossing")
 		}
 		quiet++
@@ -510,7 +523,7 @@ func TestLateJoinerRoutesLikeIncumbents(t *testing.T) {
 	if tBefore := threshold(model.Count()); threshold(2*model.Count()) != 2*tBefore {
 		t.Fatalf("test input: doubling the total %d does not double the threshold %d", model.Count(), tBefore)
 	}
-	if pushAndSeal(model.Clone()) {
+	if pushAndSeal(slices.Clone(all)) {
 		t.Fatal("the doubling delta crossed a bucket")
 	}
 

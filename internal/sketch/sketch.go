@@ -34,9 +34,7 @@ const DefaultDepth = 8
 // A Sketch is not safe for concurrent use; in ElGA's shared-nothing design
 // each entity owns its sketch and exchanges copies by message.
 type Sketch struct {
-	width uint32
-	depth uint32
-	seeds []uint64 // one per row
+	grid
 	rows  [][]uint32
 	count uint64 // total increments applied (m in the error bound)
 	// bound is the largest cell of row 0. Every Estimate is a minimum
@@ -47,20 +45,46 @@ type Sketch struct {
 // New creates a sketch with the given width and depth. Width and depth
 // must be positive.
 func New(width, depth int) *Sketch {
+	s := &Sketch{grid: newGrid(width, depth), rows: make([][]uint32, depth)}
+	for i := range s.rows {
+		s.rows[i] = make([]uint32, width)
+	}
+	return s
+}
+
+// grid is what a Sketch and a Delta of one shape share: the dimensions and
+// the per-row hash seeds, which derive from the row index and so never
+// travel. Both place a key through index, so they cannot disagree about its
+// cells.
+type grid struct {
+	width uint32
+	depth uint32
+	seeds []uint64 // one per row
+}
+
+func newGrid(width, depth int) grid {
 	if width <= 0 || depth <= 0 {
 		panic(fmt.Sprintf("sketch: invalid dimensions %dx%d", width, depth))
 	}
-	s := &Sketch{
-		width: uint32(width),
-		depth: uint32(depth),
-		seeds: make([]uint64, depth),
-		rows:  make([][]uint32, depth),
+	g := grid{width: uint32(width), depth: uint32(depth), seeds: make([]uint64, depth)}
+	for i := range g.seeds {
+		g.seeds[i] = hashing.Wang(uint64(i)*0x9e3779b97f4a7c15 + 0x1234567)
 	}
-	for i := range s.rows {
-		s.rows[i] = make([]uint32, width)
-		s.seeds[i] = hashing.Wang(uint64(i)*0x9e3779b97f4a7c15 + 0x1234567)
+	return g
+}
+
+// index is the column key counts in on row.
+func (g *grid) index(row int, key uint64) int {
+	return int(uint32(hashing.Combine(g.seeds[row], key)) % g.width)
+}
+
+// addSat is c + n, saturating at MaxUint32 instead of wrapping: a wrapped
+// counter could under-estimate, violating the one-sided error guarantee.
+func addSat(c, n uint32) uint32 {
+	if c > math.MaxUint32-n {
+		return math.MaxUint32
 	}
-	return s
+	return c + n
 }
 
 // NewForError sizes a sketch for additive error ε·m with failure
@@ -92,8 +116,7 @@ func (s *Sketch) Count() uint64 { return s.count }
 func (s *Sketch) Bound() uint64 { return uint64(s.bound) }
 
 func (s *Sketch) cell(row int, key uint64) *uint32 {
-	h := hashing.Combine(s.seeds[row], key)
-	return &s.rows[row][uint32(h)%s.width]
+	return &s.rows[row][s.index(row, key)]
 }
 
 // Add increments key's count by one in every row.
@@ -105,13 +128,7 @@ func (s *Sketch) Add(key uint64) { s.AddN(key, 1) }
 func (s *Sketch) AddN(key uint64, n uint32) {
 	for row := 0; row < int(s.depth); row++ {
 		c := s.cell(row, key)
-		// Saturate instead of wrapping: a wrapped counter could
-		// under-estimate, violating the one-sided error guarantee.
-		if *c > math.MaxUint32-n {
-			*c = math.MaxUint32
-		} else {
-			*c += n
-		}
+		*c = addSat(*c, n)
 		if row == 0 {
 			s.bound = max(s.bound, *c)
 		}
@@ -185,15 +202,16 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 // ErrCorrupt reports a malformed serialized sketch.
 var ErrCorrupt = errors.New("sketch: corrupt encoding")
 
-// decodeHeader validates a MarshalBinary encoding and returns its
-// dimensions and total count; the cells follow at offset 16.
+// decodeHeader reads the 16-byte header a Sketch and a Delta encoding both
+// start with — width, depth, total count — and checks the dimensions are
+// ones New accepts; the length is the caller's to check.
 func decodeHeader(data []byte) (w, d uint32, count uint64, err error) {
 	if len(data) < 16 {
 		return 0, 0, 0, ErrCorrupt
 	}
 	w = binary.LittleEndian.Uint32(data[0:])
 	d = binary.LittleEndian.Uint32(data[4:])
-	if w == 0 || d == 0 || w > 1<<28 || d > 1024 || len(data) != 16+4*int(w)*int(d) {
+	if w == 0 || d == 0 || w > 1<<28 || d > 1024 {
 		return 0, 0, 0, ErrCorrupt
 	}
 	return w, d, binary.LittleEndian.Uint64(data[8:]), nil
@@ -236,6 +254,9 @@ func (s *Sketch) LoadEncoded(data []byte, threshold func(total uint64) uint64, m
 	if err != nil {
 		return false, err
 	}
+	if len(data) != 16+4*int(w)*int(d) {
+		return false, ErrCorrupt
+	}
 	if w != s.width || d != s.depth {
 		*s = *New(int(w), int(d))
 		crossed = true
@@ -258,49 +279,6 @@ func (s *Sketch) LoadEncoded(data []byte, threshold func(total uint64) uint64, m
 	// A load may lower cells, so the bound is taken afresh: one pass over
 	// row 0 measured cheaper than a max folded into the walk above.
 	s.count, s.bound = cnt, slices.Max(s.rows[0])
-	return crossed, nil
-}
-
-// MergeEncoded adds another sketch into s cell-wise, saturating, straight
-// from its MarshalBinary bytes: directories aggregate per-agent sketch
-// deltas with it without materializing them. Both sketches must have
-// identical dimensions (and therefore identical row seeds). It reports
-// whether the merge moved any cell into a different replica bucket, judged
-// as LoadEncoded judges a load; the new total is the sum of the two
-// headers'. Malformed or mismatched data errors before the receiver is
-// touched.
-func (s *Sketch) MergeEncoded(data []byte, threshold func(total uint64) uint64, maxReplicas int) (crossed bool, err error) {
-	w, d, cnt, err := decodeHeader(data)
-	if err != nil {
-		return false, err
-	}
-	if w != s.width || d != s.depth {
-		return false, fmt.Errorf("sketch: merge dimension mismatch %dx%d vs %dx%d",
-			s.width, s.depth, w, d)
-	}
-	moved, every := crossing(threshold, maxReplicas, s.count, s.count+cnt)
-	off := 16
-	for r, row := range s.rows {
-		for i, old := range row {
-			add := binary.LittleEndian.Uint32(data[off:])
-			off += 4
-			if add == 0 && !every {
-				continue
-			}
-			v := uint64(old) + uint64(add)
-			if v > math.MaxUint32 {
-				v = math.MaxUint32
-			}
-			row[i] = uint32(v)
-			if r == 0 { // cells only grow here: the changed ones raise the bound
-				s.bound = max(s.bound, uint32(v))
-			}
-			if !crossed && moved(uint64(old), v) {
-				crossed = true
-			}
-		}
-	}
-	s.count += cnt
 	return crossed, nil
 }
 

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -99,17 +101,13 @@ func never(uint64) uint64 { return 0 }
 // fixed is a threshold that does not depend on the sketch total.
 func fixed(t uint64) func(uint64) uint64 { return func(uint64) uint64 { return t } }
 
-// mergeInto merges b into a through b's encoding, the only merge there is.
-func mergeInto(a, b *Sketch, threshold func(uint64) uint64, maxReplicas int) (bool, error) {
-	data, err := b.MarshalBinary()
-	if err != nil {
-		return false, err
-	}
-	return a.MergeEncoded(data, threshold, maxReplicas)
+// mergeInto merges d into a through d's encoding, the only merge there is.
+func mergeInto(a *Sketch, d *Delta, threshold func(uint64) uint64, maxReplicas int) (bool, error) {
+	return a.MergeDelta(d.AppendBinary(nil), threshold, maxReplicas)
 }
 
 func TestMerge(t *testing.T) {
-	a, b := New(256, 4), New(256, 4)
+	a, b := New(256, 4), NewDelta(256, 4)
 	for i := uint64(0); i < 100; i++ {
 		a.Add(i)
 		b.AddN(i, 2)
@@ -128,27 +126,60 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeDimensionMismatch(t *testing.T) {
-	if _, err := mergeInto(New(8, 2), New(16, 2), never, 8); err == nil {
+	if _, err := mergeInto(New(8, 2), NewDelta(16, 2), never, 8); err == nil {
 		t.Error("expected error for width mismatch")
 	}
-	if _, err := mergeInto(New(8, 2), New(8, 3), never, 8); err == nil {
+	if _, err := mergeInto(New(8, 2), NewDelta(8, 3), never, 8); err == nil {
 		t.Error("expected error for depth mismatch")
 	}
 }
 
-// TestMergeEncodedMalformed: a corrupt payload errors, never panics, and
-// leaves the receiver as it was.
-func TestMergeEncodedMalformed(t *testing.T) {
-	s := New(8, 2)
+// TestMergeDeltaMalformed: a corrupt delta errors, never panics, and leaves
+// the receiver as it was — every truncation, an extra byte, a header of
+// another shape, a bitmap bit past the last cell, and a bitmap whose set
+// bits disagree with the values that follow. LoadEncoded refuses a corrupt
+// sketch encoding the same way.
+func TestMergeDeltaMalformed(t *testing.T) {
+	s := New(8, 3) // 24 cells: one bitmap word, its top 40 bits past the end
 	s.AddN(3, 7)
-	good, _ := s.MarshalBinary()
+	d := NewDelta(8, 3)
+	d.AddN(5, 2)
+	d.AddN(6, 1)
+	good := d.AppendBinary(nil)
+	if _, err := s.Clone().MergeDelta(good, never, 8); err != nil {
+		t.Fatalf("the well-formed delta: %v", err)
+	}
+	withMarks := func(mark func(uint64) uint64, extraVals int) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[16:], mark(binary.LittleEndian.Uint64(b[16:])))
+		return append(b, make([]byte, 4*extraVals)...)
+	}
+	lowest := func(m uint64) uint64 { return m & -m }
+	cases := map[string][]byte{
+		"extra byte":          append(append([]byte(nil), good...), 0),
+		"other shape":         NewDelta(16, 3).AppendBinary(nil),
+		"stray bit":           withMarks(func(m uint64) uint64 { return m | 1<<30 }, 1),
+		"bit without a value": withMarks(func(m uint64) uint64 { return m | lowest(^m) }, 0),
+		"value without a bit": withMarks(func(m uint64) uint64 { return m &^ lowest(m) }, 0),
+		"zero width":          {0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for n := range good {
+		cases[fmt.Sprintf("truncated to %d", n)] = good[:n]
+	}
+	for name, data := range cases {
+		before := s.Clone()
+		if _, err := s.MergeDelta(data, byLoad(1), 8); err == nil {
+			t.Errorf("%s: MergeDelta accepted malformed data", name)
+		}
+		if !slices.EqualFunc(s.rows, before.rows, slices.Equal) || s.Count() != before.Count() || s.Bound() != before.Bound() {
+			t.Fatalf("%s: a rejected merge changed the receiver", name)
+		}
+	}
+	dense, _ := s.MarshalBinary()
 	for _, data := range [][]byte{
-		nil, good[:15], good[:len(good)-1], append(append([]byte(nil), good...), 0),
+		nil, dense[:15], dense[:len(dense)-1], append(append([]byte(nil), dense...), 0),
 		{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
-		if _, err := s.MergeEncoded(data, never, 8); err == nil {
-			t.Errorf("MergeEncoded(%d bytes) accepted malformed data", len(data))
-		}
 		if _, err := s.LoadEncoded(data, never, 8); err == nil {
 			t.Errorf("LoadEncoded(%d bytes) accepted malformed data", len(data))
 		}
@@ -158,9 +189,9 @@ func TestMergeEncodedMalformed(t *testing.T) {
 	}
 }
 
-// TestMergeEncodedSaturates: cells clamp at MaxUint32 like AddN.
-func TestMergeEncodedSaturates(t *testing.T) {
-	a, b := New(4, 1), New(4, 1)
+// TestMergeDeltaSaturates: cells clamp at MaxUint32 like AddN.
+func TestMergeDeltaSaturates(t *testing.T) {
+	a, b := New(4, 1), NewDelta(4, 1)
 	a.AddN(1, math.MaxUint32-1)
 	b.AddN(1, 5)
 	if _, err := mergeInto(a, b, never, 8); err != nil {
@@ -330,14 +361,15 @@ func TestOneSidedProperty(t *testing.T) {
 
 func TestMergeGEQComponentsProperty(t *testing.T) {
 	f := func(ka, kb []uint8) bool {
-		a, b := New(16, 2), New(16, 2)
+		a, b, bc := New(16, 2), NewDelta(16, 2), New(16, 2)
 		for _, k := range ka {
 			a.Add(uint64(k))
 		}
 		for _, k := range kb {
 			b.Add(uint64(k))
+			bc.Add(uint64(k))
 		}
-		ac, bc := a.Clone(), b.Clone()
+		ac := a.Clone()
 		if _, err := mergeInto(a, b, never, 8); err != nil {
 			return false
 		}
@@ -390,7 +422,7 @@ func TestMergeCrossingProperty(t *testing.T) {
 		if moving {
 			threshold = byLoad(1 + uint64(members%4))
 		}
-		a, d := New(16, 3), New(16, 3)
+		a, d := New(16, 3), NewDelta(16, 3)
 		for _, k := range base {
 			a.Add(uint64(k % keys))
 		}
@@ -437,19 +469,23 @@ func TestMergeCrossingProperty(t *testing.T) {
 func TestDoublingDeltaCrossesNothing(t *testing.T) {
 	const maxReplicas, keys = 8, 32
 	threshold := byLoad(1)
-	s := New(64, 4)
-	for k := uint64(0); k < keys; k++ {
-		s.AddN(k, uint32(1+k))
+	feed := func(add func(key uint64, n uint32)) {
+		for k := uint64(0); k < keys; k++ {
+			add(k, uint32(1+k))
+		}
+		add(7, 700) // a few keys several thresholds up
+		add(9, 1500)
 	}
-	s.AddN(7, 700) // a few keys several thresholds up
-	s.AddN(9, 1500)
+	s, doubling := New(64, 4), NewDelta(64, 4)
+	feed(s.AddN)
+	feed(doubling.AddN)
 	before := replicaCounts(s, keys, threshold, maxReplicas)
 	if slices.Max(before) < 2 {
 		t.Fatal("test input: nothing is split")
 	}
 	routed := s.Clone()
 	tBefore := threshold(s.Count())
-	crossed, err := mergeInto(s, s.Clone(), threshold, maxReplicas)
+	crossed, err := mergeInto(s, doubling, threshold, maxReplicas)
 	if err != nil || crossed {
 		t.Fatalf("doubling merge: crossed=%v err=%v", crossed, err)
 	}
@@ -465,7 +501,7 @@ func TestDoublingDeltaCrossesNothing(t *testing.T) {
 	}
 	// Pushing one key just past the doubled threshold, without moving it
 	// again, is a crossing.
-	tNow, hub := threshold(s.Count()), New(64, 4)
+	tNow, hub := threshold(s.Count()), NewDelta(64, 4)
 	hub.AddN(7, uint32(tNow-s.Estimate(7)+1))
 	if s.Estimate(7) >= tNow || threshold(s.Count()+hub.Count()) != tNow {
 		t.Fatal("test input: the push moves the threshold or starts above it")
@@ -497,21 +533,26 @@ func BenchmarkEstimate(b *testing.B) {
 
 var benchSink uint64
 
-// FuzzMergeEncoded feeds the two wire-facing decoders arbitrary bytes:
-// they must error or succeed, never panic, and an error must leave the
-// receiver untouched.
-func FuzzMergeEncoded(f *testing.F) {
-	src := New(8, 2)
-	src.AddN(3, 7)
-	good, _ := src.MarshalBinary()
+// FuzzMergeDelta feeds the two wire-facing decoders arbitrary bytes: they
+// must error or succeed, never panic, and an error must leave the receiver
+// untouched.
+func FuzzMergeDelta(f *testing.F) {
+	d := NewDelta(8, 2)
+	d.AddN(3, 7)
+	good := d.AppendBinary(nil)
 	f.Add(good)
 	f.Add(good[:len(good)-3])
+	f.Add(append(good[:16:16], 0xff, 0xff, 0, 0, 0, 0, 0, 0))
 	f.Add([]byte{8, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+	src := New(8, 2)
+	src.AddN(3, 7)
+	dense, _ := src.MarshalBinary()
+	f.Add(dense)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(8, 2)
 		s.AddN(5, 2)
-		if _, err := s.MergeEncoded(data, fixed(4), 8); err != nil && (s.Estimate(5) != 2 || s.Count() != 2) {
+		if _, err := s.MergeDelta(data, fixed(4), 8); err != nil && (s.Estimate(5) != 2 || s.Count() != 2 || s.Bound() != 2) {
 			t.Fatal("a rejected merge changed the receiver")
 		}
 		s = New(8, 2)
@@ -538,10 +579,13 @@ func TestBoundTracksRowZero(t *testing.T) {
 			}
 		}
 	}
-	fill := func(s *Sketch, n int) *Sketch {
+	feed := func(add func(key uint64, n uint32), n int) {
 		for i := 0; i < n; i++ {
-			s.AddN(rng.Uint64()%64, uint32(rng.Intn(50)))
+			add(rng.Uint64()%64, uint32(rng.Intn(50)))
 		}
+	}
+	fill := func(s *Sketch, n int) *Sketch {
+		feed(s.AddN, n)
 		return s
 	}
 	s := New(32, 3)
@@ -554,8 +598,9 @@ func TestBoundTracksRowZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(s, "load of a smaller sketch")
-		big, _ := fill(New(32, 3), 200).MarshalBinary()
-		if _, err := s.MergeEncoded(big, fixed(100), 8); err != nil {
+		big := NewDelta(32, 3)
+		feed(big.AddN, 200)
+		if _, err := mergeInto(s, big, fixed(100), 8); err != nil {
 			t.Fatal(err)
 		}
 		check(s, "merge")
