@@ -94,10 +94,9 @@ commands:
 `)
 }
 
-// commonFlags registers the master address plus the shared composite —
-// every role resolves one config.Common (environment first, then flags)
-// so a setting has exactly one spelling across the CLI, env vars, and
-// the harness. Flag spellings are unchanged from the pre-composite CLI.
+// commonFlags registers the master address plus the shared composite;
+// config.Parse then fills it from the environment and the flags, a flag
+// overriding its variable.
 func commonFlags(fs *flag.FlagSet, c *config.Common) (master *string) {
 	master = fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
 	c.RegisterFlags(fs)
@@ -122,11 +121,11 @@ func runMaster(args []string) error {
 
 func runDirectory(args []string) error {
 	fs := flag.NewFlagSet("directory", flag.ExitOnError)
-	dcfg := config.DirectoryFromEnv()
+	dcfg := config.Directory{Common: config.DefaultCommon()}
 	master := fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
 	dcfg.RegisterFlags(fs)
 	addr := fs.String("addr", "", "listen address (empty = ephemeral)")
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if dcfg.TraceOut != "" {
@@ -148,21 +147,12 @@ func runDirectory(args []string) error {
 	var sink func(string, []trace.SpanRecord)
 	if dcfg.Trace.Enabled {
 		col = collect.New()
-		sink = func(proc string, spans []trace.SpanRecord) {
-			col.Add(proc, spans)
-			// The coordinator's parentless run span closes the timeline.
-			for _, s := range spans {
-				if s.Name == "run" && s.Parent == 0 {
-					col.MarkComplete(s.TraceHi, s.TraceLo)
-				}
-			}
-		}
+		sink = col.Add
 	}
 	d, err := directory.Start(directory.Options{
 		Config: dcfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, Addr: *addr,
-		Metrics: reg, Trace: dcfg.TraceConfig(), SpanSink: sink,
-		Checkpoint: dcfg.CheckpointConfig(), Events: dcfg.EventsConfig(),
-		Profile: dcfg.ProfileConfig(),
+		Metrics: reg, Trace: dcfg.Trace, SpanSink: sink,
+		Checkpoint: dcfg.Durability, Events: dcfg.Events, Profile: dcfg.Profile,
 	})
 	if err != nil {
 		return err
@@ -192,35 +182,12 @@ func runDirectory(args []string) error {
 	return nil
 }
 
-// agentCheckpointKeys derives a distinct durable identity per in-process
-// agent: restores must never collide, so with -n > 1 each agent gets
-// "<base>-<i>" (base defaults to "agent", matching the harness's slot
-// naming).
-func agentCheckpointKeys(cfg checkpoint.Config, n int) []*checkpoint.Config {
-	out := make([]*checkpoint.Config, n)
-	base := cfg.Key
-	if base == "" {
-		base = "agent"
-	}
-	for i := 0; i < n; i++ {
-		per := cfg
-		if n > 1 {
-			per.Key = fmt.Sprintf("%s-%d", base, i)
-		} else {
-			per.Key = base
-		}
-		out[i] = &per
-	}
-	return out
-}
-
 func runAgent(args []string) error {
 	fs := flag.NewFlagSet("agent", flag.ExitOnError)
-	acfg := config.CommonFromEnv()
-	master := fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
-	acfg.RegisterFlags(fs)
+	acfg := config.DefaultCommon()
+	master := commonFlags(fs, &acfg)
 	n := fs.Int("n", 1, "number of agents to run in this process")
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := acfg.Validate(); err != nil {
@@ -233,14 +200,13 @@ func runAgent(args []string) error {
 	if srv != nil {
 		defer srv.Close()
 	}
-	ckptKeys := agentCheckpointKeys(acfg.Durability, *n)
 	agents := make([]*agent.Agent, 0, *n)
 	for i := 0; i < *n; i++ {
+		ckpt := acfg.Durability
+		ckpt.Key = checkpoint.AgentKey(ckpt.Key, i, *n)
 		a, err := agent.Start(agent.Options{
 			Config: acfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, DirIndex: i,
-			Metrics: reg, Trace: acfg.TraceConfig(),
-			Checkpoint: ckptKeys[i], Events: acfg.EventsConfig(),
-			Profile: acfg.ProfileConfig(),
+			Metrics: reg, Trace: acfg.Trace, Checkpoint: ckpt, Events: acfg.Events, Profile: acfg.Profile,
 		})
 		if err != nil {
 			return err
@@ -267,11 +233,11 @@ func runAgent(args []string) error {
 
 func runStream(args []string) error {
 	fs := flag.NewFlagSet("stream", flag.ExitOnError)
-	ccfg := config.CommonFromEnv()
+	ccfg := config.DefaultCommon()
 	master := commonFlags(fs, &ccfg)
 	file := fs.String("file", "", "edge list file ('-' for stdin)")
 	deleteMode := fs.Bool("delete", false, "stream deletions instead of insertions")
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := ccfg.Validate(); err != nil {
@@ -318,7 +284,7 @@ func runStream(args []string) error {
 	return nil
 }
 
-func newClient(master string, cfg config.Config, tcfg *trace.Config) (*client.Client, error) {
+func newClient(master string, cfg config.Config, tcfg trace.Config) (*client.Client, error) {
 	c, err := client.Start(client.Options{Config: cfg, Network: transport.NewTCP(), MasterAddr: master, Trace: tcfg})
 	if err != nil {
 		return nil, err
@@ -332,7 +298,7 @@ func newClient(master string, cfg config.Config, tcfg *trace.Config) (*client.Cl
 
 func runAlgo(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	ccfg := config.CommonFromEnv()
+	ccfg := config.DefaultCommon()
 	master := commonFlags(fs, &ccfg)
 	algo := fs.String("algo", "pagerank", "algorithm: pagerank, ppr, wcc, bfs, sssp, degree")
 	async := fs.Bool("async", false, "asynchronous execution (wcc/bfs/sssp only)")
@@ -340,13 +306,13 @@ func runAlgo(args []string) error {
 	eps := fs.Float64("epsilon", 0, "residual halt threshold (pagerank)")
 	scratch := fs.Bool("scratch", false, "run from scratch instead of incrementally (required for pagerank and ppr)")
 	source := fs.Uint64("source", 0, "traversal source vertex")
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := ccfg.Validate(); err != nil {
 		return err
 	}
-	c, err := newClient(*master, ccfg.Cluster, ccfg.TraceConfig())
+	c, err := newClient(*master, ccfg.Cluster, ccfg.Trace)
 	if err != nil {
 		return err
 	}
@@ -369,15 +335,15 @@ func runAlgo(args []string) error {
 
 func runSeal(args []string) error {
 	fs := flag.NewFlagSet("seal", flag.ExitOnError)
-	ccfg := config.CommonFromEnv()
+	ccfg := config.DefaultCommon()
 	master := commonFlags(fs, &ccfg)
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := ccfg.Validate(); err != nil {
 		return err
 	}
-	c, err := newClient(*master, ccfg.Cluster, ccfg.TraceConfig())
+	c, err := newClient(*master, ccfg.Cluster, ccfg.Trace)
 	if err != nil {
 		return err
 	}
@@ -392,17 +358,17 @@ func runSeal(args []string) error {
 
 func runQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	ccfg := config.CommonFromEnv()
+	ccfg := config.DefaultCommon()
 	master := commonFlags(fs, &ccfg)
 	vertex := fs.Uint64("vertex", 0, "vertex to query")
 	asFloat := fs.Bool("float", false, "interpret the result as float64 (pagerank)")
-	if err := fs.Parse(args); err != nil {
+	if err := config.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := ccfg.Validate(); err != nil {
 		return err
 	}
-	c, err := newClient(*master, ccfg.Cluster, ccfg.TraceConfig())
+	c, err := newClient(*master, ccfg.Cluster, ccfg.Trace)
 	if err != nil {
 		return err
 	}

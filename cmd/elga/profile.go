@@ -24,7 +24,10 @@ import (
 // manifest.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	ccfg := config.CommonFromEnv()
+	ccfg, err := config.CommonFromEnv()
+	if err != nil {
+		return err
+	}
 	master := fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
 	agentID := fs.Uint64("agent", 0, "agent to profile (0 with -all profiles every agent)")
 	all := fs.Bool("all", false, "profile every live agent")
@@ -44,7 +47,7 @@ func runProfile(args []string) error {
 	// Like status, profile must work on a quiet cluster: skip WaitReady.
 	c, err := client.Start(client.Options{
 		Config: ccfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master,
-		Trace: ccfg.TraceConfig(), Events: ccfg.EventsConfig(),
+		Trace: ccfg.Trace, Events: ccfg.Events,
 	})
 	if err != nil {
 		return err

@@ -26,7 +26,10 @@ func runStatus(args []string) error {
 	// Status is a read-only introspection tool, so it takes only -master
 	// plus its own rendering flags; the shared composite (which spells
 	// -events as the journal on/off switch) resolves from the environment.
-	ccfg := config.CommonFromEnv()
+	ccfg, err := config.CommonFromEnv()
+	if err != nil {
+		return err
+	}
 	master := fs.String("master", "127.0.0.1:7700", "DirectoryMaster address")
 	nEvents := fs.Uint("events", 16, "timeline events to show (0 = server default)")
 	watch := fs.Bool("watch", false, "refresh until interrupted")
@@ -42,7 +45,7 @@ func runStatus(args []string) error {
 	// skips the usual WaitReady gate.
 	c, err := client.Start(client.Options{
 		Config: ccfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master,
-		Trace: ccfg.TraceConfig(), Events: ccfg.EventsConfig(),
+		Trace: ccfg.Trace, Events: ccfg.Events,
 	})
 	if err != nil {
 		return err

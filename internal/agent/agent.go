@@ -55,22 +55,21 @@ type Options struct {
 	// bytes of the frames that carry the remote ones (CommStats and the
 	// elga_scatter_* metrics). Off, the scatter path pays a single branch.
 	CommAccounting bool
-	// Trace configures distributed tracing; nil resolves from the
-	// environment (trace.FromEnv), so every layer honours one Config.
-	Trace *trace.Config
-	// Checkpoint configures durable incremental checkpointing; nil
-	// resolves from the environment (checkpoint.FromEnv). When enabled,
-	// the agent restores its last snapshot before joining and rejoins
-	// warm through the normal migration reconciliation.
-	Checkpoint *checkpoint.Config
-	// Events configures the structured control-plane event journal; nil
-	// resolves from the environment (events.FromEnv). Off, every emission
-	// site costs a single nil-receiver branch.
-	Events *events.Config
-	// Profile configures the agent half of the cluster profiling plane;
-	// nil resolves from the environment (profile.FromEnv). Disarmed, the
-	// superstep hot path pays a single predicted branch.
-	Profile *profile.Config
+	// Trace configures distributed tracing (zero: off).
+	Trace trace.Config
+	// Checkpoint configures durable incremental checkpointing (zero: off).
+	// When enabled, the agent restores the snapshot under Checkpoint.Key
+	// (checkpoint.AgentKey) before joining and rejoins warm through the
+	// normal migration reconciliation.
+	Checkpoint checkpoint.Config
+	// Events configures the structured control-plane event journal (zero:
+	// off). Off, every emission site costs a single nil-receiver branch.
+	Events events.Config
+	// Profile configures the agent half of the cluster profiling plane.
+	// Capture requests are served whatever it says; it only arms the
+	// runtime sampling rates. Disarmed, the superstep hot path pays a
+	// single predicted branch.
+	Profile profile.Config
 }
 
 // Validate reports option errors before any resource is allocated.
@@ -405,10 +404,10 @@ func newAgent(opts Options, ep transport.Endpoint) *Agent {
 	// The tracer exists before metrics registration (its drop counter is
 	// scraped through a closure) and before any packet flows; its proc
 	// name is finalized once the join allocates the agent ID.
-	a.tracer = trace.NewTracer("agent", trace.Resolve(opts.Trace))
+	a.tracer = trace.NewTracer("agent", opts.Trace)
 	// The journal's proc name is provisional until the join assigns an ID;
 	// like the tracer, a disabled config yields the nil off switch.
-	a.journal = events.NewJournal("agent", events.Resolve(opts.Events))
+	a.journal = events.NewJournal("agent", opts.Events)
 	return a
 }
 

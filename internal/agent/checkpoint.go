@@ -42,12 +42,15 @@ type agentCkpt struct {
 // exists but is damaged — restoring garbage silently would be worse than
 // a cold start, so the operator must clear the sink deliberately.
 func (a *Agent) initCheckpoint() error {
-	cfg := checkpoint.Resolve(a.opts.Checkpoint)
+	cfg := a.opts.Checkpoint
 	if !cfg.Enabled {
 		return nil
 	}
 	if cfg.Key == "" {
-		cfg.Key = "agent"
+		return fmt.Errorf("agent: durable checkpointing without a key")
+	}
+	if cfg.EverySteps <= 0 {
+		cfg.EverySteps = checkpoint.DefaultEverySteps
 	}
 	sink, err := checkpoint.Open(cfg)
 	if err != nil {

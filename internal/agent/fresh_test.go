@@ -93,7 +93,7 @@ func TestFreshVertexKeepsItsActivationWhenItMoves(t *testing.T) {
 // its run keeps the activation of the vertices the batch inserted, and the
 // restore marks them active without giving them a value.
 func TestFreshVertexSurvivesCheckpoint(t *testing.T) {
-	cfg := &checkpoint.Config{Enabled: true, Dir: t.TempDir(), Key: "fresh", EverySteps: 1 << 30}
+	cfg := checkpoint.Config{Enabled: true, Dir: t.TempDir(), Key: "fresh", EverySteps: 1 << 30}
 	a, _ := newRecordedAgent(t, allocTestConfig(), 0)
 	a.opts.Checkpoint = cfg
 	if err := a.initCheckpoint(); err != nil {

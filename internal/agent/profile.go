@@ -56,7 +56,6 @@ type profResult struct {
 
 // agentProf is the agent's profiling-plane state.
 type agentProf struct {
-	cfg profile.Config
 	// armed mirrors pending/active being non-empty: the single hot-path
 	// branch maybeProfileStep reads.
 	armed   bool
@@ -67,13 +66,12 @@ type agentProf struct {
 	done []profResult
 }
 
-// initProfile resolves the plane's config and arms the runtime sampling
-// rates when asked. Capture requests are always served — the master
-// switch gates the coordinator-side store and auto-capture policy, not
-// the agent's ability to answer an operator.
+// initProfile arms the runtime sampling rates when asked. Capture
+// requests are always served — the master switch gates the
+// coordinator-side store and auto-capture policy, not the agent's ability
+// to answer an operator.
 func (a *Agent) initProfile() {
-	a.prof.cfg = profile.Resolve(a.opts.Profile)
-	a.prof.cfg.ApplyRates()
+	a.opts.Profile.ApplyRates()
 }
 
 // pushProfResult hands a finished capture to the shipping cadence; safe
@@ -99,7 +97,7 @@ func (a *Agent) handleProfileReq(pkt *wire.Packet) {
 	}
 	seconds := req.Seconds
 	if seconds <= 0 {
-		seconds = a.prof.cfg.Seconds
+		seconds = profile.DefaultSeconds
 	}
 	c := &profCapture{
 		id: req.CaptureID, kind: req.Kind,

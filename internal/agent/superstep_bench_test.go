@@ -117,7 +117,7 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 				a.journal = events.NewJournal("agent-bench", events.Config{Enabled: true})
 			}
 			if set&16 != 0 {
-				a.prof.cfg = profile.Resolve(&profile.Config{Enabled: true, AutoCapture: true})
+				a.opts.Profile = profile.Config{Enabled: true, AutoCapture: true}
 			}
 			step := uint32(0)
 			superstep := func() {

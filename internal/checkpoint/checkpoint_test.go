@@ -547,3 +547,26 @@ func TestWriterNeverLosesForcedSnapshot(t *testing.T) {
 		t.Fatalf("committed %d (errs %d), want 2: the one in flight and the forced one", count, errs)
 	}
 }
+
+// TestAgentKey pins the one per-agent key rule to the keys agents have
+// always written: a lone CLI agent keeps its bare base, several in one
+// process are numbered, and harness slots are always numbered.
+func TestAgentKey(t *testing.T) {
+	for _, tc := range []struct {
+		base    string
+		slot, n int
+		want    string
+	}{
+		{"", 0, 1, "agent"},        // elga agent -n 1
+		{"node7", 0, 1, "node7"},   // elga agent -n 1 -ckpt-key node7
+		{"", 0, 3, "agent-0"},      // elga agent -n 3
+		{"", 2, 3, "agent-2"},      //
+		{"node7", 1, 2, "node7-1"}, // elga agent -n 2 -ckpt-key node7
+		{"", 0, 0, "agent-0"},      // cluster harness, slot 0
+		{"", 5, 0, "agent-5"},      // cluster harness, slot 5
+	} {
+		if got := AgentKey(tc.base, tc.slot, tc.n); got != tc.want {
+			t.Errorf("AgentKey(%q, %d, %d) = %q, want %q", tc.base, tc.slot, tc.n, got, tc.want)
+		}
+	}
+}

@@ -10,15 +10,12 @@
 //
 // Durability enters the system through one surface: checkpoint.Config,
 // threaded as cluster.Options.Durability / agent.Options.Checkpoint /
-// directory.Options.Checkpoint, with env overrides (ELGA_CKPT*) and flag
-// registration following the trace.Config pattern.
+// directory.Options.Checkpoint. The command line spells it -durable and
+// -ckpt-* (internal/config); this package reads no environment.
 package checkpoint
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"time"
 )
 
@@ -33,7 +30,7 @@ type Config struct {
 	// Key is the participant's stable durable identity ("agent-0",
 	// "coordinator"). It survives restarts that change live agent IDs;
 	// a restarting process restores the manifest written under its Key.
-	// The cluster harness assigns per-slot keys automatically.
+	// An agent's key comes from AgentKey.
 	Key string
 	// EverySteps checkpoints every N completed compute supersteps
 	// (0 selects DefaultEverySteps). Batch boundaries and run completion
@@ -51,84 +48,18 @@ type Config struct {
 // critical path.
 const DefaultEverySteps = 4
 
-// FromEnv builds a Config from the environment:
-//
-//	ELGA_CKPT=1          enable durable checkpointing
-//	ELGA_CKPT_DIR=path   sink root directory
-//	ELGA_CKPT_KEY=key    stable durable identity
-//	ELGA_CKPT_STEPS=n    superstep cadence (default 4)
-//	ELGA_CKPT_INTERVAL=d wall-clock cadence (Go duration, default off)
-func FromEnv() Config {
-	c := Config{EverySteps: DefaultEverySteps}
-	if os.Getenv("ELGA_CKPT") != "" {
-		c.Enabled = true
+// AgentKey returns the durable identity of the agent in slot among n
+// agents that share the base key (empty base means "agent"). Restores must
+// never collide, so agents that share a base are told apart by slot
+// ("agent-2"); only a base that one agent owns (n == 1) is used bare. Pass
+// n = 0 when the count is open-ended, as for a harness that adds agents at
+// will.
+func AgentKey(base string, slot, n int) string {
+	if base == "" {
+		base = "agent"
 	}
-	c.Dir = os.Getenv("ELGA_CKPT_DIR")
-	c.Key = os.Getenv("ELGA_CKPT_KEY")
-	if v := os.Getenv("ELGA_CKPT_STEPS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			c.EverySteps = n
-		}
+	if n == 1 {
+		return base
 	}
-	if v := os.Getenv("ELGA_CKPT_INTERVAL"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			c.Interval = d
-		}
-	}
-	return c
-}
-
-// withDefaults fills zero fields so a literal Config{Enabled: true,
-// Dir: ...} behaves like FromEnv with ELGA_CKPT set.
-func (c Config) withDefaults() Config {
-	if c.EverySteps <= 0 {
-		c.EverySteps = DefaultEverySteps
-	}
-	if c.Interval < 0 {
-		c.Interval = 0
-	}
-	return c
-}
-
-// Resolve returns *c default-filled, or FromEnv() when c is nil — the
-// same "nil means environment" contract trace.Config follows.
-func Resolve(c *Config) Config {
-	if c == nil {
-		return FromEnv().withDefaults()
-	}
-	return c.withDefaults()
-}
-
-// WithKey returns a copy of c with the durable identity set (harness
-// helper for assigning per-slot keys from one shared Config).
-func (c Config) WithKey(key string) Config {
-	c.Key = key
-	return c
-}
-
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if c.Dir == "" {
-		return fmt.Errorf("checkpoint: enabled without a sink directory")
-	}
-	if c.EverySteps < 0 {
-		return fmt.Errorf("checkpoint: superstep cadence must be non-negative, got %d", c.EverySteps)
-	}
-	if c.Interval < 0 {
-		return fmt.Errorf("checkpoint: interval must be non-negative, got %v", c.Interval)
-	}
-	return nil
-}
-
-// RegisterFlags registers the durability flags on fs, defaulting from c
-// (callers seed c with FromEnv so flags and env funnel into one Config).
-func (c *Config) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Enabled, "durable", c.Enabled, "enable durable checkpointing (also ELGA_CKPT=1)")
-	fs.StringVar(&c.Dir, "ckpt-dir", c.Dir, "checkpoint sink directory (required with -durable)")
-	fs.StringVar(&c.Key, "ckpt-key", c.Key, "stable durable identity for restore-on-restart (default derived per role)")
-	fs.IntVar(&c.EverySteps, "ckpt-steps", c.EverySteps, "checkpoint every N compute supersteps")
-	fs.DurationVar(&c.Interval, "ckpt-interval", c.Interval, "additional wall-clock checkpoint cadence (0 = off)")
+	return fmt.Sprintf("%s-%d", base, slot)
 }

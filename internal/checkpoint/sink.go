@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -184,8 +185,8 @@ func Open(cfg Config) (Sink, error) {
 	if !cfg.Enabled {
 		return nil, nil
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if cfg.Dir == "" {
+		return nil, errors.New("checkpoint: enabled without a sink directory")
 	}
 	return NewDirSink(cfg.Dir)
 }

@@ -32,13 +32,12 @@ type Options struct {
 	// Metrics, when non-nil, registers the client's query counters and
 	// transport stats for the /metrics endpoint.
 	Metrics *metrics.Registry
-	// Trace configures distributed tracing; nil resolves from the
-	// environment (trace.FromEnv).
-	Trace *trace.Config
-	// Events configures the structured event journal; nil resolves from
-	// the environment (events.FromEnv). When on, retries and final op
-	// failures are journalled and shipped to the coordinator timeline.
-	Events *events.Config
+	// Trace configures distributed tracing (zero: off).
+	Trace trace.Config
+	// Events configures the structured event journal (zero: off). When
+	// on, retries and final op failures are journalled and shipped to the
+	// coordinator timeline.
+	Events events.Config
 }
 
 // Validate reports option errors before any resource is allocated.
@@ -107,8 +106,8 @@ func Start(opts Options) (*Client, error) {
 	}
 	c := &Client{opts: opts, node: node, router: route.New(opts.Config)}
 	c.feed = route.NewFeed(node, c.router, nil)
-	c.tracer = trace.NewTracer("client", trace.Resolve(opts.Trace))
-	c.journal = events.NewJournal("client", events.Resolve(opts.Events))
+	c.tracer = trace.NewTracer("client", opts.Trace)
+	c.journal = events.NewJournal("client", opts.Events)
 	if opts.Metrics != nil {
 		node.RegisterMetrics(opts.Metrics, "client")
 		lbl := metrics.Labels{"addr": node.Addr()}

@@ -60,10 +60,10 @@ type Options struct {
 	// the whole cluster on that address (":0" picks a free port; read it
 	// back with MetricsAddr()).
 	MetricsAddr string
-	// Trace configures distributed tracing for every participant; nil
-	// resolves from the environment (trace.FromEnv). When enabled, the
-	// cluster hosts a span collector — read it back with Collector(),
-	// WriteTrace, or TraceSummary.
+	// Trace configures distributed tracing for every participant (nil:
+	// off). When enabled, the cluster hosts a span collector — read it
+	// back with Collector(), WriteTrace, or TraceSummary. The cluster
+	// reads no environment: nil means off for every plane below.
 	Trace *trace.Config
 	// CommAccounting arms every agent's scatter counters (CommStats, the
 	// elga_scatter_* metrics).
@@ -75,31 +75,32 @@ type Options struct {
 	// agent slot can then rejoin warm via RestartAgent.
 	Durability *checkpoint.Config
 	// Events configures the structured event journal for every
-	// participant; nil resolves from the environment (events.FromEnv).
-	// When enabled, the coordinator merges all journals into the cluster
-	// timeline — read it back with Status.
+	// participant (nil: off). When enabled, the coordinator merges all
+	// journals into the cluster timeline — read it back with Status.
 	Events *events.Config
 	// Profile configures the cluster profiling plane for every
-	// participant; nil resolves from the environment (profile.FromEnv).
-	// Agents always answer capture requests; Enabled+AutoCapture arm the
-	// coordinator's straggler auto-profiles.
+	// participant (nil: off). Agents always answer capture requests;
+	// Enabled+AutoCapture arm the coordinator's straggler auto-profiles.
 	Profile *profile.Config
 }
 
-// WithCommon fills the cross-cutting Options fields from a resolved
-// config.Common composite — the one-call bridge between the CLI/env
-// configuration surface and the harness. Role-specific fields (Agents,
-// Directories, Network, ...) are left alone.
+// WithCommon fills the cross-cutting Options fields from a config.Common
+// composite. Role-specific fields (Agents, Directories, Network, ...) are
+// left alone.
 func (o Options) WithCommon(c config.Common) Options {
 	o.Config = c.Cluster
 	o.MetricsAddr = c.MetricsAddr
-	o.Trace = c.TraceConfig()
-	if c.Durability.Enabled {
-		o.Durability = c.CheckpointConfig()
-	}
-	o.Events = c.EventsConfig()
-	o.Profile = c.ProfileConfig()
+	o.Trace, o.Durability, o.Events, o.Profile = &c.Trace, &c.Durability, &c.Events, &c.Profile
 	return o
+}
+
+// valueOf returns *p, or the zero value (the plane off) when p is nil.
+func valueOf[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // Cluster is a running ElGA deployment.
@@ -114,10 +115,9 @@ type Cluster struct {
 	reg     *metrics.Registry
 	srv     *metrics.Server
 	signals *autoscale.SignalSet
-	// tcfg is the resolved trace configuration shared by every
-	// participant; collector assembles their shipped spans (nil when
-	// tracing is off). ecfg is the resolved events configuration, shared
-	// the same way.
+	// tcfg, ecfg and pcfg are the plane configurations every participant
+	// shares; collector assembles their shipped spans (nil when tracing
+	// is off).
 	tcfg      trace.Config
 	ecfg      events.Config
 	pcfg      profile.Config
@@ -157,24 +157,15 @@ func New(opts Options) (*Cluster, error) {
 	// backpressure, and fault signals without wiring anything. 30s is the
 	// paper's §4.9 averaging window.
 	c.signals = autoscale.NewSignalSet(30 * time.Second)
-	// One resolved trace config feeds every participant, so a single
-	// Options.Trace (or ELGA_TRACE in the environment) is the only switch.
-	c.tcfg = trace.Resolve(opts.Trace)
-	c.ecfg = events.Resolve(opts.Events)
-	c.pcfg = profile.Resolve(opts.Profile)
+	// One trace config feeds every participant, so Options.Trace is the
+	// only switch.
+	c.tcfg = valueOf(opts.Trace)
+	c.ecfg = valueOf(opts.Events)
+	c.pcfg = valueOf(opts.Profile)
 	var spanSink func(proc string, spans []trace.SpanRecord)
 	if c.tcfg.Enabled {
 		c.collector = collect.New()
-		spanSink = func(proc string, spans []trace.SpanRecord) {
-			c.collector.Add(proc, spans)
-			for _, s := range spans {
-				// The coordinator's root span closing marks the run's
-				// timeline complete; late batches after it are counted.
-				if s.Name == "run" && s.Parent == 0 {
-					c.collector.MarkComplete(s.TraceHi, s.TraceLo)
-				}
-			}
-		}
+		spanSink = c.collector.Add
 	}
 	userMH := opts.MetricHandler
 	mh := func(m *wire.Metric) {
@@ -216,10 +207,10 @@ func New(opts Options) (*Cluster, error) {
 			SpanSink:      dirSS,
 			AgentGone:     dirGone,
 			Metrics:       c.reg,
-			Trace:         &c.tcfg,
+			Trace:         c.tcfg,
 			Checkpoint:    c.durabilityFor("coordinator"),
-			Events:        &c.ecfg,
-			Profile:       &c.pcfg,
+			Events:        c.ecfg,
+			Profile:       c.pcfg,
 		})
 		if err != nil {
 			c.Shutdown()
@@ -233,7 +224,7 @@ func New(opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	ctl, err := client.Start(client.Options{Config: opts.Config, Network: net, MasterAddr: m.Addr(), Metrics: c.reg, Trace: &c.tcfg, Events: &c.ecfg})
+	ctl, err := client.Start(client.Options{Config: opts.Config, Network: net, MasterAddr: m.Addr(), Metrics: c.reg, Trace: c.tcfg, Events: c.ecfg})
 	if err != nil {
 		c.Shutdown()
 		return nil, err
@@ -264,13 +255,11 @@ func (c *Cluster) NumAgents() int { return len(c.agents) }
 func (c *Cluster) Agents() []*agent.Agent { return c.agents }
 
 // durabilityFor derives one participant's checkpoint config from the
-// shared Durability option (nil when durability is off).
-func (c *Cluster) durabilityFor(key string) *checkpoint.Config {
-	if c.opts.Durability == nil {
-		return nil
-	}
-	cfg := c.opts.Durability.WithKey(key)
-	return &cfg
+// shared Durability option (zero when durability is off).
+func (c *Cluster) durabilityFor(key string) checkpoint.Config {
+	cfg := valueOf(c.opts.Durability)
+	cfg.Key = key
+	return cfg
 }
 
 // startAgent boots one agent under a durable slot key.
@@ -282,10 +271,10 @@ func (c *Cluster) startAgent(slot int) (*agent.Agent, error) {
 		DirIndex:       slot,
 		Metrics:        c.reg,
 		CommAccounting: c.opts.CommAccounting,
-		Trace:          &c.tcfg,
-		Checkpoint:     c.durabilityFor(fmt.Sprintf("agent-%d", slot)),
-		Events:         &c.ecfg,
-		Profile:        &c.pcfg,
+		Trace:          c.tcfg,
+		Checkpoint:     c.durabilityFor(checkpoint.AgentKey("", slot, 0)),
+		Events:         c.ecfg,
+		Profile:        c.pcfg,
 	})
 }
 
@@ -549,7 +538,7 @@ func (c *Cluster) NewStreamer() (*streamer.Streamer, error) {
 // NewClient creates a client proxy attached to this cluster.
 func (c *Cluster) NewClient() (*client.Client, error) {
 	cl, err := client.Start(client.Options{
-		Config: c.opts.Config, Network: c.net, MasterAddr: c.master.Addr(), Metrics: c.reg, Trace: &c.tcfg, Events: &c.ecfg,
+		Config: c.opts.Config, Network: c.net, MasterAddr: c.master.Addr(), Metrics: c.reg, Trace: c.tcfg, Events: c.ecfg,
 	})
 	if err != nil {
 		return nil, err

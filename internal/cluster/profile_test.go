@@ -116,12 +116,8 @@ func TestChaosProfileAutoCapture(t *testing.T) {
 	cfg := chaosConfig()
 	c, err := New(Options{
 		Config: cfg, Agents: 3,
-		Events: &events.Config{Enabled: true},
-		Profile: &profile.Config{
-			Enabled: true, AutoCapture: true,
-			Dir: t.TempDir(), Steps: 2, Seconds: 0.5,
-			Cooldown: time.Minute,
-		},
+		Events:  &events.Config{Enabled: true},
+		Profile: &profile.Config{Enabled: true, AutoCapture: true, Dir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestChaosTraceExport(t *testing.T) {
 	})
 	c, err := New(Options{
 		Config: cfg, Agents: 3, Network: fn,
-		Trace: &trace.Config{Enabled: true, Sample: 1, FlightRecorder: 64},
+		Trace: &trace.Config{Enabled: true, Sample: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestChaosTraceExport(t *testing.T) {
 func TestJoinRecordsMigrateSpan(t *testing.T) {
 	c, err := New(Options{
 		Config: testConfig(), Agents: 2,
-		Trace: &trace.Config{Enabled: true, Sample: 1, FlightRecorder: 64},
+		Trace: &trace.Config{Enabled: true, Sample: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ type dirCkpt struct {
 // rejoin under their old IDs (joins are idempotent by address) and
 // present their manifests for warm restore.
 func (d *Directory) initCheckpoint() error {
-	cfg := checkpoint.Resolve(d.opts.Checkpoint)
+	cfg := d.opts.Checkpoint
 	if !cfg.Enabled || !d.coordinator {
 		return nil
 	}

@@ -40,26 +40,24 @@ type Options struct {
 	// Metrics, when non-nil, registers this directory's counters, view
 	// gauges, and superstep histogram for the /metrics endpoint.
 	Metrics *metrics.Registry
-	// Trace configures distributed tracing; nil resolves from the
-	// environment (trace.FromEnv).
-	Trace *trace.Config
-	// Checkpoint configures durable coordinator checkpointing; nil
-	// resolves from the environment (checkpoint.FromEnv). A restarted
-	// coordinator recovers the published view, identity counters, and
-	// the cluster's consistent-cut table.
-	Checkpoint *checkpoint.Config
+	// Trace configures distributed tracing (zero: off).
+	Trace trace.Config
+	// Checkpoint configures durable coordinator checkpointing (zero:
+	// off; an empty Key means "coordinator"). A restarted coordinator
+	// recovers the published view, identity counters, and the cluster's
+	// consistent-cut table.
+	Checkpoint checkpoint.Config
 	// Events configures the structured event journal and the
-	// coordinator's merged cluster timeline; nil resolves from the
-	// environment (events.FromEnv).
-	Events *events.Config
+	// coordinator's merged cluster timeline (zero: off).
+	Events events.Config
 	// AgentGone, if set, is called on the coordinator's event loop for
 	// every agent that leaves or is evicted — the hook the harness uses
 	// to prune per-agent autoscale EMAs (autoscale.SignalSet.Forget).
 	AgentGone func(agentID uint64)
 	// Profile configures the cluster profiling plane (coordinator-side
-	// artifact store and straggler auto-capture policy); nil resolves
-	// from the environment (profile.FromEnv).
-	Profile *profile.Config
+	// artifact store and straggler auto-capture policy; zero: an
+	// in-memory store and no auto-capture).
+	Profile profile.Config
 }
 
 // Validate reports option errors before any resource is allocated.
@@ -292,7 +290,7 @@ func newDirectory(opts Options, ep transport.Endpoint, coordAddr string) (*Direc
 		leases:      make(map[uint64]time.Time),
 		sk:          opts.Config.NewSketch(),
 		routed:      opts.Config.NewSketch(),
-		tracer:      trace.NewTracer("dir", trace.Resolve(opts.Trace)),
+		tracer:      trace.NewTracer("dir", opts.Trace),
 	}
 	if !d.coordinator {
 		return d, nil
@@ -302,10 +300,9 @@ func newDirectory(opts Options, ep transport.Endpoint, coordAddr string) (*Direc
 	// EMAs per agent); the journal and timeline arm with the events config.
 	// The half-life matches the harness SignalSet.
 	d.health = newHealthModel(30 * time.Second)
-	ecfg := events.Resolve(opts.Events)
-	if ecfg.Enabled {
-		d.journal = events.NewJournal("coordinator", ecfg)
-		d.timeline = events.NewTimeline(ecfg.Timeline)
+	if opts.Events.Enabled {
+		d.journal = events.NewJournal("coordinator", opts.Events)
+		d.timeline = events.NewTimeline()
 		d.evDropped = make(map[string]uint64)
 	}
 	if err := d.initProfile(); err != nil {

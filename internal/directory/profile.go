@@ -49,21 +49,19 @@ type profAgentState struct {
 // dirProf is the coordinator's profiling-plane state; touched only by the
 // event loop (the store itself is internally locked for client reads).
 type dirProf struct {
-	cfg       profile.Config
 	store     *profile.Store
 	nextCapID uint64
 	inflight  map[uint64]*profCapState
 	perAgent  map[uint64]*profAgentState
 }
 
-// initProfile resolves the plane's config and opens the artifact store.
+// initProfile arms the runtime sampling rates and opens the artifact store.
 // The store always opens — a directory-less config falls back to the
 // in-memory sink so operator-triggered captures work out of the box; the
 // Enabled/AutoCapture switches gate only the automatic policy.
 func (d *Directory) initProfile() error {
-	d.prof.cfg = profile.Resolve(d.opts.Profile)
-	d.prof.cfg.ApplyRates()
-	store, err := profile.OpenStore(d.prof.cfg)
+	d.opts.Profile.ApplyRates()
+	store, err := profile.OpenStore(d.opts.Profile)
 	if err != nil {
 		return fmt.Errorf("directory: open profile store: %w", err)
 	}
@@ -151,7 +149,7 @@ func captureKindsFor(cause string) []uint8 {
 // cause-matched capture, gated on the cooldown and one auto-capture
 // in flight per agent.
 func (d *Directory) maybeAutoProfile(now time.Time, a *wire.AgentHealth) {
-	if !d.prof.cfg.Enabled || !d.prof.cfg.AutoCapture {
+	if !d.opts.Profile.Enabled || !d.opts.Profile.AutoCapture {
 		return
 	}
 	if a.Status != wire.HealthStraggler && a.Status != wire.HealthSuspect {
@@ -161,12 +159,11 @@ func (d *Directory) maybeAutoProfile(now time.Time, a *wire.AgentHealth) {
 	if s.autoInflight > 0 {
 		return
 	}
-	if !s.lastAuto.IsZero() && now.Sub(s.lastAuto) < d.prof.cfg.Cooldown {
+	if !s.lastAuto.IsZero() && now.Sub(s.lastAuto) < profile.AutoCooldown {
 		return
 	}
-	steps := uint32(d.prof.cfg.Steps)
-	ids := d.startCapture(a.AgentID, captureKindsFor(a.Cause), steps,
-		d.prof.cfg.Seconds, wire.HealthName(a.Status), a.Cause, true)
+	ids := d.startCapture(a.AgentID, captureKindsFor(a.Cause), profile.AutoSteps,
+		profile.DefaultSeconds, wire.HealthName(a.Status), a.Cause, true)
 	if len(ids) > 0 {
 		s.lastAuto = now
 	}

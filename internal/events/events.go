@@ -135,7 +135,6 @@ const maxPending = 1024
 // methods are safe on a nil receiver; a Journal is safe for concurrent
 // use.
 type Journal struct {
-	cfg  Config
 	mu   sync.Mutex
 	proc string
 
@@ -149,11 +148,15 @@ type Journal struct {
 // NewJournal returns a Journal for the named participant, or nil when
 // cfg disables events (the nil Journal is the zero-cost off switch).
 func NewJournal(proc string, cfg Config) *Journal {
+	return newJournal(proc, cfg, RingCapacity)
+}
+
+// newJournal is NewJournal with a ring of the given capacity.
+func newJournal(proc string, cfg Config, ring int) *Journal {
 	if !cfg.Enabled {
 		return nil
 	}
-	cfg = cfg.withDefaults()
-	return &Journal{cfg: cfg, proc: proc, ring: make([]Record, cfg.Ring)}
+	return &Journal{proc: proc, ring: make([]Record, ring)}
 }
 
 // Enabled reports whether j records anything.
@@ -279,12 +282,14 @@ type Timeline struct {
 	seq   uint64
 }
 
-// NewTimeline returns a Timeline holding the most recent capacity
-// records (DefaultTimeline when capacity is zero or negative).
-func NewTimeline(capacity int) *Timeline {
-	if capacity <= 0 {
-		capacity = DefaultTimeline
-	}
+// NewTimeline returns a Timeline holding the most recent
+// TimelineCapacity records.
+func NewTimeline() *Timeline {
+	return newTimeline(TimelineCapacity)
+}
+
+// newTimeline is NewTimeline holding the most recent capacity records.
+func newTimeline(capacity int) *Timeline {
 	return &Timeline{ring: make([]Record, capacity)}
 }
 

@@ -101,7 +101,7 @@ func TestTakeBatchDrains(t *testing.T) {
 // TestRingWrapAndSnapshot overfills a small ring and checks Snapshot
 // keeps only the newest capacity records, oldest first.
 func TestRingWrapAndSnapshot(t *testing.T) {
-	j := NewJournal("agent", Config{Enabled: true, Ring: 4})
+	j := newJournal("agent", Config{Enabled: true}, 4)
 	for i := 0; i < 10; i++ {
 		j.Emit(Info, KindBatch, trace.SpanContext{}, U("i", uint64(i)))
 	}
@@ -121,7 +121,7 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 // checks the overflow is counted, not buffered — the ring still records
 // the dropped events as local history.
 func TestPendingOverflowDrops(t *testing.T) {
-	j := NewJournal("agent", Config{Enabled: true, Ring: 8})
+	j := newJournal("agent", Config{Enabled: true}, 8)
 	for i := 0; i < maxPending+5; i++ {
 		j.Emit(Info, KindBatch, trace.SpanContext{})
 	}
@@ -155,7 +155,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("nil journal Emit allocates %v/op, want 0", n)
 	}
-	on := NewJournal("agent", Config{Enabled: true, Ring: 16})
+	on := newJournal("agent", Config{Enabled: true}, 16)
 	if n := testing.AllocsPerRun(100, func() {
 		on.TakeBatch() // keep pending empty so append never grows
 		on.Emit(Info, KindBatch, trace.SpanContext{}, U("agent", 1), U("batch", 2))
@@ -169,7 +169,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 // TestTimelineAppendRecent checks sequence assignment, ring eviction,
 // and the newest-n/oldest-first Recent contract.
 func TestTimelineAppendRecent(t *testing.T) {
-	tl := NewTimeline(4)
+	tl := newTimeline(4)
 	for i := 0; i < 6; i++ {
 		tl.Append(Record{Kind: KindJoin, Proc: fmt.Sprintf("agent-%d", i)})
 	}
@@ -197,11 +197,11 @@ func TestTimelineAppendRecent(t *testing.T) {
 // TestTimelineRestore round-trips a timeline through Recent/Seq and
 // Restore: sequence numbering must resume where the checkpoint left off.
 func TestTimelineRestore(t *testing.T) {
-	tl := NewTimeline(8)
+	tl := newTimeline(8)
 	tl.Append(Record{Kind: KindJoin}, Record{Kind: KindSeal}, Record{Kind: KindRunStart})
 	recs, seq := tl.Recent(0), tl.Seq()
 
-	fresh := NewTimeline(8)
+	fresh := newTimeline(8)
 	fresh.Restore(recs, seq)
 	if fresh.Seq() != 3 {
 		t.Fatalf("restored seq = %d, want 3", fresh.Seq())
@@ -217,7 +217,7 @@ func TestTimelineRestore(t *testing.T) {
 	}
 
 	// Restoring more records than capacity keeps the newest.
-	small := NewTimeline(2)
+	small := newTimeline(2)
 	small.Restore(recs, seq)
 	got = small.Recent(0)
 	if len(got) != 2 || got[0].Kind != KindSeal || got[1].Kind != KindRunStart {
@@ -238,18 +238,19 @@ func TestNilTimelineSafe(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults checks withDefaults/Resolve fill capacities without
-// clobbering explicit settings.
+// TestConfigDefaults pins the ring and timeline capacities to the values
+// the journal has always defaulted to, and checks the zero Config is off.
 func TestConfigDefaults(t *testing.T) {
-	c := (Config{Enabled: true}).withDefaults()
-	if c.Ring != DefaultRing || c.Timeline != DefaultTimeline {
-		t.Fatalf("defaults = %+v", c)
+	if RingCapacity != 256 || TimelineCapacity != 1024 {
+		t.Fatalf("capacities %d/%d, want 256/1024", RingCapacity, TimelineCapacity)
 	}
-	c = (Config{Enabled: true, Ring: 32, Timeline: 64}).withDefaults()
-	if c.Ring != 32 || c.Timeline != 64 {
-		t.Fatalf("explicit sizes clobbered: %+v", c)
+	if j := NewJournal("agent", Config{}); j != nil {
+		t.Fatal("zero Config armed a journal")
 	}
-	if r := Resolve(&Config{Enabled: true, Ring: 5}); !r.Enabled || r.Ring != 5 {
-		t.Fatalf("Resolve(ptr) = %+v", r)
+	if j := NewJournal("agent", Config{Enabled: true}); len(j.ring) != RingCapacity {
+		t.Fatalf("journal ring %d, want %d", len(j.ring), RingCapacity)
+	}
+	if tl := NewTimeline(); len(tl.ring) != TimelineCapacity {
+		t.Fatalf("timeline ring %d, want %d", len(tl.ring), TimelineCapacity)
 	}
 }

@@ -16,11 +16,7 @@
 package profile
 
 import (
-	"flag"
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"time"
 )
 
@@ -41,30 +37,23 @@ type Config struct {
 	Rates bool
 	// AutoCapture lets the coordinator request a profile on the first
 	// straggler/suspect verdict for an agent, matching the attributed
-	// cause. Off by default; rate-limited by Cooldown, one in-flight
+	// cause. Off by default; rate-limited by AutoCooldown, one in-flight
 	// capture per agent.
 	AutoCapture bool
-	// Steps is the default superstep window length for scoped captures
-	// (0 selects DefaultSteps).
-	Steps int
-	// Seconds is the CPU capture wall-clock fallback window used when no
-	// run is active (0 selects DefaultSeconds).
-	Seconds float64
-	// Cooldown is the per-agent auto-capture rate limit (0 selects
-	// DefaultCooldown).
-	Cooldown time.Duration
 }
 
 const (
-	// DefaultSteps is the superstep window when Config leaves Steps zero:
-	// long enough for the CPU profiler to accumulate samples, short enough
-	// that the window stays inside one run.
-	DefaultSteps = 4
-	// DefaultSeconds is the wall-clock CPU window outside runs.
+	// AutoSteps is the superstep window of an auto-capture: long enough
+	// for the CPU profiler to accumulate samples, short enough that the
+	// window stays inside one run. Operators choose their own window
+	// (elga profile -steps).
+	AutoSteps = 4
+	// DefaultSeconds is the wall-clock CPU window outside runs when a
+	// request leaves its window zero.
 	DefaultSeconds = 1.0
-	// DefaultCooldown spaces auto-captures per agent: a flapping verdict
+	// AutoCooldown spaces auto-captures per agent: a flapping verdict
 	// must not turn the profiling plane into a load generator.
-	DefaultCooldown = 2 * time.Minute
+	AutoCooldown = 2 * time.Minute
 	// DefaultMutexFraction and DefaultBlockRate are the sampling rates
 	// ApplyRates arms: 1-in-5 mutex contention events and one block event
 	// per 100µs blocked — cheap enough for production, dense enough to
@@ -72,95 +61,6 @@ const (
 	DefaultMutexFraction = 5
 	DefaultBlockRate     = 100 * 1000 // ns blocked per sample
 )
-
-// FromEnv builds a Config from the environment:
-//
-//	ELGA_PROFILE=1          enable the profiling plane
-//	ELGA_PROFILE_DIR=path   artifact store root (default in-memory)
-//	ELGA_PROFILE_RATES=1    arm mutex/block profiling rates
-//	ELGA_PROFILE_AUTO=1     auto-capture on straggler/suspect verdicts
-//	ELGA_PROFILE_STEPS=n    superstep window length (default 4)
-//	ELGA_PROFILE_SECONDS=s  CPU wall fallback window (default 1)
-//	ELGA_PROFILE_COOLDOWN=d per-agent auto-capture rate limit (default 2m)
-func FromEnv() Config {
-	c := Config{Steps: DefaultSteps, Seconds: DefaultSeconds, Cooldown: DefaultCooldown}
-	if os.Getenv("ELGA_PROFILE") != "" {
-		c.Enabled = true
-	}
-	c.Dir = os.Getenv("ELGA_PROFILE_DIR")
-	if os.Getenv("ELGA_PROFILE_RATES") != "" {
-		c.Rates = true
-	}
-	if os.Getenv("ELGA_PROFILE_AUTO") != "" {
-		c.AutoCapture = true
-	}
-	if v := os.Getenv("ELGA_PROFILE_STEPS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			c.Steps = n
-		}
-	}
-	if v := os.Getenv("ELGA_PROFILE_SECONDS"); v != "" {
-		if s, err := strconv.ParseFloat(v, 64); err == nil && s > 0 {
-			c.Seconds = s
-		}
-	}
-	if v := os.Getenv("ELGA_PROFILE_COOLDOWN"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			c.Cooldown = d
-		}
-	}
-	return c
-}
-
-// withDefaults fills zero fields so a literal Config{Enabled: true}
-// behaves like FromEnv with ELGA_PROFILE set.
-func (c Config) withDefaults() Config {
-	if c.Steps <= 0 {
-		c.Steps = DefaultSteps
-	}
-	if c.Seconds <= 0 {
-		c.Seconds = DefaultSeconds
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	return c
-}
-
-// Resolve returns *c default-filled, or FromEnv() when c is nil — the
-// same "nil means environment" contract the other subsystem configs
-// follow.
-func Resolve(c *Config) Config {
-	if c == nil {
-		return FromEnv().withDefaults()
-	}
-	return c.withDefaults()
-}
-
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
-	if c.Steps < 0 {
-		return fmt.Errorf("profile: superstep window must be non-negative, got %d", c.Steps)
-	}
-	if c.Seconds < 0 {
-		return fmt.Errorf("profile: seconds must be non-negative, got %v", c.Seconds)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("profile: cooldown must be non-negative, got %v", c.Cooldown)
-	}
-	return nil
-}
-
-// RegisterFlags registers the profiling flags on fs, defaulting from c
-// (callers seed c with FromEnv so flags and env funnel into one Config).
-func (c *Config) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Enabled, "profile", c.Enabled, "enable the cluster profiling plane (also ELGA_PROFILE=1)")
-	fs.StringVar(&c.Dir, "profile-dir", c.Dir, "profile artifact store directory (default in-memory)")
-	fs.BoolVar(&c.Rates, "profile-rates", c.Rates, "arm runtime mutex/block profiling rates (also ELGA_PROFILE_RATES=1)")
-	fs.BoolVar(&c.AutoCapture, "profile-auto", c.AutoCapture, "auto-capture profiles on straggler/suspect verdicts (also ELGA_PROFILE_AUTO=1)")
-	fs.IntVar(&c.Steps, "profile-steps", c.Steps, "default superstep window for scoped captures")
-	fs.DurationVar(&c.Cooldown, "profile-cooldown", c.Cooldown, "per-agent auto-capture rate limit")
-}
 
 // ApplyRates arms runtime mutex/block profiling when c.Rates is set.
 // Idempotent; called once per process at startup (every role in the

@@ -71,7 +71,9 @@ func NewWithLimits(maxTraces, maxSpans int) *Collector {
 }
 
 // Add ingests one participant's span batch. Spans with a zero trace ID
-// are counted dropped (they cannot be stitched to anything).
+// are counted dropped (they cannot be stitched to anything). A parentless
+// "run" span is the coordinator's root closing: it marks its trace
+// complete (MarkComplete), and later batches for it count as late.
 func (c *Collector) Add(proc string, spans []trace.SpanRecord) {
 	if len(spans) == 0 {
 		return
@@ -90,6 +92,9 @@ func (c *Collector) Add(proc string, spans []trace.SpanRecord) {
 			c.traces[k] = st
 			c.order = append(c.order, k)
 			c.evictLocked()
+		}
+		if s.Name == "run" && s.Parent == 0 {
+			st.complete = true
 		}
 		if st.count >= c.maxSpans {
 			c.droppedSpans++

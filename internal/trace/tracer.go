@@ -67,11 +67,15 @@ type Tracer struct {
 // NewTracer returns a Tracer for the named participant, or nil when cfg
 // disables tracing (the nil Tracer is the zero-cost off switch).
 func NewTracer(proc string, cfg Config) *Tracer {
+	return newTracer(proc, cfg, FlightRecorder)
+}
+
+// newTracer is NewTracer with a flight ring of the given capacity.
+func newTracer(proc string, cfg Config, flight int) *Tracer {
 	if !cfg.Enabled {
 		return nil
 	}
-	cfg = cfg.withDefaults()
-	return &Tracer{cfg: cfg, proc: proc, flight: make([]SpanRecord, cfg.FlightRecorder)}
+	return &Tracer{cfg: cfg, proc: proc, flight: make([]SpanRecord, flight)}
 }
 
 // Proc returns the participant name spans are attributed to.
@@ -109,14 +113,12 @@ func (t *Tracer) Dropped() uint64 {
 
 // sample decides the sampling bit for a new root trace.
 func (t *Tracer) sample() bool {
-	if t.cfg.Sample >= 1 {
+	f := t.cfg.Sample
+	if f <= 0 || f >= 1 {
 		return true
 	}
-	if t.cfg.Sample <= 0 {
-		return false
-	}
 	// NewID is uniform over 64 bits; compare against the fraction.
-	return float64(NewID()>>11)/float64(1<<53) < t.cfg.Sample
+	return float64(NewID()>>11)/float64(1<<53) < f
 }
 
 // ActiveSpan is an open span. The zero value (returned by a nil or

@@ -111,10 +111,10 @@ func TestTracerSpanLinkage(t *testing.T) {
 }
 
 func TestTracerUnsampledSpansStayOutOfBatch(t *testing.T) {
-	tr := NewTracer("p", Config{Enabled: true, Sample: 0})
-	s := tr.StartRoot("run", 1)
+	tr := NewTracer("p", Config{Enabled: true})
+	s := tr.StartRemote("run", SpanContext{TraceHi: 1, TraceLo: 2, SpanID: 3, RunID: 1})
 	if s.Context().Sampled() {
-		t.Fatal("Sample 0 produced a sampled root")
+		t.Fatal("a span under an unsampled parent is sampled")
 	}
 	s.End()
 	if b := tr.TakeBatch(); b != nil {
@@ -127,7 +127,7 @@ func TestTracerUnsampledSpansStayOutOfBatch(t *testing.T) {
 }
 
 func TestTracerBackpressureDropsAndCounts(t *testing.T) {
-	tr := NewTracer("p", Config{Enabled: true, Sample: 1, FlightRecorder: 8})
+	tr := newTracer("p", Config{Enabled: true, Sample: 1}, 8)
 	for i := 0; i < maxPending+50; i++ {
 		tr.StartRoot("s", uint32(i)).End()
 	}
@@ -157,7 +157,7 @@ func TestTracerStartRemoteAt(t *testing.T) {
 }
 
 func TestTracerDumpFlightOnce(t *testing.T) {
-	tr := NewTracer("agent-1", Config{Enabled: true, Sample: 1, FlightRecorder: 4})
+	tr := newTracer("agent-1", Config{Enabled: true, Sample: 1}, 4)
 	for i := 0; i < 6; i++ {
 		tr.StartRoot("s", uint32(i)).End()
 	}
@@ -189,7 +189,7 @@ func flightRuns(tr *Tracer) []uint32 {
 // TestRingSinkPartialFill fills the flight ring partway: the snapshot holds
 // exactly what was recorded, oldest first, with no empty slots.
 func TestRingSinkPartialFill(t *testing.T) {
-	tr := NewTracer("p", Config{Enabled: true, Sample: 0, FlightRecorder: 4})
+	tr := newTracer("p", Config{Enabled: true}, 4)
 	if got := flightRuns(tr); len(got) != 0 {
 		t.Fatalf("empty ring holds runs %v", got)
 	}
@@ -203,7 +203,7 @@ func TestRingSinkPartialFill(t *testing.T) {
 // TestRingSinkWrapsOldestFirst fills the flight ring past its capacity:
 // the snapshot holds only the most recent spans, oldest first.
 func TestRingSinkWrapsOldestFirst(t *testing.T) {
-	tr := NewTracer("p", Config{Enabled: true, Sample: 0, FlightRecorder: 4})
+	tr := newTracer("p", Config{Enabled: true}, 4)
 	for i := 0; i < 7; i++ {
 		tr.StartRoot("s", uint32(i)).End()
 	}
@@ -237,7 +237,7 @@ func TestSpanBeginEnd(t *testing.T) {
 // opening and closing, batches draining, flight dumps — and relies on the
 // race detector to catch unsynchronized state.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer("p", Config{Enabled: true, Sample: 1, FlightRecorder: 32})
+	tr := newTracer("p", Config{Enabled: true, Sample: 1}, 32)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -267,19 +267,18 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestConfigFromEnv(t *testing.T) {
-	t.Setenv("ELGA_TRACE", "1")
-	t.Setenv("ELGA_TRACE_SAMPLE", "0.25")
-	t.Setenv("ELGA_TRACE_FLIGHT", "99")
-	c := FromEnv()
-	if want := (Config{Enabled: true, Sample: 0.25, FlightRecorder: 99}); c != want {
-		t.Fatalf("FromEnv = %+v, want %+v", c, want)
+// TestZeroSampleExportsEveryRoot: a literal Config{Enabled: true} leaves
+// Sample at zero, which exports every root, as the default always promised.
+func TestZeroSampleExportsEveryRoot(t *testing.T) {
+	tr := NewTracer("p", Config{Enabled: true})
+	for i := 0; i < 64; i++ {
+		s := tr.StartRoot("run", uint32(i))
+		if !s.Context().Sampled() {
+			t.Fatalf("root %d unsampled under Sample 0", i)
+		}
+		s.End()
 	}
-	if r := Resolve(nil); r != c {
-		t.Fatalf("Resolve(nil) = %+v, want %+v", r, c)
-	}
-	override := Config{Enabled: true, Sample: 1}
-	if r := Resolve(&override); r != override {
-		t.Fatalf("Resolve(&c) = %+v", r)
+	if got := len(tr.TakeBatch()); got != 64 {
+		t.Fatalf("batch holds %d spans, want 64", got)
 	}
 }
