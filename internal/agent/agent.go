@@ -28,7 +28,6 @@ import (
 	"elga/internal/profile"
 	"elga/internal/route"
 	"elga/internal/sketch"
-	"elga/internal/stats"
 	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -895,30 +894,6 @@ func (a *Agent) CommStats() (local, remote, remoteBytes uint64) {
 // TransportStats returns the agent node's transport counters (frame
 // volumes, malformed drops, enqueue stalls, write coalescing).
 func (a *Agent) TransportStats() transport.Stats { return a.ep.Stats() }
-
-// StatsMap implements stats.Provider over the agent's race-safe
-// counters; it is callable concurrently with the event loop.
-func (a *Agent) StatsMap() stats.Counters {
-	ts := a.ep.Stats()
-	return stats.Counters{
-		"forwarded":    atomic.LoadUint64(&a.statForwarded),
-		"unroutable":   atomic.LoadUint64(&a.statUnroutable),
-		"applied":      atomic.LoadUint64(&a.statApplied),
-		"queries":      atomic.LoadUint64(&a.statQueries),
-		"edge_copies":  uint64(a.copyCount.Load()),
-		"vertices":     uint64(a.vertexCount.Load()),
-		"frames_in":    ts.FramesIn,
-		"frames_out":   ts.FramesOut,
-		"retransmits":  ts.Retransmits,
-		"dups_dropped": ts.DuplicatesDropped,
-		"ack_give_ups": ts.AckGiveUps,
-		"malformed":    ts.MalformedFrames,
-		"stalls":       ts.EnqueueStalls,
-		"writes":       ts.ConnWrites,
-		"coalesced":    ts.CoalescedFrames,
-		"peers":        ts.Peers,
-	}
-}
 
 // EdgeCopies returns the stored copy count as of the last processed
 // packet — the agent's memory-relevant load (Figures 5b, 6, 16a).

@@ -3,6 +3,7 @@ package agent
 import (
 	"bytes"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"elga/internal/algorithm"
@@ -157,7 +158,7 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	}
 	b.flush(a.phaseGate)
 	a.putBatcher(b)
-	if got := a.StatsMap()["unroutable"]; got != 5 {
+	if got := atomic.LoadUint64(&a.statUnroutable); got != 5 {
 		t.Fatalf("unroutable = %d after dropping 5 messages", got)
 	}
 	if a.phaseGate.pending != 0 {
@@ -171,7 +172,7 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	b.add(0, msg)
 	b.flush(a.phaseGate)
 	a.putBatcher(b)
-	if got := a.StatsMap()["unroutable"]; got != 5 {
+	if got := atomic.LoadUint64(&a.statUnroutable); got != 5 {
 		t.Fatalf("unroutable = %d after a routable flush, want 5", got)
 	}
 }

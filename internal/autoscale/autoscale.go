@@ -9,7 +9,6 @@ package autoscale
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -183,123 +182,4 @@ func (a *Autoscaler) History() []Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]Decision(nil), a.history...)
-}
-
-// SignalSet smooths every metric name the agents report, not just the
-// one the scaling policy keys on. The directory feeds it from reported
-// samples; operators and the harness read per-signal EMAs to see load,
-// backpressure, and fault pressure side by side. Samples are folded
-// twice: into a cluster-wide EMA per name and into a per-agent EMA, so
-// health scoring can compare one agent against the fleet. Forget prunes
-// an agent's entries when it leaves or is evicted so nothing ever reads a
-// corpse's stale EMAs.
-type SignalSet struct {
-	mu       sync.Mutex
-	halfLife time.Duration
-	signals  map[string]*EMA
-	agents   map[uint64]map[string]*EMA
-}
-
-// NewSignalSet creates a set whose EMAs all share one half-life.
-func NewSignalSet(halfLife time.Duration) *SignalSet {
-	return &SignalSet{
-		halfLife: halfLife,
-		signals:  make(map[string]*EMA),
-		agents:   make(map[uint64]map[string]*EMA),
-	}
-}
-
-// Observe folds a sample for the named signal at time now, without
-// agent attribution (harness-level signals like query rate).
-func (s *SignalSet) Observe(now time.Time, name string, v float64) {
-	s.mu.Lock()
-	s.observeLocked(now, name, v)
-	s.mu.Unlock()
-}
-
-func (s *SignalSet) observeLocked(now time.Time, name string, v float64) {
-	e, ok := s.signals[name]
-	if !ok {
-		e = NewEMA(s.halfLife)
-		s.signals[name] = e
-	}
-	e.Observe(now, v)
-}
-
-// ObserveAgent folds a sample attributed to one agent: the cluster-wide
-// EMA and the agent's own EMA both advance. agentID 0 (unattributed
-// samples) folds only the cluster-wide EMA.
-func (s *SignalSet) ObserveAgent(now time.Time, agentID uint64, name string, v float64) {
-	s.mu.Lock()
-	s.observeLocked(now, name, v)
-	if agentID != 0 {
-		per, ok := s.agents[agentID]
-		if !ok {
-			per = make(map[string]*EMA)
-			s.agents[agentID] = per
-		}
-		e, ok := per[name]
-		if !ok {
-			e = NewEMA(s.halfLife)
-			per[name] = e
-		}
-		e.Observe(now, v)
-	}
-	s.mu.Unlock()
-}
-
-// AgentValue returns agentID's smoothed value for name and whether that
-// agent ever reported it.
-func (s *SignalSet) AgentValue(agentID uint64, name string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.agents[agentID][name]
-	if !ok {
-		return 0, false
-	}
-	return e.Value(), e.Primed()
-}
-
-// AgentIDs returns the agents with per-agent signals, in ascending order.
-func (s *SignalSet) AgentIDs() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]uint64, 0, len(s.agents))
-	for id := range s.agents {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Forget drops every per-agent EMA for agentID. Call when the agent is
-// evicted or leaves; the cluster-wide EMAs keep their history.
-func (s *SignalSet) Forget(agentID uint64) {
-	s.mu.Lock()
-	delete(s.agents, agentID)
-	s.mu.Unlock()
-}
-
-// Value returns the smoothed value for name and whether the signal has
-// ever been observed.
-func (s *SignalSet) Value(name string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.signals[name]
-	if !ok {
-		return 0, false
-	}
-	return e.Value(), e.Primed()
-}
-
-// Names returns the observed signal names in sorted order.
-func (s *SignalSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.signals))
-	for n := range s.signals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -173,78 +173,3 @@ func TestDecideUnprimedDoesNothing(t *testing.T) {
 		t.Error("current changed without samples")
 	}
 }
-
-func TestSignalSetTracksPerName(t *testing.T) {
-	s := NewSignalSet(30 * time.Second)
-	if _, ok := s.Value(MetricStepTime); ok {
-		t.Fatal("unobserved signal reported primed")
-	}
-	now := time.Now()
-	for i := 0; i < 10; i++ {
-		s.Observe(now.Add(time.Duration(i)*time.Second), MetricStepTime, 0.5)
-		s.Observe(now.Add(time.Duration(i)*time.Second), MetricInboxDepth, 100)
-	}
-	v, ok := s.Value(MetricStepTime)
-	if !ok || v < 0.49 || v > 0.51 {
-		t.Fatalf("step_time = %v primed=%v", v, ok)
-	}
-	v, ok = s.Value(MetricInboxDepth)
-	if !ok || v < 99 || v > 101 {
-		t.Fatalf("inbox_depth = %v primed=%v", v, ok)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != MetricInboxDepth || names[1] != MetricStepTime {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-func TestSignalSetPerAgent(t *testing.T) {
-	s := NewSignalSet(30 * time.Second)
-	now := time.Now()
-	for i := 0; i < 5; i++ {
-		at := now.Add(time.Duration(i) * time.Second)
-		s.ObserveAgent(at, 1, MetricStepTime, 0.1)
-		s.ObserveAgent(at, 2, MetricStepTime, 0.4)
-		s.ObserveAgent(at, 0, MetricStepTime, 9.9) // unattributed: cluster-wide only
-	}
-	v, ok := s.AgentValue(1, MetricStepTime)
-	if !ok || v < 0.09 || v > 0.11 {
-		t.Fatalf("agent 1 step_time = %v primed=%v", v, ok)
-	}
-	v, ok = s.AgentValue(2, MetricStepTime)
-	if !ok || v < 0.39 || v > 0.41 {
-		t.Fatalf("agent 2 step_time = %v primed=%v", v, ok)
-	}
-	if _, ok := s.AgentValue(3, MetricStepTime); ok {
-		t.Fatal("unknown agent reported a signal")
-	}
-	if _, ok := s.AgentValue(0, MetricStepTime); ok {
-		t.Fatal("agent 0 (unattributed) grew per-agent state")
-	}
-	if ids := s.AgentIDs(); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("AgentIDs = %v", ids)
-	}
-	// The cluster-wide EMA advanced for every sample, attributed or not.
-	if _, ok := s.Value(MetricStepTime); !ok {
-		t.Fatal("cluster-wide signal not primed")
-	}
-}
-
-func TestSignalSetForget(t *testing.T) {
-	s := NewSignalSet(30 * time.Second)
-	now := time.Now()
-	s.ObserveAgent(now, 1, MetricStepTime, 0.1)
-	s.ObserveAgent(now, 2, MetricStepTime, 0.2)
-	s.Forget(1)
-	if _, ok := s.AgentValue(1, MetricStepTime); ok {
-		t.Fatal("forgotten agent still has signals")
-	}
-	if ids := s.AgentIDs(); len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("AgentIDs after Forget = %v", ids)
-	}
-	// Cluster-wide history survives the eviction.
-	if _, ok := s.Value(MetricStepTime); !ok {
-		t.Fatal("cluster-wide signal lost on Forget")
-	}
-	s.Forget(99) // unknown agent: no-op, no panic
-}

@@ -220,12 +220,3 @@ func (g *Graph) ApplyBatch(b graph.Batch) int {
 	}
 	return applied
 }
-
-// Components returns a copy of the full component map.
-func (g *Graph) Components() map[graph.VertexID]graph.VertexID {
-	out := make(map[graph.VertexID]graph.VertexID, len(g.comp))
-	for v, c := range g.comp {
-		out[v] = c
-	}
-	return out
-}

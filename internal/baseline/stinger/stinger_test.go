@@ -107,7 +107,7 @@ func TestApplyBatch(t *testing.T) {
 	}
 }
 
-// Components must always match min-label WCC on the same edges.
+// Component labels must always match min-label WCC on the same edges.
 func TestMatchesWCCReference(t *testing.T) {
 	el := gen.RMAT(9, 1500, gen.Graph500Params(), 11)
 	g := New()

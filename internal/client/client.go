@@ -15,7 +15,6 @@ import (
 	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/route"
-	"elga/internal/stats"
 	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -171,17 +170,8 @@ func (c *Client) shipReport() {
 	_ = c.node.SendFrame(c.coordAddr, f)
 }
 
-// StatsMap implements stats.Provider; safe concurrently with calls.
-func (c *Client) StatsMap() stats.Counters {
-	ts := c.node.Stats()
-	return stats.Counters{
-		"queries":    c.queries.Load(),
-		"retries":    c.retried.Load(),
-		"frames_in":  ts.FramesIn,
-		"frames_out": ts.FramesOut,
-		"peers":      ts.Peers,
-	}
-}
+// TransportStats returns the client node's transport counters.
+func (c *Client) TransportStats() transport.Stats { return c.node.Stats() }
 
 // Epoch returns the epoch of the newest view the client has received.
 func (c *Client) Epoch() uint64 {

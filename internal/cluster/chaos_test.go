@@ -9,6 +9,7 @@ import (
 	"elga/internal/client"
 	"elga/internal/config"
 	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/transport"
 )
 
@@ -239,7 +240,7 @@ func TestChaosKillAgent(t *testing.T) {
 	}
 	checkAgainstReference(t, c, algorithm.WCC{}, el, algorithm.RunOptions{}, 0)
 
-	if evictions := c.dirs[0].StatsMap()["evictions"]; evictions != 1 {
-		t.Errorf("coordinator recorded %d evictions, want 1", evictions)
+	if evictions := c.Registry().Sum("elga_dir_evictions_total", metrics.Labels{"addr": c.dirs[0].Addr()}); evictions != 1 {
+		t.Errorf("coordinator recorded %v evictions, want 1", evictions)
 	}
 }

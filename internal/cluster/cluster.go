@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"elga/internal/agent"
-	"elga/internal/autoscale"
 	"elga/internal/checkpoint"
 	"elga/internal/client"
 	"elga/internal/config"
@@ -22,21 +21,11 @@ import (
 	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/profile"
-	"elga/internal/stats"
 	"elga/internal/streamer"
 	"elga/internal/trace"
 	"elga/internal/trace/collect"
 	"elga/internal/transport"
 	"elga/internal/wire"
-)
-
-// Every participant exposes the shared stats shape.
-var (
-	_ stats.Provider = (*agent.Agent)(nil)
-	_ stats.Provider = (*directory.Directory)(nil)
-	_ stats.Provider = (*client.Client)(nil)
-	_ stats.Provider = (*streamer.Streamer)(nil)
-	_ stats.Provider = (*directory.Master)(nil)
 )
 
 // Options configures a cluster.
@@ -51,7 +40,7 @@ type Options struct {
 	// Agents is the initial agent count (default 4).
 	Agents int
 	// MetricHandler receives autoscaler metrics on the coordinator's
-	// event loop (after the cluster's own SignalSet folds them).
+	// event loop (after its health model folds them).
 	MetricHandler func(*wire.Metric)
 	// Metrics supplies a registry every participant registers on; nil
 	// creates one internally, so Registry() always works.
@@ -84,16 +73,6 @@ type Options struct {
 	Profile *profile.Config
 }
 
-// WithCommon fills the cross-cutting Options fields from a config.Common
-// composite. Role-specific fields (Agents, Directories, Network, ...) are
-// left alone.
-func (o Options) WithCommon(c config.Common) Options {
-	o.Config = c.Cluster
-	o.MetricsAddr = c.MetricsAddr
-	o.Trace, o.Durability, o.Events, o.Profile = &c.Trace, &c.Durability, &c.Events, &c.Profile
-	return o
-}
-
 // valueOf returns *p, or the zero value (the plane off) when p is nil.
 func valueOf[T any](p *T) T {
 	if p == nil {
@@ -105,16 +84,15 @@ func valueOf[T any](p *T) T {
 
 // Cluster is a running ElGA deployment.
 type Cluster struct {
-	opts    Options
-	net     transport.Network
-	master  *directory.Master
-	dirs    []*directory.Directory
-	agents  []*agent.Agent
-	ctl     *client.Client     // internal control client for Seal/Run
-	stream  *streamer.Streamer // persistent streamer for Load/ApplyBatch
-	reg     *metrics.Registry
-	srv     *metrics.Server
-	signals *autoscale.SignalSet
+	opts   Options
+	net    transport.Network
+	master *directory.Master
+	dirs   []*directory.Directory
+	agents []*agent.Agent
+	ctl    *client.Client     // internal control client for Seal/Run
+	stream *streamer.Streamer // persistent streamer for Load/ApplyBatch
+	reg    *metrics.Registry
+	srv    *metrics.Server
 	// tcfg, ecfg and pcfg are the plane configurations every participant
 	// shares; collector assembles their shipped spans (nil when tracing
 	// is off).
@@ -152,11 +130,6 @@ func New(opts Options) (*Cluster, error) {
 	if c.reg == nil {
 		c.reg = metrics.NewRegistry()
 	}
-	// Every reported metric sample feeds the cluster's signal EMAs before any
-	// caller-supplied handler sees it, so harnesses get smoothed load,
-	// backpressure, and fault signals without wiring anything. 30s is the
-	// paper's §4.9 averaging window.
-	c.signals = autoscale.NewSignalSet(30 * time.Second)
 	// One trace config feeds every participant, so Options.Trace is the
 	// only switch.
 	c.tcfg = valueOf(opts.Trace)
@@ -166,15 +139,6 @@ func New(opts Options) (*Cluster, error) {
 	if c.tcfg.Enabled {
 		c.collector = collect.New()
 		spanSink = c.collector.Add
-	}
-	userMH := opts.MetricHandler
-	mh := func(m *wire.Metric) {
-		// Per-agent attribution feeds both the cluster-wide EMA and the
-		// agent's own, so operators can compare one agent to the fleet.
-		c.signals.ObserveAgent(time.Now(), m.AgentID, m.Name, m.Value)
-		if userMH != nil {
-			userMH(m)
-		}
 	}
 	if opts.MetricsAddr != "" {
 		srv, err := metrics.ListenAndServe(opts.MetricsAddr, c.reg)
@@ -192,12 +156,9 @@ func New(opts Options) (*Cluster, error) {
 	for i := 0; i < opts.Directories; i++ {
 		var dirMH func(*wire.Metric)
 		var dirSS func(string, []trace.SpanRecord)
-		var dirGone func(uint64)
 		if i == 0 {
-			dirMH = mh
+			dirMH = opts.MetricHandler
 			dirSS = spanSink
-			// Evictions and leaves prune the per-agent signal EMAs.
-			dirGone = c.signals.Forget
 		}
 		d, err := directory.Start(directory.Options{
 			Config:        opts.Config,
@@ -205,7 +166,6 @@ func New(opts Options) (*Cluster, error) {
 			MasterAddr:    m.Addr(),
 			MetricHandler: dirMH,
 			SpanSink:      dirSS,
-			AgentGone:     dirGone,
 			Metrics:       c.reg,
 			Trace:         c.tcfg,
 			Checkpoint:    c.durabilityFor("coordinator"),
@@ -406,40 +366,6 @@ func (c *Cluster) CommStats() (local, remote, remoteBytes uint64) {
 	return local, remote, remoteBytes
 }
 
-// StatsMaps collects every live agent's counters plus each directory's,
-// keyed by participant.
-func (c *Cluster) StatsMaps() map[string]stats.Counters {
-	out := make(map[string]stats.Counters)
-	for _, a := range c.agents {
-		out[fmt.Sprintf("agent-%d", a.ID())] = a.StatsMap()
-	}
-	for i, d := range c.dirs {
-		out[fmt.Sprintf("directory-%d", i)] = d.StatsMap()
-	}
-	return out
-}
-
-// AggregateStats folds every participant's counters into one
-// role-namespaced map ("agent_applied", "dir_evictions",
-// "client_queries", ...) — the cross-role aggregation the flat Merge
-// could only do by conflating identical names.
-func (c *Cluster) AggregateStats() stats.Counters {
-	out := make(stats.Counters)
-	for _, a := range c.agents {
-		out.MergeNamespaced("agent", a.StatsMap())
-	}
-	for _, d := range c.dirs {
-		out.MergeNamespaced("dir", d.StatsMap())
-	}
-	if c.ctl != nil {
-		out.MergeNamespaced("client", c.ctl.StatsMap())
-	}
-	if c.stream != nil {
-		out.MergeNamespaced("streamer", c.stream.StatsMap())
-	}
-	return out
-}
-
 // CheckpointStats sums every live agent's durable-writer counters; all
 // zero without Options.Durability.
 func (c *Cluster) CheckpointStats() (count, drops, errs, bytes uint64) {
@@ -464,10 +390,6 @@ func (c *Cluster) MetricsAddr() string {
 	}
 	return c.srv.Addr()
 }
-
-// Signals returns the smoothed metric signal set (step times, change
-// and query rates, queue depths, migration bytes, retransmits).
-func (c *Cluster) Signals() *autoscale.SignalSet { return c.signals }
 
 // Status queries the coordinator's health plane through the control
 // client: per-agent scored statuses plus the newest slice of the merged

@@ -13,6 +13,7 @@ import (
 	"elga/internal/client"
 	"elga/internal/config"
 	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -71,8 +72,8 @@ func newCluster(t *testing.T, agents int, cfg config.Config) *Cluster {
 func assertNothingUnroutable(t *testing.T, c *Cluster) {
 	t.Helper()
 	for _, a := range c.Agents() {
-		if n := a.StatsMap()["unroutable"]; n != 0 {
-			t.Fatalf("agent %d dropped %d unroutable messages", a.ID(), n)
+		if n := c.Registry().Sum("elga_agent_unroutable_total", metrics.Labels{"addr": a.Addr()}); n != 0 {
+			t.Fatalf("agent %d dropped %v unroutable messages", a.ID(), n)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"elga/internal/autoscale"
 	"elga/internal/client"
 	"elga/internal/transport"
 )
@@ -159,13 +158,22 @@ func TestMetricsSmokeScrape(t *testing.T) {
 		}
 	}
 
-	// The report pipeline feeds the coordinator's signal set; samples are
-	// fire-and-forget, so poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := c.Signals().Value(autoscale.MetricStepTime); ok {
-			break
+	// The report pipeline feeds the coordinator's health model; samples
+	// are fire-and-forget, so poll briefly.
+	stepped := func() bool {
+		st, err := c.Status()
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, a := range st.Agents {
+			if a.StepSeconds > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !stepped() {
 		if time.Now().After(deadline) {
 			t.Fatal("step_time signal never reached the coordinator")
 		}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"elga/internal/graph"
-	"elga/internal/stats"
+	"elga/internal/transport"
 )
 
 // These tests pin what elasticity leaves behind on the nodes that stay: a
@@ -62,7 +62,7 @@ func TestNoPeerOutlivesItsMember(t *testing.T) {
 	}
 	const cycles = 20
 	churn(t, c, cycles)
-	nodes := map[string]stats.Provider{"master": c.master, "control client": c.ctl, "streamer": c.stream}
+	nodes := map[string]interface{ TransportStats() transport.Stats }{"master": c.master, "control client": c.ctl, "streamer": c.stream}
 	for i, d := range c.dirs {
 		nodes[fmt.Sprintf("directory %d", i)] = d
 	}
@@ -71,7 +71,7 @@ func TestNoPeerOutlivesItsMember(t *testing.T) {
 	}
 	live := uint64(len(nodes))
 	for name, n := range nodes {
-		if peers := n.StatsMap()["peers"]; peers > live {
+		if peers := n.TransportStats().Peers; peers > live {
 			t.Errorf("%s keeps %d peers with %d participants live", name, peers, live)
 		}
 	}
@@ -95,13 +95,13 @@ func TestIdleClientAcksEveryView(t *testing.T) {
 	churn(t, c, 20)
 	coord := c.Coordinator()
 	deadline := time.Now().Add(time.Second)
-	for coord.StatsMap()["acks_outstanding"] != 0 {
+	for coord.TransportStats().OutstandingAcks != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("the coordinator still waits for %d acks a second after the last view", coord.StatsMap()["acks_outstanding"])
+			t.Fatalf("the coordinator still waits for %d acks a second after the last view", coord.TransportStats().OutstandingAcks)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if r := coord.StatsMap()["retransmits"]; r != 0 {
+	if r := coord.TransportStats().Retransmits; r != 0 {
 		t.Errorf("the coordinator retransmitted %d times", r)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"elga/internal/config"
 	"elga/internal/gen"
 	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/sketch"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -50,7 +51,9 @@ func mergeCrosses(t *testing.T, cfg config.Config, sk *sketch.Sketch, el graph.E
 	return merged, crossed
 }
 
-func coordEpoch(c *Cluster) uint64 { return c.Coordinator().StatsMap()["epoch"] }
+func coordEpoch(c *Cluster) uint64 {
+	return uint64(c.Registry().Sum("elga_dir_epoch", metrics.Labels{"addr": c.Coordinator().Addr()}))
+}
 
 func appliedTotal(c *Cluster) (total uint64) {
 	for _, a := range c.Agents() {

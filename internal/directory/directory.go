@@ -15,7 +15,6 @@ import (
 	"elga/internal/metrics"
 	"elga/internal/profile"
 	"elga/internal/sketch"
-	"elga/internal/stats"
 	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -50,10 +49,6 @@ type Options struct {
 	// Events configures the structured event journal and the
 	// coordinator's merged cluster timeline (zero: off).
 	Events events.Config
-	// AgentGone, if set, is called on the coordinator's event loop for
-	// every agent that leaves or is evicted — the hook the harness uses
-	// to prune per-agent autoscale EMAs (autoscale.SignalSet.Forget).
-	AgentGone func(agentID uint64)
 	// Profile configures the cluster profiling plane (coordinator-side
 	// artifact store and straggler auto-capture policy; zero: an
 	// in-memory store and no auto-capture).
@@ -126,9 +121,9 @@ type Directory struct {
 	seal      *sealState
 	run       *runState
 
-	// Atomic mirrors of event-loop state, read by StatsMap and metric
-	// scrapes off the event loop: statEvictions counts failure-detector
-	// evictions, statAgents/statEpoch follow the published view, and
+	// Atomic mirrors of event-loop state, read by metric scrapes off the
+	// event loop: statEvictions counts failure-detector evictions,
+	// statAgents/statEpoch follow the published view, and
 	// statMetricSamples counts metric samples folded into the handler.
 	statEvictions     atomic.Uint64
 	statAgents        atomic.Int64
@@ -298,7 +293,7 @@ func newDirectory(opts Options, ep transport.Endpoint, coordAddr string) (*Direc
 	d.tracer.SetProc("coordinator")
 	// The health model always runs at the coordinator (it only costs a few
 	// EMAs per agent); the journal and timeline arm with the events config.
-	// The half-life matches the harness SignalSet.
+	// The half-life is the paper's §4.9 averaging window.
 	d.health = newHealthModel(30 * time.Second)
 	if opts.Events.Enabled {
 		d.journal = events.NewJournal("coordinator", opts.Events)
@@ -381,32 +376,14 @@ func (d *Directory) IsCoordinator() bool { return d.coordinator }
 // CoordinatorAddr returns the coordinator directory's address.
 func (d *Directory) CoordinatorAddr() string { return d.coordAddr }
 
+// TransportStats returns the directory node's transport counters.
+func (d *Directory) TransportStats() transport.Stats { return d.ep.Stats() }
+
 // Close shuts the directory down.
 func (d *Directory) Close() error {
 	d.ep.Close()
 	<-d.done
 	return nil
-}
-
-// StatsMap implements stats.Provider over the directory's race-safe
-// counters; it is callable concurrently with the event loop.
-func (d *Directory) StatsMap() stats.Counters {
-	ts := d.ep.Stats()
-	return stats.Counters{
-		"evictions":        d.statEvictions.Load(),
-		"agents":           uint64(d.statAgents.Load()),
-		"epoch":            d.statEpoch.Load(),
-		"metric_samples":   d.statMetricSamples.Load(),
-		"events":           d.timeline.Seq(),
-		"event_batches":    d.statEventBatches.Load(),
-		"frames_in":        ts.FramesIn,
-		"frames_out":       ts.FramesOut,
-		"retransmits":      ts.Retransmits,
-		"dups_dropped":     ts.DuplicatesDropped,
-		"ack_give_ups":     ts.AckGiveUps,
-		"peers":            ts.Peers,
-		"acks_outstanding": ts.OutstandingAcks,
-	}
 }
 
 func (d *Directory) view() *wire.View {
@@ -485,16 +462,13 @@ func (d *Directory) mergeEvents(recs []events.Record) {
 }
 
 // agentGone runs the departure hooks for one agent (leave or eviction):
-// health vitals and the harness's per-agent autoscale EMAs are pruned so
-// nothing ever scores a corpse's stale signals.
+// its health vitals are pruned so nothing ever scores a corpse's stale
+// signals.
 func (d *Directory) agentGone(id uint64) {
 	if d.health != nil {
 		d.health.forget(id)
 	}
 	d.profileAgentGone(id)
-	if d.opts.AgentGone != nil {
-		d.opts.AgentGone(id)
-	}
 }
 
 // evaluateHealth re-scores every agent, refreshes the metric-gauge

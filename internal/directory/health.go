@@ -103,7 +103,7 @@ func (h *healthModel) vitals(id uint64) *agentVitals {
 
 // observeMetric folds one metric sample into the reporting agent's
 // vitals. Samples without agent attribution are ignored here (the
-// cluster-wide SignalSet still sees them).
+// metric handler still sees them).
 func (h *healthModel) observeMetric(now time.Time, m *wire.Metric) {
 	if m.AgentID == 0 {
 		return

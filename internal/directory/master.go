@@ -14,7 +14,6 @@ package directory
 import (
 	"slices"
 
-	"elga/internal/stats"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -52,10 +51,8 @@ func StartMaster(network transport.Network, addr string) (*Master, error) {
 // Addr returns the master's dialable address.
 func (m *Master) Addr() string { return m.ep.Addr() }
 
-// StatsMap implements stats.Provider: the peers the master's node keeps.
-func (m *Master) StatsMap() stats.Counters {
-	return stats.Counters{"peers": m.ep.Stats().Peers}
-}
+// TransportStats returns the master node's transport counters.
+func (m *Master) TransportStats() transport.Stats { return m.ep.Stats() }
 
 // Close shuts the master down.
 func (m *Master) Close() {

@@ -23,11 +23,6 @@ type CommunityParams struct {
 	PIntra float64
 }
 
-// DefaultCommunityParams returns a strongly clustered 16-community shape.
-func DefaultCommunityParams() CommunityParams {
-	return CommunityParams{N: 1 << 16, Communities: 16, Edges: 1 << 18, PIntra: 0.9}
-}
-
 // Community generates a planted-partition (stochastic block model) graph:
 // most edges fall inside a vertex's block, a controlled fraction crosses
 // blocks. It is the adversary of hash placement, which scatters each block
@@ -65,10 +60,4 @@ func Community(p CommunityParams, seed int64) graph.EdgeList {
 		el = append(el, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)})
 	}
 	return el.Dedupe()
-}
-
-// CommunityOf returns the planted block of vertex v under the striping
-// Community uses — handy for tests asserting cut quality.
-func CommunityOf(v graph.VertexID, communities int) int {
-	return int(uint64(v) % uint64(communities))
 }

@@ -1162,17 +1162,3 @@ func (s *Store) ActiveList() []VertexID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// PinnedList returns the pinned-empty vertices sorted, so a restored
-// store keeps split-vertex replica pins alive.
-func (s *Store) PinnedList() []VertexID {
-	if len(s.pinEmpty) == 0 {
-		return nil
-	}
-	out := make([]VertexID, 0, len(s.pinEmpty))
-	for v := range s.pinEmpty {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

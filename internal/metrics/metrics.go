@@ -4,9 +4,10 @@
 // never allocates, and every handle is nil-safe — an uninstrumented
 // participant (no Registry in its Options) carries nil handles and pays
 // one predictable branch per observation point. Registered metrics export
-// three ways: the Prometheus text endpoint (http.go), the extended
-// stats.Provider snapshots each participant keeps serving, and the
-// periodic report samples the directory's autoscaler consumes.
+// two ways: the Prometheus text endpoint (http.go) and Registry.Sum, which
+// tests and benchmarks use to read a family without a scrape. The
+// autoscaler signals agents report travel separately, as report samples
+// the coordinator's health model folds.
 package metrics
 
 import (

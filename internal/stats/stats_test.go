@@ -157,27 +157,3 @@ func TestSummaryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestMergeNamespaced checks that same-named counters from different
-// roles stay distinct under the role prefix instead of conflating.
-func TestMergeNamespaced(t *testing.T) {
-	agent := Counters{"frames_in": 10, "retransmits": 2}
-	dir := Counters{"frames_in": 7, "evictions": 1}
-	out := Counters{}.
-		MergeNamespaced("agent", agent).
-		MergeNamespaced("dir", dir)
-	if out["agent_frames_in"] != 10 || out["dir_frames_in"] != 7 {
-		t.Fatalf("roles conflated: %v", out)
-	}
-	if _, ok := out["frames_in"]; ok {
-		t.Fatalf("un-namespaced key leaked: %v", out)
-	}
-	// A second participant of the same role accumulates under its prefix.
-	out.MergeNamespaced("agent", Counters{"frames_in": 5})
-	if out["agent_frames_in"] != 15 {
-		t.Fatalf("same-role accumulation: %v", out)
-	}
-	if out["dir_evictions"] != 1 || out["agent_retransmits"] != 2 {
-		t.Fatalf("missing keys: %v", out)
-	}
-}

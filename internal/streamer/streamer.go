@@ -18,7 +18,6 @@ import (
 	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/route"
-	"elga/internal/stats"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -274,17 +273,8 @@ func (s *Streamer) Epoch() uint64 {
 // Sent returns the number of edge-change copies flushed so far.
 func (s *Streamer) Sent() uint64 { return s.sent.Load() }
 
-// StatsMap implements stats.Provider; safe concurrently with ingest.
-func (s *Streamer) StatsMap() stats.Counters {
-	ts := s.node.Stats()
-	return stats.Counters{
-		"sent":        s.sent.Load(),
-		"frames_in":   ts.FramesIn,
-		"frames_out":  ts.FramesOut,
-		"retransmits": ts.Retransmits,
-		"peers":       ts.Peers,
-	}
-}
+// TransportStats returns the streamer node's transport counters.
+func (s *Streamer) TransportStats() transport.Stats { return s.node.Stats() }
 
 // Close flushes, unsubscribes from directory broadcasts, and releases the
 // streamer.

@@ -8,6 +8,7 @@ import (
 	"elga/internal/cluster"
 	"elga/internal/config"
 	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/streamer"
 )
 
@@ -167,8 +168,11 @@ func TestStreamerViewBetweenChunks(t *testing.T) {
 			// The coordinator holds no unacknowledged frame once the
 			// streamer's feed has taken the new view.
 			coord := c.Coordinator()
+			epoch := func() uint64 {
+				return uint64(c.Registry().Sum("elga_dir_epoch", metrics.Labels{"addr": coord.Addr()}))
+			}
 			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				if st := coord.StatsMap(); st["epoch"] > before && st["acks_outstanding"] == 0 {
+				if epoch() > before && coord.TransportStats().OutstandingAcks == 0 {
 					break
 				}
 				if time.Now().After(deadline) {

@@ -67,7 +67,7 @@ func TestCollectorLateBatchAfterCompletionStaysBounded(t *testing.T) {
 	// Past the per-trace span cap, late spans are counted drops — the
 	// assembler never grows without bound after completion.
 	for i := 0; i < 20; i++ {
-		c.Add("agent-1", []trace.SpanRecord{span(7, 7, uint64(100 + i), 1, 3, 0, "late", 200)})
+		c.Add("agent-1", []trace.SpanRecord{span(7, 7, uint64(100+i), 1, 3, 0, "late", 200)})
 	}
 	if got := c.SpanCount(); got != 8 {
 		t.Fatalf("span cap breached: %d spans held", got)

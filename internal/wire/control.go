@@ -21,24 +21,6 @@ const (
 	PhaseAsyncProbe uint8 = 5
 )
 
-// PhaseName names a phase for logs.
-func PhaseName(p uint8) string {
-	switch p {
-	case PhaseCompute:
-		return "compute"
-	case PhaseCombine:
-		return "combine"
-	case PhaseMigrate:
-		return "migrate"
-	case PhaseBatch:
-		return "batch"
-	case PhaseAsyncProbe:
-		return "async-probe"
-	default:
-		return fmt.Sprintf("phase(%d)", p)
-	}
-}
-
 // AppendStringList appends a string list payload to dst.
 func AppendStringList(dst []byte, items []string) []byte {
 	w := Writer{buf: dst}
@@ -48,9 +30,6 @@ func AppendStringList(dst []byte, items []string) []byte {
 	}
 	return w.buf
 }
-
-// EncodeStringList serializes a list of strings (directory lists).
-func EncodeStringList(items []string) []byte { return AppendStringList(nil, items) }
 
 // DecodeStringList parses a string list.
 func DecodeStringList(data []byte) ([]string, error) {
@@ -103,9 +82,6 @@ func AppendRunStats(dst []byte, s *RunStats) []byte {
 	}
 	return w.buf
 }
-
-// EncodeRunStats serializes run statistics.
-func EncodeRunStats(s *RunStats) []byte { return AppendRunStats(nil, s) }
 
 // DecodeRunStats parses run statistics.
 func DecodeRunStats(data []byte) (*RunStats, error) {

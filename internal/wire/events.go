@@ -184,12 +184,9 @@ func AppendStatusReq(dst []byte, maxEvents uint32) []byte {
 	return w.buf
 }
 
-// DecodeStatusReq parses a TStatus request. An empty payload means the
-// server default, so older clients stay compatible.
+// DecodeStatusReq parses a TStatus request; a payload shorter than its
+// 4 bytes is ErrShort.
 func DecodeStatusReq(data []byte) (uint32, error) {
-	if len(data) == 0 {
-		return 0, nil
-	}
 	r := NewReader(data)
 	n := r.U32()
 	if err := r.Err(); err != nil {

@@ -65,11 +65,6 @@ func TestStatusReqRoundTrip(t *testing.T) {
 	if err != nil || n != 25 {
 		t.Fatalf("status req: n=%d err=%v", n, err)
 	}
-	// Empty payload (an older client) means the server default.
-	n, err = DecodeStatusReq(nil)
-	if err != nil || n != 0 {
-		t.Fatalf("empty status req: n=%d err=%v", n, err)
-	}
 }
 
 func TestStatusReplyRoundTrip(t *testing.T) {

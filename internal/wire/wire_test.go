@@ -417,6 +417,12 @@ func TestDecodersRejectTruncation(t *testing.T) {
 			t.Fatalf("truncated view at %d accepted", n)
 		}
 	}
+	fullS := AppendStatusReq(nil, 25)
+	for n := 0; n < len(fullS); n++ {
+		if _, err := DecodeStatusReq(fullS[:n]); !errors.Is(err, ErrShort) {
+			t.Fatalf("truncated status request at %d: %v", n, err)
+		}
+	}
 }
 
 // Property: packet marshalling round-trips arbitrary payloads.
