@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"elga/internal/experiments"
@@ -23,8 +24,8 @@ func main() {
 	md := flag.Bool("md", false, "emit Markdown tables")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: elga-bench [-quick] [-md] {all")
-		for _, id := range experiments.Order {
-			fmt.Fprintf(os.Stderr, "|%s", id)
+		for _, e := range experiments.All {
+			fmt.Fprintf(os.Stderr, "|%s", e.ID)
 		}
 		fmt.Fprintln(os.Stderr, "}")
 	}
@@ -37,22 +38,25 @@ func main() {
 	if *quick {
 		scale = experiments.Quick
 	}
-	ids := flag.Args()
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = experiments.Order
-	}
 	failed := 0
-	for _, id := range ids {
-		fn, ok := experiments.Registry[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "elga-bench: unknown experiment %q\n", id)
-			failed++
-			continue
+	todo := experiments.All
+	if args := flag.Args(); len(args) != 1 || args[0] != "all" {
+		todo = nil
+		for _, id := range args {
+			i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == id })
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "elga-bench: unknown experiment %q\n", id)
+				failed++
+				continue
+			}
+			todo = append(todo, experiments.All[i])
 		}
+	}
+	for _, e := range todo {
 		start := time.Now()
-		rep, err := fn(scale)
+		rep, err := e.Run(scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "elga-bench: %s failed: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "elga-bench: %s failed: %v\n", e.ID, err)
 			failed++
 			continue
 		}
@@ -61,7 +65,7 @@ func main() {
 		} else {
 			fmt.Print(rep.String())
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -8,8 +8,7 @@
 // from the store's fresh log (Store.TakeFresh). Where the snapshot
 // baseline pays a full CSR rebuild plus a restart over every vertex, this
 // engine pays only the batch application plus work proportional to how
-// far the change actually propagates, which is the crossover
-// `elga-bench storage` measures full recompute against.
+// far the change actually propagates.
 //
 // The engine is deliberately single-threaded: it isolates the
 // storage-and-frontier effect from parallelization, so full-vs-delta

@@ -123,16 +123,20 @@ func compareStores(t *testing.T, seed int64, a, b *graph.Store) {
 		if ao != bo || ai != bi {
 			t.Fatalf("seed %d: degree(%d): (%d,%d) != (%d,%d)", seed, v, ao, ai, bo, bi)
 		}
-		aOut, bOut := a.AppendOut(v, nil), b.AppendOut(v, nil)
-		for i := range aOut {
-			if aOut[i] != bOut[i] {
-				t.Fatalf("seed %d: out[%d] of %d: %d != %d", seed, i, v, aOut[i], bOut[i])
+		for _, dir := range []graph.Dir{graph.Out, graph.In} {
+			ac, bc := a.OutCursor(v), b.OutCursor(v)
+			if dir == graph.In {
+				ac, bc = a.InCursor(v), b.InCursor(v)
 			}
-		}
-		aIn, bIn := a.AppendIn(v, nil), b.AppendIn(v, nil)
-		for i := range aIn {
-			if aIn[i] != bIn[i] {
-				t.Fatalf("seed %d: in[%d] of %d: %d != %d", seed, i, v, aIn[i], bIn[i])
+			for i := 0; ; i++ {
+				x, aOK := ac.Next()
+				y, bOK := bc.Next()
+				if x != y || aOK != bOK {
+					t.Fatalf("seed %d: neighbour %d of %d in direction %d: %d != %d", seed, i, v, dir, x, y)
+				}
+				if !aOK {
+					break
+				}
 			}
 		}
 	}

@@ -114,7 +114,7 @@ func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
 		t.Fatal(err)
 	}
 	reply, err := node.Request(coord, wire.TJoin,
-		wire.EncodeJoin(&wire.Join{Addr: node.Addr()}), 5*time.Second)
+		wire.AppendJoin(nil, &wire.Join{Addr: node.Addr()}), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func joinFake(t *testing.T, nw transport.Network, coord string) *fakeAgent {
 			case wire.TDirUpdate:
 				v, err := wire.DecodeView(pkt.Payload)
 				if err == nil {
-					_ = node.Send(coord, wire.TReady, wire.EncodeReady(&wire.Ready{
+					_ = node.Send(coord, wire.TReady, wire.AppendReady(nil, &wire.Ready{
 						AgentID: f.id, Step: uint32(v.Epoch), Phase: wire.PhaseMigrate,
 					}))
 				}
 			case wire.TBatchOpen:
 				r := wire.NewReader(pkt.Payload)
 				batchID := r.U64()
-				_ = node.Send(coord, wire.TReady, wire.EncodeReady(&wire.Ready{
+				_ = node.Send(coord, wire.TReady, wire.AppendReady(nil, &wire.Ready{
 					AgentID: f.id, Step: uint32(batchID), Phase: wire.PhaseBatch, Masters: 10,
 				}))
 			case wire.TSketchDelta, wire.TEdges:

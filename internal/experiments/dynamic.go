@@ -344,34 +344,3 @@ func Fig18(s Scale) (*Report, error) {
 	r.AddNote("agent count converges to the autoscaler target after each load step (paper Fig. 18: 'ElGA quickly converges to the autoscaler's target')")
 	return r, nil
 }
-
-// Registry maps experiment IDs to their runners.
-var Registry = map[string]func(Scale) (*Report, error){
-	"table2":    Table2,
-	"fig4":      Fig4,
-	"fig5":      Fig5,
-	"fig6":      Fig6,
-	"fig7":      Fig7,
-	"fig8":      Fig8,
-	"fig9":      Fig9,
-	"fig10":     Fig10,
-	"fig11":     Fig11,
-	"fig12":     Fig12,
-	"fig13":     Fig13,
-	"fig14":     Fig14,
-	"fig15":     Fig15,
-	"storage":   Storage,
-	"fig16":     Fig16,
-	"fig17":     Fig17,
-	"fig18":     Fig18,
-	"net":       Net,
-	"abl-split": AblSplit,
-	"recovery":  Recovery,
-}
-
-// Order lists experiment IDs in paper order.
-var Order = []string{
-	"table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "storage", "fig16", "fig17",
-	"fig18", "net", "abl-split", "recovery",
-}

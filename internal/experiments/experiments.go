@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -93,6 +92,35 @@ func (r *Report) Markdown() string {
 	return b.String()
 }
 
+// Experiment is one registered paper artifact: its ID and its runner.
+type Experiment struct {
+	ID  string
+	Run func(Scale) (*Report, error)
+}
+
+// All lists the experiments in paper order, the order `elga-bench all`
+// runs them in.
+var All = []Experiment{
+	{"table2", Table2},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15", Fig15},
+	{"fig16", Fig16},
+	{"fig17", Fig17},
+	{"fig18", Fig18},
+	{"net", Net},
+	{"abl-split", AblSplit},
+}
+
 // Scale selects experiment sizing.
 type Scale int
 
@@ -167,14 +195,4 @@ func fmtDur(seconds float64) string {
 
 func fmtSummary(s stats.Summary) string {
 	return fmt.Sprintf("%s ± %s", fmtDur(s.Mean), fmtDur(s.CI))
-}
-
-// sortedKeys returns sorted map keys (generic helper for stable tables).
-func sortedKeys[K ~uint64 | ~int, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -12,14 +12,10 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	for _, id := range Order {
-		id := id
+	for _, e := range All {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			fn, ok := Registry[id]
-			if !ok {
-				t.Fatalf("experiment %s not registered", id)
-			}
-			rep, err := fn(Quick)
+			rep, err := e.Run(Quick)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -43,17 +39,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Errorf("%s: markdown rendering broken", id)
 			}
 		})
-	}
-}
-
-func TestOrderMatchesRegistry(t *testing.T) {
-	if len(Order) != len(Registry) {
-		t.Fatalf("Order has %d entries, Registry %d", len(Order), len(Registry))
-	}
-	for _, id := range Order {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("%s in Order but not Registry", id)
-		}
 	}
 }
 

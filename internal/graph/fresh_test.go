@@ -12,8 +12,8 @@ import (
 // against a model of the fresh log. Whenever the log reports intact it holds
 // exactly the copies Apply inserted since the last take, in order, and
 // HasCopy agrees with Copies on each. It reports lost after AddRun,
-// MarkActive, ActivateAll and after outgrowing the vertex count plus slack,
-// and a lost log has released its storage.
+// MarkActive and after outgrowing the vertex count plus slack, and a lost
+// log has released its storage.
 func TestFreshLogProperty(t *testing.T) {
 	const (
 		seeds    = 20
@@ -67,10 +67,7 @@ func TestFreshLogProperty(t *testing.T) {
 					continue
 				}
 				key, dir := vs[rng.Intn(len(vs))], randDir()
-				nbrs := s.AppendOut(key, nil)
-				if dir == In {
-					nbrs = s.AppendIn(key, nil)
-				}
+				nbrs := nbrsOf(s, key, dir)
 				if len(nbrs) == 0 {
 					continue
 				}
@@ -109,11 +106,7 @@ func TestFreshLogProperty(t *testing.T) {
 				lost, model = true, nil
 			case k == 16:
 				what = "mark"
-				if rng.Intn(4) == 0 {
-					s.ActivateAll()
-				} else {
-					s.MarkActive(u)
-				}
+				s.MarkActive(u)
 				lost, model = true, nil
 			case k == 17:
 				what = "take-active"

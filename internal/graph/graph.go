@@ -1,15 +1,14 @@
 // Package graph provides the per-agent dynamic graph store.
 //
 // The paper (§4) stores the dynamic graph "as a flat hash map with
-// vectors". This package kept that literal shape through PR 5 (see
-// MapStore, retained as the reference implementation); the production
-// Store is now a hybrid CSR-plus-delta-log structure: sealed immutable
-// CSR runs (sorted, compact, offset-indexed into two store-wide arrays)
-// plus a small mutable tail of recent inserts and deletes, folded into a
-// fresh sealed generation when the tail crosses a size threshold. Callers
-// never see the representation: neighbour access goes through the cursor
-// / ForEach iteration interface, which yields a canonical ascending order
-// regardless of compaction timing.
+// vectors". The tests keep that literal shape as the reference the
+// production Store is checked against; the Store itself is a hybrid
+// CSR-plus-delta-log structure: sealed immutable CSR runs (sorted,
+// compact, offset-indexed into two store-wide arrays) plus a small mutable
+// tail of recent inserts and deletes, folded into a fresh sealed
+// generation when the tail crosses a size threshold. Callers never see the
+// representation: neighbour access goes through cursors, which yield a
+// canonical ascending order regardless of compaction timing.
 //
 // A Store holds only the slice of the graph owned by one agent. Each edge
 // copy is tagged with the direction it represents locally, because in

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +14,7 @@ func TestEmptyStore(t *testing.T) {
 	if s.HasVertex(1) {
 		t.Error("HasVertex on empty store")
 	}
-	if s.AppendOut(1, nil) != nil || s.AppendIn(1, nil) != nil {
+	if nbrsOf(s, 1, Out) != nil || nbrsOf(s, 1, In) != nil {
 		t.Error("neighbors of absent vertex not nil")
 	}
 }
@@ -26,14 +27,14 @@ func TestAddEdgeBothDirections(t *testing.T) {
 	if !s.AddEdge(1, 2, In) {
 		t.Fatal("AddEdge In returned false")
 	}
-	if s.NumOutEdges() != 1 || s.NumInEdges() != 1 {
-		t.Fatalf("counts out=%d in=%d", s.NumOutEdges(), s.NumInEdges())
+	if s.NumOutEdges() != 1 || s.NumEdgeCopies() != 2 {
+		t.Fatalf("counts out=%d all=%d", s.NumOutEdges(), s.NumEdgeCopies())
 	}
-	if got := s.AppendOut(1, nil); len(got) != 1 || got[0] != 2 {
-		t.Errorf("AppendOut(1) = %v", got)
+	if got := nbrsOf(s, 1, Out); len(got) != 1 || got[0] != 2 {
+		t.Errorf("out-neighbours of 1 = %v", got)
 	}
-	if got := s.AppendIn(2, nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("AppendIn(2) = %v", got)
+	if got := nbrsOf(s, 2, In); len(got) != 1 || got[0] != 1 {
+		t.Errorf("in-neighbours of 2 = %v", got)
 	}
 	// Out copy lives under src; in copy under dst.
 	if s.InDegree(1) != 0 || s.OutDegree(2) != 0 {
@@ -65,8 +66,8 @@ func TestRemoveEdge(t *testing.T) {
 	if s.RemoveEdge(9, 9, In) {
 		t.Error("RemoveEdge on absent vertex returned true")
 	}
-	if got := s.AppendOut(1, nil); len(got) != 1 || got[0] != 3 {
-		t.Errorf("AppendOut after remove = %v", got)
+	if got := nbrsOf(s, 1, Out); len(got) != 1 || got[0] != 3 {
+		t.Errorf("out-neighbours after remove = %v", got)
 	}
 }
 
@@ -126,21 +127,13 @@ func TestApplyMarksActive(t *testing.T) {
 	}
 }
 
-func TestActivateAllAndTakeSorted(t *testing.T) {
+func TestTakeActiveSorted(t *testing.T) {
 	s := NewStore()
-	s.AddEdge(5, 1, Out)
-	s.AddEdge(3, 1, Out)
-	s.AddEdge(9, 1, Out)
-	s.TakeActive() // drop insert activations
-	s.ActivateAll()
-	act := s.TakeActive()
-	if len(act) != 3 { // stored vertices are the sources 3, 5, 9
-		t.Fatalf("TakeActive len = %d, want 3", len(act))
+	for _, v := range []VertexID{9, 3, 5} {
+		s.MarkActive(v)
 	}
-	for i := 1; i < len(act); i++ {
-		if act[i-1] >= act[i] {
-			t.Fatal("TakeActive not sorted")
-		}
+	if act := s.TakeActive(); !slices.Equal(act, []VertexID{3, 5, 9}) {
+		t.Fatalf("TakeActive = %v, want [3 5 9]", act)
 	}
 }
 
@@ -187,22 +180,22 @@ func TestCopiesOfOneVertex(t *testing.T) {
 	s.AddEdge(3, 2, In)
 	s.AddEdge(7, 8, Out)
 	var got []EdgeCopy
-	if !s.CopiesOf(2, func(c EdgeCopy) bool { got = append(got, c); return true }) {
+	if !s.copiesOf(2, func(c EdgeCopy) bool { got = append(got, c); return true }) {
 		t.Fatal("full walk reported an early stop")
 	}
 	want := []EdgeCopy{{2, 4, Out}, {2, 5, Out}, {3, 2, In}}
 	if len(got) != len(want) {
-		t.Fatalf("CopiesOf(2) = %v, want %v", got, want)
+		t.Fatalf("copiesOf(2) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("CopiesOf(2) = %v, want %v", got, want)
+			t.Fatalf("copiesOf(2) = %v, want %v", got, want)
 		}
 	}
-	if s.CopiesOf(2, func(EdgeCopy) bool { return false }) {
+	if s.copiesOf(2, func(EdgeCopy) bool { return false }) {
 		t.Error("stopped walk reported completion")
 	}
-	if !s.CopiesOf(99, func(EdgeCopy) bool { t.Error("copy under an absent vertex"); return true }) {
+	if !s.copiesOf(99, func(EdgeCopy) bool { t.Error("copy under an absent vertex"); return true }) {
 		t.Error("walk of an absent vertex reported an early stop")
 	}
 }
@@ -319,7 +312,7 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 				ref[key] = true
 			}
 		}
-		return s.NumOutEdges() == len(refOut) && s.NumInEdges() == len(refIn)
+		return s.NumOutEdges() == len(refOut) && s.NumEdgeCopies()-s.NumOutEdges() == len(refIn)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

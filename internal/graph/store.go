@@ -58,7 +58,7 @@ type Store struct {
 	// TakeActive, so an incremental run can announce along the new edges
 	// alone. freshLost marks a log abandoned: it outgrew the vertex count,
 	// like the flip log, or activity arrived that it does not describe
-	// (MarkActive, ActivateAll, AddRun).
+	// (MarkActive, AddRun).
 	fresh     []EdgeCopy
 	freshLost bool
 }
@@ -175,10 +175,10 @@ func (s *Store) restartFresh() {
 // TakeFresh or TakeActive — one entry per insert that changed the store, so
 // a copy deleted and inserted again appears twice and a copy deleted since
 // is still listed — and starts a new log. ok is false when the log was
-// abandoned: it outgrew the vertex count, or MarkActive, ActivateAll or
-// AddRun brought activity it cannot describe; the caller should then treat
-// every active vertex's every edge as new. The slice is only valid until
-// the next mutation of the store.
+// abandoned: it outgrew the vertex count, or MarkActive or AddRun brought
+// activity it cannot describe; the caller should then treat every active
+// vertex's every edge as new. The slice is only valid until the next
+// mutation of the store.
 func (s *Store) TakeFresh() (copies []EdgeCopy, ok bool) {
 	copies, ok = s.fresh, !s.freshLost
 	s.restartFresh()
@@ -187,9 +187,6 @@ func (s *Store) TakeFresh() (copies []EdgeCopy, ok bool) {
 
 // NumOutEdges returns the number of locally stored out-copies.
 func (s *Store) NumOutEdges() int { return s.numOut }
-
-// NumInEdges returns the number of locally stored in-copies.
-func (s *Store) NumInEdges() int { return s.numIn }
 
 // NumEdgeCopies returns out+in copies, the agent's memory-relevant load.
 func (s *Store) NumEdgeCopies() int { return s.numOut + s.numIn }
@@ -897,18 +894,6 @@ func (s *Store) ForEachOut(v VertexID, fn func(VertexID) bool) {
 	}
 }
 
-// ForEachIn calls fn for every locally stored in-neighbour of v in
-// ascending ID order until fn returns false.
-func (s *Store) ForEachIn(v VertexID, fn func(VertexID) bool) {
-	var it Cursor
-	for s.InCursorInto(&it, v); ; {
-		u, ok := it.Next()
-		if !ok || !fn(u) {
-			return
-		}
-	}
-}
-
 // Degree returns v's local out- and in-degrees in O(1).
 func (s *Store) Degree(v VertexID) (out, in int) {
 	rec, ok := s.slots[v]
@@ -928,26 +913,6 @@ func (s *Store) OutDegree(v VertexID) int {
 func (s *Store) InDegree(v VertexID) int {
 	_, in := s.Degree(v)
 	return in
-}
-
-// AppendOut appends v's out-neighbours (ascending) onto buf — the
-// slice-materializing convenience for tests and snapshots; hot paths use
-// cursors.
-func (s *Store) AppendOut(v VertexID, buf []VertexID) []VertexID {
-	s.ForEachOut(v, func(w VertexID) bool {
-		buf = append(buf, w)
-		return true
-	})
-	return buf
-}
-
-// AppendIn appends v's in-neighbours (ascending) onto buf.
-func (s *Store) AppendIn(v VertexID, buf []VertexID) []VertexID {
-	s.ForEachIn(v, func(u VertexID) bool {
-		buf = append(buf, u)
-		return true
-	})
-	return buf
 }
 
 // Vertices calls fn for every locally present vertex until fn returns
@@ -1010,31 +975,22 @@ func (s *Store) TakeActive() []VertexID {
 	return out
 }
 
-// ActivateAll marks every local vertex active (static from-scratch runs),
-// abandoning the fresh log.
-func (s *Store) ActivateAll() {
-	s.loseFresh()
-	for v := range s.slots {
-		s.active[v] = struct{}{}
-	}
-}
-
 // Copies calls fn for every stored edge copy until fn returns false. It is
 // the enumeration tests and tools check a store by; migration does not
 // visit copies, it walks Vertices and moves their runs (AddRun, RemoveRun,
 // DropVertex).
 func (s *Store) Copies(fn func(EdgeCopy) bool) {
 	for v := range s.slots {
-		if !s.CopiesOf(v, fn) {
+		if !s.copiesOf(v, fn) {
 			return
 		}
 	}
 }
 
-// CopiesOf calls fn for every edge copy stored under vertex v (its out
+// copiesOf calls fn for every edge copy stored under vertex v (its out
 // copies, then its in copies) until fn returns false, and reports whether
 // the walk ran to the end.
-func (s *Store) CopiesOf(v VertexID, fn func(EdgeCopy) bool) bool {
+func (s *Store) copiesOf(v VertexID, fn func(EdgeCopy) bool) bool {
 	for it := s.OutCursor(v); ; {
 		w, ok := it.Next()
 		if !ok {
@@ -1059,7 +1015,7 @@ func (s *Store) CopiesOf(v VertexID, fn func(EdgeCopy) bool) bool {
 // maintained counters: sealed array capacity, per-slot map overhead, and
 // tail records. It is an estimate (Go map internals are approximated at
 // 48 bytes per slot entry), but a consistent one — the bytes/edge metric
-// and the MapStore comparison use the same accounting rules.
+// and the tests' map-of-vectors reference use the same accounting rules.
 func (s *Store) MemoryBytes() uint64 {
 	const (
 		slotBytes    = 48  // map entry (key+slotRec) incl. bucket overhead

@@ -187,9 +187,6 @@ func AppendCheckpointMark(dst []byte, m *CheckpointMark) []byte {
 	return w.buf
 }
 
-// EncodeCheckpointMark serializes a mark.
-func EncodeCheckpointMark(m *CheckpointMark) []byte { return AppendCheckpointMark(nil, m) }
-
 // DecodeCheckpointMark parses a mark.
 func DecodeCheckpointMark(data []byte) (*CheckpointMark, error) {
 	r := NewReader(data)

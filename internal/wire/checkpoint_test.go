@@ -61,14 +61,14 @@ func TestManifestRejectsTruncation(t *testing.T) {
 
 func TestCheckpointMarkRoundTrip(t *testing.T) {
 	m := &CheckpointMark{Meta: testMeta(), Bytes: 9999}
-	got, err := DecodeCheckpointMark(EncodeCheckpointMark(m))
+	got, err := DecodeCheckpointMark(AppendCheckpointMark(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Meta != m.Meta || got.Bytes != m.Bytes {
 		t.Fatalf("mark mismatch: got %+v, want %+v", got, m)
 	}
-	full := EncodeCheckpointMark(m)
+	full := AppendCheckpointMark(nil, m)
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeCheckpointMark(full[:n]); err == nil {
 			t.Fatalf("truncated mark at %d accepted", n)

@@ -79,11 +79,6 @@ func AppendEventBatch(dst []byte, evs []events.Record, dropped uint64) []byte {
 	return w.buf
 }
 
-// EncodeEventBatch serializes an event batch.
-func EncodeEventBatch(evs []events.Record, dropped uint64) []byte {
-	return AppendEventBatch(nil, evs, dropped)
-}
-
 // DecodeEventBatch parses an event batch. Records are
 // materialized copies; they outlive the frame.
 func DecodeEventBatch(data []byte) (evs []events.Record, dropped uint64, err error) {
@@ -229,9 +224,6 @@ func AppendStatusReply(dst []byte, s *StatusReply) []byte {
 	}
 	return w.buf
 }
-
-// EncodeStatusReply serializes a TStatusReply payload.
-func EncodeStatusReply(s *StatusReply) []byte { return AppendStatusReply(nil, s) }
 
 // DecodeStatusReply parses a TStatusReply payload.
 func DecodeStatusReply(data []byte) (*StatusReply, error) {

@@ -27,7 +27,7 @@ func testEventRecords() []events.Record {
 
 func TestEventBatchRoundTrip(t *testing.T) {
 	in := testEventRecords()
-	out, dropped, err := DecodeEventBatch(EncodeEventBatch(in, 5))
+	out, dropped, err := DecodeEventBatch(AppendEventBatch(nil, in, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestEventBatchRoundTrip(t *testing.T) {
 }
 
 func TestEventBatchEmpty(t *testing.T) {
-	out, dropped, err := DecodeEventBatch(EncodeEventBatch(nil, 3))
+	out, dropped, err := DecodeEventBatch(AppendEventBatch(nil, nil, 3))
 	if err != nil || len(out) != 0 || dropped != 3 {
 		t.Fatalf("empty batch: evs=%v dropped=%d err=%v", out, dropped, err)
 	}
 }
 
 func TestEventBatchRejectsTruncation(t *testing.T) {
-	buf := EncodeEventBatch(testEventRecords(), 1)
+	buf := AppendEventBatch(nil, testEventRecords(), 1)
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, err := DecodeEventBatch(buf[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
@@ -83,7 +83,7 @@ func TestStatusReplyRoundTrip(t *testing.T) {
 		},
 		Timeline: testEventRecords(),
 	}
-	out, err := DecodeStatusReply(EncodeStatusReply(in))
+	out, err := DecodeStatusReply(AppendStatusReply(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestStatusReplyRoundTrip(t *testing.T) {
 }
 
 func TestStatusReplyRejectsTruncation(t *testing.T) {
-	buf := EncodeStatusReply(&StatusReply{
+	buf := AppendStatusReply(nil, &StatusReply{
 		Epoch:  1,
 		Agents: []AgentHealth{{AgentID: 1, Addr: "a"}},
 		Timeline: []events.Record{

@@ -63,8 +63,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seedFrame(TReady, AppendReady(nil, &Ready{AgentID: 3, Step: 7, Masters: 9, PhaseSeconds: 0.25})))
 	// The hub record lists: one record (the single-record payload) and three.
 	p0, u0 := testPartial(0), testUpdate(0)
-	f.Add(seedFrame(TReplicaPartial, EncodeReplicaPartial(&p0)))
-	f.Add(seedFrame(TValueUpdate, EncodeValueUpdate(&u0)))
+	f.Add(seedFrame(TReplicaPartial, AppendReplicaPartial(nil, &p0)))
+	f.Add(seedFrame(TValueUpdate, AppendValueUpdate(nil, &u0)))
 	var pb, ub []byte
 	for i := 0; i < 3; i++ {
 		p, u := testPartial(i), testUpdate(i)

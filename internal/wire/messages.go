@@ -147,8 +147,7 @@ type EdgeBatch struct {
 	// whose copies are moving.
 	States []VertexState
 	// Runs are copies a run at a time: what migrations carry. The section
-	// trails the payload and is written only when there are runs, so a
-	// batch without it decodes with none.
+	// trails the payload.
 	Runs []EdgeRun
 
 	// nbrs backs the decoded runs' neighbour lists, reused across decodes.
@@ -183,17 +182,8 @@ func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
 		}
 		w.U8(flags)
 	}
-	if len(b.Runs) > 0 {
-		return appendRuns(w.buf, b.Runs)
-	}
-	return w.buf
-}
-
-// appendRuns appends the run section of an edge batch to dst.
-func appendRuns(dst []byte, runs []EdgeRun) []byte {
-	w := Writer{buf: dst}
-	w.U32(uint32(len(runs)))
-	for _, r := range runs {
+	w.U32(uint32(len(b.Runs)))
+	for _, r := range b.Runs {
 		w.U64(uint64(r.Key))
 		w.U8(uint8(graph.Insert)<<1 | uint8(r.Dir))
 		w.U32(uint32(len(r.Nbrs)))
@@ -245,7 +235,7 @@ func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
 	}
 	b.Runs, b.nbrs = b.Runs[:0], b.nbrs[:0]
 	err := r.Err()
-	if err == nil && r.Remaining() > 0 {
+	if err == nil {
 		err = b.decodeRuns(data[r.off:])
 	}
 	if err != nil {
@@ -338,9 +328,6 @@ func AppendVertexMsgBatch(dst []byte, b *VertexMsgBatch) []byte {
 	return w.buf
 }
 
-// EncodeVertexMsgBatch serializes a vertex message batch.
-func EncodeVertexMsgBatch(b *VertexMsgBatch) []byte { return AppendVertexMsgBatch(nil, b) }
-
 // DecodeVertexMsgBatchInto parses a vertex message batch into b, reusing
 // the capacity of b.Msgs. Nothing in b aliases data afterwards.
 func DecodeVertexMsgBatchInto(b *VertexMsgBatch, data []byte) error {
@@ -418,9 +405,6 @@ func AppendReplicaPartial(dst []byte, p *ReplicaPartial) []byte {
 	return w.buf
 }
 
-// EncodeReplicaPartial serializes a replica partial.
-func EncodeReplicaPartial(p *ReplicaPartial) []byte { return AppendReplicaPartial(nil, p) }
-
 // ReplicaPartialCount returns the number of records in a TReplicaPartial
 // payload.
 func ReplicaPartialCount(data []byte) (int, error) {
@@ -459,9 +443,6 @@ func AppendValueUpdate(dst []byte, u *ValueUpdate) []byte {
 	return w.buf
 }
 
-// EncodeValueUpdate serializes a value update.
-func EncodeValueUpdate(u *ValueUpdate) []byte { return AppendValueUpdate(nil, u) }
-
 // ValueUpdateCount returns the number of records in a TValueUpdate payload.
 func ValueUpdateCount(data []byte) (int, error) {
 	return recordCount(data, valueUpdateSize, "value update")
@@ -493,9 +474,6 @@ func AppendReplicaRegister(dst []byte, rr *ReplicaRegister) []byte {
 	w.Bool(rr.Deregister)
 	return w.buf
 }
-
-// EncodeReplicaRegister serializes a replica registration.
-func EncodeReplicaRegister(rr *ReplicaRegister) []byte { return AppendReplicaRegister(nil, rr) }
 
 // DecodeReplicaRegister parses a replica registration.
 func DecodeReplicaRegister(data []byte) (*ReplicaRegister, error) {
@@ -543,9 +521,6 @@ func AppendReady(dst []byte, m *Ready) []byte {
 	return w.buf
 }
 
-// EncodeReady serializes a barrier vote.
-func EncodeReady(m *Ready) []byte { return AppendReady(nil, m) }
-
 // DecodeReady parses a barrier vote.
 func DecodeReady(data []byte) (*Ready, error) {
 	r := NewReader(data)
@@ -580,9 +555,6 @@ func AppendAdvance(dst []byte, a *Advance) []byte {
 	w.U32(a.RunID)
 	return w.buf
 }
-
-// EncodeAdvance serializes an advance broadcast.
-func EncodeAdvance(a *Advance) []byte { return AppendAdvance(nil, a) }
 
 // DecodeAdvance parses an advance broadcast.
 func DecodeAdvance(data []byte) (*Advance, error) {
@@ -627,9 +599,6 @@ func AppendAlgoStart(dst []byte, s *AlgoStart) []byte {
 	return w.buf
 }
 
-// EncodeAlgoStart serializes an algorithm start broadcast.
-func EncodeAlgoStart(s *AlgoStart) []byte { return AppendAlgoStart(nil, s) }
-
 // DecodeAlgoStart parses an algorithm start broadcast.
 func DecodeAlgoStart(data []byte) (*AlgoStart, error) {
 	r := NewReader(data)
@@ -661,9 +630,6 @@ func AppendAlgoDone(dst []byte, d *AlgoDone) []byte {
 	return w.buf
 }
 
-// EncodeAlgoDone serializes a completion broadcast.
-func EncodeAlgoDone(d *AlgoDone) []byte { return AppendAlgoDone(nil, d) }
-
 // DecodeAlgoDone parses a completion broadcast.
 func DecodeAlgoDone(data []byte) (*AlgoDone, error) {
 	r := NewReader(data)
@@ -685,9 +651,6 @@ func AppendQuery(dst []byte, q *Query) []byte {
 	w.U64(uint64(q.Vertex))
 	return w.buf
 }
-
-// EncodeQuery serializes a query.
-func EncodeQuery(q *Query) []byte { return AppendQuery(nil, q) }
 
 // DecodeQuery parses a query.
 func DecodeQuery(data []byte) (*Query, error) {
@@ -714,9 +677,6 @@ func AppendQueryReply(dst []byte, q *QueryReply) []byte {
 	w.U32(q.Step)
 	return w.buf
 }
-
-// EncodeQueryReply serializes a query reply.
-func EncodeQueryReply(q *QueryReply) []byte { return AppendQueryReply(nil, q) }
 
 // DecodeQueryReply parses a query reply.
 func DecodeQueryReply(data []byte) (*QueryReply, error) {
@@ -748,9 +708,6 @@ func AppendJoin(dst []byte, j *Join) []byte {
 	}
 	return w.buf
 }
-
-// EncodeJoin serializes a join request.
-func EncodeJoin(j *Join) []byte { return AppendJoin(nil, j) }
 
 // DecodeJoin parses a join request.
 func DecodeJoin(data []byte) (*Join, error) {
@@ -787,9 +744,6 @@ func AppendJoinReply(dst []byte, j *JoinReply) []byte {
 	return w.buf
 }
 
-// EncodeJoinReply serializes a join reply.
-func EncodeJoinReply(j *JoinReply) []byte { return AppendJoinReply(nil, j) }
-
 // DecodeJoinReply parses a join reply.
 func DecodeJoinReply(data []byte) (*JoinReply, error) {
 	r := NewReader(data)
@@ -817,9 +771,6 @@ func AppendLeave(dst []byte, l *Leave) []byte {
 	w.U64(l.AgentID)
 	return w.buf
 }
-
-// EncodeLeave serializes a leave announcement.
-func EncodeLeave(l *Leave) []byte { return AppendLeave(nil, l) }
 
 // DecodeLeave parses a leave announcement.
 func DecodeLeave(data []byte) (*Leave, error) {

@@ -92,7 +92,7 @@ func TestAppendVertexMsgBatchAllocs(t *testing.T) {
 // TestDecodeVertexMsgBatchIntoAllocs pins the hot decode path: decoding
 // into a warm scratch batch must not allocate.
 func TestDecodeVertexMsgBatchIntoAllocs(t *testing.T) {
-	data := EncodeVertexMsgBatch(&VertexMsgBatch{Step: 7, Msgs: make([]VertexMsg, 256)})
+	data := AppendVertexMsgBatch(nil, &VertexMsgBatch{Step: 7, Msgs: make([]VertexMsg, 256)})
 	var scratch VertexMsgBatch
 	if err := DecodeVertexMsgBatchInto(&scratch, data); err != nil {
 		t.Fatal(err)

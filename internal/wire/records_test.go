@@ -119,10 +119,10 @@ func TestSingleRecordPayloadUnchanged(t *testing.T) {
 	u := ValueUpdate{Step: 1, Vertex: 2, State: 3, TotalOutDeg: 4, Scatter: true}
 	pb, _ := hex.DecodeString(partialHex)
 	ub, _ := hex.DecodeString(updateHex)
-	if got := EncodeReplicaPartial(&p); !bytes.Equal(got, pb) {
+	if got := AppendReplicaPartial(nil, &p); !bytes.Equal(got, pb) {
 		t.Fatalf("partial encodes to %x, was %x", got, pb)
 	}
-	if got := EncodeValueUpdate(&u); !bytes.Equal(got, ub) {
+	if got := AppendValueUpdate(nil, &u); !bytes.Equal(got, ub) {
 		t.Fatalf("update encodes to %x, was %x", got, ub)
 	}
 	if n, err := ReplicaPartialCount(pb); err != nil || n != 1 || ReplicaPartialAt(pb, 0) != p {

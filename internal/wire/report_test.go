@@ -17,11 +17,11 @@ type testSection struct {
 func testSections() []testSection {
 	return []testSection{
 		{SecMetrics, AppendMetrics(nil, []Metric{{Name: "step_time", Value: 0.25}, {Name: "inbox_depth", Value: 3}})},
-		{SecSpans, EncodeSpanBatch(&SpanBatch{Proc: "agent-3", Spans: []trace.SpanRecord{
+		{SecSpans, AppendSpanBatch(nil, &SpanBatch{Proc: "agent-3", Spans: []trace.SpanRecord{
 			{TraceHi: 1, TraceLo: 2, SpanID: 3, RunID: 4, Step: 5, Name: "compute", Start: 6, Dur: 7},
 		}})},
-		{SecEvents, EncodeEventBatch(testEventRecords(), 5)},
-		{SecMark, EncodeCheckpointMark(&CheckpointMark{
+		{SecEvents, AppendEventBatch(nil, testEventRecords(), 5)},
+		{SecMark, AppendCheckpointMark(nil, &CheckpointMark{
 			Meta: CheckpointMeta{Key: "agent-0", AgentID: 3, Seq: 2, ViewEpoch: 4}, Bytes: 64})},
 		{SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
 			CaptureID: 12, AgentID: 3, Kind: 1, Total: 1, Data: []byte("pprof")})},

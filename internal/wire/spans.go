@@ -37,9 +37,6 @@ func AppendSpanBatch(dst []byte, b *SpanBatch) []byte {
 	return w.buf
 }
 
-// EncodeSpanBatch serializes a span-batch payload.
-func EncodeSpanBatch(b *SpanBatch) []byte { return AppendSpanBatch(nil, b) }
-
 // DecodeSpanBatch parses a span-batch payload. Spans are materialized
 // copies; they outlive the frame.
 func DecodeSpanBatch(data []byte) (*SpanBatch, error) {

@@ -101,7 +101,7 @@ func TestSpanBatchRoundTrip(t *testing.T) {
 				Name: "barrier-wait", Start: 1234999, Dur: time.Millisecond},
 		},
 	}
-	out, err := DecodeSpanBatch(EncodeSpanBatch(in))
+	out, err := DecodeSpanBatch(AppendSpanBatch(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSpanBatchRoundTrip(t *testing.T) {
 }
 
 func TestSpanBatchRejectsTruncation(t *testing.T) {
-	buf := EncodeSpanBatch(&SpanBatch{Proc: "p", Spans: []trace.SpanRecord{{TraceHi: 1, TraceLo: 1, SpanID: 1, Name: "x"}}})
+	buf := AppendSpanBatch(nil, &SpanBatch{Proc: "p", Spans: []trace.SpanRecord{{TraceHi: 1, TraceLo: 1, SpanID: 1, Name: "x"}}})
 	for cut := 0; cut < len(buf); cut++ {
 		if _, err := DecodeSpanBatch(buf[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)

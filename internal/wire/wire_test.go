@@ -217,8 +217,9 @@ func TestEdgeBatchRunsRoundTrip(t *testing.T) {
 		runBytes += runHeaderSize + 8*len(r.Nbrs)
 		copies += len(r.Nbrs)
 	}
-	if withoutRuns := len(EncodeEdgeBatch(&EdgeBatch{Epoch: 9, Changes: b.Changes, States: b.States})); len(data) != withoutRuns+4+runBytes {
-		t.Fatalf("%d bytes; the run section of %d runs, %d copies should add %d", len(data), len(b.Runs), copies, 4+runBytes)
+	// A batch without runs still carries the section's count.
+	if withoutRuns := len(EncodeEdgeBatch(&EdgeBatch{Epoch: 9, Changes: b.Changes, States: b.States})); len(data) != withoutRuns+runBytes {
+		t.Fatalf("%d bytes; the %d runs of %d copies should add %d", len(data), len(b.Runs), copies, runBytes)
 	}
 	// Decode twice into one batch: the second reuses what the first grew.
 	var got EdgeBatch
@@ -242,8 +243,8 @@ func TestEdgeBatchRunsRoundTrip(t *testing.T) {
 	}
 }
 
-// A payload without the run section — every stream batch, and every batch
-// written before runs — decodes with none, also into a batch that had some.
+// A batch without runs — every stream batch — decodes with none, also into
+// a batch that had some.
 func TestEdgeBatchWithoutRunsDecodesNone(t *testing.T) {
 	var got EdgeBatch
 	if err := DecodeEdgeBatchInto(&got, EncodeEdgeBatch(testRunBatch())); err != nil || len(got.Runs) == 0 {
@@ -261,19 +262,16 @@ func TestEdgeBatchWithoutRunsDecodesNone(t *testing.T) {
 // A run count or length the payload cannot hold, a run that is not inserts
 // and one that is not strictly ascending are errors, never a panic or an
 // allocation the payload does not pay for. So is every cut inside the run
-// section; a cut right before it is a batch without runs.
+// section, its count included.
 func TestEdgeBatchRejectsBadRuns(t *testing.T) {
 	full := EncodeEdgeBatch(testRunBatch())
 	b := testRunBatch()
 	b.Runs = nil
-	section := len(EncodeEdgeBatch(b))
-	for n := section + 1; n < len(full); n++ {
+	section := len(EncodeEdgeBatch(b)) - 4 // where the run count starts
+	for n := section; n < len(full); n++ {
 		if _, err := DecodeEdgeBatch(full[:n]); !errors.Is(err, ErrShort) {
 			t.Fatalf("cut at %d of %d: %v, want ErrShort", n, len(full), err)
 		}
-	}
-	if got, err := DecodeEdgeBatch(full[:section]); err != nil || len(got.Runs) != 0 {
-		t.Fatalf("cut before the run section: %d runs, %v", len(got.Runs), err)
 	}
 	patch := func(off int, v uint32) []byte {
 		data := slices.Clone(full)
@@ -295,7 +293,7 @@ func TestEdgeBatchRejectsBadRuns(t *testing.T) {
 
 func TestVertexMsgBatchRoundTrip(t *testing.T) {
 	b := &VertexMsgBatch{Step: 7, Async: true, Msgs: []VertexMsg{{1, 2, 3}, {4, 5, 6}}}
-	got, err := DecodeVertexMsgBatch(EncodeVertexMsgBatch(b))
+	got, err := DecodeVertexMsgBatch(AppendVertexMsgBatch(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func TestVertexMsgBatchRoundTrip(t *testing.T) {
 
 func TestReplicaRegisterRoundTrip(t *testing.T) {
 	for _, rr := range []*ReplicaRegister{{Vertex: 77, AgentID: 5}, {Vertex: 77, AgentID: 5, Deregister: true}} {
-		got, err := DecodeReplicaRegister(EncodeReplicaRegister(rr))
+		got, err := DecodeReplicaRegister(AppendReplicaRegister(nil, rr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +317,7 @@ func TestReplicaRegisterRoundTrip(t *testing.T) {
 func TestReadyRoundTrip(t *testing.T) {
 	m := &Ready{AgentID: 1, Step: 2, Phase: 1, ActiveNext: 3, Residual: 0.5,
 		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true, PhaseSeconds: 0.25}
-	got, err := DecodeReady(EncodeReady(m))
+	got, err := DecodeReady(AppendReady(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +328,7 @@ func TestReadyRoundTrip(t *testing.T) {
 
 func TestAdvanceRoundTrip(t *testing.T) {
 	a := &Advance{Step: 4, Phase: 2, Halt: true, N: 500, RunID: 8}
-	got, err := DecodeAdvance(EncodeAdvance(a))
+	got, err := DecodeAdvance(AppendAdvance(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestAdvanceRoundTrip(t *testing.T) {
 func TestAlgoStartRoundTrip(t *testing.T) {
 	s := &AlgoStart{RunID: 1, Algo: "pagerank", Async: false, MaxSteps: 20,
 		Epsilon: 1e-8, FromScratch: true, Source: 42}
-	got, err := DecodeAlgoStart(EncodeAlgoStart(s))
+	got, err := DecodeAlgoStart(AppendAlgoStart(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +351,7 @@ func TestAlgoStartRoundTrip(t *testing.T) {
 
 func TestAlgoDoneRoundTrip(t *testing.T) {
 	d := &AlgoDone{RunID: 9, Steps: 13, Converged: true}
-	got, err := DecodeAlgoDone(EncodeAlgoDone(d))
+	got, err := DecodeAlgoDone(AppendAlgoDone(nil, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +361,11 @@ func TestAlgoDoneRoundTrip(t *testing.T) {
 }
 
 func TestQueryRoundTrips(t *testing.T) {
-	q, err := DecodeQuery(EncodeQuery(&Query{Vertex: 123}))
+	q, err := DecodeQuery(AppendQuery(nil, &Query{Vertex: 123}))
 	if err != nil || q.Vertex != 123 {
 		t.Fatalf("query: %v %+v", err, q)
 	}
-	qr, err := DecodeQueryReply(EncodeQueryReply(&QueryReply{Found: true, State: 9, Step: 3}))
+	qr, err := DecodeQueryReply(AppendQueryReply(nil, &QueryReply{Found: true, State: 9, Step: 3}))
 	if err != nil || !qr.Found || qr.State != 9 || qr.Step != 3 {
 		t.Fatalf("reply: %v %+v", err, qr)
 	}
@@ -381,31 +379,31 @@ func TestMetricRoundTrip(t *testing.T) {
 }
 
 func TestJoinLeaveRoundTrips(t *testing.T) {
-	j, err := DecodeJoin(EncodeJoin(&Join{Addr: "tcp://x:1"}))
+	j, err := DecodeJoin(AppendJoin(nil, &Join{Addr: "tcp://x:1"}))
 	if err != nil || j.Addr != "tcp://x:1" {
 		t.Fatalf("join: %v %+v", err, j)
 	}
-	jr, err := DecodeJoinReply(EncodeJoinReply(&JoinReply{
+	jr, err := DecodeJoinReply(AppendJoinReply(nil, &JoinReply{
 		AgentID: 7,
 		View:    &View{Epoch: 2, Agents: []AgentInfo{{7, "tcp://x:1"}}},
 	}))
 	if err != nil || jr.AgentID != 7 || jr.View.Epoch != 2 || len(jr.View.Agents) != 1 {
 		t.Fatalf("join reply: %v %+v", err, jr)
 	}
-	l, err := DecodeLeave(EncodeLeave(&Leave{AgentID: 3}))
+	l, err := DecodeLeave(AppendLeave(nil, &Leave{AgentID: 3}))
 	if err != nil || l.AgentID != 3 {
 		t.Fatalf("leave: %v %+v", err, l)
 	}
 }
 
 func TestDecodersRejectTruncation(t *testing.T) {
-	full := EncodeReady(&Ready{AgentID: 1})
+	full := AppendReady(nil, &Ready{AgentID: 1})
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeReady(full[:n]); err == nil {
 			t.Fatalf("truncated ready at %d accepted", n)
 		}
 	}
-	fullR := EncodeReplicaRegister(&ReplicaRegister{Vertex: 77, AgentID: 5})
+	fullR := AppendReplicaRegister(nil, &ReplicaRegister{Vertex: 77, AgentID: 5})
 	for n := 0; n < len(fullR); n++ {
 		if _, err := DecodeReplicaRegister(fullR[:n]); !errors.Is(err, ErrShort) {
 			t.Fatalf("truncated replica register at %d: %v", n, err)
@@ -462,7 +460,7 @@ func BenchmarkEncodeVertexMsgBatch(b *testing.B) {
 func BenchmarkDecodeVertexMsgBatch(b *testing.B) {
 	// The receive-path decode: into a reused scratch batch, as the agent
 	// event loop does.
-	data := EncodeVertexMsgBatch(&VertexMsgBatch{Step: 1, Msgs: make([]VertexMsg, 256)})
+	data := AppendVertexMsgBatch(nil, &VertexMsgBatch{Step: 1, Msgs: make([]VertexMsg, 256)})
 	var scratch VertexMsgBatch
 	b.ReportAllocs()
 	b.ResetTimer()
