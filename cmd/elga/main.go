@@ -327,9 +327,9 @@ func runAlgo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d supersteps in %s (%s/step), converged=%v\n",
+	fmt.Printf("%s: %d supersteps in %s (%s/step), converged=%v, recomputed=%v\n",
 		*algo, st.Steps, st.Wall.Round(time.Millisecond),
-		st.PerStep().Round(time.Microsecond), st.Converged)
+		st.PerStep().Round(time.Microsecond), st.Converged, st.Recomputed)
 	return nil
 }
 

@@ -193,6 +193,9 @@ type Agent struct {
 
 	skDelta  *sketch.Delta
 	buffered []wire.EdgeChange
+	// fwdDelete records that a delete was forwarded to its owner since the
+	// last batch vote, which reports it with the store's own deletes.
+	fwdDelete bool
 
 	// mailbox holds one aggregate table per pending step (the one being
 	// computed and the one being scattered into); consumed tables wait in
@@ -256,6 +259,8 @@ type Agent struct {
 	leaving     bool
 	readyToExit bool
 	done        chan struct{}
+	// boot is the bootstrap Handle runs before anything else (Boot).
+	boot *transport.Boot
 
 	// Counters exposed for metrics and tests (see agentStats).
 	*agentStats
@@ -298,9 +303,9 @@ type Agent struct {
 	journal *events.Journal
 }
 
-// Start boots an agent: it discovers the directories via the master,
-// subscribes to one, joins through the coordinator, and starts its event
-// loop.
+// Start boots an agent over a new node: it starts the event loop, whose
+// Handle discovers the directories via the master, subscribes to one and
+// joins through the coordinator (Boot), and returns once it has joined.
 func Start(opts Options) (*Agent, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -309,84 +314,23 @@ func Start(opts Options) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Agent, error) {
-		node.Close()
-		return nil, err
-	}
 	node.SetAckNotify(true)
-	a := newAgent(opts, node)
-	// Restore-before-join: a prior snapshot is loaded into the store and
-	// value maps now, so the join's first view change runs the ordinary
-	// migration round over the restored state — copies this agent no
-	// longer owns ship to their owners, missing ones arrive through the
-	// same path, and the agent rejoins warm instead of empty.
-	if err := a.initCheckpoint(); err != nil {
-		return fail(err)
-	}
-	a.initProfile()
+	a := New(opts, node)
+	boot := a.Boot() // first: it starts the checkpoint writer metrics read
 	node.RegisterMetrics(opts.Metrics, "agent")
 	a.initMetrics(opts.Metrics)
-	// The master holds its answer until a directory has registered, so an
-	// agent started alongside its directories waits rather than fails. The
-	// request retries through the shared policy so bootstrap survives
-	// dropped frames.
-	policy := transport.Retry{Attempts: 5}
-	reply, err := node.RequestRetry(opts.MasterAddr, policy, opts.Config.RequestTimeout,
-		func() []byte { return node.NewFrame(wire.TGetDirectory) })
-	if err != nil {
-		return fail(fmt.Errorf("agent: bootstrap: %w", err))
+	go a.runLoop(node.Inbox())
+	<-boot.Done()
+	if err := boot.Err(); err != nil {
+		a.Close()
+		return nil, fmt.Errorf("agent: bootstrap: %w", err)
 	}
-	dirs, err := wire.DecodeStringList(reply.Payload)
-	wire.ReleasePacket(reply)
-	if err != nil || len(dirs) == 0 {
-		return fail(fmt.Errorf("agent: no directories available (%v)", err))
-	}
-	a.coordAddr = dirs[0]
-	a.dirAddr = dirs[opts.DirIndex%len(dirs)]
-	// Subscribe before joining so the join's view broadcast is not missed.
-	// The subscription is acked: a dropped TSubscribe would silently cut
-	// this agent off from every future view.
-	if _, err := node.SendFrameAcked(a.dirAddr, node.NewFrame(wire.TSubscribe)); err != nil {
-		return fail(err)
-	}
-	// Joins are idempotent at the coordinator (deduplicated by address),
-	// so retrying a timed-out join cannot mint a second agent ID — and a
-	// retried join gets its reply re-sent immediately. Short tries matter
-	// here: until the reply lands this agent sends no heartbeats, so every
-	// second spent waiting on a dropped reply runs down its lease.
-	joinPolicy := policy
-	joinPolicy.Attempts = 20
-	joinPolicy.PerTry = opts.Config.RequestTimeout / 20
-	jr, err := node.RequestRetry(a.coordAddr, joinPolicy, opts.Config.RequestTimeout, func() []byte {
-		return wire.AppendJoin(node.NewFrame(wire.TJoin),
-			&wire.Join{Addr: node.Addr(), Restore: a.ckpt.restored})
-	})
-	if err != nil {
-		return fail(fmt.Errorf("agent: join: %w", err))
-	}
-	join, err := wire.DecodeJoinReply(jr.Payload)
-	wire.ReleasePacket(jr)
-	if err != nil {
-		return fail(fmt.Errorf("agent: join reply: %w", err))
-	}
-	a.id = join.AgentID
-	a.tracer.SetProc(fmt.Sprintf("agent-%d", a.id))
-	if a.journal != nil {
-		a.journal.SetProc(fmt.Sprintf("agent-%d", a.id))
-		restored := uint64(0)
-		if a.ckpt.restored != nil {
-			restored = 1
-		}
-		a.journal.Emit(events.Info, events.KindJoin, trace.SpanContext{},
-			events.U("agent", a.id), events.U("restored", restored))
-	}
-	go a.runLoop(node.Inbox(), join.View)
 	return a, nil
 }
 
-// newAgent assembles an agent over ep, before any bootstrap: no ID, view,
-// checkpoint or metrics yet.
-func newAgent(opts Options, ep transport.Endpoint) *Agent {
+// New assembles an agent over ep, whose packets go to Handle, and starts
+// nothing: no ID, view, checkpoint or metrics yet.
+func New(opts Options, ep transport.Endpoint) *Agent {
 	a := &Agent{
 		opts:        opts,
 		ep:          ep,
@@ -399,6 +343,7 @@ func newAgent(opts Options, ep transport.Endpoint) *Agent {
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),
 		done:        make(chan struct{}),
+		boot:        transport.NewBoot(ep),
 	}
 	// The tracer exists before metrics registration (its drop counter is
 	// scraped through a closure) and before any packet flows; its proc
@@ -408,6 +353,86 @@ func newAgent(opts Options, ep transport.Endpoint) *Agent {
 	// like the tracer, a disabled config yields the nil off switch.
 	a.journal = events.NewJournal("agent", opts.Events)
 	return a
+}
+
+// Boot starts the bootstrap that Handle runs: a TGetDirectory to the
+// master, then a TJoin to the coordinator, each resent until answered. The
+// returned Boot ends once the join's view is installed.
+func (a *Agent) Boot() *transport.Boot {
+	// Restore-before-join: a prior snapshot is loaded into the store and
+	// value maps now, so the join's first view change runs the ordinary
+	// migration round over the restored state — copies this agent no
+	// longer owns ship to their owners, missing ones arrive through the
+	// same path, and the agent rejoins warm instead of empty.
+	if err := a.initCheckpoint(); err != nil {
+		a.boot.End(err)
+		return a.boot
+	}
+	a.initProfile()
+	// The master holds its answer until a directory has registered, so an
+	// agent started alongside its directories waits rather than fails.
+	rt := a.opts.Config.RequestTimeout
+	a.boot.Ask(a.opts.MasterAddr, wire.TDirectoryList, rt/5, rt,
+		func() []byte { return a.ep.NewFrame(wire.TGetDirectory) })
+	return a.boot
+}
+
+// booted acts on an answer Boot awaited: the master's directory list, or
+// the join's identity and view.
+func (a *Agent) booted(pkt *wire.Packet) {
+	if pkt.Type == wire.TDirectoryList {
+		dirs, err := wire.DecodeStringList(pkt.Payload)
+		if err != nil || len(dirs) == 0 {
+			a.boot.End(fmt.Errorf("no directories available (%v)", err))
+			return
+		}
+		a.coordAddr = dirs[0]
+		a.dirAddr = dirs[a.opts.DirIndex%len(dirs)]
+		// Subscribe before joining so the join's view broadcast is not
+		// missed. The subscription is acked: a dropped TSubscribe would
+		// silently cut this agent off from every future view.
+		if _, err := a.ep.SendFrameAcked(a.dirAddr, a.ep.NewFrame(wire.TSubscribe)); err != nil {
+			a.boot.End(err)
+			return
+		}
+		// Joins are idempotent at the coordinator (deduplicated by
+		// address), so a resent join cannot mint a second agent ID, and a
+		// second reply is ignored. Short tries matter here: until the reply
+		// lands this agent sends no heartbeats, so every second spent
+		// waiting on a dropped reply runs down its lease.
+		a.boot.Ask(a.coordAddr, wire.TJoinReply, a.opts.Config.RequestTimeout/20, 0, func() []byte {
+			return wire.AppendJoin(a.ep.NewFrame(wire.TJoin),
+				&wire.Join{Addr: a.ep.Addr(), Restore: a.ckpt.restored})
+		})
+		return
+	}
+	join, err := wire.DecodeJoinReply(pkt.Payload)
+	if err != nil {
+		a.boot.End(fmt.Errorf("join reply: %w", err))
+		return
+	}
+	a.id = join.AgentID
+	a.tracer.SetProc(fmt.Sprintf("agent-%d", a.id))
+	if a.journal != nil {
+		a.journal.SetProc(fmt.Sprintf("agent-%d", a.id))
+		restored := uint64(0)
+		if a.ckpt.restored != nil {
+			restored = 1
+		}
+		a.journal.Emit(events.Info, events.KindJoin, trace.SpanContext{},
+			events.U("agent", a.id), events.U("restored", restored))
+	}
+	// Start returns at the reply: the view installs while its caller goes
+	// on. What arrived before the join is handled after it, in arrival
+	// order.
+	parked := a.boot.End(nil)
+	a.handleView(join.View)
+	a.heartbeat()
+	for _, p := range parked {
+		if !a.Handle(p) {
+			wire.ReleasePacket(p)
+		}
+	}
 }
 
 // Tracer exposes the agent's span tracer (nil when tracing is off) for
@@ -489,7 +514,7 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-func (a *Agent) runLoop(inbox <-chan *wire.Packet, initial *wire.View) {
+func (a *Agent) runLoop(inbox <-chan *wire.Packet) {
 	defer close(a.done)
 	defer func() {
 		// A departed agent holds nothing, and no pending timer holds it.
@@ -501,10 +526,6 @@ func (a *Agent) runLoop(inbox <-chan *wire.Packet, initial *wire.View) {
 		// for whatever still holds a departed agent — can see it die.
 		a.batcherFree, a.asyncFree, a.pendingVotes = nil, nil, nil
 	}()
-	if initial != nil {
-		a.handleView(initial)
-	}
-	a.heartbeat()
 	for pkt := range inbox {
 		if !a.Handle(pkt) {
 			wire.ReleasePacket(pkt)
@@ -527,11 +548,14 @@ func (a *Agent) runLoop(inbox <-chan *wire.Packet, initial *wire.View) {
 }
 
 // Handle processes one inbound packet — the one entry point of the event
-// loop — and publishes the store figures other goroutines read. It reports
-// whether ownership of pkt was retained (deferred for replay, or parked as a
-// deferred-ack origin); the caller releases non-retained packets back to the
-// pool.
+// loop, bootstrap included — and publishes the store figures other
+// goroutines read. It reports whether ownership of pkt was retained
+// (deferred for replay, parked until the join, or parked as a deferred-ack
+// origin); the caller releases non-retained packets back to the pool.
 func (a *Agent) Handle(pkt *wire.Packet) (retained bool) {
+	if took, parked := a.boot.Take(pkt, a.booted); took {
+		return parked
+	}
 	retained = a.handlePacket(pkt)
 	a.copyCount.Store(int64(a.store.NumEdgeCopies()))
 	a.vertexCount.Store(int64(a.store.NumVertices()))
@@ -749,12 +773,13 @@ func (a *Agent) walkFlips() uint64 {
 	return a.masters
 }
 
-func (a *Agent) sendReady(step uint32, phase uint8, masters uint64) {
+func (a *Agent) sendReady(step uint32, phase uint8, masters uint64, deleted bool) {
 	r := &wire.Ready{
 		AgentID: a.id,
 		Step:    step,
 		Phase:   phase,
 		Masters: masters,
+		Deleted: deleted,
 	}
 	if a.run != nil && (phase == wire.PhaseCompute || phase == wire.PhaseCombine) {
 		r.ActiveNext = a.run.activeNext
@@ -780,7 +805,7 @@ func (a *Agent) maybeReady() {
 	}
 	r.readySent = true
 	r.votedAt = a.ep.Now()
-	a.sendReady(r.step, r.phase, 0)
+	a.sendReady(r.step, r.phase, 0, false)
 	// The phase span closes at the vote; the barrier-wait span opens under
 	// it and runs until the next Advance lands (handleAdvance ends it) —
 	// per-agent, per-superstep barrier attribution.

@@ -3,12 +3,16 @@ package agent
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"elga/internal/algorithm"
+	"elga/internal/checkpoint"
+	"elga/internal/config"
 	"elga/internal/consistent"
 	"elga/internal/graph"
+	"elga/internal/transport"
 	"elga/internal/wire"
 )
 
@@ -214,5 +218,16 @@ func TestReportGivesAFullProfileChunkAFrameOfItsOwn(t *testing.T) {
 	want := [][]uint8{{wire.SecMetrics}, {wire.SecProfileChunk}, {wire.SecProfileChunk}, {wire.SecProfileChunk}}
 	if !reflect.DeepEqual(got, want) || !bytes.Equal(data, capture) {
 		t.Fatalf("frames hold sections %v (want %v), %d of %d capture bytes back", got, want, len(data), len(capture))
+	}
+}
+
+// TestStartReportsAnInitError: an init error in Boot — here durable
+// checkpointing without a key — ends the bootstrap before its first request
+// and is Start's error; Start does not wait on a master that does not exist.
+func TestStartReportsAnInitError(t *testing.T) {
+	_, err := Start(Options{Config: config.Default(), Network: transport.NewInproc(),
+		MasterAddr: "no-master", Checkpoint: checkpoint.Config{Enabled: true}})
+	if err == nil || !strings.Contains(err.Error(), "without a key") {
+		t.Fatalf("Start: %v, want the checkpoint error", err)
 	}
 }

@@ -38,7 +38,7 @@ func newRecordedAgent(tb testing.TB, cfg config.Config, n uint64) (*Agent, *reco
 
 // selfViewAgent is agent 1 over ep under a view holding only itself.
 func selfViewAgent(tb testing.TB, opts Options, ep transport.Endpoint, n uint64) *Agent {
-	a := newAgent(opts, ep)
+	a := New(opts, ep)
 	a.id = 1
 	v := &wire.View{
 		Epoch: 1, BatchID: 1, N: n,
@@ -162,10 +162,6 @@ func (r *recorder) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 func (r *recorder) ReplyFrame(req *wire.Packet, frame []byte) error {
 	wire.PatchFrameReq(frame, req.Req)
 	return r.SendFrame(req.From, frame)
-}
-
-func (r *recorder) RequestRetry(string, transport.Retry, time.Duration, func() []byte) (*wire.Packet, error) {
-	return nil, transport.ErrUnavailable
 }
 
 func (r *recorder) Ack(*wire.Packet)                         {}

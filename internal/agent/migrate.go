@@ -272,7 +272,7 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// vote lets it close.
 	a.voteWhenDrained(gate, func() {
 		a.store.Settle()
-		a.sendReady(epochLow, wire.PhaseMigrate, 0)
+		a.sendReady(epochLow, wire.PhaseMigrate, 0, false)
 	})
 }
 
@@ -623,6 +623,7 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
 				forwards = make(map[consistent.AgentID][]wire.EdgeChange)
 			}
 			forwards[owner] = append(forwards[owner], c)
+			a.fwdDelete = a.fwdDelete || c.Action == graph.Delete
 			continue
 		}
 		key := keyedVertex(c)
@@ -766,11 +767,15 @@ func (a *Agent) handleBatchOpen() {
 	a.sendSketchDelta(gate)
 	masters := a.walkFlips()
 	batchID := uint32(a.router.BatchID())
+	// A delete forwarded to its owner may land after the owner's vote, so
+	// it counts here as well.
+	deleted := a.store.TakeDeleted() || a.fwdDelete
+	a.fwdDelete = false
 	a.voteWhenDrained(gate, func() {
 		if bulk {
 			a.store.Fold()
 		}
-		a.sendReady(batchID, wire.PhaseBatch, masters)
+		a.sendReady(batchID, wire.PhaseBatch, masters, deleted)
 	})
 	// Batch boundaries always checkpoint: the flush above folded the
 	// buffered mutations in, so this is the freshest consistent topology

@@ -54,6 +54,51 @@ func TestIncrementalTraversalSeesInsertedEdges(t *testing.T) {
 	}
 }
 
+// TestIncrementalAfterDeleteMatchesScratch loads the path 1→2→3→4, runs from
+// scratch, deletes 2→3 and runs incrementally. Announcing new edges cannot
+// take back what the deleted one carried, so the run must not answer from the
+// old state: every vertex must read what the reference computes over the
+// edges still held, and the stats must say the run was recomputed.
+func TestIncrementalAfterDeleteMatchesScratch(t *testing.T) {
+	base := graph.EdgeList{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}}
+	held := graph.EdgeList{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}}
+	for _, algo := range []string{"wcc", "bfs", "sssp"} {
+		for _, async := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/async=%v", algo, async), func(t *testing.T) {
+				c := newCluster(t, 3, testConfig())
+				if err := c.Load(base); err != nil {
+					t.Fatal(err)
+				}
+				spec := client.RunSpec{Algo: algo, Async: async, Source: 1, FromScratch: true}
+				if _, err := c.Run(spec); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.ApplyBatch(graph.Batch{{Action: graph.Delete, Src: 2, Dst: 3}}); err != nil {
+					t.Fatal(err)
+				}
+				spec.FromScratch = false
+				stats, err := c.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !stats.Converged || !stats.Recomputed {
+					t.Errorf("incremental run after a delete: converged=%v recomputed=%v after %d steps, want both",
+						stats.Converged, stats.Recomputed, stats.Steps)
+				}
+				prog, _ := algorithm.New(algo)
+				checkAgainstReference(t, c, prog, held, algorithm.RunOptions{Source: 1}, 0)
+				// The recompute settled the delete: the next run is incremental again.
+				if stats, err = c.Run(spec); err != nil {
+					t.Fatal(err)
+				}
+				if stats.Recomputed {
+					t.Fatal("the run after the recompute was recomputed too")
+				}
+			})
+		}
+	}
+}
+
 // TestIncrementalRejectsPageRank checks that incremental runs of programs
 // that halt on steps or a residual rather than quiescence are refused:
 // announcing the changed edges does not reach their from-scratch answer.
@@ -81,17 +126,31 @@ func TestIncrementalRejectsPageRank(t *testing.T) {
 // vertex along all its edges. It runs with no split vertices and with a
 // replication threshold low enough to split the hubs; and, under
 // "moved-join", with the membership changing between a batch and its run.
+// A few batches delete: a bridge to a path the stream attached, an edge
+// deleted and inserted again in one batch and across two, and an edge in
+// the batch before a moved join.
 func TestIncrementalMatchesScratchProperty(t *testing.T) {
 	const batches, batchSize = 20, 24
 	el := gen.RMAT(9, 2048, gen.Graph500Params(), 5).Dedupe()
 	split := len(el) * 3 / 4
 	base, extra := el[:split], el[split:]
 	rng := rand.New(rand.NewSource(5))
+	del := func(e graph.Edge) graph.Change { return graph.Change{Action: graph.Delete, Src: e.Src, Dst: e.Dst} }
+	ins := func(e graph.Edge) graph.Change { return graph.Change{Action: graph.Insert, Src: e.Src, Dst: e.Dst} }
+	bridge := graph.Edge{Src: base[1].Src, Dst: 1000}
+	deletes := map[int]graph.Batch{
+		1:           {ins(bridge), ins(graph.Edge{Src: 1000, Dst: 1001})},
+		3:           {del(bridge)},
+		batches / 3: {del(base[2])}, // the membership changes after it, under "moved-join"
+		9:           {del(base[3]), ins(base[3])},
+		11:          {del(base[4])},
+		12:          {ins(base[4])},
+	}
 	// Half of each batch comes from the R-MAT remainder, half joins random
 	// vertices, new ones included.
 	var stream []graph.Batch
 	for i := 0; i < batches; i++ {
-		var b graph.Batch
+		b := deletes[i]
 		for len(b) < batchSize/2 && len(extra) > 0 {
 			b = append(b, graph.Change{Action: graph.Insert, Src: extra[0].Src, Dst: extra[0].Dst})
 			extra = extra[1:]
@@ -146,7 +205,10 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 					if _, err := c.Run(client.RunSpec{Algo: algo, Source: source, FromScratch: true}); err != nil {
 						t.Fatal(err)
 					}
-					held := append(graph.EdgeList{}, base...)
+					held := make(map[graph.Edge]bool, len(base))
+					for _, e := range base {
+						held[e] = true
+					}
 					changeMembers := func(i int) {
 						switch i {
 						case batches / 3:
@@ -170,7 +232,7 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 							changeMembers(i)
 						}
 						for _, ch := range b {
-							held = append(held, graph.Edge{Src: ch.Src, Dst: ch.Dst})
+							held[graph.Edge{Src: ch.Src, Dst: ch.Dst}] = ch.Action == graph.Insert
 						}
 						stats, err := c.Run(client.RunSpec{Algo: algo, Source: source, Async: i%2 == 1})
 						if err != nil {
@@ -179,7 +241,13 @@ func TestIncrementalMatchesScratchProperty(t *testing.T) {
 						if !stats.Converged {
 							t.Fatalf("batch %d: incremental %s did not converge", i, algo)
 						}
-						checkAgainstReference(t, c, prog, held.Dedupe(), opts, 0)
+						var edges graph.EdgeList
+						for e, ok := range held {
+							if ok {
+								edges = append(edges, e)
+							}
+						}
+						checkAgainstReference(t, c, prog, edges, opts, 0)
 					}
 				})
 			}

@@ -79,6 +79,8 @@ type Directory struct {
 	coordinator bool
 	coordAddr   string
 	done        chan struct{}
+	// boot is the registration Handle runs before anything else (Boot).
+	boot *transport.Boot
 
 	// Coordinator state; touched only by the event loop.
 	epoch       uint64
@@ -110,6 +112,10 @@ type Directory struct {
 	// scratch is the reusable broadcast payload buffer; Publish copies it
 	// into per-subscriber frames before returning.
 	scratch []byte
+
+	// deleted records that a batch vote reported a delete since the last
+	// run started: the next one starts from scratch.
+	deleted bool
 
 	pendingJoins  []*wire.Packet
 	pendingLeaves []*wire.Packet
@@ -187,6 +193,7 @@ type runState struct {
 	req        *wire.Packet
 	spec       *wire.AlgoStart
 	quiesce    bool
+	recomputed bool // an incremental run run from scratch (deleted)
 	step       uint32
 	phase      uint8
 	paused     bool
@@ -221,9 +228,9 @@ type runState struct {
 // asyncProbeInterval paces quiescence probes.
 const asyncProbeInterval = 2 * time.Millisecond
 
-// Start launches a Directory: it registers with the master (becoming the
-// coordinator if it is first), subscribes to the coordinator if it is a
-// relay, and begins its event loop.
+// Start launches a Directory over a new node: it starts the event loop,
+// whose Handle registers with the master (Boot), and returns once the
+// directory knows whether it is the coordinator.
 func Start(opts Options) (*Directory, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -232,86 +239,100 @@ func Start(opts Options) (*Directory, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Directory, error) {
-		node.Close()
-		return nil, err
-	}
-	// Registration is idempotent (the master dedups by address), so it is
-	// safe to retry through transient faults.
-	reply, err := node.RequestRetry(opts.MasterAddr, transport.Retry{Attempts: 5},
-		opts.Config.RequestTimeout, func() []byte {
-			return wire.AppendJoin(node.NewFrame(wire.TRegisterDirectory), &wire.Join{Addr: node.Addr()})
-		})
-	if err != nil {
-		return fail(fmt.Errorf("directory: register with master: %w", err))
-	}
-	dirs, err := wire.DecodeStringList(reply.Payload)
-	wire.ReleasePacket(reply)
-	if err != nil || len(dirs) == 0 {
-		return fail(fmt.Errorf("directory: bad master reply: %v", err))
-	}
-	d, err := newDirectory(opts, node, dirs[0])
-	if err != nil {
-		return fail(err)
-	}
-	if !d.coordinator {
-		// Relays subscribe to every coordinator broadcast and fan it
-		// out to their own subscribers.
-		if _, err := node.SendFrameAcked(d.coordAddr, node.NewFrame(wire.TSubscribe)); err != nil {
-			return fail(err)
-		}
-	}
-	// After newDirectory: the health and profile metric families are gated
-	// on state only the coordinator arms there.
 	node.RegisterMetrics(opts.Metrics, "dir")
-	d.initMetrics(opts.Metrics)
+	d := New(opts, node)
+	boot := d.Boot()
 	go d.runLoop(node.Inbox())
+	<-boot.Done()
+	if err := boot.Err(); err != nil {
+		_ = d.Close()
+		return nil, fmt.Errorf("directory: register with master: %w", err)
+	}
 	return d, nil
 }
 
-// newDirectory assembles a directory over ep whose coordinator is at
-// coordAddr. The coordinator (coordAddr is ep's own) restores its
-// checkpoint, arms its health, journal and profile planes and its lease
-// sweep.
-func newDirectory(opts Options, ep transport.Endpoint, coordAddr string) (*Directory, error) {
-	d := &Directory{
-		opts:        opts,
-		ep:          ep,
-		pub:         transport.NewPublisher(ep),
-		coordAddr:   coordAddr,
-		coordinator: coordAddr == ep.Addr(),
-		done:        make(chan struct{}),
-		agents:      make(map[uint64]string),
-		leases:      make(map[uint64]time.Time),
-		sk:          opts.Config.NewSketch(),
-		routed:      opts.Config.NewSketch(),
-		tracer:      trace.NewTracer("dir", opts.Trace),
+// New assembles a directory over ep and starts nothing; it has no role
+// until the master's answer to Boot's registration reaches Handle.
+func New(opts Options, ep transport.Endpoint) *Directory {
+	return &Directory{
+		opts:   opts,
+		ep:     ep,
+		pub:    transport.NewPublisher(ep),
+		done:   make(chan struct{}),
+		boot:   transport.NewBoot(ep),
+		agents: make(map[uint64]string),
+		leases: make(map[uint64]time.Time),
+		sk:     opts.Config.NewSketch(),
+		routed: opts.Config.NewSketch(),
+		tracer: trace.NewTracer("dir", opts.Trace),
 	}
-	if !d.coordinator {
-		return d, nil
+}
+
+// Boot starts the registration that Handle runs: a TRegisterDirectory to
+// the master, resent until answered. Registration is idempotent (the master
+// dedups by address). The returned Boot ends once the role is settled.
+func (d *Directory) Boot() *transport.Boot {
+	rt := d.opts.Config.RequestTimeout
+	d.boot.Ask(d.opts.MasterAddr, wire.TDirectoryList, rt/5, rt, func() []byte {
+		return wire.AppendJoin(d.ep.NewFrame(wire.TRegisterDirectory), &wire.Join{Addr: d.ep.Addr()})
+	})
+	return d.boot
+}
+
+// registered takes the master's directory list, whose first entry is the
+// coordinator: this directory arms the coordinator's state, or subscribes
+// to the coordinator as a relay. Then it replays what arrived before.
+func (d *Directory) registered(pkt *wire.Packet) {
+	dirs, err := wire.DecodeStringList(pkt.Payload)
+	if err != nil || len(dirs) == 0 {
+		d.boot.End(fmt.Errorf("bad master reply: %v", err))
+		return
 	}
+	d.coordAddr = dirs[0]
+	d.coordinator = d.coordAddr == d.ep.Addr()
+	if d.coordinator {
+		err = d.initCoordinator()
+	} else {
+		// Relays subscribe to every coordinator broadcast and fan it out
+		// to their own subscribers.
+		_, err = d.ep.SendFrameAcked(d.coordAddr, d.ep.NewFrame(wire.TSubscribe))
+	}
+	if err == nil {
+		// The health and profile metric families are gated on the role.
+		d.initMetrics(d.opts.Metrics)
+	}
+	for _, p := range d.boot.End(err) {
+		if !d.Handle(p) {
+			wire.ReleasePacket(p)
+		}
+	}
+}
+
+// initCoordinator restores the coordinator's checkpoint and arms its
+// health, journal and profile planes and its lease sweep.
+func (d *Directory) initCoordinator() error {
 	d.tracer.SetProc("coordinator")
 	// The health model always runs at the coordinator (it only costs a few
 	// EMAs per agent); the journal and timeline arm with the events config.
 	// The half-life is the paper's §4.9 averaging window.
 	d.health = newHealthModel(30 * time.Second)
-	if opts.Events.Enabled {
-		d.journal = events.NewJournal("coordinator", opts.Events)
+	if d.opts.Events.Enabled {
+		d.journal = events.NewJournal("coordinator", d.opts.Events)
 		d.timeline = events.NewTimeline()
 		d.evDropped = make(map[string]uint64)
 	}
 	if err := d.initProfile(); err != nil {
-		return nil, err
+		return err
 	}
 	// Restore before the first view encode: a recovered coordinator
 	// publishes the membership it last sequenced, so restarting agents
 	// rejoin under their old identities.
 	if err := d.initCheckpoint(); err != nil {
-		return nil, err
+		return err
 	}
 	d.lastView = wire.EncodeView(d.view())
 	d.ep.After(d.opts.Config.LeaseExpiry()/4, leaseTickPayload)
-	return d, nil
+	return nil
 }
 
 // initMetrics registers the directory's metric families on reg. The
@@ -557,10 +578,14 @@ func (d *Directory) runLoop(inbox <-chan *wire.Packet) {
 	d.closeCheckpoint()
 }
 
-// Handle processes one packet — the one entry point of the event loop —
-// reporting whether it retained ownership (the coordinator parks join,
-// leave, run and seal requests until they are answered).
+// Handle processes one packet — the one entry point of the event loop,
+// registration included — reporting whether it retained ownership (packets
+// that arrive before the role is settled wait for it; the coordinator parks
+// join, leave, run and seal requests until they are answered).
 func (d *Directory) Handle(pkt *wire.Packet) (retained bool) {
+	if took, parked := d.boot.Take(pkt, d.registered); took {
+		return parked
+	}
 	switch pkt.Type {
 	case wire.TSubscribe:
 		d.pub.Subscribe(pkt.From, wire.DecodeSubscribeTypes(pkt.Payload)...)
@@ -632,6 +657,12 @@ func (d *Directory) handleRelay(pkt *wire.Packet) {
 func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 	switch pkt.Type {
 	case wire.TJoin:
+		// A member asking again lost its reply. It may be the member whose
+		// vote the open round awaits, so it is answered now, not parked.
+		if id := d.memberID(pkt.From); id != 0 && d.busy() {
+			d.replyJoin(pkt, id)
+			return false
+		}
 		d.pendingJoins = append(d.pendingJoins, pkt)
 		d.advanceWork()
 		return true
@@ -743,16 +774,10 @@ func (d *Directory) applyMembership() {
 		if j.Restore != nil {
 			d.recordMark(&wire.CheckpointMark{Meta: *j.Restore})
 		}
-		// Joins are idempotent by address so a client-side Retry (whose
-		// earlier attempt may have been applied but its reply lost) does
-		// not mint a second identity for the same agent.
-		var id uint64
-		for eid, addr := range d.agents {
-			if addr == j.Addr {
-				id = eid
-				break
-			}
-		}
+		// Joins are idempotent by address so a resent join (whose earlier
+		// copy may have been applied but its reply lost) does not mint a
+		// second identity for the same agent.
+		id := d.memberID(j.Addr)
 		if id == 0 {
 			d.nextAgentID++
 			id = d.nextAgentID
@@ -772,11 +797,7 @@ func (d *Directory) applyMembership() {
 		d.pub.Subscribe(j.Addr)
 		// Reply after the view is final so the new agent sees itself.
 		defer func(p *wire.Packet, assigned uint64) {
-			_ = d.ep.ReplyFrame(p, wire.AppendJoinReply(
-				d.ep.NewFrame(wire.TJoinReply), &wire.JoinReply{
-					AgentID: assigned,
-					View:    d.view(),
-				}))
+			d.replyJoin(p, assigned)
 			wire.ReleasePacket(p)
 		}(pkt, id)
 	}
@@ -800,6 +821,12 @@ func (d *Directory) applyMembership() {
 	d.pendingLeaves = nil
 	d.openMigration(leavers, leaverAddrs)
 	d.maybeFinishMigration()
+}
+
+// replyJoin answers a join with the agent's ID and the current view.
+func (d *Directory) replyJoin(pkt *wire.Packet, id uint64) {
+	_ = d.ep.ReplyFrame(pkt, wire.AppendJoinReply(d.ep.NewFrame(wire.TJoinReply),
+		&wire.JoinReply{AgentID: id, View: d.view()}))
 }
 
 // openMigration bumps the epoch, publishes the view and opens a migration
@@ -955,9 +982,14 @@ func (d *Directory) maybeStartRun() {
 		d.replyRunStats(pkt, &wire.RunStats{}, trace.SpanContext{})
 		return
 	}
+	// Announcing new edges cannot undo what a deleted one carried, so after
+	// a delete the next incremental run starts from scratch.
+	recomputed := d.deleted && !spec.FromScratch
+	spec.FromScratch = spec.FromScratch || recomputed
+	d.deleted = false
 	now := d.ep.Now()
 	d.run = &runState{
-		req: pkt, spec: spec, quiesce: prog.HaltOnQuiescence(),
+		req: pkt, spec: spec, quiesce: prog.HaltOnQuiescence(), recomputed: recomputed,
 		votes: make(map[uint64]bool), start: now, stepStart: now,
 	}
 	// Root the run's trace here: the coordinator owns the trace ID, and
@@ -1095,13 +1127,16 @@ func (d *Directory) retirePeer(addr string) {
 }
 
 // isMember reports whether addr is a member agent's address.
-func (d *Directory) isMember(addr string) bool {
-	for _, a := range d.agents {
+func (d *Directory) isMember(addr string) bool { return d.memberID(addr) != 0 }
+
+// memberID is the ID of the member at addr, 0 if there is none.
+func (d *Directory) memberID(addr string) uint64 {
+	for id, a := range d.agents {
 		if a == addr {
-			return true
+			return id
 		}
 	}
-	return false
+	return 0
 }
 
 // maybeFinishRunBarrier re-checks a synchronous phase barrier after the
@@ -1223,6 +1258,7 @@ func (d *Directory) handleReady(m *wire.Ready) {
 			if _, ok := d.agents[m.AgentID]; ok && !s.votes[m.AgentID] {
 				s.votes[m.AgentID] = true
 				s.masters += m.Masters
+				d.deleted = d.deleted || m.Deleted
 				d.maybeFinishSeal()
 			}
 		}
@@ -1356,7 +1392,7 @@ func (d *Directory) finishRun(converged bool) {
 		events.U("converged", converged64))
 	d.replyRunStats(r.req, &wire.RunStats{
 		RunID: r.spec.RunID, Steps: steps, Converged: converged,
-		Wall: d.ep.Now().Sub(r.start), StepTimes: r.stepTimes,
+		Wall: d.ep.Now().Sub(r.start), StepTimes: r.stepTimes, Recomputed: r.recomputed,
 	}, runCtx)
 	d.shipSpans()
 	// Run boundaries persist the bumped run counter (and the freshest cut

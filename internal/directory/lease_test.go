@@ -62,10 +62,6 @@ func (f *fakeEndpoint) ReplyFrame(req *wire.Packet, frame []byte) error {
 	return f.SendFrame(req.From, frame)
 }
 
-func (f *fakeEndpoint) RequestRetry(string, transport.Retry, time.Duration, func() []byte) (*wire.Packet, error) {
-	return nil, transport.ErrUnavailable
-}
-
 func (f *fakeEndpoint) After(d time.Duration, tag []byte) {
 	f.ticks = append(f.ticks, armedTick{at: f.now.Add(d), tag: slices.Clone(tag)})
 }
@@ -94,8 +90,16 @@ func TestLeaseEvictsTheSilentAgent(t *testing.T) {
 	cfg := testCfg()
 	cfg.LeaseTimeout = time.Hour
 	ep := &fakeEndpoint{addr: "coord", now: time.Unix(1_000_000, 0)}
-	d, err := newDirectory(Options{Config: cfg}, ep, ep.addr)
-	if err != nil {
+	d := New(Options{Config: cfg, MasterAddr: "master"}, ep)
+	d.Boot()
+	if ep.lastTo("master", wire.TRegisterDirectory) == nil {
+		t.Fatal("no registration sent")
+	}
+	// The registration's resend and deadline ticks are not this test's.
+	ep.ticks = ep.ticks[:0]
+	d.Handle(&wire.Packet{Type: wire.TDirectoryList, From: "master",
+		Payload: wire.AppendStringList(nil, []string{ep.addr})})
+	if err := d.boot.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !d.coordinator || len(ep.ticks) != 1 {
@@ -149,6 +153,7 @@ func TestLeaseEvictsTheSilentAgent(t *testing.T) {
 		t.Fatalf("members after the sweep: %v, want just agent %d", d.agents, live)
 	}
 	var view *wire.View
+	var err error
 	for _, s := range ep.sent[sentBefore:] {
 		if s.to == "agent-live" && s.pkt.Type == wire.TDirUpdate {
 			if view, err = wire.DecodeView(s.pkt.Payload); err != nil {

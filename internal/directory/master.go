@@ -36,16 +36,22 @@ func StartMaster(network transport.Network, addr string) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Master{ep: node, done: make(chan struct{})}
+	m := NewMaster(node)
 	go func() {
 		defer close(m.done)
 		for pkt := range node.Inbox() {
-			if !m.handle(pkt) {
+			if !m.Handle(pkt) {
 				wire.ReleasePacket(pkt)
 			}
 		}
 	}()
 	return m, nil
+}
+
+// NewMaster assembles a DirectoryMaster over ep and starts nothing; ep
+// delivers its packets to Handle.
+func NewMaster(ep transport.Endpoint) *Master {
+	return &Master{ep: ep, done: make(chan struct{})}
 }
 
 // Addr returns the master's dialable address.
@@ -60,9 +66,9 @@ func (m *Master) Close() {
 	<-m.done
 }
 
-// handle processes one packet, reporting whether it kept it (a directory
+// Handle processes one packet, reporting whether it kept it (a directory
 // request parked until a directory registers).
-func (m *Master) handle(pkt *wire.Packet) (retained bool) {
+func (m *Master) Handle(pkt *wire.Packet) (retained bool) {
 	switch pkt.Type {
 	case wire.TRegisterDirectory:
 		j, err := wire.DecodeJoin(pkt.Payload)

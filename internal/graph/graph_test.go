@@ -319,12 +319,6 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-func TestStringNonEmpty(t *testing.T) {
-	if NewStore().String() == "" {
-		t.Error("String empty")
-	}
-}
-
 func BenchmarkAddEdge(b *testing.B) {
 	s := NewStore()
 	b.ResetTimer()

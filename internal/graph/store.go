@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -61,6 +60,9 @@ type Store struct {
 	// (MarkActive, AddRun).
 	fresh     []EdgeCopy
 	freshLost bool
+	// deleted records that Apply deleted a copy the store held, since the
+	// last TakeDeleted: announcing fresh copies cannot repair that.
+	deleted bool
 }
 
 // slotRec locates one vertex's sealed runs. The tail pointer is nil for
@@ -711,11 +713,22 @@ func (s *Store) Apply(c Change, dir Dir) bool {
 			return false
 		}
 		s.logFresh(cp)
-	} else if !s.RemoveEdge(c.Src, c.Dst, dir) {
-		return false
+	} else {
+		if !s.RemoveEdge(c.Src, c.Dst, dir) {
+			return false
+		}
+		s.deleted = true
 	}
 	s.active[cp.Key()] = struct{}{}
 	return true
+}
+
+// TakeDeleted reports whether Apply deleted a held copy since the previous
+// TakeDeleted, and starts over.
+func (s *Store) TakeDeleted() bool {
+	d := s.deleted
+	s.deleted = false
+	return d
 }
 
 // ApplyBatch applies a change batch in direction dir and returns the
@@ -1039,14 +1052,6 @@ func (s *Store) BytesPerEdge() float64 {
 		return 0
 	}
 	return float64(s.MemoryBytes()) / float64(copies)
-}
-
-// String summarizes the store for logs.
-func (s *Store) String() string {
-	return fmt.Sprintf("store{v=%d out=%d in=%d sealed=%d tail=%d dead=%d active=%d compactions=%d}",
-		len(s.slots), s.numOut, s.numIn,
-		len(s.sealedOut)+len(s.sealedIn), s.tailOps, s.deadSealed,
-		len(s.active), s.compactions.Load())
 }
 
 // Checkpoint export hooks. A durable snapshot serializes the store as two

@@ -10,8 +10,9 @@ import (
 // Endpoint is everything a participant's event loop does with the network
 // and the clock: the agent, the directory, the master and Publisher hold
 // one and nothing else of the transport. *Node is the production endpoint;
-// a test or a simulator that implements it drives a participant on one
-// goroutine with virtual time, feeding its packets to Handle.
+// a test or a simulator that implements it (sim.Endpoint) drives a
+// participant on one goroutine with virtual time, feeding its packets to
+// Handle. Nothing here blocks: even bootstrap is a push and a reply (Boot).
 //
 // Frames come from NewFrame or NewFrameHint with the payload appended in
 // place (wire.AppendX); every send takes ownership of its frame.
@@ -32,9 +33,6 @@ type Endpoint interface {
 	SendFrameAcked(addr string, frame []byte) (uint32, error)
 	// ReplyFrame answers a request packet.
 	ReplyFrame(req *wire.Packet, frame []byte) error
-	// RequestRetry sends a request and blocks for its reply under policy;
-	// build returns a fresh frame per attempt. Only bootstrap calls it.
-	RequestRetry(addr string, policy Retry, overall time.Duration, build func() []byte) (*wire.Packet, error)
 	// Ack acknowledges a processed acked push to its sender.
 	Ack(pkt *wire.Packet)
 

@@ -149,7 +149,8 @@ type nodeStats struct {
 	dupsDropped atomic.Uint64
 	ackGiveUps  atomic.Uint64
 	reqRetries  atomic.Uint64
-	// live is the node while it is open and has registered gauges.
+	// live is the node while it is open. Gauges and timers reach it
+	// through here, so neither keeps a closed node's memory alive.
 	live atomic.Pointer[Node]
 }
 
@@ -262,7 +263,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, role string) {
 	reg.CounterFunc("elga_transport_request_retries_total", "REQ/REP attempts beyond the first.", lbl, n.stats.reqRetries.Load)
 	// The gauges reach the node through the stats block, until Close.
 	st := n.stats
-	st.live.Store(n)
 	depth := func(of func(*Node) int) func() float64 {
 		return func() float64 {
 			if n := st.live.Load(); n != nil {
@@ -305,6 +305,7 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 		stats:    &nodeStats{},
 	}
 	n.proto = newProto(n.addr, n.stats)
+	n.stats.live.Store(n)
 	n.acked.L = &n.protoMu
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -795,10 +796,15 @@ func (n *Node) Inject(typ wire.Type, payload []byte) error {
 // After injects a TTick carrying tag once d has passed: the one timer an
 // entity's event loop arms. Injected, never sent, a tick is subject to no
 // transport fault (a dropped one would end its chain for good); a chain
-// re-arms from the loop that handles each tick and dies with the node, as
-// an inject into a closed node fails.
+// re-arms from the loop that handles each tick and dies with the node: a
+// closed node takes no tick, and a pending one does not keep it in memory.
 func (n *Node) After(d time.Duration, tag []byte) {
-	time.AfterFunc(d, func() { _ = n.Inject(wire.TTick, tag) })
+	live := &n.stats.live
+	time.AfterFunc(d, func() {
+		if n := live.Load(); n != nil {
+			_ = n.Inject(wire.TTick, tag)
+		}
+	})
 }
 
 // SetAckNotify controls whether TAck packets are delivered to the inbox

@@ -8,9 +8,9 @@ import (
 	"elga/internal/wire"
 )
 
-// Retry is a bounded-attempt, jittered exponential-backoff policy for
-// REQ/REP call sites. The zero value selects sensible defaults (3
-// attempts, 10ms first backoff, 500ms cap, ±20% jitter). A Seed makes the
+// Retry is a bounded-attempt, jittered exponential-backoff policy for the
+// blocking calls of the client and the streamer. The zero value selects
+// sensible defaults (3 attempts, 10ms first backoff). A Seed makes the
 // jitter sequence deterministic for reproducible tests; Seed 0 draws one
 // from the clock.
 type Retry struct {
@@ -20,14 +20,17 @@ type Retry struct {
 	// the overall budget in RequestRetry, or leaves ops unbounded in Do.
 	PerTry time.Duration
 	// BaseDelay is the backoff before the second attempt (default 10ms);
-	// it doubles per attempt up to MaxDelay (default 500ms).
+	// it doubles per attempt up to maxBackoff.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter is the ± fraction applied to each backoff (default 0.2).
-	Jitter float64
 	// Seed fixes the jitter sequence; 0 uses a clock-derived seed.
 	Seed int64
 }
+
+// Every backoff is capped at maxBackoff and jittered by ±backoffJitter.
+const (
+	maxBackoff    = 500 * time.Millisecond
+	backoffJitter = 0.2
+)
 
 func (r Retry) attempts() int {
 	if r.Attempts <= 0 {
@@ -62,23 +65,16 @@ func (r Retry) Do(deadline time.Time, op func() error) error {
 // backoff is the delay sequence of one Do: the base delay doubling up to the
 // cap, each jittered.
 type backoff struct {
-	delay, max time.Duration
-	jitter     float64
-	seed       int64
-	rng        *rand.Rand // seeded at the first delay: most calls need none
+	delay time.Duration
+	seed  int64
+	rng   *rand.Rand // seeded at the first delay: most calls need none
 }
 
 // backoff applies r's defaults.
 func (r Retry) backoff() backoff {
-	b := backoff{delay: r.BaseDelay, max: r.MaxDelay, jitter: r.Jitter, seed: r.Seed}
+	b := backoff{delay: r.BaseDelay, seed: r.Seed}
 	if b.delay <= 0 {
 		b.delay = 10 * time.Millisecond
-	}
-	if b.max <= 0 {
-		b.max = 500 * time.Millisecond
-	}
-	if b.jitter <= 0 {
-		b.jitter = 0.2
 	}
 	return b
 }
@@ -92,16 +88,19 @@ func (b *backoff) next() time.Duration {
 		}
 		b.rng = rand.New(rand.NewSource(seed))
 	}
-	d := b.delay + time.Duration((b.rng.Float64()*2-1)*b.jitter*float64(b.delay))
-	b.delay = min(2*b.delay, b.max)
+	d := b.delay + time.Duration((b.rng.Float64()*2-1)*backoffJitter*float64(b.delay))
+	b.delay = min(2*b.delay, maxBackoff)
 	return d
 }
 
-// RequestRetry is RequestFrame under a Retry policy. overall is the total
-// time budget (zero: DefaultRequestTimeout); each attempt waits at most
-// policy.PerTry (zero: overall divided across attempts). build must
-// return a fresh frame per call — frames are consumed by each attempt.
-// The reply packet is pooled; release it with wire.ReleasePacket.
+// RequestRetry is RequestFrame under a Retry policy. Its callers are the
+// client's and the streamer's master discovery, which block in their
+// caller's goroutine; participants boot through their own Handle (Boot).
+// overall is the total time budget (zero: DefaultRequestTimeout); each
+// attempt waits at most policy.PerTry (zero: overall divided across
+// attempts). build must return a fresh frame per call — frames are
+// consumed by each attempt. The reply packet is pooled; release it with
+// wire.ReleasePacket.
 func (n *Node) RequestRetry(addr string, policy Retry, overall time.Duration, build func() []byte) (*wire.Packet, error) {
 	if overall <= 0 {
 		overall = DefaultRequestTimeout

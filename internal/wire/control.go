@@ -55,6 +55,9 @@ type RunStats struct {
 	Converged bool
 	Wall      time.Duration
 	StepTimes []time.Duration
+	// Recomputed says an incremental run was run from scratch instead,
+	// because edges were deleted since the last from-scratch run.
+	Recomputed bool
 }
 
 // PerStep returns the mean superstep duration.
@@ -80,6 +83,7 @@ func AppendRunStats(dst []byte, s *RunStats) []byte {
 	for _, d := range s.StepTimes {
 		w.U64(uint64(d))
 	}
+	w.Bool(s.Recomputed)
 	return w.buf
 }
 
@@ -94,6 +98,7 @@ func DecodeRunStats(data []byte) (*RunStats, error) {
 			s.StepTimes = append(s.StepTimes, time.Duration(r.U64()))
 		}
 	}
+	s.Recomputed = r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode run stats: %w", err)
 	}

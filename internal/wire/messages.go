@@ -502,6 +502,9 @@ type Ready struct {
 	// PhaseSeconds is how long the phase ran on this agent, Advance to
 	// vote: the step_time / combine_time sample, riding the vote.
 	PhaseSeconds float64
+	// Deleted, on a batch vote, says the agent deleted an edge since its
+	// last batch vote.
+	Deleted bool
 }
 
 // AppendReady appends a barrier vote payload to dst.
@@ -518,6 +521,7 @@ func AppendReady(dst []byte, m *Ready) []byte {
 	w.U64(m.Received)
 	w.Bool(m.Idle)
 	w.F64(m.PhaseSeconds)
+	w.Bool(m.Deleted)
 	return w.buf
 }
 
@@ -528,7 +532,7 @@ func DecodeReady(data []byte) (*Ready, error) {
 		AgentID: r.U64(), Step: r.U32(), Phase: r.U8(),
 		ActiveNext: r.U64(), Residual: r.F64(), SplitWork: r.Bool(),
 		Masters: r.U64(), Sent: r.U64(), Received: r.U64(), Idle: r.Bool(),
-		PhaseSeconds: r.F64(),
+		PhaseSeconds: r.F64(), Deleted: r.Bool(),
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode ready: %w", err)
