@@ -199,13 +199,16 @@ type Agent struct {
 
 	// mailbox holds one aggregate table per pending step (the one being
 	// computed and the one being scattered into); consumed tables wait in
-	// tableFree. foldTab is flush's fold-by-target scratch.
+	// tableFree, and stay while runs use them (trimScratch). foldTab is
+	// foldByTarget's scratch.
 	mailbox   map[uint32]*aggTable
 	tableFree []*aggTable
 	foldTab   aggTable
 	partials  map[uint32]map[graph.VertexID]partialEntry
-	// partialFree holds consumed per-step partial maps, emptied.
-	partialFree []map[graph.VertexID]partialEntry
+	// partialFree holds consumed per-step partial maps, emptied: the run held
+	// at most partialsUsed entries in one, any at most partialsHeld.
+	partialFree                []map[graph.VertexID]partialEntry
+	partialsUsed, partialsHeld int
 	// plan is the routed adjacency scatter walks instead of probing the
 	// route table per edge; hubPartials and hubUpdates are the one frame per
 	// peer that split-vertex records are batched into (compute.go).
@@ -236,8 +239,8 @@ type Agent struct {
 	scratchVMB wire.VertexMsgBatch
 	scratchEB  wire.EdgeBatch
 
-	// Reusable intra-phase state (parallel.go) and batcher free lists;
-	// capacity persists across phases so steady-state supersteps stop
+	// Reusable intra-phase state (parallel.go) and batcher free lists, kept
+	// while runs use them (trimScratch) so steady-state supersteps stop
 	// allocating on the scatter path.
 	shards      []*computeShard
 	combineKeys []graph.VertexID // the combine phase's vertices, sorted,

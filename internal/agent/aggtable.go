@@ -2,6 +2,7 @@ package agent
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"elga/internal/algorithm"
 	"elga/internal/graph"
@@ -44,6 +45,7 @@ type aggTable struct {
 	shift uint8
 	gen   uint32
 	live  int // entries put and not killed
+	peak  int // the most entries it held since the last trim (spent)
 	// raw buffers aggregates delivered while no run was installed (peer
 	// pushes racing TAlgoStart, mid-migration re-routes), which only a
 	// program can merge; fold does so at consumption. Nil while empty.
@@ -120,6 +122,7 @@ func (t *aggTable) each(fn func(s *aggSlot)) {
 
 // reset empties the table, keeping its capacity.
 func (t *aggTable) reset() {
+	t.peak = max(t.peak, len(t.order))
 	t.order = t.order[:0]
 	t.live = 0
 	t.raw = nil
@@ -129,6 +132,14 @@ func (t *aggTable) reset() {
 		clear(t.slots)
 		t.gen = 1
 	}
+}
+
+// spent reports whether the slots are past what the ended run held in them
+// (keepScratch), and starts the next run's count.
+func (t *aggTable) spent() bool {
+	used := max(t.peak, len(t.order))
+	t.peak = 0
+	return !keepScratch(len(t.slots), int(unsafe.Sizeof(aggSlot{})), used)
 }
 
 // grow doubles the slots and re-inserts the entries in order, tombstones

@@ -6,6 +6,7 @@ import (
 
 	"elga/internal/algorithm"
 	"elga/internal/checkpoint"
+	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
 )
@@ -159,9 +160,9 @@ type foldCase struct {
 	msgs []wire.VertexMsg
 }
 
-// TestFlushFoldsByTarget: a flush of N messages onto T distinct targets
-// encodes exactly T entries, in first-seen order, each carrying the
-// per-target Gather fold and the first source as Via.
+// TestFlushFoldsByTarget: a merge of N messages onto T distinct targets,
+// scattered by two shards, encodes exactly T entries, in first-seen order,
+// each carrying the per-target Gather fold and the first source as Via.
 func TestFlushFoldsByTarget(t *testing.T) {
 	f := func(x float64) wire.Word { return wire.Word(algorithm.FromF64(x)) }
 	cases := []foldCase{
@@ -199,12 +200,13 @@ func TestFlushFoldsByTarget(t *testing.T) {
 				w.Value = wire.Word(tc.prog.Gather(algorithm.Word(w.Value), algorithm.Word(m.Value)))
 				want[m.Target] = w
 			}
-			b := a.getBatcher(3)
-			for _, m := range tc.msgs {
-				b.add(at, m)
+			// The first half of the messages is one shard's, the rest the
+			// other's: shard order is scatter order.
+			shards := a.getShards(2)
+			for i, m := range tc.msgs {
+				shards[2*i/len(tc.msgs)].add(at, m)
 			}
-			b.flush(a.phaseGate)
-			a.putBatcher(b)
+			a.mergeShards(shards, 3, consistent.AgentID(a.id))
 			got := rec.log("peer-2").msgs
 			if len(got) != len(targets) {
 				t.Fatalf("%d messages onto %d targets encoded %d entries", len(tc.msgs), len(targets), len(got))
@@ -294,7 +296,8 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 }
 
 // BenchmarkFlushCombine folds one destination's share of a pagerank-static
-// step (30k messages onto ~6k targets, hubs repeated) the way flush does.
+// step (30k messages onto ~6k targets, hubs repeated) the way a one-shard
+// merge does.
 func BenchmarkFlushCombine(b *testing.B) {
 	a := newLoopbackAgent(b, allocTestConfig(), 64)
 	installRun(a, algorithm.PageRank{}, 64)
@@ -313,7 +316,7 @@ func BenchmarkFlushCombine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, src)
-		folded = len(a.foldByTarget(buf))
+		folded = len(a.foldByTarget(buf[:0], buf))
 	}
 	b.ReportMetric(float64(len(src))/float64(folded), "msgs/entry")
 }

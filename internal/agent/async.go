@@ -198,7 +198,7 @@ func (b *asyncBatcher) flush() {
 		}
 		// Entries reset in place: the encoder copied msgs into the frame,
 		// so the backing array is immediately reusable.
-		b.bufs[i] = msgs[:0]
+		b.empty(i)
 		addr, ok := a.router.AddrOf(b.members[i])
 		if !ok {
 			continue

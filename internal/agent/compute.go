@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"elga/internal/algorithm"
 	"elga/internal/consistent"
@@ -96,12 +97,16 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	a.run = nil
 	a.pendingAdv = nil
 	// Drop per-run message state; the two step-indexed maps themselves are
-	// kept, and the mailbox tables go back to the free list.
+	// kept, their tables and maps go back to the free lists.
 	for _, t := range a.mailbox {
 		a.recycleMail(t)
 	}
 	clear(a.mailbox)
+	for _, m := range a.partials {
+		a.recyclePartials(m)
+	}
 	clear(a.partials)
+	a.trimScratch()
 	a.flushBuffered(&ackGroup{})
 }
 
@@ -247,14 +252,11 @@ func (a *Agent) processCompute() {
 	t.begin(setActive)
 	work := t.list[setWork]
 
-	batches := a.getBatcher(r.step + 1)
 	self := consistent.AgentID(a.id)
 	shards := a.runSharded(len(work), func(s *computeShard, i int) {
 		a.computeVertex(s, work[i], mail, self)
 	})
-	a.mergeShards(shards, batches, self)
-	batches.flush(a.phaseGate)
-	a.putBatcher(batches)
+	a.mergeShards(shards, r.step+1, self)
 	a.recycleMail(mail)
 	r.doneLocal = true
 	a.maybeReady()
@@ -391,17 +393,11 @@ func (a *Agent) processCombine() {
 		a.combineVals = append(a.combineVals, parts[v])
 	}
 	work := t.list[setWork]
-	if parts != nil {
-		clear(parts)
-		a.partialFree = append(a.partialFree, parts)
-	}
-	batches := a.getBatcher(r.step + 1)
+	a.recyclePartials(parts)
 	shards := a.runSharded(len(work), func(s *computeShard, i int) {
 		a.combineVertex(s, work[i], &a.combineVals[i], self)
 	})
-	a.mergeShards(shards, batches, self)
-	batches.flush(a.phaseGate)
-	a.putBatcher(batches)
+	a.mergeShards(shards, r.step+1, self)
 	r.doneLocal = true
 	a.maybeReady()
 }
@@ -429,6 +425,49 @@ func (a *Agent) stashPartial(step uint32, v graph.VertexID, agg algorithm.Word, 
 	p.have = p.have || have
 	p.outDeg += outDeg
 	m[v] = p
+}
+
+// recyclePartials empties a step's partial map onto the free list, noting
+// its size (a map keeps its capacity).
+func (a *Agent) recyclePartials(m map[graph.VertexID]partialEntry) {
+	if m != nil {
+		a.partialsUsed, a.partialsHeld = max(a.partialsUsed, len(m)), max(a.partialsHeld, len(m))
+		clear(m)
+		a.partialFree = append(a.partialFree, m)
+	}
+}
+
+// trimScratch ends a run's hold on the phase scratch (scratchFloor), the
+// mailbox tables and partial maps being back on their free lists.
+func (a *Agent) trimScratch() {
+	n, used := a.router.NumAgents(), 0
+	for _, s := range a.shards {
+		used = max(used, s.peak)
+	}
+	// Work stealing splits a phase unevenly: the busiest shard sets the bar.
+	for _, s := range a.shards {
+		s.values, s.updates = trimmed(s.values, used), trimmed(s.updates, used)
+		s.partialsLocal, s.partialsRemote = trimmed(s.partialsLocal, used), trimmed(s.partialsRemote, used)
+		s.peak = used
+		s.trim(n)
+	}
+	for _, b := range a.batcherFree {
+		b.trim(n)
+	}
+	for _, b := range a.asyncFree {
+		b.trim(n)
+	}
+	a.tableFree = slices.DeleteFunc(a.tableFree, (*aggTable).spent)
+	if a.foldTab.spent() {
+		a.foldTab = aggTable{}
+	}
+	if !keepScratch(a.partialsHeld, int(unsafe.Sizeof(partialEntry{})), a.partialsUsed) {
+		a.partialFree, a.partialsHeld = nil, 0
+	}
+	// The combine lists hold a consumed partial map's entries.
+	a.combineKeys = trimmed(a.combineKeys, a.partialsUsed)
+	a.combineVals = trimmed(a.combineVals, a.partialsUsed)
+	a.partialsUsed = 0
 }
 
 // replayDeferred re-processes data-plane packets that arrived before the
@@ -721,75 +760,71 @@ func (a *Agent) account(local bool, n uint64) {
 	}
 }
 
-// addMany appends a remote-bound message run (the shard-merge fast path).
-func (b *msgBatcher) addMany(dst int, msgs []wire.VertexMsg) {
-	b.bufs[dst] = append(b.bufs[dst], msgs...)
-}
-
 // flush combines, then sends: each destination's buffered messages are
-// gathered by target, so what leaves is one aggregate per (destination,
-// target) however many edges produced it.
+// gathered by target (mergeShards' fold, of one buffer), so what leaves is
+// one aggregate per (destination, target) however many edges produced it.
 func (b *msgBatcher) flush(groups ...*ackGroup) {
 	for i, msgs := range b.bufs {
-		b.bufs[i] = b.agent.foldByTarget(msgs)
+		b.peak = max(b.peak, len(msgs))
+		b.bufs[i] = b.agent.foldByTarget(msgs[:0], msgs)
 	}
 	b.send(groups...)
 }
 
-// send ships every non-empty buffer as one batch of aggregates, resolving
-// each destination's address here, once, rather than per entry.
+// send ships every non-empty buffer as one batch of aggregates.
 func (b *msgBatcher) send(groups ...*ackGroup) {
-	a := b.agent
-	for i, msgs := range b.bufs {
-		if len(msgs) == 0 {
-			continue
-		}
-		b.bufs[i] = msgs[:0]
-		addr, ok := a.addrFor(b.members[i], len(msgs))
-		if !ok {
-			continue
-		}
-		// Single-copy send: the batch is appended straight into a pooled
-		// frame that the transport recycles after the wire write, so the
-		// source slice is immediately reusable.
-		frame := wire.AppendVertexMsgBatch(
-			a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
-			&wire.VertexMsgBatch{Step: b.step, Msgs: msgs})
-		if a.opts.CommAccounting {
-			a.remoteBytes.Add(uint64(len(frame)))
-		}
-		a.sendGatedFrame(addr, frame, groups...)
+	for i, dst := range b.members {
+		b.agent.sendMsgs(dst, b.step, b.bufs[i], groups...)
+		b.empty(i)
 	}
 }
 
-// foldByTarget gathers a buffer of scattered messages by Target, in place:
-// the result holds one entry per distinct target, in first-seen order, whose
-// Value is the run's Gather over that target's messages and whose Via is the
-// first of their sources. This is the one place a remote-bound message is
-// gathered; every later hop merges.
-func (a *Agent) foldByTarget(msgs []wire.VertexMsg) []wire.VertexMsg {
+// sendMsgs ships msgs, if any, to dst as one batch of step's aggregates,
+// resolving dst's address here, once, rather than per entry.
+func (a *Agent) sendMsgs(dst consistent.AgentID, step uint32, msgs []wire.VertexMsg, groups ...*ackGroup) {
+	addr, ok := a.addrFor(dst, len(msgs))
+	if len(msgs) == 0 || !ok {
+		return
+	}
+	// Single-copy send: the batch is appended straight into a pooled frame
+	// the transport recycles after the wire write; msgs is reusable at once.
+	frame := wire.AppendVertexMsgBatch(
+		a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
+		&wire.VertexMsgBatch{Step: step, Msgs: msgs})
+	if a.opts.CommAccounting {
+		a.remoteBytes.Add(uint64(len(frame)))
+	}
+	a.sendGatedFrame(addr, frame, groups...)
+}
+
+// foldByTarget gathers msgs by Target onto out, the same destination's
+// messages folded so far (out = msgs[:0] folds in place): one entry per
+// distinct target, in first-seen order, whose Value is the run's Gather over
+// that target's messages and whose Via is the first of their sources. This is
+// the one place a remote-bound message is gathered; every later hop merges.
+func (a *Agent) foldByTarget(out, msgs []wire.VertexMsg) []wire.VertexMsg {
 	if len(msgs) == 0 {
-		return msgs
+		return out
 	}
 	prog := a.run.prog
 	zero := prog.ZeroAgg()
 	t := &a.foldTab
-	t.reset()
-	out := 0
+	if len(out) == 0 {
+		t.reset()
+	}
 	for _, m := range msgs {
-		// The scratch slot's word is the target's position in the output.
+		// The scratch slot's word is the target's position in out.
 		s, fresh := t.put(m.Target)
 		if fresh {
-			s.agg = algorithm.Word(out)
+			s.agg = algorithm.Word(len(out))
 			m.Value = wire.Word(prog.Gather(zero, algorithm.Word(m.Value)))
-			msgs[out] = m
-			out++
+			out = append(out, m)
 			continue
 		}
-		d := &msgs[s.agg]
+		d := &out[s.agg]
 		d.Value = wire.Word(prog.Gather(algorithm.Word(d.Value), algorithm.Word(m.Value)))
 	}
-	return msgs[:out]
+	return out
 }
 
 // addrFor resolves dst's listen address for a send carrying n messages. It

@@ -59,6 +59,7 @@ type recorder struct {
 	req     uint32
 	unacked []uint32
 	to      map[string]*peerLog
+	order   []string // the destination of every send, in send order
 }
 
 // peerLog is what one destination was sent: edge shipments (all copies in
@@ -114,6 +115,7 @@ func (r *recorder) SendFrame(addr string, frame []byte) error {
 	}
 	l := r.log(addr)
 	l.pkts = append(l.pkts, pkt)
+	r.order = append(r.order, addr)
 	switch pkt.Type {
 	case wire.TEdges:
 		var b wire.EdgeBatch

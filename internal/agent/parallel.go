@@ -2,8 +2,10 @@ package agent
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"elga/internal/algorithm"
 	"elga/internal/consistent"
@@ -84,15 +86,29 @@ type msgSink interface {
 	add(dst int, m wire.VertexMsg)
 }
 
+// Phase scratch is emptied in place and kept while runs use it: at a run's
+// end (trimScratch), n elements of size bytes go if n*size > scratchFloor and
+// n > scratchSlack*used, used being the most the run held in them.
+const scratchFloor, scratchSlack = 16 << 10, 4
+
+func keepScratch(n, size, used int) bool { return n*size <= scratchFloor || n <= scratchSlack*used }
+
+// trimmed returns s emptied, or nil if it goes.
+func trimmed[T any](s []T, used int) []T {
+	if keepScratch(cap(s), int(unsafe.Sizeof(*new(T))), used) {
+		return s[:0]
+	}
+	return nil
+}
+
 // dstBufs buffers messages per destination agent in a slice indexed like
 // the router's member list, so buffering one message is an append and no
-// map operation. The buffers are emptied in place and keep their capacity
-// across phases (the frame-pool discipline of the transport layer, applied
-// to phase state); members names the agent behind each index for whoever
-// drains them.
+// map operation. members names the agent behind each index for whoever drains
+// them, and peak is the longest a buffer grew since the last trim.
 type dstBufs struct {
 	members []consistent.AgentID
 	bufs    [][]wire.VertexMsg
+	peak    int
 }
 
 // bind points the (empty) buffers at the installed view's member list. Its
@@ -108,6 +124,19 @@ func (d *dstBufs) bind(members []consistent.AgentID) {
 
 func (d *dstBufs) add(dst int, m wire.VertexMsg) {
 	d.bufs[dst] = append(d.bufs[dst], m)
+}
+
+// empty empties buffer i, noting how long it grew.
+func (d *dstBufs) empty(i int) { d.peak, d.bufs[i] = max(d.peak, len(d.bufs[i])), d.bufs[i][:0] }
+
+// trim ends a run: the buffers past the view's n members go, and those the
+// run did not need.
+func (d *dstBufs) trim(n int) {
+	d.bufs = slices.Delete(d.bufs, min(n, len(d.bufs)), len(d.bufs))
+	for i := range d.bufs {
+		d.bufs[i] = trimmed(d.bufs[i], d.peak)
+	}
+	d.peak = 0
 }
 
 // valueWrite is a buffered store of a state, and whether the vertex stays
@@ -132,8 +161,8 @@ type valueUpdateSend struct {
 }
 
 // computeShard is one worker's private accumulator for a parallel phase.
-// All slices are truncated in place after the merge, so a shard's capacity
-// is reused across phases.
+// All slices are emptied after the merge, so a shard's capacity is reused
+// across phases; peak covers them all.
 type computeShard struct {
 	values     []valueWrite
 	residual   float64
@@ -145,12 +174,13 @@ type computeShard struct {
 	updates        []valueUpdateSend
 
 	// dstBufs implements msgSink: scattered messages buffer per
-	// destination agent (including self) and are delivered or batched at
+	// destination agent (including self) and are delivered or sent at
 	// merge time.
 	dstBufs
 }
 
 func (s *computeShard) reset() {
+	s.peak = max(s.peak, len(s.values), len(s.partialsLocal), len(s.partialsRemote), len(s.updates))
 	s.values = s.values[:0]
 	s.residual = 0
 	s.activeNext = 0
@@ -159,7 +189,7 @@ func (s *computeShard) reset() {
 	s.partialsRemote = s.partialsRemote[:0]
 	s.updates = s.updates[:0]
 	for i := range s.bufs {
-		s.bufs[i] = s.bufs[i][:0]
+		s.empty(i)
 	}
 }
 
@@ -330,9 +360,11 @@ func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self c
 
 // mergeShards folds worker results back into run/agent state on the
 // event-loop goroutine: value installs, activity, partial stashes, gated
-// sends, and scattered-message delivery all happen here, under the same
-// phase gate the sequential path uses.
-func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self consistent.AgentID) {
+// sends, and the delivery of the messages scattered for step all happen
+// here, under the same phase gate the sequential path uses. After the hub
+// frames, each remote destination's messages fold across the shards, in
+// order, into the first shard's buffer, and leave from there in one frame.
+func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent.AgentID) {
 	r, t := a.run, &a.verts
 	for _, s := range shards {
 		for _, vw := range s.values {
@@ -367,17 +399,28 @@ func (a *Agent) mergeShards(shards []*computeShard, batches *msgBatcher, self co
 			if dst == self {
 				// This agent is the messages' source: gather, into the
 				// step's table resolved once for the buffer.
-				mail, prog := a.mailFor(batches.step), r.prog
+				mail, prog := a.mailFor(step), r.prog
 				for _, m := range msgs {
 					mail.gather(prog, m.Target, algorithm.Word(m.Value))
 				}
-			} else {
-				batches.addMany(i, msgs)
+				s.empty(i)
 			}
 		}
-		s.reset()
 	}
 	// The phase's hub records leave in one frame per peer and record type.
 	a.sendHubFrames(a.hubPartials, a.phaseGate)
 	a.sendHubFrames(a.hubUpdates, a.phaseGate)
+	first, gate := shards[0], []*ackGroup{a.phaseGate}
+	for i, dst := range first.members {
+		first.peak = max(first.peak, len(first.bufs[i]))
+		out := first.bufs[i][:0]
+		for _, s := range shards {
+			out = a.foldByTarget(out, s.bufs[i])
+		}
+		first.bufs[i] = out
+		a.sendMsgs(dst, step, out, gate...)
+	}
+	for _, s := range shards {
+		s.reset()
+	}
 }
