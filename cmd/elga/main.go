@@ -63,8 +63,6 @@ func main() {
 		err = runQuery(args)
 	case "status":
 		err = runStatus(args)
-	case "profile":
-		err = runProfile(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -90,7 +88,6 @@ commands:
   seal       force a batch boundary (apply + rebalance)
   query      read one vertex's result
   status     show per-agent health and the cluster event timeline (-watch, -events N, -json)
-  profile    capture pprof profiles from agents (-agent N|-all, -kind, -steps N, -o dir, -list)
 `)
 }
 
@@ -134,7 +131,7 @@ func runDirectory(args []string) error {
 	if err := dcfg.Validate(); err != nil {
 		return err
 	}
-	reg, srv, err := startMetrics(dcfg.MetricsAddr)
+	reg, srv, err := startMetrics(&dcfg.Common)
 	if err != nil {
 		return err
 	}
@@ -152,7 +149,7 @@ func runDirectory(args []string) error {
 	d, err := directory.Start(directory.Options{
 		Config: dcfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, Addr: *addr,
 		Metrics: reg, Trace: dcfg.Trace, SpanSink: sink,
-		Checkpoint: dcfg.Durability, Events: dcfg.Events, Profile: dcfg.Profile,
+		Checkpoint: dcfg.Durability, Events: dcfg.Events,
 	})
 	if err != nil {
 		return err
@@ -193,7 +190,7 @@ func runAgent(args []string) error {
 	if err := acfg.Validate(); err != nil {
 		return err
 	}
-	reg, srv, err := startMetrics(acfg.MetricsAddr)
+	reg, srv, err := startMetrics(&acfg)
 	if err != nil {
 		return err
 	}
@@ -206,7 +203,7 @@ func runAgent(args []string) error {
 		ckpt.Key = checkpoint.AgentKey(ckpt.Key, i, *n)
 		a, err := agent.Start(agent.Options{
 			Config: acfg.Cluster, Network: transport.NewTCP(), MasterAddr: *master, DirIndex: i,
-			Metrics: reg, Trace: acfg.Trace, Checkpoint: ckpt, Events: acfg.Events, Profile: acfg.Profile,
+			Metrics: reg, Trace: acfg.Trace, Checkpoint: ckpt, Events: acfg.Events,
 		})
 		if err != nil {
 			return err
@@ -389,14 +386,16 @@ func runQuery(args []string) error {
 	return nil
 }
 
-// startMetrics boots the observability endpoint when addr is non-empty.
-// All roles in this process share the returned registry.
-func startMetrics(addr string) (*metrics.Registry, *metrics.Server, error) {
-	if addr == "" {
+// startMetrics arms the process's runtime profiling rates when c asks for
+// them, then boots the observability endpoint when c.MetricsAddr is
+// non-empty. All roles in this process share the returned registry.
+func startMetrics(c *config.Common) (*metrics.Registry, *metrics.Server, error) {
+	c.Profile.ApplyRates()
+	if c.MetricsAddr == "" {
 		return nil, nil, nil
 	}
 	reg := metrics.NewRegistry()
-	srv, err := metrics.ListenAndServe(addr, reg)
+	srv, err := metrics.ListenAndServe(c.MetricsAddr, reg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("metrics: %w", err)
 	}

@@ -25,7 +25,6 @@ import (
 	"elga/internal/events"
 	"elga/internal/graph"
 	"elga/internal/metrics"
-	"elga/internal/profile"
 	"elga/internal/route"
 	"elga/internal/sketch"
 	"elga/internal/trace"
@@ -64,11 +63,6 @@ type Options struct {
 	// Events configures the structured control-plane event journal (zero:
 	// off). Off, every emission site costs a single nil-receiver branch.
 	Events events.Config
-	// Profile configures the agent half of the cluster profiling plane.
-	// Capture requests are served whatever it says; it only arms the
-	// runtime sampling rates. Disarmed, the superstep hot path pays a
-	// single predicted branch.
-	Profile profile.Config
 }
 
 // Validate reports option errors before any resource is allocated.
@@ -282,12 +276,9 @@ type Agent struct {
 	// off, one branch per trigger site.
 	ckpt agentCkpt
 
-	// prof is the profiling-plane state (profile.go); its armed flag is
-	// the hot path's one branch, and stepDelay is the chaos hook that
-	// injects compute-phase latency to manufacture stragglers in tests.
-	// delayHold is the phase gate the injected delay keeps open until its
-	// release tick lands (loop-owned).
-	prof      agentProf
+	// stepDelay is the chaos hook that injects compute-phase latency to
+	// manufacture stragglers in tests. delayHold is the phase gate the
+	// injected delay keeps open until its release tick lands (loop-owned).
 	stepDelay atomic.Int64
 	delayHold *ackGroup
 
@@ -371,7 +362,6 @@ func (a *Agent) Boot() *transport.Boot {
 		a.boot.End(err)
 		return a.boot
 	}
-	a.initProfile()
 	// The master holds its answer until a directory has registered, so an
 	// agent started alongside its directories waits rather than fails.
 	rt := a.opts.Config.RequestTimeout
@@ -542,10 +532,8 @@ func (a *Agent) runLoop(inbox <-chan *wire.Packet) {
 	// kill, dump explicitly before this point).
 	a.shipReport()
 	// Drain the checkpoint writer so the last submitted snapshot is
-	// durable before the process goes away, and release any live CPU
-	// profiling window so the process-wide slot is not leaked.
+	// durable before the process goes away.
 	a.closeCheckpoint()
-	a.closeProfile()
 	_ = a.ep.SendFrame(a.dirAddr, a.ep.NewFrame(wire.TUnsubscribe))
 	a.ep.Close()
 }
@@ -636,11 +624,8 @@ func (a *Agent) handlePacket(pkt *wire.Packet) bool {
 		if a.tickCount%4 == 0 {
 			a.stageLoadMetrics()
 			a.maybeCheckpointTimed()
-			a.closeOrphanedProfiles()
 			a.shipReport()
 		}
-	case wire.TProfileReq:
-		a.handleProfileReq(pkt)
 	case wire.TQuery:
 		a.handleQuery(pkt)
 	case wire.TPing:
@@ -832,11 +817,8 @@ func (a *Agent) maybeReady() {
 		a.m.phaseCompute.Observe(dur)
 		// Durability cadence rides the post-vote safe point: the barrier
 		// vote is already out, so snapshot encoding overlaps the barrier
-		// wait instead of stretching the superstep. Superstep-scoped
-		// profile windows arm and close at the same safe point, aligning
-		// samples with compute phases.
+		// wait instead of stretching the superstep.
 		a.maybeCheckpointStep()
-		a.maybeProfileStep()
 	case wire.PhaseCombine:
 		a.m.phaseCombine.Observe(dur)
 	}
@@ -873,9 +855,8 @@ func (a *Agent) stageLoadMetrics() {
 }
 
 // shipReport sends the coordinator one lossy TReport holding what each
-// plane has pending — staged samples, spans, events, a new checkpoint mark,
-// profile chunks — or nothing if nothing is. A chunk that would push the
-// frame past profChunkSize starts a new one.
+// plane has pending — staged samples, spans, events, a new checkpoint
+// mark — or nothing if nothing is.
 func (a *Agent) shipReport() {
 	f := wire.AppendReportHeader(a.ep.NewFrame(wire.TReport), a.id)
 	empty := len(f)
@@ -891,13 +872,6 @@ func (a *Agent) shipReport() {
 		f = wire.AppendSection(f, wire.SecEvents, func(b []byte) []byte { return wire.AppendEventBatch(b, evs, a.journal.Dropped()) })
 	}
 	f = a.appendMark(f)
-	for _, ck := range a.profileChunks() {
-		if len(f) > empty && len(f)+len(ck.Data) > profChunkSize {
-			_ = a.ep.SendFrame(a.coordAddr, f)
-			f = wire.AppendReportHeader(a.ep.NewFrameHint(wire.TReport, 96+len(ck.Data)), a.id)
-		}
-		f = wire.AppendSection(f, wire.SecProfileChunk, func(b []byte) []byte { return wire.AppendProfileChunk(b, &ck) })
-	}
 	if len(f) == empty {
 		wire.ReleaseFrame(f)
 		return

@@ -1,8 +1,6 @@
 package agent
 
 import (
-	"bytes"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -176,46 +174,6 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	a.mergeShards(shards, 5, consistent.AgentID(a.id))
 	if got := atomic.LoadUint64(&a.statUnroutable); got != 5 {
 		t.Fatalf("unroutable = %d after a routable flush, want 5", got)
-	}
-}
-
-// TestReportGivesAFullProfileChunkAFrameOfItsOwn: a report holds what is
-// pending, but a 256 KiB profile chunk never shares a frame — a 600 KiB
-// capture behind a staged sample ships as the sample's report and then one
-// report per chunk, whose bytes reassemble to the capture.
-func TestReportGivesAFullProfileChunkAFrameOfItsOwn(t *testing.T) {
-	a, rec := newRecordedAgent(t, allocTestConfig(), 1)
-	a.coordAddr = "coord"
-	capture := make([]byte, 600<<10)
-	for i := range capture {
-		capture[i] = byte(i)
-	}
-	a.samples = append(a.samples, wire.Metric{Name: "inbox_depth", Value: 2})
-	a.pushProfResult(profResult{id: 7, kind: 1, data: capture})
-	a.shipReport()
-	var got [][]uint8
-	var data []byte
-	for _, pkt := range rec.log("coord").pkts {
-		var kinds []uint8
-		err := wire.WalkReport(pkt.Payload, func(agentID uint64, kind uint8, body []byte) {
-			kinds = append(kinds, kind)
-			if kind == wire.SecProfileChunk {
-				ck, err := wire.DecodeProfileChunk(body)
-				if err != nil || ck.Total != 3 || int(ck.Seq) != len(got)-1 {
-					t.Errorf("frame %d: chunk %+v, err %v", len(got), ck, err)
-					return
-				}
-				data = append(data, ck.Data...)
-			}
-		})
-		if pkt.Type != wire.TReport || err != nil {
-			t.Fatalf("frame %d: %s, err %v", len(got), pkt.Type, err)
-		}
-		got = append(got, kinds)
-	}
-	want := [][]uint8{{wire.SecMetrics}, {wire.SecProfileChunk}, {wire.SecProfileChunk}, {wire.SecProfileChunk}}
-	if !reflect.DeepEqual(got, want) || !bytes.Equal(data, capture) {
-		t.Fatalf("frames hold sections %v (want %v), %d of %d capture bytes back", got, want, len(data), len(capture))
 	}
 }
 

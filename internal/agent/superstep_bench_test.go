@@ -11,7 +11,6 @@ import (
 	"elga/internal/events"
 	"elga/internal/graph"
 	"elga/internal/metrics"
-	"elga/internal/profile"
 )
 
 // superstepAgent is a loopback agent holding a random 4096-vertex graph —
@@ -71,9 +70,9 @@ func BenchmarkSuperstepPageRankPar4(b *testing.B) { benchmarkSuperstep(b, 4) }
 // 3 allocs (the ack group, its completion closure, and mailbox map slack)
 // under every combination of the planes that touch it: live metric
 // handles, a checkpoint cadence that never fires, the scatter counters
-// (comm accounting), the event journal and an idle profiling plane. Each step is the compute
+// (comm accounting) and the event journal. Each step is the compute
 // phase plus what maybeReady's post-vote tail runs: the phase histogram
-// observation and the checkpoint and profile triggers. Neighbour iteration
+// observation and the checkpoint trigger. Neighbour iteration
 // must contribute zero — the store's value-type cursors live on the stack
 // — and an armed plane must cost a branch or a counter add, nothing on the
 // heap. Skipped under -race, whose instrumentation allocates on its
@@ -82,7 +81,7 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")
 	}
-	planes := []string{"metrics", "checkpoint", "comm", "events", "profile"}
+	planes := []string{"metrics", "checkpoint", "comm", "events"}
 	SetComputeParallelism(1, 1)
 	defer SetComputeParallelism(0, 0)
 	for set := 0; set < 1<<len(planes); set++ {
@@ -116,16 +115,12 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 			if set&8 != 0 {
 				a.journal = events.NewJournal("agent-bench", events.Config{Enabled: true})
 			}
-			if set&16 != 0 {
-				a.opts.Profile = profile.Config{Enabled: true, AutoCapture: true}
-			}
 			step := uint32(0)
 			superstep := func() {
 				start := time.Now()
 				advanceCompute(a, step)
 				a.m.phaseCompute.Observe(time.Since(start).Seconds())
 				a.maybeCheckpointStep()
-				a.maybeProfileStep()
 				step++
 			}
 			superstep() // init pass plus two steady steps warm every pool

@@ -490,67 +490,3 @@ func (c *Client) StatusEvents(maxEvents uint32, co CallOpts) (*wire.StatusReply,
 	}
 	return sr, nil
 }
-
-// Profile runs one profiling-plane op against the coordinator: trigger a
-// capture (ProfileOpCapture), list stored artifacts (ProfileOpList), or
-// fetch one artifact's bytes (ProfileOpFetch). The coordinator reports
-// request-level failures in the reply's Err field; Profile surfaces them
-// as errors so callers never have to check both.
-func (c *Client) Profile(req wire.ProfileRequest, co CallOpts) (*wire.ProfileReply, error) {
-	var pr *wire.ProfileReply
-	err := c.do(op{
-		name: "profile",
-		frame: func() []byte {
-			return wire.AppendProfileRequest(c.node.NewFrame(wire.TProfile), &req)
-		},
-		reply: func(p *wire.Packet) error {
-			decoded, err := wire.DecodeProfileReply(p.Payload)
-			if err != nil {
-				return err
-			}
-			pr = decoded
-			return nil
-		},
-	}, co)
-	if err != nil {
-		return nil, err
-	}
-	if pr.Err != "" {
-		return nil, fmt.Errorf("profile: %s", pr.Err)
-	}
-	return pr, nil
-}
-
-// ProfileCapture requests profiles of the given kinds from one agent
-// (agentID 0 = every agent), superstep-scoped over steps when a run is
-// active, and returns the minted capture IDs.
-func (c *Client) ProfileCapture(agentID uint64, kinds []uint8, steps uint32, seconds float64, co CallOpts) ([]uint64, error) {
-	rep, err := c.Profile(wire.ProfileRequest{
-		Op: wire.ProfileOpCapture, AgentID: agentID,
-		Kinds: kinds, Steps: steps, Seconds: seconds,
-	}, co)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Captures, nil
-}
-
-// ProfileList returns the coordinator store's artifact manifest and the
-// number of captures still in flight.
-func (c *Client) ProfileList(co CallOpts) ([]wire.ProfileArtifact, uint32, error) {
-	rep, err := c.Profile(wire.ProfileRequest{Op: wire.ProfileOpList}, co)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep.Artifacts, rep.Pending, nil
-}
-
-// ProfileFetch returns one stored artifact's pprof bytes by its manifest
-// segment name.
-func (c *Client) ProfileFetch(segment string, co CallOpts) ([]byte, error) {
-	rep, err := c.Profile(wire.ProfileRequest{Op: wire.ProfileOpFetch, Segment: segment}, co)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Data, nil
-}

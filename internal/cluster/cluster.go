@@ -67,9 +67,9 @@ type Options struct {
 	// participant (nil: off). When enabled, the coordinator merges all
 	// journals into the cluster timeline — read it back with Status.
 	Events *events.Config
-	// Profile configures the cluster profiling plane for every
-	// participant (nil: off). Agents always answer capture requests;
-	// Enabled+AutoCapture arm the coordinator's straggler auto-profiles.
+	// Profile, when Rates is set, arms the process's mutex and block
+	// profiling rates so /debug/pprof/{mutex,block} carry data (nil: off).
+	// Every participant shares the one runtime, so New applies it once.
 	Profile *profile.Config
 }
 
@@ -93,12 +93,11 @@ type Cluster struct {
 	stream *streamer.Streamer // persistent streamer for Load/ApplyBatch
 	reg    *metrics.Registry
 	srv    *metrics.Server
-	// tcfg, ecfg and pcfg are the plane configurations every participant
+	// tcfg and ecfg are the plane configurations every participant
 	// shares; collector assembles their shipped spans (nil when tracing
 	// is off).
 	tcfg      trace.Config
 	ecfg      events.Config
-	pcfg      profile.Config
 	collector *collect.Collector
 	// agentSlots mirrors agents: the durable slot number each live agent
 	// was started under ("agent-<slot>" checkpoint keys). nextSlot only
@@ -134,7 +133,7 @@ func New(opts Options) (*Cluster, error) {
 	// only switch.
 	c.tcfg = valueOf(opts.Trace)
 	c.ecfg = valueOf(opts.Events)
-	c.pcfg = valueOf(opts.Profile)
+	opts.Profile.ApplyRates()
 	var spanSink func(proc string, spans []trace.SpanRecord)
 	if c.tcfg.Enabled {
 		c.collector = collect.New()
@@ -170,7 +169,6 @@ func New(opts Options) (*Cluster, error) {
 			Trace:         c.tcfg,
 			Checkpoint:    c.durabilityFor("coordinator"),
 			Events:        c.ecfg,
-			Profile:       c.pcfg,
 		})
 		if err != nil {
 			c.Shutdown()
@@ -234,7 +232,6 @@ func (c *Cluster) startAgent(slot int) (*agent.Agent, error) {
 		Trace:          c.tcfg,
 		Checkpoint:     c.durabilityFor(checkpoint.AgentKey("", slot, 0)),
 		Events:         c.ecfg,
-		Profile:        c.pcfg,
 	})
 }
 
@@ -401,24 +398,6 @@ func (c *Cluster) Status() (*wire.StatusReply, error) {
 // StatusEvents is Status with an explicit timeline depth.
 func (c *Cluster) StatusEvents(maxEvents uint32) (*wire.StatusReply, error) {
 	return c.ctl.StatusEvents(maxEvents, client.CallOpts{})
-}
-
-// ProfileCapture requests profiles of the given kinds from one agent
-// (agentID 0 = every agent) through the control client, superstep-scoped
-// over steps when a run is active, and returns the minted capture IDs.
-func (c *Cluster) ProfileCapture(agentID uint64, kinds []uint8, steps uint32) ([]uint64, error) {
-	return c.ctl.ProfileCapture(agentID, kinds, steps, 0, client.CallOpts{})
-}
-
-// ProfileList returns the coordinator profile store's artifact manifest
-// plus the number of captures still in flight.
-func (c *Cluster) ProfileList() ([]wire.ProfileArtifact, uint32, error) {
-	return c.ctl.ProfileList(client.CallOpts{})
-}
-
-// ProfileFetch returns one stored profile artifact's pprof bytes.
-func (c *Cluster) ProfileFetch(segment string) ([]byte, error) {
-	return c.ctl.ProfileFetch(segment, client.CallOpts{})
 }
 
 // Collector returns the span collector, or nil when tracing is off.

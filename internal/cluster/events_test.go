@@ -29,10 +29,12 @@ func findEvent(tl []events.Record, kind string, agentID uint64) *events.Record {
 	return nil
 }
 
-// TestStatusHealthAndTimeline is the introspection smoke test: a healthy
-// cluster's TStatus reply carries every agent in the health table and a
-// timeline whose join/seal history arrived from both the coordinator and
-// the agents' shipped journals.
+// TestStatusHealthAndTimeline is the introspection smoke test: a cluster's
+// TStatus reply carries every agent in the health table and a timeline
+// whose join/seal history arrived from both the coordinator and the
+// agents' shipped journals. One agent runs with an injected compute delay,
+// and its straggler verdict lands in the timeline with the attributed
+// cause.
 func TestStatusHealthAndTimeline(t *testing.T) {
 	c, err := New(Options{
 		Config: testConfig(), Agents: 3,
@@ -46,7 +48,14 @@ func TestStatusHealthAndTimeline(t *testing.T) {
 	if err := c.Load(el); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 5, FromScratch: true, Timeout: 60 * time.Second}); err != nil {
+	// The step time rides each barrier vote, so five steps of skew prime
+	// every agent's signal and the victim's verdict is due at the next
+	// evaluation (StatusEvents runs one).
+	victimID := c.Agents()[1].ID()
+	c.Agents()[1].SetComputeDelay(30 * time.Millisecond)
+	_, err = c.Run(client.RunSpec{Algo: "pagerank", MaxSteps: 5, FromScratch: true, Timeout: 60 * time.Second})
+	c.Agents()[1].SetComputeDelay(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,6 +110,25 @@ func TestStatusHealthAndTimeline(t *testing.T) {
 	// Run lifecycle from the coordinator.
 	if findEvent(s.Timeline, events.KindRunStart, 0) == nil || findEvent(s.Timeline, events.KindRunDone, 0) == nil {
 		t.Fatal("run-start/run-done missing from timeline")
+	}
+	// The delayed agent's straggler (or suspect) verdict, with the cause
+	// the attributor named.
+	var verdict *events.Record
+	for i := range s.Timeline {
+		r := &s.Timeline[i]
+		if agent, ok := r.Field("agent"); !ok || r.Kind != events.KindHealth || agent.U64 != victimID {
+			continue
+		}
+		if st, _ := r.Field("status"); st.Str == "straggler" || st.Str == "suspect" {
+			verdict = r
+			break
+		}
+	}
+	if verdict == nil {
+		t.Fatal("no straggler or suspect verdict for the delayed agent in the timeline")
+	}
+	if f, ok := verdict.Field("cause"); !ok || f.Str == "" {
+		t.Fatalf("delayed agent's verdict %+v carries no cause", verdict)
 	}
 	// Timeline arrives oldest-first with strictly increasing Seq.
 	for i := 1; i < len(s.Timeline); i++ {

@@ -29,8 +29,8 @@ type Common struct {
 	Durability checkpoint.Config
 	// Events configures the structured control-plane event journal.
 	Events events.Config
-	// Profile configures the cluster profiling plane: runtime sampling
-	// rates, the coordinator artifact store, and straggler auto-capture.
+	// Profile arms the runtime's mutex/block sampling rates, so the
+	// process's /debug/pprof/{mutex,block} carry data.
 	Profile profile.Config
 }
 
@@ -97,10 +97,8 @@ func (c *Common) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Durability.Key, "ckpt-key", c.Durability.Key, "stable durable identity for restore-on-restart (default derived per role)")
 	fs.IntVar(&c.Durability.EverySteps, "ckpt-steps", c.Durability.EverySteps, "checkpoint every N compute supersteps")
 	fs.DurationVar(&c.Durability.Interval, "ckpt-interval", c.Durability.Interval, "additional wall-clock checkpoint cadence (0 = off)")
-	fs.BoolVar(&c.Profile.Enabled, "profile", c.Profile.Enabled, "enable the cluster profiling plane (also ELGA_PROFILE=1)")
-	fs.StringVar(&c.Profile.Dir, "profile-dir", c.Profile.Dir, "profile artifact store directory (default in-memory)")
-	fs.BoolVar(&c.Profile.Rates, "profile-rates", c.Profile.Rates, "arm runtime mutex/block profiling rates (also ELGA_PROFILE_RATES=1)")
-	fs.BoolVar(&c.Profile.AutoCapture, "profile-auto", c.Profile.AutoCapture, "auto-capture profiles on straggler/suspect verdicts (also ELGA_PROFILE_AUTO=1)")
+	fs.BoolVar(&c.Profile.Rates, "profile-rates", c.Profile.Rates,
+		"arm runtime mutex/block profiling rates for /debug/pprof/{mutex,block} (also ELGA_PROFILE_RATES=1)")
 }
 
 // envFlags maps each environment variable the CLI honours to the shared
@@ -115,10 +113,7 @@ var envFlags = []struct{ env, flag string }{
 	{"ELGA_CKPT_KEY", "ckpt-key"},
 	{"ELGA_CKPT_STEPS", "ckpt-steps"},
 	{"ELGA_CKPT_INTERVAL", "ckpt-interval"},
-	{"ELGA_PROFILE", "profile"},
-	{"ELGA_PROFILE_DIR", "profile-dir"},
 	{"ELGA_PROFILE_RATES", "profile-rates"},
-	{"ELGA_PROFILE_AUTO", "profile-auto"},
 }
 
 // Parse seeds the shared flags on fs from the environment, then parses

@@ -123,10 +123,7 @@ var spellings = []struct {
 	{"ELGA_CKPT_KEY", "ckpt-key", "node7", func(c *Common) { c.Durability.Key = "node7" }},
 	{"ELGA_CKPT_STEPS", "ckpt-steps", "9", func(c *Common) { c.Durability.EverySteps = 9 }},
 	{"ELGA_CKPT_INTERVAL", "ckpt-interval", "90s", func(c *Common) { c.Durability.Interval = 90 * time.Second }},
-	{"ELGA_PROFILE", "profile", "1", func(c *Common) { c.Profile.Enabled = true }},
-	{"ELGA_PROFILE_DIR", "profile-dir", "/tmp/prof", func(c *Common) { c.Profile.Dir = "/tmp/prof" }},
 	{"ELGA_PROFILE_RATES", "profile-rates", "1", func(c *Common) { c.Profile.Rates = true }},
-	{"ELGA_PROFILE_AUTO", "profile-auto", "1", func(c *Common) { c.Profile.AutoCapture = true }},
 }
 
 // lookupOf serves applyEnv from a map instead of the process environment.
@@ -191,7 +188,7 @@ func TestFlagOverridesEnv(t *testing.T) {
 	t.Setenv("ELGA_TRACE", "1")
 	t.Setenv("ELGA_TRACE_SAMPLE", "0.25")
 	t.Setenv("ELGA_CKPT_STEPS", "7")
-	t.Setenv("ELGA_PROFILE_DIR", "/from/env")
+	t.Setenv("ELGA_CKPT_DIR", "/from/env")
 	c := DefaultCommon()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.RegisterFlags(fs)
@@ -201,13 +198,14 @@ func TestFlagOverridesEnv(t *testing.T) {
 	if c.Trace.Enabled || c.Trace.Sample != 0.5 || c.Durability.EverySteps != 2 {
 		t.Fatalf("flags did not override the environment: trace %+v, ckpt-steps %d", c.Trace, c.Durability.EverySteps)
 	}
-	if c.Profile.Dir != "/from/env" {
-		t.Fatalf("unflagged variable lost: profile dir %q", c.Profile.Dir)
+	if c.Durability.Dir != "/from/env" {
+		t.Fatalf("unflagged variable lost: ckpt dir %q", c.Durability.Dir)
 	}
 }
 
 // TestRemovedSpellingsAreGone: the knobs that only ever had one value are
-// constants now; neither their flags nor their variables are read.
+// constants now, and the cluster profiling plane's switches went with the
+// plane; neither their flags nor their variables are read.
 func TestRemovedSpellingsAreGone(t *testing.T) {
 	t.Setenv("ELGA_TRACE_FLIGHT", "8")
 	t.Setenv("ELGA_EVENTS_RING", "8")
@@ -215,6 +213,9 @@ func TestRemovedSpellingsAreGone(t *testing.T) {
 	t.Setenv("ELGA_PROFILE_STEPS", "8")
 	t.Setenv("ELGA_PROFILE_SECONDS", "8")
 	t.Setenv("ELGA_PROFILE_COOLDOWN", "8s")
+	t.Setenv("ELGA_PROFILE", "1")
+	t.Setenv("ELGA_PROFILE_DIR", "/from/env")
+	t.Setenv("ELGA_PROFILE_AUTO", "1")
 	c, err := CommonFromEnv()
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,8 @@ func TestRemovedSpellingsAreGone(t *testing.T) {
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.RegisterFlags(fs)
-	for _, name := range []string{"trace-flight", "events-ring", "events-timeline", "profile-steps", "profile-cooldown"} {
+	for _, name := range []string{"trace-flight", "events-ring", "events-timeline", "profile-steps", "profile-cooldown",
+		"profile", "profile-dir", "profile-auto"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s still registered", name)
 		}

@@ -107,7 +107,7 @@ func (d *Directory) restoreCoordState(st *checkpoint.State) error {
 }
 
 // checkpointCoord snapshots the coordinator's canonical state. It runs
-// at view broadcasts and run boundaries — the points where coordinator
+// at view broadcasts, seals and run ends — the points where coordinator
 // state actually changed and the cluster is coherent. The build is one
 // view encode; hashing and I/O happen on the writer goroutine.
 func (d *Directory) checkpointCoord() {
@@ -149,14 +149,13 @@ func (d *Directory) checkpointCoord() {
 			{Kind: wire.SegCoord, Payload: wire.EncodeCoordState(&cs)},
 		},
 	}
-	if w.TrySubmit(snap) {
-		d.ckpt.seq = meta.Seq
-		d.event(events.Info, events.KindCheckpoint, trace.SpanContext{},
-			events.U("seq", meta.Seq), events.U("epoch", d.epoch))
-	} else {
-		d.event(events.Warn, events.KindCheckpointDrop, trace.SpanContext{},
-			events.U("seq", meta.Seq))
-	}
+	// Each call is a state change no later tick would capture, so the
+	// snapshot must not be dropped behind a busy writer: it takes the
+	// waiting slot, superseding an older snapshot there.
+	w.Submit(snap)
+	d.ckpt.seq = meta.Seq
+	d.event(events.Info, events.KindCheckpoint, trace.SpanContext{},
+		events.U("seq", meta.Seq), events.U("epoch", d.epoch))
 }
 
 // recordMark folds one participant's durable-snapshot report into the

@@ -13,7 +13,6 @@ import (
 	"elga/internal/config"
 	"elga/internal/events"
 	"elga/internal/metrics"
-	"elga/internal/profile"
 	"elga/internal/sketch"
 	"elga/internal/trace"
 	"elga/internal/transport"
@@ -49,10 +48,6 @@ type Options struct {
 	// Events configures the structured event journal and the
 	// coordinator's merged cluster timeline (zero: off).
 	Events events.Config
-	// Profile configures the cluster profiling plane (coordinator-side
-	// artifact store and straggler auto-capture policy; zero: an
-	// in-memory store and no auto-capture).
-	Profile profile.Config
 }
 
 // Validate reports option errors before any resource is allocated.
@@ -164,15 +159,6 @@ type Directory struct {
 	// ckpt is the coordinator's durability state (checkpoint.go); a nil
 	// writer means off.
 	ckpt dirCkpt
-
-	// prof is the profiling plane (profile.go): capture fan-out, chunk
-	// reassembly, the content-addressed artifact store, and the
-	// auto-capture policy. The stat counters mirror its activity for
-	// metric scrapes off the event loop.
-	prof              dirProf
-	statProfRequested atomic.Uint64
-	statProfCompleted atomic.Uint64
-	statProfFailed    atomic.Uint64
 }
 
 type migrationState struct {
@@ -298,7 +284,7 @@ func (d *Directory) registered(pkt *wire.Packet) {
 		_, err = d.ep.SendFrameAcked(d.coordAddr, d.ep.NewFrame(wire.TSubscribe))
 	}
 	if err == nil {
-		// The health and profile metric families are gated on the role.
+		// The health metric families are gated on the role.
 		d.initMetrics(d.opts.Metrics)
 	}
 	for _, p := range d.boot.End(err) {
@@ -309,7 +295,7 @@ func (d *Directory) registered(pkt *wire.Packet) {
 }
 
 // initCoordinator restores the coordinator's checkpoint and arms its
-// health, journal and profile planes and its lease sweep.
+// health and journal planes and its lease sweep.
 func (d *Directory) initCoordinator() error {
 	d.tracer.SetProc("coordinator")
 	// The health model always runs at the coordinator (it only costs a few
@@ -320,9 +306,6 @@ func (d *Directory) initCoordinator() error {
 		d.journal = events.NewJournal("coordinator", d.opts.Events)
 		d.timeline = events.NewTimeline()
 		d.evDropped = make(map[string]uint64)
-	}
-	if err := d.initProfile(); err != nil {
-		return err
 	}
 	// Restore before the first view encode: a recovered coordinator
 	// publishes the membership it last sequenced, so restarting agents
@@ -374,16 +357,6 @@ func (d *Directory) initMetrics(reg *metrics.Registry) {
 			d.statEventBatches.Load)
 		reg.CounterFunc("elga_health_events_total", "Events ever merged into the cluster timeline.", lbl,
 			func() uint64 { return d.timeline.Seq() })
-	}
-	if d.coordinator {
-		reg.CounterFunc("elga_profile_captures_requested_total", "Profile capture requests fanned out to agents.", lbl,
-			d.statProfRequested.Load)
-		reg.CounterFunc("elga_profile_captures_completed_total", "Profile artifacts committed to the store.", lbl,
-			d.statProfCompleted.Load)
-		reg.CounterFunc("elga_profile_captures_failed_total", "Profile captures that errored or expired before completing.", lbl,
-			d.statProfFailed.Load)
-		reg.GaugeFunc("elga_profile_artifacts", "Profile artifacts in the coordinator store.", lbl,
-			func() float64 { return float64(d.prof.store.Len()) })
 	}
 	metrics.RegisterRuntime(reg)
 }
@@ -482,14 +455,12 @@ func (d *Directory) mergeEvents(recs []events.Record) {
 	}
 }
 
-// agentGone runs the departure hooks for one agent (leave or eviction):
-// its health vitals are pruned so nothing ever scores a corpse's stale
-// signals.
+// agentGone prunes a departed agent's (leave or eviction) health vitals
+// so nothing ever scores a corpse's stale signals.
 func (d *Directory) agentGone(id uint64) {
 	if d.health != nil {
 		d.health.forget(id)
 	}
-	d.profileAgentGone(id)
 }
 
 // evaluateHealth re-scores every agent, refreshes the metric-gauge
@@ -520,10 +491,6 @@ func (d *Directory) evaluateHealth(now time.Time) []wire.AgentHealth {
 				events.U("agent", a.AgentID),
 				events.S("status", wire.HealthName(a.Status)),
 				events.S("cause", a.Cause))
-			// A fresh straggler/suspect verdict is the auto-capture
-			// trigger: the profile request goes out before the next
-			// evaluation can re-confirm (the cooldown dedups repeats).
-			d.maybeAutoProfile(now, a)
 		}
 	}
 	for i := range counts {
@@ -711,8 +678,6 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 		d.handleReport(pkt)
 	case wire.TStatus:
 		d.replyStatus(pkt)
-	case wire.TProfile:
-		d.handleProfileRequest(pkt)
 	case wire.TTick:
 		// Self-ticks (Node.After) multiplex two timers, distinguished by a
 		// 1-byte tag: empty = async quiescence probe, 1 = lease sweep.
@@ -723,7 +688,6 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 			if d.health != nil {
 				d.evaluateHealth(now)
 			}
-			d.sweepProfiles(now)
 			d.ep.After(d.opts.Config.LeaseExpiry()/4, leaseTickPayload)
 		} else {
 			d.sendAsyncProbe()
@@ -1240,8 +1204,6 @@ func (d *Directory) handleReport(pkt *wire.Packet) {
 			if m, err := wire.DecodeCheckpointMark(body); err == nil {
 				d.recordMark(m)
 			}
-		case wire.SecProfileChunk:
-			d.handleProfileChunk(body)
 		}
 	})
 }

@@ -49,22 +49,21 @@ func (l Level) String() string {
 // the chaos tests assert causal order and the health model count by
 // kind without parsing.
 const (
-	KindJoin           = "join"             // agent admitted to the view
-	KindLeave          = "leave"            // agent left voluntarily
-	KindEvict          = "evict"            // lease expired, agent evicted
-	KindMigrationStart = "migration-start"  // epoch bump opened a migration round
-	KindMigrationDone  = "migration-done"   // all masters confirmed the epoch
-	KindCheckpoint     = "checkpoint"       // snapshot submitted to the background writer
-	KindCheckpointDrop = "checkpoint-drop"  // snapshot dropped because the writer was busy
-	KindRestore        = "restore"          // participant restored state from a checkpoint
-	KindRunStart       = "run-start"        // algorithm run admitted
-	KindRunDone        = "run-done"         // algorithm run finished
-	KindSeal           = "seal"             // graph seal round
-	KindBatch          = "batch"            // dynamic batch boundary
-	KindRetry          = "retry"            // client op attempt retried
-	KindOpError        = "op-error"         // client op failed after retries
-	KindHealth         = "health"           // health model changed an agent's status
-	KindProfile        = "profile-captured" // profile artifact committed to the store
+	KindJoin           = "join"            // agent admitted to the view
+	KindLeave          = "leave"           // agent left voluntarily
+	KindEvict          = "evict"           // lease expired, agent evicted
+	KindMigrationStart = "migration-start" // epoch bump opened a migration round
+	KindMigrationDone  = "migration-done"  // all masters confirmed the epoch
+	KindCheckpoint     = "checkpoint"      // snapshot submitted to the background writer
+	KindCheckpointDrop = "checkpoint-drop" // snapshot dropped because the writer was busy
+	KindRestore        = "restore"         // participant restored state from a checkpoint
+	KindRunStart       = "run-start"       // algorithm run admitted
+	KindRunDone        = "run-done"        // algorithm run finished
+	KindSeal           = "seal"            // graph seal round
+	KindBatch          = "batch"           // dynamic batch boundary
+	KindRetry          = "retry"           // client op attempt retried
+	KindOpError        = "op-error"        // client op failed after retries
+	KindHealth         = "health"          // health model changed an agent's status
 )
 
 // MaxFields is the per-record key-value capacity. Fields live inline in

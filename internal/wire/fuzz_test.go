@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elga/internal/events"
+	"elga/internal/trace"
 )
 
 // FuzzDecodeFrame drives every control-plane decoder that parses
@@ -37,28 +38,20 @@ func FuzzDecodeFrame(f *testing.F) {
 			{Kind: 7, Name: "07-def", Length: 1 << 20, CRC: 1},
 		},
 	})))
-	f.Add(seedFrame(TProfileReq, AppendProfileReq(nil, &ProfileReq{
-		CaptureID: 12, Kind: 1, Steps: 4, Seconds: 1.5, TraceHi: 8, TraceLo: 9,
+	// The other SecMark shapes, span batches, status requests and views.
+	mark := CheckpointMark{Meta: CheckpointMeta{Key: "agent-0", AgentID: 1, Seq: 3, ViewEpoch: 2, RunID: 1, Step: 4}, Bytes: 512}
+	f.Add(seedReport(SecMark, AppendCheckpointMark(nil, &mark)))
+	view := AppendView(nil, &View{Epoch: 2, BatchID: 1, N: 100, Agents: []AgentInfo{{ID: 1, Addr: "inproc-1"}}, Sketch: []byte{1, 2, 3}})
+	f.Add(seedReport(SecMark, AppendCoordState(nil, &CoordState{
+		View: view, NextAgentID: 2, NextRunID: 1, Marks: []CheckpointMark{mark},
+		Events: []events.Record{rec}, EventSeq: 7,
 	})))
-	f.Add(seedReport(SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
-		CaptureID: 12, AgentID: 3, Kind: 2, Seq: 1, Total: 3,
-		RunID: 1, StepStart: 5, StepEnd: 8, Data: []byte("pprofpayload"),
-	})))
-	f.Add(seedReport(SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
-		CaptureID: 13, AgentID: 3, Kind: 1, Seq: 0, Total: 1, Err: "cpu profiler busy",
-	})))
-	f.Add(seedFrame(TProfile, AppendProfileRequest(nil, &ProfileRequest{
-		Op: ProfileOpCapture, AgentID: 3, Kinds: []uint8{1, 4}, Steps: 2, Seconds: 0.5,
-	})))
-	f.Add(seedFrame(TProfileReply, AppendProfileReply(nil, &ProfileReply{
-		Captures: []uint64{12, 13}, Pending: 2,
-		Artifacts: []ProfileArtifact{{
-			ID: 12, AgentID: 3, Kind: 1, Segment: "07-abc", Length: 512,
-			RunID: 1, StepStart: 5, StepEnd: 8, Verdict: "straggler",
-			Cause: "compute-skew", WallNanos: 1700000000,
-		}},
-		Data: []byte{0x1f, 0x8b, 0x08, 0x00},
-	})))
+	f.Add(seedReport(SecSpans, AppendSpanBatch(nil, &SpanBatch{Proc: "agent-3", Spans: []trace.SpanRecord{{
+		TraceHi: 1, TraceLo: 2, SpanID: 5, Parent: 4, RunID: 1, Step: 6, Flags: 1,
+		Name: "superstep", Start: 1700000000, Dur: 250,
+	}}})))
+	f.Add(seedFrame(TStatus, AppendStatusReq(nil, 64)))
+	f.Add(seedFrame(TDirUpdate, view))
 	f.Add(seedReport(SecMetrics, AppendMetrics(nil, []Metric{{Name: "step_time", Value: 0.25}})))
 	f.Add(seedFrame(TReady, AppendReady(nil, &Ready{AgentID: 3, Step: 7, Masters: 9, PhaseSeconds: 0.25})))
 	// The hub record lists: one record (the single-record payload) and three.
@@ -97,13 +90,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeStatusReply(payload)
 		case TStatus:
 			_, _ = DecodeStatusReq(payload)
-		case TProfileReq:
-			_, _ = DecodeProfileReq(payload)
-		case TProfile:
-			_, _ = DecodeProfileRequest(payload)
-		case TProfileReply:
-			_, _ = DecodeProfileReply(payload)
-			_, _ = DecodeProfileArtifacts(payload)
 		case TReport:
 			err := WalkReport(payload, func(agentID uint64, kind uint8, body []byte) {
 				switch kind {
@@ -117,8 +103,6 @@ func FuzzDecodeFrame(f *testing.F) {
 					_, _ = DecodeManifest(body)
 					_, _ = DecodeCheckpointMark(body)
 					_, _ = DecodeCoordState(body)
-				case SecProfileChunk:
-					_, _ = DecodeProfileChunk(body)
 				default:
 					t.Fatalf("walked a section of unknown kind %d", kind)
 				}
@@ -158,7 +142,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Unmapped selector bytes still exercise the broadest parsers.
 			_, _, _ = DecodeEventBatch(payload)
 			_, _ = DecodeStatusReply(payload)
-			_, _ = DecodeProfileReply(payload)
 		}
 	})
 }

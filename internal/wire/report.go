@@ -12,11 +12,10 @@ import (
 // kinds it does not know, so a plane can add a section that an older
 // coordinator steps over.
 const (
-	SecMetrics      uint8 = iota + 1 // AppendMetrics
-	SecSpans                         // AppendSpanBatch
-	SecEvents                        // AppendEventBatch
-	SecMark                          // AppendCheckpointMark
-	SecProfileChunk                  // AppendProfileChunk
+	SecMetrics uint8 = iota + 1 // AppendMetrics
+	SecSpans                    // AppendSpanBatch
+	SecEvents                   // AppendEventBatch
+	SecMark                     // AppendCheckpointMark
 	secKinds
 )
 

@@ -23,8 +23,6 @@ func testSections() []testSection {
 		{SecEvents, AppendEventBatch(nil, testEventRecords(), 5)},
 		{SecMark, AppendCheckpointMark(nil, &CheckpointMark{
 			Meta: CheckpointMeta{Key: "agent-0", AgentID: 3, Seq: 2, ViewEpoch: 4}, Bytes: 64})},
-		{SecProfileChunk, AppendProfileChunk(nil, &ProfileChunk{
-			CaptureID: 12, AgentID: 3, Kind: 1, Total: 1, Data: []byte("pprof")})},
 	}
 }
 

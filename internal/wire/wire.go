@@ -122,16 +122,6 @@ const (
 	TStatus
 	// TStatusReply answers a TStatus.
 	TStatusReply
-	// TProfileReq asks one agent to capture a runtime profile (CPU, heap,
-	// goroutine, mutex, block, allocs), optionally scoped to a superstep
-	// window. Acked: a silently dropped request would wedge the
-	// coordinator's one-in-flight-per-agent accounting.
-	TProfileReq
-	// TProfile is the client-boundary profiling request (REQ/REP):
-	// trigger a capture, list stored artifacts, or fetch one.
-	TProfile
-	// TProfileReply answers a TProfile.
-	TProfileReply
 
 	typeCount
 )
@@ -146,7 +136,7 @@ func AckedPush(t Type) bool {
 	switch t {
 	case TEdges, TVertexMsgs, TReplicaPartial, TValueUpdate, TReplicaRegister,
 		TSketchDelta, TDirUpdate, TAdvance, TAlgoStart, TAlgoDone, TBatchOpen,
-		TReady, TSubscribe, TLeave, TMembershipForward, TProfileReq:
+		TReady, TSubscribe, TLeave, TMembershipForward:
 		return true
 	}
 	return false
@@ -180,8 +170,7 @@ var typeNames = [...]string{
 	TSketchDelta: "sketch-delta", TQuery: "query", TQueryReply: "query-reply",
 	TRunAlgo: "run-algo", TRunReply: "run-reply", TIngest: "ingest",
 	TPing: "ping", TPong: "pong", TTick: "tick", THeartbeat: "heartbeat",
-	TStatus: "status", TStatusReply: "status-reply", TProfileReq: "profile-req",
-	TProfile: "profile", TProfileReply: "profile-reply",
+	TStatus: "status", TStatusReply: "status-reply",
 }
 
 // String names the type for logs.

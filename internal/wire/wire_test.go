@@ -535,7 +535,7 @@ func TestLazyAckTypes(t *testing.T) {
 		}
 	}
 	for _, typ := range []Type{TVertexMsgs, TReplicaPartial, TValueUpdate, TEdges,
-		TReplicaRegister, TSketchDelta, TSubscribe, TLeave, TMembershipForward, TProfileReq} {
+		TReplicaRegister, TSketchDelta, TSubscribe, TLeave, TMembershipForward} {
 		if LazyAck(typ) {
 			t.Errorf("%s: its sender waits on the ack, it must not be held", typ)
 		}
