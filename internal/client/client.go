@@ -61,40 +61,34 @@ type CallOpts struct {
 	// Timeout bounds the whole call including retries (0 selects
 	// Config.RequestTimeout).
 	Timeout time.Duration
-	// Retry shapes the per-attempt schedule; the zero value selects the
+	// Retry shapes the resend schedule; the zero value selects the
 	// transport defaults (3 attempts, jittered exponential backoff).
 	Retry transport.Retry
 }
 
-func (co CallOpts) timeout(cfg *config.Config) time.Duration {
-	if co.Timeout > 0 {
-		return co.Timeout
-	}
-	return cfg.RequestTimeout
-}
-
-// Client is a client proxy. It is not safe for concurrent use, but its
-// counters are atomics so metric scrapes may read them from other
-// goroutines.
+// Client is a client proxy. Like every participant it is one event loop:
+// New assembles it over a transport.Endpoint, and Handle takes its packets
+// — the discovery, view broadcasts, the replies to its calls and their
+// deadline ticks (transport.Subscriber). Start runs it over a Node. The
+// Client is not safe for concurrent use, but its counters are atomics so
+// metric scrapes may read them from other goroutines.
 type Client struct {
-	opts      Options
-	node      *transport.Node
-	router    *route.Router
-	feed      *route.Feed
-	coordAddr string
-	dirAddr   string
-	salt      uint64
-	queries   atomic.Uint64
-	retried   atomic.Uint64
-	tracer    *trace.Tracer
-	// journal records retry/failure events (nil = off); lastRunCtx is the
-	// trace context of the most recent completed run, correlating later
-	// client events with the run's cluster-side spans.
-	journal    *events.Journal
+	ep      transport.Endpoint
+	sub     *transport.Subscriber
+	router  *route.Router
+	tracer  *trace.Tracer
+	journal *events.Journal // retry and failure events (nil = off)
+	queries atomic.Uint64
+	retried atomic.Uint64
+	salt    uint64
+	// lastRunCtx is the trace context of the most recent completed run,
+	// correlating later client events with the run's cluster-side spans.
 	lastRunCtx trace.SpanContext
 }
 
-// Start boots a client proxy and waits for a directory view.
+// Start boots a client proxy over a new node: its loop discovers the
+// directories and subscribes to view updates, and Start returns once it
+// has subscribed.
 func Start(opts Options) (*Client, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -103,50 +97,52 @@ func Start(opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{opts: opts, node: node, router: route.New(opts.Config)}
-	c.feed = route.NewFeed(node, c.router, nil)
-	c.tracer = trace.NewTracer("client", opts.Trace)
-	c.journal = events.NewJournal("client", opts.Events)
+	c := New(opts, node)
 	if opts.Metrics != nil {
 		node.RegisterMetrics(opts.Metrics, "client")
 		lbl := metrics.Labels{"addr": node.Addr()}
 		opts.Metrics.CounterFunc("elga_client_queries_total", "Vertex queries issued.", lbl, c.queries.Load)
 		opts.Metrics.CounterFunc("elga_client_retries_total", "Operation attempts beyond the first.", lbl, c.retried.Load)
 	}
-	reply, err := node.RequestRetry(opts.MasterAddr, transport.Retry{Attempts: 5},
-		opts.Config.RequestTimeout,
-		func() []byte { return node.NewFrame(wire.TGetDirectory) })
-	if err != nil {
-		node.Close()
+	if err := c.sub.Start(node); err != nil {
 		return nil, opError("bootstrap", err)
-	}
-	dirs, err := wire.DecodeStringList(reply.Payload)
-	wire.ReleasePacket(reply)
-	if err != nil {
-		node.Close()
-		return nil, opError("bootstrap", err)
-	}
-	if len(dirs) == 0 {
-		node.Close()
-		return nil, opError("bootstrap", ErrNoDirectories)
-	}
-	c.coordAddr = dirs[0]
-	c.dirAddr = dirs[len(dirs)-1]
-	// The subscription is acked: losing it would freeze this client's
-	// view of the membership forever.
-	if _, err := node.SendFrameAcked(c.dirAddr, wire.AppendSubscribeTypes(
-		node.NewFrame(wire.TSubscribe), wire.TDirUpdate)); err != nil {
-		node.Close()
-		return nil, err
 	}
 	return c, nil
 }
 
+// New assembles a client over ep, whose packets go to Handle, and starts
+// nothing.
+func New(opts Options, ep transport.Endpoint) *Client {
+	c := &Client{
+		ep:      ep,
+		router:  route.New(opts.Config),
+		tracer:  trace.NewTracer("client", opts.Trace),
+		journal: events.NewJournal("client", opts.Events),
+	}
+	c.sub = transport.NewSubscriber(ep, transport.SubscriberConfig{
+		Master:  opts.MasterAddr,
+		Timeout: opts.Config.RequestTimeout,
+		View:    func(v *wire.View) error { return c.router.Install(v, ep, nil) },
+		Retried: func(name string, try int) {
+			c.retried.Add(1)
+			c.journal.Emit(events.Warn, events.KindRetry, c.lastRunCtx,
+				events.S("op", name), events.U("attempt", uint64(try)))
+		},
+	})
+	return c
+}
+
+// Boot starts the discovery Handle runs (transport.Subscriber.Boot).
+func (c *Client) Boot() *transport.Boot { return c.sub.Boot() }
+
+// Handle takes one packet (transport.Subscriber.Handle) and reports
+// whether the client kept it.
+func (c *Client) Handle(pkt *wire.Packet) (retained bool) { return c.sub.Handle(pkt) }
+
 // Close unsubscribes from directory broadcasts and releases the client.
 func (c *Client) Close() error {
 	c.shipReport()
-	_ = c.node.SendFrame(c.dirAddr, c.node.NewFrame(wire.TUnsubscribe))
-	c.node.Close()
+	c.sub.Close()
 	return nil
 }
 
@@ -154,7 +150,7 @@ func (c *Client) Close() error {
 // journalled events as one lossy TReport (the client has no tick loop, so
 // it reports at op boundaries and Close).
 func (c *Client) shipReport() {
-	f := wire.AppendReportHeader(c.node.NewFrame(wire.TReport), 0)
+	f := wire.AppendReportHeader(c.ep.NewFrame(wire.TReport), 0)
 	empty := len(f)
 	if spans := c.tracer.TakeBatch(); spans != nil {
 		sb := wire.SpanBatch{Proc: c.tracer.Proc(), Spans: spans}
@@ -163,42 +159,40 @@ func (c *Client) shipReport() {
 	if evs := c.journal.TakeBatch(); evs != nil {
 		f = wire.AppendSection(f, wire.SecEvents, func(b []byte) []byte { return wire.AppendEventBatch(b, evs, c.journal.Dropped()) })
 	}
-	if len(f) == empty {
+	if len(f) == empty || c.sub.Coord == "" {
 		wire.ReleaseFrame(f)
 		return
 	}
-	_ = c.node.SendFrame(c.coordAddr, f)
+	_ = c.ep.SendFrame(c.sub.Coord, f)
 }
 
-// TransportStats returns the client node's transport counters.
-func (c *Client) TransportStats() transport.Stats { return c.node.Stats() }
+// TransportStats returns the client endpoint's transport counters.
+func (c *Client) TransportStats() transport.Stats { return c.ep.Stats() }
 
 // Epoch returns the epoch of the newest view the client has received.
 func (c *Client) Epoch() uint64 {
-	_ = c.feed.Install(0)
+	c.sub.Lock()
+	defer c.sub.Unlock()
+	_ = c.sub.Install()
 	return c.router.Epoch()
 }
 
 // NumAgents returns the agent count of the newest view the client has
 // received.
 func (c *Client) NumAgents() int {
-	_ = c.feed.Install(0)
+	c.sub.Lock()
+	defer c.sub.Unlock()
+	_ = c.sub.Install()
 	return c.router.NumAgents()
 }
 
 // WaitReady blocks until at least one agent is visible.
 func (c *Client) WaitReady() error {
-	deadline := time.Now().Add(c.opts.Config.RequestTimeout)
-	for c.router.NumAgents() == 0 {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return opError("wait-ready", fmt.Errorf("%w (%w)", ErrNoAgents, transport.ErrTimeout))
-		}
-		if err := c.feed.Install(wait); err != nil {
-			return opError("wait-ready", err)
-		}
-	}
-	return nil
+	return opError("wait-ready", c.sub.Do(transport.Op{
+		Name:    "wait-ready",
+		Ready:   func() bool { return c.router.NumAgents() > 0 },
+		Expired: fmt.Errorf("%w (%w)", ErrNoAgents, transport.ErrTimeout),
+	}))
 }
 
 // RunSpec describes an algorithm run request.
@@ -221,97 +215,22 @@ type RunSpec struct {
 	Timeout time.Duration
 }
 
-// op describes one blocking client operation: where it goes, how to
-// build a fresh request frame per attempt, and how to consume the reply.
-// do is the single execution core — every exported call (Run, RunWith,
-// Seal, SealWith, Query, QueryWith) is a thin named wrapper over it, so
-// timeout selection, retry shaping, per-attempt routing, packet release,
-// and typed error wrapping live in exactly one place.
-type op struct {
-	// name labels the operation in the typed OpError ("run pagerank",
-	// "seal", "query 42").
-	name string
-	// timeout overrides the CallOpts/config default budget when positive.
-	timeout time.Duration
-	// single marks a non-idempotent operation: exactly one attempt with
-	// the whole budget (Run — a timed-out submission may still execute,
-	// and re-submitting would queue a second run).
-	single bool
-	// addr resolves the destination per attempt; nil targets the
-	// coordinator. Per-attempt re-resolution lets a retry route around
-	// an agent that died since the last attempt.
-	addr func() (string, error)
-	// frame builds a fresh request frame (frames are consumed on send).
-	frame func() []byte
-	// reply consumes the reply payload; nil ignores it. do releases the
-	// packet after reply returns, so implementations must not retain it.
-	reply func(*wire.Packet) error
-}
-
-// do executes one op under co's policy and wraps any failure in the
-// typed taxonomy.
-func (c *Client) do(o op, co CallOpts) error {
-	overall := o.timeout
-	if overall <= 0 {
-		overall = co.timeout(&c.opts.Config)
+// do runs o under co's policy, a call of the transport.Subscriber,
+// journals its failure, ships the op's report and wraps any failure in the
+// typed taxonomy. Every request (Run, RunWith, Seal, SealWith, Query,
+// QueryWith, StatusEvents) goes through here.
+func (c *Client) do(o transport.Op, co CallOpts) error {
+	if o.Timeout <= 0 {
+		o.Timeout = co.Timeout
 	}
-	deadline := time.Now().Add(overall)
-	perTry := co.Retry.PerTry
-	if o.single {
-		perTry = overall
-	} else if perTry <= 0 {
-		attempts := co.Retry.Attempts
-		if attempts <= 0 {
-			attempts = 3
-		}
-		perTry = overall / time.Duration(attempts)
-		if perTry < 50*time.Millisecond {
-			perTry = 50 * time.Millisecond
-		}
-	}
-	attempt := 0
-	try := func() error {
-		if attempt++; attempt > 1 {
-			c.retried.Add(1)
-			c.journal.Emit(events.Warn, events.KindRetry, c.lastRunCtx,
-				events.S("op", o.name), events.U("attempt", uint64(attempt)))
-		}
-		addr := c.coordAddr
-		if o.addr != nil {
-			var err error
-			if addr, err = o.addr(); err != nil {
-				return err
-			}
-		}
-		t := perTry
-		if rem := time.Until(deadline); rem < t {
-			t = rem
-		}
-		if t <= 0 {
-			return fmt.Errorf("retry budget exhausted: %w", transport.ErrTimeout)
-		}
-		reply, err := c.node.RequestFrame(addr, o.frame(), t)
-		if err != nil {
-			return err
-		}
-		if o.reply != nil {
-			err = o.reply(reply)
-		}
-		wire.ReleasePacket(reply)
-		return err
-	}
-	var err error
-	if o.single {
-		err = try()
-	} else {
-		err = co.Retry.Do(deadline, try)
-	}
+	o.Retry = co.Retry
+	err := c.sub.Do(o)
 	if err != nil {
 		c.journal.Emit(events.Error, events.KindOpError, c.lastRunCtx,
-			events.S("op", o.name), events.S("err", err.Error()))
+			events.S("op", o.Name), events.S("err", err.Error()))
 	}
 	c.shipReport()
-	return opError(o.name, err)
+	return opError(o.Name, err)
 }
 
 // Run asks the directory system to execute an algorithm and blocks until
@@ -320,17 +239,12 @@ func (c *Client) do(o op, co CallOpts) error {
 // and re-submitting it would start a second run. Callers whose specs are
 // idempotent can opt into retries with RunWith.
 func (c *Client) Run(spec RunSpec) (*wire.RunStats, error) {
-	return c.run(spec, CallOpts{}, true)
-}
-
-// linkRunSpan records the client's side of a run retroactively: the run's
-// trace context arrives only on the TRunReply frame, so the span is
-// started at the remembered request time and closed now; the op's report
-// ships it to the coordinator so the collector sees client→directory→agent
-// under one trace ID.
-func (c *Client) linkRunSpan(ctx trace.SpanContext, start time.Time) {
-	c.lastRunCtx = ctx
-	c.tracer.StartRemoteAt("client-run", ctx, start).End()
+	if spec.Timeout <= 0 {
+		// A run outlives ordinary request budgets; without an explicit
+		// bound give the single attempt a long leash.
+		spec.Timeout = 10 * time.Minute
+	}
+	return c.RunWith(spec, CallOpts{Retry: transport.Retry{Attempts: 1}})
 }
 
 // RunWith is Run under an explicit retry policy. A retried submission
@@ -340,54 +254,41 @@ func (c *Client) linkRunSpan(ctx trace.SpanContext, start time.Time) {
 // Incremental runs (FromScratch false) must use Run. The per-try wait
 // must cover a full run's duration, not just the request round-trip.
 func (c *Client) RunWith(spec RunSpec, co CallOpts) (*wire.RunStats, error) {
-	return c.run(spec, co, false)
-}
-
-// run is the shared Run/RunWith body over the do core.
-func (c *Client) run(spec RunSpec, co CallOpts, single bool) (*wire.RunStats, error) {
 	if _, ok := algorithm.Lookup(spec.Algo); !ok {
 		// The coordinator answers a program it does not know with empty
 		// statistics, which would pass for a run that did nothing.
 		return nil, opError("run "+spec.Algo, fmt.Errorf("%w %q", ErrUnknownProgram, spec.Algo))
 	}
-	timeout := spec.Timeout
-	if timeout <= 0 && single {
-		// A run outlives ordinary request budgets; without an explicit
-		// bound give the single attempt a long leash.
-		timeout = 10 * time.Minute
-	}
-	start := time.Now()
+	start := c.ep.Now()
 	var stats *wire.RunStats
-	err := c.do(op{
-		name:    "run " + spec.Algo,
-		timeout: timeout,
-		single:  single,
-		frame:   func() []byte { return c.runFrame(spec) },
-		reply: func(p *wire.Packet) error {
-			c.linkRunSpan(p.Ctx, start)
-			decoded, err := wire.DecodeRunStats(p.Payload)
-			if err != nil {
-				return err
-			}
-			stats = decoded
-			return nil
+	o := transport.Op{
+		Name:    "run " + spec.Algo,
+		Timeout: spec.Timeout,
+		Frame: func() []byte {
+			return wire.AppendAlgoStart(c.ep.NewFrame(wire.TRunAlgo), &wire.AlgoStart{
+				Algo:        spec.Algo,
+				Async:       spec.Async,
+				MaxSteps:    spec.MaxSteps,
+				Epsilon:     spec.Epsilon,
+				FromScratch: spec.FromScratch,
+				Source:      spec.Source,
+			})
 		},
-	}, co)
-	if err != nil {
+		Reply: func(p *wire.Packet) (err error) {
+			// The run's trace context arrives only on its reply, so the
+			// client's span is recorded now from the request time; the
+			// op's report ships it, and the collector sees
+			// client→directory→agent under one trace ID.
+			c.lastRunCtx = p.Ctx
+			c.tracer.StartRemoteAt("client-run", p.Ctx, start).End()
+			stats, err = wire.DecodeRunStats(p.Payload)
+			return err
+		},
+	}
+	if err := c.do(o, co); err != nil {
 		return nil, err
 	}
 	return stats, nil
-}
-
-func (c *Client) runFrame(spec RunSpec) []byte {
-	return wire.AppendAlgoStart(c.node.NewFrame(wire.TRunAlgo), &wire.AlgoStart{
-		Algo:        spec.Algo,
-		Async:       spec.Async,
-		MaxSteps:    spec.MaxSteps,
-		Epsilon:     spec.Epsilon,
-		FromScratch: spec.FromScratch,
-		Source:      spec.Source,
-	})
 }
 
 // Seal asks the directory system to reach a batch boundary with the
@@ -399,9 +300,10 @@ func (c *Client) Seal() error { return c.SealWith(CallOpts{}) }
 // rebalance completed. It blocks until the cluster is quiescent. Seals
 // are idempotent, so the call retries under co's policy.
 func (c *Client) SealWith(co CallOpts) error {
-	return c.do(op{
-		name:  "seal",
-		frame: func() []byte { return c.node.NewFrame(wire.TIngest) },
+	return c.do(transport.Op{
+		Name:  "seal",
+		Frame: func() []byte { return c.ep.NewFrame(wire.TIngest) },
+		Reply: func(*wire.Packet) error { return nil },
 	}, co)
 }
 
@@ -418,12 +320,9 @@ func (c *Client) Query(v graph.VertexID) (algorithm.Word, bool, error) {
 func (c *Client) QueryWith(v graph.VertexID, co CallOpts) (algorithm.Word, bool, error) {
 	c.queries.Add(1)
 	var qr *wire.QueryReply
-	err := c.do(op{
-		name: fmt.Sprintf("query %d", v),
-		addr: func() (string, error) {
-			if err := c.feed.Install(0); err != nil {
-				return "", err
-			}
+	err := c.do(transport.Op{
+		Name: fmt.Sprintf("query %d", v),
+		Addr: func() (string, error) {
 			c.salt++
 			agentID, ok := c.router.AnyReplica(v, c.salt)
 			if !ok {
@@ -435,16 +334,12 @@ func (c *Client) QueryWith(v graph.VertexID, co CallOpts) (algorithm.Word, bool,
 			}
 			return addr, nil
 		},
-		frame: func() []byte {
-			return wire.AppendQuery(c.node.NewFrame(wire.TQuery), &wire.Query{Vertex: v})
+		Frame: func() []byte {
+			return wire.AppendQuery(c.ep.NewFrame(wire.TQuery), &wire.Query{Vertex: v})
 		},
-		reply: func(p *wire.Packet) error {
-			decoded, err := wire.DecodeQueryReply(p.Payload)
-			if err != nil {
-				return err
-			}
-			qr = decoded
-			return nil
+		Reply: func(p *wire.Packet) (err error) {
+			qr, err = wire.DecodeQueryReply(p.Payload)
+			return err
 		},
 	}, co)
 	if err != nil {
@@ -459,30 +354,20 @@ func (c *Client) QueryFloat(v graph.VertexID) (float64, bool, error) {
 	return w.F64(), found, err
 }
 
-// Status asks the coordinator for the cluster health rollup: per-agent
-// scored statuses with the evidence EMAs, plus the newest slice of the
-// merged event timeline (the server default depth). Status works with
-// events off — the timeline is simply empty.
-func (c *Client) Status(co CallOpts) (*wire.StatusReply, error) {
-	return c.StatusEvents(0, co)
-}
-
-// StatusEvents is Status with an explicit timeline depth (0 selects the
-// server default).
+// StatusEvents asks the coordinator for the cluster health rollup:
+// per-agent scored statuses with the evidence EMAs, plus the newest
+// maxEvents of the merged event timeline (0 selects the server default).
+// It works with events off — the timeline is simply empty.
 func (c *Client) StatusEvents(maxEvents uint32, co CallOpts) (*wire.StatusReply, error) {
 	var sr *wire.StatusReply
-	err := c.do(op{
-		name: "status",
-		frame: func() []byte {
-			return wire.AppendStatusReq(c.node.NewFrame(wire.TStatus), maxEvents)
+	err := c.do(transport.Op{
+		Name: "status",
+		Frame: func() []byte {
+			return wire.AppendStatusReq(c.ep.NewFrame(wire.TStatus), maxEvents)
 		},
-		reply: func(p *wire.Packet) error {
-			decoded, err := wire.DecodeStatusReply(p.Payload)
-			if err != nil {
-				return err
-			}
-			sr = decoded
-			return nil
+		Reply: func(p *wire.Packet) (err error) {
+			sr, err = wire.DecodeStatusReply(p.Payload)
+			return err
 		},
 	}, co)
 	if err != nil {

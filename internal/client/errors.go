@@ -22,9 +22,6 @@ import (
 // with the most recent run's trace context — so client-visible errors
 // appear on the same causal axis as the cluster's own decisions.
 var (
-	// ErrNoDirectories means bootstrap returned an empty directory list;
-	// retrying after the directories come up is expected to succeed.
-	ErrNoDirectories = fmt.Errorf("no directories: %w", transport.ErrUnavailable)
 	// ErrNoAgents means the installed view has no agent able to serve
 	// the call yet.
 	ErrNoAgents = fmt.Errorf("no agents: %w", transport.ErrUnavailable)

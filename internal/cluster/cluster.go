@@ -392,7 +392,7 @@ func (c *Cluster) MetricsAddr() string {
 // client: per-agent scored statuses plus the newest slice of the merged
 // event timeline (empty unless Options.Events enabled the journal).
 func (c *Cluster) Status() (*wire.StatusReply, error) {
-	return c.ctl.Status(client.CallOpts{})
+	return c.ctl.StatusEvents(0, client.CallOpts{})
 }
 
 // StatusEvents is Status with an explicit timeline depth.
@@ -520,7 +520,6 @@ func (c *Cluster) TransportStats() transport.Stats {
 		t.Retransmits += s.Retransmits
 		t.DuplicatesDropped += s.DuplicatesDropped
 		t.AckGiveUps += s.AckGiveUps
-		t.RequestRetries += s.RequestRetries
 	}
 	return t
 }

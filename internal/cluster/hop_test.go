@@ -11,7 +11,6 @@ import (
 	"elga/internal/client"
 	"elga/internal/events"
 	"elga/internal/gen"
-	"elga/internal/profile"
 	"elga/internal/trace"
 	"elga/internal/transport"
 	"elga/internal/wire"
@@ -145,7 +144,7 @@ func TestBatchRoundShipsOneReport(t *testing.T) {
 	changeRates := map[uint64]int{}
 	c, err := New(Options{
 		Config: cfg, Network: nw, Agents: agents,
-		Trace: &trace.Config{}, Events: &events.Config{}, Profile: &profile.Config{},
+		Trace: &trace.Config{}, Events: &events.Config{},
 		MetricHandler: func(m *wire.Metric) {
 			if m.Name == autoscale.MetricChangeRate {
 				mu.Lock()

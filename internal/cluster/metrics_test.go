@@ -148,7 +148,16 @@ func TestMetricsSmokeScrape(t *testing.T) {
 	if !strings.Contains(text, `elga_superstep_phase_seconds_count{phase="compute"}`) {
 		t.Errorf("compute phase histogram missing:\n%s", text)
 	}
+	// The load's seal and the run are two answered client requests.
+	if !strings.Contains(text, `elga_reqrep_roundtrip_seconds_count{role="client"}`) {
+		t.Errorf("client round-trip histogram missing:\n%s", text)
+	}
 	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, `elga_reqrep_roundtrip_seconds_count{role="client"}`) {
+			if n, _ := strconv.ParseFloat(strings.Fields(line)[1], 64); n < 2 {
+				t.Errorf("client round trips = %v, want >= 2", n)
+			}
+		}
 		if strings.HasPrefix(line, `elga_superstep_phase_seconds_count{phase="compute"}`) {
 			n, _ := strconv.ParseFloat(strings.Fields(line)[1], 64)
 			// 2 agents x 5 steps = 10 compute phases (plus any from load).

@@ -217,11 +217,14 @@ func nextView(t *testing.T, watcher *transport.Node) *wire.View {
 // agent's batch-open round does, and then seals.
 func pushDeltaAndSeal(t *testing.T, sender *transport.Node, dirAddr string, delta *sketch.Delta) {
 	t.Helper()
-	if err := sender.SendAcked(dirAddr, wire.TSketchDelta, delta.AppendBinary(nil)); err != nil {
+	payload := delta.AppendBinary(nil)
+	if _, err := sender.SendFrameAcked(dirAddr, append(sender.NewFrameHint(wire.TSketchDelta, len(payload)), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); sender.Stats().OutstandingAcks > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sketch delta was never acknowledged")
+		}
 	}
 	if _, err := sender.Request(dirAddr, wire.TIngest, nil, 10*time.Second); err != nil {
 		t.Fatal(err)

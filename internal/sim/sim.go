@@ -8,9 +8,11 @@
 //
 // Frames and packets are built as the production Node builds them
 // (wire.FinishFrame, wire.UnmarshalPacketInto). The endpoint numbers acked
-// sends, and Ack returns a TAck to the sender's Handle, as under
-// Node.SetAckNotify(true). Nothing is lost or retransmitted unless a fault
-// hook says so, and nothing is deduplicated.
+// sends and keeps each until its TAck, which reaches the sender's Handle
+// as under Node.SetAckNotify(true); CancelPeer gives back the ones still
+// outstanding to a peer, and a TAck that finds its send gone is dropped.
+// Nothing is lost or retransmitted unless a fault hook says so, and
+// nothing is deduplicated.
 package sim
 
 import (
@@ -124,6 +126,10 @@ func (w *World) step() bool {
 	return true
 }
 
+// Step steps the whole world: a blocking call of the participant on e
+// (transport.Subscriber.Do) runs the world until the call ends.
+func (e *Endpoint) Step() bool { return e.w.step() }
+
 // RunUntil steps the world until done reports true. It fails when the world
 // has nothing left to do, or when done is still false once the clock would
 // pass limit from now.
@@ -141,7 +147,8 @@ func (w *World) RunUntil(done func() bool, limit time.Duration) error {
 }
 
 // deliver hands frame to the Handle of the endpoint at to; a closed or
-// unserved endpoint, or an unparsable frame, releases it.
+// unserved endpoint, an unparsable frame or a TAck for no outstanding send
+// releases it.
 func (w *World) deliver(to string, frame []byte) {
 	pkt := wire.GetPacket()
 	if err := wire.UnmarshalPacketInto(pkt, frame, nil); err != nil {
@@ -149,7 +156,8 @@ func (w *World) deliver(to string, frame []byte) {
 		return
 	}
 	e := w.eps[to]
-	if e == nil || e.closed || e.handle == nil || !e.handle(pkt) {
+	if e == nil || e.closed || e.handle == nil ||
+		pkt.Type == wire.TAck && !e.complete(pkt) || !e.handle(pkt) {
 		wire.ReleasePacket(pkt)
 	}
 }
@@ -161,6 +169,15 @@ type Endpoint struct {
 	handle  func(*wire.Packet) bool
 	nextReq uint32
 	closed  bool
+	// unacked holds a copy of each acked send without its TAck, in send
+	// order.
+	unacked []unacked
+}
+
+type unacked struct {
+	to    string
+	req   uint32
+	frame []byte
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -192,7 +209,29 @@ func (e *Endpoint) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 		e.nextReq = 1
 	}
 	wire.PatchFrameReq(frame, e.nextReq)
-	return e.nextReq, e.SendFrame(addr, frame)
+	if err := wire.FinishFrame(frame); err != nil {
+		wire.ReleaseFrame(frame)
+		return 0, err
+	}
+	e.unacked = append(e.unacked, unacked{
+		to:    addr,
+		req:   e.nextReq,
+		frame: append(wire.GetFrame(len(frame)), frame...),
+	})
+	e.w.send(e.addr, addr, frame)
+	return e.nextReq, nil
+}
+
+// complete forgets the send ack acknowledges and reports whether it was
+// outstanding.
+func (e *Endpoint) complete(ack *wire.Packet) bool {
+	i := slices.IndexFunc(e.unacked, func(u unacked) bool { return u.req == ack.Req && u.to == ack.From })
+	if i < 0 {
+		return false
+	}
+	wire.ReleaseFrame(e.unacked[i].frame)
+	e.unacked = slices.Delete(e.unacked, i, i+1)
+	return true
 }
 
 func (e *Endpoint) ReplyFrame(req *wire.Packet, frame []byte) error {
@@ -231,9 +270,22 @@ func (e *Endpoint) finished(typ wire.Type, payload []byte) []byte {
 	return frame
 }
 
-// CancelPeer gives nothing back: no send is ever outstanding here.
-func (e *Endpoint) CancelPeer(string) []transport.FailedSend { return nil }
-func (e *Endpoint) Stats() transport.Stats                   { return transport.Stats{} }
+// CancelPeer gives back the acked sends to addr still without their TAck,
+// in send order.
+func (e *Endpoint) CancelPeer(addr string) (failed []transport.FailedSend) {
+	e.unacked = slices.DeleteFunc(e.unacked, func(u unacked) bool {
+		if u.to == addr {
+			failed = append(failed, transport.FailedSend{Req: u.req, Frame: u.frame})
+		}
+		return u.to == addr
+	})
+	return failed
+}
+
+// Stats counts the acked sends outstanding; nothing else is counted here.
+func (e *Endpoint) Stats() transport.Stats {
+	return transport.Stats{OutstandingAcks: uint64(len(e.unacked))}
+}
 
 // Close stops deliveries to the endpoint.
 func (e *Endpoint) Close() { e.closed = true }

@@ -9,10 +9,8 @@
 package streamer
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"elga/internal/config"
 	"elga/internal/graph"
@@ -54,124 +52,128 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// Streamer injects edge changes into the cluster. It is not safe for
-// concurrent use; run one Streamer per producing goroutine, exactly as
-// ElGA runs independent streamer processes.
+// Streamer injects edge changes into the cluster. Like every participant
+// it is one event loop: New assembles it over a transport.Endpoint, and
+// Handle takes its packets — the discovery, view broadcasts and its
+// deadline ticks (transport.Subscriber), and the acks of its batches.
+// Start runs it over a Node. It is not safe for concurrent use; run one
+// Streamer per producing goroutine, exactly as ElGA runs independent
+// streamer processes.
 type Streamer struct {
-	opts    Options
-	node    *transport.Node
-	router  *route.Router
-	feed    *route.Feed
-	dirAddr string
+	opts   Options
+	ep     transport.Endpoint
+	sub    *transport.Subscriber
+	router *route.Router
 	// pending buckets buffered copies by their owner's position in the
 	// router's Agents(); count is how many there are. Positions belong to
-	// the installed view, so a view is installed only when count is 0.
+	// the installed view, so a view is installed (Subscriber.Install) only
+	// when count is 0.
 	pending [][]wire.EdgeChange
 	count   int
 	// sent is atomic so metric scrapes can read it mid-ingest.
 	sent atomic.Uint64
 }
 
-// Start boots a streamer: it discovers directories, subscribes to view
-// updates, and waits for a first view.
+// Start boots a streamer over a new node: its loop discovers the
+// directories and subscribes to view updates, and Start returns once it
+// has subscribed.
 func Start(opts Options) (*Streamer, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
 	}
 	node, err := transport.NewNode(opts.Network, "", 0)
 	if err != nil {
 		return nil, err
 	}
-	s := &Streamer{
-		opts:   opts,
-		node:   node,
-		router: route.New(opts.Config),
-	}
-	s.feed = route.NewFeed(node, s.router, s.reroute)
+	node.SetAckNotify(true)
+	s := New(opts, node)
+	node.RegisterMetrics(opts.Metrics, "streamer")
 	if opts.Metrics != nil {
-		node.RegisterMetrics(opts.Metrics, "streamer")
 		opts.Metrics.CounterFunc("elga_streamer_sent_total", "Edge-change copies flushed to agents.",
 			metrics.Labels{"addr": node.Addr()}, s.sent.Load)
 	}
-	reply, err := node.RequestRetry(opts.MasterAddr, transport.Retry{Attempts: 5},
-		opts.Config.RequestTimeout,
-		func() []byte { return node.NewFrame(wire.TGetDirectory) })
-	if err != nil {
-		node.Close()
+	if err := s.sub.Start(node); err != nil {
 		return nil, fmt.Errorf("streamer: bootstrap: %w", err)
-	}
-	dirs, err := wire.DecodeStringList(reply.Payload)
-	wire.ReleasePacket(reply)
-	if err != nil || len(dirs) == 0 {
-		node.Close()
-		return nil, fmt.Errorf("streamer: no directories")
-	}
-	s.dirAddr = dirs[0]
-	// Acked subscription: a streamer that silently misses views would
-	// route every future change against a stale membership.
-	if _, err := node.SendFrameAcked(s.dirAddr, wire.AppendSubscribeTypes(
-		node.NewFrame(wire.TSubscribe), wire.TDirUpdate)); err != nil {
-		node.Close()
-		return nil, err
 	}
 	return s, nil
 }
 
-// WaitReady blocks until the streamer has a view with at least one agent.
-func (s *Streamer) WaitReady() error {
-	deadline := time.Now().Add(s.opts.Config.RequestTimeout)
-	for s.router.NumAgents() == 0 {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return fmt.Errorf("streamer: no agents joined before timeout")
-		}
-		if err := s.feed.Install(wait); err != nil {
-			return fmt.Errorf("streamer: waiting for a directory view: %w", err)
-		}
+// New assembles a streamer over ep, whose packets go to Handle, TAcks
+// included (Node.SetAckNotify), and starts nothing.
+func New(opts Options, ep transport.Endpoint) *Streamer {
+	if opts.BatchSize <= 0 {
+		opts.BatchSize = DefaultBatchSize
 	}
-	return nil
+	s := &Streamer{opts: opts, ep: ep, router: route.New(opts.Config)}
+	s.sub = transport.NewSubscriber(ep, transport.SubscriberConfig{
+		Master:  opts.MasterAddr,
+		Timeout: opts.Config.RequestTimeout,
+		View:    s.install,
+	})
+	return s
+}
+
+// Boot starts the discovery Handle runs (transport.Subscriber.Boot).
+func (s *Streamer) Boot() *transport.Boot { return s.sub.Boot() }
+
+// Handle takes one packet (transport.Subscriber.Handle) and reports
+// whether the streamer kept it. An ack may be the last a Flush waits for.
+func (s *Streamer) Handle(pkt *wire.Packet) (retained bool) { return s.sub.Handle(pkt) }
+
+// install installs v, the newest view, with nothing buffered, and sends at
+// once the batches it gives back: those its departed agents left
+// unacknowledged.
+func (s *Streamer) install(v *wire.View) error {
+	if err := s.router.Install(v, s.ep, s.reroute); err != nil || s.count == 0 {
+		return err
+	}
+	return s.flushPending()
+}
+
+// WaitReady blocks until the streamer routes by a view with at least one
+// agent.
+func (s *Streamer) WaitReady() error {
+	return s.sub.Do(transport.Op{
+		Name:    "wait-ready",
+		Ready:   func() bool { return s.router.NumAgents() > 0 },
+		Expired: fmt.Errorf("streamer: no agents joined before timeout: %w", transport.ErrTimeout),
+	})
 }
 
 // Send routes one change: the out-copy to EdgeOwner(src, dst) and the
-// in-copy to EdgeOwner(dst, src). The first Send of a chunk installs the
-// newest view.
-func (s *Streamer) Send(c graph.Change) error {
-	if err := s.install(); err != nil {
-		return err
-	}
-	outOwner, ok1 := s.router.EdgeOwnerIndex(c.Src, c.Dst)
-	inOwner, ok2 := s.router.EdgeOwnerIndex(c.Dst, c.Src)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("streamer: no agents available")
-	}
-	s.enqueue(outOwner, wire.EdgeChange{Action: c.Action, Src: c.Src, Dst: c.Dst, Dir: graph.Out})
-	s.enqueue(inOwner, wire.EdgeChange{Action: c.Action, Src: c.Src, Dst: c.Dst, Dir: graph.In})
-	if s.count >= s.opts.BatchSize {
-		return s.flushPending()
-	}
-	return nil
-}
+// in-copy to EdgeOwner(dst, src).
+func (s *Streamer) Send(c graph.Change) error { return s.SendBatch(graph.Batch{c}) }
 
-// SendBatch routes a whole batch.
+// SendBatch routes a whole batch. It lets go of the lock Handle takes
+// between chunks, so Handle keeps taking acks off the inbox while a long
+// batch goes out.
 func (s *Streamer) SendBatch(b graph.Batch) error {
-	for _, c := range b {
-		if err := s.Send(c); err != nil {
+	s.sub.Lock()
+	defer s.sub.Unlock()
+	if s.count == 0 {
+		if err := s.sub.Install(); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// install installs the newest view unless copies are buffered: their
-// buckets are positions under the installed one.
-func (s *Streamer) install() error {
-	if s.count > 0 {
-		return nil
+	for i, c := range b {
+		if i%s.opts.BatchSize == s.opts.BatchSize-1 {
+			s.sub.Unlock()
+			s.sub.Lock()
+		}
+		outOwner, ok1 := s.router.EdgeOwnerIndex(c.Src, c.Dst)
+		inOwner, ok2 := s.router.EdgeOwnerIndex(c.Dst, c.Src)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("streamer: no agents available")
+		}
+		s.enqueue(outOwner, wire.EdgeChange{Action: c.Action, Src: c.Src, Dst: c.Dst, Dir: graph.Out})
+		s.enqueue(inOwner, wire.EdgeChange{Action: c.Action, Src: c.Src, Dst: c.Dst, Dir: graph.In})
+		if s.count >= s.opts.BatchSize {
+			if err := s.flushPending(); err != nil {
+				return err
+			}
+		}
 	}
-	return s.feed.Install(0)
+	return nil
 }
 
 // enqueue buffers c for the member at position owner in Agents().
@@ -184,7 +186,7 @@ func (s *Streamer) enqueue(owner int, c wire.EdgeChange) {
 }
 
 // flushPending sends each bucket to its member, keeping the buckets' memory
-// for the next chunk.
+// for the next chunk, then installs the view kept meanwhile, if any.
 func (s *Streamer) flushPending() error {
 	members := s.router.Agents()
 	for at, changes := range s.pending {
@@ -195,9 +197,9 @@ func (s *Streamer) flushPending() error {
 			// Single-copy: encode straight into a pooled frame the per-peer
 			// writer recycles after the wire write.
 			frame := wire.AppendEdgeBatch(
-				s.node.NewFrameHint(wire.TEdges, 32+32*len(changes)),
+				s.ep.NewFrameHint(wire.TEdges, 32+32*len(changes)),
 				&wire.EdgeBatch{Epoch: s.router.Epoch(), Changes: changes})
-			if _, err := s.node.SendFrameAcked(addr, frame); err != nil {
+			if _, err := s.ep.SendFrameAcked(addr, frame); err != nil {
 				return err
 			}
 			s.sent.Add(uint64(len(changes)))
@@ -205,45 +207,39 @@ func (s *Streamer) flushPending() error {
 		s.pending[at] = changes[:0]
 		s.count -= len(changes)
 	}
-	return nil
+	return s.sub.Install()
 }
-
-// flushPoll is how often a Flush still waiting for acks installs the
-// newest view, so that batches sent to an agent it dropped are re-routed
-// instead of waiting out the retransmission budget.
-const flushPoll = 50 * time.Millisecond
 
 // Flush pushes all buffered changes and blocks until every send is
 // acknowledged — i.e. every change is held (applied or buffered) by the
-// owning agent. It then lets go of the buckets, so a bulk load leaves
-// nothing behind.
+// owning agent.
 func (s *Streamer) Flush() error {
-	deadline := time.Now().Add(s.opts.Config.RequestTimeout)
-	for {
-		if err := s.flushPending(); err != nil {
-			return err
-		}
-		wait := min(flushPoll, time.Until(deadline))
-		if wait <= 0 {
-			return fmt.Errorf("streamer: flush: %w", transport.ErrFlushTimeout)
-		}
-		err := s.node.Flush(wait)
-		if !errors.Is(err, transport.ErrFlushTimeout) {
-			if err == nil {
-				s.pending = nil
-			}
-			return err
-		}
-		if err := s.install(); err != nil {
-			return err
-		}
+	s.sub.Lock()
+	err := s.flushPending()
+	s.sub.Unlock()
+	if err != nil {
+		return err
 	}
+	// Every change has left and been acknowledged; then the buckets go, so
+	// a bulk load leaves nothing behind.
+	flushed := func() bool {
+		if s.count > 0 || s.ep.Stats().OutstandingAcks > 0 {
+			return false
+		}
+		s.pending = nil
+		return true
+	}
+	return s.sub.Do(transport.Op{
+		Name:    "flush",
+		Ready:   flushed,
+		Expired: fmt.Errorf("streamer: flush: sends unacknowledged: %w", transport.ErrTimeout),
+	})
 }
 
 // reroute takes over a batch sent to an agent the newest view dropped
 // before it acknowledged the batch: its changes are routed again under that
-// view and go out with the next flush. Inserts and deletes are idempotent,
-// so a batch the agent did apply before leaving costs nothing twice.
+// view. Inserts and deletes are idempotent, so a batch the agent did apply
+// before leaving costs nothing twice.
 func (s *Streamer) reroute(f transport.FailedSend) {
 	var pkt wire.Packet
 	var b wire.EdgeBatch
@@ -262,25 +258,27 @@ func (s *Streamer) reroute(f transport.FailedSend) {
 	wire.ReleaseFrame(f.Frame)
 }
 
-// Epoch applies any queued views, unless changes are buffered, and returns
-// the epoch of the one the streamer now routes by. Like Send, not for use
-// concurrently with ingest.
+// Epoch installs the newest view, unless changes are buffered, and returns
+// the epoch of the one the streamer routes by.
 func (s *Streamer) Epoch() uint64 {
-	_ = s.install()
+	s.sub.Lock()
+	defer s.sub.Unlock()
+	if s.count == 0 {
+		_ = s.sub.Install()
+	}
 	return s.router.Epoch()
 }
 
 // Sent returns the number of edge-change copies flushed so far.
 func (s *Streamer) Sent() uint64 { return s.sent.Load() }
 
-// TransportStats returns the streamer node's transport counters.
-func (s *Streamer) TransportStats() transport.Stats { return s.node.Stats() }
+// TransportStats returns the streamer endpoint's transport counters.
+func (s *Streamer) TransportStats() transport.Stats { return s.ep.Stats() }
 
 // Close flushes, unsubscribes from directory broadcasts, and releases the
 // streamer.
 func (s *Streamer) Close() error {
 	err := s.Flush()
-	_ = s.node.SendFrame(s.dirAddr, s.node.NewFrame(wire.TUnsubscribe))
-	s.node.Close()
+	s.sub.Close()
 	return err
 }

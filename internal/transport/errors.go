@@ -24,13 +24,3 @@ var (
 	ErrPeerClosed  = fmt.Errorf("transport: peer %w", ErrClosed)
 	ErrUnavailable = errors.New("transport: unavailable")
 )
-
-// Retryable reports whether err is worth another attempt under a Retry
-// policy: everything except a closed local node (and nil) is — timeouts,
-// peer closures, and unavailability are all transient under churn.
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	return !errors.Is(err, ErrNodeClosed)
-}

@@ -2,74 +2,11 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"elga/internal/wire"
 )
-
-func TestRetryDoAttemptCount(t *testing.T) {
-	calls := 0
-	err := Retry{Attempts: 4, BaseDelay: time.Microsecond, Seed: 1}.Do(time.Time{}, func() error {
-		calls++
-		return fmt.Errorf("transient: %w", ErrTimeout)
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 4 {
-		t.Fatalf("op ran %d times, want 4", calls)
-	}
-}
-
-func TestRetryDoSucceedsMidway(t *testing.T) {
-	calls := 0
-	err := Retry{Attempts: 5, BaseDelay: time.Microsecond, Seed: 1}.Do(time.Time{}, func() error {
-		if calls++; calls < 3 {
-			return ErrTimeout
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want success on attempt 3", err, calls)
-	}
-}
-
-func TestRetryDoStopsOnNonRetryable(t *testing.T) {
-	calls := 0
-	err := Retry{Attempts: 5, BaseDelay: time.Microsecond, Seed: 1}.Do(time.Time{}, func() error {
-		calls++
-		return fmt.Errorf("wrapped: %w", ErrNodeClosed)
-	})
-	if !errors.Is(err, ErrNodeClosed) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("non-retryable error retried: %d calls", calls)
-	}
-}
-
-func TestRetryDoStopsAtDeadline(t *testing.T) {
-	// The second backoff (≥1s) would cross the deadline, so Do must
-	// return the last error instead of sleeping through it.
-	calls := 0
-	start := time.Now()
-	err := Retry{Attempts: 10, BaseDelay: time.Second, Seed: 1}.Do(
-		start.Add(100*time.Millisecond), func() error {
-			calls++
-			return ErrTimeout
-		})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("ran %d attempts past the deadline", calls)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("Do slept through a backoff that crossed the deadline")
-	}
-}
 
 // TestFaultDecideDeterministic pins the reproducibility contract: two
 // fault networks with the same seed make the same per-frame decisions.
@@ -123,14 +60,14 @@ func TestFaultBlockUnblock(t *testing.T) {
 		}
 	}()
 	fn.Block(b.Addr())
-	if err := a.SendAcked(b.Addr(), wire.TEdges, []byte("x")); err != nil {
+	if err := sendAcked(a, b.Addr(), wire.TEdges, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Flush(250 * time.Millisecond); err == nil {
+	if err := awaitAcks(a, 250*time.Millisecond); err == nil {
 		t.Fatal("flush succeeded across a partition")
 	}
 	fn.Unblock(b.Addr())
-	if err := a.Flush(10 * time.Second); err != nil {
+	if err := awaitAcks(a, 10*time.Second); err != nil {
 		t.Fatalf("flush after heal: %v", err)
 	}
 	if a.Stats().Retransmits == 0 {
@@ -157,11 +94,11 @@ func TestAckedExactlyOnceUnderDrops(t *testing.T) {
 		}
 	}()
 	for i := 0; i < sends; i++ {
-		if err := a.SendAcked(b.Addr(), wire.TEdges, []byte{byte(i)}); err != nil {
+		if err := sendAcked(a, b.Addr(), wire.TEdges, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Flush(60 * time.Second); err != nil {
+	if err := awaitAcks(a, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Flush returned, so every send was acked; give any duplicate
@@ -182,20 +119,6 @@ func TestAckedExactlyOnceUnderDrops(t *testing.T) {
 	}
 }
 
-// TestRetryDoFirstTryAllocatesNothing: a Do whose first attempt succeeds
-// seeds no jitter source, so it allocates nothing.
-func TestRetryDoFirstTryAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	op := func() error { return nil }
-	for _, r := range []Retry{{}, {Seed: 1}} {
-		if allocs := testing.AllocsPerRun(100, func() { _ = r.Do(time.Time{}, op) }); allocs != 0 {
-			t.Fatalf("Retry%+v.Do succeeding at once: %v allocs, want 0", r, allocs)
-		}
-	}
-}
-
 // TestRetryJitterScheduleIsSeeded: a Seed fixes the jittered delays, and
 // they are the ones a seeded Retry has always slept (default base, cap and
 // jitter).
@@ -204,7 +127,7 @@ func TestRetryJitterScheduleIsSeeded(t *testing.T) {
 		1:  {10418641, 23524072, 42632960, 78006854, 155176800, 343913353, 413127404, 431303851},
 		42: {9492114, 16528004, 41665501, 70682199, 130804382, 305048743, 562575427, 476889170},
 	} {
-		b := Retry{Seed: seed}.backoff()
+		b := Retry{Seed: seed}.backoff(time.Time{})
 		for i, w := range want {
 			if d := b.next(); d != w {
 				t.Fatalf("seed %d: delay %d = %v, want %v", seed, i, d, w)

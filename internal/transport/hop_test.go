@@ -160,13 +160,13 @@ func TestBarrierAcksRideTheNextFrame(t *testing.T) {
 			coord, agent := newPair(t, nw)
 			const steps = 200
 			for i := 0; i < steps; i++ {
-				if err := coord.SendAcked(agent.Addr(), wire.TAdvance, nil); err != nil {
+				if err := sendAcked(coord, agent.Addr(), wire.TAdvance, nil); err != nil {
 					t.Fatal(err)
 				}
 				adv := recvType(t, agent, wire.TAdvance)
 				agent.Ack(adv)
 				wire.ReleasePacket(adv)
-				if err := agent.SendAcked(coord.Addr(), wire.TReady, nil); err != nil {
+				if err := sendAcked(agent, coord.Addr(), wire.TReady, nil); err != nil {
 					t.Fatal(err)
 				}
 				vote := recvType(t, coord, wire.TReady)
@@ -174,10 +174,10 @@ func TestBarrierAcksRideTheNextFrame(t *testing.T) {
 				wire.ReleasePacket(vote)
 			}
 			// The last vote's ack has nothing to ride; a tick sends it.
-			if err := agent.Flush(5 * time.Second); err != nil {
+			if err := awaitAcks(agent, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if err := coord.Flush(5 * time.Second); err != nil {
+			if err := awaitAcks(coord, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			// A tick that lands inside an exchange sends a parked ack by
@@ -209,13 +209,13 @@ func TestBarrierAcksRideTheNextFrame(t *testing.T) {
 // the sender's RTO, and no other kind of ack is ever parked.
 func TestParkedAckLeavesOnTheTick(t *testing.T) {
 	a, b := newPair(t, NewInproc())
-	if err := a.SendAcked(b.Addr(), wire.TAdvance, nil); err != nil {
+	if err := sendAcked(a, b.Addr(), wire.TAdvance, nil); err != nil {
 		t.Fatal(err)
 	}
 	pkt := recvType(t, b, wire.TAdvance)
 	start := time.Now()
 	b.Ack(pkt)
-	if err := a.Flush(5 * time.Second); err != nil {
+	if err := awaitAcks(a, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if waited := time.Since(start); waited > 2*rexmitTick+ackRTO/4 {
@@ -225,14 +225,14 @@ func TestParkedAckLeavesOnTheTick(t *testing.T) {
 		t.Errorf("holding the ack cost %d retransmissions", s.Retransmits)
 	}
 	// An ack that drains an ack group leaves at once.
-	if err := a.SendAcked(b.Addr(), wire.TVertexMsgs, nil); err != nil {
+	if err := sendAcked(a, b.Addr(), wire.TVertexMsgs, nil); err != nil {
 		t.Fatal(err)
 	}
 	b.Ack(recvType(t, b, wire.TVertexMsgs))
 	if parked := parkedAcks(b, a.Addr()); parked != 0 {
 		t.Errorf("a %s ack was held back", wire.TVertexMsgs)
 	}
-	if err := a.Flush(5 * time.Second); err != nil {
+	if err := awaitAcks(a, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,18 +241,18 @@ func TestLazyAcksCauseNoRetransmitsUnderDelay(t *testing.T) {
 	nw := NewFaultNetwork(NewInproc(), FaultConfig{Seed: 7, Delay: 20 * time.Millisecond})
 	coord, agent := newPair(t, nw)
 	for i := 0; i < 20; i++ {
-		if err := coord.SendAcked(agent.Addr(), wire.TAdvance, nil); err != nil {
+		if err := sendAcked(coord, agent.Addr(), wire.TAdvance, nil); err != nil {
 			t.Fatal(err)
 		}
 		adv := recvType(t, agent, wire.TAdvance)
 		agent.Ack(adv)
-		if err := agent.SendAcked(coord.Addr(), wire.TReady, nil); err != nil {
+		if err := sendAcked(agent, coord.Addr(), wire.TReady, nil); err != nil {
 			t.Fatal(err)
 		}
 		coord.Ack(recvType(t, coord, wire.TReady))
 	}
 	for _, n := range []*Node{coord, agent} {
-		if err := n.Flush(5 * time.Second); err != nil {
+		if err := awaitAcks(n, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if s := n.Stats(); s.Retransmits != 0 {
@@ -263,7 +263,7 @@ func TestLazyAcksCauseNoRetransmitsUnderDelay(t *testing.T) {
 
 func TestCancelPeerDropsParkedAcks(t *testing.T) {
 	a, b := newPair(t, NewInproc())
-	if err := a.SendAcked(b.Addr(), wire.TAdvance, nil); err != nil {
+	if err := sendAcked(a, b.Addr(), wire.TAdvance, nil); err != nil {
 		t.Fatal(err)
 	}
 	b.Ack(recvType(t, b, wire.TAdvance))
@@ -532,7 +532,7 @@ func TestPublisherFansOutInAddressOrder(t *testing.T) {
 	pub.Subscribe("inproc://e", wire.TDirUpdate) // filtered out below
 	pub.Unsubscribe("inproc://e")
 	want := []string{"inproc://a", "inproc://b", "inproc://c", "inproc://d"}
-	if got := pub.Subscribers(); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := subscribers(pub); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("subscribers %v, want %v", got, want)
 	}
 	// The order of the sends is the order in which the peers are created.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,9 +12,6 @@ import (
 	"elga/internal/trace"
 	"elga/internal/wire"
 )
-
-// DefaultRequestTimeout bounds blocking REQ/REP calls.
-const DefaultRequestTimeout = 30 * time.Second
 
 // peerQueueDepth bounds the frames one peer holds — queued or in its
 // writer's hands. It is the PUSH pattern's buffer that lets entities
@@ -71,10 +67,8 @@ type Node struct {
 	closed   bool
 
 	// protoMu guards proto and is never held across anything else: it is
-	// the innermost lock. acked wakes Flush when the last outstanding send
-	// completes (proto.drained).
+	// the innermost lock.
 	protoMu sync.Mutex
-	acked   sync.Cond
 	proto   proto
 
 	// injectMu fences Inject against the inbox close: Inject runs from
@@ -88,8 +82,8 @@ type Node struct {
 	stats *nodeStats
 
 	// Optional histograms installed by RegisterMetrics. atomic.Pointer so
-	// the read/write goroutines observe without a lock and uninstrumented
-	// nodes pay one nil-check per seam.
+	// the writers observe without a lock and uninstrumented nodes pay one
+	// nil-check per seam. A Subscriber running over the node observes rttHist.
 	rttHist      atomic.Pointer[metrics.Histogram]
 	coalesceHist atomic.Pointer[metrics.Histogram]
 
@@ -148,7 +142,6 @@ type nodeStats struct {
 	retransmits atomic.Uint64
 	dupsDropped atomic.Uint64
 	ackGiveUps  atomic.Uint64
-	reqRetries  atomic.Uint64
 	// live is the node while it is open. Gauges and timers reach it
 	// through here, so neither keeps a closed node's memory alive.
 	live atomic.Pointer[Node]
@@ -184,10 +177,6 @@ type Stats struct {
 	// AckGiveUps counts acked sends abandoned after ackMaxResend
 	// retransmissions — permanent loss toward an unresponsive peer.
 	AckGiveUps uint64
-	// RequestRetries counts REQ/REP attempts beyond the first inside
-	// RequestRetry — requests that failed at least once before succeeding
-	// or giving up.
-	RequestRetries uint64
 	// Peers is a gauge, not a counter: the destinations the node keeps a
 	// queue, a writer and a conn for. CancelPeer and Close retire them.
 	Peers uint64
@@ -222,7 +211,6 @@ func (n *Node) Stats() Stats {
 		Retransmits:       n.stats.retransmits.Load(),
 		DuplicatesDropped: n.stats.dupsDropped.Load(),
 		AckGiveUps:        n.stats.ackGiveUps.Load(),
-		RequestRetries:    n.stats.reqRetries.Load(),
 	}
 }
 
@@ -260,7 +248,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, role string) {
 	reg.CounterFunc("elga_transport_retransmits_total", "Acked sends resent after an RTO expiry.", lbl, n.stats.retransmits.Load)
 	reg.CounterFunc("elga_transport_dups_dropped_total", "Duplicate acked pushes dropped after re-acking.", lbl, n.stats.dupsDropped.Load)
 	reg.CounterFunc("elga_transport_ack_give_ups_total", "Acked sends abandoned after the retransmission budget.", lbl, n.stats.ackGiveUps.Load)
-	reg.CounterFunc("elga_transport_request_retries_total", "REQ/REP attempts beyond the first.", lbl, n.stats.reqRetries.Load)
 	// The gauges reach the node through the stats block, until Close.
 	st := n.stats
 	depth := func(of func(*Node) int) func() float64 {
@@ -306,7 +293,6 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 	}
 	n.proto = newProto(n.addr, n.stats)
 	n.stats.live.Store(n)
-	n.acked.L = &n.protoMu
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.clock()
@@ -384,7 +370,7 @@ func (n *Node) readLoop(c Conn) {
 func (n *Node) dispatch(pkt *wire.Packet) {
 	n.protoMu.Lock()
 	v, reack := n.proto.frameIn(pkt)
-	n.unlockProto()
+	n.protoMu.Unlock()
 	if reack != nil {
 		_ = n.push(pkt.From, true, reack)
 	}
@@ -451,7 +437,7 @@ func (n *Node) clock() {
 		}
 		n.protoMu.Lock()
 		n.proto.tick(time.Now(), &out)
-		n.unlockProto()
+		n.protoMu.Unlock()
 		// One push per address; a full queue drops it, and the RTO brings
 		// its sends back.
 		for i, w := range out.writes {
@@ -496,7 +482,7 @@ func (n *Node) CancelPeer(addr string) []FailedSend {
 	}
 	n.protoMu.Lock()
 	failed := n.proto.cancel(addr)
-	n.unlockProto()
+	n.protoMu.Unlock()
 	return failed
 }
 
@@ -704,16 +690,6 @@ func (n *Node) writeIdle(p *peer, frames [][]byte) {
 	p.batch = frames[:0]
 }
 
-// unlockProto releases protoMu after an input, first waking Flush if the
-// input completed the last outstanding send.
-func (n *Node) unlockProto() {
-	if n.proto.drained {
-		n.proto.drained = false
-		n.acked.Broadcast()
-	}
-	n.protoMu.Unlock()
-}
-
 // appendAcks appends the acks parked for addr to frames (proto.takeAcks).
 func (n *Node) appendAcks(addr string, frames [][]byte) [][]byte {
 	n.protoMu.Lock()
@@ -807,10 +783,10 @@ func (n *Node) After(d time.Duration, tag []byte) {
 	})
 }
 
-// SetAckNotify controls whether TAck packets are delivered to the inbox
-// (in addition to internal Flush bookkeeping). Entities that track
-// per-send completion — agents with barrier gates — enable it so every
-// ack flows through their single event loop.
+// SetAckNotify controls whether TAck packets are delivered to the inbox.
+// Entities that track per-send completion — agents with barrier gates, a
+// streamer counting its unacknowledged batches — enable it so every ack
+// flows through their single event loop.
 func (n *Node) SetAckNotify(on bool) {
 	n.protoMu.Lock()
 	n.proto.notify = on
@@ -821,8 +797,7 @@ func (n *Node) SetAckNotify(on bool) {
 // in return", §3.5) over the single-copy path: the frame carries a request
 // ID the receiver must Ack after *processing* it, and SendFrameAcked
 // returns it so callers can correlate the eventual TAck (visible with
-// SetAckNotify) to this send. Flush blocks until every outstanding ack
-// arrives.
+// SetAckNotify) to this send.
 func (n *Node) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 	now := time.Now()
 	n.protoMu.Lock()
@@ -834,17 +809,10 @@ func (n *Node) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 	if err := n.push(addr, true, frame); err != nil {
 		n.protoMu.Lock()
 		n.proto.complete(req) // unless CancelPeer took it first
-		n.unlockProto()
+		n.protoMu.Unlock()
 		return 0, err
 	}
 	return req, nil
-}
-
-// SendAcked is the acked-PUSH pattern with a copied payload; prefer
-// NewFrame + SendFrameAcked on hot paths.
-func (n *Node) SendAcked(addr string, typ wire.Type, payload []byte) error {
-	_, err := n.SendFrameAcked(addr, append(n.NewFrameHint(typ, len(payload)), payload...))
-	return err
 }
 
 // Ack acknowledges a processed packet back to its sender: at once, or if the
@@ -859,64 +827,11 @@ func (n *Node) Ack(pkt *wire.Packet) {
 	}
 }
 
-// ErrFlushTimeout reports that acks did not arrive in time.
-var ErrFlushTimeout = errors.New("transport: flush timed out waiting for acks")
-
-// Flush blocks until all acked sends are confirmed or the timeout expires.
-// A zero timeout waits DefaultRequestTimeout.
-func (n *Node) Flush(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = DefaultRequestTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		n.protoMu.Lock()
-		n.acked.Broadcast()
-		n.protoMu.Unlock()
-	})
-	defer timer.Stop()
-	n.protoMu.Lock()
-	defer n.protoMu.Unlock()
-	for len(n.proto.outstanding) > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w (%d pending)", ErrFlushTimeout, len(n.proto.outstanding))
-		}
-		n.acked.Wait()
-	}
-	return nil
-}
-
-// timerPool recycles request timers; REQ/REP rates are bounded by
-// round-trip latency, but a pooled timer still beats an allocation and a
-// lingering runtime timer per call.
-var timerPool sync.Pool
-
-func getTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
-}
-
-// RequestFrame is the REQ/REP pattern over the single-copy path: send the
-// frame and block for the correlated reply. The reply packet is pooled;
-// callers release it with wire.ReleasePacket when done.
-func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*wire.Packet, error) {
-	if timeout <= 0 {
-		timeout = DefaultRequestTimeout
-	}
-	typ := wire.FrameType(frame)
+// Request is the REQ/REP pattern: send and block up to timeout for the
+// correlated reply. The reply packet is pooled; callers release it with
+// wire.ReleasePacket when done.
+func (n *Node) Request(addr string, typ wire.Type, payload []byte, timeout time.Duration) (*wire.Packet, error) {
+	frame := append(n.NewFrameHint(typ, len(payload)), payload...)
 	n.protoMu.Lock()
 	req := n.proto.newReq()
 	n.protoMu.Unlock()
@@ -932,12 +847,10 @@ func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*
 	// A closed node fails the enqueue (ErrNodeClosed).
 	err := n.push(addr, true, frame)
 	if err == nil {
-		start := time.Now()
-		t := getTimer(timeout)
-		defer putTimer(t)
+		t := time.NewTimer(timeout)
+		defer t.Stop()
 		select {
 		case reply := <-ch:
-			n.rttHist.Load().Observe(time.Since(start).Seconds())
 			return reply, nil
 		case <-t.C:
 			err = fmt.Errorf("transport: request %s to %s: %w", typ, addr, ErrTimeout)
@@ -947,11 +860,6 @@ func (n *Node) RequestFrame(addr string, frame []byte, timeout time.Duration) (*
 	delete(n.pending, req)
 	n.mu.Unlock()
 	return nil, err
-}
-
-// Request is the REQ/REP pattern: send and block for the correlated reply.
-func (n *Node) Request(addr string, typ wire.Type, payload []byte, timeout time.Duration) (*wire.Packet, error) {
-	return n.RequestFrame(addr, append(n.NewFrameHint(typ, len(payload)), payload...), timeout)
 }
 
 // ReplyFrame answers a request packet over the single-copy path, echoing
@@ -1000,22 +908,18 @@ func (n *Node) Close() {
 	n.wg.Wait()
 	n.protoMu.Lock()
 	n.proto.close()
-	n.unlockProto()
+	n.protoMu.Unlock()
 	n.injectMu.Lock()
 	close(n.inbox)
 	n.injectMu.Unlock()
 }
 
 // Publisher implements the PUB/SUB pattern with publisher-side filtering
-// on the packet type — the 1-byte subscription filter of §3.5. It is used
-// by entities that own it (directories) from their single event loop but
-// is safe for concurrent use.
+// on the packet type — the 1-byte subscription filter of §3.5. Its owner,
+// a directory, uses it from its one event loop, so it takes no lock.
 type Publisher struct {
 	ep Endpoint
-	mu sync.Mutex
-	// subs is sorted by address and never edited in place: Subscribe and
-	// Unsubscribe install a new list, so a publish walks the one it read
-	// without the lock, allocates nothing and fans out in the same order
+	// subs is sorted by address, so a publish fans out in the same order
 	// every time.
 	subs []subscriber
 }
@@ -1033,8 +937,6 @@ func NewPublisher(ep Endpoint) *Publisher {
 
 // Subscribe registers addr for the given types; empty types means all.
 func (p *Publisher) Subscribe(addr string, types ...wire.Type) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i, found := p.find(addr)
 	sub := subscriber{addr: addr}
 	if len(types) > 0 {
@@ -1048,11 +950,10 @@ func (p *Publisher) Subscribe(addr string, types ...wire.Type) {
 			sub.types[t] = true
 		}
 	}
-	if subs := slices.Clone(p.subs); found {
-		subs[i] = sub
-		p.subs = subs
+	if found {
+		p.subs[i] = sub
 	} else {
-		p.subs = slices.Insert(subs, i, sub)
+		p.subs = slices.Insert(p.subs, i, sub)
 	}
 }
 
@@ -1065,22 +966,9 @@ func (p *Publisher) find(addr string) (int, bool) {
 
 // Unsubscribe removes addr entirely.
 func (p *Publisher) Unsubscribe(addr string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if i, found := p.find(addr); found {
-		p.subs = slices.Delete(slices.Clone(p.subs), i, i+1)
+		p.subs = slices.Delete(p.subs, i, i+1)
 	}
-}
-
-// Subscribers returns the current subscriber addresses, sorted.
-func (p *Publisher) Subscribers() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.subs))
-	for i, sub := range p.subs {
-		out[i] = sub.addr
-	}
-	return out
 }
 
 // Publish sends the packet to every subscriber whose filter matches. The
@@ -1101,10 +989,7 @@ func (p *Publisher) Publish(typ wire.Type, payload []byte) {
 // subscriber's frame, so broadcast consumers can link their handling
 // spans under the publisher's span. The zero ctx publishes plain frames.
 func (p *Publisher) PublishCtx(typ wire.Type, payload []byte, ctx trace.SpanContext) {
-	p.mu.Lock()
-	subs := p.subs
-	p.mu.Unlock()
-	for _, sub := range subs {
+	for _, sub := range p.subs {
 		if sub.types != nil && !sub.types[typ] {
 			continue
 		}

@@ -25,7 +25,7 @@ const (
 // acked sends still waiting for their TAck, each sender's duplicate window,
 // and the lazy acks parked until a frame to their sender carries them.
 // Every decision of the acked-PUSH pattern is made here; what it asks of the
-// world (frames to write, packets to deliver, sends given back, drained)
+// world (frames to write, packets to deliver, sends given back)
 // comes back as results. It starts no goroutine, takes no lock and reads no
 // clock — send and tick are given the time — so a test (or a simulator) can
 // drive it event by event; Node is its I/O shell.
@@ -37,9 +37,6 @@ type proto struct {
 	outstanding map[uint32]pendingAck
 	dedup       map[string]*dedupWindow
 	parked      []parkedAck // in the order the entity acked
-	// drained is set when an input completes the last outstanding send; the
-	// shell clears it as it wakes Flush.
-	drained bool
 }
 
 // pendingAck is one acked send without its TAck: a copy of its frame, resent
@@ -133,7 +130,6 @@ func (p *proto) complete(req uint32) bool {
 	if ok {
 		delete(p.outstanding, req)
 		releaseFrame(pa.frame)
-		p.drained = p.drained || len(p.outstanding) == 0
 	}
 	return ok
 }
@@ -234,7 +230,6 @@ func (p *proto) cancel(addr string) (failed []FailedSend) {
 		}
 	}
 	slices.SortFunc(failed, func(a, b FailedSend) int { return cmp.Compare(a.Req, b.Req) })
-	p.drained = p.drained || len(failed) > 0 && len(p.outstanding) == 0
 	p.parked = slices.DeleteFunc(p.parked, func(a parkedAck) bool { return a.addr == addr })
 	return failed
 }

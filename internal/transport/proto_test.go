@@ -65,13 +65,6 @@ type simNode struct {
 	out   tickOut
 }
 
-// drained reads and clears the proto's drained signal, as the shell does.
-func (n *simNode) drained() bool {
-	d := n.p.drained
-	n.p.drained = false
-	return d
-}
-
 func newSimWire(t *testing.T, seed int64, chaos bool) *simWire {
 	w := &simWire{
 		t:      t,
@@ -148,9 +141,6 @@ func (w *simWire) send() {
 	if w.chaos && w.rng.Intn(20) == 0 {
 		// The shell could not hand the frame to a peer.
 		n.p.complete(req)
-		if drained := n.drained(); drained != (len(n.p.outstanding) == 0) {
-			w.fatalf("abort: drained=%v with %d outstanding", drained, len(n.p.outstanding))
-		}
 		w.sends[key].resolved = "aborted"
 		wire.ReleaseFrame(frame)
 		return
@@ -177,13 +167,12 @@ func (w *simWire) deliver(k int) {
 		rec := w.sends[key]
 		_, known := n.p.outstanding[pkt.Req]
 		v, reack := n.p.frameIn(pkt)
-		drained := n.drained()
 		if reack != nil {
 			w.fatalf("an ack was answered with an ack")
 		}
 		if !known {
-			if v != inDrop || drained {
-				w.fatalf("an ack for no outstanding send (%+v) was not dropped: verdict %d, drained %v", rec, v, drained)
+			if v != inDrop {
+				w.fatalf("an ack for no outstanding send (%+v) was not dropped: verdict %d", rec, v)
 			}
 			return
 		}
@@ -194,8 +183,6 @@ func (w *simWire) deliver(k int) {
 			w.fatalf("send %v was acknowledged before its entity acked it", key)
 		case (v == inDeliver) != n.p.notify || v == inReply:
 			w.fatalf("ack verdict %d with notify %v", v, n.p.notify)
-		case drained != (len(n.p.outstanding) == 0):
-			w.fatalf("drained=%v with %d outstanding", drained, len(n.p.outstanding))
 		}
 		rec.resolved = "acked"
 		return
@@ -203,9 +190,6 @@ func (w *simWire) deliver(k int) {
 	key := simKey{pkt.From, pkt.Req}
 	seen, acked := n.seen[key], n.acked[key]
 	v, reack := n.p.frameIn(pkt)
-	if n.drained() {
-		w.fatalf("a push drained the sends")
-	}
 	if !seen {
 		if v != inDeliver || reack != nil {
 			w.fatalf("the first copy of %v: verdict %d, re-ack %v", key, v, reack != nil)
@@ -263,7 +247,6 @@ func (w *simWire) cancel(i, j int) {
 	}
 	slices.Sort(want)
 	failed := n.p.cancel(gone.addr)
-	drained := n.drained()
 	var got []uint32
 	for _, f := range failed {
 		got = append(got, f.Req)
@@ -272,9 +255,6 @@ func (w *simWire) cancel(i, j int) {
 	}
 	if !slices.Equal(got, want) {
 		w.fatalf("cancel gave back requests %v, want %v", got, want)
-	}
-	if drained != (len(failed) > 0 && len(n.p.outstanding) == 0) {
-		w.fatalf("cancel: drained=%v, %d given back, %d outstanding", drained, len(failed), len(n.p.outstanding))
 	}
 	for key := range n.owed {
 		if key.addr == gone.addr {
@@ -340,9 +320,6 @@ func (w *simWire) tick(d time.Duration) {
 		}
 		if n.p.notify && !slices.Equal(synth, given) || !n.p.notify && len(synth) > 0 {
 			w.fatalf("gave up %v, synthesized acks for %v, notify %v", given, synth, n.p.notify)
-		}
-		if drained := n.drained(); drained != (len(given) > 0 && len(n.p.outstanding) == 0) {
-			w.fatalf("tick: drained=%v, %d given up, %d outstanding", drained, len(given), len(n.p.outstanding))
 		}
 	}
 }
@@ -548,9 +525,6 @@ func TestProtoGivesUpAfterTheBudget(t *testing.T) {
 				}
 				if stats.ackGiveUps.Load() > 0 && gaveUpAt < 0 {
 					gaveUpAt = time.Duration(ms) * time.Millisecond
-					if !p.drained {
-						t.Error("giving up the last send did not drain")
-					}
 					if notify != (len(out.deliver) == 1) || len(out.deliver) > 1 {
 						t.Fatalf("notify %v: %d acks synthesized", notify, len(out.deliver))
 					}
@@ -583,9 +557,8 @@ func TestProtoGivesUpAfterTheBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.drained = false
-			if v, reack := p.frameIn(pkt); v != inDrop || reack != nil || p.drained || releases != 1 {
-				t.Errorf("the late ack: verdict %d, re-ack %v, drained %v, %d releases", v, reack != nil, p.drained, releases)
+			if v, reack := p.frameIn(pkt); v != inDrop || reack != nil || releases != 1 {
+				t.Errorf("the late ack: verdict %d, re-ack %v, %d releases", v, reack != nil, releases)
 			}
 		})
 	}

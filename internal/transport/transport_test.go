@@ -203,28 +203,17 @@ func TestSendAckedAndFlush(t *testing.T) {
 				}
 			}()
 			for i := 0; i < n; i++ {
-				if err := a.SendAcked(b.Addr(), wire.TEdges, nil); err != nil {
+				if err := sendAcked(a, b.Addr(), wire.TEdges, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := a.Flush(5 * time.Second); err != nil {
+			if err := awaitAcks(a, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if a.Stats().OutstandingAcks != 0 {
 				t.Errorf("outstanding = %d", a.Stats().OutstandingAcks)
 			}
 		})
-	}
-}
-
-func TestFlushTimesOutWithoutAcks(t *testing.T) {
-	a, b := newPair(t, NewInproc())
-	if err := a.SendAcked(b.Addr(), wire.TEdges, nil); err != nil {
-		t.Fatal(err)
-	}
-	err := a.Flush(50 * time.Millisecond)
-	if err == nil {
-		t.Fatal("flush should time out when receiver never acks")
 	}
 }
 
@@ -238,7 +227,7 @@ func TestHeldPacketIsNotAckedByItsRetransmission(t *testing.T) {
 	for _, typ := range []wire.Type{wire.TEdges, wire.TAdvance} {
 		t.Run(typ.String(), func(t *testing.T) {
 			a, b := newPair(t, NewInproc())
-			if err := a.SendAcked(b.Addr(), typ, nil); err != nil {
+			if err := sendAcked(a, b.Addr(), typ, nil); err != nil {
 				t.Fatal(err)
 			}
 			pkt := <-b.Inbox() // held: no Ack yet
@@ -258,17 +247,10 @@ func TestHeldPacketIsNotAckedByItsRetransmission(t *testing.T) {
 			default:
 			}
 			b.Ack(pkt)
-			if err := a.Flush(5 * time.Second); err != nil {
+			if err := awaitAcks(a, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestFlushNoOutstanding(t *testing.T) {
-	a, _ := newPair(t, NewInproc())
-	if err := a.Flush(time.Second); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -360,6 +342,15 @@ func TestPublisherFiltersByType(t *testing.T) {
 	}
 }
 
+// subscribers lists p's subscriber addresses in their fan-out order.
+func subscribers(p *Publisher) []string {
+	out := make([]string, len(p.subs))
+	for i, sub := range p.subs {
+		out[i] = sub.addr
+	}
+	return out
+}
+
 func TestPublisherUnsubscribe(t *testing.T) {
 	nw := NewInproc()
 	pubNode, _ := NewNode(nw, "", 0)
@@ -368,11 +359,11 @@ func TestPublisherUnsubscribe(t *testing.T) {
 	defer sub.Close()
 	pub := NewPublisher(pubNode)
 	pub.Subscribe(sub.Addr())
-	if len(pub.Subscribers()) != 1 {
+	if len(subscribers(pub)) != 1 {
 		t.Fatal("subscriber not registered")
 	}
 	pub.Unsubscribe(sub.Addr())
-	if len(pub.Subscribers()) != 0 {
+	if len(subscribers(pub)) != 0 {
 		t.Fatal("unsubscribe failed")
 	}
 	pub.Publish(wire.TAdvance, nil)
@@ -497,7 +488,7 @@ func BenchmarkTransportLatency(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reply, err := a.RequestFrame(c.Addr(), a.NewFrame(wire.TPing), 10*time.Second)
+				reply, err := a.Request(c.Addr(), wire.TPing, nil, 10*time.Second)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -570,4 +561,23 @@ func TestManyNodesAllToAll(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sendAcked is an acked push of a copy of payload.
+func sendAcked(n *Node, addr string, typ wire.Type, payload []byte) error {
+	_, err := n.SendFrameAcked(addr, append(n.NewFrameHint(typ, len(payload)), payload...))
+	return err
+}
+
+// awaitAcks waits until every acked send of n is acknowledged, or fails
+// once timeout has passed.
+func awaitAcks(n *Node, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for n.Stats().OutstandingAcks > 0 {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d acked sends outstanding after %v: %w", n.Stats().OutstandingAcks, timeout, ErrTimeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }

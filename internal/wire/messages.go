@@ -56,6 +56,12 @@ type View struct {
 	Sketch  []byte
 }
 
+// Precedes reports whether v is older than the view of the given epoch and
+// batch: views can arrive out of order, and an older one is dropped.
+func (v *View) Precedes(epoch, batchID uint64) bool {
+	return v.Epoch < epoch || v.Epoch == epoch && v.BatchID < batchID
+}
+
 // AppendView appends a view payload to dst.
 func AppendView(dst []byte, v *View) []byte {
 	w := Writer{buf: dst}
