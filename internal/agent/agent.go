@@ -308,11 +308,9 @@ func Start(opts Options) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.SetAckNotify(true)
 	a := New(opts, node)
-	boot := a.Boot() // first: it starts the checkpoint writer metrics read
+	boot := a.Boot() // it registers the agent's metrics too
 	node.RegisterMetrics(opts.Metrics, "agent")
-	a.initMetrics(opts.Metrics)
 	go a.runLoop(node.Inbox())
 	<-boot.Done()
 	if err := boot.Err(); err != nil {
@@ -349,9 +347,10 @@ func New(opts Options, ep transport.Endpoint) *Agent {
 	return a
 }
 
-// Boot starts the bootstrap that Handle runs: a TGetDirectory to the
-// master, then a TJoin to the coordinator, each resent until answered. The
-// returned Boot ends once the join's view is installed.
+// Boot registers the agent's metrics on Options.Metrics and starts the
+// bootstrap that Handle runs: a TGetDirectory to the master, then a TJoin to
+// the coordinator, each resent until answered. The returned Boot ends once
+// the join's view is installed.
 func (a *Agent) Boot() *transport.Boot {
 	// Restore-before-join: a prior snapshot is loaded into the store and
 	// value maps now, so the join's first view change runs the ordinary
@@ -362,6 +361,7 @@ func (a *Agent) Boot() *transport.Boot {
 		a.boot.End(err)
 		return a.boot
 	}
+	a.initMetrics(a.opts.Metrics) // after the checkpoint writer it reads
 	// The master holds its answer until a directory has registered, so an
 	// agent started alongside its directories waits rather than fails.
 	rt := a.opts.Config.RequestTimeout

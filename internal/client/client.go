@@ -247,10 +247,11 @@ func (c *Client) Run(spec RunSpec) (*wire.RunStats, error) {
 	return c.RunWith(spec, CallOpts{Retry: transport.Retry{Attempts: 1}})
 }
 
-// RunWith is Run under an explicit retry policy. A retried submission
-// whose predecessor actually reached the directory queues a second,
-// identical run — the directory executes runs in order — so RunWith is
-// only safe for idempotent specs: deterministic FromScratch runs.
+// RunWith is Run under an explicit retry policy. Every attempt carries the
+// call's request ID, and the coordinator drops a copy of a run it is
+// running or has queued; but a retried submission whose predecessor has
+// finished (its reply lost) runs again, so RunWith is only safe for
+// idempotent specs: deterministic FromScratch runs.
 // Incremental runs (FromScratch false) must use Run. The per-try wait
 // must cover a full run's duration, not just the request round-trip.
 func (c *Client) RunWith(spec RunSpec, co CallOpts) (*wire.RunStats, error) {

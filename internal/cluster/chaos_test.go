@@ -102,36 +102,6 @@ func waitStreamerView(t *testing.T, c *Cluster, epoch uint64) {
 	}
 }
 
-// TestChaosDropOnly checks that PageRank and WCC converge to the
-// single-machine reference while every link drops 5% of its frames (and
-// occasionally duplicates one): the acked-send retransmission and
-// receiver dedup layers must make the barrier protocol exactly-once.
-func TestChaosDropOnly(t *testing.T) {
-	c, _ := newChaosCluster(t, 3, chaosConfig(), transport.FaultConfig{
-		Seed: 42, Drop: 0.05, Duplicate: 0.02,
-	})
-	el := randomGraph(80, 300, 7)
-	if err := c.Load(el); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ctl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 10, FromScratch: true}, chaosRun); err != nil {
-		t.Fatal(err)
-	}
-	chaosCheck(t, c, algorithm.PageRank{}, el,
-		algorithm.RunOptions{MaxSteps: 10}, 1e-8)
-	stats, err := c.ctl.RunWith(client.RunSpec{Algo: "wcc", FromScratch: true}, chaosRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatal("WCC did not converge under drops")
-	}
-	chaosCheck(t, c, algorithm.WCC{}, el, algorithm.RunOptions{}, 0)
-	if ts := c.TransportStats(); ts.Retransmits == 0 {
-		t.Error("expected retransmissions under 5% drop, saw none")
-	}
-}
-
 // TestChaosDelayOnly checks convergence under up-to-10ms per-frame
 // jitter, which reorders traffic across links (per-link FIFO holds) and
 // stretches every barrier.

@@ -3,6 +3,7 @@ package directory
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -576,6 +577,9 @@ func (d *Directory) Handle(pkt *wire.Packet) (retained bool) {
 	case wire.TDirectoryList:
 		// Peer list refresh from the master: directories fan out on their
 		// own, and the coordinator cannot change.
+	case wire.TAck:
+		// An acked send of this directory's is done: nothing waits on it,
+		// and a relay must not forward it.
 	default:
 		if d.coordinator {
 			return d.handleCoordinator(pkt)
@@ -667,6 +671,12 @@ func (d *Directory) handleCoordinator(pkt *wire.Packet) bool {
 			d.observeMetric(&wire.Metric{AgentID: m.AgentID, Name: name, Value: m.PhaseSeconds})
 		}
 	case wire.TRunAlgo:
+		// A copy of a request already running or waiting to (a duplicate,
+		// or a resend while the run is still on) would run it a second
+		// time; the answer to the first carries the same request ID.
+		if d.runQueued(pkt) {
+			return false
+		}
 		d.pendingRuns = append(d.pendingRuns, pkt)
 		d.advanceWork()
 		return true
@@ -911,6 +921,13 @@ func (d *Directory) threshold(total uint64) uint64 {
 func (d *Directory) replyRunStats(pkt *wire.Packet, s *wire.RunStats, ctx trace.SpanContext) {
 	_ = d.ep.ReplyFrame(pkt, wire.AppendRunStats(transport.NewFrameCtx(d.ep, wire.TRunReply, 0, ctx), s))
 	wire.ReleasePacket(pkt)
+}
+
+// runQueued reports whether a run request from pkt's sender with pkt's
+// request ID is running or waiting to.
+func (d *Directory) runQueued(pkt *wire.Packet) bool {
+	same := func(q *wire.Packet) bool { return q.From == pkt.From && q.Req == pkt.Req }
+	return d.run != nil && same(d.run.req) || slices.ContainsFunc(d.pendingRuns, same)
 }
 
 func (d *Directory) maybeStartRun() {

@@ -3,6 +3,9 @@ package sim_test
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,6 +19,7 @@ import (
 	"elga/internal/directory"
 	"elga/internal/gen"
 	"elga/internal/graph"
+	"elga/internal/metrics"
 	"elga/internal/sim"
 	"elga/internal/streamer"
 	"elga/internal/transport"
@@ -40,6 +44,8 @@ func agentAddr(i int) string { return fmt.Sprintf("agent-%d", i) }
 type cluster struct {
 	t      *testing.T
 	w      *sim.World
+	eps    []*sim.Endpoint // every participant's
+	reg    *metrics.Registry
 	agents []*agent.Agent
 	st     *streamer.Streamer
 	cl     *client.Client
@@ -57,31 +63,36 @@ func testConfig() config.Config {
 
 // boot builds the participants over w's endpoints and runs w until each has
 // booted and the streamer and the client route by the view holding every
-// agent; faults armed on w beforehand hit the bootstrap. Checkpoints and
-// every telemetry plane are off, and the compute pool runs inline.
-func boot(t *testing.T, w *sim.World, agents int) *cluster {
+// agent; faults armed on w beforehand hit the bootstrap. The agents count
+// into one metrics registry; checkpoints and every other telemetry plane are
+// off, and the compute pool runs inline.
+func boot(t *testing.T, w *sim.World, agents int, cfg config.Config) *cluster {
 	t.Helper()
 	agent.SetComputeParallelism(1, 0)
 	t.Cleanup(func() { agent.SetComputeParallelism(0, 0) })
-	cfg := testConfig()
-	ep := w.Endpoint(masterAddr)
+	c := &cluster{t: t, w: w, reg: metrics.NewRegistry()}
+	endpoint := func(addr string) *sim.Endpoint {
+		ep := w.Endpoint(addr)
+		c.eps = append(c.eps, ep)
+		return ep
+	}
+	ep := endpoint(masterAddr)
 	ep.Serve(directory.NewMaster(ep).Handle)
-	ep = w.Endpoint(coordAddr)
+	ep = endpoint(coordAddr)
 	d := directory.New(directory.Options{Config: cfg, MasterAddr: masterAddr}, ep)
 	ep.Serve(d.Handle)
 	boots := []*transport.Boot{d.Boot()}
-	c := &cluster{t: t, w: w}
 	for i := 0; i < agents; i++ {
-		ep := w.Endpoint(agentAddr(i))
-		a := agent.New(agent.Options{Config: cfg, MasterAddr: masterAddr, DirIndex: i}, ep)
+		ep := endpoint(agentAddr(i))
+		a := agent.New(agent.Options{Config: cfg, MasterAddr: masterAddr, DirIndex: i, Metrics: c.reg}, ep)
 		ep.Serve(a.Handle)
 		boots = append(boots, a.Boot())
 		c.agents = append(c.agents, a)
 	}
-	ep = w.Endpoint(streamerAddr)
+	ep = endpoint(streamerAddr)
 	c.st = streamer.New(streamer.Options{Config: cfg, MasterAddr: masterAddr}, ep)
 	ep.Serve(c.st.Handle)
-	c.clEp = w.Endpoint(clientAddr)
+	c.clEp = endpoint(clientAddr)
 	c.cl = client.New(client.Options{Config: cfg, MasterAddr: masterAddr}, c.clEp)
 	c.clEp.Serve(c.cl.Handle)
 	boots = append(boots, c.st.Boot(), c.cl.Boot())
@@ -214,6 +225,27 @@ func (c *cluster) members() {
 	}
 }
 
+// faultFree runs the world until no endpoint has an acked send outstanding
+// and checks that nothing was resent, deduplicated or given up: on a
+// schedule with no fault every ack beats its RTO, a lazy one by its tick.
+func (c *cluster) faultFree() {
+	c.t.Helper()
+	c.run(func() bool {
+		for _, ep := range c.eps {
+			if ep.Stats().OutstandingAcks != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for _, ep := range c.eps {
+		if s := ep.Stats(); s.Retransmits != 0 || s.DuplicatesDropped != 0 || s.AckGiveUps != 0 {
+			c.t.Errorf("%s on a fault-free schedule: %d retransmits, %d duplicates dropped, %d give-ups",
+				ep.Addr(), s.Retransmits, s.DuplicatesDropped, s.AckGiveUps)
+		}
+	}
+}
+
 // frames counts what each endpoint has sent so far, by sender and type.
 func (c *cluster) frames() map[string]int {
 	addrs := []string{masterAddr, coordAddr, streamerAddr, clientAddr}
@@ -248,11 +280,12 @@ func (c *cluster) report(op string, before map[string]int) {
 // R-MAT graph and seals. Sync WCC and BFS must answer as algorithm.Run does
 // on every vertex, and so must an incremental WCC after a batch of deletes,
 // which the coordinator runs from scratch. A fault-free boot sends each
-// bootstrap frame once, and nothing starts a goroutine.
+// bootstrap frame once, the whole run resends and deduplicates nothing, and
+// nothing starts a goroutine.
 func TestBootAndRunOnOneGoroutine(t *testing.T) {
 	before := goroutines()
 	w := sim.NewWorld()
-	c := boot(t, w, 3)
+	c := boot(t, w, 3, testConfig())
 	for _, f := range []struct {
 		from string
 		typ  wire.Type
@@ -291,6 +324,7 @@ func TestBootAndRunOnOneGoroutine(t *testing.T) {
 		t.Error("the incremental WCC after deletes was not recomputed")
 	}
 	c.check("wcc", held, 0)
+	c.faultFree()
 
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines before the boot, %d after the last run", before, after)
@@ -302,11 +336,12 @@ func TestBootAndRunOnOneGoroutine(t *testing.T) {
 // streamed, sealed, converged by incremental WCC and queried on every
 // vertex, and each answer must equal algorithm.Run over the held set. It
 // logs each op's frames by sender and type: the count form of the stream →
-// query latency. Nothing starts a goroutine.
+// query latency. Nothing is resent or deduplicated, and nothing starts a
+// goroutine.
 func TestStreamSealRunQuery(t *testing.T) {
 	before := goroutines()
 	w := sim.NewWorld()
-	c := boot(t, w, 3)
+	c := boot(t, w, 3, testConfig())
 	el := gen.RMAT(9, 2048, gen.Graph500Params(), 11).Dedupe()
 	held, fresh := el[:len(el)/2], el[len(el)/2:]
 	c.apply(held.Changes())
@@ -331,6 +366,7 @@ func TestStreamSealRunQuery(t *testing.T) {
 		c.check("wcc", held, 0)
 		c.report(fmt.Sprintf("round %d query (every vertex)", round), f)
 	}
+	c.faultFree()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines before the boot, %d after the last query", before, after)
 	}
@@ -356,7 +392,7 @@ func TestLostBootstrapFrameCostsOneResend(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := sim.NewWorld()
 			tc.fault(w)
-			c := boot(t, w, 3)
+			c := boot(t, w, 3, testConfig())
 			if n := w.Sent(tc.from, tc.resent); n != 1+tc.retries {
 				t.Errorf("%s sent %d %s frames, want %d", tc.from, n, tc.resent, 1+tc.retries)
 			}
@@ -411,7 +447,7 @@ func TestLostClientReplyCostsOneResend(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := sim.NewWorld()
-			c := boot(t, w, 3)
+			c := boot(t, w, 3, testConfig())
 			c.apply(el.Changes())
 			c.algo(client.RunSpec{Algo: "wcc", FromScratch: true})
 			sent, start := w.Sent(tc.from, tc.sent), c.clEp.Now()
@@ -431,7 +467,7 @@ func TestLostClientReplyCostsOneResend(t *testing.T) {
 	t.Run("streamer-directory-list", func(t *testing.T) {
 		w := sim.NewWorld()
 		w.Drop(wire.TDirectoryList, streamerAddr)
-		c := boot(t, w, 3)
+		c := boot(t, w, 3, testConfig())
 		if n := w.Sent(streamerAddr, wire.TGetDirectory); n != 2 {
 			t.Errorf("the streamer sent %d TGetDirectory frames, want 2", n)
 		}
@@ -445,11 +481,12 @@ func TestLostClientReplyCostsOneResend(t *testing.T) {
 // under the view that still holds it, and is lost on the way, while the
 // agent leaves. The view that drops the agent gives the unacknowledged
 // batch back to the streamer (CancelPeer), which routes it again under
-// that view, so the flush completes with every copy acknowledged and WCC
-// answers as algorithm.Run does over every edge.
+// that view, before its RTO would resend it, so the flush completes with
+// every copy acknowledged and WCC answers as algorithm.Run does over every
+// edge.
 func TestStreamerReroutesAroundALeaver(t *testing.T) {
 	w := sim.NewWorld()
-	c := boot(t, w, 3)
+	c := boot(t, w, 3, testConfig())
 	el := gen.RMAT(7, 512, gen.Graph500Params(), 6).Dedupe()
 	half := len(el) / 2
 	c.apply(el[:half].Changes())
@@ -464,8 +501,9 @@ func TestStreamerReroutesAroundALeaver(t *testing.T) {
 	if err := c.st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.st.TransportStats().OutstandingAcks; n != 0 {
-		t.Fatalf("%d streamer sends outstanding after the flush", n)
+	if s := c.st.TransportStats(); s.OutstandingAcks != 0 || s.Retransmits != 0 {
+		t.Fatalf("after the flush the streamer has %d sends outstanding and resent %d: the lost batch came back by its RTO, not CancelPeer",
+			s.OutstandingAcks, s.Retransmits)
 	}
 	// Three batches under the old view, then the lost one's copies again.
 	if n := w.Sent(streamerAddr, wire.TEdges) - sent; n <= 3 {
@@ -476,4 +514,173 @@ func TestStreamerReroutesAroundALeaver(t *testing.T) {
 	c.seal()
 	c.algo(client.RunSpec{Algo: "wcc", FromScratch: true})
 	c.check("wcc", el, 0)
+}
+
+// TestDuplicatedBatchIsDroppedOnce: an edge batch delivered twice to an
+// agent reaches its Handle once. The agent counts one duplicate dropped, and
+// every agent holds the copies it holds in the fault-free run.
+func TestDuplicatedBatchIsDroppedOnce(t *testing.T) {
+	el := gen.RMAT(7, 512, gen.Graph500Params(), 8).Dedupe()
+	load := func(dup bool) (copies []int, dropped uint64) {
+		w := sim.NewWorld()
+		c := boot(t, w, 3, testConfig())
+		if dup {
+			w.Duplicate(wire.TEdges, agentAddr(0))
+		}
+		c.apply(el.Changes())
+		for _, a := range c.agents {
+			copies = append(copies, a.EdgeCopies())
+		}
+		return copies, c.agents[0].TransportStats().DuplicatesDropped
+	}
+	want, _ := load(false)
+	got, dropped := load(true)
+	if !slices.Equal(got, want) {
+		t.Errorf("edge copies per agent %v with a duplicated batch, %v without", got, want)
+	}
+	if dropped != 1 {
+		t.Errorf("%s dropped %d duplicates, want 1", agentAddr(0), dropped)
+	}
+}
+
+// chaosConfig shortens the failure-detector clocks as the wall-clock chaos
+// tests do, keeping the lease long enough that injected drops cannot cause
+// a false eviction.
+func chaosConfig() config.Config {
+	cfg := testConfig()
+	cfg.HeartbeatInterval = 50 * time.Millisecond
+	cfg.LeaseTimeout = 800 * time.Millisecond
+	cfg.RequestTimeout = 60 * time.Second
+	return cfg
+}
+
+// randomGraph is n vertices and up to m random edges, plus a hub: vertex 0
+// links to every other vertex.
+func randomGraph(n, m int, seed int64) graph.EdgeList {
+	rng := rand.New(rand.NewSource(seed))
+	var el graph.EdgeList
+	for i := 0; i < m; i++ {
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		if u != v {
+			el = append(el, graph.Edge{Src: u, Dst: v})
+		}
+	}
+	for i := 1; i < n; i++ {
+		el = append(el, graph.Edge{Src: 0, Dst: graph.VertexID(i)})
+	}
+	return el.Dedupe()
+}
+
+// The chaos call policies: queries many short attempts, and runs, which
+// are idempotent from scratch, attempts that each cover a whole run.
+var (
+	chaosCall = client.CallOpts{
+		Timeout: 20 * time.Second,
+		Retry:   transport.Retry{Attempts: 10, PerTry: 300 * time.Millisecond, Seed: 7},
+	}
+	chaosRun = client.CallOpts{
+		Timeout: 250 * time.Second,
+		Retry:   transport.Retry{Attempts: 10, PerTry: 25 * time.Second, Seed: 8},
+	}
+)
+
+// chaosCheck queries every vertex the reference computes over el under the
+// chaos query policy and compares, within tol for a float program, then
+// checks that no agent dropped a message for want of an address.
+func (c *cluster) chaosCheck(prog algorithm.Program, el graph.EdgeList, opts algorithm.RunOptions, tol float64) {
+	c.t.Helper()
+	ref := algorithm.Run(prog, el, opts).State
+	vs := make([]graph.VertexID, 0, len(ref))
+	for v := range ref {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs) // the queries' order, so a seed replays
+	for _, v := range vs {
+		got, found, err := c.cl.QueryWith(v, chaosCall)
+		if err != nil {
+			c.t.Fatalf("query %d: %v", v, err)
+		}
+		if !found {
+			c.t.Fatalf("vertex %d not found", v)
+		}
+		want := ref[v]
+		if tol > 0 && math.Abs(got.F64()-want.F64()) > tol || tol == 0 && got != want {
+			c.t.Fatalf("vertex %d: got %v, want %v (tol %v)", v, got, want, tol)
+		}
+	}
+	for _, a := range c.agents {
+		if n := c.reg.Sum("elga_agent_unroutable_total", metrics.Labels{"addr": a.Addr()}); n != 0 {
+			c.t.Fatalf("agent %d dropped %v unroutable messages", a.ID(), n)
+		}
+	}
+}
+
+// TestChaosDropOnly checks that PageRank and WCC converge to the
+// single-machine reference while every frame is dropped with probability
+// 5 % and duplicated with 2 %: the acked-send retransmission and receiver
+// dedup layers must make the barrier protocol exactly-once. Each seed is a
+// subtest, run twice: the replay must send the same frames.
+func TestChaosDropOnly(t *testing.T) {
+	for seed := int64(42); seed < 46; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("replay: go test -run 'TestChaosDropOnly/seed=%d$' ./internal/sim/", seed)
+				}
+			}()
+			frames := chaosDropOnly(t, seed)
+			if again := chaosDropOnly(t, seed); !maps.Equal(again, frames) {
+				t.Fatalf("seed %d replayed to other frame counts:\n%v\n%v", seed, frames, again)
+			}
+		})
+	}
+}
+
+// chaosDropOnly runs one seed of TestChaosDropOnly and returns the frames
+// each endpoint sent, by type.
+func chaosDropOnly(t *testing.T, seed int64) map[string]int {
+	w := sim.NewWorld()
+	w.Chaos(seed, 0.05, 0.02)
+	c := boot(t, w, 3, chaosConfig())
+	el := randomGraph(80, 300, 7)
+	c.apply(el.Changes())
+	if _, err := c.cl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 10, FromScratch: true}, chaosRun); err != nil {
+		t.Fatal(err)
+	}
+	c.chaosCheck(algorithm.PageRank{}, el, algorithm.RunOptions{MaxSteps: 10}, 1e-8)
+	st, err := c.cl.RunWith(client.RunSpec{Algo: "wcc", FromScratch: true}, chaosRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Converged {
+		t.Fatal("WCC did not converge under drops")
+	}
+	c.chaosCheck(algorithm.WCC{}, el, algorithm.RunOptions{}, 0)
+	var retransmits uint64
+	for _, a := range c.agents {
+		retransmits += a.TransportStats().Retransmits
+	}
+	if retransmits == 0 {
+		t.Error("expected retransmissions under 5% drop, saw none")
+	}
+	return c.frames()
+}
+
+// TestBootUnderChaos boots the three agents, streamer and client under 3 %
+// drop and 1 % duplicate on every frame, with the chaos clocks, once per
+// seed: each seed must boot within the configured request budget of virtual
+// time.
+func TestBootUnderChaos(t *testing.T) {
+	cfg := chaosConfig()
+	for seed := int64(1); seed <= 64; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			w := sim.NewWorld()
+			w.Chaos(seed, 0.03, 0.01)
+			start := w.Now()
+			boot(t, w, 3, cfg)
+			if took := w.Now().Sub(start); took > cfg.RequestTimeout {
+				t.Fatalf("seed %d booted after %v of virtual time, past the %v budget", seed, took, cfg.RequestTimeout)
+			}
+		})
+	}
 }

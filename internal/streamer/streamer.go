@@ -85,7 +85,6 @@ func Start(opts Options) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	node.SetAckNotify(true)
 	s := New(opts, node)
 	node.RegisterMetrics(opts.Metrics, "streamer")
 	if opts.Metrics != nil {
@@ -99,7 +98,7 @@ func Start(opts Options) (*Streamer, error) {
 }
 
 // New assembles a streamer over ep, whose packets go to Handle, TAcks
-// included (Node.SetAckNotify), and starts nothing.
+// included, and starts nothing.
 func New(opts Options, ep transport.Endpoint) *Streamer {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize

@@ -31,13 +31,14 @@ const maxCoalesce = 64
 // hint; control frames fit the smallest pool class.
 const frameSizeHint = 256
 
-// rexmitTick paces the protocol clock (proto.tick), so a lazy ack waits at
-// most this long for a frame to ride: a quarter of ackRTO, never a resend.
-const rexmitTick = 50 * time.Millisecond
+// TickPeriod paces the protocol clock (Proto.Tick) of a Node and of a
+// simulator's endpoint alike, so a lazy ack waits at most this long for a
+// frame to ride: a quarter of ackRTO, never a resend.
+const TickPeriod = 50 * time.Millisecond
 
 // Node is one Participant's communication endpoint: a listen address, an
 // inbox of inbound packets, per-peer outbound queues with dedicated writer
-// goroutines and request/reply correlation — the I/O shell around proto,
+// goroutines and request/reply correlation — the I/O shell around Proto,
 // which makes the acknowledgement protocol's decisions.
 //
 // A Node is shared-nothing friendly: exactly one goroutine (the entity's
@@ -69,7 +70,7 @@ type Node struct {
 	// protoMu guards proto and is never held across anything else: it is
 	// the innermost lock.
 	protoMu sync.Mutex
-	proto   proto
+	proto   Proto
 
 	// injectMu fences Inject against the inbox close: Inject runs from
 	// timer goroutines the wg doesn't track, so Close must exclude it
@@ -194,24 +195,19 @@ type Stats struct {
 func (n *Node) Stats() Stats {
 	peers, queued := n.queueDepth()
 	n.protoMu.Lock()
-	outstanding := len(n.proto.outstanding)
+	s := n.proto.Stats()
 	n.protoMu.Unlock()
-	return Stats{
-		Peers:             uint64(peers),
-		InboxDepth:        uint64(len(n.inbox)),
-		QueueDepth:        uint64(queued),
-		OutstandingAcks:   uint64(outstanding),
-		FramesIn:          n.stats.framesIn.Load(),
-		FramesOut:         n.stats.framesOut.Load(),
-		MalformedFrames:   n.stats.malformed.Load(),
-		EnqueueStalls:     n.stats.stalls.Load(),
-		ConnWrites:        n.stats.writes.Load(),
-		ConnReads:         n.stats.reads.Load(),
-		CoalescedFrames:   n.stats.coalesced.Load(),
-		Retransmits:       n.stats.retransmits.Load(),
-		DuplicatesDropped: n.stats.dupsDropped.Load(),
-		AckGiveUps:        n.stats.ackGiveUps.Load(),
-	}
+	s.Peers = uint64(peers)
+	s.InboxDepth = uint64(len(n.inbox))
+	s.QueueDepth = uint64(queued)
+	s.FramesIn = n.stats.framesIn.Load()
+	s.FramesOut = n.stats.framesOut.Load()
+	s.MalformedFrames = n.stats.malformed.Load()
+	s.EnqueueStalls = n.stats.stalls.Load()
+	s.ConnWrites = n.stats.writes.Load()
+	s.ConnReads = n.stats.reads.Load()
+	s.CoalescedFrames = n.stats.coalesced.Load()
+	return s
 }
 
 // queueDepth returns the peer count and the frames queued or in the
@@ -280,6 +276,7 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := NewProto(l.Addr())
 	n := &Node{
 		net:      network,
 		listener: l,
@@ -289,9 +286,9 @@ func NewNode(network Network, addr string, inboxDepth int) (*Node, error) {
 		peers:    make(map[string]*peer),
 		pending:  make(map[uint32]chan *wire.Packet),
 		accepted: make(map[Conn]struct{}),
-		stats:    &nodeStats{},
+		proto:    p,
+		stats:    p.stats,
 	}
-	n.proto = newProto(n.addr, n.stats)
 	n.stats.live.Store(n)
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -305,8 +302,9 @@ func (n *Node) Addr() string { return n.addr }
 // Now reads the wall clock: a node's participant lives in real time.
 func (n *Node) Now() time.Time { return time.Now() }
 
-// Inbox returns the inbound packet stream. Replies and acks are consumed
-// internally and never appear here. Consumers release each packet with
+// Inbox returns the inbound packet stream. Replies to Request and
+// duplicates are consumed internally and never appear here; the TAck that
+// completes an acked send does. Consumers release each packet with
 // wire.ReleasePacket once they no longer reference it or its Payload.
 func (n *Node) Inbox() <-chan *wire.Packet { return n.inbox }
 
@@ -369,16 +367,16 @@ func (n *Node) readLoop(c Conn) {
 
 func (n *Node) dispatch(pkt *wire.Packet) {
 	n.protoMu.Lock()
-	v, reack := n.proto.frameIn(pkt)
+	v, reack := n.proto.FrameIn(pkt)
 	n.protoMu.Unlock()
 	if reack != nil {
 		_ = n.push(pkt.From, true, reack)
 	}
 	switch v {
-	case inDrop:
+	case InDrop:
 		wire.ReleasePacket(pkt)
 		return
-	case inReply:
+	case InReply:
 		n.mu.Lock()
 		ch, ok := n.pending[pkt.Req]
 		delete(n.pending, pkt.Req)
@@ -420,14 +418,14 @@ func (n *Node) getPeer(addr string) (*peer, error) {
 	return p, nil
 }
 
-// clock drives the protocol's time: every rexmitTick it ticks proto and
-// carries out what the tick decided — resends and parked acks written
+// clock drives the protocol's time: every TickPeriod it ticks the protocol
+// and carries out what the tick decided — resends and parked acks written
 // without waiting for room, TAcks for sends given up delivered.
 func (n *Node) clock() {
 	defer n.wg.Done()
-	t := time.NewTicker(rexmitTick)
+	t := time.NewTicker(TickPeriod)
 	defer t.Stop()
-	var out tickOut
+	var out TickOut
 	var group [][]byte
 	for {
 		select {
@@ -436,18 +434,18 @@ func (n *Node) clock() {
 		case <-t.C:
 		}
 		n.protoMu.Lock()
-		n.proto.tick(time.Now(), &out)
+		n.proto.Tick(time.Now(), &out)
 		n.protoMu.Unlock()
 		// One push per address; a full queue drops it, and the RTO brings
 		// its sends back.
-		for i, w := range out.writes {
-			group = append(group, w.frame)
-			if i+1 == len(out.writes) || out.writes[i+1].addr != w.addr {
-				_ = n.push(w.addr, false, group...)
+		for i, w := range out.Writes {
+			group = append(group, w.Frame)
+			if i+1 == len(out.Writes) || out.Writes[i+1].Addr != w.Addr {
+				_ = n.push(w.Addr, false, group...)
 				group = group[:0]
 			}
 		}
-		for _, pkt := range out.deliver {
+		for _, pkt := range out.Deliver {
 			n.deliver(pkt)
 		}
 	}
@@ -481,7 +479,7 @@ func (n *Node) CancelPeer(addr string) []FailedSend {
 		p.mu.Unlock()
 	}
 	n.protoMu.Lock()
-	failed := n.proto.cancel(addr)
+	failed := n.proto.Cancel(addr)
 	n.protoMu.Unlock()
 	return failed
 }
@@ -690,10 +688,10 @@ func (n *Node) writeIdle(p *peer, frames [][]byte) {
 	p.batch = frames[:0]
 }
 
-// appendAcks appends the acks parked for addr to frames (proto.takeAcks).
+// appendAcks appends the acks parked for addr to frames (Proto.TakeAcks).
 func (n *Node) appendAcks(addr string, frames [][]byte) [][]byte {
 	n.protoMu.Lock()
-	frames = n.proto.takeAcks(addr, frames)
+	frames = n.proto.TakeAcks(addr, frames)
 	n.protoMu.Unlock()
 	return frames
 }
@@ -783,32 +781,22 @@ func (n *Node) After(d time.Duration, tag []byte) {
 	})
 }
 
-// SetAckNotify controls whether TAck packets are delivered to the inbox.
-// Entities that track per-send completion — agents with barrier gates, a
-// streamer counting its unacknowledged batches — enable it so every ack
-// flows through their single event loop.
-func (n *Node) SetAckNotify(on bool) {
-	n.protoMu.Lock()
-	n.proto.notify = on
-	n.protoMu.Unlock()
-}
-
 // SendFrameAcked is the acked-PUSH pattern ("a second PUSH is then sent
 // in return", §3.5) over the single-copy path: the frame carries a request
 // ID the receiver must Ack after *processing* it, and SendFrameAcked
-// returns it so callers can correlate the eventual TAck (visible with
-// SetAckNotify) to this send.
+// returns it so callers can correlate the eventual TAck, which reaches the
+// inbox, to this send.
 func (n *Node) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 	now := time.Now()
 	n.protoMu.Lock()
-	req, err := n.proto.send(addr, frame, now)
+	req, err := n.proto.Send(addr, frame, now)
 	n.protoMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	if err := n.push(addr, true, frame); err != nil {
 		n.protoMu.Lock()
-		n.proto.complete(req) // unless CancelPeer took it first
+		n.proto.Complete(req) // unless CancelPeer took it first
 		n.protoMu.Unlock()
 		return 0, err
 	}
@@ -820,7 +808,7 @@ func (n *Node) SendFrameAcked(addr string, frame []byte) (uint32, error) {
 // or with the clock's next tick, whichever comes first.
 func (n *Node) Ack(pkt *wire.Packet) {
 	n.protoMu.Lock()
-	frame := n.proto.ack(pkt)
+	frame := n.proto.Ack(pkt)
 	n.protoMu.Unlock()
 	if frame != nil {
 		_ = n.push(pkt.From, true, frame)
@@ -833,7 +821,7 @@ func (n *Node) Ack(pkt *wire.Packet) {
 func (n *Node) Request(addr string, typ wire.Type, payload []byte, timeout time.Duration) (*wire.Packet, error) {
 	frame := append(n.NewFrameHint(typ, len(payload)), payload...)
 	n.protoMu.Lock()
-	req := n.proto.newReq()
+	req := n.proto.NewReq()
 	n.protoMu.Unlock()
 	wire.PatchFrameReq(frame, req)
 	if err := wire.FinishFrame(frame); err != nil {
@@ -907,7 +895,7 @@ func (n *Node) Close() {
 	}
 	n.wg.Wait()
 	n.protoMu.Lock()
-	n.proto.close()
+	n.proto.Close()
 	n.protoMu.Unlock()
 	n.injectMu.Lock()
 	close(n.inbox)

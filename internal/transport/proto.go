@@ -21,19 +21,18 @@ const (
 	dedupWindowSize = 8192
 )
 
-// proto is the transport's protocol with no I/O in it: request IDs, the
+// Proto is the transport's protocol with no I/O in it: request IDs, the
 // acked sends still waiting for their TAck, each sender's duplicate window,
 // and the lazy acks parked until a frame to their sender carries them.
 // Every decision of the acked-PUSH pattern is made here; what it asks of the
 // world (frames to write, packets to deliver, sends given back)
 // comes back as results. It starts no goroutine, takes no lock and reads no
-// clock — send and tick are given the time — so a test (or a simulator) can
-// drive it event by event; Node is its I/O shell.
-type proto struct {
+// clock — Send and Tick are given the time — so a test or a simulator
+// (sim.Endpoint) drives it event by event; Node is its I/O shell.
+type Proto struct {
 	self        string // the node's address: the sender of every ack built here
 	stats       *nodeStats
 	nextReq     uint32
-	notify      bool // TAcks go to the entity too (Node.SetAckNotify)
 	outstanding map[uint32]pendingAck
 	dedup       map[string]*dedupWindow
 	parked      []parkedAck // in the order the entity acked
@@ -62,54 +61,57 @@ type parkedAck struct {
 	req  uint32
 }
 
-// verdict is what the shell does with an inbound packet: release it (the
-// protocol consumed it), put it in the inbox, or hand it to the request
-// waiting for its ID, if one is, else the inbox.
-type verdict uint8
+// Verdict is what the shell does with an inbound packet: release it (the
+// protocol consumed it), hand it to the entity, or hand it to the request
+// waiting for its ID, if one is, else the entity.
+type Verdict uint8
 
 const (
-	inDrop verdict = iota
-	inDeliver
-	inReply
+	InDrop Verdict = iota
+	InDeliver
+	InReply
 )
 
-// tickOut is what a tick asks of the shell: retransmissions and parked acks
+// TickOut is what a tick asks of the shell: retransmissions and parked acks
 // to write without waiting for room, grouped by address, and the TAcks
 // synthesized for sends given up to deliver. Its slices are reused.
-type tickOut struct {
-	writes  []outFrame
-	deliver []*wire.Packet
+type TickOut struct {
+	Writes  []OutFrame
+	Deliver []*wire.Packet
 	due     []uint32 // scratch
 }
 
-type outFrame struct {
-	addr  string
-	frame []byte
+// OutFrame is a finished frame to write to Addr.
+type OutFrame struct {
+	Addr  string
+	Frame []byte
 }
 
-func newProto(self string, stats *nodeStats) proto {
-	return proto{
+// NewProto returns the protocol of the node at self, with counters of its
+// own.
+func NewProto(self string) Proto {
+	return Proto{
 		self:        self,
-		stats:       stats,
+		stats:       &nodeStats{},
 		outstanding: make(map[uint32]pendingAck),
 		dedup:       make(map[string]*dedupWindow),
 	}
 }
 
-// newReq allocates the next request ID, never 0 ("no ID"), for acked sends
+// NewReq allocates the next request ID, never 0 ("no ID"), for acked sends
 // and REQ/REP requests alike.
-func (p *proto) newReq() uint32 {
+func (p *Proto) NewReq() uint32 {
 	if p.nextReq++; p.nextReq == 0 {
 		p.nextReq = 1
 	}
 	return p.nextReq
 }
 
-// send makes frame an acked send to addr at now, for the shell to write
+// Send makes frame an acked send to addr at now, for the shell to write
 // (waiting for room): it stamps a request ID and the payload length into
 // frame and keeps a copy to resend. On error frame has been released.
-func (p *proto) send(addr string, frame []byte, now time.Time) (uint32, error) {
-	req := p.newReq()
+func (p *Proto) Send(addr string, frame []byte, now time.Time) (uint32, error) {
+	req := p.NewReq()
 	wire.PatchFrameReq(frame, req)
 	if err := wire.FinishFrame(frame); err != nil {
 		releaseFrame(frame)
@@ -123,9 +125,9 @@ func (p *proto) send(addr string, frame []byte, now time.Time) (uint32, error) {
 	return req, nil
 }
 
-// complete forgets send req, if outstanding, and releases its copy: acked,
+// Complete forgets send req, if outstanding, and releases its copy: acked,
 // given up, or (an input of the shell's) never handed to a peer.
-func (p *proto) complete(req uint32) bool {
+func (p *Proto) Complete(req uint32) bool {
 	pa, ok := p.outstanding[req]
 	if ok {
 		delete(p.outstanding, req)
@@ -134,37 +136,38 @@ func (p *proto) complete(req uint32) bool {
 	return ok
 }
 
-// frameIn judges an inbound packet. A TAck completes its send, once; acks
-// for sends completed, given up or given back are dropped. A duplicate
-// acked push is dropped, and re-acked at once (reack, to write waiting for
-// room) only if the entity acked the original: an entity may hold a packet
-// (a forward chain, a batch waiting for its view) past the sender's RTO,
-// and an ack for the duplicate would tell the sender it had been processed.
-func (p *proto) frameIn(pkt *wire.Packet) (v verdict, reack []byte) {
+// FrameIn judges an inbound packet. A TAck completes its send, once, and
+// goes on to the entity, whose ack groups it may drain; acks for sends
+// completed, given up or given back are dropped. A duplicate acked push is
+// dropped, and re-acked at once (reack, to write waiting for room) only if
+// the entity acked the original: an entity may hold a packet (a forward
+// chain, a batch waiting for its view) past the sender's RTO, and an ack
+// for the duplicate would tell the sender it had been processed.
+func (p *Proto) FrameIn(pkt *wire.Packet) (v Verdict, reack []byte) {
 	switch {
 	case pkt.Type == wire.TAck:
-		if !p.complete(pkt.Req) || !p.notify {
-			return inDrop, nil
+		if !p.Complete(pkt.Req) {
+			return InDrop, nil
 		}
 	case pkt.Req == 0:
 	case pkt.From == "" || !wire.AckedPush(pkt.Type):
-		return inReply, nil
+		return InReply, nil
 	default:
 		if seen, acked := p.seenOrRecord(pkt.From, pkt.Req); seen {
 			p.stats.dupsDropped.Add(1)
 			if acked {
 				reack = p.ackFrame(pkt.Req)
 			}
-			return inDrop, reack
+			return InDrop, reack
 		}
 	}
-	return inDeliver, nil
+	return InDeliver, nil
 }
 
 // seenOrRecord reports whether from's req was delivered before and if so
 // whether the entity acked it; a new req is recorded, evicting the oldest
 // once the window is full.
-func (p *proto) seenOrRecord(from string, req uint32) (seen, acked bool) {
+func (p *Proto) seenOrRecord(from string, req uint32) (seen, acked bool) {
 	w := p.dedup[from]
 	if w == nil {
 		w = &dedupWindow{seen: make(map[uint32]bool)}
@@ -184,10 +187,10 @@ func (p *proto) seenOrRecord(from string, req uint32) (seen, acked bool) {
 	return false, false
 }
 
-// ack records that the entity processed pkt. An ack the sender waits on
+// Ack records that the entity processed pkt. An ack the sender waits on
 // comes back as a frame to write now (waiting for room); a lazy one is
-// parked for takeAcks or the next tick.
-func (p *proto) ack(pkt *wire.Packet) []byte {
+// parked for TakeAcks or the next tick.
+func (p *Proto) Ack(pkt *wire.Packet) []byte {
 	if pkt.Req == 0 || pkt.From == "" {
 		return nil
 	}
@@ -203,10 +206,10 @@ func (p *proto) ack(pkt *wire.Packet) []byte {
 	return nil
 }
 
-// takeAcks appends to frames, as TAck frames, the acks parked for addr —
+// TakeAcks appends to frames, as TAck frames, the acks parked for addr —
 // at most maxCoalesce-1, so that they and the frame they ride are one gather
 // of the writer's — and forgets them.
-func (p *proto) takeAcks(addr string, frames [][]byte) [][]byte {
+func (p *Proto) TakeAcks(addr string, frames [][]byte) [][]byte {
 	taken := 0
 	p.parked = slices.DeleteFunc(p.parked, func(a parkedAck) bool {
 		if a.addr != addr || taken == maxCoalesce-1 {
@@ -219,10 +222,10 @@ func (p *proto) takeAcks(addr string, frames [][]byte) [][]byte {
 	return frames
 }
 
-// cancel gives back every send outstanding to addr, in request order,
+// Cancel gives back every send outstanding to addr, in request order,
 // frames and all, and drops the acks parked for it: the peer is presumed
 // gone. Acks it sends later find nothing to complete.
-func (p *proto) cancel(addr string) (failed []FailedSend) {
+func (p *Proto) Cancel(addr string) (failed []FailedSend) {
 	for req, pa := range p.outstanding {
 		if pa.addr == addr {
 			failed = append(failed, FailedSend{Req: req, Frame: pa.frame})
@@ -234,13 +237,13 @@ func (p *proto) cancel(addr string) (failed []FailedSend) {
 	return failed
 }
 
-// tick advances the protocol to now: each send whose RTO ran out is resent
-// with the RTO doubled, or after ackMaxResend resends given up — under
-// notify with a synthesized TAck, so the entity's barrier gates drain
-// instead of wedging on a peer that will never answer (a dead peer is
-// normally given back long before, by cancel) — and every parked ack leaves.
-func (p *proto) tick(now time.Time, o *tickOut) {
-	o.writes, o.deliver, o.due = o.writes[:0], o.deliver[:0], o.due[:0]
+// Tick advances the protocol to now: each send whose RTO ran out is resent
+// with the RTO doubled, or after ackMaxResend resends given up with a
+// synthesized TAck, so the entity's barrier gates drain instead of wedging
+// on a peer that will never answer (a dead peer is normally given back long
+// before, by Cancel) — and every parked ack leaves.
+func (p *Proto) Tick(now time.Time, o *TickOut) {
+	o.Writes, o.Deliver, o.due = o.Writes[:0], o.Deliver[:0], o.due[:0]
 	for req, pa := range p.outstanding {
 		if !pa.nextAt.After(now) {
 			o.due = append(o.due, req)
@@ -250,37 +253,51 @@ func (p *proto) tick(now time.Time, o *tickOut) {
 	for _, req := range o.due {
 		pa := p.outstanding[req]
 		if pa.attempts >= ackMaxResend {
-			p.complete(req)
+			p.Complete(req)
 			p.stats.ackGiveUps.Add(1)
-			if p.notify {
-				pkt := wire.GetPacket()
-				pkt.Type, pkt.Req, pkt.From = wire.TAck, req, pa.addr
-				o.deliver = append(o.deliver, pkt)
-			}
+			pkt := wire.GetPacket()
+			pkt.Type, pkt.Req, pkt.From = wire.TAck, req, pa.addr
+			o.Deliver = append(o.Deliver, pkt)
 			continue
 		}
 		pa.attempts++
 		pa.nextAt = now.Add(min(ackRTO<<uint(pa.attempts), ackRTOMax))
 		p.outstanding[req] = pa
 		p.stats.retransmits.Add(1)
-		o.writes = append(o.writes, outFrame{pa.addr, append(wire.GetFrame(len(pa.frame)), pa.frame...)})
+		o.Writes = append(o.Writes, OutFrame{pa.addr, append(wire.GetFrame(len(pa.frame)), pa.frame...)})
 	}
 	for _, a := range p.parked {
-		o.writes = append(o.writes, outFrame{a.addr, p.ackFrame(a.req)})
+		o.Writes = append(o.Writes, OutFrame{a.addr, p.ackFrame(a.req)})
 	}
 	p.parked = p.parked[:0]
-	slices.SortStableFunc(o.writes, func(a, b outFrame) int { return strings.Compare(a.addr, b.addr) })
+	slices.SortStableFunc(o.Writes, func(a, b OutFrame) int { return strings.Compare(a.Addr, b.Addr) })
 }
 
-// close releases every retained frame: the node is gone.
-func (p *proto) close() {
+// Idle reports whether nothing waits on a tick: no send outstanding and no
+// ack parked.
+func (p *Proto) Idle() bool { return len(p.outstanding) == 0 && len(p.parked) == 0 }
+
+// Stats is the protocol's part of the node's Stats: the acked sends
+// outstanding, and the retransmissions, duplicates dropped and give-ups
+// counted so far.
+func (p *Proto) Stats() Stats {
+	return Stats{
+		OutstandingAcks:   uint64(len(p.outstanding)),
+		Retransmits:       p.stats.retransmits.Load(),
+		DuplicatesDropped: p.stats.dupsDropped.Load(),
+		AckGiveUps:        p.stats.ackGiveUps.Load(),
+	}
+}
+
+// Close releases every retained frame: the node is gone.
+func (p *Proto) Close() {
 	for req := range p.outstanding {
-		p.complete(req)
+		p.Complete(req)
 	}
 }
 
 // ackFrame is a TAck for req from this node: a header alone is a finished
 // frame.
-func (p *proto) ackFrame(req uint32) []byte {
+func (p *Proto) ackFrame(req uint32) []byte {
 	return wire.AppendFrameHeader(wire.GetFrame(frameSizeHint), wire.TAck, req, p.self)
 }

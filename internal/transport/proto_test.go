@@ -53,16 +53,15 @@ type simSend struct {
 	resolved  string // "", "acked", "cancelled", "gave up" or "aborted"
 }
 
-// simNode is one proto and the model of its entity.
+// simNode is one Proto and the model of its entity.
 type simNode struct {
 	addr  string
-	p     proto
-	stats nodeStats
+	p     Proto
 	held  []*wire.Packet  // delivered to the entity, not acked yet
 	seen  map[simKey]bool // acked pushes the entity received
 	acked map[simKey]bool // ... and acknowledged
 	owed  map[simKey]bool // lazy acks parked: (receiver, request)
-	out   tickOut
+	out   TickOut
 }
 
 func newSimWire(t *testing.T, seed int64, chaos bool) *simWire {
@@ -82,8 +81,7 @@ func newSimWire(t *testing.T, seed int64, chaos bool) *simWire {
 			acked: make(map[simKey]bool),
 			owed:  make(map[simKey]bool),
 		}
-		n.p = newProto(n.addr, &n.stats)
-		n.p.notify = w.rng.Intn(2) == 0
+		n.p = NewProto(n.addr)
 		w.byAddr[n.addr] = i
 		w.nodes = append(w.nodes, n)
 	}
@@ -128,7 +126,7 @@ func (w *simWire) send() {
 	typ := simTypes[w.rng.Intn(len(simTypes))]
 	frame := wire.AppendFrameHeader(wire.GetFrame(64), typ, 0, n.addr)
 	frame = binary.LittleEndian.AppendUint64(frame, w.rng.Uint64())
-	req, err := n.p.send(to.addr, frame, w.now)
+	req, err := n.p.Send(to.addr, frame, w.now)
 	if err != nil {
 		w.fatalf("send: %v", err)
 	}
@@ -140,14 +138,14 @@ func (w *simWire) send() {
 	w.note("send %d->%d %s req=%d", i, j, typ, req)
 	if w.chaos && w.rng.Intn(20) == 0 {
 		// The shell could not hand the frame to a peer.
-		n.p.complete(req)
+		n.p.Complete(req)
 		w.sends[key].resolved = "aborted"
 		wire.ReleaseFrame(frame)
 		return
 	}
 	// The acks parked for the receiver ride in front of the frame, as the
 	// shell's write does it.
-	for _, ack := range n.p.takeAcks(to.addr, nil) {
+	for _, ack := range n.p.TakeAcks(to.addr, nil) {
 		w.unpark(i, to.addr, ack)
 	}
 	w.emit(i, to.addr, frame)
@@ -166,12 +164,12 @@ func (w *simWire) deliver(k int) {
 		key := simKey{n.addr, pkt.Req}
 		rec := w.sends[key]
 		_, known := n.p.outstanding[pkt.Req]
-		v, reack := n.p.frameIn(pkt)
+		v, reack := n.p.FrameIn(pkt)
 		if reack != nil {
 			w.fatalf("an ack was answered with an ack")
 		}
 		if !known {
-			if v != inDrop {
+			if v != InDrop {
 				w.fatalf("an ack for no outstanding send (%+v) was not dropped: verdict %d", rec, v)
 			}
 			return
@@ -181,17 +179,17 @@ func (w *simWire) deliver(k int) {
 			w.fatalf("send %v completed twice (%+v)", key, rec)
 		case !w.nodes[rec.to].acked[key]:
 			w.fatalf("send %v was acknowledged before its entity acked it", key)
-		case (v == inDeliver) != n.p.notify || v == inReply:
-			w.fatalf("ack verdict %d with notify %v", v, n.p.notify)
+		case v != InDeliver:
+			w.fatalf("the ack of an outstanding send: verdict %d", v)
 		}
 		rec.resolved = "acked"
 		return
 	}
 	key := simKey{pkt.From, pkt.Req}
 	seen, acked := n.seen[key], n.acked[key]
-	v, reack := n.p.frameIn(pkt)
+	v, reack := n.p.FrameIn(pkt)
 	if !seen {
-		if v != inDeliver || reack != nil {
+		if v != InDeliver || reack != nil {
 			w.fatalf("the first copy of %v: verdict %d, re-ack %v", key, v, reack != nil)
 		}
 		n.seen[key] = true
@@ -206,7 +204,7 @@ func (w *simWire) deliver(k int) {
 		return
 	}
 	switch {
-	case v != inDrop:
+	case v != InDrop:
 		w.fatalf("a duplicate of %v was delivered (verdict %d)", key, v)
 	case !acked && reack != nil:
 		w.fatalf("a duplicate of %v was acked before its entity acked the original", key)
@@ -225,7 +223,7 @@ func (w *simWire) ack(i, k int) {
 	key := simKey{pkt.From, pkt.Req}
 	n.acked[key] = true
 	w.note("ack %d %s req=%d", i, pkt.Type, pkt.Req)
-	frame := n.p.ack(pkt)
+	frame := n.p.Ack(pkt)
 	if wire.LazyAck(pkt.Type) != (frame == nil) {
 		w.fatalf("the ack of a %s: frame %v", pkt.Type, frame != nil)
 	}
@@ -246,7 +244,7 @@ func (w *simWire) cancel(i, j int) {
 		}
 	}
 	slices.Sort(want)
-	failed := n.p.cancel(gone.addr)
+	failed := n.p.Cancel(gone.addr)
 	var got []uint32
 	for _, f := range failed {
 		got = append(got, f.Req)
@@ -276,20 +274,20 @@ func (w *simWire) tick(d time.Duration) {
 		for req, pa := range n.p.outstanding {
 			before[req] = pa
 		}
-		gaveUp := n.stats.ackGiveUps.Load()
-		n.p.tick(w.now, &n.out)
-		gaveUp = n.stats.ackGiveUps.Load() - gaveUp
-		for _, o := range n.out.writes {
-			if wire.FrameType(o.frame) == wire.TAck {
-				w.unpark(i, o.addr, o.frame)
+		gaveUp := n.p.stats.ackGiveUps.Load()
+		n.p.Tick(w.now, &n.out)
+		gaveUp = n.p.stats.ackGiveUps.Load() - gaveUp
+		for _, o := range n.out.Writes {
+			if wire.FrameType(o.Frame) == wire.TAck {
+				w.unpark(i, o.Addr, o.Frame)
 				continue
 			}
-			req := binary.LittleEndian.Uint32(o.frame[1:])
+			req := binary.LittleEndian.Uint32(o.Frame[1:])
 			pa, ok := before[req]
-			if !ok || pa.nextAt.After(w.now) || !bytes.Equal(o.frame, pa.frame) {
+			if !ok || pa.nextAt.After(w.now) || !bytes.Equal(o.Frame, pa.frame) {
 				w.fatalf("resent request %d before its RTO ran out, or not verbatim", req)
 			}
-			w.emit(i, o.addr, o.frame)
+			w.emit(i, o.Addr, o.Frame)
 		}
 		if len(n.owed) > 0 || len(n.p.parked) > 0 {
 			w.fatalf("%d acks owed by %s are still parked after its tick", len(n.owed), n.addr)
@@ -312,14 +310,14 @@ func (w *simWire) tick(d time.Duration) {
 			rec.resolved = "gave up"
 		}
 		var synth []uint32
-		for _, pkt := range n.out.deliver {
+		for _, pkt := range n.out.Deliver {
 			if pkt.Type != wire.TAck || pkt.From != w.nodes[w.sends[simKey{n.addr, pkt.Req}].to].addr {
 				w.fatalf("a synthesized ack %+v", pkt)
 			}
 			synth = append(synth, pkt.Req)
 		}
-		if n.p.notify && !slices.Equal(synth, given) || !n.p.notify && len(synth) > 0 {
-			w.fatalf("gave up %v, synthesized acks for %v, notify %v", given, synth, n.p.notify)
+		if !slices.Equal(synth, given) {
+			w.fatalf("gave up %v, synthesized acks for %v", given, synth)
 		}
 	}
 }
@@ -361,9 +359,9 @@ func (w *simWire) step() {
 			return
 		}
 		// Fault-free: everything in flight lands and is acked before the
-		// next tick, at most rexmitTick later — acks well inside the RTO.
+		// next tick, at most TickPeriod later — acks well inside the RTO.
 		w.settle()
-		w.tick(time.Duration(1+w.rng.Intn(int(rexmitTick/time.Millisecond))) * time.Millisecond)
+		w.tick(time.Duration(1+w.rng.Intn(int(TickPeriod/time.Millisecond))) * time.Millisecond)
 	}
 }
 
@@ -410,7 +408,7 @@ func (w *simWire) run(events int) uint64 {
 		if round == 1000 {
 			w.fatalf("sends still outstanding after %d quiet ticks", round)
 		}
-		w.tick(rexmitTick)
+		w.tick(TickPeriod)
 	}
 	for key, rec := range w.sends {
 		switch rec.resolved {
@@ -456,11 +454,12 @@ func TestProtoProperties(t *testing.T) {
 					w := newSimWire(t, seed, mode == "chaos")
 					digest := w.run(events)
 					for _, n := range w.nodes {
-						retransmits += n.stats.retransmits.Load()
-						dups += n.stats.dupsDropped.Load()
-						giveUps += n.stats.ackGiveUps.Load()
-						if mode == "clean" && n.stats.retransmits.Load() != 0 {
-							t.Fatalf("%s retransmitted %d times on a fault-free schedule", n.addr, n.stats.retransmits.Load())
+						st := n.p.Stats()
+						retransmits += st.Retransmits
+						dups += st.DuplicatesDropped
+						giveUps += st.AckGiveUps
+						if mode == "clean" && st.Retransmits != 0 {
+							t.Fatalf("%s retransmitted %d times on a fault-free schedule", n.addr, st.Retransmits)
 						}
 					}
 					for _, rec := range w.sends {
@@ -488,78 +487,74 @@ func TestProtoProperties(t *testing.T) {
 // TestProtoGivesUpAfterTheBudget: an acked send nobody acknowledges is
 // resent at 200, 600, 1 400, 3 000, 5 000 and 7 000 ms — the RTO doubling
 // to its 2 s cap — and given up at 9 000 ms: its copy released once, one
-// give-up counted, a TAck synthesized only under notify, and a real ack
+// give-up counted, a TAck synthesized for the entity, and a real ack
 // arriving after that ignored.
 func TestProtoGivesUpAfterTheBudget(t *testing.T) {
-	for _, notify := range []bool{false, true} {
-		t.Run(fmt.Sprintf("notify=%v", notify), func(t *testing.T) {
-			const to = "sim://b"
-			marker := []byte("the one acked send")
-			releases := 0
-			t.Cleanup(func() { releaseFrame = wire.ReleaseFrame })
-			releaseFrame = func(f []byte) {
-				if bytes.HasSuffix(f, marker) {
-					releases++
+	// Every give-up notifies its entity with a synthesized TAck.
+	t.Run("notify=true", func(t *testing.T) {
+		const to = "sim://b"
+		marker := []byte("the one acked send")
+		releases := 0
+		t.Cleanup(func() { releaseFrame = wire.ReleaseFrame })
+		releaseFrame = func(f []byte) {
+			if bytes.HasSuffix(f, marker) {
+				releases++
+			}
+			wire.ReleaseFrame(f)
+		}
+		p := NewProto("sim://a")
+		start := time.Unix(1000, 0)
+		frame := append(wire.AppendFrameHeader(wire.GetFrame(64), wire.TEdges, 0, "sim://a"), marker...)
+		req, err := p.Send(to, frame, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out TickOut
+		var resends []time.Duration
+		gaveUpAt := time.Duration(-1)
+		for ms := 1; ms <= 10000; ms++ {
+			p.Tick(start.Add(time.Duration(ms)*time.Millisecond), &out)
+			for _, w := range out.Writes {
+				if w.Addr != to || !bytes.Equal(w.Frame, frame) {
+					t.Fatalf("at %d ms: wrote %q to %s, want the send verbatim to %s", ms, w.Frame, w.Addr, to)
 				}
-				wire.ReleaseFrame(f)
+				resends = append(resends, time.Duration(ms)*time.Millisecond)
 			}
-			var stats nodeStats
-			p := newProto("sim://a", &stats)
-			p.notify = notify
-			start := time.Unix(1000, 0)
-			frame := append(wire.AppendFrameHeader(wire.GetFrame(64), wire.TEdges, 0, "sim://a"), marker...)
-			req, err := p.send(to, frame, start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out tickOut
-			var resends []time.Duration
-			gaveUpAt := time.Duration(-1)
-			for ms := 1; ms <= 10000; ms++ {
-				p.tick(start.Add(time.Duration(ms)*time.Millisecond), &out)
-				for _, w := range out.writes {
-					if w.addr != to || !bytes.Equal(w.frame, frame) {
-						t.Fatalf("at %d ms: wrote %q to %s, want the send verbatim to %s", ms, w.frame, w.addr, to)
-					}
-					resends = append(resends, time.Duration(ms)*time.Millisecond)
+			if p.stats.ackGiveUps.Load() > 0 && gaveUpAt < 0 {
+				gaveUpAt = time.Duration(ms) * time.Millisecond
+				if len(out.Deliver) != 1 {
+					t.Fatalf("%d acks synthesized, want 1", len(out.Deliver))
 				}
-				if stats.ackGiveUps.Load() > 0 && gaveUpAt < 0 {
-					gaveUpAt = time.Duration(ms) * time.Millisecond
-					if notify != (len(out.deliver) == 1) || len(out.deliver) > 1 {
-						t.Fatalf("notify %v: %d acks synthesized", notify, len(out.deliver))
-					}
-					if notify {
-						if pkt := out.deliver[0]; pkt.Type != wire.TAck || pkt.Req != req || pkt.From != to {
-							t.Errorf("synthesized %s req=%d from %s, want an ack for %d from %s", pkt.Type, pkt.Req, pkt.From, req, to)
-						}
-					}
-				} else if len(out.deliver) > 0 {
-					t.Fatalf("at %d ms: an ack synthesized with no give-up", ms)
+				if pkt := out.Deliver[0]; pkt.Type != wire.TAck || pkt.Req != req || pkt.From != to {
+					t.Errorf("synthesized %s req=%d from %s, want an ack for %d from %s", pkt.Type, pkt.Req, pkt.From, req, to)
 				}
+			} else if len(out.Deliver) > 0 {
+				t.Fatalf("at %d ms: an ack synthesized with no give-up", ms)
 			}
-			want := []time.Duration{200, 600, 1400, 3000, 5000, 7000}
-			for i := range want {
-				want[i] *= time.Millisecond
-			}
-			if !slices.Equal(resends, want) {
-				t.Errorf("resent at %v, want %v", resends, want)
-			}
-			if gaveUpAt != 9000*time.Millisecond {
-				t.Errorf("gave up at %v, want 9s", gaveUpAt)
-			}
-			if s := stats.retransmits.Load(); s != 6 {
-				t.Errorf("%d retransmits counted, want 6", s)
-			}
-			if g := stats.ackGiveUps.Load(); g != 1 || releases != 1 || len(p.outstanding) != 0 {
-				t.Errorf("after the give-up: %d give-ups, copy released %d times, %d outstanding; want 1, 1, 0", g, releases, len(p.outstanding))
-			}
-			pkt, err := wire.UnmarshalPacket(wire.AppendFrameHeader(nil, wire.TAck, req, to))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, reack := p.frameIn(pkt); v != inDrop || reack != nil || releases != 1 {
-				t.Errorf("the late ack: verdict %d, re-ack %v, %d releases", v, reack != nil, releases)
-			}
-		})
-	}
+		}
+		want := []time.Duration{200, 600, 1400, 3000, 5000, 7000}
+		for i := range want {
+			want[i] *= time.Millisecond
+		}
+		if !slices.Equal(resends, want) {
+			t.Errorf("resent at %v, want %v", resends, want)
+		}
+		if gaveUpAt != 9000*time.Millisecond {
+			t.Errorf("gave up at %v, want 9s", gaveUpAt)
+		}
+		st := p.Stats()
+		if st.Retransmits != 6 {
+			t.Errorf("%d retransmits counted, want 6", st.Retransmits)
+		}
+		if st.AckGiveUps != 1 || releases != 1 || st.OutstandingAcks != 0 {
+			t.Errorf("after the give-up: %d give-ups, copy released %d times, %d outstanding; want 1, 1, 0", st.AckGiveUps, releases, st.OutstandingAcks)
+		}
+		pkt, err := wire.UnmarshalPacket(wire.AppendFrameHeader(nil, wire.TAck, req, to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, reack := p.FrameIn(pkt); v != InDrop || reack != nil || releases != 1 {
+			t.Errorf("the late ack: verdict %d, re-ack %v, %d releases", v, reack != nil, releases)
+		}
+	})
 }

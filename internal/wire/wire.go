@@ -45,9 +45,6 @@ const (
 	TJoinReply
 	// TLeave announces a graceful agent departure.
 	TLeave
-	// TMembershipForward carries a join/leave from a Directory to the
-	// master for epoch sequencing.
-	TMembershipForward
 
 	// --- directory state (PUB/SUB) ---
 
@@ -136,7 +133,7 @@ func AckedPush(t Type) bool {
 	switch t {
 	case TEdges, TVertexMsgs, TReplicaPartial, TValueUpdate, TReplicaRegister,
 		TSketchDelta, TDirUpdate, TAdvance, TAlgoStart, TAlgoDone, TBatchOpen,
-		TReady, TSubscribe, TLeave, TMembershipForward:
+		TReady, TSubscribe, TLeave:
 		return true
 	}
 	return false
@@ -160,9 +157,8 @@ var typeNames = [...]string{
 	TInvalid: "invalid", TRegisterDirectory: "register-directory",
 	TGetDirectory: "get-directory", TDirectoryList: "directory-list",
 	TJoin: "join", TJoinReply: "join-reply", TLeave: "leave",
-	TMembershipForward: "membership-forward", TSubscribe: "subscribe",
-	TUnsubscribe: "unsubscribe",
-	TDirUpdate:   "dir-update", TAdvance: "advance", TAlgoStart: "algo-start",
+	TSubscribe: "subscribe", TUnsubscribe: "unsubscribe",
+	TDirUpdate: "dir-update", TAdvance: "advance", TAlgoStart: "algo-start",
 	TAlgoDone: "algo-done", TBatchOpen: "batch-open", TEdges: "edges",
 	TVertexMsgs: "vertex-msgs", TReplicaPartial: "replica-partial",
 	TValueUpdate: "value-update", TReplicaRegister: "replica-register",

@@ -535,7 +535,7 @@ func TestLazyAckTypes(t *testing.T) {
 		}
 	}
 	for _, typ := range []Type{TVertexMsgs, TReplicaPartial, TValueUpdate, TEdges,
-		TReplicaRegister, TSketchDelta, TSubscribe, TLeave, TMembershipForward} {
+		TReplicaRegister, TSketchDelta, TSubscribe, TLeave} {
 		if LazyAck(typ) {
 			t.Errorf("%s: its sender waits on the ack, it must not be held", typ)
 		}
