@@ -11,7 +11,6 @@ import (
 	"elga/internal/client"
 	"elga/internal/config"
 	"elga/internal/graph"
-	"elga/internal/transport"
 )
 
 // durableOptions is the shared Durability config chaos tests use: a
@@ -22,15 +21,14 @@ func durableOptions(t *testing.T) *checkpoint.Config {
 }
 
 // newDurableCluster is newChaosCluster plus a checkpoint sink.
-func newDurableCluster(t *testing.T, agents int, cfg config.Config, fc transport.FaultConfig, dur *checkpoint.Config) (*Cluster, *transport.FaultNetwork) {
+func newDurableCluster(t *testing.T, agents int, cfg config.Config, dur *checkpoint.Config) *Cluster {
 	t.Helper()
-	fn := transport.NewFaultNetwork(transport.NewInproc(), fc)
-	c, err := New(Options{Config: cfg, Agents: agents, Network: fn, Durability: dur})
+	c, err := New(Options{Config: cfg, Agents: agents, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Shutdown)
-	return c, fn
+	return c
 }
 
 // waitMembers polls a dedicated observer client until the view reaches
@@ -58,7 +56,7 @@ func waitMembers(t *testing.T, observer *client.Client, want int, what string) {
 // match the single-machine reference exactly.
 func TestChaosKillAndRestart(t *testing.T) {
 	cfg := chaosConfig()
-	c, fn := newDurableCluster(t, 4, cfg, transport.FaultConfig{Seed: 45}, durableOptions(t))
+	c := newDurableCluster(t, 4, cfg, durableOptions(t))
 	el := randomGraph(80, 300, 10)
 	// Load ends at a batch boundary, which always checkpoints: every
 	// agent's full topology is durable before the fault.
@@ -68,7 +66,6 @@ func TestChaosKillAndRestart(t *testing.T) {
 
 	victim := c.Agents()[1]
 	victimID := victim.ID()
-	victimAddr := victim.Addr()
 	slot := c.AgentSlot(1)
 
 	observer, err := c.NewClient()
@@ -80,12 +77,12 @@ func TestChaosKillAndRestart(t *testing.T) {
 	// Kill mid-run: the interrupted run's result is undefined, but the
 	// cluster must unwedge and complete it via eviction.
 	runDone := make(chan error, 1)
+	phases := computePhases(c)
 	go func() {
 		_, err := c.ctl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 40, FromScratch: true}, chaosRun)
 		runDone <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
-	fn.Kill(victimAddr)
+	waitComputePhase(t, c, phases)
 	if err := c.KillAgent(1); err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +133,12 @@ func TestChaosKillAndRestart(t *testing.T) {
 // them.
 func TestChaosRestartStaleManifest(t *testing.T) {
 	cfg := chaosConfig()
-	c, fn := newDurableCluster(t, 3, cfg, transport.FaultConfig{Seed: 46}, durableOptions(t))
+	c := newDurableCluster(t, 3, cfg, durableOptions(t))
 	el := randomGraph(60, 200, 11)
 	if err := c.Load(el); err != nil {
 		t.Fatal(err)
 	}
 
-	victimAddr := c.Agents()[1].Addr()
 	slot := c.AgentSlot(1)
 	observer, err := c.NewClient()
 	if err != nil {
@@ -150,7 +146,6 @@ func TestChaosRestartStaleManifest(t *testing.T) {
 	}
 	defer observer.Close()
 
-	fn.Kill(victimAddr)
 	if err := c.KillAgent(1); err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +185,8 @@ func TestChaosRestartStaleManifest(t *testing.T) {
 func TestStatsScrapeDuringCheckpoints(t *testing.T) {
 	dur := durableOptions(t)
 	dur.EverySteps = 1 // checkpoint every superstep: maximum writer churn
-	fn := transport.NewFaultNetwork(transport.NewInproc(), transport.FaultConfig{Seed: 47})
 	c, err := New(Options{
-		Config: chaosConfig(), Agents: 3, Network: fn,
+		Config: chaosConfig(), Agents: 3,
 		Durability: dur, MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -229,6 +223,8 @@ func TestStatsScrapeDuringCheckpoints(t *testing.T) {
 				return
 			}
 			scrapes++
+			// The scrape interval: the loop ends after the last run,
+			// which chaosRun's Timeout bounds.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -242,9 +238,7 @@ func TestStatsScrapeDuringCheckpoints(t *testing.T) {
 	// Membership churn under scrape: kill + warm restart. The registry
 	// keeps serving the dead agent's closures (atomics outlive Close) and
 	// gains the restarted slot's — both must stay scrape-safe.
-	victimAddr := c.Agents()[1].Addr()
 	slot := c.AgentSlot(1)
-	fn.Kill(victimAddr)
 	if err := c.KillAgent(1); err != nil {
 		t.Fatal(err)
 	}

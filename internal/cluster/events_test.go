@@ -6,7 +6,6 @@ import (
 
 	"elga/internal/client"
 	"elga/internal/events"
-	"elga/internal/transport"
 )
 
 // findEvent returns the first timeline record matching kind (and, when
@@ -158,9 +157,8 @@ func TestStatusHealthAndTimeline(t *testing.T) {
 // journal/timeline plumbing is safe against the event loops.
 func TestChaosTimelineCausalOrder(t *testing.T) {
 	cfg := chaosConfig()
-	fn := transport.NewFaultNetwork(transport.NewInproc(), transport.FaultConfig{Seed: 48})
 	c, err := New(Options{
-		Config: cfg, Agents: 3, Network: fn,
+		Config: cfg, Agents: 3,
 		Events: &events.Config{Enabled: true},
 	})
 	if err != nil {
@@ -174,14 +172,12 @@ func TestChaosTimelineCausalOrder(t *testing.T) {
 
 	victim := c.Agents()[1]
 	victimID := victim.ID()
-	victimAddr := victim.Addr()
 	observer, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer observer.Close()
 
-	fn.Kill(victimAddr)
 	if err := c.KillAgent(1); err != nil {
 		t.Fatal(err)
 	}

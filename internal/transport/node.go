@@ -737,9 +737,8 @@ func (n *Node) Send(addr string, typ wire.Type, payload []byte) error {
 // Inject synthesizes a local packet straight into this node's inbox,
 // bypassing the network. Timer ticks and other self-notifications are
 // process internals, not traffic: routing them through the transport
-// would subject them to injected faults (a dropped self-tick silently
-// kills a timer chain) and cost a wire round trip. Blocks if the inbox
-// is full; fails only after Close.
+// would cost a wire round trip and a peer queue to the node itself. Blocks
+// if the inbox is full; fails only after Close.
 func (n *Node) Inject(typ wire.Type, payload []byte) error {
 	frame := append(n.NewFrameHint(typ, len(payload)), payload...)
 	if err := wire.FinishFrame(frame); err != nil {
@@ -768,10 +767,10 @@ func (n *Node) Inject(typ wire.Type, payload []byte) error {
 }
 
 // After injects a TTick carrying tag once d has passed: the one timer an
-// entity's event loop arms. Injected, never sent, a tick is subject to no
-// transport fault (a dropped one would end its chain for good); a chain
-// re-arms from the loop that handles each tick and dies with the node: a
-// closed node takes no tick, and a pending one does not keep it in memory.
+// entity's event loop arms. Injected, never sent, a tick cannot be lost on
+// the way (a lost one would end its chain for good); a chain re-arms from
+// the loop that handles each tick and dies with the node: a closed node
+// takes no tick, and a pending one does not keep it in memory.
 func (n *Node) After(d time.Duration, tag []byte) {
 	live := &n.stats.live
 	time.AfterFunc(d, func() {

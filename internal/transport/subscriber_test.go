@@ -179,6 +179,23 @@ func TestRetryDoStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRetryJitterScheduleIsSeeded: a Seed fixes the jittered delays, and
+// they are the ones a seeded Retry has always slept (default base, cap and
+// jitter).
+func TestRetryJitterScheduleIsSeeded(t *testing.T) {
+	for seed, want := range map[int64][]time.Duration{
+		1:  {10418641, 23524072, 42632960, 78006854, 155176800, 343913353, 413127404, 431303851},
+		42: {9492114, 16528004, 41665501, 70682199, 130804382, 305048743, 562575427, 476889170},
+	} {
+		b := Retry{Seed: seed}.backoff(time.Time{})
+		for i, w := range want {
+			if d := b.next(); d != w {
+				t.Fatalf("seed %d: delay %d = %v, want %v", seed, i, d, w)
+			}
+		}
+	}
+}
+
 // TestWaitEndsWhenReadyOrExpires: a wait sends nothing, ends at the first
 // packet after which its condition holds, and fails with its Expired error
 // at the deadline otherwise.
