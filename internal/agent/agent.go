@@ -126,6 +126,11 @@ type runCtx struct {
 	votedAt time.Time
 }
 
+// final reports whether the current step is the run's last. The directory
+// halts after it whatever the votes say, and TAlgoDone drops every mailbox,
+// so nothing the step would scatter is ever read. MaxSteps 0 is no limit.
+func (r *runCtx) final() bool { return r.spec.MaxSteps > 0 && r.step+1 >= r.spec.MaxSteps }
+
 // agentStats is what other goroutines read of an agent: the stats API and
 // the closures registered on the shared metric registry. It is allocated
 // apart from the Agent and the closures capture nothing else, so a registry

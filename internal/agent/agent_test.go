@@ -137,7 +137,7 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	withPeer := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
 		{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 	}}
-	if _, err := a.router.Update(withPeer); err != nil {
+	if _, err := a.installView(withPeer); err != nil {
 		t.Fatal(err)
 	}
 	self, _ := a.router.MemberIndex(consistent.AgentID(a.id))
@@ -155,7 +155,7 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	shards[1].add(self, msg)
 	// Agent 2 leaves the view between the scatter and the merge.
 	alone := &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: withPeer.Agents[:1]}
-	if _, err := a.router.Update(alone); err != nil {
+	if _, err := a.installView(alone); err != nil {
 		t.Fatal(err)
 	}
 	a.mergeShards(shards, 4, consistent.AgentID(a.id))

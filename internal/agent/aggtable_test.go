@@ -184,7 +184,7 @@ func TestFlushFoldsByTarget(t *testing.T) {
 			view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
 				{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 			}}
-			if _, err := a.router.Update(view); err != nil {
+			if _, err := a.installView(view); err != nil {
 				t.Fatal(err)
 			}
 			at, _ := a.router.MemberIndex(2)

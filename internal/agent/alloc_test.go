@@ -105,7 +105,7 @@ func newHubAgent(t *testing.T, n int) (*Agent, []graph.VertexID) {
 	view := &wire.View{Epoch: 2, BatchID: 2, N: 1 << 16, Agents: []wire.AgentInfo{
 		{ID: 1, Addr: a.ep.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
 	}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	var hubs []graph.VertexID
@@ -117,7 +117,7 @@ func newHubAgent(t *testing.T, n int) (*Agent, []graph.VertexID) {
 		}
 	}
 	view.Epoch, view.Sketch = 3, sk.AppendBinary(nil)
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hubs {

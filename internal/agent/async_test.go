@@ -22,7 +22,7 @@ func TestAsyncStaleMessagesForwardUnprocessed(t *testing.T) {
 	view := &wire.View{Epoch: 2, BatchID: 2, Agents: []wire.AgentInfo{
 		{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 	}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	installRun(a, algorithm.WCC{}, 0)

@@ -264,11 +264,17 @@ func (a *Agent) processCompute() {
 
 // seedStep is step 0 of an incremental run: the seeds announce and nothing
 // else runs, no vertex having mail yet. What they send counts as activity,
-// so the directory does not halt the run before step 1 reads it.
+// so the directory does not halt the run before step 1 reads it. As the
+// run's final step it counts the same announcements and sends none.
 func (a *Agent) seedStep() {
 	r := a.run
 	b := a.getBatcher(1)
-	r.activeNext += a.announceSeeds(b, func(v graph.VertexID, mv algorithm.Word) { a.scatter(b, v, mv) })
+	var sink msgSink = b
+	scatterAll := func(v graph.VertexID, mv algorithm.Word) { a.scatter(b, v, mv) }
+	if r.final() {
+		sink, scatterAll = discard{}, func(graph.VertexID, algorithm.Word) {}
+	}
+	r.activeNext += a.announceSeeds(sink, scatterAll)
 	b.flush(a.phaseGate)
 	a.putBatcher(b)
 	r.doneLocal = true
@@ -688,6 +694,11 @@ func (a *Agent) sealGroup(g *ackGroup) {
 	}
 }
 
+// discard is the sink of a step whose messages nobody reads.
+type discard struct{}
+
+func (discard) add(int, wire.VertexMsg) {}
+
 // msgBatcher accumulates scattered messages per destination agent and
 // flushes them as batched TVertexMsgs sends. Batchers live on the
 // agent's free list: the per-destination slices are reset in place
@@ -895,11 +906,18 @@ func (a *Agent) syncPlan() {
 // directions the program uses. The sink is the event-loop batcher on
 // sequential paths and a worker-private shard during parallel phases.
 func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
+	var runs graph.VertexRuns
+	a.store.RunsInto(&runs, v)
+	a.scatterRuns(b, v, mv, &runs)
+}
+
+// scatterRuns is scatter for a caller that has read v's runs already.
+func (a *Agent) scatterRuns(b msgSink, v graph.VertexID, mv algorithm.Word, runs *graph.VertexRuns) {
 	if a.run.prog.SendsOut() {
-		a.scatterDir(b, v, mv, graph.Out)
+		a.scatterDir(b, v, mv, graph.Out, runs)
 	}
 	if a.run.prog.SendsIn() {
-		a.scatterDir(b, v, mv, graph.In)
+		a.scatterDir(b, v, mv, graph.In, runs)
 	}
 }
 
@@ -911,10 +929,10 @@ func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
 // disjoint byte ranges and the fill needs no lock. A vertex with tail edits
 // in this direction — or any vertex while the plan is nil — iterates the
 // store's cursor and resolves each edge as it goes.
-func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir graph.Dir) {
+func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir graph.Dir, runs *graph.VertexRuns) {
 	adjust := a.run.adjust
 	if plan := a.plan.dir[dir]; plan != nil {
-		if run, off, whole := a.store.SealedRun(v, dir); whole {
+		if run, off := runs.Run[dir], runs.Off[dir]; runs.Whole[dir] {
 			if len(run) == 0 {
 				return
 			}

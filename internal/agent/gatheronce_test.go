@@ -101,7 +101,7 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{
 		{ID: a.id, Addr: a.ep.Addr()}, {ID: 2, Addr: "peer-2"},
 	}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	for v := graph.VertexID(1); mine == 0 || theirs == 0; v++ {
@@ -156,7 +156,7 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 		t.Fatal("an accepted batch must not be retained")
 	}
 	view := &wire.View{Epoch: 2, BatchID: 2, N: 64, Agents: []wire.AgentInfo{{ID: 2, Addr: "peer-2"}}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	if a.isReplicaOf(held) {
@@ -180,7 +180,7 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	// The killed slot starts over: under a view that serves it here, the
 	// stranger's next aggregate is looked up again and accepted.
 	view = &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: []wire.AgentInfo{{ID: a.id, Addr: a.ep.Addr()}}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	if a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: stranger, Via: 2, Value: 2})) {

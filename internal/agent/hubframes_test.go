@@ -16,7 +16,7 @@ import (
 func TestPartialFrameRebucketsByCurrentMaster(t *testing.T) {
 	r := newMigrationRig(t)
 	a := r.a
-	if _, err := a.router.Update(r.view(t, 2, 1, 1, 2, 3)); err != nil {
+	if _, err := a.installView(r.view(t, 2, 1, 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	installRun(a, algorithm.PageRank{}, 1<<10)

@@ -44,7 +44,7 @@ func selfViewAgent(tb testing.TB, opts Options, ep transport.Endpoint, n uint64)
 		Epoch: 1, BatchID: 1, N: n,
 		Agents: []wire.AgentInfo{{ID: a.id, Addr: ep.Addr()}},
 	}
-	if _, err := a.router.Update(v); err != nil {
+	if _, err := a.installView(v); err != nil {
 		tb.Fatal(err)
 	}
 	return a

@@ -129,7 +129,7 @@ func mergeView(t *testing.T, a *Agent, epoch uint64, peers ...uint64) {
 	for _, id := range peers {
 		v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: fmt.Sprintf("peer-%d", id)})
 	}
-	if _, err := a.router.Update(v); err != nil {
+	if _, err := a.installView(v); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,13 +15,23 @@ import (
 	"elga/internal/wire"
 )
 
+// installView installs v in the router and, if it took, makes every vertex
+// record's cached split-ness stale.
+func (a *Agent) installView(v *wire.View) (bool, error) {
+	changed, err := a.router.Update(v)
+	if changed {
+		a.verts.restamp()
+	}
+	return changed, err
+}
+
 // handleView installs a directory view and, if the epoch advanced, runs
 // the migration round of §3.4.3: re-evaluate where held vertices' copies
 // belong, ship the misplaced ones, and vote the round complete. A view that
 // changed only the sketch re-evaluates just the vertices the router
 // rerouted; a membership change re-evaluates every vertex.
 func (a *Agent) handleView(v *wire.View) {
-	changed, err := a.router.Update(v)
+	changed, err := a.installView(v)
 	if err != nil || !changed {
 		return
 	}

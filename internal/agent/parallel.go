@@ -9,6 +9,7 @@ import (
 
 	"elga/internal/algorithm"
 	"elga/internal/consistent"
+	"elga/internal/graph"
 	"elga/internal/wire"
 )
 
@@ -22,10 +23,12 @@ import (
 // so no record moves; the step's mailbox table through its read-only
 // get/fold; router — a route-table hit takes no lock, a miss fills the table
 // under the router's own mutex) and WRITE into private computeShard
-// accumulators — and into the routed adjacency (routePlan), where a worker
-// fills in the bytes of the sealed runs of the vertices it scatters: one
-// vertex is one worker's per phase and runs do not overlap, so no two
-// workers touch the same byte. The event loop
+// accumulators — and into two shared places where each worker owns what it
+// writes. A worker writes only the records of the vertices it was handed
+// (their cached split-ness, Agent.split): a work list names a vertex once.
+// And it fills in the routed adjacency (routePlan) bytes of the sealed runs
+// of the vertices it scatters: one vertex is one worker's per phase and runs
+// do not overlap, so no two workers touch the same byte. The event loop
 // merges the shards after the pool joins, so every value install, mailbox
 // delivery, network send, gate transition, plan reset and view install
 // (router.Update, which needs no lookup in flight) still happens
@@ -263,14 +266,31 @@ func (a *Agent) peekValue(i uint32) algorithm.Word {
 	return a.initValue(rec.key)
 }
 
+// split reports whether the vertex whose record is at slot i is split under
+// the installed view, asking the router only when the record's view stamp is
+// stale. Phase workers call it for the vertices they were handed, so each
+// writes only records no other worker reads.
+func (a *Agent) split(i uint32) bool {
+	t := &a.verts
+	rec := &t.slots[i]
+	if rec.view&^viewSplit != t.view {
+		rec.view = t.view
+		if a.router.Split(rec.key) {
+			rec.view |= viewSplit
+		}
+	}
+	return rec.view&viewSplit != 0
+}
+
 // computeVertex runs the compute-phase duty for the work vertex at slot i
 // into s: replica-partial forwarding for split vertices, or the full gather
-// → update → scatter cycle for locally owned ones.
+// → update → scatter cycle for locally owned ones, read from the store once.
+// The run's final step scatters nothing.
 func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self consistent.AgentID) {
 	r := a.run
 	v := a.verts.slots[i].key
 	entry := mail.get(v)
-	if a.router.Split(v) {
+	if a.split(i) {
 		s.splitWork = true
 		// Replica duty: forward the local partial to the master.
 		p := wire.ReplicaPartial{
@@ -306,14 +326,20 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self co
 	s.residual += r.prog.Residual(old, nw)
 	if act {
 		s.activeNext++
-		mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
-		a.scatter(s, v, mv)
+		if r.final() {
+			return
+		}
+		var runs graph.VertexRuns
+		a.store.RunsInto(&runs, v)
+		mv := r.prog.MessageValue(v, nw, uint64(runs.Deg[graph.Out]), &r.ctx)
+		a.scatterRuns(s, v, mv, &runs)
 	}
 }
 
 // combineVertex runs the combine-phase master duty for the split vertex at
 // slot i into s: fold replica partials, update state, scatter the local
-// out-copies, and queue the authoritative value for the other replicas.
+// out-copies, and queue the authoritative value for the other replicas. In
+// the run's final step nobody scatters: the replicas only install it.
 func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self consistent.AgentID) {
 	r := a.run
 	v := a.verts.slots[i].key
@@ -340,15 +366,17 @@ func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self c
 		return
 	}
 	s.activeNext++
+	scatter := !r.final()
 	// Master scatters its own out-copies...
-	mv := r.prog.MessageValue(v, nw, p.outDeg, &r.ctx)
-	a.scatter(s, v, mv)
+	if scatter {
+		a.scatter(s, v, r.prog.MessageValue(v, nw, p.outDeg, &r.ctx))
+	}
 	// ...and ships the authoritative state to the other replicas, which
 	// scatter their own copies (§3.4: "updates that are sent to their
 	// replicas").
 	vu := wire.ValueUpdate{
 		Step: r.step, Vertex: v, State: wire.Word(nw),
-		TotalOutDeg: p.outDeg, Scatter: true,
+		TotalOutDeg: p.outDeg, Scatter: scatter,
 	}
 	_, replicas, _ := a.router.RouteIndex(v)
 	for _, at := range replicas {

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"elga/internal/algorithm"
 	"elga/internal/config"
+	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
 )
@@ -47,12 +49,12 @@ func messageFor(v graph.VertexID) algorithm.Word { return algorithm.Word(v*31 + 
 
 // referenceScatter is the loop the plan replaces: every stored neighbour of
 // every vertex through the store's cursor, every edge resolved through the
-// route table.
-func referenceScatter(a *Agent, verts []graph.VertexID) []emitted {
+// route table, v sending mv(v).
+func referenceScatter(a *Agent, verts []graph.VertexID, mv func(graph.VertexID) algorithm.Word) []emitted {
 	var out []emitted
 	adj := a.run.adjust
 	for _, v := range verts {
-		mv := messageFor(v)
+		mv := mv(v)
 		for it := a.store.OutCursor(v); ; {
 			w, ok := it.Next()
 			if !ok {
@@ -103,8 +105,9 @@ type planRig struct {
 	epoch uint64
 	ids   []uint64 // installed membership
 	hot   map[graph.VertexID]uint32
-	// planned counts vertex-directions checked while a plan covered them.
-	planned int
+	// planned counts vertex-directions checked while a plan covered them,
+	// stamped the records checked while their split-ness stamp was current.
+	planned, stamped int
 }
 
 const planVertices = 120
@@ -131,7 +134,7 @@ func (r *planRig) install() {
 	for _, id := range r.ids {
 		v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: fmt.Sprintf("peer-%d", id)})
 	}
-	if _, err := r.a.router.Update(v); err != nil {
+	if _, err := r.a.installView(v); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -216,7 +219,7 @@ func (r *planRig) check(script int, trail []string) {
 		}
 	}
 	verts := a.store.VertexList()
-	want := referenceScatter(a, verts)
+	want := referenceScatter(a, verts, messageFor)
 	for pass := 0; pass < 2; pass++ {
 		if got := pooledScatter(a, verts); !slices.Equal(got, want) {
 			r.t.Fatalf("script %d %v pass %d: scatter emitted %d messages, the table loop %d",
@@ -232,6 +235,203 @@ func (r *planRig) check(script int, trail []string) {
 	}
 }
 
+// degreeProbe is orientedWCC whose every vertex updates to messageFor and
+// stays active, and whose message value names the out-degree it was given,
+// so a compute phase that read a wrong degree or a wrong run is caught.
+type degreeProbe struct{ orientedWCC }
+
+func (degreeProbe) Update(v graph.VertexID, _, _ algorithm.Word, _ bool, _ *algorithm.Context) (algorithm.Word, bool) {
+	return messageFor(v), true
+}
+
+func (degreeProbe) MessageValue(_ graph.VertexID, w algorithm.Word, outDeg uint64, _ *algorithm.Context) algorithm.Word {
+	return w*7 + algorithm.Word(outDeg)
+}
+
+// partialOf is what a replica's compute duty tells the master of a split
+// vertex in this test (no mail, so no aggregate).
+type partialOf struct {
+	v      graph.VertexID
+	outDeg uint64
+}
+
+// pooledCompute runs a compute phase's per-vertex duty over verts, with an
+// empty mailbox, on the phase worker pool, and returns the messages and
+// replica partials the shards collected.
+func pooledCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
+	t := &a.verts
+	t.begin(setWork)
+	for _, v := range verts {
+		t.mark(setWork, t.at(v))
+	}
+	work, mail, self := t.list[setWork], &aggTable{}, consistent.AgentID(a.id)
+	var msgs []emitted
+	var parts []partialOf
+	for _, s := range a.runSharded(len(work), func(s *computeShard, i int) {
+		a.computeVertex(s, work[i], mail, self)
+	}) {
+		for dst, ms := range s.bufs {
+			for _, m := range ms {
+				msgs = append(msgs, emitted{dst, m})
+			}
+		}
+		for _, p := range s.partialsLocal {
+			parts = append(parts, partialOf{p.Vertex, p.LocalOutDeg})
+		}
+		for _, p := range s.partialsRemote {
+			parts = append(parts, partialOf{p.p.Vertex, p.p.LocalOutDeg})
+		}
+		s.reset()
+	}
+	sortEmitted(msgs)
+	slices.SortFunc(parts, func(x, y partialOf) int { return int(int64(x.v) - int64(y.v)) })
+	return msgs, parts
+}
+
+// checkCompute asserts the compute phase's cached facts against the model,
+// twice: the first pass stamps whatever the last step made stale, the second
+// only reads. A vertex is split when the router says so, and then sends its
+// master its out-degree; any other scatters along the cursor's neighbours a
+// value made from its out-degree. Every stamped record's split bit is the
+// router's, and RunsInto reads what SealedRun, Degree and the cursor do.
+func (r *planRig) checkCompute(script int, trail []string) {
+	a := r.a
+	a.syncPlan()
+	verts := a.store.VertexList()
+	var plain []graph.VertexID
+	var wantParts []partialOf
+	for _, v := range verts {
+		if !a.router.Split(v) {
+			plain = append(plain, v)
+		} else if _, ok := a.router.Master(v); ok {
+			wantParts = append(wantParts, partialOf{v, uint64(a.store.OutDegree(v))})
+		}
+	}
+	want := referenceScatter(a, plain, func(v graph.VertexID) algorithm.Word {
+		return a.run.prog.MessageValue(v, messageFor(v), uint64(a.store.OutDegree(v)), &a.run.ctx)
+	})
+	for pass := 0; pass < 2; pass++ {
+		got, parts := pooledCompute(a, verts)
+		if !slices.Equal(got, want) {
+			r.t.Fatalf("script %d %v pass %d: compute emitted %d messages, the model %d",
+				script, trail, pass, len(got), len(want))
+		}
+		if !slices.Equal(parts, wantParts) {
+			r.t.Fatalf("script %d %v pass %d: compute sent partials %v, the model %v",
+				script, trail, pass, parts, wantParts)
+		}
+	}
+	t := &a.verts
+	for i := range t.slots {
+		rec := &t.slots[i]
+		if rec.flags == 0 || rec.view&^viewSplit != t.view {
+			continue
+		}
+		r.stamped++
+		if split := rec.view&viewSplit != 0; split != a.router.Split(rec.key) {
+			r.t.Fatalf("script %d %v: vertex %d's record says split=%v, the router %v",
+				script, trail, rec.key, split, !split)
+		}
+	}
+	for _, v := range append(verts, planVertices) { // planVertices is never stored
+		var runs graph.VertexRuns
+		a.store.RunsInto(&runs, v)
+		if out, in := a.store.Degree(v); runs.Deg != [2]int{out, in} {
+			r.t.Fatalf("script %d %v: vertex %d degrees %v, Degree (%d, %d)", script, trail, v, runs.Deg, out, in)
+		}
+		for _, dir := range []graph.Dir{graph.Out, graph.In} {
+			run, off, whole := a.store.SealedRun(v, dir)
+			if !slices.Equal(runs.Run[dir], run) || runs.Off[dir] != off || runs.Whole[dir] != whole {
+				r.t.Fatalf("script %d %v: vertex %d dir %d runs (%v, %d, %v), SealedRun (%v, %d, %v)",
+					script, trail, v, dir, runs.Run[dir], runs.Off[dir], runs.Whole[dir], run, off, whole)
+			}
+			it := a.store.OutCursor(v)
+			if dir == graph.In {
+				it = a.store.InCursor(v)
+			}
+			var nbrs []graph.VertexID
+			for w, ok := it.Next(); ok; w, ok = it.Next() {
+				nbrs = append(nbrs, w)
+			}
+			if runs.Deg[dir] != len(nbrs) || whole && !slices.Equal(run, nbrs) {
+				r.t.Fatalf("script %d %v: vertex %d dir %d degree %d, whole=%v run %v, the cursor %v",
+					script, trail, v, dir, runs.Deg[dir], whole, run, nbrs)
+			}
+		}
+	}
+}
+
+// newPlanRig is a fresh agent running prog (adjusting per edge) under a view
+// of four members, and the rig that drives it with the script's seed.
+func newPlanRig(t *testing.T, cfg config.Config, script int, prog interface {
+	algorithm.Program
+	algorithm.PerEdgeAdjuster
+}) *planRig {
+	a := newLoopbackAgent(t, cfg, planVertices)
+	installRun(a, prog, planVertices)
+	a.run.adjust = prog
+	a.store.SetCompactMin(64 + script%200)
+	r := &planRig{t: t, a: a, cfg: cfg, rng: rand.New(rand.NewSource(int64(script))),
+		epoch: 1, ids: []uint64{1, 2, 3, 4}, hot: map[graph.VertexID]uint32{}}
+	r.install()
+	return r
+}
+
+// planConfig splits a vertex at 16 edge copies, up to four ways.
+func planConfig() config.Config {
+	cfg := allocTestConfig()
+	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 4
+	return cfg
+}
+
+// TestComputeCacheMatchesModel: through the plan rig's random scripts — bulk
+// load, compaction, tail edits, a sketch-only view that crosses a bucket, a
+// membership view, dropped vertices and arriving runs — a compute phase whose
+// workers fill the split-ness stamps concurrently emits exactly the
+// (destination, target, via, value) multiset of the cursor + EdgeOwnerIndex
+// loop, sends every split vertex's partial with the right out-degree, leaves
+// every stamped record's split bit equal to router.Split, and RunsInto reads
+// what SealedRun, Degree and the cursor read.
+func TestComputeCacheMatchesModel(t *testing.T) {
+	SetComputeParallelism(4, 1)
+	defer SetComputeParallelism(0, 0)
+	stamped, split := 0, 0
+	for script := 0; script < 200; script++ {
+		r := newPlanRig(t, planConfig(), script, degreeProbe{})
+		var trail []string
+		for i := 0; i < 10; i++ {
+			trail = append(trail, r.step())
+			r.checkCompute(script, trail)
+			for _, v := range r.a.store.VertexList() {
+				if r.a.router.Split(v) {
+					split++
+				}
+			}
+		}
+		stamped += r.stamped
+	}
+	if stamped == 0 || split == 0 {
+		t.Fatalf("%d stamped records, %d split vertices checked: the test checks nothing", stamped, split)
+	}
+}
+
+// TestVertexRecordIs24Bytes: the split-ness stamp lives in the record's
+// padding, and a wrapped stamp clears every record's.
+func TestVertexRecordIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(vertexRec{}); n != 24 {
+		t.Fatalf("vertexRec is %d bytes, want 24", n)
+	}
+	var vt vertexTable
+	i := vt.at(5)
+	vt.slots[i].view = vt.view | viewSplit
+	for n := 0; n < 1<<15-1; n++ {
+		vt.restamp()
+	}
+	if vt.view == 0 || vt.slots[i].view != 0 {
+		t.Fatalf("after a wrap: table stamp %d, record %#x", vt.view, vt.slots[i].view)
+	}
+}
+
 // TestPlanScatterEqualsTableScatter: through random scripts of everything
 // that can move the store's sealed layout or the view — bulk load, compaction,
 // tail edits, a sketch-only view that crosses a bucket, a membership view
@@ -242,18 +442,9 @@ func (r *planRig) check(script int, trail []string) {
 func TestPlanScatterEqualsTableScatter(t *testing.T) {
 	SetComputeParallelism(4, 1)
 	defer SetComputeParallelism(0, 0)
-	cfg := allocTestConfig()
-	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 4
 	planned := 0
 	for script := 0; script < 320; script++ {
-		a := newLoopbackAgent(t, cfg, planVertices)
-		prog := orientedWCC{}
-		installRun(a, prog, planVertices)
-		a.run.adjust = prog
-		a.store.SetCompactMin(64 + script%200)
-		r := &planRig{t: t, a: a, cfg: cfg, rng: rand.New(rand.NewSource(int64(script))),
-			epoch: 1, ids: []uint64{1, 2, 3, 4}, hot: map[graph.VertexID]uint32{}}
-		r.install()
+		r := newPlanRig(t, planConfig(), script, orientedWCC{})
 		var trail []string
 		for i := 0; i < 10; i++ {
 			trail = append(trail, r.step())

@@ -21,13 +21,19 @@ const (
 
 // vertexRec is one inline table cell (24 B, no pointers): what the agent
 // knows about one vertex beyond its edges. It is in set k while its gen[k]
-// is the table's.
+// is the table's. view caches router.Split: bit 0 is the answer, the rest
+// the stamp it was taken under, good while the stamp is the table's
+// (Agent.split). It stays out of flags, so holds and reclamation ignore it.
 type vertexRec struct {
 	key   graph.VertexID
 	value algorithm.Word
 	gen   [2]uint16
 	flags uint8
+	view  uint16
 }
+
+// viewSplit is the bit of vertexRec.view that holds the cached answer.
+const viewSplit = 1
 
 // vertexTable maps vertices to their records — the same table as the route
 // table and aggTable: power-of-two slots probed linearly from a multiply-shift
@@ -44,6 +50,7 @@ type vertexTable struct {
 	used  int // slots holding a key, records that hold nothing included
 	gen   [2]uint16
 	list  [2][]uint32
+	view  uint16 // the current view stamp, shifted past viewSplit; never 0 once built
 }
 
 // probe returns the slot holding v, or the empty one that ends its probe run.
@@ -95,6 +102,9 @@ func (t *vertexTable) rebuild() {
 		if g == 0 {
 			t.gen[k] = 1 // the first build: a zero stamp is in no set
 		}
+	}
+	if t.view == 0 {
+		t.view = 2 // nor is a zero view stamp current
 	}
 	old, live := t.slots, 0
 	for i := range old {
@@ -181,6 +191,17 @@ func (t *vertexTable) begin(k int) {
 			t.slots[i].gen[k] = 0
 		}
 		t.gen[k] = 1
+	}
+}
+
+// restamp makes every record's cached split-ness stale: the router installed
+// a view. The stamp has 15 bits; when it wraps, every record is cleared.
+func (t *vertexTable) restamp() {
+	if t.view += 2; t.view == 0 {
+		for i := range t.slots {
+			t.slots[i].view = 0
+		}
+		t.view = 2
 	}
 }
 

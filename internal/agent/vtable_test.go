@@ -395,7 +395,7 @@ func TestLocalSplitsFollowsViewAndStore(t *testing.T) {
 	view := &wire.View{Epoch: 4, BatchID: 4, N: 1 << 16, Sketch: sk.AppendBinary(nil), Agents: []wire.AgentInfo{
 		{ID: 1, Addr: a.ep.Addr()}, {ID: 2, Addr: "nobody-2"}, {ID: 3, Addr: "nobody-3"},
 	}}
-	if _, err := a.router.Update(view); err != nil {
+	if _, err := a.installView(view); err != nil {
 		t.Fatal(err)
 	}
 	installRun(a, algorithm.PageRank{}, 1<<16)

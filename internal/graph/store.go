@@ -878,12 +878,31 @@ func (s *Store) InCursorInto(c *Cursor, v VertexID) {
 // as long as Compactions and SealedLen stay what they were; the run itself
 // follows the Cursor lifetime rule.
 func (s *Store) SealedRun(v VertexID, dir Dir) (run []VertexID, off int, whole bool) {
+	var r VertexRuns
+	s.RunsInto(&r, v)
+	return r.Run[dir], r.Off[dir], r.Whole[dir]
+}
+
+// VertexRuns is what one slot access tells of a vertex, per direction
+// (indexed by Dir): SealedRun's run, offset and wholeness, and the live
+// degree Degree reports. The runs follow the Cursor lifetime rule.
+type VertexRuns struct {
+	Run   [2][]VertexID
+	Off   [2]int
+	Whole [2]bool
+	Deg   [2]int
+}
+
+// RunsInto fills r with v's sealed runs and live degrees in both
+// directions, from one map access; a vertex the store does not hold has
+// empty, whole runs.
+func (s *Store) RunsInto(r *VertexRuns, v VertexID) {
 	rec := s.slots[v]
 	t := rec.tail
-	if dir == Out {
-		return s.sealedOutRun(rec), int(rec.outStart), t == nil || len(t.outAdd)+len(t.outDel) == 0
-	}
-	return s.sealedInRun(rec), int(rec.inStart), t == nil || len(t.inAdd)+len(t.inDel) == 0
+	r.Run = [2][]VertexID{Out: s.sealedOutRun(rec), In: s.sealedInRun(rec)}
+	r.Off = [2]int{Out: int(rec.outStart), In: int(rec.inStart)}
+	r.Whole = [2]bool{Out: t == nil || len(t.outAdd)+len(t.outDel) == 0, In: t == nil || len(t.inAdd)+len(t.inDel) == 0}
+	r.Deg[Out], r.Deg[In] = liveDegrees(rec)
 }
 
 // SealedLen returns the length of the store-wide sealed array of direction

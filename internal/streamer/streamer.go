@@ -1,11 +1,12 @@
 // Package streamer implements ElGA's Streamers: Participants that send
 // graph updates to Agents (§3.1). A Streamer routes each change of the
 // turnstile stream to the two agents owning its copies (the out-copy under
-// the source, the in-copy under the destination), batching per
-// destination and using acknowledged pushes so a Flush guarantees every
-// change is durably held by an agent. A chunk of buffered copies is routed
-// under one view: the streamer installs a newer one only when it has
-// nothing buffered.
+// the source, the in-copy under the destination), buffering the copies in
+// one bucket per destination and sending every bucket once BatchSize copies
+// are buffered across all of them, over acknowledged pushes so a Flush
+// guarantees every change is durably held by an agent. A chunk of buffered
+// copies is routed under one view: the streamer installs a newer one only
+// when it has nothing buffered.
 package streamer
 
 import (
@@ -20,7 +21,9 @@ import (
 	"elga/internal/wire"
 )
 
-// DefaultBatchSize is the per-destination buffer flushed automatically.
+// DefaultBatchSize is how many edge copies the streamer buffers, summed over
+// every destination, before it sends all its buckets: a frame carries about
+// DefaultBatchSize / agents copies (256 at 4 agents), not DefaultBatchSize.
 const DefaultBatchSize = 1024
 
 // Options configures a Streamer.
@@ -31,7 +34,8 @@ type Options struct {
 	Network transport.Network
 	// MasterAddr locates the DirectoryMaster.
 	MasterAddr string
-	// BatchSize overrides DefaultBatchSize when positive.
+	// BatchSize overrides DefaultBatchSize when positive: the buffered
+	// copies, over all destinations, that send every bucket.
 	BatchSize int
 	// Metrics, when non-nil, registers the streamer's change counter and
 	// transport stats for the /metrics endpoint.

@@ -277,8 +277,12 @@ func TestIdlePeerHoldsNoQueueSlots(t *testing.T) {
 			wire.ReleasePacket(recvType(t, b, wire.TPing))
 		}
 	}
-	if depth := a.Stats().QueueDepth; depth != 0 {
-		t.Fatalf("%d frames still pending", depth)
+	// A frame is pending until its writer returns from the conn write, which
+	// can be after the receiver took it: wait for the writers to return.
+	for deadline := time.Now().Add(5 * time.Second); a.Stats().QueueDepth != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames still pending", a.Stats().QueueDepth)
+		}
 	}
 	after := heapLive()
 	if after < before {
