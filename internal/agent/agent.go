@@ -704,8 +704,9 @@ func (a *Agent) initValue(v graph.VertexID) algorithm.Word {
 		return 0
 	}
 	if debugTrapLazyInit && a.run.spec.FromScratch && a.run.step > 0 {
+		out, in := a.store.Degree(v)
 		panic(fmt.Sprintf("agent %d: lazy init of vertex %d at step %d (holds=%v out=%d in=%d active=%v)",
-			a.id, v, a.run.step, a.store.HasVertex(v), a.store.OutDegree(v), a.store.InDegree(v), a.store.IsActive(v)))
+			a.id, v, a.run.step, a.store.HasVertex(v), out, in, a.store.IsActive(v)))
 	}
 	return a.run.prog.Init(v, &a.run.ctx)
 }

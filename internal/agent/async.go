@@ -72,7 +72,7 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 		}
 		a.verts.set(v, nw)
 		if act {
-			mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
+			mv := a.messageValue(v, nw)
 			a.asyncScatter(b, v, mv)
 		}
 	}
@@ -183,7 +183,7 @@ func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
 	a.verts.set(v, nw)
 	if act {
 		b := a.getAsyncBatcher()
-		mv := r.prog.MessageValue(v, nw, uint64(a.store.OutDegree(v)), &r.ctx)
+		mv := a.messageValue(v, nw)
 		a.asyncScatter(b, v, mv)
 		b.flush()
 		a.putAsyncBatcher(b)

@@ -281,6 +281,12 @@ func (a *Agent) seedStep() {
 	a.maybeReady()
 }
 
+// messageValue is v's message value for state w, over its local out-degree.
+func (a *Agent) messageValue(v graph.VertexID, w algorithm.Word) algorithm.Word {
+	out, _ := a.store.Degree(v)
+	return a.run.prog.MessageValue(v, w, uint64(out), &a.run.ctx)
+}
+
 // announceSeeds opens an incremental run, in either engine, and every
 // asynchronous one: each seed sends its current value to its neighbours
 // without waiting for an improvement. While the store's fresh log is
@@ -309,7 +315,7 @@ func (a *Agent) announceSeeds(b msgSink, scatterAll func(v graph.VertexID, mv al
 			if c.Dir == graph.Out && !r.prog.SendsOut() || c.Dir == graph.In && !r.prog.SendsIn() {
 				continue
 			}
-			mv := r.prog.MessageValue(v, val, uint64(a.store.OutDegree(v)), &r.ctx)
+			mv := a.messageValue(v, val)
 			if r.adjust != nil {
 				mv = adjustEdge(r.adjust, v, w, mv, c.Dir)
 			}
@@ -328,15 +334,15 @@ func (a *Agent) announceSeeds(b msgSink, scatterAll func(v graph.VertexID, mv al
 	t.begin(setActive)
 	seeds = append(seeds, a.store.TakeActive()...)
 	for _, v := range seeds {
-		scatterAll(v, r.prog.MessageValue(v, a.valueOf(v), uint64(a.store.OutDegree(v)), &r.ctx))
+		scatterAll(v, a.messageValue(v, a.valueOf(v)))
 	}
 	return uint64(len(seeds))
 }
 
 // initStates starts a from-scratch run: every present vertex gets its initial
 // state and the initially active ones make up the active set — in vertex
-// order, not the store's map order, so that the work lists that follow are a
-// function of the run's input.
+// order, not the store's record order, which follows the history of edits,
+// so that the work lists that follow are a function of the run's input.
 func (a *Agent) initStates() {
 	r, t := a.run, &a.verts
 	vs := make([]graph.VertexID, 0, a.store.NumVertices())
@@ -1073,14 +1079,14 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 // view was stale, any replica will do, and Via (one of the folded sources)
 // picks one. Only a target's first aggregate is looked up: a live entry is
 // one this agent serves under the installed view, every view change having
-// re-routed the others away (rerouteMail). It returns how many it buffered;
-// the caller sends them.
+// re-routed the others away (rerouteMail). The lookup reads the target's
+// vertex record, and asks the router at most once per view. It returns how
+// many it buffered; the caller sends them.
 func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
-	self := consistent.AgentID(a.id)
 	mail, prog := b.local(), a.prog()
 	for _, m := range msgs {
 		s, fresh := mail.put(m.Target)
-		if fresh && !a.router.IsReplica(m.Target, self) {
+		if fresh && !a.replicaHere(m.Target) {
 			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != b.self {
 				mail.kill(s)
 				b.dstBufs.add(dst, m)
@@ -1097,6 +1103,15 @@ func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int)
 // resolved from the router's route table without materializing the set.
 func (a *Agent) isReplicaOf(v graph.VertexID) bool {
 	return a.router.IsReplica(v, consistent.AgentID(a.id))
+}
+
+// replicaHere is isReplicaOf answered from v's vertex record when it has
+// one, which caches the answer for the installed view.
+func (a *Agent) replicaHere(v graph.VertexID) bool {
+	if i := a.verts.find(v); i >= 0 {
+		return a.placement(uint32(i))&viewReplica != 0
+	}
+	return a.isReplicaOf(v)
 }
 
 // handleQuery answers a client vertex query from current state — the

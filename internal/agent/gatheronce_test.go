@@ -141,12 +141,16 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	}
 }
 
-// TestAcceptAggsLooksATargetUpOnce: only the first aggregate a step's
-// mailbox sees for a target is checked against the route table. The router
-// is moved to a view that lists the peer alone behind the mailbox's back —
-// handleView would have re-routed the entries — so a lookup would send
-// everything away: the target with a live entry still merges, a target
-// without one is still forwarded, and neither is gathered again.
+// TestAcceptAggsLooksATargetUpOnce: a target is looked up in the route table
+// at most once per view. Only the first aggregate a step's mailbox sees for a
+// target is checked at all. The router is moved to a view that lists the
+// peer alone behind the mailbox's back — handleView would have re-routed the
+// entries — so a lookup would send everything away: the target with a live
+// entry still merges, a target without one is still forwarded, and neither
+// is gathered again. A target with a vertex record is answered from the
+// record's stamp until the next view: moved behind the table's back too, it
+// is still served here, and only once the table is restamped is it
+// forwarded.
 func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
 	installRun(a, inDegreeProg{}, 64)
@@ -188,5 +192,22 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	}
 	if e := mail.get(stranger); e == nil || mail.fold(a.run.prog, e) != 2 {
 		t.Fatalf("stranger's entry = %+v, want the one aggregate accepted after the kill", e)
+	}
+	a.verts.set(held, 0)
+	if !a.replicaHere(held) {
+		t.Fatal("under a view of this agent alone, the held target is not served here")
+	}
+	if _, err := a.router.Update(&wire.View{Epoch: 4, BatchID: 4, N: 64, Agents: []wire.AgentInfo{{ID: 2, Addr: "peer-2"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if a.isReplicaOf(held) {
+		t.Fatal("the test wants the router to place the held target elsewhere")
+	}
+	if a.handleVertexMsgs(vertexMsgPacket(2, wire.VertexMsg{Target: held, Via: 2, Value: 1})) {
+		t.Fatal("a target whose record is stamped under the installed view was looked up again")
+	}
+	a.verts.restamp()
+	if !a.handleVertexMsgs(vertexMsgPacket(3, wire.VertexMsg{Target: held, Via: 2, Value: 1})) {
+		t.Fatal("after a restamp the target's record was trusted over the router")
 	}
 }

@@ -359,8 +359,9 @@ func (a *Agent) sendShipment(m *migScratch, g *ackGroup, at int) {
 // heldRun returns v's neighbours in direction dir: its sealed run when no
 // tail edit touches it, else what a cursor yields, in a.mig.nbrs.
 func (a *Agent) heldRun(v graph.VertexID, dir graph.Dir) []graph.VertexID {
-	if run, _, whole := a.store.SealedRun(v, dir); whole {
-		return run
+	var runs graph.VertexRuns
+	if a.store.RunsInto(&runs, v); runs.Whole[dir] {
+		return runs.Run[dir]
 	}
 	var it graph.Cursor
 	if dir == graph.Out {

@@ -313,8 +313,8 @@ func TestHubOverTheRunCapShipsInPieces(t *testing.T) {
 	}
 	var stored []graph.VertexID
 	got.ForEachOut(big, func(w graph.VertexID) bool { stored = append(stored, w); return true })
-	if !slices.Equal(stored, want) || got.InDegree(big) != 1 {
-		t.Fatalf("the receiving store holds %d out-copies and %d in-copies of the hub, want %d and 1", len(stored), got.InDegree(big), len(want))
+	if _, in := got.Degree(big); !slices.Equal(stored, want) || in != 1 {
+		t.Fatalf("the receiving store holds %d out-copies and %d in-copies of the hub, want %d and 1", len(stored), in, len(want))
 	}
 }
 
@@ -410,7 +410,7 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	if active := a.store.TakeActive(); !slices.Equal(active, []graph.VertexID{v2}) {
 		t.Fatalf("active after the batch: %v, want just %d", active, v2)
 	}
-	if run, _, whole := a.store.SealedRun(v2, graph.Out); !whole || !slices.Equal(run, []graph.VertexID{4, 8}) {
+	if run, _, whole := sealedRun(a.store, v2, graph.Out); !whole || !slices.Equal(run, []graph.VertexID{4, 8}) {
 		t.Fatalf("the run into an empty direction was not sealed as it came: sealed %v, whole %v", run, whole)
 	}
 	for id := range r.peers {
@@ -478,8 +478,8 @@ func TestEarlyMigrationBatchWaitsForItsView(t *testing.T) {
 	}
 	a.handleView(next)
 	r.drain(t)
-	if a.store.OutDegree(v) != 2 || stateOf(a, v) != 42 || len(a.early) != 0 {
-		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", a.store.OutDegree(v), stateOf(a, v), len(a.early))
+	if out := outDegree(a.store, v); out != 2 || stateOf(a, v) != 42 || len(a.early) != 0 {
+		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", out, stateOf(a, v), len(a.early))
 	}
 	if e := a.mailbox[3].get(v); e == nil || e.agg.F64() != 0.5 {
 		t.Fatalf("the parked mail did not reach the mailbox: %+v", e)

@@ -266,20 +266,25 @@ func (a *Agent) peekValue(i uint32) algorithm.Word {
 	return a.initValue(rec.key)
 }
 
-// split reports whether the vertex whose record is at slot i is split under
-// the installed view, asking the router only when the record's view stamp is
-// stale. Phase workers call it for the vertices they were handed, so each
-// writes only records no other worker reads.
-func (a *Agent) split(i uint32) bool {
+// placement returns the view answers (viewSplit, viewReplica) of the vertex
+// whose record is at slot i under the installed view, asking the router only
+// when the record's view stamp is stale. Phase workers call it for the
+// vertices they were handed, so each writes only records no other worker
+// reads.
+func (a *Agent) placement(i uint32) uint16 {
 	t := &a.verts
 	rec := &t.slots[i]
-	if rec.view&^viewSplit != t.view {
+	if rec.view&^viewAnswers != t.view {
 		rec.view = t.view
-		if a.router.Split(rec.key) {
+		split, replica := a.router.Placement(rec.key, consistent.AgentID(a.id))
+		if split {
 			rec.view |= viewSplit
 		}
+		if replica {
+			rec.view |= viewReplica
+		}
 	}
-	return rec.view&viewSplit != 0
+	return rec.view & viewAnswers
 }
 
 // computeVertex runs the compute-phase duty for the work vertex at slot i
@@ -290,14 +295,15 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self co
 	r := a.run
 	v := a.verts.slots[i].key
 	entry := mail.get(v)
-	if a.split(i) {
+	if a.placement(i)&viewSplit != 0 {
 		s.splitWork = true
 		// Replica duty: forward the local partial to the master.
+		out, _ := a.store.Degree(v)
 		p := wire.ReplicaPartial{
 			Step:        r.step,
 			Vertex:      v,
 			Agg:         wire.Word(r.prog.ZeroAgg()),
-			LocalOutDeg: uint64(a.store.OutDegree(v)),
+			LocalOutDeg: uint64(out),
 		}
 		if entry != nil {
 			p.Agg = wire.Word(mail.fold(r.prog, entry))

@@ -228,7 +228,7 @@ func (r *planRig) check(script int, trail []string) {
 	}
 	for _, v := range verts {
 		for _, dir := range []graph.Dir{graph.Out, graph.In} {
-			if run, _, whole := a.store.SealedRun(v, dir); whole && len(run) > 0 && a.plan.dir[dir] != nil {
+			if run, _, whole := sealedRun(a.store, v, dir); whole && len(run) > 0 && a.plan.dir[dir] != nil {
 				r.planned++
 			}
 		}
@@ -304,11 +304,11 @@ func (r *planRig) checkCompute(script int, trail []string) {
 		if !a.router.Split(v) {
 			plain = append(plain, v)
 		} else if _, ok := a.router.Master(v); ok {
-			wantParts = append(wantParts, partialOf{v, uint64(a.store.OutDegree(v))})
+			wantParts = append(wantParts, partialOf{v, outDegree(a.store, v)})
 		}
 	}
 	want := referenceScatter(a, plain, func(v graph.VertexID) algorithm.Word {
-		return a.run.prog.MessageValue(v, messageFor(v), uint64(a.store.OutDegree(v)), &a.run.ctx)
+		return a.run.prog.MessageValue(v, messageFor(v), outDegree(a.store, v), &a.run.ctx)
 	})
 	for pass := 0; pass < 2; pass++ {
 		got, parts := pooledCompute(a, verts)
@@ -321,18 +321,16 @@ func (r *planRig) checkCompute(script int, trail []string) {
 				script, trail, pass, parts, wantParts)
 		}
 	}
-	t := &a.verts
-	for i := range t.slots {
-		rec := &t.slots[i]
-		if rec.flags == 0 || rec.view&^viewSplit != t.view {
-			continue
-		}
-		r.stamped++
-		if split := rec.view&viewSplit != 0; split != a.router.Split(rec.key) {
-			r.t.Fatalf("script %d %v: vertex %d's record says split=%v, the router %v",
-				script, trail, rec.key, split, !split)
-		}
+	r.checkStamps(script, trail)
+	type runKey struct {
+		v   graph.VertexID
+		dir graph.Dir
 	}
+	sealed := map[runKey][]graph.VertexID{}
+	a.store.SealedRuns(func(v graph.VertexID, dir graph.Dir, run []graph.VertexID) bool {
+		sealed[runKey{v, dir}] = run
+		return true
+	})
 	for _, v := range append(verts, planVertices) { // planVertices is never stored
 		var runs graph.VertexRuns
 		a.store.RunsInto(&runs, v)
@@ -340,10 +338,10 @@ func (r *planRig) checkCompute(script int, trail []string) {
 			r.t.Fatalf("script %d %v: vertex %d degrees %v, Degree (%d, %d)", script, trail, v, runs.Deg, out, in)
 		}
 		for _, dir := range []graph.Dir{graph.Out, graph.In} {
-			run, off, whole := a.store.SealedRun(v, dir)
-			if !slices.Equal(runs.Run[dir], run) || runs.Off[dir] != off || runs.Whole[dir] != whole {
-				r.t.Fatalf("script %d %v: vertex %d dir %d runs (%v, %d, %v), SealedRun (%v, %d, %v)",
-					script, trail, v, dir, runs.Run[dir], runs.Off[dir], runs.Whole[dir], run, off, whole)
+			run, off, whole := runs.Run[dir], runs.Off[dir], runs.Whole[dir]
+			if !slices.Equal(run, sealed[runKey{v, dir}]) || off+len(run) > a.store.SealedLen(dir) {
+				r.t.Fatalf("script %d %v: vertex %d dir %d run %v at %d, SealedRuns %v over %d entries",
+					script, trail, v, dir, run, off, sealed[runKey{v, dir}], a.store.SealedLen(dir))
 			}
 			it := a.store.OutCursor(v)
 			if dir == graph.In {
@@ -359,6 +357,38 @@ func (r *planRig) checkCompute(script int, trail []string) {
 			}
 		}
 	}
+}
+
+// checkStamps checks every record stamped under the installed view: its split
+// bit equals router.Split and its replica bit router.IsReplica.
+func (r *planRig) checkStamps(script int, trail []string) {
+	a, t := r.a, &r.a.verts
+	for i := range t.slots {
+		rec := &t.slots[i]
+		if rec.flags == 0 || rec.view&^viewAnswers != t.view {
+			continue
+		}
+		r.stamped++
+		split, replica := rec.view&viewSplit != 0, rec.view&viewReplica != 0
+		if split != a.router.Split(rec.key) || replica != a.isReplicaOf(rec.key) {
+			r.t.Fatalf("script %d %v: vertex %d's record says split=%v replica=%v, the router %v %v",
+				script, trail, rec.key, split, replica, a.router.Split(rec.key), a.isReplicaOf(rec.key))
+		}
+	}
+}
+
+// sealedRun returns v's sealed run in direction dir, its offset, and whether
+// it is all of v's neighbours there, as RunsInto reports them.
+func sealedRun(s *graph.Store, v graph.VertexID, dir graph.Dir) (run []graph.VertexID, off int, whole bool) {
+	var r graph.VertexRuns
+	s.RunsInto(&r, v)
+	return r.Run[dir], r.Off[dir], r.Whole[dir]
+}
+
+// outDegree is v's local out-degree, as a message value takes it.
+func outDegree(s *graph.Store, v graph.VertexID) uint64 {
+	out, _ := s.Degree(v)
+	return uint64(out)
 }
 
 // newPlanRig is a fresh agent running prog (adjusting per edge) under a view
@@ -390,8 +420,9 @@ func planConfig() config.Config {
 // workers fill the split-ness stamps concurrently emits exactly the
 // (destination, target, via, value) multiset of the cursor + EdgeOwnerIndex
 // loop, sends every split vertex's partial with the right out-degree, leaves
-// every stamped record's split bit equal to router.Split, and RunsInto reads
-// what SealedRun, Degree and the cursor read.
+// every stamped record's split and replica bits equal to router.Split and
+// router.IsReplica, and RunsInto reads what SealedRuns, Degree and the cursor
+// read.
 func TestComputeCacheMatchesModel(t *testing.T) {
 	SetComputeParallelism(4, 1)
 	defer SetComputeParallelism(0, 0)
@@ -415,16 +446,16 @@ func TestComputeCacheMatchesModel(t *testing.T) {
 	}
 }
 
-// TestVertexRecordIs24Bytes: the split-ness stamp lives in the record's
-// padding, and a wrapped stamp clears every record's.
+// TestVertexRecordIs24Bytes: the view stamp lives in the record's padding,
+// and a wrapped stamp clears every record's.
 func TestVertexRecordIs24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(vertexRec{}); n != 24 {
 		t.Fatalf("vertexRec is %d bytes, want 24", n)
 	}
 	var vt vertexTable
 	i := vt.at(5)
-	vt.slots[i].view = vt.view | viewSplit
-	for n := 0; n < 1<<15-1; n++ {
+	vt.slots[i].view = vt.view | viewAnswers
+	for n := 0; n < 1<<14-1; n++ {
 		vt.restamp()
 	}
 	if vt.view == 0 || vt.slots[i].view != 0 {
@@ -473,7 +504,7 @@ func TestPlanNoOwnerByteSendsNothing(t *testing.T) {
 	if got := pooledScatter(a, verts); len(got) != 6 {
 		t.Fatalf("%d messages scattered, want 6", len(got))
 	}
-	run, off, _ := a.store.SealedRun(0, graph.Out)
+	run, off, _ := sealedRun(a.store, 0, graph.Out)
 	for i := range run {
 		a.plan.dir[graph.Out][off+i] = planNoOwner
 	}

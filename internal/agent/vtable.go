@@ -21,9 +21,10 @@ const (
 
 // vertexRec is one inline table cell (24 B, no pointers): what the agent
 // knows about one vertex beyond its edges. It is in set k while its gen[k]
-// is the table's. view caches router.Split: bit 0 is the answer, the rest
-// the stamp it was taken under, good while the stamp is the table's
-// (Agent.split). It stays out of flags, so holds and reclamation ignore it.
+// is the table's. view caches router.Split and router.IsReplica for this
+// agent: the two low bits are the answers, the rest the stamp they were
+// taken under, good while the stamp is the table's (Agent.placement). It
+// stays out of flags, so holds and reclamation ignore it.
 type vertexRec struct {
 	key   graph.VertexID
 	value algorithm.Word
@@ -32,8 +33,13 @@ type vertexRec struct {
 	view  uint16
 }
 
-// viewSplit is the bit of vertexRec.view that holds the cached answer.
-const viewSplit = 1
+// The bits of vertexRec.view that hold the cached answers; the stamp is the
+// other 14.
+const (
+	viewSplit   = 1 << iota // router.Split
+	viewReplica             // router.IsReplica for this agent
+	viewAnswers = viewSplit | viewReplica
+)
 
 // vertexTable maps vertices to their records — the same table as the route
 // table and aggTable: power-of-two slots probed linearly from a multiply-shift
@@ -50,7 +56,7 @@ type vertexTable struct {
 	used  int // slots holding a key, records that hold nothing included
 	gen   [2]uint16
 	list  [2][]uint32
-	view  uint16 // the current view stamp, shifted past viewSplit; never 0 once built
+	view  uint16 // the current view stamp, shifted past viewAnswers; never 0 once built
 }
 
 // probe returns the slot holding v, or the empty one that ends its probe run.
@@ -104,7 +110,7 @@ func (t *vertexTable) rebuild() {
 		}
 	}
 	if t.view == 0 {
-		t.view = 2 // nor is a zero view stamp current
+		t.view = viewAnswers + 1 // nor is a zero view stamp current
 	}
 	old, live := t.slots, 0
 	for i := range old {
@@ -194,14 +200,14 @@ func (t *vertexTable) begin(k int) {
 	}
 }
 
-// restamp makes every record's cached split-ness stale: the router installed
-// a view. The stamp has 15 bits; when it wraps, every record is cleared.
+// restamp makes every record's cached answers stale: the router installed a
+// view. The stamp has 14 bits; when it wraps, every record is cleared.
 func (t *vertexTable) restamp() {
-	if t.view += 2; t.view == 0 {
+	if t.view += viewAnswers + 1; t.view == 0 {
 		for i := range t.slots {
 			t.slots[i].view = 0
 		}
-		t.view = 2
+		t.view = viewAnswers + 1
 	}
 }
 

@@ -155,7 +155,8 @@ func (e *Engine) newStep(p algorithm.Program, ctx *algorithm.Context) *step {
 
 // messageValue is v's message value for state w.
 func (s *step) messageValue(v graph.VertexID, w algorithm.Word) algorithm.Word {
-	return s.p.MessageValue(v, w, uint64(s.e.st.OutDegree(v)), s.ctx)
+	out, _ := s.e.st.Degree(v)
+	return s.p.MessageValue(v, w, uint64(out), s.ctx)
 }
 
 // send delivers mv along the edge between v and its dir-neighbour w.

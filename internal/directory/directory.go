@@ -13,6 +13,7 @@ import (
 	"elga/internal/checkpoint"
 	"elga/internal/config"
 	"elga/internal/events"
+	"elga/internal/graph"
 	"elga/internal/metrics"
 	"elga/internal/sketch"
 	"elga/internal/trace"
@@ -110,8 +111,10 @@ type Directory struct {
 	scratch []byte
 
 	// deleted records that a batch vote reported a delete since the last
-	// run started: the next one starts from scratch.
+	// run started.
 	deleted bool
+	// owner names the run that left the agents' vertex values.
+	owner runOwner
 
 	pendingJoins  []*wire.Packet
 	pendingLeaves []*wire.Packet
@@ -171,6 +174,16 @@ type migrationState struct {
 	leavers []string
 }
 
+// runOwner is a run that left vertex values behind: its program, its
+// source, and whether it converged. An incremental run continues those
+// values only if it is the same program from the same source, they
+// converged, and no delete came since.
+type runOwner struct {
+	algo      string
+	source    graph.VertexID
+	converged bool
+}
+
 type sealState struct {
 	votes   map[uint64]bool
 	masters uint64
@@ -180,7 +193,7 @@ type runState struct {
 	req        *wire.Packet
 	spec       *wire.AlgoStart
 	quiesce    bool
-	recomputed bool // an incremental run run from scratch (deleted)
+	recomputed bool // an incremental run run from scratch (Directory.owner)
 	step       uint32
 	phase      uint8
 	paused     bool
@@ -963,11 +976,14 @@ func (d *Directory) maybeStartRun() {
 		d.replyRunStats(pkt, &wire.RunStats{}, trace.SpanContext{})
 		return
 	}
-	// Announcing new edges cannot undo what a deleted one carried, so after
-	// a delete the next incremental run starts from scratch.
-	recomputed := d.deleted && !spec.FromScratch
+	// An incremental run announces new edges on top of the values the last
+	// run left. That reaches the from-scratch answer only if those values
+	// are its own program's, from its source, converged, and no delete has
+	// taken away what they were built from.
+	recomputed := !spec.FromScratch && (d.owner != runOwner{spec.Algo, spec.Source, true} || d.deleted)
 	spec.FromScratch = spec.FromScratch || recomputed
 	d.deleted = false
+	d.owner = runOwner{algo: spec.Algo, source: spec.Source}
 	now := d.ep.Now()
 	d.run = &runState{
 		req: pkt, spec: spec, quiesce: prog.HaltOnQuiescence(), recomputed: recomputed,
@@ -1345,6 +1361,7 @@ func (d *Directory) resumeRun() {
 func (d *Directory) finishRun(converged bool) {
 	r := d.run
 	d.run = nil
+	d.owner.converged = converged
 	steps := r.step
 	if len(r.stepTimes) > 0 {
 		steps = uint32(len(r.stepTimes))

@@ -142,10 +142,11 @@ func TestCSRMatchesStore(t *testing.T) {
 		s.AddEdge(e.Src, e.Dst, In)
 	}
 	for v := VertexID(0); v < 4; v++ {
-		if c.OutDegree(v) != s.OutDegree(v) {
-			t.Errorf("v%d out-degree CSR %d != store %d", v, c.OutDegree(v), s.OutDegree(v))
+		out, in := s.Degree(v)
+		if c.OutDegree(v) != out {
+			t.Errorf("v%d out-degree CSR %d != store %d", v, c.OutDegree(v), out)
 		}
-		if len(c.In(v)) != s.InDegree(v) {
+		if len(c.In(v)) != in {
 			t.Errorf("v%d in-degree mismatch", v)
 		}
 	}

@@ -37,7 +37,10 @@ func TestAddEdgeBothDirections(t *testing.T) {
 		t.Errorf("in-neighbours of 2 = %v", got)
 	}
 	// Out copy lives under src; in copy under dst.
-	if s.InDegree(1) != 0 || s.OutDegree(2) != 0 {
+	if _, in := s.Degree(1); in != 0 {
+		t.Error("copies stored under wrong endpoint")
+	}
+	if out, _ := s.Degree(2); out != 0 {
 		t.Error("copies stored under wrong endpoint")
 	}
 }
@@ -284,15 +287,19 @@ func TestVerticesEarlyStop(t *testing.T) {
 }
 
 // Property: after an arbitrary interleaving of inserts and deletes of a
-// small edge universe, counts equal the reference set sizes.
+// small edge universe, and of the vertex flags' calls (Pin, Unpin,
+// DropVertex, MarkActive, ClearActive, TakeActive), counts equal the
+// reference set sizes and the vertex set, the pins and the active set equal
+// the MapStore reference's.
 func TestStoreMatchesReferenceProperty(t *testing.T) {
 	type op struct {
 		U, V uint8
 		Del  bool
 		In   bool
+		Call uint8
 	}
 	f := func(ops []op) bool {
-		s := NewStore()
+		s, ms := NewStore(), NewMapStore()
 		refOut := map[[2]VertexID]bool{}
 		refIn := map[[2]VertexID]bool{}
 		for _, o := range ops {
@@ -304,15 +311,51 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 				dir = In
 				ref = refIn
 			}
-			if o.Del {
-				s.RemoveEdge(u, v, dir)
-				delete(ref, key)
-			} else {
-				s.AddEdge(u, v, dir)
-				ref[key] = true
+			switch o.Call % 8 {
+			case 0:
+				s.Pin(u)
+				ms.Pin(u)
+			case 1:
+				s.Unpin(u)
+				ms.Unpin(u)
+			case 2:
+				for w := VertexID(0); w < 8; w++ {
+					delete(refOut, [2]VertexID{u, w})
+					delete(refIn, [2]VertexID{w, u})
+				}
+				co, ci := s.DropVertex(u)
+				if mo, mi := ms.DropVertex(u); co != mo || ci != mi {
+					return false
+				}
+			case 3:
+				s.MarkActive(u)
+				ms.MarkActive(u)
+			case 4:
+				s.ClearActive(u)
+				ms.ClearActive(u)
+			case 5:
+				if !slices.Equal(s.TakeActive(), ms.TakeActive()) {
+					return false
+				}
+			default:
+				c := Change{Action: Insert, Src: u, Dst: v}
+				if o.Del {
+					c.Action = Delete
+					delete(ref, key)
+				} else {
+					ref[key] = true
+				}
+				s.Apply(c, dir)
+				ms.Apply(c, dir)
 			}
 		}
-		return s.NumOutEdges() == len(refOut) && s.NumEdgeCopies()-s.NumOutEdges() == len(refIn)
+		for v := range ms.pinEmpty {
+			if p := s.find(v); p < 0 || s.recs[p].meta&isPinned == 0 {
+				return false
+			}
+		}
+		return s.NumOutEdges() == len(refOut) && s.NumEdgeCopies()-s.NumOutEdges() == len(refIn) &&
+			slices.Equal(s.VertexList(), ms.VertexList()) && slices.Equal(s.ActiveList(), ms.ActiveList())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -15,6 +15,12 @@ type EdgeStore interface {
 	Degree(v VertexID) (out, in int)
 	Pin(v VertexID)
 	Unpin(v VertexID)
+	DropVertex(v VertexID) (out, in int)
+	MarkActive(v VertexID)
+	ClearActive(v VertexID)
+	IsActive(v VertexID) bool
+	ActiveCount() int
+	ActiveList() []VertexID
 	NumVertices() int
 	NumOutEdges() int
 	NumEdgeCopies() int
@@ -251,8 +257,38 @@ func (s *MapStore) VertexList() []VertexID {
 	return out
 }
 
-// TakeActive returns the current active set sorted and resets it.
-func (s *MapStore) TakeActive() []VertexID {
+// DropVertex forgets every copy stored under v and returns how many out and
+// in copies that was. A pinned vertex stays.
+func (s *MapStore) DropVertex(v VertexID) (out, in int) {
+	a, ok := s.adj[v]
+	if !ok {
+		return 0, 0
+	}
+	out, in = len(a.out), len(a.in)
+	s.numOut -= out
+	s.numIn -= in
+	a.out, a.in = nil, nil
+	s.maybeDrop(v)
+	return out, in
+}
+
+// MarkActive adds v to the active set.
+func (s *MapStore) MarkActive(v VertexID) { s.active[v] = struct{}{} }
+
+// ClearActive removes v from the active set.
+func (s *MapStore) ClearActive(v VertexID) { delete(s.active, v) }
+
+// IsActive reports whether v is in the active set.
+func (s *MapStore) IsActive(v VertexID) bool {
+	_, ok := s.active[v]
+	return ok
+}
+
+// ActiveCount returns the size of the active set.
+func (s *MapStore) ActiveCount() int { return len(s.active) }
+
+// ActiveList returns the active set sorted.
+func (s *MapStore) ActiveList() []VertexID {
 	if len(s.active) == 0 {
 		return nil
 	}
@@ -260,8 +296,14 @@ func (s *MapStore) TakeActive() []VertexID {
 	for v := range s.active {
 		out = append(out, v)
 	}
-	s.active = make(map[VertexID]struct{})
 	slices.Sort(out)
+	return out
+}
+
+// TakeActive returns the current active set sorted and resets it.
+func (s *MapStore) TakeActive() []VertexID {
+	out := s.ActiveList()
+	s.active = make(map[VertexID]struct{})
 	return out
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -10,32 +12,41 @@ import (
 // are single-threaded event loops. The one exception is Compactions,
 // which is an atomic so metric scrapes may read it from other goroutines.
 //
-// Layout: every locally present vertex has a slot recording its sealed
-// neighbour runs — contiguous, sorted spans of the store-wide sealedOut /
-// sealedIn arrays — plus an optional tail of edges inserted or deleted
-// since. The last compaction wrote the arrays, in no particular vertex
-// order; between compactions AddRun appends the run of a vertex that held
-// nothing in that direction to their end. A span, once written, never
-// changes. Iteration merges the sealed run (minus the tail's delete log)
-// with the tail's sorted inserts, so neighbours always come back in
-// ascending ID order no matter how the edges are split between
-// generations.
+// Layout: every locally present vertex has a record in one dense array,
+// found through an open-addressed index. The record names the vertex's
+// sealed neighbour runs — contiguous, sorted spans of the store-wide sealed
+// arrays — and carries its flags; a vertex edited since the last compaction
+// also has a tail of edges inserted or deleted since, kept beside the
+// records. The last compaction wrote the sealed arrays in record order;
+// between compactions AddRun appends the run of a vertex that held nothing in
+// that direction to their end. A span, once written, never changes.
+// Iteration merges the sealed run (minus the tail's delete log) with the
+// tail's sorted inserts, so neighbours always come back in ascending ID
+// order no matter how the edges are split between generations.
 type Store struct {
-	slots     map[VertexID]slotRec
-	sealedOut []VertexID
-	sealedIn  []VertexID
+	// index maps a vertex to its record: power-of-two slots holding a record
+	// position plus one (0 is empty), probed linearly from a multiply-shift
+	// of the key, never more than half full. A vertex that leaves is deleted
+	// by backward shift, so no tombstones build up, and the last record moves
+	// into its place. Record order is therefore a function of the calls
+	// made, not of a hash seed.
+	index []uint32
+	shift uint8
+	recs  []vertexSlot
+	// tails holds the delta log of every record whose hasTail flag is up.
+	tails map[VertexID]*tailRec
+
+	sealed [2][]VertexID // by Dir
 	// sealedVer moves whenever what SealedRuns enumerates may have changed.
 	sealedVer uint64
 
-	numOut int
-	numIn  int
+	num [2]int // live copies, by Dir
 
 	// tailOps counts live tail entries (adds + delete-log records) and
 	// deadSealed counts sealed entries that are logically deleted or
 	// unreachable (dropped vertices); their sum against the sealed size
 	// drives compaction.
 	tailOps    int
-	tailRecs   int
 	deadSealed int
 
 	// compactMin is the tail size below which compaction never triggers;
@@ -43,8 +54,14 @@ type Store struct {
 	compactMin  int
 	compactions atomic.Uint64
 
-	active   map[VertexID]struct{}
-	pinEmpty map[VertexID]struct{} // vertices kept alive despite zero local edges
+	// The active set is the held vertices whose isActive flag is up plus
+	// gone, the active vertices the store does not hold, ascending. active
+	// lists the held ones in the order they were marked; an entry whose
+	// flag has come down since is skipped, and a vertex may be listed twice
+	// if it left and came back.
+	active  []VertexID
+	nActive int // flags up
+	gone    []VertexID
 
 	// flips logs every vertex that gained or lost local presence since the
 	// last TakeFlips, once per change, so a caller that derives something
@@ -65,45 +82,61 @@ type Store struct {
 	deleted bool
 }
 
-// slotRec locates one vertex's sealed runs. The tail pointer is nil for
-// the (steady-state) majority of vertices untouched since the last
-// compaction, so per-vertex overhead is one map entry, not a heap record
-// with two growing vectors.
-type slotRec struct {
-	outStart, outLen uint32
-	inStart, inLen   uint32
-	tail             *tailRec
+// vertexSlot is one vertex's record (24 B, no pointers): the offsets of its
+// sealed runs, and in meta their lengths — 30 bits each, Out's lowest — under
+// the flags. A vertex holds fewer than 2^30 copies per direction.
+type vertexSlot struct {
+	key  VertexID
+	off  [2]uint32 // by Dir
+	meta uint64
 }
 
-// tailRec is the delta log of one recently-mutated vertex. All four
+const (
+	runBits   = 30
+	runMask   = 1<<runBits - 1
+	runFields = 1<<(2*runBits) - 1 // both lengths
+)
+
+// The flags of vertexSlot.meta, above the run lengths.
+const (
+	hasTail  uint64 = 1 << (2*runBits + iota) // tails holds the vertex's delta log
+	isActive                                  // in the active set
+	isPinned                                  // kept with zero copies
+)
+
+// runLen returns the length of r's sealed run in direction d.
+func (r *vertexSlot) runLen(d Dir) uint32 { return uint32(r.meta>>(runBits*uint(d))) & runMask }
+
+// setRun points r's sealed run in direction d at n entries from off.
+func (r *vertexSlot) setRun(d Dir, off, n int) {
+	if n > runMask {
+		panic("graph: a vertex's sealed run outgrew 2^30 copies")
+	}
+	sh := runBits * uint(d)
+	r.off[d] = uint32(off)
+	r.meta = r.meta&^(runMask<<sh) | uint64(n)<<sh
+}
+
+// tailRec is the delta log of one recently-mutated vertex, by Dir. All four
 // lists are kept sorted ascending; adds are disjoint from the sealed run,
 // dels are a subset of it.
 type tailRec struct {
-	outAdd, outDel []VertexID
-	inAdd, inDel   []VertexID
-}
-
-func (t *tailRec) empty() bool {
-	return len(t.outAdd) == 0 && len(t.outDel) == 0 && len(t.inAdd) == 0 && len(t.inDel) == 0
+	add, del [2][]VertexID
 }
 
 func (t *tailRec) size() int {
-	return len(t.outAdd) + len(t.outDel) + len(t.inAdd) + len(t.inDel)
+	return len(t.add[Out]) + len(t.del[Out]) + len(t.add[In]) + len(t.del[In])
 }
+
+// fib is 2^64 over the golden ratio: the multiply-shift hash's multiplier.
+const fib = 0x9e3779b97f4a7c15
 
 // DefaultCompactMin is the minimum tail size (adds + delete-log records,
 // store-wide) before a compaction can trigger.
 const DefaultCompactMin = 1024
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{
-		slots:      make(map[VertexID]slotRec),
-		compactMin: DefaultCompactMin,
-		active:     make(map[VertexID]struct{}),
-		pinEmpty:   make(map[VertexID]struct{}),
-	}
-}
+func NewStore() *Store { return &Store{compactMin: DefaultCompactMin} }
 
 // SetCompactMin overrides the minimum tail size that triggers compaction
 // (tests and benchmarks force small thresholds to exercise generation
@@ -117,14 +150,111 @@ func (s *Store) SetCompactMin(n int) {
 
 // NumVertices returns the count of vertices with at least one local edge
 // copy (or a pin).
-func (s *Store) NumVertices() int { return len(s.slots) }
+func (s *Store) NumVertices() int { return len(s.recs) }
+
+func (s *Store) home(v VertexID) int { return int(uint64(v) * fib >> s.shift) }
+
+// find returns the position of v's record, or -1.
+func (s *Store) find(v VertexID) int {
+	if len(s.index) == 0 {
+		return -1
+	}
+	mask := len(s.index) - 1
+	for i := s.home(v); ; i = (i + 1) & mask {
+		e := s.index[i]
+		if e == 0 {
+			return -1
+		}
+		if s.recs[e-1].key == v {
+			return int(e - 1)
+		}
+	}
+}
+
+// slotOf returns the index slot that names position p.
+func (s *Store) slotOf(p int) int {
+	mask := len(s.index) - 1
+	for i := s.home(s.recs[p].key); ; i = (i + 1) & mask {
+		if s.index[i] == uint32(p+1) {
+			return i
+		}
+	}
+}
+
+// place enters position p in the index.
+func (s *Store) place(p int) {
+	mask := len(s.index) - 1
+	i := s.home(s.recs[p].key)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = uint32(p + 1)
+}
+
+// indexSize is the smallest power of two, at least 16, that n records fill
+// at most half.
+func indexSize(n int) int {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// reindex rebuilds the index at size for the current records.
+func (s *Store) reindex(size int) {
+	s.index = make([]uint32, size)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for p := range s.recs {
+		s.place(p)
+	}
+}
+
+// add appends a record for v, which the store does not hold, and returns
+// its position. A vertex that was active while away is active again.
+func (s *Store) add(v VertexID) int {
+	if 2*(len(s.recs)+1) > len(s.index) {
+		s.reindex(indexSize(len(s.recs) + 1))
+	}
+	p := len(s.recs)
+	s.recs = append(s.recs, vertexSlot{key: v})
+	s.place(p)
+	s.flipped(v)
+	if len(s.gone) > 0 {
+		var was bool
+		if s.gone, was = sortedRemove(s.gone, v); was {
+			s.activate(p)
+		}
+	}
+	return p
+}
+
+// remove deletes the record at p: its index entry by backward shift, then
+// the record itself, by moving the last one into its place.
+func (s *Store) remove(p int) {
+	mask := len(s.index) - 1
+	i := s.slotOf(p)
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole unless its probe run starts
+		// after the hole.
+		if h := s.home(s.recs[s.index[j]-1].key); (j-h)&mask >= (j-i)&mask {
+			s.index[i], i = s.index[j], j
+		}
+	}
+	s.index[i] = 0
+	if last := len(s.recs) - 1; p != last {
+		s.index[s.slotOf(last)] = uint32(p + 1)
+		s.recs[p] = s.recs[last]
+	}
+	s.recs = s.recs[:len(s.recs)-1]
+}
 
 // flipped records that v just gained or lost local presence.
 func (s *Store) flipped(v VertexID) {
 	if s.flipsLost {
 		return
 	}
-	if len(s.flips) > len(s.slots)+flipSlack {
+	if len(s.flips) > len(s.recs)+flipSlack {
 		s.flips, s.flipsLost = nil, true
 		return
 	}
@@ -155,7 +285,7 @@ func (s *Store) logFresh(c EdgeCopy) {
 	if s.freshLost {
 		return
 	}
-	if len(s.fresh) > len(s.slots)+flipSlack {
+	if len(s.fresh) > len(s.recs)+flipSlack {
 		s.loseFresh()
 		return
 	}
@@ -188,10 +318,10 @@ func (s *Store) TakeFresh() (copies []EdgeCopy, ok bool) {
 }
 
 // NumOutEdges returns the number of locally stored out-copies.
-func (s *Store) NumOutEdges() int { return s.numOut }
+func (s *Store) NumOutEdges() int { return s.num[Out] }
 
 // NumEdgeCopies returns out+in copies, the agent's memory-relevant load.
-func (s *Store) NumEdgeCopies() int { return s.numOut + s.numIn }
+func (s *Store) NumEdgeCopies() int { return s.num[Out] + s.num[In] }
 
 // Compactions returns the number of tail-fold compactions performed. It
 // is safe to call from any goroutine (metric scrapes).
@@ -202,13 +332,26 @@ func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 // readings bracket the same enumeration.
 func (s *Store) SealedVersion() uint64 { return s.sealedVer }
 
-// sealedOutRun returns the (possibly partially deleted) sealed out run.
-func (s *Store) sealedOutRun(rec slotRec) []VertexID {
-	return s.sealedOut[rec.outStart : rec.outStart+rec.outLen]
+// sealedRun returns r's (possibly partially deleted) sealed run in direction d.
+func (s *Store) sealedRun(r *vertexSlot, d Dir) []VertexID {
+	return s.sealed[d][r.off[d] : r.off[d]+r.runLen(d)]
 }
 
-func (s *Store) sealedInRun(rec slotRec) []VertexID {
-	return s.sealedIn[rec.inStart : rec.inStart+rec.inLen]
+// tailAt returns the delta log of the record at p, or nil.
+func (s *Store) tailAt(p int) *tailRec {
+	if s.recs[p].meta&hasTail == 0 {
+		return nil
+	}
+	return s.tails[s.recs[p].key]
+}
+
+// attach makes t the delta log of the record at p, which has none.
+func (s *Store) attach(p int, t *tailRec) {
+	if s.tails == nil {
+		s.tails = make(map[VertexID]*tailRec)
+	}
+	s.tails[s.recs[p].key] = t
+	s.recs[p].meta |= hasTail
 }
 
 // sortedContains reports whether v is in the ascending list.
@@ -240,78 +383,69 @@ func sortedRemove(list []VertexID, v VertexID) ([]VertexID, bool) {
 	return list[:len(list)-1], true
 }
 
-// tailOf attaches (or returns) the vertex's tail record. The caller must
-// re-store rec into s.slots if it was newly attached.
-func (s *Store) tailOf(rec *slotRec) *tailRec {
-	if rec.tail == nil {
-		rec.tail = &tailRec{}
-		s.tailRecs++
-	}
-	return rec.tail
-}
-
 // Pin keeps vertex v in the store even with zero local edges, used for
 // replica bookkeeping of split vertices that currently hold no edge copy.
 func (s *Store) Pin(v VertexID) {
-	if _, ok := s.slots[v]; !ok {
-		s.slots[v] = slotRec{}
-		s.flipped(v)
+	p := s.find(v)
+	if p < 0 {
+		p = s.add(v)
 	}
-	s.pinEmpty[v] = struct{}{}
+	s.recs[p].meta |= isPinned
 }
 
 // Unpin removes the pin; the vertex is dropped if it has no edges left.
 func (s *Store) Unpin(v VertexID) {
-	delete(s.pinEmpty, v)
-	if rec, ok := s.slots[v]; ok {
-		s.maybeDrop(v, rec)
+	if p := s.find(v); p >= 0 {
+		s.recs[p].meta &^= isPinned
+		s.maybeDrop(p)
 	}
 }
 
-// liveDegrees returns the vertex's live out/in degrees under rec.
-func liveDegrees(rec slotRec) (out, in int) {
-	out, in = int(rec.outLen), int(rec.inLen)
-	if t := rec.tail; t != nil {
-		out += len(t.outAdd) - len(t.outDel)
-		in += len(t.inAdd) - len(t.inDel)
+// liveDegree returns the live degree in direction d of the record at p.
+func (s *Store) liveDegree(p int, d Dir) int {
+	n := int(s.recs[p].runLen(d))
+	if t := s.tailAt(p); t != nil {
+		n += len(t.add[d]) - len(t.del[d])
 	}
-	return out, in
+	return n
 }
 
-// maybeDrop removes a vertex left with no live copies and no pin. Sealed
-// entries it still occupies become dead weight until the next compaction.
-func (s *Store) maybeDrop(v VertexID, rec slotRec) {
-	out, in := liveDegrees(rec)
-	if out != 0 || in != 0 {
-		return
+// maybeDrop removes the record at p if it is left with no live copies and
+// no pin. Sealed entries it still occupies become dead weight until the next
+// compaction.
+func (s *Store) maybeDrop(p int) {
+	if s.recs[p].meta&isPinned == 0 && s.liveDegree(p, Out) == 0 && s.liveDegree(p, In) == 0 {
+		s.drop(p)
 	}
-	if _, pinned := s.pinEmpty[v]; pinned {
-		return
-	}
-	s.drop(v, rec)
 }
 
-// drop removes v's slot, whatever it holds.
-func (s *Store) drop(v VertexID, rec slotRec) {
-	s.retire(rec)
-	delete(s.slots, v)
-	delete(s.active, v)
+// drop removes the record at p, whatever it holds, and its activity.
+func (s *Store) drop(p int) {
+	v := s.recs[p].key
+	s.retire(p)
+	if s.recs[p].meta&isActive != 0 {
+		s.nActive--
+	}
+	s.remove(p)
 	s.flipped(v)
 }
 
-// retire takes rec's tail and sealed runs out of the store-wide accounting:
-// the tail is forgotten and every sealed entry it had not already
-// delete-logged joins the dead count.
-func (s *Store) retire(rec slotRec) {
-	if rec.outLen+rec.inLen > 0 {
+// retire takes the record at p's tail and sealed runs out of the store-wide
+// accounting and clears them: the tail is forgotten and every sealed entry
+// it had not already delete-logged joins the dead count. The flags stay.
+func (s *Store) retire(p int) {
+	r := &s.recs[p]
+	if n := int(r.runLen(Out) + r.runLen(In)); n > 0 {
 		s.sealedVer++
+		s.deadSealed += n
 	}
-	s.deadSealed += int(rec.outLen) + int(rec.inLen)
-	if t := rec.tail; t != nil {
+	if t := s.tailAt(p); t != nil {
 		s.tailOps -= t.size()
-		s.tailRecs--
-		s.deadSealed -= len(t.outDel) + len(t.inDel)
+		s.deadSealed -= len(t.del[Out]) + len(t.del[In])
+		delete(s.tails, r.key)
 	}
+	r.off = [2]uint32{}
+	r.meta &^= runFields | hasTail
 }
 
 // AddEdge stores a copy of edge (u,v) in direction dir. For dir==Out the
@@ -323,53 +457,35 @@ func (s *Store) AddEdge(u, v VertexID, dir Dir) bool {
 	if dir == In {
 		key, nbr = v, u
 	}
-	rec, present := s.slots[key]
-	var sealed []VertexID
-	if dir == Out {
-		sealed = s.sealedOutRun(rec)
-	} else {
-		sealed = s.sealedInRun(rec)
+	p := s.find(key)
+	if p < 0 {
+		p = s.add(key)
 	}
-	t := rec.tail
-	if sortedContains(sealed, nbr) {
+	t := s.tailAt(p)
+	if sortedContains(s.sealedRun(&s.recs[p], dir), nbr) {
 		// Present in the sealed run unless delete-logged; a logged delete
 		// is revived by erasing the log entry.
 		if t == nil {
 			return false
 		}
-		del := &t.outDel
-		if dir == In {
-			del = &t.inDel
-		}
 		var revived bool
-		if *del, revived = sortedRemove(*del, nbr); !revived {
+		if t.del[dir], revived = sortedRemove(t.del[dir], nbr); !revived {
 			return false
 		}
 		s.tailOps--
 		s.deadSealed--
 	} else {
-		add := func() *[]VertexID {
-			t = s.tailOf(&rec)
-			if dir == Out {
-				return &t.outAdd
-			}
-			return &t.inAdd
-		}()
+		if t == nil {
+			t = &tailRec{}
+			s.attach(p, t)
+		}
 		var inserted bool
-		if *add, inserted = sortedInsert(*add, nbr); !inserted {
+		if t.add[dir], inserted = sortedInsert(t.add[dir], nbr); !inserted {
 			return false
 		}
 		s.tailOps++
 	}
-	if dir == Out {
-		s.numOut++
-	} else {
-		s.numIn++
-	}
-	s.slots[key] = rec
-	if !present {
-		s.flipped(key)
-	}
+	s.num[dir]++
 	s.MaybeCompact()
 	return true
 }
@@ -382,57 +498,36 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 	if dir == In {
 		key, nbr = v, u
 	}
-	rec, ok := s.slots[key]
-	if !ok {
+	p := s.find(key)
+	if p < 0 {
 		return false
 	}
-	t := rec.tail
+	t := s.tailAt(p)
 	if t != nil {
 		// A tail-added edge is removed from the add log directly.
-		add := &t.outAdd
-		if dir == In {
-			add = &t.inAdd
-		}
-		if list, removed := sortedRemove(*add, nbr); removed {
-			*add = list
+		if list, removed := sortedRemove(t.add[dir], nbr); removed {
+			t.add[dir] = list
 			s.tailOps--
-			if dir == Out {
-				s.numOut--
-			} else {
-				s.numIn--
-			}
-			s.slots[key] = rec
-			s.maybeDrop(key, rec)
+			s.num[dir]--
+			s.maybeDrop(p)
 			return true
 		}
 	}
-	var sealed []VertexID
-	if dir == Out {
-		sealed = s.sealedOutRun(rec)
-	} else {
-		sealed = s.sealedInRun(rec)
-	}
-	if !sortedContains(sealed, nbr) {
+	if !sortedContains(s.sealedRun(&s.recs[p], dir), nbr) {
 		return false
 	}
-	t = s.tailOf(&rec)
-	del := &t.outDel
-	if dir == In {
-		del = &t.inDel
+	if t == nil {
+		t = &tailRec{}
+		s.attach(p, t)
 	}
 	var logged bool
-	if *del, logged = sortedInsert(*del, nbr); !logged {
+	if t.del[dir], logged = sortedInsert(t.del[dir], nbr); !logged {
 		return false // already delete-logged
 	}
 	s.tailOps++
 	s.deadSealed++
-	if dir == Out {
-		s.numOut--
-	} else {
-		s.numIn--
-	}
-	s.slots[key] = rec
-	s.maybeDrop(key, rec)
+	s.num[dir]--
+	s.maybeDrop(p)
 	s.MaybeCompact()
 	return true
 }
@@ -468,75 +563,57 @@ func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int
 	if len(nbrs) == 0 {
 		return 0
 	}
-	rec, present := s.slots[key]
-	out, in := liveDegrees(rec)
-	empty := rec.outLen == 0 && out == 0 // no sealed run, no tail adds
-	if dir == In {
-		empty = rec.inLen == 0 && in == 0
-	}
-	if !remove && empty {
-		s.sealRun(&rec, dir, nbrs)
-		s.slots[key] = rec
-		if !present {
-			s.flipped(key)
+	p := s.find(key)
+	if p < 0 {
+		if remove {
+			return 0
 		}
+		p = s.add(key)
+	}
+	if !remove && s.recs[p].runLen(dir) == 0 && s.liveDegree(p, dir) == 0 {
+		// No sealed run and no tail adds: the run becomes the sealed run.
+		s.sealRun(p, dir, nbrs)
 		return len(nbrs)
 	}
-	t := rec.tail
-	if t == nil {
+	t := s.tailAt(p)
+	attached := t != nil
+	if !attached {
 		t = &tailRec{} // attached below if the edit leaves anything in it
-	}
-	sealed, add, del, count := s.sealedOutRun(rec), &t.outAdd, &t.outDel, &s.numOut
-	if dir == In {
-		sealed, add, del, count = s.sealedInRun(rec), &t.inAdd, &t.inDel, &s.numIn
 	}
 	// An add grows the add log and shrinks the delete log; a remove, the
 	// reverse.
-	grow, shrink := add, del
+	grow, shrink := &t.add[dir], &t.del[dir]
 	if remove {
-		grow, shrink = del, add
+		grow, shrink = shrink, grow
 	}
 	var grown, shrunk int
-	*grow, *shrink, grown, shrunk = mergeEdit(sealed, nbrs, *grow, *shrink, remove)
+	*grow, *shrink, grown, shrunk = mergeEdit(s.sealedRun(&s.recs[p], dir), nbrs, *grow, *shrink, remove)
 	n := grown + shrunk
 	if n == 0 {
 		return 0
 	}
-	if rec.tail == nil {
-		rec.tail = t
-		s.tailRecs++
+	if !attached {
+		s.attach(p, t)
 	}
 	s.tailOps += grown - shrunk
 	if remove {
 		s.deadSealed += grown // newly delete-logged
-		*count -= n
+		s.num[dir] -= n
+		s.maybeDrop(p)
 	} else {
 		s.deadSealed -= shrunk // revived
-		*count += n
-	}
-	s.slots[key] = rec
-	if !present {
-		s.flipped(key)
-	}
-	if remove {
-		s.maybeDrop(key, rec)
+		s.num[dir] += n
 	}
 	return n
 }
 
 // sealRun appends nbrs to the end of the sealed array of direction dir,
-// points rec's span there and counts the copies; rec must hold nothing in
-// that direction.
-func (s *Store) sealRun(rec *slotRec, dir Dir, nbrs []VertexID) {
-	if dir == Out {
-		rec.outStart, rec.outLen = uint32(len(s.sealedOut)), uint32(len(nbrs))
-		s.sealedOut = append(s.sealedOut, nbrs...)
-		s.numOut += len(nbrs)
-	} else {
-		rec.inStart, rec.inLen = uint32(len(s.sealedIn)), uint32(len(nbrs))
-		s.sealedIn = append(s.sealedIn, nbrs...)
-		s.numIn += len(nbrs)
-	}
+// points the record at p there and counts the copies; the record must hold
+// nothing in that direction.
+func (s *Store) sealRun(p int, dir Dir, nbrs []VertexID) {
+	s.recs[p].setRun(dir, len(s.sealed[dir]), len(nbrs))
+	s.sealed[dir] = append(s.sealed[dir], nbrs...)
+	s.num[dir] += len(nbrs)
 	s.sealedVer++
 }
 
@@ -586,20 +663,19 @@ func mergeEdit(sealed, run, grow, shrink []VertexID, growOnSealed bool) (g, sh [
 
 // DropVertex forgets every copy stored under v, in O(1) plus its tail, and
 // returns how many out and in copies that was. A pinned vertex stays, as an
-// empty slot.
+// empty record.
 func (s *Store) DropVertex(v VertexID) (out, in int) {
-	rec, ok := s.slots[v]
-	if !ok {
+	p := s.find(v)
+	if p < 0 {
 		return 0, 0
 	}
-	out, in = liveDegrees(rec)
-	s.numOut -= out
-	s.numIn -= in
-	if _, pinned := s.pinEmpty[v]; pinned {
-		s.retire(rec)
-		s.slots[v] = slotRec{}
+	out, in = s.liveDegree(p, Out), s.liveDegree(p, In)
+	s.num[Out] -= out
+	s.num[In] -= in
+	if s.recs[p].meta&isPinned != 0 {
+		s.retire(p)
 	} else {
-		s.drop(v, rec)
+		s.drop(p)
 	}
 	return out, in
 }
@@ -622,7 +698,7 @@ func (s *Store) Settle() { s.compactOver(16) }
 // just applied a batch large against the store: the sealed runs it leaves
 // are what every later read walks.
 func (s *Store) Fold() {
-	if s.tailRecs+s.deadSealed > 0 {
+	if len(s.tails)+s.deadSealed > 0 {
 		s.Compact()
 	}
 }
@@ -630,7 +706,7 @@ func (s *Store) Fold() {
 // compactOver compacts once the delta log plus the dead sealed entries
 // reach max(compactMin, sealed/fraction).
 func (s *Store) compactOver(fraction int) {
-	threshold := (len(s.sealedOut) + len(s.sealedIn)) / fraction
+	threshold := (len(s.sealed[Out]) + len(s.sealed[In])) / fraction
 	if threshold < s.compactMin {
 		threshold = s.compactMin
 	}
@@ -639,37 +715,43 @@ func (s *Store) compactOver(fraction int) {
 	}
 }
 
-// Compact rebuilds the sealed arrays from the current live edge set,
-// clearing every tail. Pinned zero-edge vertices survive with empty runs.
+// Compact rebuilds the sealed arrays from the current live edge set, in
+// record order, clearing every tail. Pinned zero-edge vertices survive with
+// empty runs. The records and the index are reallocated at the size the
+// vertex count asks for, so a compacted store's footprint is a function of
+// what it holds, not of how it got there.
 func (s *Store) Compact() {
-	newOut := make([]VertexID, 0, s.numOut)
-	newIn := make([]VertexID, 0, s.numIn)
-	for v, rec := range s.slots {
-		outStart := uint32(len(newOut))
-		newOut = mergeRun(newOut, s.sealedOutRun(rec), rec.tail, false)
-		inStart := uint32(len(newIn))
-		newIn = mergeRun(newIn, s.sealedInRun(rec), rec.tail, true)
-		s.slots[v] = slotRec{
-			outStart: outStart, outLen: uint32(len(newOut)) - outStart,
-			inStart: inStart, inLen: uint32(len(newIn)) - inStart,
-		}
+	var next [2][]VertexID
+	for d := range next {
+		next[d] = make([]VertexID, 0, s.num[d])
 	}
-	s.sealedOut, s.sealedIn = newOut, newIn
-	s.tailOps, s.tailRecs, s.deadSealed = 0, 0, 0
+	for p := range s.recs {
+		t, r := s.tailAt(p), &s.recs[p]
+		for d := Out; d <= In; d++ {
+			off := len(next[d])
+			next[d] = mergeRun(next[d], s.sealedRun(r, d), t, d)
+			r.setRun(d, off, len(next[d])-off)
+		}
+		r.meta &^= hasTail
+	}
+	s.sealed, s.tails = next, nil
+	s.tailOps, s.deadSealed = 0, 0
+	s.recs = slices.Clone(s.recs)
+	if len(s.recs) == 0 {
+		s.index = nil
+	} else if size := indexSize(len(s.recs)); size != len(s.index) {
+		s.reindex(size)
+	}
 	s.sealedVer++
 	s.compactions.Add(1)
 }
 
-// mergeRun appends the live merge of one sealed run and its tail (sealed
-// minus delete log, plus adds, ascending) onto dst.
-func mergeRun(dst, sealed []VertexID, t *tailRec, in bool) []VertexID {
+// mergeRun appends the live merge of one sealed run and its tail in
+// direction d (sealed minus delete log, plus adds, ascending) onto dst.
+func mergeRun(dst, sealed []VertexID, t *tailRec, d Dir) []VertexID {
 	var add, del []VertexID
 	if t != nil {
-		if in {
-			add, del = t.inAdd, t.inDel
-		} else {
-			add, del = t.outAdd, t.outDel
-		}
+		add, del = t.add[d], t.del[d]
 	}
 	if len(add) == 0 && len(del) == 0 {
 		return append(dst, sealed...) // untouched since the last generation
@@ -719,7 +801,7 @@ func (s *Store) Apply(c Change, dir Dir) bool {
 		}
 		s.deleted = true
 	}
-	s.active[cp.Key()] = struct{}{}
+	s.markActive(cp.Key())
 	return true
 }
 
@@ -738,59 +820,35 @@ func (s *Store) TakeDeleted() bool {
 // the inserted copies; incremental runs seed from those (TakeFresh,
 // TakeActive).
 func (s *Store) ApplyBatch(b Batch, dir Dir) []VertexID {
-	if len(b) == 0 {
-		return nil
-	}
-	touched := make(map[VertexID]struct{}, len(b))
+	var frontier []VertexID
 	for _, c := range b {
 		if s.Apply(c, dir) {
-			if dir == Out {
-				touched[c.Src] = struct{}{}
-			} else {
-				touched[c.Dst] = struct{}{}
-			}
+			frontier = append(frontier, EdgeCopy{Src: c.Src, Dst: c.Dst, Dir: dir}.Key())
 		}
 	}
-	if len(touched) == 0 {
-		return nil
-	}
-	frontier := make([]VertexID, 0, len(touched))
-	for v := range touched {
-		frontier = append(frontier, v)
-	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	return frontier
+	slices.Sort(frontier)
+	return slices.Compact(frontier)
 }
 
 // HasCopy reports whether the store holds copy c.
 func (s *Store) HasCopy(c EdgeCopy) bool {
-	key, nbr := c.Key(), c.Nbr()
-	rec, ok := s.slots[key]
-	if !ok {
+	nbr := c.Nbr()
+	p := s.find(c.Key())
+	if p < 0 {
 		return false
 	}
-	sealed, t := s.sealedOutRun(rec), rec.tail
 	var add, del []VertexID
-	if t != nil {
-		add, del = t.outAdd, t.outDel
+	if t := s.tailAt(p); t != nil {
+		add, del = t.add[c.Dir], t.del[c.Dir]
 	}
-	if c.Dir == In {
-		sealed = s.sealedInRun(rec)
-		if t != nil {
-			add, del = t.inAdd, t.inDel
-		}
-	}
-	if sortedContains(sealed, nbr) {
+	if sortedContains(s.sealedRun(&s.recs[p], c.Dir), nbr) {
 		return !sortedContains(del, nbr)
 	}
 	return sortedContains(add, nbr)
 }
 
 // HasVertex reports whether v has any local presence.
-func (s *Store) HasVertex(v VertexID) bool {
-	_, ok := s.slots[v]
-	return ok
-}
+func (s *Store) HasVertex(v VertexID) bool { return s.find(v) >= 0 }
 
 // Cursor is a zero-allocation neighbour iterator: a value type holding
 // the sealed run, delete log, and add log of one vertex in one direction.
@@ -832,60 +890,44 @@ func (c *Cursor) Next() (VertexID, bool) {
 // OutCursor returns a cursor over v's locally stored out-neighbours.
 func (s *Store) OutCursor(v VertexID) Cursor {
 	var c Cursor
-	s.OutCursorInto(&c, v)
+	s.cursorInto(&c, v, Out)
 	return c
 }
 
 // InCursor returns a cursor over v's locally stored in-neighbours.
 func (s *Store) InCursor(v VertexID) Cursor {
 	var c Cursor
-	s.InCursorInto(&c, v)
+	s.cursorInto(&c, v, In)
 	return c
 }
 
 // OutCursorInto points c at v's locally stored out-neighbours. Building the
 // cursor where it will be used spares hot loops the copy of the 96-byte
 // value that OutCursor returns.
-func (s *Store) OutCursorInto(c *Cursor, v VertexID) {
-	*c = Cursor{}
-	rec, ok := s.slots[v]
-	if !ok {
-		return
-	}
-	c.sealed = s.sealedOutRun(rec)
-	if t := rec.tail; t != nil {
-		c.del, c.add = t.outDel, t.outAdd
-	}
-}
+func (s *Store) OutCursorInto(c *Cursor, v VertexID) { s.cursorInto(c, v, Out) }
 
 // InCursorInto is OutCursorInto for v's in-neighbours.
-func (s *Store) InCursorInto(c *Cursor, v VertexID) {
+func (s *Store) InCursorInto(c *Cursor, v VertexID) { s.cursorInto(c, v, In) }
+
+func (s *Store) cursorInto(c *Cursor, v VertexID, d Dir) {
 	*c = Cursor{}
-	rec, ok := s.slots[v]
-	if !ok {
+	p := s.find(v)
+	if p < 0 {
 		return
 	}
-	c.sealed = s.sealedInRun(rec)
-	if t := rec.tail; t != nil {
-		c.del, c.add = t.inDel, t.inAdd
+	c.sealed = s.sealedRun(&s.recs[p], d)
+	if t := s.tailAt(p); t != nil {
+		c.del, c.add = t.del[d], t.add[d]
 	}
 }
 
-// SealedRun returns v's sealed run in direction dir, the run's offset in the
-// store-wide sealed array of that direction, and whether the run is all of
-// v's neighbours there — no tail adds or deletes, the steady-state majority.
-// A caller may keep data parallel to the sealed array, indexed from off, for
-// as long as Compactions and SealedLen stay what they were; the run itself
-// follows the Cursor lifetime rule.
-func (s *Store) SealedRun(v VertexID, dir Dir) (run []VertexID, off int, whole bool) {
-	var r VertexRuns
-	s.RunsInto(&r, v)
-	return r.Run[dir], r.Off[dir], r.Whole[dir]
-}
-
-// VertexRuns is what one slot access tells of a vertex, per direction
-// (indexed by Dir): SealedRun's run, offset and wholeness, and the live
-// degree Degree reports. The runs follow the Cursor lifetime rule.
+// VertexRuns is what one record read tells of a vertex, per direction
+// (indexed by Dir): its sealed run, the run's offset in the store-wide
+// sealed array of that direction, whether the run is all of the vertex's
+// neighbours there — no tail adds or deletes, the steady-state majority —
+// and the live degree. The runs follow the Cursor lifetime rule. A caller
+// may keep data parallel to a sealed array, indexed from Off, for as long as
+// Compactions and SealedLen stay what they were.
 type VertexRuns struct {
 	Run   [2][]VertexID
 	Off   [2]int
@@ -894,25 +936,34 @@ type VertexRuns struct {
 }
 
 // RunsInto fills r with v's sealed runs and live degrees in both
-// directions, from one map access; a vertex the store does not hold has
-// empty, whole runs.
+// directions: one index probe and one record read, plus the tail for a
+// vertex edited since the last compaction. A vertex the store does not hold
+// has empty, whole runs.
 func (s *Store) RunsInto(r *VertexRuns, v VertexID) {
-	rec := s.slots[v]
-	t := rec.tail
-	r.Run = [2][]VertexID{Out: s.sealedOutRun(rec), In: s.sealedInRun(rec)}
-	r.Off = [2]int{Out: int(rec.outStart), In: int(rec.inStart)}
-	r.Whole = [2]bool{Out: t == nil || len(t.outAdd)+len(t.outDel) == 0, In: t == nil || len(t.inAdd)+len(t.inDel) == 0}
-	r.Deg[Out], r.Deg[In] = liveDegrees(rec)
+	p := s.find(v)
+	if p < 0 {
+		*r = VertexRuns{Whole: [2]bool{true, true}}
+		return
+	}
+	rec := &s.recs[p]
+	no, ni := rec.runLen(Out), rec.runLen(In)
+	oo, oi := rec.off[Out], rec.off[In]
+	r.Run = [2][]VertexID{s.sealed[Out][oo : oo+no], s.sealed[In][oi : oi+ni]}
+	r.Off = [2]int{int(oo), int(oi)}
+	r.Whole = [2]bool{true, true}
+	r.Deg = [2]int{int(no), int(ni)}
+	if rec.meta&hasTail != 0 {
+		t := s.tails[v]
+		for d := Out; d <= In; d++ {
+			r.Whole[d] = len(t.add[d])+len(t.del[d]) == 0
+			r.Deg[d] += len(t.add[d]) - len(t.del[d])
+		}
+	}
 }
 
 // SealedLen returns the length of the store-wide sealed array of direction
 // dir, dead entries included.
-func (s *Store) SealedLen(dir Dir) int {
-	if dir == Out {
-		return len(s.sealedOut)
-	}
-	return len(s.sealedIn)
-}
+func (s *Store) SealedLen(dir Dir) int { return len(s.sealed[dir]) }
 
 // ForEachOut calls fn for every locally stored out-neighbour of v in
 // ascending ID order until fn returns false.
@@ -928,30 +979,20 @@ func (s *Store) ForEachOut(v VertexID, fn func(VertexID) bool) {
 
 // Degree returns v's local out- and in-degrees in O(1).
 func (s *Store) Degree(v VertexID) (out, in int) {
-	rec, ok := s.slots[v]
-	if !ok {
+	p := s.find(v)
+	if p < 0 {
 		return 0, 0
 	}
-	return liveDegrees(rec)
-}
-
-// OutDegree returns the local out-degree of v.
-func (s *Store) OutDegree(v VertexID) int {
-	out, _ := s.Degree(v)
-	return out
-}
-
-// InDegree returns the local in-degree of v.
-func (s *Store) InDegree(v VertexID) int {
-	_, in := s.Degree(v)
-	return in
+	return s.liveDegree(p, Out), s.liveDegree(p, In)
 }
 
 // Vertices calls fn for every locally present vertex until fn returns
-// false. Iteration order is unspecified.
+// false, in reverse record order. fn may drop the vertex it is visiting and
+// no other; vertices it adds are not visited.
 func (s *Store) Vertices(fn func(VertexID) bool) {
-	for v := range s.slots {
-		if !fn(v) {
+	for p := len(s.recs) - 1; p >= 0; p-- {
+		// Dropping the visited record moves an already visited one here.
+		if !fn(s.recs[p].key) {
 			return
 		}
 	}
@@ -960,33 +1001,78 @@ func (s *Store) Vertices(fn func(VertexID) bool) {
 // VertexList returns all locally present vertices, sorted (deterministic
 // iteration for tests and checkpoints).
 func (s *Store) VertexList() []VertexID {
-	out := make([]VertexID, 0, len(s.slots))
-	for v := range s.slots {
-		out = append(out, v)
+	out := make([]VertexID, len(s.recs))
+	for p := range s.recs {
+		out[p] = s.recs[p].key
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// activate puts the record at p in the active set.
+func (s *Store) activate(p int) {
+	r := &s.recs[p]
+	if r.meta&isActive != 0 {
+		return
+	}
+	r.meta |= isActive
+	s.nActive++
+	if len(s.active) > 2*s.nActive+flipSlack {
+		// Mostly entries whose flag came down: keep one of each that is up.
+		s.active = s.heldActive(s.active[:0])
+		slices.Sort(s.active)
+		s.active = slices.Compact(s.active)
+	}
+	s.active = append(s.active, r.key)
+}
+
+// heldActive appends the listed vertices whose flag is up to dst, which may
+// alias the list's start; a vertex listed twice is appended twice.
+func (s *Store) heldActive(dst []VertexID) []VertexID {
+	for _, v := range s.active {
+		if p := s.find(v); p >= 0 && s.recs[p].meta&isActive != 0 {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+func (s *Store) markActive(v VertexID) {
+	if p := s.find(v); p >= 0 {
+		s.activate(p)
+	} else {
+		s.gone, _ = sortedInsert(s.gone, v)
+	}
 }
 
 // MarkActive adds v to the active set consumed by the next superstep. The
 // fresh log does not say why v is active, so it is abandoned.
 func (s *Store) MarkActive(v VertexID) {
-	s.active[v] = struct{}{}
+	s.markActive(v)
 	s.loseFresh()
 }
 
 // IsActive reports whether v is in the active set.
 func (s *Store) IsActive(v VertexID) bool {
-	_, ok := s.active[v]
-	return ok
+	if p := s.find(v); p >= 0 {
+		return s.recs[p].meta&isActive != 0
+	}
+	return sortedContains(s.gone, v)
 }
 
 // ClearActive removes v from the active set.
-func (s *Store) ClearActive(v VertexID) { delete(s.active, v) }
+func (s *Store) ClearActive(v VertexID) {
+	if p := s.find(v); p < 0 {
+		s.gone, _ = sortedRemove(s.gone, v)
+	} else if r := &s.recs[p]; r.meta&isActive != 0 {
+		r.meta &^= isActive
+		s.nActive--
+	}
+}
 
 // ActiveCount returns the size of the active set — between batch boundary
 // and run start this is the frontier the next delta recompute seeds from.
-func (s *Store) ActiveCount() int { return len(s.active) }
+func (s *Store) ActiveCount() int { return s.nActive + len(s.gone) }
 
 // TakeActive returns the current active set sorted and resets it, and with
 // it the fresh log. Incremental runs seed their first superstep from this
@@ -995,16 +1081,25 @@ func (s *Store) ActiveCount() int { return len(s.active) }
 // copies are the only edges those vertices announce along.
 func (s *Store) TakeActive() []VertexID {
 	s.restartFresh()
-	if len(s.active) == 0 {
+	out := s.ActiveList()
+	for _, v := range s.active {
+		if p := s.find(v); p >= 0 {
+			s.recs[p].meta &^= isActive
+		}
+	}
+	s.active, s.nActive, s.gone = nil, 0, nil
+	return out
+}
+
+// ActiveList returns the active set sorted without consuming it (unlike
+// TakeActive), so checkpoints can record activation non-destructively.
+func (s *Store) ActiveList() []VertexID {
+	if s.ActiveCount() == 0 {
 		return nil
 	}
-	out := make([]VertexID, 0, len(s.active))
-	for v := range s.active {
-		out = append(out, v)
-	}
-	s.active = make(map[VertexID]struct{})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := s.heldActive(append(make([]VertexID, 0, len(s.active)+len(s.gone)), s.gone...))
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Copies calls fn for every stored edge copy until fn returns false. It is
@@ -1012,8 +1107,8 @@ func (s *Store) TakeActive() []VertexID {
 // visit copies, it walks Vertices and moves their runs (AddRun, RemoveRun,
 // DropVertex).
 func (s *Store) Copies(fn func(EdgeCopy) bool) {
-	for v := range s.slots {
-		if !s.copiesOf(v, fn) {
+	for p := range s.recs {
+		if !s.copiesOf(s.recs[p].key, fn) {
 			return
 		}
 	}
@@ -1043,24 +1138,19 @@ func (s *Store) copiesOf(v VertexID, fn func(EdgeCopy) bool) bool {
 	}
 }
 
-// MemoryBytes estimates the store's heap footprint in O(1) from
-// maintained counters: sealed array capacity, per-slot map overhead, and
-// tail records. It is an estimate (Go map internals are approximated at
-// 48 bytes per slot entry), but a consistent one — the bytes/edge metric
-// and the tests' map-of-vectors reference use the same accounting rules.
+// MemoryBytes prices the store's heap footprint in O(1): the capacity of
+// the sealed arrays, the records, the index and the active lists, and the
+// tails with their entries. The flip and fresh logs are not priced: they
+// are logs, taken and restarted by every round that reads them.
 func (s *Store) MemoryBytes() uint64 {
 	const (
-		slotBytes    = 48  // map entry (key+slotRec) incl. bucket overhead
-		tailRecBytes = 112 // tailRec struct + object header
-		setBytes     = 16  // active/pin set entry
+		slotBytes    = 24  // vertexSlot
+		tailRecBytes = 128 // tailRec object, plus its entry in tails
+		tailOpBytes  = 16  // a tail entry: sorted-insert slices run near capacity; 2x covers append doubling
 	)
-	b := uint64(cap(s.sealedOut)+cap(s.sealedIn)) * 8
-	b += uint64(len(s.slots)) * slotBytes
-	b += uint64(s.tailRecs) * tailRecBytes
-	// Tail entry slack: sorted-insert slices run near capacity; 2x covers
-	// append doubling.
-	b += uint64(s.tailOps) * 16
-	b += uint64(len(s.active)+len(s.pinEmpty)) * setBytes
+	b := uint64(cap(s.sealed[Out])+cap(s.sealed[In])+cap(s.active)+cap(s.gone)) * 8
+	b += uint64(cap(s.recs))*slotBytes + uint64(len(s.index))*4
+	b += uint64(len(s.tails))*tailRecBytes + uint64(s.tailOps)*tailOpBytes
 	return b
 }
 
@@ -1086,12 +1176,11 @@ func (s *Store) BytesPerEdge() float64 {
 // SealedRuns reproduces the live edge set exactly.
 func (s *Store) SealedRuns(fn func(v VertexID, dir Dir, run []VertexID) bool) {
 	for _, v := range s.VertexList() {
-		rec := s.slots[v]
-		if run := s.sealedOutRun(rec); len(run) > 0 && !fn(v, Out, run) {
-			return
-		}
-		if run := s.sealedInRun(rec); len(run) > 0 && !fn(v, In, run) {
-			return
+		r := &s.recs[s.find(v)]
+		for d := Out; d <= In; d++ {
+			if run := s.sealedRun(r, d); len(run) > 0 && !fn(v, d, run) {
+				return
+			}
 		}
 	}
 }
@@ -1102,43 +1191,26 @@ func (s *Store) SealedRuns(fn func(v VertexID, dir Dir, run []VertexID) bool) {
 // inserts not yet folded into a sealed run.
 func (s *Store) TailCopies(fn func(c EdgeCopy, deleted bool) bool) {
 	for _, v := range s.VertexList() {
-		rec := s.slots[v]
-		if rec.tail == nil {
+		t := s.tailAt(s.find(v))
+		if t == nil {
 			continue
 		}
-		for _, w := range rec.tail.outAdd {
-			if !fn(EdgeCopy{Src: v, Dst: w, Dir: Out}, false) {
-				return
-			}
-		}
-		for _, w := range rec.tail.outDel {
-			if !fn(EdgeCopy{Src: v, Dst: w, Dir: Out}, true) {
-				return
-			}
-		}
-		for _, u := range rec.tail.inAdd {
-			if !fn(EdgeCopy{Src: u, Dst: v, Dir: In}, false) {
-				return
-			}
-		}
-		for _, u := range rec.tail.inDel {
-			if !fn(EdgeCopy{Src: u, Dst: v, Dir: In}, true) {
-				return
+		for d := Out; d <= In; d++ {
+			for _, deleted := range [...]bool{false, true} {
+				list := t.add[d]
+				if deleted {
+					list = t.del[d]
+				}
+				for _, w := range list {
+					c := EdgeCopy{Src: v, Dst: w, Dir: d}
+					if d == In {
+						c.Src, c.Dst = w, v
+					}
+					if !fn(c, deleted) {
+						return
+					}
+				}
 			}
 		}
 	}
-}
-
-// ActiveList returns the active set sorted without consuming it (unlike
-// TakeActive), so checkpoints can record activation non-destructively.
-func (s *Store) ActiveList() []VertexID {
-	if len(s.active) == 0 {
-		return nil
-	}
-	out := make([]VertexID, 0, len(s.active))
-	for v := range s.active {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,6 +64,14 @@ func fullCompare(t *testing.T, cs *Store, ms *MapStore) {
 			}
 		}
 	}
+	if ca, ma := cs.ActiveList(), ms.ActiveList(); cs.ActiveCount() != ms.ActiveCount() || !slices.Equal(ca, ma) {
+		t.Fatalf("active sets: csr=%v (count %d) map=%v", ca, cs.ActiveCount(), ma)
+	}
+	for v := range ms.pinEmpty {
+		if p := cs.find(v); p < 0 || cs.recs[p].meta&isPinned == 0 {
+			t.Fatalf("vertex %d pinned in the map store, not in the csr store", v)
+		}
+	}
 	cCopies := map[EdgeCopy]bool{}
 	cs.Copies(func(c EdgeCopy) bool { cCopies[c] = true; return true })
 	n := 0
@@ -80,9 +89,12 @@ func fullCompare(t *testing.T, cs *Store, ms *MapStore) {
 
 // TestStoreEquivalenceProperty drives the CSR+delta store and the map
 // reference through randomized insert/delete/batch/pin/compact/migrate
-// sequences and asserts observational equivalence throughout. Vertex and
-// neighbour IDs draw from a small universe so deletes hit the swap-remove
-// path (map store) and the sealed delete-log path (CSR store) constantly.
+// sequences, with the vertex flags' calls (Pin, Unpin, DropVertex,
+// MarkActive, ClearActive, TakeActive) among them, and asserts
+// observational equivalence throughout. Vertex and neighbour IDs draw from
+// a small universe so deletes hit the swap-remove path (map store), the
+// sealed delete-log path (CSR store) and the index's backward-shift delete
+// constantly.
 func TestStoreEquivalenceProperty(t *testing.T) {
 	const (
 		seeds    = 20
@@ -106,7 +118,7 @@ func TestStoreEquivalenceProperty(t *testing.T) {
 		for op := 0; op < opsPer; op++ {
 			u := VertexID(rng.Intn(universe))
 			v := VertexID(rng.Intn(universe))
-			switch rng.Intn(10) {
+			switch rng.Intn(14) {
 			case 0, 1, 2, 3: // insert
 				dir := randDir()
 				if cs.AddEdge(u, v, dir) != ms.AddEdge(u, v, dir) {
@@ -162,6 +174,31 @@ func TestStoreEquivalenceProperty(t *testing.T) {
 					cs.AddEdge(c.Src, c.Dst, c.Dir)
 					ms.AddEdge(c.Src, c.Dst, c.Dir)
 				}
+			case 10: // a whole vertex leaves
+				co, ci := cs.DropVertex(u)
+				if mo, mi := ms.DropVertex(u); co != mo || ci != mi {
+					t.Fatalf("seed %d op %d: DropVertex(%d) csr=(%d,%d) map=(%d,%d)", seed, op, u, co, ci, mo, mi)
+				}
+			case 11: // activity, held or not
+				if rng.Intn(2) == 0 {
+					cs.MarkActive(u)
+					ms.MarkActive(u)
+				} else {
+					cs.ClearActive(u)
+					ms.ClearActive(u)
+				}
+				if cs.IsActive(u) != ms.IsActive(u) || cs.IsActive(v) != ms.IsActive(v) {
+					t.Fatalf("seed %d op %d: IsActive disagrees on %d or %d", seed, op, u, v)
+				}
+			case 12:
+				if ca, ma := cs.TakeActive(), ms.TakeActive(); !slices.Equal(ca, ma) {
+					t.Fatalf("seed %d op %d: TakeActive csr=%v map=%v", seed, op, ca, ma)
+				}
+			case 13: // a vertex comes and goes: the index's delete and re-insert
+				cs.AddEdge(u, v, Out)
+				ms.AddEdge(u, v, Out)
+				cs.RemoveEdge(u, v, Out)
+				ms.RemoveEdge(u, v, Out)
 			}
 			if rng.Intn(13) == 0 {
 				cs.Compact() // forced generation turnover mid-sequence

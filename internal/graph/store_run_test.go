@@ -18,6 +18,14 @@ func randomRun(rng *rand.Rand, universe, max int) []VertexID {
 	return run
 }
 
+// sealedRunOf returns v's sealed run in direction dir, its offset, and
+// whether it is all of v's neighbours there, as RunsInto reports them.
+func sealedRunOf(s *Store, v VertexID, dir Dir) (run []VertexID, off int, whole bool) {
+	var r VertexRuns
+	s.RunsInto(&r, v)
+	return r.Run[dir], r.Off[dir], r.Whole[dir]
+}
+
 // runAsEdge names the copy of neighbour w stored under key in direction dir.
 func runAsEdge(key, w VertexID, dir Dir) (u, v VertexID) {
 	if dir == In {
@@ -66,7 +74,7 @@ func compareRunStores(t *testing.T, bulk, edge *Store, ms *MapStore) {
 		for _, v := range s.VertexList() {
 			for _, dir := range []Dir{Out, In} {
 				nbrs := nbrsOf(s, v, dir)
-				if run, _, whole := s.SealedRun(v, dir); whole && !slices.Equal(run, nbrs) {
+				if run, _, whole := sealedRunOf(s, v, dir); whole && !slices.Equal(run, nbrs) {
 					t.Fatalf("vertex %d dir %d: sealed run %v reported whole, neighbours %v", v, dir, run, nbrs)
 				}
 			}
@@ -84,9 +92,9 @@ func compareRunStores(t *testing.T, bulk, edge *Store, ms *MapStore) {
 	if ba, ea := bulk.ActiveList(), edge.ActiveList(); !slices.Equal(ba, ea) {
 		t.Fatalf("active sets: bulk %v, per-edge %v", ba, ea)
 	}
-	for v := range bulk.pinEmpty {
-		if !bulk.HasVertex(v) {
-			t.Fatalf("pinned vertex %d missing from the bulk store", v)
+	for v := range ms.pinEmpty {
+		if p := bulk.find(v); p < 0 || bulk.recs[p].meta&isPinned == 0 {
+			t.Fatalf("pinned vertex %d missing from the bulk store, or not pinned there", v)
 		}
 	}
 }
@@ -126,7 +134,7 @@ func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 					run = nil
 				}
 				out, in := bulk.Degree(key)
-				held, _, _ := bulk.SealedRun(key, dir) // perhaps all delete-logged
+				held, _, _ := sealedRunOf(bulk, key, dir) // perhaps all delete-logged
 				sealing := len(run) > 0 && len(held) == 0 && (dir == Out && out == 0 || dir == In && in == 0)
 				compactions, sealedLen := bulk.Compactions(), bulk.SealedLen(dir)
 				want := 0
@@ -147,7 +155,7 @@ func TestRunEditsMatchPerEdgeModel(t *testing.T) {
 					sealings++
 					// An empty direction takes the run as its sealed run, at
 					// the end of the array, compacting nothing.
-					sealed, off, whole := bulk.SealedRun(key, dir)
+					sealed, off, whole := sealedRunOf(bulk, key, dir)
 					if !whole || !slices.Equal(sealed, run) || off != sealedLen || bulk.Compactions() != compactions {
 						t.Fatalf("seed %d op %d: AddRun(%d,%d,%v) into an empty direction left sealed %v at %d (whole %v, array was %d), %d compactions",
 							seed, op, key, dir, run, sealed, off, whole, sealedLen, bulk.Compactions()-compactions)
@@ -307,7 +315,7 @@ func TestRunEditCases(t *testing.T) {
 			t.Fatalf("DropVertex of a pinned vertex = (%d,%d), present=%v, %d out copies left", o, i, s.HasVertex(1), s.NumOutEdges())
 		}
 		s.Compact()
-		if !s.HasVertex(1) || s.OutDegree(1) != 0 {
+		if out, _ := s.Degree(1); !s.HasVertex(1) || out != 0 {
 			t.Fatal("pinned vertex lost across compaction after DropVertex")
 		}
 	})

@@ -9,6 +9,7 @@ package route
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -493,16 +494,17 @@ func (r *Router) ReplicaSetInto(v graph.VertexID, out []consistent.AgentID) []co
 // IsReplica reports whether id is one of v's replicas, without
 // materializing the set.
 func (r *Router) IsReplica(v graph.VertexID, id consistent.AgentID) bool {
+	_, replica := r.Placement(v, id)
+	return replica
+}
+
+// Placement is Split and IsReplica from one lookup.
+func (r *Router) Placement(v graph.VertexID, id consistent.AgentID) (split, replica bool) {
 	i, rt := r.lookup(v)
 	if rt == nil {
-		return r.members[i] == id
+		return false, r.members[i] == id
 	}
-	for _, a := range rt.set {
-		if a == id {
-			return true
-		}
-	}
-	return false
+	return rt.k > 1, slices.Contains(rt.set, id)
 }
 
 // Master returns v's master replica without allocating.
