@@ -209,9 +209,11 @@ type Agent struct {
 	partialFree                []map[graph.VertexID]partialEntry
 	partialsUsed, partialsHeld int
 	// plan is the routed adjacency scatter walks instead of probing the
-	// route table per edge; hubPartials and hubUpdates are the one frame per
+	// route table per edge, and dense its transpose a dense run folds
+	// along (dense.go); hubPartials and hubUpdates are the one frame per
 	// peer that split-vertex records are batched into (compute.go).
 	plan        routePlan
+	dense       densePlan
 	hubPartials []hubFrame
 	hubUpdates  []hubFrame
 

@@ -167,12 +167,18 @@ func (t *aggTable) grow() {
 
 // gather folds one message produced here into v's aggregate.
 func (t *aggTable) gather(prog algorithm.Program, v graph.VertexID, msg algorithm.Word) {
+	s := t.eager(prog, v)
+	s.agg = prog.Gather(s.agg, msg)
+}
+
+// eager returns v's slot for gathering into, its aggregate ZeroAgg if fresh.
+func (t *aggTable) eager(prog algorithm.Program, v graph.VertexID) *aggSlot {
 	s, _ := t.put(v)
 	if s.flags&slotEager == 0 {
 		s.flags |= slotEager
 		s.agg = prog.ZeroAgg()
 	}
-	s.agg = prog.Gather(s.agg, msg)
+	return s
 }
 
 // merge combines an aggregate some sender already gathered into the entry

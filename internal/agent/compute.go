@@ -251,6 +251,7 @@ func (a *Agent) processCompute() {
 	}
 	t.begin(setActive)
 	work := t.list[setWork]
+	a.syncDense(work)
 
 	self := consistent.AgentID(a.id)
 	shards := a.runSharded(len(work), func(s *computeShard, i int) {
@@ -473,6 +474,7 @@ func (a *Agent) trimScratch() {
 	if a.foldTab.spent() {
 		a.foldTab = aggTable{}
 	}
+	a.dense.trim()
 	if !keepScratch(a.partialsHeld, int(unsafe.Sizeof(partialEntry{})), a.partialsUsed) {
 		a.partialFree, a.partialsHeld = nil, 0
 	}
@@ -937,31 +939,17 @@ func (a *Agent) scatterRuns(b msgSink, v graph.VertexID, mv algorithm.Word, runs
 // store's cursor and resolves each edge as it goes.
 func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir graph.Dir, runs *graph.VertexRuns) {
 	adjust := a.run.adjust
-	if plan := a.plan.dir[dir]; plan != nil {
-		if run, off := runs.Run[dir], runs.Off[dir]; runs.Whole[dir] {
-			if len(run) == 0 {
-				return
-			}
-			plan = plan[off : off+len(run)]
-			if plan[0] == planUnset {
-				for i, w := range run {
-					plan[i] = planNoOwner
-					if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
-						plan[i] = uint8(dst)
-					}
+	if plan := a.routedRun(v, dir, runs); plan != nil {
+		for i, w := range runs.Run[dir] {
+			if dst := plan[i]; dst != planNoOwner {
+				val := mv
+				if adjust != nil {
+					val = adjustEdge(adjust, v, w, mv, dir)
 				}
+				b.add(int(dst), wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
 			}
-			for i, w := range run {
-				if dst := plan[i]; dst != planNoOwner {
-					val := mv
-					if adjust != nil {
-						val = adjustEdge(adjust, v, w, mv, dir)
-					}
-					b.add(int(dst), wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
-				}
-			}
-			return
 		}
+		return
 	}
 	// Value-type cursor, built in place: iteration over sealed run + delta
 	// tail with no per-vertex allocation or copy.
@@ -984,6 +972,27 @@ func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir g
 			b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
 		}
 	}
+}
+
+// routedRun returns the plan bytes of v's sealed run in direction dir, which
+// must be its whole neighbourhood there, resolving the run through the route
+// table the first time its leading byte reads unset. It returns nil when the
+// run is not whole or no plan covers the direction.
+func (a *Agent) routedRun(v graph.VertexID, dir graph.Dir, runs *graph.VertexRuns) []uint8 {
+	plan, run, off := a.plan.dir[dir], runs.Run[dir], runs.Off[dir]
+	if plan == nil || !runs.Whole[dir] {
+		return nil
+	}
+	plan = plan[off : off+len(run)]
+	if len(run) > 0 && plan[0] == planUnset {
+		for i, w := range run {
+			plan[i] = planNoOwner
+			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
+				plan[i] = uint8(dst)
+			}
+		}
+	}
+	return plan
 }
 
 // adjustEdge is mv as a per-edge-adjusting program sends it along the edge

@@ -21,16 +21,16 @@ import (
 // each work vertex once when it built the list and hands out slots, a worker
 // reads its vertex's record in place, and nothing inserts while workers run,
 // so no record moves; the step's mailbox table through its read-only
-// get/fold; router — a route-table hit takes no lock, a miss fills the table
-// under the router's own mutex) and WRITE into private computeShard
-// accumulators — and into two shared places where each worker owns what it
-// writes. A worker writes only the records of the vertices it was handed
+// get/fold; the dense plan's source bitmap; router — a route-table hit takes
+// no lock, a miss fills the table under the router's own mutex) and WRITE
+// into private computeShard accumulators — and into two shared places where
+// each worker owns what it writes. A worker writes only the records of the vertices it was handed
 // (their cached split-ness, Agent.split): a work list names a vertex once.
 // And it fills in the routed adjacency (routePlan) bytes of the sealed runs
 // of the vertices it scatters: one vertex is one worker's per phase and runs
 // do not overlap, so no two workers touch the same byte. The event loop
 // merges the shards after the pool joins, so every value install, mailbox
-// delivery, network send, gate transition, plan reset and view install
+// delivery, dense fold, network send, gate transition, plan reset and view install
 // (router.Update, which needs no lookup in flight) still happens
 // single-threaded. Externally the agent remains a shared-nothing
 // message-passing entity (§3.1).
@@ -332,7 +332,7 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self co
 	s.residual += r.prog.Residual(old, nw)
 	if act {
 		s.activeNext++
-		if r.final() {
+		if r.final() || a.dense.covers(i) {
 			return
 		}
 		var runs graph.VertexRuns
@@ -422,6 +422,10 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 		for i := range s.updates {
 			a.bufferUpdate(s.updates[i].at, &s.updates[i].vu)
 		}
+	}
+	first, gate := shards[0], []*ackGroup{a.phaseGate}
+	dense := a.foldDense(first, step, self)
+	for _, s := range shards {
 		for i, msgs := range s.bufs {
 			if len(msgs) == 0 {
 				continue
@@ -444,14 +448,31 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 	// The phase's hub records leave in one frame per peer and record type.
 	a.sendHubFrames(a.hubPartials, a.phaseGate)
 	a.sendHubFrames(a.hubUpdates, a.phaseGate)
-	first, gate := shards[0], []*ackGroup{a.phaseGate}
 	for i, dst := range first.members {
 		first.peak = max(first.peak, len(first.bufs[i]))
-		out := first.bufs[i][:0]
+		out, keep := first.bufs[i][:0], &first.bufs[i]
+		if dense && dst != self {
+			// The pushed messages, if any, gather onto the planned aggregates.
+			p, pushed := &a.dense, 0
+			planned := p.msgs[p.from[i]:p.from[i+1]]
+			for _, s := range shards {
+				pushed += len(s.bufs[i])
+			}
+			if pushed == 0 {
+				a.sendMsgs(dst, step, planned, gate...)
+				continue
+			}
+			out, keep = append(p.mixed[:0], planned...), &p.mixed
+			a.foldTab.reset()
+			for j := range out {
+				s, _ := a.foldTab.put(out[j].Target)
+				s.agg = algorithm.Word(j)
+			}
+		}
 		for _, s := range shards {
 			out = a.foldByTarget(out, s.bufs[i])
 		}
-		first.bufs[i] = out
+		*keep = out
 		a.sendMsgs(dst, step, out, gate...)
 	}
 	for _, s := range shards {

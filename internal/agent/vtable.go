@@ -57,6 +57,9 @@ type vertexTable struct {
 	gen   [2]uint16
 	list  [2][]uint32
 	view  uint16 // the current view stamp, shifted past viewAnswers; never 0 once built
+	// layout counts rebuilds: a slot index taken under one reading names
+	// the same record while it stands.
+	layout uint32
 }
 
 // probe returns the slot holding v, or the empty one that ends its probe run.
@@ -112,6 +115,7 @@ func (t *vertexTable) rebuild() {
 	if t.view == 0 {
 		t.view = viewAnswers + 1 // nor is a zero view stamp current
 	}
+	t.layout++
 	old, live := t.slots, 0
 	for i := range old {
 		if t.holds(&old[i]) {

@@ -39,6 +39,9 @@ func (PPR) Gather(agg, msg Word) Word { return FromF64(agg.F64() + msg.F64()) }
 // MergeAgg sums partial sums.
 func (p PPR) MergeAgg(a, b Word) Word { return p.Gather(a, b) }
 
+// GathersFloatSum implements FloatSum.
+func (PPR) GathersFloatSum() {}
+
 // Update applies the personalized recurrence: teleport mass goes to the
 // source only.
 func (PPR) Update(v graph.VertexID, _, agg Word, _ bool, ctx *Context) (Word, bool) {
@@ -68,3 +71,6 @@ func (PPR) SendsIn() bool { return false }
 
 // HaltOnQuiescence: PPR halts on steps/residual like PageRank.
 func (PPR) HaltOnQuiescence() bool { return false }
+
+// ReadsSource implements SourceReader: teleport mass goes to the source.
+func (PPR) ReadsSource() {}

@@ -122,6 +122,9 @@ func (PageRank) Gather(agg, msg Word) Word { return FromF64(agg.F64() + msg.F64(
 // MergeAgg sums partial sums.
 func (p PageRank) MergeAgg(a, b Word) Word { return p.Gather(a, b) }
 
+// GathersFloatSum implements FloatSum.
+func (PageRank) GathersFloatSum() {}
+
 // Update applies the PageRank recurrence and always reactivates.
 func (PageRank) Update(_ graph.VertexID, _, agg Word, _ bool, ctx *Context) (Word, bool) {
 	n := ctx.N
@@ -284,6 +287,9 @@ func (BFS) SendsIn() bool { return false }
 // HaltOnQuiescence implements Program.
 func (BFS) HaltOnQuiescence() bool { return true }
 
+// ReadsSource implements SourceReader: the traversal starts at the source.
+func (BFS) ReadsSource() {}
+
 // SSSP computes single-source shortest paths with deterministic synthetic
 // edge weights (derived from the endpoint IDs), exercising a non-uniform
 // relaxation workload without a weighted input format.
@@ -365,11 +371,50 @@ func (SSSP) SendsIn() bool { return false }
 // HaltOnQuiescence implements Program.
 func (SSSP) HaltOnQuiescence() bool { return true }
 
+// ReadsSource implements SourceReader: distances are from the source.
+func (SSSP) ReadsSource() {}
+
 // PerEdgeAdjuster is an optional Program extension for algorithms whose
 // message value depends on the specific edge (SSSP weights). Engines call
 // AdjustPerEdge as a message traverses edge (u,v).
 type PerEdgeAdjuster interface {
 	AdjustPerEdge(u, v graph.VertexID, value Word) Word
+}
+
+// FloatSum is an optional Program extension for algorithms whose Gather
+// adds float64 values (PageRank, PPR): GatherAt folds their messages with
+// float64 additions, in the same order, which gives Gather's bits.
+type FloatSum interface {
+	GathersFloatSum()
+}
+
+// GatherAt folds vals[k], for each k in at in order, onto agg with p's
+// Gather: an engine's fold of messages it holds by index.
+func GatherAt(p Program, agg Word, vals []Word, at []uint32) Word {
+	if _, sum := p.(FloatSum); sum {
+		f := agg.F64()
+		for _, k := range at {
+			f += vals[k].F64()
+		}
+		return FromF64(f)
+	}
+	for _, k := range at {
+		agg = p.Gather(agg, vals[k])
+	}
+	return agg
+}
+
+// SourceReader is an optional Program extension for algorithms whose
+// answer depends on Context.Source (BFS, SSSP, PPR): two runs of a program
+// without it from different sources compute the same thing.
+type SourceReader interface {
+	ReadsSource()
+}
+
+// ReadsSource reports whether p's answer depends on the run's source.
+func ReadsSource(p Program) bool {
+	_, ok := p.(SourceReader)
+	return ok
 }
 
 // Degree computes each vertex's total degree (in+out) in one superstep by

@@ -175,9 +175,9 @@ type migrationState struct {
 }
 
 // runOwner is a run that left vertex values behind: its program, its
-// source, and whether it converged. An incremental run continues those
-// values only if it is the same program from the same source, they
-// converged, and no delete came since.
+// source (0 for a program that reads none), and whether it converged. An
+// incremental run continues those values only if it is the same program
+// from the same source, they converged, and no delete came since.
 type runOwner struct {
 	algo      string
 	source    graph.VertexID
@@ -980,10 +980,14 @@ func (d *Directory) maybeStartRun() {
 	// run left. That reaches the from-scratch answer only if those values
 	// are its own program's, from its source, converged, and no delete has
 	// taken away what they were built from.
-	recomputed := !spec.FromScratch && (d.owner != runOwner{spec.Algo, spec.Source, true} || d.deleted)
+	source := spec.Source
+	if !algorithm.ReadsSource(prog) {
+		source = 0
+	}
+	recomputed := !spec.FromScratch && (d.owner != runOwner{spec.Algo, source, true} || d.deleted)
 	spec.FromScratch = spec.FromScratch || recomputed
 	d.deleted = false
-	d.owner = runOwner{algo: spec.Algo, source: spec.Source}
+	d.owner = runOwner{algo: spec.Algo, source: source}
 	now := d.ep.Now()
 	d.run = &runState{
 		req: pkt, spec: spec, quiesce: prog.HaltOnQuiescence(), recomputed: recomputed,

@@ -37,8 +37,10 @@ type Store struct {
 	tails map[VertexID]*tailRec
 
 	sealed [2][]VertexID // by Dir
-	// sealedVer moves whenever what SealedRuns enumerates may have changed.
-	sealedVer uint64
+	// sealedVer moves whenever what SealedRuns enumerates may have changed;
+	// edits counts every edit that changed a held copy, which a tail edit
+	// does without moving sealedVer.
+	sealedVer, edits uint64
 
 	num [2]int // live copies, by Dir
 
@@ -332,6 +334,10 @@ func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 // readings bracket the same enumeration.
 func (s *Store) SealedVersion() uint64 { return s.sealedVer }
 
+// Version moves whenever a held copy or the sealed layout may have changed,
+// tail edits included: two equal readings bracket the same runs and tails.
+func (s *Store) Version() uint64 { return s.sealedVer + s.edits }
+
 // sealedRun returns r's (possibly partially deleted) sealed run in direction d.
 func (s *Store) sealedRun(r *vertexSlot, d Dir) []VertexID {
 	return s.sealed[d][r.off[d] : r.off[d]+r.runLen(d)]
@@ -486,6 +492,7 @@ func (s *Store) AddEdge(u, v VertexID, dir Dir) bool {
 		s.tailOps++
 	}
 	s.num[dir]++
+	s.edits++
 	s.MaybeCompact()
 	return true
 }
@@ -509,6 +516,7 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 			t.add[dir] = list
 			s.tailOps--
 			s.num[dir]--
+			s.edits++
 			s.maybeDrop(p)
 			return true
 		}
@@ -527,6 +535,7 @@ func (s *Store) RemoveEdge(u, v VertexID, dir Dir) bool {
 	s.tailOps++
 	s.deadSealed++
 	s.num[dir]--
+	s.edits++
 	s.maybeDrop(p)
 	s.MaybeCompact()
 	return true
@@ -595,6 +604,7 @@ func (s *Store) editRun(key VertexID, dir Dir, nbrs []VertexID, remove bool) int
 	if !attached {
 		s.attach(p, t)
 	}
+	s.edits++
 	s.tailOps += grown - shrunk
 	if remove {
 		s.deadSealed += grown // newly delete-logged
@@ -672,6 +682,7 @@ func (s *Store) DropVertex(v VertexID) (out, in int) {
 	out, in = s.liveDegree(p, Out), s.liveDegree(p, In)
 	s.num[Out] -= out
 	s.num[In] -= in
+	s.edits++
 	if s.recs[p].meta&isPinned != 0 {
 		s.retire(p)
 	} else {

@@ -346,3 +346,36 @@ func TestRunEditCases(t *testing.T) {
 		}
 	})
 }
+
+// TestVersionMovesOnEveryEdit: Version moves on every edit that changes a
+// held copy or the sealed layout — tail inserts and deletes included, which
+// leave SealedVersion where it was — and stands on an edit that changes
+// nothing.
+func TestVersionMovesOnEveryEdit(t *testing.T) {
+	s := NewStore()
+	s.AddRun(1, Out, []VertexID{2, 3})
+	edits := []struct {
+		name  string
+		edit  func() bool
+		moves bool
+	}{
+		{"tail insert", func() bool { return s.AddEdge(1, 4, Out) }, true},
+		{"duplicate insert", func() bool { return s.AddEdge(1, 4, Out) }, false},
+		{"sealed delete", func() bool { return s.RemoveEdge(1, 2, Out) }, true},
+		{"tail delete", func() bool { return s.RemoveEdge(1, 4, Out) }, true},
+		{"absent delete", func() bool { return s.RemoveEdge(1, 9, Out) }, false},
+		{"run insert", func() bool { return s.AddRun(1, Out, []VertexID{5, 6}) == 2 }, true},
+		{"run delete", func() bool { return s.RemoveRun(1, Out, []VertexID{5}) == 1 }, true},
+		{"compaction", func() bool { s.Compact(); return true }, true},
+		{"drop", func() bool { out, _ := s.DropVertex(1); return out > 0 }, true},
+	}
+	for _, e := range edits {
+		before, sealed := s.Version(), s.SealedVersion()
+		if changed := e.edit(); changed != e.moves {
+			t.Fatalf("%s: changed the store %v", e.name, changed)
+		}
+		if moved := s.Version() != before; moved != e.moves {
+			t.Fatalf("%s: Version moved %v, want %v (SealedVersion %d → %d)", e.name, moved, e.moves, sealed, s.SealedVersion())
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"elga/internal/algorithm"
 	"elga/internal/client"
 	"elga/internal/gen"
 	"elga/internal/graph"
@@ -31,10 +32,15 @@ func incrementalGraph(seed int64) (held, batch graph.EdgeList) {
 //   - other-program: the program and another from scratch, the batch, then
 //     the other incrementally, so the values are the other's;
 //   - new-source: a run from vertex 0, the batch, then the run checked from
-//     another source.
+//     another source. WCC reads no source, so its values are still its own:
+//     that run must continue them and say it did not recompute.
 func TestIncrementalRunContinuesOnlyItsOwnState(t *testing.T) {
 	other := map[string]string{"wcc": "bfs", "bfs": "wcc", "sssp": "wcc"}
 	for _, algo := range []string{"wcc", "bfs", "sssp"} {
+		prog, err := algorithm.New(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for seed := int64(1); seed <= 3; seed++ {
 			held, batch := incrementalGraph(seed)
 			all := slices.Concat(held, batch)
@@ -66,7 +72,7 @@ func TestIncrementalRunContinuesOnlyItsOwnState(t *testing.T) {
 				{"new-source", batch[0].Src, func(c *cluster) bool {
 					c.algo(scratch)
 					c.apply(batch.Changes())
-					return batch[0].Src != 0
+					return batch[0].Src != 0 && algorithm.ReadsSource(prog)
 				}},
 			}
 			for _, tc := range cases {
@@ -78,6 +84,9 @@ func TestIncrementalRunContinuesOnlyItsOwnState(t *testing.T) {
 					c.check(algo, all, tc.source)
 					if foreign && !st.Recomputed {
 						t.Fatal("the incremental run continued values it does not own, and says it did not recompute")
+					}
+					if tc.name == "new-source" && !foreign && st.Recomputed {
+						t.Fatal("a new source made a program that reads none recompute values it owns")
 					}
 				})
 			}
