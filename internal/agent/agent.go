@@ -203,7 +203,14 @@ type Agent struct {
 	mailbox   map[uint32]*aggTable
 	tableFree []*aggTable
 	foldTab   aggTable
-	partials  map[uint32]map[graph.VertexID]partialEntry
+	// mergeOrder lists the phase's shard outputs in work-list order, and
+	// merged holds a destination's messages folded across several shards,
+	// mergedPeak the most it held since the last trim (mergeShards).
+	mergeOrder []stretch
+	merged     []wire.VertexMsg
+	mergedPeak int
+
+	partials map[uint32]map[graph.VertexID]partialEntry
 	// partialFree holds consumed per-step partial maps, emptied: the run held
 	// at most partialsUsed entries in one, any at most partialsHeld.
 	partialFree                []map[graph.VertexID]partialEntry

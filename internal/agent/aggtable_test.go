@@ -271,27 +271,49 @@ func TestMailboxDeliverRecycleDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkMailboxDeliver is one superstep's mailbox traffic on
-// pagerank-static's scale: 120k deliveries onto 16k keys, then recycle.
+// BenchmarkMailboxDeliver is one superstep's received mail on
+// pagerank-static's scale: 120k aggregates onto 16k held vertices, in
+// frames of 512, taken in as acceptAggs takes them, then consumed. The table
+// variant merges into the step's aggTable, checking each fresh target's
+// vertex record; dense merges into the vertex table's slot mail, as a dense
+// run's steps do while its plan stands: one vertex-table probe a message.
 func BenchmarkMailboxDeliver(b *testing.B) {
-	a := newLoopbackAgent(b, allocTestConfig(), 64)
-	installRun(a, algorithm.PageRank{}, 64)
-	rng := rand.New(rand.NewSource(1))
-	targets := make([]graph.VertexID, 120_000)
-	for i := range targets {
-		targets[i] = graph.VertexID(rng.Intn(16_384))
-	}
-	val := algorithm.FromF64(0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step := uint32(i)
-		mail, prog := a.mailFor(step), a.run.prog
-		for _, v := range targets {
-			mail.gather(prog, v, val)
-		}
-		delete(a.mailbox, step)
-		a.recycleMail(mail)
+	for _, mode := range []string{"table", "dense"} {
+		b.Run(mode, func(b *testing.B) {
+			a := newLoopbackAgent(b, allocTestConfig(), 64)
+			installRun(a, algorithm.PageRank{}, 64)
+			rng := rand.New(rand.NewSource(1))
+			msgs := make([]wire.VertexMsg, 120_000)
+			for i := range msgs {
+				msgs[i] = wire.VertexMsg{Target: graph.VertexID(rng.Intn(16_384)), Value: wire.Word(algorithm.FromF64(0.5))}
+			}
+			for v := graph.VertexID(0); v < 16_384; v++ {
+				a.verts.set(v, 0)
+			}
+			a.dense.layout = a.verts.layout // a plan stands for the dense run
+			a.dense.on = mode == "dense"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step := uint32(i)
+				if a.openMail(step) != a.dense.on {
+					b.Fatal("the slot mail did not open")
+				}
+				for k := 0; k < len(msgs); k += 512 {
+					bat := a.getBatcher(step)
+					a.acceptAggs(bat, msgs[k:min(k+512, len(msgs))])
+					a.putBatcher(bat)
+				}
+				if a.verts.mail.open != a.dense.on {
+					b.Fatal("the slot mail spilled")
+				}
+				if a.verts.mail.close(); a.mailbox[step] != nil {
+					a.recycleMail(a.mailbox[step])
+					delete(a.mailbox, step)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(msgs)), "ns/msg")
+		})
 	}
 }
 

@@ -150,6 +150,7 @@ func (a *Agent) checkpointNow(forced bool) {
 		}
 	}
 	var marks []wire.MailboxWatermark
+	a.spillMail()
 	if len(a.mailbox) > 0 {
 		marks = make([]wire.MailboxWatermark, 0, len(a.mailbox))
 		for step, t := range a.mailbox {

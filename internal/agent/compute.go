@@ -48,6 +48,8 @@ func (a *Agent) handleAlgoStart(pkt *wire.Packet) {
 		return
 	}
 	defer a.replayDeferred()
+	// A run that was never told done leaves its mail in its tables.
+	a.spillMail()
 	// The active set is the run's: the one before left nothing in it.
 	a.verts.begin(setActive)
 	if spec.FromScratch {
@@ -102,6 +104,7 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 		a.recycleMail(t)
 	}
 	clear(a.mailbox)
+	a.verts.mail.close()
 	for _, m := range a.partials {
 		a.recyclePartials(m)
 	}
@@ -225,7 +228,9 @@ func (a *Agent) processCompute() {
 	}
 	r.started = true
 
-	mail := a.mailbox[r.step]
+	// The step's mail is in its table or, in a dense run, held by slot.
+	t := &a.verts
+	mail, slotted := a.mailbox[r.step], t.mail.open && t.mail.step == r.step
 	delete(a.mailbox, r.step)
 
 	// Work list: active vertices plus everything with mail, plus any
@@ -233,7 +238,6 @@ func (a *Agent) processCompute() {
 	// once; workers get the slots. Always-active programs (PageRank) must
 	// also feed split-vertex partials every step so masters can rebuild total
 	// out-degrees.
-	t := &a.verts
 	t.begin(setWork)
 	for _, i := range t.list[setActive] {
 		if t.in(setActive, i) {
@@ -241,6 +245,11 @@ func (a *Agent) processCompute() {
 		}
 	}
 	mail.each(func(s *aggSlot) { t.mark(setWork, t.at(s.key)) })
+	if slotted {
+		for _, i := range t.mail.order {
+			t.mark(setWork, i)
+		}
+	}
 	for _, v := range a.store.TakeActive() {
 		t.mark(setWork, t.at(v))
 	}
@@ -255,8 +264,11 @@ func (a *Agent) processCompute() {
 
 	self := consistent.AgentID(a.id)
 	shards := a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, self)
+		a.computeVertex(s, work[i], mail, slotted, self)
 	})
+	if slotted {
+		t.mail.close() // read: the next step's mail may open there
+	}
 	a.mergeShards(shards, r.step+1, self)
 	a.recycleMail(mail)
 	r.doneLocal = true
@@ -474,7 +486,8 @@ func (a *Agent) trimScratch() {
 	if a.foldTab.spent() {
 		a.foldTab = aggTable{}
 	}
-	a.dense.trim()
+	a.merged, a.mergedPeak = trimmed(a.merged, a.mergedPeak), 0
+	a.trimDense()
 	if !keepScratch(a.partialsHeld, int(unsafe.Sizeof(partialEntry{})), a.partialsUsed) {
 		a.partialFree, a.partialsHeld = nil, 0
 	}
@@ -761,7 +774,9 @@ func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
 	if dst == b.self {
 		// Local delivery: this agent is the message's source, so it gathers
 		// straight into the mailbox.
-		b.local().gather(a.run.prog, m.Target, algorithm.Word(m.Value))
+		if !a.gatherSlot(b.step, m) {
+			b.local().gather(a.run.prog, m.Target, algorithm.Word(m.Value))
+		}
 		return
 	}
 	b.dstBufs.add(dst, m)
@@ -888,7 +903,7 @@ func (a *Agent) syncPlan() {
 	p.epoch, p.gen = epoch, gen
 	n, prog := a.router.NumAgents(), a.run.prog
 	usable := n > 0 && n <= planMembers
-	for dir, sends := range [2]bool{graph.Out: prog.SendsOut(), graph.In: prog.SendsIn()} {
+	for dir, sends := range sendDirs(prog) {
 		want := 0
 		if usable && sends {
 			want = a.store.SealedLen(graph.Dir(dir))
@@ -1014,9 +1029,13 @@ func (a *Agent) prog() algorithm.Program {
 }
 
 // mailFor returns the step's mailbox table, taking one off the free list
-// if the step has none yet. Callers resolve it once per batch and then
-// gather (messages produced here) or merge (aggregates received) into it.
+// if the step has none yet, and spilling the step's slot mail into it if it
+// has some. Callers resolve it once per batch and then gather (messages
+// produced here) or merge (aggregates received) into it.
 func (a *Agent) mailFor(step uint32) *aggTable {
+	if m := &a.verts.mail; m.open && m.step == step {
+		a.spillMail()
+	}
 	t := a.mailbox[step]
 	if t == nil {
 		if n := len(a.tableFree); n > 0 {
@@ -1083,16 +1102,33 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 
 // acceptAggs takes in a batch of aggregates for b's step. Those this agent
 // can serve (it is a replica of the target, or knows no better owner) merge
-// into the step's mailbox table, resolved once for the batch; the rest are
-// buffered in b, unchanged, for a replica of their target — the sender's
-// view was stale, any replica will do, and Via (one of the folded sources)
-// picks one. Only a target's first aggregate is looked up: a live entry is
-// one this agent serves under the installed view, every view change having
-// re-routed the others away (rerouteMail). The lookup reads the target's
-// vertex record, and asks the router at most once per view. It returns how
-// many it buffered; the caller sends them.
+// into the step's mail; the rest are buffered in b, unchanged, for a replica
+// of their target — the sender's view was stale, any replica will do, and Via
+// (one of the folded sources) picks one. Only a target's first aggregate is
+// checked: a live entry is one this agent serves under the installed view,
+// every view change having re-routed the others away (rerouteMail). While the
+// step's mail is held by slot, a message costs one vertex-table probe, and
+// the check reads the record's replica bit; the first target with no record
+// or no replica here spills the mail into the step's table, which takes the
+// rest. There a message costs the table's probe, and a fresh target's check
+// the vertex record's (replicaHere); the router is asked at most once per
+// view. It returns how many it buffered; the caller sends them.
 func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
-	mail, prog := b.local(), a.prog()
+	t, prog := &a.verts, a.prog()
+	if m := &t.mail; m.open && m.step == b.step {
+		for len(msgs) > 0 {
+			i := t.find(msgs[0].Target)
+			if i < 0 || !m.holds(uint32(i)) && a.placement(uint32(i))&viewReplica == 0 {
+				break
+			}
+			m.merge(prog, uint32(i), algorithm.Word(msgs[0].Value))
+			msgs = msgs[1:]
+		}
+		if len(msgs) == 0 {
+			return 0
+		}
+	}
+	mail := b.local()
 	for _, m := range msgs {
 		s, fresh := mail.put(m.Target)
 		if fresh && !a.replicaHere(m.Target) {
@@ -1106,6 +1142,21 @@ func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int)
 		mail.merge(prog, s, algorithm.Word(m.Value))
 	}
 	return forwarded
+}
+
+// gatherSlot gathers one message produced here into step's slot mail, if
+// the step's mail is held by slot and the target has a record, reporting
+// whether it did.
+func (a *Agent) gatherSlot(step uint32, msg wire.VertexMsg) bool {
+	t := &a.verts
+	if m := &t.mail; m.open && m.step == step {
+		if i := t.find(msg.Target); i >= 0 {
+			w := m.eager(a.run.prog, uint32(i))
+			*w = a.run.prog.Gather(*w, algorithm.Word(msg.Value))
+			return true
+		}
+	}
+	return false
 }
 
 // isReplicaOf reports whether this agent is in the target's replica set,

@@ -15,18 +15,27 @@ import (
 // quiescence and adjusts nothing per edge (PageRank, PPR). Its sources are
 // the work vertices that are not split and whose runs in every scattered
 // direction are whole, in vertex order; for each member it lists the distinct
-// targets their runs reach there, in first-seen order, each with its sources.
-// A dense compute step's workers update the sources without scattering; once
-// the values are installed, foldDense computes each source's message value
-// once and folds along the plan: what a message per edge folded by target gave,
-// byte for byte, with no message buffered and no table probe per edge. It is
-// built at a run's first compute step and again whenever the view epoch, the
-// store's version or the vertex table's layout moves.
+// targets their runs reach there, in first-seen order, each with its sources,
+// and for this agent's own targets their vertex-table slots. A dense compute
+// step's workers update the sources without scattering; once the values are
+// installed, foldDense computes each source's message value once and folds
+// along the plan: what a message per edge folded by target gave, byte for
+// byte, with no message buffered and no table probe per edge. The local
+// targets fold into the next step's slot mail (vertexTable.mail).
+//
+// The plan outlives its run. It is rebuilt only when what it was read from
+// moves: the program's send directions, the view epoch, the store's version,
+// the vertex table's layout, or — at a run's first step — the work list, which
+// must equal the one it was built over. So a run that follows a dense run on
+// an unchanged graph (PageRank again, PPR after PageRank) builds nothing; a
+// run that uses no plan lets it go (trimDense).
 type densePlan struct {
-	on, built     bool // on: the run is dense, the plan current; built: since the last trim
+	on, used      bool // on: the run is dense, the plan current; used: since the last trim
 	builds, folds int  // plans built and steps folded, for tests
 	run, layout   uint32
 	epoch, stored uint64
+	dirs          [2]bool  // the send directions it was built for
+	work          []uint32 // the work list it was built over
 
 	src   []uint32         // the sources' vertex-table slots
 	deg   []uint32         // their out-degrees
@@ -36,8 +45,12 @@ type densePlan struct {
 	from  []uint32         // member i's targets are msgs[from[i]:from[i+1]]
 	off   []uint32         // target g's sources are srcs[off[g]:off[g+1]]
 	srcs  []uint32         // source indices
+	local []uint32         // the slots of this agent's targets, noSlot if it had no record
 	mixed []wire.VertexMsg // a member's planned and pushed messages, folded
 }
+
+// noSlot marks a local target of the plan that had no vertex record.
+const noSlot = ^uint32(0)
 
 // covers reports whether the plan folds what the source at slot i sends.
 func (p *densePlan) covers(i uint32) bool { return p.on && p.has[i/64]&(1<<(i%64)) != 0 }
@@ -47,17 +60,17 @@ func (p *densePlan) fold(prog algorithm.Program, agg algorithm.Word, g uint32) a
 	return algorithm.GatherAt(prog, agg, p.mv, p.srcs[p.off[g]:p.off[g+1]])
 }
 
-// trim ends a run's hold on the plan (keepScratch): a run that built one
-// keeps what it used for the next, any other lets it all go.
-func (p *densePlan) trim() {
-	if !p.built {
-		*p = densePlan{builds: p.builds, folds: p.folds}
+// trimDense ends a run's hold on the dense plan: a run that used one keeps
+// it whole for the next (its fold scratch by keepScratch); any other lets
+// it, and the slot mail's arrays, go.
+func (a *Agent) trimDense() {
+	p, m := &a.dense, &a.verts.mail
+	if !p.used {
+		*p, *m = densePlan{builds: p.builds, folds: p.folds}, slotMail{}
 		return
 	}
-	p.src, p.deg, p.mv, p.has = trimmed(p.src, len(p.src)), trimmed(p.deg, len(p.deg)), trimmed(p.mv, len(p.mv)), trimmed(p.has, len(p.has))
-	p.msgs, p.mixed, p.from = trimmed(p.msgs, len(p.msgs)), trimmed(p.mixed, len(p.msgs)), trimmed(p.from, len(p.from))
-	p.off, p.srcs = trimmed(p.off, len(p.off)), trimmed(p.srcs, len(p.srcs))
-	p.on, p.built, p.run = false, false, 0
+	p.mixed = trimmed(p.mixed, len(p.msgs))
+	p.on, p.used = false, false
 }
 
 // sized returns s at length n, zeroed.
@@ -70,20 +83,34 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
+// sendDirs is which directions prog scatters along, indexed by graph.Dir.
+func sendDirs(prog algorithm.Program) (d [2]bool) {
+	d[graph.Out], d[graph.In] = prog.SendsOut(), prog.SendsIn()
+	return d
+}
+
 // syncDense brings the plan in line with the run, the view, the store and
 // the vertex table, on the event loop before a compute phase's workers start
 // on the work list.
 func (a *Agent) syncDense(work []uint32) {
 	p, r := &a.dense, a.run
+	dirs := sendDirs(r.prog)
 	p.on = !r.prog.HaltOnQuiescence() && r.adjust == nil
-	for dir, sends := range [2]bool{graph.Out: r.prog.SendsOut(), graph.In: r.prog.SendsIn()} {
+	for dir, sends := range dirs {
 		p.on = p.on && (!sends || a.plan.dir[dir] != nil)
 	}
-	epoch, stored, layout := a.router.Epoch(), a.store.Version(), a.verts.layout
-	if !p.on || p.run == r.id && p.epoch == epoch && p.stored == stored && p.layout == layout {
+	if !p.on {
 		return
 	}
-	p.run, p.epoch, p.stored, p.layout = r.id, epoch, stored, layout
+	p.used = true
+	epoch, stored, layout := a.router.Epoch(), a.store.Version(), a.verts.layout
+	if p.dirs == dirs && p.epoch == epoch && p.stored == stored && p.layout == layout &&
+		(p.run == r.id || slices.Equal(p.work, work)) {
+		p.run = r.id
+		return
+	}
+	p.run, p.epoch, p.stored, p.layout, p.dirs = r.id, epoch, stored, layout, dirs
+	p.work = append(p.work[:0], work...)
 	a.buildDense(work)
 }
 
@@ -96,7 +123,6 @@ func (a *Agent) syncDense(work []uint32) {
 func (a *Agent) buildDense(work []uint32) {
 	p, t, prog := &a.dense, &a.verts, a.run.prog
 	p.builds++
-	p.built = true
 	byKey := func(x, y uint32) int { return cmp.Compare(t.slots[x].key, t.slots[y].key) }
 	p.src = append(p.src[:0], work...)
 	if !slices.IsSortedFunc(p.src, byKey) {
@@ -108,7 +134,7 @@ func (a *Agent) buildDense(work []uint32) {
 	edges := make([][2]uint32, 0, len(a.plan.dir[graph.Out])+len(a.plan.dir[graph.In]))
 	members := make([]uint8, 0, cap(edges))
 	tabs := make([]aggTable, a.router.NumAgents())
-	sends := [2]bool{graph.Out: prog.SendsOut(), graph.In: prog.SendsIn()}
+	sends := sendDirs(prog)
 	kept := 0
 	for _, i := range p.src {
 		if a.placement(i)&viewSplit != 0 {
@@ -170,11 +196,22 @@ func (a *Agent) buildDense(work []uint32) {
 		p.srcs[s.agg] = k
 		s.agg++
 	}
+	p.local = p.local[:0]
+	if self := a.selfIndex(); self >= 0 {
+		for g := p.from[self]; g < p.from[self+1]; g++ {
+			slot := noSlot
+			if i := t.find(p.msgs[g].Target); i >= 0 {
+				slot = uint32(i)
+			}
+			p.local = append(p.local, slot)
+		}
+	}
 }
 
 // foldDense is a dense compute step's fold, run by mergeShards once the
-// values are installed: into the mailbox for this agent, and into the plan's
-// messages for every other member, which mergeShards sends. It reports
+// values are installed: into the next step's mail for this agent (foldLocal),
+// and into the plan's messages for every other member, which mergeShards
+// sends. It reports
 // whether it folded: not with the plan off, in another phase or the run's
 // final step, nor when a source did not activate — those that did push into s.
 func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID) bool {
@@ -211,11 +248,85 @@ func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID)
 			}
 			continue
 		}
-		mail := a.mailFor(step)
-		for g := lo; g < hi; g++ {
-			m := mail.eager(prog, p.msgs[g].Target)
-			m.agg = p.fold(prog, m.agg, g)
-		}
+		a.foldLocal(step, lo, hi)
 	}
 	return true
+}
+
+// foldLocal folds the plan's targets lo to hi, this agent's own, into step's
+// mail: through the slots the plan resolved once the step's slot mail is
+// open, else — and from the first target that had no record on — into the
+// step's table, as the push path's gathers did.
+func (a *Agent) foldLocal(step, lo, hi uint32) {
+	p, m, prog := &a.dense, &a.verts.mail, a.run.prog
+	g := lo
+	if a.openMail(step) {
+		for ; g < hi && p.local[g-lo] != noSlot; g++ {
+			w := m.eager(prog, p.local[g-lo])
+			*w = p.fold(prog, *w, g)
+		}
+	}
+	if g == hi {
+		return
+	}
+	mail := a.mailFor(step)
+	for ; g < hi; g++ {
+		s := mail.eager(prog, p.msgs[g].Target)
+		s.agg = p.fold(prog, s.agg, g)
+	}
+}
+
+// openMail reports whether step's mail is held by slot, moving it there if
+// it can: the run is dense, the plan matches the vertex table's layout, and
+// no other step's mail is there. What the step's table already holds moves
+// over in its order, provided every entry is an aggregate under the run (no
+// raw buffer, no dead entry) of a vertex with a record; else the step stays in
+// its table.
+func (a *Agent) openMail(step uint32) bool {
+	t, m := &a.verts, &a.verts.mail
+	if m.open || !a.dense.on || a.dense.layout != t.layout {
+		return m.open && m.step == step
+	}
+	tab := a.mailbox[step]
+	if tab != nil {
+		if tab.raw != nil || tab.live != len(tab.order) {
+			return false
+		}
+		for _, si := range tab.order {
+			if s := &tab.slots[si]; s.flags&slotEager == 0 || t.find(s.key) < 0 {
+				return false
+			}
+		}
+	}
+	m.size(len(t.slots))
+	m.open, m.step = true, step
+	if tab != nil {
+		for _, si := range tab.order {
+			s := &tab.slots[si]
+			i := uint32(t.find(s.key))
+			m.add(i)
+			m.agg[i] = s.agg
+		}
+		delete(a.mailbox, step)
+		a.recycleMail(tab)
+	}
+	return true
+}
+
+// spillMail moves the slot mail back into its step's table, in first-arrival
+// order, and closes it: a target it cannot hold arrived, or the step's mail
+// is about to be read or re-routed by key (a view install, a migration, a
+// checkpoint, a new run).
+func (a *Agent) spillMail() {
+	t, m := &a.verts, &a.verts.mail
+	if !m.open {
+		return
+	}
+	m.open = false
+	tab := a.mailFor(m.step)
+	for _, i := range m.order {
+		s, _ := tab.put(t.slots[i].key)
+		s.flags, s.agg = slotEager, m.agg[i]
+	}
+	m.close()
 }

@@ -30,13 +30,57 @@ func mailOf(t *aggTable) []mailEntry {
 	return out
 }
 
-// pushReference is what the push path sent and delivered for the step a
-// just computed: every work vertex, in vertex order, scatters its message
-// value into one shard; each remote member's messages fold by target
-// (concatFold) into one encoded TVertexMsgs payload, and the self-addressed
-// ones gather into a mailbox.
-func pushReference(a *Agent) (frames map[string][]byte, mail []mailEntry) {
-	t, r := &a.verts, a.run
+// stepMail is step's mail at a, wherever it is held: its table, or the
+// vertex table's slot mail, whose entries are all aggregates under the run.
+func stepMail(a *Agent, step uint32) []mailEntry {
+	if m := &a.verts.mail; m.open && m.step == step {
+		if a.mailbox[step] != nil {
+			panic(fmt.Sprintf("step %d's mail is in both stores", step))
+		}
+		var out []mailEntry
+		for _, i := range m.order {
+			out = append(out, mailEntry{a.verts.slots[i].key, m.agg[i], slotEager})
+		}
+		return out
+	}
+	return mailOf(a.mailbox[step])
+}
+
+// computeMatchesPush runs compute step at a and checks that it sent and
+// delivered what pushReference says the push path did: byte for byte if
+// exact, else the same targets with values within 1e-12.
+func computeMatchesPush(t *testing.T, a *Agent, rec *recorder, step uint32, exact bool) {
+	t.Helper()
+	sent := map[string]int{}
+	for addr, l := range rec.to {
+		sent[addr] = len(l.pkts)
+	}
+	advanceCompute(a, step)
+	frames, mail := pushReference(a)
+	n := 0
+	for addr, l := range rec.to {
+		for _, pkt := range l.pkts[sent[addr]:] {
+			if pkt.Type != wire.TVertexMsgs {
+				continue // a split hub's partial
+			}
+			if n++; exact && !bytes.Equal(pkt.Payload, frames[addr]) || !sameMsgs(pkt.Payload, frames[addr]) {
+				t.Fatalf("step %d: the frame to %s differs from the push path's", step, addr)
+			}
+		}
+	}
+	if n != len(frames) {
+		t.Fatalf("step %d sent %d frames, the push path %d", step, n, len(frames))
+	}
+	got := stepMail(a, step+1)
+	if exact && fmt.Sprint(got) != fmt.Sprint(mail) || !sameMail(got, mail) {
+		t.Fatalf("step %d: the mailbox holds %d entries unlike the push path's %d", step, len(got), len(mail))
+	}
+}
+
+// pushShard is what the push path scattered in the step a just computed:
+// every active vertex, in vertex order, into one shard.
+func pushShard(a *Agent) *computeShard {
+	t := &a.verts
 	var work []graph.VertexID
 	for _, i := range t.list[setActive] {
 		if t.in(setActive, i) {
@@ -49,6 +93,15 @@ func pushReference(a *Agent) (frames map[string][]byte, mail []mailEntry) {
 	for _, v := range work {
 		a.scatter(s, v, a.messageValue(v, stateOf(a, v)))
 	}
+	return s
+}
+
+// pushReference is what the push path sent and delivered for the step a
+// just computed: of pushShard's messages, each remote member's fold by
+// target (concatFold) into one encoded TVertexMsgs payload, and the
+// self-addressed ones gather into a mailbox.
+func pushReference(a *Agent) (frames map[string][]byte, mail []mailEntry) {
+	r, s := a.run, pushShard(a)
 	frames = map[string][]byte{}
 	var local aggTable
 	for i, dst := range s.members {
@@ -199,32 +252,10 @@ func TestDenseStepMatchesPush(t *testing.T) {
 							a.verts.at(k) // records that hold nothing, until the table moves every record
 						}
 					}
-					sent, folds := map[string]int{}, a.dense.folds
-					for addr, l := range rec.to {
-						sent[addr] = len(l.pkts)
-					}
-					advanceCompute(a, uint32(step))
+					folds := a.dense.folds
+					computeMatchesPush(t, a, rec, uint32(step), exact)
 					if a.dense.builds != builds || a.dense.folds != folds+1 && !rests {
 						t.Fatalf("step %d: %d plans built, want %d; %d dense folds", step, a.dense.builds, builds, a.dense.folds-folds)
-					}
-					frames, mail := pushReference(a)
-					n := 0
-					for addr, l := range rec.to {
-						for _, pkt := range l.pkts[sent[addr]:] {
-							if pkt.Type != wire.TVertexMsgs {
-								continue // a split hub's partial
-							}
-							if n++; exact && !bytes.Equal(pkt.Payload, frames[addr]) || !sameMsgs(pkt.Payload, frames[addr]) {
-								t.Fatalf("step %d: the frame to %s differs from the push path's", step, addr)
-							}
-						}
-					}
-					if n != len(frames) {
-						t.Fatalf("step %d sent %d frames, the push path %d", step, n, len(frames))
-					}
-					got := mailOf(a.mailbox[uint32(step)+1])
-					if exact && fmt.Sprint(got) != fmt.Sprint(mail) || !sameMail(got, mail) {
-						t.Fatalf("step %d: the mailbox holds %d entries unlike the push path's %d", step, len(got), len(mail))
 					}
 				}
 				if rests && (a.dense.folds == 0 || a.dense.folds == 7) {

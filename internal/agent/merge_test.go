@@ -67,6 +67,13 @@ func fillShards(rng *rand.Rand, prog algorithm.Program, shards []*computeShard, 
 // holding the self-addressed messages gathered in shard order.
 func checkMerge(t *testing.T, a *Agent, rec *recorder, shards []*computeShard, step uint32) {
 	t.Helper()
+	checkMergeAs(t, a, rec, shards, shards, step)
+}
+
+// checkMergeAs is checkMerge against the buffers of ref, concatenated in
+// order, in place of the merged shards'.
+func checkMergeAs(t *testing.T, a *Agent, rec *recorder, shards, ref []*computeShard, step uint32) {
+	t.Helper()
 	prog, self := a.run.prog, consistent.AgentID(a.id)
 	members := shards[0].members
 	var want [][]byte
@@ -74,7 +81,7 @@ func checkMerge(t *testing.T, a *Agent, rec *recorder, shards []*computeShard, s
 	var mail aggTable
 	for i, dst := range members {
 		var concat []wire.VertexMsg
-		for _, s := range shards {
+		for _, s := range ref {
 			concat = append(concat, s.bufs[i]...)
 		}
 		if dst == self {
@@ -107,11 +114,11 @@ func checkMerge(t *testing.T, a *Agent, rec *recorder, shards []*computeShard, s
 			t.Fatalf("frame %d to %s: %s payload %x, want %x", k, addr, pkt.Type, pkt.Payload, want[k])
 		}
 	}
-	var got, ref []aggSlot
+	var got, held []aggSlot
 	a.mailbox[step].each(func(s *aggSlot) { got = append(got, *s) })
-	mail.each(func(s *aggSlot) { ref = append(ref, *s) })
-	if fmt.Sprint(got) != fmt.Sprint(ref) {
-		t.Fatalf("mailbox for step %d holds %v, want %v", step, got, ref)
+	mail.each(func(s *aggSlot) { held = append(held, *s) })
+	if fmt.Sprint(got) != fmt.Sprint(held) {
+		t.Fatalf("mailbox for step %d holds %v, want %v", step, got, held)
 	}
 	for _, s := range shards {
 		for i, b := range s.bufs {
@@ -140,7 +147,8 @@ func mergeView(t *testing.T, a *Agent, epoch uint64, peers ...uint64) {
 // sum, WCC's min and the counting program whose Gather is not its MergeAgg;
 // for shards whose buffers outnumber the members after a view shrank (and
 // lose the extra ones at the run's end); and for the shards the forced
-// worker pool filled.
+// worker pool filled, whose messages concatenate in work-list order, not
+// shard order.
 func TestMergeShardsMatchesConcatFold(t *testing.T) {
 	for _, prog := range []algorithm.Program{algorithm.PageRank{}, algorithm.WCC{}, inDegreeProg{}} {
 		for n := 1; n <= 3; n++ {
@@ -210,7 +218,14 @@ func TestMergeShardsMatchesConcatFold(t *testing.T) {
 			if len(shards) != 4 {
 				t.Fatalf("the forced pool ran %d shards, want 4", len(shards))
 			}
-			checkMerge(t, a, rec, shards, step)
+			ref := &computeShard{}
+			ref.bind(shards[0].members)
+			for i := range items {
+				for _, it := range items[i] {
+					ref.add(it.dst, it.m)
+				}
+			}
+			checkMergeAs(t, a, rec, shards, []*computeShard{ref}, step)
 		}
 	})
 }

@@ -16,11 +16,13 @@ import (
 )
 
 // installView installs v in the router and, if it took, makes every vertex
-// record's cached split-ness stale.
+// record's cached split-ness stale and spills the slot mail, whose targets
+// the view may have moved, into its table.
 func (a *Agent) installView(v *wire.View) (bool, error) {
 	changed, err := a.router.Update(v)
 	if changed {
 		a.verts.restamp()
+		a.spillMail()
 	}
 	return changed, err
 }
@@ -239,6 +241,7 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// a mid-run joiner only learns the run at resume, after migrations —
 	// so without a program to fold them the raw aggregates are resent as
 	// they came.
+	a.spillMail()
 	for step, t := range a.mailbox {
 		b := a.getBatcher(step)
 		if sketchOnly {

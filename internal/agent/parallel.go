@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"cmp"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,8 +22,8 @@ import (
 // shared agent state (store; the vertex table, by index: the event loop probed
 // each work vertex once when it built the list and hands out slots, a worker
 // reads its vertex's record in place, and nothing inserts while workers run,
-// so no record moves; the step's mailbox table through its read-only
-// get/fold; the dense plan's source bitmap; router — a route-table hit takes
+// so no record moves; the step's mail, through its table's read-only
+// get/fold or by slot; the dense plan's source bitmap; router — a route-table hit takes
 // no lock, a miss fills the table under the router's own mutex) and WRITE
 // into private computeShard accumulators — and into two shared places where
 // each worker owns what it writes. A worker writes only the records of the vertices it was handed
@@ -180,6 +182,70 @@ type computeShard struct {
 	// destination agent (including self) and are delivered or sent at
 	// merge time.
 	dstBufs
+
+	// marks records where the shard's outputs for each stretch of the work
+	// list begin, in the order it filled them: the shard's place in the pool
+	// when handed out (getShards), then each chunk it ran (runSharded);
+	// bufMarks holds each mark's buffer lengths, len(bufs) a mark. A stretch
+	// ends where the shard's next mark begins, or at the outputs' end.
+	marks    []chunkMark
+	bufMarks []int32
+}
+
+// chunkMark is where a shard's outputs stood when it began a chunk.
+type chunkMark struct{ chunk, values, partialsLocal, partialsRemote, updates int32 }
+
+// at is where the shard's outputs stand, as chunk's beginning.
+func (s *computeShard) at(chunk int) chunkMark {
+	return chunkMark{int32(chunk), int32(len(s.values)), int32(len(s.partialsLocal)),
+		int32(len(s.partialsRemote)), int32(len(s.updates))}
+}
+
+// mark notes that the outputs for chunk begin here.
+func (s *computeShard) mark(chunk int) {
+	s.marks = append(s.marks, s.at(chunk))
+	for _, b := range s.bufs {
+		s.bufMarks = append(s.bufMarks, int32(len(b)))
+	}
+}
+
+// stretch is the outputs a shard filled from its k-th mark on.
+type stretch struct {
+	s *computeShard
+	k int
+}
+
+// span returns where the stretch's values, partials and updates begin and
+// end.
+func (x stretch) span() (lo, hi chunkMark) {
+	if s := x.s; x.k+1 < len(s.marks) {
+		return s.marks[x.k], s.marks[x.k+1]
+	}
+	return x.s.marks[x.k], x.s.at(-1)
+}
+
+// buf returns the stretch's messages for destination i.
+func (x stretch) buf(i int) []wire.VertexMsg {
+	s, w := x.s, len(x.s.bufs)
+	b := s.bufs[i]
+	if x.k+1 < len(s.marks) {
+		b = b[:s.bufMarks[(x.k+1)*w+i]]
+	}
+	return b[s.bufMarks[x.k*w+i]:]
+}
+
+// stretches lists the shards' outputs in work-list order, chunk by chunk
+// whichever shard ran it: the order one worker would have produced them in.
+func (a *Agent) stretches(shards []*computeShard) []stretch {
+	out := a.mergeOrder[:0]
+	for _, s := range shards {
+		for k := range s.marks {
+			out = append(out, stretch{s, k})
+		}
+	}
+	slices.SortStableFunc(out, func(x, y stretch) int { return cmp.Compare(x.s.marks[x.k].chunk, y.s.marks[y.k].chunk) })
+	a.mergeOrder = out
+	return out
 }
 
 func (s *computeShard) reset() {
@@ -194,15 +260,18 @@ func (s *computeShard) reset() {
 	for i := range s.bufs {
 		s.empty(i)
 	}
+	s.marks, s.bufMarks = s.marks[:0], s.bufMarks[:0]
 }
 
-// getShards returns w reusable shards, growing the pool on demand.
+// getShards returns w reusable shards, growing the pool on demand, each
+// marked with its place: filled by hand, they merge in that order.
 func (a *Agent) getShards(w int) []*computeShard {
 	for len(a.shards) < w {
 		a.shards = append(a.shards, &computeShard{})
 	}
-	for _, s := range a.shards[:w] {
+	for i, s := range a.shards[:w] {
 		s.bind(a.router.Agents())
+		s.mark(i)
 	}
 	return a.shards[:w]
 }
@@ -216,6 +285,7 @@ func (a *Agent) runSharded(n int, fn func(s *computeShard, i int)) []*computeSha
 	shards := a.getShards(w)
 	if w <= 1 {
 		s := shards[0]
+		s.mark(0)
 		for i := 0; i < n; i++ {
 			fn(s, i)
 		}
@@ -223,7 +293,8 @@ func (a *Agent) runSharded(n int, fn func(s *computeShard, i int)) []*computeSha
 	}
 	// Chunked work stealing off a shared cursor: small chunks balance
 	// skewed scatter costs (hub vertices), the atomic amortizes over the
-	// chunk.
+	// chunk. Each shard marks where a chunk's outputs begin, so the merge
+	// takes them in work-list order whatever the schedule was.
 	chunk := n / (w * 4)
 	if chunk < 1 {
 		chunk = 1
@@ -245,6 +316,7 @@ func (a *Agent) runSharded(n int, fn func(s *computeShard, i int)) []*computeSha
 				if end > n {
 					end = n
 				}
+				s.mark(base / chunk)
 				for i := base; i < end; i++ {
 					fn(s, i)
 				}
@@ -288,13 +360,21 @@ func (a *Agent) placement(i uint32) uint16 {
 }
 
 // computeVertex runs the compute-phase duty for the work vertex at slot i
-// into s: replica-partial forwarding for split vertices, or the full gather
-// → update → scatter cycle for locally owned ones, read from the store once.
-// The run's final step scatters nothing.
-func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self consistent.AgentID) {
+// into s, its mail read from the step's table or, slotted, by slot:
+// replica-partial forwarding for split vertices, or the full gather → update
+// → scatter cycle for locally owned ones, read from the store once. The run's
+// final step scatters nothing.
+func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, slotted bool, self consistent.AgentID) {
 	r := a.run
 	v := a.verts.slots[i].key
-	entry := mail.get(v)
+	agg, have := r.prog.ZeroAgg(), false
+	if slotted {
+		if m := &a.verts.mail; m.holds(i) {
+			agg, have = m.agg[i], true
+		}
+	} else if entry := mail.get(v); entry != nil {
+		agg, have = mail.fold(r.prog, entry), true
+	}
 	if a.placement(i)&viewSplit != 0 {
 		s.splitWork = true
 		// Replica duty: forward the local partial to the master.
@@ -302,12 +382,9 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self co
 		p := wire.ReplicaPartial{
 			Step:        r.step,
 			Vertex:      v,
-			Agg:         wire.Word(r.prog.ZeroAgg()),
+			Agg:         wire.Word(agg),
+			HaveMsgs:    have,
 			LocalOutDeg: uint64(out),
-		}
-		if entry != nil {
-			p.Agg = wire.Word(mail.fold(r.prog, entry))
-			p.HaveMsgs = true
 		}
 		master, ok := a.router.Master(v)
 		if !ok {
@@ -321,11 +398,6 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, self co
 		return
 	}
 	// Non-split vertex: the full gather→update→scatter cycle.
-	agg := r.prog.ZeroAgg()
-	have := false
-	if entry != nil {
-		agg, have = mail.fold(r.prog, entry), true
-	}
 	old := a.peekValue(i)
 	nw, act := r.prog.Update(v, old, agg, have, &r.ctx)
 	s.values = append(s.values, valueWrite{i: i, active: act, w: nw})
@@ -395,69 +467,96 @@ func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self c
 // mergeShards folds worker results back into run/agent state on the
 // event-loop goroutine: value installs, activity, partial stashes, gated
 // sends, and the delivery of the messages scattered for step all happen
-// here, under the same phase gate the sequential path uses. After the hub
-// frames, each remote destination's messages fold across the shards, in
-// order, into the first shard's buffer, and leave from there in one frame.
+// here, under the same phase gate the sequential path uses, and in work-list
+// order (stretches): chunk by chunk, whichever worker ran it, then what the
+// dense fold pushed. So the answer does not follow the steal schedule. After
+// the hub frames, each remote destination's messages fold across the
+// stretches, in order, into one buffer — the single shard's own, in place,
+// or the agent's merge buffer — and leave from there in one frame.
 func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent.AgentID) {
 	r, t := a.run, &a.verts
 	for _, s := range shards {
-		for _, vw := range s.values {
-			t.setAt(vw.i, vw.w)
-			if vw.active {
-				t.mark(setActive, vw.i)
-			}
-		}
 		r.residual += s.residual
 		r.activeNext += s.activeNext
 		if s.splitWork {
 			r.splitWork = true
 		}
-		for i := range s.partialsLocal {
-			p := &s.partialsLocal[i]
+	}
+	for _, x := range a.stretches(shards) {
+		s := x.s
+		lo, hi := x.span()
+		for _, vw := range s.values[lo.values:hi.values] {
+			t.setAt(vw.i, vw.w)
+			if vw.active {
+				t.mark(setActive, vw.i)
+			}
+		}
+		for _, p := range s.partialsLocal[lo.partialsLocal:hi.partialsLocal] {
 			a.stashPartial(p.Step, p.Vertex, algorithm.Word(p.Agg), p.HaveMsgs, p.LocalOutDeg)
 		}
-		for i := range s.partialsRemote {
-			a.bufferPartial(s.partialsRemote[i].at, &s.partialsRemote[i].p)
+		for i := range s.partialsRemote[lo.partialsRemote:hi.partialsRemote] {
+			ps := &s.partialsRemote[int(lo.partialsRemote)+i]
+			a.bufferPartial(ps.at, &ps.p)
 		}
-		for i := range s.updates {
-			a.bufferUpdate(s.updates[i].at, &s.updates[i].vu)
+		for i := range s.updates[lo.updates:hi.updates] {
+			us := &s.updates[int(lo.updates)+i]
+			a.bufferUpdate(us.at, &us.vu)
 		}
 	}
+	// What the dense fold pushes follows every chunk.
 	first, gate := shards[0], []*ackGroup{a.phaseGate}
+	first.mark(math.MaxInt32)
 	dense := a.foldDense(first, step, self)
+	order := a.stretches(shards)
 	for _, s := range shards {
 		for i, msgs := range s.bufs {
-			if len(msgs) == 0 {
-				continue
+			if len(msgs) > 0 && a.opts.CommAccounting {
+				a.account(s.members[i] == self, uint64(len(msgs)))
 			}
-			dst := s.members[i]
-			if a.opts.CommAccounting {
-				a.account(dst == self, uint64(len(msgs)))
+		}
+	}
+	for i, dst := range first.members {
+		if dst != self {
+			continue
+		}
+		// This agent is the messages' source: gather, into the step's slot
+		// mail or its table.
+		for _, x := range order {
+			msgs := x.buf(i)
+			for len(msgs) > 0 && a.gatherSlot(step, msgs[0]) {
+				msgs = msgs[1:]
 			}
-			if dst == self {
-				// This agent is the messages' source: gather, into the
-				// step's table resolved once for the buffer.
+			if len(msgs) > 0 {
 				mail, prog := a.mailFor(step), r.prog
 				for _, m := range msgs {
 					mail.gather(prog, m.Target, algorithm.Word(m.Value))
 				}
-				s.empty(i)
 			}
+		}
+		for _, s := range shards {
+			s.empty(i)
 		}
 	}
 	// The phase's hub records leave in one frame per peer and record type.
 	a.sendHubFrames(a.hubPartials, a.phaseGate)
 	a.sendHubFrames(a.hubUpdates, a.phaseGate)
 	for i, dst := range first.members {
+		if dst == self {
+			continue
+		}
+		pushed := 0
+		for _, s := range shards {
+			pushed += len(s.bufs[i])
+		}
 		first.peak = max(first.peak, len(first.bufs[i]))
 		out, keep := first.bufs[i][:0], &first.bufs[i]
-		if dense && dst != self {
+		if len(shards) > 1 {
+			out, keep = a.merged[:0], &a.merged
+		}
+		if dense {
 			// The pushed messages, if any, gather onto the planned aggregates.
-			p, pushed := &a.dense, 0
+			p := &a.dense
 			planned := p.msgs[p.from[i]:p.from[i+1]]
-			for _, s := range shards {
-				pushed += len(s.bufs[i])
-			}
 			if pushed == 0 {
 				a.sendMsgs(dst, step, planned, gate...)
 				continue
@@ -469,10 +568,12 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 				s.agg = algorithm.Word(j)
 			}
 		}
-		for _, s := range shards {
-			out = a.foldByTarget(out, s.bufs[i])
+		for _, x := range order {
+			out = a.foldByTarget(out, x.buf(i))
 		}
-		*keep = out
+		if *keep = out; keep == &a.merged {
+			a.mergedPeak = max(a.mergedPeak, len(out))
+		}
 		a.sendMsgs(dst, step, out, gate...)
 	}
 	for _, s := range shards {

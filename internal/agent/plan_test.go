@@ -268,7 +268,7 @@ func pooledCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
 	var msgs []emitted
 	var parts []partialOf
 	for _, s := range a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, self)
+		a.computeVertex(s, work[i], mail, false, self)
 	}) {
 		for dst, ms := range s.bufs {
 			for _, m := range ms {

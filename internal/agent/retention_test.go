@@ -56,6 +56,7 @@ func eachScratch(a *Agent, fn func(p unsafe.Pointer, bytes int)) {
 		table(t)
 	}
 	table(&a.foldTab)
+	piece(fn, a.merged)
 	for _, m := range a.partialFree {
 		fn(reflect.ValueOf(m).UnsafePointer(), a.partialsHeld*int(unsafe.Sizeof(partialEntry{})))
 	}

@@ -60,6 +60,70 @@ type vertexTable struct {
 	// layout counts rebuilds: a slot index taken under one reading names
 	// the same record while it stands.
 	layout uint32
+	mail   slotMail
+}
+
+// slotMail is one step's mailbox held by vertex-table slot instead of in an
+// aggTable, while a dense run's plan stands (Agent.openMail): the same
+// entries, aggregate bits and first-arrival order the step's table would
+// hold, reached through the target's record rather than a second hash
+// probe. It holds no raw and no dead entries, and a rebuild carries it
+// along with the records. Its arrays are allocated when a dense run first
+// opens it and dropped with the plan (Agent.trimDense).
+type slotMail struct {
+	open  bool
+	step  uint32
+	agg   []algorithm.Word // by slot
+	has   []uint64         // which slots hold an entry
+	order []uint32         // those slots, in first-arrival order
+}
+
+// holds reports whether the slot at i has an entry.
+func (m *slotMail) holds(i uint32) bool { return m.has[i/64]&(1<<(i%64)) != 0 }
+
+// add enters slot i, reporting whether it was fresh.
+func (m *slotMail) add(i uint32) bool {
+	if m.holds(i) {
+		return false
+	}
+	m.has[i/64] |= 1 << (i % 64)
+	m.order = append(m.order, i)
+	return true
+}
+
+// merge combines an aggregate some sender already gathered into slot i's
+// entry: aggTable.merge under a run.
+func (m *slotMail) merge(prog algorithm.Program, i uint32, agg algorithm.Word) {
+	if m.add(i) {
+		m.agg[i] = agg
+		return
+	}
+	m.agg[i] = prog.MergeAgg(m.agg[i], agg)
+}
+
+// eager returns slot i's aggregate for gathering into, ZeroAgg if fresh:
+// aggTable.eager.
+func (m *slotMail) eager(prog algorithm.Program, i uint32) *algorithm.Word {
+	if m.add(i) {
+		m.agg[i] = prog.ZeroAgg()
+	}
+	return &m.agg[i]
+}
+
+// size fits the arrays to a table of n slots, every entry gone.
+func (m *slotMail) size(n int) {
+	if len(m.agg) != n {
+		m.agg, m.has = make([]algorithm.Word, n), make([]uint64, (n+63)/64)
+	}
+}
+
+// close empties the mail, keeping its arrays.
+func (m *slotMail) close() {
+	for _, i := range m.order {
+		m.has[i/64] = 0
+	}
+	m.order = m.order[:0]
+	m.open = false
 }
 
 // probe returns the slot holding v, or the empty one that ends its probe run.
@@ -103,9 +167,10 @@ func (t *vertexTable) holds(r *vertexRec) bool {
 }
 
 // rebuild moves the records that hold something into fresh slots at most 3/8
-// full and repoints the set lists at them. Records that hold nothing — what
-// del leaves of a departed vertex, work vertices that never got a state — are
-// dropped, so the table is sized by what is live, whatever passed through it.
+// full and repoints the set lists and open slot mail at them. Records that
+// hold nothing — what del leaves of a departed vertex, work vertices that
+// never got a state — are dropped unless they have mail, so the table is sized
+// by what is live, whatever passed through it.
 func (t *vertexTable) rebuild() {
 	for k, g := range t.gen {
 		if g == 0 {
@@ -116,9 +181,10 @@ func (t *vertexTable) rebuild() {
 		t.view = viewAnswers + 1 // nor is a zero view stamp current
 	}
 	t.layout++
-	old, live := t.slots, 0
+	old, live, m := t.slots, 0, &t.mail
+	keep := func(i int) bool { return t.holds(&old[i]) || m.open && m.holds(uint32(i)) }
 	for i := range old {
-		if t.holds(&old[i]) {
+		if keep(i) {
 			live++
 		}
 	}
@@ -129,9 +195,19 @@ func (t *vertexTable) rebuild() {
 	t.slots, t.used = make([]vertexRec, n), live
 	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
 	for i := range old {
-		if r := &old[i]; t.holds(r) {
-			j, _ := t.probe(r.key)
-			t.slots[j] = *r
+		if keep(i) {
+			j, _ := t.probe(old[i].key)
+			t.slots[j] = old[i]
+		}
+	}
+	if m.open {
+		agg := m.agg
+		m.agg, m.has = nil, nil
+		m.size(n)
+		for k, oi := range m.order {
+			j := uint32(t.find(old[oi].key))
+			m.has[j/64] |= 1 << (j % 64)
+			m.agg[j], m.order[k] = agg[oi], j
 		}
 	}
 	for k := range t.list {

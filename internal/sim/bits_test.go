@@ -67,15 +67,21 @@ func TestPageRankBitsMatchPush(t *testing.T) {
 	}
 }
 
-// TestPageRankBitsIndependentOfWorkers: with no vertex split, PageRank's
-// answer is the same bits whether one worker or four run each phase, since
-// the fold's order is the plan's, not the steal schedule's.
+// TestPageRankBitsIndependentOfWorkers: PageRank's answer is the same bits
+// whether one worker or four run each phase, with no vertex split and with
+// the hubs split: a dense step folds in the plan's order, and every merge
+// takes the workers' outputs in work-list order, not the steal schedule's.
 func TestPageRankBitsIndependentOfWorkers(t *testing.T) {
-	for i, want := range pushBits["test"] {
-		t.Run(fmt.Sprintf("seed-%d", i+1), func(t *testing.T) {
-			if got := pagerankBits(t, testConfig(), int64(i+1), 4); got != want {
-				t.Fatalf("PageRank at 4 workers hashes to %s, want %s", got, want)
-			}
-		})
+	for _, c := range []struct {
+		prefix, pins string
+		cfg          config.Config
+	}{{"", "test", testConfig()}, {"split/", "split", splitConfig()}} {
+		for i, want := range pushBits[c.pins] {
+			t.Run(fmt.Sprintf("%sseed-%d", c.prefix, i+1), func(t *testing.T) {
+				if got := pagerankBits(t, c.cfg, int64(i+1), 4); got != want {
+					t.Fatalf("PageRank at 4 workers hashes to %s, want %s", got, want)
+				}
+			})
+		}
 	}
 }
