@@ -247,14 +247,13 @@ type Agent struct {
 	scratchVMB wire.VertexMsgBatch
 	scratchEB  wire.EdgeBatch
 
-	// Reusable intra-phase state (parallel.go) and batcher free lists, kept
-	// while runs use them (trimScratch) so steady-state supersteps stop
-	// allocating on the scatter path.
+	// Reusable intra-phase state (parallel.go), the first shard also the
+	// sequential scatters' and the async engine's (seqShard), kept while
+	// runs use it (trimScratch) so steady-state supersteps stop allocating
+	// on the scatter path.
 	shards      []*computeShard
 	combineKeys []graph.VertexID // the combine phase's vertices, sorted,
 	combineVals []partialEntry   // and their partials, parallel to its work list
-	batcherFree []*msgBatcher
-	asyncFree   []*asyncBatcher
 
 	migratedEpoch uint64 // last epoch whose migration round we voted in
 	// peers holds the addresses of the last membership handleView installed:
@@ -263,7 +262,8 @@ type Agent struct {
 	// departed are the addresses the membership changes since the last
 	// round closed dropped. A graceful leaver's migration batches arrive
 	// after the view that drops it, and acking them makes a new peer; the
-	// round's halting Advance, which follows every such ack, retires it.
+	// round's closing Advance (PhaseMigrate), which follows every such ack,
+	// retires it.
 	departed    []string
 	mig         migScratch // the migration round's reusable buffers
 	fwd         migScratch // forwarding misplaced runs' reusable buffers
@@ -528,10 +528,10 @@ func (a *Agent) runLoop(inbox <-chan *wire.Packet) {
 		a.copyCount.Store(0)
 		a.vertexCount.Store(0)
 		a.storeBytes.Store(0)
-		// The free lists and parked votes point back at the agent. Without
-		// them it is part of no cycle, so a finalizer — how the tests watch
-		// for whatever still holds a departed agent — can see it die.
-		a.batcherFree, a.asyncFree, a.pendingVotes = nil, nil, nil
+		// The parked votes point back at the agent. Without them it is part
+		// of no cycle, so a finalizer — how the tests watch for whatever
+		// still holds a departed agent — can see it die.
+		a.pendingVotes = nil
 	}()
 	for pkt := range inbox {
 		if !a.Handle(pkt) {

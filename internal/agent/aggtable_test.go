@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"elga/internal/algorithm"
-	"elga/internal/checkpoint"
 	"elga/internal/consistent"
 	"elga/internal/graph"
 	"elga/internal/wire"
@@ -220,33 +219,6 @@ func TestFlushFoldsByTarget(t *testing.T) {
 	}
 }
 
-// TestMailboxWatermarkCountsLiveEntries: a checkpoint's mailbox watermark
-// reports the entries still pending, not the ones re-routed away.
-func TestMailboxWatermarkCountsLiveEntries(t *testing.T) {
-	a := newLoopbackAgent(t, allocTestConfig(), 64)
-	installRun(a, algorithm.WCC{}, 64)
-	sink, err := checkpoint.NewDirSink(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.ckpt.cfg = checkpoint.Config{Enabled: true, Key: "wm", EverySteps: 1 << 30}
-	a.ckpt.writer = checkpoint.NewWriter(sink, "wm")
-	mail := a.mailFor(6)
-	for v := graph.VertexID(1); v <= 3; v++ {
-		mail.mergeKey(a.run.prog, v, algorithm.Word(v))
-	}
-	mail.kill(mail.get(2))
-	a.checkpointNow(true)
-	a.closeCheckpoint()
-	st, err := checkpoint.Load(sink, "wm")
-	if err != nil || st == nil {
-		t.Fatalf("load: %v %v", st, err)
-	}
-	if len(st.Watermarks) != 1 || st.Watermarks[0].Step != 6 || st.Watermarks[0].Count != 2 {
-		t.Fatalf("watermarks = %+v, want one for step 6 counting 2 live entries", st.Watermarks)
-	}
-}
-
 // TestMailboxDeliverRecycleDoesNotAllocate: once a step's table has grown
 // to its working size, a deliver-everything-then-recycle cycle — what every
 // superstep does to its mailbox — touches the heap not at all.
@@ -300,9 +272,9 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 					b.Fatal("the slot mail did not open")
 				}
 				for k := 0; k < len(msgs); k += 512 {
-					bat := a.getBatcher(step)
-					a.acceptAggs(bat, msgs[k:min(k+512, len(msgs))])
-					a.putBatcher(bat)
+					s := a.seqShard()[0]
+					a.acceptAggs(s, step, msgs[k:min(k+512, len(msgs))])
+					s.reset()
 				}
 				if a.verts.mail.open != a.dense.on {
 					b.Fatal("the slot mail spilled")

@@ -59,10 +59,9 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 }
 
 // TestSuperstepScatterPathAllocs bounds steady-state compute-phase
-// allocations: with the route table, pooled batchers, and reusable phase
-// shards warm, a whole superstep over 256 vertices should stay within a
-// small constant of allocations (map growth internals), not O(vertices)
-// or O(edges).
+// allocations: with the route table and reusable phase shards warm, a
+// whole superstep over 256 vertices should stay within a small constant of
+// allocations (map growth internals), not O(vertices) or O(edges).
 func TestSuperstepScatterPathAllocs(t *testing.T) {
 	cfg := allocTestConfig()
 	const n = 256
@@ -153,7 +152,7 @@ func TestCombineHubsAllocs(t *testing.T) {
 		advanceCombine(a, step)
 		step++
 	}
-	combine() // warms the shards, the batcher, the partial map and the frame hints
+	combine() // warms the shards, the partial map and the frame hints
 	combine()
 	if allocs := testing.AllocsPerRun(20, combine); allocs > 32 {
 		t.Fatalf("a combine phase over 64 hubs allocates %v times, want <= 32", allocs)
@@ -167,7 +166,7 @@ func TestCombineHubsAllocs(t *testing.T) {
 
 // TestValueUpdateFrameAllocs is the replica side's ceiling: one frame of 64
 // scatter-bearing value updates installs 64 states and scatters 256 edges
-// through one batcher, one flush and one ack group.
+// through one shard, one delivery and one ack group.
 func TestValueUpdateFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")

@@ -35,15 +35,14 @@ func (a *Agent) startAsync() {
 	if r.spec.FromScratch {
 		a.initStates()
 	}
-	b := a.getAsyncBatcher()
-	a.announceSeeds(b, func(v graph.VertexID, mv algorithm.Word) { a.asyncScatter(b, v, mv) })
-	b.flush()
-	a.putAsyncBatcher(b)
+	s, self := a.bindAsync()
+	a.announceSeeds(s, func(v graph.VertexID, mv algorithm.Word) { a.asyncScatter(s, v, mv, self) })
+	a.flushAsync(s, self)
 }
 
-// handleAsyncMsgs processes an asynchronous message batch immediately:
-// gather → update → scatter per message, counting receipts for the
-// quiescence protocol.
+// handleAsyncMsgs processes an asynchronous message batch immediately,
+// message by message (asyncMsg), counting receipts for the quiescence
+// protocol.
 func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 	r := a.run
 	if r == nil || !r.spec.Async {
@@ -52,128 +51,35 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 		// happens for traffic from a previous run's tail.
 		return
 	}
-	b := a.getAsyncBatcher()
+	s, self := a.bindAsync()
 	for _, m := range batch.Msgs {
-		v := graph.VertexID(m.Target)
-		r.asyncReceived++
-		if !a.isReplicaOf(v) {
-			// Stale routing: forward, unprocessed, to the best-known
-			// destination.
-			if dst, ok := a.router.EdgeOwnerIndex(v, graph.VertexID(m.Via)); ok && dst != b.self {
-				b.dstBufs.add(dst, m)
-				continue
-			}
-		}
-		old := a.valueOf(v)
-		agg := r.prog.Gather(r.prog.ZeroAgg(), algorithm.Word(m.Value))
-		nw, act := r.prog.Update(v, old, agg, true, &r.ctx)
-		if nw == old && !act {
-			continue
-		}
-		a.verts.set(v, nw)
-		if act {
-			mv := a.messageValue(v, nw)
-			a.asyncScatter(b, v, mv)
-		}
+		a.asyncMsg(s, m, self)
 	}
-	b.flush()
-	a.putAsyncBatcher(b)
+	a.flushAsync(s, self)
 }
 
-// asyncScatter sends v's message value along its local edges and, for
-// split vertices, gossips the new state to the other replicas.
-func (a *Agent) asyncScatter(b *asyncBatcher, v graph.VertexID, mv algorithm.Word) {
-	r := a.run
-	if r.prog.SendsOut() {
-		for it := a.store.OutCursor(v); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
-			val := mv
-			if r.adjust != nil {
-				val = r.adjust.AdjustPerEdge(v, w, val)
-			}
-			if dst, ok := a.router.EdgeOwnerIndex(w, v); ok {
-				b.add(dst, wire.VertexMsg{Target: w, Via: v, Value: wire.Word(val)})
-			}
-		}
-	}
-	if r.prog.SendsIn() {
-		for it := a.store.InCursor(v); ; {
-			u, ok := it.Next()
-			if !ok {
-				break
-			}
-			val := mv
-			if r.adjust != nil {
-				val = r.adjust.AdjustPerEdge(u, v, val)
-			}
-			if dst, ok := a.router.EdgeOwnerIndex(u, v); ok {
-				b.add(dst, wire.VertexMsg{Target: u, Via: v, Value: wire.Word(val)})
-			}
-		}
-	}
-	// Replica gossip: monotone programs converge replica state by
-	// re-delivering the improved value as an ordinary message.
-	if a.router.Split(v) {
-		state, _ := a.verts.get(v)
-		for _, rep := range a.router.ReplicaSet(v) {
-			if at, ok := a.router.MemberIndex(rep); ok && at != b.self {
-				b.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(state)})
-			}
-		}
-	}
+// bindAsync readies an async handler: the routed adjacency in line with the
+// view and the store, and the shard it scatters into (seqShard). It returns
+// the shard and this agent's member index, -1 when the view lacks it.
+func (a *Agent) bindAsync() (*computeShard, int) {
+	a.syncPlan()
+	return a.seqShard()[0], a.selfIndex()
 }
 
-// asyncBatcher groups outgoing async messages per destination in the
-// buffers the synchronous sinks use, indexed by member position. Unlike the
-// synchronous batcher, sends are unacknowledged: the sent/received counters
-// provide the termination guarantee instead.
-type asyncBatcher struct {
-	agent *Agent
-	self  int // this agent's member index; -1 when the view lacks it
-	dstBufs
-}
-
-// getAsyncBatcher pops a batcher off the agent's free list and binds it to
-// the installed view. A free list (rather than one scratch instance) is
-// required because processAsyncLocal nests batchers: a local delivery
-// mid-flush opens a fresh one.
-func (a *Agent) getAsyncBatcher() *asyncBatcher {
-	var b *asyncBatcher
-	if n := len(a.asyncFree); n > 0 {
-		b = a.asyncFree[n-1]
-		a.asyncFree = a.asyncFree[:n-1]
-	} else {
-		b = &asyncBatcher{agent: a}
-	}
-	b.bind(a.router.Agents())
-	b.self = a.selfIndex()
-	return b
-}
-
-func (a *Agent) putAsyncBatcher(b *asyncBatcher) {
-	a.asyncFree = append(a.asyncFree, b)
-}
-
-func (b *asyncBatcher) add(dst int, m wire.VertexMsg) {
-	if dst == b.self {
-		// Local delivery is processed inline; it still counts as one
-		// sent and one received message so the global sums balance.
-		b.agent.run.asyncSent++
-		b.agent.processAsyncLocal(m)
-		return
-	}
-	b.dstBufs.add(dst, m)
-}
-
-// processAsyncLocal handles one self-addressed message inline, which may
-// recursively enqueue into the active batcher via a fresh one.
-func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
-	r := a.run
-	v := graph.VertexID(m.Target)
+// asyncMsg is the async engine's one per-message body, for a received
+// message and a self-addressed one alike: gather → update → scatter into s.
+// A message for a vertex this agent holds no replica of — the sender routed
+// under an older view — is forwarded, unprocessed, to the best-known
+// destination.
+func (a *Agent) asyncMsg(s *computeShard, m wire.VertexMsg, self int) {
+	r, v := a.run, m.Target
 	r.asyncReceived++
+	if !a.isReplicaOf(v) {
+		if dst, ok := a.router.EdgeOwnerIndex(v, m.Via); ok && dst != self {
+			s.add(dst, m)
+			return
+		}
+	}
 	old := a.valueOf(v)
 	agg := r.prog.Gather(r.prog.ZeroAgg(), algorithm.Word(m.Value))
 	nw, act := r.prog.Update(v, old, agg, true, &r.ctx)
@@ -182,32 +88,54 @@ func (a *Agent) processAsyncLocal(m wire.VertexMsg) {
 	}
 	a.verts.set(v, nw)
 	if act {
-		b := a.getAsyncBatcher()
-		mv := a.messageValue(v, nw)
-		a.asyncScatter(b, v, mv)
-		b.flush()
-		a.putAsyncBatcher(b)
+		a.asyncScatter(s, v, a.messageValue(v, nw), self)
 	}
 }
 
-func (b *asyncBatcher) flush() {
-	a := b.agent
-	for i, msgs := range b.bufs {
-		if len(msgs) == 0 {
+// asyncScatter scatters v's message value into s as a superstep does
+// (scatter) and, for a split vertex, gossips its new state to the other
+// replicas: monotone programs converge replica state by re-delivering the
+// improved value as an ordinary message.
+func (a *Agent) asyncScatter(s *computeShard, v graph.VertexID, mv algorithm.Word, self int) {
+	a.scatter(s, v, mv)
+	if a.router.Split(v) {
+		state, _ := a.verts.get(v)
+		for _, rep := range a.router.ReplicaSet(v) {
+			if at, ok := a.router.MemberIndex(rep); ok && at != self {
+				s.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(state)})
+			}
+		}
+	}
+}
+
+// flushAsync ends an async handler. The messages its scatters addressed to
+// this agent form a queue, processed in order by asyncMsg, which may append
+// more; each counts as one sent and one received, so the global sums
+// balance. Then every peer's messages leave in one frame, unacknowledged:
+// the sent/received counters provide the termination guarantee instead.
+// s is left empty.
+func (a *Agent) flushAsync(s *computeShard, self int) {
+	r := a.run
+	if self >= 0 {
+		for k := 0; k < len(s.bufs[self]); k++ {
+			r.asyncSent++
+			a.asyncMsg(s, s.bufs[self][k], self)
+		}
+	}
+	for i, msgs := range s.bufs {
+		if len(msgs) == 0 || i == self {
 			continue
 		}
-		// Entries reset in place: the encoder copied msgs into the frame,
-		// so the backing array is immediately reusable.
-		b.empty(i)
-		addr, ok := a.router.AddrOf(b.members[i])
+		addr, ok := a.router.AddrOf(s.members[i])
 		if !ok {
 			continue
 		}
-		a.run.asyncSent += uint64(len(msgs))
+		r.asyncSent += uint64(len(msgs))
 		_ = a.ep.SendFrame(addr, wire.AppendVertexMsgBatch(
 			a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Async: true, Msgs: msgs}))
 	}
+	s.reset()
 }
 
 // handleAsyncProbe answers a quiescence probe with the current counters.

@@ -149,18 +149,10 @@ func (a *Agent) checkpointNow(forced bool) {
 			states = append(states, st)
 		}
 	}
-	var marks []wire.MailboxWatermark
-	a.spillMail()
-	if len(a.mailbox) > 0 {
-		marks = make([]wire.MailboxWatermark, 0, len(a.mailbox))
-		for step, t := range a.mailbox {
-			marks = append(marks, wire.MailboxWatermark{RunID: runID, Step: step, Count: uint32(t.live)})
-		}
-	}
 	prevSealed, prevGen := w.LastSealedRef()
 	snap := &checkpoint.Snapshot{
 		Meta:     meta,
-		Segments: checkpoint.BuildSegments(a.store, states, marks, prevSealed, prevGen),
+		Segments: checkpoint.BuildSegments(a.store, states, prevSealed, prevGen),
 	}
 	accepted := forced
 	if forced {

@@ -90,8 +90,8 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	if err != nil || a.run == nil || done.RunID != a.run.id {
 		return
 	}
-	// Retransmission can reorder TAlgoDone ahead of the halting Advance;
-	// close any phase/barrier span still open so neither outlives the run.
+	// The run's last vote left a barrier span open, and an interrupted
+	// phase may have left its span: close both so neither outlives the run.
 	a.phaseSpan.End()
 	a.phaseSpan = trace.ActiveSpan{}
 	a.barrierSpan.End()
@@ -122,18 +122,15 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 		// Migration-complete broadcast: leavers may exit once drained.
 		// When the whole membership left at once there is no destination
 		// for the data — the cluster is shutting down, so exit anyway.
-		if adv.Halt && a.leaving &&
-			(a.store.NumEdgeCopies() == 0 || a.router.NumAgents() == 0) {
+		if a.leaving && (a.store.NumEdgeCopies() == 0 || a.router.NumAgents() == 0) {
 			a.readyToExit = true
 		}
-		if adv.Halt {
-			for _, addr := range a.departed {
-				if !a.peers[addr] { // not back under a new identity
-					a.retirePeer(addr)
-				}
+		for _, addr := range a.departed {
+			if !a.peers[addr] { // not back under a new identity
+				a.retirePeer(addr)
 			}
-			a.departed = a.departed[:0]
 		}
+		a.departed = a.departed[:0]
 		return
 	}
 	r := a.run
@@ -142,21 +139,11 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 		// dropped TAlgoStart can be redelivered after the step-0 Advance
 		// (retransmission reorders frames). Discarding would wedge the
 		// barrier — the coordinator never re-sends an Advance — so park
-		// it for handleAlgoStart to replay. Halting Advances of finished
-		// runs need no replay.
-		if !adv.Halt && adv.RunID != 0 && (r == nil || adv.RunID > r.id) {
+		// it for handleAlgoStart to replay.
+		if adv.RunID != 0 && (r == nil || adv.RunID > r.id) {
 			a.pendingAdv = adv
 			a.pendingAdvCtx = tctx
 		}
-		return
-	}
-	if adv.Halt {
-		// The directory closes runs with a halting Advance followed by
-		// TAlgoDone; state is retained there. The barrier-wait span from
-		// the final vote ends on this boundary — otherwise it would
-		// dangle into the next run and record the inter-run gap.
-		a.barrierSpan.End()
-		a.barrierSpan = trace.ActiveSpan{}
 		return
 	}
 	if adv.Phase == wire.PhaseAsyncProbe {
@@ -278,18 +265,17 @@ func (a *Agent) processCompute() {
 // seedStep is step 0 of an incremental run: the seeds announce and nothing
 // else runs, no vertex having mail yet. What they send counts as activity,
 // so the directory does not halt the run before step 1 reads it. As the
-// run's final step it counts the same announcements and sends none.
+// run's final step it counts the same announcements and sends none: the
+// shard is emptied, not delivered.
 func (a *Agent) seedStep() {
-	r := a.run
-	b := a.getBatcher(1)
-	var sink msgSink = b
-	scatterAll := func(v graph.VertexID, mv algorithm.Word) { a.scatter(b, v, mv) }
+	r, shards := a.run, a.seqShard()
+	s := shards[0]
+	r.activeNext += a.announceSeeds(s, func(v graph.VertexID, mv algorithm.Word) { a.scatter(s, v, mv) })
 	if r.final() {
-		sink, scatterAll = discard{}, func(graph.VertexID, algorithm.Word) {}
+		s.reset()
+	} else {
+		a.deliver(shards, 1, false, a.phaseGate)
 	}
-	r.activeNext += a.announceSeeds(sink, scatterAll)
-	b.flush(a.phaseGate)
-	a.putBatcher(b)
 	r.doneLocal = true
 	a.maybeReady()
 }
@@ -313,7 +299,7 @@ func (a *Agent) messageValue(v graph.VertexID, w algorithm.Word) algorithm.Word 
 // vertices — every seed announces along all its edges through scatterAll,
 // the engine's own scatter. It returns how many announcements it made: a
 // copy each on the logged path, a vertex each otherwise.
-func (a *Agent) announceSeeds(b msgSink, scatterAll func(v graph.VertexID, mv algorithm.Word)) (announced uint64) {
+func (a *Agent) announceSeeds(b *computeShard, scatterAll func(v graph.VertexID, mv algorithm.Word)) (announced uint64) {
 	r, t := a.run, &a.verts
 	fresh, logged := a.store.TakeFresh()
 	if logged && !r.spec.FromScratch {
@@ -476,12 +462,6 @@ func (a *Agent) trimScratch() {
 		s.peak = used
 		s.trim(n)
 	}
-	for _, b := range a.batcherFree {
-		b.trim(n)
-	}
-	for _, b := range a.asyncFree {
-		b.trim(n)
-	}
 	a.tableFree = slices.DeleteFunc(a.tableFree, (*aggTable).spent)
 	if a.foldTab.spent() {
 		a.foldTab = aggTable{}
@@ -623,7 +603,7 @@ func (a *Agent) handlePartial(pkt *wire.Packet) bool {
 
 // handleValueUpdate installs a frame of masters' combined states and
 // scatters the local out-copies of those that ask for it, all into one
-// batcher flushed once. The frame's ack is deferred until those scatters are
+// shard delivered once. The frame's ack is deferred until those scatters are
 // acked, so the master's phase gate transitively covers every scatter its
 // frame caused; a frame that scattered nothing is acked at once.
 func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
@@ -632,8 +612,9 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 	}
 	a.syncPlan()
 	r := a.run
-	var b *msgBatcher
+	var shards []*computeShard
 	var g *ackGroup
+	var step uint32
 	n, _ := wire.ValueUpdateCount(pkt.Payload) // malformed: no records
 	for i := 0; i < n; i++ {
 		vu := wire.ValueUpdateAt(pkt.Payload, i)
@@ -642,20 +623,20 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 			continue
 		}
 		// One frame's records share a step as sent; nothing here relies on it.
-		if b == nil {
-			b, g = a.getBatcher(vu.Step+1), &ackGroup{origin: pkt}
-		} else if b.step != vu.Step+1 {
-			b.flush(g)
-			b.rebind(vu.Step + 1)
+		if shards == nil {
+			shards, g = a.seqShard(), &ackGroup{origin: pkt}
+		} else if step != vu.Step+1 {
+			a.deliver(shards, step, false, g)
+			shards = a.seqShard()
 		}
-		a.scatter(b, vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
+		step = vu.Step + 1
+		a.scatter(shards[0], vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
 	}
-	if b == nil {
+	if shards == nil {
 		a.ep.Ack(pkt)
 		return false
 	}
-	b.flush(g)
-	a.putBatcher(b)
+	a.deliver(shards, step, false, g)
 	a.sealGroup(g)
 	return true
 }
@@ -715,73 +696,6 @@ func (a *Agent) sealGroup(g *ackGroup) {
 	}
 }
 
-// discard is the sink of a step whose messages nobody reads.
-type discard struct{}
-
-func (discard) add(int, wire.VertexMsg) {}
-
-// msgBatcher accumulates scattered messages per destination agent and
-// flushes them as batched TVertexMsgs sends. Batchers live on the
-// agent's free list: the per-destination slices are reset in place
-// across flushes instead of reallocated (the frame-pool discipline).
-type msgBatcher struct {
-	agent *Agent
-	step  uint32
-	mail  *aggTable // the step's mailbox table, resolved at the first local delivery
-	self  int       // this agent's member index; -1 when the view lacks it
-	dstBufs
-}
-
-// rebind points the (flushed) batcher at another step.
-func (b *msgBatcher) rebind(step uint32) { b.step, b.mail = step, nil }
-
-// local returns the mailbox table messages for this agent are delivered
-// into, resolved once per hand-out rather than per message.
-func (b *msgBatcher) local() *aggTable {
-	if b.mail == nil {
-		b.mail = b.agent.mailFor(b.step)
-	}
-	return b.mail
-}
-
-// getBatcher pops a reusable batcher off the free list and binds it to the
-// installed view.
-func (a *Agent) getBatcher(step uint32) *msgBatcher {
-	var b *msgBatcher
-	if n := len(a.batcherFree); n > 0 {
-		b = a.batcherFree[n-1]
-		a.batcherFree = a.batcherFree[:n-1]
-	} else {
-		b = &msgBatcher{agent: a}
-	}
-	b.rebind(step)
-	b.bind(a.router.Agents())
-	b.self = a.selfIndex()
-	return b
-}
-
-// putBatcher returns a flushed batcher to the free list. The batcher
-// must not be used after this call until getBatcher hands it out again.
-func (a *Agent) putBatcher(b *msgBatcher) {
-	a.batcherFree = append(a.batcherFree, b)
-}
-
-func (b *msgBatcher) add(dst int, m wire.VertexMsg) {
-	a := b.agent
-	if a.opts.CommAccounting {
-		a.account(dst == b.self, 1)
-	}
-	if dst == b.self {
-		// Local delivery: this agent is the message's source, so it gathers
-		// straight into the mailbox.
-		if !a.gatherSlot(b.step, m) {
-			b.local().gather(a.run.prog, m.Target, algorithm.Word(m.Value))
-		}
-		return
-	}
-	b.dstBufs.add(dst, m)
-}
-
 // account adds n scattered messages to the local or the remote total. It
 // counts logical messages, one per traversed edge, whatever the combiner
 // later folds them into; remote bytes are counted where frames are encoded
@@ -794,28 +708,9 @@ func (a *Agent) account(local bool, n uint64) {
 	}
 }
 
-// flush combines, then sends: each destination's buffered messages are
-// gathered by target (mergeShards' fold, of one buffer), so what leaves is
-// one aggregate per (destination, target) however many edges produced it.
-func (b *msgBatcher) flush(groups ...*ackGroup) {
-	for i, msgs := range b.bufs {
-		b.peak = max(b.peak, len(msgs))
-		b.bufs[i] = b.agent.foldByTarget(msgs[:0], msgs)
-	}
-	b.send(groups...)
-}
-
-// send ships every non-empty buffer as one batch of aggregates.
-func (b *msgBatcher) send(groups ...*ackGroup) {
-	for i, dst := range b.members {
-		b.agent.sendMsgs(dst, b.step, b.bufs[i], groups...)
-		b.empty(i)
-	}
-}
-
 // sendMsgs ships msgs, if any, to dst as one batch of step's aggregates,
 // resolving dst's address here, once, rather than per entry.
-func (a *Agent) sendMsgs(dst consistent.AgentID, step uint32, msgs []wire.VertexMsg, groups ...*ackGroup) {
+func (a *Agent) sendMsgs(dst consistent.AgentID, step uint32, msgs []wire.VertexMsg, g *ackGroup) {
 	addr, ok := a.addrFor(dst, len(msgs))
 	if len(msgs) == 0 || !ok {
 		return
@@ -828,7 +723,7 @@ func (a *Agent) sendMsgs(dst consistent.AgentID, step uint32, msgs []wire.Vertex
 	if a.opts.CommAccounting {
 		a.remoteBytes.Add(uint64(len(frame)))
 	}
-	a.sendGatedFrame(addr, frame, groups...)
+	a.sendGatedFrame(addr, frame, g)
 }
 
 // foldByTarget gathers msgs by Target onto out, the same destination's
@@ -926,16 +821,16 @@ func (a *Agent) syncPlan() {
 }
 
 // scatter sends v's message value along its locally stored edges, in the
-// directions the program uses. The sink is the event-loop batcher on
-// sequential paths and a worker-private shard during parallel phases.
-func (a *Agent) scatter(b msgSink, v graph.VertexID, mv algorithm.Word) {
+// directions the program uses, into b: a worker-private shard during
+// parallel phases, the sequential shard (seqShard) elsewhere.
+func (a *Agent) scatter(b *computeShard, v graph.VertexID, mv algorithm.Word) {
 	var runs graph.VertexRuns
 	a.store.RunsInto(&runs, v)
 	a.scatterRuns(b, v, mv, &runs)
 }
 
 // scatterRuns is scatter for a caller that has read v's runs already.
-func (a *Agent) scatterRuns(b msgSink, v graph.VertexID, mv algorithm.Word, runs *graph.VertexRuns) {
+func (a *Agent) scatterRuns(b *computeShard, v graph.VertexID, mv algorithm.Word, runs *graph.VertexRuns) {
 	if a.run.prog.SendsOut() {
 		a.scatterDir(b, v, mv, graph.Out, runs)
 	}
@@ -952,7 +847,7 @@ func (a *Agent) scatterRuns(b msgSink, v graph.VertexID, mv algorithm.Word, runs
 // disjoint byte ranges and the fill needs no lock. A vertex with tail edits
 // in this direction — or any vertex while the plan is nil — iterates the
 // store's cursor and resolves each edge as it goes.
-func (a *Agent) scatterDir(b msgSink, v graph.VertexID, mv algorithm.Word, dir graph.Dir, runs *graph.VertexRuns) {
+func (a *Agent) scatterDir(b *computeShard, v graph.VertexID, mv algorithm.Word, dir graph.Dir, runs *graph.VertexRuns) {
 	adjust := a.run.adjust
 	if plan := a.routedRun(v, dir, runs); plan != nil {
 		for i, w := range runs.Run[dir] {
@@ -1083,26 +978,25 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 		a.handleAsyncMsgs(batch)
 		return false
 	}
-	b := a.getBatcher(batch.Step)
-	forwarded := a.acceptAggs(b, batch.Msgs)
+	s := a.seqShard()[0]
+	forwarded := a.acceptAggs(s, batch.Step, batch.Msgs)
 	if forwarded == 0 {
 		// Pure-accept path: everything landed in the local mailbox, so the
 		// ack fires immediately and no group is allocated.
-		a.putBatcher(b)
+		s.reset()
 		a.ep.Ack(pkt)
 		return false
 	}
 	atomic.AddUint64(&a.statForwarded, uint64(forwarded))
 	g := &ackGroup{origin: pkt}
-	b.send(g)
-	a.putBatcher(b)
+	a.sendBufs(s, batch.Step, g)
 	a.sealGroup(g)
 	return true
 }
 
-// acceptAggs takes in a batch of aggregates for b's step. Those this agent
-// can serve (it is a replica of the target, or knows no better owner) merge
-// into the step's mail; the rest are buffered in b, unchanged, for a replica
+// acceptAggs takes in a batch of aggregates for step. Those this agent can
+// serve (it is a replica of the target, or knows no better owner) merge into
+// the step's mail; the rest are buffered in s, unchanged, for a replica
 // of their target — the sender's view was stale, any replica will do, and Via
 // (one of the folded sources) picks one. Only a target's first aggregate is
 // checked: a live entry is one this agent serves under the installed view,
@@ -1113,9 +1007,9 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 // rest. There a message costs the table's probe, and a fresh target's check
 // the vertex record's (replicaHere); the router is asked at most once per
 // view. It returns how many it buffered; the caller sends them.
-func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int) {
+func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg) (forwarded int) {
 	t, prog := &a.verts, a.prog()
-	if m := &t.mail; m.open && m.step == b.step {
+	if m := &t.mail; m.open && m.step == step {
 		for len(msgs) > 0 {
 			i := t.find(msgs[0].Target)
 			if i < 0 || !m.holds(uint32(i)) && a.placement(uint32(i))&viewReplica == 0 {
@@ -1128,18 +1022,18 @@ func (a *Agent) acceptAggs(b *msgBatcher, msgs []wire.VertexMsg) (forwarded int)
 			return 0
 		}
 	}
-	mail := b.local()
+	mail, self := a.mailFor(step), a.selfIndex()
 	for _, m := range msgs {
-		s, fresh := mail.put(m.Target)
+		e, fresh := mail.put(m.Target)
 		if fresh && !a.replicaHere(m.Target) {
-			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != b.self {
-				mail.kill(s)
-				b.dstBufs.add(dst, m)
+			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != self {
+				mail.kill(e)
+				s.add(dst, m)
 				forwarded++
 				continue
 			}
 		}
-		mail.merge(prog, s, algorithm.Word(m.Value))
+		mail.merge(prog, e, algorithm.Word(m.Value))
 	}
 	return forwarded
 }

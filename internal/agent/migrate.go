@@ -112,10 +112,9 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	case wire.TVertexMsgs:
 		batch := &a.scratchVMB
 		if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err == nil && !batch.Async {
-			b := a.getBatcher(batch.Step)
-			a.acceptAggs(b, batch.Msgs)
-			b.send(g)
-			a.putBatcher(b)
+			s := a.seqShard()[0]
+			a.acceptAggs(s, batch.Step, batch.Msgs)
+			a.sendBufs(s, batch.Step, g)
 		}
 	case wire.TEdges:
 		batch := &a.scratchEB
@@ -243,18 +242,17 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// they came.
 	a.spillMail()
 	for step, t := range a.mailbox {
-		b := a.getBatcher(step)
+		out := a.seqShard()[0]
 		if sketchOnly {
 			for _, v := range rerouted {
 				if s := t.get(v); s != nil {
-					a.rerouteMail(b, t, s)
+					a.rerouteMail(out, t, s)
 				}
 			}
 		} else {
-			t.each(func(s *aggSlot) { a.rerouteMail(b, t, s) })
+			t.each(func(s *aggSlot) { a.rerouteMail(out, t, s) })
 		}
-		b.send(gate)
-		a.putBatcher(b)
+		a.sendBufs(out, step, gate)
 	}
 	// Pending partials whose mastership moved are re-shipped during
 	// the combine phase (processCombine handles stale masters).
@@ -452,10 +450,10 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int, gate *ackGroup) {
 }
 
 // rerouteMail forwards one pending mailbox entry to a replica of its
-// vertex when this agent no longer is one, and kills it in t. The entry is
-// already an aggregate, so it travels as one (b.send, not flush) and the
-// receiver merges it.
-func (a *Agent) rerouteMail(b *msgBatcher, t *aggTable, s *aggSlot) {
+// vertex when this agent no longer is one, buffering it in out, and kills it
+// in t. The entry is already an aggregate, so it travels as one (sendBufs,
+// no fold) and the receiver merges it.
+func (a *Agent) rerouteMail(out *computeShard, t *aggTable, s *aggSlot) {
 	v := s.key
 	if a.isReplicaOf(v) {
 		return
@@ -467,10 +465,10 @@ func (a *Agent) rerouteMail(b *msgBatcher, t *aggTable, s *aggSlot) {
 	at, _ := a.router.MemberIndex(dst) // a replica is always a member
 	if prog := a.prog(); prog != nil {
 		// fold covers the raw buffer too; one entry suffices.
-		b.dstBufs.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(t.fold(prog, s))})
+		out.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(t.fold(prog, s))})
 	} else {
 		for _, rawVal := range t.raw[v] {
-			b.dstBufs.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+			out.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
 		}
 	}
 	t.kill(s)

@@ -84,13 +84,6 @@ func workerCount(n int) int {
 	return w
 }
 
-// msgSink receives scattered messages, each addressed by its destination's
-// position in the router's member list (route.EdgeOwnerIndex); the batcher
-// implements it for the sequential paths, computeShard for workers.
-type msgSink interface {
-	add(dst int, m wire.VertexMsg)
-}
-
 // Phase scratch is emptied in place and kept while runs use it: at a run's
 // end (trimScratch), n elements of size bytes go if n*size > scratchFloor and
 // n > scratchSlack*used, used being the most the run held in them.
@@ -178,9 +171,9 @@ type computeShard struct {
 	partialsRemote []partialSend
 	updates        []valueUpdateSend
 
-	// dstBufs implements msgSink: scattered messages buffer per
-	// destination agent (including self) and are delivered or sent at
-	// merge time.
+	// Scattered messages buffer per destination agent, each addressed by
+	// its position in the router's member list (route.EdgeOwnerIndex),
+	// self included, and are delivered or sent at merge time.
 	dstBufs
 
 	// marks records where the shard's outputs for each stretch of the work
@@ -469,10 +462,7 @@ func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self c
 // sends, and the delivery of the messages scattered for step all happen
 // here, under the same phase gate the sequential path uses, and in work-list
 // order (stretches): chunk by chunk, whichever worker ran it, then what the
-// dense fold pushed. So the answer does not follow the steal schedule. After
-// the hub frames, each remote destination's messages fold across the
-// stretches, in order, into one buffer — the single shard's own, in place,
-// or the agent's merge buffer — and leave from there in one frame.
+// dense fold pushed. So the answer does not follow the steal schedule.
 func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent.AgentID) {
 	r, t := a.run, &a.verts
 	for _, s := range shards {
@@ -504,10 +494,24 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 		}
 	}
 	// What the dense fold pushes follows every chunk.
-	first, gate := shards[0], []*ackGroup{a.phaseGate}
-	first.mark(math.MaxInt32)
-	dense := a.foldDense(first, step, self)
-	order := a.stretches(shards)
+	shards[0].mark(math.MaxInt32)
+	dense := a.foldDense(shards[0], step, self)
+	// The phase's hub records leave in one frame per peer and record type.
+	a.sendHubFrames(a.hubPartials, a.phaseGate)
+	a.sendHubFrames(a.hubUpdates, a.phaseGate)
+	a.deliver(shards, step, dense, a.phaseGate)
+}
+
+// deliver ends a scatter into shards — a phase's, or a sequential scatter's
+// one shard (seqShard) — for step, taking every destination's messages in
+// work-list order (stretches). Those addressed to this agent gather into the
+// step's slot mail or its table. Each remote destination's fold across the
+// stretches into one buffer — the single shard's own, in place, or the
+// agent's merge buffer — and leave from there in one frame under g. With
+// dense, which only a compute phase's merge passes (foldDense), they gather
+// onto the plan's aggregates. The shards are left empty.
+func (a *Agent) deliver(shards []*computeShard, step uint32, dense bool, g *ackGroup) {
+	self, first, order := consistent.AgentID(a.id), shards[0], a.stretches(shards)
 	for _, s := range shards {
 		for i, msgs := range s.bufs {
 			if len(msgs) > 0 && a.opts.CommAccounting {
@@ -527,7 +531,7 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 				msgs = msgs[1:]
 			}
 			if len(msgs) > 0 {
-				mail, prog := a.mailFor(step), r.prog
+				mail, prog := a.mailFor(step), a.run.prog
 				for _, m := range msgs {
 					mail.gather(prog, m.Target, algorithm.Word(m.Value))
 				}
@@ -537,9 +541,6 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 			s.empty(i)
 		}
 	}
-	// The phase's hub records leave in one frame per peer and record type.
-	a.sendHubFrames(a.hubPartials, a.phaseGate)
-	a.sendHubFrames(a.hubUpdates, a.phaseGate)
 	for i, dst := range first.members {
 		if dst == self {
 			continue
@@ -558,7 +559,7 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 			p := &a.dense
 			planned := p.msgs[p.from[i]:p.from[i+1]]
 			if pushed == 0 {
-				a.sendMsgs(dst, step, planned, gate...)
+				a.sendMsgs(dst, step, planned, g)
 				continue
 			}
 			out, keep = append(p.mixed[:0], planned...), &p.mixed
@@ -574,9 +575,25 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 		if *keep = out; keep == &a.merged {
 			a.mergedPeak = max(a.mergedPeak, len(out))
 		}
-		a.sendMsgs(dst, step, out, gate...)
+		a.sendMsgs(dst, step, out, g)
 	}
 	for _, s := range shards {
 		s.reset()
 	}
+}
+
+// seqShard hands a sequential scatter, a forward or an async handler the
+// pool's first shard, bound to the installed view: no phase is running then,
+// and none of them runs inside another. deliver, sendBufs or flushAsync
+// leaves it empty again.
+func (a *Agent) seqShard() []*computeShard { return a.getShards(1) }
+
+// sendBufs ships every buffer of s as it stands — aggregates forwarded or
+// re-routed, which their receiver merges — as step's, under g, and leaves s
+// empty.
+func (a *Agent) sendBufs(s *computeShard, step uint32, g *ackGroup) {
+	for i, dst := range s.members {
+		a.sendMsgs(dst, step, s.bufs[i], g)
+	}
+	s.reset()
 }

@@ -46,12 +46,6 @@ func eachScratch(a *Agent, fn func(p unsafe.Pointer, bytes int)) {
 		piece(fn, s.updates)
 		bufs(&s.dstBufs)
 	}
-	for _, b := range a.batcherFree {
-		bufs(&b.dstBufs)
-	}
-	for _, b := range a.asyncFree {
-		bufs(&b.dstBufs)
-	}
 	for _, t := range a.tableFree {
 		table(t)
 	}
@@ -340,7 +334,7 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 
 	// A from-scratch run after another, synchronous or not, keeps the very
 	// arrays the first left, the large pieces it used among them: mailbox
-	// tables and batcher buffers.
+	// tables and scatter buffers.
 	for _, async := range []bool{false, true} {
 		c.wcc(true, async)
 		again, arrays := c.scratch()
@@ -355,15 +349,12 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 			for _, t := range a.tableFree {
 				largest["mailbox table"] = max(largest["mailbox table"], bytesOf(t.slots))
 			}
-			for _, b := range a.batcherFree {
-				largest["batcher buffer"] = max(largest["batcher buffer"], largestBuf(&b.dstBufs))
+			for _, s := range a.shards {
+				largest["shard buffer"] = max(largest["shard buffer"], largestBuf(&s.dstBufs))
 			}
-			for _, b := range a.asyncFree {
-				largest["async batcher buffer"] = max(largest["async batcher buffer"], largestBuf(&b.dstBufs))
-			}
-			used := []string{"mailbox table", "batcher buffer"}
+			used := []string{"mailbox table", "shard buffer"}
 			if async {
-				used = []string{"async batcher buffer"}
+				used = []string{"shard buffer"}
 			}
 			for _, piece := range used {
 				if largest[piece] <= scratchFloor {

@@ -49,8 +49,8 @@ func benchmarkSuperstep(b *testing.B, workers int) {
 	SetComputeParallelism(workers, 1)
 	defer SetComputeParallelism(0, 0)
 
-	// Warm: init pass plus two steady steps so every pool (batchers,
-	// shards, mailbox tables) reaches steady state.
+	// Warm: init pass plus two steady steps so every pool (shards,
+	// mailbox tables) reaches steady state.
 	advanceCompute(a, 0)
 	advanceCompute(a, 1)
 	advanceCompute(a, 2)

@@ -37,9 +37,9 @@ type Snapshot struct {
 // prevSealed, when prevSealedGen is the store's SealedVersion, skips
 // re-encoding the sealed segment entirely and carries the previous content
 // address forward — the incremental fast path.
-func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.MailboxWatermark, prevSealed *wire.SegmentRef, prevSealedGen uint64) []Segment {
+func BuildSegments(st *graph.Store, states []wire.VertexState, prevSealed *wire.SegmentRef, prevSealedGen uint64) []Segment {
 	ver := st.SealedVersion()
-	segs := make([]Segment, 0, 4)
+	segs := make([]Segment, 0, 3)
 	if prevSealed != nil && prevSealedGen == ver {
 		segs = append(segs, Segment{Kind: wire.SegSealed, Reuse: prevSealed})
 	} else {
@@ -66,7 +66,6 @@ func BuildSegments(st *graph.Store, states []wire.VertexState, marks []wire.Mail
 	// tracks their values, so only the edge segments are topology.
 	segs = append(segs, Segment{Kind: wire.SegTail, Payload: wire.EncodeEdgeBatch(&tail)})
 	segs = append(segs, Segment{Kind: wire.SegStates, Payload: wire.EncodeEdgeBatch(&wire.EdgeBatch{States: states})})
-	segs = append(segs, Segment{Kind: wire.SegMailbox, Payload: wire.AppendMailboxWatermarks(nil, marks)})
 	return segs
 }
 
@@ -252,15 +251,14 @@ func (w *Writer) Close() {
 }
 
 // State is a decoded restore: the manifest's cut stamp plus the segment
-// contents. Mailbox watermarks are informational — restores drop them
-// (see DESIGN.md "Durability" for why replay would double-deliver).
+// contents. Pending mail is not in it (see DESIGN.md "Durability" for why
+// replaying it would double-deliver).
 type State struct {
 	Meta wire.CheckpointMeta
 	// SealedRuns is the sealed segment.
 	SealedRuns []wire.EdgeRun
 	Tail       []wire.EdgeChange
 	States     []wire.VertexState
-	Watermarks []wire.MailboxWatermark
 	// Coord is the coordinator's recovered state (nil in agent
 	// snapshots).
 	Coord *wire.CoordState
@@ -310,12 +308,6 @@ func Load(sink Sink, key string) (*State, error) {
 				return nil, err
 			}
 			st.States = b.States
-		case wire.SegMailbox:
-			ws, err := wire.DecodeMailboxWatermarks(payload)
-			if err != nil {
-				return nil, err
-			}
-			st.Watermarks = ws
 		case wire.SegCoord:
 			cs, err := wire.DecodeCoordState(payload)
 			if err != nil {

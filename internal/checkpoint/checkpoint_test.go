@@ -97,7 +97,7 @@ func snapshotWith(t *testing.T, w *Writer, st *graph.Store, states []wire.Vertex
 	prev, prevGen := w.LastSealedRef()
 	snap := &Snapshot{
 		Meta:     wire.CheckpointMeta{Key: w.key, Seq: seq, SealedGen: st.SealedVersion()},
-		Segments: BuildSegments(st, states, nil, prev, prevGen),
+		Segments: BuildSegments(st, states, prev, prevGen),
 	}
 	if !w.TrySubmit(snap) {
 		t.Fatal("writer busy on first submit")
@@ -337,7 +337,7 @@ func TestSealedSegmentDedup(t *testing.T) {
 
 	// Same generation: the builder must carry the ref forward without
 	// re-encoding the sealed CSR.
-	segs := BuildSegments(st, nil, nil, ref, gen)
+	segs := BuildSegments(st, nil, ref, gen)
 	if segs[0].Reuse == nil || segs[0].Reuse.Name != ref.Name {
 		t.Fatalf("sealed segment not reused: %+v", segs[0])
 	}
@@ -357,7 +357,7 @@ func TestSealedSegmentDedup(t *testing.T) {
 	// segment is re-encoded with a new address.
 	st.AddEdge(999, 1000, graph.Out)
 	st.Compact()
-	segs = BuildSegments(st, nil, nil, ref, gen)
+	segs = BuildSegments(st, nil, ref, gen)
 	if segs[0].Reuse != nil {
 		t.Fatal("stale sealed ref reused across a compaction")
 	}
@@ -406,7 +406,7 @@ func TestSealedSegmentFollowsTheSealedRuns(t *testing.T) {
 		w := NewWriter(sink, "moved")
 		if !w.TrySubmit(&Snapshot{
 			Meta:     wire.CheckpointMeta{Key: "moved", Seq: uint64(seq + 1), SealedGen: st.SealedVersion()},
-			Segments: BuildSegments(st, nil, nil, ref, ver),
+			Segments: BuildSegments(st, nil, ref, ver),
 		}) {
 			t.Fatal("submit refused")
 		}
@@ -438,7 +438,7 @@ func TestSealedSegmentIsRuns(t *testing.T) {
 		return st
 	}
 	a, b := build([]graph.VertexID{1, 5, 9}), build([]graph.VertexID{9, 1, 5})
-	segA, segB := BuildSegments(a, nil, nil, nil, 0)[0], BuildSegments(b, nil, nil, nil, 0)[0]
+	segA, segB := BuildSegments(a, nil, nil, 0)[0], BuildSegments(b, nil, nil, 0)[0]
 	if string(segA.Payload) != string(segB.Payload) {
 		t.Fatal("the same sealed runs, sealed in another order, encode differently")
 	}
@@ -463,7 +463,7 @@ func TestWriterDropsWhenBusy(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		snap := &Snapshot{
 			Meta:     wire.CheckpointMeta{Key: "busy", Seq: uint64(i + 1)},
-			Segments: BuildSegments(st, nil, nil, nil, 0),
+			Segments: BuildSegments(st, nil, nil, 0),
 		}
 		if w.TrySubmit(snap) {
 			submitted++
@@ -518,7 +518,7 @@ func TestWriterNeverLosesForcedSnapshot(t *testing.T) {
 	snap := func(seq uint64) *Snapshot {
 		return &Snapshot{
 			Meta:     wire.CheckpointMeta{Key: "forced", Seq: seq},
-			Segments: BuildSegments(st, nil, nil, nil, 0),
+			Segments: BuildSegments(st, nil, nil, 0),
 		}
 	}
 	if !w.TrySubmit(snap(1)) {

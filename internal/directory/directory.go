@@ -850,7 +850,7 @@ func (d *Directory) maybeFinishMigration() {
 	// Migration-complete broadcast: leavers may now disconnect, agents
 	// may resume.
 	d.publishAdvance(&wire.Advance{
-		Step: m.epochLow, Phase: wire.PhaseMigrate, Halt: true, N: d.n,
+		Step: m.epochLow, Phase: wire.PhaseMigrate, N: d.n,
 	}, trace.SpanContext{})
 	// The Advance is the last frame a leaver waits for; it carries the ack
 	// of the leaver's vote, and the peer's writer still sends it.
@@ -1370,14 +1370,11 @@ func (d *Directory) finishRun(converged bool) {
 	if len(r.stepTimes) > 0 {
 		steps = uint32(len(r.stepTimes))
 	}
-	// Close the run's trace. The run context rides the halting Advance,
-	// the TAlgoDone broadcast, and the TRunReply so the client can link
-	// its own span into the same trace.
+	// Close the run's trace. The run context rides the TAlgoDone broadcast
+	// and the TRunReply so the client can link its own span into the same
+	// trace.
 	r.stepSpan.End()
 	runCtx := r.runSpan.Context()
-	d.publishAdvance(&wire.Advance{
-		Step: r.step, Phase: wire.PhaseCompute, Halt: true, N: d.n, RunID: r.spec.RunID,
-	}, runCtx)
 	d.scratch = wire.AppendAlgoDone(d.scratch[:0], &wire.AlgoDone{
 		RunID: r.spec.RunID, Steps: steps, Converged: converged,
 	})

@@ -34,12 +34,9 @@ const (
 	SegTail uint8 = 2
 	// SegStates holds vertex algorithm states + activation flags.
 	SegStates uint8 = 3
-	// SegMailbox holds mailbox/barrier watermarks. Diagnostic on
-	// restore: pending mail was re-routed to survivors at eviction, so
-	// replaying it would double-deliver (see DESIGN.md "Durability").
-	SegMailbox uint8 = 4
 	// SegCoord holds the coordinator's own state: view, ID counters,
-	// and the per-agent cut table.
+	// and the per-agent cut table. Kind 4 is retired: an older snapshot
+	// may hold it, and Load skips it.
 	SegCoord uint8 = 5
 )
 
@@ -52,8 +49,6 @@ func SegmentKindName(k uint8) string {
 		return "tail"
 	case SegStates:
 		return "states"
-	case SegMailbox:
-		return "mailbox"
 	case SegCoord:
 		return "coord"
 	default:
@@ -274,42 +269,4 @@ func DecodeCoordState(data []byte) (*CoordState, error) {
 		return nil, fmt.Errorf("decode coord state: %w", err)
 	}
 	return c, nil
-}
-
-// MailboxWatermark records that a mailbox held buffered messages for one
-// future superstep at snapshot time. Restores never replay these — they
-// exist so an operator can see what in-flight mail a crash lost.
-type MailboxWatermark struct {
-	RunID uint32
-	Step  uint32
-	Count uint32
-}
-
-// AppendMailboxWatermarks appends a SegMailbox payload to dst.
-func AppendMailboxWatermarks(dst []byte, ws []MailboxWatermark) []byte {
-	w := Writer{buf: dst}
-	w.U32(uint32(len(ws)))
-	for _, m := range ws {
-		w.U32(m.RunID)
-		w.U32(m.Step)
-		w.U32(m.Count)
-	}
-	return w.buf
-}
-
-// DecodeMailboxWatermarks parses a SegMailbox payload.
-func DecodeMailboxWatermarks(data []byte) ([]MailboxWatermark, error) {
-	r := NewReader(data)
-	n := int(r.U32())
-	if r.Err() != nil || n > 1<<20 {
-		return nil, fmt.Errorf("decode mailbox watermarks: %w", ErrBadPacket)
-	}
-	out := make([]MailboxWatermark, 0, capHint(n))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, MailboxWatermark{RunID: r.U32(), Step: r.U32(), Count: r.U32()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decode mailbox watermarks: %w", err)
-	}
-	return out, nil
 }

@@ -76,29 +76,6 @@ func TestCheckpointMarkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMailboxWatermarksRoundTrip(t *testing.T) {
-	ws := []MailboxWatermark{
-		{RunID: 1, Step: 2, Count: 3},
-		{RunID: 1, Step: 3, Count: 40},
-	}
-	got, err := DecodeMailboxWatermarks(AppendMailboxWatermarks(nil, ws))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ws) {
-		t.Fatalf("watermarks: got %d, want %d", len(got), len(ws))
-	}
-	for i, w := range got {
-		if w != ws[i] {
-			t.Fatalf("watermark %d: got %+v, want %+v", i, w, ws[i])
-		}
-	}
-	empty, err := DecodeMailboxWatermarks(AppendMailboxWatermarks(nil, nil))
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty watermarks: %v %v", empty, err)
-	}
-}
-
 func TestCoordStateRoundTrip(t *testing.T) {
 	cs := &CoordState{
 		View:        EncodeView(&View{Epoch: 8, BatchID: 2, N: 60, Agents: []AgentInfo{{1, "a"}, {2, "b"}}}),

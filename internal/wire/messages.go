@@ -546,11 +546,11 @@ func DecodeReady(data []byte) (*Ready, error) {
 	return m, nil
 }
 
-// Advance is the directory's barrier release: enter (Step, Phase), or halt.
+// Advance is the directory's barrier release: enter (Step, Phase). A
+// PhaseMigrate Advance closes a migration round.
 type Advance struct {
 	Step  uint32
 	Phase uint8
-	Halt  bool
 	N     uint64 // refreshed global vertex count
 	RunID uint32
 }
@@ -560,7 +560,6 @@ func AppendAdvance(dst []byte, a *Advance) []byte {
 	w := Writer{buf: dst}
 	w.U32(a.Step)
 	w.U8(a.Phase)
-	w.Bool(a.Halt)
 	w.U64(a.N)
 	w.U32(a.RunID)
 	return w.buf
@@ -569,7 +568,7 @@ func AppendAdvance(dst []byte, a *Advance) []byte {
 // DecodeAdvance parses an advance broadcast.
 func DecodeAdvance(data []byte) (*Advance, error) {
 	r := NewReader(data)
-	a := &Advance{Step: r.U32(), Phase: r.U8(), Halt: r.Bool(), N: r.U64(), RunID: r.U32()}
+	a := &Advance{Step: r.U32(), Phase: r.U8(), N: r.U64(), RunID: r.U32()}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode advance: %w", err)
 	}

@@ -327,7 +327,7 @@ func TestReadyRoundTrip(t *testing.T) {
 }
 
 func TestAdvanceRoundTrip(t *testing.T) {
-	a := &Advance{Step: 4, Phase: 2, Halt: true, N: 500, RunID: 8}
+	a := &Advance{Step: 4, Phase: 2, N: 500, RunID: 8}
 	got, err := DecodeAdvance(AppendAdvance(nil, a))
 	if err != nil {
 		t.Fatal(err)
