@@ -93,37 +93,49 @@ func TestAckGroupSemantics(t *testing.T) {
 	a := &Agent{reqToGroups: make(map[uint32][]*ackGroup)}
 	g1 := &ackGroup{}
 	g2 := &ackGroup{}
-	a.phaseGate = g1
 	g1.pending = 2
 	g2.pending = 1
 	a.reqToGroups[1] = []*ackGroup{g1}
 	a.reqToGroups[2] = []*ackGroup{g1, g2}
-	fired := 0
-	a.pendingVotes = append(a.pendingVotes, pendingVote{gate: g2, fire: func() { fired++ }})
+	fired1, fired2 := 0, 0
+	g1.then(func() { fired1++ })
+	g2.then(func() { fired2++ })
 	a.onAck(1)
-	if g1.pending != 1 || fired != 0 {
-		t.Fatalf("after first ack: g1=%d fired=%d", g1.pending, fired)
+	if g1.pending != 1 || fired1 != 0 || fired2 != 0 {
+		t.Fatalf("after first ack: g1=%d fired %d/%d", g1.pending, fired1, fired2)
 	}
 	a.onAck(2)
 	if g1.pending != 0 || g2.pending != 0 {
 		t.Fatalf("groups not drained: %d %d", g1.pending, g2.pending)
 	}
-	if fired != 1 {
-		t.Fatalf("pending vote fired %d times", fired)
+	if fired1 != 1 || fired2 != 1 {
+		t.Fatalf("actions fired %d and %d times, want once each", fired1, fired2)
 	}
-	// Unknown ack is a no-op.
+	// Unknown and repeated acks are no-ops.
 	a.onAck(99)
-	if len(a.pendingVotes) != 0 {
-		t.Error("vote list not cleared")
+	a.onAck(2)
+	if fired1 != 1 || fired2 != 1 || len(a.reqToGroups) != 0 {
+		t.Fatalf("a stray ack fired an action (%d, %d) or left %d sends mapped", fired1, fired2, len(a.reqToGroups))
 	}
 }
 
+// TestVoteWhenDrainedImmediate: a group with nothing outstanding runs its
+// action when armed, and a group that drains before it is armed runs it at
+// arming, not at the last ack.
 func TestVoteWhenDrainedImmediate(t *testing.T) {
-	a := &Agent{reqToGroups: make(map[uint32][]*ackGroup)}
-	fired := false
-	a.voteWhenDrained(&ackGroup{}, func() { fired = true })
-	if !fired {
-		t.Error("empty gate should fire immediately")
+	fired := 0
+	(&ackGroup{}).then(func() { fired++ })
+	if fired != 1 {
+		t.Fatalf("empty group fired %d times when armed, want once", fired)
+	}
+	g := &ackGroup{pending: 1}
+	g.acked()
+	if fired != 1 {
+		t.Fatal("an unarmed group ran an action")
+	}
+	g.then(func() { fired++ })
+	if fired != 2 {
+		t.Fatal("a drained group did not run its action when armed")
 	}
 }
 

@@ -152,6 +152,5 @@ func (a *Agent) handleAsyncProbe(adv *wire.Advance) {
 		Phase:    wire.PhaseAsyncProbe,
 		Sent:     r.asyncSent,
 		Received: r.asyncReceived,
-		Idle:     true,
 	}))
 }

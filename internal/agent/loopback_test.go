@@ -197,10 +197,8 @@ func advanceCompute(a *Agent, step uint32) {
 	r.step = step
 	r.ctx.Step = step
 	r.phase = wire.PhaseCompute
-	r.doneLocal = false
-	r.readySent = true
 	r.splitWork = false
-	a.phaseGate = &ackGroup{}
+	a.phaseGate = &ackGroup{pending: 1} // never drains: no vote
 	a.processCompute()
 }
 
@@ -211,8 +209,6 @@ func advanceCombine(a *Agent, step uint32) {
 	r.step = step
 	r.ctx.Step = step
 	r.phase = wire.PhaseCombine
-	r.doneLocal = false
-	r.readySent = true
-	a.phaseGate = &ackGroup{}
+	a.phaseGate = &ackGroup{pending: 1} // never drains: no vote
 	a.processCombine()
 }

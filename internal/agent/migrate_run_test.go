@@ -545,7 +545,7 @@ func TestBulkBatchFoldsTheTail(t *testing.T) {
 	a := r.a
 	a.coordAddr = r.peers[2] // acknowledges the delta and the vote
 	batchRound := func() {
-		a.handleBatchOpen()
+		a.handleBatchOpen(1)
 		r.drain(t)
 	}
 	tail := func() (n int) {
@@ -606,7 +606,7 @@ func TestBatchDeltaCostsTouchedCells(t *testing.T) {
 	a.applyChanges(changes, &ackGroup{})
 
 	deltas := func() (payloads [][]byte) {
-		a.handleBatchOpen()
+		a.handleBatchOpen(1)
 		rec.ackAll(a)
 		for _, p := range rec.log(a.coordAddr).pkts {
 			if p.Type == wire.TSketchDelta {

@@ -71,7 +71,7 @@ func BenchmarkSuperstepPageRankPar4(b *testing.B) { benchmarkSuperstep(b, 4) }
 // under every combination of the planes that touch it: live metric
 // handles, a checkpoint cadence that never fires, the scatter counters
 // (comm accounting) and the event journal. Each step is the compute
-// phase plus what maybeReady's post-vote tail runs: the phase histogram
+// phase plus what the vote's post-vote tail runs: the phase histogram
 // observation and the checkpoint trigger. Neighbour iteration
 // must contribute zero — the store's value-type cursors live on the stack
 // — and an armed plane must cost a branch or a counter add, nothing on the

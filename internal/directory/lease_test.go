@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"elga/internal/config"
 	"elga/internal/transport"
 	"elga/internal/wire"
 )
@@ -82,20 +83,18 @@ func (f *fakeEndpoint) lastTo(addr string, typ wire.Type) *wire.Packet {
 	return nil
 }
 
-// TestLeaseEvictsTheSilentAgent drives a coordinator on virtual time: two
-// agents join, one renews its lease, the clock passes the lease of the other,
-// and the lease tick the coordinator armed is fired through Handle. Exactly
-// the silent agent must be evicted, and a view without it published.
-func TestLeaseEvictsTheSilentAgent(t *testing.T) {
-	cfg := testCfg()
-	cfg.LeaseTimeout = time.Hour
+// fakeCoordinator boots a coordinator over a fake endpoint on a manual
+// clock (New, Boot, then the master's list through Handle), with only its
+// lease tick armed.
+func fakeCoordinator(t *testing.T, cfg config.Config) (*Directory, *fakeEndpoint) {
+	t.Helper()
 	ep := &fakeEndpoint{addr: "coord", now: time.Unix(1_000_000, 0)}
 	d := New(Options{Config: cfg, MasterAddr: "master"}, ep)
 	d.Boot()
 	if ep.lastTo("master", wire.TRegisterDirectory) == nil {
 		t.Fatal("no registration sent")
 	}
-	// The registration's resend and deadline ticks are not this test's.
+	// The registration's resend and deadline ticks are not the tests'.
 	ep.ticks = ep.ticks[:0]
 	d.Handle(&wire.Packet{Type: wire.TDirectoryList, From: "master",
 		Payload: wire.AppendStringList(nil, []string{ep.addr})})
@@ -105,33 +104,50 @@ func TestLeaseEvictsTheSilentAgent(t *testing.T) {
 	if !d.coordinator || len(ep.ticks) != 1 {
 		t.Fatalf("coordinator=%v with %d timers armed, want the lease tick", d.coordinator, len(ep.ticks))
 	}
+	return d, ep
+}
 
-	join := func(addr string) uint64 {
-		t.Helper()
-		pkt := &wire.Packet{Type: wire.TJoin, From: addr, Req: 7,
-			Payload: wire.AppendJoin(nil, &wire.Join{Addr: addr})}
-		if !d.Handle(pkt) {
-			t.Fatal("a join request must be parked until it is answered")
-		}
-		reply := ep.lastTo(addr, wire.TJoinReply)
-		if reply == nil {
-			t.Fatalf("%s got no join reply", addr)
-		}
-		jr, err := wire.DecodeJoinReply(reply.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The join's migration round closes once every member votes.
-		for _, m := range jr.View.Agents {
-			d.Handle(&wire.Packet{Type: wire.TReady, From: m.Addr, Payload: wire.AppendReady(nil,
-				&wire.Ready{AgentID: m.ID, Step: uint32(jr.View.Epoch), Phase: wire.PhaseMigrate})})
-		}
-		if d.migration != nil {
-			t.Fatalf("%s's migration round is still open", addr)
-		}
-		return jr.AgentID
+// vote hands d a vote from the agent id at addr.
+func vote(d *Directory, addr string, id uint64, m wire.Ready) {
+	m.AgentID = id
+	d.Handle(&wire.Packet{Type: wire.TReady, From: addr, Payload: wire.AppendReady(nil, &m)})
+}
+
+// fakeJoin joins an agent at addr and closes the join's migration round with
+// every member's vote; it returns the agent's ID.
+func fakeJoin(t *testing.T, d *Directory, ep *fakeEndpoint, addr string) uint64 {
+	t.Helper()
+	pkt := &wire.Packet{Type: wire.TJoin, From: addr, Req: 7,
+		Payload: wire.AppendJoin(nil, &wire.Join{Addr: addr})}
+	if !d.Handle(pkt) {
+		t.Fatal("a join request must be parked until it is answered")
 	}
-	live, silent := join("agent-live"), join("agent-silent")
+	reply := ep.lastTo(addr, wire.TJoinReply)
+	if reply == nil {
+		t.Fatalf("%s got no join reply", addr)
+	}
+	jr, err := wire.DecodeJoinReply(reply.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range jr.View.Agents {
+		vote(d, m.Addr, m.ID, wire.Ready{Step: uint32(jr.View.Epoch), Phase: wire.PhaseMigrate})
+	}
+	if d.migration != nil {
+		t.Fatalf("%s's migration round is still open", addr)
+	}
+	return jr.AgentID
+}
+
+// TestLeaseEvictsTheSilentAgent drives a coordinator on virtual time: two
+// agents join, one renews its lease, the clock passes the lease of the other,
+// and the lease tick the coordinator armed is fired through Handle. Exactly
+// the silent agent must be evicted, and a view without it published.
+func TestLeaseEvictsTheSilentAgent(t *testing.T) {
+	cfg := testCfg()
+	cfg.LeaseTimeout = time.Hour
+	d, ep := fakeCoordinator(t, cfg)
+	live, silent := fakeJoin(t, d, ep, "agent-live"), fakeJoin(t, d, ep, "agent-silent")
 
 	ep.now = ep.now.Add(40 * time.Minute)
 	d.Handle(&wire.Packet{Type: wire.THeartbeat, From: "agent-live",

@@ -504,7 +504,6 @@ type Ready struct {
 	Masters    uint64 // local count of vertices this agent masters
 	Sent       uint64 // async: cumulative messages sent
 	Received   uint64 // async: cumulative messages received
-	Idle       bool   // async: no local work outstanding
 	// PhaseSeconds is how long the phase ran on this agent, Advance to
 	// vote: the step_time / combine_time sample, riding the vote.
 	PhaseSeconds float64
@@ -525,7 +524,6 @@ func AppendReady(dst []byte, m *Ready) []byte {
 	w.U64(m.Masters)
 	w.U64(m.Sent)
 	w.U64(m.Received)
-	w.Bool(m.Idle)
 	w.F64(m.PhaseSeconds)
 	w.Bool(m.Deleted)
 	return w.buf
@@ -537,7 +535,7 @@ func DecodeReady(data []byte) (*Ready, error) {
 	m := &Ready{
 		AgentID: r.U64(), Step: r.U32(), Phase: r.U8(),
 		ActiveNext: r.U64(), Residual: r.F64(), SplitWork: r.Bool(),
-		Masters: r.U64(), Sent: r.U64(), Received: r.U64(), Idle: r.Bool(),
+		Masters: r.U64(), Sent: r.U64(), Received: r.U64(),
 		PhaseSeconds: r.F64(), Deleted: r.Bool(),
 	}
 	if err := r.Err(); err != nil {

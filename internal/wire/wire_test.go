@@ -316,7 +316,7 @@ func TestReplicaRegisterRoundTrip(t *testing.T) {
 
 func TestReadyRoundTrip(t *testing.T) {
 	m := &Ready{AgentID: 1, Step: 2, Phase: 1, ActiveNext: 3, Residual: 0.5,
-		SplitWork: true, Masters: 10, Sent: 100, Received: 99, Idle: true, PhaseSeconds: 0.25}
+		SplitWork: true, Masters: 10, Sent: 100, Received: 99, PhaseSeconds: 0.25, Deleted: true}
 	got, err := DecodeReady(AppendReady(nil, m))
 	if err != nil {
 		t.Fatal(err)
