@@ -223,6 +223,9 @@ type Agent struct {
 	// fwdDelete records that a delete was forwarded to its owner since the
 	// last batch vote, which reports it with the store's own deletes.
 	fwdDelete bool
+	// fwdChanges is applyChanges' scratch: the changes it forwards, by the
+	// owner's member index.
+	fwdChanges [][]wire.EdgeChange
 
 	// mailbox holds one aggregate table per pending step (the one being
 	// computed and the one being scattered into); consumed tables wait in

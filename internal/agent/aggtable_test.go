@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -249,8 +250,11 @@ func TestMailboxDeliverRecycleDoesNotAllocate(t *testing.T) {
 // variant merges into the step's aggTable, checking each fresh target's
 // vertex record; dense merges into the vertex table's slot mail, as a dense
 // run's steps do while its plan stands: one vertex-table probe a message.
+// cached is dense with each frame sent by a peer of its own, which sends
+// the same frame every step, as a standing plan's sender does: after the
+// first step every message merges by the slot its peer's cache holds.
 func BenchmarkMailboxDeliver(b *testing.B) {
-	for _, mode := range []string{"table", "dense"} {
+	for _, mode := range []string{"table", "dense", "cached"} {
 		b.Run(mode, func(b *testing.B) {
 			a := newLoopbackAgent(b, allocTestConfig(), 64)
 			installRun(a, algorithm.PageRank{}, 64)
@@ -263,7 +267,13 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 				a.verts.set(v, 0)
 			}
 			a.dense.layout = a.verts.layout // a plan stands for the dense run
-			a.dense.on = mode == "dense"
+			a.dense.on = mode != "table"
+			from := make([]string, (len(msgs)+511)/512)
+			for k := range from {
+				if mode == "cached" {
+					from[k] = fmt.Sprintf("peer-%d", k)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -273,7 +283,7 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 				}
 				for k := 0; k < len(msgs); k += 512 {
 					s := a.seqShard()[0]
-					a.acceptAggs(s, step, msgs[k:min(k+512, len(msgs))])
+					a.acceptAggs(s, step, msgs[k:min(k+512, len(msgs))], from[k/512])
 					s.reset()
 				}
 				if a.verts.mail.open != a.dense.on {

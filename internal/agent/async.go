@@ -111,8 +111,9 @@ func (a *Agent) asyncScatter(s *computeShard, v graph.VertexID, mv algorithm.Wor
 // flushAsync ends an async handler. The messages its scatters addressed to
 // this agent form a queue, processed in order by asyncMsg, which may append
 // more; each counts as one sent and one received, so the global sums
-// balance. Then every peer's messages leave in one frame, unacknowledged:
-// the sent/received counters provide the termination guarantee instead.
+// balance. Then every peer's messages leave in one acked frame, which feeds
+// no gate: the protocol resends a lost one and drops a duplicate, so each
+// message is received once and the sums balance again.
 // s is left empty.
 func (a *Agent) flushAsync(s *computeShard, self int) {
 	r := a.run
@@ -131,26 +132,26 @@ func (a *Agent) flushAsync(s *computeShard, self int) {
 			continue
 		}
 		r.asyncSent += uint64(len(msgs))
-		_ = a.ep.SendFrame(addr, wire.AppendVertexMsgBatch(
+		_, _ = a.ep.SendFrameAcked(addr, wire.AppendVertexMsgBatch(
 			a.ep.NewFrameHint(wire.TVertexMsgs, 16+24*len(msgs)),
 			&wire.VertexMsgBatch{Async: true, Msgs: msgs}))
 	}
 	s.reset()
 }
 
-// handleAsyncProbe answers a quiescence probe with the current counters.
-// The event loop processes messages to completion before reaching the
-// probe, so the agent is by construction idle at this instant.
+// handleAsyncProbe answers a quiescence probe with the current counters, as
+// an acked vote: a lost one would hold the probe round open for ever. The
+// event loop processes messages to completion before reaching the probe, so
+// the agent is by construction idle at this instant.
 func (a *Agent) handleAsyncProbe(adv *wire.Advance) {
 	r := a.run
 	if r == nil || !r.spec.Async || adv.RunID != r.id {
 		return
 	}
-	_ = a.ep.SendFrame(a.coordAddr, wire.AppendReady(a.ep.NewFrame(wire.TReady), &wire.Ready{
-		AgentID:  a.id,
+	a.sendReady(wire.Ready{
 		Step:     adv.Step,
 		Phase:    wire.PhaseAsyncProbe,
 		Sent:     r.asyncSent,
 		Received: r.asyncReceived,
-	}))
+	})
 }

@@ -226,17 +226,23 @@ func (a *Agent) processCompute() {
 	// activity that arrived through migration (st.Active marks), each probed
 	// once; workers get the slots. Always-active programs (PageRank) must
 	// also feed split-vertex partials every step so masters can rebuild total
-	// out-degrees.
-	t.begin(setWork)
-	for _, i := range t.list[setActive] {
-		if t.in(setActive, i) {
-			t.mark(setWork, i)
+	// out-degrees. A standing list is the active set already, and holds
+	// every plan source: only the other mail targets need marking.
+	p, standing := &a.dense, a.standingWork()
+	if !standing {
+		t.begin(setWork)
+		for _, i := range t.list[setActive] {
+			if t.in(setActive, i) {
+				t.mark(setWork, i)
+			}
 		}
 	}
 	mail.each(func(s *aggSlot) { t.mark(setWork, t.at(s.key)) })
 	if slotted {
 		for _, i := range t.mail.order {
-			t.mark(setWork, i)
+			if !standing || !p.source(i) {
+				t.mark(setWork, i)
+			}
 		}
 	}
 	for _, v := range a.store.TakeActive() {
@@ -258,7 +264,12 @@ func (a *Agent) processCompute() {
 	if slotted {
 		t.mail.close() // read: the next step's mail may open there
 	}
-	a.mergeShards(shards, r.step+1, self)
+	went := 0
+	for _, s := range shards {
+		went += int(s.activeNext)
+	}
+	folded := a.mergeShards(shards, r.step+1, self)
+	p.stand = workStamp{run: r.id, step: r.step, gen: t.gen[setWork], ok: folded && went == len(work)}
 	a.recycleMail(mail)
 	a.endPhase()
 }
@@ -965,10 +976,11 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 			return true
 		}
 		a.handleAsyncMsgs(batch)
+		a.ep.Ack(pkt)
 		return false
 	}
 	s := a.seqShard()[0]
-	forwarded := a.acceptAggs(s, batch.Step, batch.Msgs)
+	forwarded := a.acceptAggs(s, batch.Step, batch.Msgs, pkt.From)
 	if forwarded == 0 {
 		// Pure-accept path: everything landed in the local mailbox, so the
 		// ack fires immediately and no group is allocated.
@@ -990,24 +1002,39 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 // (one of the folded sources) picks one. Only a target's first aggregate is
 // checked: a live entry is one this agent serves under the installed view,
 // every view change having re-routed the others away (rerouteMail). While the
-// step's mail is held by slot, a message costs one vertex-table probe, and
-// the check reads the record's replica bit; the first target with no record
-// or no replica here spills the mail into the step's table, which takes the
-// rest. There a message costs the table's probe, and a fresh target's check
-// the vertex record's (replicaHere); the router is asked at most once per
-// view. It returns how many it buffered; the caller sends them.
-func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg) (forwarded int) {
+// step's mail is held by slot, a message whose target is the one the peer
+// at from sent at the same position of its last frame merges by the slot
+// cached for it (peerSlots); any other costs one vertex-table probe, and the
+// check reads the record's replica bit, which, if set, caches the slot. The
+// first target with no record or no replica here spills the mail into the
+// step's table, which takes the rest. There a message costs the table's
+// probe, and a fresh target's check the vertex record's (replicaHere); the
+// router is asked at most once per view. A re-routed frame passes no from
+// and caches nothing. It returns how many it buffered; the caller sends them.
+func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg, from string) (forwarded int) {
 	t, prog := &a.verts, a.prog()
 	if m := &t.mail; m.open && m.step == step {
-		for len(msgs) > 0 {
-			i := t.find(msgs[0].Target)
-			if i < 0 || !m.holds(uint32(i)) && a.placement(uint32(i))&viewReplica == 0 {
-				break
+		c, k := t.peerSlots(from), 0
+		for ; k < len(msgs); k++ {
+			msg := &msgs[k]
+			i, hit := c.at(k, msg.Target)
+			if !hit {
+				j := t.find(msg.Target)
+				if j < 0 {
+					break
+				}
+				i = uint32(j)
+				if held := m.holds(i); c != nil || !held {
+					if a.placement(i)&viewReplica != 0 {
+						c.put(k, msg.Target, i)
+					} else if !held {
+						break
+					}
+				}
 			}
-			m.merge(prog, uint32(i), algorithm.Word(msgs[0].Value))
-			msgs = msgs[1:]
+			m.merge(prog, i, algorithm.Word(msg.Value))
 		}
-		if len(msgs) == 0 {
+		if msgs = msgs[k:]; len(msgs) == 0 {
 			return 0
 		}
 	}

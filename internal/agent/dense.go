@@ -34,8 +34,9 @@ type densePlan struct {
 	builds, folds int  // plans built and steps folded, for tests
 	run, layout   uint32
 	epoch, stored uint64
-	dirs          [2]bool  // the send directions it was built for
-	work          []uint32 // the work list it was built over
+	dirs          [2]bool   // the send directions it was built for
+	work          []uint32  // the work list it was built over
+	stand         workStamp // the last compute step (standingWork)
 
 	src   []uint32         // the sources' vertex-table slots
 	deg   []uint32         // their out-degrees
@@ -49,11 +50,23 @@ type densePlan struct {
 	mixed []wire.VertexMsg // a member's planned and pushed messages, folded
 }
 
+// workStamp is a compute step's work list as the step left it: the run and
+// step, the generation of the work set, and ok if the step folded with every
+// vertex on the list active, so the next step's list may start from it.
+type workStamp struct {
+	run, step uint32
+	gen       uint16
+	ok        bool
+}
+
 // noSlot marks a local target of the plan that had no vertex record.
 const noSlot = ^uint32(0)
 
 // covers reports whether the plan folds what the source at slot i sends.
-func (p *densePlan) covers(i uint32) bool { return p.on && p.has[i/64]&(1<<(i%64)) != 0 }
+func (p *densePlan) covers(i uint32) bool { return p.on && p.source(i) }
+
+// source reports whether the record at slot i is one of the plan's sources.
+func (p *densePlan) source(i uint32) bool { return p.has[i/64]&(1<<(i%64)) != 0 }
 
 // fold gathers the message values of target g's sources onto agg.
 func (p *densePlan) fold(prog algorithm.Program, agg algorithm.Word, g uint32) algorithm.Word {
@@ -62,11 +75,12 @@ func (p *densePlan) fold(prog algorithm.Program, agg algorithm.Word, g uint32) a
 
 // trimDense ends a run's hold on the dense plan: a run that used one keeps
 // it whole for the next (its fold scratch by keepScratch); any other lets
-// it, and the slot mail's arrays, go.
+// it, the slot mail's arrays and the peers' slot caches go.
 func (a *Agent) trimDense() {
 	p, m := &a.dense, &a.verts.mail
 	if !p.used {
 		*p, *m = densePlan{builds: p.builds, folds: p.folds}, slotMail{}
+		a.verts.peers = nil
 		return
 	}
 	p.mixed = trimmed(p.mixed, len(p.msgs))
@@ -103,15 +117,36 @@ func (a *Agent) syncDense(work []uint32) {
 		return
 	}
 	p.used = true
-	epoch, stored, layout := a.router.Epoch(), a.store.Version(), a.verts.layout
-	if p.dirs == dirs && p.epoch == epoch && p.stored == stored && p.layout == layout &&
-		(p.run == r.id || slices.Equal(p.work, work)) {
+	if a.planStands(dirs) && (p.run == r.id || slices.Equal(p.work, work)) {
 		p.run = r.id
 		return
 	}
-	p.run, p.epoch, p.stored, p.layout, p.dirs = r.id, epoch, stored, layout, dirs
+	p.run, p.dirs = r.id, dirs
+	p.epoch, p.stored, p.layout = a.router.Epoch(), a.store.Version(), a.verts.layout
 	p.work = append(p.work[:0], work...)
 	a.buildDense(work)
+}
+
+// planStands reports whether the plan was built for send directions dirs
+// under the installed view, the store's version and the table's layout.
+func (a *Agent) planStands(dirs [2]bool) bool {
+	p := &a.dense
+	return p.dirs == dirs && p.epoch == a.router.Epoch() && p.stored == a.store.Version() &&
+		p.layout == a.verts.layout
+}
+
+// standingWork reports whether this compute step's work list starts as the
+// last one's, which is still the work set: the run's plan was on and
+// stands, the last step was this run's previous compute step, no phase has
+// begun a work set since, and that step folded with every work vertex
+// active. Each of those went into the active set in work-list order and
+// nothing else did, so the walk of the active set would rebuild the list as
+// it stands; and every plan source is on it.
+func (a *Agent) standingWork() bool {
+	p, r := &a.dense, a.run
+	st := p.stand
+	return st.ok && p.on && st.run == r.id && st.step+1 == r.step && st.gen == a.verts.gen[setWork] &&
+		p.run == r.id && a.planStands(sendDirs(r.prog))
 }
 
 // buildDense builds the plan over the work list. A pass over the sources
@@ -211,20 +246,18 @@ func (a *Agent) buildDense(work []uint32) {
 // foldDense is a dense compute step's fold, run by mergeShards once the
 // values are installed: into the next step's mail for this agent (foldLocal),
 // and into the plan's messages for every other member, which mergeShards
-// sends. It reports
+// sends. covered counts the sources the step activated. It reports
 // whether it folded: not with the plan off, in another phase or the run's
 // final step, nor when a source did not activate — those that did push into s.
-func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID) bool {
+func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID, covered int) bool {
 	p, r, t := &a.dense, a.run, &a.verts
 	if !p.on || r.phase != wire.PhaseCompute || r.final() {
 		return false
 	}
-	all := true
+	all := covered == len(p.src)
 	for k, i := range p.src {
-		if rec := &t.slots[i]; t.in(setActive, i) {
+		if rec := &t.slots[i]; all || t.in(setActive, i) {
 			p.mv[k] = r.prog.MessageValue(rec.key, rec.value, uint64(p.deg[k]), &r.ctx)
-		} else {
-			all = false
 		}
 	}
 	if !all {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -423,7 +424,7 @@ func BenchmarkDenseFold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode == "dense" {
-					a.foldDense(s, 1, self)
+					a.foldDense(s, 1, self, len(p.src)) // every source went active at step 0
 				} else {
 					for k, i := range p.src {
 						a.scatter(s, a.verts.slots[i].key, p.mv[k])
@@ -447,5 +448,168 @@ func BenchmarkDenseFold(b *testing.B) {
 			b.ReportMetric(float64(len(p.src)), "sources")
 			b.ReportMetric(float64(len(p.srcs)), "edges")
 		})
+	}
+}
+
+// walkedWork is the work list, by key, that processCompute's walk builds for
+// step at a as a stands: the active set, then the step's mail in its table
+// and by slot, then the store's active vertices, then for a program that
+// never halts the local split vertices, each once.
+func walkedWork(a *Agent, step uint32) []graph.VertexID {
+	t, seen := &a.verts, map[graph.VertexID]bool{}
+	var out []graph.VertexID
+	add := func(v graph.VertexID) {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	for _, i := range t.list[setActive] {
+		if t.in(setActive, i) {
+			add(t.slots[i].key)
+		}
+	}
+	if mail := a.mailbox[step]; mail != nil {
+		mail.each(func(s *aggSlot) { add(s.key) })
+	}
+	if m := &t.mail; m.open && m.step == step {
+		for _, i := range m.order {
+			add(t.slots[i].key)
+		}
+	}
+	for _, v := range a.store.ActiveList() {
+		add(v)
+	}
+	if !a.run.prog.HaltOnQuiescence() {
+		for _, v := range a.localSplits() {
+			add(v)
+		}
+	}
+	return out
+}
+
+// TestStandingWorkListMatchesWalk: a compute step whose work list stands
+// (standingWork) has the list the walk would have built, slot for slot and in
+// order, so nothing it computes moves. One agent of a four-member view runs
+// PageRank steps under a view whose sketch counts the graph — with no split
+// vertex, and with hubs split (a low threshold, the combine phase running
+// after every step with split work) — while a script puts between steps
+// peer frames for this step and the next, streamed inserts and deletes (tail
+// edits), and views that a member joins or leaves (migrations). Every step's
+// list must equal walkedWork's; and the unsplit steps between events must
+// stand.
+func TestStandingWorkListMatchesWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		threshold uint64
+	}{{"unsplit", 0}, {"split", 24}} {
+		standing, combined := 0, 0
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("%s/seed-%d", tc.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				cfg := allocTestConfig()
+				cfg.ReplicationThreshold = tc.threshold
+				a, _ := newRecordedAgent(t, cfg, 512)
+				el := gen.RMAT(9, 4096, gen.Graph500Params(), seed).Dedupe()
+				epoch, members := uint64(2), []uint64{2, 3, 4}
+				view := func() *wire.View {
+					sk := cfg.NewSketch()
+					for _, e := range el {
+						sk.Add(uint64(e.Src))
+						sk.Add(uint64(e.Dst))
+					}
+					v := &wire.View{Epoch: epoch, BatchID: epoch, N: 512, Sketch: sk.AppendBinary(nil),
+						Agents: []wire.AgentInfo{{ID: a.id, Addr: a.ep.Addr()}}}
+					for _, id := range members {
+						v.Agents = append(v.Agents, wire.AgentInfo{ID: id, Addr: fmt.Sprintf("peer-%d", id)})
+					}
+					return v
+				}
+				a.handleView(view())
+				rmatShare(a, 9, 4096, seed)
+				startRun(a, algorithm.PageRank{}, 1, 512)
+				frame := func(step uint32) {
+					msgs := make([]wire.VertexMsg, 1+rng.Intn(24))
+					for i := range msgs {
+						e := el[rng.Intn(len(el))]
+						msgs[i] = wire.VertexMsg{Target: e.Dst, Via: e.Src, Value: wire.Word(algorithm.FromF64(rng.Float64()))}
+					}
+					pkt := vertexMsgPacket(step, msgs...)
+					pkt.From = fmt.Sprintf("peer-%d", members[rng.Intn(len(members))])
+					a.handleVertexMsgs(pkt)
+				}
+				edit := func(action graph.Action) {
+					var cs []wire.EdgeChange
+					for n := 1 + rng.Intn(4); n > 0; n-- {
+						e := el[rng.Intn(len(el))]
+						if action == graph.Insert {
+							e.Dst = graph.VertexID(rng.Intn(1 << 10))
+						}
+						for _, dir := range []graph.Dir{graph.Out, graph.In} {
+							cs = append(cs, wire.EdgeChange{Action: action, Src: e.Src, Dst: e.Dst, Dir: dir})
+						}
+					}
+					a.applyChanges(cs, &ackGroup{})
+				}
+				quiet := false // no event since the last step
+				for step := uint32(0); step < 40; step++ {
+					what := "nothing"
+					if step > 1 {
+						switch op := rng.Intn(16); {
+						case op < 4:
+							what = "a frame for this step"
+							frame(step)
+						case op < 6:
+							what = "a frame for the next step"
+							frame(step + 1)
+						case op == 6:
+							what = "inserts"
+							edit(graph.Insert)
+						case op == 7:
+							what = "deletes"
+							edit(graph.Delete)
+						case op == 8:
+							epoch++
+							if len(members) == 3 {
+								members, what = append(members, 5), "a member joins"
+							} else {
+								members, what = members[:3], "a member leaves"
+							}
+							a.handleView(view())
+						}
+					}
+					a.run.step = step
+					stands := a.standingWork()
+					if stands {
+						standing++
+					}
+					var want []graph.VertexID
+					if step > 0 {
+						want = walkedWork(a, step)
+					}
+					advanceCompute(a, step)
+					var got []graph.VertexID
+					for _, i := range a.verts.list[setWork] {
+						got = append(got, a.verts.slots[i].key)
+					}
+					if step > 0 && !slices.Equal(got, want) {
+						t.Fatalf("seed %d, step %d (after %s, standing %v): the work list is\n%v\nthe walk's\n%v",
+							seed, step, what, stands, got, want)
+					}
+					if tc.threshold == 0 && quiet && what == "nothing" && !stands {
+						t.Fatalf("seed %d, step %d: the list did not stand after a quiet step", seed, step)
+					}
+					quiet = what == "nothing"
+					if a.run.splitWork {
+						combined++
+						advanceCombine(a, step)
+					}
+				}
+			})
+		}
+		t.Logf("%s: %d standing steps, %d combine phases", tc.name, standing, combined)
+		if tc.threshold == 0 && standing == 0 || tc.threshold != 0 && combined == 0 {
+			t.Fatal("the scripts missed a case: a standing list, or split work")
+		}
 	}
 }

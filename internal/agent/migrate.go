@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func (a *Agent) handleView(v *wire.View) {
 	for _, m := range v.Agents {
 		peers[m.Addr] = true
 	}
-	for addr := range a.peers {
+	for _, addr := range sortedKeys(a.peers) {
 		if !peers[addr] && addr != a.ep.Addr() {
 			a.retirePeer(addr)
 			a.departed = append(a.departed, addr)
@@ -88,8 +89,10 @@ func (a *Agent) handleView(v *wire.View) {
 }
 
 // retirePeer retires the node's peer for addr, re-routing every
-// unacknowledged send to it under the current view.
+// unacknowledged send to it under the current view, and drops the slots
+// cached for its frames.
 func (a *Agent) retirePeer(addr string) {
+	delete(a.verts.peers, addr)
 	for _, f := range a.ep.CancelPeer(addr) {
 		a.rerouteFailed(f)
 	}
@@ -117,7 +120,7 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 		batch := &a.scratchVMB
 		if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err == nil && !batch.Async {
 			s := a.seqShard()[0]
-			a.acceptAggs(s, batch.Step, batch.Msgs)
+			a.acceptAggs(s, batch.Step, batch.Msgs, "")
 			a.sendBufs(s, batch.Step, g)
 		}
 	case wire.TEdges:
@@ -245,8 +248,8 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 	// so without a program to fold them the raw aggregates are resent as
 	// they came.
 	a.spillMail()
-	for step, t := range a.mailbox {
-		out := a.seqShard()[0]
+	for _, step := range sortedKeys(a.mailbox) {
+		t, out := a.mailbox[step], a.seqShard()[0]
 		if sketchOnly {
 			for _, v := range rerouted {
 				if s := t.get(v); s != nil {
@@ -289,6 +292,17 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		a.store.Settle()
 		a.sendReady(wire.Ready{Step: epochLow, Phase: wire.PhaseMigrate})
 	})
+}
+
+// sortedKeys returns m's keys in ascending order, for walks that send or
+// edit in key order, not in the map's.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // selfIndex is this agent's position in router.Agents(), or -1 once the
@@ -530,9 +544,11 @@ func (a *Agent) sendRegister(v graph.VertexID, deregister bool, gate *ackGroup) 
 // releasePins drops, once a view is installed, the pins this agent no
 // longer owes as a master: every pin of a vertex it does not master as a
 // split vertex any more, and the registrations of agents that are no longer
-// among a vertex's replicas.
+// among a vertex's replicas. It walks them in vertex order: an unpin can
+// drop a record from the store, which reorders the store's vertex walk.
 func (a *Agent) releasePins() {
-	for v, regs := range a.pins {
+	for _, v := range sortedKeys(a.pins) {
+		regs := a.pins[v]
 		if a.router.Split(v) && a.isMaster(v) {
 			regs = slices.DeleteFunc(regs, func(id uint64) bool {
 				return !a.router.IsReplica(v, consistent.AgentID(id))
@@ -607,7 +623,8 @@ func keyedVertex(c wire.EdgeChange) graph.VertexID {
 }
 
 // applyChanges validates and applies routed stream-change copies one at a
-// time, forwarding misplaced ones with deferred acknowledgement. Applied
+// time, forwarding misplaced ones with deferred acknowledgement, one frame
+// per owner in member order (fwdChanges holds them meanwhile). Applied
 // inserts feed the local sketch delta: the Out-copy owner counts the source
 // endpoint, the In-copy owner the destination, so each endpoint of each
 // inserted edge is counted exactly once cluster-wide. A copy that makes a
@@ -616,14 +633,14 @@ func keyedVertex(c wire.EdgeChange) graph.VertexID {
 // before whatever waits on g — the sender's round, the streamer's flush — is
 // over.
 func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
-	self := consistent.AgentID(a.id)
-	var forwards map[consistent.AgentID][]wire.EdgeChange
+	members, self := a.router.Agents(), a.selfIndex()
+	for len(a.fwdChanges) < len(members) {
+		a.fwdChanges = append(a.fwdChanges, nil)
+	}
+	forwards := a.fwdChanges[:len(members)]
 	for _, c := range changes {
-		owner, ok := a.router.CopyOwner(c)
+		owner, ok := a.router.CopyOwnerIndex(c)
 		if ok && owner != self {
-			if forwards == nil {
-				forwards = make(map[consistent.AgentID][]wire.EdgeChange)
-			}
 			forwards[owner] = append(forwards[owner], c)
 			a.fwdDelete = a.fwdDelete || c.Action == graph.Delete
 			continue
@@ -642,12 +659,16 @@ func (a *Agent) applyChanges(changes []wire.EdgeChange, g *ackGroup) {
 		}
 	}
 	for owner, fw := range forwards {
-		if addr, ok := a.router.AddrOf(owner); ok {
+		if len(fw) == 0 {
+			continue
+		}
+		if addr, ok := a.router.AddrOf(members[owner]); ok {
 			atomic.AddUint64(&a.statForwarded, uint64(len(fw)))
 			a.sendGatedFrame(addr, wire.AppendEdgeBatch(
 				a.ep.NewFrameHint(wire.TEdges, 32+17*len(fw)),
 				&wire.EdgeBatch{Epoch: a.router.Epoch(), Changes: fw}), g)
 		}
+		forwards[owner] = fw[:0]
 	}
 }
 

@@ -165,6 +165,7 @@ type computeShard struct {
 	values     []valueWrite
 	residual   float64
 	activeNext uint64
+	covered    int // active work vertices the dense plan folds for
 	splitWork  bool
 
 	partialsLocal  []wire.ReplicaPartial
@@ -245,7 +246,7 @@ func (s *computeShard) reset() {
 	s.peak = max(s.peak, len(s.values), len(s.partialsLocal), len(s.partialsRemote), len(s.updates))
 	s.values = s.values[:0]
 	s.residual = 0
-	s.activeNext = 0
+	s.activeNext, s.covered = 0, 0
 	s.splitWork = false
 	s.partialsLocal = s.partialsLocal[:0]
 	s.partialsRemote = s.partialsRemote[:0]
@@ -397,7 +398,11 @@ func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, slotted
 	s.residual += r.prog.Residual(old, nw)
 	if act {
 		s.activeNext++
-		if r.final() || a.dense.covers(i) {
+		if a.dense.covers(i) {
+			s.covered++
+			return
+		}
+		if r.final() {
 			return
 		}
 		var runs graph.VertexRuns
@@ -462,12 +467,14 @@ func (a *Agent) combineVertex(s *computeShard, i uint32, p *partialEntry, self c
 // sends, and the delivery of the messages scattered for step all happen
 // here, under the same phase gate the sequential path uses, and in work-list
 // order (stretches): chunk by chunk, whichever worker ran it, then what the
-// dense fold pushed. So the answer does not follow the steal schedule.
-func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent.AgentID) {
-	r, t := a.run, &a.verts
+// dense fold pushed. So the answer does not follow the steal schedule. It
+// reports whether the dense plan folded the step.
+func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent.AgentID) bool {
+	r, t, covered := a.run, &a.verts, 0
 	for _, s := range shards {
 		r.residual += s.residual
 		r.activeNext += s.activeNext
+		covered += s.covered
 		if s.splitWork {
 			r.splitWork = true
 		}
@@ -495,11 +502,12 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 	}
 	// What the dense fold pushes follows every chunk.
 	shards[0].mark(math.MaxInt32)
-	dense := a.foldDense(shards[0], step, self)
+	dense := a.foldDense(shards[0], step, self, covered)
 	// The phase's hub records leave in one frame per peer and record type.
 	a.sendHubFrames(a.hubPartials, a.phaseGate)
 	a.sendHubFrames(a.hubUpdates, a.phaseGate)
 	a.deliver(shards, step, dense, a.phaseGate)
+	return dense
 }
 
 // deliver ends a scatter into shards — a phase's, or a sequential scatter's

@@ -61,6 +61,65 @@ type vertexTable struct {
 	// the same record while it stands.
 	layout uint32
 	mail   slotMail
+	// peers caches, per sending peer's address, the slots acceptAggs
+	// resolved for that peer's last frame of aggregates (peerSlots).
+	peers map[string]*peerSlots
+}
+
+// peerSlots is what acceptAggs resolved of one peer's last frame of
+// aggregates into slot mail, position by position: the target and its slot,
+// entered only once the record's replica bit said this agent serves it. A
+// dense sender folds along a plan whose target order stands while the plan
+// does, so the next frame's targets are compared with the cached keys in
+// order and probed only where they differ. The entries hold while the table's
+// layout and view stamp are the ones they were taken under.
+type peerSlots struct {
+	layout uint32
+	view   uint16
+	keys   []graph.VertexID
+	slots  []uint32
+}
+
+// peerSlots returns the slot cache of the peer at from, emptied if the
+// table moved or a view was installed since it was filled; nil for no peer.
+func (t *vertexTable) peerSlots(from string) *peerSlots {
+	if from == "" {
+		return nil
+	}
+	c := t.peers[from]
+	if c == nil {
+		if t.peers == nil {
+			t.peers = map[string]*peerSlots{}
+		}
+		c = &peerSlots{}
+		t.peers[from] = c
+	}
+	if c.layout != t.layout || c.view != t.view {
+		c.layout, c.view = t.layout, t.view
+		c.keys, c.slots = c.keys[:0], c.slots[:0]
+	}
+	return c
+}
+
+// at returns the cached slot of v at position k, if v is what the cache
+// holds there.
+func (c *peerSlots) at(k int, v graph.VertexID) (uint32, bool) {
+	if c != nil && k < len(c.keys) && c.keys[k] == v {
+		return c.slots[k], true
+	}
+	return 0, false
+}
+
+// put caches v's slot i at position k: in place, or at the end if k is
+// where the cache ends.
+func (c *peerSlots) put(k int, v graph.VertexID, i uint32) {
+	switch {
+	case c == nil:
+	case k < len(c.keys):
+		c.keys[k], c.slots[k] = v, i
+	case k == len(c.keys):
+		c.keys, c.slots = append(c.keys, v), append(c.slots, i)
+	}
 }
 
 // slotMail is one step's mailbox held by vertex-table slot instead of in an
@@ -280,14 +339,15 @@ func (t *vertexTable) begin(k int) {
 	}
 }
 
-// restamp makes every record's cached answers stale: the router installed a
-// view. The stamp has 14 bits; when it wraps, every record is cleared.
+// restamp makes every record's cached answers, and every peer's cached
+// slots, stale: the router installed a view. The stamp has 14 bits; when it
+// wraps, every record is cleared and the peers' caches dropped.
 func (t *vertexTable) restamp() {
 	if t.view += viewAnswers + 1; t.view == 0 {
 		for i := range t.slots {
 			t.slots[i].view = 0
 		}
-		t.view = viewAnswers + 1
+		t.view, t.peers = viewAnswers+1, nil
 	}
 }
 

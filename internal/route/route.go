@@ -471,10 +471,19 @@ func (r *Router) ReplicaFor(replicas []int32, other graph.VertexID) int {
 // CopyOwner resolves the owner of one routed edge-change copy: Out copies
 // key on Src, In copies key on Dst.
 func (r *Router) CopyOwner(c wire.EdgeChange) (consistent.AgentID, bool) {
-	if c.Dir == graph.Out {
-		return r.EdgeOwner(c.Src, c.Dst)
+	if i, ok := r.CopyOwnerIndex(c); ok {
+		return r.members[i], true
 	}
-	return r.EdgeOwner(c.Dst, c.Src)
+	return 0, false
+}
+
+// CopyOwnerIndex is CopyOwner answering with the owner's position in
+// Agents().
+func (r *Router) CopyOwnerIndex(c wire.EdgeChange) (int, bool) {
+	if c.Dir == graph.Out {
+		return r.EdgeOwnerIndex(c.Src, c.Dst)
+	}
+	return r.EdgeOwnerIndex(c.Dst, c.Src)
 }
 
 // ReplicaSet returns vertex v's replica agents; index 0 is the master.

@@ -271,14 +271,13 @@ func (c *cluster) faultFree() {
 	}
 }
 
-// frames counts what each endpoint has sent so far, by sender and type.
+// frames counts what each endpoint has sent so far, by sender and type:
+// every endpoint the cluster made, those of agents that left or joined
+// included.
 func (c *cluster) frames() map[string]int {
-	addrs := []string{masterAddr, coordAddr, streamerAddr, clientAddr}
-	for i := range c.agents {
-		addrs = append(addrs, agentAddr(i))
-	}
 	n := map[string]int{}
-	for _, from := range addrs {
+	for _, ep := range c.eps {
+		from := ep.Addr()
 		for typ := 0; typ < 256; typ++ {
 			if k := c.w.Sent(from, wire.Type(typ)); k > 0 {
 				n[from+" "+wire.Type(typ).String()] = k
@@ -689,14 +688,18 @@ func chaosDropOnly(t *testing.T, seed int64) map[string]int {
 		t.Fatal("WCC did not converge under drops")
 	}
 	c.chaosCheck(algorithm.WCC{}, el, algorithm.RunOptions{}, 0)
-	var retransmits uint64
-	for _, a := range c.agents {
-		retransmits += a.TransportStats().Retransmits
-	}
-	if retransmits == 0 {
+	if c.retransmits() == 0 {
 		t.Error("expected retransmissions under 5% drop, saw none")
 	}
 	return c.frames()
+}
+
+// retransmits sums the agents' resends.
+func (c *cluster) retransmits() (n uint64) {
+	for _, a := range c.agents {
+		n += a.TransportStats().Retransmits
+	}
+	return n
 }
 
 // TestBootUnderChaos boots the three agents, streamer and client under 3 %

@@ -40,13 +40,47 @@ func TestDeleteRacesMigration(t *testing.T) {
 	}
 }
 
-func deleteRacesMigration(t *testing.T, seed int64, change string, cfg config.Config, unsplit bool) {
+// TestMigrationReplays runs TestDeleteRacesMigration's schedule twice per
+// seed: every endpoint must send the same frames, by type, and the world
+// must end at the same virtual instant. A send made in map order would make
+// the chaos draws that follow it, and so the seed, differ between runs.
+func TestMigrationReplays(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  func() config.Config
+	}{{"unsplit", testConfig}, {"split", splitConfig}}
+	for _, change := range []string{"leave", "join"} {
+		for _, tc := range configs {
+			t.Run(change+"/"+tc.name, func(t *testing.T) {
+				for seed := int64(1); seed <= 16; seed++ {
+					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+						var ends [2]time.Duration
+						k := 0
+						replay(t, func() map[string]int {
+							frames, end := deleteRacesMigration(t, seed, change, tc.cfg(), tc.name == "unsplit")
+							ends[k], k = end, k+1
+							return frames
+						})
+						if ends[0] != ends[1] {
+							t.Fatalf("the replay ended at %v, the first run at %v", ends[1], ends[0])
+						}
+					})
+				}
+			})
+		}
+	}
+}
+
+// deleteRacesMigration runs one seed of TestDeleteRacesMigration and returns
+// the frames each endpoint sent, by type, and the virtual time it took.
+func deleteRacesMigration(t *testing.T, seed int64, change string, cfg config.Config, unsplit bool) (map[string]int, time.Duration) {
 	defer func() {
 		if t.Failed() {
 			t.Logf("rerun: go test -run '^%s$' ./internal/sim/", t.Name())
 		}
 	}()
 	w := sim.NewWorld()
+	start := w.Now()
 	w.Chaos(seed, 0, 0, time.Millisecond)
 	c := boot(t, w, 3, cfg)
 	el := gen.RMAT(8, 1024, gen.Graph500Params(), 3).Dedupe()
@@ -91,4 +125,5 @@ func deleteRacesMigration(t *testing.T, seed int64, change string, cfg config.Co
 		c.algo(client.RunSpec{Algo: algo, Source: source, FromScratch: true})
 		c.check(algo, held, source)
 	}
+	return c.frames(), w.Now().Sub(start)
 }
