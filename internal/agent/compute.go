@@ -1014,7 +1014,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg, from string) (forwarded int) {
 	t, prog := &a.verts, a.prog()
 	if m := &t.mail; m.open && m.step == step {
-		c, k := t.peerSlots(from), 0
+		c, k, sum := t.peerSlots(from), 0, algorithm.IsFloatSum(prog)
 		for ; k < len(msgs); k++ {
 			msg := &msgs[k]
 			i, hit := c.at(k, msg.Target)
@@ -1032,7 +1032,7 @@ func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg, 
 					}
 				}
 			}
-			m.merge(prog, i, algorithm.Word(msg.Value))
+			m.merge(prog, sum, i, algorithm.Word(msg.Value))
 		}
 		if msgs = msgs[k:]; len(msgs) == 0 {
 			return 0

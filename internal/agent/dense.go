@@ -31,6 +31,7 @@ import (
 // run that uses no plan lets it go (trimDense).
 type densePlan struct {
 	on, used      bool // on: the run is dense, the plan current; used: since the last trim
+	sum           bool // the run's program is a FloatSum (fold adds float64s)
 	builds, folds int  // plans built and steps folded, for tests
 	run, layout   uint32
 	epoch, stored uint64
@@ -70,7 +71,11 @@ func (p *densePlan) source(i uint32) bool { return p.has[i/64]&(1<<(i%64)) != 0 
 
 // fold gathers the message values of target g's sources onto agg.
 func (p *densePlan) fold(prog algorithm.Program, agg algorithm.Word, g uint32) algorithm.Word {
-	return algorithm.GatherAt(prog, agg, p.mv, p.srcs[p.off[g]:p.off[g+1]])
+	at := p.srcs[p.off[g]:p.off[g+1]]
+	if p.sum {
+		return algorithm.SumAt(agg, p.mv, at)
+	}
+	return algorithm.GatherAt(prog, agg, p.mv, at)
 }
 
 // trimDense ends a run's hold on the dense plan: a run that used one keeps
@@ -116,7 +121,7 @@ func (a *Agent) syncDense(work []uint32) {
 	if !p.on {
 		return
 	}
-	p.used = true
+	p.used, p.sum = true, algorithm.IsFloatSum(r.prog)
 	if a.planStands(dirs) && (p.run == r.id || slices.Equal(p.work, work)) {
 		p.run = r.id
 		return

@@ -151,13 +151,17 @@ func (m *slotMail) add(i uint32) bool {
 }
 
 // merge combines an aggregate some sender already gathered into slot i's
-// entry: aggTable.merge under a run.
-func (m *slotMail) merge(prog algorithm.Program, i uint32, agg algorithm.Word) {
-	if m.add(i) {
+// entry: aggTable.merge under a run. sum says prog is a FloatSum, whose
+// MergeAgg is one float64 addition, made here without the call.
+func (m *slotMail) merge(prog algorithm.Program, sum bool, i uint32, agg algorithm.Word) {
+	switch {
+	case m.add(i):
 		m.agg[i] = agg
-		return
+	case sum:
+		m.agg[i] = algorithm.FromF64(m.agg[i].F64() + agg.F64())
+	default:
+		m.agg[i] = prog.MergeAgg(m.agg[i], agg)
 	}
-	m.agg[i] = prog.MergeAgg(m.agg[i], agg)
 }
 
 // eager returns slot i's aggregate for gathering into, ZeroAgg if fresh:

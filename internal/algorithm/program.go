@@ -382,26 +382,40 @@ type PerEdgeAdjuster interface {
 }
 
 // FloatSum is an optional Program extension for algorithms whose Gather
-// adds float64 values (PageRank, PPR): GatherAt folds their messages with
-// float64 additions, in the same order, which gives Gather's bits.
+// and MergeAgg add float64 values (PageRank, PPR): SumAt folds their
+// messages with float64 additions, in the same order, which gives Gather's
+// bits, and an engine may merge two aggregates as one float64 addition.
 type FloatSum interface {
 	GathersFloatSum()
+}
+
+// IsFloatSum reports whether p is a FloatSum: an engine asks once per run
+// or per frame, not per message.
+func IsFloatSum(p Program) bool {
+	_, ok := p.(FloatSum)
+	return ok
 }
 
 // GatherAt folds vals[k], for each k in at in order, onto agg with p's
 // Gather: an engine's fold of messages it holds by index.
 func GatherAt(p Program, agg Word, vals []Word, at []uint32) Word {
-	if _, sum := p.(FloatSum); sum {
-		f := agg.F64()
-		for _, k := range at {
-			f += vals[k].F64()
-		}
-		return FromF64(f)
+	if IsFloatSum(p) {
+		return SumAt(agg, vals, at)
 	}
 	for _, k := range at {
 		agg = p.Gather(agg, vals[k])
 	}
 	return agg
+}
+
+// SumAt is GatherAt for a FloatSum program: vals[k], for each k in at in
+// order, added onto agg as float64s.
+func SumAt(agg Word, vals []Word, at []uint32) Word {
+	f := agg.F64()
+	for _, k := range at {
+		f += vals[k].F64()
+	}
+	return FromF64(f)
 }
 
 // SourceReader is an optional Program extension for algorithms whose

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"elga/internal/events"
@@ -77,6 +80,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	edges := EncodeEdgeBatch(testRunBatch())
 	f.Add(seedFrame(TEdges, edges))
 	f.Add(seedFrame(TEdges, edges[:len(edges)-5]))
+	// Vertex messages: a well-formed batch, a truncated one, a forged count.
+	msgs := AppendVertexMsgBatch(nil, &VertexMsgBatch{Step: 4, Msgs: []VertexMsg{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}})
+	f.Add(seedFrame(TVertexMsgs, msgs))
+	f.Add(seedFrame(TVertexMsgs, msgs[:len(msgs)-7]))
+	f.Add(seedFrame(TVertexMsgs, binary.LittleEndian.AppendUint32(msgs[:5:5], 1<<26)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -119,6 +127,33 @@ func FuzzDecodeFrame(f *testing.F) {
 							t.Fatalf("run of %d decoded out of order: %v", r.Key, r.Nbrs)
 						}
 					}
+				}
+				// Every section decoded is the one the payload counts.
+				enc := EncodeEdgeBatch(b)
+				if len(enc) > len(payload) {
+					t.Fatalf("%d bytes decoded to a %d-byte batch", len(payload), len(enc))
+				}
+				want := slices.Clone(payload[:len(enc)])
+				want[8] = boolByte(want[8] != 0)
+				for i, at := 0, 9+4+changeSize*len(b.Changes)+4; i < len(b.States); i++ {
+					want[at+stateSize*i+16] &= stateActive | stateNoValue
+				}
+				if !bytes.Equal(enc, want) {
+					t.Fatalf("%d changes, %d states, %d runs do not re-encode to the payload", len(b.Changes), len(b.States), len(b.Runs))
+				}
+			}
+		case TVertexMsgs:
+			// The records decoded are the ones the payload counts and holds.
+			var b VertexMsgBatch
+			if err := DecodeVertexMsgBatchInto(&b, payload); err == nil {
+				n := 9 + vertexMsgSize*len(b.Msgs)
+				if n > len(payload) {
+					t.Fatalf("%d bytes decoded to %d messages", len(payload), len(b.Msgs))
+				}
+				want := slices.Clone(payload[:n])
+				want[4] = boolByte(want[4] != 0)
+				if !bytes.Equal(AppendVertexMsgBatch(nil, &b), want) {
+					t.Fatalf("%d messages do not re-encode to the payload", len(b.Msgs))
 				}
 			}
 		case TReady:

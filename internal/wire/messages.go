@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"elga/internal/graph"
 )
@@ -160,44 +161,94 @@ type EdgeBatch struct {
 	nbrs []graph.VertexID
 }
 
-// A run is encoded as its key (8 bytes), a change's action|dir tag (1; runs
-// are inserts), its length (4) and its neighbours (8 each).
-const runHeaderSize = 8 + 1 + 4
+// The per-record sections of the two data-plane batches are fixed-stride:
+// a u32 count, then that many records of one size, each field at a fixed
+// offset. A change is its action|dir tag (1 byte), source and destination (8
+// each); a vertex state its vertex and state (8 each) and flags (1); a vertex
+// message its target, via and value (8 each). A run is its key (8), a
+// change's action|dir tag (1; runs are inserts), its length (4) and its
+// neighbours (8 each).
+const (
+	changeSize    = 1 + 8 + 8
+	stateSize     = 8 + 8 + 1
+	vertexMsgSize = 8 + 8 + 8
+	runHeaderSize = 8 + 1 + 4
+)
+
+// A truncated batch or a count its payload cannot hold is refused with an
+// error made once, so refusing costs the receiver no allocation.
+var (
+	errShortEdges = fmt.Errorf("decode edge batch: %w", ErrShort)
+	errShortMsgs  = fmt.Errorf("decode vertex msgs: %w", ErrShort)
+)
+
+// grow extends dst by n bytes, returning it and the n bytes to fill.
+func grow(dst []byte, n int) ([]byte, []byte) {
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	return dst, dst[at:]
+}
+
+// appendSection appends a section's count and grows dst by its n records of
+// size bytes, returning it and the records' bytes to fill.
+func appendSection(dst []byte, n, size int) ([]byte, []byte) {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return grow(dst, n*size)
+}
+
+// section splits a counted section of records of size bytes off data: its
+// records' bytes and what follows them. A count the payload cannot hold is
+// ErrShort; the check reads the section's whole length once, so no record
+// needs its own.
+func section(data []byte, size int) (recs, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, nil, ErrShort
+	}
+	n := uint64(binary.LittleEndian.Uint32(data))
+	if data = data[4:]; n > uint64(len(data)/size) {
+		return nil, nil, ErrShort
+	}
+	return data[:int(n)*size], data[int(n)*size:], nil
+}
+
+// resize returns s at length n, reusing its capacity; the caller overwrites
+// every element.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // AppendEdgeBatch appends an edge batch payload to dst.
 func AppendEdgeBatch(dst []byte, b *EdgeBatch) []byte {
-	w := Writer{buf: dst}
-	w.U64(b.Epoch)
-	w.Bool(b.Migration)
-	w.U32(uint32(len(b.Changes)))
+	dst = binary.LittleEndian.AppendUint64(dst, b.Epoch)
+	dst = append(dst, boolByte(b.Migration))
+	dst, recs := appendSection(dst, len(b.Changes), changeSize)
 	for _, c := range b.Changes {
-		w.U8(uint8(c.Action)<<1 | uint8(c.Dir))
-		w.U64(uint64(c.Src))
-		w.U64(uint64(c.Dst))
+		rec := recs[:changeSize]
+		rec[0] = uint8(c.Action)<<1 | uint8(c.Dir)
+		binary.LittleEndian.PutUint64(rec[1:], uint64(c.Src))
+		binary.LittleEndian.PutUint64(rec[9:], uint64(c.Dst))
+		recs = recs[changeSize:]
 	}
-	w.U32(uint32(len(b.States)))
+	dst, recs = appendSection(dst, len(b.States), stateSize)
 	for _, s := range b.States {
-		w.U64(uint64(s.Vertex))
-		w.U64(uint64(s.State))
-		var flags uint8
-		if s.Active {
-			flags |= stateActive
-		}
-		if s.NoValue {
-			flags |= stateNoValue
-		}
-		w.U8(flags)
+		rec := recs[:stateSize]
+		binary.LittleEndian.PutUint64(rec, uint64(s.Vertex))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(s.State))
+		rec[16] = boolByte(s.Active)*stateActive | boolByte(s.NoValue)*stateNoValue
+		recs = recs[stateSize:]
 	}
-	w.U32(uint32(len(b.Runs)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Runs)))
 	for _, r := range b.Runs {
-		w.U64(uint64(r.Key))
-		w.U8(uint8(graph.Insert)<<1 | uint8(r.Dir))
-		w.U32(uint32(len(r.Nbrs)))
+		var run []byte
+		dst, run = grow(dst, runHeaderSize+8*len(r.Nbrs))
+		binary.LittleEndian.PutUint64(run, uint64(r.Key))
+		run[8] = uint8(graph.Insert)<<1 | uint8(r.Dir)
+		binary.LittleEndian.PutUint32(run[9:], uint32(len(r.Nbrs)))
+		run = run[runHeaderSize:]
 		for _, v := range r.Nbrs {
-			w.U64(uint64(v))
+			binary.LittleEndian.PutUint64(run[:8], uint64(v))
+			run = run[8:]
 		}
 	}
-	return w.buf
+	return dst
 }
 
 // EncodeEdgeBatch serializes an edge batch.
@@ -207,47 +258,53 @@ func EncodeEdgeBatch(b *EdgeBatch) []byte { return AppendEdgeBatch(nil, b) }
 // b.Changes, b.States and the runs' neighbour lists. Nothing in b aliases
 // data afterwards.
 func DecodeEdgeBatchInto(b *EdgeBatch, data []byte) error {
-	r := Reader{buf: data}
-	b.Epoch = r.U64()
-	b.Migration = r.Bool()
-	b.Changes = b.Changes[:0]
-	n := int(r.U32())
-	if r.Err() == nil && n < 1<<26 {
-		if cap(b.Changes) == 0 {
-			b.Changes = make([]EdgeChange, 0, capHint(n))
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			tag := r.U8()
-			b.Changes = append(b.Changes, EdgeChange{
-				Action: graph.Action(tag >> 1),
-				Dir:    graph.Dir(tag & 1),
-				Src:    graph.VertexID(r.U64()),
-				Dst:    graph.VertexID(r.U64()),
-			})
-		}
-	}
-	b.States = b.States[:0]
-	ns := int(r.U32())
-	if r.Err() == nil && ns < 1<<26 {
-		if cap(b.States) == 0 {
-			b.States = make([]VertexState, 0, capHint(ns))
-		}
-		for i := 0; i < ns && r.Err() == nil; i++ {
-			v, w, flags := graph.VertexID(r.U64()), Word(r.U64()), r.U8()
-			b.States = append(b.States, VertexState{
-				Vertex: v, State: w, Active: flags&stateActive != 0, NoValue: flags&stateNoValue != 0,
-			})
-		}
-	}
-	b.Runs, b.nbrs = b.Runs[:0], b.nbrs[:0]
-	err := r.Err()
-	if err == nil {
-		err = b.decodeRuns(data[r.off:])
-	}
-	if err != nil {
+	b.Changes, b.States, b.Runs, b.nbrs = b.Changes[:0], b.States[:0], b.Runs[:0], b.nbrs[:0]
+	switch err := b.decode(data); err {
+	case nil:
+		return nil
+	case ErrShort:
+		return errShortEdges
+	default:
 		return fmt.Errorf("decode edge batch: %w", err)
 	}
-	return nil
+}
+
+// decode reads data into b, whose sections are empty.
+func (b *EdgeBatch) decode(data []byte) error {
+	if len(data) < 9 {
+		return ErrShort
+	}
+	b.Epoch, b.Migration = binary.LittleEndian.Uint64(data), data[8] != 0
+	recs, data, err := section(data[9:], changeSize)
+	if err != nil {
+		return err
+	}
+	b.Changes = resize(b.Changes, len(recs)/changeSize)
+	for i := range b.Changes {
+		rec := recs[:changeSize]
+		b.Changes[i] = EdgeChange{
+			Action: graph.Action(rec[0] >> 1),
+			Dir:    graph.Dir(rec[0] & 1),
+			Src:    graph.VertexID(binary.LittleEndian.Uint64(rec[1:])),
+			Dst:    graph.VertexID(binary.LittleEndian.Uint64(rec[9:])),
+		}
+		recs = recs[changeSize:]
+	}
+	if recs, data, err = section(data, stateSize); err != nil {
+		return err
+	}
+	b.States = resize(b.States, len(recs)/stateSize)
+	for i := range b.States {
+		rec := recs[:stateSize]
+		b.States[i] = VertexState{
+			Vertex:  graph.VertexID(binary.LittleEndian.Uint64(rec)),
+			State:   Word(binary.LittleEndian.Uint64(rec[8:])),
+			Active:  rec[16]&stateActive != 0,
+			NoValue: rec[16]&stateNoValue != 0,
+		}
+		recs = recs[stateSize:]
+	}
+	return b.decodeRuns(data)
 }
 
 // decodeRuns reads the run section, data, into b.Runs, their neighbour lists
@@ -322,40 +379,40 @@ type VertexMsgBatch struct {
 
 // AppendVertexMsgBatch appends a vertex message batch payload to dst.
 func AppendVertexMsgBatch(dst []byte, b *VertexMsgBatch) []byte {
-	w := Writer{buf: dst}
-	w.U32(b.Step)
-	w.Bool(b.Async)
-	w.U32(uint32(len(b.Msgs)))
+	dst = binary.LittleEndian.AppendUint32(dst, b.Step)
+	dst = append(dst, boolByte(b.Async))
+	dst, recs := appendSection(dst, len(b.Msgs), vertexMsgSize)
 	for _, m := range b.Msgs {
-		w.U64(uint64(m.Target))
-		w.U64(uint64(m.Via))
-		w.U64(uint64(m.Value))
+		rec := recs[:vertexMsgSize]
+		binary.LittleEndian.PutUint64(rec, uint64(m.Target))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(m.Via))
+		binary.LittleEndian.PutUint64(rec[16:], uint64(m.Value))
+		recs = recs[vertexMsgSize:]
 	}
-	return w.buf
+	return dst
 }
 
 // DecodeVertexMsgBatchInto parses a vertex message batch into b, reusing
 // the capacity of b.Msgs. Nothing in b aliases data afterwards.
 func DecodeVertexMsgBatchInto(b *VertexMsgBatch, data []byte) error {
-	r := Reader{buf: data}
-	b.Step = r.U32()
-	b.Async = r.Bool()
 	b.Msgs = b.Msgs[:0]
-	n := int(r.U32())
-	if r.Err() == nil && n < 1<<26 {
-		if cap(b.Msgs) == 0 {
-			b.Msgs = make([]VertexMsg, 0, capHint(n))
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			b.Msgs = append(b.Msgs, VertexMsg{
-				Target: graph.VertexID(r.U64()),
-				Via:    graph.VertexID(r.U64()),
-				Value:  Word(r.U64()),
-			})
-		}
+	if len(data) < 5 {
+		return errShortMsgs
 	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("decode vertex msgs: %w", err)
+	b.Step, b.Async = binary.LittleEndian.Uint32(data), data[4] != 0
+	recs, _, err := section(data[5:], vertexMsgSize)
+	if err != nil {
+		return errShortMsgs
+	}
+	b.Msgs = resize(b.Msgs, len(recs)/vertexMsgSize)
+	for i := range b.Msgs {
+		rec := recs[:vertexMsgSize]
+		b.Msgs[i] = VertexMsg{
+			Target: graph.VertexID(binary.LittleEndian.Uint64(rec)),
+			Via:    graph.VertexID(binary.LittleEndian.Uint64(rec[8:])),
+			Value:  Word(binary.LittleEndian.Uint64(rec[16:])),
+		}
+		recs = recs[vertexMsgSize:]
 	}
 	return nil
 }

@@ -327,12 +327,14 @@ func (w *Writer) Bytes() []byte { return w.buf }
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
 // Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
+func (w *Writer) Bool(v bool) { w.U8(boolByte(v)) }
+
+// boolByte is a boolean's one-byte encoding.
+func boolByte(v bool) byte {
 	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		return 1
 	}
+	return 0
 }
 
 // U32 appends a little-endian uint32.
