@@ -119,7 +119,7 @@ func (a *Agent) ackWhenDrained(g *ackGroup, pkt *wire.Packet) {
 }
 
 // partialEntry accumulates replica partials at a master. A step's entries
-// live by value in one map, recycled through partialFree like the mailboxes.
+// live by value in one map, recycled through partialFree.
 type partialEntry struct {
 	agg    algorithm.Word
 	have   bool
@@ -153,7 +153,7 @@ type runCtx struct {
 }
 
 // final reports whether the current step is the run's last. The directory
-// halts after it whatever the votes say, and TAlgoDone drops every mailbox,
+// halts after it whatever the votes say, and TAlgoDone drops all the mail,
 // so nothing the step would scatter is ever read. MaxSteps 0 is no limit.
 func (r *runCtx) final() bool { return r.spec.MaxSteps > 0 && r.step+1 >= r.spec.MaxSteps }
 
@@ -227,13 +227,13 @@ type Agent struct {
 	// owner's member index.
 	fwdChanges [][]wire.EdgeChange
 
-	// mailbox holds one aggregate table per pending step (the one being
-	// computed and the one being scattered into); consumed tables wait in
-	// tableFree, and stay while runs use them (trimScratch). foldTab is
-	// foldByTarget's scratch.
-	mailbox   map[uint32]*aggTable
-	tableFree []*aggTable
-	foldTab   aggTable
+	// prerun holds, in arrival order, the aggregates that arrived while no
+	// run was installed, which only a program can merge: each waits for its
+	// step's mail to be read (stepMail). The rest of the mail is held by
+	// vertex-table slot (vertexTable.mail). foldTab is foldByTarget's
+	// scratch.
+	prerun  []stepMsg
+	foldTab aggTable
 	// mergeOrder lists the phase's shard outputs in work-list order, and
 	// merged holds a destination's messages folded across several shards,
 	// mergedPeak the most it held since the last trim (mergeShards).
@@ -379,7 +379,6 @@ func New(opts Options, ep transport.Endpoint) *Agent {
 		agentStats:  &agentStats{},
 		store:       graph.NewStore(),
 		skDelta:     sketch.NewDelta(opts.Config.SketchWidth, opts.Config.SketchDepth),
-		mailbox:     make(map[uint32]*aggTable),
 		partials:    make(map[uint32]map[graph.VertexID]partialEntry),
 		phaseGate:   &ackGroup{},
 		reqToGroups: make(map[uint32][]*ackGroup),

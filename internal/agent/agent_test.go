@@ -14,67 +14,111 @@ import (
 	"elga/internal/wire"
 )
 
-// foldOf is the aggregate v's entry yields at consumption.
-func foldOf(t *aggTable, prog algorithm.Program, v graph.VertexID) algorithm.Word {
-	return t.fold(prog, t.get(v))
+// mailBox is the buffer at a that holds step's mail, whichever it is; nil if
+// none holds any.
+func mailBox(a *Agent, step uint32) *slotMail {
+	for k := range a.verts.mail {
+		if m := &a.verts.mail[k]; m.step == step && len(m.order) > 0 {
+			return m
+		}
+	}
+	return nil
+}
+
+// mailAt is v's aggregate in step's mail at a, if v has an entry there.
+func mailAt(a *Agent, step uint32, v graph.VertexID) (algorithm.Word, bool) {
+	m, i := mailBox(a, step), a.verts.find(v)
+	if m == nil || i < 0 || !m.holds(uint32(i)) {
+		return 0, false
+	}
+	return m.agg[i], true
+}
+
+// mailLen is how many entries step's mail holds at a.
+func mailLen(a *Agent, step uint32) int {
+	if m := mailBox(a, step); m != nil {
+		return len(m.order)
+	}
+	return 0
+}
+
+// foldOf is the aggregate v's entry yields when step's mail is read: what the
+// step's mail holds with what arrived before the run merged in.
+func foldOf(a *Agent, step uint32, v graph.VertexID) algorithm.Word {
+	a.stepMail(step)
+	w, _ := mailAt(a, step, v)
+	return w
+}
+
+// mergeAt delivers agg for v at step as a peer's batch does.
+func mergeAt(a *Agent, step uint32, v graph.VertexID, agg algorithm.Word) {
+	a.handleVertexMsgs(vertexMsgPacket(step, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(agg)}))
 }
 
 func TestMailFoldRawOnly(t *testing.T) {
-	// Aggregates delivered before any run exists buffer raw and fold once a
+	// Aggregates delivered before any run exists wait raw and fold once a
 	// program is there to merge them.
-	var tab aggTable
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
 	for _, w := range []algorithm.Word{5, 3, 9} {
-		tab.mergeKey(nil, 1, w)
+		mergeAt(a, 1, 1, w)
 	}
-	if got := foldOf(&tab, algorithm.WCC{}, 1); got != 3 {
+	if len(a.prerun) != 3 || mailLen(a, 1) != 0 {
+		t.Fatalf("%d aggregates wait raw and %d entries are held, want 3 and 0", len(a.prerun), mailLen(a, 1))
+	}
+	installRun(a, algorithm.WCC{}, 64)
+	if got := foldOf(a, 1, 1); got != 3 {
 		t.Errorf("fold = %d, want min 3", got)
 	}
-	if tab.live != 1 {
-		t.Errorf("live = %d, want 1", tab.live)
+	if n := mailLen(a, 1); n != 1 || len(a.prerun) != 0 {
+		t.Errorf("entries = %d and %d still raw, want 1 and 0", n, len(a.prerun))
 	}
 }
 
 func TestMailFoldEagerOnly(t *testing.T) {
-	var tab aggTable
-	wcc := algorithm.WCC{}
-	tab.mergeKey(wcc, 1, 2)
-	tab.gather(wcc, 1, 6)
-	if got := foldOf(&tab, wcc, 1); got != 2 {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	installRun(a, algorithm.WCC{}, 64)
+	mergeAt(a, 1, 1, 2)
+	a.gatherLocal(1, []wire.VertexMsg{{Target: 1, Via: 6, Value: 6}})
+	if got := foldOf(a, 1, 1); got != 2 {
 		t.Errorf("fold = %d", got)
 	}
-	if tab.raw != nil {
-		t.Error("raw buffer exists with nothing raw delivered")
+	if a.prerun != nil {
+		t.Error("raw list exists with nothing raw delivered")
 	}
 }
 
 func TestMailFoldMixedEras(t *testing.T) {
 	// Raw values buffered pre-run plus an eager aggregate after the run
 	// installed must combine.
-	var tab aggTable
-	wcc := algorithm.WCC{}
-	tab.mergeKey(nil, 1, 4)
-	tab.mergeKey(nil, 1, 9)
-	tab.mergeKey(wcc, 1, 7)
-	if got := foldOf(&tab, wcc, 1); got != 4 {
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	mergeAt(a, 1, 1, 4)
+	mergeAt(a, 1, 1, 9)
+	installRun(a, algorithm.WCC{}, 64)
+	mergeAt(a, 1, 1, 7)
+	if got := foldOf(a, 1, 1); got != 4 {
 		t.Errorf("fold = %d, want 4", got)
 	}
-	pr := algorithm.PageRank{}
-	tab.reset()
-	tab.mergeKey(nil, 2, algorithm.FromF64(0.25))
-	tab.gather(pr, 2, algorithm.FromF64(0.5))
-	if got := foldOf(&tab, pr, 2).F64(); got != 0.75 {
+	a.run = nil
+	mergeAt(a, 2, 2, algorithm.FromF64(0.25))
+	installRun(a, algorithm.PageRank{}, 64)
+	a.gatherLocal(2, []wire.VertexMsg{{Target: 2, Via: 6, Value: wire.Word(algorithm.FromF64(0.5))}})
+	if got := foldOf(a, 2, 2).F64(); got != 0.75 {
 		t.Errorf("pagerank fold = %v, want 0.75", got)
 	}
 }
 
 func TestMailGetMissing(t *testing.T) {
-	var tab aggTable
-	if tab.get(1) != nil || (*aggTable)(nil).get(1) != nil {
-		t.Error("empty and nil tables must hold nothing")
+	a := newLoopbackAgent(t, allocTestConfig(), 64)
+	if _, ok := mailAt(a, 1, 1); ok || mailLen(a, 1) != 0 {
+		t.Error("an agent that was sent nothing must hold no mail")
 	}
-	tab.mergeKey(algorithm.WCC{}, 1, 3)
-	if tab.get(2) != nil {
+	installRun(a, algorithm.WCC{}, 64)
+	mergeAt(a, 1, 1, 3)
+	if _, ok := mailAt(a, 1, 2); ok {
 		t.Error("absent key found")
+	}
+	if _, ok := mailAt(a, 3, 1); ok {
+		t.Error("step 1's entry found in step 3's mail")
 	}
 }
 
@@ -177,8 +221,8 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	if a.phaseGate.pending != 0 {
 		t.Fatalf("%d sends pending toward an agent with no address", a.phaseGate.pending)
 	}
-	if e := a.mailbox[4].get(7); e == nil || e.agg != algorithm.FromF64(0.5) {
-		t.Fatalf("self-addressed message not delivered: %+v", e)
+	if w, ok := mailAt(a, 4, 7); !ok || w != algorithm.FromF64(0.5) {
+		t.Fatalf("self-addressed message not delivered: %v %v", w, ok)
 	}
 	// The next hand-out binds to the shrunken view and drops nothing.
 	shards = a.getShards(2)

@@ -11,24 +11,32 @@ import (
 	"elga/internal/wire"
 )
 
-// mergeKey merges an aggregate into v's entry, adding one if v has none.
-func (t *aggTable) mergeKey(prog algorithm.Program, v graph.VertexID, agg algorithm.Word) {
-	s, _ := t.put(v)
-	t.merge(prog, s, agg)
+// lookup returns v's slot in t, or nil: a probe that inserts nothing.
+func lookup(t *aggTable, v graph.VertexID) *aggSlot {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := (uint64(v) * fib) >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.gen != t.gen {
+			return nil
+		} else if s.key == v {
+			return s
+		}
+	}
 }
 
-// TestAggTableMatchesMapModel drives random put/get/kill/reset against a Go
-// map and an insertion-order list, through several growths per round: get
-// agrees with the map on every key ever used, live is exact, each walks the
-// surviving keys in insertion order (a key killed and put again keeps its
-// first position), and reset leaves every slot empty.
+// TestAggTableMatchesMapModel drives random puts and lookups against a Go
+// map and an insertion-order list, through several growths per round: put
+// is fresh exactly for a key the map lacks, a lookup agrees with the map on
+// every key ever used, the order lists the keys as first put, and reset
+// leaves every slot empty.
 func TestAggTableMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	var tab aggTable
 	for round := 0; round < 6; round++ {
 		model := make(map[graph.VertexID]algorithm.Word)
 		var order []graph.VertexID // first insertion of every key this round
-		seen := make(map[graph.VertexID]bool)
 		// Sparse and clustered keys; enough of them for >= 3 doublings of a
 		// fresh table (64 → 512 slots and beyond).
 		keys := 300 + rng.Intn(900)
@@ -42,8 +50,7 @@ func TestAggTableMatchesMapModel(t *testing.T) {
 		slots0 := len(tab.slots)
 		for op := 0; op < 8*keys; op++ {
 			k := keyOf()
-			switch r := rng.Intn(10); {
-			case r < 6:
+			if rng.Intn(10) < 6 {
 				s, fresh := tab.put(k)
 				_, had := model[k]
 				if fresh == had {
@@ -51,27 +58,16 @@ func TestAggTableMatchesMapModel(t *testing.T) {
 				}
 				if fresh {
 					s.agg = 0
+					order = append(order, k)
 				}
 				s.agg += algorithm.Word(op)
 				model[k] += algorithm.Word(op)
-				if !seen[k] {
-					seen[k] = true
-					order = append(order, k)
-				}
-			case r < 8:
-				s := tab.get(k)
-				w, had := model[k]
-				if (s != nil) != had || (had && s.agg != w) {
-					t.Fatalf("round %d: get(%d) = %+v, model %d/%v", round, k, s, w, had)
-				}
-			default:
-				if s := tab.get(k); s != nil {
-					tab.kill(s)
-					delete(model, k)
-				}
+				continue
 			}
-			if tab.live != len(model) {
-				t.Fatalf("round %d op %d: live = %d, model holds %d", round, op, tab.live, len(model))
+			s := lookup(&tab, k)
+			w, had := model[k]
+			if (s != nil) != had || (had && s.agg != w) {
+				t.Fatalf("round %d: lookup(%d) = %+v, model %d/%v", round, k, s, w, had)
 			}
 		}
 		if round == 0 && len(tab.slots) < 8*64 {
@@ -80,30 +76,17 @@ func TestAggTableMatchesMapModel(t *testing.T) {
 		if 2*len(tab.order) > len(tab.slots) {
 			t.Fatalf("load above 1/2: %d entries in %d slots", len(tab.order), len(tab.slots))
 		}
-		var want []graph.VertexID
-		for _, k := range order {
-			if _, ok := model[k]; ok {
-				want = append(want, k)
-			}
+		if len(tab.order) != len(order) {
+			t.Fatalf("round %d: the order lists %d entries, want %d", round, len(tab.order), len(order))
 		}
-		var got []graph.VertexID
-		tab.each(func(s *aggSlot) {
-			if s.agg != model[s.key] {
-				t.Fatalf("round %d: each sees %d = %d, model %d", round, s.key, s.agg, model[s.key])
-			}
-			got = append(got, s.key)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("round %d: each visited %d entries, want %d", round, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: entry %d is %d, insertion order says %d", round, i, got[i], want[i])
+		for i, si := range tab.order {
+			if s := &tab.slots[si]; s.key != order[i] || s.agg != model[s.key] {
+				t.Fatalf("round %d: entry %d is %d = %d, want %d = %d", round, i, s.key, s.agg, order[i], model[order[i]])
 			}
 		}
 		tab.reset()
-		if tab.live != 0 || len(tab.order) != 0 || tab.raw != nil {
-			t.Fatalf("round %d: reset left live=%d order=%d raw=%v", round, tab.live, len(tab.order), tab.raw)
+		if len(tab.order) != 0 {
+			t.Fatalf("round %d: reset left %d entries in the order", round, len(tab.order))
 		}
 		for i := range tab.slots {
 			if tab.slots[i].gen == tab.gen {
@@ -111,7 +94,7 @@ func TestAggTableMatchesMapModel(t *testing.T) {
 			}
 		}
 		for k := range model {
-			if tab.get(k) != nil {
+			if lookup(&tab, k) != nil {
 				t.Fatalf("round %d: %d survived reset", round, k)
 			}
 		}
@@ -128,28 +111,40 @@ func TestAggTableGenerationWrap(t *testing.T) {
 	tab.gen = ^uint32(0)
 	tab.put(9)
 	tab.reset() // wraps
-	if tab.gen == 0 || tab.get(7) != nil || tab.get(9) != nil {
-		t.Fatalf("after wrap: gen=%d get(7)=%v get(9)=%v", tab.gen, tab.get(7), tab.get(9))
+	if tab.gen == 0 || lookup(&tab, 7) != nil || lookup(&tab, 9) != nil {
+		t.Fatalf("after wrap: gen=%d lookup(7)=%v lookup(9)=%v", tab.gen, lookup(&tab, 7), lookup(&tab, 9))
 	}
 	tab.reset() // generation 2 again
-	if tab.get(7) != nil {
+	if lookup(&tab, 7) != nil {
 		t.Fatal("entry from a previous generation 2 is visible again")
 	}
 }
 
-// TestKilledRawEntryIsGone: killing an entry drops its raw buffer with it,
-// so a later delivery for the same vertex starts from nothing.
+// TestKilledRawEntryIsGone: an aggregate that waits raw for a run leaves
+// with its vertex when a view moves the vertex away, so a later delivery for
+// the same vertex, once it is served here again, starts from nothing.
 func TestKilledRawEntryIsGone(t *testing.T) {
-	var tab aggTable
-	wcc := algorithm.WCC{}
-	tab.mergeKey(nil, 5, 2)
-	tab.kill(tab.get(5))
-	if tab.get(5) != nil || tab.live != 0 {
-		t.Fatalf("killed entry still live (live=%d)", tab.live)
+	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
+	mergeView(t, a, 2, 2)
+	v := graph.VertexID(1)
+	for a.isReplicaOf(v) {
+		v++
 	}
-	tab.mergeKey(wcc, 5, 8)
-	if got := foldOf(&tab, wcc, 5); got != 8 {
-		t.Fatalf("fold after kill+merge = %d, want 8 (the killed raw 2 must not return)", got)
+	mergeView(t, a, 3)
+	mergeAt(a, 1, v, 2)
+	mergeView(t, a, 4, 2)
+	a.migrate(4, nil, false)
+	if len(a.prerun) != 0 {
+		t.Fatalf("%d raw aggregates stayed for a vertex that left", len(a.prerun))
+	}
+	if got := rec.log("peer-2").msgs; len(got) != 1 || got[0] != (wire.VertexMsg{Target: v, Via: v, Value: 2}) {
+		t.Fatalf("peer received %+v, want the raw aggregate as it came", got)
+	}
+	mergeView(t, a, 5)
+	installRun(a, algorithm.WCC{}, 64)
+	mergeAt(a, 1, v, 8)
+	if got := foldOf(a, 1, v); got != 8 {
+		t.Fatalf("fold after the move and a merge = %d, want 8 (the re-routed raw 2 must not return)", got)
 	}
 }
 
@@ -220,41 +215,41 @@ func TestFlushFoldsByTarget(t *testing.T) {
 	}
 }
 
-// TestMailboxDeliverRecycleDoesNotAllocate: once a step's table has grown
-// to its working size, a deliver-everything-then-recycle cycle — what every
-// superstep does to its mailbox — touches the heap not at all.
+// TestMailboxDeliverRecycleDoesNotAllocate: once both of the mail's
+// buffers have grown to their working size, a deliver-everything-then-read
+// cycle — what every superstep does to its mail — touches the heap not at
+// all.
 func TestMailboxDeliverRecycleDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is unreliable under -race")
 	}
 	a := newLoopbackAgent(t, allocTestConfig(), 64)
 	installRun(a, algorithm.PageRank{}, 64)
+	msgs := make([]wire.VertexMsg, 4096)
+	for i := range msgs {
+		msgs[i] = wire.VertexMsg{Target: graph.VertexID(i % 1024), Value: wire.Word(algorithm.FromF64(0.5))}
+	}
 	cycle := func(step uint32) {
-		mail, prog := a.mailFor(step), a.run.prog
-		for i := 0; i < 4096; i++ {
-			mail.gather(prog, graph.VertexID(i%1024), algorithm.FromF64(0.5))
-		}
-		delete(a.mailbox, step)
-		a.recycleMail(mail)
+		a.gatherLocal(step, msgs)
+		a.stepMail(step).close()
 	}
 	cycle(1)
-	step := uint32(2)
+	cycle(2)
+	step := uint32(3)
 	if allocs := testing.AllocsPerRun(50, func() { cycle(step); step++ }); allocs > 0 {
-		t.Fatalf("steady-state deliver+recycle cycle allocates %v times, want 0", allocs)
+		t.Fatalf("steady-state deliver+read cycle allocates %v times, want 0", allocs)
 	}
 }
 
 // BenchmarkMailboxDeliver is one superstep's received mail on
 // pagerank-static's scale: 120k aggregates onto 16k held vertices, in
-// frames of 512, taken in as acceptAggs takes them, then consumed. The table
-// variant merges into the step's aggTable, checking each fresh target's
-// vertex record; dense merges into the vertex table's slot mail, as a dense
-// run's steps do while its plan stands: one vertex-table probe a message.
-// cached is dense with each frame sent by a peer of its own, which sends
-// the same frame every step, as a standing plan's sender does: after the
-// first step every message merges by the slot its peer's cache holds.
+// frames of 512, taken in as acceptAggs takes them, then read. probe merges
+// by slot after one vertex-table probe a message; cached has each frame sent
+// by a peer of its own, which sends the same frame every step, as a standing
+// dense plan's sender does: after the first step every message merges by
+// the slot its peer's cache holds.
 func BenchmarkMailboxDeliver(b *testing.B) {
-	for _, mode := range []string{"table", "dense", "cached"} {
+	for _, mode := range []string{"probe", "cached"} {
 		b.Run(mode, func(b *testing.B) {
 			a := newLoopbackAgent(b, allocTestConfig(), 64)
 			installRun(a, algorithm.PageRank{}, 64)
@@ -266,8 +261,6 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 			for v := graph.VertexID(0); v < 16_384; v++ {
 				a.verts.set(v, 0)
 			}
-			a.dense.layout = a.verts.layout // a plan stands for the dense run
-			a.dense.on = mode != "table"
 			from := make([]string, (len(msgs)+511)/512)
 			for k := range from {
 				if mode == "cached" {
@@ -278,21 +271,12 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step := uint32(i)
-				if a.openMail(step) != a.dense.on {
-					b.Fatal("the slot mail did not open")
-				}
 				for k := 0; k < len(msgs); k += 512 {
 					s := a.seqShard()[0]
 					a.acceptAggs(s, step, msgs[k:min(k+512, len(msgs))], from[k/512])
 					s.reset()
 				}
-				if a.verts.mail.open != a.dense.on {
-					b.Fatal("the slot mail spilled")
-				}
-				if a.verts.mail.close(); a.mailbox[step] != nil {
-					a.recycleMail(a.mailbox[step])
-					delete(a.mailbox, step)
-				}
+				a.stepMail(step).close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(msgs)), "ns/msg")
 		})

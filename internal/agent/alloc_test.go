@@ -19,7 +19,7 @@ func allocTestConfig() config.Config {
 }
 
 // TestHandleVertexMsgsAcceptPathAllocs is the ceiling for the hot accept
-// path: once the scratch decode buffer and the step's mailbox table are warm,
+// path: once the scratch decode buffer and the step's mail are warm,
 // accepting a batch this agent is a replica for must not allocate — the
 // replica check resolves from the router's route table, no ack group is
 // created when nothing forwards, and aggregates merge in place.
@@ -39,7 +39,7 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	payload := wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: 3, Msgs: msgs})
 	pkt := &wire.Packet{Type: wire.TVertexMsgs, Payload: payload}
 
-	// Warm: first delivery creates the step-3 table and its entries.
+	// Warm: first delivery sizes step 3's mail and makes its entries.
 	if retained := a.handleVertexMsgs(pkt); retained {
 		t.Fatal("accept path should not retain the packet")
 	}
@@ -52,9 +52,8 @@ func TestHandleVertexMsgsAcceptPathAllocs(t *testing.T) {
 	}
 
 	// The messages must actually have landed.
-	e := a.mailbox[3].get(5)
-	if e == nil || e.agg.F64() < 100*0.25 {
-		t.Fatalf("mailbox entry missing or short: %+v", e)
+	if w, ok := mailAt(a, 3, 5); !ok || w.F64() < 100*0.25 {
+		t.Fatalf("mail entry missing or short: %v %v", w, ok)
 	}
 }
 

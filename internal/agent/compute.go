@@ -48,8 +48,6 @@ func (a *Agent) handleAlgoStart(pkt *wire.Packet) {
 		return
 	}
 	defer a.replayDeferred()
-	// A run that was never told done leaves its mail in its tables.
-	a.spillMail()
 	// The active set is the run's: the one before left nothing in it.
 	a.verts.begin(setActive)
 	if spec.FromScratch {
@@ -98,13 +96,12 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	a.barrierSpan = trace.ActiveSpan{}
 	a.run = nil
 	a.pendingAdv = nil
-	// Drop per-run message state; the two step-indexed maps themselves are
-	// kept, their tables and maps go back to the free lists.
-	for _, t := range a.mailbox {
-		a.recycleMail(t)
+	// Drop per-run message state: the mail keeps its arrays, the partial
+	// maps go back to the free list.
+	for k := range a.verts.mail {
+		a.verts.mail[k].close()
 	}
-	clear(a.mailbox)
-	a.verts.mail.close()
+	a.prerun = nil
 	for _, m := range a.partials {
 		a.recyclePartials(m)
 	}
@@ -191,7 +188,7 @@ func (a *Agent) handleAdvance(adv *wire.Advance, tctx trace.SpanContext) {
 	}
 }
 
-// processCompute is superstep phase 1: gather mailboxes, update and
+// processCompute is superstep phase 1: read the step's mail, update and
 // scatter non-split vertices, and ship split-vertex partials to masters.
 func (a *Agent) processCompute() {
 	// Injected compute-phase latency (SetComputeDelay) stalls this agent's
@@ -217,10 +214,7 @@ func (a *Agent) processCompute() {
 	}
 	r.started = true
 
-	// The step's mail is in its table or, in a dense run, held by slot.
-	t := &a.verts
-	mail, slotted := a.mailbox[r.step], t.mail.open && t.mail.step == r.step
-	delete(a.mailbox, r.step)
+	t, mail := &a.verts, a.stepMail(r.step)
 
 	// Work list: active vertices plus everything with mail, plus any
 	// activity that arrived through migration (st.Active marks), each probed
@@ -237,12 +231,9 @@ func (a *Agent) processCompute() {
 			}
 		}
 	}
-	mail.each(func(s *aggSlot) { t.mark(setWork, t.at(s.key)) })
-	if slotted {
-		for _, i := range t.mail.order {
-			if !standing || !p.source(i) {
-				t.mark(setWork, i)
-			}
+	for _, i := range mail.order {
+		if !standing || !p.source(i) {
+			t.mark(setWork, i)
 		}
 	}
 	for _, v := range a.store.TakeActive() {
@@ -259,18 +250,15 @@ func (a *Agent) processCompute() {
 
 	self := consistent.AgentID(a.id)
 	shards := a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, slotted, self)
+		a.computeVertex(s, work[i], mail, self)
 	})
-	if slotted {
-		t.mail.close() // read: the next step's mail may open there
-	}
+	mail.close() // read: step+2's mail may come here once this step is voted
 	went := 0
 	for _, s := range shards {
 		went += int(s.activeNext)
 	}
 	folded := a.mergeShards(shards, r.step+1, self)
 	p.stand = workStamp{run: r.id, step: r.step, gen: t.gen[setWork], ok: folded && went == len(work)}
-	a.recycleMail(mail)
 	a.endPhase()
 }
 
@@ -459,7 +447,7 @@ func (a *Agent) recyclePartials(m map[graph.VertexID]partialEntry) {
 }
 
 // trimScratch ends a run's hold on the phase scratch (scratchFloor), the
-// mailbox tables and partial maps being back on their free lists.
+// mail being empty and the partial maps back on their free list.
 func (a *Agent) trimScratch() {
 	n, used := a.router.NumAgents(), 0
 	for _, s := range a.shards {
@@ -472,7 +460,7 @@ func (a *Agent) trimScratch() {
 		s.peak = used
 		s.trim(n)
 	}
-	a.tableFree = slices.DeleteFunc(a.tableFree, (*aggTable).spent)
+	a.verts.trimMail()
 	if a.foldTab.spent() {
 		a.foldTab = aggTable{}
 	}
@@ -923,45 +911,13 @@ func (a *Agent) prog() algorithm.Program {
 	return a.run.prog
 }
 
-// mailFor returns the step's mailbox table, taking one off the free list
-// if the step has none yet, and spilling the step's slot mail into it if it
-// has some. Callers resolve it once per batch and then gather (messages
-// produced here) or merge (aggregates received) into it.
-func (a *Agent) mailFor(step uint32) *aggTable {
-	if m := &a.verts.mail; m.open && m.step == step {
-		a.spillMail()
-	}
-	t := a.mailbox[step]
-	if t == nil {
-		if n := len(a.tableFree); n > 0 {
-			t = a.tableFree[n-1]
-			a.tableFree = a.tableFree[:n-1]
-		} else {
-			t = &aggTable{}
-		}
-		a.mailbox[step] = t
-	}
-	return t
-}
-
-// recycleMail returns a consumed step mailbox — already detached from
-// a.mailbox and fully folded — to the free list, emptied with its capacity
-// kept, so steady-state supersteps aggregate into the same few tables.
-func (a *Agent) recycleMail(t *aggTable) {
-	if t == nil {
-		return
-	}
-	t.reset()
-	a.tableFree = append(a.tableFree, t)
-}
-
 // handleVertexMsgs accepts a batch of per-target aggregates: those this
 // agent can serve (it is a replica of the target) are merged; the rest are
 // forwarded with deferred acknowledgement.
 func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	// Decode into the agent's scratch batch: slice capacity is reused
 	// across packets, and nothing below retains batch.Msgs (entries are
-	// merged into the mailbox or copied into frames before returning).
+	// merged into the mail or copied into frames before returning).
 	batch := &a.scratchVMB
 	if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err != nil {
 		a.ep.Ack(pkt)
@@ -982,7 +938,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	s := a.seqShard()[0]
 	forwarded := a.acceptAggs(s, batch.Step, batch.Msgs, pkt.From)
 	if forwarded == 0 {
-		// Pure-accept path: everything landed in the local mailbox, so the
+		// Pure-accept path: everything landed in the local mail, so the
 		// ack fires immediately and no group is allocated.
 		s.reset()
 		a.ep.Ack(pkt)
@@ -995,78 +951,106 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 	return true
 }
 
+// stepMsg is an aggregate for step that arrived with no run installed.
+type stepMsg struct {
+	step uint32
+	msg  wire.VertexMsg
+}
+
 // acceptAggs takes in a batch of aggregates for step. Those this agent can
 // serve (it is a replica of the target, or knows no better owner) merge into
-// the step's mail; the rest are buffered in s, unchanged, for a replica
-// of their target — the sender's view was stale, any replica will do, and Via
-// (one of the folded sources) picks one. Only a target's first aggregate is
-// checked: a live entry is one this agent serves under the installed view,
-// every view change having re-routed the others away (rerouteMail). While the
-// step's mail is held by slot, a message whose target is the one the peer
-// at from sent at the same position of its last frame merges by the slot
-// cached for it (peerSlots); any other costs one vertex-table probe, and the
-// check reads the record's replica bit, which, if set, caches the slot. The
-// first target with no record or no replica here spills the mail into the
-// step's table, which takes the rest. There a message costs the table's
-// probe, and a fresh target's check the vertex record's (replicaHere); the
-// router is asked at most once per view. A re-routed frame passes no from
-// and caches nothing. It returns how many it buffered; the caller sends them.
+// the step's mail; the rest are buffered in s, unchanged, for a replica of
+// their target — the sender's view was stale, any replica will do, and Via
+// (one of the folded sources) picks one. A target with an entry in the step's
+// mail is one this agent serves, every view change having re-routed the
+// others away (rerouteMail). In a dense run, a message whose target is the
+// one the peer at from sent at the same position of its last frame merges by
+// the slot cached for it (peerSlots); any other costs one vertex-table
+// probe, and the check reads the record's replica bit, which, if set, caches
+// the slot. A served target with no record gets one, which may move the
+// table; the router is asked at most once per view and target. With no run
+// installed, a served aggregate waits raw in prerun. A re-routed frame passes
+// no from and caches nothing. It returns how many it buffered; the caller
+// sends them.
 func (a *Agent) acceptAggs(s *computeShard, step uint32, msgs []wire.VertexMsg, from string) (forwarded int) {
-	t, prog := &a.verts, a.prog()
-	if m := &t.mail; m.open && m.step == step {
-		c, k, sum := t.peerSlots(from), 0, algorithm.IsFloatSum(prog)
-		for ; k < len(msgs); k++ {
-			msg := &msgs[k]
-			i, hit := c.at(k, msg.Target)
-			if !hit {
-				j := t.find(msg.Target)
-				if j < 0 {
-					break
-				}
-				i = uint32(j)
-				if held := m.holds(i); c != nil || !held {
-					if a.placement(i)&viewReplica != 0 {
-						c.put(k, msg.Target, i)
-					} else if !held {
-						break
-					}
-				}
-			}
-			m.merge(prog, sum, i, algorithm.Word(msg.Value))
+	t, prog, self := &a.verts, a.prog(), a.selfIndex()
+	forward := func(msg *wire.VertexMsg) bool {
+		dst, ok := a.router.EdgeOwnerIndex(msg.Target, msg.Via)
+		if ok && dst != self {
+			s.add(dst, *msg)
+			forwarded++
 		}
-		if msgs = msgs[k:]; len(msgs) == 0 {
-			return 0
-		}
+		return ok && dst != self
 	}
-	mail, self := a.mailFor(step), a.selfIndex()
-	for _, m := range msgs {
-		e, fresh := mail.put(m.Target)
-		if fresh && !a.replicaHere(m.Target) {
-			if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != self {
-				mail.kill(e)
-				s.add(dst, m)
-				forwarded++
-				continue
+	if prog == nil {
+		for k := range msgs {
+			if msg := &msgs[k]; a.replicaHere(msg.Target) || !forward(msg) {
+				a.prerun = append(a.prerun, stepMsg{step, *msg})
 			}
 		}
-		mail.merge(prog, e, algorithm.Word(m.Value))
+		return forwarded
+	}
+	if !a.dense.on {
+		from = "" // a push run's senders keep no target order: cache nothing
+	}
+	m, c, sum, layout := t.mailOf(step), t.peerSlots(from), algorithm.IsFloatSum(prog), t.layout
+	for k := range msgs {
+		msg := &msgs[k]
+		i, hit := c.at(k, msg.Target)
+		if !hit {
+			j := t.find(msg.Target)
+			if j < 0 {
+				if !a.isReplicaOf(msg.Target) && forward(msg) {
+					continue
+				}
+				if j = int(t.at(msg.Target)); t.layout != layout {
+					c, layout = t.peerSlots(from), t.layout // the cached slots moved
+				}
+			}
+			i = uint32(j)
+			if held := m.holds(i); c != nil || !held {
+				if a.placement(i)&viewReplica != 0 {
+					c.put(k, msg.Target, i)
+				} else if !held && forward(msg) {
+					continue
+				}
+			}
+		}
+		m.merge(prog, sum, i, algorithm.Word(msg.Value))
 	}
 	return forwarded
 }
 
-// gatherSlot gathers one message produced here into step's slot mail, if
-// the step's mail is held by slot and the target has a record, reporting
-// whether it did.
-func (a *Agent) gatherSlot(step uint32, msg wire.VertexMsg) bool {
-	t := &a.verts
-	if m := &t.mail; m.open && m.step == step {
-		if i := t.find(msg.Target); i >= 0 {
-			w := m.eager(a.run.prog, uint32(i))
-			*w = a.run.prog.Gather(*w, algorithm.Word(msg.Value))
-			return true
-		}
+// gatherLocal gathers messages produced here, each addressed to this agent,
+// into step's mail, giving a target with no record one.
+func (a *Agent) gatherLocal(step uint32, msgs []wire.VertexMsg) {
+	t, prog := &a.verts, a.run.prog
+	m := t.mailOf(step)
+	for _, msg := range msgs {
+		i := t.at(msg.Target) // may move the table, and m's arrays with it
+		w := m.eager(prog, i)
+		*w = prog.Gather(*w, algorithm.Word(msg.Value))
 	}
-	return false
+}
+
+// stepMail returns step's mail for reading, with the aggregates that
+// arrived for it before the run was installed merged in, in arrival order,
+// after what the step's mail held: a target's ZeroAgg if nothing.
+func (a *Agent) stepMail(step uint32) *slotMail {
+	t, prog := &a.verts, a.run.prog
+	m := t.mailOf(step)
+	kept := a.prerun[:0]
+	for _, e := range a.prerun {
+		if e.step != step {
+			kept = append(kept, e)
+			continue
+		}
+		i := t.at(e.msg.Target)
+		w := m.eager(prog, i)
+		*w = prog.MergeAgg(*w, algorithm.Word(e.msg.Value))
+	}
+	a.prerun = kept
+	return m
 }
 
 // isReplicaOf reports whether this agent is in the target's replica set,

@@ -21,7 +21,7 @@ import (
 // installed, foldDense computes each source's message value once and folds
 // along the plan: what a message per edge folded by target gave, byte for
 // byte, with no message buffered and no table probe per edge. The local
-// targets fold into the next step's slot mail (vertexTable.mail).
+// targets fold into the next step's mail (vertexTable.mail).
 //
 // The plan outlives its run. It is rebuilt only when what it was read from
 // moves: the program's send directions, the view epoch, the store's version,
@@ -80,11 +80,11 @@ func (p *densePlan) fold(prog algorithm.Program, agg algorithm.Word, g uint32) a
 
 // trimDense ends a run's hold on the dense plan: a run that used one keeps
 // it whole for the next (its fold scratch by keepScratch); any other lets
-// it, the slot mail's arrays and the peers' slot caches go.
+// it and the peers' slot caches go.
 func (a *Agent) trimDense() {
-	p, m := &a.dense, &a.verts.mail
+	p := &a.dense
 	if !p.used {
-		*p, *m = densePlan{builds: p.builds, folds: p.folds}, slotMail{}
+		*p = densePlan{builds: p.builds, folds: p.folds}
 		a.verts.peers = nil
 		return
 	}
@@ -292,79 +292,26 @@ func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID,
 }
 
 // foldLocal folds the plan's targets lo to hi, this agent's own, into step's
-// mail: through the slots the plan resolved once the step's slot mail is
-// open, else — and from the first target that had no record on — into the
-// step's table, as the push path's gathers did.
+// mail through the slots the plan resolved. A target that had no record gets
+// one; if that moved the table, the plan's slots are resolved again, and the
+// next step builds the plan anew.
 func (a *Agent) foldLocal(step, lo, hi uint32) {
-	p, m, prog := &a.dense, &a.verts.mail, a.run.prog
-	g := lo
-	if a.openMail(step) {
-		for ; g < hi && p.local[g-lo] != noSlot; g++ {
-			w := m.eager(prog, p.local[g-lo])
-			*w = p.fold(prog, *w, g)
+	p, t, prog := &a.dense, &a.verts, a.run.prog
+	m, layout, local := t.mailOf(step), t.layout, p.local[:hi-lo]
+	for g := range local {
+		if local[g] == noSlot {
+			local[g] = t.at(p.msgs[lo+uint32(g)].Target)
 		}
-	}
-	if g == hi {
-		return
-	}
-	mail := a.mailFor(step)
-	for ; g < hi; g++ {
-		s := mail.eager(prog, p.msgs[g].Target)
-		s.agg = p.fold(prog, s.agg, g)
-	}
-}
-
-// openMail reports whether step's mail is held by slot, moving it there if
-// it can: the run is dense, the plan matches the vertex table's layout, and
-// no other step's mail is there. What the step's table already holds moves
-// over in its order, provided every entry is an aggregate under the run (no
-// raw buffer, no dead entry) of a vertex with a record; else the step stays in
-// its table.
-func (a *Agent) openMail(step uint32) bool {
-	t, m := &a.verts, &a.verts.mail
-	if m.open || !a.dense.on || a.dense.layout != t.layout {
-		return m.open && m.step == step
-	}
-	tab := a.mailbox[step]
-	if tab != nil {
-		if tab.raw != nil || tab.live != len(tab.order) {
-			return false
-		}
-		for _, si := range tab.order {
-			if s := &tab.slots[si]; s.flags&slotEager == 0 || t.find(s.key) < 0 {
-				return false
+		if t.layout != layout {
+			layout = t.layout
+			for h := range local {
+				local[h] = noSlot
+				if j := t.find(p.msgs[lo+uint32(h)].Target); j >= 0 {
+					local[h] = uint32(j)
+				}
 			}
 		}
+		w := m.eager(prog, local[g])
+		*w = p.fold(prog, *w, lo+uint32(g))
 	}
-	m.size(len(t.slots))
-	m.open, m.step = true, step
-	if tab != nil {
-		for _, si := range tab.order {
-			s := &tab.slots[si]
-			i := uint32(t.find(s.key))
-			m.add(i)
-			m.agg[i] = s.agg
-		}
-		delete(a.mailbox, step)
-		a.recycleMail(tab)
-	}
-	return true
-}
-
-// spillMail moves the slot mail back into its step's table, in first-arrival
-// order, and closes it: a target it cannot hold arrived, or the step's mail
-// is about to be read or re-routed by key (a view install, a migration, a
-// checkpoint, a new run).
-func (a *Agent) spillMail() {
-	t, m := &a.verts, &a.verts.mail
-	if !m.open {
-		return
-	}
-	m.open = false
-	tab := a.mailFor(m.step)
-	for _, i := range m.order {
-		s, _ := tab.put(t.slots[i].key)
-		s.flags, s.agg = slotEager, m.agg[i]
-	}
-	m.close()
 }

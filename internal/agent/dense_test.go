@@ -17,34 +17,74 @@ import (
 	"elga/internal/wire"
 )
 
-// mailEntry is a mailbox slot as the step left it, its table's generation
-// aside.
+// mailEntry is one entry of a step's mail: its target and aggregate.
 type mailEntry struct {
-	key   graph.VertexID
-	agg   algorithm.Word
-	flags uint8
+	key graph.VertexID
+	agg algorithm.Word
 }
 
-func mailOf(t *aggTable) []mailEntry {
+// heldMail is step's mail at a, in first-arrival order.
+func heldMail(a *Agent, step uint32) []mailEntry {
+	m := mailBox(a, step)
+	if m == nil {
+		return nil
+	}
 	var out []mailEntry
-	t.each(func(s *aggSlot) { out = append(out, mailEntry{s.key, s.agg, s.flags}) })
+	for _, i := range m.order {
+		out = append(out, mailEntry{a.verts.slots[i].key, m.agg[i]})
+	}
 	return out
 }
 
-// stepMail is step's mail at a, wherever it is held: its table, or the
-// vertex table's slot mail, whose entries are all aggregates under the run.
-func stepMail(a *Agent, step uint32) []mailEntry {
-	if m := &a.verts.mail; m.open && m.step == step {
-		if a.mailbox[step] != nil {
-			panic(fmt.Sprintf("step %d's mail is in both stores", step))
-		}
-		var out []mailEntry
-		for _, i := range m.order {
-			out = append(out, mailEntry{a.verts.slots[i].key, m.agg[i], slotEager})
-		}
-		return out
+// modelMail is a step's mail as a plain model: per target, in the order the
+// targets first arrived (or arrived again after leaving), the aggregate of
+// what was gathered and merged for it.
+type modelMail struct {
+	keys []graph.VertexID
+	agg  map[graph.VertexID]algorithm.Word
+}
+
+// gather folds a message produced here into v's aggregate, ZeroAgg if new.
+func (m *modelMail) gather(prog algorithm.Program, v graph.VertexID, msg algorithm.Word) {
+	w, ok := m.agg[v]
+	if !ok {
+		w = prog.ZeroAgg()
 	}
-	return mailOf(a.mailbox[step])
+	m.put(v, prog.Gather(w, msg))
+}
+
+// merge combines an aggregate from a peer into v's, or enters it.
+func (m *modelMail) merge(prog algorithm.Program, v graph.VertexID, agg algorithm.Word) {
+	if w, ok := m.agg[v]; ok {
+		agg = prog.MergeAgg(w, agg)
+	}
+	m.put(v, agg)
+}
+
+func (m *modelMail) put(v graph.VertexID, w algorithm.Word) {
+	if m.agg == nil {
+		m.agg = map[graph.VertexID]algorithm.Word{}
+	}
+	if _, ok := m.agg[v]; !ok {
+		m.keys = append(m.keys, v)
+	}
+	m.agg[v] = w
+}
+
+// drop removes v's entry.
+func (m *modelMail) drop(v graph.VertexID) {
+	if _, ok := m.agg[v]; ok {
+		delete(m.agg, v)
+		m.keys = slices.DeleteFunc(m.keys, func(k graph.VertexID) bool { return k == v })
+	}
+}
+
+func (m *modelMail) entries() []mailEntry {
+	var out []mailEntry
+	for _, v := range m.keys {
+		out = append(out, mailEntry{v, m.agg[v]})
+	}
+	return out
 }
 
 // computeMatchesPush runs compute step at a and checks that it sent and
@@ -72,9 +112,9 @@ func computeMatchesPush(t *testing.T, a *Agent, rec *recorder, step uint32, exac
 	if n != len(frames) {
 		t.Fatalf("step %d sent %d frames, the push path %d", step, n, len(frames))
 	}
-	got := stepMail(a, step+1)
+	got := heldMail(a, step+1)
 	if exact && fmt.Sprint(got) != fmt.Sprint(mail) || !sameMail(got, mail) {
-		t.Fatalf("step %d: the mailbox holds %d entries unlike the push path's %d", step, len(got), len(mail))
+		t.Fatalf("step %d: the mail holds %d entries unlike the push path's %d", step, len(got), len(mail))
 	}
 }
 
@@ -100,11 +140,11 @@ func pushShard(a *Agent) *computeShard {
 // pushReference is what the push path sent and delivered for the step a
 // just computed: of pushShard's messages, each remote member's fold by
 // target (concatFold) into one encoded TVertexMsgs payload, and the
-// self-addressed ones gather into a mailbox.
+// self-addressed ones gather into the step's mail.
 func pushReference(a *Agent) (frames map[string][]byte, mail []mailEntry) {
 	r, s := a.run, pushShard(a)
 	frames = map[string][]byte{}
-	var local aggTable
+	var local modelMail
 	for i, dst := range s.members {
 		if dst == consistent.AgentID(a.id) {
 			for _, m := range s.bufs[i] {
@@ -117,7 +157,43 @@ func pushReference(a *Agent) (frames map[string][]byte, mail []mailEntry) {
 			frames[addr] = wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: r.step + 1, Msgs: concatFold(r.prog, s.bufs[i])})
 		}
 	}
-	return frames, mailOf(&local)
+	return frames, local.entries()
+}
+
+// TestFoldLocalSurvivesATableMove: a dense fold that gives a local target
+// its first record can move the vertex table mid-fold. The plan's local slots
+// are then resolved again before the next write, and the step sends and
+// delivers what the push path does, byte for byte; the next step rebuilds
+// the plan. Two targets are routed here that the store does not hold, and
+// the table is filled until the first of their records rebuilds it.
+func TestFoldLocalSurvivesATableMove(t *testing.T) {
+	a, rec := newRecordedAgent(t, allocTestConfig(), 1024)
+	mergeView(t, a, 2, 2, 3, 4)
+	rmatShare(a, 10, 8192, 3)
+	v, self, added := a.store.VertexList()[0], a.selfIndex(), 0
+	for w := graph.VertexID(1 << 20); added < 2; w++ {
+		if at, _ := a.router.EdgeOwnerIndex(w, v); at == self {
+			a.store.AddEdge(v, w, graph.Out)
+			added++
+		}
+	}
+	a.store.Compact()
+	tab, n, k := &a.verts, a.store.NumVertices(), graph.VertexID(1<<30)
+	for ; len(tab.slots) < 4*n; k++ {
+		tab.set(k, 0) // a state keeps the record through a rebuild
+	}
+	for ; tab.used < len(tab.slots)/2-n; k++ {
+		tab.set(k, 0)
+	}
+	startRun(a, algorithm.PageRank{}, 1, 1024)
+	computeMatchesPush(t, a, rec, 0, true)
+	if a.dense.builds != 1 || a.dense.layout == tab.layout {
+		t.Fatalf("%d plans built, layout %d then %d: the fold did not move the table", a.dense.builds, a.dense.layout, tab.layout)
+	}
+	computeMatchesPush(t, a, rec, 1, true)
+	if a.dense.builds != 2 {
+		t.Fatalf("%d plans built: the plan did not follow the move", a.dense.builds)
+	}
 }
 
 // rmatShare loads into a the copies of an R-MAT graph that the installed
@@ -185,7 +261,7 @@ func sameMsgs(got, want []byte) bool {
 	return true
 }
 
-// sameMail is sameMsgs for mailboxes.
+// sameMail is sameMsgs for mail.
 func sameMail(got, want []mailEntry) bool {
 	vals := map[graph.VertexID]float64{}
 	for _, e := range want {
@@ -402,7 +478,7 @@ func (c *simCluster) joinDuring(cfg config.Config) {
 // pagerank-static (R-MAT 14 on four members: ≈ 4k sources, 29k edges).
 // Neither encodes nor sends: push scatters each source into a shard, folds
 // every remote member's buffer by target and gathers the local one into the
-// mailbox; dense computes the message values and folds along the plan.
+// mail; dense computes the message values and folds along the plan.
 func BenchmarkDenseFold(b *testing.B) {
 	for _, mode := range []string{"push", "dense"} {
 		b.Run(mode, func(b *testing.B) {
@@ -434,15 +510,11 @@ func BenchmarkDenseFold(b *testing.B) {
 							s.bufs[i] = a.foldByTarget(s.bufs[i][:0], s.bufs[i])
 							continue
 						}
-						mail := a.mailFor(1)
-						for _, m := range s.bufs[i] {
-							mail.gather(a.run.prog, m.Target, algorithm.Word(m.Value))
-						}
+						a.gatherLocal(1, s.bufs[i])
 					}
 					s.reset()
 				}
-				a.recycleMail(a.mailbox[1])
-				delete(a.mailbox, 1)
+				a.verts.mail[1].close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.srcs)), "ns/edge")
 			b.ReportMetric(float64(len(p.src)), "sources")
@@ -452,9 +524,9 @@ func BenchmarkDenseFold(b *testing.B) {
 }
 
 // walkedWork is the work list, by key, that processCompute's walk builds for
-// step at a as a stands: the active set, then the step's mail in its table
-// and by slot, then the store's active vertices, then for a program that
-// never halts the local split vertices, each once.
+// step at a as a stands: the active set, then the step's mail, then what
+// arrived for the step before the run, then the store's active vertices, then
+// for a program that never halts the local split vertices, each once.
 func walkedWork(a *Agent, step uint32) []graph.VertexID {
 	t, seen := &a.verts, map[graph.VertexID]bool{}
 	var out []graph.VertexID
@@ -469,12 +541,12 @@ func walkedWork(a *Agent, step uint32) []graph.VertexID {
 			add(t.slots[i].key)
 		}
 	}
-	if mail := a.mailbox[step]; mail != nil {
-		mail.each(func(s *aggSlot) { add(s.key) })
+	for _, e := range heldMail(a, step) {
+		add(e.key)
 	}
-	if m := &t.mail; m.open && m.step == step {
-		for _, i := range m.order {
-			add(t.slots[i].key)
+	for _, e := range a.prerun {
+		if e.step == step {
+			add(e.msg.Target)
 		}
 	}
 	for _, v := range a.store.ActiveList() {

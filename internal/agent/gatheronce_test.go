@@ -56,8 +56,8 @@ func vertexMsgPacket(step uint32, msgs ...wire.VertexMsg) *wire.Packet {
 }
 
 // TestGatherOnceOnReceivePaths walks one vertex's mail through every hop
-// that is not the source: aggregates that arrive before the run exists (raw
-// buffer), aggregates that arrive after, and the agent's own scatter. The
+// that is not the source: aggregates that arrive before the run exists (the
+// raw list), aggregates that arrive after, and the agent's own scatter. The
 // counts must add up to the logical message count.
 func TestGatherOnceOnReceivePaths(t *testing.T) {
 	a := newLoopbackAgent(t, allocTestConfig(), 64)
@@ -67,8 +67,8 @@ func TestGatherOnceOnReceivePaths(t *testing.T) {
 		wire.VertexMsg{Target: 5, Via: 1, Value: 3},
 		wire.VertexMsg{Target: 5, Via: 2, Value: 2},
 		wire.VertexMsg{Target: 6, Via: 2, Value: 1}))
-	if a.mailbox[1].raw == nil {
-		t.Fatal("aggregates delivered without a run did not buffer raw")
+	if len(a.prerun) == 0 {
+		t.Fatal("aggregates delivered without a run did not wait raw")
 	}
 	installRun(a, inDegreeProg{}, 64)
 	a.run.started = true
@@ -91,7 +91,7 @@ func TestGatherOnceOnReceivePaths(t *testing.T) {
 }
 
 // TestGatherOnceOnForwardAndReroute: an aggregate this agent cannot serve —
-// a stale-view batch to forward, a mailbox entry to re-route after a view
+// a stale-view batch to forward, a mail entry to re-route after a view
 // change — travels on with its value untouched.
 func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
@@ -118,21 +118,21 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 		wire.VertexMsg{Target: mine, Via: 1, Value: 5})); !retained {
 		t.Fatal("a forwarding batch must keep its packet until the forward is acked")
 	}
-	if e := a.mailbox[2].get(mine); e == nil || e.agg != 5 {
-		t.Fatalf("kept aggregate = %+v, want 5", e)
+	if w, ok := mailAt(a, 2, mine); !ok || w != 5 {
+		t.Fatalf("kept aggregate = %v %v, want 5", w, ok)
 	}
-	if a.mailbox[2].get(theirs) != nil {
-		t.Fatal("forwarded aggregate also landed in the local mailbox")
+	if _, ok := mailAt(a, 2, theirs); ok {
+		t.Fatal("forwarded aggregate also landed in the local mail")
 	}
 	// Re-route: mail for the peer's vertex that was accepted earlier (4
 	// messages, then 2 more) leaves as one aggregate of 6.
-	mail := a.mailFor(3)
-	mail.mergeKey(a.run.prog, theirs, 4)
-	mail.mergeKey(a.run.prog, theirs, 2)
-	mail.mergeKey(a.run.prog, mine, 1)
+	for _, e := range []wire.VertexMsg{{Target: theirs, Value: 4}, {Target: theirs, Value: 2}, {Target: mine, Value: 1}} {
+		i := a.verts.at(e.Target)
+		a.verts.mailOf(3).merge(a.run.prog, false, i, algorithm.Word(e.Value))
+	}
 	a.migrate(2, nil, false)
-	if mail.get(theirs) != nil || mail.live != 1 {
-		t.Fatalf("re-routed entry still live (live=%d)", mail.live)
+	if _, ok := mailAt(a, 3, theirs); ok || mailLen(a, 3) != 1 {
+		t.Fatalf("re-routed entry still held (%d entries)", mailLen(a, 3))
 	}
 	got := rec.log("peer-2").msgs
 	want := []wire.VertexMsg{{Target: theirs, Via: 1, Value: 9}, {Target: theirs, Via: theirs, Value: 6}}
@@ -141,10 +141,40 @@ func TestGatherOnceOnForwardAndReroute(t *testing.T) {
 	}
 }
 
+// TestSketchOnlyRerouteMovesOnlyReroutedMail: after a view that moved only
+// the sketch, the pending mail of the rerouted vertices leaves for their
+// replica, each entry as one aggregate; the mail of a vertex the view did not
+// reroute is not looked at, served here or not.
+func TestSketchOnlyRerouteMovesOnlyReroutedMail(t *testing.T) {
+	a, rec := newRecordedAgent(t, allocTestConfig(), 64)
+	installRun(a, inDegreeProg{}, 64)
+	mergeView(t, a, 2, 2)
+	var theirs []graph.VertexID
+	for v := graph.VertexID(1); len(theirs) < 2; v++ {
+		if !a.isReplicaOf(v) {
+			theirs = append(theirs, v)
+		}
+	}
+	for _, v := range theirs {
+		i := a.verts.at(v)
+		a.verts.mailOf(3).merge(a.run.prog, false, i, 4)
+	}
+	a.migrate(2, theirs[:1], true)
+	if _, ok := mailAt(a, 3, theirs[0]); ok {
+		t.Fatal("the rerouted vertex's mail stayed")
+	}
+	if w, ok := mailAt(a, 3, theirs[1]); !ok || w != 4 || mailLen(a, 3) != 1 {
+		t.Fatalf("the other vertex's entry = %v %v (%d entries), want it untouched", w, ok, mailLen(a, 3))
+	}
+	if got := rec.log("peer-2").msgs; len(got) != 1 || got[0] != (wire.VertexMsg{Target: theirs[0], Via: theirs[0], Value: 4}) {
+		t.Fatalf("peer received %+v, want the rerouted vertex's aggregate", got)
+	}
+}
+
 // TestAcceptAggsLooksATargetUpOnce: a target is looked up in the route table
-// at most once per view. Only the first aggregate a step's mailbox sees for a
-// target is checked at all. The router is moved to a view that lists the
-// peer alone behind the mailbox's back — handleView would have re-routed the
+// at most once per view. A target with an entry in the step's mail is not
+// checked at all. The router is moved to a view that lists the
+// peer alone behind the mail's back — handleView would have re-routed the
 // entries — so a lookup would send everything away: the target with a live
 // entry still merges, a target without one is still forwarded, and neither
 // is gathered again. A target with a vertex record is answered from the
@@ -174,12 +204,11 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	if got := rec.log("peer-2").msgs; len(got) != 1 || got[0] != (wire.VertexMsg{Target: stranger, Via: 2, Value: 9}) {
 		t.Fatalf("peer received %+v, want the stranger's aggregate untouched", got)
 	}
-	mail := a.mailbox[1]
-	if e := mail.get(held); e == nil || mail.fold(a.run.prog, e) != 3+4 {
-		t.Fatalf("held target's entry = %+v, want the two aggregates merged", e)
+	if w, ok := mailAt(a, 1, held); !ok || w != 3+4 {
+		t.Fatalf("held target's entry = %v %v, want the two aggregates merged", w, ok)
 	}
-	if mail.get(stranger) != nil || mail.live != 1 {
-		t.Fatalf("the forwarded target left a live entry (live=%d)", mail.live)
+	if _, ok := mailAt(a, 1, stranger); ok || mailLen(a, 1) != 1 {
+		t.Fatalf("the forwarded target left an entry (%d entries)", mailLen(a, 1))
 	}
 	// The killed slot starts over: under a view that serves it here, the
 	// stranger's next aggregate is looked up again and accepted.
@@ -190,8 +219,8 @@ func TestAcceptAggsLooksATargetUpOnce(t *testing.T) {
 	if a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: stranger, Via: 2, Value: 2})) {
 		t.Fatal("an accepted batch must not be retained")
 	}
-	if e := mail.get(stranger); e == nil || mail.fold(a.run.prog, e) != 2 {
-		t.Fatalf("stranger's entry = %+v, want the one aggregate accepted after the kill", e)
+	if w, ok := mailAt(a, 1, stranger); !ok || w != 2 {
+		t.Fatalf("stranger's entry = %v %v, want the one aggregate accepted after the forward", w, ok)
 	}
 	a.verts.set(held, 0)
 	if !a.replicaHere(held) {

@@ -83,7 +83,7 @@ func TestPartialFrameRebucketsByCurrentMaster(t *testing.T) {
 
 // TestValueUpdateFrameRebindsOnStepChange: records of one frame share a step
 // as sent, but the receiver does not rely on it — a frame whose records name
-// two steps scatters each into its own step's mailbox.
+// two steps scatters each into its own step's mail.
 func TestValueUpdateFrameRebindsOnStepChange(t *testing.T) {
 	a := newLoopbackAgent(t, allocTestConfig(), 16)
 	installRun(a, algorithm.PageRank{}, 16)
@@ -111,14 +111,14 @@ func TestValueUpdateFrameRebindsOnStepChange(t *testing.T) {
 			t.Fatalf("vertex %d state %v, want %v", v, got, want)
 		}
 	}
-	six, nine := a.mailbox[6], a.mailbox[9]
-	if six == nil || nine == nil {
-		t.Fatalf("mailboxes for steps 6 and 9: %v %v", six, nine)
+	has := func(step uint32, v graph.VertexID) bool { _, ok := mailAt(a, step, v); return ok }
+	if mailLen(a, 6) == 0 || mailLen(a, 9) == 0 {
+		t.Fatalf("mail for steps 6 and 9: %d and %d entries", mailLen(a, 6), mailLen(a, 9))
 	}
-	if six.get(10) == nil || six.get(11) == nil || six.get(12) != nil {
+	if !has(6, 10) || !has(6, 11) || has(6, 12) {
 		t.Fatal("step 5's scatter: vertex 1 reaches 10 and 11, vertex 3 (Scatter unset) nothing")
 	}
-	if nine.get(10) == nil || nine.get(11) != nil {
-		t.Fatal("step 8's scatter must land in step 9's mailbox alone")
+	if !has(9, 10) || has(9, 11) {
+		t.Fatal("step 8's scatter must land in step 9's mail alone")
 	}
 }

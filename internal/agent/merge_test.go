@@ -63,7 +63,7 @@ func fillShards(rng *rand.Rand, prog algorithm.Program, shards []*computeShard, 
 // checkMerge merges shards into step and compares what leaves with the
 // reference: after any earlier sends, one TVertexMsgs frame per remote
 // member with messages, in member order, whose payload is byte for byte the
-// encoding of concatFold over that member's buffers; and a mailbox for step
+// encoding of concatFold over that member's buffers; and mail for step
 // holding the self-addressed messages gathered in shard order.
 func checkMerge(t *testing.T, a *Agent, rec *recorder, shards []*computeShard, step uint32) {
 	t.Helper()
@@ -78,7 +78,7 @@ func checkMergeAs(t *testing.T, a *Agent, rec *recorder, shards, ref []*computeS
 	members := shards[0].members
 	var want [][]byte
 	var to []string
-	var mail aggTable
+	var mail modelMail
 	for i, dst := range members {
 		var concat []wire.VertexMsg
 		for _, s := range ref {
@@ -114,11 +114,8 @@ func checkMergeAs(t *testing.T, a *Agent, rec *recorder, shards, ref []*computeS
 			t.Fatalf("frame %d to %s: %s payload %x, want %x", k, addr, pkt.Type, pkt.Payload, want[k])
 		}
 	}
-	var got, held []aggSlot
-	a.mailbox[step].each(func(s *aggSlot) { got = append(got, *s) })
-	mail.each(func(s *aggSlot) { held = append(held, *s) })
-	if fmt.Sprint(got) != fmt.Sprint(held) {
-		t.Fatalf("mailbox for step %d holds %v, want %v", step, got, held)
+	if got, held := heldMail(a, step), mail.entries(); fmt.Sprint(got) != fmt.Sprint(held) {
+		t.Fatalf("mail for step %d holds %v, want %v", step, got, held)
 	}
 	for _, s := range shards {
 		for i, b := range s.bufs {

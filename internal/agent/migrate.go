@@ -17,13 +17,11 @@ import (
 )
 
 // installView installs v in the router and, if it took, makes every vertex
-// record's cached split-ness stale and spills the slot mail, whose targets
-// the view may have moved, into its table.
+// record's cached placement stale.
 func (a *Agent) installView(v *wire.View) (bool, error) {
 	changed, err := a.router.Update(v)
 	if changed {
 		a.verts.restamp()
-		a.spillMail()
 	}
 	return changed, err
 }
@@ -194,7 +192,7 @@ const shipChunk = 1024
 const maxShipRun = 64 * shipChunk
 
 // migrate re-evaluates held vertices under the current view, ships the
-// misplaced copies (with vertex state and pending mailbox contributions),
+// misplaced copies (with vertex state and pending mail),
 // refreshes replica registrations, and votes Ready(PhaseMigrate) once all
 // shipments are acknowledged. With sketchOnly set, only the rerouted
 // vertices can have moved, so only their copies, mail and registrations
@@ -241,26 +239,7 @@ func (a *Agent) migrate(epochLow uint32, rerouted []graph.VertexID, sketchOnly b
 		a.shipReport()
 	}
 
-	// Re-route pending mailbox contributions for every vertex this agent
-	// is no longer a replica of (mid-run elasticity: messages follow the
-	// copies). This must work even before the agent has a run context —
-	// a mid-run joiner only learns the run at resume, after migrations —
-	// so without a program to fold them the raw aggregates are resent as
-	// they came.
-	a.spillMail()
-	for _, step := range sortedKeys(a.mailbox) {
-		t, out := a.mailbox[step], a.seqShard()[0]
-		if sketchOnly {
-			for _, v := range rerouted {
-				if s := t.get(v); s != nil {
-					a.rerouteMail(out, t, s)
-				}
-			}
-		} else {
-			t.each(func(s *aggSlot) { a.rerouteMail(out, t, s) })
-		}
-		a.sendBufs(out, step, gate)
-	}
+	a.rerouteMail(rerouted, sketchOnly, gate)
 	// Pending partials whose mastership moved are re-shipped during
 	// the combine phase (processCombine handles stale masters).
 
@@ -467,29 +446,64 @@ func (a *Agent) migrateVertex(v graph.VertexID, selfAt int, gate *ackGroup) {
 	}
 }
 
-// rerouteMail forwards one pending mailbox entry to a replica of its
-// vertex when this agent no longer is one, buffering it in out, and kills it
-// in t. The entry is already an aggregate, so it travels as one (sendBufs,
-// no fold) and the receiver merges it.
-func (a *Agent) rerouteMail(out *computeShard, t *aggTable, s *aggSlot) {
-	v := s.key
-	if a.isReplicaOf(v) {
-		return
-	}
-	dst, ok := a.router.AnyReplica(v, a.id)
-	if !ok || dst == consistent.AgentID(a.id) {
-		return
-	}
-	at, _ := a.router.MemberIndex(dst) // a replica is always a member
-	if prog := a.prog(); prog != nil {
-		// fold covers the raw buffer too; one entry suffices.
-		out.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(t.fold(prog, s))})
-	} else {
-		for _, rawVal := range t.raw[v] {
-			out.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(rawVal)})
+// rerouteMail re-routes the pending mail of every vertex this agent is no
+// longer a replica of (mid-run elasticity: messages follow the copies) —
+// with sketchOnly, of the rerouted vertices alone — to a replica of it, under
+// gate, step by step. A slot entry is an aggregate already, so it travels as
+// one (sendBufs, no fold) and the receiver merges it. This must work before
+// the agent has a run context — a mid-run joiner only learns the run at
+// resume, after migrations, and acks the mail it took meanwhile at once — so
+// an aggregate that arrived with no run installed is resent as it came.
+func (a *Agent) rerouteMail(rerouted []graph.VertexID, sketchOnly bool, gate *ackGroup) {
+	t := &a.verts
+	var steps []uint32
+	for k := range t.mail {
+		if m := &t.mail[k]; len(m.order) > 0 {
+			steps = append(steps, m.step)
 		}
 	}
-	t.kill(s)
+	for _, e := range a.prerun {
+		steps = append(steps, e.step)
+	}
+	slices.Sort(steps)
+	for _, step := range slices.Compact(steps) {
+		out := a.seqShard()[0]
+		if m := &t.mail[step&1]; m.step == step && len(m.order) > 0 {
+			leave := func(i uint32) {
+				if v := t.slots[i].key; a.placement(i)&viewReplica == 0 && a.sendAway(out, v, m.agg[i]) {
+					m.has[i/64] &^= 1 << (i % 64)
+				}
+			}
+			if sketchOnly {
+				for _, v := range rerouted {
+					if i := t.find(v); i >= 0 && m.holds(uint32(i)) {
+						leave(uint32(i))
+					}
+				}
+			} else {
+				for _, i := range m.order {
+					leave(i)
+				}
+			}
+			m.order = slices.DeleteFunc(m.order, func(i uint32) bool { return !m.holds(i) })
+		}
+		a.prerun = slices.DeleteFunc(a.prerun, func(e stepMsg) bool {
+			return e.step == step && !a.isReplicaOf(e.msg.Target) && a.sendAway(out, e.msg.Target, algorithm.Word(e.msg.Value))
+		})
+		a.sendBufs(out, step, gate)
+	}
+}
+
+// sendAway buffers agg, pending mail for v, in out for one of v's replicas,
+// reporting whether some replica other than this agent takes it.
+func (a *Agent) sendAway(out *computeShard, v graph.VertexID, agg algorithm.Word) bool {
+	dst, ok := a.router.AnyReplica(v, a.id)
+	if !ok || dst == consistent.AgentID(a.id) {
+		return false
+	}
+	at, _ := a.router.MemberIndex(dst) // a replica is always a member
+	out.add(at, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(agg)})
+	return true
 }
 
 // refreshRegistrations announces this agent to the masters of the split

@@ -473,16 +473,16 @@ func TestEarlyMigrationBatchWaitsForItsView(t *testing.T) {
 	mail.Type = wire.TVertexMsgs
 	mail.Payload = wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: 3,
 		Msgs: []wire.VertexMsg{{Target: v, Via: v, Value: wire.Word(algorithm.FromF64(0.5))}}})
-	if !a.handlePacket(mail) || len(a.early) != 2 || a.mailbox[3] != nil {
-		t.Fatalf("mail behind an early batch: %d packets parked, mailbox %v", len(a.early), a.mailbox[3])
+	if !a.handlePacket(mail) || len(a.early) != 2 || mailLen(a, 3) != 0 {
+		t.Fatalf("mail behind an early batch: %d packets parked, %d entries held", len(a.early), mailLen(a, 3))
 	}
 	a.handleView(next)
 	r.drain(t)
 	if out := outDegree(a.store, v); out != 2 || stateOf(a, v) != 42 || len(a.early) != 0 {
 		t.Fatalf("after the view: out-degree %d, value %v, %d batches still parked", out, stateOf(a, v), len(a.early))
 	}
-	if e := a.mailbox[3].get(v); e == nil || e.agg.F64() != 0.5 {
-		t.Fatalf("the parked mail did not reach the mailbox: %+v", e)
+	if w, ok := mailAt(a, 3, v); !ok || w.F64() != 0.5 {
+		t.Fatalf("the parked mail did not reach the step's mail: %v %v", w, ok)
 	}
 	if fwd, applied, _ := a.Stats(); fwd != 0 || applied != 2 {
 		t.Fatalf("forwarded=%d applied=%d, want 0 and 2", fwd, applied)

@@ -22,16 +22,15 @@ import (
 // shared agent state (store; the vertex table, by index: the event loop probed
 // each work vertex once when it built the list and hands out slots, a worker
 // reads its vertex's record in place, and nothing inserts while workers run,
-// so no record moves; the step's mail, through its table's read-only
-// get/fold or by slot; the dense plan's source bitmap; router — a route-table hit takes
-// no lock, a miss fills the table under the router's own mutex) and WRITE
-// into private computeShard accumulators — and into two shared places where
+// so no record moves; the step's mail, by slot; the dense plan's source
+// bitmap; router — a route-table hit takes no lock, a miss fills the table
+// under the router's own mutex) and WRITE into private computeShard accumulators — and into two shared places where
 // each worker owns what it writes. A worker writes only the records of the vertices it was handed
 // (their cached split-ness, Agent.split): a work list names a vertex once.
 // And it fills in the routed adjacency (routePlan) bytes of the sealed runs
 // of the vertices it scatters: one vertex is one worker's per phase and runs
 // do not overlap, so no two workers touch the same byte. The event loop
-// merges the shards after the pool joins, so every value install, mailbox
+// merges the shards after the pool joins, so every value install, mail
 // delivery, dense fold, network send, gate transition, plan reset and view install
 // (router.Update, which needs no lookup in flight) still happens
 // single-threaded. Externally the agent remains a shared-nothing
@@ -354,20 +353,16 @@ func (a *Agent) placement(i uint32) uint16 {
 }
 
 // computeVertex runs the compute-phase duty for the work vertex at slot i
-// into s, its mail read from the step's table or, slotted, by slot:
-// replica-partial forwarding for split vertices, or the full gather → update
-// → scatter cycle for locally owned ones, read from the store once. The run's
-// final step scatters nothing.
-func (a *Agent) computeVertex(s *computeShard, i uint32, mail *aggTable, slotted bool, self consistent.AgentID) {
+// into s, its aggregate read from the step's mail by slot: replica-partial
+// forwarding for split vertices, or the full gather → update → scatter cycle
+// for locally owned ones, read from the store once. The run's final step
+// scatters nothing.
+func (a *Agent) computeVertex(s *computeShard, i uint32, mail *slotMail, self consistent.AgentID) {
 	r := a.run
 	v := a.verts.slots[i].key
 	agg, have := r.prog.ZeroAgg(), false
-	if slotted {
-		if m := &a.verts.mail; m.holds(i) {
-			agg, have = m.agg[i], true
-		}
-	} else if entry := mail.get(v); entry != nil {
-		agg, have = mail.fold(r.prog, entry), true
+	if mail.holds(i) {
+		agg, have = mail.agg[i], true
 	}
 	if a.placement(i)&viewSplit != 0 {
 		s.splitWork = true
@@ -513,7 +508,7 @@ func (a *Agent) mergeShards(shards []*computeShard, step uint32, self consistent
 // deliver ends a scatter into shards — a phase's, or a sequential scatter's
 // one shard (seqShard) — for step, taking every destination's messages in
 // work-list order (stretches). Those addressed to this agent gather into the
-// step's slot mail or its table. Each remote destination's fold across the
+// step's mail. Each remote destination's fold across the
 // stretches into one buffer — the single shard's own, in place, or the
 // agent's merge buffer — and leave from there in one frame under g. With
 // dense, which only a compute phase's merge passes (foldDense), they gather
@@ -531,19 +526,9 @@ func (a *Agent) deliver(shards []*computeShard, step uint32, dense bool, g *ackG
 		if dst != self {
 			continue
 		}
-		// This agent is the messages' source: gather, into the step's slot
-		// mail or its table.
+		// This agent is the messages' source: gather, into the step's mail.
 		for _, x := range order {
-			msgs := x.buf(i)
-			for len(msgs) > 0 && a.gatherSlot(step, msgs[0]) {
-				msgs = msgs[1:]
-			}
-			if len(msgs) > 0 {
-				mail, prog := a.mailFor(step), a.run.prog
-				for _, m := range msgs {
-					mail.gather(prog, m.Target, algorithm.Word(m.Value))
-				}
-			}
+			a.gatherLocal(step, x.buf(i))
 		}
 		for _, s := range shards {
 			s.empty(i)

@@ -17,8 +17,8 @@ import (
 // every frame from its peer's address, the second from none, which caches
 // nothing. Three peers each send a frame of their own targets in a standing
 // order, or that order permuted, or mixed with pushed targets (held here,
-// held elsewhere or held nowhere); between frames, compute steps open the
-// next step's slot mail, views install that move some targets to a new
+// held elsewhere or held nowhere); between frames, compute steps read a
+// step's mail and fill the next one's, views install that move some targets to a new
 // member or drop a peer (which retires it), and the vertex table moves. A
 // failure names its seed: go test -run 'TestPeerSlotCacheMatchesFind/seed-N$'.
 func TestPeerSlotCacheMatchesFind(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPeerSlotCacheMatchesFind(t *testing.T) {
 				}
 				step++
 			}
-			compute() // builds the plan and opens step 1's slot mail
+			compute() // builds the plan and fills step 1's mail
 			var held, pushed []graph.VertexID
 			for i := range a.verts.slots {
 				if r := &a.verts.slots[i]; r.flags != 0 {
@@ -87,8 +87,7 @@ func TestPeerSlotCacheMatchesFind(t *testing.T) {
 						msgs[i] = wire.VertexMsg{Target: v, Via: held[rng.Intn(len(held))],
 							Value: wire.Word(algorithm.FromF64(rng.Float64()))}
 					}
-					if c := a.verts.peers[from]; c != nil && len(c.keys) > 0 && a.verts.mail.open && a.verts.mail.step == st &&
-						c.layout == a.verts.layout && c.view == a.verts.view {
+					if c := a.verts.peers[from]; c != nil && len(c.keys) > 0 && c.layout == a.verts.layout && c.view == a.verts.view {
 						warm++
 					}
 					for k, x := range agents {
@@ -114,7 +113,7 @@ func TestPeerSlotCacheMatchesFind(t *testing.T) {
 					}
 				case op == 12:
 					what = "the vertex table moves"
-					if a.verts.mail.open {
+					if mailLen(a, step)+mailLen(a, step+1) > 0 {
 						moved++
 					}
 					for _, x := range agents {
@@ -152,9 +151,57 @@ func TestPeerSlotCacheMatchesFind(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("frames onto a warm cache %d; table moves under slot mail %d; views that un-replicated targets %d",
+	t.Logf("frames onto a warm cache %d; table moves under mail %d; views that un-replicated targets %d",
 		warm, moved, unreplicated)
 	if warm == 0 || moved == 0 || unreplicated == 0 {
-		t.Fatal("the scripts missed a case: a warm cache, a table move under slot mail or a view that moves targets")
+		t.Fatal("the scripts missed a case: a warm cache, a table move under mail or a view that moves targets")
+	}
+}
+
+// TestPeerSlotCacheSurvivesAMoveMidFrame: a served target with no record,
+// early in a frame, gets one and moves the vertex table; the rest of the
+// frame, which matches the peer's last one position by position, must not
+// merge by the slots cached before the move. The step's mail equals an
+// uncached twin's.
+func TestPeerSlotCacheSurvivesAMoveMidFrame(t *testing.T) {
+	var agents [2]*Agent
+	for k := range agents {
+		a, _ := newRecordedAgent(t, allocTestConfig(), 512)
+		rmatShare(a, 9, 4096, 5)
+		startRun(a, algorithm.PageRank{}, 1, 512)
+		advanceCompute(a, 0) // a dense step: received frames use the cache
+		agents[k] = a
+	}
+	held := agents[0].store.VertexList()[:64]
+	frame := func(first graph.VertexID) []wire.VertexMsg {
+		msgs := []wire.VertexMsg{{Target: first, Via: first, Value: wire.Word(algorithm.FromF64(0.5))}}
+		for i, v := range held {
+			msgs = append(msgs, wire.VertexMsg{Target: v, Via: v, Value: wire.Word(algorithm.FromF64(float64(i)))})
+		}
+		return msgs
+	}
+	send := func(msgs []wire.VertexMsg) {
+		for k, a := range agents {
+			pkt := vertexMsgPacket(1, msgs...)
+			if k == 0 {
+				pkt.From = "peer-2"
+			}
+			a.handleVertexMsgs(pkt)
+		}
+	}
+	send(frame(held[64%len(held)]))
+	for _, a := range agents {
+		tab := &a.verts
+		for k := graph.VertexID(1 << 30); 2*(tab.used+1) <= len(tab.slots); k++ {
+			tab.set(k, 0)
+		}
+	}
+	layout := agents[0].verts.layout
+	send(frame(1 << 29)) // no record here: its first one moves the table
+	if agents[0].verts.layout == layout {
+		t.Fatal("the frame did not move the table")
+	}
+	if got, want := heldMail(agents[0], 1), heldMail(agents[1], 1); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("step 1's mail (%d entries) differs from the uncached twin's (%d)", len(got), len(want))
 	}
 }

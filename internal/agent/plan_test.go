@@ -256,7 +256,7 @@ type partialOf struct {
 }
 
 // pooledCompute runs a compute phase's per-vertex duty over verts, with an
-// empty mailbox, on the phase worker pool, and returns the messages and
+// empty mail, on the phase worker pool, and returns the messages and
 // replica partials the shards collected.
 func pooledCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
 	t := &a.verts
@@ -264,11 +264,11 @@ func pooledCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
 	for _, v := range verts {
 		t.mark(setWork, t.at(v))
 	}
-	work, mail, self := t.list[setWork], &aggTable{}, consistent.AgentID(a.id)
+	work, mail, self := t.list[setWork], &slotMail{has: make([]uint64, (len(t.slots)+63)/64)}, consistent.AgentID(a.id)
 	var msgs []emitted
 	var parts []partialOf
 	for _, s := range a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, false, self)
+		a.computeVertex(s, work[i], mail, self)
 	}) {
 		for dst, ms := range s.bufs {
 			for _, m := range ms {

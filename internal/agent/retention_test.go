@@ -46,8 +46,11 @@ func eachScratch(a *Agent, fn func(p unsafe.Pointer, bytes int)) {
 		piece(fn, s.updates)
 		bufs(&s.dstBufs)
 	}
-	for _, t := range a.tableFree {
-		table(t)
+	for k := range a.verts.mail {
+		m := &a.verts.mail[k]
+		piece(fn, m.agg)
+		piece(fn, m.has)
+		piece(fn, m.order)
 	}
 	table(&a.foldTab)
 	piece(fn, a.merged)
@@ -313,12 +316,18 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 		}
 		if i == 1 {
 			small, arrays = got, at
-			// The two agents at work keep what they used, mailbox and fold
-			// tables included: the floor holds them.
+			// The two agents at work keep what they used, the fold table
+			// included: the floor holds it. The mail's arrays, sized by the
+			// vertex table, go when the run left them nearly empty.
 			for _, a := range c.agents {
 				if id := consistent.AgentID(a.id); id == r.Agents()[owners[0]] || id == r.Agents()[owners[1]] {
-					if len(a.tableFree) == 0 || len(a.foldTab.slots) == 0 {
-						t.Fatalf("agent %d kept %d mailbox tables and a fold table of %d slots", a.id, len(a.tableFree), len(a.foldTab.slots))
+					if len(a.foldTab.slots) == 0 {
+						t.Fatalf("agent %d kept no fold table", a.id)
+					}
+				}
+				for k := range a.verts.mail {
+					if n := bytesOf(a.verts.mail[k].agg); n > scratchFloor {
+						t.Fatalf("agent %d kept %d B of mail after an incremental run", a.id, n)
 					}
 				}
 			}
@@ -333,8 +342,8 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 	c.check(el)
 
 	// A from-scratch run after another, synchronous or not, keeps the very
-	// arrays the first left, the large pieces it used among them: mailbox
-	// tables and scatter buffers.
+	// arrays the first left, the large pieces it used among them: the mail's
+	// arrays and scatter buffers.
 	for _, async := range []bool{false, true} {
 		c.wcc(true, async)
 		again, arrays := c.scratch()
@@ -346,13 +355,13 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 					async, j, again[j], got[j])
 			}
 			largest := map[string]int{}
-			for _, t := range a.tableFree {
-				largest["mailbox table"] = max(largest["mailbox table"], bytesOf(t.slots))
+			for k := range a.verts.mail {
+				largest["mail"] = max(largest["mail"], bytesOf(a.verts.mail[k].agg))
 			}
 			for _, s := range a.shards {
 				largest["shard buffer"] = max(largest["shard buffer"], largestBuf(&s.dstBufs))
 			}
-			used := []string{"mailbox table", "shard buffer"}
+			used := []string{"mail", "shard buffer"}
 			if async {
 				used = []string{"shard buffer"}
 			}

@@ -3,6 +3,7 @@ package agent
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elga/internal/algorithm"
@@ -33,7 +34,7 @@ func (halfRank) InitActive(v graph.VertexID, _ *algorithm.Context) bool { return
 // TestDensePlanOutlivesItsRun: a dense plan is built once for PageRank,
 // PageRank again and PPR on an unchanged graph, and built again after each of
 // a sealed batch, a view change, a vertex-table move, a BFS run (which drops
-// it, and the slot mail's arrays with it) and a run whose first work list
+// it) and a run whose first work list
 // differs; every dense step sends and delivers what the push path did, byte
 // for byte, at one worker and at four.
 func TestDensePlanOutlivesItsRun(t *testing.T) {
@@ -82,8 +83,8 @@ func TestDensePlanOutlivesItsRun(t *testing.T) {
 			run(algorithm.PageRank{}, 3, 4)
 
 			run(algorithm.BFS{}, 3, 4)
-			if p := &a.dense; p.src != nil || p.work != nil || p.msgs != nil || a.verts.mail.agg != nil {
-				t.Fatal("the plan or the slot mail's arrays outlived a run that used none")
+			if p := &a.dense; p.src != nil || p.work != nil || p.msgs != nil {
+				t.Fatal("the plan outlived a run that used none")
 			}
 			run(algorithm.PageRank{}, 3, 5)
 
@@ -93,28 +94,32 @@ func TestDensePlanOutlivesItsRun(t *testing.T) {
 	}
 }
 
-// mailRaw is a step's mail and the raw aggregates its table buffers.
+// mailRaw is a step's mail at a and the aggregates that wait raw for it.
 func mailRaw(a *Agent, step uint32) string {
-	raw := map[graph.VertexID][]algorithm.Word{}
-	if t := a.mailbox[step]; t != nil {
-		raw = t.raw
+	var raw []wire.VertexMsg
+	for _, e := range a.prerun {
+		if e.step == step {
+			raw = append(raw, e.msg)
+		}
 	}
-	return fmt.Sprint(stepMail(a, step), raw)
+	return fmt.Sprint(heldMail(a, step), raw)
 }
 
-// TestSlotMailMatchesTable: whatever an agent's events, a step's mail holds,
-// wherever it is held, what a plain aggTable fed the same deliveries under
-// the table's merge, gather and eager rules holds — the same entries in the
-// same order with the same aggregate bits, and the same raw buffer. Each
-// seed drives one agent of a four-member view through a random script of
-// peer batches (targets held here, targets with no record, targets held
-// elsewhere, which are forwarded; some before the run or the plan exists),
-// run starts, compute steps (dense: PageRank or PPR), checkpoints, view
-// installs, vertex-table moves (value updates for vertices new here, until
-// the table grows) and run ends, checking after each event. A
-// failure names its seed: go test -run 'TestSlotMailMatchesTable/seed-N$'.
+// TestSlotMailMatchesTable: whatever an agent's events, a step's mail held by
+// vertex-table slot, and what waits raw for it, is what a plain model fed the
+// same deliveries holds: per step, the targets in first-arrival order with
+// their aggregate bits, and the list of aggregates that arrived with no run
+// installed. When a step is read, that list merges in, in arrival order,
+// after what the step held. Each seed drives one agent of a four-member view
+// through a random script of peer batches (targets held here, targets with no
+// record, targets held elsewhere, which are forwarded; some before any run,
+// some for step s+1 while step s is unread), run starts, compute steps
+// (dense: PageRank or PPR), checkpoints, view installs, vertex-table moves
+// (value updates for vertices new here, until the table grows) and run ends,
+// checking after each event. A failure names its seed: go test -run
+// 'TestSlotMailMatchesTable/seed-N$'.
 func TestSlotMailMatchesTable(t *testing.T) {
-	var seen struct{ slotted, absorbed, moved, spilled int }
+	var seen struct{ second, prerun, moved int }
 	for seed := int64(1); seed <= 200; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -138,15 +143,19 @@ func TestSlotMailMatchesTable(t *testing.T) {
 				keys = append(keys, k) // held nowhere: no record here, some placed here
 			}
 
-			model := map[uint32]*aggTable{}
-			modelOf := func(step uint32) *aggTable {
+			model := map[uint32]*modelMail{}
+			modelOf := func(step uint32) *modelMail {
 				if model[step] == nil {
-					model[step] = &aggTable{}
+					model[step] = &modelMail{}
 				}
 				return model[step]
 			}
+			var raw []stepMsg // the model's aggregates that arrived with no run
+			served := func(m wire.VertexMsg) bool {
+				dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via)
+				return a.isReplicaOf(m.Target) || !ok || dst == a.selfIndex()
+			}
 			id, running, step, epoch, grown := uint32(0), false, uint32(0), uint64(2), graph.VertexID(1<<22)
-			slotted := func(step uint32) bool { return a.verts.mail.open && a.verts.mail.step == step }
 			for ev := 0; ev < 48; ev++ {
 				var what string
 				switch op := rng.Intn(13); {
@@ -158,37 +167,48 @@ func TestSlotMailMatchesTable(t *testing.T) {
 							Value: wire.Word(algorithm.FromF64(rng.Float64()))}
 					}
 					what = fmt.Sprintf("a batch of %d for step %d", len(msgs), st)
-					open := slotted(st)
-					mt, prog, self := modelOf(st), a.prog(), a.selfIndex()
+					prog := a.prog()
+					if prog == nil {
+						seen.prerun++
+					} else if st == step+1 && model[step] != nil && len(model[step].keys) > 0 {
+						seen.second++
+					}
 					for _, m := range msgs {
-						s, fresh := mt.put(m.Target)
-						if fresh && !a.isReplicaOf(m.Target) {
-							if dst, ok := a.router.EdgeOwnerIndex(m.Target, m.Via); ok && dst != self {
-								mt.kill(s)
-								continue
-							}
+						mt := modelOf(st)
+						_, held := mt.agg[m.Target]
+						switch {
+						case prog == nil && served(m):
+							raw = append(raw, stepMsg{st, m})
+						case prog != nil && (held || served(m)):
+							mt.merge(prog, m.Target, algorithm.Word(m.Value))
 						}
-						mt.merge(prog, s, algorithm.Word(m.Value))
 					}
 					a.handleVertexMsgs(vertexMsgPacket(st, msgs...))
-					if open && !slotted(st) {
-						seen.spilled++
-					}
 				case op < 8 && running:
 					what = fmt.Sprintf("compute step %d", step)
+					// The step as read: its mail, then what waited raw.
+					mt, prog := modelOf(step), a.run.prog
+					raw = slices.DeleteFunc(raw, func(e stepMsg) bool {
+						if e.step != step {
+							return false
+						}
+						w, ok := mt.agg[e.msg.Target]
+						if !ok {
+							w = prog.ZeroAgg()
+						}
+						mt.put(e.msg.Target, prog.MergeAgg(w, algorithm.Word(e.msg.Value)))
+						return true
+					})
+					a.stepMail(step)
+					if got, want := fmt.Sprint(heldMail(a, step)), fmt.Sprint(mt.entries()); got != want {
+						t.Fatalf("seed %d, event %d (%s): step %d's mail as read is\n%s\nwant\n%s", seed, ev, what, step, got, want)
+					}
 					delete(model, step)
-					tabled := a.mailbox[step+1] != nil && a.mailbox[step+1].raw == nil
 					advanceCompute(a, step)
 					s, self := pushShard(a), a.selfIndex()
-					mt := modelOf(step + 1)
+					mt = modelOf(step + 1)
 					for _, m := range s.bufs[self] {
 						mt.gather(a.run.prog, m.Target, algorithm.Word(m.Value))
-					}
-					if slotted(step + 1) {
-						seen.slotted++
-						if tabled {
-							seen.absorbed++
-						}
 					}
 					step++
 				case op < 8:
@@ -203,6 +223,7 @@ func TestSlotMailMatchesTable(t *testing.T) {
 					what = "the run ends"
 					endRun(a, id)
 					clear(model)
+					raw = nil
 					running, step = false, 0
 				case op == 8 || op == 9:
 					what = "a checkpoint"
@@ -215,7 +236,7 @@ func TestSlotMailMatchesTable(t *testing.T) {
 					// Value updates for vertices new here grow the table
 					// until it moves every record.
 					what = "the vertex table moves"
-					if a.verts.mail.open {
+					if mailLen(a, step)+mailLen(a, step+1) > 0 {
 						seen.moved++
 					}
 					for l := a.verts.layout; a.verts.layout == l; grown++ {
@@ -223,20 +244,26 @@ func TestSlotMailMatchesTable(t *testing.T) {
 					}
 				}
 				for st := uint32(0); st <= step+2; st++ {
-					want := fmt.Sprint(mailOf(model[st]), map[graph.VertexID][]algorithm.Word{})
-					if model[st] != nil && model[st].raw != nil {
-						want = fmt.Sprint(mailOf(model[st]), model[st].raw)
+					var want []wire.VertexMsg
+					for _, e := range raw {
+						if e.step == st {
+							want = append(want, e.msg)
+						}
 					}
-					if got := mailRaw(a, st); got != want {
+					var entries []mailEntry
+					if model[st] != nil {
+						entries = model[st].entries()
+					}
+					if got, want := mailRaw(a, st), fmt.Sprint(entries, want); got != want {
 						t.Fatalf("seed %d, event %d (%s): step %d's mail is\n%s\nwant\n%s", seed, ev, what, st, got, want)
 					}
 				}
 			}
 		})
 	}
-	t.Logf("steps with slot mail %d, of which absorbed a table %d; table moves under slot mail %d; spills at a batch %d",
-		seen.slotted, seen.absorbed, seen.moved, seen.spilled)
-	if seen.slotted == 0 || seen.absorbed == 0 || seen.moved == 0 || seen.spilled == 0 {
-		t.Fatal("the scripts missed a case: slot mail, an absorbed table, a move under slot mail or a spill")
+	t.Logf("batches for step s+1 while step s held mail %d; batches with no run %d; table moves under mail %d",
+		seen.second, seen.prerun, seen.moved)
+	if seen.second == 0 || seen.prerun == 0 || seen.moved == 0 {
+		t.Fatal("the scripts missed a case: both buffers in use, mail before a run, or a move under mail")
 	}
 }

@@ -50,7 +50,7 @@ func benchmarkSuperstep(b *testing.B, workers int) {
 	defer SetComputeParallelism(0, 0)
 
 	// Warm: init pass plus two steady steps so every pool (shards,
-	// mailbox tables) reaches steady state.
+	// mail buffers) reaches steady state.
 	advanceCompute(a, 0)
 	advanceCompute(a, 1)
 	advanceCompute(a, 2)
@@ -67,7 +67,8 @@ func BenchmarkSuperstepPageRankPar2(b *testing.B) { benchmarkSuperstep(b, 2) }
 func BenchmarkSuperstepPageRankPar4(b *testing.B) { benchmarkSuperstep(b, 4) }
 
 // TestSuperstepAllocCeiling pins the steady-state sequential superstep at
-// 3 allocs (the ack group, its completion closure, and mailbox map slack)
+// 3 allocs (the ack group, its completion closure, and the per-vertex closure
+// the worker pool runs)
 // under every combination of the planes that touch it: live metric
 // handles, a checkpoint cadence that never fires, the scatter counters
 // (comm accounting) and the event journal. Each step is the compute

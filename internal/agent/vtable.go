@@ -2,6 +2,8 @@ package agent
 
 import (
 	"math/bits"
+	"sync"
+	"unsafe"
 
 	"elga/internal/algorithm"
 	"elga/internal/graph"
@@ -41,15 +43,16 @@ const (
 	viewAnswers = viewSplit | viewReplica
 )
 
-// vertexTable maps vertices to their records — the same table as the route
-// table and aggTable: power-of-two slots probed linearly from a multiply-shift
-// of the key, never more than half full. A set is a generation plus the list
-// of member slots in the order they joined, so emptying one is O(1), walking
-// one costs its size, and that order is a function of the calls made, not of
-// a map seed. Indices stay good until the next insertion.
+// vertexTable maps vertices to their records — the same layout as the route
+// table and the fold scratch (aggTable): power-of-two slots probed linearly
+// from a multiply-shift of the key, never more than half full. A set is a
+// generation plus the list of member slots in the order they joined, so
+// emptying one is O(1), walking one costs its size, and that order is a
+// function of the calls made, not of a map seed. It also holds the mail, by
+// slot. An index stays good while layout does: an insertion (at) may rebuild.
 //
-// Everything belongs to the event loop except find and reads of slots[i]:
-// phase workers are handed slot indices and only read.
+// Everything belongs to the event loop except find and reads of slots[i] and
+// of the mail: phase workers are handed slot indices and only read.
 type vertexTable struct {
 	slots []vertexRec
 	shift uint8
@@ -60,14 +63,14 @@ type vertexTable struct {
 	// layout counts rebuilds: a slot index taken under one reading names
 	// the same record while it stands.
 	layout uint32
-	mail   slotMail
+	mail   [2]slotMail // by step parity (mailOf)
 	// peers caches, per sending peer's address, the slots acceptAggs
 	// resolved for that peer's last frame of aggregates (peerSlots).
 	peers map[string]*peerSlots
 }
 
 // peerSlots is what acceptAggs resolved of one peer's last frame of
-// aggregates into slot mail, position by position: the target and its slot,
+// aggregates into the mail, position by position: the target and its slot,
 // entered only once the record's replica bit said this agent serves it. A
 // dense sender folds along a plan whose target order stands while the plan
 // does, so the next frame's targets are compared with the cached keys in
@@ -122,19 +125,18 @@ func (c *peerSlots) put(k int, v graph.VertexID, i uint32) {
 	}
 }
 
-// slotMail is one step's mailbox held by vertex-table slot instead of in an
-// aggTable, while a dense run's plan stands (Agent.openMail): the same
-// entries, aggregate bits and first-arrival order the step's table would
-// hold, reached through the target's record rather than a second hash
-// probe. It holds no raw and no dead entries, and a rebuild carries it
-// along with the records. Its arrays are allocated when a dense run first
-// opens it and dropped with the plan (Agent.trimDense).
+// slotMail is one step's mail, held by vertex-table slot: for each target,
+// the aggregate of what was gathered here and merged from peers, reached
+// through the target's record, and the targets in first-arrival order. A
+// rebuild carries it along with the records. Its arrays, once it has them,
+// match the table's slot count; a run's end gives them up if the run left
+// them mostly empty (trimMail).
 type slotMail struct {
-	open  bool
 	step  uint32
 	agg   []algorithm.Word // by slot
 	has   []uint64         // which slots hold an entry
 	order []uint32         // those slots, in first-arrival order
+	peak  int              // the most entries it held since the last trim
 }
 
 // holds reports whether the slot at i has an entry.
@@ -151,8 +153,8 @@ func (m *slotMail) add(i uint32) bool {
 }
 
 // merge combines an aggregate some sender already gathered into slot i's
-// entry: aggTable.merge under a run. sum says prog is a FloatSum, whose
-// MergeAgg is one float64 addition, made here without the call.
+// entry. sum says prog is a FloatSum, whose MergeAgg is one float64
+// addition, made here without the call.
 func (m *slotMail) merge(prog algorithm.Program, sum bool, i uint32, agg algorithm.Word) {
 	switch {
 	case m.add(i):
@@ -164,8 +166,7 @@ func (m *slotMail) merge(prog algorithm.Program, sum bool, i uint32, agg algorit
 	}
 }
 
-// eager returns slot i's aggregate for gathering into, ZeroAgg if fresh:
-// aggTable.eager.
+// eager returns slot i's aggregate for gathering into, ZeroAgg if fresh.
 func (m *slotMail) eager(prog algorithm.Program, i uint32) *algorithm.Word {
 	if m.add(i) {
 		m.agg[i] = prog.ZeroAgg()
@@ -173,20 +174,68 @@ func (m *slotMail) eager(prog algorithm.Program, i uint32) *algorithm.Word {
 	return &m.agg[i]
 }
 
-// size fits the arrays to a table of n slots, every entry gone.
+// mailArrays are an empty mail's arrays, waiting in mailPools for a table
+// of their size: no bit of has is set, and agg is read only where one is.
+type mailArrays struct {
+	agg []algorithm.Word
+	has []uint64
+}
+
+// mailPools holds, by table size (a power of two), the arrays that ends of
+// runs let go (trimMail). The GC empties a pool within two cycles, so an
+// idle agent holds none of them, while a run that follows soon, as an
+// incremental run follows the last, takes them back without allocating.
+var mailPools [65]sync.Pool
+
+// size fits the arrays of an empty mail to a table of n slots, creating
+// them even for none: rebuild keeps a mail's arrays fitted once they exist.
 func (m *slotMail) size(n int) {
-	if len(m.agg) != n {
-		m.agg, m.has = make([]algorithm.Word, n), make([]uint64, (n+63)/64)
+	if m.agg != nil && len(m.agg) == n {
+		return
 	}
+	if x, _ := mailPools[bits.Len(uint(n))].Get().(*mailArrays); x != nil && len(x.agg) == n {
+		m.agg, m.has = x.agg, x.has
+		return
+	}
+	m.agg, m.has = make([]algorithm.Word, n), make([]uint64, (n+63)/64)
 }
 
 // close empties the mail, keeping its arrays.
 func (m *slotMail) close() {
+	m.peak = max(m.peak, len(m.order))
 	for _, i := range m.order {
 		m.has[i/64] = 0
 	}
 	m.order = m.order[:0]
-	m.open = false
+}
+
+// trimMail ends a run's hold on the mail, which must be empty. Its arrays
+// by slot are sized by the table: each buffer's go to mailPools
+// (scratchFloor) unless the run filled it for a 1/scratchSlack share of the
+// records. Its order list is sized by what it held and trimmed by that.
+func (t *vertexTable) trimMail() {
+	for k := range t.mail {
+		m := &t.mail[k]
+		if bytes := len(m.agg) * int(unsafe.Sizeof(m.agg[0])); bytes > scratchFloor && t.used > scratchSlack*m.peak {
+			mailPools[bits.Len(uint(len(m.agg)))].Put(&mailArrays{m.agg, m.has})
+			m.agg, m.has = nil, nil
+		}
+		m.order, m.peak = trimmed(m.order, m.peak), 0
+	}
+}
+
+// mailOf returns step's mail, sized to the table: the buffer of step's
+// parity, emptied first if it holds another step's. A peer may send step
+// s+1's mail before this agent has read step s's, but not step s+2's before
+// it has voted on s, so two buffers hold every step that can be pending.
+func (t *vertexTable) mailOf(step uint32) *slotMail {
+	m := &t.mail[step&1]
+	if m.step != step {
+		m.close()
+		m.step = step
+	}
+	m.size(len(t.slots))
+	return m
 }
 
 // probe returns the slot holding v, or the empty one that ends its probe run.
@@ -230,10 +279,11 @@ func (t *vertexTable) holds(r *vertexRec) bool {
 }
 
 // rebuild moves the records that hold something into fresh slots at most 3/8
-// full and repoints the set lists and open slot mail at them. Records that
-// hold nothing — what del leaves of a departed vertex, work vertices that
-// never got a state — are dropped unless they have mail, so the table is sized
-// by what is live, whatever passed through it.
+// full and repoints the set lists and the mail at them. Records that hold
+// nothing — what del leaves of a departed vertex, work vertices that never got
+// a state — are dropped unless they have mail, so the table is sized by what
+// is live, whatever passed through it. A mail's arrays are laid out afresh,
+// in place: a *slotMail taken before stays good, a slot index does not.
 func (t *vertexTable) rebuild() {
 	for k, g := range t.gen {
 		if g == 0 {
@@ -244,8 +294,15 @@ func (t *vertexTable) rebuild() {
 		t.view = viewAnswers + 1 // nor is a zero view stamp current
 	}
 	t.layout++
-	old, live, m := t.slots, 0, &t.mail
-	keep := func(i int) bool { return t.holds(&old[i]) || m.open && m.holds(uint32(i)) }
+	old, live := t.slots, 0
+	keep := func(i int) bool {
+		for k := range t.mail {
+			if m := &t.mail[k]; len(m.order) > 0 && m.holds(uint32(i)) {
+				return true
+			}
+		}
+		return t.holds(&old[i])
+	}
 	for i := range old {
 		if keep(i) {
 			live++
@@ -263,14 +320,18 @@ func (t *vertexTable) rebuild() {
 			t.slots[j] = old[i]
 		}
 	}
-	if m.open {
+	for k := range t.mail {
+		m := &t.mail[k]
+		if m.agg == nil {
+			continue
+		}
 		agg := m.agg
 		m.agg, m.has = nil, nil
 		m.size(n)
-		for k, oi := range m.order {
+		for e, oi := range m.order {
 			j := uint32(t.find(old[oi].key))
 			m.has[j/64] |= 1 << (j % 64)
-			m.agg[j], m.order[k] = agg[oi], j
+			m.agg[j], m.order[e] = agg[oi], j
 		}
 	}
 	for k := range t.list {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -87,17 +88,23 @@ func AppendRunStats(dst []byte, s *RunStats) []byte {
 	return w.buf
 }
 
-// DecodeRunStats parses run statistics.
+// DecodeRunStats parses run statistics. A step-time count the payload
+// cannot hold is ErrShort.
 func DecodeRunStats(data []byte) (*RunStats, error) {
 	r := NewReader(data)
 	s := &RunStats{RunID: r.U32(), Steps: r.U32(), Converged: r.Bool(), Wall: time.Duration(r.U64())}
-	n := int(r.U32())
-	if r.Err() == nil && n < 1<<24 {
-		s.StepTimes = make([]time.Duration, 0, capHint(n))
-		for i := 0; i < n && r.Err() == nil; i++ {
-			s.StepTimes = append(s.StepTimes, time.Duration(r.U64()))
-		}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("decode run stats: %w", err)
 	}
+	recs, rest, err := section(data[r.off:], 8)
+	if err != nil {
+		return nil, fmt.Errorf("decode run stats: %w", err)
+	}
+	s.StepTimes = make([]time.Duration, len(recs)/8)
+	for i := range s.StepTimes {
+		s.StepTimes[i] = time.Duration(binary.LittleEndian.Uint64(recs[8*i:]))
+	}
+	r = NewReader(rest)
 	s.Recomputed = r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("decode run stats: %w", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"testing"
+	"time"
 
 	"elga/internal/events"
 	"elga/internal/trace"
@@ -85,6 +86,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(seedFrame(TVertexMsgs, msgs))
 	f.Add(seedFrame(TVertexMsgs, msgs[:len(msgs)-7]))
 	f.Add(seedFrame(TVertexMsgs, binary.LittleEndian.AppendUint32(msgs[:5:5], 1<<26)))
+	// Run statistics: a well-formed reply.
+	f.Add(seedFrame(TRunReply, AppendRunStats(nil, &RunStats{RunID: 2, Steps: 3, Converged: true, Wall: 9,
+		StepTimes: []time.Duration{1, 2, 3}, Recomputed: true})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -154,6 +158,19 @@ func FuzzDecodeFrame(f *testing.F) {
 				want[4] = boolByte(want[4] != 0)
 				if !bytes.Equal(AppendVertexMsgBatch(nil, &b), want) {
 					t.Fatalf("%d messages do not re-encode to the payload", len(b.Msgs))
+				}
+			}
+		case TRunReply:
+			// The step times decoded are the ones the payload counts and holds.
+			if st, err := DecodeRunStats(payload); err == nil {
+				n := 22 + 8*len(st.StepTimes)
+				if n > len(payload) {
+					t.Fatalf("%d bytes decoded to %d step times", len(payload), len(st.StepTimes))
+				}
+				want := slices.Clone(payload[:n])
+				want[8], want[n-1] = boolByte(want[8] != 0), boolByte(want[n-1] != 0)
+				if !bytes.Equal(AppendRunStats(nil, st), want) {
+					t.Fatalf("%d step times do not re-encode to the payload", len(st.StepTimes))
 				}
 			}
 		case TReady:

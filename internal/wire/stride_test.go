@@ -196,6 +196,23 @@ func TestDecodeRefusesForgedCounts(t *testing.T) {
 			t.Errorf("%s (%d bytes): %v, want ErrShort", name, len(c.data), err)
 		}
 	}
+	// A run reply's step times: 22 bytes claiming 1<<24 of them, and a count
+	// one record short of the bytes after it.
+	for name, data := range map[string][]byte{
+		"step times 1<<24 in 22 bytes": forgedRunReply(1<<24, 0),
+		"step times one record short":  forgedRunReply(3, 2*8+7),
+	} {
+		if s, err := DecodeRunStats(data); !errors.Is(err, ErrShort) {
+			t.Errorf("%s: %+v, %v, want ErrShort", name, s, err)
+		}
+	}
+}
+
+// forgedRunReply is a TRunReply payload whose step-time count is n, with
+// body bytes after the count and then the Recomputed flag.
+func forgedRunReply(n uint32, body int) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 17), n)
+	return append(b, make([]byte, body+1)...)
 }
 
 // Refusing a forged count costs nothing: the section's length is checked
