@@ -234,12 +234,6 @@ type Agent struct {
 	// scratch.
 	prerun  []stepMsg
 	foldTab aggTable
-	// mergeOrder lists the phase's shard outputs in work-list order, and
-	// merged holds a destination's messages folded across several shards,
-	// mergedPeak the most it held since the last trim (mergeShards).
-	mergeOrder []stretch
-	merged     []wire.VertexMsg
-	mergedPeak int
 
 	partials map[uint32]map[graph.VertexID]partialEntry
 	// partialFree holds consumed per-step partial maps, emptied: the run held
@@ -279,13 +273,11 @@ type Agent struct {
 	scratchVMB wire.VertexMsgBatch
 	scratchEB  wire.EdgeBatch
 
-	// Reusable intra-phase state (parallel.go), the first shard also the
-	// sequential scatters' and the async engine's (seqShard), kept while
-	// runs use it (trimScratch) so steady-state supersteps stop allocating
-	// on the scatter path.
-	shards      []*computeShard
-	combineKeys []graph.VertexID // the combine phase's vertices, sorted,
-	combineVals []partialEntry   // and their partials, parallel to its work list
+	// shard is what every scatter fills (phase.go, sink), kept while runs
+	// use it (trimScratch) so steady-state supersteps stop allocating on the
+	// scatter path; combineKeys is the combine phase's vertices, sorted.
+	shard       computeShard
+	combineKeys []graph.VertexID
 
 	migratedEpoch uint64 // last epoch whose migration round we voted in
 	// migrating is set while a member's migration round is open, from the
@@ -710,8 +702,7 @@ func (a *Agent) sendGatedFrame(addr string, frame []byte, groups ...*ackGroup) e
 }
 
 // initValue computes v's initial algorithm state without installing it —
-// shared by valueOf (which installs) and peekValue (which must not write
-// the vertex table from phase workers).
+// shared by valueOf, which installs it, and peekValue, which does not.
 func (a *Agent) initValue(v graph.VertexID) algorithm.Word {
 	if a.run == nil {
 		return 0

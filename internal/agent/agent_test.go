@@ -183,8 +183,8 @@ func TestVoteWhenDrainedImmediate(t *testing.T) {
 	}
 }
 
-// TestUnroutableMessagesAreCounted: shards merged toward an agent the
-// installed view has no address for drop that destination's messages —
+// TestUnroutableMessagesAreCounted: a shard flushed toward an agent the
+// installed view has no address for drops that destination's messages —
 // there is nowhere to send them — and must say so: the counter rises by
 // exactly the number dropped, while messages for self still land.
 func TestUnroutableMessagesAreCounted(t *testing.T) {
@@ -201,20 +201,20 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 	if !ok {
 		t.Fatal("agent 2 is not a member")
 	}
-	shards := a.getShards(2)
+	s := a.sink()
 	msg := wire.VertexMsg{Target: 7, Via: 8, Value: wire.Word(algorithm.FromF64(0.5))}
 	for i := 0; i < 5; i++ {
-		// Distinct targets: the merge folds by target, and what is dropped
+		// Distinct targets: the flush folds by target, and what is dropped
 		// and counted is what would have been sent.
-		shards[i%2].add(peer, wire.VertexMsg{Target: graph.VertexID(100 + i), Via: 8, Value: msg.Value})
+		s.add(peer, wire.VertexMsg{Target: graph.VertexID(100 + i), Via: 8, Value: msg.Value})
 	}
-	shards[1].add(self, msg)
-	// Agent 2 leaves the view between the scatter and the merge.
+	s.add(self, msg)
+	// Agent 2 leaves the view between the scatter and the flush.
 	alone := &wire.View{Epoch: 3, BatchID: 3, N: 64, Agents: withPeer.Agents[:1]}
 	if _, err := a.installView(alone); err != nil {
 		t.Fatal(err)
 	}
-	a.mergeShards(shards, 4, consistent.AgentID(a.id))
+	a.flushPhase(s, 4, consistent.AgentID(a.id))
 	if got := atomic.LoadUint64(&a.statUnroutable); got != 5 {
 		t.Fatalf("unroutable = %d after dropping 5 messages", got)
 	}
@@ -225,9 +225,9 @@ func TestUnroutableMessagesAreCounted(t *testing.T) {
 		t.Fatalf("self-addressed message not delivered: %v %v", w, ok)
 	}
 	// The next hand-out binds to the shrunken view and drops nothing.
-	shards = a.getShards(2)
-	shards[0].add(0, msg)
-	a.mergeShards(shards, 5, consistent.AgentID(a.id))
+	s = a.sink()
+	s.add(0, msg)
+	a.flushPhase(s, 5, consistent.AgentID(a.id))
 	if got := atomic.LoadUint64(&a.statUnroutable); got != 5 {
 		t.Fatalf("unroutable = %d after a routable flush, want 5", got)
 	}

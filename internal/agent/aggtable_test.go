@@ -195,13 +195,11 @@ func TestFlushFoldsByTarget(t *testing.T) {
 				w.Value = wire.Word(tc.prog.Gather(algorithm.Word(w.Value), algorithm.Word(m.Value)))
 				want[m.Target] = w
 			}
-			// The first half of the messages is one shard's, the rest the
-			// other's: shard order is scatter order.
-			shards := a.getShards(2)
-			for i, m := range tc.msgs {
-				shards[2*i/len(tc.msgs)].add(at, m)
+			s := a.sink()
+			for _, m := range tc.msgs {
+				s.add(at, m)
 			}
-			a.mergeShards(shards, 3, consistent.AgentID(a.id))
+			a.flushPhase(s, 3, consistent.AgentID(a.id))
 			got := rec.log("peer-2").msgs
 			if len(got) != len(targets) {
 				t.Fatalf("%d messages onto %d targets encoded %d entries", len(tc.msgs), len(targets), len(got))
@@ -272,7 +270,7 @@ func BenchmarkMailboxDeliver(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				step := uint32(i)
 				for k := 0; k < len(msgs); k += 512 {
-					s := a.seqShard()[0]
+					s := a.sink()
 					a.acceptAggs(s, step, msgs[k:min(k+512, len(msgs))], from[k/512])
 					s.reset()
 				}

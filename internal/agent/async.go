@@ -59,11 +59,11 @@ func (a *Agent) handleAsyncMsgs(batch *wire.VertexMsgBatch) {
 }
 
 // bindAsync readies an async handler: the routed adjacency in line with the
-// view and the store, and the shard it scatters into (seqShard). It returns
+// view and the store, and the shard it scatters into (sink). It returns
 // the shard and this agent's member index, -1 when the view lacks it.
 func (a *Agent) bindAsync() (*computeShard, int) {
 	a.syncPlan()
-	return a.seqShard()[0], a.selfIndex()
+	return a.sink(), a.selfIndex()
 }
 
 // asyncMsg is the async engine's one per-message body, for a received

@@ -194,7 +194,7 @@ func (a *Agent) processCompute() {
 	// Injected compute-phase latency (SetComputeDelay) stalls this agent's
 	// barrier vote by holding the phase gate open for the delay while the
 	// event loop keeps draining the inbox — like a real straggler whose
-	// compute workers are pegged while its transport thread still acks.
+	// core is pegged while its transport still acks.
 	// Sleeping on the loop instead would block acking the peers' gated
 	// scatter sends, delaying every agent's vote by the same amount and
 	// erasing the skew from the per-agent step-time metrics. One atomic
@@ -218,9 +218,9 @@ func (a *Agent) processCompute() {
 
 	// Work list: active vertices plus everything with mail, plus any
 	// activity that arrived through migration (st.Active marks), each probed
-	// once; workers get the slots. Always-active programs (PageRank) must
-	// also feed split-vertex partials every step so masters can rebuild total
-	// out-degrees. A standing list is the active set already, and holds
+	// once; the walk reads the records by slot. Always-active programs
+	// (PageRank) must also feed split-vertex partials every step so masters
+	// can rebuild total out-degrees. A standing list is the active set already, and holds
 	// every plan source: only the other mail targets need marking.
 	p, standing := &a.dense, a.standingWork()
 	if !standing {
@@ -248,16 +248,13 @@ func (a *Agent) processCompute() {
 	work := t.list[setWork]
 	a.syncDense(work)
 
-	self := consistent.AgentID(a.id)
-	shards := a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, self)
-	})
-	mail.close() // read: step+2's mail may come here once this step is voted
-	went := 0
-	for _, s := range shards {
-		went += int(s.activeNext)
+	self, s := consistent.AgentID(a.id), a.sink()
+	for _, i := range work {
+		a.computeVertex(s, i, mail, self)
 	}
-	folded := a.mergeShards(shards, r.step+1, self)
+	mail.close() // read: step+2's mail may come here once this step is voted
+	went := int(s.activeNext)
+	folded := a.flushPhase(s, r.step+1, self)
 	p.stand = workStamp{run: r.id, step: r.step, gen: t.gen[setWork], ok: folded && went == len(work)}
 	a.endPhase()
 }
@@ -268,13 +265,12 @@ func (a *Agent) processCompute() {
 // run's final step it counts the same announcements and sends none: the
 // shard is emptied, not delivered.
 func (a *Agent) seedStep() {
-	r, shards := a.run, a.seqShard()
-	s := shards[0]
+	r, s := a.run, a.sink()
 	r.activeNext += a.announceSeeds(s, func(v graph.VertexID, mv algorithm.Word) { a.scatter(s, v, mv) })
 	if r.final() {
 		s.reset()
 	} else {
-		a.deliver(shards, 1, false, a.phaseGate)
+		a.deliver(s, 1, false, a.phaseGate)
 	}
 	a.endPhase()
 }
@@ -381,8 +377,7 @@ func (a *Agent) localSplits() []graph.VertexID {
 
 // processCombine is superstep phase 2: masters fold replica partials,
 // update split-vertex state, scatter locally, and broadcast value
-// updates. The per-vertex work (combineVertex) shards across the same
-// worker pool as the compute phase; all sends happen at merge.
+// updates (combineVertex, vertex by vertex); the sends leave at the flush.
 func (a *Agent) processCombine() {
 	a.syncPlan()
 	r := a.run
@@ -397,17 +392,15 @@ func (a *Agent) processCombine() {
 	slices.Sort(a.combineKeys)
 	t := &a.verts
 	t.begin(setWork)
-	a.combineVals = a.combineVals[:0]
 	for _, v := range a.combineKeys {
 		t.mark(setWork, t.at(v))
-		a.combineVals = append(a.combineVals, parts[v])
 	}
-	work := t.list[setWork]
+	s := a.sink()
+	for _, i := range t.list[setWork] {
+		a.combineVertex(s, i, parts[t.slots[i].key], self)
+	}
 	a.recyclePartials(parts)
-	shards := a.runSharded(len(work), func(s *computeShard, i int) {
-		a.combineVertex(s, work[i], &a.combineVals[i], self)
-	})
-	a.mergeShards(shards, r.step+1, self)
+	a.flushPhase(s, r.step+1, self)
 	a.endPhase()
 }
 
@@ -449,29 +442,17 @@ func (a *Agent) recyclePartials(m map[graph.VertexID]partialEntry) {
 // trimScratch ends a run's hold on the phase scratch (scratchFloor), the
 // mail being empty and the partial maps back on their free list.
 func (a *Agent) trimScratch() {
-	n, used := a.router.NumAgents(), 0
-	for _, s := range a.shards {
-		used = max(used, s.peak)
-	}
-	// Work stealing splits a phase unevenly: the busiest shard sets the bar.
-	for _, s := range a.shards {
-		s.values, s.updates = trimmed(s.values, used), trimmed(s.updates, used)
-		s.partialsLocal, s.partialsRemote = trimmed(s.partialsLocal, used), trimmed(s.partialsRemote, used)
-		s.peak = used
-		s.trim(n)
-	}
+	a.shard.trim(a.router.NumAgents())
 	a.verts.trimMail()
 	if a.foldTab.spent() {
 		a.foldTab = aggTable{}
 	}
-	a.merged, a.mergedPeak = trimmed(a.merged, a.mergedPeak), 0
 	a.trimDense()
 	if !keepScratch(a.partialsHeld, int(unsafe.Sizeof(partialEntry{})), a.partialsUsed) {
 		a.partialFree, a.partialsHeld = nil, 0
 	}
-	// The combine lists hold a consumed partial map's entries.
+	// The combine list holds a consumed partial map's keys.
 	a.combineKeys = trimmed(a.combineKeys, a.partialsUsed)
-	a.combineVals = trimmed(a.combineVals, a.partialsUsed)
 	a.partialsUsed = 0
 }
 
@@ -610,7 +591,7 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 	}
 	a.syncPlan()
 	r := a.run
-	var shards []*computeShard
+	var s *computeShard
 	var g *ackGroup
 	var step uint32
 	n, _ := wire.ValueUpdateCount(pkt.Payload) // malformed: no records
@@ -621,20 +602,19 @@ func (a *Agent) handleValueUpdate(pkt *wire.Packet) bool {
 			continue
 		}
 		// One frame's records share a step as sent; nothing here relies on it.
-		if shards == nil {
-			shards, g = a.seqShard(), &ackGroup{}
+		if s == nil {
+			s, g = a.sink(), &ackGroup{}
 		} else if step != vu.Step+1 {
-			a.deliver(shards, step, false, g)
-			shards = a.seqShard()
+			a.deliver(s, step, false, g)
 		}
 		step = vu.Step + 1
-		a.scatter(shards[0], vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
+		a.scatter(s, vu.Vertex, r.prog.MessageValue(vu.Vertex, algorithm.Word(vu.State), vu.TotalOutDeg, &r.ctx))
 	}
-	if shards == nil {
+	if s == nil {
 		a.ep.Ack(pkt)
 		return false
 	}
-	a.deliver(shards, step, false, g)
+	a.deliver(s, step, false, g)
 	a.ackWhenDrained(g, pkt)
 	return true
 }
@@ -777,8 +757,8 @@ const (
 )
 
 // syncPlan brings the plan in line with the installed view and the store's
-// sealed generation. It runs on the event loop ahead of anything that
-// scatters, never inside a worker: workers only fill bytes in.
+// sealed generation, ahead of anything that scatters; scatters only fill
+// bytes in.
 func (a *Agent) syncPlan() {
 	p := &a.plan
 	epoch, gen := a.router.Epoch(), a.store.Compactions()
@@ -809,8 +789,7 @@ func (a *Agent) syncPlan() {
 }
 
 // scatter sends v's message value along its locally stored edges, in the
-// directions the program uses, into b: a worker-private shard during
-// parallel phases, the sequential shard (seqShard) elsewhere.
+// directions the program uses, into b, the agent's shard (sink).
 func (a *Agent) scatter(b *computeShard, v graph.VertexID, mv algorithm.Word) {
 	var runs graph.VertexRuns
 	a.store.RunsInto(&runs, v)
@@ -830,9 +809,7 @@ func (a *Agent) scatterRuns(b *computeShard, v graph.VertexID, mv algorithm.Word
 // scatterDir sends mv to v's neighbours in one direction. A vertex whose
 // sealed run is its whole neighbourhood walks run and plan side by side,
 // resolving the run through the route table the first time its leading byte
-// reads unset; afterwards an edge costs no lookup. Callers process a vertex
-// on one goroutine at a time and runs do not overlap, so workers fill
-// disjoint byte ranges and the fill needs no lock. A vertex with tail edits
+// reads unset; afterwards an edge costs no lookup. A vertex with tail edits
 // in this direction — or any vertex while the plan is nil — iterates the
 // store's cursor and resolves each edge as it goes.
 func (a *Agent) scatterDir(b *computeShard, v graph.VertexID, mv algorithm.Word, dir graph.Dir, runs *graph.VertexRuns) {
@@ -935,7 +912,7 @@ func (a *Agent) handleVertexMsgs(pkt *wire.Packet) bool {
 		a.ep.Ack(pkt)
 		return false
 	}
-	s := a.seqShard()[0]
+	s := a.sink()
 	forwarded := a.acceptAggs(s, batch.Step, batch.Msgs, pkt.From)
 	if forwarded == 0 {
 		// Pure-accept path: everything landed in the local mail, so the

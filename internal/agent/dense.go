@@ -17,8 +17,8 @@ import (
 // direction are whole, in vertex order; for each member it lists the distinct
 // targets their runs reach there, in first-seen order, each with its sources,
 // and for this agent's own targets their vertex-table slots. A dense compute
-// step's workers update the sources without scattering; once the values are
-// installed, foldDense computes each source's message value once and folds
+// step's walk updates the sources without scattering; once it ends,
+// foldDense computes each source's message value once and folds
 // along the plan: what a message per edge folded by target gave, byte for
 // byte, with no message buffered and no table probe per edge. The local
 // targets fold into the next step's mail (vertexTable.mail).
@@ -109,8 +109,7 @@ func sendDirs(prog algorithm.Program) (d [2]bool) {
 }
 
 // syncDense brings the plan in line with the run, the view, the store and
-// the vertex table, on the event loop before a compute phase's workers start
-// on the work list.
+// the vertex table, before a compute phase walks the work list.
 func (a *Agent) syncDense(work []uint32) {
 	p, r := &a.dense, a.run
 	dirs := sendDirs(r.prog)
@@ -248,10 +247,10 @@ func (a *Agent) buildDense(work []uint32) {
 	}
 }
 
-// foldDense is a dense compute step's fold, run by mergeShards once the
-// values are installed: into the next step's mail for this agent (foldLocal),
-// and into the plan's messages for every other member, which mergeShards
-// sends. covered counts the sources the step activated. It reports
+// foldDense is a dense compute step's fold, run by flushPhase once the walk
+// installed the values: into the next step's mail for this agent
+// (foldLocal), and into the plan's messages for every other member, which
+// deliver sends. covered counts the sources the step activated. It reports
 // whether it folded: not with the plan off, in another phase or the run's
 // final step, nor when a source did not activate — those that did push into s.
 func (a *Agent) foldDense(s *computeShard, step uint32, self consistent.AgentID, covered int) bool {

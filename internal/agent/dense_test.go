@@ -288,9 +288,9 @@ func (restlessRank) Update(v graph.VertexID, old, agg algorithm.Word, have bool,
 
 // TestDenseStepMatchesPush: a dense step sends and delivers what the push
 // path did, byte for byte — PageRank and PPR on one agent's share of an
-// R-MAT graph under a view of four members, at one worker and at four, for
-// steps 0 to 3 on one plan and for a step after a sketch-only view splits a
-// target, which rebuilds it; and so do the steps of a program some of whose
+// R-MAT graph under a view of four members, for steps 0 to 3 on one plan
+// and for a step after a sketch-only view splits a target, which rebuilds
+// it; and so do the steps of a program some of whose
 // sources rest, which push. After a tail edit to a source mid-run the plan
 // is rebuilt again and the source pushes onto its aggregates: the same
 // targets, each with the same value within 1e-12; and so after the vertex
@@ -303,47 +303,41 @@ func (restlessRank) Update(v graph.VertexID, old, agg algorithm.Word, have bool,
 func TestDenseStepMatchesPush(t *testing.T) {
 	for _, prog := range []algorithm.Program{algorithm.PageRank{}, algorithm.PPR{}, restlessRank{}} {
 		_, rests := prog.(restlessRank)
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%T/workers=%d", prog, workers), func(t *testing.T) {
-				SetComputeParallelism(workers, 1)
-				t.Cleanup(func() { SetComputeParallelism(0, 0) })
-				cfg := allocTestConfig()
-				cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
-				a, rec := newRecordedAgent(t, cfg, 1024)
-				mergeView(t, a, 2, 2, 3, 4)
-				rmatShare(a, 10, 8192, 3)
-				installRun(a, prog, 1024)
-				a.run.ctx.Source = 1
-				for step, builds := range []int{1, 1, 1, 1, 2, 3, 4} {
-					exact := step < 5
-					switch step {
-					case 4:
-						splitRemoteTarget(t, a, cfg)
-					case 5:
-						v := a.verts.slots[a.dense.src[0]].key
-						if !a.store.AddEdge(v, 1<<20, graph.Out) {
-							t.Fatal("the tail edit changed nothing")
-						}
-					case 6:
-						for k, l := graph.VertexID(1<<21), a.verts.layout; a.verts.layout == l; k++ {
-							a.verts.at(k) // records that hold nothing, until the table moves every record
-						}
+		t.Run(fmt.Sprintf("%T", prog), func(t *testing.T) {
+			cfg := allocTestConfig()
+			cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
+			a, rec := newRecordedAgent(t, cfg, 1024)
+			mergeView(t, a, 2, 2, 3, 4)
+			rmatShare(a, 10, 8192, 3)
+			installRun(a, prog, 1024)
+			a.run.ctx.Source = 1
+			for step, builds := range []int{1, 1, 1, 1, 2, 3, 4} {
+				exact := step < 5
+				switch step {
+				case 4:
+					splitRemoteTarget(t, a, cfg)
+				case 5:
+					v := a.verts.slots[a.dense.src[0]].key
+					if !a.store.AddEdge(v, 1<<20, graph.Out) {
+						t.Fatal("the tail edit changed nothing")
 					}
-					folds := a.dense.folds
-					computeMatchesPush(t, a, rec, uint32(step), exact)
-					if a.dense.builds != builds || a.dense.folds != folds+1 && !rests {
-						t.Fatalf("step %d: %d plans built, want %d; %d dense folds", step, a.dense.builds, builds, a.dense.folds-folds)
+				case 6:
+					for k, l := graph.VertexID(1<<21), a.verts.layout; a.verts.layout == l; k++ {
+						a.verts.at(k) // records that hold nothing, until the table moves every record
 					}
 				}
-				if rests && (a.dense.folds == 0 || a.dense.folds == 7) {
-					t.Fatalf("the resting program folded %d of 7 steps: no step folded or none pushed", a.dense.folds)
+				folds := a.dense.folds
+				computeMatchesPush(t, a, rec, uint32(step), exact)
+				if a.dense.builds != builds || a.dense.folds != folds+1 && !rests {
+					t.Fatalf("step %d: %d plans built, want %d; %d dense folds", step, a.dense.builds, builds, a.dense.folds-folds)
 				}
-			})
-		}
+			}
+			if rests && (a.dense.folds == 0 || a.dense.folds == 7) {
+				t.Fatalf("the resting program folded %d of 7 steps: no step folded or none pushed", a.dense.folds)
+			}
+		})
 	}
 	t.Run("mixed", func(t *testing.T) {
-		SetComputeParallelism(4, 1)
-		t.Cleanup(func() { SetComputeParallelism(0, 0) })
 		cfg := allocTestConfig()
 		cfg.SketchWidth = 1024
 		cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
@@ -482,8 +476,6 @@ func (c *simCluster) joinDuring(cfg config.Config) {
 func BenchmarkDenseFold(b *testing.B) {
 	for _, mode := range []string{"push", "dense"} {
 		b.Run(mode, func(b *testing.B) {
-			SetComputeParallelism(1, 1)
-			b.Cleanup(func() { SetComputeParallelism(0, 0) })
 			a := newLoopbackAgent(b, config.Default(), 1<<14)
 			v := &wire.View{Epoch: 2, BatchID: 2, N: 1 << 14, Agents: []wire.AgentInfo{{ID: 1, Addr: a.ep.Addr()}}}
 			for id := uint64(2); id <= 4; id++ {
@@ -495,7 +487,7 @@ func BenchmarkDenseFold(b *testing.B) {
 			rmatShare(a, 14, 131072, 1)
 			installRun(a, algorithm.PageRank{}, 1<<14)
 			advanceCompute(a, 0) // builds the plan; the sends fail at the dial
-			p, s, self := &a.dense, a.getShards(1)[0], consistent.AgentID(a.id)
+			p, s, self := &a.dense, a.sink(), consistent.AgentID(a.id)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,14 +8,12 @@ import (
 )
 
 // TestGatherOnceInDegreeOnCluster runs the message-counting program (see
-// inDegreeProg) on a 3-agent cluster whose hub is split across replicas,
-// with the phase pool forced on: messages are gathered by target at the
-// sending agent, merged at the receiver, merged again across the hub's
+// inDegreeProg) on a 3-agent cluster whose hub is split across replicas:
+// messages are gathered by target at the sending agent, merged at the receiver, merged again across the hub's
 // replica partials — and every vertex must still count exactly its
 // in-degree. Re-gathering an aggregate anywhere along the way undercounts;
 // merging an ungathered message overcounts (its value is 7).
 func TestGatherOnceInDegreeOnCluster(t *testing.T) {
-	forceParallel(t)
 	cfg := parallelTestConfig()
 	cfg.ReplicationThreshold = 32
 	cfg.MaxReplicas = 3

@@ -74,13 +74,12 @@ func TestGatherOnceOnReceivePaths(t *testing.T) {
 	a.run.started = true
 	// After it: a third sender's aggregate of 4 messages.
 	a.handleVertexMsgs(vertexMsgPacket(1, wire.VertexMsg{Target: 5, Via: 3, Value: 4}))
-	// And two messages this agent scatters itself, one per shard, which it
-	// gathers.
+	// And two messages this agent scatters itself, which it gathers.
 	self, _ := a.router.MemberIndex(consistent.AgentID(a.id))
-	shards := a.getShards(2)
-	shards[0].add(self, wire.VertexMsg{Target: 5, Via: 8, Value: 7})
-	shards[1].add(self, wire.VertexMsg{Target: 5, Via: 9, Value: 7})
-	a.mergeShards(shards, 1, consistent.AgentID(a.id))
+	s := a.sink()
+	s.add(self, wire.VertexMsg{Target: 5, Via: 8, Value: 7})
+	s.add(self, wire.VertexMsg{Target: 5, Via: 9, Value: 7})
+	a.flushPhase(s, 1, consistent.AgentID(a.id))
 	advanceCompute(a, 1)
 	if got := stateOf(a, 5); got != 3+2+4+2 {
 		t.Errorf("vertex 5 counted %d messages, want 11", got)

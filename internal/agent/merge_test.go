@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elga/internal/algorithm"
@@ -12,10 +13,9 @@ import (
 	"elga/internal/wire"
 )
 
-// concatFold is the path mergeShards replaced, kept as its reference: the
-// shard buffers for one destination concatenated in shard order (msgs), then
-// gathered by target in place, one entry per target in first-seen order
-// carrying the first source as Via.
+// concatFold is the reference for what a phase's flush sends: one
+// destination's buffer (msgs) gathered by target in place, one entry per
+// target in first-seen order carrying the first source as Via.
 func concatFold(prog algorithm.Program, msgs []wire.VertexMsg) []wire.VertexMsg {
 	var t aggTable
 	zero := prog.ZeroAgg()
@@ -36,7 +36,7 @@ func concatFold(prog algorithm.Program, msgs []wire.VertexMsg) []wire.VertexMsg 
 }
 
 // mergeMsg is a scattered message for prog: targets from a small range, so
-// shards overlap on them.
+// messages overlap on them.
 func mergeMsg(rng *rand.Rand, prog algorithm.Program) wire.VertexMsg {
 	m := wire.VertexMsg{Target: graph.VertexID(rng.Intn(24)), Via: graph.VertexID(100 + rng.Intn(1000))}
 	switch prog.(type) {
@@ -50,59 +50,46 @@ func mergeMsg(rng *rand.Rand, prog algorithm.Program) wire.VertexMsg {
 	return m
 }
 
-// fillShards scatters n random messages from each shard toward random
-// members, self included.
-func fillShards(rng *rand.Rand, prog algorithm.Program, shards []*computeShard, n int) {
-	for _, s := range shards {
-		for j := 0; j < n; j++ {
-			s.add(rng.Intn(len(s.members)), mergeMsg(rng, prog))
-		}
+// fillShard scatters n random messages into s toward random members, self
+// included.
+func fillShard(rng *rand.Rand, prog algorithm.Program, s *computeShard, n int) {
+	for j := 0; j < n; j++ {
+		s.add(rng.Intn(len(s.members)), mergeMsg(rng, prog))
 	}
 }
 
-// checkMerge merges shards into step and compares what leaves with the
-// reference: after any earlier sends, one TVertexMsgs frame per remote
-// member with messages, in member order, whose payload is byte for byte the
-// encoding of concatFold over that member's buffers; and mail for step
-// holding the self-addressed messages gathered in shard order.
-func checkMerge(t *testing.T, a *Agent, rec *recorder, shards []*computeShard, step uint32) {
-	t.Helper()
-	checkMergeAs(t, a, rec, shards, shards, step)
-}
-
-// checkMergeAs is checkMerge against the buffers of ref, concatenated in
-// order, in place of the merged shards'.
-func checkMergeAs(t *testing.T, a *Agent, rec *recorder, shards, ref []*computeShard, step uint32) {
+// checkMerge flushes s as a phase's walk would for step and compares what
+// leaves with the reference: after any earlier sends, one TVertexMsgs frame
+// per remote member with messages, in member order, whose payload is byte
+// for byte the encoding of concatFold over that member's buffer; and mail
+// for step holding the self-addressed messages gathered in scatter order.
+func checkMerge(t *testing.T, a *Agent, rec *recorder, s *computeShard, step uint32) {
 	t.Helper()
 	prog, self := a.run.prog, consistent.AgentID(a.id)
-	members := shards[0].members
 	var want [][]byte
 	var to []string
 	var mail modelMail
-	for i, dst := range members {
-		var concat []wire.VertexMsg
-		for _, s := range ref {
-			concat = append(concat, s.bufs[i]...)
-		}
+	for i, dst := range s.members {
+		msgs := slices.Clone(s.bufs[i])
 		if dst == self {
-			for _, m := range concat {
+			for _, m := range msgs {
 				mail.gather(prog, m.Target, algorithm.Word(m.Value))
 			}
 			continue
 		}
-		if len(concat) == 0 {
+		if len(msgs) == 0 {
 			continue
 		}
 		addr, _ := a.router.AddrOf(dst)
 		to = append(to, addr)
-		want = append(want, wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: step, Msgs: concatFold(prog, concat)}))
+		want = append(want, wire.AppendVertexMsgBatch(nil, &wire.VertexMsgBatch{Step: step, Msgs: concatFold(prog, msgs)}))
 	}
 	sent, seen := len(rec.order), map[string]int{}
 	for addr, l := range rec.to {
 		seen[addr] = len(l.pkts)
 	}
 
-	a.mergeShards(shards, step, self)
+	a.flushPhase(s, step, self)
 
 	if got := rec.order[sent:]; fmt.Sprint(got) != fmt.Sprint(to) {
 		t.Fatalf("frames went to %v, want %v", got, to)
@@ -117,11 +104,9 @@ func checkMergeAs(t *testing.T, a *Agent, rec *recorder, shards, ref []*computeS
 	if got, held := heldMail(a, step), mail.entries(); fmt.Sprint(got) != fmt.Sprint(held) {
 		t.Fatalf("mail for step %d holds %v, want %v", step, got, held)
 	}
-	for _, s := range shards {
-		for i, b := range s.bufs {
-			if len(b) != 0 {
-				t.Fatalf("shard buffer %d holds %d messages after the merge", i, len(b))
-			}
+	for i, b := range s.bufs {
+		if len(b) != 0 {
+			t.Fatalf("shard buffer %d holds %d messages after the flush", i, len(b))
 		}
 	}
 }
@@ -138,29 +123,24 @@ func mergeView(t *testing.T, a *Agent, epoch uint64, peers ...uint64) {
 	}
 }
 
-// TestMergeShardsMatchesConcatFold: what mergeShards sends and delivers is
-// what concatenating the shard buffers, folding and encoding gave, byte for
-// byte — for 1, 2 and 3 shards with overlapping targets under PageRank's
-// sum, WCC's min and the counting program whose Gather is not its MergeAgg;
-// for shards whose buffers outnumber the members after a view shrank (and
-// lose the extra ones at the run's end); and for the shards the forced
-// worker pool filled, whose messages concatenate in work-list order, not
-// shard order.
+// TestMergeShardsMatchesConcatFold: what a phase's flush sends and
+// delivers is what folding each destination's buffer and encoding gave, byte
+// for byte, under PageRank's sum, WCC's min and the counting program whose
+// Gather is not its MergeAgg; and for a shard whose buffers outnumber the
+// members after a view shrank, which loses the extra ones at the run's end.
 func TestMergeShardsMatchesConcatFold(t *testing.T) {
 	for _, prog := range []algorithm.Program{algorithm.PageRank{}, algorithm.WCC{}, inDegreeProg{}} {
-		for n := 1; n <= 3; n++ {
-			t.Run(fmt.Sprintf("%s/%d-shards", prog.Name(), n), func(t *testing.T) {
-				a, rec := newRecordedAgent(t, allocTestConfig(), 64)
-				installRun(a, prog, 64)
-				mergeView(t, a, 2, 2, 3, 4)
-				rng := rand.New(rand.NewSource(int64(n)))
-				for step := uint32(1); step <= 3; step++ {
-					shards := a.getShards(n)
-					fillShards(rng, prog, shards, 40)
-					checkMerge(t, a, rec, shards, step)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("%s/1-shards", prog.Name()), func(t *testing.T) {
+			a, rec := newRecordedAgent(t, allocTestConfig(), 64)
+			installRun(a, prog, 64)
+			mergeView(t, a, 2, 2, 3, 4)
+			rng := rand.New(rand.NewSource(1))
+			for step := uint32(1); step <= 3; step++ {
+				s := a.sink()
+				fillShard(rng, prog, s, 40)
+				checkMerge(t, a, rec, s, step)
+			}
+		})
 	}
 	t.Run("shrunk-view", func(t *testing.T) {
 		a, rec := newRecordedAgent(t, allocTestConfig(), 64)
@@ -168,61 +148,20 @@ func TestMergeShardsMatchesConcatFold(t *testing.T) {
 		installRun(a, prog, 64)
 		rng := rand.New(rand.NewSource(9))
 		mergeView(t, a, 2, 2, 3, 4)
-		shards := a.getShards(2)
-		fillShards(rng, prog, shards, 40)
-		checkMerge(t, a, rec, shards, 1)
-		// Two members leave: the first two shards keep four buffers, the
-		// third, new, has two.
+		s := a.sink()
+		fillShard(rng, prog, s, 40)
+		checkMerge(t, a, rec, s, 1)
+		// Two members leave: the shard keeps its four buffers.
 		mergeView(t, a, 3, 3)
-		shards = a.getShards(3)
-		if len(shards[0].bufs) != 4 || len(shards[2].bufs) != 2 {
-			t.Fatalf("shards hold %d and %d buffers, want 4 and 2", len(shards[0].bufs), len(shards[2].bufs))
+		if s = a.sink(); len(s.bufs) != 4 || len(s.members) != 2 {
+			t.Fatalf("the shard holds %d buffers for %d members, want 4 for 2", len(s.bufs), len(s.members))
 		}
-		fillShards(rng, prog, shards, 40)
-		checkMerge(t, a, rec, shards, 2)
+		fillShard(rng, prog, s, 40)
+		checkMerge(t, a, rec, s, 2)
 		// The run's end drops the buffers of the positions the view lost.
 		a.trimScratch()
-		for i, s := range shards {
-			if len(s.bufs) != 2 {
-				t.Fatalf("shard %d keeps %d buffers under a view of 2 members", i, len(s.bufs))
-			}
-		}
-	})
-	t.Run("pool", func(t *testing.T) {
-		SetComputeParallelism(4, 1)
-		t.Cleanup(func() { SetComputeParallelism(0, 0) })
-		a, rec := newRecordedAgent(t, allocTestConfig(), 64)
-		prog := algorithm.PageRank{}
-		installRun(a, prog, 64)
-		mergeView(t, a, 2, 2, 3, 4)
-		rng := rand.New(rand.NewSource(11))
-		type item struct {
-			dst int
-			m   wire.VertexMsg
-		}
-		items := make([][]item, 256)
-		for i := range items {
-			for j := 0; j < 4; j++ {
-				items[i] = append(items[i], item{rng.Intn(4), mergeMsg(rng, prog)})
-			}
-		}
-		for step := uint32(1); step <= 3; step++ {
-			shards := a.runSharded(len(items), func(s *computeShard, i int) {
-				for _, it := range items[i] {
-					s.add(it.dst, it.m)
-				}
-			})
-			if len(shards) != 4 {
-				t.Fatalf("the forced pool ran %d shards, want 4", len(shards))
-			}
-			ref := &computeShard{}
-			ref.bind(shards[0].members)
-			for i := range items {
-				for _, it := range items[i] {
-					ref.add(it.dst, it.m)
-				}
-			}
-			checkMergeAs(t, a, rec, shards, []*computeShard{ref}, step)
+		if len(s.bufs) != 2 {
+			t.Fatalf("the shard keeps %d buffers under a view of 2 members", len(s.bufs))
 		}
 	})
 }

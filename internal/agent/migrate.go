@@ -117,7 +117,7 @@ func (a *Agent) rerouteFailed(f transport.FailedSend) {
 	case wire.TVertexMsgs:
 		batch := &a.scratchVMB
 		if err := wire.DecodeVertexMsgBatchInto(batch, pkt.Payload); err == nil && !batch.Async {
-			s := a.seqShard()[0]
+			s := a.sink()
 			a.acceptAggs(s, batch.Step, batch.Msgs, "")
 			a.sendBufs(s, batch.Step, g)
 		}
@@ -467,7 +467,7 @@ func (a *Agent) rerouteMail(rerouted []graph.VertexID, sketchOnly bool, gate *ac
 	}
 	slices.Sort(steps)
 	for _, step := range slices.Compact(steps) {
-		out := a.seqShard()[0]
+		out := a.sink()
 		if m := &t.mail[step&1]; m.step == step && len(m.order) > 0 {
 			leave := func(i uint32) {
 				if v := t.slots[i].key; a.placement(i)&viewReplica == 0 && a.sendAway(out, v, m.agg[i]) {

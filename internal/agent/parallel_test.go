@@ -1,33 +1,23 @@
 package agent_test
 
-// Race coverage for the intra-phase worker pool: these tests force the
-// pool on for every superstep (workers=4, threshold=1) regardless of
-// GOMAXPROCS and work-set size, so `go test -race ./internal/agent/...`
-// exercises worker reads of shared agent state concurrently with shard
-// writes, including across split-vertex combines and mid-run membership
-// changes. Results must stay bit-identical (or within the paper's 1e-8
-// PageRank tolerance) to the sequential reference executor.
+// Agents running in parallel: each test runs an in-process cluster, every
+// agent on its own event-loop goroutine, so `go test -race
+// ./internal/agent/...` sees them side by side with the coordinator and the
+// transport, across split-vertex combines and mid-run membership changes.
+// Results must stay bit-identical (or within the paper's 1e-8 PageRank
+// tolerance) to the sequential reference executor.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"elga/internal/agent"
 	"elga/internal/algorithm"
 	"elga/internal/client"
 	"elga/internal/cluster"
 	"elga/internal/config"
 	"elga/internal/graph"
 )
-
-// forceParallel pins the phase pool to 4 workers with a threshold of 1
-// for the duration of a test, restoring defaults afterwards.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	agent.SetComputeParallelism(4, 1)
-	t.Cleanup(func() { agent.SetComputeParallelism(0, 0) })
-}
 
 func parallelTestConfig() config.Config {
 	cfg := config.Default()
@@ -90,7 +80,6 @@ func checkReference(t *testing.T, c *cluster.Cluster, prog algorithm.Program, el
 }
 
 func TestParallelPageRankWithSplitsMatchesReference(t *testing.T) {
-	forceParallel(t)
 	cfg := parallelTestConfig()
 	cfg.ReplicationThreshold = 32 // the hub (degree ~n) splits
 	cfg.MaxReplicas = 4
@@ -107,7 +96,6 @@ func TestParallelPageRankWithSplitsMatchesReference(t *testing.T) {
 }
 
 func TestParallelWCCMatchesReferenceExactly(t *testing.T) {
-	forceParallel(t)
 	c := newParallelCluster(t, 3, parallelTestConfig())
 	el := parallelRandomGraph(200, 700, 72)
 	if err := c.Load(el); err != nil {
@@ -120,7 +108,6 @@ func TestParallelWCCMatchesReferenceExactly(t *testing.T) {
 }
 
 func TestParallelMidRunJoinMatchesReference(t *testing.T) {
-	forceParallel(t)
 	c := newParallelCluster(t, 2, parallelTestConfig())
 	el := parallelRandomGraph(150, 600, 73)
 	if err := c.Load(el); err != nil {
@@ -156,7 +143,6 @@ func TestParallelMidRunJoinMatchesReference(t *testing.T) {
 }
 
 func TestParallelLeaveThenRerunMatchesReference(t *testing.T) {
-	forceParallel(t)
 	c := newParallelCluster(t, 4, parallelTestConfig())
 	el := parallelRandomGraph(120, 500, 74)
 	if err := c.Load(el); err != nil {

@@ -78,22 +78,27 @@ func referenceScatter(a *Agent, verts []graph.VertexID, mv func(graph.VertexID) 
 	return out
 }
 
-// pooledScatter runs scatter over verts on the phase worker pool, as a
-// compute phase does, and returns what the shards collected.
-func pooledScatter(a *Agent, verts []graph.VertexID) []emitted {
+// takeShard empties the agent's shard and returns what it held, sorted.
+func takeShard(s *computeShard) []emitted {
 	var out []emitted
-	for _, s := range a.runSharded(len(verts), func(s *computeShard, i int) {
-		a.scatter(s, verts[i], messageFor(verts[i]))
-	}) {
-		for dst, msgs := range s.bufs {
-			for _, m := range msgs {
-				out = append(out, emitted{dst, m})
-			}
+	for dst, msgs := range s.bufs {
+		for _, m := range msgs {
+			out = append(out, emitted{dst, m})
 		}
-		s.reset()
 	}
+	s.reset()
 	sortEmitted(out)
 	return out
+}
+
+// walkScatter runs scatter over verts into the agent's shard, as a compute
+// phase's walk does, and returns what the shard collected.
+func walkScatter(a *Agent, verts []graph.VertexID) []emitted {
+	s := a.sink()
+	for _, v := range verts {
+		a.scatter(s, v, messageFor(v))
+	}
+	return takeShard(s)
 }
 
 // planRig drives one agent's store and router through a random script.
@@ -221,7 +226,7 @@ func (r *planRig) check(script int, trail []string) {
 	verts := a.store.VertexList()
 	want := referenceScatter(a, verts, messageFor)
 	for pass := 0; pass < 2; pass++ {
-		if got := pooledScatter(a, verts); !slices.Equal(got, want) {
+		if got := walkScatter(a, verts); !slices.Equal(got, want) {
 			r.t.Fatalf("script %d %v pass %d: scatter emitted %d messages, the table loop %d",
 				script, trail, pass, len(got), len(want))
 		}
@@ -255,35 +260,46 @@ type partialOf struct {
 	outDeg uint64
 }
 
-// pooledCompute runs a compute phase's per-vertex duty over verts, with an
-// empty mail, on the phase worker pool, and returns the messages and
-// replica partials the shards collected.
-func pooledCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
+// walkCompute runs a compute phase's walk over verts, with an empty mail,
+// and returns the messages the shard collected and the replica partials
+// stashed here (a.partials) or buffered for the other masters
+// (a.hubPartials), taking all of them back.
+func walkCompute(a *Agent, verts []graph.VertexID) ([]emitted, []partialOf) {
 	t := &a.verts
 	t.begin(setWork)
 	for _, v := range verts {
 		t.mark(setWork, t.at(v))
 	}
-	work, mail, self := t.list[setWork], &slotMail{has: make([]uint64, (len(t.slots)+63)/64)}, consistent.AgentID(a.id)
-	var msgs []emitted
+	t.begin(setActive)
+	s, step, self := a.sink(), a.run.step, consistent.AgentID(a.id)
+	for _, i := range t.list[setWork] {
+		a.computeVertex(s, i, &slotMail{}, self)
+	}
+	msgs := takeShard(s)
 	var parts []partialOf
-	for _, s := range a.runSharded(len(work), func(s *computeShard, i int) {
-		a.computeVertex(s, work[i], mail, self)
-	}) {
-		for dst, ms := range s.bufs {
-			for _, m := range ms {
-				msgs = append(msgs, emitted{dst, m})
-			}
+	for v, p := range a.partials[step] {
+		parts = append(parts, partialOf{v, p.outDeg})
+	}
+	a.recyclePartials(a.partials[step])
+	delete(a.partials, step)
+	for at, f := range a.hubPartials {
+		if f.buf == nil {
+			continue
 		}
-		for _, p := range s.partialsLocal {
+		a.hubPartials[at] = hubFrame{}
+		pkt := &wire.Packet{}
+		if err := wire.FinishFrame(f.buf); err != nil {
+			panic(err)
+		}
+		if err := wire.UnmarshalPacketInto(pkt, f.buf, nil); err != nil {
+			panic(err)
+		}
+		n, _ := wire.ReplicaPartialCount(pkt.Payload)
+		for k := 0; k < n; k++ {
+			p := wire.ReplicaPartialAt(pkt.Payload, k)
 			parts = append(parts, partialOf{p.Vertex, p.LocalOutDeg})
 		}
-		for _, p := range s.partialsRemote {
-			parts = append(parts, partialOf{p.p.Vertex, p.p.LocalOutDeg})
-		}
-		s.reset()
 	}
-	sortEmitted(msgs)
 	slices.SortFunc(parts, func(x, y partialOf) int { return int(int64(x.v) - int64(y.v)) })
 	return msgs, parts
 }
@@ -311,7 +327,7 @@ func (r *planRig) checkCompute(script int, trail []string) {
 		return a.run.prog.MessageValue(v, messageFor(v), outDegree(a.store, v), &a.run.ctx)
 	})
 	for pass := 0; pass < 2; pass++ {
-		got, parts := pooledCompute(a, verts)
+		got, parts := walkCompute(a, verts)
 		if !slices.Equal(got, want) {
 			r.t.Fatalf("script %d %v pass %d: compute emitted %d messages, the model %d",
 				script, trail, pass, len(got), len(want))
@@ -416,16 +432,13 @@ func planConfig() config.Config {
 
 // TestComputeCacheMatchesModel: through the plan rig's random scripts — bulk
 // load, compaction, tail edits, a sketch-only view that crosses a bucket, a
-// membership view, dropped vertices and arriving runs — a compute phase whose
-// workers fill the split-ness stamps concurrently emits exactly the
-// (destination, target, via, value) multiset of the cursor + EdgeOwnerIndex
+// membership view, dropped vertices and arriving runs — a compute phase's
+// walk emits exactly the (destination, target, via, value) multiset of the cursor + EdgeOwnerIndex
 // loop, sends every split vertex's partial with the right out-degree, leaves
 // every stamped record's split and replica bits equal to router.Split and
 // router.IsReplica, and RunsInto reads what SealedRuns, Degree and the cursor
 // read.
 func TestComputeCacheMatchesModel(t *testing.T) {
-	SetComputeParallelism(4, 1)
-	defer SetComputeParallelism(0, 0)
 	stamped, split := 0, 0
 	for script := 0; script < 200; script++ {
 		r := newPlanRig(t, planConfig(), script, degreeProbe{})
@@ -468,11 +481,8 @@ func TestVertexRecordIs24Bytes(t *testing.T) {
 // tail edits, a sketch-only view that crosses a bucket, a membership view
 // (some too large for a plan), dropped vertices and arriving runs — the
 // plan-driven scatter emits exactly the (destination, target, via, value)
-// multiset of the cursor + EdgeOwnerIndex loop, in both directions, with the
-// worker pool filling the plan concurrently.
+// multiset of the cursor + EdgeOwnerIndex loop, in both directions.
 func TestPlanScatterEqualsTableScatter(t *testing.T) {
-	SetComputeParallelism(4, 1)
-	defer SetComputeParallelism(0, 0)
 	planned := 0
 	for script := 0; script < 320; script++ {
 		r := newPlanRig(t, planConfig(), script, orientedWCC{})
@@ -501,14 +511,14 @@ func TestPlanNoOwnerByteSendsNothing(t *testing.T) {
 	a.store.Compact()
 	a.syncPlan()
 	verts := []graph.VertexID{0, 7}
-	if got := pooledScatter(a, verts); len(got) != 6 {
+	if got := walkScatter(a, verts); len(got) != 6 {
 		t.Fatalf("%d messages scattered, want 6", len(got))
 	}
 	run, off, _ := sealedRun(a.store, 0, graph.Out)
 	for i := range run {
 		a.plan.dir[graph.Out][off+i] = planNoOwner
 	}
-	got := pooledScatter(a, verts)
+	got := walkScatter(a, verts)
 	if len(got) != 1 || got[0].m.Via != 7 {
 		t.Fatalf("after marking vertex 0's edges ownerless: %+v", got)
 	}

@@ -39,13 +39,7 @@ func eachScratch(a *Agent, fn func(p unsafe.Pointer, bytes int)) {
 		}
 	}
 	table := func(t *aggTable) { piece(fn, t.slots); piece(fn, t.order) }
-	for _, s := range a.shards {
-		piece(fn, s.values)
-		piece(fn, s.partialsLocal)
-		piece(fn, s.partialsRemote)
-		piece(fn, s.updates)
-		bufs(&s.dstBufs)
-	}
+	bufs(&a.shard.dstBufs)
 	for k := range a.verts.mail {
 		m := &a.verts.mail[k]
 		piece(fn, m.agg)
@@ -53,12 +47,10 @@ func eachScratch(a *Agent, fn func(p unsafe.Pointer, bytes int)) {
 		piece(fn, m.order)
 	}
 	table(&a.foldTab)
-	piece(fn, a.merged)
 	for _, m := range a.partialFree {
 		fn(reflect.ValueOf(m).UnsafePointer(), a.partialsHeld*int(unsafe.Sizeof(partialEntry{})))
 	}
 	piece(fn, a.combineKeys)
-	piece(fn, a.combineVals)
 }
 
 // scratchOf is what eachScratch reports: the bytes, and the arrays in
@@ -253,8 +245,6 @@ func sum(ns []int) int {
 // from-scratch run after another, synchronous or asynchronous, keeps the
 // very arrays too. Every answer equals algorithm.Run.
 func TestScratchFollowsTheLastRun(t *testing.T) {
-	SetComputeParallelism(1, 0)
-	t.Cleanup(func() { SetComputeParallelism(0, 0) })
 	cfg := allocTestConfig()
 	cfg.SketchWidth = 1024
 	cfg.ReplicationThreshold, cfg.MaxReplicas = 16, 3
@@ -358,9 +348,7 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 			for k := range a.verts.mail {
 				largest["mail"] = max(largest["mail"], bytesOf(a.verts.mail[k].agg))
 			}
-			for _, s := range a.shards {
-				largest["shard buffer"] = max(largest["shard buffer"], largestBuf(&s.dstBufs))
-			}
+			largest["shard buffer"] = largestBuf(&a.shard.dstBufs)
 			used := []string{"mail", "shard buffer"}
 			if async {
 				used = []string{"shard buffer"}

@@ -37,19 +37,12 @@ func superstepAgent(tb testing.TB) *Agent {
 	return a
 }
 
-// benchmarkSuperstep measures one full PageRank compute phase (gather →
-// update → scatter → local delivery) on superstepAgent, with the phase
-// worker pool pinned to the given size. workers=1 is the sequential
-// baseline (runSharded runs inline); larger counts exercise the
-// shard/merge machinery. On a multi-core host the parallel variants show
-// the speedup; on a single-core host they measure pool overhead instead —
-// record numbers honestly either way.
-func benchmarkSuperstep(b *testing.B, workers int) {
+// BenchmarkSuperstepPageRankSeq measures one full PageRank compute phase
+// (gather → update → scatter → local delivery) on superstepAgent.
+func BenchmarkSuperstepPageRankSeq(b *testing.B) {
 	a := superstepAgent(b)
-	SetComputeParallelism(workers, 1)
-	defer SetComputeParallelism(0, 0)
 
-	// Warm: init pass plus two steady steps so every pool (shards,
+	// Warm: init pass plus two steady steps so the scratch (the shard, the
 	// mail buffers) reaches steady state.
 	advanceCompute(a, 0)
 	advanceCompute(a, 1)
@@ -62,14 +55,8 @@ func benchmarkSuperstep(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkSuperstepPageRankSeq(b *testing.B)  { benchmarkSuperstep(b, 1) }
-func BenchmarkSuperstepPageRankPar2(b *testing.B) { benchmarkSuperstep(b, 2) }
-func BenchmarkSuperstepPageRankPar4(b *testing.B) { benchmarkSuperstep(b, 4) }
-
-// TestSuperstepAllocCeiling pins the steady-state sequential superstep at
-// 3 allocs (the ack group, its completion closure, and the per-vertex closure
-// the worker pool runs)
-// under every combination of the planes that touch it: live metric
+// TestSuperstepAllocCeiling pins the steady-state superstep at 2 allocs (the
+// ack group and its completion closure) under every combination of the planes that touch it: live metric
 // handles, a checkpoint cadence that never fires, the scatter counters
 // (comm accounting) and the event journal. Each step is the compute
 // phase plus what the vote's post-vote tail runs: the phase histogram
@@ -83,8 +70,6 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 		t.Skip("alloc accounting is unreliable under -race")
 	}
 	planes := []string{"metrics", "checkpoint", "comm", "events"}
-	SetComputeParallelism(1, 1)
-	defer SetComputeParallelism(0, 0)
 	for set := 0; set < 1<<len(planes); set++ {
 		var armed []string
 		for i, p := range planes {
@@ -127,8 +112,8 @@ func TestSuperstepAllocCeiling(t *testing.T) {
 			superstep() // init pass plus two steady steps warm every pool
 			superstep()
 			superstep()
-			if allocs := testing.AllocsPerRun(50, superstep); allocs > 3 {
-				t.Fatalf("superstep allocates %v times, ceiling is 3", allocs)
+			if allocs := testing.AllocsPerRun(50, superstep); allocs > 2 {
+				t.Fatalf("superstep allocates %v times, ceiling is 2", allocs)
 			}
 		})
 	}

@@ -50,9 +50,6 @@ const (
 // emptying one is O(1), walking one costs its size, and that order is a
 // function of the calls made, not of a map seed. It also holds the mail, by
 // slot. An index stays good while layout does: an insertion (at) may rebuild.
-//
-// Everything belongs to the event loop except find and reads of slots[i] and
-// of the mail: phase workers are handed slot indices and only read.
 type vertexTable struct {
 	slots []vertexRec
 	shift uint8
@@ -128,23 +125,29 @@ func (c *peerSlots) put(k int, v graph.VertexID, i uint32) {
 // slotMail is one step's mail, held by vertex-table slot: for each target,
 // the aggregate of what was gathered here and merged from peers, reached
 // through the target's record, and the targets in first-arrival order. A
-// rebuild carries it along with the records. Its arrays, once it has them,
-// match the table's slot count; a run's end gives them up if the run left
-// them mostly empty (trimMail).
+// rebuild carries it along with the records. It takes its arrays at its
+// first entry, sized to the table's slot count, which they match from then
+// on; a run's end gives them up if the run left them mostly empty
+// (trimMail).
 type slotMail struct {
 	step  uint32
+	slots int              // the table's slot count, which the arrays take
 	agg   []algorithm.Word // by slot
 	has   []uint64         // which slots hold an entry
 	order []uint32         // those slots, in first-arrival order
 	peak  int              // the most entries it held since the last trim
 }
 
-// holds reports whether the slot at i has an entry.
-func (m *slotMail) holds(i uint32) bool { return m.has[i/64]&(1<<(i%64)) != 0 }
+// holds reports whether the slot at i has an entry; a mail with no arrays
+// holds none.
+func (m *slotMail) holds(i uint32) bool { return m.has != nil && m.has[i/64]&(1<<(i%64)) != 0 }
 
-// add enters slot i, reporting whether it was fresh.
+// add enters slot i, reporting whether it was fresh. The first entry sizes
+// the arrays.
 func (m *slotMail) add(i uint32) bool {
-	if m.holds(i) {
+	if m.has == nil {
+		m.size(m.slots)
+	} else if m.holds(i) {
 		return false
 	}
 	m.has[i/64] |= 1 << (i % 64)
@@ -187,12 +190,8 @@ type mailArrays struct {
 // incremental run follows the last, takes them back without allocating.
 var mailPools [65]sync.Pool
 
-// size fits the arrays of an empty mail to a table of n slots, creating
-// them even for none: rebuild keeps a mail's arrays fitted once they exist.
+// size gives an array-less mail its arrays, for a table of n slots.
 func (m *slotMail) size(n int) {
-	if m.agg != nil && len(m.agg) == n {
-		return
-	}
 	if x, _ := mailPools[bits.Len(uint(n))].Get().(*mailArrays); x != nil && len(x.agg) == n {
 		m.agg, m.has = x.agg, x.has
 		return
@@ -224,17 +223,18 @@ func (t *vertexTable) trimMail() {
 	}
 }
 
-// mailOf returns step's mail, sized to the table: the buffer of step's
-// parity, emptied first if it holds another step's. A peer may send step
-// s+1's mail before this agent has read step s's, but not step s+2's before
-// it has voted on s, so two buffers hold every step that can be pending.
+// mailOf returns step's mail: the buffer of step's parity, emptied first if
+// it holds another step's. A peer may send step s+1's mail before this agent
+// has read step s's, but not step s+2's before it has voted on s, so two
+// buffers hold every step that can be pending. A buffer nothing reached has
+// no arrays to read.
 func (t *vertexTable) mailOf(step uint32) *slotMail {
 	m := &t.mail[step&1]
 	if m.step != step {
 		m.close()
 		m.step = step
 	}
-	m.size(len(t.slots))
+	m.slots = len(t.slots)
 	return m
 }
 
@@ -322,7 +322,7 @@ func (t *vertexTable) rebuild() {
 	}
 	for k := range t.mail {
 		m := &t.mail[k]
-		if m.agg == nil {
+		if m.slots = n; m.agg == nil {
 			continue
 		}
 		agg := m.agg

@@ -307,14 +307,12 @@ func TestVertexTableReclaimsUnderChurn(t *testing.T) {
 	}
 }
 
-// TestWorkListIsAFunctionOfTheInput: two agents given the same graph, on one
-// worker each, build the same work list step after step — the step-0 walk of
+// TestWorkListIsAFunctionOfTheInput: two agents given the same graph build
+// the same work list step after step — the step-0 walk of
 // the store's map and the split list are sorted, everything after follows
 // from the order of the calls — for an always-active program and for one
 // whose frontier moves.
 func TestWorkListIsAFunctionOfTheInput(t *testing.T) {
-	SetComputeParallelism(1, 0)
-	defer SetComputeParallelism(0, 0)
 	for _, prog := range []algorithm.Program{algorithm.PageRank{}, algorithm.WCC{}} {
 		var runs [2][][]graph.VertexID
 		for i := range runs {

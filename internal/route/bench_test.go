@@ -52,7 +52,7 @@ func BenchmarkEdgeOwnerWarm(b *testing.B) {
 }
 
 // BenchmarkEdgeOwnerWarmParallel is the same hit path from concurrent
-// phase workers; it scales only if a hit shares no written cache line.
+// goroutines; it scales only if a hit shares no written cache line.
 func BenchmarkEdgeOwnerWarmParallel(b *testing.B) {
 	r, el := benchRouter(b)
 	b.ResetTimer()

@@ -251,9 +251,9 @@ func TestSketchOnlyUpdateKeepsUnchangedRoutes(t *testing.T) {
 }
 
 func TestRouteCacheConcurrentLookups(t *testing.T) {
-	// The compute-phase worker pool issues lookups concurrently: hits read
-	// the table without a lock while misses fill and grow it. Overlapping
-	// key ranges make several workers miss on the same vertex, and enough
+	// Lookups issued concurrently: hits read the table without a lock while
+	// misses fill and grow it. Overlapping key ranges make several
+	// goroutines miss on the same vertex, and enough
 	// keys force the table through several growths mid-flight; every
 	// answer, whichever table it was read from, must equal the reference.
 	const keys = 8 * minSlots

@@ -86,11 +86,11 @@ func (t *table) probe(v graph.VertexID) (*slot, uint64) {
 	}
 }
 
-// Router resolves edge and vertex ownership under one directory view. A
-// Router is mutated only by its owning entity's event loop (Update), never
-// while a lookup is in flight. Lookups are safe to issue concurrently from
-// that entity's intra-phase worker pool: the ring, sketch and addresses are immutable between Updates, a hit reads the route table
-// without a lock, and a miss fills it under mu.
+// Router resolves edge and vertex ownership under one directory view. It is
+// mutated only by its owner's event loop (Update), never while a lookup is in
+// flight. Lookups are safe from several goroutines at once, though no owner
+// issues them so: ring, sketch and addresses are immutable between Updates,
+// a hit reads the route table without a lock, and a miss fills it under mu.
 type Router struct {
 	cfg     config.Config
 	epoch   uint64
@@ -211,7 +211,7 @@ func (r *Router) routeOf(v graph.VertexID) *vertexRoute {
 }
 
 // fill resolves v and publishes it, re-probing the current table under mu:
-// another phase worker may have published v, or grown the table, since the
+// another goroutine may have published v, or grown the table, since the
 // caller's lock-free miss.
 func (r *Router) fill(v graph.VertexID) uint64 {
 	r.mu.Lock()
@@ -306,8 +306,8 @@ func (r *Router) dropRerouted() {
 }
 
 // Update installs a directory view. It must run on the owning entity's
-// event loop with no lookup in flight (phase workers are joined before the
-// loop reads its next packet): that is what lets it replace the table
+// event loop with no lookup in flight (an agent's lookups run on that
+// loop): that is what lets it replace the table
 // without coordinating with readers. Stale views (epoch older than current)
 // are ignored and reported false. A view with the installed membership can
 // differ only in its sketch, which feeds nothing but replica

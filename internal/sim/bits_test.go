@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"elga/internal/agent"
 	"elga/internal/client"
 	"elga/internal/config"
 	"elga/internal/gen"
@@ -16,15 +15,11 @@ import (
 
 // pagerankBits runs PageRank from scratch for 20 supersteps on three agents
 // over an R-MAT graph of scale 10 and hashes the answer: FNV-64a over
-// "v:state;" of every vertex with an edge, ascending. workers > 1 runs every
-// phase on that many workers, down to work lists of one vertex.
-func pagerankBits(t *testing.T, cfg config.Config, seed int64, workers int) string {
+// "v:state;" of every vertex with an edge, ascending.
+func pagerankBits(t *testing.T, cfg config.Config, seed int64) string {
 	t.Helper()
 	el := gen.RMAT(10, 8192, gen.Graph500Params(), seed).Dedupe()
 	c := boot(t, sim.NewWorld(), 3, cfg)
-	if workers > 1 {
-		agent.SetComputeParallelism(workers, 1)
-	}
 	c.apply(el.Changes())
 	c.runSpec(client.RunSpec{Algo: "pagerank", MaxSteps: 20, FromScratch: true}, 20)
 	var vs []graph.VertexID
@@ -43,7 +38,7 @@ func pagerankBits(t *testing.T, cfg config.Config, seed int64, workers int) stri
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// pushBits are pagerankBits at one worker for seeds 1-4, as the push path
+// pushBits are pagerankBits for seeds 1-4, as the push path
 // computed them: every vertex scattered one message per edge, and each
 // destination's messages were folded by target in scatter order.
 var pushBits = map[string][]string{
@@ -59,27 +54,8 @@ func TestPageRankBitsMatchPush(t *testing.T) {
 	for name, cfg := range map[string]config.Config{"test": testConfig(), "split": splitConfig()} {
 		for i, want := range pushBits[name] {
 			t.Run(fmt.Sprintf("%s/seed-%d", name, i+1), func(t *testing.T) {
-				if got := pagerankBits(t, cfg, int64(i+1), 1); got != want {
+				if got := pagerankBits(t, cfg, int64(i+1)); got != want {
 					t.Fatalf("PageRank hashes to %s, want %s", got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestPageRankBitsIndependentOfWorkers: PageRank's answer is the same bits
-// whether one worker or four run each phase, with no vertex split and with
-// the hubs split: a dense step folds in the plan's order, and every merge
-// takes the workers' outputs in work-list order, not the steal schedule's.
-func TestPageRankBitsIndependentOfWorkers(t *testing.T) {
-	for _, c := range []struct {
-		prefix, pins string
-		cfg          config.Config
-	}{{"", "test", testConfig()}, {"split/", "split", splitConfig()}} {
-		for i, want := range pushBits[c.pins] {
-			t.Run(fmt.Sprintf("%sseed-%d", c.prefix, i+1), func(t *testing.T) {
-				if got := pagerankBits(t, c.cfg, int64(i+1), 4); got != want {
-					t.Fatalf("PageRank at 4 workers hashes to %s, want %s", got, want)
 				}
 			})
 		}

@@ -83,8 +83,6 @@ func bootTraced(t *testing.T, w *sim.World, agents int, cfg config.Config, spans
 	if spans != nil {
 		tr, sink = trace.Config{Enabled: true, Sample: 1}, spans.Add
 	}
-	agent.SetComputeParallelism(1, 0)
-	t.Cleanup(func() { agent.SetComputeParallelism(0, 0) })
 	c := &cluster{t: t, w: w, reg: metrics.NewRegistry()}
 	endpoint := func(addr string) *sim.Endpoint {
 		ep := w.Endpoint(addr)
