@@ -527,8 +527,12 @@ func (a *Agent) Done() <-chan struct{} { return a.done }
 // Leave announces a graceful departure: the agent stays alive to migrate
 // its edges away and exits once the directory confirms the rebalance.
 // The announcement is acked — a silently dropped TLeave would leave the
-// caller waiting on Done forever.
+// caller waiting on Done forever. Before the join reply the agent has no
+// ID to leave under, and Leave fails.
 func (a *Agent) Leave() error {
+	if a.id == 0 {
+		return fmt.Errorf("agent: leave before the join reply")
+	}
 	a.journal.Emit(events.Info, events.KindLeave, trace.SpanContext{}, events.U("agent", a.id))
 	_, err := a.ep.SendFrameAcked(a.coordAddr,
 		wire.AppendLeave(a.ep.NewFrame(wire.TLeave), &wire.Leave{AgentID: a.id}))

@@ -119,8 +119,8 @@ func newHubAgent(t *testing.T, n int) (*Agent, []graph.VertexID) {
 		t.Fatal(err)
 	}
 	for i, h := range hubs {
-		if m, _ := a.router.Master(h); m != 1 || a.router.Replicas(h) != 3 {
-			t.Fatalf("hub %d: master %d, %d replicas", h, m, a.router.Replicas(h))
+		if m, _ := a.router.Master(h); m != 1 || len(a.router.ReplicaSet(h)) != 3 {
+			t.Fatalf("hub %d: master %d, %d replicas", h, m, len(a.router.ReplicaSet(h)))
 		}
 		for j := 0; j < 4; j++ {
 			a.store.AddEdge(h, graph.VertexID(100000+8*i+j), graph.Out)

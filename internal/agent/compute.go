@@ -95,7 +95,11 @@ func (a *Agent) handleAlgoDone(pkt *wire.Packet) {
 	a.barrierSpan.End()
 	a.barrierSpan = trace.ActiveSpan{}
 	a.run = nil
-	a.pendingAdv = nil
+	// An Advance parked for a later run stays for that run's TAlgoStart: a
+	// resent TAlgoDone can arrive after it.
+	if a.pendingAdv != nil && a.pendingAdv.RunID <= done.RunID {
+		a.pendingAdv = nil
+	}
 	// Drop per-run message state: the mail keeps its arrays, the partial
 	// maps go back to the free list.
 	for k := range a.verts.mail {

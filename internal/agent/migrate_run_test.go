@@ -128,15 +128,14 @@ func TestWholesaleRoundShipsByVertex(t *testing.T) {
 	if _, sketchOnly := a.router.Rerouted(); sketchOnly {
 		t.Fatal("the membership changed, yet the router reports a sketch-only view")
 	}
-	if k := a.router.Replicas(hub); k != 3 {
+	if k := len(a.router.ReplicaSet(hub)); k != 3 {
 		t.Fatalf("hub has %d replicas, want 3", k)
 	}
 	r.drain(t)
 
 	self := consistent.AgentID(a.id)
 	ownerOf := func(c graph.EdgeCopy) consistent.AgentID {
-		o, _ := a.router.CopyOwner(wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
-		return o
+		return copyOwner(a.router, wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
 	}
 	shipped := map[graph.EdgeCopy]bool{}
 	hubWhole := false
@@ -374,7 +373,7 @@ func TestMigrationBatchMixedInput(t *testing.T) {
 	want.AddEdge(v2, 77, graph.In)
 	wantApplied, wantForwarded := uint64(0), map[consistent.AgentID][]wire.EdgeChange{}
 	for _, c := range batch {
-		if o, _ := a.router.CopyOwner(c); o != self {
+		if o := copyOwner(a.router, c); o != self {
 			wantForwarded[o] = append(wantForwarded[o], c)
 		} else if want.AddEdge(c.Src, c.Dst, c.Dir) {
 			wantApplied++

@@ -6,6 +6,7 @@ import (
 	"elga/internal/config"
 	"elga/internal/consistent"
 	"elga/internal/graph"
+	"elga/internal/route"
 	"elga/internal/sketch"
 	"elga/internal/wire"
 )
@@ -23,6 +24,12 @@ func runCopies(runs []wire.EdgeRun) []wire.EdgeChange {
 		}
 	}
 	return out
+}
+
+// copyOwner is the agent r names as the owner of copy c.
+func copyOwner(r *route.Router, c wire.EdgeChange) consistent.AgentID {
+	i, _ := r.CopyOwnerIndex(c)
+	return r.Agents()[i]
 }
 
 // TestSketchOnlyViewMovesOnlyReroutedCopies drives handleView with a view
@@ -86,7 +93,7 @@ func TestSketchOnlyViewMovesOnlyReroutedCopies(t *testing.T) {
 	if rerouted, sketchOnly := a.router.Rerouted(); !sketchOnly || len(rerouted) != 1 || rerouted[0] != hub {
 		t.Fatalf("router rerouted %v (sketchOnly=%v), want just the hub %d", rerouted, sketchOnly, hub)
 	}
-	if k := a.router.Replicas(hub); k != 3 {
+	if k := len(a.router.ReplicaSet(hub)); k != 3 {
 		t.Fatalf("hub has %d replicas, want 3", k)
 	}
 
@@ -103,7 +110,7 @@ func TestSketchOnlyViewMovesOnlyReroutedCopies(t *testing.T) {
 			if c.Src != hub || c.Dir != graph.Out {
 				t.Errorf("agent %d was shipped copy (%d,%d,%d), not one of the hub's", id, c.Src, c.Dst, c.Dir)
 			}
-			if o, _ := a.router.CopyOwner(c); o != consistent.AgentID(id) {
+			if o := copyOwner(a.router, c); o != consistent.AgentID(id) {
 				t.Errorf("copy (%d,%d) shipped to agent %d, router names %d", c.Src, c.Dst, id, o)
 			}
 		}
@@ -115,7 +122,7 @@ func TestSketchOnlyViewMovesOnlyReroutedCopies(t *testing.T) {
 		t.Fatalf("agent holds %d copies after shipping %d of %d", got, shipped, before)
 	}
 	a.store.Copies(func(c graph.EdgeCopy) bool {
-		o, _ := a.router.CopyOwner(wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
+		o := copyOwner(a.router, wire.EdgeChange{Src: c.Src, Dst: c.Dst, Dir: c.Dir})
 		if c.Src == stray {
 			if o == self {
 				t.Error("the planted copy is not misplaced; the test proves nothing")

@@ -668,8 +668,7 @@ func (d *Directory) advanceWork() {
 	if d.busy() {
 		return
 	}
-	if len(d.pendingJoins) > 0 || len(d.pendingLeaves) > 0 {
-		d.applyMembership()
+	if d.applyMembership() {
 		return
 	}
 	if d.run != nil && d.run.paused {
@@ -681,8 +680,16 @@ func (d *Directory) advanceWork() {
 	}
 }
 
-func (d *Directory) applyMembership() {
+// applyMembership applies the parked joins and leaves and reports whether
+// that changed the membership, which opens a migration round. A resent join
+// from a member or a leave from no member changes nothing: it is answered,
+// and no epoch is spent on it.
+func (d *Directory) applyMembership() bool {
+	if len(d.pendingJoins) == 0 && len(d.pendingLeaves) == 0 {
+		return false
+	}
 	var leavers []uint64
+	changed := false
 	for _, pkt := range d.pendingJoins {
 		j, err := wire.DecodeJoin(pkt.Payload)
 		if err != nil {
@@ -700,6 +707,7 @@ func (d *Directory) applyMembership() {
 		// second identity for the same agent.
 		id := d.memberID(j.Addr)
 		if id == 0 {
+			changed = true
 			d.nextAgentID++
 			id = d.nextAgentID
 			d.agents[id] = j.Addr
@@ -727,6 +735,7 @@ func (d *Directory) applyMembership() {
 		l, err := wire.DecodeLeave(pkt.Payload)
 		if err == nil {
 			if addr, ok := d.agents[l.AgentID]; ok {
+				changed = true
 				leaverAddrs = append(leaverAddrs, addr)
 				delete(d.agents, l.AgentID)
 				delete(d.leases, l.AgentID)
@@ -740,8 +749,12 @@ func (d *Directory) applyMembership() {
 	}
 	d.pendingJoins = nil
 	d.pendingLeaves = nil
+	if !changed {
+		return false
+	}
 	d.openMigration(leavers, leaverAddrs)
 	d.settle(d.migration)
+	return true
 }
 
 // replyJoin answers a join with the agent's ID and the current view.
@@ -826,6 +839,11 @@ func (d *Directory) finishSeal() {
 	// the exact merge would, so there is no broadcast. Persist the merged
 	// sketch and the new batch watermark here instead.
 	d.checkpointCoord()
+	// A join or leave that arrived while the seal was open goes first. Not
+	// advanceWork: with a run queued, it would open a second seal.
+	if d.applyMembership() {
+		return
+	}
 	d.maybeStartRun()
 }
 

@@ -184,3 +184,43 @@ func TestLeaseEvictsTheSilentAgent(t *testing.T) {
 		t.Fatalf("the sweep re-armed %d ticks, want the next one", len(ep.ticks))
 	}
 }
+
+// TestEmptyMembershipChangeOpensNoRound hands an idle coordinator a join
+// from an address that is already a member (a copy of a join applied
+// earlier) or a leave from an agent ID that is no member (an agent that
+// left before its join reply). Neither changes the membership: the join is
+// answered with the member's ID, and no epoch is spent and no migration
+// round opened on either.
+func TestEmptyMembershipChangeOpensNoRound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pkt  *wire.Packet
+	}{
+		{"resent-join", &wire.Packet{Type: wire.TJoin, From: "agent-a", Req: 9,
+			Payload: wire.AppendJoin(nil, &wire.Join{Addr: "agent-a"})}},
+		{"unknown-leave", &wire.Packet{Type: wire.TLeave, From: "agent-c",
+			Payload: wire.AppendLeave(nil, &wire.Leave{AgentID: 0})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, ep := fakeCoordinator(t, testCfg())
+			id := fakeJoin(t, d, ep, "agent-a")
+			fakeJoin(t, d, ep, "agent-b")
+			epoch, members := d.epoch, len(d.agents)
+			d.Handle(tc.pkt)
+			if d.epoch != epoch || d.migration != nil || len(d.agents) != members {
+				t.Fatalf("epoch %d -> %d, round open: %v, %d members -> %d",
+					epoch, d.epoch, d.migration != nil, members, len(d.agents))
+			}
+			if tc.pkt.Type != wire.TJoin {
+				return
+			}
+			reply := ep.lastTo("agent-a", wire.TJoinReply)
+			if reply == nil || reply.Req != tc.pkt.Req {
+				t.Fatal("the resent join got no reply")
+			}
+			if jr, err := wire.DecodeJoinReply(reply.Payload); err != nil || jr.AgentID != id {
+				t.Fatalf("the resent join was answered %+v (%v), want ID %d", jr, err, id)
+			}
+		})
+	}
+}

@@ -51,19 +51,6 @@ func BenchmarkEdgeOwnerWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeOwnerWarmParallel is the same hit path from concurrent
-// goroutines; it scales only if a hit shares no written cache line.
-func BenchmarkEdgeOwnerWarmParallel(b *testing.B) {
-	r, el := benchRouter(b)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for i := 0; pb.Next(); i++ {
-			e := el[i%len(el)]
-			r.EdgeOwner(e.Dst, e.Src)
-		}
-	})
-}
-
 // BenchmarkRouteAfterMembershipChange is the cold path a join or a leave
 // puts every participant on: each iteration installs a view whose membership
 // differs from the last (four agents, then five, and back), which empties

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"elga/internal/config"
 	"elga/internal/consistent"
@@ -34,7 +32,7 @@ const (
 // vertex under one view: its replica count k (sketch estimate pushed
 // through the replication policy, capped by the ring size), its replica
 // set (index 0 is the master) and each replica's index into the ring's
-// member list. Immutable once published. Only a vertex that is split, or
+// member list. Immutable once built. Only a vertex that is split, or
 // looked up on an empty ring, owns one; see Router.unsplit for the rest. An
 // agent's scatter does not come here per message: it keeps EdgeOwnerIndex's
 // answer per sealed edge for as long as the view stands (agent.routePlan),
@@ -46,13 +44,10 @@ type vertexRoute struct {
 }
 
 // slot is one 16-byte route-table entry. For an unsplit vertex val carries
-// the owner's member index inline; otherwise it indexes the side slice. A
-// fill writes key and then stores val, so a reader whose atomic load of
-// val is non-zero also sees the key; no published slot is rewritten while
-// a reader may run.
+// the owner's member index inline; otherwise it indexes the side slice.
 type slot struct {
 	key uint64
-	val atomic.Uint64
+	val uint64
 }
 
 // table is a power-of-two array of slots probed linearly from a
@@ -79,18 +74,15 @@ func (t *table) probe(v graph.VertexID) (*slot, uint64) {
 	mask := uint64(len(t.slots) - 1)
 	for i := (uint64(v) * fib) >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
-		val := s.val.Load()
-		if val == 0 || s.key == uint64(v) {
+		if val := s.val; val == 0 || s.key == uint64(v) {
 			return s, val
 		}
 	}
 }
 
-// Router resolves edge and vertex ownership under one directory view. It is
-// mutated only by its owner's event loop (Update), never while a lookup is in
-// flight. Lookups are safe from several goroutines at once, though no owner
-// issues them so: ring, sketch and addresses are immutable between Updates,
-// a hit reads the route table without a lock, and a miss fills it under mu.
+// Router resolves edge and vertex ownership under one directory view. Every
+// call, lookup or Update, comes from its owner's event loop or under its
+// owner's lock; a lookup writes the route table on a miss.
 type Router struct {
 	cfg     config.Config
 	epoch   uint64
@@ -108,11 +100,10 @@ type Router struct {
 
 	// tab holds every vertex looked up since the last wholesale install;
 	// nothing is ever evicted, which is what makes Rerouted complete. side
-	// holds the routes that slots refer to by index. mu serialises fills
-	// and growth; count (filled slots) belongs to whoever holds it.
-	mu      sync.Mutex
-	tab     atomic.Pointer[table]
-	side    atomic.Pointer[[]*vertexRoute]
+	// holds the routes that slots refer to by index; count is the filled
+	// slots.
+	tab     *table
+	side    []*vertexRoute
 	count   int
 	unsplit []vertexRoute // per member: the route of a vertex it alone owns
 
@@ -136,8 +127,8 @@ func New(cfg config.Config) *Router {
 // resetTable installs an empty table, sized for as many vertices as the
 // one it replaces held: the same vertices are about to be looked up again.
 func (r *Router) resetTable() {
-	r.tab.Store(newTable(r.count))
-	r.side.Store(new([]*vertexRoute))
+	r.tab = newTable(r.count)
+	r.side = nil
 	r.count = 0
 }
 
@@ -191,12 +182,12 @@ func (r *Router) computeRoute(v graph.VertexID) *vertexRoute {
 // lookup returns v's route from the table, filling it on a miss: the
 // owner's member index when v is unsplit (rt is nil), else v's side entry.
 func (r *Router) lookup(v graph.VertexID) (owner int, rt *vertexRoute) {
-	_, val := r.tab.Load().probe(v)
+	_, val := r.tab.probe(v)
 	if val == 0 {
 		val = r.fill(v)
 	}
 	if val&valSide != 0 {
-		return 0, (*r.side.Load())[val>>2]
+		return 0, r.side[val>>2]
 	}
 	return int(val >> 2), nil
 }
@@ -210,105 +201,79 @@ func (r *Router) routeOf(v graph.VertexID) *vertexRoute {
 	return rt
 }
 
-// fill resolves v and publishes it, re-probing the current table under mu:
-// another goroutine may have published v, or grown the table, since the
-// caller's lock-free miss.
+// fill resolves v and writes its slot, growing the table first if it is
+// half full.
 func (r *Router) fill(v graph.VertexID) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.tab.Load()
-	s, val := t.probe(v)
-	if val != 0 {
-		return val
+	if r.count >= len(r.tab.slots)/2 {
+		r.rebuild(false)
 	}
-	if r.count >= len(t.slots)/2 {
-		s, _ = r.rebuild(t, false).probe(v)
-	}
+	s, _ := r.tab.probe(v)
+	var val uint64
 	if rt := r.computeRoute(v); rt.k <= 1 && len(rt.at) == 1 {
 		val = uint64(rt.at[0])<<2 | valSet
 	} else {
-		val = r.addSide(rt)
+		r.side = append(r.side, rt)
+		val = uint64(len(r.side)-1)<<2 | valSide | valSet
 	}
 	s.key = uint64(v)
-	s.val.Store(val)
+	s.val = val
 	r.count++
 	return val
 }
 
-// addSide appends rt to the side slice and returns the slot value that
-// refers to it. The longer slice header is stored before any slot value
-// indexing its new element, so a reader that sees the slot loads a side
-// slice long enough; elements already published never move or change.
-func (r *Router) addSide(rt *vertexRoute) uint64 {
-	side := append(*r.side.Load(), rt)
-	r.side.Store(&side)
-	return uint64(len(side)-1)<<2 | valSide | valSet
-}
-
-// rebuild reinserts old's live entries into a fresh table with room for one
-// more and installs it; a reader still probing old sees only published
-// entries and falls into fill on a miss. With compact set (dropRerouted's
-// call, no reader running) it also rebuilds the side slice without the
-// routes no slot refers to any more.
-func (r *Router) rebuild(old *table, compact bool) *table {
-	t := newTable(r.count + 1)
-	oldSide := *r.side.Load()
+// rebuild reinserts the table's live entries into a fresh one with room for
+// one more. With compact set (dropRerouted's call) it also rebuilds the side
+// slice without the routes no slot refers to any more.
+func (r *Router) rebuild(compact bool) {
+	old, t := r.tab, newTable(r.count+1)
 	var side []*vertexRoute
 	r.count = 0
 	for i := range old.slots {
 		s := &old.slots[i]
-		val := s.val.Load()
+		val := s.val
 		if val&valSet == 0 {
 			continue // empty, or dropped
 		}
 		if compact && val&valSide != 0 {
-			side = append(side, oldSide[val>>2])
+			side = append(side, r.side[val>>2])
 			val = uint64(len(side)-1)<<2 | valSide | valSet
 		}
 		ns, _ := t.probe(graph.VertexID(s.key))
-		ns.key = s.key
-		ns.val.Store(val)
+		*ns = slot{key: s.key, val: val}
 		r.count++
 	}
 	if compact {
-		r.side.Store(&side)
+		r.side = side
 	}
-	r.tab.Store(t)
-	return t
+	r.tab = t
 }
 
 // dropRerouted removes every vertex whose replica count no longer matches
-// the installed sketch and records it in r.rerouted. It runs inside a
-// sketch-only Update, so no reader is probing: a dropped slot is marked in
-// place and, linear probing having no cheap delete, the table is rebuilt
-// without the marked slots — if there are any; few crossing deltas move a
-// vertex this router has looked up.
+// the installed sketch and records it in r.rerouted. A dropped slot is
+// marked in place and, linear probing having no cheap delete, the table is
+// rebuilt without the marked slots — if there are any; few crossing deltas
+// move a vertex this router has looked up.
 func (r *Router) dropRerouted() {
-	t, side := r.tab.Load(), *r.side.Load()
-	for i := range t.slots {
-		s := &t.slots[i]
-		val := s.val.Load()
-		if val == 0 {
+	for i := range r.tab.slots {
+		s := &r.tab.slots[i]
+		if s.val == 0 {
 			continue
 		}
 		k := 1
-		if val&valSide != 0 {
-			k = side[val>>2].k
+		if s.val&valSide != 0 {
+			k = r.side[s.val>>2].k
 		}
 		if v := graph.VertexID(s.key); r.replicas(v) != k {
 			r.rerouted = append(r.rerouted, v)
-			s.val.Store(valSide)
+			s.val = valSide
 		}
 	}
 	if len(r.rerouted) > 0 {
-		r.rebuild(t, true)
+		r.rebuild(true)
 	}
 }
 
-// Update installs a directory view. It must run on the owning entity's
-// event loop with no lookup in flight (an agent's lookups run on that
-// loop): that is what lets it replace the table
-// without coordinating with readers. Stale views (epoch older than current)
+// Update installs a directory view. Stale views (epoch older than current)
 // are ignored and reported false. A view with the installed membership can
 // differ only in its sketch, which feeds nothing but replica
 // counts: the ring stays and the table keeps every vertex whose count is
@@ -411,19 +376,6 @@ func (r *Router) AddrOf(id consistent.AgentID) (string, bool) {
 	return a, ok
 }
 
-// Replicas returns k for vertex v: the sketch degree estimate pushed
-// through the replication policy, capped by the ring size.
-func (r *Router) Replicas(v graph.VertexID) int {
-	return r.routeOf(v).k
-}
-
-// DegreeEstimate exposes the sketch estimate (Fig. 7 instrumentation). It
-// reads the sketch of the last view installed; the directory's own merge
-// may have moved on, by less than a replica bucket per cell.
-func (r *Router) DegreeEstimate(v graph.VertexID) uint64 {
-	return r.sk.Estimate(uint64(v))
-}
-
 // EdgeOwner resolves the agent owning vertex u's copy of edge (u,other):
 // the two-level lookup of Figure 3. The first level (u's replica window)
 // comes from the route table; only the cheap second hash over the
@@ -468,17 +420,8 @@ func (r *Router) ReplicaFor(replicas []int32, other graph.VertexID) int {
 	return int(replicas[r.ring.PickIndex(len(replicas), uint64(other))])
 }
 
-// CopyOwner resolves the owner of one routed edge-change copy: Out copies
-// key on Src, In copies key on Dst.
-func (r *Router) CopyOwner(c wire.EdgeChange) (consistent.AgentID, bool) {
-	if i, ok := r.CopyOwnerIndex(c); ok {
-		return r.members[i], true
-	}
-	return 0, false
-}
-
-// CopyOwnerIndex is CopyOwner answering with the owner's position in
-// Agents().
+// CopyOwnerIndex resolves the owner of one routed edge-change copy, as its
+// position in Agents(): Out copies key on Src, In copies key on Dst.
 func (r *Router) CopyOwnerIndex(c wire.EdgeChange) (int, bool) {
 	if c.Dir == graph.Out {
 		return r.EdgeOwnerIndex(c.Src, c.Dst)
@@ -488,16 +431,9 @@ func (r *Router) CopyOwnerIndex(c wire.EdgeChange) (int, bool) {
 
 // ReplicaSet returns vertex v's replica agents; index 0 is the master.
 // The returned slice is shared with the route table: callers must not
-// mutate or retain it across a view Update (use ReplicaSetInto for an
-// owned copy).
+// mutate or retain it across a view Update.
 func (r *Router) ReplicaSet(v graph.VertexID) []consistent.AgentID {
 	return r.routeOf(v).set
-}
-
-// ReplicaSetInto copies v's replica set into out (reset to out[:0]),
-// allocating nothing when out has capacity.
-func (r *Router) ReplicaSetInto(v graph.VertexID, out []consistent.AgentID) []consistent.AgentID {
-	return append(out[:0], r.routeOf(v).set...)
 }
 
 // IsReplica reports whether id is one of v's replicas, without

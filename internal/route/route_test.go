@@ -100,8 +100,8 @@ func TestReplicasFollowSketch(t *testing.T) {
 	if _, err := r.Update(view(t, 1, []uint64{1, 2, 3, 4, 5, 6}, sk)); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Replicas(7); got != 4 {
-		t.Errorf("Replicas(7) = %d, want 4", got)
+	if got := r.routeOf(7).k; got != 4 {
+		t.Errorf("routeOf(7).k = %d, want 4", got)
 	}
 	if !r.Split(7) {
 		t.Error("vertex 7 should be split")
@@ -117,7 +117,7 @@ func TestReplicasFollowSketch(t *testing.T) {
 	if !ok || m != set[0] {
 		t.Error("Master should be ReplicaSet[0]")
 	}
-	if r.DegreeEstimate(7) < 35 {
+	if r.sk.Estimate(7) < 35 {
 		t.Error("degree estimate underestimates")
 	}
 }
@@ -130,7 +130,7 @@ func TestReplicasCappedByRingSize(t *testing.T) {
 	if _, err := r.Update(view(t, 1, []uint64{1, 2}, sk)); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Replicas(7); got != 2 {
+	if got := r.routeOf(7).k; got != 2 {
 		t.Errorf("Replicas capped at ring size: got %d", got)
 	}
 }
@@ -140,12 +140,14 @@ func TestCopyOwnerKeysByDirection(t *testing.T) {
 	if _, err := r.Update(view(t, 1, []uint64{1, 2, 3, 4}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	outOwner, _ := r.CopyOwner(wire.EdgeChange{Src: 10, Dst: 20, Dir: graph.Out})
+	i, _ := r.CopyOwnerIndex(wire.EdgeChange{Src: 10, Dst: 20, Dir: graph.Out})
+	outOwner := r.Agents()[i]
 	wantOut, _ := r.EdgeOwner(10, 20)
 	if outOwner != wantOut {
 		t.Error("Out copy should key on Src")
 	}
-	inOwner, _ := r.CopyOwner(wire.EdgeChange{Src: 10, Dst: 20, Dir: graph.In})
+	i, _ = r.CopyOwnerIndex(wire.EdgeChange{Src: 10, Dst: 20, Dir: graph.In})
+	inOwner := r.Agents()[i]
 	wantIn, _ := r.EdgeOwner(20, 10)
 	if inOwner != wantIn {
 		t.Error("In copy should key on Dst")
@@ -270,7 +272,7 @@ func TestThresholdMoveReroutesExactly(t *testing.T) {
 	}
 	before := make(map[graph.VertexID]int, len(vertices))
 	for _, v := range vertices {
-		before[v] = r.Replicas(v)
+		before[v] = r.routeOf(v).k
 	}
 	if _, err := r.Update(view(t, 2, ids, large)); err != nil {
 		t.Fatal(err)
@@ -288,8 +290,8 @@ func TestThresholdMoveReroutesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vertices {
-		if want := fresh.Replicas(v) != before[v]; moved[v] != want {
-			t.Errorf("vertex %d: rerouted=%v, replica count %d -> %d", v, moved[v], before[v], fresh.Replicas(v))
+		if want := fresh.routeOf(v).k != before[v]; moved[v] != want {
+			t.Errorf("vertex %d: rerouted=%v, replica count %d -> %d", v, moved[v], before[v], fresh.routeOf(v).k)
 		}
 		a, _ := r.EdgeOwner(v, v+1)
 		b, _ := fresh.EdgeOwner(v, v+1)
@@ -341,8 +343,8 @@ func TestReplicasBoundIsExact(t *testing.T) {
 		split := 0
 		for _, v := range vs {
 			want := min(sketch.Replicas(sk.Estimate(uint64(v)), limit, c.MaxReplicas), tc.members)
-			if got := r.Replicas(v); got != want {
-				t.Fatalf("threshold %d, P = %d: Replicas(%d) = %d, want %d (estimate %d)",
+			if got := r.routeOf(v).k; got != want {
+				t.Fatalf("threshold %d, P = %d: routeOf(%d).k = %d, want %d (estimate %d)",
 					limit, tc.members, v, got, want, sk.Estimate(uint64(v)))
 			}
 			if want > 1 {

@@ -55,7 +55,7 @@ func TestRouteTableDifferentialViewSequence(t *testing.T) {
 		}
 		assertCachedMatchesUncached(t, r, vs, tag)
 		for v := range seen {
-			if _, val := r.tab.Load().probe(v); val == 0 {
+			if _, val := r.tab.probe(v); val == 0 {
 				t.Fatalf("%s: vertex %d was looked up but is not in the table", tag, v)
 			}
 		}
